@@ -312,8 +312,9 @@ macro_rules! read_api {
         /// All versions of the object created in the global-stamp range
         /// `[from, to]` (inclusive), oldest first — "all versions of X
         /// between epochs". For delta-chained objects the answer is
-        /// served straight off the chain record's vid index, with no
-        /// per-version record loads and no state materialization.
+        /// served off the chain directory and the delta runs of the
+        /// segments the range overlaps, with no per-version record
+        /// loads and no state materialization.
         pub fn history_between<T: OdeType>(
             &mut self,
             ptr: &ObjPtr<T>,
@@ -366,8 +367,8 @@ macro_rules! read_api {
             self.db.versions().diff_versions(&mut self.tx, from, to)
         }
 
-        /// Space/shape statistics of the object's delta-chain record
-        /// (`None` for whole-body objects).
+        /// Space/shape statistics of the object's delta chain (`None`
+        /// for whole-body objects).
         pub fn chain_stats_raw(
             &mut self,
             oid: ode_object::Oid,

@@ -143,6 +143,11 @@ impl FaultRelay {
                     let _ = client_side.shutdown(Shutdown::Both);
                     continue;
                 };
+                // The relay re-sends a frame in `chunk`-sized writes; with
+                // Nagle on, every write after the first waits out the
+                // peer's delayed ACK (~40 ms per multi-segment frame).
+                client_side.set_nodelay(true).ok();
+                server_side.set_nodelay(true).ok();
                 let i = accept_inner.next_conn.fetch_add(1, Ordering::Relaxed);
                 let plan = {
                     let plans = accept_inner.plans.lock();

@@ -349,3 +349,29 @@ fn a_write_whose_response_dies_in_the_cut_executes_exactly_once() {
         "no layer may have silently retried the write"
     );
 }
+
+/// The relays re-send each frame in several writes; with Nagle left on
+/// every multi-segment frame stalled ~40 ms on the peer's delayed ACK,
+/// which made `Cluster` an order of magnitude slower per routed round
+/// than the tier it stands in for.
+#[test]
+fn a_clean_relay_adds_no_delayed_ack_stall_to_a_multi_segment_frame() {
+    let cluster = Cluster::start(ClusterConfig::default());
+    let mut c =
+        OdeClient::connect(cluster.router_addr(), ClientConfig::default()).expect("connect");
+    let ptr = c.pnew(&doc(&"x".repeat(4096), 1)).expect("pnew");
+    let mut round_trips: Vec<Duration> = (0..9)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            let (got, _) = c.deref(&ptr).expect("deref through the relay");
+            assert_eq!(got.title.len(), 4096);
+            start.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "4 KB Deref round trips through a clean relay: median {median:?}, all {round_trips:?}"
+    );
+}

@@ -47,6 +47,19 @@ impl ObjectHeap {
         heap.insert(tx, &bytes)
     }
 
+    /// Store a value in the page holding `near` when it fits there
+    /// (see `Heap::insert_near`), returning its record id.
+    pub fn store_near<T: Persist>(
+        &self,
+        tx: &mut impl PageWrite,
+        near: RecordId,
+        value: &T,
+    ) -> Result<RecordId> {
+        let bytes = ode_codec::to_bytes(value);
+        let heap = self.heap_mut(tx)?;
+        heap.insert_near(tx, near, &bytes)
+    }
+
     /// Load a value by record id.
     pub fn load<T: Persist>(&self, tx: &mut impl PageRead, rid: RecordId) -> Result<T> {
         let heap = self
@@ -77,7 +90,8 @@ impl ObjectHeap {
         heap.insert(tx, bytes)
     }
 
-    /// Replace a record with raw bytes; the record id changes.
+    /// Replace a record with raw bytes; returns its id, which changes
+    /// only when an inline value outgrew its page.
     pub fn replace_raw(
         &self,
         tx: &mut impl PageWrite,
@@ -88,7 +102,8 @@ impl ObjectHeap {
         heap.replace(tx, rid, bytes)
     }
 
-    /// Replace a record with a new value; the record id changes.
+    /// Replace a record with a new value; returns its id, which changes
+    /// only when an inline value outgrew its page.
     pub fn replace<T: Persist>(
         &self,
         tx: &mut impl PageWrite,

@@ -5,9 +5,12 @@
 //! and writes go through it, and dirty pages are only written back to the
 //! database file at checkpoint time (the WAL provides durability between
 //! checkpoints).  Dirty pages are therefore **never evicted** — eviction
-//! only reclaims clean frames.  If every frame is dirty the pool grows
-//! past its target capacity until the next checkpoint, which is safe but
-//! flagged by [`BufferPool::over_target`] so callers can checkpoint.
+//! only reclaims clean frames, and every insert (a miss *or* a
+//! published page the pool did not hold) first reclaims room for
+//! itself.  If every frame of a shard is dirty the shard grows past its
+//! share of the target capacity until the next checkpoint, which is
+//! safe but flagged by [`BufferPool::over_target`] so the committer
+//! checkpoints; the checkpoint then trims the pool back to its target.
 //!
 //! Concurrency: frames live in [`SHARDS`] independent hash maps, each
 //! behind its own `RwLock`, and hold their page image as an
@@ -27,7 +30,7 @@
 //! half-written page while a checkpoint is streaming it out.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -51,6 +54,8 @@ pub struct BufferStats {
     pub evictions: u64,
     /// Dirty pages written back during checkpoints.
     pub writebacks: u64,
+    /// Frames resident right now (a gauge, not a total).
+    pub resident: u64,
 }
 
 struct Frame {
@@ -74,9 +79,12 @@ pub struct BufferPool {
     shards: Vec<RwLock<Shard>>,
     /// Target capacity in pages across all shards.
     capacity: usize,
-    /// Total resident frames (kept outside the shard locks so
-    /// [`BufferPool::over_target`] is a single atomic load).
+    /// Total resident frames (kept outside the shard locks).
     resident: AtomicUsize,
+    /// Set when some shard's dirty frames alone outgrew its share of
+    /// the capacity; cleared by [`BufferPool::flush_all`]. A hint
+    /// (Relaxed): it guards no other data.
+    dirty_pressure: AtomicBool,
     tick: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -92,6 +100,7 @@ impl BufferPool {
             shards: (0..SHARDS).map(|_| RwLock::new(Shard::default())).collect(),
             capacity: capacity.max(4 * SHARDS),
             resident: AtomicUsize::new(0),
+            dirty_pressure: AtomicBool::new(false),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -115,6 +124,7 @@ impl BufferPool {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             writebacks: self.writebacks.load(Ordering::Relaxed),
+            resident: self.len() as u64,
         }
     }
 
@@ -128,10 +138,11 @@ impl BufferPool {
         self.len() == 0
     }
 
-    /// Whether the pool has grown beyond its target capacity because all
-    /// frames are dirty (a hint that a checkpoint is due).
+    /// Whether dirty frames have outgrown the target: some shard needed
+    /// room and had only dirty frames to give (a hint that a checkpoint
+    /// is due). Clean frames never count — they are evicted instead.
     pub fn over_target(&self) -> bool {
-        self.len() > self.capacity
+        self.dirty_pressure.load(Ordering::Relaxed)
     }
 
     /// Shared lookup: return the page's current image, loading it from
@@ -156,7 +167,7 @@ impl BufferPool {
             frame.last_used.store(self.next_tick(), Ordering::Relaxed);
             return Ok(Arc::clone(&frame.page));
         }
-        self.evict_from(&mut shard);
+        self.evict_from(&mut shard, 1);
         shard.frames.insert(
             id.0,
             Frame {
@@ -176,29 +187,26 @@ impl BufferPool {
     pub fn publish(&self, id: PageId, page: Arc<PageBuf>, dirty: bool, epoch: u64) {
         let mut shard = self.shard(id).write();
         let tick = self.next_tick();
-        match shard.frames.entry(id.0) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let frame = e.get_mut();
-                frame.page = page;
-                frame.dirty = dirty;
-                frame.epoch = epoch;
-                frame.last_used.store(tick, Ordering::Relaxed);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(Frame {
-                    page,
-                    dirty,
-                    epoch,
-                    last_used: AtomicU64::new(tick),
-                });
-                self.resident.fetch_add(1, Ordering::Relaxed);
-            }
+        if let Some(frame) = shard.frames.get_mut(&id.0) {
+            frame.page = page;
+            frame.dirty = dirty;
+            frame.epoch = epoch;
+            frame.last_used.store(tick, Ordering::Relaxed);
+            return;
         }
-        if !dirty {
-            // Clean publishes (recovery installs) may push a shard over
-            // its share; reclaim clean LRU frames.
-            self.evict_from(&mut shard);
-        }
+        // A page the pool does not hold (freshly allocated, or evicted
+        // since the writer read it) takes a frame like any miss does.
+        self.evict_from(&mut shard, 1);
+        shard.frames.insert(
+            id.0,
+            Frame {
+                page,
+                dirty,
+                epoch,
+                last_used: AtomicU64::new(tick),
+            },
+        );
+        self.resident.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Drop a page from the pool without write-back (used when a page is
@@ -244,7 +252,8 @@ impl BufferPool {
     /// Write all dirty pages back to the file and mark them clean
     /// (checkpoint). The caller (the store) serializes checkpoints under
     /// its write lock; concurrent *readers* are unaffected because each
-    /// frame's image is only sealed on a clone.
+    /// frame's image is only sealed on a clone. Afterwards every frame
+    /// is clean, so shards that grew past their share are trimmed back.
     pub fn flush_all(&self, pager: &Pager) -> Result<()> {
         for id in self.dirty_pages() {
             // Snapshot the image with a read lock only: the single
@@ -265,6 +274,10 @@ impl BufferPool {
                 f.dirty = false;
             }
         }
+        self.dirty_pressure.store(false, Ordering::Relaxed);
+        for shard in &self.shards {
+            self.evict_from(&mut shard.write(), 0);
+        }
         Ok(())
     }
 
@@ -280,6 +293,7 @@ impl BufferPool {
             shard.frames.clear();
             self.resident.fetch_sub(n, Ordering::Relaxed);
         }
+        self.dirty_pressure.store(false, Ordering::Relaxed);
     }
 
     /// Remove everything from the pool (test aid; dirty pages must have
@@ -294,11 +308,13 @@ impl BufferPool {
         }
     }
 
-    /// Evict clean LRU frames while this shard exceeds its share of the
-    /// pool capacity. Dirty frames are never evicted (see module docs).
-    fn evict_from(&self, shard: &mut Shard) {
+    /// Evict clean LRU frames until this shard plus `incoming` new
+    /// frames fits its share of the pool capacity. Dirty frames are
+    /// never evicted (see module docs); running out of clean ones
+    /// raises the dirty-pressure flag instead.
+    fn evict_from(&self, shard: &mut Shard, incoming: usize) {
         let per_shard = self.capacity / SHARDS;
-        while shard.frames.len() >= per_shard {
+        while shard.frames.len() + incoming > per_shard {
             let victim = shard
                 .frames
                 .iter()
@@ -312,7 +328,10 @@ impl BufferPool {
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
                 // All frames dirty: allow temporary growth (see module doc).
-                None => break,
+                None => {
+                    self.dirty_pressure.store(true, Ordering::Relaxed);
+                    break;
+                }
             }
         }
     }
@@ -402,6 +421,55 @@ mod tests {
             assert!(pool.is_dirty(id));
             assert_eq!(pool.get(&pager, id).unwrap().read_u64(16), id.0 + 1000);
         }
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn publishing_an_absent_page_evicts_a_clean_frame() {
+        let (path, pager) = temp_pager("publish-evicts");
+        let pool = BufferPool::new(0); // floor: 4 per shard
+        let ids: Vec<PageId> = (0..6).map(|i| PageId(i * SHARDS as u64)).collect();
+        for &id in &ids {
+            let mut page = PageBuf::new(PageKind::Heap);
+            pager.write_page(id, &mut page).unwrap();
+        }
+        // Fill the shard's share with clean frames, then publish two
+        // pages the pool does not hold: clean frames make room, the
+        // shard stays within its share and nothing asks for a checkpoint.
+        for &id in &ids[..4] {
+            pool.get(&pager, id).unwrap();
+        }
+        for &id in &ids[4..] {
+            pool.publish(id, Arc::new(PageBuf::new(PageKind::Heap)), true, 1);
+        }
+        assert_eq!(pool.len(), 4);
+        assert_eq!(pool.stats().evictions, 2);
+        assert!(!pool.over_target());
+        assert!(pool.is_dirty(ids[4]) && pool.is_dirty(ids[5]));
+        std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn over_target_means_dirty_frames_outgrew_a_share() {
+        let (path, pager) = temp_pager("pressure");
+        let pool = BufferPool::new(0); // floor: 4 per shard
+        let ids: Vec<PageId> = (0..6).map(|i| PageId(i * SHARDS as u64)).collect();
+        for &id in &ids[..4] {
+            pool.publish(id, Arc::new(PageBuf::new(PageKind::Heap)), true, 1);
+        }
+        // A full share of dirty frames is not yet pressure ...
+        assert!(!pool.over_target());
+        // ... the next frame finding only dirty ones to evict is.
+        pool.publish(ids[4], Arc::new(PageBuf::new(PageKind::Heap)), true, 2);
+        pool.publish(ids[5], Arc::new(PageBuf::new(PageKind::Heap)), true, 2);
+        assert!(pool.over_target());
+        assert_eq!(pool.len(), 6);
+        // A checkpoint writes them back, trims the shard to its share
+        // and withdraws the hint.
+        pool.flush_all(&pager).unwrap();
+        assert!(!pool.over_target());
+        assert_eq!(pool.len(), 4);
+        assert!(pool.dirty_pages().is_empty());
         std::fs::remove_file(path).unwrap();
     }
 

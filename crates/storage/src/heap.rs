@@ -2,11 +2,14 @@
 //! [`RecordId`]s, with overflow chains for values larger than a page.
 //!
 //! A heap is identified by its *directory page*, which holds the head of
-//! the data-page chain and an insert hint.  [`Heap::replace`] rewrites a
-//! record **in place** (same id, only its own page written) whenever the
-//! new value still fits its page; only when it does not — or when
-//! overflow chains are involved — does it fall back to delete + insert,
-//! and the object layer remaps its table entry to the new record id.
+//! the data-page chain, an insert hint, and a short list of *roomy*
+//! pages — ones a delete or a relocation left more than half empty —
+//! that inserts fill again before the heap grows.  [`Heap::replace`]
+//! rewrites a record **in place** (same id, only its own page and its
+//! overflow chain written) whenever the new cell still fits its page —
+//! which an overflow stub always does; only an inline value that
+//! outgrew its page moves, and the object layer remaps its table entry
+//! to the new record id.
 //! The in-place path matters for the optimistic-concurrency engine:
 //! it keeps updates of records on different pages from ever touching a
 //! shared page (the directory's record count only moves on insert and
@@ -33,7 +36,21 @@ mod dir {
     pub const FIRST: usize = PAGE_HEADER_LEN;
     pub const HINT: usize = PAGE_HEADER_LEN + 8;
     pub const RECORD_COUNT: usize = PAGE_HEADER_LEN + 16;
+    /// Entries in use in the roomy-page list (0 in heaps written
+    /// before the list existed: their directory tail is zeroed).
+    pub const ROOMY_LEN: usize = PAGE_HEADER_LEN + 24;
+    /// The roomy-page list: page ids, in no particular order.
+    pub const ROOMY: usize = PAGE_HEADER_LEN + 32;
+    pub const ROOMY_CAP: usize = 256;
 }
+
+/// Roomy-list entries an insert examines before falling back to a
+/// fresh page.
+const ROOMY_PROBES: usize = 8;
+/// A page is roomy while more than this much of it is reclaimable; an
+/// insert that finds a listed page below it drops the page from the
+/// list.
+const ROOMY_FLOOR: usize = PAGE_SIZE / 2;
 
 const TAG_INLINE: u8 = 0x00;
 const TAG_OVERFLOW: u8 = 0x01;
@@ -105,6 +122,7 @@ impl Heap {
         page.write_u64(dir::FIRST, 0);
         page.write_u64(dir::HINT, 0);
         page.write_u64(dir::RECORD_COUNT, 0);
+        page.write_u64(dir::ROOMY_LEN, 0);
         Ok(Heap { dir: dir_id })
     }
 
@@ -125,27 +143,107 @@ impl Heap {
 
     /// Insert a record of any size, returning its stable id.
     pub fn insert(&self, tx: &mut impl PageWrite, data: &[u8]) -> Result<RecordId> {
-        let cell = if data.len() <= INLINE_MAX {
+        let cell = self.build_cell(tx, data)?;
+        let rid = self.place_cell(tx, &cell)?;
+        self.bump_count(tx, 1)?;
+        Ok(rid)
+    }
+
+    /// [`Heap::insert`] with a placement preference: the record goes
+    /// into the page holding `near` when its cell fits there, so that
+    /// records read and written together (an object's record and its
+    /// versions') share pages; otherwise wherever `insert` would put
+    /// it.
+    pub fn insert_near(
+        &self,
+        tx: &mut impl PageWrite,
+        near: RecordId,
+        data: &[u8],
+    ) -> Result<RecordId> {
+        let cell = self.build_cell(tx, data)?;
+        let page = tx.page(near.page)?;
+        let rid = if page.kind() == Some(PageKind::Heap) && slotted::can_insert(page, cell.len()) {
+            let slot = slotted::insert(tx.page_mut(near.page)?, &cell)?;
+            RecordId {
+                page: near.page,
+                slot,
+            }
+        } else {
+            self.place_cell(tx, &cell)?
+        };
+        self.bump_count(tx, 1)?;
+        Ok(rid)
+    }
+
+    /// The slotted cell for `data`: the bytes inline, or — past
+    /// [`INLINE_MAX`] — a stub pointing at a freshly written overflow
+    /// chain.
+    fn build_cell(&self, tx: &mut impl PageWrite, data: &[u8]) -> Result<Vec<u8>> {
+        if data.len() <= INLINE_MAX {
             let mut cell = Vec::with_capacity(data.len() + 1);
             cell.push(TAG_INLINE);
             cell.extend_from_slice(data);
-            cell
+            Ok(cell)
         } else {
             let first = self.write_overflow_chain(tx, data)?;
             let mut cell = Vec::with_capacity(OVERFLOW_STUB_LEN);
             cell.push(TAG_OVERFLOW);
             cell.extend_from_slice(&(data.len() as u32).to_le_bytes());
             cell.extend_from_slice(&first.0.to_le_bytes());
-            cell
-        };
+            Ok(cell)
+        }
+    }
 
-        let page_id = self.page_for_insert(tx, cell.len())?;
-        let slot = slotted::insert(tx.page_mut(page_id)?, &cell)?;
-        self.bump_count(tx, 1)?;
-        Ok(RecordId {
-            page: page_id,
-            slot,
-        })
+    /// Put a cell into some data page with room for it.
+    fn place_cell(&self, tx: &mut impl PageWrite, cell: &[u8]) -> Result<RecordId> {
+        let page = self.page_for_insert(tx, cell.len())?;
+        let slot = slotted::insert(tx.page_mut(page)?, cell)?;
+        Ok(RecordId { page, slot })
+    }
+
+    /// Free the overflow chain a cell points at, if it is a stub.
+    fn free_chain_of(&self, tx: &mut impl PageWrite, cell: &[u8]) -> Result<()> {
+        if cell.first().copied() == Some(TAG_OVERFLOW) && cell.len() == OVERFLOW_STUB_LEN {
+            let mut next = PageId(u64::from_le_bytes(cell[5..13].try_into().expect("8 bytes")));
+            while !next.is_null() {
+                let after = tx.page(next)?.link();
+                tx.free_page(next)?;
+                next = after;
+            }
+        }
+        Ok(())
+    }
+
+    /// Tombstone a record's slot.
+    fn remove_cell(&self, tx: &mut impl PageWrite, rid: RecordId) -> Result<()> {
+        slotted::delete(tx.page_mut(rid.page)?, rid.slot);
+        self.note_room(tx, rid.page)
+    }
+
+    /// After space was reclaimed in `page`: if that left it roomy, make
+    /// it the insert hint and list it (unless the list is full, in
+    /// which case plenty of room is on record already).
+    fn note_room(&self, tx: &mut impl PageWrite, page: PageId) -> Result<()> {
+        if slotted::free_space(tx.page(page)?) > ROOMY_FLOOR {
+            let dir_page = tx.page_mut(self.dir)?;
+            dir_page.write_u64(dir::HINT, page.0);
+            let len = roomy_len(dir_page);
+            let listed = (0..len).any(|i| roomy_at(dir_page, i) == page);
+            if !listed && len < dir::ROOMY_CAP {
+                dir_page.write_u64(dir::ROOMY + len * 8, page.0);
+                dir_page.write_u64(dir::ROOMY_LEN, len as u64 + 1);
+            }
+        }
+        Ok(())
+    }
+
+    /// A record's cell bytes, if the record exists.
+    fn cell(&self, tx: &mut impl PageRead, rid: RecordId) -> Result<Option<Vec<u8>>> {
+        let page = tx.page(rid.page)?;
+        if page.kind() != Some(PageKind::Heap) {
+            return Ok(None);
+        }
+        Ok(slotted::get(page, rid.slot).map(<[u8]>::to_vec))
     }
 
     /// Read a record.
@@ -178,62 +276,51 @@ impl Heap {
     /// Delete a record, freeing any overflow pages. Returns whether it
     /// existed.
     pub fn delete(&self, tx: &mut impl PageWrite, rid: RecordId) -> Result<bool> {
-        let cell = match slotted::get(tx.page(rid.page)?, rid.slot) {
-            Some(c) => c.to_vec(),
-            None => return Ok(false),
+        let Some(cell) = self.cell(tx, rid)? else {
+            return Ok(false);
         };
-        if cell.first().copied() == Some(TAG_OVERFLOW) && cell.len() == OVERFLOW_STUB_LEN {
-            let mut next = PageId(u64::from_le_bytes(cell[5..13].try_into().expect("8 bytes")));
-            while !next.is_null() {
-                let after = tx.page(next)?.link();
-                tx.free_page(next)?;
-                next = after;
-            }
-        }
-        let page = tx.page_mut(rid.page)?;
-        let existed = slotted::delete(page, rid.slot);
-        if existed {
-            // Pages with reclaimed space become the insert hint.
-            if slotted::free_space(tx.page(rid.page)?) > PAGE_SIZE / 2 {
-                tx.page_mut(self.dir)?.write_u64(dir::HINT, rid.page.0);
-            }
-            self.bump_count(tx, -1)?;
-        }
-        Ok(existed)
+        self.free_chain_of(tx, &cell)?;
+        self.remove_cell(tx, rid)?;
+        self.bump_count(tx, -1)?;
+        Ok(true)
     }
 
-    /// Replace a record's contents. When both the old and new value are
-    /// inline and the new one fits its page (in place or after
-    /// compaction), the record is rewritten under the **same id** and
-    /// only that one page is touched — no directory-page write, so
-    /// concurrent optimistic transactions replacing records on
-    /// different pages do not conflict. Otherwise falls back to
-    /// delete + insert, returning the new id; callers own remapping any
+    /// Replace a record's contents under the **same id** whenever the
+    /// new cell fits the record's page (in place or after compaction):
+    /// only that page and the value's own overflow chain are written —
+    /// no directory-page write, so concurrent optimistic transactions
+    /// replacing records on different pages do not conflict. An
+    /// overflow value's cell is a fixed-size stub, so records that are
+    /// or become larger than a page always keep their id; their old
+    /// chain's pages go back to the free list first and are the ones
+    /// the new chain takes. Only an inline value that outgrew its page
+    /// moves, returning the new id; callers own remapping any
     /// references (see module docs).
     pub fn replace(&self, tx: &mut impl PageWrite, rid: RecordId, data: &[u8]) -> Result<RecordId> {
-        if data.len() <= INLINE_MAX {
-            let page = tx.page(rid.page)?;
-            if page.kind() == Some(PageKind::Heap)
-                && slotted::get(page, rid.slot).is_some_and(|c| c.first() == Some(&TAG_INLINE))
-            {
-                let mut cell = Vec::with_capacity(data.len() + 1);
-                cell.push(TAG_INLINE);
-                cell.extend_from_slice(data);
-                match slotted::update(tx.page_mut(rid.page)?, rid.slot, &cell) {
-                    Ok(()) => return Ok(rid),
-                    // Doesn't fit even after compaction: relocate below.
-                    Err(StorageError::PageFull) => {}
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-        if !self.delete(tx, rid)? {
+        let Some(old) = self.cell(tx, rid)? else {
             return Err(StorageError::RecordNotFound {
                 page: rid.page,
                 slot: rid.slot,
             });
+        };
+        self.free_chain_of(tx, &old)?;
+        let cell = self.build_cell(tx, data)?;
+        match slotted::update(tx.page_mut(rid.page)?, rid.slot, &cell) {
+            // A value moving out into an overflow chain (whose pages
+            // the transaction allocated anyway) may leave its page
+            // roomy; no other in-place rewrite touches the directory.
+            Ok(()) if cell[0] == TAG_OVERFLOW && old[0] == TAG_INLINE => {
+                self.note_room(tx, rid.page)?;
+                Ok(rid)
+            }
+            Ok(()) => Ok(rid),
+            // Doesn't fit even after compaction: relocate.
+            Err(StorageError::PageFull) => {
+                self.remove_cell(tx, rid)?;
+                self.place_cell(tx, &cell)
+            }
+            Err(e) => Err(e),
         }
-        self.insert(tx, data)
     }
 
     /// Collect every live record (id, bytes), in page-chain order.
@@ -269,11 +356,30 @@ impl Heap {
         Ok(())
     }
 
-    /// Find (or allocate) a data page that can hold a cell of `len` bytes.
+    /// Find (or allocate) a data page that can hold a cell of `len`
+    /// bytes: the hint, then the newest few roomy pages (forgetting the
+    /// ones that filled up), then the chain head, then a fresh page.
     fn page_for_insert(&self, tx: &mut impl PageWrite, len: usize) -> Result<PageId> {
         let hint = PageId(tx.page(self.dir)?.read_u64(dir::HINT));
         if !hint.is_null() && slotted::can_insert(tx.page(hint)?, len) {
             return Ok(hint);
+        }
+        let mut listed = roomy_len(tx.page(self.dir)?);
+        for i in (0..listed).rev().take(ROOMY_PROBES) {
+            let candidate = roomy_at(tx.page(self.dir)?, i);
+            let page = tx.page(candidate)?;
+            if slotted::can_insert(page, len) {
+                tx.page_mut(self.dir)?.write_u64(dir::HINT, candidate.0);
+                return Ok(candidate);
+            }
+            if slotted::free_space(page) <= ROOMY_FLOOR {
+                // Swap-remove: the list is unordered.
+                listed -= 1;
+                let dir_page = tx.page_mut(self.dir)?;
+                let last = roomy_at(dir_page, listed);
+                dir_page.write_u64(dir::ROOMY + i * 8, last.0);
+                dir_page.write_u64(dir::ROOMY_LEN, listed as u64);
+            }
         }
         let first = PageId(tx.page(self.dir)?.read_u64(dir::FIRST));
         if !first.is_null() && slotted::can_insert(tx.page(first)?, len) {
@@ -335,6 +441,14 @@ impl Heap {
         }
         Ok(out)
     }
+}
+
+fn roomy_len(dir_page: &crate::page::PageBuf) -> usize {
+    (dir_page.read_u64(dir::ROOMY_LEN) as usize).min(dir::ROOMY_CAP)
+}
+
+fn roomy_at(dir_page: &crate::page::PageBuf, i: usize) -> PageId {
+    PageId(dir_page.read_u64(dir::ROOMY + i * 8))
 }
 
 #[cfg(test)]
@@ -482,15 +596,82 @@ mod tests {
         while sibling.page == rid.page {
             sibling = heap.insert(&mut tx, &[2u8; 800]).unwrap();
         }
+        let records = heap.len(&mut tx).unwrap();
         let grown = vec![7u8; 3000];
         let new_rid = heap.replace(&mut tx, rid, &grown).unwrap();
         assert_ne!(new_rid, rid, "growth past the page must relocate");
         assert_eq!(heap.get(&mut tx, new_rid).unwrap(), grown);
-        // Overflow-sized values always relocate too (the inline slot
-        // becomes a stub pointing at a fresh chain).
+        // Overflow-sized values never relocate: the slot becomes a
+        // fixed-size stub pointing at a fresh chain, rewritten on every
+        // later replace, and shrinks back to an inline cell in place.
         let huge = vec![8u8; 20_000];
-        let huge_rid = heap.replace(&mut tx, new_rid, &huge).unwrap();
-        assert_eq!(heap.get(&mut tx, huge_rid).unwrap(), huge);
+        assert_eq!(heap.replace(&mut tx, new_rid, &huge).unwrap(), new_rid);
+        assert_eq!(heap.get(&mut tx, new_rid).unwrap(), huge);
+        let pages = tx.page_count().unwrap();
+        let huge2 = vec![9u8; 19_000];
+        assert_eq!(heap.replace(&mut tx, new_rid, &huge2).unwrap(), new_rid);
+        assert_eq!(heap.get(&mut tx, new_rid).unwrap(), huge2);
+        assert_eq!(
+            tx.page_count().unwrap(),
+            pages,
+            "the old chain's pages are reused"
+        );
+        assert_eq!(heap.replace(&mut tx, new_rid, b"small").unwrap(), new_rid);
+        assert_eq!(heap.get(&mut tx, new_rid).unwrap(), b"small");
+        assert_eq!(heap.len(&mut tx).unwrap(), records);
+        tx.commit().unwrap();
+        drop(store);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn pages_emptied_by_deletes_are_refilled_before_the_heap_grows() {
+        let (path, store) = temp_store("roomy");
+        let mut tx = store.begin();
+        let heap = Heap::create(&mut tx).unwrap();
+        // One 3000-byte record per page.
+        let rids: Vec<RecordId> = (0..3)
+            .map(|_| heap.insert(&mut tx, &[1u8; 3000]).unwrap())
+            .collect();
+        assert_ne!(rids[0].page, rids[1].page);
+        assert_ne!(rids[1].page, rids[2].page);
+        // Two pages emptied: the later one is the hint, both are listed.
+        heap.delete(&mut tx, rids[0]).unwrap();
+        heap.delete(&mut tx, rids[1]).unwrap();
+        let pages = tx.page_count().unwrap();
+        let a = heap.insert(&mut tx, &[2u8; 3000]).unwrap();
+        let b = heap.insert(&mut tx, &[3u8; 3000]).unwrap();
+        assert_eq!(a.page, rids[1].page, "the hint page first");
+        assert_eq!(b.page, rids[0].page, "then the other listed page");
+        assert_eq!(tx.page_count().unwrap(), pages, "no fresh page needed");
+        // Both full again: the next one does grow the heap.
+        heap.insert(&mut tx, &[4u8; 3000]).unwrap();
+        assert_eq!(tx.page_count().unwrap(), pages + 1);
+        tx.commit().unwrap();
+        drop(store);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn insert_near_shares_the_page_while_it_has_room() {
+        let (path, store) = temp_store("near");
+        let mut tx = store.begin();
+        let heap = Heap::create(&mut tx).unwrap();
+        let home = heap.insert(&mut tx, &[1u8; 100]).unwrap();
+        // Fill other pages so the hint moves away from `home`'s page.
+        for _ in 0..6 {
+            heap.insert(&mut tx, &[2u8; 3000]).unwrap();
+        }
+        let far = heap.insert(&mut tx, &[3u8; 100]).unwrap();
+        assert_ne!(far.page, home.page);
+        let near = heap.insert_near(&mut tx, home, &[4u8; 100]).unwrap();
+        assert_eq!(near.page, home.page);
+        assert_eq!(heap.get(&mut tx, near).unwrap(), vec![4u8; 100]);
+        // No room beside `home`: placed like any insert, still readable.
+        let big = heap.insert_near(&mut tx, home, &[5u8; 3990]).unwrap();
+        assert_ne!(big.page, home.page);
+        assert_eq!(heap.get(&mut tx, big).unwrap(), vec![5u8; 3990]);
+        assert_eq!(heap.len(&mut tx).unwrap(), 10);
         tx.commit().unwrap();
         drop(store);
         cleanup(&path);

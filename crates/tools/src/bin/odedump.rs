@@ -103,13 +103,14 @@ fn main() -> ExitCode {
                 return;
             }
             println!(
-                "{:<8} {:>8} {:>7} {:>6} {:>6} {:>8} {:>11} {:>12} {:>6}",
+                "{:<8} {:>8} {:>8} {:>6} {:>9} {:>6} {:>6} {:>11} {:>12} {:>6}",
                 "oid",
+                "versions",
                 "segments",
-                "anchors",
                 "delta",
+                "open-fill",
                 "merges",
-                "interval",
+                "dir(B)",
                 "encoded(B)",
                 "full-copy(B)",
                 "ratio"
@@ -120,13 +121,14 @@ fn main() -> ExitCode {
                 materialized += c.materialized_bytes;
                 merges += c.merges;
                 println!(
-                    "{:<8} {:>8} {:>7} {:>6} {:>6} {:>8} {:>11} {:>12} {:>6.3}",
+                    "{:<8} {:>8} {:>8} {:>6} {:>9} {:>6} {:>6} {:>11} {:>12} {:>6.3}",
                     c.oid,
+                    c.versions,
                     c.segments,
-                    c.anchors,
                     c.deltas,
+                    format!("{}/{}", c.open_fill, c.interval),
                     c.merges,
-                    c.interval,
+                    c.directory_bytes,
                     c.encoded_bytes,
                     c.materialized_bytes,
                     c.ratio

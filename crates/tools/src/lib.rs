@@ -71,18 +71,25 @@ pub struct ChainSummary {
     /// Object id.
     pub oid: u64,
     /// Versions covered by the chain (its temporal suffix of history).
+    pub versions: u64,
+    /// Segments the chain is stored in — one anchor (full snapshot)
+    /// record and at most one delta-run record each.
     pub segments: u64,
-    /// Full-snapshot entries.
-    pub anchors: u64,
-    /// Delta entries.
+    /// Delta entries across all segments.
     pub deltas: u64,
     /// Anchor spacing the chain was built with.
     pub interval: u64,
+    /// Versions in the open (last) segment; the next check-in after it
+    /// reaches `interval` seals it and starts a new one.
+    pub open_fill: u64,
     /// Two-parent (merge) versions in the object's history. These are
     /// the DAG joins: each one was checked in by `Txn::merge` and
     /// records a second derivation parent alongside `dprev`.
     pub merges: u64,
-    /// Bytes the heap actually stores for the chain record.
+    /// Bytes of the per-object directory record.
+    pub directory_bytes: u64,
+    /// Bytes the heap actually stores for the chain: the directory
+    /// plus every segment's anchor and run record.
     pub encoded_bytes: u64,
     /// Bytes whole-body storage would hold for the same versions.
     pub materialized_bytes: u64,
@@ -108,11 +115,13 @@ pub fn chain_report(path: &Path) -> Result<Vec<ChainSummary>> {
                 }
                 out.push(ChainSummary {
                     oid: oid.0,
-                    segments: s.versions,
-                    anchors: s.anchors,
+                    versions: s.versions,
+                    segments: s.segments,
                     deltas: s.deltas,
                     interval: s.interval,
+                    open_fill: s.open_fill,
                     merges,
+                    directory_bytes: s.directory_bytes,
                     encoded_bytes: s.encoded_bytes,
                     materialized_bytes: s.materialized_bytes,
                     ratio: s.compression_ratio(),
@@ -602,10 +611,12 @@ mod tests {
         let report = chain_report(&path).unwrap();
         assert_eq!(report.len(), 1, "only the versioned object has a chain");
         let c = &report[0];
-        assert_eq!(c.segments, 10);
+        assert_eq!(c.versions, 10);
         assert_eq!(c.interval, 4);
-        assert_eq!(c.anchors + c.deltas, c.segments);
-        assert!(c.deltas > 0);
+        // 10 versions at interval 4: two sealed segments and an open
+        // one holding the last two.
+        assert_eq!((c.segments, c.deltas, c.open_fill), (3, 7, 2));
+        assert!(c.directory_bytes > 0 && c.directory_bytes < c.encoded_bytes);
         assert!(c.encoded_bytes < c.materialized_bytes);
         assert!(c.ratio < 1.0);
         // A whole-body store reports no chains at all.
@@ -650,7 +661,7 @@ mod tests {
         let chains = chain_report(&path).unwrap();
         assert_eq!(chains.len(), 1);
         assert_eq!(chains[0].merges, 1, "the merge join must be counted");
-        assert_eq!(chains[0].segments, 4);
+        assert_eq!(chains[0].versions, 4);
 
         let text = describe_object(&path, chains[0].oid).unwrap();
         let line = text

@@ -1,31 +1,40 @@
-//! Delta-chain body storage: one anchored chain record per object.
+//! Delta-chain body storage: the logical model and its in-memory
+//! segment arithmetic.
 //!
 //! The paper's §2 observation — versions can be stored as *differences*
 //! along the derived-from relationship — applied to the production
-//! engine.  When chain storage is enabled (see
-//! [`ChainConfig`]), an object's version bodies live in a single
-//! [`ObjectChain`] record instead of one whole copy per
-//! [`VersionMeta`](crate::VersionMeta):
+//! engine.  When chain storage is enabled (see [`ChainConfig`]), an
+//! object's version bodies live in a *chain* instead of one whole copy
+//! per [`VersionMeta`](crate::VersionMeta):
 //!
-//! * entries run in **temporal order** and always cover a suffix of the
+//! * members run in **temporal order** and always cover a suffix of the
 //!   object's temporal history ending at the latest version (objects
 //!   that predate chain storage keep their old whole-body records — the
 //!   migration story for existing databases);
-//! * `entries[0]` is always an [`ChainLink::Anchor`] (a full snapshot),
-//!   and an anchor recurs at least every `interval` entries, so
-//!   materializing **any** version applies at most `interval - 1`
-//!   deltas;
+//! * the chain is cut into **segments**: each starts with an *anchor*
+//!   (a full snapshot) followed by a *run* of forward deltas, and holds
+//!   at most `interval` versions, so materializing **any** version
+//!   applies at most `interval - 1` deltas and reads one segment;
 //! * the **latest** version additionally keeps its whole body in its
 //!   `VersionMeta.body` (the chain can reproduce it too — the meta copy
 //!   is a read-path cache), so `latest()` reads cost exactly what
-//!   whole-body storage costs; every *older* chain member's meta body is
+//!   whole-body storage costs; every *older* member's meta body is
 //!   cleared.
 //!
-//! Version ids are allocated monotonically and entries are appended in
-//! allocation order, so `entries` is sorted by vid and membership is a
-//! binary search.
+//! Physically (see `segments.rs`) a chain is a small per-object
+//! [`ChainDirectory`] record plus, per segment, one anchor record and
+//! one delta-run record.  Only the last segment is *open*: a check-in
+//! appends one delta to its run, or — when it is full — seals it and
+//! starts the next with a fresh anchor.  Sealed segments are never read
+//! or rewritten by a check-in, and the directory only when a segment is
+//! added, which is what makes a check-in cost what the edit costs and
+//! not what the object's history costs.
+//!
+//! Version ids are allocated monotonically and members are appended in
+//! allocation order, so segments (by first vid) and the entries of a
+//! run are sorted by vid and membership is a binary search.
 
-use ode_codec::{impl_persist_enum, impl_persist_struct};
+use ode_codec::impl_persist_struct;
 use ode_delta::{apply, diff_with_block, Delta, DEFAULT_BLOCK};
 use ode_object::Vid;
 
@@ -67,219 +76,195 @@ impl ChainConfig {
     }
 }
 
-/// How one chain entry stores its version's state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChainLink {
-    /// A full snapshot of the version's state.
-    Anchor(Vec<u8>),
-    /// A forward delta from the previous entry's state.
-    Delta(Delta),
+/// One segment's entry in a [`ChainDirectory`]: where its vid range
+/// starts and where its two records live. How many versions the
+/// segment holds is the run's business, so that a check-in appending
+/// to the open run leaves the directory untouched.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegmentRef {
+    /// The segment's anchor version (its oldest member).
+    pub first: Vid,
+    /// Packed id of the anchor record (the anchor version's state,
+    /// raw).
+    pub anchor: u64,
+    /// Packed id of the delta-run record; 0 while the segment holds
+    /// only its anchor.
+    pub run: u64,
 }
 
-impl_persist_enum!(ChainLink { Anchor(a0), Delta(d0) });
+impl_persist_struct!(SegmentRef { first, anchor, run });
 
-/// One version's slot in an [`ObjectChain`].
+/// The per-object chain directory record: chain parameters plus one
+/// [`SegmentRef`] per segment, in temporal order. The last segment is
+/// the open one.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ChainEntry {
-    /// The version this entry stores.
-    pub vid: Vid,
-    /// Snapshot or delta.
-    pub link: ChainLink,
-}
-
-impl_persist_struct!(ChainEntry { vid, link });
-
-/// The per-object chain record: every chained version's body, as
-/// periodic anchors plus forward deltas.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ObjectChain {
+pub struct ChainDirectory {
     /// Anchor spacing this chain was built with.
     pub interval: u64,
     /// Diff block size.
     pub block: u64,
-    /// Entries in temporal order (vids ascending).
-    pub entries: Vec<ChainEntry>,
+    /// Segments in temporal order (first vids ascending), never empty.
+    pub segments: Vec<SegmentRef>,
 }
 
-impl_persist_struct!(ObjectChain {
+impl_persist_struct!(ChainDirectory {
     interval,
     block,
-    entries
+    segments
 });
+
+impl ChainDirectory {
+    /// Index of the segment whose vid range covers `vid`, if the chain
+    /// reaches back that far. Deleted vids inside the range resolve to
+    /// a segment too; membership is settled by the segment itself.
+    pub fn locate(&self, vid: Vid) -> Option<usize> {
+        self.segments
+            .partition_point(|s| s.first.0 <= vid.0)
+            .checked_sub(1)
+    }
+}
+
+/// One delta of a segment's run: the version it reconstructs and the
+/// forward delta from the previous member's state.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunEntry {
+    /// The version this entry stores.
+    pub vid: Vid,
+    /// Forward delta from the previous segment member's state.
+    pub delta: Delta,
+}
+
+impl_persist_struct!(RunEntry { vid, delta });
 
 pub(crate) fn chain_corrupt(msg: &'static str) -> VersionError {
     VersionError::ChainCorrupt(msg)
 }
 
-impl ObjectChain {
-    /// Start a chain whose first entry snapshots `vid`'s state.
-    pub fn new(config: ChainConfig, vid: Vid, state: Vec<u8>) -> ObjectChain {
-        ObjectChain {
-            interval: config.anchor_interval.max(1),
-            block: config.block,
-            entries: vec![ChainEntry {
-                vid,
-                link: ChainLink::Anchor(state),
-            }],
+/// A segment loaded whole: the anchor's state and the delta run.
+/// Position 0 is the anchor, position `i > 0` is `run[i - 1]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Segment {
+    /// The anchor version.
+    pub first: Vid,
+    /// The anchor version's state.
+    pub anchor: Vec<u8>,
+    /// Forward deltas, vids ascending.
+    pub run: Vec<RunEntry>,
+}
+
+impl Segment {
+    /// Versions stored in the segment.
+    pub fn len(&self) -> usize {
+        1 + self.run.len()
+    }
+
+    /// Always false: a segment holds at least its anchor.
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// The member vids in temporal order.
+    pub fn vids(&self) -> impl Iterator<Item = Vid> + '_ {
+        std::iter::once(self.first).chain(self.run.iter().map(|e| e.vid))
+    }
+
+    /// Position of `vid` in the segment, if stored here.
+    pub fn position_of(&self, vid: Vid) -> Option<usize> {
+        if vid == self.first {
+            return Some(0);
         }
+        position_in_run(&self.run, vid).map(|i| i + 1)
     }
 
-    /// Index of `vid`'s entry, if this chain stores it.
-    pub fn index_of(&self, vid: Vid) -> Option<usize> {
-        self.entries.binary_search_by_key(&vid.0, |e| e.vid.0).ok()
+    /// Materialize the state at `pos`: the anchor with the first `pos`
+    /// deltas applied (≤ `interval - 1` by construction).
+    pub fn state_at(&self, pos: usize) -> Result<Vec<u8>> {
+        replay(&self.anchor, &self.run[..pos])
     }
 
-    /// Whether `vid`'s body is stored in this chain.
-    pub fn contains(&self, vid: Vid) -> bool {
-        self.index_of(vid).is_some()
-    }
-
-    /// Number of trailing delta entries since the last anchor.
-    fn deltas_since_anchor(&self) -> usize {
-        self.entries
-            .iter()
-            .rev()
-            .take_while(|e| matches!(e.link, ChainLink::Delta(_)))
-            .count()
-    }
-
-    /// Append a new version: an anchor on the interval boundary,
-    /// otherwise a delta from `prev_state` (the current last entry's
-    /// state, which the caller has whole — one diff, no replay).
-    pub fn append(&mut self, vid: Vid, prev_state: &[u8], state: &[u8]) {
-        let link = if self.deltas_since_anchor() as u64 + 1 >= self.interval {
-            ChainLink::Anchor(state.to_vec())
+    /// Replace the state at `pos` with `state`, re-diffing its own
+    /// delta and its successor's, which was based on the old state.
+    /// Members further away are unaffected: the successor is re-based
+    /// onto the new state and everything after it chains from there
+    /// unchanged. (The next segment starts at an anchor, so nothing
+    /// outside this segment ever needs re-basing.)
+    pub fn set_state_at(&mut self, pos: usize, state: &[u8], block: usize) -> Result<()> {
+        // The successor must be replayed before `pos` changes.
+        let rebased_next = if pos < self.run.len() {
+            let next_state = self.state_at(pos + 1)?;
+            Some(diff_with_block(state, &next_state, block))
         } else {
-            ChainLink::Delta(diff_with_block(prev_state, state, self.block as usize))
+            None
         };
-        self.entries.push(ChainEntry { vid, link });
-    }
-
-    /// Materialize entry `index`'s state: walk back to the nearest
-    /// anchor (≤ `interval - 1` steps by construction) and apply
-    /// forward.
-    pub fn state_at(&self, index: usize) -> Result<Vec<u8>> {
-        let anchor_idx = (0..=index)
-            .rev()
-            .find(|&i| matches!(self.entries[i].link, ChainLink::Anchor(_)))
-            .ok_or_else(|| chain_corrupt("delta chain has no anchor before entry"))?;
-        let mut state = match &self.entries[anchor_idx].link {
-            ChainLink::Anchor(s) => s.clone(),
-            ChainLink::Delta(_) => unreachable!("found as anchor"),
-        };
-        for entry in &self.entries[anchor_idx + 1..=index] {
-            match &entry.link {
-                ChainLink::Anchor(_) => unreachable!("scan stopped at nearest anchor"),
-                ChainLink::Delta(d) => {
-                    state = apply(&state, d)
-                        .map_err(|_| chain_corrupt("delta chain entry failed to apply"))?;
-                }
-            }
+        if pos == 0 {
+            self.anchor = state.to_vec();
+        } else {
+            let prev = self.state_at(pos - 1)?;
+            self.run[pos - 1].delta = diff_with_block(&prev, state, block);
         }
-        Ok(state)
-    }
-
-    /// Materialize `vid`'s state, if stored here.
-    pub fn state_of(&self, vid: Vid) -> Result<Option<Vec<u8>>> {
-        match self.index_of(vid) {
-            Some(idx) => Ok(Some(self.state_at(idx)?)),
-            None => Ok(None),
-        }
-    }
-
-    /// Replace entry `index`'s state with `state`, re-diffing its own
-    /// link and (when `index` is not last) its successor's delta, which
-    /// was based on the old state. Neighbors further away are
-    /// unaffected: entry `index + 1` is re-based onto the new state and
-    /// everything after it chains from there unchanged.
-    pub fn set_state_at(&mut self, index: usize, state: &[u8]) -> Result<()> {
-        let block = self.block as usize;
-        // Old successor delta must be re-based before `index` changes.
-        let rebased_next = match self.entries.get(index + 1) {
-            Some(ChainEntry {
-                link: ChainLink::Delta(_),
-                ..
-            }) => {
-                let next_state = self.state_at(index + 1)?;
-                Some(ChainLink::Delta(diff_with_block(state, &next_state, block)))
-            }
-            _ => None,
-        };
-        self.entries[index].link = match &self.entries[index].link {
-            ChainLink::Anchor(_) => ChainLink::Anchor(state.to_vec()),
-            ChainLink::Delta(_) => {
-                let prev = self.state_at(index - 1)?;
-                ChainLink::Delta(diff_with_block(&prev, state, block))
-            }
-        };
-        if let Some(link) = rebased_next {
-            self.entries[index + 1].link = link;
+        if let Some(delta) = rebased_next {
+            self.run[pos].delta = delta;
         }
         Ok(())
     }
 
-    /// Remove entry `index`, repairing the neighborhood: a delta
-    /// successor is re-based onto the previous surviving state, and a
-    /// successor losing its anchor is promoted to an anchor itself
-    /// (anchor spacing only ever shrinks, so the `interval - 1` bound
-    /// survives any delete sequence).
-    pub fn remove_at(&mut self, index: usize) -> Result<()> {
-        let block = self.block as usize;
-        let repaired = match (self.entries.get(index), self.entries.get(index + 1)) {
-            (_, None) => None,
-            (Some(removed), Some(next)) => match (&removed.link, &next.link) {
-                (_, ChainLink::Anchor(_)) => None,
-                (ChainLink::Anchor(_), ChainLink::Delta(_)) => {
-                    // The successor's base anchor is going away: promote.
-                    Some(ChainLink::Anchor(self.state_at(index + 1)?))
-                }
-                (ChainLink::Delta(_), ChainLink::Delta(_)) => {
-                    let prev = self.state_at(index - 1)?;
-                    let next_state = self.state_at(index + 1)?;
-                    Some(ChainLink::Delta(diff_with_block(&prev, &next_state, block)))
-                }
-            },
-            (None, _) => return Err(chain_corrupt("chain entry index out of range")),
-        };
-        if let Some(link) = repaired {
-            self.entries[index + 1].link = link;
+    /// Remove the member at `pos`, repairing the neighborhood: a
+    /// successor delta is re-based onto the previous surviving state,
+    /// and a successor losing its anchor is promoted to the anchor
+    /// itself (runs only ever shrink, so the `interval - 1` bound
+    /// survives any delete sequence). Returns `false` when the segment
+    /// held only that member and is now gone.
+    pub fn remove_at(&mut self, pos: usize, block: usize) -> Result<bool> {
+        if pos == 0 {
+            if self.run.is_empty() {
+                return Ok(false);
+            }
+            self.anchor = self.state_at(1)?;
+            self.first = self.run.remove(0).vid;
+            return Ok(true);
         }
-        self.entries.remove(index);
-        Ok(())
-    }
-
-    /// Number of anchor entries.
-    pub fn anchors(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| matches!(e.link, ChainLink::Anchor(_)))
-            .count()
-    }
-
-    /// Number of delta entries.
-    pub fn deltas(&self) -> usize {
-        self.entries.len() - self.anchors()
-    }
-
-    /// Encoded size of the whole chain record in bytes.
-    pub fn encoded_size(&self) -> usize {
-        ode_codec::to_bytes(self).len()
+        if pos < self.run.len() {
+            let prev = self.state_at(pos - 1)?;
+            let next_state = self.state_at(pos + 1)?;
+            self.run[pos].delta = diff_with_block(&prev, &next_state, block);
+        }
+        self.run.remove(pos - 1);
+        Ok(true)
     }
 }
 
-/// Space and shape statistics for one object's chain record.
+/// Index of `vid`'s entry in a run.
+pub(crate) fn position_in_run(run: &[RunEntry], vid: Vid) -> Option<usize> {
+    run.binary_search_by_key(&vid.0, |e| e.vid.0).ok()
+}
+
+/// `anchor` with `deltas` applied in order.
+pub(crate) fn replay(anchor: &[u8], deltas: &[RunEntry]) -> Result<Vec<u8>> {
+    let mut state = anchor.to_vec();
+    for entry in deltas {
+        state = apply(&state, &entry.delta)
+            .map_err(|_| chain_corrupt("delta chain entry failed to apply"))?;
+    }
+    Ok(state)
+}
+
+/// Space and shape statistics for one object's chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainStats {
     /// Versions stored in the chain.
     pub versions: u64,
-    /// Full-snapshot entries.
-    pub anchors: u64,
-    /// Delta entries.
+    /// Segments, sealed and open — one anchor (full snapshot) each.
+    pub segments: u64,
+    /// Delta entries across all runs.
     pub deltas: u64,
     /// Anchor spacing the chain was built with.
     pub interval: u64,
-    /// Encoded size of the chain record (what the heap actually
-    /// stores), in bytes.
+    /// Versions in the open (last) segment; it seals at `interval`.
+    pub open_fill: u64,
+    /// Encoded size of the directory record in bytes.
+    pub directory_bytes: u64,
+    /// Encoded size of the directory plus every anchor and run record
+    /// (what the heap actually stores for the chain), in bytes.
     pub encoded_bytes: u64,
     /// Sum of every stored version's materialized state length — what
     /// whole-body storage would hold for the same versions.
@@ -349,6 +334,8 @@ impl VersionDiff {
 mod tests {
     use super::*;
 
+    const BLOCK: usize = DEFAULT_BLOCK;
+
     fn evolution(n: usize, size: usize) -> Vec<Vec<u8>> {
         let mut state: Vec<u8> = (0..size).map(|i| (i % 249) as u8).collect();
         let mut out = vec![state.clone()];
@@ -360,57 +347,47 @@ mod tests {
         out
     }
 
-    fn build(states: &[Vec<u8>], interval: u64) -> ObjectChain {
-        let mut chain = ObjectChain::new(
-            ChainConfig::with_interval(interval),
-            Vid(1),
-            states[0].clone(),
-        );
-        for (i, pair) in states.windows(2).enumerate() {
-            chain.append(Vid(i as u64 + 2), &pair[0], &pair[1]);
+    /// One segment holding `states` as vids 1..=n.
+    fn build(states: &[Vec<u8>]) -> Segment {
+        Segment {
+            first: Vid(1),
+            anchor: states[0].clone(),
+            run: states
+                .windows(2)
+                .enumerate()
+                .map(|(i, pair)| RunEntry {
+                    vid: Vid(i as u64 + 2),
+                    delta: diff_with_block(&pair[0], &pair[1], BLOCK),
+                })
+                .collect(),
         }
-        chain
     }
 
     #[test]
-    fn append_and_materialize_every_entry() {
-        let states = evolution(17, 900);
-        for interval in [1, 2, 4, 8, 64] {
-            let chain = build(&states, interval);
-            assert_eq!(chain.entries.len(), 17);
-            for (i, s) in states.iter().enumerate() {
-                assert_eq!(&chain.state_at(i).unwrap(), s, "interval {interval} v{i}");
-                assert_eq!(
-                    chain.state_of(Vid(i as u64 + 1)).unwrap().unwrap(),
-                    s.clone()
-                );
-            }
-            // Anchor spacing bound: never `interval` deltas in a row.
-            let mut run = 0u64;
-            for e in &chain.entries {
-                match e.link {
-                    ChainLink::Anchor(_) => run = 0,
-                    ChainLink::Delta(_) => {
-                        run += 1;
-                        assert!(run < interval.max(1), "interval {interval}");
-                    }
-                }
-            }
+    fn every_member_materializes() {
+        let states = evolution(9, 900);
+        let seg = build(&states);
+        assert_eq!(seg.len(), 9);
+        for (i, s) in states.iter().enumerate() {
+            assert_eq!(&seg.state_at(i).unwrap(), s, "v{i}");
+            assert_eq!(seg.position_of(Vid(i as u64 + 1)), Some(i));
         }
+        assert_eq!(seg.position_of(Vid(10)), None);
+        assert_eq!(seg.vids().count(), 9);
     }
 
     #[test]
     fn set_state_preserves_neighbors() {
         let states = evolution(10, 700);
         for victim in 0..10usize {
-            let mut chain = build(&states, 4);
+            let mut seg = build(&states);
             let mut edited = states[victim].clone();
             edited[3] ^= 0x5A;
             edited.extend_from_slice(b"tail");
-            chain.set_state_at(victim, &edited).unwrap();
+            seg.set_state_at(victim, &edited, BLOCK).unwrap();
             for (i, s) in states.iter().enumerate() {
                 let want = if i == victim { &edited } else { s };
-                assert_eq!(&chain.state_at(i).unwrap(), want, "victim {victim} v{i}");
+                assert_eq!(&seg.state_at(i).unwrap(), want, "victim {victim} v{i}");
             }
         }
     }
@@ -419,54 +396,47 @@ mod tests {
     fn remove_repairs_every_position() {
         let states = evolution(12, 500);
         for victim in 0..12usize {
-            let mut chain = build(&states, 4);
-            chain.remove_at(victim).unwrap();
-            assert_eq!(chain.entries.len(), 11);
-            let mut idx = 0;
-            for (i, s) in states.iter().enumerate() {
-                if i == victim {
-                    continue;
-                }
-                assert_eq!(&chain.state_at(idx).unwrap(), s, "victim {victim} v{i}");
-                idx += 1;
+            let mut seg = build(&states);
+            assert!(seg.remove_at(victim, BLOCK).unwrap());
+            assert_eq!(seg.len(), 11);
+            let survivors = (0..12).filter(|&i| i != victim);
+            for (pos, orig) in survivors.enumerate() {
+                assert_eq!(seg.state_at(pos).unwrap(), states[orig], "victim {victim}");
+                assert_eq!(seg.position_of(Vid(orig as u64 + 1)), Some(pos));
             }
-            // First surviving entry is still an anchor.
-            assert!(matches!(chain.entries[0].link, ChainLink::Anchor(_)));
+            assert_eq!(seg.position_of(Vid(victim as u64 + 1)), None);
         }
     }
 
     #[test]
-    fn repeated_removals_keep_the_anchor_bound() {
-        let states = evolution(20, 400);
-        let mut chain = build(&states, 5);
-        // Delete every other entry from the front.
-        let mut live: Vec<usize> = (0..20).collect();
-        for _ in 0..8 {
-            chain.remove_at(1).unwrap();
-            live.remove(1);
-            let mut run = 0;
-            for e in &chain.entries {
-                match e.link {
-                    ChainLink::Anchor(_) => run = 0,
-                    ChainLink::Delta(_) => {
-                        run += 1;
-                        assert!(run < 5);
-                    }
-                }
-            }
-            for (idx, &orig) in live.iter().enumerate() {
-                assert_eq!(chain.state_at(idx).unwrap(), states[orig]);
-            }
-        }
+    fn removing_the_sole_member_empties_the_segment() {
+        let states = evolution(2, 100);
+        let mut seg = build(&states);
+        assert!(seg.remove_at(0, BLOCK).unwrap());
+        assert_eq!(seg.first, Vid(2));
+        assert_eq!(seg.anchor, states[1]);
+        assert!(!seg.remove_at(0, BLOCK).unwrap());
     }
 
     #[test]
-    fn round_trips_codec() {
-        let states = evolution(9, 300);
-        let chain = build(&states, 3);
-        let back: ObjectChain = ode_codec::from_bytes(&ode_codec::to_bytes(&chain)).unwrap();
-        assert_eq!(back, chain);
-        assert_eq!(back.state_at(8).unwrap(), states[8]);
+    fn directory_locates_segments_by_first_vid() {
+        let seg = |first: u64| SegmentRef {
+            first: Vid(first),
+            anchor: 1 << 16,
+            run: 2 << 16,
+        };
+        let dir = ChainDirectory {
+            interval: 4,
+            block: 32,
+            segments: vec![seg(5), seg(9), seg(20)],
+        };
+        assert_eq!(dir.locate(Vid(4)), None);
+        assert_eq!(dir.locate(Vid(5)), Some(0));
+        assert_eq!(dir.locate(Vid(8)), Some(0));
+        assert_eq!(dir.locate(Vid(9)), Some(1));
+        assert_eq!(dir.locate(Vid(99)), Some(2));
+        let back: ChainDirectory = ode_codec::from_bytes(&ode_codec::to_bytes(&dir)).unwrap();
+        assert_eq!(back, dir);
     }
 
     #[test]

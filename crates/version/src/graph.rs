@@ -6,8 +6,9 @@ use ode_storage::heap::RecordId;
 use ode_storage::{PageRead, PageWrite};
 
 use crate::cache::MaterializeCache;
-use crate::chain::{ChainConfig, ChainLink, ChainStats, ObjectChain, VersionDiff};
-use crate::records::{ObjectMeta, VersionMeta};
+use crate::chain::{ChainConfig, ChainDirectory, ChainStats, Segment, SegmentRef, VersionDiff};
+use crate::records::{upsert, ObjectMeta, VersionMeta};
+use crate::segments::{ChainStore, CheckIn};
 use crate::{Result, VersionError};
 
 /// Root-slot assignment for a [`VersionStore`]'s seven persistent
@@ -27,8 +28,8 @@ pub struct VersionStoreLayout {
     pub vid_slot: usize,
     /// Slot of the per-type extent directory.
     pub extent_slot: usize,
-    /// Slot of the oid → delta-chain-record table (empty unless chain
-    /// storage has ever been enabled on this store).
+    /// Slot of the oid → chain-directory-record table (empty unless
+    /// chain storage has ever been enabled on this store).
     pub chain_table_slot: usize,
 }
 
@@ -83,7 +84,7 @@ pub struct VersionStore {
     oids: IdAllocator,
     vids: IdAllocator,
     extents: Extents,
-    chain_table: KvTable,
+    chains: ChainStore,
     /// When set, *new* versions are stored delta-chained. Existing chain
     /// records are honored and maintained regardless — correctness is
     /// driven by the stored state, the config only gates new chains.
@@ -94,21 +95,22 @@ impl VersionStore {
     /// Bind a version store to a slot layout (whole-body storage for
     /// new versions; existing chain records still honored).
     pub fn new(layout: VersionStoreLayout) -> VersionStore {
+        let heap = ObjectHeap::new(layout.heap_slot);
         VersionStore {
             obj_table: KvTable::new(layout.obj_table_slot),
             ver_table: KvTable::new(layout.ver_table_slot),
-            heap: ObjectHeap::new(layout.heap_slot),
+            heap,
             oids: IdAllocator::new(layout.oid_slot),
             vids: IdAllocator::new(layout.vid_slot),
             extents: Extents::new(layout.extent_slot),
-            chain_table: KvTable::new(layout.chain_table_slot),
+            chains: ChainStore::new(KvTable::new(layout.chain_table_slot), heap),
             chain: None,
         }
     }
 
     /// Bind a version store with delta-chain storage enabled: an
-    /// object's second and later versions are stored as one anchored
-    /// chain record instead of whole copies. Opening an existing
+    /// object's second and later versions are stored as an anchored
+    /// delta chain instead of whole copies. Opening an existing
     /// whole-body database this way is the migration path — old
     /// versions keep their whole records, new versions chain.
     pub fn with_chain(layout: VersionStoreLayout, config: ChainConfig) -> VersionStore {
@@ -138,43 +140,32 @@ impl VersionStore {
 
     /// Load a version record.
     pub fn version_meta(&self, tx: &mut impl PageRead, vid: Vid) -> Result<VersionMeta> {
+        let rid = self.version_rid(tx, vid)?;
+        Ok(self.heap.load(tx, rid)?)
+    }
+
+    fn version_rid(&self, tx: &mut impl PageRead, vid: Vid) -> Result<RecordId> {
         let rid = self
             .ver_table
             .get(tx, vid.0)?
             .ok_or(VersionError::UnknownVersion(vid))?;
-        Ok(self.heap.load(tx, RecordId::from_u64(rid))?)
+        Ok(RecordId::from_u64(rid))
     }
 
-    fn save_object(&self, tx: &mut impl PageWrite, meta: &ObjectMeta) -> Result<()> {
-        match self.obj_table.get(tx, meta.oid.0)? {
-            Some(rid) => {
-                let new_rid = self.heap.replace(tx, RecordId::from_u64(rid), meta)?;
-                if new_rid.to_u64() != rid {
-                    self.obj_table.put(tx, meta.oid.0, new_rid.to_u64())?;
-                }
-            }
-            None => {
-                let rid = self.heap.store(tx, meta)?;
-                self.obj_table.put(tx, meta.oid.0, rid.to_u64())?;
-            }
-        }
-        Ok(())
+    /// Load a version record's identity and graph links; its body is
+    /// left undecoded (empty).
+    fn version_links(&self, tx: &mut impl PageRead, vid: Vid) -> Result<VersionMeta> {
+        let rid = self.version_rid(tx, vid)?;
+        let bytes = self.heap.load_bytes(tx, rid)?;
+        Ok(VersionMeta::decode_links(&bytes)?)
     }
 
-    fn save_version(&self, tx: &mut impl PageWrite, meta: &VersionMeta) -> Result<()> {
-        match self.ver_table.get(tx, meta.vid.0)? {
-            Some(rid) => {
-                let new_rid = self.heap.replace(tx, RecordId::from_u64(rid), meta)?;
-                if new_rid.to_u64() != rid {
-                    self.ver_table.put(tx, meta.vid.0, new_rid.to_u64())?;
-                }
-            }
-            None => {
-                let rid = self.heap.store(tx, meta)?;
-                self.ver_table.put(tx, meta.vid.0, rid.to_u64())?;
-            }
-        }
-        Ok(())
+    fn save_object(&self, tx: &mut impl PageWrite, meta: &ObjectMeta) -> Result<RecordId> {
+        upsert(&self.obj_table, &self.heap, tx, meta.oid.0, meta, None)
+    }
+
+    fn save_version(&self, tx: &mut impl PageWrite, meta: &VersionMeta) -> Result<RecordId> {
+        upsert(&self.ver_table, &self.heap, tx, meta.vid.0, meta, None)
     }
 
     fn drop_version_record(&self, tx: &mut impl PageWrite, vid: Vid) -> Result<()> {
@@ -184,46 +175,35 @@ impl VersionStore {
         Ok(())
     }
 
-    /// Load an object's delta-chain record, if it has one.
-    pub fn load_chain(&self, tx: &mut impl PageRead, oid: Oid) -> Result<Option<ObjectChain>> {
-        match self.chain_table.get(tx, oid.0)? {
-            Some(rid) => Ok(Some(self.heap.load(tx, RecordId::from_u64(rid))?)),
-            None => Ok(None),
-        }
+    /// An object's chain directory, if it has a chain: the anchor
+    /// spacing plus one entry per segment.
+    pub fn chain_directory(
+        &self,
+        tx: &mut impl PageRead,
+        oid: Oid,
+    ) -> Result<Option<ChainDirectory>> {
+        self.chains.directory(tx, oid)
     }
 
-    fn save_chain(&self, tx: &mut impl PageWrite, oid: Oid, chain: &ObjectChain) -> Result<()> {
-        match self.chain_table.get(tx, oid.0)? {
-            Some(rid) => {
-                let new_rid = self.heap.replace(tx, RecordId::from_u64(rid), chain)?;
-                if new_rid.to_u64() != rid {
-                    self.chain_table.put(tx, oid.0, new_rid.to_u64())?;
-                }
-            }
-            None => {
-                let rid = self.heap.store(tx, chain)?;
-                self.chain_table.put(tx, oid.0, rid.to_u64())?;
-            }
-        }
-        Ok(())
-    }
-
-    fn drop_chain(&self, tx: &mut impl PageWrite, oid: Oid) -> Result<()> {
-        if let Some(rid) = self.chain_table.remove(tx, oid.0)? {
-            self.heap.delete(tx, RecordId::from_u64(rid))?;
-        }
-        Ok(())
+    /// Load one segment of a chain whole (anchor state plus delta run).
+    pub fn chain_segment(&self, tx: &mut impl PageRead, seg: &SegmentRef) -> Result<Segment> {
+        self.chains.segment(tx, seg)
     }
 
     /// A version's state, given its meta and (optionally) its object's
     /// chain: whole meta bodies win, empty bodies fall back to chain
     /// materialization, and a vid absent from both is genuinely empty.
-    fn body_of(&self, meta: &VersionMeta, chain: Option<&ObjectChain>) -> Result<Vec<u8>> {
+    fn body_of(
+        &self,
+        tx: &mut impl PageRead,
+        meta: &VersionMeta,
+        dir: Option<&ChainDirectory>,
+    ) -> Result<Vec<u8>> {
         if !meta.body.is_empty() {
             return Ok(meta.body.clone());
         }
-        if let Some(c) = chain {
-            if let Some(state) = c.state_of(meta.vid)? {
+        if let Some(dir) = dir {
+            if let Some(state) = self.chains.state_of(tx, dir, meta.vid)? {
                 return Ok(state);
             }
         }
@@ -262,8 +242,11 @@ impl VersionStore {
             latest: vid,
             version_count: 1,
         };
-        self.save_version(tx, &version)?;
-        self.save_object(tx, &object)?;
+        // An object's record sits beside its first version's, and later
+        // versions beside their predecessors (see `check_in`): what one
+        // check-in reads and writes shares pages.
+        let home = self.save_version(tx, &version)?;
+        upsert(&self.obj_table, &self.heap, tx, oid.0, &object, Some(home))?;
         self.extents.add(tx, tag, oid.0)?;
         Ok((oid, vid))
     }
@@ -283,14 +266,14 @@ impl VersionStore {
     /// "alternative" figure).
     pub fn new_version_from(&self, tx: &mut impl PageWrite, base: Vid) -> Result<Vid> {
         let mut base_meta = self.version_meta(tx, base)?;
-        let mut object = self.object_meta(tx, base_meta.oid)?;
-        let mut chain = self.load_chain(tx, object.oid)?;
+        let object = self.object_meta(tx, base_meta.oid)?;
+        let dir = self.chains.directory(tx, object.oid)?;
         let vid = Vid(self.vids.next(tx)?);
 
         // The base's state: its whole meta body, or — when the base is
         // a historical chain member whose body was cleared — its
         // materialization off the chain.
-        let base_state = self.body_of(&base_meta, chain.as_ref())?;
+        let base_state = self.body_of(tx, &base_meta, dir.as_ref())?;
 
         let version = VersionMeta {
             vid,
@@ -306,8 +289,7 @@ impl VersionStore {
         };
 
         base_meta.dnext.push(vid);
-        self.save_version(tx, &base_meta)?;
-        self.check_in(tx, &mut object, &mut chain, &version)?;
+        self.check_in(tx, object, dir, &version, vec![base_meta])?;
         Ok(vid)
     }
 
@@ -330,8 +312,8 @@ impl VersionStore {
         if a == b || a_meta.oid != b_meta.oid {
             return Err(VersionError::MergeMismatch { a, b });
         }
-        let mut object = self.object_meta(tx, a_meta.oid)?;
-        let mut chain = self.load_chain(tx, object.oid)?;
+        let object = self.object_meta(tx, a_meta.oid)?;
+        let dir = self.chains.directory(tx, object.oid)?;
         let vid = Vid(self.vids.next(tx)?);
 
         let version = VersionMeta {
@@ -349,59 +331,63 @@ impl VersionStore {
 
         a_meta.dnext.push(vid);
         b_meta.dnext.push(vid);
-        self.save_version(tx, &a_meta)?;
-        self.save_version(tx, &b_meta)?;
-        self.check_in(tx, &mut object, &mut chain, &version)?;
+        self.check_in(tx, object, dir, &version, vec![a_meta, b_meta])?;
         Ok(vid)
     }
 
     /// Append a fully-formed new version at the object's temporal tail
-    /// and make it the latest. Expects the parents' `dnext` lists to be
-    /// updated and saved already; reloads the temporal tail afterwards
-    /// (it may *be* a parent whose saved record now carries the new
-    /// `dnext` entry).
+    /// and make it the latest. `parents` are the version's parents with
+    /// their `dnext` lists already extended but not yet saved; the
+    /// temporal tail is usually one of them and is then loaded and
+    /// written once.
     fn check_in(
         &self,
         tx: &mut impl PageWrite,
-        object: &mut ObjectMeta,
-        chain: &mut Option<ObjectChain>,
+        mut object: ObjectMeta,
+        dir: Option<ChainDirectory>,
         version: &VersionMeta,
+        mut parents: Vec<VersionMeta>,
     ) -> Result<()> {
-        let mut tail = self.version_meta(tx, object.latest)?;
+        let mut tail = match parents.iter().position(|p| p.vid == object.latest) {
+            Some(i) => parents.swap_remove(i),
+            None => self.version_meta(tx, object.latest)?,
+        };
         tail.tnext = version.vid;
-        if chain.is_some() || self.chain.is_some() {
-            // Chain storage: the outgoing latest surrenders its whole
-            // body to the chain (as the delta base / lazy first anchor)
-            // and the new version becomes the chain's last entry. The
-            // new latest keeps its whole body in its meta, so latest
-            // reads never touch the chain.
-            let prev_state = std::mem::take(&mut tail.body);
-            let c = match chain.as_mut() {
-                Some(c) => c,
-                None => {
-                    // First chained version of this object: the chain
-                    // starts at the outgoing latest, snapshotted whole.
-                    // Any older versions keep their whole-body records
-                    // (the migration path for pre-chain databases).
-                    *chain = Some(ObjectChain::new(
-                        self.chain.expect("checked above"),
-                        object.latest,
-                        prev_state.clone(),
-                    ));
-                    chain.as_mut().expect("just set")
-                }
-            };
-            c.append(version.vid, &prev_state, &version.body);
-        }
-        self.save_version(tx, &tail)?;
-
-        self.save_version(tx, version)?;
-        if let Some(c) = chain.as_ref() {
-            self.save_chain(tx, object.oid, c)?;
-        }
         object.latest = version.vid;
         object.version_count += 1;
-        self.save_object(tx, object)?;
+        let home = self.save_object(tx, &object)?;
+        if dir.is_some() || self.chain.is_some() {
+            // Chain storage: the outgoing latest surrenders its whole
+            // body to the chain (as the delta base, or — for the first
+            // chained version of this object — the lazy first anchor;
+            // any older versions keep their whole-body records, the
+            // migration path for pre-chain databases) and the new
+            // version becomes the chain's last member. The new latest
+            // keeps its whole body in its meta, so latest reads never
+            // touch the chain.
+            let prev_state = std::mem::take(&mut tail.body);
+            let check_in = CheckIn {
+                oid: object.oid,
+                home,
+                prev: (tail.vid, &prev_state),
+                next: (version.vid, &version.body),
+            };
+            self.chains.append(tx, dir, self.chain, check_in)?;
+        }
+        for parent in &parents {
+            self.save_version(tx, parent)?;
+        }
+        // The new version's record goes beside its predecessor's, which
+        // this check-in rewrites anyway.
+        let near = Some(self.save_version(tx, &tail)?);
+        upsert(
+            &self.ver_table,
+            &self.heap,
+            tx,
+            version.vid.0,
+            version,
+            near,
+        )?;
         Ok(())
     }
 
@@ -418,7 +404,7 @@ impl VersionStore {
         if let Some(rid) = self.obj_table.remove(tx, oid.0)? {
             self.heap.delete(tx, RecordId::from_u64(rid))?;
         }
-        self.drop_chain(tx, oid)?;
+        self.chains.drop_chain(tx, oid)?;
         self.extents.remove(tx, object.tag, oid.0)?;
         Ok(())
     }
@@ -436,33 +422,16 @@ impl VersionStore {
             return Err(VersionError::LastVersion(vid));
         }
 
-        // Chain repair, computed before the graph splices so replayed
-        // states come from the untouched record. Deleting the latest
-        // promotes its temporal predecessor back to a whole meta body
-        // (so the new latest stays O(1) to read); deleting a historical
-        // member re-bases or re-anchors its successor inside the chain.
-        let mut chain = self.load_chain(tx, object.oid)?;
-        let mut promoted_body: Option<Vec<u8>> = None;
-        let mut drop_chain = false;
-        let mut chain_dirty = false;
-        if let Some(c) = chain.as_mut() {
-            if let Some(idx) = c.index_of(vid) {
-                if vid == object.latest {
-                    if c.entries.len() == 1 {
-                        // The chain held only the latest; the object
-                        // falls back to pre-chain whole-body versions.
-                        drop_chain = true;
-                    } else {
-                        promoted_body = Some(c.state_at(idx - 1)?);
-                        c.remove_at(idx)?;
-                        chain_dirty = true;
-                    }
-                } else {
-                    c.remove_at(idx)?;
-                    chain_dirty = true;
-                }
-            }
-        }
+        // Chain repair. Deleting the latest promotes its temporal
+        // predecessor back to a whole meta body (so the new latest
+        // stays O(1) to read); deleting a historical member re-bases or
+        // re-anchors its successor inside its segment; deleting the
+        // chain's only member returns the object to pre-chain
+        // whole-body versions.
+        let mut promoted_body = match self.chains.directory(tx, object.oid)? {
+            Some(dir) => self.chains.remove(tx, object.oid, dir, vid)?,
+            None => None,
+        };
 
         // Temporal splice.
         if !meta.tprev.is_null() {
@@ -560,12 +529,6 @@ impl VersionStore {
 
         object.version_count -= 1;
         self.save_object(tx, &object)?;
-        if drop_chain {
-            self.drop_chain(tx, object.oid)?;
-        } else if chain_dirty {
-            let c = chain.as_ref().expect("dirty implies loaded");
-            self.save_chain(tx, object.oid, c)?;
-        }
         self.drop_version_record(tx, vid)?;
         Ok(())
     }
@@ -627,8 +590,8 @@ impl VersionStore {
         }
         // Empty meta body: either a cleared chain member or a genuinely
         // empty version — chain membership disambiguates.
-        if let Some(chain) = self.load_chain(tx, meta.oid)? {
-            if let Some(state) = chain.state_of(vid)? {
+        if let Some(dir) = self.chains.directory(tx, meta.oid)? {
+            if let Some(state) = self.chains.state_of(tx, &dir, vid)? {
                 if let Some((cache, epoch)) = cache {
                     cache.put(epoch, vid.0, state.clone());
                 }
@@ -641,9 +604,9 @@ impl VersionStore {
     /// Overwrite a version's body in place (no new version is created —
     /// this is ordinary mutation through a pointer in O++).
     ///
-    /// For a chained version the chain entry is re-diffed (and the
-    /// successor's delta re-based); the latest version's whole meta
-    /// body is kept in step.
+    /// For a chained version its delta is re-diffed (and the
+    /// successor's re-based) inside its one segment; the latest
+    /// version's whole meta body is kept in step.
     pub fn write_body(
         &self,
         tx: &mut impl PageWrite,
@@ -651,30 +614,25 @@ impl VersionStore {
         expected: TypeTag,
         body: Vec<u8>,
     ) -> Result<()> {
-        let mut meta = self.version_meta(tx, vid)?;
+        let mut meta = self.version_links(tx, vid)?;
         if meta.tag != expected {
             return Err(VersionError::TypeMismatch {
                 expected,
                 found: meta.tag,
             });
         }
-        let mut chain = self.load_chain(tx, meta.oid)?;
-        let idx = chain.as_ref().and_then(|c| c.index_of(vid));
-        match (chain.as_mut(), idx) {
-            (Some(c), Some(idx)) => {
-                c.set_state_at(idx, &body)?;
-                if idx + 1 == c.entries.len() {
-                    // vid is the latest: keep its whole meta body.
-                    meta.body = body;
-                    self.save_version(tx, &meta)?;
-                }
-                self.save_chain(tx, meta.oid, c)
-            }
-            _ => {
-                meta.body = body;
-                self.save_version(tx, &meta)
-            }
+        let chained_as_last = match self.chains.directory(tx, meta.oid)? {
+            Some(dir) => self.chains.set_state(tx, meta.oid, dir, vid, &body)?,
+            None => None,
+        };
+
+        // A historical chain member's state lives in the chain alone;
+        // the latest version and every unchained one keep it whole.
+        if chained_as_last != Some(false) {
+            meta.body = body;
+            self.save_version(tx, &meta)?;
         }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -769,25 +727,29 @@ impl VersionStore {
     /// deletions split the derivation forest, or across objects).
     ///
     /// This is the merge base: the newest state both sides have seen.
+    ///
+    /// One descending-vid walk from both sides at once: each frontier
+    /// version carries which side(s) reached it, and the first one
+    /// popped with both marks is the answer — a parent is always older
+    /// than its children, so no version popped later can still mark
+    /// it. Only versions newer than the answer are loaded, whatever the
+    /// length of the history behind it.
     pub fn common_ancestor(&self, tx: &mut impl PageRead, a: Vid, b: Vid) -> Result<Option<Vid>> {
-        use std::collections::{BinaryHeap, HashSet};
-        let a_set: HashSet<Vid> = self.ancestors(tx, a)?.into_iter().collect();
-        // Walk b's ancestry newest-first; the first member of a's set
-        // encountered is the greatest common stamp.
-        self.version_meta(tx, b)?;
-        let mut seen: HashSet<Vid> = HashSet::new();
-        let mut heap: BinaryHeap<Vid> = BinaryHeap::new();
-        seen.insert(b);
-        heap.push(b);
-        while let Some(v) = heap.pop() {
-            if a_set.contains(&v) {
+        use std::collections::BTreeMap;
+        const FROM_A: u8 = 1;
+        const FROM_B: u8 = 2;
+        if a == b {
+            self.version_meta(tx, a)?;
+            return Ok(Some(a));
+        }
+        // Ordered by vid == by creation stamp (`created` is `vid.0`).
+        let mut frontier: BTreeMap<Vid, u8> = BTreeMap::from([(a, FROM_A), (b, FROM_B)]);
+        while let Some((v, marks)) = frontier.pop_last() {
+            if marks == FROM_A | FROM_B {
                 return Ok(Some(v));
             }
-            let meta = self.version_meta(tx, v)?;
-            for p in meta.parents() {
-                if seen.insert(p) {
-                    heap.push(p);
-                }
+            for p in self.version_meta(tx, v)?.parents() {
+                *frontier.entry(p).or_insert(0) |= marks;
             }
         }
         Ok(None)
@@ -848,10 +810,11 @@ impl VersionStore {
     /// All versions of `oid` created in the stamp range `[from, to]`
     /// (inclusive), oldest first — "all versions of X between epochs".
     ///
-    /// Chained history is answered straight off the chain record's vid
-    /// index with **no per-version record loads**; only versions older
-    /// than the chain (or of a chain-less object) fall back to the
-    /// temporal walk, which early-terminates below `from`.
+    /// Chained history is answered off the chain directory and the runs
+    /// of the segments the range overlaps, with **no per-version record
+    /// loads**; only versions older than the chain (or of a chain-less
+    /// object) fall back to the temporal walk, which early-terminates
+    /// below `from`.
     pub fn history_between(
         &self,
         tx: &mut impl PageRead,
@@ -882,22 +845,16 @@ impl VersionStore {
             out.reverse();
             Ok(out)
         };
-        match self.load_chain(tx, oid)? {
-            Some(chain) => {
-                let first = chain.entries[0].vid;
+        match self.chains.directory(tx, oid)? {
+            Some(dir) => {
+                let first = dir.segments[0].first;
                 let mut out = if from < first.0 {
                     let pre_tail = self.version_meta(tx, first)?.tprev;
                     walk(self, tx, pre_tail)?
                 } else {
                     Vec::new()
                 };
-                out.extend(
-                    chain
-                        .entries
-                        .iter()
-                        .map(|e| e.vid)
-                        .filter(|v| v.0 >= from && v.0 <= to),
-                );
+                out.extend(self.chains.vids_between(tx, &dir, from, to)?);
                 Ok(out)
             }
             None => walk(self, tx, object.latest),
@@ -907,69 +864,45 @@ impl VersionStore {
     /// Summarize the difference between two versions' states —
     /// "diff v_a..v_b".
     ///
-    /// When the two are adjacent members of the same object's chain,
-    /// the stored delta is summarized directly (`stored = true`) with
-    /// **no state materialized at all**; otherwise only the two
-    /// endpoint states are materialized and diffed — never the
-    /// intermediate versions between them.
+    /// When the two are adjacent members of one segment of the same
+    /// object's chain, the stored delta is summarized directly
+    /// (`stored = true`) with **no state materialized at all**;
+    /// otherwise only the two endpoint states are materialized and
+    /// diffed — never the intermediate versions between them.
     pub fn diff_versions(&self, tx: &mut impl PageRead, from: Vid, to: Vid) -> Result<VersionDiff> {
         let meta_a = self.version_meta(tx, from)?;
         let meta_b = self.version_meta(tx, to)?;
-        let chain_a = self.load_chain(tx, meta_a.oid)?;
-        if meta_a.oid == meta_b.oid {
-            if let Some(c) = &chain_a {
-                if let (Some(ia), Some(ib)) = (c.index_of(from), c.index_of(to)) {
-                    if ib == ia + 1 {
-                        if let ChainLink::Delta(d) = &c.entries[ib].link {
-                            return Ok(VersionDiff::from_delta(from, to, d, true));
-                        }
-                    }
+        let dir_a = self.chains.directory(tx, meta_a.oid)?;
+        let dir_b_owned;
+        let dir_b = if meta_b.oid == meta_a.oid {
+            if let Some(dir) = &dir_a {
+                if let Some(d) = self.chains.stored_delta(tx, dir, from, to)? {
+                    return Ok(VersionDiff::from_delta(from, to, &d, true));
                 }
             }
-        }
-        let chain_b_owned;
-        let chain_b = if meta_b.oid == meta_a.oid {
-            chain_a.as_ref()
+            dir_a.as_ref()
         } else {
-            chain_b_owned = self.load_chain(tx, meta_b.oid)?;
-            chain_b_owned.as_ref()
+            dir_b_owned = self.chains.directory(tx, meta_b.oid)?;
+            dir_b_owned.as_ref()
         };
-        let base = self.body_of(&meta_a, chain_a.as_ref())?;
-        let target = self.body_of(&meta_b, chain_b)?;
-        let block = chain_a
+        let base = self.body_of(tx, &meta_a, dir_a.as_ref())?;
+        let target = self.body_of(tx, &meta_b, dir_b)?;
+        let block = dir_a
             .as_ref()
-            .map(|c| c.block as usize)
+            .map(|d| d.block as usize)
             .unwrap_or(ode_delta::DEFAULT_BLOCK);
         let delta = ode_delta::diff_with_block(&base, &target, block);
         Ok(VersionDiff::from_delta(from, to, &delta, false))
     }
 
-    /// Space/shape statistics of an object's chain record (`None` for
-    /// objects without one). One full replay pass — fsck/odedump cost,
-    /// not a hot path.
+    /// Space/shape statistics of an object's chain (`None` for objects
+    /// without one). One full replay pass over every segment —
+    /// fsck/odedump cost, not a hot path.
     pub fn chain_stats(&self, tx: &mut impl PageRead, oid: Oid) -> Result<Option<ChainStats>> {
-        let chain = match self.load_chain(tx, oid)? {
-            Some(c) => c,
-            None => return Ok(None),
-        };
-        let mut materialized = 0u64;
-        let mut state: Vec<u8> = Vec::new();
-        for e in &chain.entries {
-            state = match &e.link {
-                ChainLink::Anchor(s) => s.clone(),
-                ChainLink::Delta(d) => ode_delta::apply(&state, d)
-                    .map_err(|_| VersionError::ChainCorrupt("chain entry failed to apply"))?,
-            };
-            materialized += state.len() as u64;
+        match self.chains.directory(tx, oid)? {
+            Some(dir) => Ok(Some(self.chains.stats(tx, &dir)?)),
+            None => Ok(None),
         }
-        Ok(Some(ChainStats {
-            versions: chain.entries.len() as u64,
-            anchors: chain.anchors() as u64,
-            deltas: chain.deltas() as u64,
-            interval: chain.interval,
-            encoded_bytes: chain.encoded_size() as u64,
-            materialized_bytes: materialized,
-        }))
     }
 
     /// All live objects of a type, in oid order (the O++ extent query).
@@ -1081,65 +1014,32 @@ impl VersionStore {
         if !live.contains(&object.root) {
             return Err(corrupt("root is not a live version"));
         }
-        if let Some(chain) = self.load_chain(tx, oid)? {
-            self.check_chain(tx, &object, &history, &chain)?;
+        if let Some(dir) = self.chains.directory(tx, oid)? {
+            self.check_chain(tx, &history, &dir)?;
         }
         Ok(())
     }
 
-    /// Chain-specific invariants: the chain is a contiguous temporal
-    /// suffix ending at `latest`, starts at an anchor, never runs
-    /// `interval` deltas without one, replays to exactly the latest
-    /// meta body, and every non-last member's meta body is cleared.
+    /// Chain-specific invariants: the directory and its segments are
+    /// consistent and cover a contiguous temporal suffix ending at
+    /// `latest` (see `ChainStore::check`), the chain replays to exactly
+    /// the latest meta body, and every older member's meta body is
+    /// cleared.
     fn check_chain(
         &self,
         tx: &mut impl PageRead,
-        object: &ObjectMeta,
         history: &[Vid],
-        chain: &ObjectChain,
+        dir: &ChainDirectory,
     ) -> Result<()> {
         let corrupt = VersionError::ChainCorrupt;
-        if chain.entries.is_empty() {
-            return Err(corrupt("chain record has no entries"));
+        let (versions, replayed) = self.chains.check(tx, dir, history)?;
+        let members = &history[history.len() - versions..];
+        let (latest, older) = members.split_last().expect("checked non-empty");
+        if self.version_meta(tx, *latest)?.body != replayed {
+            return Err(corrupt("latest meta body disagrees with chain replay"));
         }
-        if chain.entries.len() > history.len() {
-            return Err(corrupt("chain longer than the temporal history"));
-        }
-        let suffix = &history[history.len() - chain.entries.len()..];
-        for (e, &vid) in chain.entries.iter().zip(suffix) {
-            if e.vid != vid {
-                return Err(corrupt("chain is not the temporal suffix"));
-            }
-        }
-        if chain.entries.last().expect("non-empty").vid != object.latest {
-            return Err(corrupt("chain does not end at the latest version"));
-        }
-        if !matches!(chain.entries[0].link, ChainLink::Anchor(_)) {
-            return Err(corrupt("chain does not start at an anchor"));
-        }
-        let mut run = 0u64;
-        let mut state: Vec<u8> = Vec::new();
-        for (i, e) in chain.entries.iter().enumerate() {
-            match &e.link {
-                ChainLink::Anchor(s) => {
-                    run = 0;
-                    state = s.clone();
-                }
-                ChainLink::Delta(d) => {
-                    run += 1;
-                    if run >= chain.interval.max(1) {
-                        return Err(corrupt("anchor interval exceeded"));
-                    }
-                    state = ode_delta::apply(&state, d)
-                        .map_err(|_| corrupt("chain entry failed to apply"))?;
-                }
-            }
-            let meta = self.version_meta(tx, e.vid)?;
-            if i + 1 == chain.entries.len() {
-                if meta.body != state {
-                    return Err(corrupt("latest meta body disagrees with chain replay"));
-                }
-            } else if !meta.body.is_empty() {
+        for &vid in older {
+            if !self.version_meta(tx, vid)?.body.is_empty() {
                 return Err(corrupt("historical chain member still stores a whole body"));
             }
         }

@@ -35,9 +35,12 @@ mod error;
 pub mod export;
 mod graph;
 mod records;
+mod segments;
 
 pub use cache::MaterializeCache;
-pub use chain::{ChainConfig, ChainEntry, ChainLink, ChainStats, ObjectChain, VersionDiff};
+pub use chain::{
+    ChainConfig, ChainDirectory, ChainStats, RunEntry, Segment, SegmentRef, VersionDiff,
+};
 pub use error::{Result, VersionError};
 pub use export::version_graph_dot;
 pub use graph::{VersionStore, VersionStoreLayout};

@@ -1,7 +1,35 @@
 //! On-disk records of the version graph.
 
-use ode_codec::{impl_persist_struct, TypeTag};
-use ode_object::{Oid, Vid};
+use ode_codec::{impl_persist_struct, DecodeError, Persist, Reader, TypeTag};
+use ode_object::{KvTable, ObjectHeap, Oid, Vid};
+use ode_storage::heap::RecordId;
+use ode_storage::PageWrite;
+
+use crate::Result;
+
+/// Write `value` as the record `table` maps `key` to: replaced under
+/// its id when it exists (the table follows if the record had to
+/// move), else inserted — beside `near` when given — and entered into
+/// the table. Returns the record's id.
+pub(crate) fn upsert<T: Persist>(
+    table: &KvTable,
+    heap: &ObjectHeap,
+    tx: &mut impl PageWrite,
+    key: u64,
+    value: &T,
+    near: Option<RecordId>,
+) -> Result<RecordId> {
+    let old = table.get(tx, key)?.map(RecordId::from_u64);
+    let rid = match (old, near) {
+        (Some(old), _) => heap.replace(tx, old, value)?,
+        (None, Some(near)) => heap.store_near(tx, near, value)?,
+        (None, None) => heap.store(tx, value)?,
+    };
+    if old != Some(rid) {
+        table.put(tx, key, rid.to_u64())?;
+    }
+    Ok(rid)
+}
 
 /// Per-object record: identity, type, and the ends of the temporal chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,6 +104,26 @@ impl_persist_struct!(VersionMeta {
 });
 
 impl VersionMeta {
+    /// Decode a stored record's identity and graph links, leaving
+    /// `body` empty: the body is encoded last and is most of the
+    /// record, so a caller about to replace it need not decode it.
+    pub(crate) fn decode_links(bytes: &[u8]) -> std::result::Result<VersionMeta, DecodeError> {
+        let r = &mut Reader::new(bytes);
+        // Field order is the encoding order.
+        Ok(VersionMeta {
+            vid: Persist::decode(r)?,
+            oid: Persist::decode(r)?,
+            tag: Persist::decode(r)?,
+            dprev: Persist::decode(r)?,
+            dprev2: Persist::decode(r)?,
+            dnext: Persist::decode(r)?,
+            tprev: Persist::decode(r)?,
+            tnext: Persist::decode(r)?,
+            created: Persist::decode(r)?,
+            body: Vec::new(),
+        })
+    }
+
     /// Whether this version is a leaf of the derived-from tree (an
     /// "alternative's most up-to-date version" in the paper's terms).
     pub fn is_derivation_leaf(&self) -> bool {
@@ -128,6 +176,11 @@ mod tests {
             body: vec![1, 2, 3],
         };
         assert_eq!(from_bytes::<VersionMeta>(&to_bytes(&m)).unwrap(), m);
+        let links = VersionMeta {
+            body: vec![],
+            ..m.clone()
+        };
+        assert_eq!(VersionMeta::decode_links(&to_bytes(&m)).unwrap(), links);
         assert!(!m.is_derivation_leaf());
         assert!(!m.is_merge());
         assert_eq!(m.parents().collect::<Vec<_>>(), vec![Vid(3)]);

@@ -5,7 +5,7 @@
 
 use ode_codec::TypeTag;
 use ode_storage::{Store, StoreOptions};
-use ode_version::{ChainConfig, ChainLink, VersionStore, VersionStoreLayout, Vid};
+use ode_version::{ChainConfig, VersionStore, VersionStoreLayout, Vid};
 
 const TAG: TypeTag = TypeTag::from_name("test/Doc");
 
@@ -28,6 +28,15 @@ fn chained(interval: u64) -> VersionStore {
         VersionStoreLayout::default(),
         ChainConfig::with_interval(interval),
     )
+}
+
+/// Every vid the object's chain stores, oldest first.
+fn chain_members(
+    vs: &VersionStore,
+    tx: &mut impl ode_storage::PageRead,
+    oid: ode_version::Oid,
+) -> Vec<Vid> {
+    segments_of(vs, tx, oid).concat()
 }
 
 fn body(i: usize) -> Vec<u8> {
@@ -82,7 +91,7 @@ fn single_version_objects_have_no_chain() {
     let vs = chained(4);
     let mut tx = store.begin();
     let (oid, _) = vs.create_object(&mut tx, TAG, b"only".to_vec()).unwrap();
-    assert!(vs.load_chain(&mut tx, oid).unwrap().is_none());
+    assert!(vs.chain_directory(&mut tx, oid).unwrap().is_none());
     assert!(vs.chain_stats(&mut tx, oid).unwrap().is_none());
     tx.commit().unwrap();
     drop(store);
@@ -124,9 +133,8 @@ fn whole_body_database_migrates_in_place() {
     }
     vs.check_object(&mut tx, oid).unwrap();
     // The chain is a strict suffix: pre-chain versions are not members.
-    let chain = vs.load_chain(&mut tx, oid).unwrap().unwrap();
-    assert!(!chain.contains(old_vids[0]));
-    assert!(chain.contains(*vids.last().unwrap()));
+    let members = chain_members(&vs, &mut tx, oid);
+    assert_eq!(members, vids[3..]);
     tx.commit().unwrap();
     drop(store);
     cleanup(&path);
@@ -218,10 +226,9 @@ fn diff_versions_adjacent_is_served_from_the_chain() {
         vs.write_body(&mut tx, v, TAG, body(i)).unwrap();
         vids.push(v);
     }
-    let chain = vs.load_chain(&mut tx, oid).unwrap().unwrap();
     // Adjacent delta-linked pair: summarized straight off the chain.
-    let (a, b) = (chain.entries[1].vid, chain.entries[2].vid);
-    assert!(matches!(chain.entries[2].link, ChainLink::Delta(_)));
+    let members = chain_members(&vs, &mut tx, oid);
+    let (a, b) = (members[1], members[2]);
     let d = vs.diff_versions(&mut tx, a, b).unwrap();
     assert!(d.stored);
     assert_eq!(d.from, a);
@@ -344,6 +351,351 @@ fn alternatives_from_historical_bases_chain_correctly() {
 }
 
 // ----------------------------------------------------------------------
+// Segment battery: the physical layout under deletes, edits and seals.
+// ----------------------------------------------------------------------
+
+/// One object with `n` versions, each a revision of the one before,
+/// version `i` holding `body(i)`.
+fn linear(
+    vs: &VersionStore,
+    tx: &mut ode_storage::Tx<'_>,
+    n: usize,
+) -> (ode_version::Oid, Vec<Vid>) {
+    let (oid, v0) = vs.create_object(tx, TAG, body(0)).unwrap();
+    let mut vids = vec![v0];
+    for i in 1..n {
+        let v = vs.new_version_of(tx, oid).unwrap();
+        vs.write_body(tx, v, TAG, body(i)).unwrap();
+        vids.push(v);
+    }
+    (oid, vids)
+}
+
+/// The member vids of each segment, in directory order.
+fn segments_of(
+    vs: &VersionStore,
+    tx: &mut impl ode_storage::PageRead,
+    oid: ode_version::Oid,
+) -> Vec<Vec<Vid>> {
+    let dir = vs.chain_directory(tx, oid).unwrap().unwrap();
+    dir.segments
+        .iter()
+        .map(|seg| vs.chain_segment(tx, seg).unwrap().vids().collect())
+        .collect()
+}
+
+/// Records in the version store's heap.
+fn heap_records(tx: &mut impl ode_storage::PageRead) -> u64 {
+    ode_object::ObjectHeap::new(VersionStoreLayout::default().heap_slot)
+        .len(tx)
+        .unwrap()
+}
+
+fn assert_bodies(
+    vs: &VersionStore,
+    tx: &mut impl ode_storage::PageRead,
+    vids: &[Vid],
+    skip: &[usize],
+) {
+    for (i, &v) in vids.iter().enumerate() {
+        if !skip.contains(&i) {
+            assert_eq!(vs.read_body(tx, v, TAG).unwrap(), body(i), "v{i}");
+        }
+    }
+}
+
+#[test]
+fn a_history_is_cut_into_segments_of_interval_versions() {
+    let path = temp_path("cut");
+    let store = Store::create(&path, StoreOptions::default()).unwrap();
+    let vs = chained(4);
+    let mut tx = store.begin();
+    let (oid, vids) = linear(&vs, &mut tx, 10);
+    let segments = segments_of(&vs, &mut tx, oid);
+    assert_eq!(
+        segments,
+        vec![
+            vids[0..4].to_vec(),
+            vids[4..8].to_vec(),
+            vids[8..10].to_vec()
+        ]
+    );
+    let stats = vs.chain_stats(&mut tx, oid).unwrap().unwrap();
+    assert_eq!((stats.versions, stats.segments, stats.deltas), (10, 3, 7));
+    assert_eq!((stats.open_fill, stats.interval), (2, 4));
+    assert!(stats.directory_bytes > 0 && stats.directory_bytes < 64);
+    // Directory + 3 anchors + 3 runs, beside 10 version records and
+    // the object record.
+    assert_eq!(heap_records(&mut tx), 7 + 10 + 1);
+    tx.commit().unwrap();
+    drop(store);
+    cleanup(&path);
+}
+
+#[test]
+fn deleting_an_anchor_promotes_its_successor() {
+    let path = temp_path("delanchor");
+    let store = Store::create(&path, StoreOptions::default()).unwrap();
+    let vs = chained(4);
+    let mut tx = store.begin();
+    let (oid, vids) = linear(&vs, &mut tx, 10);
+    vs.delete_version(&mut tx, vids[4]).unwrap();
+    assert_eq!(
+        segments_of(&vs, &mut tx, oid),
+        vec![
+            vids[0..4].to_vec(),
+            vids[5..8].to_vec(),
+            vids[8..10].to_vec()
+        ]
+    );
+    assert_bodies(&vs, &mut tx, &vids, &[4]);
+    vs.check_object(&mut tx, oid).unwrap();
+    // The chain's very first anchor too: the chain stays a suffix.
+    vs.delete_version(&mut tx, vids[0]).unwrap();
+    assert_eq!(segments_of(&vs, &mut tx, oid)[0], vids[1..4].to_vec());
+    assert_bodies(&vs, &mut tx, &vids, &[0, 4]);
+    vs.check_object(&mut tx, oid).unwrap();
+    tx.commit().unwrap();
+    drop(store);
+    cleanup(&path);
+}
+
+#[test]
+fn deleting_every_member_of_a_sealed_segment_frees_its_records() {
+    let path = temp_path("delsegment");
+    let store = Store::create(&path, StoreOptions::default()).unwrap();
+    let vs = chained(4);
+    let mut tx = store.begin();
+    let (oid, vids) = linear(&vs, &mut tx, 10);
+    let before = heap_records(&mut tx);
+    // Middle-out, so anchors, deltas and a last-of-segment all go.
+    for i in [5, 4, 7, 6] {
+        vs.delete_version(&mut tx, vids[i]).unwrap();
+        vs.check_object(&mut tx, oid).unwrap();
+    }
+    assert_eq!(
+        segments_of(&vs, &mut tx, oid),
+        vec![vids[0..4].to_vec(), vids[8..10].to_vec()]
+    );
+    // Four version records, one anchor, one run.
+    assert_eq!(heap_records(&mut tx), before - 6);
+    assert_bodies(&vs, &mut tx, &vids, &[4, 5, 6, 7]);
+    tx.commit().unwrap();
+    drop(store);
+    cleanup(&path);
+}
+
+#[test]
+fn deleting_the_tip_right_after_a_seal_reopens_the_segment_before() {
+    let path = temp_path("deltip");
+    let store = Store::create(&path, StoreOptions::default()).unwrap();
+    let vs = chained(4);
+    let mut tx = store.begin();
+    // Nine versions: the tip is the lone anchor of a fresh third segment.
+    let (oid, mut vids) = linear(&vs, &mut tx, 9);
+    assert_eq!(segments_of(&vs, &mut tx, oid)[2], vec![vids[8]]);
+    let before = heap_records(&mut tx);
+    vs.delete_version(&mut tx, vids.pop().unwrap()).unwrap();
+    assert_eq!(segments_of(&vs, &mut tx, oid).len(), 2);
+    // The tip's version record and its anchor.
+    assert_eq!(heap_records(&mut tx), before - 2);
+    // The new latest got its whole body back.
+    assert_eq!(vs.latest(&mut tx, oid).unwrap(), vids[7]);
+    assert_eq!(vs.version_meta(&mut tx, vids[7]).unwrap().body, body(7));
+    vs.check_object(&mut tx, oid).unwrap();
+    // The segment before is full, so the next check-in seals again.
+    let v = vs.new_version_of(&mut tx, oid).unwrap();
+    vs.write_body(&mut tx, v, TAG, body(8)).unwrap();
+    vids.push(v);
+    assert_eq!(segments_of(&vs, &mut tx, oid)[2], vec![v]);
+    assert_bodies(&vs, &mut tx, &vids, &[]);
+    vs.check_object(&mut tx, oid).unwrap();
+    tx.commit().unwrap();
+    drop(store);
+    cleanup(&path);
+}
+
+#[test]
+fn editing_a_sealed_member_rewrites_only_its_segment() {
+    let path = temp_path("editsealed");
+    let store = Store::create(&path, StoreOptions::default()).unwrap();
+    let vs = chained(4);
+    let mut tx = store.begin();
+    let (oid, vids) = linear(&vs, &mut tx, 10);
+    let dir = vs.chain_directory(&mut tx, oid).unwrap().unwrap();
+    let untouched = [
+        vs.chain_segment(&mut tx, &dir.segments[0]).unwrap(),
+        vs.chain_segment(&mut tx, &dir.segments[2]).unwrap(),
+    ];
+    // A delta member, then the anchor, of the sealed middle segment.
+    for i in [5, 4] {
+        let mut edited = body(i);
+        edited.extend_from_slice(b"+edit");
+        vs.write_body(&mut tx, vids[i], TAG, edited.clone())
+            .unwrap();
+        assert_eq!(vs.read_body(&mut tx, vids[i], TAG).unwrap(), edited);
+        assert_bodies(&vs, &mut tx, &vids, &[4, 5]);
+        vs.check_object(&mut tx, oid).unwrap();
+    }
+    // Same-size-or-smaller records stay put: the directory still names
+    // the same records, and the other segments hold the same bytes.
+    let after = vs.chain_directory(&mut tx, oid).unwrap().unwrap();
+    assert_eq!(after.segments[0], dir.segments[0]);
+    assert_eq!(after.segments[2], dir.segments[2]);
+    assert_eq!(
+        vs.chain_segment(&mut tx, &after.segments[0]).unwrap(),
+        untouched[0]
+    );
+    assert_eq!(
+        vs.chain_segment(&mut tx, &after.segments[2]).unwrap(),
+        untouched[1]
+    );
+    tx.commit().unwrap();
+    drop(store);
+    cleanup(&path);
+}
+
+#[test]
+fn deleting_the_object_frees_every_segment_record() {
+    let path = temp_path("delobject");
+    let store = Store::create(&path, StoreOptions::default()).unwrap();
+    let vs = chained(2);
+    let mut tx = store.begin();
+    let (keep, _) = linear(&vs, &mut tx, 3);
+    let before = heap_records(&mut tx);
+    let (oid, _) = linear(&vs, &mut tx, 9);
+    assert!(heap_records(&mut tx) > before + 9);
+    vs.delete_object(&mut tx, oid).unwrap();
+    assert_eq!(heap_records(&mut tx), before);
+    assert!(vs.chain_directory(&mut tx, oid).unwrap().is_none());
+    vs.check_object(&mut tx, keep).unwrap();
+    tx.commit().unwrap();
+    drop(store);
+    cleanup(&path);
+}
+
+#[test]
+fn check_object_rejects_a_directory_that_disagrees_with_its_segments() {
+    use ode_storage::heap::RecordId;
+    use ode_version::{RunEntry, VersionError};
+    let path = temp_path("tamper");
+    let store = Store::create(&path, StoreOptions::default()).unwrap();
+    let vs = chained(4);
+    let heap = ode_object::ObjectHeap::new(VersionStoreLayout::default().heap_slot);
+    let mut tx = store.begin();
+    let (oid, _) = linear(&vs, &mut tx, 10);
+    vs.check_object(&mut tx, oid).unwrap();
+    let dir = vs.chain_directory(&mut tx, oid).unwrap().unwrap();
+
+    // A sealed run that lost its last delta: the members are no longer
+    // the temporal suffix.
+    let run_rid = RecordId::from_u64(dir.segments[1].run);
+    let run: Vec<RunEntry> = heap.load(&mut tx, run_rid).unwrap();
+    let mut short = run.clone();
+    short.pop();
+    heap.replace(&mut tx, run_rid, &short).unwrap();
+    assert!(matches!(
+        vs.check_object(&mut tx, oid),
+        Err(VersionError::ChainCorrupt(_))
+    ));
+    heap.replace(&mut tx, run_rid, &run).unwrap();
+    vs.check_object(&mut tx, oid).unwrap();
+
+    // An anchor that is not the state its run was diffed against: the
+    // open segment no longer replays to the latest version's body.
+    let anchor_rid = RecordId::from_u64(dir.segments[2].anchor);
+    heap.replace_raw(&mut tx, anchor_rid, &body(500)).unwrap();
+    assert!(matches!(
+        vs.check_object(&mut tx, oid),
+        Err(VersionError::ChainCorrupt(_))
+    ));
+    drop(tx);
+    drop(store);
+    cleanup(&path);
+}
+
+/// The cost model of the segmented layout, as counts: what a check-in
+/// dirties and logs does not depend on how many versions the object
+/// has. Each stretch of 16 check-ins fills one segment's run from
+/// empty and seals it once, so two stretches are like for like; single
+/// check-ins differ by where in the run they land and by which page a
+/// small record happens to fit in. (The first few segments are cheaper
+/// still: the whole store fits four pages.)
+#[test]
+fn check_ins_cost_the_same_in_the_8th_segment_and_in_the_16th() {
+    use ode_storage::wal::{Wal, WalRecord};
+    let path = temp_path("o1");
+    let store = Store::create(&path, StoreOptions::default()).unwrap();
+    let vs = chained(16);
+    let oid = {
+        let mut tx = store.begin();
+        let (oid, _) = vs.create_object(&mut tx, TAG, body(0)).unwrap();
+        tx.commit().unwrap();
+        oid
+    };
+    // (pages dirtied, log bytes) of check-in `k`, one transaction each.
+    let mut costs = vec![(0usize, 0u64)];
+    for k in 1..=256 {
+        let wal_before = store.wal_len();
+        let mut tx = store.begin();
+        let v = vs.new_version_of(&mut tx, oid).unwrap();
+        vs.write_body(&mut tx, v, TAG, body(k)).unwrap();
+        tx.commit().unwrap();
+        costs.push((0, store.wal_len() - wal_before));
+    }
+    // No checkpoint emptied the log, so it still holds every check-in.
+    let mut wal_path = path.clone().into_os_string();
+    wal_path.push(".wal");
+    let (records, torn) = Wal::open(std::path::Path::new(&wal_path))
+        .unwrap()
+        .records()
+        .unwrap();
+    assert!(torn.is_none());
+    let mut check_in = 0;
+    for record in &records {
+        match record {
+            WalRecord::Begin { .. } => {}
+            WalRecord::Page { .. } | WalRecord::PageDelta { .. } => costs[check_in].0 += 1,
+            WalRecord::Commit { .. } => check_in += 1,
+        }
+    }
+    assert_eq!(check_in, 257, "the create and 256 check-ins");
+
+    // Check-in k makes version k + 1, so check-ins 112..=127 fill the
+    // eighth segment and seal it, 240..=255 the sixteenth.
+    let stretch = |from: usize| {
+        let cycle = &costs[from..from + 16];
+        (
+            cycle.iter().map(|c| c.0).sum::<usize>(),
+            cycle.iter().map(|c| c.1).sum::<u64>(),
+        )
+    };
+    let (pages_early, bytes_early) = stretch(112);
+    let (pages_late, bytes_late) = stretch(240);
+    assert!(
+        pages_late * 4 <= pages_early * 5,
+        "pages dirtied per 16 check-ins: {pages_early} early, {pages_late} late"
+    );
+    // Bytes swing more than pages: how often a page that a record
+    // outgrew gets compacted depends on what else sits in it.
+    assert!(
+        bytes_late * 2 <= bytes_early * 3,
+        "bytes logged per 16 check-ins: {bytes_early} early, {bytes_late} late"
+    );
+    // No single check-in pays for the history either: the dearest one
+    // seals a segment and moves a record, all within a few pages. (One
+    // chain record per object went from 8 pages per check-in in the
+    // eighth stretch to 12 in the sixteenth, 14 and 32 KB at worst.)
+    let (worst_pages, worst_bytes) = costs[1..]
+        .iter()
+        .fold((0, 0), |w, c| (w.0.max(c.0), w.1.max(c.1)));
+    assert!(worst_pages <= 8, "a check-in dirtied {worst_pages} pages");
+    assert!(worst_bytes <= 8192, "a check-in logged {worst_bytes} bytes");
+    drop(store);
+    cleanup(&path);
+}
+
+// ----------------------------------------------------------------------
 // Differential proptest battery: chained store vs whole-body oracle.
 // ----------------------------------------------------------------------
 
@@ -370,6 +722,25 @@ mod differential {
         ]
     }
 
+    fn apply_op(tx: &mut ode_storage::Tx<'_>, vs: &VersionStore, vids: &mut Vec<Vid>, op: &Op) {
+        match op {
+            Op::Fork(i) => {
+                let base = vids[i % vids.len()];
+                vids.push(vs.new_version_from(tx, base).unwrap());
+            }
+            Op::Edit(i, b) => {
+                let v = vids[i % vids.len()];
+                vs.write_body(tx, v, TAG, b.clone()).unwrap();
+            }
+            Op::Delete(i) => {
+                if vids.len() > 1 {
+                    let v = vids.remove(i % vids.len());
+                    vs.delete_version(tx, v).unwrap();
+                }
+            }
+        }
+    }
+
     fn run_history(
         store: &Store,
         vs: &VersionStore,
@@ -380,26 +751,88 @@ mod differential {
         let (oid, v0) = vs.create_object(&mut tx, TAG, seed_body.to_vec()).unwrap();
         let mut vids = vec![v0];
         for op in ops {
-            match op {
-                Op::Fork(i) => {
-                    let base = vids[i % vids.len()];
-                    vids.push(vs.new_version_from(&mut tx, base).unwrap());
-                }
-                Op::Edit(i, b) => {
-                    let v = vids[i % vids.len()];
-                    vs.write_body(&mut tx, v, TAG, b.clone()).unwrap();
-                }
-                Op::Delete(i) => {
-                    if vids.len() > 1 {
-                        let v = vids.remove(i % vids.len());
-                        vs.delete_version(&mut tx, v).unwrap();
-                    }
-                }
-            }
+            apply_op(&mut tx, vs, &mut vids, op);
         }
         vs.check_object(&mut tx, oid).unwrap();
         tx.commit().unwrap();
         (oid, vids)
+    }
+
+    /// A scripted fork/edit/delete history long enough to seal at least
+    /// three segments at every interval, run in lockstep on a chained
+    /// store and the whole-body oracle: bodies agree byte for byte and
+    /// the chain validates after every single operation.
+    #[test]
+    fn histories_crossing_segment_boundaries_match_the_oracle() {
+        for interval in [1usize, 2, 4, 16] {
+            let p_chain = temp_path(&format!("sc{interval}"));
+            let p_whole = temp_path(&format!("sw{interval}"));
+            let s_chain = Store::create(&p_chain, StoreOptions::default()).unwrap();
+            let s_whole = Store::create(&p_whole, StoreOptions::default()).unwrap();
+            let vs_chain = chained(interval as u64);
+            let vs_whole = VersionStore::new(VersionStoreLayout::default());
+            let mut tc = s_chain.begin();
+            let mut tw = s_whole.begin();
+            let (oid, v0) = vs_chain.create_object(&mut tc, TAG, body(0)).unwrap();
+            let (_, w0) = vs_whole.create_object(&mut tw, TAG, body(0)).unwrap();
+            assert_eq!(v0, w0, "both stores allocate the same ids");
+            let (mut vids_c, mut vids_w) = (vec![v0], vec![w0]);
+
+            let mut most_segments = 0;
+            let mut step = |op: Op| {
+                apply_op(&mut tc, &vs_chain, &mut vids_c, &op);
+                apply_op(&mut tw, &vs_whole, &mut vids_w, &op);
+                assert_eq!(vids_c, vids_w);
+                for &v in &vids_c {
+                    assert_eq!(
+                        vs_chain.read_body(&mut tc, v, TAG).unwrap(),
+                        vs_whole.read_body(&mut tw, v, TAG).unwrap(),
+                        "interval {interval} after {op:?}: {v}"
+                    );
+                }
+                vs_chain.check_object(&mut tc, oid).unwrap();
+                let dir = vs_chain.chain_directory(&mut tc, oid).unwrap().unwrap();
+                most_segments = most_segments.max(dir.segments.len());
+                vids_c.len() - 1
+            };
+
+            // Revisions of the tip past three seals, with a branch off
+            // the root and one off an anchor along the way.
+            let mut tip = 0;
+            for i in 1..=3 * interval + 3 {
+                tip = step(Op::Fork(tip));
+                step(Op::Edit(tip, body(i)));
+            }
+            tip = step(Op::Fork(0));
+            step(Op::Edit(tip, body(700)));
+            tip = step(Op::Fork(interval));
+            step(Op::Edit(tip, body(701)));
+            // Edits inside sealed segments: an anchor, a delta, the root.
+            step(Op::Edit(interval, body(702)));
+            step(Op::Edit(interval + 1, body(703)));
+            step(Op::Edit(0, body(704)));
+            // Deletes: an anchor, then every member of what was the
+            // second segment, then the tip, then the oldest.
+            for _ in 0..=interval {
+                tip = step(Op::Delete(interval));
+            }
+            step(Op::Delete(tip));
+            tip = step(Op::Delete(0));
+            // And the history goes on after the repairs.
+            for i in 0..=interval {
+                tip = step(Op::Fork(tip));
+                step(Op::Edit(tip, body(800 + i)));
+            }
+            assert!(
+                most_segments >= 4,
+                "interval {interval}: {most_segments} segments"
+            );
+            tc.commit().unwrap();
+            tw.commit().unwrap();
+            drop((s_chain, s_whole));
+            cleanup(&p_chain);
+            cleanup(&p_whole);
+        }
     }
 
     proptest! {

@@ -233,3 +233,91 @@ fn ancestors_survive_deleted_version_splices() {
     drop(store);
     cleanup(&path);
 }
+
+// ----------------------------------------------------------------------
+// Proptest: the one-walk LCA against the two-set definition.
+// ----------------------------------------------------------------------
+
+mod lca_reference {
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Derive from the version at this index (mod live count).
+        Fork(usize),
+        /// Merge the versions at these indexes (skipped when equal).
+        Merge(usize, usize),
+        /// Delete the version at this index (never the last one).
+        Delete(usize),
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            5 => (0usize..64).prop_map(Op::Fork),
+            3 => ((0usize..64), (0usize..64)).prop_map(|(a, b)| Op::Merge(a, b)),
+            2 => (0usize..64).prop_map(Op::Delete),
+        ]
+    }
+
+    /// The definition, kept here as the reference: of the versions in
+    /// both ancestor sets, the newest.
+    fn reference(vs: &VersionStore, tx: &mut ode_storage::Tx<'_>, a: Vid, b: Vid) -> Option<Vid> {
+        let a_set: HashSet<Vid> = vs.ancestors(tx, a).unwrap().into_iter().collect();
+        vs.ancestors(tx, b)
+            .unwrap()
+            .into_iter()
+            .filter(|v| a_set.contains(v))
+            .max()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+        /// Random DAGs — forks, merges, and deletions that splice
+        /// children onto grandparents or split the forest — give the
+        /// same common ancestor for every pair of live versions as the
+        /// two-set definition, in either argument order.
+        #[test]
+        fn common_ancestor_matches_the_set_definition(
+            ops in proptest::collection::vec(op_strategy(), 1..40),
+        ) {
+            let (path, store) = temp_store(&format!("lca-{}", ops.len()));
+            let vs = plain();
+            let mut tx = store.begin();
+            let (oid, root) = vs.create_object(&mut tx, TAG, b"r".to_vec()).unwrap();
+            let mut live = vec![root];
+            for op in &ops {
+                match *op {
+                    Op::Fork(i) => {
+                        let base = live[i % live.len()];
+                        live.push(vs.new_version_from(&mut tx, base).unwrap());
+                    }
+                    Op::Merge(i, j) => {
+                        let (a, b) = (live[i % live.len()], live[j % live.len()]);
+                        if a != b {
+                            live.push(vs.new_merge_version(&mut tx, a, b, b"m".to_vec()).unwrap());
+                        }
+                    }
+                    Op::Delete(i) => {
+                        if live.len() > 1 {
+                            let v = live.remove(i % live.len());
+                            vs.delete_version(&mut tx, v).unwrap();
+                        }
+                    }
+                }
+            }
+            vs.check_object(&mut tx, oid).unwrap();
+            for &a in &live {
+                for &b in &live {
+                    let want = reference(&vs, &mut tx, a, b);
+                    prop_assert_eq!(vs.common_ancestor(&mut tx, a, b).unwrap(), want, "{} {}", a, b);
+                }
+            }
+            drop(tx);
+            drop(store);
+            cleanup(&path);
+        }
+    }
+}

@@ -377,8 +377,11 @@ fn chain_text(marker: u64) -> String {
 
 /// Re-exec helper for the delta-chain variant: four writers each own
 /// one object in a chain-storage database and loop pure check-ins
-/// (`newversion` + `put_version`), appending a delta to the object's
-/// chain per commit, until the parent SIGKILLs the process.
+/// (`newversion` + `put_version`) until the parent SIGKILLs the
+/// process. At anchor interval 2 every other check-in seals the open
+/// segment and starts the next (a new anchor record plus a directory
+/// rewrite), the rest rewrite the open run, so with four writers in
+/// flight the kill all but surely lands on a segment roll.
 /// Acknowledged markers are durably logged after each commit. No-op
 /// without the env var.
 #[test]
@@ -388,7 +391,7 @@ fn child_chained_checkin_writer() {
     };
     let ack_dir = std::env::var("ODE_CRASH_CHAIN_ACK_DIR").expect("ack dir env var");
 
-    let mut options = DatabaseOptions::default().with_chain(ode::ChainConfig::with_interval(4));
+    let mut options = DatabaseOptions::default().with_chain(ode::ChainConfig::with_interval(2));
     options.storage.group_commit = true;
     options.storage.group_commit_window = std::time::Duration::from_millis(2);
     let db = Database::create(&db_path, options).expect("create db");
@@ -445,8 +448,9 @@ fn child_chained_checkin_writer() {
 /// database. Recovery (opened *without* the chain config, proving old
 /// and new readers decode the same records) must surface every
 /// acknowledged revision with a byte-identical body, and the recovered
-/// chains must still validate and still hold deltas — a half-written
-/// chain record never survives.
+/// chains must still validate — directory against segments, segments
+/// against the version graph — and still hold deltas: a half-rolled
+/// segment never survives.
 #[test]
 fn sigkill_mid_checkin_chained_store_recovers_acknowledged_versions() {
     use std::time::{Duration, Instant};
@@ -505,6 +509,7 @@ fn sigkill_mid_checkin_chained_store_recovers_acknowledged_versions() {
     let mut snap = db.snapshot();
     let mut recovered = std::collections::HashMap::new();
     let mut chains_seen = 0usize;
+    let mut segments_seen = 0u64;
     for p in snap.objects::<Doc>().expect("list objects") {
         snap.check_object(&p).expect("recovered object validates");
         for v in snap.version_history(&p).expect("history") {
@@ -517,9 +522,16 @@ fn sigkill_mid_checkin_chained_store_recovers_acknowledged_versions() {
             assert!(stats.versions >= 2);
             assert!(stats.deltas > 0, "recovered chain holds no deltas");
             chains_seen += 1;
+            segments_seen += stats.segments;
         }
     }
     assert!(chains_seen > 0, "no delta chain survived recovery");
+    // 40 acknowledged check-ins at interval 2 rolled a segment every
+    // other time, whichever writers made them.
+    assert!(
+        segments_seen >= 20,
+        "only {segments_seen} segments recovered"
+    );
     drop(snap);
 
     // Acked ⊆ recovered, byte-identical: every acknowledged check-in
