@@ -40,11 +40,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod anchored;
 pub mod chain;
 mod diff;
 
-pub use anchored::AnchoredChain;
 pub use chain::full_copy_size;
 pub use chain::{ForwardChain, ReverseChain};
 pub use diff::{apply, diff, diff_with_block, ApplyError, Delta, DeltaOp, DEFAULT_BLOCK};

@@ -25,8 +25,21 @@
 //! bodies, it stores and serves the client's bytes and only checks the
 //! type tag.
 //!
-//! The full opcode table lives in the README ("Running Ode as a
-//! server"); [`Opcode`] is the authoritative enumeration.
+//! ## The wire table
+//!
+//! Every frame layout is stated **once**, in three tables in this file,
+//! and everything that must agree with a layout is generated from its
+//! row: the request table (one row per opcode: number, stats label,
+//! variant, fields tagged by kind, `read | write`, and how a router
+//! treats it) generates [`Opcode`], [`Request`], their encoder and
+//! decoder and [`walk_request`]; the response table generates
+//! [`Response`], its encoder and decoder and [`walk_response`]; the
+//! counter tables generate [`StatsReport`] / [`StorageCounters`], their
+//! encoding and the rule that merges the reports of several shards. The
+//! generated code is straight-line `match`es — nothing is interpreted
+//! per request. DESIGN.md ("The wire table") has the row grammar and
+//! the three places a new opcode touches; the README's opcode table
+//! mirrors the request table and a test holds it to that.
 
 use std::io::{self, Read, Write};
 
@@ -44,751 +57,902 @@ pub const MAGIC: [u8; 4] = *b"ODE\x02";
 /// against allocating unbounded memory on a corrupt length prefix.
 pub const MAX_FRAME_LEN: usize = 16 << 20;
 
-// ---------------------------------------------------------------------------
-// Opcodes
-// ---------------------------------------------------------------------------
-
-/// Request opcodes — the first byte of every request payload.
-///
-/// The numeric values are the wire encoding and also index the server's
-/// per-opcode request counters; they are append-only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(u8)]
-pub enum Opcode {
-    /// Liveness probe.
-    Ping = 0,
-    /// Server statistics snapshot.
-    Stats = 1,
-    /// `pnew`: create an object from a tag + encoded body.
-    Pnew = 2,
-    /// Dereference a generic reference (latest version).
-    Deref = 3,
-    /// Dereference a specific version.
-    DerefVersion = 4,
-    /// Replace the latest version's body.
-    Update = 5,
-    /// Replace a specific version's body.
-    UpdateVersion = 6,
-    /// Derive a new version from the object's latest.
-    NewVersion = 7,
-    /// Derive a new version from a specific base version.
-    NewVersionFrom = 8,
-    /// Delete an object and all its versions.
-    Pdelete = 9,
-    /// Delete one specific version.
-    PdeleteVersion = 10,
-    /// Derived-from predecessor.
-    Dprevious = 11,
-    /// Derived-from successors.
-    Dnext = 12,
-    /// Temporal predecessor.
-    Tprevious = 13,
-    /// Temporal successor.
-    Tnext = 14,
-    /// All versions of an object in temporal order.
-    VersionHistory = 15,
-    /// Pin the current latest version.
-    CurrentVersion = 16,
-    /// Extent scan: all live objects of a type.
-    Objects = 17,
-    /// Extent page: objects of a type from a cursor.
-    ObjectsPage = 18,
-    /// The object a version belongs to.
-    ObjectOf = 19,
-    /// Number of live versions of an object.
-    VersionCount = 20,
-    /// Whether an object exists.
-    Exists = 21,
-    /// Whether a version exists.
-    VersionExists = 22,
-    /// The node's applied commit epoch (answered inline, like `Ping`).
-    Epoch = 23,
-    /// Set this connection's read floor: subsequent reads wait until
-    /// the node has applied at least this epoch (replica read gate).
-    ReadFloor = 24,
-    /// Promote a replica node to primary (driven failover).
-    Promote = 25,
-    /// All versions of an object created in a global-stamp range
-    /// (served from the object's delta chain when it has one).
-    HistoryBetween = 26,
-    /// Summary of the difference between two versions' states.
-    DiffVersions = 27,
-    /// Three-way merge of two versions into a new two-parent version.
-    Merge = 28,
+/// Split a payload into its leading sequence id and the operation (or
+/// result) bytes after it — the part a peer can still echo or
+/// correlate when the rest of the payload is garbage.
+pub fn split_seq(payload: &[u8]) -> Result<(u64, &[u8])> {
+    let (seq, len) = varint::read_u64(payload)?;
+    Ok((seq, &payload[len..]))
 }
 
-/// Number of opcodes (size of the server's per-opcode counter array).
-pub const OPCODE_COUNT: usize = 29;
-
-impl Opcode {
-    /// Every opcode, in wire order.
-    pub const ALL: [Opcode; OPCODE_COUNT] = [
-        Opcode::Ping,
-        Opcode::Stats,
-        Opcode::Pnew,
-        Opcode::Deref,
-        Opcode::DerefVersion,
-        Opcode::Update,
-        Opcode::UpdateVersion,
-        Opcode::NewVersion,
-        Opcode::NewVersionFrom,
-        Opcode::Pdelete,
-        Opcode::PdeleteVersion,
-        Opcode::Dprevious,
-        Opcode::Dnext,
-        Opcode::Tprevious,
-        Opcode::Tnext,
-        Opcode::VersionHistory,
-        Opcode::CurrentVersion,
-        Opcode::Objects,
-        Opcode::ObjectsPage,
-        Opcode::ObjectOf,
-        Opcode::VersionCount,
-        Opcode::Exists,
-        Opcode::VersionExists,
-        Opcode::Epoch,
-        Opcode::ReadFloor,
-        Opcode::Promote,
-        Opcode::HistoryBetween,
-        Opcode::DiffVersions,
-        Opcode::Merge,
-    ];
-
-    /// Decode a wire byte.
-    pub fn from_u8(b: u8) -> Option<Opcode> {
-        Opcode::ALL.get(b as usize).copied()
+/// Strictness shared by every decoder and walker: bytes left over after
+/// the last field are a protocol error.
+fn finish(r: &Reader<'_>, name: &str, what: &str) -> Result<()> {
+    match r.remaining() {
+        0 => Ok(()),
+        n => Err(NetError::Protocol(format!(
+            "{n} trailing bytes after {name} {what}"
+        ))),
     }
+}
 
-    /// Human-readable name (stats displays, CLI output).
-    pub fn name(self) -> &'static str {
-        match self {
-            Opcode::Ping => "ping",
-            Opcode::Stats => "stats",
-            Opcode::Pnew => "pnew",
-            Opcode::Deref => "deref",
-            Opcode::DerefVersion => "deref_version",
-            Opcode::Update => "update",
-            Opcode::UpdateVersion => "update_version",
-            Opcode::NewVersion => "newversion",
-            Opcode::NewVersionFrom => "newversion_from",
-            Opcode::Pdelete => "pdelete",
-            Opcode::PdeleteVersion => "pdelete_version",
-            Opcode::Dprevious => "dprevious",
-            Opcode::Dnext => "dnext",
-            Opcode::Tprevious => "tprevious",
-            Opcode::Tnext => "tnext",
-            Opcode::VersionHistory => "version_history",
-            Opcode::CurrentVersion => "current_version",
-            Opcode::Objects => "objects",
-            Opcode::ObjectsPage => "objects_page",
-            Opcode::ObjectOf => "object_of",
-            Opcode::VersionCount => "version_count",
-            Opcode::Exists => "exists",
-            Opcode::VersionExists => "version_exists",
-            Opcode::Epoch => "epoch",
-            Opcode::ReadFloor => "read_floor",
-            Opcode::Promote => "promote",
-            Opcode::HistoryBetween => "history_between",
-            Opcode::DiffVersions => "diff_versions",
-            Opcode::Merge => "merge",
+// ---------------------------------------------------------------------------
+// Field types
+// ---------------------------------------------------------------------------
+
+/// The role of an id-bearing field — what [`walk_request`] and
+/// [`walk_response`] tell their `map` about each value they hand it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IdField {
+    /// An object id.
+    Oid,
+    /// A version id.
+    Vid,
+    /// An extent-page cursor: the smallest object id to return.
+    Cursor,
+    /// Smallest global stamp of a range (stamps are version ids).
+    StampFrom,
+    /// Largest global stamp of a range.
+    StampTo,
+}
+
+/// One walk over an encoded frame: values are copied from `r` to `w` in
+/// canonical form, ids passing through `map` on the way.
+struct IdWalk<'a, 'b, F> {
+    r: Reader<'a>,
+    w: &'b mut Writer,
+    map: F,
+}
+
+impl<F: FnMut(IdField, u64) -> u64> IdWalk<'_, '_, F> {
+    fn id(&mut self, field: IdField) -> Result<()> {
+        let id = self.r.get_varint()?;
+        self.w.put_varint((self.map)(field, id));
+        Ok(())
+    }
+}
+
+/// One field type of the wire format: its encoding, its decoding and
+/// its id walk, stated here once. The tables below only compose them.
+trait Wire: Sized {
+    fn put(&self, w: &mut Writer);
+    fn get(r: &mut Reader<'_>) -> Result<Self>;
+    /// Copy one encoded value, renaming the ids inside it. The default
+    /// suits every type that holds none.
+    fn walk<F: FnMut(IdField, u64) -> u64>(c: &mut IdWalk<'_, '_, F>) -> Result<()> {
+        Self::get(&mut c.r)?.put(c.w);
+        Ok(())
+    }
+}
+
+macro_rules! wire_varint_newtype {
+    ($($ty:ident $(as $role:ident)?),*) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut Writer) {
+                w.put_varint(self.0);
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self> {
+                Ok($ty(r.get_varint()?))
+            }
+            $(fn walk<F: FnMut(IdField, u64) -> u64>(c: &mut IdWalk<'_, '_, F>) -> Result<()> {
+                c.id(IdField::$role)
+            })?
+        }
+    )*};
+}
+
+wire_varint_newtype!(Oid as Oid, Vid as Vid, TypeTag);
+
+impl Wire for u64 {
+    fn put(&self, w: &mut Writer) {
+        w.put_varint(*self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(r.get_varint()?)
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, w: &mut Writer) {
+        w.put_u8(*self as u8);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(r.get_u8()? != 0)
+    }
+}
+
+/// A byte string: a length, then the bytes verbatim.
+impl Wire for Vec<u8> {
+    fn put(&self, w: &mut Writer) {
+        w.put_bytes(self);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(r.get_bytes()?.to_vec())
+    }
+    fn walk<F: FnMut(IdField, u64) -> u64>(c: &mut IdWalk<'_, '_, F>) -> Result<()> {
+        c.w.put_bytes(c.r.get_bytes()?);
+        Ok(())
+    }
+}
+
+impl Wire for MergePolicy {
+    fn put(&self, w: &mut Writer) {
+        w.put_u8(self.as_u8());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        let p = r.get_u8()?;
+        MergePolicy::from_u8(p)
+            .ok_or_else(|| NetError::Protocol(format!("unknown merge policy byte {p}")))
+    }
+}
+
+impl Wire for Opcode {
+    fn put(&self, w: &mut Writer) {
+        w.put_u8(*self as u8);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        let op = r.get_u8()?;
+        Opcode::from_u8(op).ok_or_else(|| NetError::Protocol(format!("unknown opcode {op}")))
+    }
+}
+
+/// An option's leading byte: 0 for none, 1 for a value that follows.
+fn get_present(r: &mut Reader<'_>) -> Result<bool> {
+    match r.get_u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        b => Err(NetError::Protocol(format!("bad option discriminant {b}"))),
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, w: &mut Writer) {
+        w.put_u8(self.is_some() as u8);
+        if let Some(v) = self {
+            v.put(w);
         }
     }
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(if get_present(r)? {
+            Some(T::get(r)?)
+        } else {
+            None
+        })
+    }
+    fn walk<F: FnMut(IdField, u64) -> u64>(c: &mut IdWalk<'_, '_, F>) -> Result<()> {
+        let present = get_present(&mut c.r)?;
+        c.w.put_u8(present as u8);
+        if present {
+            T::walk(c)?;
+        }
+        Ok(())
+    }
+}
+
+/// A list: a count, then each element. The count is checked against
+/// the bytes that remain, so a corrupt one cannot size an allocation.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut Writer) {
+        w.put_varint(self.len() as u64);
+        for item in self {
+            item.put(w);
+        }
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        let n = r.get_count()?;
+        let mut items = Vec::with_capacity(n.min(1 << 12));
+        for _ in 0..n {
+            items.push(T::get(r)?);
+        }
+        Ok(items)
+    }
+    fn walk<F: FnMut(IdField, u64) -> u64>(c: &mut IdWalk<'_, '_, F>) -> Result<()> {
+        let n = c.r.get_count()?;
+        c.w.put_varint(n as u64);
+        for _ in 0..n {
+            T::walk(c)?;
+        }
+        Ok(())
+    }
+}
+
+/// One entry of a stats report's per-opcode request counts.
+impl Wire for (Opcode, u64) {
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        Ok((Opcode::get(r)?, u64::get(r)?))
+    }
+}
+
+/// Conflict offsets are positions in the merge base's body —
+/// shard-agnostic, so a walk renames nothing in them.
+impl Wire for MergeConflict {
+    fn put(&self, w: &mut Writer) {
+        w.put_varint(self.base_start);
+        w.put_varint(self.base_end);
+        w.put_bytes(&self.ours);
+        w.put_bytes(&self.theirs);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(MergeConflict {
+            base_start: r.get_varint()?,
+            base_end: r.get_varint()?,
+            ours: r.get_bytes()?.to_vec(),
+            theirs: r.get_bytes()?.to_vec(),
+        })
+    }
+}
+
+/// An error frame is `code a b message` for every kind, unused slots
+/// zero or empty; which slot holds an id depends on the code.
+impl Wire for RemoteError {
+    fn put(&self, w: &mut Writer) {
+        w.put_u8(self.code());
+        let (a, b, msg) = match self {
+            RemoteError::UnknownObject(oid) => (oid.0, 0, ""),
+            RemoteError::UnknownVersion(vid) | RemoteError::LastVersion(vid) => (vid.0, 0, ""),
+            RemoteError::TypeMismatch { expected, found } => (expected.0, found.0, ""),
+            RemoteError::Storage(msg)
+            | RemoteError::BadRequest(msg)
+            | RemoteError::Unavailable(msg) => (0, 0, msg.as_str()),
+        };
+        w.put_varint(a);
+        w.put_varint(b);
+        w.put_bytes(msg.as_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        let code = r.get_u8()?;
+        let a = r.get_varint()?;
+        let b = r.get_varint()?;
+        let msg = String::from_utf8_lossy(r.get_bytes()?).into_owned();
+        Ok(match code {
+            1 => RemoteError::UnknownObject(Oid(a)),
+            2 => RemoteError::UnknownVersion(Vid(a)),
+            3 => RemoteError::TypeMismatch {
+                expected: TypeTag(a),
+                found: TypeTag(b),
+            },
+            4 => RemoteError::LastVersion(Vid(a)),
+            5 => RemoteError::Storage(msg),
+            6 => RemoteError::BadRequest(msg),
+            7 => RemoteError::Unavailable(msg),
+            c => return Err(NetError::Protocol(format!("unknown remote error code {c}"))),
+        })
+    }
+    fn walk<F: FnMut(IdField, u64) -> u64>(c: &mut IdWalk<'_, '_, F>) -> Result<()> {
+        match Self::get(&mut c.r)? {
+            RemoteError::UnknownObject(oid) => {
+                RemoteError::UnknownObject(Oid((c.map)(IdField::Oid, oid.0)))
+            }
+            RemoteError::UnknownVersion(vid) => {
+                RemoteError::UnknownVersion(Vid((c.map)(IdField::Vid, vid.0)))
+            }
+            RemoteError::LastVersion(vid) => {
+                RemoteError::LastVersion(Vid((c.map)(IdField::Vid, vid.0)))
+            }
+            other => other,
+        }
+        .put(c.w);
+        Ok(())
+    }
+}
+
+/// A struct that travels as its fields in declaration order.
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $ty:ident {
+            $( $(#[$fmeta:meta])* pub $field:ident : $fty:ty ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $ty {
+            $( $(#[$fmeta])* pub $field: $fty, )*
+        }
+
+        impl Wire for $ty {
+            fn put(&self, w: &mut Writer) {
+                $( self.$field.put(w); )*
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self> {
+                Ok($ty { $( $field: Wire::get(r)?, )* })
+            }
+            fn walk<F: FnMut(IdField, u64) -> u64>(c: &mut IdWalk<'_, '_, F>) -> Result<()> {
+                $( <$fty as Wire>::walk(c)?; )*
+                Ok(())
+            }
+        }
+    };
 }
 
 // ---------------------------------------------------------------------------
-// Requests
+// The request table
 // ---------------------------------------------------------------------------
 
-/// One request frame's decoded payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
+/// How a routing tier treats an opcode — the last column of the
+/// request table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Routing {
+    /// Goes to the shard its first id names; every id in it is renamed
+    /// into that shard's id space and must live there.
+    Keyed,
+    /// Names no id yet: the router places it (round-robin) and the id
+    /// minted in the answer carries the placement from then on.
+    Placed,
+    /// Fans out to every shard; the answers are merged.
+    Scatter,
+    /// Concerns one node, not the tier: the router answers it itself.
+    Local,
+}
+
+/// The Rust type of a field kind. A kind is a type plus the role its
+/// value plays for a router: `cursor` is an `Oid` and the `stamp_*`
+/// kinds are `u64`s that [`walk_request`] reports under their own
+/// [`IdField`].
+macro_rules! wire_type {
+    (oid) => { Oid };
+    (vid) => { Vid };
+    (tag) => { TypeTag };
+    (u64) => { u64 };
+    (bytes) => { Vec<u8> };
+    (policy) => { MergePolicy };
+    (cursor) => { Oid };
+    (stamp_from) => { u64 };
+    (stamp_to) => { u64 };
+}
+
+macro_rules! wire_walk {
+    (cursor, $c:ident) => {
+        $c.id(IdField::Cursor)?
+    };
+    (stamp_from, $c:ident) => {
+        $c.id(IdField::StampFrom)?
+    };
+    (stamp_to, $c:ident) => {
+        $c.id(IdField::StampTo)?
+    };
+    ($kind:ident, $c:ident) => {
+        <wire_type!($kind) as Wire>::walk(&mut $c)?
+    };
+}
+
+macro_rules! wire_sample {
+    (oid, $word:ident, $body:ident) => {
+        Oid($word())
+    };
+    (vid, $word:ident, $body:ident) => {
+        Vid($word())
+    };
+    (tag, $word:ident, $body:ident) => {
+        TypeTag($word())
+    };
+    (u64, $word:ident, $body:ident) => {
+        $word()
+    };
+    (bytes, $word:ident, $body:ident) => {
+        $body.to_vec()
+    };
+    (policy, $word:ident, $body:ident) => {
+        MergePolicy::from_u8(($word() % 3) as u8).expect("policy bytes are 0, 1 and 2")
+    };
+    (cursor, $word:ident, $body:ident) => {
+        Oid($word())
+    };
+    (stamp_from, $word:ident, $body:ident) => {
+        $word()
+    };
+    (stamp_to, $word:ident, $body:ident) => {
+        $word()
+    };
+}
+
+macro_rules! wire_is_read {
+    (read) => {
+        true
+    };
+    (write) => {
+        false
+    };
+}
+
+macro_rules! wire_routing {
+    (keyed) => {
+        Routing::Keyed
+    };
+    (placed) => {
+        Routing::Placed
+    };
+    (scatter) => {
+        Routing::Scatter
+    };
+    (local) => {
+        Routing::Local
+    };
+}
+
+/// One row per opcode: `number "stats label" Variant { field: kind, … }
+/// read|write keyed|placed|scatter|local;`. Generates [`Opcode`],
+/// [`Request`], their codec, and [`walk_request`].
+macro_rules! wire_table {
+    ($(
+        $(#[$doc:meta])*
+        $num:literal $name:literal $variant:ident
+        $({ $( $(#[$fdoc:meta])* $field:ident : $kind:ident ),+ $(,)? })?
+        $access:ident $routing:ident;
+    )*) => {
+        /// Request opcodes — the first byte of every request payload.
+        ///
+        /// The numeric values are the wire encoding and also index the
+        /// server's per-opcode request counters; they are append-only.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        #[repr(u8)]
+        pub enum Opcode {
+            $( $(#[$doc])* $variant = $num, )*
+        }
+
+        /// Number of opcodes (size of the server's per-opcode counter array).
+        pub const OPCODE_COUNT: usize = [$($num),*].len();
+
+        impl Opcode {
+            /// Every opcode, in wire order.
+            pub const ALL: [Opcode; OPCODE_COUNT] = [$(Opcode::$variant),*];
+
+            /// Decode a wire byte.
+            pub fn from_u8(b: u8) -> Option<Opcode> {
+                Opcode::ALL.get(b as usize).copied()
+            }
+
+            /// Human-readable name (stats displays, CLI output).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( Opcode::$variant => $name, )*
+                }
+            }
+
+            /// Whether requests of this opcode only read — readable
+            /// from a snapshot or a replica, and safe for the client to
+            /// retry once over a fresh connection.
+            pub fn is_read(self) -> bool {
+                match self {
+                    $( Opcode::$variant => wire_is_read!($access), )*
+                }
+            }
+
+            /// How a routing tier treats this opcode.
+            pub fn routing(self) -> Routing {
+                match self {
+                    $( Opcode::$variant => wire_routing!($routing), )*
+                }
+            }
+        }
+
+        /// One request frame's decoded payload.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum Request {
+            $(
+                $(#[$doc])*
+                $variant $({ $( $(#[$fdoc])* $field: wire_type!($kind), )+ })?,
+            )*
+        }
+
+        impl Request {
+            /// This request's opcode.
+            pub fn opcode(&self) -> Opcode {
+                match self {
+                    $( Request::$variant { .. } => Opcode::$variant, )*
+                }
+            }
+
+            /// Encode into a frame payload (no length prefix), stamped
+            /// with the client-assigned sequence id the response will
+            /// echo.
+            pub fn encode(&self, seq: u64) -> Vec<u8> {
+                let mut w = Writer::new();
+                w.put_varint(seq);
+                self.opcode().put(&mut w);
+                match self {
+                    $( Request::$variant $({ $($field),+ })? => {
+                        $($( $field.put(&mut w); )+)?
+                    } )*
+                }
+                w.into_bytes()
+            }
+
+            /// Decode a frame payload into its sequence id and request.
+            /// Strict: unknown opcodes and trailing bytes are protocol
+            /// errors.
+            pub fn decode(payload: &[u8]) -> Result<(u64, Request)> {
+                let mut r = Reader::new(payload);
+                let seq = r.get_varint()?;
+                let op = Opcode::get(&mut r)?;
+                let request = match op {
+                    $( Opcode::$variant => Request::$variant $({
+                        $( $field: Wire::get(&mut r)?, )+
+                    })?, )*
+                };
+                finish(&r, op.name(), "request")?;
+                Ok((seq, request))
+            }
+
+            /// The request of `op` built field by field as its row
+            /// declares them: each numeric field takes the next
+            /// `word()`, each byte field a copy of `body`. Lets tests
+            /// and tools cover every row without naming one.
+            pub fn sample(op: Opcode, mut word: impl FnMut() -> u64, body: &[u8]) -> Request {
+                match op {
+                    $( Opcode::$variant => Request::$variant $({
+                        $( $field: wire_sample!($kind, word, body), )+
+                    })?, )*
+                }
+            }
+        }
+
+        /// Copy a request's operation bytes (`body`: its payload after
+        /// the sequence id) onto `w` in canonical form, passing every
+        /// id through `map` — renaming ids is all a router may do to a
+        /// frame, and where they sit is this module's knowledge. Fails
+        /// exactly where [`Request::decode`] would.
+        pub fn walk_request(
+            body: &[u8],
+            w: &mut Writer,
+            map: impl FnMut(IdField, u64) -> u64,
+        ) -> Result<Opcode> {
+            let mut c = IdWalk { r: Reader::new(body), w, map };
+            let op = Opcode::get(&mut c.r)?;
+            op.put(c.w);
+            match op {
+                $( Opcode::$variant => { $($( wire_walk!($kind, c); )+)? } )*
+            }
+            finish(&c.r, op.name(), "request")?;
+            Ok(op)
+        }
+    };
+}
+
+wire_table! {
     /// Liveness probe.
-    Ping,
+    0 "ping" Ping read local;
     /// Server statistics snapshot.
-    Stats,
-    /// Create an object: first version holds `body` (already
-    /// `Persist`-encoded by the client).
-    Pnew {
+    1 "stats" Stats read scatter;
+    /// `pnew`: create an object whose first version holds `body`
+    /// (already `Persist`-encoded by the client).
+    2 "pnew" Pnew {
         /// Stored type tag of the object's type.
-        tag: TypeTag,
+        tag: tag,
         /// Encoded first-version body.
-        body: Vec<u8>,
-    },
-    /// Latest version's body of `oid`, type-checked against `tag`.
-    Deref {
+        body: bytes,
+    } write placed;
+    /// Dereference a generic reference: the latest version's body of
+    /// `oid`, type-checked against `tag`.
+    3 "deref" Deref {
         /// Object to dereference.
-        oid: Oid,
+        oid: oid,
         /// Expected type tag.
-        tag: TypeTag,
-    },
-    /// A specific version's body, type-checked against `tag`.
-    DerefVersion {
+        tag: tag,
+    } read keyed;
+    /// Dereference a specific version, type-checked against `tag`.
+    4 "deref_version" DerefVersion {
         /// Version to dereference.
-        vid: Vid,
+        vid: vid,
         /// Expected type tag.
-        tag: TypeTag,
-    },
+        tag: tag,
+    } read keyed;
     /// Replace the latest version's body.
-    Update {
+    5 "update" Update {
         /// Object whose latest version to overwrite.
-        oid: Oid,
+        oid: oid,
         /// Expected type tag.
-        tag: TypeTag,
+        tag: tag,
         /// New encoded body.
-        body: Vec<u8>,
-    },
+        body: bytes,
+    } write keyed;
     /// Replace a specific version's body.
-    UpdateVersion {
+    6 "update_version" UpdateVersion {
         /// Version to overwrite.
-        vid: Vid,
+        vid: vid,
         /// Expected type tag.
-        tag: TypeTag,
+        tag: tag,
         /// New encoded body.
-        body: Vec<u8>,
-    },
+        body: bytes,
+    } write keyed;
     /// Derive a new version from the object's latest.
-    NewVersion {
+    7 "newversion" NewVersion {
         /// Object to version.
-        oid: Oid,
-    },
-    /// Derive a new version from a specific base.
-    NewVersionFrom {
+        oid: oid,
+    } write keyed;
+    /// Derive a new version from a specific base version.
+    8 "newversion_from" NewVersionFrom {
         /// Base version.
-        vid: Vid,
-    },
+        vid: vid,
+    } write keyed;
     /// Delete an object and all its versions.
-    Pdelete {
+    9 "pdelete" Pdelete {
         /// Object to delete.
-        oid: Oid,
-    },
+        oid: oid,
+    } write keyed;
     /// Delete one specific version.
-    PdeleteVersion {
+    10 "pdelete_version" PdeleteVersion {
         /// Version to delete.
-        vid: Vid,
-    },
+        vid: vid,
+    } write keyed;
     /// Derived-from predecessor of `vid`.
-    Dprevious {
+    11 "dprevious" Dprevious {
         /// Version to traverse from.
-        vid: Vid,
-    },
+        vid: vid,
+    } read keyed;
     /// Derived-from successors of `vid`.
-    Dnext {
+    12 "dnext" Dnext {
         /// Version to traverse from.
-        vid: Vid,
-    },
+        vid: vid,
+    } read keyed;
     /// Temporal predecessor of `vid`.
-    Tprevious {
+    13 "tprevious" Tprevious {
         /// Version to traverse from.
-        vid: Vid,
-    },
+        vid: vid,
+    } read keyed;
     /// Temporal successor of `vid`.
-    Tnext {
+    14 "tnext" Tnext {
         /// Version to traverse from.
-        vid: Vid,
-    },
+        vid: vid,
+    } read keyed;
     /// All versions of `oid` in temporal order.
-    VersionHistory {
+    15 "version_history" VersionHistory {
         /// Object to list.
-        oid: Oid,
-    },
+        oid: oid,
+    } read keyed;
     /// Pin `oid`'s current latest version.
-    CurrentVersion {
+    16 "current_version" CurrentVersion {
         /// Object to pin.
-        oid: Oid,
-    },
+        oid: oid,
+    } read keyed;
     /// Extent scan: all live objects tagged `tag`.
-    Objects {
+    17 "objects" Objects {
         /// Type tag of the extent.
-        tag: TypeTag,
-    },
+        tag: tag,
+    } read scatter;
     /// Extent page: up to `limit` objects tagged `tag` with ids `>=
     /// after`.
-    ObjectsPage {
+    18 "objects_page" ObjectsPage {
         /// Type tag of the extent.
-        tag: TypeTag,
+        tag: tag,
         /// Cursor: smallest id to return.
-        after: Oid,
+        after: cursor,
         /// Maximum number of objects.
         limit: u64,
-    },
+    } read scatter;
     /// The object `vid` belongs to.
-    ObjectOf {
+    19 "object_of" ObjectOf {
         /// Version to resolve.
-        vid: Vid,
-    },
+        vid: vid,
+    } read keyed;
     /// Number of live versions of `oid`.
-    VersionCount {
+    20 "version_count" VersionCount {
         /// Object to count.
-        oid: Oid,
-    },
+        oid: oid,
+    } read keyed;
     /// Whether `oid` exists.
-    Exists {
+    21 "exists" Exists {
         /// Object to probe.
-        oid: Oid,
-    },
+        oid: oid,
+    } read keyed;
     /// Whether `vid` exists.
-    VersionExists {
+    22 "version_exists" VersionExists {
         /// Version to probe.
-        vid: Vid,
-    },
-    /// The node's applied commit epoch (the router's health probe).
-    Epoch,
+        vid: vid,
+    } read keyed;
+    /// The node's applied commit epoch (answered inline, like `Ping`;
+    /// the router's health probe).
+    23 "epoch" Epoch read local;
     /// Read-your-writes gate for replica reads: pin this connection's
     /// reads at `epoch` — they wait until the node has applied it.
-    ReadFloor {
+    24 "read_floor" ReadFloor {
         /// Minimum applied epoch subsequent reads require (0 clears).
         epoch: u64,
-    },
+    } read local;
     /// Promote this node from replica to primary (driven failover;
     /// idempotent).
-    Promote,
+    25 "promote" Promote write local;
     /// All versions of `oid` whose global stamp lies in `from..=to`,
     /// oldest first — served from the object's delta chain when it has
     /// one, without materializing any bodies.
-    HistoryBetween {
+    26 "history_between" HistoryBetween {
         /// Object whose history to slice.
-        oid: Oid,
+        oid: oid,
         /// Smallest global stamp to include.
-        from: u64,
+        from: stamp_from,
         /// Largest global stamp to include.
-        to: u64,
-    },
+        to: stamp_to,
+    } read keyed;
     /// Summary of the byte difference between two versions' states.
-    DiffVersions {
+    27 "diff_versions" DiffVersions {
         /// Base version.
-        from: Vid,
+        from: vid,
         /// Target version.
-        to: Vid,
-    },
+        to: vid,
+    } read keyed;
     /// Three-way merge `a` and `b` (two versions of one object) against
     /// their common ancestor, checking the result in as a new version
     /// with both parents recorded.
-    Merge {
+    28 "merge" Merge {
         /// First parent ("ours").
-        a: Vid,
+        a: vid,
         /// Second parent ("theirs").
-        b: Vid,
+        b: vid,
         /// Conflict policy.
-        policy: MergePolicy,
-    },
+        policy: policy,
+    } write keyed;
 }
 
+// `from_u8` indexes `ALL` by the wire byte, so the numbers in the table
+// must be exactly 0, 1, 2, … in row order.
+const _: () = {
+    let mut i = 0;
+    while i < OPCODE_COUNT {
+        assert!(
+            Opcode::ALL[i] as usize == i,
+            "opcode numbers must be dense and in row order"
+        );
+        i += 1;
+    }
+};
+
 impl Request {
-    /// This request's opcode.
-    pub fn opcode(&self) -> Opcode {
-        match self {
-            Request::Ping => Opcode::Ping,
-            Request::Stats => Opcode::Stats,
-            Request::Pnew { .. } => Opcode::Pnew,
-            Request::Deref { .. } => Opcode::Deref,
-            Request::DerefVersion { .. } => Opcode::DerefVersion,
-            Request::Update { .. } => Opcode::Update,
-            Request::UpdateVersion { .. } => Opcode::UpdateVersion,
-            Request::NewVersion { .. } => Opcode::NewVersion,
-            Request::NewVersionFrom { .. } => Opcode::NewVersionFrom,
-            Request::Pdelete { .. } => Opcode::Pdelete,
-            Request::PdeleteVersion { .. } => Opcode::PdeleteVersion,
-            Request::Dprevious { .. } => Opcode::Dprevious,
-            Request::Dnext { .. } => Opcode::Dnext,
-            Request::Tprevious { .. } => Opcode::Tprevious,
-            Request::Tnext { .. } => Opcode::Tnext,
-            Request::VersionHistory { .. } => Opcode::VersionHistory,
-            Request::CurrentVersion { .. } => Opcode::CurrentVersion,
-            Request::Objects { .. } => Opcode::Objects,
-            Request::ObjectsPage { .. } => Opcode::ObjectsPage,
-            Request::ObjectOf { .. } => Opcode::ObjectOf,
-            Request::VersionCount { .. } => Opcode::VersionCount,
-            Request::Exists { .. } => Opcode::Exists,
-            Request::VersionExists { .. } => Opcode::VersionExists,
-            Request::Epoch => Opcode::Epoch,
-            Request::ReadFloor { .. } => Opcode::ReadFloor,
-            Request::Promote => Opcode::Promote,
-            Request::HistoryBetween { .. } => Opcode::HistoryBetween,
-            Request::DiffVersions { .. } => Opcode::DiffVersions,
-            Request::Merge { .. } => Opcode::Merge,
-        }
-    }
-
-    /// Whether this request only reads — readable from a snapshot, and
-    /// safe for the client to retry once over a fresh connection.
+    /// Whether this request only reads (see [`Opcode::is_read`]).
     pub fn is_read(&self) -> bool {
-        !matches!(
-            self,
-            Request::Pnew { .. }
-                | Request::Update { .. }
-                | Request::UpdateVersion { .. }
-                | Request::NewVersion { .. }
-                | Request::NewVersionFrom { .. }
-                | Request::Pdelete { .. }
-                | Request::PdeleteVersion { .. }
-                | Request::Promote
-                | Request::Merge { .. }
-        )
-    }
-
-    /// Encode into a frame payload (no length prefix), stamped with the
-    /// client-assigned sequence id the response will echo.
-    pub fn encode(&self, seq: u64) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_varint(seq);
-        w.put_u8(self.opcode() as u8);
-        match self {
-            Request::Ping | Request::Stats | Request::Epoch | Request::Promote => {}
-            Request::ReadFloor { epoch } => {
-                w.put_varint(*epoch);
-            }
-            Request::Pnew { tag, body } => {
-                w.put_varint(tag.0);
-                w.put_bytes(body);
-            }
-            Request::Deref { oid, tag } => {
-                w.put_varint(oid.0);
-                w.put_varint(tag.0);
-            }
-            Request::DerefVersion { vid, tag } => {
-                w.put_varint(vid.0);
-                w.put_varint(tag.0);
-            }
-            Request::Update { oid, tag, body } => {
-                w.put_varint(oid.0);
-                w.put_varint(tag.0);
-                w.put_bytes(body);
-            }
-            Request::UpdateVersion { vid, tag, body } => {
-                w.put_varint(vid.0);
-                w.put_varint(tag.0);
-                w.put_bytes(body);
-            }
-            Request::NewVersion { oid }
-            | Request::Pdelete { oid }
-            | Request::VersionHistory { oid }
-            | Request::CurrentVersion { oid }
-            | Request::VersionCount { oid }
-            | Request::Exists { oid } => {
-                w.put_varint(oid.0);
-            }
-            Request::NewVersionFrom { vid }
-            | Request::PdeleteVersion { vid }
-            | Request::Dprevious { vid }
-            | Request::Dnext { vid }
-            | Request::Tprevious { vid }
-            | Request::Tnext { vid }
-            | Request::ObjectOf { vid }
-            | Request::VersionExists { vid } => {
-                w.put_varint(vid.0);
-            }
-            Request::Objects { tag } => {
-                w.put_varint(tag.0);
-            }
-            Request::ObjectsPage { tag, after, limit } => {
-                w.put_varint(tag.0);
-                w.put_varint(after.0);
-                w.put_varint(*limit);
-            }
-            Request::HistoryBetween { oid, from, to } => {
-                w.put_varint(oid.0);
-                w.put_varint(*from);
-                w.put_varint(*to);
-            }
-            Request::DiffVersions { from, to } => {
-                w.put_varint(from.0);
-                w.put_varint(to.0);
-            }
-            Request::Merge { a, b, policy } => {
-                w.put_varint(a.0);
-                w.put_varint(b.0);
-                w.put_u8(policy.as_u8());
-            }
-        }
-        w.into_bytes()
+        self.opcode().is_read()
     }
 
     /// Decode just the sequence id from a request payload — the part a
     /// server can still echo in an error frame when the rest of the
     /// payload is garbage.
     pub fn decode_seq(payload: &[u8]) -> Result<u64> {
-        Ok(Reader::new(payload).get_varint()?)
+        Ok(split_seq(payload)?.0)
     }
+}
 
-    /// Decode a frame payload into its sequence id and request. Strict:
-    /// unknown opcodes and trailing bytes are protocol errors.
-    pub fn decode(payload: &[u8]) -> Result<(u64, Request)> {
-        let mut r = Reader::new(payload);
-        let seq = r.get_varint()?;
-        let op = r.get_u8()?;
-        let op = Opcode::from_u8(op)
-            .ok_or_else(|| NetError::Protocol(format!("unknown request opcode {op}")))?;
-        let req = match op {
-            Opcode::Ping => Request::Ping,
-            Opcode::Stats => Request::Stats,
-            Opcode::Pnew => Request::Pnew {
-                tag: TypeTag(r.get_varint()?),
-                body: r.get_bytes()?.to_vec(),
-            },
-            Opcode::Deref => Request::Deref {
-                oid: Oid(r.get_varint()?),
-                tag: TypeTag(r.get_varint()?),
-            },
-            Opcode::DerefVersion => Request::DerefVersion {
-                vid: Vid(r.get_varint()?),
-                tag: TypeTag(r.get_varint()?),
-            },
-            Opcode::Update => Request::Update {
-                oid: Oid(r.get_varint()?),
-                tag: TypeTag(r.get_varint()?),
-                body: r.get_bytes()?.to_vec(),
-            },
-            Opcode::UpdateVersion => Request::UpdateVersion {
-                vid: Vid(r.get_varint()?),
-                tag: TypeTag(r.get_varint()?),
-                body: r.get_bytes()?.to_vec(),
-            },
-            Opcode::NewVersion => Request::NewVersion {
-                oid: Oid(r.get_varint()?),
-            },
-            Opcode::NewVersionFrom => Request::NewVersionFrom {
-                vid: Vid(r.get_varint()?),
-            },
-            Opcode::Pdelete => Request::Pdelete {
-                oid: Oid(r.get_varint()?),
-            },
-            Opcode::PdeleteVersion => Request::PdeleteVersion {
-                vid: Vid(r.get_varint()?),
-            },
-            Opcode::Dprevious => Request::Dprevious {
-                vid: Vid(r.get_varint()?),
-            },
-            Opcode::Dnext => Request::Dnext {
-                vid: Vid(r.get_varint()?),
-            },
-            Opcode::Tprevious => Request::Tprevious {
-                vid: Vid(r.get_varint()?),
-            },
-            Opcode::Tnext => Request::Tnext {
-                vid: Vid(r.get_varint()?),
-            },
-            Opcode::VersionHistory => Request::VersionHistory {
-                oid: Oid(r.get_varint()?),
-            },
-            Opcode::CurrentVersion => Request::CurrentVersion {
-                oid: Oid(r.get_varint()?),
-            },
-            Opcode::Objects => Request::Objects {
-                tag: TypeTag(r.get_varint()?),
-            },
-            Opcode::ObjectsPage => Request::ObjectsPage {
-                tag: TypeTag(r.get_varint()?),
-                after: Oid(r.get_varint()?),
-                limit: r.get_varint()?,
-            },
-            Opcode::ObjectOf => Request::ObjectOf {
-                vid: Vid(r.get_varint()?),
-            },
-            Opcode::VersionCount => Request::VersionCount {
-                oid: Oid(r.get_varint()?),
-            },
-            Opcode::Exists => Request::Exists {
-                oid: Oid(r.get_varint()?),
-            },
-            Opcode::VersionExists => Request::VersionExists {
-                vid: Vid(r.get_varint()?),
-            },
-            Opcode::Epoch => Request::Epoch,
-            Opcode::ReadFloor => Request::ReadFloor {
-                epoch: r.get_varint()?,
-            },
-            Opcode::Promote => Request::Promote,
-            Opcode::HistoryBetween => Request::HistoryBetween {
-                oid: Oid(r.get_varint()?),
-                from: r.get_varint()?,
-                to: r.get_varint()?,
-            },
-            Opcode::DiffVersions => Request::DiffVersions {
-                from: Vid(r.get_varint()?),
-                to: Vid(r.get_varint()?),
-            },
-            Opcode::Merge => Request::Merge {
-                a: Vid(r.get_varint()?),
-                b: Vid(r.get_varint()?),
-                policy: {
-                    let p = r.get_u8()?;
-                    MergePolicy::from_u8(p).ok_or_else(|| {
-                        NetError::Protocol(format!("unknown merge policy byte {p}"))
-                    })?
-                },
-            },
-        };
-        if r.remaining() != 0 {
-            return Err(NetError::Protocol(format!(
-                "{} trailing bytes after {} request",
-                r.remaining(),
-                op.name()
-            )));
+// ---------------------------------------------------------------------------
+// Counters
+// ---------------------------------------------------------------------------
+
+/// How a field of a stats report folds across the shards of a tier.
+macro_rules! stats_merge {
+    (sum, $into:expr, $from:expr) => {
+        $into += $from
+    };
+    (max, $into:expr, $from:expr) => {
+        $into = $into.max($from)
+    };
+    (each, $into:expr, $from:expr) => {
+        $into.merge(&$from)
+    };
+    (per_opcode, $into:expr, $from:expr) => {
+        merge_requests(&mut $into, &$from)
+    };
+}
+
+/// A [`wire_struct!`] of counters, each declaring after `=>` the rule
+/// that folds it across shards: `sum` for counts, `max` for gauges and
+/// high-water marks, `each` for a nested table, `per_opcode` for the
+/// request counts.
+macro_rules! stats_table {
+    (
+        $(#[$meta:meta])*
+        pub struct $ty:ident {
+            $( $(#[$fmeta:meta])* pub $field:ident : $fty:ty => $rule:ident ),* $(,)?
         }
-        Ok((seq, req))
+    ) => {
+        wire_struct! {
+            $(#[$meta])*
+            pub struct $ty {
+                $( $(#[$fmeta])* pub $field: $fty, )*
+            }
+        }
+
+        impl $ty {
+            /// Fold another node's report into this one, each field
+            /// under its declared rule.
+            pub fn merge(&mut self, other: &$ty) {
+                $( stats_merge!($rule, self.$field, other.$field); )*
+            }
+        }
+    };
+}
+
+/// A report's per-opcode request counts from a count per opcode: wire
+/// order, only non-zero entries listed.
+pub(crate) fn request_counts(count: impl Fn(Opcode) -> u64) -> Vec<(Opcode, u64)> {
+    let counted = Opcode::ALL.into_iter().map(|op| (op, count(op)));
+    counted.filter(|&(_, n)| n != 0).collect()
+}
+
+/// Sum two per-opcode count lists into one in the same form.
+fn merge_requests(into: &mut Vec<(Opcode, u64)>, from: &[(Opcode, u64)]) {
+    let mut per_op = [0u64; OPCODE_COUNT];
+    for (op, n) in into.iter().chain(from) {
+        per_op[*op as usize] += n;
+    }
+    *into = request_counts(|op| per_op[op as usize]);
+}
+
+stats_table! {
+    /// Storage-engine contention and commit counters, nested inside
+    /// [`StatsReport`] — the server-side view of
+    /// `ode_storage::StoreStats`, so operators can watch reader/writer
+    /// lock waits and group-commit batching over the wire.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct StorageCounters {
+        /// Read transactions (snapshots) begun.
+        pub read_txs: u64 => sum,
+        /// Write transactions committed with a non-empty write set.
+        pub write_txs: u64 => sum,
+        /// Snapshot acquisitions that blocked at the snapshot gate.
+        pub reader_waits: u64 => sum,
+        /// Total nanoseconds readers spent blocked.
+        pub reader_wait_nanos: u64 => sum,
+        /// Writer acquisitions (write mutex or publish gate) that blocked.
+        pub writer_waits: u64 => sum,
+        /// Total nanoseconds writers spent blocked.
+        pub writer_wait_nanos: u64 => sum,
+        /// WAL fsyncs issued (inline and group-leader).
+        pub wal_syncs: u64 => sum,
+        /// fsyncs performed by a group-commit leader.
+        pub group_syncs: u64 => sum,
+        /// Commits made durable by a group-leader fsync.
+        pub group_commit_txns: u64 => sum,
+        /// Largest commit cohort one group fsync covered.
+        pub group_batch_max: u64 => max,
+        /// WAL + snapshot bytes shipped to replicas.
+        pub bytes_shipped: u64 => sum,
+        /// Worst replica lag behind the primary, in commit epochs (gauge).
+        pub replica_lag_epochs: u64 => max,
+        /// Replica-to-primary promotions this node has performed.
+        pub failovers: u64 => sum,
+        /// Optimistic transactions aborted by first-committer-wins
+        /// validation (each one re-executed by the retry loop or surfaced
+        /// to the client).
+        pub write_conflicts: u64 => sum,
+        /// Re-executions of conflicted transactions.
+        pub write_retries: u64 => sum,
     }
 }
 
-// ---------------------------------------------------------------------------
-// Responses
-// ---------------------------------------------------------------------------
-
-/// Response-kind byte values (first byte of every response payload
-/// after the sequence id varint). `pub(crate)` so the router can
-/// recognize re-taggable response shapes without a full decode.
-pub(crate) mod kind {
-    pub const PONG: u8 = 0;
-    pub const STATS: u8 = 1;
-    pub const CREATED: u8 = 2;
-    pub const VERSION: u8 = 3;
-    pub const BODY: u8 = 4;
-    pub const UNIT: u8 = 5;
-    pub const MAYBE_VERSION: u8 = 6;
-    pub const VERSIONS: u8 = 7;
-    pub const OBJECTS: u8 = 8;
-    pub const OBJECT: u8 = 9;
-    pub const COUNT: u8 = 10;
-    pub const FLAG: u8 = 11;
-    pub const DIFF: u8 = 12;
-    pub const MERGED: u8 = 13;
-    pub const ERR: u8 = 255;
-}
-
-/// A version-to-version difference summary, the reply to
-/// `DiffVersions` — the wire view of the core's `VersionDiff`, flat
-/// varint fields so the router can remap the vids without decoding the
-/// rest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DiffSummary {
-    /// Base version.
-    pub from: Vid,
-    /// Target version.
-    pub to: Vid,
-    /// Length of the target state in bytes.
-    pub to_len: u64,
-    /// Number of copy/insert ops in the delta.
-    pub ops: u64,
-    /// Bytes the delta carries literally (not copied from the base).
-    pub literal_bytes: u64,
-    /// Encoded size of the delta in bytes.
-    pub encoded_bytes: u64,
-    /// Whether this delta was served straight from the object's stored
-    /// chain (adjacent versions) rather than computed on demand.
-    pub stored: bool,
-}
-
-/// Storage-engine contention and commit counters, nested inside
-/// [`StatsReport`] — the server-side view of
-/// `ode_storage::StoreStats`, so operators can watch reader/writer
-/// lock waits and group-commit batching over the wire.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StorageCounters {
-    /// Read transactions (snapshots) begun.
-    pub read_txs: u64,
-    /// Write transactions committed with a non-empty write set.
-    pub write_txs: u64,
-    /// Snapshot acquisitions that blocked at the snapshot gate.
-    pub reader_waits: u64,
-    /// Total nanoseconds readers spent blocked.
-    pub reader_wait_nanos: u64,
-    /// Writer acquisitions (write mutex or publish gate) that blocked.
-    pub writer_waits: u64,
-    /// Total nanoseconds writers spent blocked.
-    pub writer_wait_nanos: u64,
-    /// WAL fsyncs issued (inline and group-leader).
-    pub wal_syncs: u64,
-    /// fsyncs performed by a group-commit leader.
-    pub group_syncs: u64,
-    /// Commits made durable by a group-leader fsync.
-    pub group_commit_txns: u64,
-    /// Largest commit cohort one group fsync covered.
-    pub group_batch_max: u64,
-    /// WAL + snapshot bytes shipped to replicas.
-    pub bytes_shipped: u64,
-    /// Worst replica lag behind the primary, in commit epochs (gauge).
-    pub replica_lag_epochs: u64,
-    /// Replica-to-primary promotions this node has performed.
-    pub failovers: u64,
-    /// Optimistic transactions aborted by first-committer-wins
-    /// validation (each one re-executed by the retry loop or surfaced
-    /// to the client).
-    pub write_conflicts: u64,
-    /// Re-executions of conflicted transactions.
-    pub write_retries: u64,
-}
-
-impl StorageCounters {
-    fn encode_into(&self, w: &mut Writer) {
-        w.put_varint(self.read_txs);
-        w.put_varint(self.write_txs);
-        w.put_varint(self.reader_waits);
-        w.put_varint(self.reader_wait_nanos);
-        w.put_varint(self.writer_waits);
-        w.put_varint(self.writer_wait_nanos);
-        w.put_varint(self.wal_syncs);
-        w.put_varint(self.group_syncs);
-        w.put_varint(self.group_commit_txns);
-        w.put_varint(self.group_batch_max);
-        w.put_varint(self.bytes_shipped);
-        w.put_varint(self.replica_lag_epochs);
-        w.put_varint(self.failovers);
-        w.put_varint(self.write_conflicts);
-        w.put_varint(self.write_retries);
+stats_table! {
+    /// Server statistics, shipped by the `Stats` opcode.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct StatsReport {
+        /// Connections currently in a session (post-handshake).
+        pub active_connections: u64 => sum,
+        /// Connections accepted over the server's lifetime.
+        pub total_connections: u64 => sum,
+        /// Frame payload bytes received (length prefixes included).
+        pub bytes_in: u64 => sum,
+        /// Frame payload bytes sent (length prefixes included).
+        pub bytes_out: u64 => sum,
+        /// Frames that violated the protocol (bad opcode, bad payload).
+        pub protocol_errors: u64 => sum,
+        /// Requests that executed and failed (error frames sent).
+        pub op_errors: u64 => sum,
+        /// Read requests answered from the server's snapshot cache without
+        /// touching the store.
+        pub snapshot_hits: u64 => sum,
+        /// Read requests that had to open a fresh database snapshot.
+        pub snapshot_misses: u64 => sum,
+        /// Connections evicted because their response backlog exceeded the
+        /// server's write-buffer cap (a slow or stalled reader).
+        pub slow_client_evictions: u64 => sum,
+        /// Historical reads answered from the materialization cache
+        /// (delta-chain states rebuilt earlier this commit epoch).
+        pub materialize_hits: u64 => sum,
+        /// Historical reads that had to replay the delta chain.
+        pub materialize_misses: u64 => sum,
+        /// Per-opcode request counts; only non-zero entries are listed.
+        pub requests: Vec<(Opcode, u64)> => per_opcode,
+        /// Storage-engine contention and commit counters.
+        pub storage: StorageCounters => each,
     }
-
-    fn decode_from(r: &mut Reader<'_>) -> Result<StorageCounters> {
-        Ok(StorageCounters {
-            read_txs: r.get_varint()?,
-            write_txs: r.get_varint()?,
-            reader_waits: r.get_varint()?,
-            reader_wait_nanos: r.get_varint()?,
-            writer_waits: r.get_varint()?,
-            writer_wait_nanos: r.get_varint()?,
-            wal_syncs: r.get_varint()?,
-            group_syncs: r.get_varint()?,
-            group_commit_txns: r.get_varint()?,
-            group_batch_max: r.get_varint()?,
-            bytes_shipped: r.get_varint()?,
-            replica_lag_epochs: r.get_varint()?,
-            failovers: r.get_varint()?,
-            write_conflicts: r.get_varint()?,
-            write_retries: r.get_varint()?,
-        })
-    }
-}
-
-/// Server statistics, shipped by the `Stats` opcode.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StatsReport {
-    /// Connections currently in a session (post-handshake).
-    pub active_connections: u64,
-    /// Connections accepted over the server's lifetime.
-    pub total_connections: u64,
-    /// Frame payload bytes received (length prefixes included).
-    pub bytes_in: u64,
-    /// Frame payload bytes sent (length prefixes included).
-    pub bytes_out: u64,
-    /// Frames that violated the protocol (bad opcode, bad payload).
-    pub protocol_errors: u64,
-    /// Requests that executed and failed (error frames sent).
-    pub op_errors: u64,
-    /// Read requests answered from the server's snapshot cache without
-    /// touching the store.
-    pub snapshot_hits: u64,
-    /// Read requests that had to open a fresh database snapshot.
-    pub snapshot_misses: u64,
-    /// Connections evicted because their response backlog exceeded the
-    /// server's write-buffer cap (a slow or stalled reader).
-    pub slow_client_evictions: u64,
-    /// Historical reads answered from the materialization cache
-    /// (delta-chain states rebuilt earlier this commit epoch).
-    pub materialize_hits: u64,
-    /// Historical reads that had to replay the delta chain.
-    pub materialize_misses: u64,
-    /// Per-opcode request counts; only non-zero entries are listed.
-    pub requests: Vec<(Opcode, u64)>,
-    /// Storage-engine contention and commit counters.
-    pub storage: StorageCounters,
 }
 
 impl StatsReport {
@@ -804,388 +968,187 @@ impl StatsReport {
     pub fn total_requests(&self) -> u64 {
         self.requests.iter().map(|(_, n)| *n).sum()
     }
+}
 
-    fn encode_into(&self, w: &mut Writer) {
-        w.put_varint(self.active_connections);
-        w.put_varint(self.total_connections);
-        w.put_varint(self.bytes_in);
-        w.put_varint(self.bytes_out);
-        w.put_varint(self.protocol_errors);
-        w.put_varint(self.op_errors);
-        w.put_varint(self.snapshot_hits);
-        w.put_varint(self.snapshot_misses);
-        w.put_varint(self.slow_client_evictions);
-        w.put_varint(self.materialize_hits);
-        w.put_varint(self.materialize_misses);
-        w.put_varint(self.requests.len() as u64);
-        for (op, n) in &self.requests {
-            w.put_u8(*op as u8);
-            w.put_varint(*n);
-        }
-        self.storage.encode_into(w);
-    }
+// ---------------------------------------------------------------------------
+// The response table
+// ---------------------------------------------------------------------------
 
-    fn decode_from(r: &mut Reader<'_>) -> Result<StatsReport> {
-        let active_connections = r.get_varint()?;
-        let total_connections = r.get_varint()?;
-        let bytes_in = r.get_varint()?;
-        let bytes_out = r.get_varint()?;
-        let protocol_errors = r.get_varint()?;
-        let op_errors = r.get_varint()?;
-        let snapshot_hits = r.get_varint()?;
-        let snapshot_misses = r.get_varint()?;
-        let slow_client_evictions = r.get_varint()?;
-        let materialize_hits = r.get_varint()?;
-        let materialize_misses = r.get_varint()?;
-        let n = r.get_count()?;
-        let mut requests = Vec::with_capacity(n.min(OPCODE_COUNT));
-        for _ in 0..n {
-            let op = r.get_u8()?;
-            let op = Opcode::from_u8(op)
-                .ok_or_else(|| NetError::Protocol(format!("unknown stats opcode {op}")))?;
-            requests.push((op, r.get_varint()?));
-        }
-        let storage = StorageCounters::decode_from(r)?;
-        Ok(StatsReport {
-            active_connections,
-            total_connections,
-            bytes_in,
-            bytes_out,
-            protocol_errors,
-            op_errors,
-            snapshot_hits,
-            snapshot_misses,
-            slow_client_evictions,
-            materialize_hits,
-            materialize_misses,
-            requests,
-            storage,
-        })
+wire_struct! {
+    /// A version-to-version difference summary, the reply to
+    /// `DiffVersions` — the wire view of the core's `VersionDiff`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct DiffSummary {
+        /// Base version.
+        pub from: Vid,
+        /// Target version.
+        pub to: Vid,
+        /// Length of the target state in bytes.
+        pub to_len: u64,
+        /// Number of copy/insert ops in the delta.
+        pub ops: u64,
+        /// Bytes the delta carries literally (not copied from the base).
+        pub literal_bytes: u64,
+        /// Encoded size of the delta in bytes.
+        pub encoded_bytes: u64,
+        /// Whether this delta was served straight from the object's stored
+        /// chain (adjacent versions) rather than computed on demand.
+        pub stored: bool,
     }
 }
 
-/// One response frame's decoded payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Response {
+/// One row per response shape: `kind-byte "name" Variant`, then its one
+/// unnamed field as `(binder: Type)` or its named fields as `{ field:
+/// Type, … }`. Generates [`Response`], its codec, and
+/// [`walk_response`].
+macro_rules! response_table {
+    ($(
+        $(#[$doc:meta])*
+        $num:literal $name:literal $variant:ident
+        $(( $tbind:ident : $tty:ty ))?
+        $({ $( $(#[$fdoc:meta])* $field:ident : $fty:ty ),+ $(,)? })?
+        ;
+    )*) => {
+        /// One response frame's decoded payload.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum Response {
+            $(
+                $(#[$doc])*
+                $variant $(($tty))? $({ $( $(#[$fdoc])* $field: $fty, )+ })?,
+            )*
+        }
+
+        impl Response {
+            /// Short name of this response's shape (protocol-error messages).
+            pub fn kind_name(&self) -> &'static str {
+                match self {
+                    $( Response::$variant { .. } => $name, )*
+                }
+            }
+
+            /// Encode into a frame payload (no length prefix), echoing
+            /// the sequence id of the request this response answers.
+            pub fn encode(&self, seq: u64) -> Vec<u8> {
+                let mut w = Writer::new();
+                w.put_varint(seq);
+                match self {
+                    $( Response::$variant $(($tbind))? $({ $($field),+ })? => {
+                        w.put_u8($num);
+                        $( $tbind.put(&mut w); )?
+                        $($( $field.put(&mut w); )+)?
+                    } )*
+                }
+                w.into_bytes()
+            }
+
+            /// Decode a frame payload into the echoed sequence id and
+            /// the response. Strict: unknown kinds, unknown error
+            /// codes, and trailing bytes are protocol errors.
+            pub fn decode(payload: &[u8]) -> Result<(u64, Response)> {
+                let mut r = Reader::new(payload);
+                let seq = r.get_varint()?;
+                let response = match r.get_u8()? {
+                    $( $num => Response::$variant
+                        $(( <$tty as Wire>::get(&mut r)? ))?
+                        $({ $( $field: Wire::get(&mut r)?, )+ })?, )*
+                    k => return Err(unknown_kind(k)),
+                };
+                finish(&r, response.kind_name(), "response")?;
+                Ok((seq, response))
+            }
+        }
+
+        /// Copy a response's result bytes (`body`: its payload after
+        /// the sequence id) onto `w` in canonical form, passing every
+        /// id — fields, list elements, options, the ids inside an error
+        /// — through `map`. Fails exactly where [`Response::decode`]
+        /// would.
+        pub fn walk_response(
+            body: &[u8],
+            w: &mut Writer,
+            map: impl FnMut(IdField, u64) -> u64,
+        ) -> Result<()> {
+            let mut c = IdWalk { r: Reader::new(body), w, map };
+            let kind = c.r.get_u8()?;
+            c.w.put_u8(kind);
+            let name = match kind {
+                $( $num => {
+                    $( <$tty as Wire>::walk(&mut c)?; )?
+                    $($( <$fty as Wire>::walk(&mut c)?; )+)?
+                    $name
+                } )*
+                k => return Err(unknown_kind(k)),
+            };
+            finish(&c.r, name, "response")
+        }
+    };
+}
+
+fn unknown_kind(k: u8) -> NetError {
+    NetError::Protocol(format!("unknown response kind byte {k}"))
+}
+
+response_table! {
     /// Reply to `Ping`.
-    Pong,
+    0 "pong" Pong;
     /// Reply to `Stats`.
-    Stats(StatsReport),
+    1 "stats" Stats(report: StatsReport);
     /// Reply to `Pnew`: the new object and its first version.
-    Created {
+    2 "created" Created {
         /// New object id.
         oid: Oid,
         /// Its first version.
         vid: Vid,
-    },
+    };
     /// A single version id (`NewVersion`, `NewVersionFrom`, `Update`,
     /// `CurrentVersion`).
-    Version(Vid),
+    3 "version" Version(vid: Vid);
     /// An encoded body plus the version it came from (`Deref`,
     /// `DerefVersion`).
-    Body {
+    4 "body" Body {
         /// The version the body belongs to (for `Deref`, the resolved
         /// latest).
         vid: Vid,
         /// `Persist`-encoded object state.
         bytes: Vec<u8>,
-    },
+    };
     /// Success with nothing to return (`UpdateVersion`, `Pdelete`,
     /// `PdeleteVersion`).
-    Unit,
+    5 "unit" Unit;
     /// An optional version id (the four traversals).
-    MaybeVersion(Option<Vid>),
+    6 "maybe_version" MaybeVersion(vid: Option<Vid>);
     /// A list of version ids (`Dnext`, `VersionHistory`).
-    Versions(Vec<Vid>),
+    7 "versions" Versions(vids: Vec<Vid>);
     /// A list of object ids (`Objects`, `ObjectsPage`).
-    Objects(Vec<Oid>),
+    8 "objects" Objects(oids: Vec<Oid>);
     /// A single object id (`ObjectOf`).
-    Object(Oid),
+    9 "object" Object(oid: Oid);
     /// A count (`VersionCount`).
-    Count(u64),
+    10 "count" Count(n: u64);
     /// A boolean (`Exists`, `VersionExists`).
-    Flag(bool),
+    11 "flag" Flag(flag: bool);
     /// A version-difference summary (`DiffVersions`).
-    Diff(DiffSummary),
+    12 "diff" Diff(summary: DiffSummary);
     /// The outcome of a `Merge`: the checked-in two-parent version
     /// (`None` when the `Fail` policy met conflicts) and every
-    /// conflicting byte range. Conflict offsets are positions in the
-    /// merge base's body — shard-agnostic, so a router passes them
-    /// through untouched.
-    Merged {
+    /// conflicting byte range.
+    13 "merged" Merged {
         /// The new merge version, when one was checked in.
         vid: Option<Vid>,
         /// Overlapping edits between the two sides.
         conflicts: Vec<MergeConflict>,
-    },
+    };
     /// The operation failed on the server.
-    Err(RemoteError),
+    255 "err" Err(error: RemoteError);
 }
 
 impl Response {
-    /// Short name of this response's shape (protocol-error messages).
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Response::Pong => "pong",
-            Response::Stats(_) => "stats",
-            Response::Created { .. } => "created",
-            Response::Version(_) => "version",
-            Response::Body { .. } => "body",
-            Response::Unit => "unit",
-            Response::MaybeVersion(_) => "maybe_version",
-            Response::Versions(_) => "versions",
-            Response::Objects(_) => "objects",
-            Response::Object(_) => "object",
-            Response::Count(_) => "count",
-            Response::Flag(_) => "flag",
-            Response::Diff(_) => "diff",
-            Response::Merged { .. } => "merged",
-            Response::Err(_) => "err",
-        }
-    }
-
     /// Decode just the echoed sequence id from a response payload — the
     /// part a client can still correlate when the rest of the payload
     /// is garbage (see [`crate::OdeClient::recv`] on per-request decode
     /// errors).
     pub fn decode_seq(payload: &[u8]) -> Result<u64> {
-        Ok(Reader::new(payload).get_varint()?)
-    }
-
-    /// Encode into a frame payload (no length prefix), echoing the
-    /// sequence id of the request this response answers.
-    pub fn encode(&self, seq: u64) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_varint(seq);
-        match self {
-            Response::Pong => w.put_u8(kind::PONG),
-            Response::Stats(report) => {
-                w.put_u8(kind::STATS);
-                report.encode_into(&mut w);
-            }
-            Response::Created { oid, vid } => {
-                w.put_u8(kind::CREATED);
-                w.put_varint(oid.0);
-                w.put_varint(vid.0);
-            }
-            Response::Version(vid) => {
-                w.put_u8(kind::VERSION);
-                w.put_varint(vid.0);
-            }
-            Response::Body { vid, bytes } => {
-                w.put_u8(kind::BODY);
-                w.put_varint(vid.0);
-                w.put_bytes(bytes);
-            }
-            Response::Unit => w.put_u8(kind::UNIT),
-            Response::MaybeVersion(vid) => {
-                w.put_u8(kind::MAYBE_VERSION);
-                match vid {
-                    None => w.put_u8(0),
-                    Some(vid) => {
-                        w.put_u8(1);
-                        w.put_varint(vid.0);
-                    }
-                }
-            }
-            Response::Versions(vids) => {
-                w.put_u8(kind::VERSIONS);
-                w.put_varint(vids.len() as u64);
-                for vid in vids {
-                    w.put_varint(vid.0);
-                }
-            }
-            Response::Objects(oids) => {
-                w.put_u8(kind::OBJECTS);
-                w.put_varint(oids.len() as u64);
-                for oid in oids {
-                    w.put_varint(oid.0);
-                }
-            }
-            Response::Object(oid) => {
-                w.put_u8(kind::OBJECT);
-                w.put_varint(oid.0);
-            }
-            Response::Count(n) => {
-                w.put_u8(kind::COUNT);
-                w.put_varint(*n);
-            }
-            Response::Flag(b) => {
-                w.put_u8(kind::FLAG);
-                w.put_u8(*b as u8);
-            }
-            Response::Diff(d) => {
-                w.put_u8(kind::DIFF);
-                w.put_varint(d.from.0);
-                w.put_varint(d.to.0);
-                w.put_varint(d.to_len);
-                w.put_varint(d.ops);
-                w.put_varint(d.literal_bytes);
-                w.put_varint(d.encoded_bytes);
-                w.put_u8(d.stored as u8);
-            }
-            Response::Merged { vid, conflicts } => {
-                w.put_u8(kind::MERGED);
-                match vid {
-                    None => w.put_u8(0),
-                    Some(vid) => {
-                        w.put_u8(1);
-                        w.put_varint(vid.0);
-                    }
-                }
-                w.put_varint(conflicts.len() as u64);
-                for c in conflicts {
-                    w.put_varint(c.base_start);
-                    w.put_varint(c.base_end);
-                    w.put_bytes(&c.ours);
-                    w.put_bytes(&c.theirs);
-                }
-            }
-            Response::Err(e) => {
-                w.put_u8(kind::ERR);
-                w.put_u8(e.code());
-                match e {
-                    RemoteError::UnknownObject(oid) => {
-                        w.put_varint(oid.0);
-                        w.put_varint(0);
-                        w.put_bytes(&[]);
-                    }
-                    RemoteError::UnknownVersion(vid) | RemoteError::LastVersion(vid) => {
-                        w.put_varint(vid.0);
-                        w.put_varint(0);
-                        w.put_bytes(&[]);
-                    }
-                    RemoteError::TypeMismatch { expected, found } => {
-                        w.put_varint(expected.0);
-                        w.put_varint(found.0);
-                        w.put_bytes(&[]);
-                    }
-                    RemoteError::Storage(msg)
-                    | RemoteError::BadRequest(msg)
-                    | RemoteError::Unavailable(msg) => {
-                        w.put_varint(0);
-                        w.put_varint(0);
-                        w.put_bytes(msg.as_bytes());
-                    }
-                }
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Decode a frame payload into the echoed sequence id and the
-    /// response. Strict: unknown kinds, unknown error codes, and
-    /// trailing bytes are protocol errors.
-    pub fn decode(payload: &[u8]) -> Result<(u64, Response)> {
-        let mut r = Reader::new(payload);
-        let seq = r.get_varint()?;
-        let k = r.get_u8()?;
-        let resp = match k {
-            kind::PONG => Response::Pong,
-            kind::STATS => Response::Stats(StatsReport::decode_from(&mut r)?),
-            kind::CREATED => Response::Created {
-                oid: Oid(r.get_varint()?),
-                vid: Vid(r.get_varint()?),
-            },
-            kind::VERSION => Response::Version(Vid(r.get_varint()?)),
-            kind::BODY => Response::Body {
-                vid: Vid(r.get_varint()?),
-                bytes: r.get_bytes()?.to_vec(),
-            },
-            kind::UNIT => Response::Unit,
-            kind::MAYBE_VERSION => match r.get_u8()? {
-                0 => Response::MaybeVersion(None),
-                1 => Response::MaybeVersion(Some(Vid(r.get_varint()?))),
-                b => {
-                    return Err(NetError::Protocol(format!(
-                        "bad option discriminant {b} in maybe_version response"
-                    )))
-                }
-            },
-            kind::VERSIONS => {
-                let n = r.get_count()?;
-                let mut vids = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    vids.push(Vid(r.get_varint()?));
-                }
-                Response::Versions(vids)
-            }
-            kind::OBJECTS => {
-                let n = r.get_count()?;
-                let mut oids = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    oids.push(Oid(r.get_varint()?));
-                }
-                Response::Objects(oids)
-            }
-            kind::OBJECT => Response::Object(Oid(r.get_varint()?)),
-            kind::COUNT => Response::Count(r.get_varint()?),
-            kind::FLAG => Response::Flag(r.get_u8()? != 0),
-            kind::DIFF => Response::Diff(DiffSummary {
-                from: Vid(r.get_varint()?),
-                to: Vid(r.get_varint()?),
-                to_len: r.get_varint()?,
-                ops: r.get_varint()?,
-                literal_bytes: r.get_varint()?,
-                encoded_bytes: r.get_varint()?,
-                stored: r.get_u8()? != 0,
-            }),
-            kind::MERGED => {
-                let vid = match r.get_u8()? {
-                    0 => None,
-                    1 => Some(Vid(r.get_varint()?)),
-                    b => {
-                        return Err(NetError::Protocol(format!(
-                            "bad option discriminant {b} in merged response"
-                        )))
-                    }
-                };
-                let n = r.get_count()?;
-                let mut conflicts = Vec::with_capacity(n.min(1 << 12));
-                for _ in 0..n {
-                    conflicts.push(MergeConflict {
-                        base_start: r.get_varint()?,
-                        base_end: r.get_varint()?,
-                        ours: r.get_bytes()?.to_vec(),
-                        theirs: r.get_bytes()?.to_vec(),
-                    });
-                }
-                Response::Merged { vid, conflicts }
-            }
-            kind::ERR => {
-                let code = r.get_u8()?;
-                let a = r.get_varint()?;
-                let b = r.get_varint()?;
-                let msg = String::from_utf8_lossy(r.get_bytes()?).into_owned();
-                let err = match code {
-                    1 => RemoteError::UnknownObject(Oid(a)),
-                    2 => RemoteError::UnknownVersion(Vid(a)),
-                    3 => RemoteError::TypeMismatch {
-                        expected: TypeTag(a),
-                        found: TypeTag(b),
-                    },
-                    4 => RemoteError::LastVersion(Vid(a)),
-                    5 => RemoteError::Storage(msg),
-                    6 => RemoteError::BadRequest(msg),
-                    7 => RemoteError::Unavailable(msg),
-                    c => return Err(NetError::Protocol(format!("unknown remote error code {c}"))),
-                };
-                Response::Err(err)
-            }
-            k => {
-                return Err(NetError::Protocol(format!(
-                    "unknown response kind byte {k}"
-                )))
-            }
-        };
-        if r.remaining() != 0 {
-            return Err(NetError::Protocol(format!(
-                "{} trailing bytes after {} response",
-                r.remaining(),
-                resp.kind_name()
-            )));
-        }
-        Ok((seq, resp))
+        Ok(split_seq(payload)?.0)
     }
 }
 
@@ -1203,6 +1166,21 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<u64> {
     Ok((prefix.len() + payload.len()) as u64)
 }
 
+/// Write one frame whose payload is `seq` followed by `body` — how a
+/// router re-stamps the operation bytes it forwards without copying
+/// them into a payload first. The caller flushes.
+pub fn write_frame_seq(w: &mut impl Write, seq: u64, body: &[u8]) -> io::Result<()> {
+    // Built as `seq len`, then rotated to `len seq`: the length prefix
+    // counts the sequence id's own bytes.
+    let mut head = Vec::with_capacity(2 * varint::MAX_VARINT_LEN);
+    varint::write_u64(&mut head, seq);
+    let seq_len = head.len();
+    varint::write_u64(&mut head, (seq_len + body.len()) as u64);
+    head.rotate_left(seq_len);
+    w.write_all(&head)?;
+    w.write_all(body)
+}
+
 /// Read one length-prefixed frame. Returns `Ok(None)` on a clean EOF
 /// *at a frame boundary* (the peer hung up between frames); EOF inside
 /// a frame is an error.
@@ -1211,42 +1189,51 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>> {
     Ok(read_frame_into(r, &mut payload)?.then_some(payload))
 }
 
+/// Parse a frame's varint length prefix from the bytes received so
+/// far: `Ok(None)` when the prefix is still incomplete, otherwise the
+/// prefix's width and the payload length it declares. An overflowing
+/// varint or a length over [`MAX_FRAME_LEN`] is an error as soon as it
+/// can be seen — before anything is allocated for it.
+fn frame_len(avail: &[u8]) -> Result<Option<(usize, usize)>> {
+    let mut len: u64 = 0;
+    for (i, &byte) in avail.iter().enumerate() {
+        let shift = 7 * i as u32;
+        if shift > 63 || (shift == 63 && byte > 1) {
+            return Err(NetError::Protocol("frame length varint overflow".into()));
+        }
+        len |= u64::from(byte & 0x7F) << shift;
+        if byte & 0x80 == 0 {
+            if len > MAX_FRAME_LEN as u64 {
+                return Err(NetError::Protocol(format!(
+                    "frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte limit"
+                )));
+            }
+            return Ok(Some((i + 1, len as usize)));
+        }
+    }
+    Ok(None)
+}
+
 /// Like [`read_frame`], but reads the payload into `buf` (cleared
 /// first), so a hot receive loop can reuse one allocation across
 /// frames. Returns `Ok(false)` on clean EOF before the first length
 /// byte.
 pub fn read_frame_into(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<bool> {
     // Varint length prefix, byte by byte off the stream.
-    let mut len: u64 = 0;
-    let mut shift: u32 = 0;
-    let mut first = true;
-    loop {
-        let mut byte = [0u8; 1];
-        match r.read_exact(&mut byte) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof && first => return Ok(false),
+    let mut prefix = [0u8; varint::MAX_VARINT_LEN];
+    let mut got = 0;
+    let len = loop {
+        match r.read_exact(&mut prefix[got..got + 1]) {
+            Ok(()) => got += 1,
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof && got == 0 => return Ok(false),
             Err(e) => return Err(NetError::Io(e)),
         }
-        first = false;
-        if shift >= 63 && byte[0] > 1 {
-            return Err(NetError::Protocol("frame length varint overflow".into()));
+        if let Some((_, len)) = frame_len(&prefix[..got])? {
+            break len;
         }
-        len |= u64::from(byte[0] & 0x7F) << shift;
-        if byte[0] & 0x80 == 0 {
-            break;
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(NetError::Protocol("frame length varint overflow".into()));
-        }
-    }
-    if len as usize > MAX_FRAME_LEN {
-        return Err(NetError::Protocol(format!(
-            "frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte limit"
-        )));
-    }
+    };
     buf.clear();
-    buf.resize(len as usize, 0);
+    buf.resize(len, 0);
     r.read_exact(buf)?;
     Ok(true)
 }
@@ -1297,42 +1284,21 @@ impl FrameBuffer {
             return Err(NetError::Protocol("frame stream already corrupt".into()));
         }
         let avail = &self.buf[self.start..];
-        // Parse the varint length prefix.
-        let mut len: u64 = 0;
-        let mut shift: u32 = 0;
-        let mut prefix = 0usize;
-        loop {
-            let Some(&byte) = avail.get(prefix) else {
-                return Ok(None);
-            };
-            prefix += 1;
-            if shift >= 63 && byte > 1 {
+        let (prefix, len) = match frame_len(avail) {
+            Ok(Some(parsed)) => parsed,
+            Ok(None) => return Ok(None),
+            Err(e) => {
                 self.poisoned = true;
-                return Err(NetError::Protocol("frame length varint overflow".into()));
+                return Err(e);
             }
-            len |= u64::from(byte & 0x7F) << shift;
-            if byte & 0x80 == 0 {
-                break;
-            }
-            shift += 7;
-            if shift > 63 {
-                self.poisoned = true;
-                return Err(NetError::Protocol("frame length varint overflow".into()));
-            }
-        }
-        if len as usize > MAX_FRAME_LEN {
-            self.poisoned = true;
-            return Err(NetError::Protocol(format!(
-                "frame of {len} bytes exceeds the {MAX_FRAME_LEN}-byte limit"
-            )));
-        }
-        let total = prefix + len as usize;
+        };
+        let total = prefix + len;
         if avail.len() < total {
             return Ok(None);
         }
         let payload_start = self.start + prefix;
         self.start += total;
-        Ok(Some(&self.buf[payload_start..payload_start + len as usize]))
+        Ok(Some(&self.buf[payload_start..payload_start + len]))
     }
 }
 
@@ -1356,70 +1322,121 @@ mod tests {
     }
 
     #[test]
-    fn requests_round_trip() {
-        round_trip_request(Request::Ping);
-        round_trip_request(Request::Stats);
-        round_trip_request(Request::Pnew {
-            tag: TypeTag(0xDEAD_BEEF),
-            body: vec![1, 2, 3],
-        });
-        round_trip_request(Request::Deref {
-            oid: Oid(7),
-            tag: TypeTag(u64::MAX),
-        });
-        round_trip_request(Request::DerefVersion {
-            vid: Vid(9),
-            tag: TypeTag(1),
-        });
-        round_trip_request(Request::Update {
-            oid: Oid(1),
-            tag: TypeTag(2),
-            body: vec![],
-        });
-        round_trip_request(Request::UpdateVersion {
-            vid: Vid(3),
-            tag: TypeTag(4),
-            body: vec![255; 300],
-        });
-        round_trip_request(Request::NewVersion { oid: Oid(1) });
-        round_trip_request(Request::NewVersionFrom { vid: Vid(2) });
-        round_trip_request(Request::Pdelete { oid: Oid(3) });
-        round_trip_request(Request::PdeleteVersion { vid: Vid(4) });
-        round_trip_request(Request::Dprevious { vid: Vid(5) });
-        round_trip_request(Request::Dnext { vid: Vid(6) });
-        round_trip_request(Request::Tprevious { vid: Vid(7) });
-        round_trip_request(Request::Tnext { vid: Vid(8) });
-        round_trip_request(Request::VersionHistory { oid: Oid(9) });
-        round_trip_request(Request::CurrentVersion { oid: Oid(10) });
-        round_trip_request(Request::Objects { tag: TypeTag(11) });
-        round_trip_request(Request::ObjectsPage {
-            tag: TypeTag(12),
-            after: Oid(13),
-            limit: 14,
-        });
-        round_trip_request(Request::ObjectOf { vid: Vid(15) });
-        round_trip_request(Request::VersionCount { oid: Oid(16) });
-        round_trip_request(Request::Exists { oid: Oid(17) });
-        round_trip_request(Request::VersionExists { vid: Vid(18) });
-        round_trip_request(Request::Epoch);
-        round_trip_request(Request::ReadFloor { epoch: 19 });
-        round_trip_request(Request::ReadFloor { epoch: 0 });
-        round_trip_request(Request::Promote);
-        round_trip_request(Request::HistoryBetween {
-            oid: Oid(20),
-            from: 3,
-            to: u64::MAX,
-        });
-        round_trip_request(Request::DiffVersions {
-            from: Vid(21),
-            to: Vid(22),
-        });
-        for policy in [MergePolicy::Fail, MergePolicy::Ours, MergePolicy::Theirs] {
-            round_trip_request(Request::Merge {
-                a: Vid(23),
-                b: Vid(24),
-                policy,
-            });
+    fn every_row_round_trips_and_answers_for_itself() {
+        let mut names = std::collections::HashSet::new();
+        for op in Opcode::ALL {
+            assert_eq!(Opcode::from_u8(op as u8), Some(op));
+            assert!(names.insert(op.name()), "{} labels two rows", op.name());
+            // Small, multi-byte and extreme field values; byte fields
+            // with bytes a varint-per-byte codec would widen.
+            for (word, body) in [
+                (0u64, &[][..]),
+                (300, &[1, 200, 255]),
+                (u64::MAX, &[255; 300]),
+            ] {
+                let mut next = word;
+                let req = Request::sample(
+                    op,
+                    || {
+                        next = next.wrapping_add(1);
+                        next
+                    },
+                    body,
+                );
+                assert_eq!(req.opcode(), op);
+                assert_eq!(req.is_read(), op.is_read());
+                round_trip_request(req.clone());
+                // Walking with the identity map is decode + encode.
+                let payload = req.encode(7);
+                let (_, operation) = split_seq(&payload).unwrap();
+                let mut w = Writer::new();
+                assert_eq!(walk_request(operation, &mut w, |_, id| id).unwrap(), op);
+                assert_eq!(w.as_bytes(), operation);
+            }
+        }
+        assert_eq!(Opcode::from_u8(OPCODE_COUNT as u8), None);
+    }
+
+    #[test]
+    fn the_walk_reports_each_id_under_its_role() {
+        let seen = |req: Request| {
+            let payload = req.encode(0);
+            let mut seen = Vec::new();
+            walk_request(&payload[1..], &mut Writer::new(), |field, id| {
+                seen.push((field, id));
+                id
+            })
+            .unwrap();
+            seen
+        };
+        assert_eq!(
+            seen(Request::Update {
+                oid: Oid(5),
+                tag: TypeTag(6),
+                body: vec![7],
+            }),
+            [(IdField::Oid, 5)]
+        );
+        assert_eq!(
+            seen(Request::Merge {
+                a: Vid(1),
+                b: Vid(2),
+                policy: MergePolicy::Theirs,
+            }),
+            [(IdField::Vid, 1), (IdField::Vid, 2)]
+        );
+        assert_eq!(
+            seen(Request::ObjectsPage {
+                tag: TypeTag(9),
+                after: Oid(4),
+                limit: 3,
+            }),
+            [(IdField::Cursor, 4)]
+        );
+        assert_eq!(
+            seen(Request::HistoryBetween {
+                oid: Oid(1),
+                from: 2,
+                to: 3,
+            }),
+            [
+                (IdField::Oid, 1),
+                (IdField::StampFrom, 2),
+                (IdField::StampTo, 3)
+            ]
+        );
+        assert_eq!(
+            seen(Request::ReadFloor { epoch: 8 }),
+            [],
+            "an epoch is not an id"
+        );
+    }
+
+    /// The README's opcode table is documentation of the request table
+    /// above; this holds it to every column.
+    #[test]
+    fn the_readme_opcode_table_mirrors_the_wire_table() {
+        let readme = include_str!("../../../README.md");
+        let rows: Vec<Vec<&str>> = readme
+            .lines()
+            .filter(|line| line.starts_with("| ") && line.contains('`'))
+            .map(|line| line.trim_matches('|').split('|').map(str::trim).collect())
+            .filter(|cells: &Vec<&str>| cells.len() == 6 && cells[0].parse::<u8>().is_ok())
+            .collect();
+        assert_eq!(rows.len(), OPCODE_COUNT, "one README row per opcode");
+        for (row, op) in rows.iter().zip(Opcode::ALL) {
+            let access = if op.is_read() { "read" } else { "write" };
+            let routing = format!("{:?}", op.routing()).to_lowercase();
+            assert_eq!(
+                row[..4],
+                [
+                    &(op as u8).to_string()[..],
+                    &format!("`{}`", op.name())[..],
+                    access,
+                    &routing[..],
+                ],
+                "README row for {op:?}"
+            );
         }
     }
 
@@ -1580,14 +1597,6 @@ mod tests {
         let bytes = bytes.into_bytes();
         assert!(Response::decode(&bytes).is_err());
         assert_eq!(Response::decode_seq(&bytes).unwrap(), 300);
-    }
-
-    #[test]
-    fn every_opcode_survives_the_byte_round_trip() {
-        for op in Opcode::ALL {
-            assert_eq!(Opcode::from_u8(op as u8), Some(op));
-        }
-        assert_eq!(Opcode::from_u8(OPCODE_COUNT as u8), None);
     }
 
     #[test]

@@ -5,10 +5,27 @@
 //! shards chosen by `shard_of(oid)` (see [`crate::ShardMap`]). Clients
 //! connect to the router exactly as they would to a single server:
 //! same handshake, same frames, same pipelining. The router remaps
-//! sequence ids per backend connection and re-tags responses with the
-//! client's original ids, so a client may keep requests to many shards
-//! in flight and receive their responses in whatever order the shards
-//! finish.
+//! sequence ids per backend connection and re-stamps responses with
+//! the client's original ids, so a client may keep requests to many
+//! shards in flight and receive their responses in whatever order the
+//! shards finish.
+//!
+//! ## One path
+//!
+//! Distribution must be invisible to a program's result, so all the
+//! router may do to a frame is rename the ids in it — and where ids sit
+//! in a frame is the [`crate::protocol`] module's knowledge, not this
+//! one's. Every request takes one walk ([`walk_request`]) that renames
+//! its ids into the owning shard's id space and, by the first id, names
+//! that shard; every response takes the inverse walk
+//! ([`walk_response`]). There is no per-opcode routing code and no
+//! second, slower path: what a request needs beyond that walk is read
+//! off its row of the wire table ([`Opcode::routing`],
+//! [`Opcode::is_read`]). An id on a second shard is a `BadRequest`
+//! (`DiffVersions` and `Merge` across objects fall out of that rule);
+//! a frame the walk cannot follow is the `BadRequest` a server would
+//! have answered, because walk and decoder are generated from the same
+//! rows.
 //!
 //! ## Ordering guarantees
 //!
@@ -34,7 +51,9 @@
 //! ## Scatter requests
 //!
 //! `Ping` is answered by the router itself. `Stats`, `Objects`, and
-//! `ObjectsPage` fan out to every shard and merge: stats counters sum,
+//! `ObjectsPage` fan out to every shard and merge: stats counters fold
+//! under the rule each declares (`sum`, or `max` for gauges and
+//! high-water marks — see [`StatsReport::merge`]),
 //! extent scans merge-sort by client-visible id (`ObjectsPage`
 //! re-truncates to the requested limit). A scatter fails as a whole if
 //! any shard is down — partial extents would be silent lies.
@@ -48,14 +67,15 @@ use std::thread::{self, JoinHandle, Scope};
 use std::time::{Duration, Instant};
 
 use ode::{Oid, Vid};
-use ode_codec::varint;
+use ode_codec::Writer;
 use parking_lot::Mutex;
 use polling::{Event, Poller};
 
 use crate::client::{ClientConfig, OdeClient};
 use crate::error::RemoteError;
 use crate::protocol::{
-    kind, read_frame_into, write_frame, FrameBuffer, Opcode, Request, Response, StatsReport, MAGIC,
+    read_frame_into, split_seq, walk_request, walk_response, write_frame, write_frame_seq,
+    FrameBuffer, IdField, Opcode, Request, Response, Routing, StatsReport, MAGIC,
 };
 use crate::shard::ShardMap;
 use crate::NetError;
@@ -206,63 +226,58 @@ impl Membership {
     }
 }
 
-/// A snapshot of the router's lifetime counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RouterStatsReport {
+/// The router's lifetime counters, each stated once: generates the
+/// atomics the sessions bump and the snapshot [`OdeRouter::stats`]
+/// returns.
+macro_rules! router_counters {
+    ($( $(#[$doc:meta])* $field:ident ),* $(,)?) => {
+        /// A snapshot of the router's lifetime counters.
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct RouterStatsReport {
+            $( $(#[$doc])* pub $field: u64, )*
+        }
+
+        #[derive(Default)]
+        struct RouterStats {
+            $( $field: AtomicU64, )*
+        }
+
+        impl RouterStats {
+            fn report(&self) -> RouterStatsReport {
+                RouterStatsReport {
+                    $( $field: self.$field.load(Ordering::Relaxed), )*
+                }
+            }
+        }
+    };
+}
+
+router_counters! {
     /// Client connections accepted over the router's lifetime.
-    pub client_connections: u64,
+    client_connections,
     /// Requests forwarded to a backend (scatter requests count once per
     /// shard).
-    pub forwarded: u64,
+    forwarded,
     /// Requests answered by the router without touching a backend
     /// (`Ping`).
-    pub answered_locally: u64,
+    answered_locally,
     /// Scatter requests fanned out to every shard.
-    pub gathers: u64,
+    gathers,
     /// Successful backend dials (including reconnects).
-    pub backend_connects: u64,
+    backend_connects,
     /// Backend connections lost (each triggers a backoff window).
-    pub shard_failures: u64,
-    /// `Unavailable` error frames sent to clients.
-    pub unavailable_errors: u64,
+    shard_failures,
+    /// `Unavailable` error frames the router answered with (a dead or
+    /// backing-off shard, a failover window, a scatter that lost a
+    /// part, an undecodable shard response).
+    unavailable_errors,
     /// Undecodable frames, from clients or backends.
-    pub protocol_errors: u64,
+    protocol_errors,
     /// Read requests forwarded to a replica instead of a primary.
-    pub replica_reads: u64,
+    replica_reads,
     /// Failovers this router drove to completion (a replica promoted
     /// and installed as the shard's primary).
-    pub failovers: u64,
-}
-
-#[derive(Default)]
-struct RouterStats {
-    client_connections: AtomicU64,
-    forwarded: AtomicU64,
-    answered_locally: AtomicU64,
-    gathers: AtomicU64,
-    backend_connects: AtomicU64,
-    shard_failures: AtomicU64,
-    unavailable_errors: AtomicU64,
-    protocol_errors: AtomicU64,
-    replica_reads: AtomicU64,
-    failovers: AtomicU64,
-}
-
-impl RouterStats {
-    fn report(&self) -> RouterStatsReport {
-        RouterStatsReport {
-            client_connections: self.client_connections.load(Ordering::Relaxed),
-            forwarded: self.forwarded.load(Ordering::Relaxed),
-            answered_locally: self.answered_locally.load(Ordering::Relaxed),
-            gathers: self.gathers.load(Ordering::Relaxed),
-            backend_connects: self.backend_connects.load(Ordering::Relaxed),
-            shard_failures: self.shard_failures.load(Ordering::Relaxed),
-            unavailable_errors: self.unavailable_errors.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            replica_reads: self.replica_reads.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-        }
-    }
+    failovers,
 }
 
 /// State shared by every session of one router.
@@ -597,344 +612,163 @@ fn attempt_failover(shared: &RouterShared, shard: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Routing and id translation
+// Routing: one walk over the frame
 // ---------------------------------------------------------------------------
 
 /// What kind of scatter a fan-out request is, and how to merge it.
 #[derive(Debug, Clone, Copy)]
 enum GatherKind {
+    /// Counters fold under each one's declared rule.
     Stats,
-    Objects,
-    Page { limit: u64 },
+    /// Extents merge ascending by client id; a page re-truncates to
+    /// the limit the client asked for.
+    Objects { limit: Option<u64> },
 }
 
 /// Where one client request goes.
 enum Route {
     /// Answered by the router itself.
-    Local(Response),
-    /// Forwarded to one shard, request already in backend id-space.
-    Single { shard: usize, backend: Request },
-    /// Fanned out to every shard; carries the original (client
-    /// id-space) request so per-shard variants can be derived.
-    Gather { kind: GatherKind, original: Request },
+    Local(Box<Response>),
+    /// Forwarded to one shard: the scratch writer holds its operation
+    /// bytes, ids already in that shard's space.
+    Single { shard: usize, is_read: bool },
+    /// Fanned out to every shard; each part is walked again with its
+    /// shard pinned.
+    Gather(GatherKind),
 }
 
-/// Decide a request's route and translate its ids to backend space.
-fn route(req: Request, map: ShardMap, next_pnew: &AtomicU64) -> Route {
-    use Request as R;
-    let single = |shard, backend| Route::Single { shard, backend };
-    match req {
-        R::Ping => Route::Local(Response::Pong),
-        // Node-local requests: epochs are per shard (not comparable
-        // across the tier), read floors are pinned by the router
-        // itself, and promotion is the router's failover to drive.
-        R::Epoch | R::ReadFloor { .. } | R::Promote => Route::Local(Response::Err(
-            RemoteError::BadRequest("node-local request; connect to a node directly".into()),
-        )),
-        R::Stats => Route::Gather {
-            kind: GatherKind::Stats,
-            original: R::Stats,
+/// A request's operation bytes renamed into one shard's id space.
+struct Renamed {
+    op: Opcode,
+    /// The shard the ids live on; `None` when the request names none.
+    shard: Option<usize>,
+    /// Some id lives on another shard than the first one.
+    stray: bool,
+    /// A stamp range that no stamp minted on the shard can fall in.
+    empty_range: bool,
+}
+
+/// Walk a request's operation bytes onto `out`, every id renamed into
+/// the id space of the shard that owns it. `pinned` fixes that shard
+/// (one part of a scatter); otherwise the first id names it. Stamps
+/// are version ids, so a client-space range maps to the backend stamps
+/// whose minted client stamp falls inside it — by the same residue
+/// decomposition as ids and page cursors.
+fn to_backend(
+    body: &[u8],
+    map: ShardMap,
+    pinned: Option<usize>,
+    out: &mut Writer,
+) -> Result<Renamed, NetError> {
+    // The wire table puts an id before any cursor or stamp of a keyed
+    // row, and a scatter part arrives pinned.
+    let home = |shard: Option<usize>| shard.expect("a cursor or stamp follows the shard's id");
+    let (mut shard, mut stray, mut empty_range, mut from) = (pinned, false, false, 0);
+    let op = walk_request(body, out, |field, id| match field {
+        IdField::Oid | IdField::Vid => {
+            let (owner, backend) = match field {
+                IdField::Oid => (map.shard_of(Oid(id)), map.backend_oid(Oid(id)).0),
+                _ => (map.shard_of_vid(Vid(id)), map.backend_vid(Vid(id)).0),
+            };
+            stray |= *shard.get_or_insert(owner) != owner;
+            backend
+        }
+        IdField::Cursor => map.backend_cursor(Oid(id), home(shard)).0,
+        IdField::StampFrom => {
+            from = id;
+            map.backend_cursor(Oid(id), home(shard)).0
+        }
+        IdField::StampTo => match map.backend_floor(Vid(id), home(shard)) {
+            Some(upto) if from <= id => upto.0,
+            _ => {
+                empty_range = true;
+                0
+            }
         },
-        R::Objects { tag } => Route::Gather {
-            kind: GatherKind::Objects,
-            original: R::Objects { tag },
-        },
-        R::ObjectsPage { tag, after, limit } => Route::Gather {
-            kind: GatherKind::Page { limit },
-            original: R::ObjectsPage { tag, after, limit },
-        },
-        R::Pnew { tag, body } => {
+    })?;
+    Ok(Renamed {
+        op,
+        shard,
+        stray,
+        empty_range,
+    })
+}
+
+/// Decide a request's route; for a single-shard route `out` then holds
+/// the bytes to forward. Every keyed opcode takes the same path — the
+/// only per-opcode knowledge here is how scatters merge and what the
+/// router answers itself.
+fn route<'a>(
+    payload: &'a [u8],
+    map: ShardMap,
+    next_pnew: &AtomicU64,
+    out: &mut Writer,
+) -> Result<(u64, &'a [u8], Route), NetError> {
+    let (seq, body) = split_seq(payload)?;
+    let refuse = |op: Opcode, why: &str| {
+        let msg = format!("{}: {why}", op.name());
+        Route::Local(Box::new(Response::Err(RemoteError::BadRequest(msg))))
+    };
+    let peeked = body.first().copied().and_then(Opcode::from_u8);
+    if peeked.map(Opcode::routing) == Some(Routing::Scatter) {
+        let route = match Request::decode(payload)?.1 {
+            Request::Stats => Route::Gather(GatherKind::Stats),
+            Request::Objects { .. } => Route::Gather(GatherKind::Objects { limit: None }),
+            Request::ObjectsPage { limit, .. } => {
+                Route::Gather(GatherKind::Objects { limit: Some(limit) })
+            }
+            other => refuse(
+                other.opcode(),
+                "the router has no merge rule for this scatter",
+            ),
+        };
+        return Ok((seq, body, route));
+    }
+    out.clear();
+    let renamed = to_backend(body, map, None, out)?;
+    let op = renamed.op;
+    let single = |shard| Route::Single {
+        shard,
+        is_read: op.is_read(),
+    };
+    let route = match op.routing() {
+        Routing::Local if op == Opcode::Ping => Route::Local(Box::new(Response::Pong)),
+        // Epochs are per shard (not comparable across the tier), read
+        // floors are pinned by the router itself, and promotion is the
+        // router's failover to drive.
+        Routing::Local => refuse(op, "node-local request; connect to a node directly"),
+        // A new object has no id yet: the router picks its shard and
+        // the minted id then carries the placement forever.
+        Routing::Placed => {
             let n = map.shard_count() as u64;
-            let shard = (next_pnew.fetch_add(1, Ordering::Relaxed) % n) as usize;
-            single(shard, R::Pnew { tag, body })
+            single((next_pnew.fetch_add(1, Ordering::Relaxed) % n) as usize)
         }
-        R::Deref { oid, tag } => single(
-            map.shard_of(oid),
-            R::Deref {
-                oid: map.backend_oid(oid),
-                tag,
-            },
-        ),
-        R::Update { oid, tag, body } => single(
-            map.shard_of(oid),
-            R::Update {
-                oid: map.backend_oid(oid),
-                tag,
-                body,
-            },
-        ),
-        R::NewVersion { oid } => single(
-            map.shard_of(oid),
-            R::NewVersion {
-                oid: map.backend_oid(oid),
-            },
-        ),
-        R::Pdelete { oid } => single(
-            map.shard_of(oid),
-            R::Pdelete {
-                oid: map.backend_oid(oid),
-            },
-        ),
-        R::VersionHistory { oid } => single(
-            map.shard_of(oid),
-            R::VersionHistory {
-                oid: map.backend_oid(oid),
-            },
-        ),
-        R::CurrentVersion { oid } => single(
-            map.shard_of(oid),
-            R::CurrentVersion {
-                oid: map.backend_oid(oid),
-            },
-        ),
-        R::VersionCount { oid } => single(
-            map.shard_of(oid),
-            R::VersionCount {
-                oid: map.backend_oid(oid),
-            },
-        ),
-        R::Exists { oid } => single(
-            map.shard_of(oid),
-            R::Exists {
-                oid: map.backend_oid(oid),
-            },
-        ),
-        R::DerefVersion { vid, tag } => single(
-            map.shard_of_vid(vid),
-            R::DerefVersion {
-                vid: map.backend_vid(vid),
-                tag,
-            },
-        ),
-        R::UpdateVersion { vid, tag, body } => single(
-            map.shard_of_vid(vid),
-            R::UpdateVersion {
-                vid: map.backend_vid(vid),
-                tag,
-                body,
-            },
-        ),
-        R::NewVersionFrom { vid } => single(
-            map.shard_of_vid(vid),
-            R::NewVersionFrom {
-                vid: map.backend_vid(vid),
-            },
-        ),
-        R::PdeleteVersion { vid } => single(
-            map.shard_of_vid(vid),
-            R::PdeleteVersion {
-                vid: map.backend_vid(vid),
-            },
-        ),
-        R::Dprevious { vid } => single(
-            map.shard_of_vid(vid),
-            R::Dprevious {
-                vid: map.backend_vid(vid),
-            },
-        ),
-        R::Dnext { vid } => single(
-            map.shard_of_vid(vid),
-            R::Dnext {
-                vid: map.backend_vid(vid),
-            },
-        ),
-        R::Tprevious { vid } => single(
-            map.shard_of_vid(vid),
-            R::Tprevious {
-                vid: map.backend_vid(vid),
-            },
-        ),
-        R::Tnext { vid } => single(
-            map.shard_of_vid(vid),
-            R::Tnext {
-                vid: map.backend_vid(vid),
-            },
-        ),
-        R::ObjectOf { vid } => single(
-            map.shard_of_vid(vid),
-            R::ObjectOf {
-                vid: map.backend_vid(vid),
-            },
-        ),
-        R::VersionExists { vid } => single(
-            map.shard_of_vid(vid),
-            R::VersionExists {
-                vid: map.backend_vid(vid),
-            },
-        ),
-        R::HistoryBetween { oid, from, to } => {
-            let shard = map.shard_of(oid);
-            // Stamps are vid values, so the client-space range maps to
-            // backend space by the same residue decomposition as ids:
-            // the backend range is every backend stamp whose minted
-            // client stamp falls inside [from, to].
-            let s = shard as u64;
-            if to < s || from > to {
-                // No stamp on this shard can fall in the range.
-                return Route::Local(Response::Versions(Vec::new()));
-            }
-            let bfrom = map.backend_cursor(Oid(from), shard).0;
-            let bto = map.backend_vid(Vid(to)).0;
-            single(
-                shard,
-                R::HistoryBetween {
-                    oid: map.backend_oid(oid),
-                    from: bfrom,
-                    to: bto,
-                },
-            )
-        }
-        R::DiffVersions { from, to } => {
-            let shard = map.shard_of_vid(from);
-            if map.shard_of_vid(to) != shard {
-                return Route::Local(Response::Err(RemoteError::BadRequest(
-                    "diff endpoints live on different shards (different objects)".into(),
-                )));
-            }
-            single(
-                shard,
-                R::DiffVersions {
-                    from: map.backend_vid(from),
-                    to: map.backend_vid(to),
-                },
-            )
-        }
-        R::Merge { a, b, policy } => {
-            let shard = map.shard_of_vid(a);
-            if map.shard_of_vid(b) != shard {
-                return Route::Local(Response::Err(RemoteError::BadRequest(
-                    "merge parents live on different shards (different objects)".into(),
-                )));
-            }
-            single(
-                shard,
-                R::Merge {
-                    a: map.backend_vid(a),
-                    b: map.backend_vid(b),
-                    policy,
-                },
-            )
-        }
-    }
+        _ if renamed.stray => refuse(op, "ids live on different shards (different objects)"),
+        // `HistoryBetween` over a range no stamp on the shard falls in.
+        _ if renamed.empty_range => Route::Local(Box::new(Response::Versions(Vec::new()))),
+        _ => match renamed.shard {
+            Some(shard) => single(shard),
+            None => refuse(op, "no id to route by"),
+        },
+    };
+    Ok((seq, body, route))
 }
 
-/// The per-shard variant of a scatter request.
-fn per_shard_request(original: &Request, map: ShardMap, shard: usize) -> Request {
-    match original {
-        Request::Stats => Request::Stats,
-        Request::Objects { tag } => Request::Objects { tag: *tag },
-        Request::ObjectsPage { tag, after, limit } => Request::ObjectsPage {
-            tag: *tag,
-            after: map.backend_cursor(*after, shard),
-            limit: *limit,
-        },
-        other => unreachable!("{:?} is not a scatter request", other.opcode()),
-    }
-}
-
-/// Rewrite every id embedded in a backend response into client space.
-fn translate_response(resp: Response, map: ShardMap, shard: usize) -> Response {
-    match resp {
-        Response::Created { oid, vid } => Response::Created {
-            oid: map.client_oid(oid, shard),
-            vid: map.client_vid(vid, shard),
-        },
-        Response::Version(vid) => Response::Version(map.client_vid(vid, shard)),
-        Response::Body { vid, bytes } => Response::Body {
-            vid: map.client_vid(vid, shard),
-            bytes,
-        },
-        Response::MaybeVersion(v) => Response::MaybeVersion(v.map(|v| map.client_vid(v, shard))),
-        Response::Versions(vs) => {
-            Response::Versions(vs.into_iter().map(|v| map.client_vid(v, shard)).collect())
-        }
-        Response::Objects(os) => {
-            Response::Objects(os.into_iter().map(|o| map.client_oid(o, shard)).collect())
-        }
-        Response::Object(oid) => Response::Object(map.client_oid(oid, shard)),
-        Response::Diff(d) => Response::Diff(crate::protocol::DiffSummary {
-            from: map.client_vid(d.from, shard),
-            to: map.client_vid(d.to, shard),
-            ..d
-        }),
-        // Conflict ranges are byte offsets in the merge base — shard
-        // agnostic; only the new version id needs remapping.
-        Response::Merged { vid, conflicts } => Response::Merged {
-            vid: vid.map(|v| map.client_vid(v, shard)),
-            conflicts,
-        },
-        Response::Err(e) => Response::Err(match e {
-            RemoteError::UnknownObject(oid) => {
-                RemoteError::UnknownObject(map.client_oid(oid, shard))
-            }
-            RemoteError::UnknownVersion(vid) => {
-                RemoteError::UnknownVersion(map.client_vid(vid, shard))
-            }
-            RemoteError::LastVersion(vid) => RemoteError::LastVersion(map.client_vid(vid, shard)),
-            other => other,
-        }),
-        other => other, // Pong, Stats, Unit, Count, Flag: no ids
-    }
-}
-
-/// Sum per-shard stats reports into one tier-wide report.
-fn merge_stats(parts: Vec<StatsReport>) -> StatsReport {
-    let mut merged = StatsReport::default();
-    let mut per_op = [0u64; crate::protocol::OPCODE_COUNT];
-    for part in parts {
-        merged.active_connections += part.active_connections;
-        merged.total_connections += part.total_connections;
-        merged.bytes_in += part.bytes_in;
-        merged.bytes_out += part.bytes_out;
-        merged.protocol_errors += part.protocol_errors;
-        merged.op_errors += part.op_errors;
-        merged.snapshot_hits += part.snapshot_hits;
-        merged.snapshot_misses += part.snapshot_misses;
-        merged.slow_client_evictions += part.slow_client_evictions;
-        merged.materialize_hits += part.materialize_hits;
-        merged.materialize_misses += part.materialize_misses;
-        merged.storage.read_txs += part.storage.read_txs;
-        merged.storage.write_txs += part.storage.write_txs;
-        merged.storage.reader_waits += part.storage.reader_waits;
-        merged.storage.reader_wait_nanos += part.storage.reader_wait_nanos;
-        merged.storage.writer_waits += part.storage.writer_waits;
-        merged.storage.writer_wait_nanos += part.storage.writer_wait_nanos;
-        merged.storage.wal_syncs += part.storage.wal_syncs;
-        merged.storage.group_syncs += part.storage.group_syncs;
-        merged.storage.group_commit_txns += part.storage.group_commit_txns;
-        merged.storage.bytes_shipped += part.storage.bytes_shipped;
-        merged.storage.replica_lag_epochs += part.storage.replica_lag_epochs;
-        merged.storage.failovers += part.storage.failovers;
-        merged.storage.write_conflicts += part.storage.write_conflicts;
-        merged.storage.write_retries += part.storage.write_retries;
-        // A max, not a sum: the largest cohort any one shard saw.
-        merged.storage.group_batch_max = merged
-            .storage
-            .group_batch_max
-            .max(part.storage.group_batch_max);
-        for (op, n) in part.requests {
-            per_op[op as usize] += n;
-        }
-    }
-    merged.requests = Opcode::ALL
-        .iter()
-        .filter_map(|&op| {
-            let n = per_op[op as usize];
-            (n != 0).then_some((op, n))
-        })
-        .collect();
-    merged
-}
-
-/// Merge per-shard extent scans (already translated to client ids,
-/// each ascending) into one ascending list.
-fn merge_objects(parts: Vec<Vec<Oid>>, limit: Option<u64>) -> Vec<Oid> {
-    let mut all: Vec<Oid> = parts.into_iter().flatten().collect();
-    all.sort_unstable_by_key(|o| o.0);
-    if let Some(limit) = limit {
-        all.truncate(limit as usize);
-    }
-    all
+/// Re-stamp a shard's response for the client: `seq`, then its result
+/// bytes with every embedded id renamed into client space.
+fn to_client(
+    body: &[u8],
+    map: ShardMap,
+    shard: usize,
+    seq: u64,
+    out: &mut Writer,
+) -> Result<(), NetError> {
+    out.clear();
+    out.put_varint(seq);
+    walk_response(body, out, |field, id| match field {
+        IdField::Vid => map.client_vid(Vid(id), shard).0,
+        _ => map.client_oid(Oid(id), shard).0,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -947,10 +781,10 @@ fn merge_objects(parts: Vec<Vec<Oid>>, limit: Option<u64>) -> Vec<Oid> {
 struct Gather {
     client_seq: u64,
     kind: GatherKind,
-    parts: Vec<Option<Response>>,
+    /// Parts answered so far, already in client id space.
+    parts: Vec<Response>,
     remaining: usize,
     error: Option<RemoteError>,
-    done: bool,
 }
 
 impl Gather {
@@ -958,78 +792,55 @@ impl Gather {
         Gather {
             client_seq,
             kind,
-            parts: (0..shards).map(|_| None).collect(),
+            parts: Vec::with_capacity(shards),
             remaining: shards,
             error: None,
-            done: false,
         }
     }
 
     /// Record one shard's outcome; returns the merged response when
-    /// this was the last part.
-    fn complete_part(
-        &mut self,
-        shard: usize,
-        part: Result<Response, RemoteError>,
-    ) -> Option<Response> {
-        if self.done {
+    /// this was the last part. Late or duplicate parts are swallowed.
+    fn complete_part(&mut self, part: Result<Response, RemoteError>) -> Option<Response> {
+        if self.remaining == 0 {
             return None;
         }
         match part {
             Ok(Response::Err(e)) | Err(e) => {
-                if self.error.is_none() {
-                    self.error = Some(e);
-                }
+                self.error.get_or_insert(e);
             }
-            Ok(resp) => self.parts[shard] = Some(resp),
+            Ok(resp) => self.parts.push(resp),
         }
         self.remaining -= 1;
         if self.remaining > 0 {
             return None;
         }
-        self.done = true;
-        if let Some(e) = self.error.take() {
-            return Some(Response::Err(e));
-        }
-        Some(self.merge())
+        Some(match self.error.take() {
+            Some(e) => Response::Err(e),
+            None => self.merge(),
+        })
     }
 
     fn merge(&mut self) -> Response {
-        let parts: Vec<Response> = self.parts.iter_mut().map(|p| p.take().unwrap()).collect();
-        match self.kind {
-            GatherKind::Stats => {
-                let mut reports = Vec::with_capacity(parts.len());
-                for p in parts {
-                    match p {
-                        Response::Stats(r) => reports.push(r),
-                        other => {
-                            return Response::Err(RemoteError::Unavailable(format!(
-                                "shard returned a {} response to a stats scatter",
-                                other.kind_name()
-                            )))
-                        }
-                    }
+        let mut stats = StatsReport::default();
+        let mut oids = Vec::new();
+        for part in self.parts.drain(..) {
+            match (self.kind, part) {
+                (GatherKind::Stats, Response::Stats(report)) => stats.merge(&report),
+                (GatherKind::Objects { .. }, Response::Objects(extent)) => oids.extend(extent),
+                (_, other) => {
+                    return Response::Err(RemoteError::Unavailable(format!(
+                        "shard returned a {} response to a scatter",
+                        other.kind_name()
+                    )))
                 }
-                Response::Stats(merge_stats(reports))
             }
-            GatherKind::Objects | GatherKind::Page { .. } => {
-                let mut lists = Vec::with_capacity(parts.len());
-                for p in parts {
-                    match p {
-                        Response::Objects(oids) => lists.push(oids),
-                        other => {
-                            return Response::Err(RemoteError::Unavailable(format!(
-                                "shard returned a {} response to an extent scatter",
-                                other.kind_name()
-                            )))
-                        }
-                    }
-                }
-                let limit = match self.kind {
-                    GatherKind::Page { limit } => Some(limit),
-                    _ => None,
-                };
-                Response::Objects(merge_objects(lists, limit))
+        }
+        match self.kind {
+            GatherKind::Stats => Response::Stats(stats),
+            GatherKind::Objects { limit } => {
+                oids.sort_unstable_by_key(|o| o.0);
+                oids.truncate(limit.map_or(usize::MAX, |limit| limit as usize));
+                Response::Objects(oids)
             }
         }
     }
@@ -1066,6 +877,20 @@ struct SlotCtl {
     failures: u32,
     /// No dial is attempted before this instant.
     down_until: Option<Instant>,
+}
+
+impl SlotCtl {
+    /// Count one more consecutive failure and start its backoff
+    /// window: the configured base, doubled per failure, capped.
+    fn back_off(&mut self, config: &RouterConfig) {
+        self.failures += 1;
+        let exp = self.failures.saturating_sub(1).min(16);
+        let backoff = config
+            .reconnect_backoff
+            .saturating_mul(1u32 << exp)
+            .min(config.reconnect_backoff_max);
+        self.down_until = Some(Instant::now() + backoff);
+    }
 }
 
 /// One session's lazily-dialed connection to one shard.
@@ -1172,6 +997,26 @@ impl Session<'_> {
         Ok(())
     }
 
+    /// Give one pending entry its outcome: answer the client, or
+    /// complete the scatter part (answering when it was the last).
+    /// Whichever path removed the entry calls this, exactly once.
+    fn settle(&self, pending: Pending, outcome: Result<Response, RemoteError>) -> io::Result<()> {
+        match pending {
+            Pending::Single { client_seq } => {
+                let resp = outcome.unwrap_or_else(Response::Err);
+                self.send_client(client_seq, &resp, false)
+            }
+            Pending::Part(gather) => {
+                let mut gather = gather.lock();
+                match gather.complete_part(outcome) {
+                    Some(merged) => self.send_client(gather.client_seq, &merged, false),
+                    None => Ok(()),
+                }
+            }
+            Pending::Internal => Ok(()), // nothing owed to the client
+        }
+    }
+
     /// Kill every backend connection and stop the pump (session
     /// teardown): the pump wakes from its wait and exits.
     fn shutdown_backends(&self) {
@@ -1239,10 +1084,10 @@ fn client_loop<'scope, 'env>(
     let shared = session.shared;
     let mut dirty_slots = vec![false; session.slots.len()];
     let mut client_dirty = false;
-    // Reused across frames: the inbound payload and the outbound
-    // backend-frame scratch.
+    // Reused across frames: the inbound payload and the operation
+    // bytes renamed for a backend.
     let mut payload = Vec::new();
-    let mut scratch = Vec::new();
+    let mut scratch = Writer::new();
     loop {
         // Before blocking on the socket, flush everything owed: the
         // batch the client pipelined is fully forwarded, and our own
@@ -1270,22 +1115,12 @@ fn client_loop<'scope, 'env>(
                 return Ok(());
             }
         };
-        // Fast path: most requests are `seq opcode id rest…` with the
-        // routing id as their first field. Patching the two leading
-        // varints straight into a backend frame skips the full
-        // decode/re-encode round trip; the patched ids are canonical
-        // varints either way, so a shard sees exactly the bytes the
-        // slow path would have sent. Anything unparseable falls
-        // through to the slow path for a proper error.
-        if let Some((shard, sent)) = fast_forward(scope, session, &payload, &mut scratch) {
-            match sent {
-                Sent::Forwarded => dirty_slots[shard] = true,
-                Sent::Answered => client_dirty = true,
-            }
-            continue;
-        }
-        let (seq, request) = match Request::decode(&payload) {
-            Ok(decoded) => decoded,
+        // One walk over the frame renames its ids and names its shard;
+        // the renamed bytes are canonical, so a shard sees exactly what
+        // a full decode and re-encode would have sent it.
+        let routed = route(&payload, shared.map, &shared.next_pnew_shard, &mut scratch);
+        let (seq, body, route) = match routed {
+            Ok(routed) => routed,
             Err(e) => {
                 // Well-delimited frame, bad payload: the stream is
                 // still in sync, report and continue (server behavior).
@@ -1297,7 +1132,7 @@ fn client_loop<'scope, 'env>(
                 continue;
             }
         };
-        match route(request, shared.map, &shared.next_pnew_shard) {
+        match route {
             Route::Local(resp) => {
                 shared
                     .stats
@@ -1306,24 +1141,32 @@ fn client_loop<'scope, 'env>(
                 session.send_client(seq, &resp, false)?;
                 client_dirty = true;
             }
-            Route::Single { shard, backend } => {
-                let slot = session.pick_slot(shard, backend.is_read());
-                let build = |bseq, out: &mut Vec<u8>| *out = backend.encode(bseq);
-                if route_single(scope, session, slot, seq, &mut scratch, build).forwarded() {
-                    dirty_slots[slot] = true;
-                } else {
-                    client_dirty = true;
+            Route::Single { shard, is_read } => {
+                let slot = session.pick_slot(shard, is_read);
+                let pending = Pending::Single { client_seq: seq };
+                match forward(scope, session, slot, scratch.as_bytes(), pending) {
+                    Sent::Forwarded => dirty_slots[slot] = true,
+                    Sent::Answered => client_dirty = true,
                 }
             }
-            Route::Gather { kind, original } => {
+            Route::Gather(kind) => {
                 shared.stats.gathers.fetch_add(1, Ordering::Relaxed);
                 let shards = shared.map.shard_count();
                 let gather = Arc::new(Mutex::new(Gather::new(seq, kind, shards)));
                 // Scatters always hit the primary bank: a merged extent
                 // or stats report must not mix replica lag in.
                 for (shard, dirty) in dirty_slots.iter_mut().enumerate().take(shards) {
-                    let backend = per_shard_request(&original, shared.map, shard);
-                    match route_part(scope, session, shard, &backend, &mut scratch, &gather) {
+                    let pending = Pending::Part(Arc::clone(&gather));
+                    scratch.clear();
+                    let sent = match to_backend(body, shared.map, Some(shard), &mut scratch) {
+                        Ok(_) => forward(scope, session, shard, scratch.as_bytes(), pending),
+                        Err(e) => {
+                            let refused = RemoteError::BadRequest(e.to_string());
+                            let _ = session.settle(pending, Err(refused));
+                            Sent::Answered
+                        }
+                    };
+                    match sent {
                         Sent::Forwarded => *dirty = true,
                         Sent::Answered => client_dirty = true,
                     }
@@ -1333,179 +1176,34 @@ fn client_loop<'scope, 'env>(
     }
 }
 
-/// Forward an id-keyed (or `Pnew`) request by patching its leading
-/// varints in place, skipping the full `Request` decode. Returns the
-/// shard it went to, or `None` when the frame needs the slow path —
-/// a local answer, a scatter, or a payload whose head doesn't parse.
-///
-/// Validation of everything after the routing id is delegated to the
-/// shard: a malformed tail comes back as the same `BadRequest` frame
-/// the router itself would have produced, because shard and router run
-/// the same decoder.
-fn fast_forward<'scope, 'env>(
-    scope: &'scope Scope<'scope, 'env>,
-    session: &'env Session<'env>,
-    payload: &[u8],
-    scratch: &mut Vec<u8>,
-) -> Option<(usize, Sent)> {
-    let shared = session.shared;
-    let map = shared.map;
-    let (seq, seq_len) = varint::read_u64(payload).ok()?;
-    let op = Opcode::from_u8(*payload.get(seq_len)?)?;
-    let after_op = seq_len + 1;
-
-    // `Pnew` carries no id — the router places it; everything after
-    // the opcode forwards verbatim.
-    if op == Opcode::Pnew {
-        let n = map.shard_count() as u64;
-        let shard = (shared.next_pnew_shard.fetch_add(1, Ordering::Relaxed) % n) as usize;
-        let slot = session.pick_slot(shard, false);
-        let sent = route_single(scope, session, slot, seq, scratch, |bseq, out| {
-            varint::write_u64(out, bseq);
-            out.extend_from_slice(&payload[seq_len..]);
-        });
-        return Some((slot, sent));
-    }
-
-    let oid_keyed = matches!(
-        op,
-        Opcode::Deref
-            | Opcode::Update
-            | Opcode::NewVersion
-            | Opcode::Pdelete
-            | Opcode::VersionHistory
-            | Opcode::CurrentVersion
-            | Opcode::VersionCount
-            | Opcode::Exists
-    );
-    let vid_keyed = matches!(
-        op,
-        Opcode::DerefVersion
-            | Opcode::UpdateVersion
-            | Opcode::NewVersionFrom
-            | Opcode::PdeleteVersion
-            | Opcode::Dprevious
-            | Opcode::Dnext
-            | Opcode::Tprevious
-            | Opcode::Tnext
-            | Opcode::ObjectOf
-            | Opcode::VersionExists
-    );
-    if !oid_keyed && !vid_keyed {
-        return None; // Ping, Stats, extent scans: slow path
-    }
-    let is_read = !matches!(
-        op,
-        Opcode::Update
-            | Opcode::NewVersion
-            | Opcode::Pdelete
-            | Opcode::UpdateVersion
-            | Opcode::NewVersionFrom
-            | Opcode::PdeleteVersion
-    );
-    let (id, id_len) = varint::read_u64(&payload[after_op..]).ok()?;
-    let rest = &payload[after_op + id_len..];
-    let (shard, backend_id) = if oid_keyed {
-        (map.shard_of(Oid(id)), map.backend_oid(Oid(id)).0)
-    } else {
-        (map.shard_of_vid(Vid(id)), map.backend_vid(Vid(id)).0)
-    };
-    let slot = session.pick_slot(shard, is_read);
-    let sent = route_single(scope, session, slot, seq, scratch, |bseq, out| {
-        varint::write_u64(out, bseq);
-        out.push(op as u8);
-        varint::write_u64(out, backend_id);
-        out.extend_from_slice(rest);
-    });
-    Some((slot, sent))
-}
-
 /// Outcome of trying to hand a request to a shard: either it is on the
 /// backend's wire (an answer will come through the slot's pending
 /// table), or the client was already answered (unavailable shard).
-#[derive(PartialEq)]
 enum Sent {
     Forwarded,
     Answered,
 }
 
-impl Sent {
-    fn forwarded(&self) -> bool {
-        matches!(self, Sent::Forwarded)
-    }
-}
-
-/// Forward one single-shard request. `build` writes the backend frame
-/// into the (cleared) scratch buffer once the backend sequence id is
-/// known.
-fn route_single<'scope, 'env>(
-    scope: &'scope Scope<'scope, 'env>,
-    session: &'env Session<'env>,
-    slot: usize,
-    client_seq: u64,
-    scratch: &mut Vec<u8>,
-    build: impl FnOnce(u64, &mut Vec<u8>),
-) -> Sent {
-    forward(
-        scope,
-        session,
-        slot,
-        scratch,
-        build,
-        Pending::Single { client_seq },
-        |session, err| {
-            let _ = session.send_client(client_seq, &Response::Err(err), false);
-        },
-    )
-}
-
-/// Forward one part of a scatter.
-fn route_part<'scope, 'env>(
-    scope: &'scope Scope<'scope, 'env>,
-    session: &'env Session<'env>,
-    shard: usize,
-    backend: &Request,
-    scratch: &mut Vec<u8>,
-    gather: &Arc<Mutex<Gather>>,
-) -> Sent {
-    forward(
-        scope,
-        session,
-        shard,
-        scratch,
-        |bseq, out| *out = backend.encode(bseq),
-        Pending::Part(Arc::clone(gather)),
-        |session, err| {
-            let done = gather.lock().complete_part(shard, Err(err));
-            if let Some(resp) = done {
-                let seq = gather.lock().client_seq;
-                let _ = session.send_client(seq, &resp, false);
-            }
-        },
-    )
-}
-
-/// The shared forwarding path: ensure a live connection, register the
-/// pending entry, write the frame `build` produces for the assigned
-/// backend sequence id. `on_unavailable` runs when the request never
-/// made it onto a backend wire (the pending entry, if registered, has
-/// already been drained by the failure path — exactly one of the two
-/// answers the client).
+/// The one forwarding path: ensure a live connection, register the
+/// pending entry, write `body` (operation bytes in the shard's id
+/// space) under the assigned backend sequence id. When the request
+/// never makes it onto a backend wire the entry is settled here with
+/// `Unavailable`; once registered, the failure path drains it — exactly
+/// one of the two answers the client.
 fn forward<'scope, 'env>(
     scope: &'scope Scope<'scope, 'env>,
     session: &'env Session<'env>,
     slot_idx: usize,
-    scratch: &mut Vec<u8>,
-    build: impl FnOnce(u64, &mut Vec<u8>),
+    body: &[u8],
     pending: Pending,
-    on_unavailable: impl FnOnce(&Session<'env>, RemoteError),
 ) -> Sent {
     let slot = &session.slots[slot_idx];
     let (bseq, generation) = {
         let mut ctl = slot.ctl.lock();
         if !ctl.alive {
             if let Err(msg) = ensure_conn(scope, session, slot_idx, &mut ctl) {
-                on_unavailable(session, RemoteError::Unavailable(msg));
+                drop(ctl);
+                let _ = session.settle(pending, Err(RemoteError::Unavailable(msg)));
                 return Sent::Answered;
             }
         }
@@ -1533,11 +1231,7 @@ fn forward<'scope, 'env>(
         let mut w = slot.writer.lock();
         match w.as_mut() {
             None => return Sent::Forwarded, // failure path owns the answer
-            Some(w) => {
-                scratch.clear();
-                build(bseq, scratch);
-                write_frame(w, scratch).map(|_| ())
-            }
+            Some(w) => write_frame_seq(w, bseq, body),
         }
     };
     if write_result.is_err() {
@@ -1647,13 +1341,7 @@ fn ensure_conn<'scope, 'env>(
             Ok(())
         }
         Err(e) => {
-            ctl.failures += 1;
-            let exp = ctl.failures.saturating_sub(1).min(16);
-            let backoff = config
-                .reconnect_backoff
-                .saturating_mul(1u32 << exp)
-                .min(config.reconnect_backoff_max);
-            ctl.down_until = Some(Instant::now() + backoff);
+            ctl.back_off(config);
             shared.stats.shard_failures.fetch_add(1, Ordering::Relaxed);
             Err(format!("shard {shard} is unreachable: {e}"))
         }
@@ -1677,15 +1365,7 @@ fn fail_slot(session: &Session<'_>, slot_idx: usize, generation: u64, why: &str)
         if let Some(raw) = ctl.raw.take() {
             let _ = raw.shutdown(Shutdown::Both);
         }
-        ctl.failures += 1;
-        let exp = ctl.failures.saturating_sub(1).min(16);
-        let backoff = session
-            .shared
-            .config
-            .reconnect_backoff
-            .saturating_mul(1u32 << exp)
-            .min(session.shared.config.reconnect_backoff_max);
-        ctl.down_until = Some(Instant::now() + backoff);
+        ctl.back_off(&session.shared.config);
         ctl.pending.drain().collect()
     };
     *slot.writer.lock() = None;
@@ -1694,65 +1374,13 @@ fn fail_slot(session: &Session<'_>, slot_idx: usize, generation: u64, why: &str)
         .stats
         .shard_failures
         .fetch_add(1, Ordering::Relaxed);
-    let err = || RemoteError::Unavailable(format!("shard {shard}: {why}; request not retried"));
     for (_, pending) in drained {
-        match pending {
-            Pending::Single { client_seq } => {
-                let _ = session.send_client(client_seq, &Response::Err(err()), false);
-            }
-            Pending::Part(gather) => {
-                let done = gather.lock().complete_part(shard, Err(err()));
-                if let Some(resp) = done {
-                    let seq = gather.lock().client_seq;
-                    let _ = session.send_client(seq, &resp, false);
-                }
-            }
-            Pending::Internal => {} // nothing owed to the client
-        }
+        let err = RemoteError::Unavailable(format!("shard {shard}: {why}; request not retried"));
+        let _ = session.settle(pending, Err(err));
     }
     // The drained answers must not sit in the buffer: the client loop
     // doesn't know we wrote them.
     let _ = session.client_writer.lock().flush();
-}
-
-/// Re-tag a backend response payload with the client's sequence id
-/// without a full decode. Covers the shapes whose only embedded id is
-/// a single leading varint (or none at all): the id is patched, every
-/// byte after it is copied verbatim. The patched varints are canonical
-/// either way, so the frame is byte-for-byte what decode + translate +
-/// re-encode would produce. Returns `None` for richer shapes (and
-/// garbage), which take the slow path.
-fn retag_response(
-    payload: &[u8],
-    after_seq: usize,
-    client_seq: u64,
-    map: ShardMap,
-    shard: usize,
-    out: &mut Vec<u8>,
-) -> Option<()> {
-    let k = *payload.get(after_seq)?;
-    let body = &payload[after_seq + 1..];
-    out.clear();
-    varint::write_u64(out, client_seq);
-    out.push(k);
-    match k {
-        // No ids at all (COUNT's varint is a count, FLAG's byte a bool).
-        kind::PONG | kind::UNIT | kind::COUNT | kind::FLAG => {
-            out.extend_from_slice(body);
-        }
-        kind::VERSION | kind::BODY => {
-            let (vid, len) = varint::read_u64(body).ok()?;
-            varint::write_u64(out, map.client_vid(Vid(vid), shard).0);
-            out.extend_from_slice(&body[len..]);
-        }
-        kind::OBJECT => {
-            let (oid, len) = varint::read_u64(body).ok()?;
-            varint::write_u64(out, map.client_oid(Oid(oid), shard).0);
-            out.extend_from_slice(&body[len..]);
-        }
-        _ => return None, // Created, lists, errors, stats: slow path
-    }
-    Some(())
 }
 
 /// One live backend connection as the pump sees it: the read half
@@ -1796,8 +1424,8 @@ fn backend_pump(session: &Session<'_>) {
     let mut next_key = 0usize;
     let mut events = Vec::new();
     let mut scratch = vec![0u8; 64 * 1024];
-    // Reused across frames: the re-tagged outbound copy.
-    let mut retagged = Vec::new();
+    // Reused across frames: the response renamed for the client.
+    let mut renamed = Writer::new();
     loop {
         if session.poller.wait(&mut events, None).is_err() {
             return;
@@ -1831,7 +1459,7 @@ fn backend_pump(session: &Session<'_>) {
             let Some(conn) = conns.get_mut(&ev.key) else {
                 continue; // stale event for a dropped registration
             };
-            match pump_step(session, conn, &mut scratch, &mut retagged, &mut wrote) {
+            match pump_step(session, conn, &mut scratch, &mut renamed, &mut wrote) {
                 PumpStatus::Keep => {}
                 PumpStatus::Drop(why) => {
                     let conn = conns.remove(&ev.key).expect("checked above");
@@ -1857,7 +1485,7 @@ fn pump_step(
     session: &Session<'_>,
     conn: &mut PumpConn,
     scratch: &mut [u8],
-    retagged: &mut Vec<u8>,
+    renamed: &mut Writer,
     wrote: &mut bool,
 ) -> PumpStatus {
     let n = match (&conn.stream).read(scratch) {
@@ -1872,7 +1500,7 @@ fn pump_step(
         match conn.fbuf.next_frame() {
             Ok(None) => return PumpStatus::Keep,
             Ok(Some(payload)) => {
-                match on_backend_frame(session, slot_idx, payload, retagged, wrote) {
+                match on_backend_frame(session, slot_idx, payload, renamed, wrote) {
                     FrameVerdict::Answered => {}
                     FrameVerdict::Fault(why) => return PumpStatus::Drop(why),
                     FrameVerdict::ClientGone => return PumpStatus::ClientGone,
@@ -1900,24 +1528,28 @@ enum FrameVerdict {
     ClientGone,
 }
 
-/// Correlate one backend frame with its pending entry, translate ids,
-/// and answer the client. `*wrote` records that the client writer now
-/// holds unflushed bytes — the pump flushes once per readiness round.
+/// Correlate one backend frame with its pending entry, rename its ids
+/// into client space, and answer the client. `*wrote` records that the
+/// client writer now holds unflushed bytes — the pump flushes once per
+/// readiness round.
 fn on_backend_frame(
     session: &Session<'_>,
     slot_idx: usize,
     payload: &[u8],
-    retagged: &mut Vec<u8>,
+    renamed: &mut Writer,
     wrote: &mut bool,
 ) -> FrameVerdict {
     let map = session.shared.map;
     let shard = slot_idx % map.shard_count();
-    let Ok((bseq, bseq_len)) = varint::read_u64(payload) else {
+    let protocol_error = || {
         session
             .shared
             .stats
             .protocol_errors
             .fetch_add(1, Ordering::Relaxed);
+    };
+    let Ok((bseq, body)) = split_seq(payload) else {
+        protocol_error();
         return FrameVerdict::Fault("undecodable response from shard");
     };
     let pending = session.slots[slot_idx].ctl.lock().pending.remove(&bseq);
@@ -1925,12 +1557,8 @@ fn on_backend_frame(
     // answer for `bseq` — on an undecodable payload it answers with
     // the exact `Unavailable` the failure path gives everything else
     // in flight, then has the connection torn down.
-    let undecodable = |session: &Session<'_>| {
-        session
-            .shared
-            .stats
-            .protocol_errors
-            .fetch_add(1, Ordering::Relaxed);
+    let undecodable = || {
+        protocol_error();
         RemoteError::Unavailable(format!(
             "shard {shard}: undecodable response from shard; request not retried"
         ))
@@ -1939,55 +1567,34 @@ fn on_backend_frame(
         None => {
             // A response nothing asked for; ignoring it would leave
             // the correlation state suspect, so treat as a fault.
-            session
-                .shared
-                .stats
-                .protocol_errors
-                .fetch_add(1, Ordering::Relaxed);
+            protocol_error();
             FrameVerdict::Fault("response with unknown sequence id")
         }
         Some(Pending::Internal) => FrameVerdict::Answered, // the `ReadFloor` pin's ack
         Some(Pending::Single { client_seq }) => {
-            // Fast path first: single-id shapes re-tag in place.
-            if retag_response(payload, bseq_len, client_seq, map, shard, retagged).is_some() {
-                *wrote = true;
-                return match session.send_client_bytes(retagged, false) {
+            *wrote = true;
+            match to_client(body, map, shard, client_seq, renamed) {
+                Ok(()) => match session.send_client_bytes(renamed.as_bytes(), false) {
                     Ok(()) => FrameVerdict::Answered,
                     Err(_) => FrameVerdict::ClientGone,
-                };
-            }
-            match Response::decode(payload) {
-                Ok((_, response)) => {
-                    let resp = translate_response(response, map, shard);
-                    *wrote = true;
-                    match session.send_client(client_seq, &resp, false) {
-                        Ok(()) => FrameVerdict::Answered,
-                        Err(_) => FrameVerdict::ClientGone,
-                    }
-                }
+                },
                 Err(_) => {
-                    let err = undecodable(session);
-                    *wrote = true;
-                    let _ = session.send_client(client_seq, &Response::Err(err), false);
+                    let _ = session.settle(Pending::Single { client_seq }, Err(undecodable()));
                     FrameVerdict::Fault("undecodable response from shard")
                 }
             }
         }
-        Some(Pending::Part(gather)) => {
-            let part = match Response::decode(payload) {
-                Ok((_, response)) => Ok(translate_response(response, map, shard)),
-                Err(_) => Err(undecodable(session)),
-            };
-            let failed = part.is_err();
-            let done = gather.lock().complete_part(shard, part);
-            if let Some(merged) = done {
-                let seq = gather.lock().client_seq;
-                *wrote = true;
-                if session.send_client(seq, &merged, false).is_err() {
-                    return FrameVerdict::ClientGone;
-                }
-            }
-            if failed {
+        Some(part @ Pending::Part(_)) => {
+            // A part is merged, so after the same walk it is decoded.
+            let outcome = to_client(body, map, shard, 0, renamed)
+                .and_then(|()| Response::decode(renamed.as_bytes()))
+                .map(|(_, response)| response)
+                .map_err(|_| undecodable());
+            let failed = outcome.is_err();
+            *wrote = true;
+            if session.settle(part, outcome).is_err() {
+                FrameVerdict::ClientGone
+            } else if failed {
                 FrameVerdict::Fault("undecodable response from shard")
             } else {
                 FrameVerdict::Answered
@@ -1999,7 +1606,54 @@ fn on_backend_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ode::{TypeTag, Vid};
+    use crate::protocol::{DiffSummary, StorageCounters, OPCODE_COUNT};
+    use ode::{MergeConflict, MergePolicy, TypeTag};
+    use proptest::prelude::*;
+
+    /// What `route` decided, with a single-shard route's forwarded
+    /// bytes decoded back into a request.
+    #[derive(Debug, PartialEq)]
+    enum Routed {
+        Local(Response),
+        Single { shard: usize, backend: Request },
+        Gather,
+    }
+
+    fn routed(req: &Request, map: ShardMap, rr: &AtomicU64) -> Routed {
+        let mut out = Writer::new();
+        let payload = req.encode(77);
+        let (seq, _, route) = route(&payload, map, rr, &mut out).expect("well-formed frame");
+        assert_eq!(seq, 77);
+        match route {
+            Route::Local(resp) => Routed::Local(*resp),
+            Route::Gather(_) => Routed::Gather,
+            Route::Single { shard, is_read } => {
+                assert_eq!(is_read, req.is_read());
+                let mut payload = vec![0];
+                payload.extend_from_slice(out.as_bytes());
+                let (_, backend) = Request::decode(&payload).expect("forwarded bytes decode");
+                Routed::Single { shard, backend }
+            }
+        }
+    }
+
+    /// A shard's response as the client sees it.
+    fn client_view(resp: &Response, map: ShardMap, shard: usize) -> Response {
+        let payload = resp.encode(5);
+        let (_, body) = split_seq(&payload).unwrap();
+        let mut out = Writer::new();
+        to_client(body, map, shard, 9, &mut out).expect("well-formed response");
+        let (seq, seen) = Response::decode(out.as_bytes()).expect("renamed bytes decode");
+        assert_eq!(seq, 9);
+        seen
+    }
+
+    fn is_bad_request(routed: &Routed) -> bool {
+        matches!(
+            routed,
+            Routed::Local(Response::Err(RemoteError::BadRequest(_)))
+        )
+    }
 
     #[test]
     fn stats_scatter_sums_counters_and_per_opcode_counts() {
@@ -2016,10 +1670,11 @@ mod tests {
             materialize_hits: 4,
             materialize_misses: 2,
             requests: vec![(Opcode::Pnew, 3), (Opcode::Deref, 4)],
-            storage: crate::protocol::StorageCounters {
+            storage: StorageCounters {
                 read_txs: 10,
                 write_txs: 3,
                 group_batch_max: 4,
+                replica_lag_epochs: 2,
                 write_conflicts: 2,
                 write_retries: 1,
                 ..Default::default()
@@ -2038,16 +1693,21 @@ mod tests {
             materialize_hits: 1,
             materialize_misses: 3,
             requests: vec![(Opcode::Deref, 6), (Opcode::Ping, 1)],
-            storage: crate::protocol::StorageCounters {
+            storage: StorageCounters {
                 read_txs: 20,
                 write_txs: 5,
                 group_batch_max: 2,
+                replica_lag_epochs: 7,
                 write_conflicts: 3,
                 write_retries: 2,
                 ..Default::default()
             },
         };
-        let merged = merge_stats(vec![a, b]);
+        let mut g = Gather::new(9, GatherKind::Stats, 2);
+        assert!(g.complete_part(Ok(Response::Stats(a))).is_none());
+        let Some(Response::Stats(merged)) = g.complete_part(Ok(Response::Stats(b))) else {
+            panic!("two stats parts merge into a stats response");
+        };
         assert_eq!(merged.active_connections, 3);
         assert_eq!(merged.total_connections, 5);
         assert_eq!(merged.bytes_in, 110);
@@ -2063,8 +1723,10 @@ mod tests {
         assert_eq!(merged.storage.write_txs, 8);
         assert_eq!(merged.storage.write_conflicts, 5);
         assert_eq!(merged.storage.write_retries, 3);
-        // Max across shards, not a sum.
+        // The two `max` rules: the largest cohort any one shard saw,
+        // and the worst replica lag in the tier — neither is a sum.
         assert_eq!(merged.storage.group_batch_max, 4);
+        assert_eq!(merged.storage.replica_lag_epochs, 7);
         assert_eq!(merged.requests_for(Opcode::Deref), 10);
         assert_eq!(merged.requests_for(Opcode::Pnew), 3);
         assert_eq!(merged.requests_for(Opcode::Ping), 1);
@@ -2077,80 +1739,92 @@ mod tests {
 
     #[test]
     fn extent_scatter_merges_sorted_and_truncates_pages() {
-        let parts = vec![
+        let parts = [
             vec![Oid(4), Oid(8), Oid(12)],
             vec![Oid(1), Oid(5)],
             vec![Oid(2), Oid(6), Oid(10)],
         ];
+        let merge = |limit| {
+            let mut g = Gather::new(9, GatherKind::Objects { limit }, 3);
+            let mut merged = None;
+            for part in &parts {
+                assert!(merged.is_none());
+                merged = g.complete_part(Ok(Response::Objects(part.clone())));
+            }
+            merged.expect("the last part completes the scatter")
+        };
+        let all = [1, 2, 4, 5, 6, 8, 10, 12].map(Oid).to_vec();
+        assert_eq!(merge(None), Response::Objects(all));
         assert_eq!(
-            merge_objects(parts.clone(), None),
-            vec![
-                Oid(1),
-                Oid(2),
-                Oid(4),
-                Oid(5),
-                Oid(6),
-                Oid(8),
-                Oid(10),
-                Oid(12)
-            ]
+            merge(Some(3)),
+            Response::Objects(vec![Oid(1), Oid(2), Oid(4)])
         );
-        assert_eq!(merge_objects(parts, Some(3)), vec![Oid(1), Oid(2), Oid(4)]);
     }
 
     #[test]
     fn responses_translate_every_embedded_id() {
         let map = ShardMap::new(4);
         let s = 2;
+        let view = |resp| client_view(&resp, map, s);
         assert_eq!(
-            translate_response(
-                Response::Created {
-                    oid: Oid(3),
-                    vid: Vid(5)
-                },
-                map,
-                s
-            ),
+            view(Response::Created {
+                oid: Oid(3),
+                vid: Vid(5)
+            }),
             Response::Created {
                 oid: Oid(14),
                 vid: Vid(22)
             }
         );
+        assert_eq!(view(Response::Version(Vid(1))), Response::Version(Vid(6)));
         assert_eq!(
-            translate_response(Response::Version(Vid(1)), map, s),
-            Response::Version(Vid(6))
-        );
-        assert_eq!(
-            translate_response(
-                Response::Body {
-                    vid: Vid(2),
-                    bytes: vec![9]
-                },
-                map,
-                s
-            ),
+            view(Response::Body {
+                vid: Vid(2),
+                bytes: vec![9, 200]
+            }),
             Response::Body {
                 vid: Vid(10),
-                bytes: vec![9]
+                bytes: vec![9, 200]
             }
         );
         assert_eq!(
-            translate_response(Response::Versions(vec![Vid(1), Vid(2)]), map, s),
+            view(Response::MaybeVersion(Some(Vid(1)))),
+            Response::MaybeVersion(Some(Vid(6)))
+        );
+        assert_eq!(
+            view(Response::Versions(vec![Vid(1), Vid(2)])),
             Response::Versions(vec![Vid(6), Vid(10)])
         );
         assert_eq!(
-            translate_response(Response::Err(RemoteError::UnknownObject(Oid(3))), map, s),
+            view(Response::Objects(vec![Oid(0), Oid(3)])),
+            Response::Objects(vec![Oid(2), Oid(14)])
+        );
+        assert_eq!(view(Response::Object(Oid(3))), Response::Object(Oid(14)));
+        assert_eq!(
+            view(Response::Err(RemoteError::UnknownObject(Oid(3)))),
             Response::Err(RemoteError::UnknownObject(Oid(14)))
         );
-        // Shapes without ids pass through untouched.
-        assert_eq!(translate_response(Response::Unit, map, s), Response::Unit);
         assert_eq!(
-            translate_response(Response::Count(7), map, s),
-            Response::Count(7)
+            view(Response::Err(RemoteError::LastVersion(Vid(1)))),
+            Response::Err(RemoteError::LastVersion(Vid(6)))
         );
+        // Shapes without ids pass through untouched — a type tag is
+        // not an id.
+        for plain in [
+            Response::Unit,
+            Response::Count(7),
+            Response::Flag(true),
+            Response::MaybeVersion(None),
+            Response::Err(RemoteError::TypeMismatch {
+                expected: TypeTag(3),
+                found: TypeTag(5),
+            }),
+        ] {
+            assert_eq!(view(plain.clone()), plain);
+        }
         // A diff's endpoint vids are remapped; the delta metrics are
         // shard-agnostic and pass through.
-        let d = crate::protocol::DiffSummary {
+        let d = DiffSummary {
             from: Vid(1),
             to: Vid(2),
             to_len: 600,
@@ -2160,8 +1834,8 @@ mod tests {
             stored: true,
         };
         assert_eq!(
-            translate_response(Response::Diff(d), map, s),
-            Response::Diff(crate::protocol::DiffSummary {
+            view(Response::Diff(d)),
+            Response::Diff(DiffSummary {
                 from: Vid(6),
                 to: Vid(10),
                 ..d
@@ -2173,130 +1847,103 @@ mod tests {
     fn history_and_diff_route_to_the_owning_shard() {
         let map = ShardMap::new(3);
         let rr = AtomicU64::new(0);
+        let history = |oid, from, to| {
+            routed(
+                &Request::HistoryBetween {
+                    oid: Oid(oid),
+                    from,
+                    to,
+                },
+                map,
+                &rr,
+            )
+        };
         // Oid 7 lives on shard 1; client stamps [4, 22] on shard 1 are
         // {4, 7, 10, 13, 16, 19, 22} = backend stamps 1..=7.
-        match route(
-            Request::HistoryBetween {
-                oid: Oid(7),
-                from: 4,
-                to: 22,
-            },
-            map,
-            &rr,
-        ) {
-            Route::Single { shard, backend } => {
-                assert_eq!(shard, 1);
-                assert_eq!(
-                    backend,
-                    Request::HistoryBetween {
-                        oid: Oid(2),
-                        from: 1,
-                        to: 7,
-                    }
-                );
-            }
-            _ => panic!("history must route to the object's shard"),
-        }
-        // A range no stamp of shard 2 can fall in answers locally.
-        match route(
-            Request::HistoryBetween {
+        let shard_1 = |from, to| Routed::Single {
+            shard: 1,
+            backend: Request::HistoryBetween {
                 oid: Oid(2),
-                from: 0,
-                to: 1,
+                from,
+                to,
             },
-            map,
-            &rr,
-        ) {
-            Route::Local(Response::Versions(v)) => assert!(v.is_empty()),
-            _ => panic!("empty range must answer locally"),
-        }
+        };
+        assert_eq!(history(7, 4, 22), shard_1(1, 7));
+        // Bounds between two of the shard's stamps round inwards: 5
+        // and 6 are not shard 1's, nor are 23 and 24.
+        assert_eq!(history(7, 5, 24), shard_1(2, 7));
+        assert_eq!(history(7, 6, 23), shard_1(2, 7));
+        // A range no stamp of shard 2 can fall in answers locally, and
+        // so does one that runs backwards.
+        let empty = Routed::Local(Response::Versions(Vec::new()));
+        assert_eq!(history(2, 0, 1), empty);
+        assert_eq!(history(7, 9, 8), empty);
         // Same shard: forwarded with both vids translated.
-        match route(
-            Request::DiffVersions {
-                from: Vid(4),
-                to: Vid(7),
-            },
-            map,
-            &rr,
-        ) {
-            Route::Single { shard, backend } => {
-                assert_eq!(shard, 1);
-                assert_eq!(
-                    backend,
-                    Request::DiffVersions {
-                        from: Vid(1),
-                        to: Vid(2),
-                    }
-                );
+        let diff = |from, to| {
+            routed(
+                &Request::DiffVersions {
+                    from: Vid(from),
+                    to: Vid(to),
+                },
+                map,
+                &rr,
+            )
+        };
+        assert_eq!(
+            diff(4, 7),
+            Routed::Single {
+                shard: 1,
+                backend: Request::DiffVersions {
+                    from: Vid(1),
+                    to: Vid(2),
+                },
             }
-            _ => panic!("same-shard diff must forward"),
-        }
+        );
         // Cross-shard endpoints are refused by the router itself.
-        match route(
-            Request::DiffVersions {
-                from: Vid(4),
-                to: Vid(8),
-            },
-            map,
-            &rr,
-        ) {
-            Route::Local(Response::Err(RemoteError::BadRequest(_))) => {}
-            _ => panic!("cross-shard diff must be refused locally"),
-        }
+        assert!(is_bad_request(&diff(4, 8)));
     }
 
     #[test]
     fn merge_routes_like_diff_and_remaps_only_the_version() {
         let map = ShardMap::new(3);
         let rr = AtomicU64::new(0);
+        let merge = |a, b, policy| {
+            routed(
+                &Request::Merge {
+                    a: Vid(a),
+                    b: Vid(b),
+                    policy,
+                },
+                map,
+                &rr,
+            )
+        };
         // Same shard: forwarded with both parent vids translated and
         // the policy untouched.
-        match route(
-            Request::Merge {
-                a: Vid(4),
-                b: Vid(7),
-                policy: ode::MergePolicy::Ours,
-            },
-            map,
-            &rr,
-        ) {
-            Route::Single { shard, backend } => {
-                assert_eq!(shard, 1);
-                assert_eq!(
-                    backend,
-                    Request::Merge {
-                        a: Vid(1),
-                        b: Vid(2),
-                        policy: ode::MergePolicy::Ours,
-                    }
-                );
+        assert_eq!(
+            merge(4, 7, MergePolicy::Ours),
+            Routed::Single {
+                shard: 1,
+                backend: Request::Merge {
+                    a: Vid(1),
+                    b: Vid(2),
+                    policy: MergePolicy::Ours,
+                },
             }
-            _ => panic!("same-shard merge must forward"),
-        }
+        );
         // Cross-shard parents are refused by the router itself.
-        match route(
-            Request::Merge {
-                a: Vid(4),
-                b: Vid(8),
-                policy: ode::MergePolicy::Fail,
-            },
-            map,
-            &rr,
-        ) {
-            Route::Local(Response::Err(RemoteError::BadRequest(_))) => {}
-            _ => panic!("cross-shard merge must be refused locally"),
-        }
+        assert!(is_bad_request(&merge(4, 8, MergePolicy::Fail)));
         // Translation maps the minted vid back to client space and
         // leaves the conflict byte ranges alone.
-        let conflicts = vec![ode::MergeConflict {
+        let conflicts = vec![MergeConflict {
             base_start: 3,
             base_end: 9,
             ours: vec![1],
             theirs: vec![2],
         }];
         assert_eq!(
-            translate_response(
-                Response::Merged {
+            client_view(
+                &Response::Merged {
                     vid: Some(Vid(2)),
                     conflicts: conflicts.clone(),
                 },
@@ -2314,57 +1961,363 @@ mod tests {
     fn pnew_places_round_robin_and_keyed_requests_follow_their_id() {
         let map = ShardMap::new(3);
         let rr = AtomicU64::new(0);
+        let pnew = Request::Pnew {
+            tag: TypeTag(1),
+            body: vec![7, 200],
+        };
         for expect in [0usize, 1, 2, 0, 1] {
-            match route(
-                Request::Pnew {
+            // Placed, and forwarded as it came.
+            assert_eq!(
+                routed(&pnew, map, &rr),
+                Routed::Single {
+                    shard: expect,
+                    backend: pnew.clone(),
+                }
+            );
+        }
+        // Oid 7 on 3 shards: shard 1, backend id 2.
+        assert_eq!(
+            routed(
+                &Request::Deref {
+                    oid: Oid(7),
                     tag: TypeTag(1),
-                    body: vec![],
                 },
                 map,
                 &rr,
-            ) {
-                Route::Single { shard, .. } => assert_eq!(shard, expect),
-                _ => panic!("pnew must route to a single shard"),
+            ),
+            Routed::Single {
+                shard: 1,
+                backend: Request::Deref {
+                    oid: Oid(2),
+                    tag: TypeTag(1),
+                },
+            }
+        );
+    }
+
+    #[test]
+    fn every_row_takes_the_route_its_routing_column_names() {
+        let map = ShardMap::new(3);
+        let rr = AtomicU64::new(0);
+        for op in Opcode::ALL {
+            // Every id 22: one shard (1), and a non-empty stamp range.
+            let req = Request::sample(op, || 22, &[1, 2, 3]);
+            let got = routed(&req, map, &rr);
+            match op.routing() {
+                Routing::Local if op == Opcode::Ping => {
+                    assert_eq!(got, Routed::Local(Response::Pong))
+                }
+                // `Epoch`, `ReadFloor`, `Promote` concern one node: the
+                // tier refuses them rather than guess which.
+                Routing::Local => assert!(is_bad_request(&got), "{op:?} must be refused"),
+                Routing::Scatter => assert_eq!(got, Routed::Gather, "{op:?}"),
+                Routing::Placed => {
+                    assert!(matches!(got, Routed::Single { .. }), "{op:?}")
+                }
+                Routing::Keyed => {
+                    assert!(matches!(got, Routed::Single { shard: 1, .. }), "{op:?}")
+                }
             }
         }
-        // Oid 7 on 3 shards: shard 1, backend id 2.
-        match route(
-            Request::Deref {
-                oid: Oid(7),
-                tag: TypeTag(1),
-            },
-            map,
-            &rr,
-        ) {
-            Route::Single { shard, backend } => {
-                assert_eq!(shard, 1);
-                assert_eq!(
-                    backend,
-                    Request::Deref {
-                        oid: Oid(2),
-                        tag: TypeTag(1)
-                    }
-                );
-            }
-            _ => panic!("deref must route to a single shard"),
-        }
+        let local: Vec<Opcode> = Opcode::ALL
+            .into_iter()
+            .filter(|op| op.routing() == Routing::Local)
+            .collect();
+        assert_eq!(
+            local,
+            [
+                Opcode::Ping,
+                Opcode::Epoch,
+                Opcode::ReadFloor,
+                Opcode::Promote
+            ]
+        );
     }
 
     #[test]
     fn a_gather_answers_exactly_once_even_with_failures() {
-        let mut g = Gather::new(9, GatherKind::Objects, 3);
+        let mut g = Gather::new(9, GatherKind::Objects { limit: None }, 3);
         assert!(g
-            .complete_part(0, Ok(Response::Objects(vec![Oid(3)])))
+            .complete_part(Ok(Response::Objects(vec![Oid(3)])))
             .is_none());
         assert!(g
-            .complete_part(1, Err(RemoteError::Unavailable("down".into())))
+            .complete_part(Err(RemoteError::Unavailable("down".into())))
             .is_none());
-        let last = g.complete_part(2, Ok(Response::Objects(vec![Oid(2)])));
+        let last = g.complete_part(Ok(Response::Objects(vec![Oid(2)])));
         assert_eq!(
             last,
             Some(Response::Err(RemoteError::Unavailable("down".into())))
         );
         // Late or duplicate parts after completion are swallowed.
-        assert!(g.complete_part(0, Ok(Response::Objects(vec![]))).is_none());
+        assert!(g.complete_part(Ok(Response::Objects(vec![]))).is_none());
+    }
+
+    // -- the walker against decode -> rename -> encode ---------------------
+
+    /// The reference the one path is checked against: decode the
+    /// request, rename its ids one variant at a time, say where it
+    /// goes. `Err(())` is a refusal, `Ok(None)` a locally answered
+    /// empty stamp range.
+    fn reference_to_backend(
+        mut req: Request,
+        map: ShardMap,
+    ) -> Result<Option<(usize, Request)>, ()> {
+        use Request as R;
+        let shard = match &mut req {
+            R::Deref { oid, .. }
+            | R::Update { oid, .. }
+            | R::NewVersion { oid }
+            | R::Pdelete { oid }
+            | R::VersionHistory { oid }
+            | R::CurrentVersion { oid }
+            | R::VersionCount { oid }
+            | R::Exists { oid } => {
+                let shard = map.shard_of(*oid);
+                *oid = map.backend_oid(*oid);
+                shard
+            }
+            R::DerefVersion { vid, .. }
+            | R::UpdateVersion { vid, .. }
+            | R::NewVersionFrom { vid }
+            | R::PdeleteVersion { vid }
+            | R::Dprevious { vid }
+            | R::Dnext { vid }
+            | R::Tprevious { vid }
+            | R::Tnext { vid }
+            | R::ObjectOf { vid }
+            | R::VersionExists { vid } => {
+                let shard = map.shard_of_vid(*vid);
+                *vid = map.backend_vid(*vid);
+                shard
+            }
+            R::DiffVersions { from: a, to: b } | R::Merge { a, b, .. } => {
+                let shard = map.shard_of_vid(*a);
+                if map.shard_of_vid(*b) != shard {
+                    return Err(());
+                }
+                *a = map.backend_vid(*a);
+                *b = map.backend_vid(*b);
+                shard
+            }
+            R::HistoryBetween { oid, from, to } => {
+                let shard = map.shard_of(*oid);
+                let (n, s) = (map.shard_count() as u64, shard as u64);
+                // Backend stamp b is client stamp b * n + s.
+                if *from > *to || *to < s {
+                    return Ok(None);
+                }
+                *oid = map.backend_oid(*oid);
+                *from = from.saturating_sub(s).div_ceil(n);
+                *to = (*to - s) / n;
+                shard
+            }
+            other => panic!("{:?} is not keyed", other.opcode()),
+        };
+        Ok(Some((shard, req)))
+    }
+
+    /// The reference for the way back: every id a response embeds,
+    /// one variant at a time.
+    fn reference_to_client(resp: Response, map: ShardMap, shard: usize) -> Response {
+        let oid = |o| map.client_oid(o, shard);
+        let vid = |v| map.client_vid(v, shard);
+        match resp {
+            Response::Created { oid: o, vid: v } => Response::Created {
+                oid: oid(o),
+                vid: vid(v),
+            },
+            Response::Version(v) => Response::Version(vid(v)),
+            Response::Body { vid: v, bytes } => Response::Body { vid: vid(v), bytes },
+            Response::MaybeVersion(v) => Response::MaybeVersion(v.map(vid)),
+            Response::Versions(vs) => Response::Versions(vs.into_iter().map(vid).collect()),
+            Response::Objects(os) => Response::Objects(os.into_iter().map(oid).collect()),
+            Response::Object(o) => Response::Object(oid(o)),
+            Response::Diff(d) => Response::Diff(DiffSummary {
+                from: vid(d.from),
+                to: vid(d.to),
+                ..d
+            }),
+            Response::Merged { vid: v, conflicts } => Response::Merged {
+                vid: v.map(vid),
+                conflicts,
+            },
+            Response::Err(e) => Response::Err(match e {
+                RemoteError::UnknownObject(o) => RemoteError::UnknownObject(oid(o)),
+                RemoteError::UnknownVersion(v) => RemoteError::UnknownVersion(vid(v)),
+                RemoteError::LastVersion(v) => RemoteError::LastVersion(vid(v)),
+                other => other,
+            }),
+            other => other, // Pong, Stats, Unit, Count, Flag: no ids
+        }
+    }
+
+    /// Ids small enough that minting a client id cannot overflow.
+    fn arb_id() -> impl Strategy<Value = u64> {
+        prop_oneof![0u64..64, 0u64..(1 << 56)]
+    }
+
+    fn arb_body() -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(any::<u8>(), 0..300)
+    }
+
+    fn arb_response() -> BoxedStrategy<Response> {
+        let vid = || arb_id().prop_map(Vid);
+        let oid = || arb_id().prop_map(Oid);
+        let conflict = (any::<u64>(), any::<u64>(), arb_body(), arb_body()).prop_map(
+            |(base_start, base_end, ours, theirs)| MergeConflict {
+                base_start,
+                base_end,
+                ours,
+                theirs,
+            },
+        );
+        let error = prop_oneof![
+            oid().prop_map(RemoteError::UnknownObject),
+            vid().prop_map(RemoteError::UnknownVersion),
+            vid().prop_map(RemoteError::LastVersion),
+            (any::<u64>(), any::<u64>()).prop_map(|(a, b)| RemoteError::TypeMismatch {
+                expected: TypeTag(a),
+                found: TypeTag(b),
+            }),
+            ".*".prop_map(RemoteError::Storage),
+            ".*".prop_map(RemoteError::BadRequest),
+            ".*".prop_map(RemoteError::Unavailable),
+        ];
+        let words = || any::<(u64, u64, u64, u64)>();
+        let maybe_vid = || (any::<bool>(), vid()).prop_map(|(some, vid)| some.then_some(vid));
+        let diff = (vid(), vid(), words(), any::<bool>()).prop_map(
+            |(from, to, (to_len, ops, literal_bytes, encoded_bytes), stored)| DiffSummary {
+                from,
+                to,
+                to_len,
+                ops,
+                literal_bytes,
+                encoded_bytes,
+                stored,
+            },
+        );
+        let stats = (words(), 0usize..OPCODE_COUNT).prop_map(|(n, op)| StatsReport {
+            bytes_in: n.0,
+            op_errors: n.1,
+            requests: vec![(Opcode::ALL[op], n.2)],
+            storage: StorageCounters {
+                replica_lag_epochs: n.3,
+                ..Default::default()
+            },
+            ..Default::default()
+        });
+        prop_oneof![
+            Just(Response::Pong),
+            stats.prop_map(Response::Stats),
+            (oid(), vid()).prop_map(|(oid, vid)| Response::Created { oid, vid }),
+            vid().prop_map(Response::Version),
+            (vid(), arb_body()).prop_map(|(vid, bytes)| Response::Body { vid, bytes }),
+            Just(Response::Unit),
+            maybe_vid().prop_map(Response::MaybeVersion),
+            proptest::collection::vec(vid(), 0..40).prop_map(Response::Versions),
+            proptest::collection::vec(oid(), 0..40).prop_map(Response::Objects),
+            oid().prop_map(Response::Object),
+            any::<u64>().prop_map(Response::Count),
+            any::<bool>().prop_map(Response::Flag),
+            diff.prop_map(Response::Diff),
+            (maybe_vid(), proptest::collection::vec(conflict, 0..4))
+                .prop_map(|(vid, conflicts)| Response::Merged { vid, conflicts }),
+            error.prop_map(Response::Err),
+        ]
+        .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+        #[test]
+        fn keyed_requests_are_renamed_exactly_as_decode_rename_encode_would(
+            op in 0usize..OPCODE_COUNT,
+            shards in 1usize..=8,
+            words in proptest::collection::vec(prop_oneof![0u64..32, any::<u64>()], 3),
+            body in arb_body(),
+        ) {
+            let keyed: Vec<Opcode> = Opcode::ALL
+                .into_iter()
+                .filter(|op| op.routing() == Routing::Keyed)
+                .collect();
+            let op = keyed[op % keyed.len()];
+            let map = ShardMap::new(shards);
+            let mut words = words.into_iter().cycle();
+            let req = Request::sample(op, || words.next().unwrap(), &body);
+            let mut out = Writer::new();
+            let payload = req.encode(3);
+            let (_, _, got) = route(&payload, map, &AtomicU64::new(0), &mut out).unwrap();
+            match (reference_to_backend(req, map), got) {
+                (Ok(Some((shard, backend))), Route::Single { shard: got, is_read }) => {
+                    prop_assert_eq!(got, shard);
+                    prop_assert_eq!(is_read, op.is_read());
+                    // Seq 0 is the one leading zero byte.
+                    prop_assert_eq!(out.as_bytes(), &backend.encode(0)[1..]);
+                }
+                (Ok(None), Route::Local(resp)) => {
+                    prop_assert_eq!(*resp, Response::Versions(Vec::new()));
+                }
+                (Err(()), Route::Local(resp)) => {
+                    prop_assert!(matches!(*resp, Response::Err(RemoteError::BadRequest(_))));
+                }
+                (expected, _) => prop_assert!(false, "{:?}: reference says {:?}", op, expected),
+            }
+        }
+
+        #[test]
+        fn responses_are_renamed_exactly_as_decode_rename_encode_would(
+            resp in arb_response(),
+            shards in 1usize..=8,
+            shard in 0usize..8,
+            seq: u64,
+        ) {
+            let map = ShardMap::new(shards);
+            let shard = shard % shards;
+            let payload = resp.encode(1);
+            let (_, body) = split_seq(&payload).unwrap();
+            let mut out = Writer::new();
+            to_client(body, map, shard, seq, &mut out).unwrap();
+            prop_assert_eq!(out.as_bytes(), reference_to_client(resp, map, shard).encode(seq));
+        }
+
+        #[test]
+        fn damaged_frames_are_errors_never_panics(
+            resp in arb_response(),
+            op in 0usize..OPCODE_COUNT,
+            words in proptest::collection::vec(any::<u64>(), 3),
+            body in arb_body(),
+            cut: usize,
+            garbage in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let map = ShardMap::new(3);
+            let rr = AtomicU64::new(0);
+            let mut out = Writer::new();
+            let mut words = words.into_iter().cycle();
+            let request = Request::sample(Opcode::ALL[op], || words.next().unwrap(), &body);
+            let request = request.encode(300);
+            let response = resp.encode(300);
+            // Cut anywhere before the end, a field is missing: the walk
+            // must say so where a decode would.
+            let cut_req = &request[..cut % request.len()];
+            prop_assert_eq!(
+                route(cut_req, map, &rr, &mut out).is_ok(),
+                Request::decode(cut_req).is_ok()
+            );
+            let cut_resp = &response[..cut % response.len()];
+            let walked = split_seq(cut_resp).and_then(|(_, b)| to_client(b, map, 1, 0, &mut out));
+            prop_assert_eq!(walked.is_ok(), Response::decode(cut_resp).is_ok());
+            // Garbage, and well-formed frames with garbage appended.
+            for tail in [&garbage[..], &[request.clone(), garbage.clone()].concat()[..]] {
+                prop_assert_eq!(
+                    route(tail, map, &rr, &mut out).is_ok(),
+                    Request::decode(tail).is_ok()
+                );
+            }
+            for tail in [&garbage[..], &[response.clone(), garbage.clone()].concat()[..]] {
+                let walked = split_seq(tail).and_then(|(_, b)| to_client(b, map, 1, 0, &mut out));
+                prop_assert_eq!(walked.is_ok(), Response::decode(tail).is_ok());
+            }
+        }
     }
 }

@@ -66,8 +66,8 @@ use polling::{Event, Poller};
 use crate::cache::SnapshotCache;
 use crate::error::RemoteError;
 use crate::protocol::{
-    write_frame, DiffSummary, FrameBuffer, Opcode, Request, Response, StatsReport, StorageCounters,
-    MAGIC, OPCODE_COUNT,
+    request_counts, write_frame, DiffSummary, FrameBuffer, Request, Response, StatsReport,
+    StorageCounters, MAGIC, OPCODE_COUNT,
 };
 
 /// Server tuning knobs.
@@ -158,13 +158,7 @@ impl ServerStats {
     pub(crate) fn report(&self, cache: &SnapshotCache, db: &Database) -> StatsReport {
         let storage = db.storage_stats();
         let (materialize_hits, materialize_misses) = db.materialize_cache_counters();
-        let requests = Opcode::ALL
-            .iter()
-            .filter_map(|&op| {
-                let n = self.requests[op as usize].load(Ordering::Relaxed);
-                (n != 0).then_some((op, n))
-            })
-            .collect();
+        let requests = request_counts(|op| self.requests[op as usize].load(Ordering::Relaxed));
         StatsReport {
             active_connections: self.active_connections.load(Ordering::Relaxed),
             total_connections: self.total_connections.load(Ordering::Relaxed),

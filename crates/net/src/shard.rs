@@ -97,6 +97,14 @@ impl ShardMap {
             Oid((after.0 - s).div_ceil(self.shards))
         }
     }
+
+    /// Largest backend id on `shard` whose client-visible id is `<=
+    /// upto`, if there is one — the per-shard upper bound of a
+    /// client-space stamp range (stamps are version ids).
+    pub fn backend_floor(&self, upto: Vid, shard: usize) -> Option<Vid> {
+        let offset = upto.0.checked_sub(shard as u64)?;
+        Some(Vid(offset / self.shards))
+    }
 }
 
 #[cfg(test)]
@@ -142,6 +150,23 @@ mod tests {
                 assert!(map.client_oid(b, s).0 >= after);
                 if b.0 > 0 {
                     assert!(map.client_oid(Oid(b.0 - 1), s).0 < after);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn floor_is_the_largest_backend_id_at_or_below_upto() {
+        let map = ShardMap::new(4);
+        for upto in 0..40u64 {
+            for s in 0..4usize {
+                match map.backend_floor(Vid(upto), s) {
+                    Some(b) => {
+                        assert!(map.client_vid(b, s).0 <= upto);
+                        assert!(map.client_vid(Vid(b.0 + 1), s).0 > upto);
+                    }
+                    // Even the shard's first id lies past `upto`.
+                    None => assert!(map.client_vid(Vid(0), s).0 > upto),
                 }
             }
         }

@@ -6,9 +6,11 @@
 
 use std::io::Cursor;
 
-use ode::{Oid, TypeTag, Vid};
+use ode::{MergeConflict, Oid, TypeTag, Vid};
+use ode_codec::Writer;
 use ode_net::protocol::{
-    read_frame, write_frame, Opcode, StatsReport, StorageCounters, MAX_FRAME_LEN,
+    read_frame, split_seq, walk_request, walk_response, write_frame, Opcode, StatsReport,
+    StorageCounters, MAX_FRAME_LEN, OPCODE_COUNT,
 };
 use ode_net::{RemoteError, Request, Response};
 use proptest::prelude::*;
@@ -29,52 +31,34 @@ fn arb_tag() -> impl Strategy<Value = TypeTag> {
     any::<u64>().prop_map(TypeTag)
 }
 
+fn arb_conflict() -> impl Strategy<Value = MergeConflict> {
+    (any::<u64>(), any::<u64>(), arb_body(), arb_body()).prop_map(
+        |(base_start, base_end, ours, theirs)| MergeConflict {
+            base_start,
+            base_end,
+            ours,
+            theirs,
+        },
+    )
+}
+
 fn arb_body() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(any::<u8>(), 0..200)
 }
 
+/// Any request of any opcode, built by the wire table's own per-row
+/// constructor — so a new row is covered the moment it exists.
 fn arb_request() -> BoxedStrategy<Request> {
-    prop_oneof![
-        Just(Request::Ping),
-        Just(Request::Stats),
-        (arb_tag(), arb_body()).prop_map(|(tag, body)| Request::Pnew { tag, body }),
-        (arb_oid(), arb_tag()).prop_map(|(oid, tag)| Request::Deref { oid, tag }),
-        (arb_vid(), arb_tag()).prop_map(|(vid, tag)| Request::DerefVersion { vid, tag }),
-        (arb_oid(), arb_tag(), arb_body()).prop_map(|(oid, tag, body)| Request::Update {
-            oid,
-            tag,
-            body
-        }),
-        (arb_vid(), arb_tag(), arb_body()).prop_map(|(vid, tag, body)| Request::UpdateVersion {
-            vid,
-            tag,
-            body
-        }),
-        arb_oid().prop_map(|oid| Request::NewVersion { oid }),
-        arb_vid().prop_map(|vid| Request::NewVersionFrom { vid }),
-        arb_oid().prop_map(|oid| Request::Pdelete { oid }),
-        arb_vid().prop_map(|vid| Request::PdeleteVersion { vid }),
-        arb_vid().prop_map(|vid| Request::Dprevious { vid }),
-        arb_vid().prop_map(|vid| Request::Dnext { vid }),
-        arb_vid().prop_map(|vid| Request::Tprevious { vid }),
-        arb_vid().prop_map(|vid| Request::Tnext { vid }),
-        arb_oid().prop_map(|oid| Request::VersionHistory { oid }),
-        arb_oid().prop_map(|oid| Request::CurrentVersion { oid }),
-        arb_tag().prop_map(|tag| Request::Objects { tag }),
-        (arb_tag(), arb_oid(), any::<u64>()).prop_map(|(tag, after, limit)| Request::ObjectsPage {
-            tag,
-            after,
-            limit
-        }),
-        arb_vid().prop_map(|vid| Request::ObjectOf { vid }),
-        arb_oid().prop_map(|oid| Request::VersionCount { oid }),
-        arb_oid().prop_map(|oid| Request::Exists { oid }),
-        arb_vid().prop_map(|vid| Request::VersionExists { vid }),
-        (arb_oid(), any::<u64>(), any::<u64>())
-            .prop_map(|(oid, from, to)| Request::HistoryBetween { oid, from, to }),
-        (arb_vid(), arb_vid()).prop_map(|(from, to)| Request::DiffVersions { from, to }),
-    ]
-    .boxed()
+    (
+        0..OPCODE_COUNT,
+        proptest::collection::vec(any::<u64>(), 3),
+        arb_body(),
+    )
+        .prop_map(|(op, words, body)| {
+            let mut words = words.into_iter().cycle();
+            Request::sample(Opcode::ALL[op], || words.next().expect("cycled"), &body)
+        })
+        .boxed()
 }
 
 fn arb_diff() -> impl Strategy<Value = ode_net::DiffSummary> {
@@ -212,6 +196,14 @@ fn arb_response() -> BoxedStrategy<Response> {
         any::<u64>().prop_map(Response::Count),
         any::<bool>().prop_map(Response::Flag),
         arb_diff().prop_map(Response::Diff),
+        (
+            any::<Option<u64>>(),
+            proptest::collection::vec(arb_conflict(), 0..4)
+        )
+            .prop_map(|(vid, conflicts)| Response::Merged {
+                vid: vid.map(Vid),
+                conflicts
+            }),
         arb_remote_error().prop_map(Response::Err),
     ]
     .boxed()
@@ -250,6 +242,55 @@ proptest! {
         let payload = read_frame(&mut cursor).unwrap().unwrap();
         prop_assert_eq!(Request::decode(&payload).unwrap(), (seq, req));
         prop_assert_eq!(read_frame(&mut cursor).unwrap(), None);
+    }
+
+    // -- the id walkers: same acceptance, same bytes as decode + encode ----
+
+    #[test]
+    fn walking_with_the_identity_map_is_decode_then_encode(
+        req in arb_request(),
+        resp in arb_response(),
+        seq: u64,
+    ) {
+        let (payload, mut w) = (req.encode(seq), Writer::new());
+        let (_, operation) = split_seq(&payload).unwrap();
+        prop_assert_eq!(walk_request(operation, &mut w, |_, id| id).unwrap(), req.opcode());
+        prop_assert_eq!(w.as_bytes(), operation);
+        let (payload, mut w) = (resp.encode(seq), Writer::new());
+        let (_, result) = split_seq(&payload).unwrap();
+        walk_response(result, &mut w, |_, id| id).unwrap();
+        prop_assert_eq!(w.as_bytes(), result);
+    }
+
+    #[test]
+    fn the_walkers_accept_exactly_what_the_decoders_accept(
+        req in arb_request(),
+        resp in arb_response(),
+        flips in proptest::collection::vec((any::<u64>(), 0u8..8), 0..4),
+        cut: u64,
+        garbage in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        // Seq 0 is one byte, so `payload[1..]` is what a walker sees.
+        let mut damaged = vec![garbage];
+        for mut bytes in [req.encode(0), resp.encode(0)] {
+            for &(pos, bit) in &flips {
+                let pos = 1 + (pos as usize) % (bytes.len() - 1);
+                bytes[pos] ^= 1 << bit;
+            }
+            damaged.push(bytes[..1 + (cut as usize) % bytes.len()].to_vec());
+            damaged.push(bytes);
+        }
+        for payload in damaged.iter().filter(|p| p.first() == Some(&0)) {
+            let mut w = Writer::new();
+            prop_assert_eq!(
+                walk_request(&payload[1..], &mut w, |_, id| id).is_ok(),
+                Request::decode(payload).is_ok()
+            );
+            prop_assert_eq!(
+                walk_response(&payload[1..], &mut w, |_, id| id).is_ok(),
+                Response::decode(payload).is_ok()
+            );
+        }
     }
 
     // -- corruption: decode must error, never panic ------------------------

@@ -461,6 +461,37 @@ mod tests {
     }
 
     #[test]
+    fn record_bytes_are_the_log_format() {
+        // Literal bytes of one record of each kind: varint kind, varint
+        // ids, page bytes as length-prefixed raw runs. The log format
+        // must not move when the codec behind it does.
+        let cases: [(WalRecord, &[u8]); 4] = [
+            (WalRecord::Begin { tx: 7 }, &[0, 7]),
+            (
+                WalRecord::Page {
+                    tx: 300,
+                    page: 5,
+                    image: vec![0xAA, 0xFF, 0x00],
+                },
+                &[1, 0xAC, 0x02, 5, 3, 0xAA, 0xFF, 0x00],
+            ),
+            (WalRecord::Commit { tx: 1 }, &[2, 1]),
+            (
+                WalRecord::PageDelta {
+                    tx: 9,
+                    page: 2,
+                    ops: vec![(513, vec![0x80, 0xFF]), (0, vec![])],
+                },
+                &[3, 9, 2, 2, 0x81, 0x04, 2, 0x80, 0xFF, 0, 0],
+            ),
+        ];
+        for (record, bytes) in cases {
+            assert_eq!(to_bytes(&record), bytes);
+            assert_eq!(from_bytes::<WalRecord>(bytes).unwrap(), record);
+        }
+    }
+
+    #[test]
     fn append_and_replay() {
         let path = temp_path("replay");
         let mut wal = Wal::open(&path).unwrap();
