@@ -23,8 +23,11 @@ pub struct DatabaseOptions {
     pub storage: StoreOptions,
     /// Delta-chain version storage. `None` (the default) stores every
     /// version body whole, exactly as before; `Some(config)` stores an
-    /// object's second and later versions as one anchored delta chain
-    /// record. Opt-in per store: an existing whole-body database opened
+    /// object's second and later versions as an anchored delta chain:
+    /// a small per-object directory record, and per segment of at most
+    /// `anchor_interval` versions one immutable anchor (full snapshot)
+    /// record plus one run record of forward deltas that check-ins
+    /// append to. Opt-in per store: an existing whole-body database opened
     /// with a config keeps its old records and chains new versions
     /// (and a chained database opened without one stays correct — the
     /// stored chains are always honored).

@@ -244,6 +244,17 @@ impl Cluster {
             .shard_members(shard)
     }
 
+    /// Run one router probe round of `shard` synchronously (see
+    /// [`OdeRouter::probe_now`]): with [`RouterConfig::probe_interval`]
+    /// set long, the test is the prober and failover happens on the
+    /// round it chooses.
+    pub fn probe(&self, shard: usize) {
+        self.router
+            .as_ref()
+            .expect("router running")
+            .probe_now(shard);
+    }
+
     /// One shard's server counters. Panics if the shard is killed.
     pub fn shard_stats(&self, shard: usize) -> StatsReport {
         self.nodes[shard]

@@ -426,6 +426,14 @@ impl OdeRouter {
         )
     }
 
+    /// Run one probe round of `shard` on the calling thread, failover
+    /// included — exactly what the background prober does each
+    /// [`RouterConfig::probe_interval`], for tests that step the rounds
+    /// themselves instead of waiting on the clock.
+    pub fn probe_now(&self, shard: usize) {
+        probe_shard(&self.shared, shard);
+    }
+
     /// The address the router is listening on.
     pub fn local_addr(&self) -> SocketAddr {
         self.addr

@@ -210,39 +210,56 @@ fn a_lagging_replica_never_serves_state_older_than_the_pinned_epoch() {
 
 #[test]
 fn the_router_promotes_a_replica_when_the_primary_dies() {
-    let mut cluster = Cluster::start(repl_config(1, 1));
+    // The test is the prober: the background one fires once at start-up
+    // and then sleeps out the hour, and a failed connection may be
+    // redialled at once, so nothing below waits on a clock.
+    let mut config = repl_config(1, 1);
+    config.router.probe_interval = Duration::from_secs(3600);
+    config.router.reconnect_backoff = Duration::ZERO;
+    config.router.reconnect_backoff_max = Duration::ZERO;
+    let failover_after = config.router.failover_after;
+    let mut cluster = Cluster::start(config);
     let mut c = connect(&cluster);
 
-    // Semi-sync is on: every acknowledged write reached the replica.
     let ptrs: Vec<ClientObjPtr<Doc>> = (0..10)
         .map(|i| c.pnew(&doc(&format!("acked-{i}"), i)).expect("pnew"))
         .collect();
-    wait_router_sees_caught_up(&cluster, 0);
+    // Semi-sync is best-effort under load, so wait for the apply stream
+    // itself; one probe round then shows the router a caught-up replica.
+    let target = cluster.primary_epoch(0);
+    wait_until("replica applies every acked write", || {
+        cluster.replica_status(0, 0).epoch >= target
+    });
+    cluster.probe(0);
     let (old_primary, _, replicas) = cluster.shard_members(0);
     let replica_addr = replicas[0].0;
+    assert!(replicas[0].1.is_some_and(|e| e >= target), "{replicas:?}");
 
     cluster.kill_primary(0);
 
-    // Writes fail `Unavailable` (strict no-retry through the promotion
-    // window) until the prober declares the primary dead and promotes;
-    // then they flow again — to the promoted replica.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let after = loop {
-        match c.pnew(&doc("after-failover", 777)) {
-            Ok(p) => break p,
-            Err(NetError::Remote(RemoteError::Unavailable(_))) if Instant::now() < deadline => {
-                thread::sleep(Duration::from_millis(20));
-            }
-            other => panic!("expected eventual success, got {other:?}"),
+    // Writes fail `Unavailable` (strict no-retry) for as long as the
+    // dead primary is the shard's primary: through every failed probe
+    // round short of `failover_after`.
+    for round in 1..failover_after {
+        cluster.probe(0);
+        assert_eq!(cluster.shard_members(0).0, old_primary, "round {round}");
+        match c.pnew(&doc("too-early", 666)) {
+            Err(NetError::Remote(RemoteError::Unavailable(_))) => {}
+            other => panic!("round {round}: expected unavailable, got {other:?}"),
         }
-    };
+    }
+    assert_eq!(cluster.router_stats().failovers, 0);
 
+    // The round that reaches `failover_after` promotes, synchronously;
+    // the same session's next write lands on the promoted replica.
+    cluster.probe(0);
     let (new_primary, _, new_replicas) = cluster.shard_members(0);
     assert_eq!(new_primary, replica_addr, "the replica must be primary");
     assert_eq!(
         new_replicas[0].0, old_primary,
         "the dead primary is kept as a (unreachable) replica"
     );
+    let after = c.pnew(&doc("after-failover", 777)).expect("write after");
 
     // Every acknowledged write survived onto the promoted node, and
     // the tier keeps serving both old and new data.
@@ -252,8 +269,7 @@ fn the_router_promotes_a_replica_when_the_primary_dies() {
     }
     assert_eq!(c.deref(&after).expect("new write").0.revision, 777);
 
-    let stats = cluster.router_stats();
-    assert!(stats.failovers >= 1, "failover must be counted: {stats:?}");
+    assert_eq!(cluster.router_stats().failovers, 1);
     let merged = c.stats().expect("stats");
     assert_eq!(
         merged.storage.failovers, 1,

@@ -20,7 +20,8 @@
 //! * [`slotted`] — slotted-page record layout;
 //! * [`heap`] — variable-length record storage with overflow chains;
 //! * [`btree`] — a persistent B+-tree mapping `u64` keys to `u64` values,
-//!   used by the object layer for object/version tables.
+//!   used by the object layer for object/version tables;
+//! * [`testutil`] — self-deleting temporary stores for tests.
 //!
 //! Everything above the [`store`] API is deterministic given the same
 //! sequence of transactions, which the crash-recovery tests rely on.
@@ -38,6 +39,7 @@ pub mod page;
 pub mod pager;
 pub mod slotted;
 pub mod store;
+pub mod testutil;
 pub mod wal;
 
 pub use checksum::crc32;

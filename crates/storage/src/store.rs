@@ -47,9 +47,12 @@
 //! * abort (dropping a [`Tx`] uncommitted) discards the write set;
 //! * checkpoint writes dirty pool pages to the database file, fsyncs,
 //!   and resets the WAL;
-//! * open replays committed WAL images into the database file.
+//! * open replays the WAL's committed transactions into the database
+//!   file and leaves the log empty — the same [`Replay`] and
+//!   [`CommittedTx::apply`](crate::wal::CommittedTx::apply) a replica
+//!   runs over shipped bytes.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -61,10 +64,7 @@ use crate::buffer::{BufferPool, BufferStats};
 use crate::gate::SnapshotGate;
 use crate::page::{PageBuf, PageId, PageKind, PAGE_SIZE};
 use crate::pager::Pager;
-use crate::wal::{
-    committed_changes, delta_payload_len, page_diff_ops, CommittedChange, FrameScanner, Wal,
-    WalRecord, WalSyncHandle,
-};
+use crate::wal::{delta_payload_len, page_diff_ops, Replay, Scan, Wal, WalRecord, WalSyncHandle};
 use crate::{Result, StorageError};
 
 /// Magic number identifying an Ode store header page.
@@ -277,32 +277,11 @@ struct WriteState {
     /// Monotone count of committed (non-empty) write transactions.
     commit_seq: u64,
     /// Replication apply state, present once this store has ingested
-    /// shipped WAL bytes (i.e. it is acting as a replica).
-    apply: Option<ReplApply>,
-}
-
-/// One page change buffered while a shipped transaction is still open
-/// (its Commit record has not arrived yet).
-enum PendingChange {
-    Image(PageId, Vec<u8>),
-    Delta(PageId, Vec<(u32, Vec<u8>)>),
-}
-
-/// Incremental replica apply state: shipped bytes land in the local WAL
-/// verbatim, a [`FrameScanner`] re-frames them, and complete *commits*
-/// are published under the snapshot gate one epoch bump apiece — the
-/// same per-commit atomicity the primary's own commit path provides.
-struct ReplApply {
-    scanner: FrameScanner,
-    /// Page changes of transactions whose Commit has not arrived.
-    open: HashMap<u64, Vec<PendingChange>>,
-    /// Physical WAL offset just past the last *applied* commit record.
-    /// Promotion fences here: everything after it was shipped but never
-    /// committed on this replica, so it must not survive into the new
-    /// primary's log (a recycled tx id could otherwise resurrect it).
-    applied_wal_off: u64,
-    /// Highest transaction id seen in the shipped stream.
-    max_tx: u64,
+    /// shipped WAL bytes (i.e. it is acting as a replica): shipped bytes
+    /// land in the local WAL verbatim and this re-frames them, in
+    /// *logical* positions, so a checkpoint's log reset does not move
+    /// its coordinates.
+    apply: Option<Replay>,
 }
 
 /// Result of one [`Store::replica_ingest`] call.
@@ -603,52 +582,31 @@ impl Store {
         let pager = Pager::open(&db_path)?;
         let mut wal = Wal::open(&wal_path)?;
 
-        // Recovery: apply committed page changes in log order, then clear
-        // the log. Idempotent, so a crash during recovery just reruns it.
-        // Pages are accumulated in memory so a page touched by many
-        // transactions is read and written once. No other thread can
-        // hold the store yet, so plain pager writes are safe.
-        let (records, tear) = wal.records()?;
-        let changes = committed_changes(&records);
-        let had_changes = !changes.is_empty();
-        let mut recovered: HashMap<u64, PageBuf> = HashMap::new();
-        for change in changes {
-            match change {
-                CommittedChange::Image(page_id, image) => {
-                    let page = PageBuf::from_vec(image.clone())
-                        .ok_or(StorageError::WalCorrupt { offset: 0 })?;
-                    recovered.insert(page_id.0, page);
-                }
-                CommittedChange::Delta(page_id, ops) => {
-                    let page = match recovered.entry(page_id.0) {
-                        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                        std::collections::hash_map::Entry::Vacant(e) => {
-                            // Base = the file state (last checkpoint); a
-                            // page past EOF or never-written starts zeroed.
-                            let base = pager
-                                .read_page(page_id)
-                                .unwrap_or_else(|_| PageBuf::zeroed());
-                            e.insert(base)
-                        }
-                    };
-                    for (offset, bytes) in ops {
-                        let start = *offset as usize;
-                        let end = start + bytes.len();
-                        if end > PAGE_SIZE {
-                            return Err(StorageError::WalCorrupt { offset: 0 });
-                        }
-                        page.as_bytes_mut()[start..end].copy_from_slice(bytes);
-                    }
-                }
-            }
+        // Recovery is the replica path over the local log: replay its
+        // bytes, fold each committed transaction into an in-memory page
+        // map (so a page touched by many transactions is read and
+        // written once), write, sync, and empty the log. A short or bad
+        // frame is the torn tail of a crash and ends the replay; so does
+        // an intact tail with no `Commit`, which must not outlive this
+        // open — tx ids restart at 1, and a later transaction reusing
+        // the id would adopt those pages. Idempotent, so a crash during
+        // recovery just reruns it. No other thread can hold the store
+        // yet, so plain pager writes are safe.
+        let mut replay = Replay::new(0);
+        replay.push(&wal.read_span(0, wal.len() as usize)?);
+        let mut recovered = BTreeMap::new();
+        while let Scan::Found(tx) = replay.next_commit()? {
+            // Base = the file state (last checkpoint); a page past EOF
+            // or never written starts zeroed.
+            tx.apply(&mut recovered, |id| {
+                pager.read_page(id).unwrap_or_else(|_| PageBuf::zeroed())
+            })?;
         }
-        for (raw_id, mut page) in recovered {
-            pager.write_page(PageId(raw_id), &mut page)?;
+        for (id, mut page) in recovered {
+            pager.write_page(id, &mut page)?;
         }
-        if had_changes {
+        if !wal.is_empty() {
             pager.sync()?;
-        }
-        if had_changes || tear.is_some() {
             wal.reset()?;
         }
 
@@ -964,117 +922,72 @@ impl Store {
     /// call.
     pub fn replica_ingest(&self, bytes: &[u8]) -> Result<IngestOutcome> {
         let mut ws = self.lock_write();
-        if ws.apply.is_none() {
-            ws.apply = Some(ReplApply {
-                scanner: FrameScanner::new(),
-                open: HashMap::new(),
-                applied_wal_off: ws.wal.len(),
-                max_tx: 0,
-            });
-        }
+        let start = ws.logical_pos;
         ws.wal.append_raw(bytes)?;
         if self.options.sync_on_commit {
             ws.wal.sync()?;
             self.counters.wal_syncs.fetch_add(1, Ordering::Relaxed);
         }
         ws.logical_pos += bytes.len() as u64;
-        let wal_len = ws.wal.len();
-        let apply = ws.apply.as_mut().expect("apply state just ensured");
-        apply.scanner.push(bytes);
+        let replay = ws.apply.get_or_insert_with(|| Replay::new(start));
+        replay.push(bytes);
         let mut commits_applied = 0u64;
-        while let Some(record) = apply.scanner.next_record()? {
-            match record {
-                WalRecord::Begin { tx } => {
-                    apply.max_tx = apply.max_tx.max(tx);
-                    apply.open.insert(tx, Vec::new());
+        loop {
+            let tx = match replay.next_commit()? {
+                Scan::Found(tx) => tx,
+                Scan::Incomplete => break,
+                // The stream is a byte-exact copy of frames the primary
+                // already fsynced intact, so a bad frame means the
+                // transport (not a crash) corrupted it.
+                Scan::BadCrc => {
+                    let offset = replay.offset();
+                    return Err(StorageError::WalCorrupt { offset });
                 }
-                WalRecord::Page { tx, page, image } => {
-                    apply.max_tx = apply.max_tx.max(tx);
-                    apply
-                        .open
-                        .entry(tx)
-                        .or_default()
-                        .push(PendingChange::Image(PageId(page), image));
-                }
-                WalRecord::PageDelta { tx, page, ops } => {
-                    apply.max_tx = apply.max_tx.max(tx);
-                    apply
-                        .open
-                        .entry(tx)
-                        .or_default()
-                        .push(PendingChange::Delta(PageId(page), ops));
-                }
-                WalRecord::Commit { tx } => {
-                    apply.max_tx = apply.max_tx.max(tx);
-                    let changes = apply.open.remove(&tx).unwrap_or_default();
-                    let epoch = {
-                        let _publish = self.gate.write();
-                        let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-                        // Applied commits enter the commit log too: after
-                        // a promotion, optimistic writers that began
-                        // before the last applied commit must still
-                        // validate against it.
-                        self.commit_log.record(
-                            epoch,
-                            changes
-                                .iter()
-                                .map(|c| match c {
-                                    PendingChange::Image(id, _) => id.0,
-                                    PendingChange::Delta(id, _) => id.0,
-                                })
-                                .collect(),
-                        );
-                        for change in changes {
-                            match change {
-                                PendingChange::Image(id, image) => {
-                                    let page = PageBuf::from_vec(image)
-                                        .ok_or(StorageError::WalCorrupt { offset: 0 })?;
-                                    self.pool.publish(id, Arc::new(page), true, epoch);
-                                }
-                                PendingChange::Delta(id, ops) => {
-                                    // Base = current committed image, or
-                                    // zeroes for a page that does not
-                                    // exist yet (fresh allocations diff
-                                    // against zero on the primary).
-                                    let base = self
-                                        .fetch(id)
-                                        .map(|arc| (*arc).clone())
-                                        .unwrap_or_else(|_| PageBuf::zeroed());
-                                    let mut page = base;
-                                    for (offset, bytes) in ops {
-                                        let start = offset as usize;
-                                        let end = start + bytes.len();
-                                        if end > PAGE_SIZE {
-                                            return Err(StorageError::WalCorrupt { offset: 0 });
-                                        }
-                                        page.as_bytes_mut()[start..end].copy_from_slice(&bytes);
-                                    }
-                                    self.pool.publish(id, Arc::new(page), true, epoch);
-                                }
-                            }
-                        }
-                        epoch
-                    };
-                    self.applied.advance(epoch);
-                    self.counters.write_txs.fetch_add(1, Ordering::Relaxed);
-                    apply.applied_wal_off = wal_len - apply.scanner.pending() as u64;
-                    commits_applied += 1;
-                }
-            }
+            };
+            // Base = current committed image, or zeroes for a page that
+            // does not exist yet.
+            let mut images = BTreeMap::new();
+            tx.apply(&mut images, |id| {
+                self.fetch(id)
+                    .map_or_else(|_| PageBuf::zeroed(), |arc| (*arc).clone())
+            })?;
+            self.publish(images.into_iter().collect());
+            commits_applied += 1;
         }
         // Checkpoint only at a clean point (everything ingested is
         // applied): resetting the log mid-frame would desync the
-        // on-disk log from the scanner.
-        let clean = apply.scanner.pending() == 0 && apply.applied_wal_off == wal_len;
-        if clean && (wal_len > self.options.checkpoint_wal_bytes || self.pool.over_target()) {
+        // on-disk log from the replay.
+        let clean = replay.committed_end() == ws.logical_pos;
+        if clean && (ws.wal.len() > self.options.checkpoint_wal_bytes || self.pool.over_target()) {
             self.checkpoint_locked(&mut ws)?;
-            let apply = ws.apply.as_mut().expect("apply state survives checkpoint");
-            apply.applied_wal_off = 0;
         }
         Ok(IngestOutcome {
             commits_applied,
             epoch: self.epoch(),
         })
+    }
+
+    /// Publish one commit's after-images as the new committed state:
+    /// under the gate's exclusive side, bump the epoch, enter the write
+    /// set into the commit log and install every image — one atomic
+    /// step for new snapshots. Callers hold the write mutex, so local
+    /// commits and replica applies pass through here serially and one
+    /// epoch always names one committed state. Applied commits enter the
+    /// commit log too: after a promotion, optimistic writers that began
+    /// before the last applied commit must still validate against it.
+    fn publish(&self, pages: Vec<(PageId, PageBuf)>) {
+        let epoch = {
+            let _publish = self.gate.write();
+            let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+            self.commit_log
+                .record(epoch, pages.iter().map(|(id, _)| id.0).collect());
+            for (id, image) in pages {
+                self.pool.publish(id, Arc::new(image), true, epoch);
+            }
+            epoch
+        };
+        self.applied.advance(epoch);
+        self.counters.write_txs.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Promote a replica to primary: truncate the local log at the last
@@ -1085,12 +998,16 @@ impl Store {
     /// left unchanged.
     pub fn promote_to_primary(&self) -> Result<()> {
         let mut ws = self.lock_write();
-        let Some(apply) = ws.apply.take() else {
+        let Some(replay) = ws.apply.take() else {
             return Ok(());
         };
-        ws.wal.truncate_tail(apply.applied_wal_off)?;
+        // Saturating: a checkpoint since the last applied commit already
+        // emptied the log, and whatever followed it is uncommitted.
+        let fence = replay.committed_end().saturating_sub(ws.base_pos);
+        ws.wal.truncate_tail(fence)?;
         ws.logical_pos = ws.base_pos + ws.wal.len();
-        self.next_tx.fetch_max(apply.max_tx + 1, Ordering::Relaxed);
+        self.next_tx
+            .fetch_max(replay.max_tx() + 1, Ordering::Relaxed);
         self.ship.advance(ws.logical_pos);
         self.counters.failovers.fetch_add(1, Ordering::Relaxed);
         Ok(())
@@ -1123,7 +1040,7 @@ impl Drop for Store {
     }
 }
 
-fn wal_path_for(db_path: &Path) -> PathBuf {
+pub(crate) fn wal_path_for(db_path: &Path) -> PathBuf {
     let mut os = db_path.as_os_str().to_owned();
     os.push(".wal");
     PathBuf::from(os)
@@ -1353,27 +1270,15 @@ impl Tx<'_> {
                 store.counters.wal_syncs.fetch_add(1, Ordering::Relaxed);
             }
 
-            // Publish: under the gate's exclusive side, bump the epoch
-            // and install every after-image. From here the commit is
-            // visible to new snapshots as one atomic step. The bump
-            // happens exactly once per non-empty commit, inside both
-            // the mutex and the gate — back-to-back winners in one
-            // group-commit cohort each pass through here serially, so
-            // one epoch always names one committed state.
-            let epoch = {
-                let _publish = store.gate.write();
-                let epoch = store.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-                store
-                    .commit_log
-                    .record(epoch, self.order.iter().map(|id| id.0).collect());
-                for &id in &self.order {
+            let images = self
+                .order
+                .iter()
+                .map(|&id| {
                     let image = self.pages.remove(&id.0).expect("ordered page in write set");
-                    store.pool.publish(id, Arc::new(image), true, epoch);
-                }
-                epoch
-            };
-            store.applied.advance(epoch);
-            store.counters.write_txs.fetch_add(1, Ordering::Relaxed);
+                    (id, image)
+                })
+                .collect();
+            store.publish(images);
 
             if grouped {
                 store.group.register(ws.logical_pos, ws.commit_seq);
@@ -1515,24 +1420,11 @@ impl PageRead for ReadTx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn temp_db(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("ode-store-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        let _ = std::fs::remove_file(wal_path_for(&p));
-        p
-    }
-
-    fn cleanup(p: &Path) {
-        let _ = std::fs::remove_file(p);
-        let _ = std::fs::remove_file(wal_path_for(p));
-    }
+    use crate::testutil::TempStore;
 
     #[test]
     fn allocate_and_read_back() {
-        let path = temp_db("alloc");
-        let store = Store::create(&path, StoreOptions::default()).unwrap();
+        let store = TempStore::new();
         let id = {
             let mut tx = store.begin();
             let id = tx.allocate(PageKind::Heap).unwrap();
@@ -1543,13 +1435,11 @@ mod tests {
         let mut r = store.read();
         assert_eq!(r.page(id).unwrap().payload()[0], 42);
         drop(r);
-        cleanup(&path);
     }
 
     #[test]
     fn abort_rolls_back_everything() {
-        let path = temp_db("abort");
-        let store = Store::create(&path, StoreOptions::default()).unwrap();
+        let store = TempStore::new();
         let id = {
             let mut tx = store.begin();
             let id = tx.allocate(PageKind::Heap).unwrap();
@@ -1570,13 +1460,11 @@ mod tests {
         // The aborted allocation was never published: page_count still 2.
         assert_eq!(r.page_count().unwrap(), 2);
         drop(r);
-        cleanup(&path);
     }
 
     #[test]
     fn uncommitted_writes_invisible_to_concurrent_reader() {
-        let path = temp_db("invisible");
-        let store = Store::create(&path, StoreOptions::default()).unwrap();
+        let store = TempStore::new();
         let id = {
             let mut tx = store.begin();
             let id = tx.allocate(PageKind::Heap).unwrap();
@@ -1596,13 +1484,11 @@ mod tests {
         let mut r = store.read();
         assert_eq!(r.page(id).unwrap().payload()[0], 99);
         drop(r);
-        cleanup(&path);
     }
 
     #[test]
     fn concurrent_read_txs_coexist() {
-        let path = temp_db("coexist");
-        let store = Store::create(&path, StoreOptions::default()).unwrap();
+        let store = TempStore::new();
         {
             let mut tx = store.begin();
             let id = tx.allocate(PageKind::Heap).unwrap();
@@ -1621,13 +1507,11 @@ mod tests {
         drop(a);
         drop(b);
         assert!(store.stats().read_txs >= 2);
-        cleanup(&path);
     }
 
     #[test]
     fn epoch_advances_per_commit_and_stamps_snapshots() {
-        let path = temp_db("epoch");
-        let store = Store::create(&path, StoreOptions::default()).unwrap();
+        let store = TempStore::new();
         let e0 = store.epoch();
         let id = {
             let mut tx = store.begin();
@@ -1648,69 +1532,98 @@ mod tests {
         // An empty commit publishes nothing and does not bump the epoch.
         store.begin().commit().unwrap();
         assert_eq!(store.epoch(), e0 + 2);
-        cleanup(&path);
     }
 
     #[test]
     fn committed_data_survives_reopen_without_checkpoint() {
-        let path = temp_db("walrecover");
-        let id;
-        {
-            let store = Store::create(&path, StoreOptions::default()).unwrap();
-            let mut tx = store.begin();
-            id = tx.allocate(PageKind::Heap).unwrap();
-            tx.page_mut(id).unwrap().payload_mut()[..5].copy_from_slice(b"hello");
-            tx.set_root(2, id.0).unwrap();
-            tx.commit().unwrap();
-            // Simulate crash: leak the store so Drop's checkpoint never
-            // runs and the data exists only in the WAL.
-            std::mem::forget(store);
-        }
-        let store = Store::open(&path, StoreOptions::default()).unwrap();
+        let mut store = TempStore::new();
+        let mut tx = store.begin();
+        let id = tx.allocate(PageKind::Heap).unwrap();
+        tx.page_mut(id).unwrap().payload_mut()[..5].copy_from_slice(b"hello");
+        tx.set_root(2, id.0).unwrap();
+        tx.commit().unwrap();
+        // No shutdown checkpoint: the data exists only in the WAL.
+        store.crash();
+        store.reopen();
         let mut r = store.read();
         assert_eq!(r.root(2).unwrap(), id.0);
         assert_eq!(&r.page(id).unwrap().payload()[..5], b"hello");
-        drop(r);
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn uncommitted_wal_tail_discarded_on_reopen() {
-        let path = temp_db("tornrecover");
+        let mut store = TempStore::new();
         {
-            let store = Store::create(&path, StoreOptions::default()).unwrap();
-            {
-                let mut tx = store.begin();
-                let id = tx.allocate(PageKind::Heap).unwrap();
-                tx.page_mut(id).unwrap().payload_mut()[0] = 7;
-                tx.set_root(0, id.0).unwrap();
-                tx.commit().unwrap();
-            }
-            std::mem::forget(store);
+            let mut tx = store.begin();
+            let id = tx.allocate(PageKind::Heap).unwrap();
+            tx.page_mut(id).unwrap().payload_mut()[0] = 7;
+            tx.set_root(0, id.0).unwrap();
+            tx.commit().unwrap();
         }
+        store.crash();
         // Append a torn record to the WAL by hand.
         {
             use std::io::Write;
             let mut f = std::fs::OpenOptions::new()
                 .append(true)
-                .open(wal_path_for(&path))
+                .open(store.path().wal())
                 .unwrap();
             f.write_all(&[0xAB, 0xCD, 0x01]).unwrap();
         }
-        let store = Store::open(&path, StoreOptions::default()).unwrap();
+        store.reopen();
         let mut r = store.read();
         let id = PageId(r.root(0).unwrap());
         assert_eq!(r.page(id).unwrap().payload()[0], 7);
-        drop(r);
-        drop(store);
-        cleanup(&path);
+    }
+
+    #[test]
+    fn aborted_write_is_not_resurrected_by_a_recycled_tx_id() {
+        use crate::page::PAGE_HEADER_LEN;
+        // Session 0: two pages reading 1, closed cleanly (log empty).
+        let mut store = TempStore::new();
+        let (a, b) = {
+            let mut tx = store.begin();
+            let a = tx.allocate(PageKind::Heap).unwrap();
+            let b = tx.allocate(PageKind::Heap).unwrap();
+            tx.page_mut(a).unwrap().payload_mut()[0] = 1;
+            tx.page_mut(b).unwrap().payload_mut()[0] = 1;
+            tx.commit().unwrap();
+            (a, b)
+        };
+        store.close();
+        // Session 1 was killed between its page records and its Commit:
+        // intact frames of transaction 1, never committed.
+        {
+            let mut wal = Wal::open(&store.path().wal()).unwrap();
+            wal.append(&WalRecord::Begin { tx: 1 }).unwrap();
+            wal.append(&WalRecord::PageDelta {
+                tx: 1,
+                page: a.0,
+                ops: vec![(PAGE_HEADER_LEN as u32, vec![0xEE])],
+            })
+            .unwrap();
+        }
+        // Session 2 recovers, recycles id 1 for a write to `b` only, and
+        // crashes after committing it.
+        store.reopen();
+        assert_eq!(store.read().page(a).unwrap().payload()[0], 1);
+        {
+            let mut tx = store.begin();
+            assert_eq!(tx.id(), 1);
+            tx.page_mut(b).unwrap().payload_mut()[0] = 2;
+            tx.commit().unwrap();
+        }
+        store.crash();
+        // Session 3 must replay exactly session 2's commit.
+        store.reopen();
+        let mut r = store.read();
+        assert_eq!(r.page(b).unwrap().payload()[0], 2);
+        assert_eq!(r.page(a).unwrap().payload()[0], 1);
     }
 
     #[test]
     fn checkpoint_resets_wal() {
-        let path = temp_db("ckpt");
-        let store = Store::create(&path, StoreOptions::default()).unwrap();
+        let mut store = TempStore::new();
         {
             let mut tx = store.begin();
             let id = tx.allocate(PageKind::Heap).unwrap();
@@ -1720,20 +1633,15 @@ mod tests {
         assert!(store.wal_len() > 0);
         store.checkpoint().unwrap();
         assert_eq!(store.wal_len(), 0);
-        drop(store);
         // Reopen: data must come from the database file alone.
-        let store = Store::open(&path, StoreOptions::default()).unwrap();
+        store.reopen();
         let mut r = store.read();
         assert_eq!(r.page(PageId(1)).unwrap().payload()[0], 3);
-        drop(r);
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn free_pages_are_reused_lifo() {
-        let path = temp_db("freelist");
-        let store = Store::create(&path, StoreOptions::default()).unwrap();
+        let store = TempStore::new();
         let (a, b) = {
             let mut tx = store.begin();
             let a = tx.allocate(PageKind::Heap).unwrap();
@@ -1756,45 +1664,33 @@ mod tests {
             assert_eq!(tx.page_count().unwrap(), 3);
             tx.commit().unwrap();
         }
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn root_slots_persist() {
-        let path = temp_db("roots");
+        let mut store = TempStore::new();
         {
-            let store = Store::create(&path, StoreOptions::default()).unwrap();
             let mut tx = store.begin();
             for slot in 0..ROOT_SLOTS {
                 tx.set_root(slot, (slot as u64 + 1) * 11).unwrap();
             }
             tx.commit().unwrap();
         }
-        let store = Store::open(&path, StoreOptions::default()).unwrap();
+        store.reopen();
         let mut r = store.read();
         for slot in 0..ROOT_SLOTS {
             assert_eq!(r.root(slot).unwrap(), (slot as u64 + 1) * 11);
         }
-        drop(r);
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn delta_wal_is_small_for_small_edits() {
-        let path_d = temp_db("deltasmall");
-        let path_f = temp_db("fullsmall");
-        let mk = |path: &Path, deltas: bool| {
-            let store = Store::create(
-                path,
-                StoreOptions {
-                    wal_deltas: deltas,
-                    sync_on_commit: false,
-                    ..StoreOptions::default()
-                },
-            )
-            .unwrap();
+        let mk = |deltas: bool| {
+            let store = TempStore::with(StoreOptions {
+                wal_deltas: deltas,
+                sync_on_commit: false,
+                ..StoreOptions::default()
+            });
             // One big page, then many single-byte edits.
             let id = {
                 let mut tx = store.begin();
@@ -1811,45 +1707,38 @@ mod tests {
             }
             store.wal_len()
         };
-        let delta_bytes = mk(&path_d, true);
-        let full_bytes = mk(&path_f, false);
+        let delta_bytes = mk(true);
+        let full_bytes = mk(false);
         assert!(
             delta_bytes * 10 < full_bytes,
             "delta WAL {delta_bytes} should be far below full-image WAL {full_bytes}"
         );
-        cleanup(&path_d);
-        cleanup(&path_f);
     }
 
     #[test]
     fn delta_wal_recovers_identically_to_full() {
         for deltas in [true, false] {
-            let path = temp_db(if deltas { "recdelta" } else { "recfull" });
-            let options = StoreOptions {
+            let mut store = TempStore::with(StoreOptions {
                 wal_deltas: deltas,
                 ..StoreOptions::default()
-            };
+            });
             let id = {
-                let store = Store::create(&path, options.clone()).unwrap();
-                let id = {
-                    let mut tx = store.begin();
-                    let id = tx.allocate(PageKind::Heap).unwrap();
-                    tx.page_mut(id).unwrap().write_u64(100, 1);
-                    tx.commit().unwrap();
-                    id
-                };
-                // Several transactions editing the same and fresh pages.
-                for i in 2..20u64 {
-                    let mut tx = store.begin();
-                    tx.page_mut(id).unwrap().write_u64(100, i);
-                    let extra = tx.allocate(PageKind::Heap).unwrap();
-                    tx.page_mut(extra).unwrap().write_u64(24, i * 7);
-                    tx.commit().unwrap();
-                }
-                std::mem::forget(store); // crash
+                let mut tx = store.begin();
+                let id = tx.allocate(PageKind::Heap).unwrap();
+                tx.page_mut(id).unwrap().write_u64(100, 1);
+                tx.commit().unwrap();
                 id
             };
-            let store = Store::open(&path, options).unwrap();
+            // Several transactions editing the same and fresh pages.
+            for i in 2..20u64 {
+                let mut tx = store.begin();
+                tx.page_mut(id).unwrap().write_u64(100, i);
+                let extra = tx.allocate(PageKind::Heap).unwrap();
+                tx.page_mut(extra).unwrap().write_u64(24, i * 7);
+                tx.commit().unwrap();
+            }
+            store.crash();
+            store.reopen();
             let mut r = store.read();
             assert_eq!(r.page(id).unwrap().read_u64(100), 19, "deltas={deltas}");
             assert_eq!(r.page_count().unwrap(), 20, "deltas={deltas}");
@@ -1860,23 +1749,15 @@ mod tests {
                     "deltas={deltas}"
                 );
             }
-            drop(r);
-            drop(store);
-            cleanup(&path);
         }
     }
 
     #[test]
     fn heavily_rewritten_pages_fall_back_to_full_images() {
-        let path = temp_db("fallback");
-        let store = Store::create(
-            &path,
-            StoreOptions {
-                sync_on_commit: false,
-                ..StoreOptions::default()
-            },
-        )
-        .unwrap();
+        let store = TempStore::with(StoreOptions {
+            sync_on_commit: false,
+            ..StoreOptions::default()
+        });
         let id = {
             let mut tx = store.begin();
             let id = tx.allocate(PageKind::Heap).unwrap();
@@ -1896,44 +1777,31 @@ mod tests {
         }
         let grew = store.wal_len() - before;
         assert!(grew >= PAGE_SIZE as u64, "full image logged, got {grew}");
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn many_transactions_interleaved_with_reopen() {
-        let path = temp_db("many");
-        {
-            let store = Store::create(&path, StoreOptions::default()).unwrap();
-            for i in 0..20u64 {
-                let mut tx = store.begin();
-                let id = tx.allocate(PageKind::Heap).unwrap();
-                tx.page_mut(id).unwrap().write_u64(16, i);
-                tx.commit().unwrap();
-            }
+        let mut store = TempStore::new();
+        for i in 0..20u64 {
+            let mut tx = store.begin();
+            let id = tx.allocate(PageKind::Heap).unwrap();
+            tx.page_mut(id).unwrap().write_u64(16, i);
+            tx.commit().unwrap();
         }
-        let store = Store::open(&path, StoreOptions::default()).unwrap();
+        store.reopen();
         let mut r = store.read();
         for i in 0..20u64 {
             assert_eq!(r.page(PageId(i + 1)).unwrap().read_u64(16), i);
         }
-        drop(r);
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn group_commit_counts_batches() {
-        let path = temp_db("groupbatch");
-        let store = Store::create(
-            &path,
-            StoreOptions {
-                group_commit: true,
-                group_commit_window: Duration::from_millis(2),
-                ..StoreOptions::default()
-            },
-        )
-        .unwrap();
+        let store = TempStore::with(StoreOptions {
+            group_commit: true,
+            group_commit_window: Duration::from_millis(2),
+            ..StoreOptions::default()
+        });
         let id = {
             let mut tx = store.begin();
             let id = tx.allocate(PageKind::Heap).unwrap();
@@ -1956,8 +1824,6 @@ mod tests {
         assert_eq!(stats.group_commit_txns, 41);
         assert!(stats.group_syncs <= stats.group_commit_txns);
         assert!(stats.group_batch_max >= 1);
-        drop(store);
-        cleanup(&path);
     }
 
     /// Drive one full shipping cycle between two in-process stores:
@@ -1983,10 +1849,8 @@ mod tests {
 
     #[test]
     fn snapshot_and_tail_replicate_state_and_epoch() {
-        let p_path = temp_db("repl-primary");
-        let r_path = temp_db("repl-replica");
-        let primary = Store::create(&p_path, StoreOptions::default()).unwrap();
-        let replica = Store::create(&r_path, StoreOptions::default()).unwrap();
+        let primary = TempStore::new();
+        let replica = TempStore::new();
         let id = {
             let mut tx = primary.begin();
             let id = tx.allocate(PageKind::Heap).unwrap();
@@ -2016,16 +1880,12 @@ mod tests {
         assert_eq!(rid, id);
         assert_eq!(r.page(rid).unwrap().payload()[0], 29);
         drop(r);
-        cleanup(&p_path);
-        cleanup(&r_path);
     }
 
     #[test]
     fn checkpointed_primary_forces_snapshot_resync() {
-        let p_path = temp_db("repl-ckpt-p");
-        let r_path = temp_db("repl-ckpt-r");
-        let primary = Store::create(&p_path, StoreOptions::default()).unwrap();
-        let replica = Store::create(&r_path, StoreOptions::default()).unwrap();
+        let primary = TempStore::new();
+        let replica = TempStore::new();
         let snap = primary.repl_snapshot().unwrap();
         replica
             .replica_install_snapshot(&snap.db_bytes, snap.base_pos, snap.epoch)
@@ -2050,16 +1910,12 @@ mod tests {
         let mut r = replica.read();
         assert_eq!(r.page(id).unwrap().payload()[0], 7);
         drop(r);
-        cleanup(&p_path);
-        cleanup(&r_path);
     }
 
     #[test]
     fn promotion_fences_unapplied_tail_and_resumes_writes() {
-        let p_path = temp_db("repl-fence-p");
-        let r_path = temp_db("repl-fence-r");
-        let primary = Store::create(&p_path, StoreOptions::default()).unwrap();
-        let replica = Store::create(&r_path, StoreOptions::default()).unwrap();
+        let primary = TempStore::new();
+        let mut replica = TempStore::new();
         let snap = primary.repl_snapshot().unwrap();
         replica
             .replica_install_snapshot(&snap.db_bytes, snap.base_pos, snap.epoch)
@@ -2097,22 +1953,16 @@ mod tests {
             tx.page_mut(id).unwrap().payload_mut()[0] = 9;
             tx.commit().unwrap();
         }
-        std::mem::forget(replica); // crash the new primary: WAL only
-        let reopened = Store::open(&r_path, StoreOptions::default()).unwrap();
-        let mut r = reopened.read();
+        replica.crash(); // the new primary: WAL only
+        replica.reopen();
+        let mut r = replica.read();
         assert_eq!(r.page(id).unwrap().payload()[0], 9);
-        drop(r);
-        drop(reopened);
-        cleanup(&p_path);
-        cleanup(&r_path);
     }
 
     #[test]
     fn wait_for_epoch_blocks_until_apply_catches_up() {
-        let p_path = temp_db("repl-wait-p");
-        let r_path = temp_db("repl-wait-r");
-        let primary = Store::create(&p_path, StoreOptions::default()).unwrap();
-        let replica = Store::create(&r_path, StoreOptions::default()).unwrap();
+        let primary = TempStore::new();
+        let replica = TempStore::new();
         let snap = primary.repl_snapshot().unwrap();
         replica
             .replica_install_snapshot(&snap.db_bytes, snap.base_pos, snap.epoch)
@@ -2135,50 +1985,40 @@ mod tests {
             ship_all(&primary, replica, &mut pos, 4096);
             assert!(waiter.join().unwrap() >= floor);
         });
-        cleanup(&p_path);
-        cleanup(&r_path);
     }
 
     #[test]
     fn group_commit_data_recovers_after_crash() {
-        let path = temp_db("grouprecover");
-        let options = StoreOptions {
+        let mut store = TempStore::with(StoreOptions {
             group_commit: true,
             group_commit_window: Duration::from_millis(1),
             ..StoreOptions::default()
-        };
+        });
         let id = {
-            let store = Store::create(&path, options.clone()).unwrap();
-            let id = {
-                let mut tx = store.begin();
-                let id = tx.allocate(PageKind::Heap).unwrap();
-                tx.commit().unwrap();
-                id
-            };
-            std::thread::scope(|scope| {
-                for w in 0..4u64 {
-                    let store = &store;
-                    scope.spawn(move || {
-                        let mut tx = store.begin();
-                        tx.page_mut(id)
-                            .unwrap()
-                            .write_u64(300 + (w as usize) * 8, w + 1);
-                        tx.commit().unwrap();
-                    });
-                }
-            });
-            std::mem::forget(store); // crash: WAL only
+            let mut tx = store.begin();
+            let id = tx.allocate(PageKind::Heap).unwrap();
+            tx.commit().unwrap();
             id
         };
-        let store = Store::open(&path, options).unwrap();
+        std::thread::scope(|scope| {
+            for w in 0..4u64 {
+                let store = &store;
+                scope.spawn(move || {
+                    let mut tx = store.begin();
+                    tx.page_mut(id)
+                        .unwrap()
+                        .write_u64(300 + (w as usize) * 8, w + 1);
+                    tx.commit().unwrap();
+                });
+            }
+        });
+        store.crash(); // WAL only
+        store.reopen();
         let mut r = store.read();
         for w in 0..4u64 {
             // Every commit was acked (commit() returned), so every write
             // must be recovered.
             assert_eq!(r.page(id).unwrap().read_u64(300 + (w as usize) * 8), w + 1);
         }
-        drop(r);
-        drop(store);
-        cleanup(&path);
     }
 }

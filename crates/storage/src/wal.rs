@@ -6,28 +6,34 @@
 //! updated at checkpoints, after which the log is reset.
 //!
 //! Framing: every record is `[u32 len][u32 crc32(payload)][payload]`.
-//! Replay stops at the first frame that fails its length or CRC check —
-//! that is the torn tail left by a crash mid-append, and everything
-//! before it is intact by construction.
 //!
-//! Recovery applies the page images of *committed* transactions, in log
-//! order, to the database file.  Uncommitted trailing transactions are
-//! simply never applied.
+//! The read side is one path in three steps, shared by crash recovery,
+//! replica apply and `odedump wal`: [`parse_frame`] checks one frame,
+//! [`Replay`] assembles frames into committed transactions, and
+//! [`CommittedTx::apply`] lays logged changes onto base images. A
+//! frame that is short or fails its CRC is reported, never judged, here:
+//! over a local log it is the torn tail a crash mid-append leaves (and
+//! everything before it is intact by construction), over a shipped
+//! stream it is transport corruption. Transactions without a `Commit`
+//! are simply never yielded.
 
+use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use ode_codec::{from_bytes, to_bytes, DecodeError, Persist, Reader, Writer};
 
-use crate::page::PageId;
+use crate::page::{PageBuf, PageId, PAGE_SIZE};
 use crate::{crc32, Result, StorageError};
 
 /// One logical record in the log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
-    /// A transaction began. Purely informational; replay keys off
-    /// `Commit`.
+    /// A transaction began. Replay forgets anything logged under the
+    /// same id before it: ids restart with every log generation, so an
+    /// earlier holder of the id that never committed must not lend its
+    /// pages to this one.
     Begin {
         /// Transaction id (unique within one log generation).
         tx: u64,
@@ -58,6 +64,18 @@ pub enum WalRecord {
         /// `(offset, bytes)` write runs, ascending and non-overlapping.
         ops: Vec<(u32, Vec<u8>)>,
     },
+}
+
+impl WalRecord {
+    /// The transaction the record belongs to.
+    pub fn tx(&self) -> u64 {
+        match self {
+            WalRecord::Begin { tx }
+            | WalRecord::Page { tx, .. }
+            | WalRecord::Commit { tx }
+            | WalRecord::PageDelta { tx, .. } => *tx,
+        }
+    }
 }
 
 // Hand-written rather than `impl_persist_enum!`: page bytes go out as
@@ -170,8 +188,8 @@ impl Wal {
     /// replica receives byte-exact spans of the primary's log and lands
     /// them verbatim, so both logs agree on every frame boundary and
     /// physical position). The bytes are not validated here — the
-    /// receiver parses them with a [`FrameScanner`] before trusting
-    /// their contents.
+    /// receiver parses them with a [`Replay`] before trusting their
+    /// contents.
     pub fn append_raw(&mut self, bytes: &[u8]) -> Result<()> {
         self.file.seek(SeekFrom::Start(self.write_pos))?;
         self.file.write_all(bytes)?;
@@ -183,7 +201,7 @@ impl Wal {
     /// (clamped to the current append position). Used by the shipping
     /// path to stream the log as an opaque byte sequence; frame
     /// boundaries are irrelevant here because the receiver reassembles
-    /// them with a [`FrameScanner`].
+    /// them with a [`Replay`].
     pub fn read_span(&mut self, offset: u64, max: usize) -> Result<Vec<u8>> {
         if offset >= self.write_pos {
             return Ok(Vec::new());
@@ -220,39 +238,15 @@ impl Wal {
     /// (i.e. the offset where a corrupt or truncated frame was found).
     /// A torn tail is *expected* after a crash and is not an error.
     pub fn records(&mut self) -> Result<(Vec<WalRecord>, Option<u64>)> {
-        let file_len = self.file.metadata()?.len();
-        let mut data = Vec::with_capacity(file_len as usize);
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.read_to_end(&mut data)?;
-
-        let mut records = Vec::new();
-        let mut pos: usize = 0;
-        loop {
-            if pos == data.len() {
-                return Ok((records, None));
-            }
-            if pos + 8 > data.len() {
-                return Ok((records, Some(pos as u64)));
-            }
-            let len = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            let crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().expect("4 bytes"));
-            let body_start = pos + 8;
-            let body_end = match body_start.checked_add(len) {
-                Some(e) if e <= data.len() => e,
-                _ => return Ok((records, Some(pos as u64))),
-            };
-            let payload = &data[body_start..body_end];
-            if crc32(payload) != crc {
-                return Ok((records, Some(pos as u64)));
-            }
-            match from_bytes::<WalRecord>(payload) {
-                Ok(rec) => records.push(rec),
-                // Framing was intact but the payload didn't parse: that is
-                // real corruption, not a torn tail.
-                Err(_) => return Err(StorageError::WalCorrupt { offset: pos as u64 }),
-            }
-            pos = body_end;
-        }
+        let data = self.read_span(0, self.write_pos as usize)?;
+        let (found, tear) = frames(&data);
+        // Framing intact but the payload does not parse: that is real
+        // corruption, not a torn tail.
+        let records = found
+            .into_iter()
+            .map(|(offset, _, record)| record.ok_or(StorageError::WalCorrupt { offset }))
+            .collect::<Result<_>>()?;
+        Ok((records, tear))
     }
 
     /// Discard the whole log (after a checkpoint made its contents
@@ -288,110 +282,187 @@ impl WalSyncHandle {
     }
 }
 
-/// Incremental frame parser over a log byte stream.
-///
-/// A replica feeds raw shipped spans in with [`FrameScanner::push`] and
-/// drains complete records with [`FrameScanner::next_record`]; a span
-/// ending mid-frame simply leaves a partial tail buffered until the
-/// next push. Unlike [`Wal::records`], a CRC mismatch on a *complete*
-/// frame is a hard error here: the stream is a byte-exact copy of
-/// frames the primary already fsynced intact, so a bad frame means the
-/// transport (not a crash) corrupted it.
-#[derive(Debug, Default)]
-pub struct FrameScanner {
-    buf: Vec<u8>,
-    /// Bytes consumed as complete frames since construction.
-    consumed: u64,
+/// What reading one item — a frame, or a committed transaction — off
+/// a run of log bytes found.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Scan<T> {
+    /// The whole item.
+    Found(T),
+    /// The bytes end before the item does.
+    Incomplete,
+    /// A whole frame's payload fails its CRC.
+    BadCrc,
 }
 
-impl FrameScanner {
-    /// A scanner with nothing buffered.
-    pub fn new() -> FrameScanner {
-        FrameScanner::default()
+/// Check the frame at the start of `buf`: its payload length (the
+/// frame is 8 header bytes longer) and decoded payload, `None` when
+/// that is not a [`WalRecord`]. This is the log's only frame parser;
+/// what a short or bad frame *means* is the caller's call (see the
+/// module docs).
+pub fn parse_frame(buf: &[u8]) -> Scan<(u32, Option<WalRecord>)> {
+    let Some((header, rest)) = buf.split_first_chunk::<8>() else {
+        return Scan::Incomplete;
+    };
+    let payload_len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
+    let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
+    let Some(payload) = rest.get(..payload_len as usize) else {
+        return Scan::Incomplete;
+    };
+    if crc32(payload) != crc {
+        return Scan::BadCrc;
+    }
+    Scan::Found((payload_len, from_bytes(payload).ok()))
+}
+
+/// One intact frame of a log image: `(offset, payload length, record)`.
+pub type FrameAt = (u64, u32, Option<WalRecord>);
+
+/// Walk a whole log image: every intact frame, then the offset of the
+/// first short or bad frame — `None` when the image ends on a frame
+/// boundary.
+pub fn frames(data: &[u8]) -> (Vec<FrameAt>, Option<u64>) {
+    let mut found = Vec::new();
+    let mut pos = 0usize;
+    loop {
+        match parse_frame(&data[pos..]) {
+            Scan::Found((payload_len, record)) => {
+                found.push((pos as u64, payload_len, record));
+                pos += 8 + payload_len as usize;
+            }
+            Scan::Incomplete if pos == data.len() => return (found, None),
+            Scan::Incomplete | Scan::BadCrc => return (found, Some(pos as u64)),
+        }
+    }
+}
+
+/// One committed transaction: its `Page`/`PageDelta` records in log
+/// order, each with the stream offset of its frame.
+#[derive(Debug, PartialEq, Eq)]
+pub struct CommittedTx(Vec<(u64, WalRecord)>);
+
+impl CommittedTx {
+    /// Lay the transaction's changes onto `pages`, the after-images
+    /// built so far. A delta to a page not yet among them starts from
+    /// `base(page)` — the caller's current image of it, or zeroes for a
+    /// page that does not exist yet (fresh allocations diff against
+    /// zero when logged). A change that does not fit a page is reported
+    /// at its frame's offset.
+    pub fn apply(
+        self,
+        pages: &mut BTreeMap<PageId, PageBuf>,
+        base: impl Fn(PageId) -> PageBuf,
+    ) -> Result<()> {
+        for (offset, record) in self.0 {
+            let corrupt = StorageError::WalCorrupt { offset };
+            match record {
+                WalRecord::Page { page, image, .. } => {
+                    pages.insert(PageId(page), PageBuf::from_vec(image).ok_or(corrupt)?);
+                }
+                WalRecord::PageDelta { page, ops, .. } => {
+                    let page = pages
+                        .entry(PageId(page))
+                        .or_insert_with(|| base(PageId(page)));
+                    for (at, bytes) in ops {
+                        let start = at as usize;
+                        let end = start + bytes.len();
+                        if end > PAGE_SIZE {
+                            return Err(corrupt);
+                        }
+                        page.as_bytes_mut()[start..end].copy_from_slice(&bytes);
+                    }
+                }
+                WalRecord::Begin { .. } | WalRecord::Commit { .. } => {
+                    unreachable!("replay keeps page records only")
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The log's transaction assembler: push log bytes in pieces of any
+/// size, pull out committed transactions.
+///
+/// `Begin` opens *and resets* a transaction's record list, `Page` and
+/// `PageDelta` append to it, `Commit` yields it. Frames of transactions
+/// that never commit are parsed and dropped.
+#[derive(Debug, Default)]
+pub struct Replay {
+    buf: Vec<u8>,
+    /// Start of the first unparsed frame within `buf`.
+    head: usize,
+    /// Stream offset of that frame.
+    offset: u64,
+    open: HashMap<u64, Vec<(u64, WalRecord)>>,
+    committed_end: u64,
+    max_tx: u64,
+}
+
+impl Replay {
+    /// A replay whose first pushed byte sits at stream offset `start`.
+    pub fn new(start: u64) -> Replay {
+        Replay {
+            offset: start,
+            committed_end: start,
+            ..Replay::default()
+        }
     }
 
     /// Buffer more stream bytes.
     pub fn push(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.head);
+        self.head = 0;
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Total bytes consumed as complete frames (the scanner's position
-    /// in the stream, counting from where it started).
-    pub fn consumed(&self) -> u64 {
-        self.consumed
+    /// Stream offset of the first frame not yet parsed — after
+    /// [`Scan::BadCrc`], of the bad frame.
+    pub fn offset(&self) -> u64 {
+        self.offset
     }
 
-    /// Bytes buffered but not yet part of a complete frame.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
+    /// Stream offset just past the last yielded commit. Everything from
+    /// here on belongs to no committed transaction — the point a log is
+    /// fenced at before it takes new appends.
+    pub fn committed_end(&self) -> u64 {
+        self.committed_end
     }
 
-    /// Parse the next complete record off the front of the buffer, or
-    /// `None` if only a partial frame is buffered.
-    pub fn next_record(&mut self) -> Result<Option<WalRecord>> {
-        if self.buf.len() < 8 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[0..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(self.buf[4..8].try_into().expect("4 bytes"));
-        let frame_len = match len.checked_add(8) {
-            Some(l) => l,
-            None => {
-                return Err(StorageError::WalCorrupt {
-                    offset: self.consumed,
-                })
-            }
-        };
-        if self.buf.len() < frame_len {
-            return Ok(None);
-        }
-        let payload = &self.buf[8..frame_len];
-        if crc32(payload) != crc {
-            return Err(StorageError::WalCorrupt {
-                offset: self.consumed,
-            });
-        }
-        let record = from_bytes::<WalRecord>(payload).map_err(|_| StorageError::WalCorrupt {
-            offset: self.consumed,
-        })?;
-        self.buf.drain(..frame_len);
-        self.consumed += frame_len as u64;
-        Ok(Some(record))
+    /// Highest transaction id seen in any parsed record.
+    pub fn max_tx(&self) -> u64 {
+        self.max_tx
     }
-}
 
-/// One page mutation from a committed transaction, in log order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CommittedChange<'a> {
-    /// Replace the whole page.
-    Image(PageId, &'a Vec<u8>),
-    /// Apply byte-range writes onto the page's prior state.
-    Delta(PageId, &'a Vec<(u32, Vec<u8>)>),
-}
-
-/// Filter a log to the page changes of *committed* transactions, in the
-/// order they must be applied.
-pub fn committed_changes(records: &[WalRecord]) -> Vec<CommittedChange<'_>> {
-    use std::collections::HashSet;
-    let committed: HashSet<u64> = records
-        .iter()
-        .filter_map(|r| match r {
-            WalRecord::Commit { tx } => Some(*tx),
-            _ => None,
-        })
-        .collect();
-    records
-        .iter()
-        .filter_map(|r| match r {
-            WalRecord::Page { tx, page, image } if committed.contains(tx) => {
-                Some(CommittedChange::Image(PageId(*page), image))
+    /// Parse on to the next `Commit` and yield that transaction. A bad
+    /// frame stays at the front, so asking again answers the same; an
+    /// intact frame whose payload is not a record is an error wherever
+    /// the bytes came from.
+    pub fn next_commit(&mut self) -> Result<Scan<CommittedTx>> {
+        loop {
+            let offset = self.offset;
+            let (payload_len, record) = match parse_frame(&self.buf[self.head..]) {
+                Scan::Found(frame) => frame,
+                Scan::Incomplete => return Ok(Scan::Incomplete),
+                Scan::BadCrc => return Ok(Scan::BadCrc),
+            };
+            let record = record.ok_or(StorageError::WalCorrupt { offset })?;
+            self.head += 8 + payload_len as usize;
+            self.offset += 8 + u64::from(payload_len);
+            let tx = record.tx();
+            self.max_tx = self.max_tx.max(tx);
+            match record {
+                WalRecord::Begin { .. } => {
+                    self.open.insert(tx, Vec::new());
+                }
+                WalRecord::Commit { .. } => {
+                    self.committed_end = self.offset;
+                    let records = self.open.remove(&tx).unwrap_or_default();
+                    return Ok(Scan::Found(CommittedTx(records)));
+                }
+                page_record => self.open.entry(tx).or_default().push((offset, page_record)),
             }
-            WalRecord::PageDelta { tx, page, ops } if committed.contains(tx) => {
-                Some(CommittedChange::Delta(PageId(*page), ops))
-            }
-            _ => None,
-        })
-        .collect()
+        }
+    }
 }
 
 /// Compute the changed byte runs between two page images, merging runs
@@ -434,12 +505,32 @@ pub fn delta_payload_len(ops: &[(u32, Vec<u8>)]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::TempPath;
 
-    fn temp_path(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("ode-wal-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        p
+    /// A log holding `records`, and its bytes.
+    fn log_of(records: &[WalRecord]) -> (TempPath, Wal, Vec<u8>) {
+        let path = TempPath::new();
+        let mut wal = Wal::open(&path).unwrap();
+        for r in records {
+            wal.append(r).unwrap();
+        }
+        let bytes = wal.read_span(0, wal.len() as usize).unwrap();
+        (path, wal, bytes)
+    }
+
+    /// The page records of every commit `replay` can yield now, in order.
+    fn drain(replay: &mut Replay) -> Vec<WalRecord> {
+        let mut changes = Vec::new();
+        while let Scan::Found(tx) = replay.next_commit().unwrap() {
+            changes.extend(tx.0.into_iter().map(|(_, record)| record));
+        }
+        changes
+    }
+
+    fn replayed_changes(records: &[WalRecord]) -> Vec<WalRecord> {
+        let mut replay = Replay::new(0);
+        replay.push(&log_of(records).2);
+        drain(&mut replay)
     }
 
     fn sample_records() -> Vec<WalRecord> {
@@ -493,7 +584,7 @@ mod tests {
 
     #[test]
     fn append_and_replay() {
-        let path = temp_path("replay");
+        let path = TempPath::new();
         let mut wal = Wal::open(&path).unwrap();
         for r in sample_records() {
             wal.append(&r).unwrap();
@@ -501,21 +592,18 @@ mod tests {
         let (records, tear) = wal.records().unwrap();
         assert_eq!(records, sample_records());
         assert_eq!(tear, None);
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn committed_filter_drops_uncommitted() {
-        let records = sample_records();
-        let changes = committed_changes(&records);
+        let changes = replayed_changes(&sample_records());
         // tx 2 never committed: only tx 1's page survives.
-        assert_eq!(changes.len(), 1);
-        assert!(matches!(changes[0], CommittedChange::Image(PageId(3), _)));
+        assert_eq!(changes, sample_records()[1..2]);
     }
 
     #[test]
     fn delta_records_round_trip_and_filter() {
-        let path = temp_path("delta");
+        let path = TempPath::new();
         let mut wal = Wal::open(&path).unwrap();
         let rec = WalRecord::PageDelta {
             tx: 1,
@@ -527,9 +615,7 @@ mod tests {
         let (records, tear) = wal.records().unwrap();
         assert_eq!(tear, None);
         assert_eq!(records[0], rec);
-        let changes = committed_changes(&records);
-        assert!(matches!(changes[0], CommittedChange::Delta(PageId(7), _)));
-        std::fs::remove_file(path).unwrap();
+        assert_eq!(replayed_changes(&records), [rec]);
     }
 
     #[test]
@@ -559,7 +645,7 @@ mod tests {
 
     #[test]
     fn torn_tail_detected_and_truncatable() {
-        let path = temp_path("torn");
+        let path = TempPath::new();
         {
             let mut wal = Wal::open(&path).unwrap();
             for r in sample_records() {
@@ -584,12 +670,11 @@ mod tests {
         wal.append(&WalRecord::Commit { tx: 2 }).unwrap();
         let (records3, _) = wal.records().unwrap();
         assert_eq!(records3.len(), records.len() + 1);
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn bitflip_in_payload_is_torn_tail() {
-        let path = temp_path("bitflip");
+        let path = TempPath::new();
         {
             let mut wal = Wal::open(&path).unwrap();
             for r in sample_records() {
@@ -614,12 +699,11 @@ mod tests {
         let (records, tear) = wal.records().unwrap();
         assert_eq!(records.len(), sample_records().len() - 1);
         assert!(tear.is_some());
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn reset_empties_log() {
-        let path = temp_path("reset");
+        let path = TempPath::new();
         let mut wal = Wal::open(&path).unwrap();
         wal.append(&WalRecord::Begin { tx: 1 }).unwrap();
         assert!(!wal.is_empty());
@@ -628,7 +712,6 @@ mod tests {
         let (records, tear) = wal.records().unwrap();
         assert!(records.is_empty());
         assert_eq!(tear, None);
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
@@ -637,7 +720,7 @@ mod tests {
         // 8-byte header, inside the payload, or right at the frame
         // boundary. Every cut short of a full frame must replay the
         // prefix and report the tear at the final frame's start.
-        let intact = temp_path("cuts-intact");
+        let intact = TempPath::new();
         let intact_len = {
             let mut wal = Wal::open(&intact).unwrap();
             for r in sample_records() {
@@ -645,7 +728,7 @@ mod tests {
             }
             wal.len()
         };
-        let probe_path = temp_path("cuts-probe");
+        let probe_path = TempPath::new();
         let before_last = {
             let mut wal = Wal::open(&intact).unwrap();
             let mut probe = Wal::open(&probe_path).unwrap();
@@ -662,7 +745,7 @@ mod tests {
         // Cutting exactly at the boundary is a clean (shorter) log, not
         // a tear — start one byte past it.
         for cut in before_last + 1..intact_len {
-            let path = temp_path("cuts");
+            let path = TempPath::new();
             std::fs::copy(&intact, &path).unwrap();
             let f = OpenOptions::new().write(true).open(&path).unwrap();
             f.set_len(cut).unwrap();
@@ -671,10 +754,7 @@ mod tests {
             let (records, tear) = wal.records().unwrap();
             assert_eq!(records, sample_records()[..sample_records().len() - 1]);
             assert_eq!(tear, Some(before_last), "cut at byte {cut}");
-            std::fs::remove_file(path).unwrap();
         }
-        std::fs::remove_file(intact).unwrap();
-        std::fs::remove_file(probe_path).unwrap();
     }
 
     #[test]
@@ -682,7 +762,7 @@ mod tests {
         // Repeatedly tear the tail, truncate at the reported offset,
         // and append fresh records: every cycle must leave a log that
         // replays cleanly with the pre-tear prefix + the new records.
-        let path = temp_path("truncate-cycles");
+        let path = TempPath::new();
         let mut expected: Vec<WalRecord> = Vec::new();
         for cycle in 0..4u64 {
             {
@@ -712,7 +792,6 @@ mod tests {
             assert_eq!(records2, expected);
             assert_eq!(tear2, None);
         }
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
@@ -720,7 +799,7 @@ mod tests {
         // Fencing uses truncate_tail at an *intact* frame boundary to
         // drop a fully written but unwanted suffix (an ex-primary's
         // unshipped records), not just crash debris.
-        let path = temp_path("fence");
+        let path = TempPath::new();
         let mut wal = Wal::open(&path).unwrap();
         wal.append(&WalRecord::Begin { tx: 1 }).unwrap();
         wal.append(&WalRecord::Commit { tx: 1 }).unwrap();
@@ -738,13 +817,12 @@ mod tests {
         wal.append(&WalRecord::Begin { tx: 3 }).unwrap();
         let (records, _) = wal.records().unwrap();
         assert_eq!(records.len(), 3);
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn read_span_and_append_raw_round_trip() {
-        let src = temp_path("span-src");
-        let dst = temp_path("span-dst");
+        let src = TempPath::new();
+        let dst = TempPath::new();
         let mut wal = Wal::open(&src).unwrap();
         for r in sample_records() {
             wal.append(&r).unwrap();
@@ -767,54 +845,93 @@ mod tests {
         // Past-the-end reads are empty, not errors.
         assert!(wal.read_span(wal.len(), 64).unwrap().is_empty());
         assert!(wal.read_span(wal.len() + 100, 64).unwrap().is_empty());
-        std::fs::remove_file(src).unwrap();
-        std::fs::remove_file(dst).unwrap();
     }
 
     #[test]
-    fn frame_scanner_reassembles_across_pushes() {
-        let path = temp_path("scanner");
-        let mut wal = Wal::open(&path).unwrap();
-        for r in sample_records() {
-            wal.append(&r).unwrap();
-        }
-        let bytes = wal.read_span(0, wal.len() as usize).unwrap();
-        // Feed one byte at a time: records must pop out exactly at
-        // frame boundaries, with consumed() tracking them.
-        let mut scanner = FrameScanner::new();
+    fn replay_reassembles_across_pushes() {
+        let (_path, _wal, bytes) = log_of(&sample_records());
+        let (_p, _w, committed_prefix) = log_of(&sample_records()[..3]);
+        // Feed one byte at a time: the commit must pop out exactly when
+        // its last byte arrives, whatever the frame boundaries.
+        let mut replay = Replay::new(0);
         let mut got = Vec::new();
-        for b in &bytes {
-            scanner.push(std::slice::from_ref(b));
-            while let Some(rec) = scanner.next_record().unwrap() {
-                got.push(rec);
-            }
+        for (fed, b) in bytes.iter().enumerate() {
+            replay.push(std::slice::from_ref(b));
+            got.extend(drain(&mut replay));
+            assert_eq!(got.is_empty(), fed + 1 < committed_prefix.len());
         }
-        assert_eq!(got, sample_records());
-        assert_eq!(scanner.consumed(), bytes.len() as u64);
-        assert_eq!(scanner.pending(), 0);
-        std::fs::remove_file(path).unwrap();
+        assert_eq!(got, replayed_changes(&sample_records()));
+        assert_eq!(replay.committed_end(), committed_prefix.len() as u64);
+        assert_eq!(replay.max_tx(), 2);
+        // tx 2's frames were consumed and held: its commit completes it.
+        replay.push(&log_of(&[WalRecord::Commit { tx: 2 }]).2);
+        assert_eq!(drain(&mut replay), sample_records()[4..]);
+        assert_eq!(replay.committed_end(), bytes.len() as u64 + 10);
     }
 
     #[test]
-    fn frame_scanner_rejects_corrupt_complete_frame() {
-        let path = temp_path("scanner-corrupt");
-        let mut wal = Wal::open(&path).unwrap();
-        wal.append(&WalRecord::Begin { tx: 1 }).unwrap();
-        let mut bytes = wal.read_span(0, wal.len() as usize).unwrap();
+    fn replay_reports_corrupt_complete_frame() {
+        let (_path, _wal, mut bytes) = log_of(&[WalRecord::Begin { tx: 1 }]);
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
-        let mut scanner = FrameScanner::new();
-        scanner.push(&bytes);
+        let mut replay = Replay::new(0);
+        replay.push(&bytes);
+        // Reported at its offset, and again on every later call: whether
+        // it is a tear or corruption is the caller's to say.
+        for _ in 0..2 {
+            assert_eq!(replay.next_commit().unwrap(), Scan::BadCrc);
+            assert_eq!(replay.offset(), 0);
+        }
+    }
+
+    #[test]
+    fn begin_resets_a_recycled_transaction_id() {
+        // An earlier holder of id 1 logged a page and never committed; a
+        // later transaction reusing the id must not inherit it.
+        let records = [
+            WalRecord::Begin { tx: 1 },
+            WalRecord::Page {
+                tx: 1,
+                page: 3,
+                image: vec![0xEE],
+            },
+            WalRecord::Begin { tx: 1 },
+            WalRecord::Page {
+                tx: 1,
+                page: 4,
+                image: vec![2],
+            },
+            WalRecord::Commit { tx: 1 },
+        ];
+        assert_eq!(replayed_changes(&records), records[3..4]);
+    }
+
+    #[test]
+    fn apply_rejects_out_of_page_changes_at_their_frame() {
+        let records = [
+            WalRecord::Begin { tx: 1 },
+            WalRecord::PageDelta {
+                tx: 1,
+                page: 2,
+                ops: vec![(PAGE_SIZE as u32 - 1, vec![7, 7])],
+            },
+            WalRecord::Commit { tx: 1 },
+        ];
+        let mut replay = Replay::new(0);
+        replay.push(&log_of(&records).2);
+        let Scan::Found(tx) = replay.next_commit().unwrap() else {
+            panic!("one committed transaction");
+        };
+        let offset = log_of(&records[..1]).2.len() as u64;
         assert!(matches!(
-            scanner.next_record(),
-            Err(StorageError::WalCorrupt { offset: 0 })
+            tx.apply(&mut BTreeMap::new(), |_| PageBuf::zeroed()),
+            Err(StorageError::WalCorrupt { offset: at }) if at == offset
         ));
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn reopen_appends_after_existing_records() {
-        let path = temp_path("reopen");
+        let path = TempPath::new();
         {
             let mut wal = Wal::open(&path).unwrap();
             wal.append(&WalRecord::Begin { tx: 1 }).unwrap();
@@ -825,6 +942,5 @@ mod tests {
             let (records, _) = wal.records().unwrap();
             assert_eq!(records.len(), 2);
         }
-        std::fs::remove_file(path).unwrap();
     }
 }

@@ -349,54 +349,37 @@ pub fn wal_records(db_path: &Path) -> Result<(Vec<WalRecordInfo>, Option<u64>)> 
     let data =
         std::fs::read(&wal_path).map_err(|e| ode_version::VersionError::Storage(e.into()))?;
 
+    let (frames, torn) = ode_storage::wal::frames(&data);
     let mut records = Vec::new();
     let mut epoch = 0u64;
-    let mut pos: usize = 0;
-    loop {
-        if pos == data.len() {
-            return Ok((records, None));
-        }
-        if pos + 8 > data.len() {
-            return Ok((records, Some(pos as u64)));
-        }
-        let len = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        let body_start = pos + 8;
-        let body_end = match body_start.checked_add(len) {
-            Some(e) if e <= data.len() => e,
-            _ => return Ok((records, Some(pos as u64))),
-        };
-        let payload = &data[body_start..body_end];
-        if ode_storage::crc32(payload) != crc {
-            return Ok((records, Some(pos as u64)));
-        }
-        let desc = match ode_codec::from_bytes::<WalRecord>(payload) {
-            Ok(WalRecord::Begin { tx }) => format!("begin       tx={tx}"),
-            Ok(WalRecord::Page { tx, page, image }) => {
+    for (offset, payload_bytes, record) in frames {
+        let desc = match record {
+            Some(WalRecord::Begin { tx }) => format!("begin       tx={tx}"),
+            Some(WalRecord::Page { tx, page, image }) => {
                 format!("page-image  tx={tx} page={page} bytes={}", image.len())
             }
-            Ok(WalRecord::PageDelta { tx, page, ops }) => {
+            Some(WalRecord::PageDelta { tx, page, ops }) => {
                 let bytes: usize = ops.iter().map(|(_, b)| b.len()).sum();
                 format!(
                     "page-delta  tx={tx} page={page} runs={} bytes={bytes}",
                     ops.len()
                 )
             }
-            Ok(WalRecord::Commit { tx }) => {
+            Some(WalRecord::Commit { tx }) => {
                 epoch += 1;
                 format!("commit      tx={tx}")
             }
-            Err(_) => "UNDECODABLE (intact frame, unknown payload)".into(),
+            None => "UNDECODABLE (intact frame, unknown payload)".into(),
         };
         let is_commit = desc.starts_with("commit");
         records.push(WalRecordInfo {
-            offset: pos as u64,
-            payload_bytes: len as u32,
+            offset,
+            payload_bytes,
             epoch: is_commit.then_some(epoch),
             desc,
         });
-        pos = body_end;
     }
+    Ok((records, torn))
 }
 
 /// Check every object's version-graph invariants and that every version

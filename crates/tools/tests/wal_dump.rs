@@ -88,3 +88,46 @@ fn a_missing_wal_is_an_empty_listing() {
     assert!(records.is_empty());
     assert_eq!(torn, None);
 }
+
+#[test]
+fn an_uncommitted_tail_is_listed_then_fenced_by_the_next_open() {
+    let path = temp_path("uncommitted");
+    let note = |text: &str| Note { text: text.into() };
+    {
+        let db = Database::create(&path, DatabaseOptions::default()).unwrap();
+        let mut txn = db.begin();
+        txn.pnew(&note("kept")).unwrap();
+        txn.commit().unwrap();
+    }
+    // A session killed between its page records and its Commit record:
+    // crash after a commit, then chop the Commit frame (8 + 2 bytes).
+    {
+        let db = Database::open(&path, DatabaseOptions::default()).unwrap();
+        let mut txn = db.begin();
+        txn.pnew(&note("ghost")).unwrap();
+        txn.commit().unwrap();
+        std::mem::forget(db);
+        let wal = wal_of(&path);
+        let len = std::fs::metadata(&wal).unwrap().len();
+        let f = std::fs::OpenOptions::new().write(true).open(&wal).unwrap();
+        f.set_len(len - 10).unwrap();
+    }
+    // The dump shows the intact frames as they are: a begin, page
+    // records, no commit, no tear.
+    let (records, torn) = wal_records(&path).unwrap();
+    assert_eq!(torn, None);
+    assert!(records[0].desc.starts_with("begin"));
+    assert!(records.len() > 1);
+    assert!(records.iter().all(|r| r.epoch.is_none()));
+    // fsck opens the store, so recovery runs: the ghost is gone and the
+    // store is healthy ...
+    let report = ode_tools::fsck(&path).unwrap();
+    assert!(report.is_healthy(), "{:?}", report.problems);
+    assert_eq!(report.objects_checked, 1);
+    // ... and nothing of the tail is left for a later transaction to
+    // adopt by recycling its id.
+    let (records, torn) = wal_records(&path).unwrap();
+    assert!(records.is_empty());
+    assert_eq!(torn, None);
+    cleanup(&path);
+}

@@ -117,6 +117,67 @@ fn uncommitted_transaction_vanishes_on_crash() {
 }
 
 #[test]
+fn aborted_pnew_is_not_resurrected_by_a_recycled_tx_id() {
+    use ode_storage::wal::{Wal, WalRecord};
+    let path = temp_path("resurrect");
+    let doc = |text: &str| Doc {
+        rev: 0,
+        text: text.into(),
+    };
+    // Session 0 closes cleanly: its checkpoint leaves the log empty.
+    let kept = {
+        let db = Database::create(&path, DatabaseOptions::default()).unwrap();
+        let mut txn = db.begin();
+        let kept = txn.pnew(&doc("kept")).unwrap();
+        txn.commit().unwrap();
+        kept
+    };
+    // Session 1 is killed between the page records of its first
+    // transaction and that transaction's Commit record: chop the Commit
+    // frame (8-byte header + 2-byte payload) off an otherwise whole log.
+    {
+        let db = Database::open(&path, DatabaseOptions::default()).unwrap();
+        let mut txn = db.begin();
+        for i in 0..3 {
+            txn.pnew(&doc(&format!("ghost-{i}-{}", "boo ".repeat(40))))
+                .unwrap();
+        }
+        txn.commit().unwrap();
+        crash(db);
+        let wal = wal_of(&path);
+        let len = std::fs::metadata(&wal).unwrap().len();
+        let f = std::fs::OpenOptions::new().write(true).open(&wal).unwrap();
+        f.set_len(len - 10).unwrap();
+        drop(f);
+        let (records, tear) = Wal::open(&wal).unwrap().records().unwrap();
+        assert_eq!(tear, None, "the tail is intact frames, not a tear");
+        assert!(records.len() > 1);
+        assert!(!records
+            .iter()
+            .any(|r| matches!(r, WalRecord::Commit { .. })));
+    }
+    // Session 2 recovers, commits a smaller change under the recycled
+    // transaction id, and crashes.
+    {
+        let db = Database::open(&path, DatabaseOptions::default()).unwrap();
+        assert_eq!(db.snapshot().objects::<Doc>().unwrap(), vec![kept]);
+        let mut txn = db.begin();
+        txn.update(&kept, |d| d.text = "edited".into()).unwrap();
+        txn.commit().unwrap();
+        crash(db);
+    }
+    // Session 3 must see exactly sessions 0 and 2.
+    let db = Database::open(&path, DatabaseOptions::default()).unwrap();
+    let mut snap = db.snapshot();
+    assert_eq!(snap.objects::<Doc>().unwrap(), vec![kept]);
+    assert_eq!(snap.deref(&kept).unwrap().text, "edited");
+    snap.check_object(&kept).unwrap();
+    drop(snap);
+    drop(db);
+    cleanup(&path);
+}
+
+#[test]
 fn torn_wal_tail_truncated_to_last_commit() {
     let path = temp_path("torn");
     let p;
