@@ -26,7 +26,25 @@ macro_rules! impl_unsigned {
     )*};
 }
 
-impl_unsigned!(u8, u16, u32, u64);
+impl_unsigned!(u16, u32, u64);
+
+// One byte alone is a varint like any unsigned integer; a run of bytes
+// is the bytes themselves, so `Vec<u8>` is a varint length plus raw
+// bytes — the layout of `Writer::put_bytes` and `String`.
+impl Persist for u8 {
+    fn encode(&self, w: &mut Writer) {
+        w.put_varint(u64::from(*self));
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        u8::try_from(r.get_varint()?).map_err(|_| DecodeError::Invalid("value out of range for u8"))
+    }
+    fn encode_slice(items: &[u8], w: &mut Writer) {
+        w.put_raw(items);
+    }
+    fn decode_vec(r: &mut Reader<'_>, count: usize) -> Result<Vec<u8>, DecodeError> {
+        Ok(r.get_raw(count)?.to_vec())
+    }
+}
 
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
@@ -201,49 +219,32 @@ impl<T: Persist> Persist for Box<T> {
 impl<T: Persist> Persist for Vec<T> {
     fn encode(&self, w: &mut Writer) {
         w.put_varint(self.len() as u64);
-        for item in self {
-            item.encode(w);
-        }
+        T::encode_slice(self, w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let count = r.get_count()?;
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
+        T::decode_vec(r, count)
     }
 }
 
 impl<T: Persist> Persist for VecDeque<T> {
     fn encode(&self, w: &mut Writer) {
         w.put_varint(self.len() as u64);
-        for item in self {
-            item.encode(w);
-        }
+        let (front, back) = self.as_slices();
+        T::encode_slice(front, w);
+        T::encode_slice(back, w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let count = r.get_count()?;
-        let mut out = VecDeque::with_capacity(count);
-        for _ in 0..count {
-            out.push_back(T::decode(r)?);
-        }
-        Ok(out)
+        Ok(Vec::<T>::decode(r)?.into())
     }
 }
 
 impl<T: Persist, const N: usize> Persist for [T; N] {
     fn encode(&self, w: &mut Writer) {
-        for item in self {
-            item.encode(w);
-        }
+        T::encode_slice(self, w);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let mut items = Vec::with_capacity(N);
-        for _ in 0..N {
-            items.push(T::decode(r)?);
-        }
-        items
+        T::decode_vec(r, N)?
             .try_into()
             .map_err(|_| DecodeError::Invalid("array length mismatch"))
     }
@@ -441,6 +442,25 @@ mod tests {
         rt(HashMap::from([(1u32, 2u32), (3, 4)]));
         rt(HashSet::from([9i64, -8, 7]));
         rt(Duration::new(5, 999_999_999));
+    }
+
+    #[test]
+    fn byte_vectors_are_length_plus_raw_bytes() {
+        // A 2-byte length, then the bytes. One varint per byte would
+        // double every byte >= 128: 4 098.
+        assert_eq!(to_bytes(&vec![0xFFu8; 2048]).len(), 2050);
+        assert_eq!(to_bytes(&vec![0x80u8, 7, 0xFF]), [3, 0x80, 7, 0xFF]);
+        assert_eq!(to_bytes(&[0xFFu8, 1]), [0xFF, 1]);
+        assert_eq!(to_bytes(&VecDeque::from(vec![0xFEu8])), [1, 0xFE]);
+        rt(vec![0u8, 0x80, 0xFF]);
+        rt([0xFFu8; 3]);
+        // A deque wrapped around its buffer encodes both halves in order.
+        let mut wrapped = VecDeque::from(vec![1u8, 2]);
+        wrapped.push_front(0xFF);
+        assert_eq!(to_bytes(&wrapped), [3, 0xFF, 1, 2]);
+        rt(wrapped);
+        // A lone byte stays a varint, like every other integer.
+        assert_eq!(to_bytes(&0xFFu8), [0xFF, 0x01]);
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! 1. **Round-trip fidelity** — `decode(encode(x)) == x` for every
 //!    implementation, enforced by property tests.
 //! 2. **Compactness** — integers are LEB128 varints (signed values are
-//!    zigzag-coded), collections are length-prefixed, no per-field tags.
+//!    zigzag-coded), collections are length-prefixed, no per-field tags;
+//!    a byte string (`Vec<u8>`, like `String`) is its length and then
+//!    its raw bytes.
 //! 3. **Self-containment** — no serde format crate is required; the
 //!    encoding is fully specified by this crate.
 //!
@@ -53,6 +55,27 @@ pub trait Persist: Sized {
 
     /// Deserialize a value from the reader.
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
+
+    /// Serialize `items` back to back, with no length prefix. Sequence
+    /// containers call this, so it is the codec's one per-element loop;
+    /// `u8` overrides it with a single copy, which makes `Vec<u8>` a
+    /// byte string.
+    fn encode_slice(items: &[Self], w: &mut Writer) {
+        for item in items {
+            item.encode(w);
+        }
+    }
+
+    /// Deserialize the `count` values [`Persist::encode_slice`] wrote.
+    /// Callers bound `count` by the remaining input first (see
+    /// [`Reader::get_count`]), so the allocation is bounded too.
+    fn decode_vec(r: &mut Reader<'_>, count: usize) -> Result<Vec<Self>, DecodeError> {
+        let mut out = Vec::with_capacity(count);
+        for _ in 0..count {
+            out.push(Self::decode(r)?);
+        }
+        Ok(out)
+    }
 }
 
 /// Encode a value to a fresh byte vector.

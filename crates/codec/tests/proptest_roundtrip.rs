@@ -1,15 +1,66 @@
 //! Property tests: every `Persist` implementation round-trips exactly and
 //! the decoder never panics on arbitrary input.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use ode_codec::{from_bytes, impl_persist_enum, impl_persist_struct, to_bytes, Persist};
+use ode_codec::{from_bytes, impl_persist_enum, impl_persist_struct, to_bytes, Persist, Writer};
 use proptest::prelude::*;
 
 fn check_rt<T: Persist + PartialEq + std::fmt::Debug>(v: &T) {
     let bytes = to_bytes(v);
     let back: T = from_bytes(&bytes).expect("round-trip decode");
     assert_eq!(*v, back);
+}
+
+/// The system allocator, remembering the largest single request this
+/// thread made since [`largest_allocation_during`] last reset it.
+struct Tracking;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the only addition is a const-initialised
+// thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Tracking {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST.with(|largest| largest.set(largest.get().max(layout.size())));
+        // SAFETY: the caller's guarantees for `layout` are `System`'s.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `alloc` above, i.e. from `System`,
+        // with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Tracking = Tracking;
+
+fn largest_allocation_during(f: impl FnOnce()) -> usize {
+    LARGEST.with(|largest| largest.set(0));
+    f();
+    LARGEST.with(Cell::get)
+}
+
+/// Every strict prefix of `value`'s encoding fails to decode — no
+/// panic — and no allocation exceeds one `slot`-byte element per input
+/// byte left.
+fn truncations_fail<T: Persist>(value: &T, slot: usize) {
+    let bytes = to_bytes(value);
+    for cut in 0..bytes.len() {
+        let mut result = None;
+        let largest = largest_allocation_during(|| result = Some(from_bytes::<T>(&bytes[..cut])));
+        assert!(result.unwrap().is_err(), "prefix of {cut} bytes decoded");
+        assert!(
+            largest <= cut * slot,
+            "{largest}-byte allocation from a {cut}-byte prefix"
+        );
+    }
 }
 
 proptest! {
@@ -57,6 +108,39 @@ proptest! {
         let _ = from_bytes::<Vec<String>>(&bytes);
         let _ = from_bytes::<BTreeMap<u64, Vec<u8>>>(&bytes);
         let _ = from_bytes::<(u64, String, Option<i32>)>(&bytes);
+    }
+
+    /// A `Vec<u8>` is a byte string: exactly `Writer::put_bytes` of it,
+    /// and for UTF-8 content exactly the `String` encoding.
+    #[test]
+    fn byte_vec_is_put_bytes(v in collection::vec(any::<u8>(), 0..4096), s in ".*") {
+        let mut w = Writer::new();
+        w.put_bytes(&v);
+        prop_assert_eq!(to_bytes(&v), w.into_bytes());
+        if let Ok(text) = std::str::from_utf8(&v) {
+            prop_assert_eq!(to_bytes(&v), to_bytes(&text.to_owned()));
+        }
+        prop_assert_eq!(to_bytes(&s.as_bytes().to_vec()), to_bytes(&s));
+        check_rt(&v);
+    }
+
+    #[test]
+    fn rt_nested_byte_vecs(v: Vec<Vec<u8>>, o: Option<Vec<u8>>) {
+        check_rt(&v);
+        check_rt(&o);
+    }
+
+    /// Cutting an encoding short anywhere is an error, never a panic,
+    /// and never reserves more than the bytes left could hold.
+    #[test]
+    fn byte_vec_truncations_fail(
+        v in collection::vec(any::<u8>(), 0..300),
+        vv: Vec<Vec<u8>>,
+        o: Option<Vec<u8>>,
+    ) {
+        truncations_fail(&v, 1);
+        truncations_fail(&vv, std::mem::size_of::<Vec<u8>>());
+        truncations_fail(&o, 1);
     }
 }
 

@@ -870,29 +870,11 @@ impl BTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{Store, StoreOptions};
-
-    fn temp_store(name: &str) -> (std::path::PathBuf, Store) {
-        let mut p = std::env::temp_dir();
-        p.push(format!("ode-btree-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        let mut wal = p.clone().into_os_string();
-        wal.push(".wal");
-        let _ = std::fs::remove_file(std::path::PathBuf::from(wal));
-        let store = Store::create(&p, StoreOptions::default()).unwrap();
-        (p, store)
-    }
-
-    fn cleanup(p: &std::path::Path) {
-        let _ = std::fs::remove_file(p);
-        let mut wal = p.to_path_buf().into_os_string();
-        wal.push(".wal");
-        let _ = std::fs::remove_file(std::path::PathBuf::from(wal));
-    }
+    use crate::testutil::TempStore;
 
     #[test]
     fn insert_get_basic() {
-        let (path, store) = temp_store("basic");
+        let store = TempStore::new();
         let mut tx = store.begin();
         let mut t = BTree::create(&mut tx).unwrap();
         assert_eq!(t.insert(&mut tx, 5, 50).unwrap(), None);
@@ -902,13 +884,11 @@ mod tests {
         assert_eq!(t.get(&mut tx, 3).unwrap(), Some(30));
         assert_eq!(t.get(&mut tx, 4).unwrap(), None);
         tx.commit().unwrap();
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn splits_with_sequential_keys() {
-        let (path, store) = temp_store("seq");
+        let store = TempStore::new();
         let mut tx = store.begin();
         let mut t = BTree::create(&mut tx).unwrap().with_caps(4, 4);
         for k in 0..200u64 {
@@ -921,13 +901,11 @@ mod tests {
         }
         assert_eq!(t.len(&mut tx).unwrap(), 200);
         tx.commit().unwrap();
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn splits_with_reverse_and_interleaved_keys() {
-        let (path, store) = temp_store("rev");
+        let store = TempStore::new();
         let mut tx = store.begin();
         let mut t = BTree::create(&mut tx).unwrap().with_caps(4, 4);
         for k in (0..100u64).rev() {
@@ -940,13 +918,11 @@ mod tests {
         assert_eq!(t.len(&mut tx).unwrap(), 200);
         assert_eq!(t.get(&mut tx, 7).unwrap(), Some(1003));
         tx.commit().unwrap();
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn remove_and_lazy_deletion() {
-        let (path, store) = temp_store("remove");
+        let store = TempStore::new();
         let mut tx = store.begin();
         let mut t = BTree::create(&mut tx).unwrap().with_caps(4, 4);
         for k in 0..100u64 {
@@ -963,13 +939,11 @@ mod tests {
         }
         assert_eq!(t.len(&mut tx).unwrap(), 50);
         tx.commit().unwrap();
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn root_collapses_when_emptied() {
-        let (path, store) = temp_store("collapse");
+        let store = TempStore::new();
         let mut tx = store.begin();
         let mut t = BTree::create(&mut tx).unwrap().with_caps(4, 4);
         for k in 0..50u64 {
@@ -982,13 +956,11 @@ mod tests {
         t.check(&mut tx).unwrap();
         assert_eq!(t.len(&mut tx).unwrap(), 0);
         tx.commit().unwrap();
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn deletion_merges_reclaim_pages() {
-        let (path, store) = temp_store("reclaim");
+        let store = TempStore::new();
         let mut tx = store.begin();
         let mut t = BTree::create(&mut tx).unwrap().with_caps(4, 4);
         for k in 0..500u64 {
@@ -1009,13 +981,11 @@ mod tests {
         assert_eq!(tx.page_count().unwrap(), grown);
         t.check(&mut tx).unwrap();
         tx.commit().unwrap();
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn interleaved_insert_delete_stays_balanced() {
-        let (path, store) = temp_store("interleave");
+        let store = TempStore::new();
         let mut tx = store.begin();
         let mut t = BTree::create(&mut tx).unwrap().with_caps(4, 4);
         // Waves of inserts and deletes with different strides.
@@ -1036,13 +1006,11 @@ mod tests {
             }
         }
         tx.commit().unwrap();
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn scan_from_and_limits() {
-        let (path, store) = temp_store("scan");
+        let store = TempStore::new();
         let mut tx = store.begin();
         let mut t = BTree::create(&mut tx).unwrap().with_caps(4, 4);
         for k in (0..100u64).map(|k| k * 3) {
@@ -1056,13 +1024,11 @@ mod tests {
         // Scan past the end.
         assert!(t.scan_from(&mut tx, 10_000, 10).unwrap().is_empty());
         tx.commit().unwrap();
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn persists_across_reopen() {
-        let (path, store) = temp_store("persist");
+        let mut store = TempStore::new();
         let root = {
             let mut tx = store.begin();
             let mut t = BTree::create(&mut tx).unwrap();
@@ -1073,8 +1039,7 @@ mod tests {
             tx.commit().unwrap();
             t.root
         };
-        drop(store);
-        let store = Store::open(&path, StoreOptions::default()).unwrap();
+        store.reopen();
         let mut r = store.read();
         assert_eq!(r.root(1).unwrap(), root.0);
         let t = BTree::open(root);
@@ -1082,14 +1047,11 @@ mod tests {
             assert_eq!(t.get(&mut r, k * 7).unwrap(), Some(k));
         }
         t.check(&mut r).unwrap();
-        drop(r);
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn full_capacity_nodes() {
-        let (path, store) = temp_store("fullcap");
+        let store = TempStore::new();
         let mut tx = store.begin();
         let mut t = BTree::create(&mut tx).unwrap();
         // Enough to split max-capacity leaves (254 entries) several times.
@@ -1100,13 +1062,11 @@ mod tests {
         assert_eq!(t.height(&mut tx).unwrap(), 2);
         assert_eq!(t.len(&mut tx).unwrap(), 2000);
         tx.commit().unwrap();
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn boundary_keys() {
-        let (path, store) = temp_store("boundary");
+        let store = TempStore::new();
         let mut tx = store.begin();
         let mut t = BTree::create(&mut tx).unwrap();
         t.insert(&mut tx, 0, 1).unwrap();
@@ -1114,7 +1074,5 @@ mod tests {
         assert_eq!(t.get(&mut tx, 0).unwrap(), Some(1));
         assert_eq!(t.get(&mut tx, u64::MAX).unwrap(), Some(2));
         tx.commit().unwrap();
-        drop(store);
-        cleanup(&path);
     }
 }

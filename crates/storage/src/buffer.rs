@@ -341,13 +341,13 @@ impl BufferPool {
 mod tests {
     use super::*;
     use crate::page::PageKind;
+    use crate::testutil::TempPath;
 
-    fn temp_pager(name: &str) -> (std::path::PathBuf, Pager) {
-        let mut p = std::env::temp_dir();
-        p.push(format!("ode-buffer-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        let pager = Pager::create(&p).unwrap();
-        (p, pager)
+    /// A fresh page file; it is deleted when the path drops.
+    fn temp_pager() -> (TempPath, Pager) {
+        let path = TempPath::new();
+        let pager = Pager::create(&path).unwrap();
+        (path, pager)
     }
 
     /// Write `n` fresh heap pages to the file, returning their ids.
@@ -365,7 +365,7 @@ mod tests {
 
     #[test]
     fn hit_miss_accounting() {
-        let (path, pager) = temp_pager("hitmiss");
+        let (_path, pager) = temp_pager();
         let id = seed_pages(&pager, 1)[0];
         let pool = BufferPool::new(8);
         pool.get(&pager, id).unwrap();
@@ -374,12 +374,11 @@ mod tests {
         pool.get(&pager, id).unwrap();
         assert_eq!(pool.stats().hits, 2);
         assert_eq!(pool.stats().misses, 1);
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn publish_replaces_but_old_pins_survive() {
-        let (path, pager) = temp_pager("publish");
+        let (_path, pager) = temp_pager();
         let id = seed_pages(&pager, 1)[0];
         let pool = BufferPool::new(64);
         let old = pool.get(&pager, id).unwrap();
@@ -392,12 +391,11 @@ mod tests {
         assert_eq!(pool.get(&pager, id).unwrap().read_u64(16), 99);
         assert!(pool.is_dirty(id));
         assert_eq!(pool.frame_epoch(id), Some(7));
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn dirty_pages_survive_eviction_pressure() {
-        let (path, pager) = temp_pager("dirty");
+        let (_path, pager) = temp_pager();
         // All ids in one shard (multiples of SHARDS) so they contend for
         // the same per-shard budget.
         let pool = BufferPool::new(0); // floor: 4 per shard
@@ -421,12 +419,11 @@ mod tests {
             assert!(pool.is_dirty(id));
             assert_eq!(pool.get(&pager, id).unwrap().read_u64(16), id.0 + 1000);
         }
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn publishing_an_absent_page_evicts_a_clean_frame() {
-        let (path, pager) = temp_pager("publish-evicts");
+        let (_path, pager) = temp_pager();
         let pool = BufferPool::new(0); // floor: 4 per shard
         let ids: Vec<PageId> = (0..6).map(|i| PageId(i * SHARDS as u64)).collect();
         for &id in &ids {
@@ -446,12 +443,11 @@ mod tests {
         assert_eq!(pool.stats().evictions, 2);
         assert!(!pool.over_target());
         assert!(pool.is_dirty(ids[4]) && pool.is_dirty(ids[5]));
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn over_target_means_dirty_frames_outgrew_a_share() {
-        let (path, pager) = temp_pager("pressure");
+        let (_path, pager) = temp_pager();
         let pool = BufferPool::new(0); // floor: 4 per shard
         let ids: Vec<PageId> = (0..6).map(|i| PageId(i * SHARDS as u64)).collect();
         for &id in &ids[..4] {
@@ -470,12 +466,11 @@ mod tests {
         assert!(!pool.over_target());
         assert_eq!(pool.len(), 4);
         assert!(pool.dirty_pages().is_empty());
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn flush_all_writes_back_and_cleans() {
-        let (path, pager) = temp_pager("flush");
+        let (_path, pager) = temp_pager();
         let id = seed_pages(&pager, 1)[0];
         let pool = BufferPool::new(64);
         let mut img = PageBuf::new(PageKind::Heap);
@@ -487,12 +482,11 @@ mod tests {
         // Verify via a fresh read from the file.
         let back = pager.read_page(id).unwrap();
         assert_eq!(back.read_u64(16), 0xAB);
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn concurrent_readers_share_one_load() {
-        let (path, pager) = temp_pager("concurrent");
+        let (_path, pager) = temp_pager();
         let ids = seed_pages(&pager, 32);
         let pool = BufferPool::new(256);
         std::thread::scope(|scope| {
@@ -512,6 +506,5 @@ mod tests {
         let stats = pool.stats();
         assert!(stats.misses <= 32 * 4);
         assert!(stats.hits >= 4 * 50 * 32 - stats.misses);
-        std::fs::remove_file(path).unwrap();
     }
 }

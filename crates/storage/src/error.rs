@@ -18,8 +18,18 @@ pub enum StorageError {
         /// The page whose checksum failed.
         page: PageId,
     },
-    /// The database file is not an Ode store (bad magic / version).
+    /// The database file is not an Ode store (bad magic or length).
     BadMagic,
+    /// The file is an Ode store in a format this build does not read —
+    /// written by another version. There is no upgrade path: the file
+    /// is refused as it is.
+    UnsupportedFormat {
+        /// Format version in the file's header.
+        found: u32,
+        /// The only version this build reads
+        /// ([`FORMAT_VERSION`](crate::store::FORMAT_VERSION)).
+        expected: u32,
+    },
     /// A page id was outside the allocated file.
     PageOutOfBounds {
         /// The offending page id.
@@ -66,6 +76,10 @@ impl fmt::Display for StorageError {
                 write!(f, "checksum mismatch on page {page}")
             }
             StorageError::BadMagic => write!(f, "not an Ode database file"),
+            StorageError::UnsupportedFormat { found, expected } => write!(
+                f,
+                "unsupported database format {found} (this build reads format {expected} only)"
+            ),
             StorageError::PageOutOfBounds { page, page_count } => {
                 write!(f, "page {page} out of bounds ({page_count} pages)")
             }

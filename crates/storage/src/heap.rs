@@ -454,26 +454,7 @@ fn roomy_at(dir_page: &crate::page::PageBuf, i: usize) -> PageId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{Store, StoreOptions};
-
-    fn temp_store(name: &str) -> (std::path::PathBuf, Store) {
-        let mut p = std::env::temp_dir();
-        p.push(format!("ode-heap-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        let _ = std::fs::remove_file(p.with_extension("db.wal"));
-        let mut wal = p.clone().into_os_string();
-        wal.push(".wal");
-        let _ = std::fs::remove_file(std::path::PathBuf::from(wal));
-        let store = Store::create(&p, StoreOptions::default()).unwrap();
-        (p, store)
-    }
-
-    fn cleanup(p: &std::path::Path) {
-        let _ = std::fs::remove_file(p);
-        let mut wal = p.to_path_buf().into_os_string();
-        wal.push(".wal");
-        let _ = std::fs::remove_file(std::path::PathBuf::from(wal));
-    }
+    use crate::testutil::TempStore;
 
     #[test]
     fn record_id_packing() {
@@ -486,7 +467,7 @@ mod tests {
 
     #[test]
     fn insert_get_delete_small() {
-        let (path, store) = temp_store("small");
+        let store = TempStore::new();
         let mut tx = store.begin();
         let heap = Heap::create(&mut tx).unwrap();
         let rid = heap.insert(&mut tx, b"hello heap").unwrap();
@@ -497,13 +478,11 @@ mod tests {
         assert_eq!(heap.len(&mut tx).unwrap(), 0);
         assert!(heap.get(&mut tx, rid).is_err());
         tx.commit().unwrap();
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn large_records_use_overflow() {
-        let (path, store) = temp_store("overflow");
+        let store = TempStore::new();
         let mut tx = store.begin();
         let heap = Heap::create(&mut tx).unwrap();
         // 3 pages worth of data plus a ragged tail.
@@ -522,13 +501,11 @@ mod tests {
         assert_eq!(tx.page_count().unwrap(), pages_before);
         assert_eq!(heap.get(&mut tx, rid2).unwrap(), data);
         tx.commit().unwrap();
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn replace_changes_rid_and_preserves_data() {
-        let (path, store) = temp_store("replace");
+        let store = TempStore::new();
         let mut tx = store.begin();
         let heap = Heap::create(&mut tx).unwrap();
         let rid = heap.insert(&mut tx, b"v0").unwrap();
@@ -536,13 +513,11 @@ mod tests {
         assert_eq!(heap.get(&mut tx, rid2).unwrap(), b"v1-much-longer");
         assert_eq!(heap.len(&mut tx).unwrap(), 1);
         tx.commit().unwrap();
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn replace_in_place_keeps_rid_and_touches_one_page() {
-        let (path, store) = temp_store("replace-in-place");
+        let store = TempStore::new();
         let mut tx = store.begin();
         let heap = Heap::create(&mut tx).unwrap();
         let rid = heap.insert(&mut tx, &[1u8; 64]).unwrap();
@@ -580,14 +555,11 @@ mod tests {
         let mut check = store.begin();
         assert_eq!(heap.get(&mut check, rid).unwrap(), vec![5u8; 64]);
         assert_eq!(heap.get(&mut check, other).unwrap(), vec![6u8; 700]);
-        drop(check);
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn replace_relocates_when_page_cannot_hold_growth() {
-        let (path, store) = temp_store("replace-relocate");
+        let store = TempStore::new();
         let mut tx = store.begin();
         let heap = Heap::create(&mut tx).unwrap();
         // Nearly fill one page so growing the first record must move it.
@@ -620,13 +592,11 @@ mod tests {
         assert_eq!(heap.get(&mut tx, new_rid).unwrap(), b"small");
         assert_eq!(heap.len(&mut tx).unwrap(), records);
         tx.commit().unwrap();
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn pages_emptied_by_deletes_are_refilled_before_the_heap_grows() {
-        let (path, store) = temp_store("roomy");
+        let store = TempStore::new();
         let mut tx = store.begin();
         let heap = Heap::create(&mut tx).unwrap();
         // One 3000-byte record per page.
@@ -648,13 +618,11 @@ mod tests {
         heap.insert(&mut tx, &[4u8; 3000]).unwrap();
         assert_eq!(tx.page_count().unwrap(), pages + 1);
         tx.commit().unwrap();
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn insert_near_shares_the_page_while_it_has_room() {
-        let (path, store) = temp_store("near");
+        let store = TempStore::new();
         let mut tx = store.begin();
         let heap = Heap::create(&mut tx).unwrap();
         let home = heap.insert(&mut tx, &[1u8; 100]).unwrap();
@@ -673,13 +641,11 @@ mod tests {
         assert_eq!(heap.get(&mut tx, big).unwrap(), vec![5u8; 3990]);
         assert_eq!(heap.len(&mut tx).unwrap(), 10);
         tx.commit().unwrap();
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn scan_returns_all_live_records() {
-        let (path, store) = temp_store("scan");
+        let store = TempStore::new();
         let mut tx = store.begin();
         let heap = Heap::create(&mut tx).unwrap();
         let mut expected = Vec::new();
@@ -705,13 +671,11 @@ mod tests {
         assert_eq!(scanned, kept_sorted);
         assert_eq!(heap.len(&mut tx).unwrap(), kept.len() as u64);
         tx.commit().unwrap();
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn many_records_span_many_pages() {
-        let (path, store) = temp_store("manypages");
+        let store = TempStore::new();
         let mut tx = store.begin();
         let heap = Heap::create(&mut tx).unwrap();
         let data = vec![0xAAu8; 1000];
@@ -725,13 +689,11 @@ mod tests {
             assert_eq!(heap.get(&mut tx, rid).unwrap(), data);
         }
         tx.commit().unwrap();
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn heap_persists_across_reopen() {
-        let (path, store) = temp_store("persist");
+        let mut store = TempStore::new();
         let (heap_dir, rid) = {
             let mut tx = store.begin();
             let heap = Heap::create(&mut tx).unwrap();
@@ -740,26 +702,20 @@ mod tests {
             tx.commit().unwrap();
             (heap.dir, rid)
         };
-        drop(store);
-        let store = Store::open(&path, StoreOptions::default()).unwrap();
+        store.reopen();
         let mut r = store.read();
         assert_eq!(r.root(0).unwrap(), heap_dir.0);
         let heap = Heap::open(heap_dir);
         assert_eq!(heap.get(&mut r, rid).unwrap(), b"durable");
-        drop(r);
-        drop(store);
-        cleanup(&path);
     }
 
     #[test]
     fn empty_record_round_trips() {
-        let (path, store) = temp_store("empty");
+        let store = TempStore::new();
         let mut tx = store.begin();
         let heap = Heap::create(&mut tx).unwrap();
         let rid = heap.insert(&mut tx, b"").unwrap();
         assert_eq!(heap.get(&mut tx, rid).unwrap(), b"");
         tx.commit().unwrap();
-        drop(store);
-        cleanup(&path);
     }
 }

@@ -181,29 +181,22 @@ impl Pager {
 mod tests {
     use super::*;
     use crate::page::PageKind;
-
-    fn temp_path(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("ode-pager-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        p
-    }
+    use crate::testutil::TempPath;
 
     #[test]
     fn write_read_round_trip() {
-        let path = temp_path("rt");
+        let path = TempPath::new();
         let pager = Pager::create(&path).unwrap();
         let mut page = PageBuf::new(PageKind::Heap);
         page.payload_mut()[..4].copy_from_slice(b"data");
         pager.write_page(PageId(0), &mut page).unwrap();
         let back = pager.read_page(PageId(0)).unwrap();
         assert_eq!(&back.payload()[..4], b"data");
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn write_beyond_eof_grows_file() {
-        let path = temp_path("grow");
+        let path = TempPath::new();
         let pager = Pager::create(&path).unwrap();
         let mut page = PageBuf::new(PageKind::Heap);
         pager.write_page(PageId(5), &mut page).unwrap();
@@ -213,12 +206,11 @@ mod tests {
             pager.read_page(PageId(3)),
             Err(StorageError::ChecksumMismatch { .. })
         ));
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn reopen_preserves_pages() {
-        let path = temp_path("reopen");
+        let path = TempPath::new();
         {
             let pager = Pager::create(&path).unwrap();
             let mut page = PageBuf::new(PageKind::Heap);
@@ -229,20 +221,18 @@ mod tests {
         let pager = Pager::open(&path).unwrap();
         assert_eq!(pager.file_pages(), 3);
         assert_eq!(pager.read_page(PageId(2)).unwrap().payload()[0], 7);
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn ragged_file_rejected() {
-        let path = temp_path("ragged");
+        let path = TempPath::new();
         std::fs::write(&path, vec![0u8; PAGE_SIZE + 17]).unwrap();
         assert!(matches!(Pager::open(&path), Err(StorageError::BadMagic)));
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn corruption_detected() {
-        let path = temp_path("corrupt");
+        let path = TempPath::new();
         {
             let pager = Pager::create(&path).unwrap();
             let mut page = PageBuf::new(PageKind::Heap);
@@ -259,23 +249,21 @@ mod tests {
             pager.read_page(PageId(0)),
             Err(StorageError::ChecksumMismatch { .. })
         ));
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn out_of_bounds_read_rejected() {
-        let path = temp_path("oob");
+        let path = TempPath::new();
         let pager = Pager::create(&path).unwrap();
         assert!(matches!(
             pager.read_page(PageId(5)),
             Err(StorageError::PageOutOfBounds { .. })
         ));
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn concurrent_positional_reads() {
-        let path = temp_path("concread");
+        let path = TempPath::new();
         let pager = Pager::create(&path).unwrap();
         for i in 0..16u64 {
             let mut page = PageBuf::new(PageKind::Heap);
@@ -292,6 +280,5 @@ mod tests {
                 });
             }
         });
-        std::fs::remove_file(path).unwrap();
     }
 }

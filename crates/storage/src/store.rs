@@ -69,13 +69,17 @@ use crate::{Result, StorageError};
 
 /// Magic number identifying an Ode store header page.
 pub const MAGIC: u32 = 0x4F44_4531; // "ODE1"
-/// Current file-format version.
-pub const FORMAT_VERSION: u32 = 1;
+/// Current file-format version. Version 2 stores byte strings (every
+/// `Vec<u8>` in a record: version bodies, anchors, delta inserts) as a
+/// length plus raw bytes; version 1 wrote a varint per byte. Files of
+/// any other version are refused with
+/// [`StorageError::UnsupportedFormat`].
+pub const FORMAT_VERSION: u32 = 2;
 /// Number of named root slots in the header.
 pub const ROOT_SLOTS: usize = 16;
 
 /// Header-page field offsets (bytes ≥ 16 are past the common page header).
-mod hdr {
+pub(crate) mod hdr {
     pub const MAGIC: usize = 16;
     pub const FORMAT_VERSION: usize = 20;
     pub const PAGE_COUNT: usize = 24;
@@ -611,12 +615,7 @@ impl Store {
         }
 
         // Validate the header now that recovery has run.
-        let header = pager.read_page(PageId::HEADER)?;
-        if header.read_u32(hdr::MAGIC) != MAGIC
-            || header.read_u32(hdr::FORMAT_VERSION) != FORMAT_VERSION
-        {
-            return Err(StorageError::BadMagic);
-        }
+        check_header(pager.read_page(PageId::HEADER)?.as_bytes())?;
 
         Store::assemble(pager, wal, options, db_path)
     }
@@ -887,12 +886,15 @@ impl Store {
     /// store's entire current state (both bootstrap and mid-stream
     /// resync after falling behind a checkpoint). Readers in flight
     /// keep their pinned pages; new snapshots see the installed state.
+    /// A page file this build cannot read is refused — its header is
+    /// checked as [`Store::open`] checks one — before anything changes.
     pub fn replica_install_snapshot(
         &self,
         db_bytes: &[u8],
         base_pos: u64,
         epoch: u64,
     ) -> Result<()> {
+        check_header(db_bytes)?;
         let mut ws = self.lock_write();
         {
             // Exclusive gate for the whole swap: a concurrent reader
@@ -1044,6 +1046,32 @@ pub(crate) fn wal_path_for(db_path: &Path) -> PathBuf {
     let mut os = db_path.as_os_str().to_owned();
     os.push(".wal");
     PathBuf::from(os)
+}
+
+/// Check that `file` — a page file's bytes, or at least its first
+/// page — starts with an intact header page of this build's format.
+/// The one check run before a page file is trusted: by [`Store::open`]
+/// on the local file, and by a replica on a shipped snapshot.
+fn check_header(file: &[u8]) -> Result<()> {
+    let header = file
+        .get(..PAGE_SIZE)
+        .and_then(|page| PageBuf::from_vec(page.to_vec()))
+        .ok_or(StorageError::BadMagic)?;
+    if !header.verify() {
+        return Err(StorageError::ChecksumMismatch {
+            page: PageId::HEADER,
+        });
+    }
+    if header.read_u32(hdr::MAGIC) != MAGIC {
+        return Err(StorageError::BadMagic);
+    }
+    match header.read_u32(hdr::FORMAT_VERSION) {
+        FORMAT_VERSION => Ok(()),
+        found => Err(StorageError::UnsupportedFormat {
+            found,
+            expected: FORMAT_VERSION,
+        }),
+    }
 }
 
 /// A write transaction (RAII guard; drop without [`Tx::commit`] aborts
@@ -1420,7 +1448,7 @@ impl PageRead for ReadTx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::TempStore;
+    use crate::testutil::{stamp_format_version, TempStore};
 
     #[test]
     fn allocate_and_read_back() {
@@ -1957,6 +1985,63 @@ mod tests {
         replica.reopen();
         let mut r = replica.read();
         assert_eq!(r.page(id).unwrap().payload()[0], 9);
+    }
+
+    #[test]
+    fn a_format_1_file_is_refused_by_name() {
+        let mut store = TempStore::new();
+        store.close();
+        let mut file = std::fs::read(store.path()).unwrap();
+        stamp_format_version(&mut file, 1);
+        std::fs::write(store.path(), &file).unwrap();
+        assert!(matches!(
+            Store::open(store.path(), StoreOptions::default()),
+            Err(StorageError::UnsupportedFormat {
+                found: 1,
+                expected: 2
+            })
+        ));
+    }
+
+    #[test]
+    fn a_snapshot_in_another_format_is_refused_before_anything_changes() {
+        let primary = TempStore::new();
+        let replica = TempStore::new();
+        let snap = primary.repl_snapshot().unwrap();
+        replica
+            .replica_install_snapshot(&snap.db_bytes, snap.base_pos, snap.epoch)
+            .unwrap();
+        let mut pos = snap.base_pos;
+        let id = {
+            let mut tx = primary.begin();
+            let id = tx.allocate(PageKind::Heap).unwrap();
+            tx.page_mut(id).unwrap().payload_mut()[0] = 1;
+            tx.commit().unwrap();
+            id
+        };
+        ship_all(&primary, &replica, &mut pos, 4096);
+        {
+            let mut tx = primary.begin();
+            tx.page_mut(id).unwrap().payload_mut()[0] = 2;
+            tx.commit().unwrap();
+        }
+        let file = replica.pager.raw_contents().unwrap();
+        let epoch = replica.epoch();
+        let wal_pos = replica.write.lock().logical_pos;
+
+        let mut foreign = primary.repl_snapshot().unwrap();
+        stamp_format_version(&mut foreign.db_bytes, 1);
+        assert!(matches!(
+            replica.replica_install_snapshot(&foreign.db_bytes, foreign.base_pos, foreign.epoch),
+            Err(StorageError::UnsupportedFormat {
+                found: 1,
+                expected: 2
+            })
+        ));
+        assert_eq!(replica.pager.raw_contents().unwrap(), file);
+        assert_eq!(replica.epoch(), epoch);
+        assert_eq!(replica.write.lock().logical_pos, wal_pos);
+        assert_eq!(replica.read().page(id).unwrap().payload()[0], 1);
     }
 
     #[test]

@@ -5,10 +5,20 @@ use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::store::wal_path_for;
-use crate::{Store, StoreOptions};
+use crate::store::{hdr, wal_path_for};
+use crate::{PageBuf, Store, StoreOptions, PAGE_SIZE};
 
 static NEXT_PATH: AtomicU64 = AtomicU64::new(0);
+
+/// Rewrite the format version in the header page at the start of
+/// `file` (a page file's bytes) and reseal the page: how a test makes
+/// a file look as if another build wrote it.
+pub fn stamp_format_version(file: &mut [u8], version: u32) {
+    let mut header = PageBuf::from_vec(file[..PAGE_SIZE].to_vec()).expect("a header page");
+    header.write_u32(hdr::FORMAT_VERSION, version);
+    header.seal();
+    file[..PAGE_SIZE].copy_from_slice(header.as_bytes());
+}
 
 /// A unique, not-yet-existing path in the system temp directory. The
 /// file there and its `.wal` sidecar are removed on drop — also when

@@ -22,7 +22,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use ode_codec::{from_bytes, to_bytes, DecodeError, Persist, Reader, Writer};
+use ode_codec::{from_bytes, impl_persist_enum, to_bytes};
 
 use crate::page::{PageBuf, PageId, PAGE_SIZE};
 use crate::{crc32, Result, StorageError};
@@ -78,67 +78,14 @@ impl WalRecord {
     }
 }
 
-// Hand-written rather than `impl_persist_enum!`: page bytes go out as
-// length-prefixed raw runs. The generic `Vec<u8>` encoding writes one
-// varint per byte, which grows a page image by half and costs a
-// branch per byte on the commit path, where every byte is also
-// checksummed, written and fsynced.
-impl Persist for WalRecord {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            WalRecord::Begin { tx } => {
-                w.put_varint(0);
-                w.put_varint(*tx);
-            }
-            WalRecord::Page { tx, page, image } => {
-                w.put_varint(1);
-                w.put_varint(*tx);
-                w.put_varint(*page);
-                w.put_bytes(image);
-            }
-            WalRecord::Commit { tx } => {
-                w.put_varint(2);
-                w.put_varint(*tx);
-            }
-            WalRecord::PageDelta { tx, page, ops } => {
-                w.put_varint(3);
-                w.put_varint(*tx);
-                w.put_varint(*page);
-                w.put_varint(ops.len() as u64);
-                for (offset, bytes) in ops {
-                    w.put_varint(u64::from(*offset));
-                    w.put_bytes(bytes);
-                }
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, DecodeError> {
-        let kind = r.get_varint()?;
-        let tx = r.get_varint()?;
-        Ok(match kind {
-            0 => WalRecord::Begin { tx },
-            1 => WalRecord::Page {
-                tx,
-                page: r.get_varint()?,
-                image: r.get_bytes()?.to_vec(),
-            },
-            2 => WalRecord::Commit { tx },
-            3 => {
-                let page = r.get_varint()?;
-                let count = r.get_count()?;
-                let mut ops = Vec::with_capacity(count);
-                for _ in 0..count {
-                    let offset = u32::try_from(r.get_varint()?)
-                        .map_err(|_| DecodeError::Invalid("page offset out of range"))?;
-                    ops.push((offset, r.get_bytes()?.to_vec()));
-                }
-                WalRecord::PageDelta { tx, page, ops }
-            }
-            _ => return Err(DecodeError::Invalid("unknown WAL record kind")),
-        })
-    }
-}
+// Varint kind and ids; page bytes are byte strings (length-prefixed
+// raw runs), so this is the log format byte for byte.
+impl_persist_enum!(WalRecord {
+    Begin { tx },
+    Page { tx, page, image },
+    Commit { tx },
+    PageDelta { tx, page, ops },
+});
 
 /// Append-only log writer/reader over a single file.
 pub struct Wal {

@@ -8,30 +8,15 @@
 //! (flush every dirty page, fsync the file, truncate and fsync the log)
 //! on most commits.
 
-use std::path::{Path, PathBuf};
-
 use ode_storage::heap::{Heap, RecordId};
-use ode_storage::{PageWrite, Store, StoreOptions};
+use ode_storage::testutil::TempStore;
+use ode_storage::{PageWrite, StoreOptions};
 
 const POOL_PAGES: usize = 256;
 /// One ~3 KB record per page: the heap alone is over 4× the pool.
 const RECORDS: usize = 4 * POOL_PAGES + 76;
 const RECORD_BYTES: usize = 3000;
 const COMMITS: usize = 2000;
-
-fn temp_db(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("ode-ckpt-{name}-{}", std::process::id()));
-    cleanup(&p);
-    p
-}
-
-fn cleanup(p: &Path) {
-    let _ = std::fs::remove_file(p);
-    let mut wal = p.as_os_str().to_owned();
-    wal.push(".wal");
-    let _ = std::fs::remove_file(PathBuf::from(wal));
-}
 
 fn options() -> StoreOptions {
     StoreOptions {
@@ -50,8 +35,7 @@ fn record(i: usize, generation: u64) -> Vec<u8> {
 
 #[test]
 fn small_commits_on_a_store_larger_than_the_pool_rarely_checkpoint() {
-    let path = temp_db("storm");
-    let store = Store::create(&path, options()).unwrap();
+    let mut store = TempStore::with(options());
     let (heap, rids): (Heap, Vec<RecordId>) = {
         let mut tx = store.begin();
         let heap = Heap::create(&mut tx).unwrap();
@@ -101,8 +85,8 @@ fn small_commits_on_a_store_larger_than_the_pool_rarely_checkpoint() {
 
     // Crash (no shutdown checkpoint): the log tail replays to the same
     // records.
-    std::mem::forget(store);
-    let store = Store::open(&path, options()).unwrap();
+    store.crash();
+    store.reopen();
     let mut r = store.read();
     for (i, &rid) in rids.iter().enumerate() {
         assert_eq!(
@@ -111,7 +95,4 @@ fn small_commits_on_a_store_larger_than_the_pool_rarely_checkpoint() {
             "record {i}"
         );
     }
-    drop(r);
-    drop(store);
-    cleanup(&path);
 }

@@ -9,26 +9,12 @@
 //! observations against a reference model.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex};
 
+use ode_storage::testutil::TempStore;
 use ode_storage::{PageBuf, PageId, PageRead, PageWrite, Store, StoreOptions};
 use proptest::prelude::*;
-
-fn temp_db(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("ode-conc-{name}-{}", std::process::id()));
-    cleanup(&p);
-    p
-}
-
-fn cleanup(p: &Path) {
-    let _ = std::fs::remove_file(p);
-    let mut wal = p.as_os_str().to_owned();
-    wal.push(".wal");
-    let _ = std::fs::remove_file(PathBuf::from(wal));
-}
 
 /// Commit generation `g` into every page atomically: each page gets the
 /// generation plus a per-page salt, so a torn read (pages from two
@@ -67,15 +53,10 @@ fn read_generation(r: &mut ode_storage::ReadTx<'_>, pages: &[PageId]) -> u64 {
 /// and one epoch must always denote one generation, across all readers.
 #[test]
 fn readers_never_observe_torn_commits() {
-    let path = temp_db("torn");
-    let store = Store::create(
-        &path,
-        StoreOptions {
-            sync_on_commit: false,
-            ..StoreOptions::default()
-        },
-    )
-    .unwrap();
+    let store = TempStore::with(StoreOptions {
+        sync_on_commit: false,
+        ..StoreOptions::default()
+    });
     let pages: Vec<PageId> = {
         let mut tx = store.begin();
         let pages: Vec<PageId> = (0..4)
@@ -129,7 +110,6 @@ fn readers_never_observe_torn_commits() {
     let stats = store.stats();
     assert_eq!(stats.write_txs, COMMITS + 2);
     assert!(stats.read_txs > 0);
-    cleanup(&path);
 }
 
 /// Two snapshots provably overlap in time (barrier inside both) and
@@ -137,8 +117,7 @@ fn readers_never_observe_torn_commits() {
 /// here.
 #[test]
 fn snapshots_overlap_in_time() {
-    let path = temp_db("overlap");
-    let store = Store::create(&path, StoreOptions::default()).unwrap();
+    let store = TempStore::new();
     let id = {
         let mut tx = store.begin();
         let id = tx.allocate(ode_storage::page::PageKind::Heap).unwrap();
@@ -159,7 +138,6 @@ fn snapshots_overlap_in_time() {
             });
         }
     });
-    cleanup(&path);
 }
 
 /// Readers pay no write amplification: concurrent snapshots resolving
@@ -167,8 +145,7 @@ fn snapshots_overlap_in_time() {
 /// not distinct readers).
 #[test]
 fn concurrent_reads_share_pool_frames() {
-    let path = temp_db("sharedframes");
-    let store = Store::create(&path, StoreOptions::default()).unwrap();
+    let store = TempStore::new();
     let id = {
         let mut tx = store.begin();
         let id = tx.allocate(ode_storage::page::PageKind::Heap).unwrap();
@@ -197,7 +174,6 @@ fn concurrent_reads_share_pool_frames() {
         after.misses
     );
     assert!(after.hits >= before.hits + 400);
-    cleanup(&path);
 }
 
 // ---------------------------------------------------------------------------
@@ -242,14 +218,9 @@ proptest! {
     #[test]
     fn interleaved_commits_and_snapshots_match_model(
         steps in proptest::collection::vec(arb_step(), 1..40),
-        seed in any::<u32>(),
+        _seed in any::<u32>(),
     ) {
-        let path = temp_db(&format!("prop{seed}"));
-        let store = Store::create(
-            &path,
-            StoreOptions { sync_on_commit: false, ..StoreOptions::default() },
-        )
-        .unwrap();
+        let store = TempStore::with(StoreOptions { sync_on_commit: false, ..StoreOptions::default() });
         // Six slots, each one page.
         let pages: Vec<PageId> = {
             let mut tx = store.begin();
@@ -316,8 +287,6 @@ proptest! {
                 }
             }
         }
-        drop(store);
-        cleanup(&path);
     }
 
     /// The write set is truly private: while a transaction holds
@@ -336,12 +305,7 @@ proptest! {
         } else {
             uncommitted
         };
-        let path = temp_db(&format!("iso{}", committed ^ uncommitted));
-        let store = Store::create(
-            &path,
-            StoreOptions { sync_on_commit: false, ..StoreOptions::default() },
-        )
-        .unwrap();
+        let store = TempStore::with(StoreOptions { sync_on_commit: false, ..StoreOptions::default() });
         let id = {
             let mut tx = store.begin();
             let id = tx.allocate(ode_storage::page::PageKind::Heap).unwrap();
@@ -365,8 +329,6 @@ proptest! {
         let mut r = store.read();
         prop_assert_eq!(r.page(id).unwrap().read_u64(16), expected);
         drop(r);
-        drop(store);
-        cleanup(&path);
     }
 }
 
@@ -406,8 +368,7 @@ fn alloc_pages(store: &Store, n: usize) -> Vec<PageId> {
 /// sets both commit, each bumping the epoch once.
 #[test]
 fn disjoint_optimistic_writers_both_commit() {
-    let path = temp_db("occ-disjoint");
-    let store = Store::create(&path, no_sync()).unwrap();
+    let store = TempStore::with(no_sync());
     let pages = alloc_pages(&store, 2);
     let e0 = store.epoch();
     let s0 = store.stats();
@@ -429,7 +390,6 @@ fn disjoint_optimistic_writers_both_commit() {
     let s1 = store.stats();
     assert_eq!(s1.write_conflicts, s0.write_conflicts);
     assert_eq!(s1.write_txs, s0.write_txs + 2);
-    cleanup(&path);
 }
 
 /// Conflict matrix, row 2: two optimistic read-modify-writes of the
@@ -438,8 +398,7 @@ fn disjoint_optimistic_writers_both_commit() {
 /// recovery), and the conflict counter records it.
 #[test]
 fn same_page_conflict_loses_exactly_once() {
-    let path = temp_db("occ-samepage");
-    let store = Store::create(&path, no_sync()).unwrap();
+    let mut store = TempStore::with(no_sync());
     let pages = alloc_pages(&store, 1);
     {
         let mut tx = store.begin();
@@ -481,12 +440,10 @@ fn same_page_conflict_loses_exactly_once() {
 
     // The loser aborted before touching the WAL: recovery replays the
     // log and must land on the winner's state.
-    drop(store);
-    let store = Store::open(&path, no_sync()).unwrap();
+    store.reopen();
     let mut r = store.read();
     assert_eq!(r.page(pages[0]).unwrap().read_u64(16), 6);
     drop(r);
-    cleanup(&path);
 }
 
 /// A doomed optimistic transaction fails fast: once a page it already
@@ -494,8 +451,7 @@ fn same_page_conflict_loses_exactly_once() {
 /// `WriteConflict` instead of handing out an incoherent mix of epochs.
 #[test]
 fn stale_read_fails_fast_at_next_fetch() {
-    let path = temp_db("occ-failfast");
-    let store = Store::create(&path, no_sync()).unwrap();
+    let store = TempStore::with(no_sync());
     let pages = alloc_pages(&store, 2);
     let s0 = store.stats();
 
@@ -512,7 +468,6 @@ fn stale_read_fails_fast_at_next_fetch() {
         "stale fetch must fail fast, got {err}"
     );
     assert_eq!(store.stats().write_conflicts, s0.write_conflicts + 1);
-    cleanup(&path);
 }
 
 /// Conflict matrix, row 3: read-only transactions never abort.
@@ -521,8 +476,7 @@ fn stale_read_fails_fast_at_next_fetch() {
 /// opened across a conflicting commit serves its snapshot to the end.
 #[test]
 fn read_only_transactions_never_abort() {
-    let path = temp_db("occ-readonly");
-    let store = Store::create(&path, no_sync()).unwrap();
+    let store = TempStore::with(no_sync());
     let pages = alloc_pages(&store, 2);
 
     // Optimistic read-only: unrelated commits do not doom it.
@@ -562,7 +516,6 @@ fn read_only_transactions_never_abort() {
     let mut r = store.read();
     assert_eq!(r.page(pages[1]).unwrap().read_u64(16), 10);
     drop(r);
-    cleanup(&path);
 }
 
 /// Back-to-back winners inside one group-commit cohort each bump the
@@ -573,17 +526,12 @@ fn read_only_transactions_never_abort() {
 fn cohort_winners_bump_epoch_once_each() {
     const WRITERS: usize = 4;
     const COMMITS: u64 = 25;
-    let path = temp_db("occ-cohort");
-    let store = Store::create(
-        &path,
-        StoreOptions {
-            sync_on_commit: true,
-            group_commit: true,
-            group_commit_window: Duration::from_millis(1),
-            ..StoreOptions::default()
-        },
-    )
-    .unwrap();
+    let store = TempStore::with(StoreOptions {
+        sync_on_commit: true,
+        group_commit: true,
+        group_commit_window: Duration::from_millis(1),
+        ..StoreOptions::default()
+    });
     let pages = alloc_pages(&store, WRITERS);
     let e0 = store.epoch();
     let s0 = store.stats();
@@ -615,7 +563,6 @@ fn cohort_winners_bump_epoch_once_each() {
         assert_eq!(r.page(id).unwrap().read_u64(16), COMMITS);
     }
     drop(r);
-    cleanup(&path);
 }
 
 proptest! {
@@ -640,10 +587,9 @@ proptest! {
             ),
             2..5,
         ),
-        seed in any::<u32>(),
+        _seed in any::<u32>(),
     ) {
-        let path = temp_db(&format!("occ-prop{seed}"));
-        let store = Store::create(&path, no_sync()).unwrap();
+        let store = TempStore::with(no_sync());
         let pages = alloc_pages(&store, 3);
         let e0 = store.epoch();
         let s0 = store.stats();
@@ -706,8 +652,6 @@ proptest! {
         prop_assert_eq!(s1.write_conflicts - s0.write_conflicts,
             aborts.load(Ordering::Relaxed),
             "the conflict counter must match the aborts writers saw");
-        drop(store);
-        cleanup(&path);
     }
 }
 

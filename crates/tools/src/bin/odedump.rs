@@ -10,8 +10,11 @@
 //! odedump fsck    <db>          consistency check
 //! ```
 
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
+
+use ode_version::VersionError;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -28,21 +31,59 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
+/// Why a command stopped before printing everything.
+enum Stop {
+    /// The arguments do not name a command.
+    Usage,
+    /// The database could not be read.
+    Db(VersionError),
+    /// Writing the output failed.
+    Out(io::Error),
+}
+
+impl From<VersionError> for Stop {
+    fn from(e: VersionError) -> Stop {
+        Stop::Db(e)
+    }
+}
+
+impl From<io::Error> for Stop {
+    fn from(e: io::Error) -> Stop {
+        Stop::Out(e)
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (command, rest) = match args.split_first() {
-        Some((c, rest)) => (c.as_str(), rest),
-        None => return usage(),
+    let Some((command, rest)) = args.split_first() else {
+        return usage();
     };
-    let db: PathBuf = match rest.first() {
-        Some(path) => PathBuf::from(path),
-        None => return usage(),
-    };
-    let oid_arg = || -> Option<u64> { rest.get(1).and_then(|s| s.parse().ok()) };
+    match run(command, rest, &mut io::stdout().lock()) {
+        Ok(()) => ExitCode::SUCCESS,
+        // The reader has gone (`odedump info | head -1`) and has all it
+        // wanted: not a failure.
+        Err(Stop::Out(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Stop::Usage) => usage(),
+        Err(Stop::Db(e)) => {
+            eprintln!("odedump: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Stop::Out(e)) => {
+            eprintln!("odedump: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
 
-    let outcome = match command {
-        "info" => ode_tools::store_info(&db).map(|info| {
-            println!("pages      : {}", info.page_count);
+fn run(command: &str, rest: &[String], out: &mut impl Write) -> Result<(), Stop> {
+    let db = PathBuf::from(rest.first().ok_or(Stop::Usage)?);
+    let oid_arg =
+        || -> Result<u64, Stop> { rest.get(1).and_then(|s| s.parse().ok()).ok_or(Stop::Usage) };
+
+    match command {
+        "info" => {
+            let info = ode_tools::store_info(&db)?;
+            writeln!(out, "pages      : {}", info.page_count)?;
             for (kind, count) in &info.pages_by_kind {
                 let name = match kind {
                     Some(1) => "header",
@@ -54,149 +95,165 @@ fn main() -> ExitCode {
                     Some(7) => "heap-dir",
                     _ => "unreadable",
                 };
-                println!("  {name:<12}: {count}");
+                writeln!(out, "  {name:<12}: {count}")?;
             }
-            println!("wal bytes  : {}", info.wal_bytes);
-            println!("objects    : {}", info.object_count);
-            println!("versions   : {}", info.version_count);
-            println!("types      : {}", info.type_count);
-            println!("buffer pool (during this scan):");
-            println!("  hits      : {}", info.buffer.hits);
-            println!("  misses    : {}", info.buffer.misses);
-            println!("  evictions : {}", info.buffer.evictions);
-            println!("  writebacks: {}", info.buffer.writebacks);
-            println!("storage engine (during this scan):");
-            println!("  read txs  : {}", info.storage.read_txs);
-            println!("  write txs : {}", info.storage.write_txs);
-            println!(
+            writeln!(out, "wal bytes  : {}", info.wal_bytes)?;
+            writeln!(out, "objects    : {}", info.object_count)?;
+            writeln!(out, "versions   : {}", info.version_count)?;
+            writeln!(out, "types      : {}", info.type_count)?;
+            writeln!(out, "buffer pool (during this scan):")?;
+            writeln!(out, "  hits      : {}", info.buffer.hits)?;
+            writeln!(out, "  misses    : {}", info.buffer.misses)?;
+            writeln!(out, "  evictions : {}", info.buffer.evictions)?;
+            writeln!(out, "  writebacks: {}", info.buffer.writebacks)?;
+            writeln!(out, "storage engine (during this scan):")?;
+            writeln!(out, "  read txs  : {}", info.storage.read_txs)?;
+            writeln!(out, "  write txs : {}", info.storage.write_txs)?;
+            writeln!(
+                out,
                 "  reader waits: {} ({} ns)",
                 info.storage.reader_waits, info.storage.reader_wait_nanos
-            );
-            println!(
+            )?;
+            writeln!(
+                out,
                 "  writer waits: {} ({} ns)",
                 info.storage.writer_waits, info.storage.writer_wait_nanos
-            );
-            println!(
+            )?;
+            writeln!(
+                out,
                 "  write conflicts: {} ({} retries)",
                 info.storage.write_conflicts, info.storage.write_retries
-            );
-        }),
-        "objects" => ode_tools::list_objects(&db).map(|objects| {
-            println!(
+            )?;
+        }
+        "objects" => {
+            let objects = ode_tools::list_objects(&db)?;
+            writeln!(
+                out,
                 "{:<8} {:<20} {:>8} {:>8} {:>10}",
                 "oid", "tag", "versions", "latest", "body(B)"
-            );
+            )?;
             for o in objects {
-                println!(
+                writeln!(
+                    out,
                     "{:<8} {:<#20x} {:>8} {:>8} {:>10}",
                     o.oid, o.tag, o.versions, o.latest, o.latest_body_bytes
-                );
+                )?;
             }
-        }),
-        "object" => match oid_arg() {
-            Some(oid) => ode_tools::describe_object(&db, oid).map(|text| print!("{text}")),
-            None => return usage(),
-        },
-        "chains" => ode_tools::chain_report(&db).map(|chains| {
+        }
+        "object" => {
+            let text = ode_tools::describe_object(&db, oid_arg()?)?;
+            write!(out, "{text}")?;
+        }
+        "chains" => {
+            let chains = ode_tools::chain_report(&db)?;
             if chains.is_empty() {
-                println!("no delta chains (store holds whole-body versions only)");
-                return;
-            }
-            println!(
-                "{:<8} {:>8} {:>8} {:>6} {:>9} {:>6} {:>6} {:>11} {:>12} {:>6}",
-                "oid",
-                "versions",
-                "segments",
-                "delta",
-                "open-fill",
-                "merges",
-                "dir(B)",
-                "encoded(B)",
-                "full-copy(B)",
-                "ratio"
-            );
-            let (mut encoded, mut materialized, mut merges) = (0u64, 0u64, 0u64);
-            for c in &chains {
-                encoded += c.encoded_bytes;
-                materialized += c.materialized_bytes;
-                merges += c.merges;
-                println!(
-                    "{:<8} {:>8} {:>8} {:>6} {:>9} {:>6} {:>6} {:>11} {:>12} {:>6.3}",
-                    c.oid,
-                    c.versions,
-                    c.segments,
-                    c.deltas,
-                    format!("{}/{}", c.open_fill, c.interval),
-                    c.merges,
-                    c.directory_bytes,
-                    c.encoded_bytes,
-                    c.materialized_bytes,
-                    c.ratio
-                );
-            }
-            let ratio = if materialized == 0 {
-                1.0
+                writeln!(
+                    out,
+                    "no delta chains (store holds whole-body versions only)"
+                )?;
             } else {
-                encoded as f64 / materialized as f64
-            };
-            println!(
-                "total: {encoded} B encoded vs {materialized} B as full copies (ratio {ratio:.3})"
-            );
-            if merges > 0 {
-                println!("merge joins: {merges} two-parent version(s) across the store");
+                writeln!(
+                    out,
+                    "{:<8} {:>8} {:>8} {:>6} {:>9} {:>6} {:>6} {:>11} {:>12} {:>6}",
+                    "oid",
+                    "versions",
+                    "segments",
+                    "delta",
+                    "open-fill",
+                    "merges",
+                    "dir(B)",
+                    "encoded(B)",
+                    "full-copy(B)",
+                    "ratio"
+                )?;
+                let (mut encoded, mut materialized, mut merges) = (0u64, 0u64, 0u64);
+                for c in &chains {
+                    encoded += c.encoded_bytes;
+                    materialized += c.materialized_bytes;
+                    merges += c.merges;
+                    writeln!(
+                        out,
+                        "{:<8} {:>8} {:>8} {:>6} {:>9} {:>6} {:>6} {:>11} {:>12} {:>6.3}",
+                        c.oid,
+                        c.versions,
+                        c.segments,
+                        c.deltas,
+                        format!("{}/{}", c.open_fill, c.interval),
+                        c.merges,
+                        c.directory_bytes,
+                        c.encoded_bytes,
+                        c.materialized_bytes,
+                        c.ratio
+                    )?;
+                }
+                let ratio = if materialized == 0 {
+                    1.0
+                } else {
+                    encoded as f64 / materialized as f64
+                };
+                writeln!(
+                    out,
+                    "total: {encoded} B encoded vs {materialized} B as full copies (ratio {ratio:.3})"
+                )?;
+                if merges > 0 {
+                    writeln!(
+                        out,
+                        "merge joins: {merges} two-parent version(s) across the store"
+                    )?;
+                }
             }
-        }),
-        "dot" => match oid_arg() {
-            Some(oid) => ode_tools::export_object_dot(&db, oid).map(|dot| print!("{dot}")),
-            None => return usage(),
-        },
-        "wal" => ode_tools::wal_records(&db).and_then(|(records, torn)| {
+        }
+        "dot" => {
+            let dot = ode_tools::export_object_dot(&db, oid_arg()?)?;
+            write!(out, "{dot}")?;
+        }
+        "wal" => {
+            let (records, torn) = ode_tools::wal_records(&db)?;
             if !records.is_empty() {
-                println!("{:>10} {:>9} {:>7}  record", "offset", "bytes", "epoch");
+                writeln!(
+                    out,
+                    "{:>10} {:>9} {:>7}  record",
+                    "offset", "bytes", "epoch"
+                )?;
                 for r in &records {
                     let epoch = match r.epoch {
                         Some(e) => format!("+{e}"),
                         None => "-".into(),
                     };
-                    println!(
+                    writeln!(
+                        out,
                         "{:>10} {:>9} {:>7}  {}",
                         r.offset, r.payload_bytes, epoch, r.desc
-                    );
+                    )?;
                 }
             }
             if let Some(offset) = torn {
-                println!("torn tail at offset {offset} (expected after a crash)");
+                writeln!(out, "torn tail at offset {offset} (expected after a crash)")?;
             }
-            ode_tools::wal_summary(&db).map(|s| {
-                println!("bytes      : {}", s.bytes);
-                println!("begins     : {}", s.begins);
-                println!("commits    : {}", s.commits);
-                println!("page images: {}", s.page_images);
-                println!("page deltas: {}", s.page_deltas);
-                println!("torn tail  : {}", s.torn_tail);
-            })
-        }),
-        "fsck" => ode_tools::fsck(&db).map(|report| {
-            println!(
+            let s = ode_tools::wal_summary(&db)?;
+            writeln!(out, "bytes      : {}", s.bytes)?;
+            writeln!(out, "begins     : {}", s.begins)?;
+            writeln!(out, "commits    : {}", s.commits)?;
+            writeln!(out, "page images: {}", s.page_images)?;
+            writeln!(out, "page deltas: {}", s.page_deltas)?;
+            writeln!(out, "torn tail  : {}", s.torn_tail)?;
+        }
+        "fsck" => {
+            let report = ode_tools::fsck(&db)?;
+            writeln!(
+                out,
                 "checked {} objects / {} versions",
                 report.objects_checked, report.versions_checked
-            );
+            )?;
             if report.is_healthy() {
-                println!("store is healthy");
+                writeln!(out, "store is healthy")?;
             } else {
                 for p in &report.problems {
-                    println!("PROBLEM: {p}");
+                    writeln!(out, "PROBLEM: {p}")?;
                 }
             }
-        }),
-        _ => return usage(),
-    };
-
-    match outcome {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("odedump: {e}");
-            ExitCode::FAILURE
         }
+        _ => return Err(Stop::Usage),
     }
+    Ok(out.flush()?)
 }
