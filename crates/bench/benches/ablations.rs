@@ -55,7 +55,7 @@ fn bench_buffer_pool(c: &mut Criterion) {
                 buffer_pages: pool_pages,
                 ..StoreOptions::default()
             },
-            chain: None,
+            ..DatabaseOptions::default()
         };
         let db = Database::create(dir.file("db"), options).unwrap();
         let ptrs: Vec<_> = {
@@ -129,7 +129,7 @@ fn bench_wal_mode(c: &mut Criterion) {
                 wal_deltas: deltas,
                 ..StoreOptions::default()
             },
-            chain: None,
+            ..DatabaseOptions::default()
         };
         let db = Database::create(dir.file("db"), options).unwrap();
         let ptr = {

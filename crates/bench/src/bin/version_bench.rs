@@ -1,4 +1,4 @@
-//! `version_bench` — delta-chain version storage vs whole-body copies.
+//! `version_bench` — delta-chain version storage vs whole copies.
 //!
 //! ```text
 //! version_bench [objects] [versions-per-object] [body-bytes] [read-rounds]
@@ -6,8 +6,8 @@
 //!
 //! Builds identical version histories (evolving documents: shared
 //! prefix, point edits, slight growth per revision) in three engines —
-//! whole-body storage, and chain storage at anchor intervals 4 and
-//! 16 — then reports, as JSON on stdout (the shape checked into
+//! chains at anchor interval 1 (every version its own anchor: a whole
+//! copy each), 4 and 16 — then reports, as JSON on stdout (the shape checked into
 //! `BENCH_core.json` under `version_bench`):
 //!
 //! - **space** — bytes the store holds per engine, and the chain/whole
@@ -15,7 +15,7 @@
 //!   chain stores at most a third of the whole-copy bytes.
 //! - **latest reads** — ns per `deref` of the newest version. The chain
 //!   keeps the newest body whole, so this must stay within noise of the
-//!   whole-body engine (the acceptance bar is 10%).
+//!   whole-copy engine (the acceptance bar is 10%).
 //! - **historical reads** — ns per `deref_v` of a non-latest version,
 //!   cold (every vid read once: true materialization cost, at most
 //!   `interval − 1` delta applications) and warm (second pass served by
@@ -65,9 +65,12 @@ struct Built {
     db: Database,
     objects: Vec<ObjPtr<Doc>>,
     versions: Vec<Vec<VersionPtr<Doc>>>,
-    /// Sum of encoded body bytes as written — exactly what whole-body
-    /// storage holds for this history.
+    /// Sum of encoded body bytes as written — what one whole copy per
+    /// version holds for this history.
     whole_bytes: u64,
+    /// Encoded bytes of every object's latest body, which its version
+    /// record keeps whole outside the chain.
+    latest_bytes: u64,
 }
 
 fn build(
@@ -84,6 +87,7 @@ fn build(
     let mut ptrs = Vec::with_capacity(objects);
     let mut vids = Vec::with_capacity(objects);
     let mut whole_bytes = 0u64;
+    let mut latest_bytes = 0u64;
     let mut txn = db.begin();
     for o in 0..objects {
         let doc = Doc {
@@ -93,16 +97,19 @@ fn build(
         whole_bytes += ode_codec::to_bytes(&doc).len() as u64;
         let p = txn.pnew(&doc).expect("pnew");
         let mut history = vec![txn.current_version(&p).expect("current")];
+        let mut last = ode_codec::to_bytes(&doc).len() as u64;
         for r in 1..versions {
             let v = txn.newversion(&p).expect("newversion");
             let doc = Doc {
                 rev: r as u64,
                 text: body(o, r, body_bytes),
             };
-            whole_bytes += ode_codec::to_bytes(&doc).len() as u64;
+            last = ode_codec::to_bytes(&doc).len() as u64;
+            whole_bytes += last;
             txn.put_version(&v, &doc).expect("put_version");
             history.push(v);
         }
+        latest_bytes += last;
         ptrs.push(p);
         vids.push(history);
     }
@@ -113,26 +120,21 @@ fn build(
         objects: ptrs,
         versions: vids,
         whole_bytes,
+        latest_bytes,
     }
 }
 
-/// Bytes the store actually holds for version bodies: summed chain
-/// records where objects are chained, whole-body sums otherwise.
+/// Bytes the store actually holds for version bodies: every chain's
+/// records plus the latest bodies kept whole beside them.
 fn stored_bytes(b: &Built) -> u64 {
     let mut snap = b.db.snapshot();
-    let mut total = 0u64;
-    let mut chained = false;
+    let mut total = b.latest_bytes;
     for p in &b.objects {
         if let Some(s) = snap.chain_stats_raw(p.oid()).expect("chain stats") {
             total += s.encoded_bytes;
-            chained = true;
         }
     }
-    if chained {
-        total
-    } else {
-        b.whole_bytes
-    }
+    total
 }
 
 /// ns per latest-version read: fresh snapshot + `deref` per iteration,
@@ -207,7 +209,7 @@ fn main() {
 
     let whole = build(
         "whole",
-        DatabaseOptions::no_sync(),
+        DatabaseOptions::no_sync().with_chain(ChainConfig::with_interval(1)),
         objects,
         versions,
         body_bytes,

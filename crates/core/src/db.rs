@@ -21,17 +21,13 @@ pub struct DatabaseOptions {
     /// Storage-engine options (buffer pool size, fsync policy,
     /// checkpoint threshold).
     pub storage: StoreOptions,
-    /// Delta-chain version storage. `None` (the default) stores every
-    /// version body whole, exactly as before; `Some(config)` stores an
-    /// object's second and later versions as an anchored delta chain:
-    /// a small per-object directory record, and per segment of at most
-    /// `anchor_interval` versions one immutable anchor (full snapshot)
+    /// The shape of new delta chains (default: anchor interval 8).
+    /// Every version but an object's latest is stored in its object's
+    /// chain: a small per-object directory record, and per segment of
+    /// at most `anchor_interval` versions one anchor (full snapshot)
     /// record plus one run record of forward deltas that check-ins
-    /// append to. Opt-in per store: an existing whole-body database opened
-    /// with a config keeps its old records and chains new versions
-    /// (and a chained database opened without one stays correct — the
-    /// stored chains are always honored).
-    pub chain: Option<ChainConfig>,
+    /// append to. An existing chain keeps the shape it was built with.
+    pub chain: ChainConfig,
 }
 
 impl DatabaseOptions {
@@ -44,13 +40,13 @@ impl DatabaseOptions {
                 sync_on_commit: false,
                 ..StoreOptions::default()
             },
-            chain: None,
+            chain: ChainConfig::default(),
         }
     }
 
-    /// Enable delta-chain version storage with `config`.
+    /// Build new delta chains with `config`.
     pub fn with_chain(mut self, config: ChainConfig) -> DatabaseOptions {
-        self.chain = Some(config);
+        self.chain = config;
         self
     }
 }
@@ -97,10 +93,7 @@ pub struct Database {
 }
 
 fn version_store(options: &DatabaseOptions) -> VersionStore {
-    match options.chain {
-        Some(config) => VersionStore::with_chain(VersionStoreLayout::default(), config),
-        None => VersionStore::new(VersionStoreLayout::default()),
-    }
+    VersionStore::with_chain(VersionStoreLayout::default(), options.chain)
 }
 
 impl Database {
@@ -250,9 +243,9 @@ impl Database {
     }
 
     /// Materialization-cache hit/miss counters: how often a snapshot
-    /// read of a delta-chained historical version was served from the
-    /// in-memory cache vs replayed from the chain. Always `(0, 0)` for
-    /// whole-body databases.
+    /// read of a historical version was served from the in-memory cache
+    /// vs replayed from its chain. Reads of latest versions count in
+    /// neither.
     pub fn materialize_cache_counters(&self) -> (u64, u64) {
         self.materialize_cache.counters()
     }

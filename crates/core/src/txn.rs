@@ -311,10 +311,10 @@ macro_rules! read_api {
 
         /// All versions of the object created in the global-stamp range
         /// `[from, to]` (inclusive), oldest first — "all versions of X
-        /// between epochs". For delta-chained objects the answer is
-        /// served off the chain directory and the delta runs of the
-        /// segments the range overlaps, with no per-version record
-        /// loads and no state materialization.
+        /// between epochs". The answer is served off the chain
+        /// directory and the delta runs of the segments the range
+        /// overlaps, with no per-version record loads and no state
+        /// materialization.
         pub fn history_between<T: OdeType>(
             &mut self,
             ptr: &ObjPtr<T>,
@@ -368,7 +368,7 @@ macro_rules! read_api {
         }
 
         /// Space/shape statistics of the object's delta chain (`None`
-        /// for whole-body objects).
+        /// for single-version objects, which have none).
         pub fn chain_stats_raw(
             &mut self,
             oid: ode_object::Oid,

@@ -69,12 +69,13 @@ use crate::{Result, StorageError};
 
 /// Magic number identifying an Ode store header page.
 pub const MAGIC: u32 = 0x4F44_4531; // "ODE1"
-/// Current file-format version. Version 2 stores byte strings (every
-/// `Vec<u8>` in a record: version bodies, anchors, delta inserts) as a
-/// length plus raw bytes; version 1 wrote a varint per byte. Files of
-/// any other version are refused with
+/// Current file-format version. Version 3 stores every version's state
+/// once — the latest whole in its record, every older one in its
+/// object's delta chain — and byte strings (every `Vec<u8>` in a
+/// record: version bodies, anchors, delta inserts) as a length plus raw
+/// bytes. Files of any other version are refused with
 /// [`StorageError::UnsupportedFormat`].
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 /// Number of named root slots in the header.
 pub const ROOT_SLOTS: usize = 16;
 
@@ -1989,18 +1990,23 @@ mod tests {
 
     #[test]
     fn a_format_1_file_is_refused_by_name() {
-        let mut store = TempStore::new();
-        store.close();
-        let mut file = std::fs::read(store.path()).unwrap();
-        stamp_format_version(&mut file, 1);
-        std::fs::write(store.path(), &file).unwrap();
-        assert!(matches!(
-            Store::open(store.path(), StoreOptions::default()),
-            Err(StorageError::UnsupportedFormat {
-                found: 1,
-                expected: 2
-            })
-        ));
+        // Format 2 too: its chains hold the latest version as well.
+        for old in [1, 2] {
+            let mut store = TempStore::new();
+            store.close();
+            let mut file = std::fs::read(store.path()).unwrap();
+            stamp_format_version(&mut file, old);
+            std::fs::write(store.path(), &file).unwrap();
+            let refused = Store::open(store.path(), StoreOptions::default());
+            assert!(
+                matches!(
+                    refused,
+                    Err(StorageError::UnsupportedFormat { found, expected: 3 }) if found == old
+                ),
+                "format {old}"
+            );
+            assert_eq!(std::fs::read(store.path()).unwrap(), file, "format {old}");
+        }
     }
 
     #[test]
@@ -2029,19 +2035,25 @@ mod tests {
         let epoch = replica.epoch();
         let wal_pos = replica.write.lock().logical_pos;
 
-        let mut foreign = primary.repl_snapshot().unwrap();
-        stamp_format_version(&mut foreign.db_bytes, 1);
-        assert!(matches!(
-            replica.replica_install_snapshot(&foreign.db_bytes, foreign.base_pos, foreign.epoch),
-            Err(StorageError::UnsupportedFormat {
-                found: 1,
-                expected: 2
-            })
-        ));
-        assert_eq!(replica.pager.raw_contents().unwrap(), file);
-        assert_eq!(replica.epoch(), epoch);
-        assert_eq!(replica.write.lock().logical_pos, wal_pos);
-        assert_eq!(replica.read().page(id).unwrap().payload()[0], 1);
+        for old in [1, 2] {
+            let mut foreign = primary.repl_snapshot().unwrap();
+            stamp_format_version(&mut foreign.db_bytes, old);
+            assert!(
+                matches!(
+                    replica.replica_install_snapshot(
+                        &foreign.db_bytes,
+                        foreign.base_pos,
+                        foreign.epoch
+                    ),
+                    Err(StorageError::UnsupportedFormat { found, expected: 3 }) if found == old
+                ),
+                "format {old}"
+            );
+            assert_eq!(replica.pager.raw_contents().unwrap(), file);
+            assert_eq!(replica.epoch(), epoch);
+            assert_eq!(replica.write.lock().logical_pos, wal_pos);
+            assert_eq!(replica.read().page(id).unwrap().payload()[0], 1);
+        }
     }
 
     #[test]

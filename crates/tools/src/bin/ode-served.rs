@@ -33,9 +33,9 @@ fn usage() -> ExitCode {
          options:\n\
          \x20 --workers N        worker threads (default: CPU count, 4..=16)\n\
          \x20 --no-sync          skip fsync on commit (benchmarking only)\n\
-         \x20 --chain N          store version bodies as delta chains with\n\
-         \x20                    anchors every N versions (historical reads\n\
-         \x20                    cost at most N-1 delta applications)\n\
+         \x20 --chain N          anchor interval of new delta chains (default 8;\n\
+         \x20                    historical reads cost at most N-1 delta\n\
+         \x20                    applications, 1 stores whole copies)\n\
          \x20 --stats-every SECS print server stats periodically"
     );
     ExitCode::from(2)
@@ -52,7 +52,7 @@ fn main() -> ExitCode {
 
     let mut config = ServerConfig::default();
     let mut no_sync = false;
-    let mut chain: Option<u64> = None;
+    let mut chain = ChainConfig::default();
     let mut stats_every: Option<Duration> = None;
     let mut rest = args[2..].iter();
     while let Some(flag) = rest.next() {
@@ -63,7 +63,7 @@ fn main() -> ExitCode {
             },
             "--no-sync" => no_sync = true,
             "--chain" => match rest.next().and_then(|s| s.parse().ok()) {
-                Some(n) => chain = Some(n),
+                Some(n) => chain = ChainConfig::with_interval(n),
                 None => return usage(),
             },
             "--stats-every" => match rest.next().and_then(|s| s.parse().ok()) {
@@ -73,14 +73,12 @@ fn main() -> ExitCode {
             _ => return usage(),
         }
     }
-    let mut options = if no_sync {
+    let options = if no_sync {
         DatabaseOptions::no_sync()
     } else {
         DatabaseOptions::default()
-    };
-    if let Some(interval) = chain {
-        options = options.with_chain(ChainConfig::with_interval(interval));
     }
+    .with_chain(chain);
 
     let db = match Database::open_or_create(&path, options) {
         Ok(db) => Arc::new(db),

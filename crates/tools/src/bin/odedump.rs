@@ -149,7 +149,7 @@ fn run(command: &str, rest: &[String], out: &mut impl Write) -> Result<(), Stop>
             if chains.is_empty() {
                 writeln!(
                     out,
-                    "no delta chains (store holds whole-body versions only)"
+                    "no delta chains (store holds single-version objects only)"
                 )?;
             } else {
                 writeln!(

@@ -64,13 +64,14 @@ pub struct ObjectSummary {
     pub latest_body_bytes: usize,
 }
 
-/// Per-object delta-chain summary (objects stored whole-body are
-/// absent — a store without chain storage reports an empty list).
+/// Per-object delta-chain summary. Single-version objects have no
+/// chain and are absent, so a store of them reports an empty list.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChainSummary {
     /// Object id.
     pub oid: u64,
-    /// Versions covered by the chain (its temporal suffix of history).
+    /// Versions the chain stores: the object's history minus the latest,
+    /// whose body stays whole in its own record.
     pub versions: u64,
     /// Segments the chain is stored in — one anchor (full snapshot)
     /// record and at most one delta-run record each.
@@ -91,15 +92,15 @@ pub struct ChainSummary {
     /// Bytes the heap actually stores for the chain: the directory
     /// plus every segment's anchor and run record.
     pub encoded_bytes: u64,
-    /// Bytes whole-body storage would hold for the same versions.
+    /// Bytes one whole copy per version would hold for the same
+    /// versions.
     pub materialized_bytes: u64,
     /// `encoded / materialized` (lower is better).
     pub ratio: f64,
 }
 
 /// Gather every object's delta-chain statistics. Objects without a
-/// chain (single-version, or created before chain storage was turned
-/// on and never versioned since) are skipped.
+/// chain (single-version ones) are skipped.
 pub fn chain_report(path: &Path) -> Result<Vec<ChainSummary>> {
     let (store, vs) = open(path)?;
     let mut tx = store.read();
@@ -251,12 +252,13 @@ pub fn describe_object(path: &Path, oid: u64) -> Result<String> {
         } else {
             v.dprev.to_string()
         };
+        let body = vs.read_body(&mut tx, vid, v.tag)?;
         writeln!(
             out,
             "    {vid}  created={}  dprev={dprev}  children={}  body={}B",
             v.created,
             v.dnext.len(),
-            v.body.len()
+            body.len()
         )
         .expect("write");
     }
@@ -570,8 +572,8 @@ mod tests {
         let db = Database::create(&path, options).unwrap();
         let mut txn = db.begin();
         // One versioned object (gets a chain) and one single-version
-        // object (stays whole-body — version orthogonality). Bodies are
-        // large with small edits, so deltas beat full copies.
+        // object (has none — version orthogonality). Bodies are large
+        // with small edits, so deltas beat full copies.
         let base = "lorem ipsum ".repeat(60);
         let p = txn.pnew(&Doc { text: base.clone() }).unwrap();
         txn.pnew(&Doc {
@@ -594,16 +596,26 @@ mod tests {
         let report = chain_report(&path).unwrap();
         assert_eq!(report.len(), 1, "only the versioned object has a chain");
         let c = &report[0];
-        assert_eq!(c.versions, 10);
+        // Ten versions: the chain holds all but the latest.
+        assert_eq!(c.versions, 9);
         assert_eq!(c.interval, 4);
-        // 10 versions at interval 4: two sealed segments and an open
-        // one holding the last two.
-        assert_eq!((c.segments, c.deltas, c.open_fill), (3, 7, 2));
+        // Nine members at interval 4: two sealed segments and an open
+        // one holding just its anchor.
+        assert_eq!((c.segments, c.deltas, c.open_fill), (3, 6, 1));
         assert!(c.directory_bytes > 0 && c.directory_bytes < c.encoded_bytes);
         assert!(c.encoded_bytes < c.materialized_bytes);
         assert!(c.ratio < 1.0);
-        // A whole-body store reports no chains at all.
-        let plain = build_db("nochains");
+        // A store of single-version objects reports no chains at all.
+        let mut plain = std::env::temp_dir();
+        plain.push(format!("ode-tools-nochains-{}", std::process::id()));
+        cleanup(&plain);
+        let db = Database::create(&plain, DatabaseOptions::default()).unwrap();
+        let mut txn = db.begin();
+        for i in 0..3u64 {
+            txn.pnew(&Gadget { serial: i }).unwrap();
+        }
+        txn.commit().unwrap();
+        drop(db);
         assert!(chain_report(&plain).unwrap().is_empty());
         cleanup(&plain);
         cleanup(&path);
@@ -644,7 +656,7 @@ mod tests {
         let chains = chain_report(&path).unwrap();
         assert_eq!(chains.len(), 1);
         assert_eq!(chains[0].merges, 1, "the merge join must be counted");
-        assert_eq!(chains[0].versions, 4);
+        assert_eq!(chains[0].versions, 3, "all but the latest");
 
         let text = describe_object(&path, chains[0].oid).unwrap();
         let line = text

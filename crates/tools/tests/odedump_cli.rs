@@ -59,19 +59,22 @@ fn a_closed_pipe_ends_the_dump_quietly() {
 
 #[test]
 fn a_format_1_file_is_named_as_such() {
-    let mut store = TempStore::new();
-    store.close();
-    let mut file = std::fs::read(store.path()).unwrap();
-    stamp_format_version(&mut file, 1);
-    std::fs::write(store.path(), &file).unwrap();
+    for old in [1, 2] {
+        let mut store = TempStore::new();
+        store.close();
+        let mut file = std::fs::read(store.path()).unwrap();
+        stamp_format_version(&mut file, old);
+        std::fs::write(store.path(), &file).unwrap();
 
-    let output = odedump(&["info", store.path().to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert!(!output.status.success());
-    assert!(
-        stderr_of(&output).contains("unsupported database format 1"),
-        "{}",
-        stderr_of(&output)
-    );
+        let output = odedump(&["info", store.path().to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(!output.status.success());
+        assert!(
+            stderr_of(&output).contains(&format!("unsupported database format {old}")),
+            "{}",
+            stderr_of(&output)
+        );
+        assert_eq!(std::fs::read(store.path()).unwrap(), file, "format {old}");
+    }
 }

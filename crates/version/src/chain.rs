@@ -2,33 +2,31 @@
 //! segment arithmetic.
 //!
 //! The paper's §2 observation — versions can be stored as *differences*
-//! along the derived-from relationship — applied to the production
-//! engine.  When chain storage is enabled (see [`ChainConfig`]), an
-//! object's version bodies live in a *chain* instead of one whole copy
-//! per [`VersionMeta`](crate::VersionMeta):
+//! along the derived-from relationship — is how every version body is
+//! stored, under one invariant: **a version's state is kept in exactly
+//! one place.**
 //!
-//! * members run in **temporal order** and always cover a suffix of the
-//!   object's temporal history ending at the latest version (objects
-//!   that predate chain storage keep their old whole-body records — the
-//!   migration story for existing databases);
+//! * the **latest** version keeps its body whole in its
+//!   [`VersionMeta`](crate::VersionMeta), so `latest()` reads and edits
+//!   of the latest never touch the chain;
+//! * every **older** version lives only in the object's *chain*, its
+//!   meta body empty. The chain's members are the object's temporal
+//!   history minus the latest, oldest first; a single-version object
+//!   has no chain at all;
 //! * the chain is cut into **segments**: each starts with an *anchor*
 //!   (a full snapshot) followed by a *run* of forward deltas, and holds
 //!   at most `interval` versions, so materializing **any** version
-//!   applies at most `interval - 1` deltas and reads one segment;
-//! * the **latest** version additionally keeps its whole body in its
-//!   `VersionMeta.body` (the chain can reproduce it too — the meta copy
-//!   is a read-path cache), so `latest()` reads cost exactly what
-//!   whole-body storage costs; every *older* member's meta body is
-//!   cleared.
+//!   applies at most `interval - 1` deltas and reads one segment.
 //!
 //! Physically (see `segments.rs`) a chain is a small per-object
 //! [`ChainDirectory`] record plus, per segment, one anchor record and
 //! one delta-run record.  Only the last segment is *open*: a check-in
-//! appends one delta to its run, or — when it is full — seals it and
-//! starts the next with a fresh anchor.  Sealed segments are never read
-//! or rewritten by a check-in, and the directory only when a segment is
-//! added, which is what makes a check-in cost what the edit costs and
-//! not what the object's history costs.
+//! appends the outgoing latest version to its run as one delta, or —
+//! when it is full — seals it and starts the next with a fresh anchor.
+//! Sealed segments are never read or rewritten by a check-in, and the
+//! directory only when a segment is added, which is what makes a
+//! check-in cost what the edit costs and not what the object's history
+//! costs.
 //!
 //! Version ids are allocated monotonically and members are appended in
 //! allocation order, so segments (by first vid) and the entries of a
@@ -40,18 +38,16 @@ use ode_object::Vid;
 
 use crate::{Result, VersionError};
 
-/// Per-store configuration for delta-chain body storage.
+/// The shape new chains are built with: anchor spacing and diff block.
 ///
-/// Chain storage is **opt-in**: a store without a config never creates
-/// chain records (and an old database keeps decoding exactly as
-/// before), while existing chain records are always honored and
-/// maintained regardless of configuration — correctness is driven by
-/// the stored state, the config only gates *new* chains.
+/// Every store chains; the config only sets the parameters a chain is
+/// created with (at its object's second version). An existing chain
+/// keeps the interval and block recorded in its directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChainConfig {
     /// Maximum spacing between anchors: any version materializes in at
-    /// most `anchor_interval - 1` delta applications. Minimum 1 (every
-    /// version a full snapshot).
+    /// most `anchor_interval - 1` delta applications. Default 8; minimum
+    /// 1 (every version its own anchor, i.e. a whole copy).
     pub anchor_interval: u64,
     /// Block size for the binary diff (see `ode_delta::diff_with_block`).
     pub block: u64,
@@ -138,6 +134,11 @@ impl_persist_struct!(RunEntry { vid, delta });
 
 pub(crate) fn chain_corrupt(msg: &'static str) -> VersionError {
     VersionError::ChainCorrupt(msg)
+}
+
+/// A version that is not the latest is not where the invariant puts it.
+pub(crate) fn not_in_chain() -> VersionError {
+    chain_corrupt("historical version missing from its object's chain")
 }
 
 /// A segment loaded whole: the anchor's state and the delta run.
@@ -267,7 +268,7 @@ pub struct ChainStats {
     /// (what the heap actually stores for the chain), in bytes.
     pub encoded_bytes: u64,
     /// Sum of every stored version's materialized state length — what
-    /// whole-body storage would hold for the same versions.
+    /// one whole copy per version would hold for the same versions.
     pub materialized_bytes: u64,
 }
 

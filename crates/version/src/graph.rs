@@ -6,7 +6,9 @@ use ode_storage::heap::RecordId;
 use ode_storage::{PageRead, PageWrite};
 
 use crate::cache::MaterializeCache;
-use crate::chain::{ChainConfig, ChainDirectory, ChainStats, Segment, SegmentRef, VersionDiff};
+use crate::chain::{
+    not_in_chain, ChainConfig, ChainDirectory, ChainStats, Segment, SegmentRef, VersionDiff,
+};
 use crate::records::{upsert, ObjectMeta, VersionMeta};
 use crate::segments::{ChainStore, CheckIn};
 use crate::{Result, VersionError};
@@ -28,8 +30,8 @@ pub struct VersionStoreLayout {
     pub vid_slot: usize,
     /// Slot of the per-type extent directory.
     pub extent_slot: usize,
-    /// Slot of the oid → chain-directory-record table (empty unless
-    /// chain storage has ever been enabled on this store).
+    /// Slot of the oid → chain-directory-record table (one entry per
+    /// object with two or more versions).
     pub chain_table_slot: usize,
 }
 
@@ -50,7 +52,12 @@ impl Default for VersionStoreLayout {
 /// The version graph over a transactional page store.
 ///
 /// All operations take a storage transaction; the store itself is a cheap
-/// `Copy` handle binding the root-slot layout.
+/// `Copy` handle binding the root-slot layout and the [`ChainConfig`]
+/// new chains are built with.
+///
+/// Every version's state is stored once: the latest version's whole in
+/// its [`VersionMeta`], every older one in its object's delta chain
+/// (see the `chain` module).
 ///
 /// ```
 /// use ode_codec::TypeTag;
@@ -85,16 +92,20 @@ pub struct VersionStore {
     vids: IdAllocator,
     extents: Extents,
     chains: ChainStore,
-    /// When set, *new* versions are stored delta-chained. Existing chain
-    /// records are honored and maintained regardless — correctness is
-    /// driven by the stored state, the config only gates new chains.
-    chain: Option<ChainConfig>,
+    /// The shape of chains this store starts.
+    chain: ChainConfig,
 }
 
 impl VersionStore {
-    /// Bind a version store to a slot layout (whole-body storage for
-    /// new versions; existing chain records still honored).
+    /// Bind a version store to a slot layout, with the default
+    /// [`ChainConfig`] for new chains.
     pub fn new(layout: VersionStoreLayout) -> VersionStore {
+        VersionStore::with_chain(layout, ChainConfig::default())
+    }
+
+    /// Bind a version store to a slot layout, starting new chains with
+    /// `config` (existing chains keep the shape they were built with).
+    pub fn with_chain(layout: VersionStoreLayout, config: ChainConfig) -> VersionStore {
         let heap = ObjectHeap::new(layout.heap_slot);
         VersionStore {
             obj_table: KvTable::new(layout.obj_table_slot),
@@ -104,25 +115,8 @@ impl VersionStore {
             vids: IdAllocator::new(layout.vid_slot),
             extents: Extents::new(layout.extent_slot),
             chains: ChainStore::new(KvTable::new(layout.chain_table_slot), heap),
-            chain: None,
+            chain: config,
         }
-    }
-
-    /// Bind a version store with delta-chain storage enabled: an
-    /// object's second and later versions are stored as an anchored
-    /// delta chain instead of whole copies. Opening an existing
-    /// whole-body database this way is the migration path — old
-    /// versions keep their whole records, new versions chain.
-    pub fn with_chain(layout: VersionStoreLayout, config: ChainConfig) -> VersionStore {
-        VersionStore {
-            chain: Some(config),
-            ..VersionStore::new(layout)
-        }
-    }
-
-    /// The chain config new versions are stored under, if any.
-    pub fn chain_config(&self) -> Option<ChainConfig> {
-        self.chain
     }
 
     // ------------------------------------------------------------------
@@ -190,24 +184,20 @@ impl VersionStore {
         self.chains.segment(tx, seg)
     }
 
-    /// A version's state, given its meta and (optionally) its object's
-    /// chain: whole meta bodies win, empty bodies fall back to chain
-    /// materialization, and a vid absent from both is genuinely empty.
+    /// A version's state, given its meta and its object's chain: the
+    /// latest version's meta body, any other's materialization off the
+    /// chain.
     fn body_of(
         &self,
         tx: &mut impl PageRead,
         meta: &VersionMeta,
         dir: Option<&ChainDirectory>,
     ) -> Result<Vec<u8>> {
-        if !meta.body.is_empty() {
+        if meta.is_latest() {
             return Ok(meta.body.clone());
         }
-        if let Some(dir) = dir {
-            if let Some(state) = self.chains.state_of(tx, dir, meta.vid)? {
-                return Ok(state);
-            }
-        }
-        Ok(Vec::new())
+        self.chains
+            .state_of(tx, dir.ok_or_else(not_in_chain)?, meta.vid)
     }
 
     // ------------------------------------------------------------------
@@ -270,9 +260,8 @@ impl VersionStore {
         let dir = self.chains.directory(tx, object.oid)?;
         let vid = Vid(self.vids.next(tx)?);
 
-        // The base's state: its whole meta body, or — when the base is
-        // a historical chain member whose body was cleared — its
-        // materialization off the chain.
+        // The base's state: its whole meta body when it is the latest,
+        // else its materialization off the chain.
         let base_state = self.body_of(tx, &base_meta, dir.as_ref())?;
 
         let version = VersionMeta {
@@ -356,24 +345,16 @@ impl VersionStore {
         object.latest = version.vid;
         object.version_count += 1;
         let home = self.save_object(tx, &object)?;
-        if dir.is_some() || self.chain.is_some() {
-            // Chain storage: the outgoing latest surrenders its whole
-            // body to the chain (as the delta base, or — for the first
-            // chained version of this object — the lazy first anchor;
-            // any older versions keep their whole-body records, the
-            // migration path for pre-chain databases) and the new
-            // version becomes the chain's last member. The new latest
-            // keeps its whole body in its meta, so latest reads never
-            // touch the chain.
-            let prev_state = std::mem::take(&mut tail.body);
-            let check_in = CheckIn {
-                oid: object.oid,
-                home,
-                prev: (tail.vid, &prev_state),
-                next: (version.vid, &version.body),
-            };
-            self.chains.append(tx, dir, self.chain, check_in)?;
-        }
+        // The outgoing latest moves its whole body into the chain (its
+        // first anchor, when the object had one version) and the new
+        // version keeps its own whole in its meta.
+        let outgoing = std::mem::take(&mut tail.body);
+        let check_in = CheckIn {
+            oid: object.oid,
+            home,
+            outgoing: (tail.vid, &outgoing),
+        };
+        self.chains.append(tx, dir, self.chain, check_in)?;
         for parent in &parents {
             self.save_version(tx, parent)?;
         }
@@ -422,25 +403,29 @@ impl VersionStore {
             return Err(VersionError::LastVersion(vid));
         }
 
-        // Chain repair. Deleting the latest promotes its temporal
-        // predecessor back to a whole meta body (so the new latest
-        // stays O(1) to read); deleting a historical member re-bases or
-        // re-anchors its successor inside its segment; deleting the
-        // chain's only member returns the object to pre-chain
-        // whole-body versions.
-        let mut promoted_body = match self.chains.directory(tx, object.oid)? {
-            Some(dir) => self.chains.remove(tx, object.oid, dir, vid)?,
-            None => None,
+        // Chain repair. Deleting the latest pops the chain's last
+        // member — its temporal predecessor — back into that version's
+        // meta as the new latest's whole body; deleting an older version
+        // re-bases or re-anchors its successor inside its segment. An
+        // object left with one version has no chain.
+        let dir = self.chains.required_directory(tx, object.oid)?;
+        let promoted = if meta.is_latest() {
+            let (popped, body) = self.chains.pop(tx, object.oid, dir)?;
+            if popped != meta.tprev {
+                return Err(not_in_chain());
+            }
+            Some(body)
+        } else {
+            self.chains.remove(tx, object.oid, dir, vid)?;
+            None
         };
 
         // Temporal splice.
         if !meta.tprev.is_null() {
             let mut prev = self.version_meta(tx, meta.tprev)?;
             prev.tnext = meta.tnext;
-            if object.latest == vid {
-                if let Some(body) = promoted_body.take() {
-                    prev.body = body;
-                }
+            if let Some(body) = promoted {
+                prev.body = body;
             }
             self.save_version(tx, &prev)?;
         }
@@ -578,9 +563,9 @@ impl VersionStore {
                 found: meta.tag,
             });
         }
-        // The latest version (and every pre-chain version) stores its
-        // body whole: zero chain overhead on the hot path.
-        if !meta.body.is_empty() {
+        // The latest version stores its body whole: zero chain
+        // overhead on the hot path.
+        if meta.is_latest() {
             return Ok(meta.body);
         }
         if let Some((cache, epoch)) = cache {
@@ -588,25 +573,20 @@ impl VersionStore {
                 return Ok(body);
             }
         }
-        // Empty meta body: either a cleared chain member or a genuinely
-        // empty version — chain membership disambiguates.
-        if let Some(dir) = self.chains.directory(tx, meta.oid)? {
-            if let Some(state) = self.chains.state_of(tx, &dir, vid)? {
-                if let Some((cache, epoch)) = cache {
-                    cache.put(epoch, vid.0, state.clone());
-                }
-                return Ok(state);
-            }
+        let dir = self.chains.required_directory(tx, meta.oid)?;
+        let state = self.chains.state_of(tx, &dir, vid)?;
+        if let Some((cache, epoch)) = cache {
+            cache.put(epoch, vid.0, state.clone());
         }
-        Ok(Vec::new())
+        Ok(state)
     }
 
     /// Overwrite a version's body in place (no new version is created —
     /// this is ordinary mutation through a pointer in O++).
     ///
-    /// For a chained version its delta is re-diffed (and the
-    /// successor's re-based) inside its one segment; the latest
-    /// version's whole meta body is kept in step.
+    /// The latest version's record is rewritten and no chain record is
+    /// touched; an older version's delta is re-diffed (and its
+    /// successor's re-based) inside its one segment.
     pub fn write_body(
         &self,
         tx: &mut impl PageWrite,
@@ -621,18 +601,13 @@ impl VersionStore {
                 found: meta.tag,
             });
         }
-        let chained_as_last = match self.chains.directory(tx, meta.oid)? {
-            Some(dir) => self.chains.set_state(tx, meta.oid, dir, vid, &body)?,
-            None => None,
-        };
-
-        // A historical chain member's state lives in the chain alone;
-        // the latest version and every unchained one keep it whole.
-        if chained_as_last != Some(false) {
+        if meta.is_latest() {
             meta.body = body;
             self.save_version(tx, &meta)?;
+            return Ok(());
         }
-        Ok(())
+        let dir = self.chains.required_directory(tx, meta.oid)?;
+        self.chains.set_state(tx, meta.oid, dir, vid, &body)
     }
 
     // ------------------------------------------------------------------
@@ -810,11 +785,10 @@ impl VersionStore {
     /// All versions of `oid` created in the stamp range `[from, to]`
     /// (inclusive), oldest first — "all versions of X between epochs".
     ///
-    /// Chained history is answered off the chain directory and the runs
-    /// of the segments the range overlaps, with **no per-version record
-    /// loads**; only versions older than the chain (or of a chain-less
-    /// object) fall back to the temporal walk, which early-terminates
-    /// below `from`.
+    /// Answered off the chain directory and the runs of the segments
+    /// the range overlaps, plus the latest version from the object
+    /// record, with **no per-version record loads**. (A version's
+    /// stamp is its id: `created` is `vid.0`.)
     pub fn history_between(
         &self,
         tx: &mut impl PageRead,
@@ -822,43 +796,18 @@ impl VersionStore {
         from: u64,
         to: u64,
     ) -> Result<Vec<Vid>> {
-        let object = self.object_meta(tx, oid)?;
+        let latest = self.object_meta(tx, oid)?.latest;
         if from > to {
             return Ok(Vec::new());
         }
-        // Backward temporal walk from `start`, collecting stamps in
-        // range (stamps strictly ascend temporally, so the walk stops
-        // at the first stamp below `from`).
-        let walk = |vs: &Self, tx: &mut _, start: Vid| -> Result<Vec<Vid>> {
-            let mut out = Vec::new();
-            let mut cur = start;
-            while !cur.is_null() {
-                let meta = vs.version_meta(tx, cur)?;
-                if meta.created < from {
-                    break;
-                }
-                if meta.created <= to {
-                    out.push(cur);
-                }
-                cur = meta.tprev;
-            }
-            out.reverse();
-            Ok(out)
+        let mut out = match self.chains.directory(tx, oid)? {
+            Some(dir) => self.chains.vids_between(tx, &dir, from, to)?,
+            None => Vec::new(),
         };
-        match self.chains.directory(tx, oid)? {
-            Some(dir) => {
-                let first = dir.segments[0].first;
-                let mut out = if from < first.0 {
-                    let pre_tail = self.version_meta(tx, first)?.tprev;
-                    walk(self, tx, pre_tail)?
-                } else {
-                    Vec::new()
-                };
-                out.extend(self.chains.vids_between(tx, &dir, from, to)?);
-                Ok(out)
-            }
-            None => walk(self, tx, object.latest),
+        if (from..=to).contains(&latest.0) {
+            out.push(latest);
         }
+        Ok(out)
     }
 
     /// Summarize the difference between two versions' states —
@@ -887,11 +836,7 @@ impl VersionStore {
         };
         let base = self.body_of(tx, &meta_a, dir_a.as_ref())?;
         let target = self.body_of(tx, &meta_b, dir_b)?;
-        let block = dir_a
-            .as_ref()
-            .map(|d| d.block as usize)
-            .unwrap_or(ode_delta::DEFAULT_BLOCK);
-        let delta = ode_delta::diff_with_block(&base, &target, block);
+        let delta = ode_delta::diff_with_block(&base, &target, self.chain.block as usize);
         Ok(VersionDiff::from_delta(from, to, &delta, false))
     }
 
@@ -951,7 +896,8 @@ impl VersionStore {
     /// temporal chain doubly linked with `latest` at the tail and
     /// `version_count` entries, creation stamps strictly ascending along
     /// it, derived-from links forming a forest consistent with `dnext`
-    /// lists.
+    /// lists — and the body store: every version but the latest has an
+    /// empty meta body, and the chain holds exactly those versions.
     pub fn check_object(&self, tx: &mut impl PageRead, oid: Oid) -> Result<()> {
         use std::collections::HashSet;
         let object = self.object_meta(tx, oid)?;
@@ -980,6 +926,11 @@ impl VersionStore {
                 return Err(corrupt("creation stamps not ascending"));
             }
             last_created = meta.created;
+            if vid != object.latest && !meta.body.is_empty() {
+                return Err(VersionError::ChainCorrupt(
+                    "historical version still stores a whole body",
+                ));
+            }
             if !meta.dprev2.is_null() {
                 if meta.dprev.is_null() {
                     return Err(corrupt("dprev2 set while dprev is null"));
@@ -1014,35 +965,14 @@ impl VersionStore {
         if !live.contains(&object.root) {
             return Err(corrupt("root is not a live version"));
         }
-        if let Some(dir) = self.chains.directory(tx, oid)? {
-            self.check_chain(tx, &history, &dir)?;
+        let older = &history[..history.len() - 1];
+        match self.chains.directory(tx, oid)? {
+            Some(dir) if !older.is_empty() => self.chains.check(tx, &dir, older),
+            Some(_) => Err(VersionError::ChainCorrupt(
+                "single-version object has a chain",
+            )),
+            None if older.is_empty() => Ok(()),
+            None => Err(not_in_chain()),
         }
-        Ok(())
-    }
-
-    /// Chain-specific invariants: the directory and its segments are
-    /// consistent and cover a contiguous temporal suffix ending at
-    /// `latest` (see `ChainStore::check`), the chain replays to exactly
-    /// the latest meta body, and every older member's meta body is
-    /// cleared.
-    fn check_chain(
-        &self,
-        tx: &mut impl PageRead,
-        history: &[Vid],
-        dir: &ChainDirectory,
-    ) -> Result<()> {
-        let corrupt = VersionError::ChainCorrupt;
-        let (versions, replayed) = self.chains.check(tx, dir, history)?;
-        let members = &history[history.len() - versions..];
-        let (latest, older) = members.split_last().expect("checked non-empty");
-        if self.version_meta(tx, *latest)?.body != replayed {
-            return Err(corrupt("latest meta body disagrees with chain replay"));
-        }
-        for &vid in older {
-            if !self.version_meta(tx, vid)?.body.is_empty() {
-                return Err(corrupt("historical chain member still stores a whole body"));
-            }
-        }
-        Ok(())
     }
 }

@@ -20,11 +20,14 @@
 //!   on a version id it removes that one version, splicing both
 //!   relationships around it.
 //!
-//! Layout: each version is a [`VersionMeta`] record (graph links plus the
-//! encoded object body) in an `ode_object::ObjectHeap`; each object is an
-//! [`ObjectMeta`] record.  Two `ode_object::KvTable`s map oid → object
-//! record and vid → version record, and an `ode_object::Extents`
-//! directory indexes objects by type for O++-style queries.
+//! Layout: each version is a [`VersionMeta`] record (graph links, plus
+//! the encoded object body for the latest version) in an
+//! `ode_object::ObjectHeap`; each object is an [`ObjectMeta`] record, and
+//! every object with two or more versions has a delta chain holding the
+//! state of all but the latest (see [`ChainConfig`]).  Three
+//! `ode_object::KvTable`s map oid → object record, vid → version record
+//! and oid → chain directory, and an `ode_object::Extents` directory
+//! indexes objects by type for O++-style queries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

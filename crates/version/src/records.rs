@@ -86,7 +86,9 @@ pub struct VersionMeta {
     /// Monotone creation stamp (global sequence; preserved across
     /// deletions, unlike chain position).
     pub created: u64,
-    /// The object state, encoded with `ode_codec`.
+    /// The object state, encoded with `ode_codec`, for the latest
+    /// version; empty for every older one, whose state lives in the
+    /// object's delta chain.
     pub body: Vec<u8>,
 }
 
@@ -122,6 +124,12 @@ impl VersionMeta {
             created: Persist::decode(r)?,
             body: Vec::new(),
         })
+    }
+
+    /// Whether this is its object's latest version (the temporal
+    /// tail) — the one version whose `body` holds its state.
+    pub fn is_latest(&self) -> bool {
+        self.tnext.is_null()
     }
 
     /// Whether this version is a leaf of the derived-from tree (an

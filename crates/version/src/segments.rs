@@ -13,10 +13,9 @@
 //!   the segment holds only its anchor. At the usual sizes it stays
 //!   inline in a heap page and `Heap::replace` rewrites it in place.
 //!
-//! Every operation loads the directory plus the one segment (two for a
-//! tip delete that crosses a boundary) it works on; only whole-chain
-//! reports ([`ChainStore::stats`], [`ChainStore::check`]) and object
-//! deletion visit them all.
+//! Every operation loads the directory plus the one segment it works
+//! on; only whole-chain reports ([`ChainStore::stats`],
+//! [`ChainStore::check`]) and object deletion visit them all.
 
 use ode_delta::{diff_with_block, Delta};
 use ode_object::{KvTable, ObjectHeap, Oid, Vid};
@@ -24,8 +23,8 @@ use ode_storage::heap::RecordId;
 use ode_storage::{PageRead, PageWrite};
 
 use crate::chain::{
-    chain_corrupt, position_in_run, replay, ChainConfig, ChainDirectory, ChainStats, RunEntry,
-    Segment, SegmentRef,
+    chain_corrupt, not_in_chain, position_in_run, replay, ChainConfig, ChainDirectory, ChainStats,
+    RunEntry, Segment, SegmentRef,
 };
 use crate::records::upsert;
 use crate::Result;
@@ -36,11 +35,9 @@ pub(crate) struct CheckIn<'a> {
     pub oid: Oid,
     /// The object's own record: a new chain's directory goes beside it.
     pub home: RecordId,
-    /// The outgoing last member and its whole state: the delta base,
-    /// or — for an object without a chain yet — the first anchor.
-    pub prev: (Vid, &'a [u8]),
-    /// The new last member and its state.
-    pub next: (Vid, &'a [u8]),
+    /// The outgoing latest version and its whole state: the chain's new
+    /// last member.
+    pub outgoing: (Vid, &'a [u8]),
 }
 
 /// Handle on the chain records of a version store.
@@ -65,6 +62,12 @@ impl ChainStore {
             Some(rid) => Ok(Some(self.heap.load(tx, RecordId::from_u64(rid))?)),
             None => Ok(None),
         }
+    }
+
+    /// The directory of an object that must have a chain: one with an
+    /// older version than its latest.
+    pub fn required_directory(&self, tx: &mut impl PageRead, oid: Oid) -> Result<ChainDirectory> {
+        self.directory(tx, oid)?.ok_or_else(not_in_chain)
     }
 
     /// Write an object's directory; a new one goes beside `near`.
@@ -158,31 +161,37 @@ impl ChainStore {
         Ok(())
     }
 
+    /// Write `dir` back, or — when it has no segment left — drop the
+    /// directory record: an object back to one version has no chain.
+    fn save_or_drop(&self, tx: &mut impl PageWrite, oid: Oid, dir: &ChainDirectory) -> Result<()> {
+        if !dir.segments.is_empty() {
+            return self.save_directory(tx, oid, dir, None);
+        }
+        if let Some(rid) = self.table.remove(tx, oid.0)? {
+            self.heap.delete(tx, RecordId::from_u64(rid))?;
+        }
+        Ok(())
+    }
+
     // ------------------------------------------------------------------
     // Reads
     // ------------------------------------------------------------------
 
-    /// Materialize `vid`'s state, if the chain stores it: one segment's
-    /// anchor plus the deltas up to `vid` (an anchor version reads no
-    /// run at all).
+    /// Materialize member `vid`'s state: one segment's anchor plus the
+    /// deltas up to `vid` (an anchor version reads no run at all).
     pub fn state_of(
         &self,
         tx: &mut impl PageRead,
         dir: &ChainDirectory,
         vid: Vid,
-    ) -> Result<Option<Vec<u8>>> {
-        let Some(idx) = dir.locate(vid) else {
-            return Ok(None);
-        };
-        let seg = &dir.segments[idx];
+    ) -> Result<Vec<u8>> {
+        let seg = &dir.segments[dir.locate(vid).ok_or_else(not_in_chain)?];
         if vid == seg.first {
-            return Ok(Some(self.anchor(tx, seg)?));
+            return self.anchor(tx, seg);
         }
         let run = self.run(tx, seg)?;
-        match position_in_run(&run, vid) {
-            Some(i) => Ok(Some(replay(&self.anchor(tx, seg)?, &run[..=i])?)),
-            None => Ok(None),
-        }
+        let i = position_in_run(&run, vid).ok_or_else(not_in_chain)?;
+        replay(&self.anchor(tx, seg)?, &run[..=i])
     }
 
     /// Member vids with stamps in `[from, to]`, oldest first. Loads the
@@ -244,58 +253,54 @@ impl ChainStore {
     // Writes
     // ------------------------------------------------------------------
 
-    /// Record a check-in: `next` becomes the chain's last member. An
-    /// object without a chain (`dir` is `None`) gets one built as
-    /// `config` says, anchored at `prev`.
+    /// Record a check-in: the outgoing latest version becomes the
+    /// chain's last member. An object without a chain (`dir` is `None`,
+    /// so it had one version) gets one built as `config` says, anchored
+    /// at that version.
     ///
-    /// Rewrites the open segment's run, or, when that is full, adds one
-    /// fresh anchor record and a directory entry; never touches a
-    /// sealed segment, and the directory only when a record is added
-    /// or moves.
+    /// Otherwise the open segment's run gains one delta from its last
+    /// state (the anchor with the run replayed), or, when it is full, a
+    /// fresh anchor record and a directory entry are added. Never
+    /// touches a sealed segment, and the directory only when a record
+    /// is added or moves.
     pub fn append(
         &self,
         tx: &mut impl PageWrite,
         dir: Option<ChainDirectory>,
-        config: Option<ChainConfig>,
+        config: ChainConfig,
         check_in: CheckIn<'_>,
     ) -> Result<()> {
         let CheckIn {
             oid,
             home,
-            prev,
-            next,
+            outgoing: (vid, state),
         } = check_in;
-        let (mut dir, mut dir_changed) = match dir {
-            Some(dir) => (dir, false),
-            None => {
-                let config = config.expect("a chain is only started under a chain config");
-                let dir = ChainDirectory {
-                    interval: config.anchor_interval.max(1),
-                    block: config.block,
-                    segments: vec![self.new_segment(tx, prev.0, prev.1)?],
-                };
-                (dir, true)
-            }
+        let Some(mut dir) = dir else {
+            let dir = ChainDirectory {
+                interval: config.anchor_interval.max(1),
+                block: config.block,
+                segments: vec![self.new_segment(tx, vid, state)?],
+            };
+            return self.save_directory(tx, oid, &dir, Some(home));
         };
         let open = dir.segments.last_mut().expect("directory never empty");
         let mut run = self.run(tx, open)?;
         if run.len() as u64 + 1 >= dir.interval {
-            let sealed_by = self.new_segment(tx, next.0, next.1)?;
+            let sealed_by = self.new_segment(tx, vid, state)?;
             dir.segments.push(sealed_by);
-            dir_changed = true;
         } else {
+            let last = replay(&self.anchor(tx, open)?, &run)?;
             run.push(RunEntry {
-                vid: next.0,
-                delta: diff_with_block(prev.1, next.1, dir.block as usize),
+                vid,
+                delta: diff_with_block(&last, state, dir.block as usize),
             });
             let run_before = open.run;
             self.save_run(tx, open, &run)?;
-            dir_changed |= open.run != run_before;
+            if open.run == run_before {
+                return Ok(());
+            }
         }
-        if dir_changed {
-            self.save_directory(tx, oid, &dir, Some(home))?;
-        }
-        Ok(())
+        self.save_directory(tx, oid, &dir, Some(home))
     }
 
     fn new_segment(&self, tx: &mut impl PageWrite, first: Vid, state: &[u8]) -> Result<SegmentRef> {
@@ -306,10 +311,9 @@ impl ChainStore {
         })
     }
 
-    /// Replace `vid`'s stored state. Returns `None` when the chain does
-    /// not store `vid`, otherwise whether `vid` is the chain's last
-    /// member. Rewrites one segment's run (and its anchor when `vid`
-    /// is the anchor); the directory only if a record moved.
+    /// Replace member `vid`'s stored state. Rewrites one segment's run
+    /// (and its anchor when `vid` is the anchor); the directory only if
+    /// a record moved.
     pub fn set_state(
         &self,
         tx: &mut impl PageWrite,
@@ -317,15 +321,11 @@ impl ChainStore {
         mut dir: ChainDirectory,
         vid: Vid,
         state: &[u8],
-    ) -> Result<Option<bool>> {
-        let Some(idx) = dir.locate(vid) else {
-            return Ok(None);
-        };
+    ) -> Result<()> {
+        let idx = dir.locate(vid).ok_or_else(not_in_chain)?;
         let before = dir.segments[idx];
         let mut seg = self.segment(tx, &before)?;
-        let Some(pos) = seg.position_of(vid) else {
-            return Ok(None);
-        };
+        let pos = seg.position_of(vid).ok_or_else(not_in_chain)?;
         seg.set_state_at(pos, state, dir.block as usize)?;
         let entry = &mut dir.segments[idx];
         if pos == 0 {
@@ -337,42 +337,52 @@ impl ChainStore {
         if *entry != before {
             self.save_directory(tx, oid, &dir, None)?;
         }
-        let is_last = idx + 1 == dir.segments.len() && pos + 1 == seg.len();
-        Ok(Some(is_last))
+        Ok(())
     }
 
-    /// Splice `vid` out of the chain, if the chain stores it; a chain
-    /// left without members is dropped altogether. When `vid` was the
-    /// last of several members, returns the state of the member before
-    /// it — the body the object's new latest version gets back whole.
+    /// Splice member `vid` out of the chain; a chain left without
+    /// members is dropped altogether.
     pub fn remove(
         &self,
         tx: &mut impl PageWrite,
         oid: Oid,
-        mut dir: ChainDirectory,
+        dir: ChainDirectory,
         vid: Vid,
-    ) -> Result<Option<Vec<u8>>> {
-        let Some(idx) = dir.locate(vid) else {
-            return Ok(None);
-        };
-        let mut seg = self.segment(tx, &dir.segments[idx])?;
-        let Some(pos) = seg.position_of(vid) else {
-            return Ok(None);
-        };
-        let is_last = idx + 1 == dir.segments.len() && pos + 1 == seg.len();
-        if is_last && idx == 0 && pos == 0 {
-            self.drop_chain(tx, oid)?;
-            return Ok(None);
-        }
-        // Replayed before the splice, from the untouched records.
-        let new_last = match (is_last, pos) {
-            (false, _) => None,
-            (true, 0) => {
-                let before = self.segment(tx, &dir.segments[idx - 1])?;
-                Some(before.state_at(before.len() - 1)?)
-            }
-            (true, _) => Some(seg.state_at(pos - 1)?),
-        };
+    ) -> Result<()> {
+        let idx = dir.locate(vid).ok_or_else(not_in_chain)?;
+        let seg = self.segment(tx, &dir.segments[idx])?;
+        let pos = seg.position_of(vid).ok_or_else(not_in_chain)?;
+        self.splice(tx, oid, dir, idx, seg, pos)
+    }
+
+    /// Take the chain's last member out and return it with its state —
+    /// the body its version keeps whole once it is the latest again.
+    pub fn pop(
+        &self,
+        tx: &mut impl PageWrite,
+        oid: Oid,
+        dir: ChainDirectory,
+    ) -> Result<(Vid, Vec<u8>)> {
+        let idx = dir.segments.len() - 1;
+        let seg = self.segment(tx, &dir.segments[idx])?;
+        let pos = seg.len() - 1;
+        let vid = seg.vids().last().expect("segment never empty");
+        let state = seg.state_at(pos)?;
+        self.splice(tx, oid, dir, idx, seg, pos)?;
+        Ok((vid, state))
+    }
+
+    /// Remove position `pos` of segment `idx` (loaded as `seg`) and
+    /// write back what changed.
+    fn splice(
+        &self,
+        tx: &mut impl PageWrite,
+        oid: Oid,
+        mut dir: ChainDirectory,
+        idx: usize,
+        mut seg: Segment,
+        pos: usize,
+    ) -> Result<()> {
         if seg.remove_at(pos, dir.block as usize)? {
             let entry = &mut dir.segments[idx];
             if pos == 0 {
@@ -384,8 +394,7 @@ impl ChainStore {
             self.free_segment(tx, &dir.segments[idx])?;
             dir.segments.remove(idx);
         }
-        self.save_directory(tx, oid, &dir, None)?;
-        Ok(new_last)
+        self.save_or_drop(tx, oid, &dir)
     }
 
     // ------------------------------------------------------------------
@@ -424,42 +433,40 @@ impl ChainStore {
         Ok(stats)
     }
 
-    /// Directory ↔ segment invariants against the object's temporal
-    /// `history` (oldest first): the members, segment by segment, are
-    /// exactly the temporal suffix that starts at the first segment's
-    /// anchor and ends at the latest version; every segment starts at
-    /// the anchor its directory entry names and never runs `interval`
-    /// deltas; every delta applies. Returns how many versions the chain
-    /// stores and the state it replays to for the last of them.
+    /// Directory ↔ segment invariants against `members`, the versions
+    /// the chain must hold (the object's history minus the latest,
+    /// oldest first): the members, segment by segment, are exactly
+    /// those; every segment starts at the anchor its directory entry
+    /// names and never runs `interval` deltas; every delta applies.
     pub fn check(
         &self,
         tx: &mut impl PageRead,
         dir: &ChainDirectory,
-        history: &[Vid],
-    ) -> Result<(usize, Vec<u8>)> {
-        let Some(oldest) = dir.segments.first() else {
+        members: &[Vid],
+    ) -> Result<()> {
+        if dir.segments.is_empty() {
             return Err(chain_corrupt("chain directory has no segments"));
-        };
-        let start = history
-            .binary_search(&oldest.first)
-            .map_err(|_| chain_corrupt("chain starts at a dead version"))?;
-        let mut suffix = history[start..].iter();
-        let mut last_state = Vec::new();
+        }
+        let mut expected = members.iter();
         for entry in &dir.segments {
             let seg = self.segment(tx, entry)?;
             if seg.run.len() as u64 >= dir.interval.max(1) {
                 return Err(chain_corrupt("anchor interval exceeded"));
             }
             for vid in seg.vids() {
-                if suffix.next() != Some(&vid) {
-                    return Err(chain_corrupt("chain is not the temporal suffix"));
+                if expected.next() != Some(&vid) {
+                    return Err(chain_corrupt(
+                        "chain members are not the history minus the latest",
+                    ));
                 }
             }
-            last_state = seg.state_at(seg.len() - 1)?;
+            seg.state_at(seg.len() - 1)?;
         }
-        if suffix.next().is_some() {
-            return Err(chain_corrupt("chain does not end at the latest version"));
+        if expected.next().is_some() {
+            return Err(chain_corrupt(
+                "chain ends before the version before the latest",
+            ));
         }
-        Ok((history.len() - start, last_state))
+        Ok(())
     }
 }

@@ -1,7 +1,8 @@
-//! Delta-chain storage behaviour: byte-identical reads vs the
-//! whole-body engine, chain-served history queries, migration, and a
-//! differential proptest battery driving a chained store and a
-//! whole-body oracle through identical histories.
+//! Delta-chain storage behaviour: the store-once layout (the latest
+//! version whole in its record, every older one in its object's chain),
+//! byte-identical reads at every version, chain-served history queries,
+//! and a model battery driving fork/edit/delete histories against an
+//! in-memory list of expected bodies.
 
 use ode_codec::TypeTag;
 use ode_storage::{Store, StoreOptions};
@@ -69,9 +70,10 @@ fn chained_reads_are_byte_identical_at_every_version() {
             );
         }
         vs.check_object(&mut tx, oid).unwrap();
-        // The chain actually stores deltas (not 24 whole copies).
+        // The chain holds every version but the latest, and actually
+        // stores deltas (not 23 whole copies).
         let stats = vs.chain_stats(&mut tx, oid).unwrap().unwrap();
-        assert_eq!(stats.versions, 24);
+        assert_eq!(stats.versions, 23);
         if interval > 1 {
             assert!(stats.deltas > 0);
             assert!(stats.encoded_bytes < stats.materialized_bytes);
@@ -85,7 +87,7 @@ fn chained_reads_are_byte_identical_at_every_version() {
 #[test]
 fn single_version_objects_have_no_chain() {
     // Version orthogonality: an object with one version costs nothing
-    // extra even with chain storage on.
+    // extra — no chain records at all.
     let path = temp_path("ortho");
     let store = Store::create(&path, StoreOptions::default()).unwrap();
     let vs = chained(4);
@@ -93,48 +95,6 @@ fn single_version_objects_have_no_chain() {
     let (oid, _) = vs.create_object(&mut tx, TAG, b"only".to_vec()).unwrap();
     assert!(vs.chain_directory(&mut tx, oid).unwrap().is_none());
     assert!(vs.chain_stats(&mut tx, oid).unwrap().is_none());
-    tx.commit().unwrap();
-    drop(store);
-    cleanup(&path);
-}
-
-#[test]
-fn whole_body_database_migrates_in_place() {
-    let path = temp_path("migrate");
-    // Phase 1: plain whole-body store.
-    let (oid, old_vids) = {
-        let store = Store::create(&path, StoreOptions::default()).unwrap();
-        let vs = VersionStore::new(VersionStoreLayout::default());
-        let mut tx = store.begin();
-        let (oid, v0) = vs.create_object(&mut tx, TAG, body(0)).unwrap();
-        let mut vids = vec![v0];
-        for i in 1..4 {
-            let v = vs.new_version_of(&mut tx, oid).unwrap();
-            vs.write_body(&mut tx, v, TAG, body(i)).unwrap();
-            vids.push(v);
-        }
-        tx.commit().unwrap();
-        (oid, vids)
-    };
-    // Phase 2: reopen with chain storage and keep writing.
-    let store = Store::open(&path, StoreOptions::default()).unwrap();
-    let vs = chained(4);
-    let mut tx = store.begin();
-    let mut vids = old_vids.clone();
-    for i in 4..12 {
-        let v = vs.new_version_of(&mut tx, oid).unwrap();
-        vs.write_body(&mut tx, v, TAG, body(i)).unwrap();
-        vids.push(v);
-    }
-    // Every version — pre-chain whole bodies and chained ones — reads
-    // back byte-identically.
-    for (i, &v) in vids.iter().enumerate() {
-        assert_eq!(vs.read_body(&mut tx, v, TAG).unwrap(), body(i), "v{i}");
-    }
-    vs.check_object(&mut tx, oid).unwrap();
-    // The chain is a strict suffix: pre-chain versions are not members.
-    let members = chain_members(&vs, &mut tx, oid);
-    assert_eq!(members, vids[3..]);
     tx.commit().unwrap();
     drop(store);
     cleanup(&path);
@@ -157,18 +117,18 @@ fn chain_survives_reopen() {
         tx.commit().unwrap();
         (oid, vids)
     };
-    // Reopen withOUT chain config: stored chains are still honored.
     let store = Store::open(&path, StoreOptions::default()).unwrap();
-    let vs = VersionStore::new(VersionStoreLayout::default());
+    let vs = chained(4);
     let mut tx = store.begin();
     for (i, &v) in vids.iter().enumerate() {
         assert_eq!(vs.read_body(&mut tx, v, TAG).unwrap(), body(i), "v{i}");
     }
-    // And maintained: a new version still appends to the chain.
+    // And maintained: the outgoing latest appends to the chain.
     let v = vs.new_version_of(&mut tx, oid).unwrap();
     vs.write_body(&mut tx, v, TAG, body(10)).unwrap();
     assert_eq!(vs.read_body(&mut tx, v, TAG).unwrap(), body(10));
     assert_eq!(vs.read_body(&mut tx, vids[9], TAG).unwrap(), body(9));
+    assert_eq!(chain_members(&vs, &mut tx, oid), vids);
     vs.check_object(&mut tx, oid).unwrap();
     tx.commit().unwrap();
     drop(store);
@@ -228,6 +188,7 @@ fn diff_versions_adjacent_is_served_from_the_chain() {
     }
     // Adjacent delta-linked pair: summarized straight off the chain.
     let members = chain_members(&vs, &mut tx, oid);
+    assert_eq!(members, vids[..9]);
     let (a, b) = (members[1], members[2]);
     let d = vs.diff_versions(&mut tx, a, b).unwrap();
     assert!(d.stored);
@@ -235,6 +196,11 @@ fn diff_versions_adjacent_is_served_from_the_chain() {
     assert_eq!(d.to, b);
     let b_idx = vids.iter().position(|&v| v == b).unwrap();
     assert_eq!(d.to_len as usize, body(b_idx).len());
+    // The latest is not a chain member: its step from the version
+    // before is computed from the two bodies.
+    let d1 = vs.diff_versions(&mut tx, vids[8], vids[9]).unwrap();
+    assert!(!d1.stored);
+    assert_eq!(d1.to_len as usize, body(9).len());
     // Distant pair: computed, and consistent with the actual bodies.
     let d2 = vs.diff_versions(&mut tx, vids[0], vids[9]).unwrap();
     assert!(!d2.stored);
@@ -411,22 +377,28 @@ fn a_history_is_cut_into_segments_of_interval_versions() {
     let vs = chained(4);
     let mut tx = store.begin();
     let (oid, vids) = linear(&vs, &mut tx, 10);
+    // The history minus the latest, four versions a segment.
     let segments = segments_of(&vs, &mut tx, oid);
     assert_eq!(
         segments,
         vec![
             vids[0..4].to_vec(),
             vids[4..8].to_vec(),
-            vids[8..10].to_vec()
+            vids[8..9].to_vec()
         ]
     );
     let stats = vs.chain_stats(&mut tx, oid).unwrap().unwrap();
-    assert_eq!((stats.versions, stats.segments, stats.deltas), (10, 3, 7));
-    assert_eq!((stats.open_fill, stats.interval), (2, 4));
+    assert_eq!((stats.versions, stats.segments, stats.deltas), (9, 3, 6));
+    assert_eq!((stats.open_fill, stats.interval), (1, 4));
     assert!(stats.directory_bytes > 0 && stats.directory_bytes < 64);
-    // Directory + 3 anchors + 3 runs, beside 10 version records and
-    // the object record.
-    assert_eq!(heap_records(&mut tx), 7 + 10 + 1);
+    // Directory + 3 anchors + 2 runs (the open segment holds only its
+    // anchor), beside 10 version records and the object record.
+    assert_eq!(heap_records(&mut tx), 6 + 10 + 1);
+    // Only the latest keeps a whole body in its record.
+    for (i, &v) in vids.iter().enumerate() {
+        let stored = vs.version_meta(&mut tx, v).unwrap().body;
+        assert_eq!(stored.is_empty(), i < 9, "v{i}");
+    }
     tx.commit().unwrap();
     drop(store);
     cleanup(&path);
@@ -445,12 +417,12 @@ fn deleting_an_anchor_promotes_its_successor() {
         vec![
             vids[0..4].to_vec(),
             vids[5..8].to_vec(),
-            vids[8..10].to_vec()
+            vids[8..9].to_vec()
         ]
     );
     assert_bodies(&vs, &mut tx, &vids, &[4]);
     vs.check_object(&mut tx, oid).unwrap();
-    // The chain's very first anchor too: the chain stays a suffix.
+    // The chain's very first anchor too.
     vs.delete_version(&mut tx, vids[0]).unwrap();
     assert_eq!(segments_of(&vs, &mut tx, oid)[0], vids[1..4].to_vec());
     assert_bodies(&vs, &mut tx, &vids, &[0, 4]);
@@ -475,7 +447,7 @@ fn deleting_every_member_of_a_sealed_segment_frees_its_records() {
     }
     assert_eq!(
         segments_of(&vs, &mut tx, oid),
-        vec![vids[0..4].to_vec(), vids[8..10].to_vec()]
+        vec![vids[0..4].to_vec(), vids[8..9].to_vec()]
     );
     // Four version records, one anchor, one run.
     assert_eq!(heap_records(&mut tx), before - 6);
@@ -491,23 +463,24 @@ fn deleting_the_tip_right_after_a_seal_reopens_the_segment_before() {
     let store = Store::create(&path, StoreOptions::default()).unwrap();
     let vs = chained(4);
     let mut tx = store.begin();
-    // Nine versions: the tip is the lone anchor of a fresh third segment.
-    let (oid, mut vids) = linear(&vs, &mut tx, 9);
+    // Ten versions: the chain's last member, the one before the tip, is
+    // the lone anchor of a fresh third segment.
+    let (oid, mut vids) = linear(&vs, &mut tx, 10);
     assert_eq!(segments_of(&vs, &mut tx, oid)[2], vec![vids[8]]);
     let before = heap_records(&mut tx);
     vs.delete_version(&mut tx, vids.pop().unwrap()).unwrap();
     assert_eq!(segments_of(&vs, &mut tx, oid).len(), 2);
-    // The tip's version record and its anchor.
+    // The tip's version record and the popped member's anchor.
     assert_eq!(heap_records(&mut tx), before - 2);
-    // The new latest got its whole body back.
-    assert_eq!(vs.latest(&mut tx, oid).unwrap(), vids[7]);
-    assert_eq!(vs.version_meta(&mut tx, vids[7]).unwrap().body, body(7));
+    // The new latest got its whole body back out of the chain.
+    assert_eq!(vs.latest(&mut tx, oid).unwrap(), vids[8]);
+    assert_eq!(vs.version_meta(&mut tx, vids[8]).unwrap().body, body(8));
     vs.check_object(&mut tx, oid).unwrap();
     // The segment before is full, so the next check-in seals again.
     let v = vs.new_version_of(&mut tx, oid).unwrap();
-    vs.write_body(&mut tx, v, TAG, body(8)).unwrap();
+    vs.write_body(&mut tx, v, TAG, body(9)).unwrap();
+    assert_eq!(segments_of(&vs, &mut tx, oid)[2], vec![vids[8]]);
     vids.push(v);
-    assert_eq!(segments_of(&vs, &mut tx, oid)[2], vec![v]);
     assert_bodies(&vs, &mut tx, &vids, &[]);
     vs.check_object(&mut tx, oid).unwrap();
     tx.commit().unwrap();
@@ -588,7 +561,7 @@ fn check_object_rejects_a_directory_that_disagrees_with_its_segments() {
     let dir = vs.chain_directory(&mut tx, oid).unwrap().unwrap();
 
     // A sealed run that lost its last delta: the members are no longer
-    // the temporal suffix.
+    // the history minus the latest.
     let run_rid = RecordId::from_u64(dir.segments[1].run);
     let run: Vec<RunEntry> = heap.load(&mut tx, run_rid).unwrap();
     let mut short = run.clone();
@@ -602,14 +575,49 @@ fn check_object_rejects_a_directory_that_disagrees_with_its_segments() {
     vs.check_object(&mut tx, oid).unwrap();
 
     // An anchor that is not the state its run was diffed against: the
-    // open segment no longer replays to the latest version's body.
-    let anchor_rid = RecordId::from_u64(dir.segments[2].anchor);
-    heap.replace_raw(&mut tx, anchor_rid, &body(500)).unwrap();
+    // run's deltas no longer apply to it.
+    let anchor_rid = RecordId::from_u64(dir.segments[1].anchor);
+    heap.replace_raw(&mut tx, anchor_rid, b"tampered").unwrap();
     assert!(matches!(
         vs.check_object(&mut tx, oid),
         Err(VersionError::ChainCorrupt(_))
     ));
     drop(tx);
+    drop(store);
+    cleanup(&path);
+}
+
+#[test]
+fn editing_the_latest_touches_no_chain_record() {
+    let path = temp_path("editlatest");
+    let store = Store::create(&path, StoreOptions::default()).unwrap();
+    let vs = chained(4);
+    let heap = ode_object::ObjectHeap::new(VersionStoreLayout::default().heap_slot);
+    let mut tx = store.begin();
+    let (oid, vids) = linear(&vs, &mut tx, 11);
+    // Every chain record by id, with its stored bytes.
+    let records = |tx: &mut ode_storage::Tx<'_>| {
+        let dir = vs.chain_directory(tx, oid).unwrap().unwrap();
+        let mut out = Vec::new();
+        for seg in &dir.segments {
+            assert_ne!(seg.run, 0, "every segment has a run to watch");
+            for id in [seg.anchor, seg.run] {
+                let rid = ode_storage::heap::RecordId::from_u64(id);
+                out.push((id, heap.load_bytes(tx, rid).unwrap()));
+            }
+        }
+        (dir, out)
+    };
+    let before = records(&mut tx);
+    let mut edited = body(10);
+    edited.extend_from_slice(&[0xAB; 300]);
+    vs.write_body(&mut tx, vids[10], TAG, edited.clone())
+        .unwrap();
+    assert_eq!(records(&mut tx), before);
+    assert_eq!(vs.read_body(&mut tx, vids[10], TAG).unwrap(), edited);
+    assert_bodies(&vs, &mut tx, &vids, &[10]);
+    vs.check_object(&mut tx, oid).unwrap();
+    tx.commit().unwrap();
     drop(store);
     cleanup(&path);
 }
@@ -683,20 +691,21 @@ fn check_ins_cost_the_same_in_the_8th_segment_and_in_the_16th() {
         "bytes logged per 16 check-ins: {bytes_early} early, {bytes_late} late"
     );
     // No single check-in pays for the history either: the dearest one
-    // seals a segment and moves a record, all within a few pages. (One
-    // chain record per object went from 8 pages per check-in in the
-    // eighth stretch to 12 in the sixteenth, 14 and 32 KB at worst.)
+    // seals a segment and moves a record, all within a few pages. (At
+    // the time of writing: 87 pages and 17.6 KB per 16 check-ins in the
+    // eighth stretch, 83 and 25.2 KB in the sixteenth, 7 pages and
+    // 6.9 KB at worst.)
     let (worst_pages, worst_bytes) = costs[1..]
         .iter()
         .fold((0, 0), |w, c| (w.0.max(c.0), w.1.max(c.1)));
-    assert!(worst_pages <= 8, "a check-in dirtied {worst_pages} pages");
+    assert!(worst_pages <= 7, "a check-in dirtied {worst_pages} pages");
     assert!(worst_bytes <= 8192, "a check-in logged {worst_bytes} bytes");
     drop(store);
     cleanup(&path);
 }
 
 // ----------------------------------------------------------------------
-// Differential proptest battery: chained store vs whole-body oracle.
+// Model battery: a chained store vs an in-memory list of bodies.
 // ----------------------------------------------------------------------
 
 mod differential {
@@ -722,78 +731,82 @@ mod differential {
         ]
     }
 
-    fn apply_op(tx: &mut ode_storage::Tx<'_>, vs: &VersionStore, vids: &mut Vec<Vid>, op: &Op) {
-        match op {
-            Op::Fork(i) => {
-                let base = vids[i % vids.len()];
-                vids.push(vs.new_version_from(tx, base).unwrap());
+    /// What the store must hold: the live versions in temporal order and
+    /// each one's expected body.
+    struct Model {
+        vids: Vec<Vid>,
+        bodies: Vec<Vec<u8>>,
+    }
+
+    impl Model {
+        fn new(v0: Vid, body: &[u8]) -> Model {
+            Model {
+                vids: vec![v0],
+                bodies: vec![body.to_vec()],
             }
-            Op::Edit(i, b) => {
-                let v = vids[i % vids.len()];
-                vs.write_body(tx, v, TAG, b.clone()).unwrap();
-            }
-            Op::Delete(i) => {
-                if vids.len() > 1 {
-                    let v = vids.remove(i % vids.len());
-                    vs.delete_version(tx, v).unwrap();
+        }
+
+        /// Apply `op` to the store and to the model alike.
+        fn apply(&mut self, tx: &mut ode_storage::Tx<'_>, vs: &VersionStore, op: &Op) {
+            let n = self.vids.len();
+            match op {
+                Op::Fork(i) => {
+                    self.vids
+                        .push(vs.new_version_from(tx, self.vids[i % n]).unwrap());
+                    self.bodies.push(self.bodies[i % n].clone());
+                }
+                Op::Edit(i, b) => {
+                    vs.write_body(tx, self.vids[i % n], TAG, b.clone()).unwrap();
+                    self.bodies[i % n] = b.clone();
+                }
+                Op::Delete(i) => {
+                    if n > 1 {
+                        vs.delete_version(tx, self.vids.remove(i % n)).unwrap();
+                        self.bodies.remove(i % n);
+                    }
                 }
             }
         }
-    }
 
-    fn run_history(
-        store: &Store,
-        vs: &VersionStore,
-        seed_body: &[u8],
-        ops: &[Op],
-    ) -> (ode_version::Oid, Vec<Vid>) {
-        let mut tx = store.begin();
-        let (oid, v0) = vs.create_object(&mut tx, TAG, seed_body.to_vec()).unwrap();
-        let mut vids = vec![v0];
-        for op in ops {
-            apply_op(&mut tx, vs, &mut vids, op);
+        /// The store agrees with the model: same temporal history, every
+        /// body byte-identical.
+        fn assert_matches(
+            &self,
+            tx: &mut impl ode_storage::PageRead,
+            vs: &VersionStore,
+            oid: ode_version::Oid,
+            context: &str,
+        ) {
+            assert_eq!(vs.version_history(tx, oid).unwrap(), self.vids, "{context}");
+            for (v, b) in self.vids.iter().zip(&self.bodies) {
+                assert_eq!(&vs.read_body(tx, *v, TAG).unwrap(), b, "{context}: {v}");
+            }
         }
-        vs.check_object(&mut tx, oid).unwrap();
-        tx.commit().unwrap();
-        (oid, vids)
     }
 
     /// A scripted fork/edit/delete history long enough to seal at least
-    /// three segments at every interval, run in lockstep on a chained
-    /// store and the whole-body oracle: bodies agree byte for byte and
-    /// the chain validates after every single operation.
+    /// three segments at every interval, checked against the model —
+    /// history and every body — with the chain validated after every
+    /// single operation.
     #[test]
     fn histories_crossing_segment_boundaries_match_the_oracle() {
         for interval in [1usize, 2, 4, 16] {
-            let p_chain = temp_path(&format!("sc{interval}"));
-            let p_whole = temp_path(&format!("sw{interval}"));
-            let s_chain = Store::create(&p_chain, StoreOptions::default()).unwrap();
-            let s_whole = Store::create(&p_whole, StoreOptions::default()).unwrap();
-            let vs_chain = chained(interval as u64);
-            let vs_whole = VersionStore::new(VersionStoreLayout::default());
-            let mut tc = s_chain.begin();
-            let mut tw = s_whole.begin();
-            let (oid, v0) = vs_chain.create_object(&mut tc, TAG, body(0)).unwrap();
-            let (_, w0) = vs_whole.create_object(&mut tw, TAG, body(0)).unwrap();
-            assert_eq!(v0, w0, "both stores allocate the same ids");
-            let (mut vids_c, mut vids_w) = (vec![v0], vec![w0]);
+            let path = temp_path(&format!("sc{interval}"));
+            let store = Store::create(&path, StoreOptions::default()).unwrap();
+            let vs = chained(interval as u64);
+            let mut tx = store.begin();
+            let (oid, v0) = vs.create_object(&mut tx, TAG, body(0)).unwrap();
+            let mut model = Model::new(v0, &body(0));
 
             let mut most_segments = 0;
             let mut step = |op: Op| {
-                apply_op(&mut tc, &vs_chain, &mut vids_c, &op);
-                apply_op(&mut tw, &vs_whole, &mut vids_w, &op);
-                assert_eq!(vids_c, vids_w);
-                for &v in &vids_c {
-                    assert_eq!(
-                        vs_chain.read_body(&mut tc, v, TAG).unwrap(),
-                        vs_whole.read_body(&mut tw, v, TAG).unwrap(),
-                        "interval {interval} after {op:?}: {v}"
-                    );
-                }
-                vs_chain.check_object(&mut tc, oid).unwrap();
-                let dir = vs_chain.chain_directory(&mut tc, oid).unwrap().unwrap();
+                model.apply(&mut tx, &vs, &op);
+                let context = format!("interval {interval} after {op:?}");
+                model.assert_matches(&mut tx, &vs, oid, &context);
+                vs.check_object(&mut tx, oid).unwrap();
+                let dir = vs.chain_directory(&mut tx, oid).unwrap().unwrap();
                 most_segments = most_segments.max(dir.segments.len());
-                vids_c.len() - 1
+                model.vids.len() - 1
             };
 
             // Revisions of the tip past three seals, with a branch off
@@ -827,74 +840,48 @@ mod differential {
                 most_segments >= 4,
                 "interval {interval}: {most_segments} segments"
             );
-            tc.commit().unwrap();
-            tw.commit().unwrap();
-            drop((s_chain, s_whole));
-            cleanup(&p_chain);
-            cleanup(&p_whole);
+            tx.commit().unwrap();
+            drop(store);
+            cleanup(&path);
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-        /// The chained engine and the whole-body engine, driven through
-        /// an identical fork/edit/delete history, return byte-identical
-        /// bodies for every surviving version — live, and again after a
-        /// full store reopen (codec + storage round trip).
+        /// A chained store driven through a random fork/edit/delete
+        /// history returns the model's history and byte-identical bodies
+        /// for every surviving version — live, and again after a full
+        /// store reopen (codec + storage round trip).
         #[test]
         fn chained_store_matches_whole_body_oracle(
             seed in proptest::collection::vec(any::<u8>(), 0..300),
             ops in proptest::collection::vec(op_strategy(), 1..40),
             interval in 1u64..9,
         ) {
-            let p_chain = temp_path(&format!("dc{interval}-{}", ops.len()));
-            let p_whole = temp_path(&format!("dw{interval}-{}", ops.len()));
-            {
-                let s_chain = Store::create(&p_chain, StoreOptions::default()).unwrap();
-                let s_whole = Store::create(&p_whole, StoreOptions::default()).unwrap();
-                let vs_chain = chained(interval);
-                let vs_whole = VersionStore::new(VersionStoreLayout::default());
-                let (oid_c, vids_c) = run_history(&s_chain, &vs_chain, &seed, &ops);
-                let (oid_w, vids_w) = run_history(&s_whole, &vs_whole, &seed, &ops);
-                prop_assert_eq!(vids_c.len(), vids_w.len());
-                let mut tc = s_chain.begin();
-                let mut tw = s_whole.begin();
-                for (&vc, &vw) in vids_c.iter().zip(&vids_w) {
-                    prop_assert_eq!(
-                        vs_chain.read_body(&mut tc, vc, TAG).unwrap(),
-                        vs_whole.read_body(&mut tw, vw, TAG).unwrap()
-                    );
+            let path = temp_path(&format!("dc{interval}-{}", ops.len()));
+            let vs = chained(interval);
+            let (oid, model) = {
+                let store = Store::create(&path, StoreOptions::default()).unwrap();
+                let mut tx = store.begin();
+                let (oid, v0) = vs.create_object(&mut tx, TAG, seed.clone()).unwrap();
+                let mut model = Model::new(v0, &seed);
+                for op in &ops {
+                    model.apply(&mut tx, &vs, op);
                 }
-                prop_assert_eq!(
-                    vs_chain.version_history(&mut tc, oid_c).unwrap().len(),
-                    vs_whole.version_history(&mut tw, oid_w).unwrap().len()
-                );
-                drop(tc);
-                drop(tw);
-            }
-            // Reopen both stores cold and compare again.
+                vs.check_object(&mut tx, oid).unwrap();
+                model.assert_matches(&mut tx, &vs, oid, "live");
+                tx.commit().unwrap();
+                (oid, model)
+            };
+            // Reopen the store cold and compare again.
             {
-                let s_chain = Store::open(&p_chain, StoreOptions::default()).unwrap();
-                let s_whole = Store::open(&p_whole, StoreOptions::default()).unwrap();
-                let vs_chain = chained(interval);
-                let vs_whole = VersionStore::new(VersionStoreLayout::default());
-                let mut tc = s_chain.begin();
-                let mut tw = s_whole.begin();
-                // Vids were allocated identically on both sides.
-                let hist_c = vs_chain.version_history(&mut tc, ode_version::Oid(1)).unwrap();
-                let hist_w = vs_whole.version_history(&mut tw, ode_version::Oid(1)).unwrap();
-                prop_assert_eq!(&hist_c, &hist_w);
-                for &v in &hist_c {
-                    prop_assert_eq!(
-                        vs_chain.read_body(&mut tc, v, TAG).unwrap(),
-                        vs_whole.read_body(&mut tw, v, TAG).unwrap()
-                    );
-                }
-                vs_chain.check_object(&mut tc, ode_version::Oid(1)).unwrap();
+                let store = Store::open(&path, StoreOptions::default()).unwrap();
+                let mut tx = store.begin();
+                model.assert_matches(&mut tx, &vs, oid, "reopened");
+                vs.check_object(&mut tx, oid).unwrap();
             }
-            cleanup(&p_chain);
-            cleanup(&p_whole);
+            cleanup(&path);
         }
     }
 }

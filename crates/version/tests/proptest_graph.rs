@@ -3,10 +3,10 @@
 //! The model tracks, per object, the temporal order (a `Vec<Vid>`), each
 //! version's body and derivation parent.  After every operation the
 //! store must agree with the model *and* pass the structural invariant
-//! checker.  The store is whole-body or chained at anchor interval 1,
-//! 2, 4 or 16: at the small intervals a 120-operation sequence seals
-//! segment after segment, so forks, edits and deletes land on anchors,
-//! inside sealed segments and on the open one.
+//! checker.  The store chains at anchor interval 1, 2, 4 or 16: at the
+//! small intervals a 120-operation sequence seals segment after
+//! segment, so forks, edits and deletes land on anchors, inside sealed
+//! segments and on the open one.
 
 use std::collections::HashMap;
 
@@ -51,8 +51,7 @@ proptest! {
     #[test]
     fn store_matches_model(
         ops in proptest::collection::vec(arb_op(), 1..120),
-        // 0 = whole-body storage.
-        interval in prop_oneof![Just(0u64), Just(1), Just(2), Just(4), Just(16)],
+        interval in prop_oneof![Just(1u64), Just(2), Just(4), Just(16)],
         seed: u64,
     ) {
         let mut path = std::env::temp_dir();
@@ -68,13 +67,10 @@ proptest! {
         let _ = std::fs::remove_file(&wal);
 
         let store = Store::create(&path, StoreOptions::default()).unwrap();
-        let vs = match interval {
-            0 => VersionStore::new(VersionStoreLayout::default()),
-            n => VersionStore::with_chain(
-                VersionStoreLayout::default(),
-                ChainConfig::with_interval(n),
-            ),
-        };
+        let vs = VersionStore::with_chain(
+            VersionStoreLayout::default(),
+            ChainConfig::with_interval(interval),
+        );
         let mut tx = store.begin();
         let mut model: HashMap<Oid, ModelObject> = HashMap::new();
         let mut oids: Vec<Oid> = Vec::new();
