@@ -19,9 +19,10 @@
 //! constant no matter how many thousands of connections are open. A
 //! client that stops reading is evicted once its buffered responses
 //! hit [`ServerConfig::write_buffer_cap`]
-//! ([`StatsReport::slow_client_evictions`] counts these). The old
-//! thread-per-connection implementation lives on as [`ThreadedServer`],
-//! the oracle the event loop is differentially property-tested against.
+//! ([`StatsReport::slow_client_evictions`] counts these). Serving must
+//! not change a program's result: the event loop is property-tested
+//! against the same requests applied in stream order to an in-process
+//! [`ode::Database`], byte for byte.
 //! One request maps to one server-side snapshot (reads) or one
 //! committed transaction (writes), so a successful write response
 //! implies WAL durability, and a client reconnecting after a server
@@ -68,7 +69,6 @@ pub mod relay;
 mod router;
 mod server;
 mod shard;
-mod threaded;
 
 pub use client::{ClientConfig, ClientObjPtr, ClientVersionPtr, OdeClient, Pipeline};
 pub use cluster::{Cluster, ClusterConfig};
@@ -78,4 +78,3 @@ pub use relay::{FaultRelay, RelayPlan};
 pub use router::{OdeRouter, RouterConfig, RouterStatsReport, ShardMembership};
 pub use server::{OdeServer, ServerConfig, ServerHooks};
 pub use shard::ShardMap;
-pub use threaded::ThreadedServer;

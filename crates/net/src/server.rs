@@ -44,9 +44,11 @@
 //! connection; cross-connection consistency is commit-granular via the
 //! database's snapshot epoch (see [`crate::cache`]).
 //!
-//! The previous thread-per-connection implementation survives as
-//! [`crate::ThreadedServer`] — same wire behavior, used as the
-//! reference oracle by the state-machine proptest battery.
+//! None of this may change what a connection is answered: the tests
+//! below play pipelined request streams, split at arbitrary byte
+//! boundaries, and compare every response frame with the one
+//! [`apply`] gives for the same request run in stream order on an
+//! identically seeded in-process [`Database`].
 //!
 //! Shutdown is graceful and prompt: the loop is woken, every live
 //! socket is shut down, queued jobs finish on the workers (writes
@@ -143,19 +145,19 @@ impl std::fmt::Debug for ServerHooks {
 
 /// Lifetime counters, all monotone except `active_connections`.
 #[derive(Default)]
-pub(crate) struct ServerStats {
-    pub(crate) active_connections: AtomicU64,
-    pub(crate) total_connections: AtomicU64,
-    pub(crate) bytes_in: AtomicU64,
-    pub(crate) bytes_out: AtomicU64,
-    pub(crate) protocol_errors: AtomicU64,
-    pub(crate) op_errors: AtomicU64,
-    pub(crate) slow_client_evictions: AtomicU64,
-    pub(crate) requests: [AtomicU64; OPCODE_COUNT],
+struct ServerStats {
+    active_connections: AtomicU64,
+    total_connections: AtomicU64,
+    bytes_in: AtomicU64,
+    bytes_out: AtomicU64,
+    protocol_errors: AtomicU64,
+    op_errors: AtomicU64,
+    slow_client_evictions: AtomicU64,
+    requests: [AtomicU64; OPCODE_COUNT],
 }
 
 impl ServerStats {
-    pub(crate) fn report(&self, cache: &SnapshotCache, db: &Database) -> StatsReport {
+    fn report(&self, cache: &SnapshotCache, db: &Database) -> StatsReport {
         let storage = db.storage_stats();
         let (materialize_hits, materialize_misses) = db.materialize_cache_counters();
         let requests = request_counts(|op| self.requests[op as usize].load(Ordering::Relaxed));
@@ -196,19 +198,19 @@ impl ServerStats {
 /// Everything a connection needs about the node it runs on, shared by
 /// the loop and all workers: the database, counters, cache, and the
 /// node's replication role.
-pub(crate) struct NodeCtx {
-    pub(crate) db: Arc<Database>,
-    pub(crate) stats: Arc<ServerStats>,
-    pub(crate) cache: Arc<SnapshotCache>,
+struct NodeCtx {
+    db: Arc<Database>,
+    stats: Arc<ServerStats>,
+    cache: Arc<SnapshotCache>,
     /// `true` while this node is a replica (writes refused). Flipped to
     /// `false` by a successful `Promote`.
-    pub(crate) replica: AtomicBool,
-    pub(crate) hooks: ServerHooks,
-    pub(crate) floor_timeout: std::time::Duration,
+    replica: AtomicBool,
+    hooks: ServerHooks,
+    floor_timeout: std::time::Duration,
 }
 
 impl NodeCtx {
-    pub(crate) fn new(db: Arc<Database>, config: &ServerConfig, hooks: ServerHooks) -> NodeCtx {
+    fn new(db: Arc<Database>, config: &ServerConfig, hooks: ServerHooks) -> NodeCtx {
         NodeCtx {
             db,
             stats: Arc::new(ServerStats::default()),
@@ -223,36 +225,36 @@ impl NodeCtx {
 /// Length in bytes of the sequence-id varint a frame payload starts
 /// with — the *actual* length off the wire, so the operation bytes
 /// after it are exact even for non-canonical encodings.
-pub(crate) fn seq_prefix_len(payload: &[u8]) -> usize {
+fn seq_prefix_len(payload: &[u8]) -> usize {
     payload.iter().take_while(|b| **b & 0x80 != 0).count() + 1
 }
 
-pub(crate) fn frame_prefix_len(payload_len: usize) -> u64 {
+fn frame_prefix_len(payload_len: usize) -> u64 {
     let mut buf = Vec::with_capacity(10);
     ode_codec::varint::write_u64(&mut buf, payload_len as u64);
     buf.len() as u64
 }
 
 /// One decoded request waiting for (or in flight on) the worker pool.
-pub(crate) struct Job {
-    pub(crate) seq: u64,
-    pub(crate) request: Request,
+struct Job {
+    seq: u64,
+    request: Request,
     /// Cache key (the request's operation bytes, i.e. the payload
     /// after its sequence varint) — `Some` for reads.
-    pub(crate) key: Option<Vec<u8>>,
+    key: Option<Vec<u8>>,
     /// Whether the decode path already consulted the cache and missed;
     /// execution then skips its own lookup so each request counts one
     /// hit or one miss, never both.
-    pub(crate) looked_up: bool,
+    looked_up: bool,
     /// The connection's read floor when this request was decoded —
     /// stream-order semantics for the `ReadFloor` opcode.
-    pub(crate) floor: u64,
+    floor: u64,
 }
 
 /// Execute one job to a wire-ready encoded response. The second return
 /// is whether the job was a write (the caller clears its
 /// read-your-writes gate only after the commit happened here).
-pub(crate) fn execute_job(ctx: &NodeCtx, job: Job) -> (Vec<u8>, bool) {
+fn execute_job(ctx: &NodeCtx, job: Job) -> (Vec<u8>, bool) {
     let (db, stats, cache) = (&*ctx.db, &*ctx.stats, &*ctx.cache);
     let is_write = job.key.is_none();
     let out: Vec<u8> = match job.key {
@@ -353,7 +355,7 @@ pub(crate) fn execute_job(ctx: &NodeCtx, job: Job) -> (Vec<u8>, bool) {
 /// Execute one operation. Reads run on a snapshot; writes run in a
 /// transaction committed before returning, so the response implies
 /// durability.
-pub(crate) fn apply(db: &Database, request: Request) -> ode::Result<Response> {
+fn apply(db: &Database, request: Request) -> ode::Result<Response> {
     if request.is_read() {
         let mut snap = db.snapshot();
         return match request {
@@ -814,10 +816,9 @@ fn event_loop(
                         stats.slow_client_evictions.fetch_add(1, Ordering::Relaxed);
                     }
                     let mut conn = conns.remove(&token).expect("conn present");
-                    // Best-effort final flush (one nonblocking pass),
-                    // mirroring the threaded server's buffered-writer
-                    // drop: answers queued before a fatal frame should
-                    // still try to reach the client.
+                    // Best-effort final flush (one nonblocking pass):
+                    // answers queued before a fatal frame should still
+                    // try to reach the client.
                     if !conn.write_dead && conn.backlog() > 0 {
                         let wpos = conn.wpos;
                         let _ = conn.stream.write_all(&conn.wbuf[wpos..]);
@@ -1120,7 +1121,7 @@ fn pump(
     // Nothing left to read, execute, or write: the session is over.
     // (`parse_frames` just ran and the dispatch above drained the
     // inbox, so any bytes still in `rbuf` are a partial frame cut off
-    // by the EOF — exactly the case the threaded server closed on.)
+    // by the EOF, which can never be answered.)
     if conn.peer_closed
         && !conn.dispatched
         && conn.inbox.is_empty()
@@ -1147,4 +1148,273 @@ fn pump(
         conn.armed = want;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    //! The event loop against its model. One connection's requests,
+    //! pipelined in one burst through a [`FaultRelay`] that re-chunks
+    //! the byte stream, must be answered exactly as the same requests
+    //! applied one by one, in stream order, to an identically seeded
+    //! in-process [`Database`]: byte-identical frames, matched by
+    //! sequence id. Both databases assign oids and vids from the same
+    //! deterministic counters. The model shares no code with the server
+    //! but [`apply`] and never consults the snapshot cache, so a stale
+    //! cache hit is a divergence.
+
+    use std::collections::BTreeSet;
+    use std::io::{BufReader, Read, Write};
+    use std::net::{SocketAddr, TcpStream};
+    use std::time::Duration;
+
+    use ode::{DatabaseOptions, MergePolicy, Oid, TypeTag, Vid};
+    use ode_storage::testutil::TempPath;
+    use proptest::prelude::*;
+    use rand::SeedableRng;
+
+    use super::*;
+    use crate::protocol::{read_frame_into, Opcode};
+    use crate::relay::{FaultRelay, RelayPlan};
+
+    /// The tag every test object carries; nothing in the differential
+    /// run decodes bodies, so raw bytes under one tag exercise
+    /// everything.
+    const TAG: TypeTag = TypeTag(0xD1FF);
+
+    /// Opcodes the differential leaves out: `Stats` (counters are the
+    /// server's own), `Epoch`/`ReadFloor` (commit batching may group
+    /// epochs differently) and `Promote` (replica role only).
+    const NOT_MODELLED: [Opcode; 4] = [
+        Opcode::Stats,
+        Opcode::Epoch,
+        Opcode::ReadFloor,
+        Opcode::Promote,
+    ];
+
+    // Ids are drawn from a tiny space so later ops hit objects earlier
+    // ops created — and miss, for the error paths.
+    fn arb_oid() -> impl Strategy<Value = Oid> {
+        (0u64..8).prop_map(Oid)
+    }
+
+    fn arb_vid() -> impl Strategy<Value = Vid> {
+        (0u64..12).prop_map(Vid)
+    }
+
+    fn arb_body() -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec(any::<u8>(), 0..48)
+    }
+
+    fn arb_policy() -> impl Strategy<Value = MergePolicy> {
+        prop_oneof![
+            Just(MergePolicy::Fail),
+            Just(MergePolicy::Ours),
+            Just(MergePolicy::Theirs),
+        ]
+    }
+
+    /// Every opcode whose response is fully determined by the op
+    /// sequence (all but [`NOT_MODELLED`]).
+    fn arb_op() -> BoxedStrategy<Request> {
+        prop_oneof![
+            Just(Request::Ping),
+            arb_body().prop_map(|body| Request::Pnew { tag: TAG, body }),
+            arb_oid().prop_map(|oid| Request::Deref { oid, tag: TAG }),
+            arb_vid().prop_map(|vid| Request::DerefVersion { vid, tag: TAG }),
+            (arb_oid(), arb_body()).prop_map(|(oid, body)| Request::Update {
+                oid,
+                tag: TAG,
+                body
+            }),
+            (arb_vid(), arb_body()).prop_map(|(vid, body)| Request::UpdateVersion {
+                vid,
+                tag: TAG,
+                body
+            }),
+            arb_oid().prop_map(|oid| Request::NewVersion { oid }),
+            arb_vid().prop_map(|vid| Request::NewVersionFrom { vid }),
+            arb_oid().prop_map(|oid| Request::Pdelete { oid }),
+            arb_vid().prop_map(|vid| Request::PdeleteVersion { vid }),
+            arb_vid().prop_map(|vid| Request::Dprevious { vid }),
+            arb_vid().prop_map(|vid| Request::Dnext { vid }),
+            arb_vid().prop_map(|vid| Request::Tprevious { vid }),
+            arb_vid().prop_map(|vid| Request::Tnext { vid }),
+            arb_oid().prop_map(|oid| Request::VersionHistory { oid }),
+            arb_oid().prop_map(|oid| Request::CurrentVersion { oid }),
+            Just(Request::Objects { tag: TAG }),
+            (arb_oid(), 0u64..6).prop_map(|(after, limit)| Request::ObjectsPage {
+                tag: TAG,
+                after,
+                limit
+            }),
+            arb_vid().prop_map(|vid| Request::ObjectOf { vid }),
+            arb_oid().prop_map(|oid| Request::VersionCount { oid }),
+            arb_oid().prop_map(|oid| Request::Exists { oid }),
+            arb_vid().prop_map(|vid| Request::VersionExists { vid }),
+            // Stamps are creation order, the same small space as vids.
+            (arb_oid(), 0u64..12, 0u64..12)
+                .prop_map(|(oid, from, to)| { Request::HistoryBetween { oid, from, to } }),
+            (arb_vid(), arb_vid()).prop_map(|(from, to)| Request::DiffVersions { from, to }),
+            (arb_vid(), arb_vid(), arb_policy()).prop_map(|(a, b, policy)| Request::Merge {
+                a,
+                b,
+                policy
+            }),
+        ]
+        .boxed()
+    }
+
+    /// Handshake, fire every request frame in one pipelined burst, then
+    /// collect exactly one response frame per request, sorted by
+    /// sequence id (responses may arrive in any order).
+    fn play(addr: SocketAddr, ops: &[Request]) -> Vec<(u64, Vec<u8>)> {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        let mut writer = stream.try_clone().expect("clone");
+        writer.write_all(&MAGIC).expect("send magic");
+        let mut reader = BufReader::new(stream);
+        let mut echo = [0u8; 4];
+        reader.read_exact(&mut echo).expect("handshake echo");
+        assert_eq!(echo, MAGIC);
+
+        let mut burst = Vec::new();
+        for (op, seq) in ops.iter().zip(1u64..) {
+            write_frame(&mut burst, &op.encode(seq)).expect("frame");
+        }
+        writer.write_all(&burst).expect("send burst");
+        writer.flush().expect("flush");
+
+        let mut got: Vec<(u64, Vec<u8>)> = Vec::with_capacity(ops.len());
+        let mut payload = Vec::new();
+        while got.len() < ops.len() {
+            assert!(
+                read_frame_into(&mut reader, &mut payload).expect("response frame"),
+                "server closed before answering every request"
+            );
+            let seq = Response::decode_seq(&payload).expect("response seq");
+            got.push((seq, payload.clone()));
+        }
+        got.sort_by_key(|(seq, _)| *seq);
+        got
+    }
+
+    /// The model: each request applied to `db` in stream order, an
+    /// error mapped to its frame the way [`execute_job`] maps it.
+    fn in_order(db: &Database, ops: &[Request]) -> Vec<(u64, Vec<u8>)> {
+        ops.iter()
+            .zip(1u64..)
+            .map(|(op, seq)| {
+                let response = match op {
+                    Request::Ping => Response::Pong,
+                    op => apply(db, op.clone())
+                        .unwrap_or_else(|e| Response::Err(RemoteError::from(&e))),
+                };
+                (seq, response.encode(seq))
+            })
+            .collect()
+    }
+
+    /// Play `ops` against a 2-worker [`OdeServer`] through a relay that
+    /// re-chunks every hop at `chunk` bytes, assert every response
+    /// frame equals the model's, and return the model's frames.
+    fn run_differential(ops: &[Request], chunk: usize) -> Vec<(u64, Vec<u8>)> {
+        let event_path = TempPath::new();
+        let model_path = TempPath::new();
+        let event_db =
+            Arc::new(Database::create(&event_path, DatabaseOptions::no_sync()).expect("event db"));
+        let model_db = Database::create(&model_path, DatabaseOptions::no_sync()).expect("model db");
+        let config = ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        };
+        let server = OdeServer::bind(event_db, "127.0.0.1:0", config).expect("server");
+        let plan = RelayPlan {
+            chunk,
+            ..RelayPlan::clean()
+        };
+        let relay = FaultRelay::start(server.local_addr(), vec![plan, plan]).expect("relay");
+
+        let got = play(relay.local_addr(), ops);
+        relay.shutdown();
+        server.shutdown();
+        let want = in_order(&model_db, ops);
+
+        assert_eq!(got.len(), want.len());
+        for ((gseq, gbytes), (wseq, wbytes)) in got.iter().zip(want.iter()) {
+            assert_eq!(gseq, wseq);
+            assert_eq!(
+                gbytes,
+                wbytes,
+                "response for seq {gseq} diverged from in-order execution (op: {:?})",
+                ops[*gseq as usize - 1]
+            );
+        }
+        want
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: 24,
+            ..ProptestConfig::default()
+        })]
+
+        /// Any pipelined op sequence, shredded at any byte granularity,
+        /// answers byte-for-byte like the same ops run in order.
+        #[test]
+        fn event_loop_server_matches_in_order_oracle(
+            ops in proptest::collection::vec(arb_op(), 1..24),
+            chunk in prop_oneof![Just(1usize), 2usize..64, Just(usize::MAX)],
+        ) {
+            run_differential(&ops, chunk);
+        }
+    }
+
+    /// A new opcode cannot stay out of the differential unnoticed:
+    /// `arb_op` draws every opcode but the ones it is documented to
+    /// leave out.
+    #[test]
+    fn differential_covers_every_modelled_opcode() {
+        let strategy = arb_op();
+        let mut rng = proptest::TestRng::seed_from_u64(26);
+        let seen: BTreeSet<Opcode> = (0..4096)
+            .map(|_| strategy.generate(&mut rng).opcode())
+            .collect();
+        let want: BTreeSet<Opcode> = Opcode::ALL
+            .into_iter()
+            .filter(|op| !NOT_MODELLED.contains(op))
+            .collect();
+        assert_eq!(seen, want);
+    }
+
+    /// Reads of one object around each kind of write, pipelined behind
+    /// them: the second and third `Deref` carry the first one's cache
+    /// key, so a snapshot-cache hit across a commit answers with the
+    /// old body and fails here on every run.
+    #[test]
+    fn reads_after_writes_are_never_served_stale() {
+        let (oid, vid) = (Oid(1), Vid(1));
+        let ops = [
+            Request::Pnew {
+                tag: TAG,
+                body: b"first".to_vec(),
+            },
+            Request::Deref { oid, tag: TAG },
+            Request::Update {
+                oid,
+                tag: TAG,
+                body: b"second".to_vec(),
+            },
+            Request::Deref { oid, tag: TAG },
+            Request::NewVersion { oid },
+            Request::Deref { oid, tag: TAG },
+            Request::DerefVersion { vid, tag: TAG },
+        ];
+        for chunk in [1, 7, usize::MAX] {
+            let frames = run_differential(&ops, chunk);
+            // The ids above are the ones a fresh database hands out.
+            assert_eq!(frames[0].1, Response::Created { oid, vid }.encode(1));
+        }
+    }
 }

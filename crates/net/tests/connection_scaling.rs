@@ -9,7 +9,6 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -17,23 +16,7 @@ use std::time::Duration;
 use ode::{Database, DatabaseOptions, TypeTag};
 use ode_net::protocol::{read_frame_into, write_frame, Response, MAGIC};
 use ode_net::{ClientConfig, OdeClient, OdeServer, Request, ServerConfig};
-
-struct TempPath(PathBuf);
-
-impl TempPath {
-    fn new() -> TempPath {
-        TempPath(ode::testutil::fresh_path())
-    }
-}
-
-impl Drop for TempPath {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-        let mut wal = self.0.clone().into_os_string();
-        wal.push(".wal");
-        let _ = std::fs::remove_file(PathBuf::from(wal));
-    }
-}
+use ode_storage::testutil::TempPath;
 
 /// This process's live thread count, from `/proc/self/status`.
 fn thread_count() -> usize {
@@ -88,7 +71,7 @@ fn a_thousand_idle_sessions_cost_no_threads_and_stay_responsive() {
     polling::raise_nofile_limit().expect("raise RLIMIT_NOFILE");
 
     let path = TempPath::new();
-    let db = Arc::new(Database::create(&path.0, DatabaseOptions::no_sync()).expect("db"));
+    let db = Arc::new(Database::create(&path, DatabaseOptions::no_sync()).expect("db"));
     let config = ServerConfig {
         workers: 2,
         ..ServerConfig::default()

@@ -16,7 +16,7 @@
 //! router's round-robin placement makes shard assignment exact from a
 //! fresh cluster. Run under `RUST_TEST_THREADS=1` in CI.
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -27,6 +27,7 @@ use ode_net::{
     ClientConfig, ClientObjPtr, Cluster, ClusterConfig, FaultRelay, NetError, OdeClient, OdeServer,
     Opcode, RelayPlan, RemoteError, Request, Response, ServerConfig,
 };
+use ode_storage::testutil::TempPath;
 
 #[derive(Debug, Clone, PartialEq)]
 struct Doc {
@@ -36,24 +37,7 @@ struct Doc {
 impl_persist_struct!(Doc { title, revision });
 impl_type_name!(Doc = "fault-test/Doc");
 
-struct TempPath(PathBuf);
-
-impl TempPath {
-    fn new() -> TempPath {
-        TempPath(ode::testutil::fresh_path())
-    }
-}
-
-impl Drop for TempPath {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-        let mut wal = self.0.clone().into_os_string();
-        wal.push(".wal");
-        let _ = std::fs::remove_file(PathBuf::from(wal));
-    }
-}
-
-fn start_server(path: &PathBuf) -> (Arc<Database>, OdeServer) {
+fn start_server(path: &Path) -> (Arc<Database>, OdeServer) {
     let db = Arc::new(Database::create(path, DatabaseOptions::no_sync()).expect("create db"));
     let server = OdeServer::bind(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default())
         .expect("bind server");
@@ -67,7 +51,7 @@ fn start_server(path: &PathBuf) -> (Arc<Database>, OdeServer) {
 #[test]
 fn frames_split_at_every_byte_boundary_still_work() {
     let path = TempPath::new();
-    let (_db, server) = start_server(&path.0);
+    let (_db, server) = start_server(&path);
     // One byte at a time with a delay: every frame arrives maximally
     // fragmented in both directions.
     let plan = RelayPlan {
@@ -114,7 +98,7 @@ fn frames_split_at_every_byte_boundary_still_work() {
 #[test]
 fn connection_cut_mid_pipeline_surfaces_a_clean_error() {
     let path = TempPath::new();
-    let (_db, server) = start_server(&path.0);
+    let (_db, server) = start_server(&path);
     // First connection: the handshake echo (4 bytes) plus a handful of
     // response bytes pass, then the stream dies mid-frame. Later
     // connections are clean.
@@ -156,7 +140,7 @@ fn connection_cut_mid_pipeline_surfaces_a_clean_error() {
 #[test]
 fn writes_are_never_silently_retried() {
     let path = TempPath::new();
-    let (_db, server) = start_server(&path.0);
+    let (_db, server) = start_server(&path);
     // First connection: the 4-byte handshake echo plus ONE more byte
     // reach the client. That extra byte can only be the start of a
     // response frame — proof the server processed the request — and

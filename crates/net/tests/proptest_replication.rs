@@ -10,7 +10,6 @@
 //! epoch gate itself is exercised over the real wire (a replica-mode
 //! `OdeServer` and an `OdeClient` pinning `ReadFloor`).
 
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -19,6 +18,7 @@ use ode_codec::{impl_persist_struct, impl_type_name};
 use ode_net::{
     ClientConfig, ClientObjPtr, NetError, OdeClient, OdeServer, RemoteError, ServerConfig,
 };
+use ode_storage::testutil::TempPath;
 use proptest::prelude::*;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -27,23 +27,6 @@ struct Counter {
 }
 impl_persist_struct!(Counter { value });
 impl_type_name!(Counter = "repl-gate/Counter");
-
-struct TempPath(PathBuf);
-
-impl TempPath {
-    fn new() -> TempPath {
-        TempPath(ode::testutil::fresh_path())
-    }
-}
-
-impl Drop for TempPath {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-        let mut wal = self.0.clone().into_os_string();
-        wal.push(".wal");
-        let _ = std::fs::remove_file(PathBuf::from(wal));
-    }
-}
 
 /// One step of the interleaving.
 #[derive(Debug, Clone, Copy)]
@@ -75,8 +58,8 @@ proptest! {
     fn a_pinned_read_never_observes_pre_floor_state(steps in arb_steps()) {
         let ppath = TempPath::new();
         let rpath = TempPath::new();
-        let primary = Database::create(&ppath.0, DatabaseOptions::no_sync()).unwrap();
-        let replica = Arc::new(Database::create(&rpath.0, DatabaseOptions::no_sync()).unwrap());
+        let primary = Database::create(&ppath, DatabaseOptions::no_sync()).unwrap();
+        let replica = Arc::new(Database::create(&rpath, DatabaseOptions::no_sync()).unwrap());
 
         // The counter exists before the bootstrap snapshot, so the
         // replica always knows the object; only its value lags.

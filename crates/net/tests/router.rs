@@ -6,7 +6,6 @@
 //! read-your-writes per oid), and reconnect-with-backoff after a shard
 //! restart.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -17,6 +16,7 @@ use ode_net::{
     ClientConfig, ClientObjPtr, Cluster, ClusterConfig, NetError, OdeClient, OdeRouter, OdeServer,
     RemoteError, Request, Response, RouterConfig, ServerConfig,
 };
+use ode_storage::testutil::TempPath;
 
 #[derive(Debug, Clone, PartialEq)]
 struct Doc {
@@ -25,23 +25,6 @@ struct Doc {
 }
 impl_persist_struct!(Doc { title, revision });
 impl_type_name!(Doc = "router-test/Doc");
-
-struct TempPath(PathBuf);
-
-impl TempPath {
-    fn new() -> TempPath {
-        TempPath(ode::testutil::fresh_path())
-    }
-}
-
-impl Drop for TempPath {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-        let mut wal = self.0.clone().into_os_string();
-        wal.push(".wal");
-        let _ = std::fs::remove_file(PathBuf::from(wal));
-    }
-}
 
 fn doc(title: &str, revision: u64) -> Doc {
     Doc {
@@ -67,7 +50,7 @@ fn tag() -> ode::TypeTag {
 fn one_shard_router_is_byte_identical_to_a_direct_server() {
     let direct_path = TempPath::new();
     let direct_db = Arc::new(
-        Database::create(&direct_path.0, DatabaseOptions::no_sync()).expect("create direct db"),
+        Database::create(&direct_path, DatabaseOptions::no_sync()).expect("create direct db"),
     );
     let direct_server = OdeServer::bind(
         Arc::clone(&direct_db),
@@ -78,7 +61,7 @@ fn one_shard_router_is_byte_identical_to_a_direct_server() {
 
     let routed_path = TempPath::new();
     let routed_db = Arc::new(
-        Database::create(&routed_path.0, DatabaseOptions::no_sync()).expect("create routed db"),
+        Database::create(&routed_path, DatabaseOptions::no_sync()).expect("create routed db"),
     );
     let routed_server = OdeServer::bind(
         Arc::clone(&routed_db),

@@ -3,7 +3,7 @@
 //! would.
 
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::Arc;
 use std::thread;
 
@@ -13,6 +13,7 @@ use ode_net::{
     ClientConfig, ClientObjPtr, ClientVersionPtr, NetError, OdeClient, OdeServer, Opcode,
     RemoteError, Request, Response, ServerConfig,
 };
+use ode_storage::testutil::TempPath;
 
 #[derive(Debug, Clone, PartialEq)]
 struct Doc {
@@ -30,25 +31,7 @@ struct Imposter {
 impl_persist_struct!(Imposter { n });
 impl_type_name!(Imposter = "net-test/Imposter");
 
-/// Database file at a unique temp path, removed (with WAL) on drop.
-struct TempPath(PathBuf);
-
-impl TempPath {
-    fn new() -> TempPath {
-        TempPath(ode::testutil::fresh_path())
-    }
-}
-
-impl Drop for TempPath {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-        let mut wal = self.0.clone().into_os_string();
-        wal.push(".wal");
-        let _ = std::fs::remove_file(PathBuf::from(wal));
-    }
-}
-
-fn start_server(path: &PathBuf, workers: usize) -> (Arc<Database>, OdeServer) {
+fn start_server(path: &Path, workers: usize) -> (Arc<Database>, OdeServer) {
     let db = Arc::new(Database::create(path, DatabaseOptions::no_sync()).expect("create db"));
     let config = ServerConfig {
         workers,
@@ -133,7 +116,7 @@ fn full_versioning_flow(client: &mut OdeClient, who: &str) {
 #[test]
 fn end_to_end_acceptance_flow_with_concurrent_clients() {
     let path = TempPath::new();
-    let (db, server) = start_server(&path.0, 8);
+    let (db, server) = start_server(&path, 8);
     let addr = server.local_addr();
 
     // Once single-threaded (easier failure diagnosis) ...
@@ -221,7 +204,7 @@ fn concurrent_mixed_workload_preserves_version_graph_invariants() {
     const OPS: u64 = 40;
 
     let path = TempPath::new();
-    let (db, server) = start_server(&path.0, 8);
+    let (db, server) = start_server(&path, 8);
     let addr = server.local_addr();
 
     // Four shared objects all threads gang up on.
@@ -328,7 +311,7 @@ fn server_restart_recovers_all_committed_versions_over_the_network() {
     let path = TempPath::new();
 
     // Sync on commit: this test is about durability.
-    let db = Arc::new(Database::create(&path.0, DatabaseOptions::default()).expect("create db"));
+    let db = Arc::new(Database::create(&path, DatabaseOptions::default()).expect("create db"));
     let server = OdeServer::bind(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default())
         .expect("bind server");
     let addr = server.local_addr();
@@ -359,7 +342,7 @@ fn server_restart_recovers_all_committed_versions_over_the_network() {
     std::mem::forget(db);
 
     // Same address, fresh database handle recovered from the files.
-    let db2 = Arc::new(Database::open(&path.0, DatabaseOptions::default()).expect("recover db"));
+    let db2 = Arc::new(Database::open(&path, DatabaseOptions::default()).expect("recover db"));
     let _server2 =
         OdeServer::bind(Arc::clone(&db2), addr, ServerConfig::default()).expect("rebind server");
 
@@ -378,7 +361,7 @@ fn server_restart_recovers_all_committed_versions_over_the_network() {
 #[test]
 fn operation_failures_come_back_as_error_frames_and_sessions_survive() {
     let path = TempPath::new();
-    let (_db, server) = start_server(&path.0, 4);
+    let (_db, server) = start_server(&path, 4);
     let mut c = client(server.local_addr());
 
     // Unknown object.
@@ -426,7 +409,7 @@ fn malformed_frames_get_error_replies_without_killing_the_session() {
     use std::io::{Read, Write};
 
     let path = TempPath::new();
-    let (_db, server) = start_server(&path.0, 4);
+    let (_db, server) = start_server(&path, 4);
 
     // Speak the protocol by hand: handshake, then a garbage opcode.
     let mut s = std::net::TcpStream::connect(server.local_addr()).expect("connect");
@@ -460,7 +443,7 @@ fn malformed_frames_get_error_replies_without_killing_the_session() {
 #[test]
 fn extent_scans_and_pagination_over_the_wire() {
     let path = TempPath::new();
-    let (_db, server) = start_server(&path.0, 4);
+    let (_db, server) = start_server(&path, 4);
     let mut c = client(server.local_addr());
 
     let created: Vec<ClientObjPtr<Doc>> = (0..10)
@@ -503,7 +486,7 @@ fn extent_scans_and_pagination_over_the_wire() {
 #[test]
 fn pipelined_responses_can_arrive_out_of_order() {
     let path = TempPath::new();
-    let (db, server) = start_server(&path.0, 4);
+    let (db, server) = start_server(&path, 4);
     let mut c = client(server.local_addr());
 
     let p = c
@@ -538,7 +521,7 @@ fn pipelined_responses_can_arrive_out_of_order() {
 #[test]
 fn pipeline_batch_returns_responses_in_request_order() {
     let path = TempPath::new();
-    let (_db, server) = start_server(&path.0, 4);
+    let (_db, server) = start_server(&path, 4);
     let mut c = client(server.local_addr());
 
     let docs: Vec<ClientObjPtr<Doc>> = (0..20)
@@ -588,7 +571,7 @@ fn pipeline_batch_returns_responses_in_request_order() {
 #[test]
 fn snapshot_cache_serves_repeats_and_invalidates_on_commit() {
     let path = TempPath::new();
-    let (_db, server) = start_server(&path.0, 4);
+    let (_db, server) = start_server(&path, 4);
     let addr = server.local_addr();
     let mut a = client(addr);
     let mut b = client(addr);
@@ -640,7 +623,7 @@ fn snapshot_cache_serves_repeats_and_invalidates_on_commit() {
 #[test]
 fn read_pipelined_behind_a_write_observes_that_write() {
     let path = TempPath::new();
-    let (_db, server) = start_server(&path.0, 4);
+    let (_db, server) = start_server(&path, 4);
     let mut c = client(server.local_addr());
 
     let p = c
@@ -731,7 +714,7 @@ fn sigkill_mid_pipeline_recovers_exactly_the_acknowledged_writes() {
     let exe = std::env::current_exe().expect("current_exe");
     let child = std::process::Command::new(exe)
         .args(["child_server_process", "--exact", "--nocapture"])
-        .env("ODE_NET_CRASH_CHILD", &path.0)
+        .env("ODE_NET_CRASH_CHILD", &*path)
         .env("ODE_NET_CRASH_PORT_FILE", &port_file)
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
@@ -809,7 +792,7 @@ fn sigkill_mid_pipeline_recovers_exactly_the_acknowledged_writes() {
 
     // Recover the database the way a restarted server would and read
     // back the markers that survived.
-    let db = Database::open(&path.0, DatabaseOptions::default()).expect("recover db");
+    let db = Database::open(&path, DatabaseOptions::default()).expect("recover db");
     let mut snap = db.snapshot();
     let mut recovered: Vec<u64> = snap
         .objects::<Doc>()
@@ -840,7 +823,7 @@ fn versions_travel_between_embedded_and_network_apis() {
     // Objects created through the embedded API are visible over the
     // wire and vice versa — same file, same ids.
     let path = TempPath::new();
-    let (db, server) = start_server(&path.0, 4);
+    let (db, server) = start_server(&path, 4);
 
     let p_embedded = {
         let mut txn = db.begin();
@@ -890,7 +873,7 @@ fn history_and_diff_are_served_over_the_wire_from_the_chain() {
     let path = TempPath::new();
     let db = Arc::new(
         Database::create(
-            &path.0,
+            &path,
             DatabaseOptions::no_sync().with_chain(ode::ChainConfig::default()),
         )
         .expect("create db"),

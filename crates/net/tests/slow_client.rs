@@ -9,7 +9,6 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -17,28 +16,12 @@ use std::time::{Duration, Instant};
 use ode::{Database, DatabaseOptions, TypeTag};
 use ode_net::protocol::{write_frame, Response, MAGIC};
 use ode_net::{ClientConfig, OdeClient, OdeServer, Request, ServerConfig};
-
-struct TempPath(PathBuf);
-
-impl TempPath {
-    fn new() -> TempPath {
-        TempPath(ode::testutil::fresh_path())
-    }
-}
-
-impl Drop for TempPath {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-        let mut wal = self.0.clone().into_os_string();
-        wal.push(".wal");
-        let _ = std::fs::remove_file(PathBuf::from(wal));
-    }
-}
+use ode_storage::testutil::TempPath;
 
 #[test]
 fn a_slow_reader_is_evicted_at_the_write_buffer_cap_without_stalling_others() {
     let path = TempPath::new();
-    let db = Arc::new(Database::create(&path.0, DatabaseOptions::no_sync()).expect("db"));
+    let db = Arc::new(Database::create(&path, DatabaseOptions::no_sync()).expect("db"));
     let config = ServerConfig {
         workers: 2,
         // Small enough that the pipelined responses below must blow
