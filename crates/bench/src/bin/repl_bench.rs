@@ -23,8 +23,10 @@
 //! across replicas, each of which caches only the slices it serves.
 //! Replicas thus add serving capacity (cache + decode) without moving
 //! any data off the shard. Each topology is measured `repeats` times
-//! warm and the fastest phase reported (see `router_bench` for why the
-//! repeat maximum is the stable estimator). The report (JSON on
+//! warm and the fastest phase reported: on a small machine scheduler
+//! noise across sub-second phases dwarfs the topology difference, and
+//! the phases are read-only, so the repeat maximum is the stable
+//! estimator of what each topology sustains. The report (JSON on
 //! stdout, shape checked into BENCH_net.json) ends with
 //! `replicated_over_primary`, the aggregate read speedup replicas buy.
 

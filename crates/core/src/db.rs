@@ -3,8 +3,9 @@
 use std::path::Path;
 use std::sync::Arc;
 
+use ode_object::Vid;
 use ode_storage::{Store, StoreOptions, StoreStats};
-use ode_version::{ChainConfig, MaterializeCache, Result, VersionStore, VersionStoreLayout};
+use ode_version::{ChainConfig, EpochCache, Result, VersionStore, VersionStoreLayout};
 
 use crate::event::{Event, TriggerId, TriggerRegistry};
 use crate::ptr::ObjPtr;
@@ -14,6 +15,10 @@ use crate::OdeType;
 /// Bodies the materialization cache holds — enough for a hot working
 /// set of historical versions without rivaling the buffer pool.
 const MATERIALIZE_CACHE_CAP: usize = 1024;
+
+/// Historical version bodies materialized from their chains, tagged
+/// with the commit epoch they were read at.
+pub(crate) type MaterializeCache = EpochCache<Vid, Vec<u8>>;
 
 /// Tuning options for a [`Database`].
 #[derive(Debug, Clone, Default)]

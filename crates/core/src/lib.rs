@@ -70,7 +70,9 @@ pub use ode_codec::type_tag::TypeName;
 pub use ode_codec::{Persist, TypeTag};
 pub use ode_merge::{MergeConflict, MergePolicy};
 pub use ode_object::{Oid, Vid};
-pub use ode_version::{ChainConfig, ChainStats, Result, VersionDiff, VersionError as Error};
+pub use ode_version::{
+    ChainConfig, ChainStats, EpochCache, Result, VersionDiff, VersionError as Error,
+};
 
 /// The bound a type must satisfy to live in an Ode database: a stable
 /// persistent name plus a binary encoding.

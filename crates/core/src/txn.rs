@@ -3,9 +3,9 @@
 use ode_codec::{from_bytes, to_bytes};
 use ode_merge::{MergeConflict, MergePolicy};
 use ode_storage::store::{PageRead, ReadTx, Tx};
-use ode_version::{MaterializeCache, Result, VersionDiff, VersionError, VersionStore};
+use ode_version::{Result, VersionDiff, VersionError, VersionStore};
 
-use crate::db::Database;
+use crate::db::{Database, MaterializeCache};
 use crate::event::Event;
 use crate::guard::{ORef, VRef};
 use crate::ptr::{ObjPtr, VersionPtr};
@@ -954,7 +954,3 @@ impl<'db> Txn<'db> {
         &self.events
     }
 }
-
-// Silence the unused-import lint for VersionError used in doc comments.
-#[allow(unused)]
-fn _doc_refs(e: VersionError) {}

@@ -49,11 +49,10 @@ const SEMI_SYNC_WAIT: Duration = Duration::from_millis(500);
 pub struct ClusterConfig {
     /// Number of backend shards.
     pub shards: usize,
-    /// Replicas per shard. `0` reproduces the unreplicated tier.
+    /// Replicas per shard. `0` reproduces the unreplicated tier. With
+    /// replicas, each write acknowledgement waits until a replica acked
+    /// its epoch (semi-sync, bounded by [`SEMI_SYNC_WAIT`]).
     pub replicas: usize,
-    /// When replicas exist, hold each write acknowledgement until a
-    /// replica acked its epoch (bounded by [`SEMI_SYNC_WAIT`]).
-    pub semi_sync: bool,
     /// Config for every backend `OdeServer`.
     pub server: ServerConfig,
     /// Config for the router.
@@ -65,7 +64,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             shards: 4,
             replicas: 0,
-            semi_sync: true,
             server: ServerConfig::default(),
             router: RouterConfig::default(),
         }
@@ -142,15 +140,13 @@ impl Cluster {
             None
         };
         let mut hooks = ServerHooks::default();
-        if config.semi_sync {
-            if let Some(hub) = &hub {
-                let hub = Arc::clone(hub);
-                hooks.commit_wait = Some(Arc::new(move |epoch| {
-                    // Best-effort: a downed channel must not wedge the
-                    // tier, so the ack proceeds after the bounded wait.
-                    let _ = hub.wait_replicated(epoch, SEMI_SYNC_WAIT);
-                }));
-            }
+        if let Some(hub) = &hub {
+            let hub = Arc::clone(hub);
+            hooks.commit_wait = Some(Arc::new(move |epoch| {
+                // Best-effort: a downed channel must not wedge the
+                // tier, so the ack proceeds after the bounded wait.
+                let _ = hub.wait_replicated(epoch, SEMI_SYNC_WAIT);
+            }));
         }
         let server =
             OdeServer::bind_with(Arc::clone(&db), "127.0.0.1:0", config.server.clone(), hooks)

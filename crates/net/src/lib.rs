@@ -60,7 +60,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cache;
 mod client;
 pub mod cluster;
 mod error;

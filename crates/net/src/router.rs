@@ -98,11 +98,6 @@ pub struct RouterConfig {
     /// Consecutive failed primary probes before the router drives a
     /// failover (given a live replica to promote).
     pub failover_after: u32,
-    /// Route reads from sessions that have not written to a shard onto
-    /// that shard's replicas (pinned by `ReadFloor` at the primary's
-    /// last probed epoch). Writes always go to the primary, and a
-    /// session's first write to a shard flips its reads there too.
-    pub replica_reads: bool,
 }
 
 impl Default for RouterConfig {
@@ -114,7 +109,6 @@ impl Default for RouterConfig {
             reconnect_backoff_max: Duration::from_secs(2),
             probe_interval: Duration::from_millis(150),
             failover_after: 3,
-            replica_reads: true,
         }
     }
 }
@@ -964,11 +958,14 @@ struct Session<'a> {
 }
 
 impl Session<'_> {
-    /// Which slot a request for `shard` should ride.
+    /// Which slot a request for `shard` should ride. Reads from a
+    /// session that has not written to the shard go to its replicas
+    /// (pinned by `ReadFloor` at the primary's last probed epoch).
+    /// Writes always go to the primary, and a session's first write to
+    /// a shard flips its reads there too.
     fn pick_slot(&self, shard: usize, is_read: bool) -> usize {
         let n = self.shared.map.shard_count();
         if is_read
-            && self.shared.config.replica_reads
             && !self.wrote[shard].load(Ordering::Relaxed)
             && self.shared.membership.has_live_replica(shard)
         {

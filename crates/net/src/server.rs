@@ -39,10 +39,18 @@
 //! Read requests run on [`Database::snapshot`]s; write requests each
 //! run in their own [`Database::begin`] transaction committed before
 //! the response frame is sent (a successful reply means the change is
-//! durable to the WAL). The cache fast path is gated on the connection
-//! having no write in flight, which preserves read-your-writes per
-//! connection; cross-connection consistency is commit-granular via the
-//! database's snapshot epoch (see [`crate::cache`]).
+//! durable to the WAL).
+//!
+//! Successful read responses are cached in an [`EpochCache`] keyed by
+//! the request's *operation bytes* (the payload after the sequence id
+//! varint, so every connection shares one map) and holding the encoded
+//! response the same way: a hit prefixes the caller's sequence id onto
+//! wire-ready bytes — no snapshot, no store lock, no re-encode, no body
+//! copy. The cache fast path is gated on the connection having no write
+//! in flight, which preserves read-your-writes per connection;
+//! cross-connection consistency is commit-granular via the database's
+//! [snapshot epoch](Database::snapshot_epoch), which [`ode::Txn`]'s
+//! commit bumps before it returns.
 //!
 //! None of this may change what a connection is answered: the tests
 //! below play pipelined request streams, split at arbitrary byte
@@ -62,15 +70,21 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 
-use ode::Database;
+use ode::{Database, EpochCache};
 use polling::{Event, Poller};
 
-use crate::cache::SnapshotCache;
 use crate::error::RemoteError;
 use crate::protocol::{
     request_counts, write_frame, DiffSummary, FrameBuffer, Request, Response, StatsReport,
     StorageCounters, MAGIC, OPCODE_COUNT,
 };
+
+/// Snapshot-cache capacity in responses per epoch.
+const SNAPSHOT_CACHE_ENTRIES: usize = 4096;
+
+/// Request operation bytes → encoded response, both without their
+/// sequence id varint.
+type SnapshotCache = EpochCache<Vec<u8>, Arc<[u8]>>;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -82,9 +96,6 @@ pub struct ServerConfig {
     /// wait in the connection's inbox before the loop stops reading its
     /// socket (backpressure).
     pub pipeline_depth: usize,
-    /// Snapshot-cache capacity in responses per epoch; `0` disables the
-    /// cache entirely.
-    pub cache_entries: usize,
     /// Start in replica mode: writes are refused with `Unavailable`
     /// until a `Promote` request flips the node to primary.
     pub replica: bool,
@@ -109,7 +120,6 @@ impl Default for ServerConfig {
         ServerConfig {
             workers,
             pipeline_depth: 64,
-            cache_entries: 4096,
             replica: false,
             read_floor_timeout: std::time::Duration::from_secs(5),
             write_buffer_cap: 64 << 20,
@@ -159,6 +169,7 @@ struct ServerStats {
 impl ServerStats {
     fn report(&self, cache: &SnapshotCache, db: &Database) -> StatsReport {
         let storage = db.storage_stats();
+        let (snapshot_hits, snapshot_misses) = cache.counters();
         let (materialize_hits, materialize_misses) = db.materialize_cache_counters();
         let requests = request_counts(|op| self.requests[op as usize].load(Ordering::Relaxed));
         StatsReport {
@@ -168,8 +179,8 @@ impl ServerStats {
             bytes_out: self.bytes_out.load(Ordering::Relaxed),
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
             op_errors: self.op_errors.load(Ordering::Relaxed),
-            snapshot_hits: cache.hits(),
-            snapshot_misses: cache.misses(),
+            snapshot_hits,
+            snapshot_misses,
             slow_client_evictions: self.slow_client_evictions.load(Ordering::Relaxed),
             materialize_hits,
             materialize_misses,
@@ -214,7 +225,7 @@ impl NodeCtx {
         NodeCtx {
             db,
             stats: Arc::new(ServerStats::default()),
-            cache: Arc::new(SnapshotCache::new(config.cache_entries)),
+            cache: Arc::new(SnapshotCache::new(SNAPSHOT_CACHE_ENTRIES)),
             replica: AtomicBool::new(config.replica),
             hooks,
             floor_timeout: config.read_floor_timeout,
@@ -279,7 +290,7 @@ fn execute_job(ctx: &NodeCtx, job: Job) -> (Vec<u8>, bool) {
                 let cached = if job.looked_up {
                     None
                 } else {
-                    cache.lookup(epoch, &key)
+                    cache.get(epoch, &key)
                 };
                 match cached {
                     Some(cached) => {
@@ -1033,7 +1044,7 @@ fn parse_frames(conn: &mut Conn, ctx: &NodeCtx, depth: usize) -> Result<(), Clos
                 let mut looked_up = false;
                 let floor = *read_floor;
                 if *pending_writes == 0 && db.snapshot_epoch() >= floor {
-                    if let Some(cached) = cache.lookup(db.snapshot_epoch(), op_bytes) {
+                    if let Some(cached) = cache.get(db.snapshot_epoch(), op_bytes) {
                         // Wire-ready bytes: this caller's sequence id
                         // prefixed onto the stored encoded response.
                         out.clear();

@@ -937,18 +937,41 @@ fn history_and_diff_are_served_over_the_wire_from_the_chain() {
         .len() as u64
     );
 
-    // Historical reads replay the chain and populate the
-    // materialization cache; the counters travel in Stats.
-    for _ in 0..3 {
-        let doc = c.deref_v(&vids[2]).expect("deref_v historical");
-        assert_eq!(doc.revision, 2);
-        c.disconnect(); // defeat the server's snapshot cache, not the db's
-    }
+    // A historical read over the wire replays the chain and fills the
+    // materialization cache; the counters travel in Stats. Repeating
+    // the request would not reach that cache: the server's snapshot
+    // cache is keyed by operation bytes and shared by every
+    // connection, so it answers repeats first.
+    let doc = c.deref_v(&vids[2]).expect("deref_v historical");
+    assert_eq!(doc.revision, 2);
     let stats = c.stats().expect("stats");
     assert!(
         stats.materialize_misses >= 1,
         "the first historical read must replay the chain"
     );
+
+    // Embedded snapshots read through the materialization cache
+    // directly: a repeat at the same epoch is a hit, and a read after
+    // a commit is a miss.
+    let historical = vids[2].as_version_ptr();
+    let read = || {
+        let before = db.materialize_cache_counters();
+        let doc = db.snapshot().deref_v(&historical).expect("deref_v");
+        assert_eq!(doc.revision, 2);
+        let (hits, misses) = db.materialize_cache_counters();
+        (hits - before.0, misses - before.1)
+    };
+    read();
+    assert_eq!(read(), (1, 0), "a repeat at the same epoch must hit");
+    c.put_version(
+        &vids[8],
+        &Doc {
+            title: "chained".repeat(40),
+            revision: 9,
+        },
+    )
+    .expect("put_version");
+    assert_eq!(read(), (0, 1), "a read after a commit must miss");
 
     server.shutdown();
 }

@@ -1,82 +1,93 @@
-//! Bounded cache of materialized historical version bodies.
+//! One epoch-tagged cache, used twice: the engine's map of materialized
+//! historical version bodies (`vid → body`), and the network server's
+//! map of wire-ready read responses (operation bytes → encoded
+//! response).
 //!
-//! Chain storage makes historical reads cost up to `anchor_interval - 1`
-//! delta applications.  Hot historical versions (a replica diff loop, a
-//! UI pinned at an old epoch) shouldn't pay that on every read, so the
-//! engine keeps a small epoch-tagged map of `vid → materialized body`,
-//! invalidated wholesale whenever the store's commit epoch moves — the
-//! same invalidation discipline as the network tier's snapshot read
-//! cache.
+//! Both hold answers derived from the committed state at one commit
+//! epoch, so both follow the same rules. The map holds one generation
+//! at a time:
 //!
-//! Only *snapshot* reads consult the cache: a write transaction's own
-//! uncommitted edits don't bump the epoch, so serving it cached bodies
-//! could hide its own writes.
+//! - a lookup or fill at a **newer** epoch clears the map and moves it
+//!   to that epoch (every entry is orphaned by the commit);
+//! - a lookup at an **older** epoch misses and a fill at one is dropped,
+//!   so a reader still holding an older sample never rolls the
+//!   generation back and never evicts entries newer readers filled;
+//! - at the cap, new fills are dropped (the map never outlives one
+//!   epoch, so pressure resolves itself at the next commit).
+//!
+//! Callers sample the epoch *before* resolving the answer they fill: a
+//! commit racing the fill then tags the entry with an already-stale
+//! epoch, which only costs a future miss — never a stale hit. A write
+//! transaction's own uncommitted edits don't move the epoch, so only
+//! readers of committed state may use a cache.
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-struct CacheState {
-    /// Commit epoch the entries were materialized at.
+/// Entries resolved at one epoch.
+struct Generation<K, V> {
     epoch: u64,
-    entries: HashMap<u64, Vec<u8>>,
+    map: HashMap<K, V>,
 }
 
-/// Epoch-invalidated, size-bounded map of materialized version bodies.
-pub struct MaterializeCache {
-    state: Mutex<CacheState>,
+/// A bounded map invalidated wholesale by the commit epoch, with hit
+/// and miss counters.
+pub struct EpochCache<K, V> {
+    inner: Mutex<Generation<K, V>>,
     cap: usize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-impl MaterializeCache {
-    /// A cache holding at most `cap` bodies.
-    pub fn new(cap: usize) -> MaterializeCache {
-        MaterializeCache {
-            state: Mutex::new(CacheState {
+impl<K: Hash + Eq, V: Clone> EpochCache<K, V> {
+    /// A cache holding at most `cap` entries per epoch.
+    pub fn new(cap: usize) -> EpochCache<K, V> {
+        EpochCache {
+            inner: Mutex::new(Generation {
                 epoch: 0,
-                entries: HashMap::new(),
+                map: HashMap::new(),
             }),
-            cap: cap.max(1),
+            cap,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// Look up `vid`'s body as materialized at `epoch`.  A cache
-    /// populated at a different epoch is cleared first — entries never
-    /// outlive the committed state they were derived from.
-    pub fn get(&self, epoch: u64, vid: u64) -> Option<Vec<u8>> {
-        let mut state = self.state.lock();
-        if state.epoch != epoch {
-            state.entries.clear();
-            state.epoch = epoch;
-        }
-        match state.entries.get(&vid) {
-            Some(body) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(body.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+    /// The value cached for `key` as of `epoch`, counting a hit or a
+    /// miss.
+    pub fn get<Q>(&self, epoch: u64, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let mut inner = self.inner.lock();
+        advance(&mut inner, epoch);
+        let value = if inner.epoch == epoch {
+            inner.map.get(key).cloned()
+        } else {
+            None
+        };
+        drop(inner);
+        let counter = if value.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        value
     }
 
-    /// Record `vid`'s body as materialized at `epoch`.  Ignored when
-    /// the cache is full (single-generation: it refills after the next
-    /// epoch bump) or tagged with a different epoch.
-    pub fn put(&self, epoch: u64, vid: u64, body: Vec<u8>) {
-        let mut state = self.state.lock();
-        if state.epoch != epoch {
-            state.entries.clear();
-            state.epoch = epoch;
-        }
-        if state.entries.len() < self.cap || state.entries.contains_key(&vid) {
-            state.entries.insert(vid, body);
+    /// Record the value `key` resolved to at `epoch`. Dropped when the
+    /// cache has moved on to a newer epoch or is full.
+    pub fn insert(&self, epoch: u64, key: K, value: V) {
+        let mut inner = self.inner.lock();
+        advance(&mut inner, epoch);
+        if inner.epoch == epoch && inner.map.len() < self.cap {
+            inner.map.insert(key, value);
         }
     }
 
@@ -87,15 +98,13 @@ impl MaterializeCache {
             self.misses.load(Ordering::Relaxed),
         )
     }
+}
 
-    /// Number of cached bodies right now.
-    pub fn len(&self) -> usize {
-        self.state.lock().entries.len()
-    }
-
-    /// Whether the cache is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+/// Move the generation forward to `epoch`, never back.
+fn advance<K, V>(inner: &mut Generation<K, V>, epoch: u64) {
+    if inner.epoch < epoch {
+        inner.map.clear();
+        inner.epoch = epoch;
     }
 }
 
@@ -103,34 +112,56 @@ impl MaterializeCache {
 mod tests {
     use super::*;
 
+    fn cache(cap: usize) -> EpochCache<u64, Vec<u8>> {
+        EpochCache::new(cap)
+    }
+
     #[test]
-    fn hit_after_put_same_epoch() {
-        let c = MaterializeCache::new(8);
-        assert_eq!(c.get(1, 7), None);
-        c.put(1, 7, b"body".to_vec());
-        assert_eq!(c.get(1, 7).as_deref(), Some(&b"body"[..]));
+    fn hit_after_fill_within_one_epoch() {
+        let c = cache(8);
+        assert_eq!(c.get(1, &7), None);
+        c.insert(1, 7, b"body".to_vec());
+        assert_eq!(c.get(1, &7).as_deref(), Some(&b"body"[..]));
         assert_eq!(c.counters(), (1, 1));
     }
 
     #[test]
-    fn epoch_bump_invalidates() {
-        let c = MaterializeCache::new(8);
-        c.put(1, 7, b"old".to_vec());
-        assert_eq!(c.get(2, 7), None);
-        c.put(2, 7, b"new".to_vec());
-        assert_eq!(c.get(2, 7).as_deref(), Some(&b"new"[..]));
+    fn epoch_advance_invalidates_everything() {
+        let c = cache(8);
+        c.insert(1, 7, b"old".to_vec());
+        assert_eq!(c.get(2, &7), None);
+        // The old-epoch entry cannot resurface later.
+        assert_eq!(c.get(2, &7), None);
+        c.insert(2, 7, b"new".to_vec());
+        assert_eq!(c.get(2, &7).as_deref(), Some(&b"new"[..]));
     }
 
     #[test]
-    fn bounded_by_cap() {
-        let c = MaterializeCache::new(2);
-        c.put(1, 1, vec![1]);
-        c.put(1, 2, vec![2]);
-        c.put(1, 3, vec![3]);
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.get(1, 3), None);
-        // Existing keys still update at capacity.
-        c.put(1, 1, vec![9]);
-        assert_eq!(c.get(1, 1).as_deref(), Some(&[9u8][..]));
+    fn stale_fill_is_dropped() {
+        let c = cache(8);
+        assert_eq!(c.get(2, &7), None); // cache now at epoch 2
+        c.insert(1, 7, b"old".to_vec()); // resolved pre-commit
+        assert_eq!(c.get(2, &7), None);
+    }
+
+    #[test]
+    fn an_older_read_does_not_evict_newer_entries() {
+        let c = cache(8);
+        c.insert(2, 7, b"new".to_vec());
+        // A reader still at epoch 1 misses...
+        assert_eq!(c.get(1, &7), None);
+        // ...without rolling the generation back.
+        assert_eq!(c.get(2, &7).as_deref(), Some(&b"new"[..]));
+    }
+
+    #[test]
+    fn capacity_cap_drops_new_fills() {
+        let c = cache(2);
+        c.insert(1, 1, vec![1]);
+        c.insert(1, 2, vec![2]);
+        c.insert(1, 3, vec![3]);
+        assert_eq!(c.get(1, &1).as_deref(), Some(&[1u8][..]));
+        assert_eq!(c.get(1, &2).as_deref(), Some(&[2u8][..]));
+        assert_eq!(c.get(1, &3), None);
     }
 }

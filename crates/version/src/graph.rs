@@ -5,7 +5,7 @@ use ode_object::{Extents, IdAllocator, KvTable, ObjectHeap, Oid, Vid};
 use ode_storage::heap::RecordId;
 use ode_storage::{PageRead, PageWrite};
 
-use crate::cache::MaterializeCache;
+use crate::cache::EpochCache;
 use crate::chain::{
     not_in_chain, ChainConfig, ChainDirectory, ChainStats, Segment, SegmentRef, VersionDiff,
 };
@@ -554,7 +554,7 @@ impl VersionStore {
         tx: &mut impl PageRead,
         vid: Vid,
         expected: TypeTag,
-        cache: Option<(&MaterializeCache, u64)>,
+        cache: Option<(&EpochCache<Vid, Vec<u8>>, u64)>,
     ) -> Result<Vec<u8>> {
         let meta = self.version_meta(tx, vid)?;
         if meta.tag != expected {
@@ -569,14 +569,14 @@ impl VersionStore {
             return Ok(meta.body);
         }
         if let Some((cache, epoch)) = cache {
-            if let Some(body) = cache.get(epoch, vid.0) {
+            if let Some(body) = cache.get(epoch, &vid) {
                 return Ok(body);
             }
         }
         let dir = self.chains.required_directory(tx, meta.oid)?;
         let state = self.chains.state_of(tx, &dir, vid)?;
         if let Some((cache, epoch)) = cache {
-            cache.put(epoch, vid.0, state.clone());
+            cache.insert(epoch, vid, state.clone());
         }
         Ok(state)
     }

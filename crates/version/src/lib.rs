@@ -40,7 +40,7 @@ mod graph;
 mod records;
 mod segments;
 
-pub use cache::MaterializeCache;
+pub use cache::EpochCache;
 pub use chain::{
     ChainConfig, ChainDirectory, ChainStats, RunEntry, Segment, SegmentRef, VersionDiff,
 };

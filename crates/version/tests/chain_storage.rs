@@ -50,6 +50,7 @@ fn body(i: usize) -> Vec<u8> {
 
 #[test]
 fn chained_reads_are_byte_identical_at_every_version() {
+    let mut encoded_bytes = Vec::new();
     for interval in [1, 2, 4, 16] {
         let path = temp_path(&format!("reads{interval}"));
         let store = Store::create(&path, StoreOptions::default()).unwrap();
@@ -78,10 +79,18 @@ fn chained_reads_are_byte_identical_at_every_version() {
             assert!(stats.deltas > 0);
             assert!(stats.encoded_bytes < stats.materialized_bytes);
         }
+        encoded_bytes.push(stats.encoded_bytes);
         tx.commit().unwrap();
         drop(store);
         cleanup(&path);
     }
+    // The paper's space claim: at interval 16 the history costs at most
+    // a third of interval 1, where every version is its own anchor.
+    let (whole, sparse) = (encoded_bytes[0], encoded_bytes[3]);
+    assert!(
+        sparse * 3 <= whole,
+        "interval 16 stores {sparse} bytes, more than a third of interval 1's {whole}"
+    );
 }
 
 #[test]
