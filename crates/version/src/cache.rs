@@ -82,13 +82,19 @@ impl<K: Hash + Eq, V: Clone> EpochCache<K, V> {
     }
 
     /// Record the value `key` resolved to at `epoch`. Dropped when the
-    /// cache has moved on to a newer epoch or is full.
+    /// cache has moved on to a newer epoch, or is full and `key` is new.
     pub fn insert(&self, epoch: u64, key: K, value: V) {
         let mut inner = self.inner.lock();
         advance(&mut inner, epoch);
-        if inner.epoch == epoch && inner.map.len() < self.cap {
+        if inner.epoch == epoch && (inner.map.len() < self.cap || inner.map.contains_key(&key)) {
             inner.map.insert(key, value);
         }
+    }
+
+    /// Entries held for the current epoch.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.inner.lock().map.len()
     }
 
     /// `(hits, misses)` since construction.
@@ -110,6 +116,8 @@ fn advance<K, V>(inner: &mut Generation<K, V>, epoch: u64) {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
 
     fn cache(cap: usize) -> EpochCache<u64, Vec<u8>> {
@@ -117,7 +125,7 @@ mod tests {
     }
 
     #[test]
-    fn hit_after_fill_within_one_epoch() {
+    fn hit_after_put_same_epoch() {
         let c = cache(8);
         assert_eq!(c.get(1, &7), None);
         c.insert(1, 7, b"body".to_vec());
@@ -126,14 +134,47 @@ mod tests {
     }
 
     #[test]
-    fn epoch_advance_invalidates_everything() {
+    fn hit_after_fill_within_one_epoch() {
+        // The server's shape: owned byte keys, looked up by slice.
+        let c: EpochCache<Vec<u8>, Arc<[u8]>> = EpochCache::new(16);
+        assert_eq!(c.get(1, &b"k"[..]), None);
+        c.insert(1, b"k".to_vec(), Arc::from(&b"seven"[..]));
+        assert_eq!(c.get(1, &b"k"[..]).as_deref(), Some(&b"seven"[..]));
+        assert_eq!(c.counters(), (1, 1));
+    }
+
+    #[test]
+    fn epoch_bump_invalidates() {
         let c = cache(8);
         c.insert(1, 7, b"old".to_vec());
         assert_eq!(c.get(2, &7), None);
-        // The old-epoch entry cannot resurface later.
-        assert_eq!(c.get(2, &7), None);
         c.insert(2, 7, b"new".to_vec());
         assert_eq!(c.get(2, &7).as_deref(), Some(&b"new"[..]));
+    }
+
+    #[test]
+    fn epoch_advance_invalidates_everything() {
+        let c = cache(8);
+        c.insert(1, 7, b"old".to_vec());
+        c.insert(1, 8, b"other".to_vec());
+        assert_eq!(c.get(2, &7), None);
+        // The old-epoch entries cannot resurface later.
+        assert_eq!(c.get(2, &7), None);
+        assert_eq!(c.get(2, &8), None);
+        assert_eq!(c.len(), 0);
+    }
+
+    #[test]
+    fn bounded_by_cap() {
+        let c = cache(2);
+        c.insert(1, 1, vec![1]);
+        c.insert(1, 2, vec![2]);
+        c.insert(1, 3, vec![3]);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.get(1, &3), None);
+        // Existing keys still update at capacity.
+        c.insert(1, 1, vec![9]);
+        assert_eq!(c.get(1, &1).as_deref(), Some(&[9u8][..]));
     }
 
     #[test]
