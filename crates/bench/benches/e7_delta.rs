@@ -1,14 +1,25 @@
-//! E7 — Delta storage of derived-from chains (§2's SCCS/RCS remark).
+//! E7 — Delta storage of derived-from chains (§2's SCCS/RCS remark),
+//! measured on the layout the engine runs.
 //!
-//! Ode stores versions whole; deltas trade materialization time for
-//! space.  Series: (a) append cost per scheme, (b) materializing the
-//! *latest* version (Ode's hot path) and the *oldest* version, at chain
-//! lengths 4–64; space totals are printed as a table.
+//! One 8 KiB object evolves by ~1 % edits through 4, 16 and 64 versions
+//! in a `VersionStore` whose segmented chain re-anchors every 1, 8 or 64
+//! versions (interval 1 stores every version whole). Space comes from
+//! `chain_stats`: the chain's records plus the latest body, which is
+//! kept whole outside the chain, against one whole copy per version.
+//! Timed: the check-ins that build the history (one transaction, no
+//! fsync), reading the latest version, the previous one (the end of the
+//! longest replay) and the oldest.
+
+use std::rc::Rc;
+use std::time::Duration;
 
 use bench::TempDir;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ode_delta::{full_copy_size, ForwardChain, ReverseChain};
-use std::time::Duration;
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use ode_codec::TypeTag;
+use ode_storage::{Store, StoreOptions};
+use ode_version::{ChainConfig, Oid, VersionStore, VersionStoreLayout, Vid};
+
+const TAG: TypeTag = TypeTag::from_name("e7/Blob");
 
 /// A CAD-like evolution: 8 KiB object, each version edits ~1%.
 fn evolution(n: usize) -> Vec<Vec<u8>> {
@@ -25,65 +36,112 @@ fn evolution(n: usize) -> Vec<Vec<u8>> {
     out
 }
 
+/// A store holding one object at its first version.
+struct History {
+    vs: VersionStore,
+    oid: Oid,
+    vids: Vec<Vid>,
+    store: Store,
+    _dir: TempDir,
+}
+
+impl History {
+    fn start(interval: u64, first: &[u8]) -> History {
+        let dir = TempDir::new("e7");
+        let options = StoreOptions {
+            sync_on_commit: false,
+            ..StoreOptions::default()
+        };
+        let store = Store::create(dir.file("db"), options).unwrap();
+        let vs = VersionStore::with_chain(
+            VersionStoreLayout::default(),
+            ChainConfig::with_interval(interval),
+        );
+        let mut tx = store.begin();
+        let (oid, v0) = vs.create_object(&mut tx, TAG, first.to_vec()).unwrap();
+        tx.commit().unwrap();
+        History {
+            vs,
+            oid,
+            vids: vec![v0],
+            store,
+            _dir: dir,
+        }
+    }
+
+    /// Check in each of `states` as a new version of the object.
+    fn check_in(&self, states: &[Vec<u8>]) -> Vec<Vid> {
+        let mut tx = self.store.begin();
+        let vids = states
+            .iter()
+            .map(|state| {
+                let v = self.vs.new_version_of(&mut tx, self.oid).unwrap();
+                self.vs.write_body(&mut tx, v, TAG, state.clone()).unwrap();
+                v
+            })
+            .collect();
+        tx.commit().unwrap();
+        vids
+    }
+
+    fn build(interval: u64, versions: &[Vec<u8>]) -> History {
+        let mut h = History::start(interval, &versions[0]);
+        let rest = h.check_in(&versions[1..]);
+        h.vids.extend(rest);
+        h
+    }
+
+    fn read(&self, vid: Vid) -> Vec<u8> {
+        let mut tx = self.store.read();
+        self.vs.read_body(&mut tx, vid, TAG).unwrap()
+    }
+}
+
 fn bench_delta(c: &mut Criterion) {
     let mut group = c.benchmark_group("e7_delta");
     group.sample_size(15);
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_millis(1200));
 
-    eprintln!("\ne7_delta: space (bytes) by scheme and chain length");
+    eprintln!("\ne7_delta: stored bytes (chain + latest body) by anchor interval and chain length");
     for len in [4usize, 16, 64] {
         let versions = evolution(len);
+        let latest = versions[len - 1].len() as u64;
+        for interval in [1u64, 8, 64] {
+            let h = History::build(interval, &versions);
+            for (i, v) in versions.iter().enumerate() {
+                assert_eq!(&h.read(h.vids[i]), v, "interval {interval} v{i}");
+            }
+            let stats = {
+                let mut tx = h.store.read();
+                h.vs.chain_stats(&mut tx, h.oid).unwrap().expect("a chain")
+            };
+            eprintln!(
+                "  len={len:<3} interval={interval:<3} full-copy={:<7} stored={:<7} segments={}",
+                stats.materialized_bytes + latest,
+                stats.encoded_bytes + latest,
+                stats.segments
+            );
 
-        // Space table.
-        let mut fwd = ForwardChain::new(versions[0].clone());
-        let mut rev = ReverseChain::new(versions[0].clone());
-        for v in &versions[1..] {
-            fwd.push(v).unwrap();
-            rev.push(v);
+            let id = |what: &str| BenchmarkId::new(format!("{what}-k{interval}"), len);
+            let mut last: Option<Rc<History>> = None;
+            group.bench_function(id("check-in"), |b| {
+                b.iter_batched(
+                    || {
+                        // The previous history is dropped here, untimed.
+                        let fresh = Rc::new(History::start(interval, &versions[0]));
+                        last = Some(Rc::clone(&fresh));
+                        fresh
+                    },
+                    |fresh| fresh.check_in(&versions[1..]),
+                    BatchSize::PerIteration,
+                )
+            });
+            let (oldest, previous, newest) = (h.vids[0], h.vids[len - 2], h.vids[len - 1]);
+            group.bench_function(id("latest"), |b| b.iter(|| h.read(newest)));
+            group.bench_function(id("previous"), |b| b.iter(|| h.read(previous)));
+            group.bench_function(id("oldest"), |b| b.iter(|| h.read(oldest)));
         }
-        eprintln!(
-            "  len={len:<4} full-copy={:<9} forward-delta={:<9} reverse-delta={:<9}",
-            full_copy_size(&versions),
-            fwd.encoded_size(),
-            rev.encoded_size()
-        );
-
-        // Append cost.
-        group.bench_function(BenchmarkId::new("append-forward", len), |b| {
-            b.iter_with_large_drop(|| {
-                let mut c = ForwardChain::new(versions[0].clone());
-                for v in &versions[1..] {
-                    c.push(v).unwrap();
-                }
-                c
-            })
-        });
-        group.bench_function(BenchmarkId::new("append-reverse", len), |b| {
-            b.iter_with_large_drop(|| {
-                let mut c = ReverseChain::new(versions[0].clone());
-                for v in &versions[1..] {
-                    c.push(v);
-                }
-                c
-            })
-        });
-
-        // Materialization: latest (Ode's common case) and oldest.
-        group.bench_function(BenchmarkId::new("latest-forward", len), |b| {
-            b.iter(|| fwd.latest().unwrap())
-        });
-        group.bench_function(BenchmarkId::new("latest-reverse", len), |b| {
-            b.iter(|| rev.latest().to_vec())
-        });
-        group.bench_function(BenchmarkId::new("oldest-forward", len), |b| {
-            b.iter(|| fwd.materialize(0).unwrap())
-        });
-        group.bench_function(BenchmarkId::new("oldest-reverse", len), |b| {
-            b.iter(|| rev.materialize(0).unwrap())
-        });
-
-        let _dir = TempDir::new("e7"); // keep scratch layout uniform
     }
     group.finish();
 }

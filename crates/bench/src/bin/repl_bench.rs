@@ -40,7 +40,7 @@ use ode_net::{
     ClientConfig, OdeClient, OdeRouter, OdeServer, Request, Response, RouterConfig, ServerConfig,
     ShardMembership,
 };
-use ode_repl::{HubOptions, ReplicaNode, ReplicationHub};
+use ode_repl::{ReplicaNode, ReplicationHub};
 
 const TAG: TypeTag = TypeTag(0x7265706c625f5f5f); // "replb___"
 
@@ -160,10 +160,8 @@ fn run_topology(
     let pdb = Arc::new(
         Database::create(&pscratch.0, DatabaseOptions::no_sync()).expect("create primary"),
     );
-    let hub = (replicas > 0).then(|| {
-        ReplicationHub::start(Arc::clone(&pdb), "127.0.0.1:0", HubOptions::default())
-            .expect("start hub")
-    });
+    let hub = (replicas > 0)
+        .then(|| ReplicationHub::start(Arc::clone(&pdb), "127.0.0.1:0").expect("start hub"));
     let server_config = ServerConfig {
         workers,
         ..ServerConfig::default()

@@ -9,11 +9,15 @@
 //!
 //! The overlap rule (documented in DESIGN.md §13): two non-empty base
 //! spans conflict iff they strictly overlap (`s1 < e2 && s2 < e1`); a
-//! pure insertion conflicts only when it lands *strictly inside* the
-//! other side's span, or when both sides insert different bytes at the
-//! same point. Identical hunks from both sides apply once. Everything
-//! is byte-precise: hunks are trimmed to the minimal differing range,
-//! so edits that touch disjoint bytes always merge cleanly.
+//! pure insertion at `p` conflicts with the other side's span `[s, e)`
+//! when it lands inside it *or touches it* (`s ≤ p ≤ e`), and with the
+//! other side's insertion when both insert different bytes at the same
+//! point. Identical hunks from both sides apply once. Everything is
+//! byte-precise: hunks are trimmed to the minimal differing range, so
+//! edits that touch disjoint bytes always merge cleanly — but an
+//! insertion next to a span the other side rewrote is part of that
+//! rewrite's conflict, so a resolved merge never keeps bytes from both
+//! sides there.
 //!
 //! ```
 //! use ode_merge::{merge, MergePolicy};
@@ -474,11 +478,11 @@ fn conflicting(x: &Hunk, y: &Hunk) -> bool {
     match (x.is_insertion(), y.is_insertion()) {
         // Differing insertions conflict only at the same point.
         (true, true) => x.base_start == y.base_start,
-        // An insertion conflicts when strictly inside the other span;
-        // at the span's boundary the order is well defined (before a
-        // replacement that starts there, after one that ends there).
-        (true, false) => y.base_start < x.base_start && x.base_start < y.base_end,
-        (false, true) => x.base_start < y.base_start && y.base_start < x.base_end,
+        // An insertion conflicts when inside the other span or at
+        // either of its ends: placed beside a rewrite, its bytes would
+        // survive whichever side the conflict resolves to.
+        (true, false) => y.base_start <= x.base_start && x.base_start <= y.base_end,
+        (false, true) => x.base_start <= y.base_start && y.base_start <= x.base_end,
         // Non-empty spans conflict iff they strictly overlap.
         (false, false) => x.base_start < y.base_end && y.base_start < x.base_end,
     }
@@ -487,9 +491,8 @@ fn conflicting(x: &Hunk, y: &Hunk) -> bool {
 /// Whether a hunk belongs to a conflict cluster spanning `[cs, ce)`.
 fn joins_cluster(h: &Hunk, cs: u64, ce: u64) -> bool {
     if h.is_insertion() {
-        // An insertion joins only when strictly inside, or when the
-        // cluster is itself a single insertion point it collides with.
-        (cs < h.base_start && h.base_start < ce) || (cs == ce && h.base_start == cs)
+        // An insertion joins when inside the cluster or at either end.
+        cs <= h.base_start && h.base_start <= ce
     } else {
         h.base_start < ce && cs < h.base_end
     }
@@ -719,6 +722,34 @@ mod tests {
             let out = merge(&base, &ours, &theirs, policy);
             assert_eq!(out.conflicts.len(), 1);
             assert_eq!(out.merged.as_ref().unwrap(), winner);
+        }
+    }
+
+    #[test]
+    fn an_insertion_touching_a_rewritten_span_joins_the_conflict() {
+        // Ours rewrites base[10..20) as one hunk; theirs rewrites the
+        // same bytes so that a 3-byte match splits its edit into a span
+        // plus an insertion at one end of ours' span: at 20 ("789XYZ"
+        // keeps "789"), or at 10 ("XYZ012" keeps "012").
+        let base = b"..........0123456789..........";
+        let ours = b"..........QQQQQQQQQQ..........";
+        for theirs in [
+            &b"..........abcdefg789XYZ.........."[..],
+            &b"..........XYZ012abcdefg.........."[..],
+        ] {
+            let side = String::from_utf8_lossy(theirs);
+            for (policy, winner) in [
+                (MergePolicy::Ours, &ours[..]),
+                (MergePolicy::Theirs, theirs),
+            ] {
+                let out = merge(base, ours, theirs, policy);
+                assert_eq!(out.conflicts.len(), 1, "{side} under {policy:?}");
+                assert_eq!(
+                    String::from_utf8_lossy(out.merged.as_deref().unwrap()),
+                    String::from_utf8_lossy(winner),
+                    "{side} under {policy:?}"
+                );
+            }
         }
     }
 

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ode::{Database, DatabaseOptions};
-use ode_repl::{HubOptions, NodeStatus, ReplicaNode, ReplicationHub};
+use ode_repl::{NodeStatus, ReplicaNode, ReplicationHub};
 
 use crate::client::{ClientConfig, OdeClient};
 use crate::protocol::StatsReport;
@@ -51,7 +51,7 @@ pub struct ClusterConfig {
     pub shards: usize,
     /// Replicas per shard. `0` reproduces the unreplicated tier. With
     /// replicas, each write acknowledgement waits until a replica acked
-    /// its epoch (semi-sync, bounded by [`SEMI_SYNC_WAIT`]).
+    /// its epoch (semi-sync, bounded by a 500 ms wait).
     pub replicas: usize,
     /// Config for every backend `OdeServer`.
     pub server: ServerConfig,
@@ -133,7 +133,7 @@ impl Cluster {
         );
         let hub = if config.replicas > 0 {
             Some(Arc::new(
-                ReplicationHub::start(Arc::clone(&db), "127.0.0.1:0", HubOptions::default())
+                ReplicationHub::start(Arc::clone(&db), "127.0.0.1:0")
                     .unwrap_or_else(|e| panic!("start shard {i} hub: {e}")),
             ))
         } else {

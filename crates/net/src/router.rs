@@ -43,10 +43,9 @@
 //! retries, because a request that reached a dead shard has an unknown
 //! outcome and a silent retry could double-execute a write. The shard
 //! then enters a reconnect-with-backoff window (doubling from
-//! [`RouterConfig::reconnect_backoff`] up to
-//! [`RouterConfig::reconnect_backoff_max`]); requests for its objects
-//! fail fast with `Unavailable` until a dial succeeds. Other shards
-//! are unaffected throughout.
+//! [`RouterConfig::reconnect_backoff`] up to 2 s); requests for its
+//! objects fail fast with `Unavailable` until a dial succeeds. Other
+//! shards are unaffected throughout.
 //!
 //! ## Scatter requests
 //!
@@ -80,6 +79,9 @@ use crate::protocol::{
 use crate::shard::ShardMap;
 use crate::NetError;
 
+/// Ceiling of a shard's reconnect-backoff window.
+const RECONNECT_BACKOFF_MAX: Duration = Duration::from_secs(2);
+
 /// Router tuning knobs.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
@@ -91,8 +93,6 @@ pub struct RouterConfig {
     /// First reconnect-backoff window after a shard connection fails;
     /// doubles per consecutive failure.
     pub reconnect_backoff: Duration,
-    /// Backoff ceiling.
-    pub reconnect_backoff_max: Duration,
     /// How often the health prober samples every member's epoch.
     pub probe_interval: Duration,
     /// Consecutive failed primary probes before the router drives a
@@ -106,7 +106,6 @@ impl Default for RouterConfig {
             workers: 16,
             connect_timeout: Duration::from_secs(5),
             reconnect_backoff: Duration::from_millis(50),
-            reconnect_backoff_max: Duration::from_secs(2),
             probe_interval: Duration::from_millis(150),
             failover_after: 3,
         }
@@ -890,7 +889,7 @@ impl SlotCtl {
         let backoff = config
             .reconnect_backoff
             .saturating_mul(1u32 << exp)
-            .min(config.reconnect_backoff_max);
+            .min(RECONNECT_BACKOFF_MAX);
         self.down_until = Some(Instant::now() + backoff);
     }
 }

@@ -17,10 +17,10 @@
 //!   each complete frame is decoded on the loop. `Ping`, `Stats`,
 //!   `Epoch`, `ReadFloor`, and snapshot-cache hits are answered right
 //!   there, ahead of queued work; everything else becomes a job in the
-//!   connection's bounded inbox (the decode-ahead queue,
-//!   [`ServerConfig::pipeline_depth`]). A full inbox drops the
-//!   connection's read interest — backpressure is "stop reading", and
-//!   the kernel's receive window does the rest.
+//!   connection's bounded inbox (the decode-ahead queue, 64 requests
+//!   deep). A full inbox drops the connection's read interest —
+//!   backpressure is "stop reading", and the kernel's receive window
+//!   does the rest.
 //! - **executing** — at most one job batch per connection is in flight
 //!   on the worker pool at a time, so one connection's requests
 //!   execute in decode order (pipelining stays per-connection FIFO at
@@ -79,6 +79,11 @@ use crate::protocol::{
     StorageCounters, MAGIC, OPCODE_COUNT,
 };
 
+/// Per-connection decode-ahead depth: how many decoded requests may
+/// wait in a connection's inbox before the loop stops reading its
+/// socket (backpressure).
+const PIPELINE_DEPTH: usize = 64;
+
 /// Snapshot-cache capacity in responses per epoch.
 const SNAPSHOT_CACHE_ENTRIES: usize = 4096;
 
@@ -92,10 +97,6 @@ pub struct ServerConfig {
     /// Worker threads executing requests — the storage-layer
     /// parallelism cap. Connection count is independent of this.
     pub workers: usize,
-    /// Per-connection decode-ahead depth: how many decoded requests may
-    /// wait in the connection's inbox before the loop stops reading its
-    /// socket (backpressure).
-    pub pipeline_depth: usize,
     /// Start in replica mode: writes are refused with `Unavailable`
     /// until a `Promote` request flips the node to primary.
     pub replica: bool,
@@ -119,7 +120,6 @@ impl Default for ServerConfig {
             .clamp(4, 16);
         ServerConfig {
             workers,
-            pipeline_depth: 64,
             replica: false,
             read_floor_timeout: std::time::Duration::from_secs(5),
             write_buffer_cap: 64 << 20,
@@ -628,7 +628,6 @@ impl OdeServer {
             let ctx = Arc::clone(&ctx);
             let poller = Arc::clone(&poller);
             let shutdown = Arc::clone(&shutdown);
-            let depth = config.pipeline_depth.max(1);
             let write_cap = config.write_buffer_cap.max(1);
             thread::Builder::new()
                 .name("ode-net-loop".into())
@@ -642,7 +641,6 @@ impl OdeServer {
                         job_tx,
                         &completions,
                         &shutdown,
-                        depth,
                         write_cap,
                     )
                 })
@@ -733,7 +731,6 @@ fn worker_loop(ctx: &NodeCtx, rx: &Mutex<mpsc::Receiver<Batch>>, completions: &C
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn event_loop(
     ctx: &NodeCtx,
     listener: TcpListener,
@@ -741,7 +738,6 @@ fn event_loop(
     job_tx: mpsc::Sender<Batch>,
     completions: &Completions,
     shutdown: &AtomicBool,
-    depth: usize,
     write_cap: usize,
 ) {
     let stats = &*ctx.stats;
@@ -771,7 +767,7 @@ fn event_loop(
                 continue;
             };
             if ev.readable {
-                read_ready(conn, ctx, &mut scratch, depth);
+                read_ready(conn, ctx, &mut scratch);
             }
             if !touched.contains(&ev.key) {
                 touched.push(ev.key);
@@ -820,7 +816,7 @@ fn event_loop(
             let Some(conn) = conns.get_mut(&token) else {
                 continue;
             };
-            match pump(conn, ctx, poller, &job_tx, depth, write_cap) {
+            match pump(conn, ctx, poller, &job_tx, write_cap) {
                 Ok(()) => {}
                 Err(close) => {
                     if let Close::Evicted = close {
@@ -914,8 +910,8 @@ fn accept_ready(
 /// Stops early once the inbox is full (backpressure): unread bytes
 /// stay in the kernel buffer and the read interest is dropped by the
 /// subsequent pump.
-fn read_ready(conn: &mut Conn, ctx: &NodeCtx, scratch: &mut [u8], depth: usize) {
-    while !conn.peer_closed && conn.inbox.len() < depth {
+fn read_ready(conn: &mut Conn, ctx: &NodeCtx, scratch: &mut [u8]) {
+    while !conn.peer_closed && conn.inbox.len() < PIPELINE_DEPTH {
         let n = match conn.stream.read(scratch) {
             Ok(0) => {
                 conn.peer_closed = true;
@@ -963,7 +959,7 @@ fn read_ready(conn: &mut Conn, ctx: &NodeCtx, scratch: &mut [u8], depth: usize) 
 /// the fast-path opcodes inline, queue the rest as jobs. A frame-level
 /// protocol error (hostile length prefix) poisons the stream and ends
 /// the session.
-fn parse_frames(conn: &mut Conn, ctx: &NodeCtx, depth: usize) -> Result<(), Close> {
+fn parse_frames(conn: &mut Conn, ctx: &NodeCtx) -> Result<(), Close> {
     let (db, stats, cache) = (&*ctx.db, &*ctx.stats, &*ctx.cache);
     // Split borrows: frame payloads stay borrowed out of `rbuf` while
     // the other connection fields are written.
@@ -978,7 +974,7 @@ fn parse_frames(conn: &mut Conn, ctx: &NodeCtx, depth: usize) -> Result<(), Clos
         ..
     } = conn;
     let mut out = Vec::new();
-    while inbox.len() < depth {
+    while inbox.len() < PIPELINE_DEPTH {
         let payload: &[u8] = match rbuf.next_frame() {
             Ok(Some(payload)) => payload,
             Ok(None) => break,
@@ -1087,10 +1083,9 @@ fn pump(
     ctx: &NodeCtx,
     poller: &Poller,
     job_tx: &mpsc::Sender<Batch>,
-    depth: usize,
     write_cap: usize,
 ) -> Result<(), Close> {
-    parse_frames(conn, ctx, depth)?;
+    parse_frames(conn, ctx)?;
 
     // Dispatch the next batch, if none is executing.
     if !conn.dispatched && !conn.inbox.is_empty() {
@@ -1144,7 +1139,7 @@ fn pump(
     // Re-arm interest to match the state machine: read while the inbox
     // has room, write while there is backlog.
     let want = (
-        !conn.peer_closed && conn.inbox.len() < depth,
+        !conn.peer_closed && conn.inbox.len() < PIPELINE_DEPTH,
         conn.backlog() > 0 && !conn.write_dead,
     );
     if want != conn.armed {

@@ -278,7 +278,6 @@ fn a_write_whose_response_dies_in_the_cut_executes_exactly_once() {
     let mut config = ClusterConfig::default();
     // Fast reconnect so the post-fault verification doesn't dawdle.
     config.router.reconnect_backoff = Duration::from_millis(10);
-    config.router.reconnect_backoff_max = Duration::from_millis(50);
     let cluster = Cluster::start(config);
     let map = cluster.shard_map();
 

@@ -41,7 +41,6 @@ fn repl_config(shards: usize, replicas: usize) -> ClusterConfig {
     config.router.probe_interval = Duration::from_millis(20);
     config.router.failover_after = 3;
     config.router.reconnect_backoff = Duration::from_millis(10);
-    config.router.reconnect_backoff_max = Duration::from_millis(50);
     config.router.connect_timeout = Duration::from_secs(1);
     config
 }
@@ -216,7 +215,6 @@ fn the_router_promotes_a_replica_when_the_primary_dies() {
     let mut config = repl_config(1, 1);
     config.router.probe_interval = Duration::from_secs(3600);
     config.router.reconnect_backoff = Duration::ZERO;
-    config.router.reconnect_backoff_max = Duration::ZERO;
     let failover_after = config.router.failover_after;
     let mut cluster = Cluster::start(config);
     let mut c = connect(&cluster);

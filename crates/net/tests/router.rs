@@ -357,7 +357,6 @@ fn a_restarted_shard_comes_back_with_its_data() {
         ..ClusterConfig::default()
     };
     config.router.reconnect_backoff = Duration::from_millis(10);
-    config.router.reconnect_backoff_max = Duration::from_millis(50);
     config.router.connect_timeout = Duration::from_secs(1);
     let server_config = config.server.clone();
     let mut cluster = Cluster::start(config);

@@ -23,24 +23,11 @@ fn fresh_gen() -> u64 {
     ((std::process::id() as u64) << 32) | (counter & 0xFFFF_FFFF)
 }
 
-/// Tuning knobs for [`ReplicationHub`].
-#[derive(Debug, Clone)]
-pub struct HubOptions {
-    /// Largest WAL chunk shipped in one frame.
-    pub chunk_len: usize,
-    /// How long a ship loop waits for new shippable bytes before
-    /// re-checking for shutdown.
-    pub poll_interval: Duration,
-}
-
-impl Default for HubOptions {
-    fn default() -> HubOptions {
-        HubOptions {
-            chunk_len: 256 * 1024,
-            poll_interval: Duration::from_millis(200),
-        }
-    }
-}
+/// Largest WAL chunk shipped in one frame.
+const CHUNK_LEN: usize = 256 * 1024;
+/// How long a ship loop waits for new shippable bytes before
+/// re-checking for shutdown.
+const POLL_INTERVAL: Duration = Duration::from_millis(200);
 
 /// Per-replica connection state, shared between the ship thread, the
 /// ack-reader thread, and hub-level observers.
@@ -54,7 +41,6 @@ struct Peer {
 struct Shared {
     db: Arc<Database>,
     gen: u64,
-    options: HubOptions,
     shutdown: AtomicBool,
     peers: Mutex<Vec<Arc<Peer>>>,
     /// Signalled on every ack and every peer death; pairs with `peers`
@@ -92,13 +78,12 @@ pub struct ReplicationHub {
 impl ReplicationHub {
     /// Start shipping `db`'s WAL to whoever connects to `addr` (use
     /// port 0 to pick a free port; see [`ReplicationHub::local_addr`]).
-    pub fn start(db: Arc<Database>, addr: &str, options: HubOptions) -> Result<ReplicationHub> {
+    pub fn start(db: Arc<Database>, addr: &str) -> Result<ReplicationHub> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             db,
             gen: fresh_gen(),
-            options,
             shutdown: AtomicBool::new(false),
             peers: Mutex::new(Vec::new()),
             ack_cv: Condvar::new(),
@@ -302,7 +287,7 @@ fn ship_loop(
         if shared.shutdown.load(Ordering::Acquire) || !peer.alive.load(Ordering::Acquire) {
             return Ok(());
         }
-        match db.read_wal_span(from, shared.options.chunk_len)? {
+        match db.read_wal_span(from, CHUNK_LEN)? {
             WalSpan::Data(bytes) => {
                 let len = bytes.len() as u64;
                 wire::write_message(
@@ -316,7 +301,7 @@ fn ship_loop(
                 from += len;
             }
             WalSpan::AtEnd => {
-                db.wait_shippable(from, shared.options.poll_interval);
+                db.wait_shippable(from, POLL_INTERVAL);
             }
             WalSpan::SnapshotNeeded => {
                 from = send_snapshot(shared, &mut writer)?;

@@ -32,7 +32,7 @@ mod hub;
 mod node;
 pub mod wire;
 
-pub use hub::{HubOptions, ReplicationHub};
+pub use hub::ReplicationHub;
 pub use node::{NodeStatus, ReplicaNode};
 
 /// Errors from the replication channel.

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 
 use ode::{Database, DatabaseOptions, ObjPtr};
 use ode_codec::{impl_persist_struct, impl_type_name};
-use ode_repl::{HubOptions, ReplicaNode, ReplicationHub};
+use ode_repl::{ReplicaNode, ReplicationHub};
 
 #[derive(Debug, Clone, PartialEq)]
 struct Account {
@@ -69,8 +69,7 @@ fn snapshot_bootstrap_then_continuous_tail() {
     let primary = Arc::new(Database::create(&ppath, options()).unwrap());
     let mut ptrs: Vec<ObjPtr<Account>> = (0..10).map(|i| write_account(&primary, i)).collect();
 
-    let hub =
-        ReplicationHub::start(Arc::clone(&primary), "127.0.0.1:0", HubOptions::default()).unwrap();
+    let hub = ReplicationHub::start(Arc::clone(&primary), "127.0.0.1:0").unwrap();
     let replica = Arc::new(Database::create(&rpath, options()).unwrap());
     let node = ReplicaNode::start(Arc::clone(&replica), hub.local_addr().to_string());
 
@@ -108,8 +107,7 @@ fn wait_replicated_without_replicas_fails_fast() {
     let ppath = temp_path("nowait-p");
     let primary = Arc::new(Database::create(&ppath, options()).unwrap());
     write_account(&primary, 1);
-    let hub =
-        ReplicationHub::start(Arc::clone(&primary), "127.0.0.1:0", HubOptions::default()).unwrap();
+    let hub = ReplicationHub::start(Arc::clone(&primary), "127.0.0.1:0").unwrap();
     let start = Instant::now();
     assert!(!hub.wait_replicated(primary.snapshot_epoch(), Duration::from_secs(5)));
     // No replica connected: returns immediately, not at the timeout.
@@ -124,8 +122,7 @@ fn promotion_after_primary_death_keeps_acked_commits() {
     let rpath = temp_path("promo-r");
 
     let primary = Arc::new(Database::create(&ppath, options()).unwrap());
-    let hub =
-        ReplicationHub::start(Arc::clone(&primary), "127.0.0.1:0", HubOptions::default()).unwrap();
+    let hub = ReplicationHub::start(Arc::clone(&primary), "127.0.0.1:0").unwrap();
     let replica = Arc::new(Database::create(&rpath, options()).unwrap());
     let node = ReplicaNode::start(Arc::clone(&replica), hub.local_addr().to_string());
 
@@ -165,8 +162,7 @@ fn fenced_ex_primary_rejoins_as_replica_without_divergence() {
     let rpath = temp_path("rejoin-r");
 
     let primary = Arc::new(Database::create(&ppath, options()).unwrap());
-    let hub =
-        ReplicationHub::start(Arc::clone(&primary), "127.0.0.1:0", HubOptions::default()).unwrap();
+    let hub = ReplicationHub::start(Arc::clone(&primary), "127.0.0.1:0").unwrap();
     let replica = Arc::new(Database::create(&rpath, options()).unwrap());
     let node = ReplicaNode::start(Arc::clone(&replica), hub.local_addr().to_string());
 
@@ -184,12 +180,7 @@ fn fenced_ex_primary_rejoins_as_replica_without_divergence() {
     // Promote the replica; it becomes the new lineage.
     node.promote().unwrap();
     let new_primary = Arc::clone(node.database());
-    let new_hub = ReplicationHub::start(
-        Arc::clone(&new_primary),
-        "127.0.0.1:0",
-        HubOptions::default(),
-    )
-    .unwrap();
+    let new_hub = ReplicationHub::start(Arc::clone(&new_primary), "127.0.0.1:0").unwrap();
     let diverged = write_account(&new_primary, 4242);
 
     // The ex-primary restarts (recovering its lost tail locally) and

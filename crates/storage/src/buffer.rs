@@ -12,7 +12,7 @@
 //! safe but flagged by [`BufferPool::over_target`] so the committer
 //! checkpoints; the checkpoint then trims the pool back to its target.
 //!
-//! Concurrency: frames live in [`SHARDS`] independent hash maps, each
+//! Concurrency: frames live in `SHARDS` independent hash maps, each
 //! behind its own `RwLock`, and hold their page image as an
 //! `Arc<PageBuf>`.  A cache hit takes one shard *read* lock just long
 //! enough to clone the `Arc` — readers never block other readers, and a

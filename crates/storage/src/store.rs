@@ -96,8 +96,6 @@ pub struct StoreOptions {
     /// fsync the WAL on every commit. Disable only for benchmarks where
     /// durability of the tail is irrelevant.
     pub sync_on_commit: bool,
-    /// Checkpoint automatically once the WAL exceeds this many bytes.
-    pub checkpoint_wal_bytes: u64,
     /// Log changed byte ranges instead of full page images when a page's
     /// delta is small — the storage-level "small changes have small
     /// impact". Full images remain the fallback for heavily rewritten
@@ -122,7 +120,6 @@ impl Default for StoreOptions {
         StoreOptions {
             buffer_pages: 1024,
             sync_on_commit: true,
-            checkpoint_wal_bytes: 16 * 1024 * 1024,
             wal_deltas: true,
             group_commit: true,
             group_commit_window: Duration::ZERO,
@@ -130,6 +127,8 @@ impl Default for StoreOptions {
     }
 }
 
+/// A commit checkpoints once the WAL has grown past this many bytes.
+const CHECKPOINT_WAL_BYTES: u64 = 16 * 1024 * 1024;
 /// Gap tolerance when merging changed byte runs into delta ops.
 const DELTA_RUN_GAP: usize = 24;
 /// Deltas whose payload exceeds this fall back to a full page image.
@@ -961,7 +960,7 @@ impl Store {
         // applied): resetting the log mid-frame would desync the
         // on-disk log from the replay.
         let clean = replay.committed_end() == ws.logical_pos;
-        if clean && (ws.wal.len() > self.options.checkpoint_wal_bytes || self.pool.over_target()) {
+        if clean && (ws.wal.len() > CHECKPOINT_WAL_BYTES || self.pool.over_target()) {
             self.checkpoint_locked(&mut ws)?;
         }
         Ok(IngestOutcome {
@@ -1318,7 +1317,7 @@ impl Tx<'_> {
                 store.ship.advance(ws.logical_pos);
             }
         }
-        if ws.wal.len() > store.options.checkpoint_wal_bytes || store.pool.over_target() {
+        if ws.wal.len() > CHECKPOINT_WAL_BYTES || store.pool.over_target() {
             store.checkpoint_locked(&mut ws)?;
             // The checkpoint fsynced everything; no group wait needed.
             group_target = None;

@@ -33,41 +33,36 @@
 //! run are sorted by vid and membership is a binary search.
 
 use ode_codec::impl_persist_struct;
-use ode_delta::{apply, diff_with_block, Delta, DEFAULT_BLOCK};
+use ode_delta::{apply, diff_with_block, Delta};
 use ode_object::Vid;
 
 use crate::{Result, VersionError};
 
-/// The shape new chains are built with: anchor spacing and diff block.
+/// The shape new chains are built with: their anchor spacing.
 ///
-/// Every store chains; the config only sets the parameters a chain is
-/// created with (at its object's second version). An existing chain
-/// keeps the interval and block recorded in its directory.
+/// Every store chains; the config only sets the interval a chain is
+/// created with (at its object's second version), and new chains diff
+/// with `ode_delta::DEFAULT_BLOCK`. An existing chain keeps the
+/// interval and block recorded in its directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChainConfig {
     /// Maximum spacing between anchors: any version materializes in at
     /// most `anchor_interval - 1` delta applications. Default 8; minimum
     /// 1 (every version its own anchor, i.e. a whole copy).
     pub anchor_interval: u64,
-    /// Block size for the binary diff (see `ode_delta::diff_with_block`).
-    pub block: u64,
 }
 
 impl Default for ChainConfig {
     fn default() -> Self {
-        ChainConfig {
-            anchor_interval: 8,
-            block: DEFAULT_BLOCK as u64,
-        }
+        ChainConfig { anchor_interval: 8 }
     }
 }
 
 impl ChainConfig {
-    /// A config with the given anchor interval and the default block.
+    /// A config with the given anchor interval.
     pub fn with_interval(anchor_interval: u64) -> ChainConfig {
         ChainConfig {
             anchor_interval: anchor_interval.max(1),
-            ..ChainConfig::default()
         }
     }
 }
@@ -335,7 +330,7 @@ impl VersionDiff {
 mod tests {
     use super::*;
 
-    const BLOCK: usize = DEFAULT_BLOCK;
+    const BLOCK: usize = ode_delta::DEFAULT_BLOCK;
 
     fn evolution(n: usize, size: usize) -> Vec<Vec<u8>> {
         let mut state: Vec<u8> = (0..size).map(|i| (i % 249) as u8).collect();
@@ -375,6 +370,42 @@ mod tests {
         }
         assert_eq!(seg.position_of(Vid(10)), None);
         assert_eq!(seg.vids().count(), 9);
+    }
+
+    #[test]
+    fn single_version_chains() {
+        // A segment of one (every chain's first, every seal's new one)
+        // is its anchor and no run.
+        let seg = build(&[b"solo".to_vec()]);
+        assert_eq!(seg.len(), 1);
+        assert!(seg.run.is_empty());
+        assert_eq!(seg.state_at(0).unwrap(), b"solo");
+        assert_eq!(seg.vids().collect::<Vec<_>>(), vec![Vid(1)]);
+    }
+
+    #[test]
+    fn chains_beat_full_copies_on_space() {
+        // Twenty point-edited versions of a 4 000-byte object: the
+        // anchor plus the encoded run take under a quarter of twenty
+        // whole copies.
+        let states = evolution(20, 4000);
+        let seg = build(&states);
+        let stored = seg.anchor.len() + ode_codec::to_bytes(&seg.run).len();
+        let full: usize = states.iter().map(Vec::len).sum();
+        assert!(stored < full / 4, "segment {stored} vs whole copies {full}");
+    }
+
+    #[test]
+    fn chains_round_trip_codec() {
+        // A run record decodes to the same entries, which still replay
+        // every member from the anchor.
+        let states = evolution(5, 500);
+        let seg = build(&states);
+        let run: Vec<RunEntry> = ode_codec::from_bytes(&ode_codec::to_bytes(&seg.run)).unwrap();
+        assert_eq!(run, seg.run);
+        for (i, s) in states.iter().enumerate() {
+            assert_eq!(&replay(&seg.anchor, &run[..i]).unwrap(), s, "v{i}");
+        }
     }
 
     #[test]

@@ -836,7 +836,7 @@ impl VersionStore {
         };
         let base = self.body_of(tx, &meta_a, dir_a.as_ref())?;
         let target = self.body_of(tx, &meta_b, dir_b)?;
-        let delta = ode_delta::diff_with_block(&base, &target, self.chain.block as usize);
+        let delta = ode_delta::diff(&base, &target);
         Ok(VersionDiff::from_delta(from, to, &delta, false))
     }
 

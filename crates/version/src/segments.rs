@@ -17,7 +17,7 @@
 //! on; only whole-chain reports ([`ChainStore::stats`],
 //! [`ChainStore::check`]) and object deletion visit them all.
 
-use ode_delta::{diff_with_block, Delta};
+use ode_delta::{diff_with_block, Delta, DEFAULT_BLOCK};
 use ode_object::{KvTable, ObjectHeap, Oid, Vid};
 use ode_storage::heap::RecordId;
 use ode_storage::{PageRead, PageWrite};
@@ -255,7 +255,7 @@ impl ChainStore {
 
     /// Record a check-in: the outgoing latest version becomes the
     /// chain's last member. An object without a chain (`dir` is `None`,
-    /// so it had one version) gets one built as `config` says, anchored
+    /// so it had one version) gets one at `config`'s interval, anchored
     /// at that version.
     ///
     /// Otherwise the open segment's run gains one delta from its last
@@ -278,7 +278,7 @@ impl ChainStore {
         let Some(mut dir) = dir else {
             let dir = ChainDirectory {
                 interval: config.anchor_interval.max(1),
-                block: config.block,
+                block: DEFAULT_BLOCK as u64,
                 segments: vec![self.new_segment(tx, vid, state)?],
             };
             return self.save_directory(tx, oid, &dir, Some(home));

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use ode::{Database, DatabaseOptions, ObjPtr, Oid};
 use ode_codec::{impl_persist_struct, impl_type_name};
-use ode_repl::{HubOptions, ReplicaNode, ReplicationHub};
+use ode_repl::{ReplicaNode, ReplicationHub};
 
 #[derive(Debug, Clone, PartialEq)]
 struct Entry {
@@ -49,8 +49,7 @@ fn child_replicated_writer() {
         Database::create(std::path::Path::new(&db_path), DatabaseOptions::no_sync())
             .expect("child create db"),
     );
-    let hub = ReplicationHub::start(Arc::clone(&db), "127.0.0.1:0", HubOptions::default())
-        .expect("child start hub");
+    let hub = ReplicationHub::start(Arc::clone(&db), "127.0.0.1:0").expect("child start hub");
     println!("ADDR {}", hub.local_addr());
 
     let deadline = Instant::now() + Duration::from_secs(30);

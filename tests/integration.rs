@@ -1,10 +1,9 @@
-//! Cross-crate integration: core + policies + dms + delta working
+//! Cross-crate integration: core + policies + dms + delta chains working
 //! against one database, exercising the full stack from the public API
 //! down to pages on disk.
 
 use ode::{Database, DatabaseOptions, ObjPtr};
 use ode_codec::{impl_persist_struct, impl_type_name};
-use ode_delta::{ForwardChain, ReverseChain};
 use ode_dms::{bootstrap, AluDesign, Cell};
 use ode_policies::config::ConfigHandle;
 use ode_policies::context::ContextHandle;
@@ -126,8 +125,9 @@ fn full_design_session() {
     txn.commit().unwrap();
 }
 
-/// Delta chains as a storage policy for Ode histories: reconstruct the
-/// same states the version store holds, entirely from deltas.
+/// Delta chains are how Ode stores history: every version but the
+/// latest lives only in its object's segmented chain, reads back
+/// byte-identical, and costs far less than whole copies.
 #[test]
 fn delta_chains_mirror_version_history() {
     let tmp = TempDb::new("delta");
@@ -139,33 +139,35 @@ fn delta_chains_mirror_version_history() {
         })
         .unwrap();
 
-    // Evolve with small edits, mirroring each state into delta chains.
-    let initial = ode_codec::to_bytes(&txn.deref(&doc).unwrap().into_inner());
-    let mut fwd = ForwardChain::new(initial.clone());
-    let mut rev = ReverseChain::new(initial);
+    // Evolve with small edits, remembering each version's bytes.
+    let mut states = vec![ode_codec::to_bytes(&txn.deref(&doc).unwrap().into_inner())];
     for i in 0..10 {
         txn.newversion(&doc).unwrap();
         txn.update(&doc, |d| d.text.push_str(&format!(" edit-{i}")))
             .unwrap();
-        let bytes = ode_codec::to_bytes(&txn.deref(&doc).unwrap().into_inner());
-        fwd.push(&bytes).unwrap();
-        rev.push(&bytes);
+        states.push(ode_codec::to_bytes(&txn.deref(&doc).unwrap().into_inner()));
     }
+    txn.commit().unwrap();
 
-    // Every version in the store equals the chain's reconstruction.
+    // Every version reads back exactly, the ten older ones from the
+    // chain, in a fresh transaction.
+    let mut txn = db.begin();
     let history = txn.version_history(&doc).unwrap();
     assert_eq!(history.len(), 11);
     for (i, vp) in history.iter().enumerate() {
         let stored = ode_codec::to_bytes(&txn.deref_v(vp).unwrap().into_inner());
-        assert_eq!(fwd.materialize(i).unwrap(), stored, "forward v{i}");
-        assert_eq!(rev.materialize(i).unwrap(), stored, "reverse v{i}");
+        assert_eq!(stored, states[i], "v{i}");
     }
-    // And the chains are much smaller than full copies.
-    let full: usize = history
-        .iter()
-        .map(|vp| ode_codec::to_bytes(&txn.deref_v(vp).unwrap().into_inner()).len())
-        .sum();
-    assert!(rev.encoded_size() < full / 2);
+    // The chain holds all but the latest, in much less than whole copies.
+    let stats = txn.chain_stats_raw(doc.oid()).unwrap().expect("a chain");
+    assert_eq!(stats.versions, 10);
+    assert!(
+        stats.encoded_bytes < stats.materialized_bytes / 2,
+        "chain {} bytes vs whole copies {}",
+        stats.encoded_bytes,
+        stats.materialized_bytes
+    );
+    txn.check_object(&doc).unwrap();
     txn.commit().unwrap();
 }
 
