@@ -2,10 +2,12 @@
 //!
 //! §2 motivates automatic temporal ordering with accounting/legal/
 //! financial systems "that must access the past states of the
-//! database".  `version_as_of` walks the temporal chain backwards from
-//! the latest version, so its cost is the *distance into the past*, not
-//! the total history length.  Series: as-of lookups at fixed distances
-//! from the present, across history lengths.
+//! database".  A version's stamp is its id and the object's delta
+//! chain holds every version but the latest in stamp order, so
+//! `version_as_of` is one binary search over the chain directory plus
+//! one vid scan of a run, at any distance into the past (the latest
+//! answers alone when it is old enough).  Series: as-of lookups at
+//! fixed distances from the present, across history lengths.
 
 use std::time::Duration;
 

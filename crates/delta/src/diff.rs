@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use ode_codec::{impl_persist_enum, impl_persist_struct};
+use ode_codec::{impl_persist_enum, impl_persist_struct, DecodeError, Reader};
 
 /// Default block size for base indexing.
 pub const DEFAULT_BLOCK: usize = 32;
@@ -81,9 +81,18 @@ pub enum ApplyError {
     LengthMismatch {
         /// Declared target length.
         expected: u64,
-        /// Actually produced length.
+        /// Length produced: the whole output, or the output up to the
+        /// op that outgrew `expected` (applying stops there).
         produced: usize,
     },
+    /// An encoded delta could not be read: truncated or corrupt input.
+    Malformed(DecodeError),
+}
+
+impl From<DecodeError> for ApplyError {
+    fn from(e: DecodeError) -> Self {
+        ApplyError::Malformed(e)
+    }
 }
 
 impl fmt::Display for ApplyError {
@@ -100,6 +109,7 @@ impl fmt::Display for ApplyError {
             ApplyError::LengthMismatch { expected, produced } => {
                 write!(f, "delta produced {produced} bytes, expected {expected}")
             }
+            ApplyError::Malformed(e) => write!(f, "malformed delta: {e}"),
         }
     }
 }
@@ -200,34 +210,126 @@ pub fn diff(base: &[u8], target: &[u8]) -> Delta {
 
 /// Apply a delta to its base, reconstructing the target.
 pub fn apply(base: &[u8], delta: &Delta) -> Result<Vec<u8>, ApplyError> {
-    let mut out = Vec::with_capacity(delta.target_len as usize);
-    for op in &delta.ops {
-        match op {
-            DeltaOp::Copy { offset, len } => {
-                let end = offset.checked_add(*len);
-                match end {
-                    Some(end) if end <= base.len() as u64 => {
-                        out.extend_from_slice(&base[*offset as usize..end as usize]);
-                    }
-                    _ => {
-                        return Err(ApplyError::CopyOutOfRange {
-                            offset: *offset,
-                            len: *len,
-                            base_len: base.len(),
-                        })
-                    }
-                }
-            }
-            DeltaOp::Insert(bytes) => out.extend_from_slice(bytes),
-        }
+    let mut out = Vec::new();
+    let ops = delta.ops.iter().map(|op| {
+        Ok(match op {
+            DeltaOp::Copy { offset, len } => Op::Copy {
+                offset: *offset,
+                len: *len,
+            },
+            DeltaOp::Insert(bytes) => Op::Insert(bytes),
+        })
+    });
+    let bound = base.len() + delta.literal_bytes();
+    apply_ops(base, delta.target_len, bound, ops, &mut out)?;
+    Ok(out)
+}
+
+/// Apply the delta encoded at the front of `r` (the bytes `ode_codec`
+/// writes for a [`Delta`]) to `base`, writing the target into `out`
+/// (cleared first) and leaving `r` just past the delta.
+///
+/// No [`Delta`] or [`DeltaOp`] is built: each op is read from the input
+/// and applied in turn. Truncated or corrupt input is
+/// [`ApplyError::Malformed`]. A corrupt `target_len` or op count
+/// allocates nothing on its own: the op count must fit the input, and
+/// `out` reserves at most `base.len()` plus the input left.
+pub fn apply_encoded(base: &[u8], r: &mut Reader<'_>, out: &mut Vec<u8>) -> Result<(), ApplyError> {
+    let target_len = r.get_varint()?;
+    let bound = base.len() + r.remaining();
+    apply_ops(base, target_len, bound, encoded_ops(r)?, out)
+}
+
+/// Move `r` past the delta encoded at its front, reading only the
+/// lengths it needs to find the end.
+pub fn skip_encoded(r: &mut Reader<'_>) -> Result<(), DecodeError> {
+    r.get_varint()?;
+    for op in encoded_ops(r)? {
+        op?;
     }
-    if out.len() as u64 != delta.target_len {
+    Ok(())
+}
+
+/// One instruction as the apply loop sees it: borrowed from a
+/// [`DeltaOp`] or read straight from a delta's encoding.
+enum Op<'a> {
+    Copy { offset: u64, len: u64 },
+    Insert(&'a [u8]),
+}
+
+/// The ops of an encoded delta (after its `target_len`), read one at a
+/// time. Follows the layout `impl_persist_enum!` gives [`DeltaOp`]: a
+/// discriminant in listing order (0 `Copy`, 1 `Insert`), then the
+/// fields.
+fn encoded_ops<'r, 'a>(
+    r: &'r mut Reader<'a>,
+) -> Result<impl Iterator<Item = Result<Op<'a>, DecodeError>> + 'r, DecodeError> {
+    let mut left = r.get_count()?;
+    Ok(std::iter::from_fn(move || {
+        left = left.checked_sub(1)?;
+        Some(read_op(r))
+    }))
+}
+
+fn read_op<'a>(r: &mut Reader<'a>) -> Result<Op<'a>, DecodeError> {
+    Ok(match r.get_varint()? {
+        0 => Op::Copy {
+            offset: r.get_varint()?,
+            len: r.get_varint()?,
+        },
+        1 => Op::Insert(r.get_bytes()?),
+        discriminant => {
+            return Err(DecodeError::InvalidDiscriminant {
+                type_name: "DeltaOp",
+                discriminant,
+            })
+        }
+    })
+}
+
+/// The one apply loop: `ops` applied to `base`, into `out` (cleared
+/// first). It reserves at most `bound` bytes up front whatever
+/// `target_len` claims, and stops at the first op that would take the
+/// output past `target_len`, so a corrupt length drives no allocation.
+fn apply_ops<'a>(
+    base: &[u8],
+    target_len: u64,
+    bound: usize,
+    ops: impl Iterator<Item = Result<Op<'a>, DecodeError>>,
+    out: &mut Vec<u8>,
+) -> Result<(), ApplyError> {
+    out.clear();
+    out.reserve(target_len.min(bound as u64) as usize);
+    for op in ops {
+        let bytes = match op? {
+            Op::Copy { offset, len } => match offset.checked_add(len) {
+                Some(end) if end <= base.len() as u64 => &base[offset as usize..end as usize],
+                _ => {
+                    return Err(ApplyError::CopyOutOfRange {
+                        offset,
+                        len,
+                        base_len: base.len(),
+                    })
+                }
+            },
+            Op::Insert(bytes) => bytes,
+        };
+        let produced = out.len() + bytes.len();
+        if produced as u64 > target_len {
+            return Err(ApplyError::LengthMismatch {
+                expected: target_len,
+                produced,
+            });
+        }
+        out.extend_from_slice(bytes);
+    }
+    if out.len() as u64 != target_len {
         return Err(ApplyError::LengthMismatch {
-            expected: delta.target_len,
+            expected: target_len,
             produced: out.len(),
         });
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -357,6 +459,67 @@ mod tests {
         let back: Delta = ode_codec::from_bytes(&bytes).unwrap();
         assert_eq!(d, back);
         assert_eq!(apply(&base, &back).unwrap(), target);
+    }
+
+    #[test]
+    fn encoded_apply_matches_apply_and_stops_at_the_delta_end() {
+        let base: Vec<u8> = (0..700).map(|i| (i % 241) as u8).collect();
+        let mut target = base[100..].to_vec();
+        target.extend_from_slice(b"appended literal");
+        let d = diff(&base, &target);
+        let mut bytes = ode_codec::to_bytes(&d);
+        bytes.extend_from_slice(b"next");
+        let mut r = Reader::new(&bytes);
+        let mut out = b"stale".to_vec();
+        apply_encoded(&base, &mut r, &mut out).unwrap();
+        assert_eq!(out, apply(&base, &d).unwrap());
+        assert_eq!(r.get_raw(4).unwrap(), b"next");
+        let mut r = Reader::new(&bytes);
+        skip_encoded(&mut r).unwrap();
+        assert_eq!(r.remaining(), 4);
+    }
+
+    #[test]
+    fn corrupt_lengths_allocate_nothing() {
+        // A target length of a petabyte over a three-byte insert: the
+        // reservation is bounded by the input, not by the claim.
+        let huge = Delta {
+            target_len: 1 << 50,
+            ops: vec![DeltaOp::Insert(vec![1, 2, 3])],
+        };
+        assert!(matches!(
+            apply(b"base", &huge),
+            Err(ApplyError::LengthMismatch { produced: 3, .. })
+        ));
+        let bytes = ode_codec::to_bytes(&huge);
+        let mut out = Vec::new();
+        let err = apply_encoded(b"base", &mut Reader::new(&bytes), &mut out).unwrap_err();
+        assert!(matches!(err, ApplyError::LengthMismatch { .. }));
+        assert!(out.capacity() <= 4 + bytes.len(), "{}", out.capacity());
+        // An op count past the input is refused before any op is read.
+        let mut w = ode_codec::Writer::new();
+        w.put_varint(3);
+        w.put_varint(1 << 40);
+        let err = apply_encoded(b"", &mut Reader::new(w.as_bytes()), &mut out).unwrap_err();
+        assert!(matches!(
+            err,
+            ApplyError::Malformed(DecodeError::LengthTooLarge { .. })
+        ));
+        // Output past the declared length stops at the op that overruns.
+        let short = Delta {
+            target_len: 2,
+            ops: vec![
+                DeltaOp::Copy { offset: 0, len: 2 },
+                DeltaOp::Copy { offset: 0, len: 4 },
+            ],
+        };
+        assert_eq!(
+            apply(b"base", &short),
+            Err(ApplyError::LengthMismatch {
+                expected: 2,
+                produced: 6
+            })
+        );
     }
 
     #[test]

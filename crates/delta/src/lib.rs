@@ -5,7 +5,10 @@
 //! citing SCCS and RCS.  This crate is the difference engine only:
 //! [`diff`]/[`apply`], a block-hash binary diff over encoded object
 //! bodies (content-defined copy/insert operations), and the [`Delta`]
-//! value they exchange.  Where deltas are kept is the version layer's
+//! value they exchange.  [`apply_encoded`] applies a delta straight from
+//! its encoded bytes and [`skip_encoded`] steps over one, so a reader of
+//! stored deltas need not build a [`Delta`]; both feed the same apply
+//! loop as [`apply`].  Where deltas are kept is the version layer's
 //! business: `ode-version` stores every version but the latest in its
 //! object's segmented delta chain, and `ode-merge` lowers deltas to
 //! edit hunks.
@@ -29,4 +32,7 @@
 
 mod diff;
 
-pub use diff::{apply, diff, diff_with_block, ApplyError, Delta, DeltaOp, DEFAULT_BLOCK};
+pub use diff::{
+    apply, apply_encoded, diff, diff_with_block, skip_encoded, ApplyError, Delta, DeltaOp,
+    DEFAULT_BLOCK,
+};

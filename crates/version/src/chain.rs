@@ -30,10 +30,21 @@
 //!
 //! Version ids are allocated monotonically and members are appended in
 //! allocation order, so segments (by first vid) and the entries of a
-//! run are sorted by vid and membership is a binary search.
+//! run are sorted by vid. A version's creation stamp is its vid, so the
+//! directory is also the chain's temporal index: one binary search over
+//! first vids finds the segment holding any stamp.
+//!
+//! Reads never decode a run into [`RunEntry`] values. [`RunBytes`] walks
+//! a run record's encoded bytes entry by entry: a vid scan steps over
+//! each delta by its lengths, and [`Replay`] applies each encoded delta
+//! to the state before it in two reused buffers, stopping at the member
+//! it wants. A check-in appends the new entry's bytes after the old ones
+//! ([`append_entry`]). Only writers that rewrite a whole segment (edit
+//! or delete of a member, popping the last one) and the fsck check,
+//! which holds the reader to the full decode, build a [`Segment`].
 
-use ode_codec::impl_persist_struct;
-use ode_delta::{apply, diff_with_block, Delta};
+use ode_codec::{impl_persist_struct, Persist, Reader, Writer};
+use ode_delta::{apply, apply_encoded, diff_with_block, skip_encoded, ApplyError, Delta};
 use ode_object::Vid;
 
 use crate::{Result, VersionError};
@@ -136,6 +147,131 @@ pub(crate) fn not_in_chain() -> VersionError {
     chain_corrupt("historical version missing from its object's chain")
 }
 
+/// A stored delta that does not apply: undecodable bytes are a codec
+/// error like any unreadable record, the rest a corrupt chain.
+fn apply_failed(e: ApplyError) -> VersionError {
+    match e {
+        ApplyError::Malformed(e) => e.into(),
+        _ => chain_corrupt("delta chain entry failed to apply"),
+    }
+}
+
+/// A run record read in place from its encoded bytes (`Vec<RunEntry>`
+/// as the codec writes it: an entry count, then per entry its vid and
+/// its delta). Entries come one at a time, vid first; the caller then
+/// consumes the delta after it with exactly one of [`RunBytes::skip`],
+/// [`RunBytes::apply`] or [`RunBytes::take`]. Empty bytes stand for a
+/// segment without a run record.
+pub(crate) struct RunBytes<'a> {
+    r: Reader<'a>,
+    left: usize,
+}
+
+impl<'a> RunBytes<'a> {
+    pub fn new(run: &'a [u8]) -> Result<RunBytes<'a>> {
+        let mut r = Reader::new(run);
+        let left = if run.is_empty() { 0 } else { r.get_count()? };
+        Ok(RunBytes { r, left })
+    }
+
+    /// Entries not read yet.
+    pub fn left(&self) -> usize {
+        self.left
+    }
+
+    /// The next entry's vid; its delta is next in the input.
+    pub fn next_vid(&mut self) -> Result<Option<Vid>> {
+        if self.left == 0 {
+            return Ok(None);
+        }
+        self.left -= 1;
+        Ok(Some(Vid::decode(&mut self.r)?))
+    }
+
+    /// Step over the current delta, reading only its lengths.
+    pub fn skip(&mut self) -> Result<()> {
+        Ok(skip_encoded(&mut self.r)?)
+    }
+
+    /// Apply the current delta to `base`, into `out`.
+    pub fn apply(&mut self, base: &[u8], out: &mut Vec<u8>) -> Result<()> {
+        apply_encoded(base, &mut self.r, out).map_err(apply_failed)
+    }
+
+    /// Decode the current delta.
+    pub fn take(&mut self) -> Result<Delta> {
+        Ok(Delta::decode(&mut self.r)?)
+    }
+
+    /// The remaining entries' vids, oldest first, each delta skipped.
+    /// Ends after the first error.
+    pub fn vids(mut self) -> impl Iterator<Item = Result<Vid>> + 'a {
+        std::iter::from_fn(move || {
+            let next = self.next_vid().transpose()?;
+            let vid = next.and_then(|vid| self.skip().map(|()| vid));
+            if vid.is_err() {
+                self.left = 0;
+            }
+            Some(vid)
+        })
+    }
+}
+
+/// A segment replayed from its anchor through its encoded run, one
+/// member at a time: each step applies one encoded delta to the state
+/// before it, swapping two buffers that are reused throughout.
+pub(crate) struct Replay<'a> {
+    run: RunBytes<'a>,
+    state: Vec<u8>,
+    spare: Vec<u8>,
+}
+
+impl<'a> Replay<'a> {
+    /// Start at the anchor's state.
+    pub fn new(anchor: Vec<u8>, run: &'a [u8]) -> Result<Replay<'a>> {
+        Ok(Replay {
+            run: RunBytes::new(run)?,
+            state: anchor,
+            spare: Vec::new(),
+        })
+    }
+
+    /// Move to the next member and return its vid; [`Replay::state`] is
+    /// then that member's state. `None` past the last member.
+    pub fn step(&mut self) -> Result<Option<Vid>> {
+        let Some(vid) = self.run.next_vid()? else {
+            return Ok(None);
+        };
+        self.run.apply(&self.state, &mut self.spare)?;
+        std::mem::swap(&mut self.state, &mut self.spare);
+        Ok(Some(vid))
+    }
+
+    /// The current member's state (the anchor's before the first step).
+    pub fn state(&self) -> &[u8] {
+        &self.state
+    }
+
+    /// The current member's state, by value.
+    pub fn into_state(self) -> Vec<u8> {
+        self.state
+    }
+}
+
+/// The bytes of `run` (a run record, empty for none) with `entry`
+/// appended: the old entries' bytes are copied as they are and only
+/// the count before them is re-encoded. The result is byte for byte
+/// the encoding of the longer `Vec<RunEntry>`.
+pub(crate) fn append_entry(run: &[u8], entry: &RunEntry) -> Result<Vec<u8>> {
+    let old = RunBytes::new(run)?;
+    let entries = &run[run.len() - old.r.remaining()..];
+    let mut w = Writer::with_capacity(run.len() + 64);
+    w.put_varint(old.left as u64 + 1);
+    w.put_raw(entries);
+    entry.encode(&mut w);
+    Ok(w.into_bytes())
+}
+
 /// A segment loaded whole: the anchor's state and the delta run.
 /// Position 0 is the anchor, position `i > 0` is `run[i - 1]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,6 +285,47 @@ pub struct Segment {
 }
 
 impl Segment {
+    /// Decode a segment from its two records: the anchor's state and
+    /// the run record's bytes (empty for none).
+    pub(crate) fn from_records(first: Vid, anchor: Vec<u8>, run: &[u8]) -> Result<Segment> {
+        let run = if run.is_empty() {
+            Vec::new()
+        } else {
+            ode_codec::from_bytes(run)?
+        };
+        Ok(Segment { first, anchor, run })
+    }
+
+    /// The run record's bytes (empty when the segment holds only its
+    /// anchor and so has no run record).
+    pub(crate) fn encoded_run(&self) -> Vec<u8> {
+        if self.run.is_empty() {
+            Vec::new()
+        } else {
+            ode_codec::to_bytes(&self.run)
+        }
+    }
+
+    /// Check that the in-place reader of `run`, the bytes this segment
+    /// was decoded from, sees what the decode sees: the same member
+    /// vids and, applying every delta, the same state at each member.
+    pub(crate) fn check_reader(&self, run: &[u8]) -> Result<()> {
+        let disagree = || chain_corrupt("run reader and run decode disagree");
+        let vids = RunBytes::new(run)?.vids().collect::<Result<Vec<_>>>()?;
+        if !vids.into_iter().eq(self.run.iter().map(|e| e.vid)) {
+            return Err(disagree());
+        }
+        let mut replay = Replay::new(self.anchor.clone(), run)?;
+        let mut state = self.anchor.clone();
+        for entry in &self.run {
+            state = apply(&state, &entry.delta).map_err(apply_failed)?;
+            if replay.step()? != Some(entry.vid) || replay.state() != state {
+                return Err(disagree());
+            }
+        }
+        Ok(())
+    }
+
     /// Versions stored in the segment.
     pub fn len(&self) -> usize {
         1 + self.run.len()
@@ -169,7 +346,8 @@ impl Segment {
         if vid == self.first {
             return Some(0);
         }
-        position_in_run(&self.run, vid).map(|i| i + 1)
+        let i = self.run.binary_search_by_key(&vid.0, |e| e.vid.0).ok()?;
+        Some(i + 1)
     }
 
     /// Materialize the state at `pos`: the anchor with the first `pos`
@@ -229,17 +407,11 @@ impl Segment {
     }
 }
 
-/// Index of `vid`'s entry in a run.
-pub(crate) fn position_in_run(run: &[RunEntry], vid: Vid) -> Option<usize> {
-    run.binary_search_by_key(&vid.0, |e| e.vid.0).ok()
-}
-
 /// `anchor` with `deltas` applied in order.
-pub(crate) fn replay(anchor: &[u8], deltas: &[RunEntry]) -> Result<Vec<u8>> {
+fn replay(anchor: &[u8], deltas: &[RunEntry]) -> Result<Vec<u8>> {
     let mut state = anchor.to_vec();
     for entry in deltas {
-        state = apply(&state, &entry.delta)
-            .map_err(|_| chain_corrupt("delta chain entry failed to apply"))?;
+        state = apply(&state, &entry.delta).map_err(apply_failed)?;
     }
     Ok(state)
 }
@@ -345,17 +517,192 @@ mod tests {
 
     /// One segment holding `states` as vids 1..=n.
     fn build(states: &[Vec<u8>]) -> Segment {
+        build_at(1, states)
+    }
+
+    /// One segment holding `states` as vids `first`, `first + 1`, ...
+    fn build_at(first: u64, states: &[Vec<u8>]) -> Segment {
         Segment {
-            first: Vid(1),
+            first: Vid(first),
             anchor: states[0].clone(),
             run: states
                 .windows(2)
                 .enumerate()
                 .map(|(i, pair)| RunEntry {
-                    vid: Vid(i as u64 + 2),
+                    vid: Vid(first + i as u64 + 1),
                     delta: diff_with_block(&pair[0], &pair[1], BLOCK),
                 })
                 .collect(),
+        }
+    }
+
+    /// Every member's state as the byte reader replays it, anchor first.
+    fn byte_states(seg: &Segment, run: &[u8]) -> Vec<Vec<u8>> {
+        let mut replay = Replay::new(seg.anchor.clone(), run).unwrap();
+        let mut out = vec![replay.state().to_vec()];
+        while replay.step().unwrap().is_some() {
+            out.push(replay.state().to_vec());
+        }
+        out
+    }
+
+    #[test]
+    fn appending_entry_bytes_equals_encoding_the_longer_run() {
+        let states = evolution(20, 300);
+        let seg = build(&states);
+        let mut run = Vec::new();
+        for n in 0..seg.run.len() {
+            run = append_entry(&run, &seg.run[n]).unwrap();
+            assert_eq!(run, ode_codec::to_bytes(&seg.run[..=n].to_vec()), "{n}");
+        }
+        assert_eq!(run, seg.encoded_run());
+        seg.check_reader(&run).unwrap();
+    }
+
+    #[test]
+    fn corrupt_counts_and_lengths_allocate_nothing() {
+        let states = evolution(3, 400);
+        let mut seg = build(&states);
+        // A delta claiming a terabyte of output: refused, and the buffer
+        // it was applied into reserved no more than base plus input.
+        seg.run[0].delta.target_len = 1 << 40;
+        let run = seg.encoded_run();
+        let mut bytes = RunBytes::new(&run).unwrap();
+        assert_eq!(bytes.next_vid().unwrap(), Some(Vid(2)));
+        let input_left = bytes.r.remaining();
+        let mut out = Vec::new();
+        assert!(matches!(
+            bytes.apply(&seg.anchor, &mut out),
+            Err(VersionError::ChainCorrupt(_))
+        ));
+        assert!(out.capacity() <= seg.anchor.len() + input_left);
+        // An entry count, and an op count, past the input.
+        let mut w = Writer::new();
+        w.put_varint(1 << 30);
+        assert!(RunBytes::new(w.as_bytes()).is_err());
+        let mut w = Writer::new();
+        for v in [1, 2, 5, 1 << 30] {
+            w.put_varint(v);
+        }
+        let mut bytes = RunBytes::new(w.as_bytes()).unwrap();
+        bytes.next_vid().unwrap();
+        assert!(matches!(
+            bytes.apply(b"", &mut out),
+            Err(VersionError::Storage(_))
+        ));
+    }
+
+    mod byte_reader {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A random evolution: a start state and edits, each replacing
+        /// a span at a position with new bytes, one state per edit.
+        fn random_evolution() -> impl Strategy<Value = Vec<Vec<u8>>> {
+            let edit = (
+                any::<u16>(),
+                0usize..48,
+                proptest::collection::vec(any::<u8>(), 0..48),
+            );
+            (
+                proptest::collection::vec(any::<u8>(), 0..400),
+                proptest::collection::vec(edit, 0..40),
+            )
+                .prop_map(|(start, edits)| {
+                    let mut state = start;
+                    let mut out = vec![state.clone()];
+                    for (at, cut, with) in edits {
+                        let at = at as usize % (state.len() + 1);
+                        let end = (at + cut).min(state.len());
+                        state.splice(at..end, with);
+                        out.push(state.clone());
+                    }
+                    out
+                })
+        }
+
+        /// The byte reader against an entry-by-entry decode of the same
+        /// bytes: both fail at the same member, or both give the same
+        /// vid and state there, and a state is always its delta's
+        /// declared length.
+        fn assert_reader_matches_decode(anchor: &[u8], bytes: &[u8]) {
+            let Ok(mut replay) = Replay::new(anchor.to_vec(), bytes) else {
+                return;
+            };
+            let mut r = Reader::new(bytes);
+            let mut left = if bytes.is_empty() {
+                0
+            } else {
+                r.get_count().unwrap()
+            };
+            let mut state = anchor.to_vec();
+            loop {
+                let want = (left > 0).then(|| {
+                    left -= 1;
+                    let entry = RunEntry::decode(&mut r).ok()?;
+                    let next = apply(&state, &entry.delta).ok()?;
+                    assert_eq!(next.len() as u64, entry.delta.target_len);
+                    Some((entry.vid, next))
+                });
+                match (replay.step(), want) {
+                    (Ok(None), None) => return,
+                    (Err(_), Some(None)) => return,
+                    (Ok(Some(vid)), Some(Some((want_vid, next)))) => {
+                        assert_eq!(vid, want_vid);
+                        assert_eq!(replay.state(), &next[..]);
+                        state = next;
+                    }
+                    (got, want) => panic!("reader {got:?}, decode {want:?}"),
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+            /// Cut into segments at each interval, every member the byte
+            /// reader replays is the state the decoded segment gives,
+            /// and its vid scan is the segment's member list.
+            #[test]
+            fn byte_replay_and_vid_scan_equal_the_decoded_segment(
+                states in random_evolution(),
+            ) {
+                for interval in [1usize, 2, 4, 16] {
+                    for (n, chunk) in states.chunks(interval).enumerate() {
+                        let seg = build_at(1 + (n * interval) as u64, chunk);
+                        let run = seg.encoded_run();
+                        let want: Vec<Vec<u8>> =
+                            (0..seg.len()).map(|i| seg.state_at(i).unwrap()).collect();
+                        prop_assert_eq!(byte_states(&seg, &run), want);
+                        let vids: Vec<Vid> = std::iter::once(seg.first)
+                            .chain(RunBytes::new(&run).unwrap().vids().map(Result::unwrap))
+                            .collect();
+                        prop_assert_eq!(vids, seg.vids().collect::<Vec<_>>());
+                        seg.check_reader(&run).unwrap();
+                    }
+                }
+            }
+
+            /// Hostile run bytes: every strict prefix and every byte
+            /// flipped (three ways) either fails or reads exactly what
+            /// decoding the same bytes reads. Nothing panics.
+            #[test]
+            fn truncated_and_flipped_runs_fail_or_read_as_decoded(
+                states in random_evolution(),
+            ) {
+                let seg = build(&states[..states.len().min(6)]);
+                let run = seg.encoded_run();
+                for end in 0..run.len() {
+                    assert_reader_matches_decode(&seg.anchor, &run[..end]);
+                }
+                for i in 0..run.len() {
+                    for mask in [0x01, 0x80, 0xFF] {
+                        let mut flipped = run.clone();
+                        flipped[i] ^= mask;
+                        assert_reader_matches_decode(&seg.anchor, &flipped);
+                    }
+                }
+            }
         }
     }
 

@@ -757,23 +757,26 @@ impl VersionStore {
     /// The newest version of `oid` created at or before `stamp`
     /// (`None` when the object's oldest surviving version is newer).
     ///
-    /// Walks the temporal chain backwards from the latest version, so
-    /// recent as-of points are cheap.
+    /// A version's stamp is its id (`created` is `vid.0`), and the chain
+    /// holds exactly the history minus the latest, so the answer is the
+    /// latest when its stamp is old enough and otherwise the greatest
+    /// chain member at or before `stamp`: one binary search over the
+    /// chain directory plus a vid scan of one run. The cost is the same
+    /// at any distance into the past, and no version record is loaded.
     pub fn version_as_of(
         &self,
         tx: &mut impl PageRead,
         oid: Oid,
         stamp: u64,
     ) -> Result<Option<Vid>> {
-        let mut cur = self.object_meta(tx, oid)?.latest;
-        while !cur.is_null() {
-            let meta = self.version_meta(tx, cur)?;
-            if meta.created <= stamp {
-                return Ok(Some(cur));
-            }
-            cur = meta.tprev;
+        let latest = self.object_meta(tx, oid)?.latest;
+        if latest.0 <= stamp {
+            return Ok(Some(latest));
         }
-        Ok(None)
+        match self.chains.directory(tx, oid)? {
+            Some(dir) => self.chains.member_as_of(tx, &dir, stamp),
+            None => Ok(None),
+        }
     }
 
     /// The current global creation stamp (the stamp the *next* version
@@ -921,6 +924,10 @@ impl VersionStore {
             }
             if meta.tprev != prev {
                 return Err(corrupt("temporal chain back-link broken"));
+            }
+            // `version_as_of` answers from vids alone.
+            if meta.created != vid.0 {
+                return Err(corrupt("creation stamp is not the version id"));
             }
             if meta.created <= last_created {
                 return Err(corrupt("creation stamps not ascending"));

@@ -15,7 +15,12 @@
 //!
 //! Every operation loads the directory plus the one segment it works
 //! on; only whole-chain reports ([`ChainStore::stats`],
-//! [`ChainStore::check`]) and object deletion visit them all.
+//! [`ChainStore::check`]) and object deletion visit them all. Reads and
+//! check-ins work on the run record's bytes ([`RunBytes`], [`Replay`]);
+//! a whole [`Segment`] is decoded only by the writers that rewrite one
+//! ([`ChainStore::set_state`], [`ChainStore::remove`],
+//! [`ChainStore::pop`]), by [`ChainStore::check`], and for callers that
+//! inspect a segment ([`ChainStore::segment`]).
 
 use ode_delta::{diff_with_block, Delta, DEFAULT_BLOCK};
 use ode_object::{KvTable, ObjectHeap, Oid, Vid};
@@ -23,8 +28,8 @@ use ode_storage::heap::RecordId;
 use ode_storage::{PageRead, PageWrite};
 
 use crate::chain::{
-    chain_corrupt, not_in_chain, position_in_run, replay, ChainConfig, ChainDirectory, ChainStats,
-    RunEntry, Segment, SegmentRef,
+    append_entry, chain_corrupt, not_in_chain, ChainConfig, ChainDirectory, ChainStats, Replay,
+    RunBytes, RunEntry, Segment, SegmentRef,
 };
 use crate::records::upsert;
 use crate::Result;
@@ -86,42 +91,34 @@ impl ChainStore {
         Ok(self.heap.load_bytes(tx, RecordId::from_u64(seg.anchor))?)
     }
 
-    fn run(&self, tx: &mut impl PageRead, seg: &SegmentRef) -> Result<Vec<RunEntry>> {
+    /// The run record's bytes, undecoded; empty when the segment has
+    /// no run record.
+    fn run_bytes(&self, tx: &mut impl PageRead, seg: &SegmentRef) -> Result<Vec<u8>> {
         if seg.run == 0 {
             return Ok(Vec::new());
         }
-        Ok(self.heap.load(tx, RecordId::from_u64(seg.run))?)
+        Ok(self.heap.load_bytes(tx, RecordId::from_u64(seg.run))?)
     }
 
     /// Load one segment whole.
     pub fn segment(&self, tx: &mut impl PageRead, seg: &SegmentRef) -> Result<Segment> {
-        Ok(Segment {
-            first: seg.first,
-            anchor: self.anchor(tx, seg)?,
-            run: self.run(tx, seg)?,
-        })
+        let run = self.run_bytes(tx, seg)?;
+        Segment::from_records(seg.first, self.anchor(tx, seg)?, &run)
     }
 
     /// Write `run` as the segment's run record (none when empty) and
     /// bring the entry's `run` id in line with it.
-    // `Persist` is implemented for `Vec<T>`, not for slices.
-    #[allow(clippy::ptr_arg)]
-    fn save_run(
-        &self,
-        tx: &mut impl PageWrite,
-        seg: &mut SegmentRef,
-        run: &Vec<RunEntry>,
-    ) -> Result<()> {
+    fn save_run(&self, tx: &mut impl PageWrite, seg: &mut SegmentRef, run: &[u8]) -> Result<()> {
         seg.run = match (seg.run, run.is_empty()) {
             (0, true) => 0,
-            (0, false) => self.heap.store(tx, run)?.to_u64(),
+            (0, false) => self.heap.insert_raw(tx, run)?.to_u64(),
             (rid, true) => {
                 self.heap.delete(tx, RecordId::from_u64(rid))?;
                 0
             }
             (rid, false) => self
                 .heap
-                .replace(tx, RecordId::from_u64(rid), run)?
+                .replace_raw(tx, RecordId::from_u64(rid), run)?
                 .to_u64(),
         };
         Ok(())
@@ -177,8 +174,9 @@ impl ChainStore {
     // Reads
     // ------------------------------------------------------------------
 
-    /// Materialize member `vid`'s state: one segment's anchor plus the
-    /// deltas up to `vid` (an anchor version reads no run at all).
+    /// Materialize member `vid`'s state: one segment's anchor with the
+    /// run's encoded deltas applied in turn up to `vid` (an anchor
+    /// version reads no run at all).
     pub fn state_of(
         &self,
         tx: &mut impl PageRead,
@@ -186,16 +184,47 @@ impl ChainStore {
         vid: Vid,
     ) -> Result<Vec<u8>> {
         let seg = &dir.segments[dir.locate(vid).ok_or_else(not_in_chain)?];
+        let anchor = self.anchor(tx, seg)?;
         if vid == seg.first {
-            return self.anchor(tx, seg);
+            return Ok(anchor);
         }
-        let run = self.run(tx, seg)?;
-        let i = position_in_run(&run, vid).ok_or_else(not_in_chain)?;
-        replay(&self.anchor(tx, seg)?, &run[..=i])
+        let run = self.run_bytes(tx, seg)?;
+        let mut replay = Replay::new(anchor, &run)?;
+        while let Some(member) = replay.step()? {
+            if member == vid {
+                return Ok(replay.into_state());
+            }
+        }
+        Err(not_in_chain())
     }
 
-    /// Member vids with stamps in `[from, to]`, oldest first. Loads the
-    /// runs of the segments the range overlaps and nothing else.
+    /// The greatest member with a stamp at or before `stamp`, if any:
+    /// one directory search, then a vid scan of that segment's run.
+    pub fn member_as_of(
+        &self,
+        tx: &mut impl PageRead,
+        dir: &ChainDirectory,
+        stamp: u64,
+    ) -> Result<Option<Vid>> {
+        let Some(idx) = dir.locate(Vid(stamp)) else {
+            return Ok(None);
+        };
+        let seg = &dir.segments[idx];
+        let run = self.run_bytes(tx, seg)?;
+        let mut found = seg.first;
+        for vid in RunBytes::new(&run)?.vids() {
+            let vid = vid?;
+            if vid.0 > stamp {
+                break;
+            }
+            found = vid;
+        }
+        Ok(Some(found))
+    }
+
+    /// Member vids with stamps in `[from, to]`, oldest first. Scans the
+    /// vids of the runs of the segments the range overlaps and reads
+    /// nothing else.
     pub fn vids_between(
         &self,
         tx: &mut impl PageRead,
@@ -215,18 +244,22 @@ impl ChainStore {
             if seg.first.0 >= from {
                 out.push(seg.first);
             }
-            out.extend(
-                self.run(tx, seg)?
-                    .iter()
-                    .map(|e| e.vid)
-                    .filter(|v| v.0 >= from && v.0 <= to),
-            );
+            let run = self.run_bytes(tx, seg)?;
+            for vid in RunBytes::new(&run)?.vids() {
+                let vid = vid?;
+                if vid.0 > to {
+                    break;
+                }
+                if vid.0 >= from {
+                    out.push(vid);
+                }
+            }
         }
         Ok(out)
     }
 
     /// The stored delta `from → to`, when the two are adjacent members
-    /// of one segment.
+    /// of one segment. Decodes that one delta and steps over the rest.
     pub fn stored_delta(
         &self,
         tx: &mut impl PageRead,
@@ -241,12 +274,20 @@ impl ChainStore {
         if to == seg.first {
             return Ok(None);
         }
-        let mut run = self.run(tx, seg)?;
-        let Some(i) = position_in_run(&run, to) else {
-            return Ok(None);
-        };
-        let before = if i == 0 { seg.first } else { run[i - 1].vid };
-        Ok((before == from).then(|| run.swap_remove(i).delta))
+        let bytes = self.run_bytes(tx, seg)?;
+        let mut run = RunBytes::new(&bytes)?;
+        let mut before = seg.first;
+        while let Some(vid) = run.next_vid()? {
+            if vid == to {
+                return (before == from).then(|| run.take()).transpose();
+            }
+            if vid.0 > to.0 {
+                break;
+            }
+            run.skip()?;
+            before = vid;
+        }
+        Ok(None)
     }
 
     // ------------------------------------------------------------------
@@ -259,10 +300,10 @@ impl ChainStore {
     /// at that version.
     ///
     /// Otherwise the open segment's run gains one delta from its last
-    /// state (the anchor with the run replayed), or, when it is full, a
-    /// fresh anchor record and a directory entry are added. Never
-    /// touches a sealed segment, and the directory only when a record
-    /// is added or moves.
+    /// state (the anchor with the run's encoded deltas applied), written
+    /// after the old entries' bytes, or, when it is full, a fresh anchor
+    /// record and a directory entry are added. Never touches a sealed
+    /// segment, and the directory only when a record is added or moves.
     pub fn append(
         &self,
         tx: &mut impl PageWrite,
@@ -284,18 +325,19 @@ impl ChainStore {
             return self.save_directory(tx, oid, &dir, Some(home));
         };
         let open = dir.segments.last_mut().expect("directory never empty");
-        let mut run = self.run(tx, open)?;
-        if run.len() as u64 + 1 >= dir.interval {
+        let run = self.run_bytes(tx, open)?;
+        if RunBytes::new(&run)?.left() as u64 + 1 >= dir.interval {
             let sealed_by = self.new_segment(tx, vid, state)?;
             dir.segments.push(sealed_by);
         } else {
-            let last = replay(&self.anchor(tx, open)?, &run)?;
-            run.push(RunEntry {
+            let mut replay = Replay::new(self.anchor(tx, open)?, &run)?;
+            while replay.step()?.is_some() {}
+            let entry = RunEntry {
                 vid,
-                delta: diff_with_block(&last, state, dir.block as usize),
-            });
+                delta: diff_with_block(replay.state(), state, dir.block as usize),
+            };
             let run_before = open.run;
-            self.save_run(tx, open, &run)?;
+            self.save_run(tx, open, &append_entry(&run, &entry)?)?;
             if open.run == run_before {
                 return Ok(());
             }
@@ -332,7 +374,7 @@ impl ChainStore {
             self.save_anchor(tx, entry, &seg.anchor)?;
         }
         if !seg.run.is_empty() {
-            self.save_run(tx, entry, &seg.run)?;
+            self.save_run(tx, entry, &seg.encoded_run())?;
         }
         if *entry != before {
             self.save_directory(tx, oid, &dir, None)?;
@@ -389,7 +431,7 @@ impl ChainStore {
                 entry.first = seg.first;
                 self.save_anchor(tx, entry, &seg.anchor)?;
             }
-            self.save_run(tx, entry, &seg.run)?;
+            self.save_run(tx, entry, &seg.encoded_run())?;
         } else {
             self.free_segment(tx, &dir.segments[idx])?;
             dir.segments.remove(idx);
@@ -415,20 +457,19 @@ impl ChainStore {
             materialized_bytes: 0,
         };
         for entry in &dir.segments {
-            let seg = self.segment(tx, entry)?;
-            stats.versions += seg.len() as u64;
-            stats.deltas += seg.run.len() as u64;
-            stats.open_fill = seg.len() as u64;
-            stats.encoded_bytes += seg.anchor.len() as u64;
-            if !seg.run.is_empty() {
-                stats.encoded_bytes += ode_codec::to_bytes(&seg.run).len() as u64;
+            let anchor = self.anchor(tx, entry)?;
+            let run = self.run_bytes(tx, entry)?;
+            stats.encoded_bytes += (anchor.len() + run.len()) as u64;
+            let mut replay = Replay::new(anchor, &run)?;
+            let mut members = 1;
+            stats.materialized_bytes += replay.state().len() as u64;
+            while replay.step()?.is_some() {
+                members += 1;
+                stats.materialized_bytes += replay.state().len() as u64;
             }
-            let mut state = seg.anchor;
-            stats.materialized_bytes += state.len() as u64;
-            for e in &seg.run {
-                state = replay(&state, std::slice::from_ref(e))?;
-                stats.materialized_bytes += state.len() as u64;
-            }
+            stats.versions += members;
+            stats.deltas += members - 1;
+            stats.open_fill = members;
         }
         Ok(stats)
     }
@@ -437,7 +478,9 @@ impl ChainStore {
     /// the chain must hold (the object's history minus the latest,
     /// oldest first): the members, segment by segment, are exactly
     /// those; every segment starts at the anchor its directory entry
-    /// names and never runs `interval` deltas; every delta applies.
+    /// names and never runs `interval` deltas; every delta applies; and
+    /// the byte reader that serves reads sees the same vids and states
+    /// in every run as the full decode.
     pub fn check(
         &self,
         tx: &mut impl PageRead,
@@ -449,7 +492,8 @@ impl ChainStore {
         }
         let mut expected = members.iter();
         for entry in &dir.segments {
-            let seg = self.segment(tx, entry)?;
+            let run = self.run_bytes(tx, entry)?;
+            let seg = Segment::from_records(entry.first, self.anchor(tx, entry)?, &run)?;
             if seg.run.len() as u64 >= dir.interval.max(1) {
                 return Err(chain_corrupt("anchor interval exceeded"));
             }
@@ -460,7 +504,7 @@ impl ChainStore {
                     ));
                 }
             }
-            seg.state_at(seg.len() - 1)?;
+            seg.check_reader(&run)?;
         }
         if expected.next().is_some() {
             return Err(chain_corrupt(

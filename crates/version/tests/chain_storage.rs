@@ -713,6 +713,86 @@ fn check_ins_cost_the_same_in_the_8th_segment_and_in_the_16th() {
     cleanup(&path);
 }
 
+/// The read side of the cost model, as counts: the pages a historical
+/// read fetches do not depend on how many versions the object has or
+/// how far back the read goes. One object, 256 versions at interval 16
+/// (sixteen segments); each read runs in a snapshot of its own, which
+/// fetches a page once however often it reads it, so the count is the
+/// distinct pages the read touches. DESIGN §12's read-budget table
+/// records these counts.
+#[test]
+fn historical_reads_fetch_the_same_pages_at_any_distance() {
+    use ode_version::EpochCache;
+    let path = temp_path("readbudget");
+    let store = Store::create(&path, StoreOptions::default()).unwrap();
+    let vs = chained(16);
+    let (oid, vids) = {
+        let mut tx = store.begin();
+        let built = linear(&vs, &mut tx, 256);
+        tx.commit().unwrap();
+        built
+    };
+    let fetches = |read: &dyn Fn(&mut ode_storage::ReadTx<'_>)| {
+        let count = || {
+            let s = store.buffer_stats();
+            s.hits + s.misses
+        };
+        let before = count();
+        read(&mut store.read());
+        count() - before
+    };
+    let as_of = |at: usize| {
+        fetches(&|r| {
+            let got = vs.version_as_of(r, oid, vids[at].0).unwrap();
+            assert_eq!(got, Some(vids[at]));
+        })
+    };
+    let deref_v =
+        |at: usize| fetches(&|r| assert_eq!(vs.read_body(r, vids[at], TAG).unwrap(), body(at)));
+    // Chain members 112..=127 make the eighth segment, 240..=254 the
+    // sixteenth.
+    let counts = [
+        ("version_as_of, oldest stamp", as_of(0)),
+        ("version_as_of, recent stamp", as_of(250)),
+        ("deref_v in the 8th segment", deref_v(120)),
+        ("deref_v in the 16th segment", deref_v(248)),
+        (
+            "walk, 5 tprevious hops",
+            fetches(&|r| {
+                let mut at = vids[200];
+                for _ in 0..5 {
+                    at = vs.tprevious(r, at).unwrap().unwrap();
+                }
+                assert_eq!(at, vids[195]);
+            }),
+        ),
+        (
+            "history_between over 64 stamps",
+            fetches(&|r| {
+                let got = vs.history_between(r, oid, vids[100].0, vids[163].0);
+                assert_eq!(got.unwrap(), vids[100..=163]);
+            }),
+        ),
+    ];
+    let cache = EpochCache::new(8);
+    vs.read_body_cached(&mut store.read(), vids[120], TAG, Some((&cache, 1)))
+        .unwrap();
+    let hit = fetches(&|r| {
+        let got = vs.read_body_cached(r, vids[120], TAG, Some((&cache, 1)));
+        assert_eq!(got.unwrap(), body(120));
+    });
+    for (read, pages) in counts {
+        println!("{read}: {pages} pages");
+        // Header, object or version lookup, chain directory, the one
+        // segment's records: none of it scales with the history.
+        assert!(pages <= 8, "{read} fetched {pages} pages");
+    }
+    println!("deref_v, materialize cache hit: {hit} pages");
+    assert!(hit <= 4, "a cache hit fetched {hit} pages");
+    drop(store);
+    cleanup(&path);
+}
+
 // ----------------------------------------------------------------------
 // Model battery: a chained store vs an in-memory list of bodies.
 // ----------------------------------------------------------------------
@@ -790,6 +870,44 @@ mod differential {
             for (v, b) in self.vids.iter().zip(&self.bodies) {
                 assert_eq!(&vs.read_body(tx, *v, TAG).unwrap(), b, "{context}: {v}");
             }
+            assert_as_of_matches_the_walk(tx, vs, oid, context);
+        }
+    }
+
+    /// The as-of answer by the walk `version_as_of` once made: back
+    /// along `tprev` from the latest to the first version created at or
+    /// before `stamp`, one version record per step.
+    fn as_of_by_walk(
+        tx: &mut impl ode_storage::PageRead,
+        vs: &VersionStore,
+        oid: ode_version::Oid,
+        stamp: u64,
+    ) -> Option<Vid> {
+        let mut cur = vs.latest(tx, oid).unwrap();
+        while !cur.is_null() {
+            let meta = vs.version_meta(tx, cur).unwrap();
+            if meta.created <= stamp {
+                return Some(cur);
+            }
+            cur = meta.tprev;
+        }
+        None
+    }
+
+    /// `version_as_of` agrees with the walk at every stamp from before
+    /// the first version to one past now.
+    fn assert_as_of_matches_the_walk(
+        tx: &mut impl ode_storage::PageRead,
+        vs: &VersionStore,
+        oid: ode_version::Oid,
+        context: &str,
+    ) {
+        for stamp in 0..=vs.now_stamp(tx).unwrap() + 1 {
+            assert_eq!(
+                vs.version_as_of(tx, oid, stamp).unwrap(),
+                as_of_by_walk(tx, vs, oid, stamp),
+                "{context}: as of {stamp}"
+            );
         }
     }
 
@@ -890,6 +1008,35 @@ mod differential {
                 model.assert_matches(&mut tx, &vs, oid, "reopened");
                 vs.check_object(&mut tx, oid).unwrap();
             }
+            cleanup(&path);
+        }
+
+        /// `version_as_of` against the `tprev` walk after every step of
+        /// a random fork/edit/delete history, deletes of the latest and
+        /// of anchors included, while a second object takes stamps in
+        /// between so the object's stamps have gaps.
+        #[test]
+        fn version_as_of_matches_the_tprev_walk(
+            steps in proptest::collection::vec((op_strategy(), any::<bool>()), 1..48),
+            interval in 1u64..6,
+        ) {
+            let path = temp_path(&format!("asof{interval}-{}", steps.len()));
+            let vs = chained(interval);
+            let store = Store::create(&path, StoreOptions::default()).unwrap();
+            let mut tx = store.begin();
+            let (oid, v0) = vs.create_object(&mut tx, TAG, body(0)).unwrap();
+            let (other, _) = vs.create_object(&mut tx, TAG, body(1)).unwrap();
+            let mut model = Model::new(v0, &body(0));
+            for (i, (op, interleave)) in steps.iter().enumerate() {
+                if *interleave {
+                    vs.new_version_of(&mut tx, other).unwrap();
+                }
+                model.apply(&mut tx, &vs, op);
+                assert_as_of_matches_the_walk(&mut tx, &vs, oid, &format!("step {i}: {op:?}"));
+            }
+            vs.check_object(&mut tx, oid).unwrap();
+            drop(tx);
+            drop(store);
             cleanup(&path);
         }
     }
