@@ -1,12 +1,15 @@
 //! Ablations over the implementation's own design choices (DESIGN.md §8
-//! tail): B+-tree fanout, buffer-pool size, and delta block size.
+//! tail): B+-tree fanout, buffer-pool size and delta block size, plus a
+//! probe of each CPU loop a commit runs beside its fsync.
 
 use bench::{Blob, TempDir};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ode::{Database, DatabaseOptions};
-use ode_delta::{apply, diff_with_block};
+use ode_delta::{apply, diff_with_block, DEFAULT_BLOCK};
 use ode_storage::btree::BTree;
-use ode_storage::{Store, StoreOptions};
+use ode_storage::wal::page_diff_ops;
+use ode_storage::{crc32, Store, StoreOptions, PAGE_SIZE};
+use std::hint::black_box;
 use std::time::Duration;
 
 fn bench_btree_fanout(c: &mut Criterion) {
@@ -115,49 +118,52 @@ fn bench_delta_block(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_wal_mode(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_wal_mode");
+/// Deterministic bytes with no structure a diff could exploit.
+fn noise(len: usize, seed: u64) -> Vec<u8> {
+    let mut state = seed | 1;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as u8
+        })
+        .collect()
+}
+
+/// `bytes` with two 51-byte runs rewritten: the edit `odebench`'s
+/// `checkin` makes to a 2 KiB body.
+fn two_rewrites(bytes: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    for at in [bytes.len() / 5, bytes.len() * 3 / 5] {
+        for b in &mut out[at..at + 51] {
+            *b ^= 0x5A;
+        }
+    }
+    out
+}
+
+/// The loops a commit runs on its own CPU beside the fsync, each on
+/// `checkin`'s edit shape.
+fn bench_commit_cpu(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ablation_commit_cpu");
     group.sample_size(15);
     group.warm_up_time(Duration::from_millis(300));
     group.measurement_time(Duration::from_millis(1200));
-    eprintln!("\nablation_wal_mode: WAL bytes per small-update commit");
-    for (label, deltas) in [("delta-records", true), ("full-images", false)] {
-        let dir = TempDir::new("ab-wal");
-        let options = DatabaseOptions {
-            storage: StoreOptions {
-                sync_on_commit: false,
-                wal_deltas: deltas,
-                ..StoreOptions::default()
-            },
-            ..DatabaseOptions::default()
-        };
-        let db = Database::create(dir.file("db"), options).unwrap();
-        let ptr = {
-            let mut txn = db.begin();
-            let p = txn.pnew(&Blob::of_size(1, 1024)).unwrap();
-            txn.commit().unwrap();
-            p
-        };
-        // Measure WAL growth across a burst of small updates.
-        let before = db.wal_len();
-        for _ in 0..32 {
-            let mut txn = db.begin();
-            txn.update(&ptr, |b| b.id = b.id.wrapping_add(1)).unwrap();
-            txn.commit().unwrap();
-        }
-        eprintln!(
-            "  {label:<14} {} bytes / commit",
-            (db.wal_len() - before) / 32
-        );
-        group.bench_function(BenchmarkId::new("small-update-commit", label), |b| {
-            b.iter(|| {
-                let mut txn = db.begin();
-                txn.update(&ptr, |blob| blob.id = blob.id.wrapping_add(1))
-                    .unwrap();
-                txn.commit().unwrap();
-            })
-        });
-    }
+    // Every page seal, page verify and WAL frame pays this checksum.
+    let page = noise(PAGE_SIZE, 1);
+    group.bench_function("crc32/4KiB-page", |b| b.iter(|| crc32(black_box(&page))));
+    // The diff behind each WAL delta record, at the store's run gap.
+    let edited = two_rewrites(&page);
+    group.bench_function("page_diff_ops/two-51B-edits", |b| {
+        b.iter(|| page_diff_ops(black_box(&page), black_box(&edited), 24))
+    });
+    // The diff behind each chain delta.
+    let body = noise(2048, 2);
+    let target = two_rewrites(&body);
+    group.bench_function("diff_with_block/2KiB-two-51B-rewrites", |b| {
+        b.iter(|| diff_with_block(black_box(&body), black_box(&target), DEFAULT_BLOCK))
+    });
     group.finish();
 }
 
@@ -166,6 +172,6 @@ criterion_group!(
     bench_btree_fanout,
     bench_buffer_pool,
     bench_delta_block,
-    bench_wal_mode
+    bench_commit_cpu
 );
 criterion_main!(benches);

@@ -3,13 +3,17 @@
 //! The base is indexed in fixed-size blocks by hash; the target is
 //! scanned left to right, and whenever the next block of target bytes
 //! matches a base block the match is extended greedily in both
-//! directions.  Unmatched bytes become inserts.  This is the same
+//! directions.  Unmatched bytes become inserts.  The block hash is a
+//! rolling polynomial, so stepping the scan one byte costs O(1)
+//! whatever the block size.  This is the same
 //! family of algorithm as rsync's delta encoding — O(n) in practice,
 //! and effective on the "small change to a large object" workloads the
 //! paper's CAD setting implies.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 
 use ode_codec::{impl_persist_enum, impl_persist_struct, DecodeError, Reader};
 
@@ -116,14 +120,61 @@ impl fmt::Display for ApplyError {
 
 impl std::error::Error for ApplyError {}
 
+/// Multiplier of the block hash: odd, so no byte's contribution is
+/// ever multiplied away.
+const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Polynomial hash of one block: `Σ block[i] · HASH_MUL^(len−1−i)`,
+/// wrapping. Sliding the window one byte is [`roll`], O(1).
 fn block_hash(block: &[u8]) -> u64 {
-    // FNV-1a over the block.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in block {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+    block.iter().fold(0u64, |h, &b| {
+        h.wrapping_mul(HASH_MUL).wrapping_add(u64::from(b))
+    })
+}
+
+/// The hash of the window one byte on: `out` leaves it, `new` enters,
+/// `top` is `HASH_MUL^(block−1)`.
+fn roll(h: u64, out: u8, new: u8, top: u64) -> u64 {
+    h.wrapping_sub(u64::from(out).wrapping_mul(top))
+        .wrapping_mul(HASH_MUL)
+        .wrapping_add(u64::from(new))
+}
+
+/// Hasher for the block index, whose keys are block hashes already:
+/// splitmix64's multiply-xorshift finalizer where SipHash would hash
+/// them a second time. Every key bit reaches the bits the table
+/// indexes by, and the random seed keeps a body crafted to crowd its
+/// blocks into one bucket from knowing which keys would.
+struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
     }
-    h
+
+    fn write_u64(&mut self, v: u64) {
+        let mut z = self.0 ^ v;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        self.0 = z ^ (z >> 31);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Builds [`MixHasher`]s that all start from one random seed.
+struct MixState(u64);
+
+impl BuildHasher for MixState {
+    type Hasher = MixHasher;
+
+    fn build_hasher(&self) -> MixHasher {
+        MixHasher(self.0)
+    }
 }
 
 /// Compute a delta that rewrites `base` into `target`, using `block`-byte
@@ -135,12 +186,14 @@ pub fn diff_with_block(base: &[u8], target: &[u8], block: usize) -> Delta {
 
     // Index base blocks by hash (last occurrence wins; collisions are
     // verified byte-wise below).
-    let mut index: HashMap<u64, usize> = HashMap::new();
+    let seed = RandomState::new().hash_one(0u64);
+    let mut index = HashMap::with_capacity_and_hasher(base.len() / block, MixState(seed));
     if base.len() >= block {
         for start in (0..=base.len() - block).step_by(block) {
             index.insert(block_hash(&base[start..start + block]), start);
         }
     }
+    let top = (1..block).fold(1u64, |p, _| p.wrapping_mul(HASH_MUL));
 
     let flush = |pending: &mut Vec<u8>, ops: &mut Vec<DeltaOp>| {
         if !pending.is_empty() {
@@ -149,9 +202,19 @@ pub fn diff_with_block(base: &[u8], target: &[u8], block: usize) -> Delta {
     };
 
     let mut pos = 0usize;
+    // `(p, hash of target[p..p + block])` for the window one byte on:
+    // what `pos` reads when it steps one byte, and stale once a match
+    // jumps it further.
+    let mut window: Option<(usize, u64)> = None;
     while pos < target.len() {
         if pos + block <= target.len() {
-            let h = block_hash(&target[pos..pos + block]);
+            let h = match window {
+                Some((at, h)) if at == pos => h,
+                _ => block_hash(&target[pos..pos + block]),
+            };
+            if let Some(&new) = target.get(pos + block) {
+                window = Some((pos + 1, roll(h, target[pos], new, top)));
+            }
             if let Some(&base_start) = index.get(&h) {
                 if base[base_start..base_start + block] == target[pos..pos + block] {
                     // Extend the match forward.
@@ -520,6 +583,130 @@ mod tests {
                 produced: 6
             })
         );
+    }
+
+    /// `diff_with_block` before its block hash rolled: FNV-1a over
+    /// every window, looked up through SipHash. The reference the
+    /// rolling version's ops must equal.
+    fn diff_with_fnv_blocks(base: &[u8], target: &[u8], block: usize) -> Delta {
+        let fnv = |window: &[u8]| {
+            window.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            })
+        };
+        let block = block.max(4);
+        let mut ops: Vec<DeltaOp> = Vec::new();
+        let mut pending: Vec<u8> = Vec::new();
+        let mut index: HashMap<u64, usize> = HashMap::new();
+        if base.len() >= block {
+            for start in (0..=base.len() - block).step_by(block) {
+                index.insert(fnv(&base[start..start + block]), start);
+            }
+        }
+        let mut pos = 0usize;
+        while pos < target.len() {
+            if pos + block <= target.len() {
+                if let Some(&base_start) = index.get(&fnv(&target[pos..pos + block])) {
+                    if base[base_start..base_start + block] == target[pos..pos + block] {
+                        let mut len = block;
+                        while base_start + len < base.len()
+                            && pos + len < target.len()
+                            && base[base_start + len] == target[pos + len]
+                        {
+                            len += 1;
+                        }
+                        let mut back = 0usize;
+                        while back < pending.len()
+                            && back < base_start
+                            && base[base_start - back - 1] == pending[pending.len() - back - 1]
+                        {
+                            back += 1;
+                        }
+                        pending.truncate(pending.len() - back);
+                        if !pending.is_empty() {
+                            ops.push(DeltaOp::Insert(std::mem::take(&mut pending)));
+                        }
+                        let offset = (base_start - back) as u64;
+                        let total = (len + back) as u64;
+                        match ops.last_mut() {
+                            Some(DeltaOp::Copy {
+                                offset: po,
+                                len: pl,
+                            }) if *po + *pl == offset => *pl += total,
+                            _ => ops.push(DeltaOp::Copy { offset, len: total }),
+                        }
+                        pos += len;
+                        continue;
+                    }
+                }
+            }
+            pending.push(target[pos]);
+            pos += 1;
+        }
+        if !pending.is_empty() {
+            ops.push(DeltaOp::Insert(pending));
+        }
+        Delta {
+            target_len: target.len() as u64,
+            ops,
+        }
+    }
+
+    /// Seeded xorshift: the cases below repeat exactly.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+
+        /// `len` bytes over an alphabet of `letters` symbols.
+        fn text(&mut self, len: usize, letters: usize) -> Vec<u8> {
+            (0..len).map(|_| self.below(letters) as u8).collect()
+        }
+    }
+
+    #[test]
+    fn rolling_hash_diff_equals_the_fnv_diff() {
+        let mut rng = Rng(0x2545_F491_4F6C_DD1D);
+        for block in [4, 8, 32] {
+            for letters in [2, 3, 4, 256] {
+                for case in 0..200 {
+                    let n = rng.below(1_500);
+                    let base = rng.text(n, letters);
+                    let mut target = base.clone();
+                    for _ in 0..rng.below(5) {
+                        let at = rng.below(target.len() + 1);
+                        let len = rng.below(60);
+                        match rng.below(10) {
+                            0..=2 => {
+                                let end = (at + len).min(target.len());
+                                let fresh = rng.text(end - at, letters);
+                                target[at..end].copy_from_slice(&fresh);
+                            }
+                            3..=5 => {
+                                let fresh = rng.text(len, letters);
+                                target.splice(at..at, fresh);
+                            }
+                            6..=8 => {
+                                target.drain(at..(at + len).min(target.len()));
+                            }
+                            _ => target = rng.text(n, letters),
+                        }
+                    }
+                    let got = diff_with_block(&base, &target, block);
+                    assert_eq!(
+                        got,
+                        diff_with_fnv_blocks(&base, &target, block),
+                        "block {block}, {letters} letters, case {case}"
+                    );
+                    assert_eq!(apply(&base, &got).unwrap(), target);
+                }
+            }
+        }
     }
 
     #[test]

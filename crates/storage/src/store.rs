@@ -23,8 +23,9 @@
 //!   caller re-executes it. Each page fetch also revalidates when the
 //!   epoch has advanced, so every read view is consistent and doomed
 //!   transactions fail at the first stale fetch instead of at commit.
-//! * Commit appends after-images (or byte-range deltas) plus a commit
-//!   record to the WAL, then takes the snapshot gate's exclusive side
+//! * Commit appends byte-range deltas (full after-images for heavily
+//!   rewritten pages) plus a commit record to the WAL in one write,
+//!   then takes the snapshot gate's exclusive side
 //!   for the brief *publish* step: bump the store epoch and install the
 //!   after-images into the buffer pool.  Readers therefore always see a
 //!   whole committed prefix — never a torn commit.
@@ -42,7 +43,7 @@
 //! * page 0 is the store header (magic, page count, free-list head, and
 //!   sixteen named *root slots* used by higher layers);
 //! * during a transaction all page mutations stay in the write set;
-//! * commit appends after-images + a commit record to the WAL (fsync
+//! * commit appends its page changes + a commit record to the WAL (fsync
 //!   governed by [`StoreOptions::sync_on_commit`]);
 //! * abort (dropping a [`Tx`] uncommitted) discards the write set;
 //! * checkpoint writes dirty pool pages to the database file, fsyncs,
@@ -64,7 +65,9 @@ use crate::buffer::{BufferPool, BufferStats};
 use crate::gate::SnapshotGate;
 use crate::page::{PageBuf, PageId, PageKind, PAGE_SIZE};
 use crate::pager::Pager;
-use crate::wal::{delta_payload_len, page_diff_ops, Replay, Scan, Wal, WalRecord, WalSyncHandle};
+use crate::wal::{
+    delta_payload_len, page_diff_ops, push_frame, Replay, Scan, Wal, WalRecord, WalSyncHandle,
+};
 use crate::{Result, StorageError};
 
 /// Magic number identifying an Ode store header page.
@@ -96,11 +99,6 @@ pub struct StoreOptions {
     /// fsync the WAL on every commit. Disable only for benchmarks where
     /// durability of the tail is irrelevant.
     pub sync_on_commit: bool,
-    /// Log changed byte ranges instead of full page images when a page's
-    /// delta is small — the storage-level "small changes have small
-    /// impact". Full images remain the fallback for heavily rewritten
-    /// pages.
-    pub wal_deltas: bool,
     /// Amortize commit fsyncs across concurrent committers: the first
     /// committer to reach the sync step fsyncs once for every commit
     /// appended so far (leader/follower). Only meaningful with
@@ -120,7 +118,6 @@ impl Default for StoreOptions {
         StoreOptions {
             buffer_pages: 1024,
             sync_on_commit: true,
-            wal_deltas: true,
             group_commit: true,
             group_commit_window: Duration::ZERO,
         }
@@ -131,7 +128,9 @@ impl Default for StoreOptions {
 const CHECKPOINT_WAL_BYTES: u64 = 16 * 1024 * 1024;
 /// Gap tolerance when merging changed byte runs into delta ops.
 const DELTA_RUN_GAP: usize = 24;
-/// Deltas whose payload exceeds this fall back to a full page image.
+/// The log holds a page's changed byte ranges — the storage-level
+/// "small changes have small impact" — unless their payload exceeds
+/// this; then it holds the full page image.
 const DELTA_MAX_PAYLOAD: usize = (PAGE_SIZE * 3) / 4;
 
 /// Contention and commit statistics (monotone totals; see
@@ -775,6 +774,7 @@ impl Store {
         self.pager.sync()?;
         ws.wal.reset()?;
         ws.base_pos = ws.logical_pos;
+        debug_assert_eq!(ws.logical_pos - ws.base_pos, ws.wal.len());
         // Every appended commit is now durable via the database file.
         self.group.mark_all_synced();
         self.ship.advance(ws.logical_pos);
@@ -925,12 +925,12 @@ impl Store {
     pub fn replica_ingest(&self, bytes: &[u8]) -> Result<IngestOutcome> {
         let mut ws = self.lock_write();
         let start = ws.logical_pos;
-        ws.wal.append_raw(bytes)?;
+        ws.wal.append(bytes)?;
+        ws.logical_pos += bytes.len() as u64;
         if self.options.sync_on_commit {
             ws.wal.sync()?;
             self.counters.wal_syncs.fetch_add(1, Ordering::Relaxed);
         }
-        ws.logical_pos += bytes.len() as u64;
         let replay = ws.apply.get_or_insert_with(|| Replay::new(start));
         replay.push(bytes);
         let mut commits_applied = 0u64;
@@ -1197,54 +1197,47 @@ impl Tx<'_> {
         self.order.push(id);
     }
 
-    /// Encode this transaction's WAL records (begin, one per written
-    /// page, commit). Pure function of the private write set, so an
-    /// optimistic commit runs it *before* taking the write mutex —
-    /// page diffing is the expensive part of a commit and must not
-    /// lengthen the critical section.
-    fn wal_records(&self) -> Vec<WalRecord> {
-        let store = self.store;
-        let mut records = Vec::with_capacity(self.order.len() + 2);
-        records.push(WalRecord::Begin { tx: self.tx_id });
+    /// Frame this transaction's WAL records (begin, one per written
+    /// page, commit) into the bytes of one log write. Pure function of
+    /// the private write set, so an optimistic commit runs it *before*
+    /// taking the write mutex — page diffing and checksumming are the
+    /// expensive part of a commit and must not lengthen the critical
+    /// section.
+    fn wal_frames(&self) -> Vec<u8> {
+        let tx = self.tx_id;
+        let mut frames = Vec::new();
+        push_frame(&mut frames, &WalRecord::Begin { tx });
         let zero = PageBuf::zeroed();
         for &id in &self.order {
             let after = self.pages.get(&id.0).expect("ordered page in write set");
-            let record = if store.options.wal_deltas {
-                let before = match self.base.get(&id.0) {
-                    Some(Some(img)) => img.as_bytes(),
-                    // Fresh pages diff against zeroes (their content
-                    // is usually sparse).
-                    _ => zero.as_bytes(),
-                };
-                let ops = page_diff_ops(before, after.as_bytes(), DELTA_RUN_GAP);
-                if delta_payload_len(&ops) <= DELTA_MAX_PAYLOAD {
-                    WalRecord::PageDelta {
-                        tx: self.tx_id,
-                        page: id.0,
-                        ops,
-                    }
-                } else {
-                    WalRecord::Page {
-                        tx: self.tx_id,
-                        page: id.0,
-                        image: after.as_bytes().to_vec(),
-                    }
+            let before = match self.base.get(&id.0) {
+                Some(Some(img)) => img.as_bytes(),
+                // Fresh pages diff against zeroes (their content is
+                // usually sparse).
+                _ => zero.as_bytes(),
+            };
+            let ops = page_diff_ops(before, after.as_bytes(), DELTA_RUN_GAP);
+            let record = if delta_payload_len(&ops) <= DELTA_MAX_PAYLOAD {
+                WalRecord::PageDelta {
+                    tx,
+                    page: id.0,
+                    ops,
                 }
             } else {
                 WalRecord::Page {
-                    tx: self.tx_id,
+                    tx,
                     page: id.0,
                     image: after.as_bytes().to_vec(),
                 }
             };
-            records.push(record);
+            push_frame(&mut frames, &record);
         }
-        records.push(WalRecord::Commit { tx: self.tx_id });
-        records
+        push_frame(&mut frames, &WalRecord::Commit { tx });
+        frames
     }
 
-    /// Commit: log after-images (or byte-range deltas, when small) plus
-    /// a commit record, publish the write set as the new committed
+    /// Commit: log byte-range deltas (full images for heavily rewritten
+    /// pages) plus a commit record in one write, publish the write set as the new committed
     /// state, and make it durable (inline fsync, or via the group-commit
     /// leader). Auto-checkpoints when the WAL or pool has grown large.
     ///
@@ -1264,12 +1257,12 @@ impl Tx<'_> {
             // snapshot as of `validated_epoch`. Nothing to publish.
             return Ok(());
         }
-        // Build the log records outside the critical section (no-op
-        // cost for exclusive mode, which holds the mutex anyway).
-        let records = if self.order.is_empty() {
+        // Build the log bytes outside the critical section (no-op cost
+        // for exclusive mode, which holds the mutex anyway).
+        let frames = if self.order.is_empty() {
             Vec::new()
         } else {
-            self.wal_records()
+            self.wal_frames()
         };
         let mut ws = match self.write.take() {
             Some(guard) => guard,
@@ -1285,11 +1278,9 @@ impl Tx<'_> {
         }
         let mut group_target = None;
         if !self.order.is_empty() {
-            let wal_start = ws.wal.len();
-            for record in &records {
-                ws.wal.append(record)?;
-            }
-            ws.logical_pos += ws.wal.len() - wal_start;
+            // One write: if it fails, neither position moves.
+            ws.wal.append(&frames)?;
+            ws.logical_pos += frames.len() as u64;
             ws.commit_seq += 1;
 
             let grouped = store.options.sync_on_commit && store.options.group_commit;
@@ -1322,6 +1313,7 @@ impl Tx<'_> {
             // The checkpoint fsynced everything; no group wait needed.
             group_target = None;
         }
+        debug_assert_eq!(ws.logical_pos - ws.base_pos, ws.wal.len());
         // Release the write lock *before* waiting on the group fsync —
         // that is the whole point: the next writer appends while the
         // leader's fsync is in flight, forming the next cohort.
@@ -1622,14 +1614,20 @@ mod tests {
         // Session 1 was killed between its page records and its Commit:
         // intact frames of transaction 1, never committed.
         {
-            let mut wal = Wal::open(&store.path().wal()).unwrap();
-            wal.append(&WalRecord::Begin { tx: 1 }).unwrap();
-            wal.append(&WalRecord::PageDelta {
-                tx: 1,
-                page: a.0,
-                ops: vec![(PAGE_HEADER_LEN as u32, vec![0xEE])],
-            })
-            .unwrap();
+            let mut frames = Vec::new();
+            push_frame(&mut frames, &WalRecord::Begin { tx: 1 });
+            push_frame(
+                &mut frames,
+                &WalRecord::PageDelta {
+                    tx: 1,
+                    page: a.0,
+                    ops: vec![(PAGE_HEADER_LEN as u32, vec![0xEE])],
+                },
+            );
+            Wal::open(&store.path().wal())
+                .unwrap()
+                .append(&frames)
+                .unwrap();
         }
         // Session 2 recovers, recycles id 1 for a write to `b` only, and
         // crashes after committing it.
@@ -1713,71 +1711,165 @@ mod tests {
 
     #[test]
     fn delta_wal_is_small_for_small_edits() {
-        let mk = |deltas: bool| {
-            let store = TempStore::with(StoreOptions {
-                wal_deltas: deltas,
-                sync_on_commit: false,
-                ..StoreOptions::default()
-            });
-            // One big page, then many single-byte edits.
-            let id = {
-                let mut tx = store.begin();
-                let id = tx.allocate(PageKind::Heap).unwrap();
-                tx.commit().unwrap();
-                id
-            };
-            for i in 0..50u64 {
-                let mut tx = store.begin();
-                tx.page_mut(id)
-                    .unwrap()
-                    .write_u64(16 + (i as usize % 100) * 8, i);
-                tx.commit().unwrap();
-            }
-            store.wal_len()
+        let store = TempStore::with(StoreOptions {
+            sync_on_commit: false,
+            ..StoreOptions::default()
+        });
+        // One big page, then many single-word edits.
+        let id = {
+            let mut tx = store.begin();
+            let id = tx.allocate(PageKind::Heap).unwrap();
+            tx.commit().unwrap();
+            id
         };
-        let delta_bytes = mk(true);
-        let full_bytes = mk(false);
+        let before = store.wal_len();
+        for i in 0..50u64 {
+            let mut tx = store.begin();
+            tx.page_mut(id)
+                .unwrap()
+                .write_u64(16 + (i as usize % 100) * 8, i);
+            tx.commit().unwrap();
+        }
+        // Full page images would be 50 × PAGE_SIZE.
+        let delta_bytes = store.wal_len() - before;
         assert!(
-            delta_bytes * 10 < full_bytes,
-            "delta WAL {delta_bytes} should be far below full-image WAL {full_bytes}"
+            delta_bytes * 10 < 50 * PAGE_SIZE as u64,
+            "delta WAL {delta_bytes} should be far below 50 full page images"
         );
     }
 
     #[test]
     fn delta_wal_recovers_identically_to_full() {
-        for deltas in [true, false] {
-            let mut store = TempStore::with(StoreOptions {
-                wal_deltas: deltas,
-                ..StoreOptions::default()
-            });
-            let id = {
-                let mut tx = store.begin();
-                let id = tx.allocate(PageKind::Heap).unwrap();
-                tx.page_mut(id).unwrap().write_u64(100, 1);
-                tx.commit().unwrap();
-                id
-            };
-            // Several transactions editing the same and fresh pages.
-            for i in 2..20u64 {
-                let mut tx = store.begin();
-                tx.page_mut(id).unwrap().write_u64(100, i);
-                let extra = tx.allocate(PageKind::Heap).unwrap();
-                tx.page_mut(extra).unwrap().write_u64(24, i * 7);
-                tx.commit().unwrap();
-            }
-            store.crash();
-            store.reopen();
-            let mut r = store.read();
-            assert_eq!(r.page(id).unwrap().read_u64(100), 19, "deltas={deltas}");
-            assert_eq!(r.page_count().unwrap(), 20, "deltas={deltas}");
-            for extra in 2..20u64 {
-                assert_eq!(
-                    r.page(PageId(extra)).unwrap().read_u64(24),
-                    (extra) * 7,
-                    "deltas={deltas}"
-                );
+        let mut store = TempStore::new();
+        let id = {
+            let mut tx = store.begin();
+            let id = tx.allocate(PageKind::Heap).unwrap();
+            tx.page_mut(id).unwrap().write_u64(100, 1);
+            tx.commit().unwrap();
+            id
+        };
+        // Several transactions editing the same and fresh pages.
+        for i in 2..20u64 {
+            let mut tx = store.begin();
+            tx.page_mut(id).unwrap().write_u64(100, i);
+            let extra = tx.allocate(PageKind::Heap).unwrap();
+            tx.page_mut(extra).unwrap().write_u64(24, i * 7);
+            tx.commit().unwrap();
+        }
+        store.crash();
+        store.reopen();
+        let mut r = store.read();
+        assert_eq!(r.page(id).unwrap().read_u64(100), 19);
+        assert_eq!(r.page_count().unwrap(), 20);
+        for extra in 2..20u64 {
+            assert_eq!(r.page(PageId(extra)).unwrap().read_u64(24), extra * 7);
+        }
+    }
+
+    /// Commit two transactions on a fresh store — the second edits a
+    /// page the first wrote, allocates one and, if `rewrite`, rewrites a
+    /// third whole — then crash, leaving both in the log. Returns the
+    /// log length before the second commit, and the three pages.
+    fn two_commits_in_the_log(store: &mut TempStore, rewrite: bool) -> (u64, [PageId; 3]) {
+        let (a, big) = {
+            let mut tx = store.begin();
+            let a = tx.allocate(PageKind::Heap).unwrap();
+            let big = tx.allocate(PageKind::Heap).unwrap();
+            tx.page_mut(a).unwrap().write_u64(40, 1);
+            tx.commit().unwrap();
+            (a, big)
+        };
+        let first = store.wal_len();
+        let mut tx = store.begin();
+        tx.page_mut(a).unwrap().write_u64(40, 2);
+        let fresh = tx.allocate(PageKind::Heap).unwrap();
+        tx.page_mut(fresh).unwrap().write_u64(200, 3);
+        if rewrite {
+            for (i, b) in tx
+                .page_mut(big)
+                .unwrap()
+                .payload_mut()
+                .iter_mut()
+                .enumerate()
+            {
+                *b = (i % 251) as u8;
             }
         }
+        tx.commit().unwrap();
+        store.crash();
+        (first, [a, fresh, big])
+    }
+
+    #[test]
+    fn a_commit_is_one_write_of_its_records_frames() {
+        let mut store = TempStore::new();
+        let (first, [a, fresh, big]) = two_commits_in_the_log(&mut store, true);
+        let log = std::fs::read(store.path().wal()).unwrap();
+        let (found, tear) = crate::wal::frames(&log[first as usize..]);
+        assert_eq!(tear, None);
+        let records: Vec<WalRecord> = found.into_iter().map(|(_, _, r)| r.unwrap()).collect();
+        // Begin, a delta per edited page, the rewritten page whole, Commit.
+        let kinds: Vec<_> = records
+            .iter()
+            .map(|r| match r {
+                WalRecord::Begin { .. } => ("begin", 0),
+                WalRecord::PageDelta { page, .. } => ("delta", *page),
+                WalRecord::Page { page, .. } => ("image", *page),
+                WalRecord::Commit { .. } => ("commit", 0),
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                ("begin", 0),
+                ("delta", a.0),
+                ("delta", PageId::HEADER.0),
+                ("delta", fresh.0),
+                ("image", big.0),
+                ("commit", 0)
+            ]
+        );
+        // The commit's bytes are exactly its records framed one by one,
+        // as the log wrote them when each record was its own write.
+        let mut per_record = Vec::new();
+        for record in &records {
+            let payload = ode_codec::to_bytes(record);
+            per_record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            per_record.extend_from_slice(&crate::crc32(&payload).to_le_bytes());
+            per_record.extend_from_slice(&payload);
+        }
+        assert_eq!(per_record, log[first as usize..]);
+    }
+
+    #[test]
+    fn a_log_cut_anywhere_in_the_last_commit_recovers_the_commit_before() {
+        let mut store = TempStore::new();
+        let (first, [a, fresh, _]) = two_commits_in_the_log(&mut store, false);
+        let log = std::fs::read(store.path().wal()).unwrap();
+        let file = std::fs::read(store.path()).unwrap();
+        // Every cut recovers the same file: the first commit's.
+        let mut recovered_first = None;
+        for cut in first..log.len() as u64 {
+            std::fs::write(store.path(), &file).unwrap();
+            std::fs::write(store.path().wal(), &log[..cut as usize]).unwrap();
+            store.reopen();
+            assert_eq!(
+                store.read().page(a).unwrap().read_u64(40),
+                1,
+                "cut at {cut}"
+            );
+            store.close();
+            let recovered = std::fs::read(store.path()).unwrap();
+            let first_commit = recovered_first.get_or_insert_with(|| recovered.clone());
+            assert!(*first_commit == recovered, "cut at {cut}");
+        }
+        // Uncut, the last commit is there.
+        std::fs::write(store.path(), &file).unwrap();
+        std::fs::write(store.path().wal(), &log).unwrap();
+        store.reopen();
+        let mut r = store.read();
+        assert_eq!(r.page(a).unwrap().read_u64(40), 2);
+        assert_eq!(r.page(fresh).unwrap().read_u64(200), 3);
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! Redo-only write-ahead log.
 //!
-//! Commit protocol: at transaction commit the store appends the full
-//! after-image of every page the transaction dirtied, then a commit
-//! record, then (optionally) fsyncs.  The database file itself is only
-//! updated at checkpoints, after which the log is reset.
+//! Commit protocol: at transaction commit the store frames a `Begin`,
+//! the changed byte ranges (or, for a heavily rewritten page, the full
+//! after-image) of every page the transaction dirtied and a `Commit`
+//! into one buffer, appends that buffer with one write, then
+//! (optionally) fsyncs. The database file itself is only updated at
+//! checkpoints, after which the log is reset.
 //!
-//! Framing: every record is `[u32 len][u32 crc32(payload)][payload]`.
+//! Framing: every record is `[u32 len][u32 crc32(payload)][payload]`
+//! ([`push_frame`]). [`Wal::append`] is the log's only writer: a
+//! commit's frames and a replica's shipped spans go through it alike.
 //!
 //! The read side is one path in three steps, shared by crash recovery,
 //! replica apply and `odedump wal`: [`parse_frame`] checks one frame,
@@ -118,29 +122,26 @@ impl Wal {
         self.write_pos == 0
     }
 
-    /// Append one record (not yet durable; call [`Wal::sync`]).
-    pub fn append(&mut self, record: &WalRecord) -> Result<()> {
-        let payload = to_bytes(record);
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        self.file.seek(SeekFrom::Start(self.write_pos))?;
-        self.file.write_all(&frame)?;
-        self.write_pos += frame.len() as u64;
-        Ok(())
-    }
-
-    /// Append raw, already-framed log bytes (replication apply path: a
-    /// replica receives byte-exact spans of the primary's log and lands
-    /// them verbatim, so both logs agree on every frame boundary and
-    /// physical position). The bytes are not validated here — the
-    /// receiver parses them with a [`Replay`] before trusting their
-    /// contents.
-    pub fn append_raw(&mut self, bytes: &[u8]) -> Result<()> {
-        self.file.seek(SeekFrom::Start(self.write_pos))?;
-        self.file.write_all(bytes)?;
-        self.write_pos += bytes.len() as u64;
+    /// Append already-framed log bytes with one write (not yet durable;
+    /// call [`Wal::sync`]): a commit's frames built by [`push_frame`],
+    /// or a byte-exact span of a primary's log landing on a replica, so
+    /// both logs agree on every frame boundary and physical position.
+    /// The bytes are not validated here — a reader parses them with a
+    /// [`Replay`] before trusting their contents.
+    ///
+    /// On error the append position does not move, and the file is cut
+    /// back to it (best effort), so a failed write leaves no partial
+    /// frames for the next append to land behind.
+    pub fn append(&mut self, frames: &[u8]) -> Result<()> {
+        let written = self
+            .file
+            .seek(SeekFrom::Start(self.write_pos))
+            .and_then(|_| self.file.write_all(frames));
+        if let Err(e) = written {
+            let _ = self.file.set_len(self.write_pos);
+            return Err(e.into());
+        }
+        self.write_pos += frames.len() as u64;
         Ok(())
     }
 
@@ -239,6 +240,16 @@ pub enum Scan<T> {
     Incomplete,
     /// A whole frame's payload fails its CRC.
     BadCrc,
+}
+
+/// Frame `record` onto the end of `out`: `[u32 len][u32 crc32(payload)]
+/// [payload]`, the payload being the record's codec bytes. The log's
+/// only frame encoder, the inverse of [`parse_frame`].
+pub fn push_frame(out: &mut Vec<u8>, record: &WalRecord) {
+    let payload = to_bytes(record);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    out.extend_from_slice(&payload);
 }
 
 /// Check the frame at the start of `buf`: its payload length (the
@@ -416,10 +427,17 @@ impl Replay {
 /// separated by fewer than `gap` identical bytes (run-header amortization).
 pub fn page_diff_ops(before: &[u8], after: &[u8], gap: usize) -> Vec<(u32, Vec<u8>)> {
     debug_assert_eq!(before.len(), after.len());
+    let word =
+        |page: &[u8], at: usize| u64::from_ne_bytes(page[at..at + 8].try_into().expect("8 bytes"));
     let mut ops: Vec<(u32, Vec<u8>)> = Vec::new();
     let mut i = 0usize;
     let n = after.len();
     while i < n {
+        // Unchanged bytes start no run: pass them a word at a time.
+        if i + 8 <= n && word(before, i) == word(after, i) {
+            i += 8;
+            continue;
+        }
         if before[i] == after[i] {
             i += 1;
             continue;
@@ -454,12 +472,20 @@ mod tests {
     use super::*;
     use crate::testutil::TempPath;
 
+    /// Frame `record` and append it alone: the per-record append the
+    /// log made before a commit became one write.
+    fn append(wal: &mut Wal, record: &WalRecord) {
+        let mut frame = Vec::new();
+        push_frame(&mut frame, record);
+        wal.append(&frame).unwrap();
+    }
+
     /// A log holding `records`, and its bytes.
     fn log_of(records: &[WalRecord]) -> (TempPath, Wal, Vec<u8>) {
         let path = TempPath::new();
         let mut wal = Wal::open(&path).unwrap();
         for r in records {
-            wal.append(r).unwrap();
+            append(&mut wal, r);
         }
         let bytes = wal.read_span(0, wal.len() as usize).unwrap();
         (path, wal, bytes)
@@ -534,7 +560,7 @@ mod tests {
         let path = TempPath::new();
         let mut wal = Wal::open(&path).unwrap();
         for r in sample_records() {
-            wal.append(&r).unwrap();
+            append(&mut wal, &r);
         }
         let (records, tear) = wal.records().unwrap();
         assert_eq!(records, sample_records());
@@ -557,8 +583,8 @@ mod tests {
             page: 7,
             ops: vec![(4, vec![1, 2]), (100, vec![9])],
         };
-        wal.append(&rec).unwrap();
-        wal.append(&WalRecord::Commit { tx: 1 }).unwrap();
+        append(&mut wal, &rec);
+        append(&mut wal, &WalRecord::Commit { tx: 1 });
         let (records, tear) = wal.records().unwrap();
         assert_eq!(tear, None);
         assert_eq!(records[0], rec);
@@ -590,13 +616,125 @@ mod tests {
         assert_eq!(rebuilt, after);
     }
 
+    /// The byte loop `page_diff_ops` replaced: the reference it must
+    /// match on every pair of pages.
+    fn page_diff_ops_bytewise(before: &[u8], after: &[u8], gap: usize) -> Vec<(u32, Vec<u8>)> {
+        let mut ops: Vec<(u32, Vec<u8>)> = Vec::new();
+        let mut i = 0usize;
+        let n = after.len();
+        while i < n {
+            if before[i] == after[i] {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            let mut end = i + 1;
+            let mut same = 0usize;
+            let mut j = end;
+            while j < n && same < gap {
+                if before[j] == after[j] {
+                    same += 1;
+                } else {
+                    end = j + 1;
+                    same = 0;
+                }
+                j += 1;
+            }
+            ops.push((start as u32, after[start..end].to_vec()));
+            i = end;
+        }
+        ops
+    }
+
+    #[test]
+    fn page_diff_ops_equals_the_byte_loop_at_the_edges() {
+        let gap = 24;
+        let before: Vec<u8> = (0..PAGE_SIZE).map(|i| (i % 253) as u8).collect();
+        let edited = |at: &[usize]| {
+            let mut after = before.clone();
+            for &i in at {
+                after[i] ^= 0x5A;
+            }
+            after
+        };
+        let cases = [
+            // Identical pages.
+            vec![],
+            // The last 7 bytes, which no whole word covers (each one
+            // alone is checked below).
+            vec![PAGE_SIZE - 7],
+            vec![PAGE_SIZE - 1],
+            vec![PAGE_SIZE - 9, PAGE_SIZE - 2],
+            // First byte, and two edits exactly `gap` and `gap + 1` apart.
+            vec![0],
+            vec![100, 100 + gap],
+            vec![100, 101 + gap],
+            vec![7, 8, 15, 16],
+        ];
+        for at in cases {
+            let after = edited(&at);
+            assert_eq!(
+                page_diff_ops(&before, &after, gap),
+                page_diff_ops_bytewise(&before, &after, gap),
+                "edits at {at:?}"
+            );
+        }
+        for at in PAGE_SIZE - 7..PAGE_SIZE {
+            let after = edited(&[at]);
+            assert_eq!(
+                page_diff_ops(&before, &after, gap),
+                [(at as u32, vec![after[at]])]
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn page_diff_ops_equals_the_byte_loop(
+            seed: u64,
+            edits in proptest::collection::vec((0..PAGE_SIZE, 1usize..80, proptest::any::<u8>()), 0..12),
+            gap in 1usize..40,
+        ) {
+            let mut state = seed | 1;
+            let before: Vec<u8> = (0..PAGE_SIZE)
+                .map(|_| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state % 3) as u8
+                })
+                .collect();
+            let mut after = before.clone();
+            for (at, len, byte) in edits {
+                after[at..(at + len).min(PAGE_SIZE)].fill(byte);
+            }
+            proptest::prop_assert_eq!(
+                page_diff_ops(&before, &after, gap),
+                page_diff_ops_bytewise(&before, &after, gap)
+            );
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_append_leaves_the_log_where_it_was() {
+        // Every write to /dev/full fails with ENOSPC.
+        let mut wal = Wal::open(Path::new("/dev/full")).unwrap();
+        let before = wal.len();
+        let mut frames = Vec::new();
+        push_frame(&mut frames, &WalRecord::Begin { tx: 1 });
+        push_frame(&mut frames, &WalRecord::Commit { tx: 1 });
+        assert!(wal.append(&frames).is_err());
+        assert_eq!(wal.len(), before);
+    }
+
     #[test]
     fn torn_tail_detected_and_truncatable() {
         let path = TempPath::new();
         {
             let mut wal = Wal::open(&path).unwrap();
             for r in sample_records() {
-                wal.append(&r).unwrap();
+                append(&mut wal, &r);
             }
         }
         // Chop off the last 3 bytes, simulating a crash mid-append.
@@ -614,7 +752,7 @@ mod tests {
         let (records2, tear2) = wal.records().unwrap();
         assert_eq!(records2, records);
         assert_eq!(tear2, None);
-        wal.append(&WalRecord::Commit { tx: 2 }).unwrap();
+        append(&mut wal, &WalRecord::Commit { tx: 2 });
         let (records3, _) = wal.records().unwrap();
         assert_eq!(records3.len(), records.len() + 1);
     }
@@ -625,7 +763,7 @@ mod tests {
         {
             let mut wal = Wal::open(&path).unwrap();
             for r in sample_records() {
-                wal.append(&r).unwrap();
+                append(&mut wal, &r);
             }
         }
         // Flip a byte in the last record's payload.
@@ -652,7 +790,7 @@ mod tests {
     fn reset_empties_log() {
         let path = TempPath::new();
         let mut wal = Wal::open(&path).unwrap();
-        wal.append(&WalRecord::Begin { tx: 1 }).unwrap();
+        append(&mut wal, &WalRecord::Begin { tx: 1 });
         assert!(!wal.is_empty());
         wal.reset().unwrap();
         assert!(wal.is_empty());
@@ -671,7 +809,7 @@ mod tests {
         let intact_len = {
             let mut wal = Wal::open(&intact).unwrap();
             for r in sample_records() {
-                wal.append(&r).unwrap();
+                append(&mut wal, &r);
             }
             wal.len()
         };
@@ -681,7 +819,7 @@ mod tests {
             let mut probe = Wal::open(&probe_path).unwrap();
             let all = sample_records();
             for r in &all[..all.len() - 1] {
-                probe.append(r).unwrap();
+                append(&mut probe, r);
             }
             let len = probe.len();
             let (records, tear) = wal.records().unwrap();
@@ -715,14 +853,16 @@ mod tests {
             {
                 let mut wal = Wal::open(&path).unwrap();
                 let keep = WalRecord::Commit { tx: cycle };
-                wal.append(&keep).unwrap();
+                append(&mut wal, &keep);
                 expected.push(keep);
-                wal.append(&WalRecord::Page {
-                    tx: cycle,
-                    page: cycle,
-                    image: vec![cycle as u8; 32],
-                })
-                .unwrap();
+                append(
+                    &mut wal,
+                    &WalRecord::Page {
+                        tx: cycle,
+                        page: cycle,
+                        image: vec![cycle as u8; 32],
+                    },
+                );
             }
             // Tear 5 bytes off the record we do not intend to keep.
             let len = std::fs::metadata(&path).unwrap().len();
@@ -748,11 +888,11 @@ mod tests {
         // unshipped records), not just crash debris.
         let path = TempPath::new();
         let mut wal = Wal::open(&path).unwrap();
-        wal.append(&WalRecord::Begin { tx: 1 }).unwrap();
-        wal.append(&WalRecord::Commit { tx: 1 }).unwrap();
+        append(&mut wal, &WalRecord::Begin { tx: 1 });
+        append(&mut wal, &WalRecord::Commit { tx: 1 });
         let keep = wal.len();
-        wal.append(&WalRecord::Begin { tx: 2 }).unwrap();
-        wal.append(&WalRecord::Commit { tx: 2 }).unwrap();
+        append(&mut wal, &WalRecord::Begin { tx: 2 });
+        append(&mut wal, &WalRecord::Commit { tx: 2 });
         wal.truncate_tail(keep).unwrap();
         let (records, tear) = wal.records().unwrap();
         assert_eq!(
@@ -761,7 +901,7 @@ mod tests {
         );
         assert_eq!(tear, None);
         // Appends continue from the fenced position.
-        wal.append(&WalRecord::Begin { tx: 3 }).unwrap();
+        append(&mut wal, &WalRecord::Begin { tx: 3 });
         let (records, _) = wal.records().unwrap();
         assert_eq!(records.len(), 3);
     }
@@ -772,7 +912,7 @@ mod tests {
         let dst = TempPath::new();
         let mut wal = Wal::open(&src).unwrap();
         for r in sample_records() {
-            wal.append(&r).unwrap();
+            append(&mut wal, &r);
         }
         // Ship the whole log in small spans into a second log.
         let mut replica = Wal::open(&dst).unwrap();
@@ -783,7 +923,7 @@ mod tests {
                 break;
             }
             pos += span.len() as u64;
-            replica.append_raw(&span).unwrap();
+            replica.append(&span).unwrap();
         }
         assert_eq!(replica.len(), wal.len());
         let (records, tear) = replica.records().unwrap();
@@ -881,11 +1021,11 @@ mod tests {
         let path = TempPath::new();
         {
             let mut wal = Wal::open(&path).unwrap();
-            wal.append(&WalRecord::Begin { tx: 1 }).unwrap();
+            append(&mut wal, &WalRecord::Begin { tx: 1 });
         }
         {
             let mut wal = Wal::open(&path).unwrap();
-            wal.append(&WalRecord::Commit { tx: 1 }).unwrap();
+            append(&mut wal, &WalRecord::Commit { tx: 1 });
             let (records, _) = wal.records().unwrap();
             assert_eq!(records.len(), 2);
         }

@@ -15,7 +15,7 @@ use ode_storage::heap::Heap;
 use ode_storage::page::PageKind;
 use ode_storage::slotted;
 use ode_storage::testutil::{TempPath, TempStore};
-use ode_storage::wal::{Wal, WalRecord};
+use ode_storage::wal::{push_frame, Wal, WalRecord};
 use ode_storage::{PageBuf, PageRead, PageWrite, StorageError, Store, StoreOptions, PAGE_SIZE};
 use proptest::prelude::*;
 
@@ -313,7 +313,9 @@ proptest! {
         let mut wal = Wal::open(&scratch).unwrap();
         let mut ends = Vec::new();
         for record in &records {
-            wal.append(record).unwrap();
+            let mut frame = Vec::new();
+            push_frame(&mut frame, record);
+            wal.append(&frame).unwrap();
             ends.push(wal.len() as usize);
         }
         let mut log = wal.read_span(0, wal.len() as usize).unwrap();
