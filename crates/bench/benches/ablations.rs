@@ -1,14 +1,16 @@
 //! Ablations over the implementation's own design choices (DESIGN.md §8
 //! tail): B+-tree fanout, buffer-pool size and delta block size, plus a
-//! probe of each CPU loop a commit runs beside its fsync.
+//! probe of each CPU loop a commit runs beside its fsync and of the
+//! fsync itself on a growing and on a recycled log.
 
 use bench::{Blob, TempDir};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use ode::{Database, DatabaseOptions};
 use ode_delta::{apply, diff_with_block, DEFAULT_BLOCK};
 use ode_storage::btree::BTree;
-use ode_storage::wal::page_diff_ops;
+use ode_storage::wal::{page_diff_ops, push_frame, Wal, WalRecord};
 use ode_storage::{crc32, Store, StoreOptions, PAGE_SIZE};
+use std::cell::RefCell;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -167,11 +169,71 @@ fn bench_commit_cpu(c: &mut Criterion) {
     group.finish();
 }
 
+/// A commit's log write and its fsync, about the 4.5 KB a `checkin`
+/// commit logs, on a log whose every generation grows the file from its
+/// header and on one whose generations overwrite the blocks the file
+/// already owns. Generations end at 1 MiB, outside the timed span.
+fn bench_wal_fsync(c: &mut Criterion) {
+    const GENERATION: u64 = 1 << 20;
+    let mut group = c.benchmark_group("ablation_wal_fsync");
+    group.sample_size(10);
+    group.warm_up_time(Duration::from_millis(300));
+    group.measurement_time(Duration::from_millis(1500));
+    let mut frame = Vec::new();
+    push_frame(
+        &mut frame,
+        &WalRecord::PageDelta {
+            tx: 1,
+            page: 1,
+            ops: vec![(0, noise(4500, 3))],
+        },
+    );
+    for recycled in [false, true] {
+        let dir = TempDir::new("ab-wal");
+        let wal = RefCell::new(Wal::open(&dir.file("wal")).unwrap());
+        let end_generation = || {
+            let mut wal = wal.borrow_mut();
+            let seed = wal.tail();
+            if recycled {
+                wal.recycle(seed).unwrap();
+            } else {
+                wal.trim(seed).unwrap();
+            }
+        };
+        if recycled {
+            // One whole generation first, so every timed write lands
+            // in blocks the file owns.
+            while wal.borrow().len() < GENERATION {
+                wal.borrow_mut().append(&mut frame).unwrap();
+            }
+            end_generation();
+        }
+        let name = if recycled { "recycled" } else { "fresh" };
+        group.bench_function(BenchmarkId::new("append+sync/4.5KB", name), |b| {
+            b.iter_batched(
+                || {
+                    if wal.borrow().len() >= GENERATION {
+                        end_generation();
+                    }
+                },
+                |()| {
+                    let mut wal = wal.borrow_mut();
+                    wal.append(&mut frame).unwrap();
+                    wal.sync().unwrap();
+                },
+                BatchSize::PerIteration,
+            )
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_btree_fanout,
     bench_buffer_pool,
     bench_delta_block,
-    bench_commit_cpu
+    bench_commit_cpu,
+    bench_wal_fsync
 );
 criterion_main!(benches);

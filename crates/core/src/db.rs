@@ -205,7 +205,8 @@ impl Database {
         Snapshot::new(self, self.store.read())
     }
 
-    /// Force a checkpoint (dirty pages to the database file, WAL reset).
+    /// Force a checkpoint (dirty pages to the database file, WAL trimmed
+    /// to its header).
     pub fn checkpoint(&self) -> Result<()> {
         Ok(self.store.checkpoint()?)
     }
@@ -320,16 +321,18 @@ impl Database {
     }
 
     /// Install a snapshot shipped from a primary, replacing this
-    /// database's entire state.
+    /// database's entire state; the local log restarts chained from
+    /// the primary's log `seed`.
     pub fn replica_install_snapshot(
         &self,
         db_bytes: &[u8],
         base_pos: u64,
         epoch: u64,
+        seed: u32,
     ) -> Result<()> {
         Ok(self
             .store
-            .replica_install_snapshot(db_bytes, base_pos, epoch)?)
+            .replica_install_snapshot(db_bytes, base_pos, epoch, seed)?)
     }
 
     /// Ingest raw shipped WAL bytes, applying every commit they

@@ -70,7 +70,7 @@ proptest! {
 
         let snap = primary.repl_snapshot().unwrap();
         replica
-            .replica_install_snapshot(&snap.db_bytes, snap.base_pos, snap.epoch)
+            .replica_install_snapshot(&snap.db_bytes, snap.base_pos, snap.epoch, snap.seed)
             .unwrap();
         let mut pos = snap.base_pos;
 
@@ -103,7 +103,7 @@ proptest! {
                     ode_storage::WalSpan::SnapshotNeeded => {
                         let snap = primary.repl_snapshot().unwrap();
                         replica
-                            .replica_install_snapshot(&snap.db_bytes, snap.base_pos, snap.epoch)
+                            .replica_install_snapshot(&snap.db_bytes, snap.base_pos, snap.epoch, snap.seed)
                             .unwrap();
                         pos = snap.base_pos;
                     }

@@ -322,6 +322,7 @@ fn send_snapshot(shared: &Shared, writer: &mut BufWriter<TcpStream>) -> Result<u
             gen: shared.gen,
             base_pos,
             epoch: snap.epoch,
+            seed: snap.seed,
             db_bytes: snap.db_bytes,
         },
     )?;

@@ -168,11 +168,12 @@ fn connect_and_tail(shared: &Shared) -> Result<()> {
                 gen,
                 base_pos,
                 epoch,
+                seed,
                 db_bytes,
             } => {
                 shared
                     .db
-                    .replica_install_snapshot(&db_bytes, base_pos, epoch)?;
+                    .replica_install_snapshot(&db_bytes, base_pos, epoch, seed)?;
                 shared.gen.store(gen, Ordering::Release);
                 shared.pos.store(base_pos, Ordering::Release);
                 shared.epoch.store(epoch, Ordering::Release);

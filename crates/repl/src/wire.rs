@@ -24,8 +24,9 @@ use std::io::{Read, Write};
 
 use crate::{ReplError, Result};
 
-/// Channel magic: "ODER" + protocol version 1.
-pub const MAGIC: [u8; 4] = *b"ODR\x01";
+/// Channel magic: "ODR" + protocol version 2 (a snapshot carries its
+/// log seed).
+pub const MAGIC: [u8; 4] = *b"ODR\x02";
 
 /// Largest accepted frame payload. Snapshot frames carry a whole page
 /// file, so this is far larger than the client protocol's cap.
@@ -54,8 +55,9 @@ pub enum Message {
         have_epoch: u64,
     },
     /// Primary → replica: full state transfer. The replica replaces its
-    /// page file with `db_bytes`, resets its WAL, and starts tailing at
-    /// logical position `base_pos` / epoch `epoch`.
+    /// page file with `db_bytes`, restarts its WAL chained from `seed`,
+    /// and starts tailing at logical position `base_pos` / epoch
+    /// `epoch`.
     Snapshot {
         /// The sending primary's generation id.
         gen: u64,
@@ -63,6 +65,9 @@ pub enum Message {
         base_pos: u64,
         /// Commit epoch the snapshot is consistent at.
         epoch: u64,
+        /// Seed of the log generation the chunk stream continues: the
+        /// link the first shipped frame chains from.
+        seed: u32,
         /// Raw page-file contents.
         db_bytes: Vec<u8>,
     },
@@ -131,11 +136,13 @@ impl Message {
                 gen,
                 base_pos,
                 epoch,
+                seed,
                 db_bytes,
             } => {
                 put_u64(&mut buf, *gen);
                 put_u64(&mut buf, *base_pos);
                 put_u64(&mut buf, *epoch);
+                buf.extend_from_slice(&seed.to_le_bytes());
                 buf.extend_from_slice(db_bytes);
             }
             Message::Resume { gen, from } => {
@@ -165,11 +172,15 @@ impl Message {
                 let gen = get_u64(&payload, 0)?;
                 let base_pos = get_u64(&payload, 8)?;
                 let epoch = get_u64(&payload, 16)?;
+                let seed = payload
+                    .get(24..28)
+                    .ok_or_else(|| ReplError::Protocol("short frame".into()))?;
                 Message::Snapshot {
                     gen,
                     base_pos,
                     epoch,
-                    db_bytes: payload[24..].to_vec(),
+                    seed: u32::from_le_bytes(seed.try_into().expect("4 bytes")),
+                    db_bytes: payload[28..].to_vec(),
                 }
             }
             T_RESUME => Message::Resume {
@@ -251,6 +262,7 @@ mod tests {
                 gen: 7,
                 base_pos: 4096,
                 epoch: 12,
+                seed: 0xC0FF_EE01,
                 db_bytes: vec![0xAB; 8192],
             },
             Message::Resume { gen: 7, from: 4096 },

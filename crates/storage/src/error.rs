@@ -30,6 +30,10 @@ pub enum StorageError {
         /// ([`FORMAT_VERSION`](crate::store::FORMAT_VERSION)).
         expected: u32,
     },
+    /// The write-ahead log is not empty and does not start with this
+    /// build's log header — written by another version. It is refused
+    /// as it is: replaying it could lose committed work.
+    UnsupportedLog,
     /// A page id was outside the allocated file.
     PageOutOfBounds {
         /// The offending page id.
@@ -37,8 +41,10 @@ pub enum StorageError {
         /// Number of pages currently allocated.
         page_count: u64,
     },
-    /// A WAL record failed its CRC or framing check. Recovery treats this
-    /// as the torn tail of the log and stops replay there.
+    /// A WAL record failed its framing, chain or CRC check where the
+    /// bytes must be intact (a shipped stream), or an intact frame's
+    /// payload is not a record. Recovery instead ends the log at a
+    /// frame that fails its checks.
     WalCorrupt {
         /// Byte offset of the bad record.
         offset: u64,
@@ -79,6 +85,10 @@ impl fmt::Display for StorageError {
             StorageError::UnsupportedFormat { found, expected } => write!(
                 f,
                 "unsupported database format {found} (this build reads format {expected} only)"
+            ),
+            StorageError::UnsupportedLog => write!(
+                f,
+                "unsupported log format (the write-ahead log has no header this build reads)"
             ),
             StorageError::PageOutOfBounds { page, page_count } => {
                 write!(f, "page {page} out of bounds ({page_count} pages)")

@@ -47,9 +47,11 @@
 //!   governed by [`StoreOptions::sync_on_commit`]);
 //! * abort (dropping a [`Tx`] uncommitted) discards the write set;
 //! * checkpoint writes dirty pool pages to the database file, fsyncs,
-//!   and resets the WAL;
+//!   and starts a new log generation — recycling the log file in place
+//!   when the store checkpoints by itself, trimming it back to its
+//!   header otherwise (see [`crate::wal`]);
 //! * open replays the WAL's committed transactions into the database
-//!   file and leaves the log empty — the same [`Replay`] and
+//!   file and trims the log — the same [`Replay`] and
 //!   [`CommittedTx::apply`](crate::wal::CommittedTx::apply) a replica
 //!   runs over shipped bytes.
 
@@ -76,9 +78,11 @@ pub const MAGIC: u32 = 0x4F44_4531; // "ODE1"
 /// once — the latest whole in its record, every older one in its
 /// object's delta chain — and byte strings (every `Vec<u8>` in a
 /// record: version bodies, anchors, delta inserts) as a length plus raw
-/// bytes. Files of any other version are refused with
-/// [`StorageError::UnsupportedFormat`].
-pub const FORMAT_VERSION: u32 = 3;
+/// bytes. Version 4 keeps that page file and gives the log a seeded
+/// header and chained frames, so a checkpoint can recycle the log file
+/// instead of truncating it (see [`crate::wal`]). Files of any other
+/// version are refused with [`StorageError::UnsupportedFormat`].
+pub const FORMAT_VERSION: u32 = 4;
 /// Number of named root slots in the header.
 pub const ROOT_SLOTS: usize = 16;
 
@@ -269,7 +273,7 @@ impl CommitLog {
 struct WriteState {
     wal: Wal,
     /// Monotone count of logical bytes ever appended to the WAL. Unlike
-    /// `wal.len()` this survives checkpoint resets, so it can serve as a
+    /// `wal.len()` this survives checkpoints, so it can serve as a
     /// group-commit sync target.
     logical_pos: u64,
     /// Logical position of the start of the current WAL file (invariant:
@@ -282,9 +286,31 @@ struct WriteState {
     /// Replication apply state, present once this store has ingested
     /// shipped WAL bytes (i.e. it is acting as a replica): shipped bytes
     /// land in the local WAL verbatim and this re-frames them, in
-    /// *logical* positions, so a checkpoint's log reset does not move
-    /// its coordinates.
+    /// *logical* positions, so a checkpoint's new generation does not
+    /// move its coordinates.
     apply: Option<Replay>,
+}
+
+impl WriteState {
+    /// The chain's link at the end of the log: what the next frame, or
+    /// the next generation's seed, chains from. A replica tracks the
+    /// chain of the bytes it lands with its [`Replay`].
+    fn chain_end(&self) -> u32 {
+        self.apply
+            .as_ref()
+            .map_or(self.wal.tail(), Replay::committed_link)
+    }
+}
+
+/// How a checkpoint leaves the log file (see [`crate::wal`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LogAfter {
+    /// Keep the file and overwrite it from the front: the checkpoints
+    /// the store takes by itself.
+    Recycled,
+    /// Cut the file back to its header: the checkpoints a caller asks
+    /// for, and shutdown.
+    Trimmed,
 }
 
 /// Result of one [`Store::replica_ingest`] call.
@@ -305,6 +331,9 @@ pub struct ReplSnapshot {
     pub base_pos: u64,
     /// Commit epoch of the snapshotted state.
     pub epoch: u64,
+    /// Seed of the log generation shipping resumes in: the replica's
+    /// log chains from it.
+    pub seed: u32,
 }
 
 /// One answer from [`Store::read_wal_span`].
@@ -382,7 +411,7 @@ impl Watermark {
 /// once through a duplicated file handle, and advances `synced_*` for
 /// the whole cohort. Followers just wait for `synced_pos` to cover
 /// their target. A checkpoint (which fsyncs the database file and
-/// resets the WAL) marks everything synced.
+/// starts a new log generation) marks everything synced.
 struct GroupCommit {
     state: Mutex<GcState>,
     cv: std::sync::Condvar,
@@ -420,7 +449,7 @@ impl GroupCommit {
     }
 
     /// Everything appended so far is durable through other means (the
-    /// checkpoint fsynced the database file and reset the WAL).
+    /// checkpoint fsynced the database file).
     fn mark_all_synced(&self) {
         let mut st = self.state.lock();
         st.synced_pos = st.appended_pos;
@@ -583,19 +612,24 @@ impl Store {
         let db_path = path.as_ref().to_path_buf();
         let wal_path = wal_path_for(&db_path);
         let pager = Pager::open(&db_path)?;
+        // Another build's files are refused before recovery writes to
+        // either; a damaged header waits for the full check below.
+        if let Ok(header) = pager.read_page(PageId::HEADER) {
+            check_format(&header)?;
+        }
         let mut wal = Wal::open(&wal_path)?;
 
         // Recovery is the replica path over the local log: replay its
         // bytes, fold each committed transaction into an in-memory page
         // map (so a page touched by many transactions is read and
-        // written once), write, sync, and empty the log. A short or bad
-        // frame is the torn tail of a crash and ends the replay; so does
-        // an intact tail with no `Commit`, which must not outlive this
-        // open — tx ids restart at 1, and a later transaction reusing
-        // the id would adopt those pages. Idempotent, so a crash during
+        // written once), write, sync, and trim the log. A short or bad
+        // frame ends the generation and the replay; so does an intact
+        // tail with no `Commit`, which must not outlive this open — tx
+        // ids restart at 1, and a later transaction reusing the id
+        // would adopt those pages. Idempotent, so a crash during
         // recovery just reruns it. No other thread can hold the store
         // yet, so plain pager writes are safe.
-        let mut replay = Replay::new(0);
+        let mut replay = Replay::new(0, wal.seed());
         replay.push(&wal.read_span(0, wal.len() as usize)?);
         let mut recovered = BTreeMap::new();
         while let Scan::Found(tx) = replay.next_commit()? {
@@ -608,9 +642,9 @@ impl Store {
         for (id, mut page) in recovered {
             pager.write_page(id, &mut page)?;
         }
-        if !wal.is_empty() {
+        if !wal.is_at_rest()? {
             pager.sync()?;
-            wal.reset()?;
+            wal.trim(wal.tail())?;
         }
 
         // Validate the header now that recovery has run.
@@ -763,16 +797,24 @@ impl Store {
         self.pool.get(&self.pager, id)
     }
 
-    /// Write all dirty pages to the database file and reset the WAL.
+    /// Write all dirty pages to the database file and trim the WAL back
+    /// to its header.
     pub fn checkpoint(&self) -> Result<()> {
         let mut ws = self.lock_write();
-        self.checkpoint_locked(&mut ws)
+        self.checkpoint_locked(&mut ws, LogAfter::Trimmed)
     }
 
-    fn checkpoint_locked(&self, ws: &mut WriteState) -> Result<()> {
+    /// Write all dirty pages to the database file, fsync it, and only
+    /// then start the log's next generation, seeded by the link at the
+    /// old one's end.
+    fn checkpoint_locked(&self, ws: &mut WriteState, after: LogAfter) -> Result<()> {
         self.pool.flush_all(&self.pager)?;
         self.pager.sync()?;
-        ws.wal.reset()?;
+        let seed = ws.chain_end();
+        match after {
+            LogAfter::Recycled => ws.wal.recycle(seed)?,
+            LogAfter::Trimmed => ws.wal.trim(seed)?,
+        }
         ws.base_pos = ws.logical_pos;
         debug_assert_eq!(ws.logical_pos - ws.base_pos, ws.wal.len());
         // Every appended commit is now durable via the database file.
@@ -786,7 +828,8 @@ impl Store {
         self.pool.stats()
     }
 
-    /// Current WAL size in bytes.
+    /// Bytes of the WAL's current generation: 0 after every checkpoint,
+    /// whatever the log file's length.
     pub fn wal_len(&self) -> u64 {
         self.lock_write().wal.len()
     }
@@ -826,18 +869,20 @@ impl Store {
     // last applied commit and reopens the store for writes.
 
     /// Checkpoint and copy the page file for bootstrapping a replica.
-    /// Returns the raw file bytes plus the logical WAL position and
-    /// epoch they correspond to; shipping resumes from `base_pos`.
+    /// Returns the raw file bytes plus the logical WAL position, epoch
+    /// and log seed they correspond to; shipping resumes from
+    /// `base_pos`.
     pub fn repl_snapshot(&self) -> Result<ReplSnapshot> {
         let mut ws = self.lock_write();
         // After the checkpoint the file alone is the whole committed
         // state and the WAL is empty, so `base_pos == logical_pos`.
-        self.checkpoint_locked(&mut ws)?;
+        self.checkpoint_locked(&mut ws, LogAfter::Trimmed)?;
         let db_bytes = self.pager.raw_contents()?;
         Ok(ReplSnapshot {
             db_bytes,
             base_pos: ws.logical_pos,
             epoch: self.epoch(),
+            seed: ws.wal.seed(),
         })
     }
 
@@ -888,11 +933,13 @@ impl Store {
     /// keep their pinned pages; new snapshots see the installed state.
     /// A page file this build cannot read is refused — its header is
     /// checked as [`Store::open`] checks one — before anything changes.
+    /// The local log restarts empty, chained from the primary's `seed`.
     pub fn replica_install_snapshot(
         &self,
         db_bytes: &[u8],
         base_pos: u64,
         epoch: u64,
+        seed: u32,
     ) -> Result<()> {
         check_header(db_bytes)?;
         let mut ws = self.lock_write();
@@ -905,7 +952,7 @@ impl Store {
             self.pool.purge();
             self.epoch.store(epoch, Ordering::Release);
         }
-        ws.wal.reset()?;
+        ws.wal.trim(seed)?;
         ws.logical_pos = base_pos;
         ws.base_pos = base_pos;
         ws.apply = None;
@@ -925,13 +972,14 @@ impl Store {
     pub fn replica_ingest(&self, bytes: &[u8]) -> Result<IngestOutcome> {
         let mut ws = self.lock_write();
         let start = ws.logical_pos;
-        ws.wal.append(bytes)?;
+        ws.wal.append_shipped(bytes)?;
         ws.logical_pos += bytes.len() as u64;
         if self.options.sync_on_commit {
             ws.wal.sync()?;
             self.counters.wal_syncs.fetch_add(1, Ordering::Relaxed);
         }
-        let replay = ws.apply.get_or_insert_with(|| Replay::new(start));
+        let seed = ws.wal.tail();
+        let replay = ws.apply.get_or_insert_with(|| Replay::new(start, seed));
         replay.push(bytes);
         let mut commits_applied = 0u64;
         loop {
@@ -941,7 +989,7 @@ impl Store {
                 // The stream is a byte-exact copy of frames the primary
                 // already fsynced intact, so a bad frame means the
                 // transport (not a crash) corrupted it.
-                Scan::BadCrc => {
+                Scan::Unchained | Scan::BadCrc => {
                     let offset = replay.offset();
                     return Err(StorageError::WalCorrupt { offset });
                 }
@@ -957,11 +1005,12 @@ impl Store {
             commits_applied += 1;
         }
         // Checkpoint only at a clean point (everything ingested is
-        // applied): resetting the log mid-frame would desync the
-        // on-disk log from the replay.
+        // applied): a new generation mid-frame would desync the on-disk
+        // log from the replay. There the replay's committed link is the
+        // link at the log's end, and seeds the recycled log.
         let clean = replay.committed_end() == ws.logical_pos;
         if clean && (ws.wal.len() > CHECKPOINT_WAL_BYTES || self.pool.over_target()) {
-            self.checkpoint_locked(&mut ws)?;
+            self.checkpoint_locked(&mut ws, LogAfter::Recycled)?;
         }
         Ok(IngestOutcome {
             commits_applied,
@@ -1006,7 +1055,7 @@ impl Store {
         // Saturating: a checkpoint since the last applied commit already
         // emptied the log, and whatever followed it is uncommitted.
         let fence = replay.committed_end().saturating_sub(ws.base_pos);
-        ws.wal.truncate_tail(fence)?;
+        ws.wal.truncate_tail(fence, replay.committed_link())?;
         ws.logical_pos = ws.base_pos + ws.wal.len();
         self.next_tx
             .fetch_max(replay.max_tx() + 1, Ordering::Relaxed);
@@ -1037,7 +1086,7 @@ impl Drop for Store {
     fn drop(&mut self) {
         // Best-effort checkpoint so clean shutdowns reopen without replay.
         if let Some(mut ws) = self.write.try_lock() {
-            let _ = self.checkpoint_locked(&mut ws);
+            let _ = self.checkpoint_locked(&mut ws, LogAfter::Trimmed);
         }
     }
 }
@@ -1062,6 +1111,11 @@ fn check_header(file: &[u8]) -> Result<()> {
             page: PageId::HEADER,
         });
     }
+    check_format(&header)
+}
+
+/// Check an intact header page's magic and format version.
+fn check_format(header: &PageBuf) -> Result<()> {
     if header.read_u32(hdr::MAGIC) != MAGIC {
         return Err(StorageError::BadMagic);
     }
@@ -1202,7 +1256,7 @@ impl Tx<'_> {
     /// the private write set, so an optimistic commit runs it *before*
     /// taking the write mutex — page diffing and checksumming are the
     /// expensive part of a commit and must not lengthen the critical
-    /// section.
+    /// section, where [`Wal::append`] fills in only the frames' links.
     fn wal_frames(&self) -> Vec<u8> {
         let tx = self.tx_id;
         let mut frames = Vec::new();
@@ -1259,7 +1313,7 @@ impl Tx<'_> {
         }
         // Build the log bytes outside the critical section (no-op cost
         // for exclusive mode, which holds the mutex anyway).
-        let frames = if self.order.is_empty() {
+        let mut frames = if self.order.is_empty() {
             Vec::new()
         } else {
             self.wal_frames()
@@ -1279,7 +1333,7 @@ impl Tx<'_> {
         let mut group_target = None;
         if !self.order.is_empty() {
             // One write: if it fails, neither position moves.
-            ws.wal.append(&frames)?;
+            ws.wal.append(&mut frames)?;
             ws.logical_pos += frames.len() as u64;
             ws.commit_seq += 1;
 
@@ -1309,7 +1363,7 @@ impl Tx<'_> {
             }
         }
         if ws.wal.len() > CHECKPOINT_WAL_BYTES || store.pool.over_target() {
-            store.checkpoint_locked(&mut ws)?;
+            store.checkpoint_locked(&mut ws, LogAfter::Recycled)?;
             // The checkpoint fsynced everything; no group wait needed.
             group_target = None;
         }
@@ -1441,6 +1495,35 @@ impl PageRead for ReadTx<'_> {
 mod tests {
     use super::*;
     use crate::testutil::{stamp_format_version, TempStore};
+    use crate::wal::LOG_HEADER_LEN;
+
+    /// Take the checkpoint a commit or an ingest takes by itself when
+    /// the log or the pool has grown: the one that recycles the log.
+    fn auto_checkpoint(store: &Store) {
+        let mut ws = store.write.lock();
+        store
+            .checkpoint_locked(&mut ws, LogAfter::Recycled)
+            .unwrap();
+    }
+
+    /// Commit `value` into page `id`'s payload.
+    fn put(store: &Store, id: PageId, value: u64) {
+        let mut tx = store.begin();
+        tx.page_mut(id).unwrap().write_u64(40, value);
+        tx.commit().unwrap();
+    }
+
+    /// A store holding one allocated page, and that page.
+    fn one_page() -> (TempStore, PageId) {
+        let store = TempStore::new();
+        let id = {
+            let mut tx = store.begin();
+            let id = tx.allocate(PageKind::Heap).unwrap();
+            tx.commit().unwrap();
+            id
+        };
+        (store, id)
+    }
 
     #[test]
     fn allocate_and_read_back() {
@@ -1626,7 +1709,7 @@ mod tests {
             );
             Wal::open(&store.path().wal())
                 .unwrap()
-                .append(&frames)
+                .append(&mut frames)
                 .unwrap();
         }
         // Session 2 recovers, recycles id 1 for a write to `b` only, and
@@ -1645,6 +1728,124 @@ mod tests {
         let mut r = store.read();
         assert_eq!(r.page(b).unwrap().payload()[0], 2);
         assert_eq!(r.page(a).unwrap().payload()[0], 1);
+    }
+
+    #[test]
+    fn a_zero_filled_log_tail_reads_as_the_end_of_the_log() {
+        // A file system that extends a file before its data lands
+        // leaves zeroes past the last frame after a crash.
+        let (mut store, id) = one_page();
+        put(&store, id, 7);
+        store.crash();
+        {
+            use std::io::Write;
+            let mut f = std::fs::OpenOptions::new()
+                .append(true)
+                .open(store.path().wal())
+                .unwrap();
+            f.write_all(&[0u8; 4096]).unwrap();
+        }
+        store.reopen();
+        assert_eq!(store.read().page(id).unwrap().read_u64(40), 7);
+    }
+
+    #[test]
+    fn automatic_checkpoints_recycle_the_log_and_asked_for_ones_trim_it() {
+        let wal_file_len = |store: &TempStore| std::fs::metadata(store.path().wal()).unwrap().len();
+        // A pool this small fills with dirty pages after a few fresh
+        // ones, and the commit that notices checkpoints by itself.
+        let store = TempStore::with(StoreOptions {
+            buffer_pages: 1,
+            ..StoreOptions::default()
+        });
+        let mut commits = 0;
+        loop {
+            let mut tx = store.begin();
+            let id = tx.allocate(PageKind::Heap).unwrap();
+            tx.page_mut(id).unwrap().write_u64(40, id.0);
+            tx.commit().unwrap();
+            commits += 1;
+            if store.wal_len() == 0 {
+                break;
+            }
+            assert!(commits < 1000, "no automatic checkpoint");
+        }
+        let recycled_len = wal_file_len(&store);
+        assert!(recycled_len > LOG_HEADER_LEN, "the log file was cut");
+
+        let (store, id) = one_page();
+        for i in 0..20 {
+            put(&store, id, i);
+        }
+        let file_len = wal_file_len(&store);
+        let live = store.wal_len();
+        auto_checkpoint(&store);
+        assert_eq!(store.wal_len(), 0);
+        assert_eq!(wal_file_len(&store), file_len);
+        // Commits that fit the file's length leave it unchanged.
+        let mut written = 0;
+        for i in 0..10 {
+            put(&store, id, 100 + i);
+            assert_eq!(wal_file_len(&store), file_len, "commit {i}");
+            written = store.wal_len();
+        }
+        assert!(written < live);
+        auto_checkpoint(&store);
+        assert_eq!(store.wal_len(), 0);
+        // A checkpoint the caller asks for leaves the log at rest.
+        put(&store, id, 200);
+        store.checkpoint().unwrap();
+        assert_eq!(store.wal_len(), 0);
+        assert_eq!(wal_file_len(&store), LOG_HEADER_LEN);
+    }
+
+    #[test]
+    fn a_checkpoint_whose_header_landed_without_new_frames_replays_nothing() {
+        let (mut store, id) = one_page();
+        put(&store, id, 1);
+        let first_end = store.wal_len();
+        put(&store, id, 2);
+        // The checkpoint fsynced the page file, then wrote its header
+        // over the old generation; the crash came before any new frame.
+        auto_checkpoint(&store);
+        store.crash();
+        // Keep only the old generation's first commits: were they
+        // replayed over the page file, they would roll it back to 1.
+        let f = std::fs::OpenOptions::new()
+            .write(true)
+            .open(store.path().wal())
+            .unwrap();
+        f.set_len(LOG_HEADER_LEN + first_end).unwrap();
+        drop(f);
+        let (records, tear) = Wal::open(&store.path().wal()).unwrap().records().unwrap();
+        assert!(records.is_empty());
+        assert_eq!(tear, None);
+        store.reopen();
+        assert_eq!(store.read().page(id).unwrap().read_u64(40), 2);
+    }
+
+    #[test]
+    fn a_checkpoint_whose_new_frames_landed_without_its_header_replays_nothing() {
+        let (mut store, id) = one_page();
+        put(&store, id, 1);
+        put(&store, id, 2);
+        let old_header =
+            std::fs::read(store.path().wal()).unwrap()[..LOG_HEADER_LEN as usize].to_vec();
+        auto_checkpoint(&store);
+        // The new generation's frames overwrite the old one's front ...
+        put(&store, id, 3);
+        store.crash();
+        // ... but the header on disk is still the old generation's.
+        let mut log = std::fs::read(store.path().wal()).unwrap();
+        log[..LOG_HEADER_LEN as usize].copy_from_slice(&old_header);
+        std::fs::write(store.path().wal(), &log).unwrap();
+        let (records, tear) = Wal::open(&store.path().wal()).unwrap().records().unwrap();
+        assert!(records.is_empty());
+        assert_eq!(tear, None);
+        // That commit's fsync never returned, so it was never
+        // acknowledged; the page file holds everything before it.
+        store.reopen();
+        assert_eq!(store.read().page(id).unwrap().read_u64(40), 2);
     }
 
     #[test]
@@ -1804,10 +2005,11 @@ mod tests {
     fn a_commit_is_one_write_of_its_records_frames() {
         let mut store = TempStore::new();
         let (first, [a, fresh, big]) = two_commits_in_the_log(&mut store, true);
-        let log = std::fs::read(store.path().wal()).unwrap();
-        let (found, tear) = crate::wal::frames(&log[first as usize..]);
+        let (found, tear) = Wal::open(&store.path().wal()).unwrap().frames().unwrap();
         assert_eq!(tear, None);
-        let records: Vec<WalRecord> = found.into_iter().map(|(_, _, r)| r.unwrap()).collect();
+        let (before, found): (Vec<_>, Vec<_>) = found.into_iter().partition(|f| f.offset < first);
+        let mut prev = before.last().expect("the first commit's frames").link;
+        let records: Vec<WalRecord> = found.into_iter().map(|f| f.record.unwrap()).collect();
         // Begin, a delta per edited page, the rewritten page whole, Commit.
         let kinds: Vec<_> = records
             .iter()
@@ -1830,15 +2032,20 @@ mod tests {
             ]
         );
         // The commit's bytes are exactly its records framed one by one,
-        // as the log wrote them when each record was its own write.
+        // each linked to the one before, as the log wrote them when each
+        // record was its own write.
         let mut per_record = Vec::new();
         for record in &records {
             let payload = ode_codec::to_bytes(record);
+            let crc = crate::crc32(&payload);
+            prev = crate::wal::link(prev, crc);
             per_record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            per_record.extend_from_slice(&crate::crc32(&payload).to_le_bytes());
+            per_record.extend_from_slice(&crc.to_le_bytes());
+            per_record.extend_from_slice(&prev.to_le_bytes());
             per_record.extend_from_slice(&payload);
         }
-        assert_eq!(per_record, log[first as usize..]);
+        let log = std::fs::read(store.path().wal()).unwrap();
+        assert_eq!(per_record, log[(LOG_HEADER_LEN + first) as usize..]);
     }
 
     #[test]
@@ -1849,7 +2056,7 @@ mod tests {
         let file = std::fs::read(store.path()).unwrap();
         // Every cut recovers the same file: the first commit's.
         let mut recovered_first = None;
-        for cut in first..log.len() as u64 {
+        for cut in LOG_HEADER_LEN + first..log.len() as u64 {
             std::fs::write(store.path(), &file).unwrap();
             std::fs::write(store.path().wal(), &log[..cut as usize]).unwrap();
             store.reopen();
@@ -1959,7 +2166,12 @@ mod tests {
                 WalSpan::SnapshotNeeded => {
                     let snap = primary.repl_snapshot().unwrap();
                     replica
-                        .replica_install_snapshot(&snap.db_bytes, snap.base_pos, snap.epoch)
+                        .replica_install_snapshot(
+                            &snap.db_bytes,
+                            snap.base_pos,
+                            snap.epoch,
+                            snap.seed,
+                        )
                         .unwrap();
                     *from = snap.base_pos;
                 }
@@ -1982,7 +2194,7 @@ mod tests {
         // Bootstrap: snapshot carries the first commit.
         let snap = primary.repl_snapshot().unwrap();
         replica
-            .replica_install_snapshot(&snap.db_bytes, snap.base_pos, snap.epoch)
+            .replica_install_snapshot(&snap.db_bytes, snap.base_pos, snap.epoch, snap.seed)
             .unwrap();
         assert_eq!(replica.epoch(), primary.epoch());
         let mut pos = snap.base_pos;
@@ -2008,7 +2220,7 @@ mod tests {
         let replica = TempStore::new();
         let snap = primary.repl_snapshot().unwrap();
         replica
-            .replica_install_snapshot(&snap.db_bytes, snap.base_pos, snap.epoch)
+            .replica_install_snapshot(&snap.db_bytes, snap.base_pos, snap.epoch, snap.seed)
             .unwrap();
         let mut pos = snap.base_pos;
         let id = {
@@ -2038,7 +2250,7 @@ mod tests {
         let mut replica = TempStore::new();
         let snap = primary.repl_snapshot().unwrap();
         replica
-            .replica_install_snapshot(&snap.db_bytes, snap.base_pos, snap.epoch)
+            .replica_install_snapshot(&snap.db_bytes, snap.base_pos, snap.epoch, snap.seed)
             .unwrap();
         let mut pos = snap.base_pos;
         let id = {
@@ -2081,8 +2293,9 @@ mod tests {
 
     #[test]
     fn a_format_1_file_is_refused_by_name() {
-        // Format 2 too: its chains hold the latest version as well.
-        for old in [1, 2] {
+        // Format 2 too: its chains hold the latest version as well. And
+        // format 3, whose log has no header.
+        for old in [1, 2, 3] {
             let mut store = TempStore::new();
             store.close();
             let mut file = std::fs::read(store.path()).unwrap();
@@ -2092,7 +2305,8 @@ mod tests {
             assert!(
                 matches!(
                     refused,
-                    Err(StorageError::UnsupportedFormat { found, expected: 3 }) if found == old
+                    Err(StorageError::UnsupportedFormat { found, expected: FORMAT_VERSION })
+                        if found == old
                 ),
                 "format {old}"
             );
@@ -2101,12 +2315,54 @@ mod tests {
     }
 
     #[test]
+    fn a_format_3_store_is_refused_by_name() {
+        // A format-3 store that crashed: its page file says 3, and its
+        // log holds frames without links after no header.
+        let (mut store, id) = one_page();
+        put(&store, id, 5);
+        store.crash();
+        let (records, _) = Wal::open(&store.path().wal()).unwrap().records().unwrap();
+        let mut old_log = Vec::new();
+        for record in &records {
+            let payload = ode_codec::to_bytes(record);
+            old_log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            old_log.extend_from_slice(&crate::crc32(&payload).to_le_bytes());
+            old_log.extend_from_slice(&payload);
+        }
+        let file = std::fs::read(store.path()).unwrap();
+        let mut old_file = file.clone();
+        stamp_format_version(&mut old_file, 3);
+        // Open `page_file` beside the old log; whatever is refused, both
+        // files are left as they were.
+        let open_beside_old_log = |page_file: &[u8]| {
+            std::fs::write(store.path(), page_file).unwrap();
+            std::fs::write(store.path().wal(), &old_log).unwrap();
+            let refused = Store::open(store.path(), StoreOptions::default()).err();
+            assert_eq!(std::fs::read(store.path()).unwrap(), page_file);
+            assert_eq!(std::fs::read(store.path().wal()).unwrap(), old_log);
+            refused
+        };
+        assert!(matches!(
+            open_beside_old_log(&old_file),
+            Some(StorageError::UnsupportedFormat {
+                found: 3,
+                expected: 4
+            })
+        ));
+        // A format-3 log beside a format-4 page file.
+        assert!(matches!(
+            open_beside_old_log(&file),
+            Some(StorageError::UnsupportedLog)
+        ));
+    }
+
+    #[test]
     fn a_snapshot_in_another_format_is_refused_before_anything_changes() {
         let primary = TempStore::new();
         let replica = TempStore::new();
         let snap = primary.repl_snapshot().unwrap();
         replica
-            .replica_install_snapshot(&snap.db_bytes, snap.base_pos, snap.epoch)
+            .replica_install_snapshot(&snap.db_bytes, snap.base_pos, snap.epoch, snap.seed)
             .unwrap();
         let mut pos = snap.base_pos;
         let id = {
@@ -2126,7 +2382,7 @@ mod tests {
         let epoch = replica.epoch();
         let wal_pos = replica.write.lock().logical_pos;
 
-        for old in [1, 2] {
+        for old in [1, 2, 3] {
             let mut foreign = primary.repl_snapshot().unwrap();
             stamp_format_version(&mut foreign.db_bytes, old);
             assert!(
@@ -2134,9 +2390,11 @@ mod tests {
                     replica.replica_install_snapshot(
                         &foreign.db_bytes,
                         foreign.base_pos,
-                        foreign.epoch
+                        foreign.epoch,
+                        foreign.seed
                     ),
-                    Err(StorageError::UnsupportedFormat { found, expected: 3 }) if found == old
+                    Err(StorageError::UnsupportedFormat { found, expected: FORMAT_VERSION })
+                        if found == old
                 ),
                 "format {old}"
             );
@@ -2153,7 +2411,7 @@ mod tests {
         let replica = TempStore::new();
         let snap = primary.repl_snapshot().unwrap();
         replica
-            .replica_install_snapshot(&snap.db_bytes, snap.base_pos, snap.epoch)
+            .replica_install_snapshot(&snap.db_bytes, snap.base_pos, snap.epoch, snap.seed)
             .unwrap();
         let mut pos = snap.base_pos;
         {

@@ -5,21 +5,66 @@
 //! after-image) of every page the transaction dirtied and a `Commit`
 //! into one buffer, appends that buffer with one write, then
 //! (optionally) fsyncs. The database file itself is only updated at
-//! checkpoints, after which the log is reset.
+//! checkpoints, each of which starts a new *generation* of the log.
 //!
-//! Framing: every record is `[u32 len][u32 crc32(payload)][payload]`
-//! ([`push_frame`]). [`Wal::append`] is the log's only writer: a
-//! commit's frames and a replica's shipped spans go through it alike.
+//! **File.** A 16-byte header — magic, version, seed, and a CRC of the
+//! three ([`LOG_HEADER_LEN`]) — then the generation's frames. An empty
+//! file is an empty log; its first append writes the header. So is a
+//! file whose header is all zeroes: a header that never landed, under
+//! which no frame was ever acknowledged. A file that starts with
+//! anything else but the header is another build's log, and
+//! [`Wal::open`] refuses it with [`StorageError::UnsupportedLog`].
+//!
+//! **Frames.** Every record is `[u32 len][u32 crc32(payload)][u32 link]
+//! [payload]` ([`push_frame`]). The links chain: `link =
+//! crc32(previous link ‖ this frame's payload crc)`, and the
+//! generation's first frame chains from the header's seed. A frame is
+//! intact only if its length is not zero, its payload matches its CRC
+//! and its link matches, and parsing stops at the first frame that is
+//! not. Because a link depends on every frame since the seed, that one
+//! rule ends the log at a torn tail, at a zero fill, and at any older
+//! generation's bytes alike — even an older frame this generation
+//! rewrote byte for byte in its payload cannot lend its successors a
+//! matching link. Payload CRCs are computed by [`push_frame`], outside
+//! the store's write mutex; [`Wal::append`] fills in only the links.
+//!
+//! **Generations.** A checkpoint makes the log's contents redundant and
+//! starts a generation whose seed is the link at the old one's end. It
+//! leaves the file in one of two ways:
+//! * [`Wal::recycle`] keeps the file and writes the new header over the
+//!   old: the next commits overwrite blocks the file already owns, so
+//!   their fsync flushes data and journals no new size. The store's own
+//!   automatic checkpoints recycle.
+//! * [`Wal::trim`] also cuts the file back to its header: the at-rest
+//!   shape, used by checkpoints a caller asks for, by `Drop`, by
+//!   recovery, by snapshot install and by a replica's promotion fence.
+//!
+//! **Crash ordering.** A checkpoint fsyncs the page file *before* it
+//! writes the new header, and fsyncs the header before the next frame
+//! is written. A crash between the two leaves the new header over the
+//! old generation's frames, which do not chain from the new seed: the
+//! log reads empty, and the page file already holds everything. The
+//! header's own fsync is what keeps a half-landed later write safe:
+//! without it, frames of the new generation could reach the disk in a
+//! later block while the old header and the old generation's first
+//! blocks stayed, and recovery would replay a prefix of the old
+//! generation over the page file — rolling back what that generation
+//! did later. With it, old frames never chain again.
+//!
+//! [`Wal::append`] is the writer of local commits and
+//! [`Wal::append_shipped`] lands a primary's already-linked bytes
+//! verbatim, so a replica's log agrees with its primary's on every
+//! frame boundary and link.
 //!
 //! The read side is one path in three steps, shared by crash recovery,
 //! replica apply and `odedump wal`: [`parse_frame`] checks one frame,
 //! [`Replay`] assembles frames into committed transactions, and
 //! [`CommittedTx::apply`] lays logged changes onto base images. A
-//! frame that is short or fails its CRC is reported, never judged, here:
-//! over a local log it is the torn tail a crash mid-append leaves (and
-//! everything before it is intact by construction), over a shipped
-//! stream it is transport corruption. Transactions without a `Commit`
-//! are simply never yielded.
+//! frame that is short or not intact is reported, never judged, here:
+//! over a local log it is the end of the generation (everything before
+//! it is intact by construction), over a shipped stream it is
+//! transport corruption. Transactions without a `Commit` are simply
+//! never yielded.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
@@ -31,15 +76,71 @@ use ode_codec::{from_bytes, impl_persist_enum, to_bytes};
 use crate::page::{PageBuf, PageId, PAGE_SIZE};
 use crate::{crc32, Result, StorageError};
 
+/// Bytes of the log file's header: magic, version, seed, and a CRC of
+/// the three. Frame offsets count from its end.
+pub const LOG_HEADER_LEN: u64 = 16;
+/// Bytes of a frame's header: payload length, payload CRC, link.
+pub const FRAME_HEADER_LEN: usize = 12;
+/// "ODEW", little-endian.
+const LOG_MAGIC: u32 = u32::from_le_bytes(*b"ODEW");
+/// Version of the log format (chained frames after a seeded header).
+const LOG_VERSION: u32 = 1;
+
+/// The log file's header for a generation chained from `seed`.
+fn log_header(seed: u32) -> [u8; LOG_HEADER_LEN as usize] {
+    let mut header = [0u8; LOG_HEADER_LEN as usize];
+    header[..4].copy_from_slice(&LOG_MAGIC.to_le_bytes());
+    header[4..8].copy_from_slice(&LOG_VERSION.to_le_bytes());
+    header[8..12].copy_from_slice(&seed.to_le_bytes());
+    let crc = crc32(&header[..12]);
+    header[12..].copy_from_slice(&crc.to_le_bytes());
+    header
+}
+
+/// The little-endian `u32` at byte `at` of `bytes`.
+fn le_u32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
+}
+
+/// The seed in an intact header of this log format, `None` otherwise.
+fn parse_log_header(bytes: &[u8]) -> Option<u32> {
+    let header = bytes.get(..LOG_HEADER_LEN as usize)?;
+    let word = |at| le_u32(header, at);
+    let intact = word(0) == LOG_MAGIC && word(4) == LOG_VERSION && word(12) == crc32(&header[..12]);
+    intact.then(|| word(8))
+}
+
+/// The link of a frame whose payload CRC is `payload_crc`, following a
+/// frame (or seed) whose link is `prev`.
+pub fn link(prev: u32, payload_crc: u32) -> u32 {
+    let mut chained = [0u8; 8];
+    chained[..4].copy_from_slice(&prev.to_le_bytes());
+    chained[4..].copy_from_slice(&payload_crc.to_le_bytes());
+    crc32(&chained)
+}
+
+/// Fill in the links of whole frames built by [`push_frame`], chaining
+/// from `prev`; returns the last frame's link (`prev` for no frames).
+fn link_frames(frames: &mut [u8], mut prev: u32) -> u32 {
+    let mut pos = 0;
+    while pos < frames.len() {
+        let (payload_len, crc) = (le_u32(frames, pos) as usize, le_u32(frames, pos + 4));
+        prev = link(prev, crc);
+        frames[pos + 8..pos + 12].copy_from_slice(&prev.to_le_bytes());
+        pos += FRAME_HEADER_LEN + payload_len;
+    }
+    prev
+}
+
 /// One logical record in the log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
     /// A transaction began. Replay forgets anything logged under the
-    /// same id before it: ids restart with every log generation, so an
-    /// earlier holder of the id that never committed must not lend its
-    /// pages to this one.
+    /// same id before it: ids restart with every open, so an earlier
+    /// holder of the id that never committed must not lend its pages
+    /// to this one.
     Begin {
-        /// Transaction id (unique within one log generation).
+        /// Transaction id (unique within one session).
         tx: u64,
     },
     /// Full after-image of one page written by transaction `tx`.
@@ -91,16 +192,28 @@ impl_persist_enum!(WalRecord {
     PageDelta { tx, page, ops },
 });
 
-/// Append-only log writer/reader over a single file.
+/// The log file: a header and the current generation's frames.
 pub struct Wal {
     file: File,
-    /// Append position (end of the last intact record).
-    write_pos: u64,
+    /// The current generation's seed.
+    seed: u32,
+    /// Link of the last frame [`Wal::append`] wrote or [`Wal::open`]
+    /// found (the seed in a generation without frames).
+    tail: u32,
+    /// Bytes of the current generation's frames: the append position,
+    /// counted from the end of the header.
+    len: u64,
+    /// Whether the file holds a header yet. An empty file, or one whose
+    /// header bytes are all zero, is an empty log without one.
+    headed: bool,
 }
 
 impl Wal {
-    /// Open (or create) the log at `path`. Does not replay — see
-    /// [`Wal::records`].
+    /// Open (or create) the log at `path` and find the end of its
+    /// current generation. Writes nothing and does not replay — see
+    /// [`Wal::records`]. A file that starts with anything but this
+    /// format's header (or a header of zeroes that never landed) is
+    /// refused with [`StorageError::UnsupportedLog`].
     pub fn open(path: &Path) -> Result<Wal> {
         let file = OpenOptions::new()
             .read(true)
@@ -108,55 +221,110 @@ impl Wal {
             .create(true)
             .truncate(false)
             .open(path)?;
-        let write_pos = file.metadata()?.len();
-        Ok(Wal { file, write_pos })
-    }
-
-    /// Current log size in bytes.
-    pub fn len(&self) -> u64 {
-        self.write_pos
-    }
-
-    /// Whether the log holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.write_pos == 0
-    }
-
-    /// Append already-framed log bytes with one write (not yet durable;
-    /// call [`Wal::sync`]): a commit's frames built by [`push_frame`],
-    /// or a byte-exact span of a primary's log landing on a replica, so
-    /// both logs agree on every frame boundary and physical position.
-    /// The bytes are not validated here — a reader parses them with a
-    /// [`Replay`] before trusting their contents.
-    ///
-    /// On error the append position does not move, and the file is cut
-    /// back to it (best effort), so a failed write leaves no partial
-    /// frames for the next append to land behind.
-    pub fn append(&mut self, frames: &[u8]) -> Result<()> {
-        let written = self
-            .file
-            .seek(SeekFrom::Start(self.write_pos))
-            .and_then(|_| self.file.write_all(frames));
-        if let Err(e) = written {
-            let _ = self.file.set_len(self.write_pos);
-            return Err(e.into());
+        let mut wal = Wal {
+            file,
+            seed: 0,
+            tail: 0,
+            len: 0,
+            headed: false,
+        };
+        let mut header = Vec::new();
+        (&wal.file).take(LOG_HEADER_LEN).read_to_end(&mut header)?;
+        // A header of zeroes never landed: a file system extended the
+        // file before its data reached the disk. No frame after it was
+        // ever acknowledged (the fsync that would have acknowledged one
+        // covers the header too), so the log is empty.
+        wal.headed = header.iter().any(|&b| b != 0);
+        if wal.headed {
+            wal.seed = parse_log_header(&header).ok_or(StorageError::UnsupportedLog)?;
+            wal.tail = wal.seed;
+            if let Some(last) = wal.frames()?.0.last() {
+                wal.len = last.offset + (FRAME_HEADER_LEN as u64) + u64::from(last.payload_len);
+                wal.tail = last.link;
+            }
         }
-        self.write_pos += frames.len() as u64;
+        Ok(wal)
+    }
+
+    /// Bytes of the current generation's frames.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// Whether the current generation holds no frames.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The current generation's seed.
+    pub fn seed(&self) -> u32 {
+        self.seed
+    }
+
+    /// Link of the last frame appended by [`Wal::append`] (or found by
+    /// [`Wal::open`], or the seed when the generation has no frames).
+    /// [`Wal::append_shipped`] does not move it: whoever lands shipped
+    /// bytes tracks their chain with a [`Replay`].
+    pub fn tail(&self) -> u32 {
+        self.tail
+    }
+
+    /// Whether the file is exactly an empty log: no frames and nothing
+    /// past the header (or no header at all).
+    pub fn is_at_rest(&self) -> Result<bool> {
+        let rest = if self.headed { LOG_HEADER_LEN } else { 0 };
+        Ok(self.len == 0 && self.file.metadata()?.len() == rest)
+    }
+
+    /// Link `frames` — whole frames built by [`push_frame`] — onto the
+    /// end of the log and append them with one write (not yet durable;
+    /// call [`Wal::sync`]). On error neither the append position nor
+    /// the tail link moves; any bytes the failed write left do not
+    /// chain past the next append's frames.
+    pub fn append(&mut self, frames: &mut [u8]) -> Result<()> {
+        let tail = link_frames(frames, self.tail);
+        self.write(frames)?;
+        self.tail = tail;
         Ok(())
     }
 
-    /// Read up to `max` raw bytes of the log starting at `offset`
-    /// (clamped to the current append position). Used by the shipping
-    /// path to stream the log as an opaque byte sequence; frame
-    /// boundaries are irrelevant here because the receiver reassembles
-    /// them with a [`Replay`].
+    /// Append a byte-exact span of a primary's log, already linked,
+    /// with one write — so both logs agree on every frame boundary,
+    /// link and position. The bytes are not validated here: a reader
+    /// parses them with a [`Replay`] before trusting their contents.
+    pub fn append_shipped(&mut self, bytes: &[u8]) -> Result<()> {
+        self.write(bytes)
+    }
+
+    /// Write `bytes` at the append position (after a header written in
+    /// the same call, if the file has none yet).
+    fn write(&mut self, bytes: &[u8]) -> Result<()> {
+        if self.headed {
+            self.file.seek(SeekFrom::Start(LOG_HEADER_LEN + self.len))?;
+            self.file.write_all(bytes)?;
+        } else {
+            let mut headed = log_header(self.seed).to_vec();
+            headed.extend_from_slice(bytes);
+            self.file.seek(SeekFrom::Start(0))?;
+            self.file.write_all(&headed)?;
+            self.headed = true;
+        }
+        self.len += bytes.len() as u64;
+        Ok(())
+    }
+
+    /// Read up to `max` raw bytes of the current generation starting at
+    /// frame offset `offset` (clamped to the append position). Used by
+    /// the shipping path to stream the log as an opaque byte sequence;
+    /// frame boundaries are irrelevant here because the receiver
+    /// reassembles them with a [`Replay`].
     pub fn read_span(&mut self, offset: u64, max: usize) -> Result<Vec<u8>> {
-        if offset >= self.write_pos {
+        if offset >= self.len {
             return Ok(Vec::new());
         }
-        let len = ((self.write_pos - offset) as usize).min(max);
+        let len = ((self.len - offset) as usize).min(max);
         let mut buf = vec![0u8; len];
-        self.file.seek(SeekFrom::Start(offset))?;
+        self.file.seek(SeekFrom::Start(LOG_HEADER_LEN + offset))?;
         self.file.read_exact(&mut buf)?;
         Ok(buf)
     }
@@ -173,46 +341,83 @@ impl Wal {
     /// appending through the store's write lock. Safe because the two
     /// handles share one open file description (same durability
     /// semantics as syncing `self.file`), and the log file is never
-    /// replaced — [`Wal::reset`]/[`Wal::truncate_tail`] only `set_len`.
+    /// replaced — generations only rewrite its header and `set_len`.
     pub fn sync_handle(&self) -> Result<WalSyncHandle> {
         Ok(WalSyncHandle {
             file: self.file.try_clone()?,
         })
     }
 
-    /// Read every intact record from the start of the log.
+    /// Every intact frame of the current generation, read from the file
+    /// itself, then the offset of a torn frame, if any (see [`frames`]).
+    pub fn frames(&mut self) -> Result<(Vec<FrameAt>, Option<u64>)> {
+        let mut data = Vec::new();
+        if self.headed {
+            self.file.seek(SeekFrom::Start(LOG_HEADER_LEN))?;
+            self.file.read_to_end(&mut data)?;
+        }
+        Ok(frames(&data, self.seed))
+    }
+
+    /// Read every intact record of the current generation.
     ///
-    /// Returns the records and the byte offset of the torn tail, if any
-    /// (i.e. the offset where a corrupt or truncated frame was found).
-    /// A torn tail is *expected* after a crash and is not an error.
+    /// Returns the records and the frame offset of a torn frame, if any
+    /// (see [`frames`]). A torn tail is *expected* after a crash and is
+    /// not an error.
     pub fn records(&mut self) -> Result<(Vec<WalRecord>, Option<u64>)> {
-        let data = self.read_span(0, self.write_pos as usize)?;
-        let (found, tear) = frames(&data);
+        let (found, tear) = self.frames()?;
         // Framing intact but the payload does not parse: that is real
         // corruption, not a torn tail.
         let records = found
             .into_iter()
-            .map(|(offset, _, record)| record.ok_or(StorageError::WalCorrupt { offset }))
+            .map(|frame| {
+                frame.record.ok_or(StorageError::WalCorrupt {
+                    offset: frame.offset,
+                })
+            })
             .collect::<Result<_>>()?;
         Ok((records, tear))
     }
 
-    /// Discard the whole log (after a checkpoint made its contents
-    /// redundant).
-    pub fn reset(&mut self) -> Result<()> {
+    /// Start a generation chained from `seed` in the file as it is: the
+    /// header is rewritten and fsynced, the old frames stay where they
+    /// are and no longer chain. The caller has made them redundant (a
+    /// checkpoint fsynced the page file first).
+    pub fn recycle(&mut self, seed: u32) -> Result<()> {
+        self.restart(seed)
+    }
+
+    /// Start a generation chained from `seed` and cut the file back to
+    /// its header: the log at rest. The file is emptied before the
+    /// header is written, not cut to the header's length: on ext4 a
+    /// large log cut to a partial block made every later append's fsync
+    /// about three times slower.
+    pub fn trim(&mut self, seed: u32) -> Result<()> {
         self.file.set_len(0)?;
+        self.restart(seed)
+    }
+
+    /// Write and fsync the header of a generation chained from `seed`.
+    fn restart(&mut self, seed: u32) -> Result<()> {
+        self.file.seek(SeekFrom::Start(0))?;
+        self.file.write_all(&log_header(seed))?;
         self.file.sync_data()?;
-        self.write_pos = 0;
+        self.headed = true;
+        self.seed = seed;
+        self.tail = seed;
+        self.len = 0;
         Ok(())
     }
 
-    /// Truncate the log at `offset`, discarding a torn tail found by
-    /// [`Wal::records`] so later appends start from a clean frame
-    /// boundary.
-    pub fn truncate_tail(&mut self, offset: u64) -> Result<()> {
-        self.file.set_len(offset)?;
+    /// Cut the log at frame offset `offset`, where the chain's link is
+    /// `link`: a torn tail found by [`Wal::records`], or a fence, so
+    /// later appends start from a clean frame boundary.
+    pub fn truncate_tail(&mut self, offset: u64, link: u32) -> Result<()> {
+        let header = if self.headed { LOG_HEADER_LEN } else { 0 };
+        self.file.set_len(header + offset)?;
         self.file.sync_data()?;
-        self.write_pos = offset;
+        self.len = offset;
+        self.tail = link;
         Ok(())
     }
 }
@@ -238,57 +443,91 @@ pub enum Scan<T> {
     Found(T),
     /// The bytes end before the item does.
     Incomplete,
-    /// A whole frame's payload fails its CRC.
+    /// A frame header that does not chain — a zero length, or a link
+    /// other than the one the previous frame (or the seed) calls for:
+    /// not a frame of this generation.
+    Unchained,
+    /// A frame whose header chains but whose payload fails its CRC.
     BadCrc,
 }
 
 /// Frame `record` onto the end of `out`: `[u32 len][u32 crc32(payload)]
-/// [payload]`, the payload being the record's codec bytes. The log's
+/// [u32 link][payload]`, the payload being the record's codec bytes.
+/// The link is left zero for [`Wal::append`] to fill in. The log's
 /// only frame encoder, the inverse of [`parse_frame`].
 pub fn push_frame(out: &mut Vec<u8>, record: &WalRecord) {
     let payload = to_bytes(record);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    out.extend_from_slice(&0u32.to_le_bytes());
     out.extend_from_slice(&payload);
 }
 
-/// Check the frame at the start of `buf`: its payload length (the
-/// frame is 8 header bytes longer) and decoded payload, `None` when
-/// that is not a [`WalRecord`]. This is the log's only frame parser;
-/// what a short or bad frame *means* is the caller's call (see the
-/// module docs).
-pub fn parse_frame(buf: &[u8]) -> Scan<(u32, Option<WalRecord>)> {
-    let Some((header, rest)) = buf.split_first_chunk::<8>() else {
+/// Check the frame at the start of `buf` against the link `prev` of
+/// the frame before it (or the seed): its payload length (the frame is
+/// [`FRAME_HEADER_LEN`] bytes longer), its link and its decoded
+/// payload, `None` when that is not a [`WalRecord`]. The header is
+/// judged before the payload is waited for, so bytes that are not this
+/// generation's are rejected whatever length they claim. This is the
+/// log's only frame parser; what a short or bad frame *means* is the
+/// caller's call (see the module docs).
+pub fn parse_frame(buf: &[u8], prev: u32) -> Scan<(u32, u32, Option<WalRecord>)> {
+    let Some((header, rest)) = buf.split_first_chunk::<FRAME_HEADER_LEN>() else {
         return Scan::Incomplete;
     };
-    let payload_len = u32::from_le_bytes(header[..4].try_into().expect("4 bytes"));
-    let crc = u32::from_le_bytes(header[4..].try_into().expect("4 bytes"));
+    let (payload_len, crc, chained) = (le_u32(header, 0), le_u32(header, 4), le_u32(header, 8));
+    if payload_len == 0 || chained != link(prev, crc) {
+        return Scan::Unchained;
+    }
     let Some(payload) = rest.get(..payload_len as usize) else {
         return Scan::Incomplete;
     };
     if crc32(payload) != crc {
         return Scan::BadCrc;
     }
-    Scan::Found((payload_len, from_bytes(payload).ok()))
+    Scan::Found((payload_len, chained, from_bytes(payload).ok()))
 }
 
-/// One intact frame of a log image: `(offset, payload length, record)`.
-pub type FrameAt = (u64, u32, Option<WalRecord>);
+/// One intact frame of a log image.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FrameAt {
+    /// Offset of the frame from the end of the log header.
+    pub offset: u64,
+    /// Payload bytes (the frame adds [`FRAME_HEADER_LEN`]).
+    pub payload_len: u32,
+    /// The frame's link.
+    pub link: u32,
+    /// The decoded payload, `None` when it is not a [`WalRecord`].
+    pub record: Option<WalRecord>,
+}
 
-/// Walk a whole log image: every intact frame, then the offset of the
-/// first short or bad frame — `None` when the image ends on a frame
-/// boundary.
-pub fn frames(data: &[u8]) -> (Vec<FrameAt>, Option<u64>) {
+/// Walk the frames of a generation chained from `seed` (the bytes after
+/// the log header): every intact frame, then the offset of a *torn*
+/// frame — one whose header chains but whose payload is cut short or
+/// fails its CRC — if the walk ended at one. Anything else that ends
+/// the walk (no bytes, too few for a header, a header that does not
+/// chain) is the end of the generation and reads `None`: a zero fill
+/// or an older generation's bytes are not damage.
+pub fn frames(data: &[u8], seed: u32) -> (Vec<FrameAt>, Option<u64>) {
     let mut found = Vec::new();
-    let mut pos = 0usize;
+    let (mut pos, mut prev) = (0usize, seed);
     loop {
-        match parse_frame(&data[pos..]) {
-            Scan::Found((payload_len, record)) => {
-                found.push((pos as u64, payload_len, record));
-                pos += 8 + payload_len as usize;
+        match parse_frame(&data[pos..], prev) {
+            Scan::Found((payload_len, link, record)) => {
+                found.push(FrameAt {
+                    offset: pos as u64,
+                    payload_len,
+                    link,
+                    record,
+                });
+                pos += FRAME_HEADER_LEN + payload_len as usize;
+                prev = link;
             }
-            Scan::Incomplete if pos == data.len() => return (found, None),
-            Scan::Incomplete | Scan::BadCrc => return (found, Some(pos as u64)),
+            Scan::Incomplete if data.len() - pos >= FRAME_HEADER_LEN => {
+                return (found, Some(pos as u64))
+            }
+            Scan::BadCrc => return (found, Some(pos as u64)),
+            Scan::Incomplete | Scan::Unchained => return (found, None),
         }
     }
 }
@@ -351,17 +590,23 @@ pub struct Replay {
     head: usize,
     /// Stream offset of that frame.
     offset: u64,
+    /// Link of the last parsed frame (the seed before the first).
+    link: u32,
     open: HashMap<u64, Vec<(u64, WalRecord)>>,
     committed_end: u64,
+    committed_link: u32,
     max_tx: u64,
 }
 
 impl Replay {
-    /// A replay whose first pushed byte sits at stream offset `start`.
-    pub fn new(start: u64) -> Replay {
+    /// A replay whose first pushed byte sits at stream offset `start`,
+    /// a frame boundary where the chain's link is `seed`.
+    pub fn new(start: u64, seed: u32) -> Replay {
         Replay {
             offset: start,
+            link: seed,
             committed_end: start,
+            committed_link: seed,
             ..Replay::default()
         }
     }
@@ -374,7 +619,7 @@ impl Replay {
     }
 
     /// Stream offset of the first frame not yet parsed — after
-    /// [`Scan::BadCrc`], of the bad frame.
+    /// [`Scan::Unchained`] or [`Scan::BadCrc`], of the bad frame.
     pub fn offset(&self) -> u64 {
         self.offset
     }
@@ -384,6 +629,13 @@ impl Replay {
     /// fenced at before it takes new appends.
     pub fn committed_end(&self) -> u64 {
         self.committed_end
+    }
+
+    /// The chain's link at [`Replay::committed_end`]: what the next
+    /// frame after the fence chains from, and the seed of a generation
+    /// started there.
+    pub fn committed_link(&self) -> u32 {
+        self.committed_link
     }
 
     /// Highest transaction id seen in any parsed record.
@@ -398,14 +650,17 @@ impl Replay {
     pub fn next_commit(&mut self) -> Result<Scan<CommittedTx>> {
         loop {
             let offset = self.offset;
-            let (payload_len, record) = match parse_frame(&self.buf[self.head..]) {
+            let (payload_len, link, record) = match parse_frame(&self.buf[self.head..], self.link) {
                 Scan::Found(frame) => frame,
                 Scan::Incomplete => return Ok(Scan::Incomplete),
+                Scan::Unchained => return Ok(Scan::Unchained),
                 Scan::BadCrc => return Ok(Scan::BadCrc),
             };
             let record = record.ok_or(StorageError::WalCorrupt { offset })?;
-            self.head += 8 + payload_len as usize;
-            self.offset += 8 + u64::from(payload_len);
+            let frame_len = FRAME_HEADER_LEN + payload_len as usize;
+            self.head += frame_len;
+            self.offset += frame_len as u64;
+            self.link = link;
             let tx = record.tx();
             self.max_tx = self.max_tx.max(tx);
             match record {
@@ -414,6 +669,7 @@ impl Replay {
                 }
                 WalRecord::Commit { .. } => {
                     self.committed_end = self.offset;
+                    self.committed_link = link;
                     let records = self.open.remove(&tx).unwrap_or_default();
                     return Ok(Scan::Found(CommittedTx(records)));
                 }
@@ -472,12 +728,15 @@ mod tests {
     use super::*;
     use crate::testutil::TempPath;
 
+    /// The seed of a log file that has never had a checkpoint.
+    const FRESH: u32 = 0;
+
     /// Frame `record` and append it alone: the per-record append the
     /// log made before a commit became one write.
     fn append(wal: &mut Wal, record: &WalRecord) {
         let mut frame = Vec::new();
         push_frame(&mut frame, record);
-        wal.append(&frame).unwrap();
+        wal.append(&mut frame).unwrap();
     }
 
     /// A log holding `records`, and its bytes.
@@ -501,7 +760,7 @@ mod tests {
     }
 
     fn replayed_changes(records: &[WalRecord]) -> Vec<WalRecord> {
-        let mut replay = Replay::new(0);
+        let mut replay = Replay::new(0, FRESH);
         replay.push(&log_of(records).2);
         drain(&mut replay)
     }
@@ -553,6 +812,43 @@ mod tests {
             assert_eq!(to_bytes(&record), bytes);
             assert_eq!(from_bytes::<WalRecord>(bytes).unwrap(), record);
         }
+    }
+
+    #[test]
+    fn frame_bytes_are_the_log_format() {
+        // Literal bytes of a log file: the header (magic "ODEW", version
+        // 1, seed, CRC of the three), then two frames `[len][crc][link]
+        // [payload]`, the first chained from the seed and the second
+        // from the first. The frame format must not move when the code
+        // behind it does.
+        let path = TempPath::new();
+        let mut wal = Wal::open(&path).unwrap();
+        wal.trim(0x0BAD_5EED).unwrap();
+        append(&mut wal, &WalRecord::Begin { tx: 7 });
+        append(&mut wal, &WalRecord::Commit { tx: 7 });
+        let header: &[u8] = &[
+            b'O', b'D', b'E', b'W', 1, 0, 0, 0, 0xED, 0x5E, 0xAD, 0x0B, 0x35, 0xE5, 0xF5, 0x33,
+        ];
+        let begin: &[u8] = &[
+            2, 0, 0, 0, 0x5C, 0x87, 0xBD, 0xDF, 0xBD, 0xEC, 0xE9, 0xFE, 0, 7,
+        ];
+        let commit: &[u8] = &[
+            2, 0, 0, 0, 0xDE, 0xE5, 0x8B, 0xED, 0xAE, 0x77, 0xF0, 0x45, 2, 7,
+        ];
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            [header, begin, commit].concat()
+        );
+        let (frames, tear) = wal.frames().unwrap();
+        assert_eq!(tear, None);
+        let links: Vec<u32> = frames.iter().map(|f| f.link).collect();
+        assert_eq!(
+            links,
+            [
+                link(0x0BAD_5EED, crc32(&[0, 7])),
+                link(links[0], crc32(&[2, 7]))
+            ]
+        );
     }
 
     #[test]
@@ -724,7 +1020,7 @@ mod tests {
         let mut frames = Vec::new();
         push_frame(&mut frames, &WalRecord::Begin { tx: 1 });
         push_frame(&mut frames, &WalRecord::Commit { tx: 1 });
-        assert!(wal.append(&frames).is_err());
+        assert!(wal.append(&mut frames).is_err());
         assert_eq!(wal.len(), before);
     }
 
@@ -747,7 +1043,7 @@ mod tests {
         let (records, tear) = wal.records().unwrap();
         assert_eq!(records.len(), sample_records().len() - 1);
         let tear = tear.expect("torn tail reported");
-        wal.truncate_tail(tear).unwrap();
+        wal.truncate_tail(tear, wal.tail()).unwrap();
         // After truncation the log replays cleanly and appends work.
         let (records2, tear2) = wal.records().unwrap();
         assert_eq!(records2, records);
@@ -792,8 +1088,9 @@ mod tests {
         let mut wal = Wal::open(&path).unwrap();
         append(&mut wal, &WalRecord::Begin { tx: 1 });
         assert!(!wal.is_empty());
-        wal.reset().unwrap();
+        wal.trim(wal.tail()).unwrap();
         assert!(wal.is_empty());
+        assert!(wal.is_at_rest().unwrap());
         let (records, tear) = wal.records().unwrap();
         assert!(records.is_empty());
         assert_eq!(tear, None);
@@ -802,9 +1099,12 @@ mod tests {
     #[test]
     fn torn_final_record_at_every_cut_point() {
         // A crash can land anywhere inside the final frame: inside the
-        // 8-byte header, inside the payload, or right at the frame
+        // 12-byte header, inside the payload, or right at the frame
         // boundary. Every cut short of a full frame must replay the
-        // prefix and report the tear at the final frame's start.
+        // prefix. A cut inside the payload leaves a header that chains,
+        // so the tear is reported at the final frame's start; a cut
+        // inside the header leaves too little to tell from a zero fill
+        // or an older generation, and the log simply ends there.
         let intact = TempPath::new();
         let intact_len = {
             let mut wal = Wal::open(&intact).unwrap();
@@ -833,12 +1133,18 @@ mod tests {
             let path = TempPath::new();
             std::fs::copy(&intact, &path).unwrap();
             let f = OpenOptions::new().write(true).open(&path).unwrap();
-            f.set_len(cut).unwrap();
+            f.set_len(LOG_HEADER_LEN + cut).unwrap();
             drop(f);
             let mut wal = Wal::open(&path).unwrap();
             let (records, tear) = wal.records().unwrap();
             assert_eq!(records, sample_records()[..sample_records().len() - 1]);
-            assert_eq!(tear, Some(before_last), "cut at byte {cut}");
+            let header_whole = cut - before_last >= FRAME_HEADER_LEN as u64;
+            assert_eq!(
+                tear,
+                header_whole.then_some(before_last),
+                "cut at byte {cut}"
+            );
+            assert_eq!(wal.len(), before_last, "cut at byte {cut}");
         }
     }
 
@@ -873,7 +1179,7 @@ mod tests {
             let (records, tear) = wal.records().unwrap();
             assert_eq!(records, expected, "cycle {cycle}");
             let tear = tear.expect("torn tail reported");
-            wal.truncate_tail(tear).unwrap();
+            wal.truncate_tail(tear, wal.tail()).unwrap();
             assert_eq!(wal.len(), tear);
             let (records2, tear2) = wal.records().unwrap();
             assert_eq!(records2, expected);
@@ -890,10 +1196,10 @@ mod tests {
         let mut wal = Wal::open(&path).unwrap();
         append(&mut wal, &WalRecord::Begin { tx: 1 });
         append(&mut wal, &WalRecord::Commit { tx: 1 });
-        let keep = wal.len();
+        let (keep, keep_link) = (wal.len(), wal.tail());
         append(&mut wal, &WalRecord::Begin { tx: 2 });
         append(&mut wal, &WalRecord::Commit { tx: 2 });
-        wal.truncate_tail(keep).unwrap();
+        wal.truncate_tail(keep, keep_link).unwrap();
         let (records, tear) = wal.records().unwrap();
         assert_eq!(
             records,
@@ -923,7 +1229,7 @@ mod tests {
                 break;
             }
             pos += span.len() as u64;
-            replica.append(&span).unwrap();
+            replica.append_shipped(&span).unwrap();
         }
         assert_eq!(replica.len(), wal.len());
         let (records, tear) = replica.records().unwrap();
@@ -940,7 +1246,7 @@ mod tests {
         let (_p, _w, committed_prefix) = log_of(&sample_records()[..3]);
         // Feed one byte at a time: the commit must pop out exactly when
         // its last byte arrives, whatever the frame boundaries.
-        let mut replay = Replay::new(0);
+        let mut replay = Replay::new(0, FRESH);
         let mut got = Vec::new();
         for (fed, b) in bytes.iter().enumerate() {
             replay.push(std::slice::from_ref(b));
@@ -951,9 +1257,13 @@ mod tests {
         assert_eq!(replay.committed_end(), committed_prefix.len() as u64);
         assert_eq!(replay.max_tx(), 2);
         // tx 2's frames were consumed and held: its commit completes it.
-        replay.push(&log_of(&[WalRecord::Commit { tx: 2 }]).2);
+        let mut records = sample_records();
+        records.push(WalRecord::Commit { tx: 2 });
+        let (_p, _w, with_commit) = log_of(&records);
+        replay.push(&with_commit[bytes.len()..]);
         assert_eq!(drain(&mut replay), sample_records()[4..]);
-        assert_eq!(replay.committed_end(), bytes.len() as u64 + 10);
+        assert_eq!(replay.committed_end(), bytes.len() as u64 + 14);
+        assert_eq!(replay.committed_end(), with_commit.len() as u64);
     }
 
     #[test]
@@ -961,7 +1271,7 @@ mod tests {
         let (_path, _wal, mut bytes) = log_of(&[WalRecord::Begin { tx: 1 }]);
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
-        let mut replay = Replay::new(0);
+        let mut replay = Replay::new(0, FRESH);
         replay.push(&bytes);
         // Reported at its offset, and again on every later call: whether
         // it is a tear or corruption is the caller's to say.
@@ -1004,7 +1314,7 @@ mod tests {
             },
             WalRecord::Commit { tx: 1 },
         ];
-        let mut replay = Replay::new(0);
+        let mut replay = Replay::new(0, FRESH);
         replay.push(&log_of(&records).2);
         let Scan::Found(tx) = replay.next_commit().unwrap() else {
             panic!("one committed transaction");
@@ -1029,5 +1339,131 @@ mod tests {
             let (records, _) = wal.records().unwrap();
             assert_eq!(records.len(), 2);
         }
+    }
+
+    /// Two committed transactions, each `Begin`, one page, `Commit`.
+    fn two_commits() -> Vec<WalRecord> {
+        (1..=2u64)
+            .flat_map(|tx| {
+                [
+                    WalRecord::Begin { tx },
+                    WalRecord::Page {
+                        tx,
+                        page: tx,
+                        image: vec![tx as u8; 5],
+                    },
+                    WalRecord::Commit { tx },
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_generation_that_rewrites_an_older_first_commit_does_not_revive_its_later_frames() {
+        // Generation A logs two commits. Generation B, recycled from A's
+        // end, logs A's first commit again — the same records, so the
+        // same payloads and CRCs byte for byte — and the log ends there:
+        // A's second commit still sits intact right behind it.
+        let records = two_commits();
+        let path = TempPath::new();
+        let mut wal = Wal::open(&path).unwrap();
+        for r in &records {
+            append(&mut wal, r);
+        }
+        let a_len = wal.len();
+        let a_seed = wal.seed();
+        wal.recycle(wal.tail()).unwrap();
+        assert_ne!(wal.seed(), a_seed);
+        for r in &records[..3] {
+            append(&mut wal, r);
+        }
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            LOG_HEADER_LEN + a_len
+        );
+        // Only B's frames chain; A's second commit is not this log's.
+        let mut wal = Wal::open(&path).unwrap();
+        assert_eq!(wal.records().unwrap(), (records[..3].to_vec(), None));
+        let mut replay = Replay::new(0, wal.seed());
+        replay.push(&std::fs::read(&path).unwrap()[LOG_HEADER_LEN as usize..]);
+        assert_eq!(drain(&mut replay), records[1..2]);
+        assert_eq!(replay.next_commit().unwrap(), Scan::Unchained);
+    }
+
+    #[test]
+    fn recycle_keeps_the_file_and_trim_cuts_it_to_the_header() {
+        let path = TempPath::new();
+        let mut wal = Wal::open(&path).unwrap();
+        for r in &two_commits() {
+            append(&mut wal, r);
+        }
+        let file_len = std::fs::metadata(&path).unwrap().len();
+        wal.recycle(wal.tail()).unwrap();
+        assert!(wal.is_empty());
+        assert!(!wal.is_at_rest().unwrap());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), file_len);
+        // The old generation's bytes read as the end of the new one.
+        assert_eq!(wal.records().unwrap(), (Vec::new(), None));
+        append(&mut wal, &WalRecord::Begin { tx: 9 });
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), file_len);
+        let reopened = Wal::open(&path).unwrap();
+        assert_eq!((reopened.len(), reopened.tail()), (wal.len(), wal.tail()));
+        wal.trim(wal.tail()).unwrap();
+        assert!(wal.is_at_rest().unwrap());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), LOG_HEADER_LEN);
+    }
+
+    #[test]
+    fn a_zero_frame_ends_the_log_even_where_its_zero_link_would_chain() {
+        // After this link, a frame whose payload CRC is 0 links to 0: an
+        // all-zero frame header carries exactly the link that chains, and
+        // `crc32` of its empty payload is 0 too. Only the rule that a
+        // frame is never empty ends the log at a zero fill there.
+        const CHAINS_TO_ZERO: u32 = 0x101B_2F50;
+        assert_eq!(link(CHAINS_TO_ZERO, 0), 0);
+        assert_eq!(parse_frame(&[0; 64], CHAINS_TO_ZERO), Scan::Unchained);
+        let path = TempPath::new();
+        let mut wal = Wal::open(&path).unwrap();
+        wal.trim(CHAINS_TO_ZERO).unwrap();
+        std::fs::write(
+            &path,
+            [&log_header(CHAINS_TO_ZERO)[..], &[0; 4096]].concat(),
+        )
+        .unwrap();
+        let mut wal = Wal::open(&path).unwrap();
+        assert_eq!(wal.records().unwrap(), (Vec::new(), None));
+    }
+
+    #[test]
+    fn a_log_without_the_header_is_refused_and_left_as_it_is() {
+        // A format-3 log: the same records framed `[len][crc][payload]`,
+        // with no header.
+        let path = TempPath::new();
+        let mut old = Vec::new();
+        for r in &two_commits() {
+            let payload = to_bytes(r);
+            old.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            old.extend_from_slice(&crc32(&payload).to_le_bytes());
+            old.extend_from_slice(&payload);
+        }
+        std::fs::write(&path, &old).unwrap();
+        assert!(matches!(
+            Wal::open(&path),
+            Err(StorageError::UnsupportedLog)
+        ));
+        assert_eq!(std::fs::read(&path).unwrap(), old);
+        // A header of zeroes never landed: whatever follows it, the log
+        // is empty, and not at rest until something trims it.
+        std::fs::write(&path, [&[0; LOG_HEADER_LEN as usize][..], &old].concat()).unwrap();
+        let mut wal = Wal::open(&path).unwrap();
+        assert_eq!(wal.records().unwrap(), (Vec::new(), None));
+        assert!(!wal.is_at_rest().unwrap());
+        // An empty file is an empty log; its first append writes the header.
+        std::fs::write(&path, []).unwrap();
+        let mut wal = Wal::open(&path).unwrap();
+        assert!(wal.is_at_rest().unwrap());
+        append(&mut wal, &WalRecord::Begin { tx: 1 });
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(parse_log_header(&bytes), Some(FRESH));
     }
 }

@@ -15,7 +15,7 @@ use ode_storage::heap::Heap;
 use ode_storage::page::PageKind;
 use ode_storage::slotted;
 use ode_storage::testutil::{TempPath, TempStore};
-use ode_storage::wal::{push_frame, Wal, WalRecord};
+use ode_storage::wal::{push_frame, Wal, WalRecord, LOG_HEADER_LEN};
 use ode_storage::{PageBuf, PageRead, PageWrite, StorageError, Store, StoreOptions, PAGE_SIZE};
 use proptest::prelude::*;
 
@@ -287,35 +287,66 @@ fn model(file: &[u8], records: &[WalRecord]) -> (Vec<u8>, u64) {
     (file, commits)
 }
 
+/// What a log file holds past the point a crash cut its live
+/// generation.
+#[derive(Debug, Clone, Copy)]
+enum Behind {
+    /// Nothing: the file ends at the cut.
+    Nothing,
+    /// Zeroes, as a file system that extends a file before its data
+    /// lands leaves them.
+    Zeros,
+    /// A longer, older generation from another seed, holding the same
+    /// records (so the same payloads, byte for byte).
+    Older,
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
     /// Over any log — uncommitted transactions, recycled ids, a cut at
-    /// any byte, a flipped bit in the last whole frame — (a) `Store::open`
-    /// on file + log, (b) a replica installed from the file, fed the log
-    /// in arbitrary pieces and promoted, and (c) the model above reach
-    /// the same page file, and (a) and (b) keep no log past the last
-    /// commit. The one sanctioned difference: a whole frame failing its
-    /// CRC is a torn tail to (a), which stops there, and transport
-    /// corruption to (b), which refuses it with `WalCorrupt` at that
-    /// frame's offset — both having applied exactly the commits before.
+    /// any byte, a flipped bit in the last whole frame, and behind the
+    /// cut nothing, zero fill or an older generation — (a) `Store::open`
+    /// on file + log, (b) a replica installed from the file, fed the
+    /// live bytes in arbitrary pieces and promoted, and (c) the model
+    /// above reach the same page file, and (a) and (b) keep no log past
+    /// the last commit. The one sanctioned difference: a whole frame
+    /// failing its checks ends the log for (a), which stops there, and
+    /// is transport corruption to (b), which refuses it with
+    /// `WalCorrupt` at that frame's offset — both having applied
+    /// exactly the commits before.
     #[test]
     fn recovery_and_replica_ingest_agree_with_the_model(
         plan in proptest::collection::vec(arb_tx(), 1..13),
         cut: u64,
         flip in prop_oneof![Just(None), (any::<u64>(), 0u8..8).prop_map(Some)],
         chunks in proptest::collection::vec(1usize..600, 1..24),
+        behind in prop_oneof![Just(Behind::Nothing), Just(Behind::Zeros), Just(Behind::Older)],
     ) {
         let file = base_file();
         let records = records_of(&plan);
-        // Frame the records with the real writer, noting where each ends.
+        // Frame the records with the real writer, noting where each ends
+        // — after an older generation of the same records twice over,
+        // when one is to lie behind the cut.
         let scratch = TempPath::new();
         let mut wal = Wal::open(&scratch).unwrap();
-        let mut ends = Vec::new();
-        for record in &records {
+        let append = |wal: &mut Wal, record: &WalRecord| {
             let mut frame = Vec::new();
             push_frame(&mut frame, record);
-            wal.append(&frame).unwrap();
+            wal.append(&mut frame).unwrap();
+        };
+        let mut older = Vec::new();
+        if let Behind::Older = behind {
+            for record in records.iter().chain(&records) {
+                append(&mut wal, record);
+            }
+            older = std::fs::read(&*scratch).unwrap();
+            wal.recycle(wal.tail()).unwrap();
+        }
+        let seed = wal.seed();
+        let mut ends = Vec::new();
+        for record in &records {
+            append(&mut wal, record);
             ends.push(wal.len() as usize);
         }
         let mut log = wal.read_span(0, wal.len() as usize).unwrap();
@@ -337,10 +368,18 @@ proptest! {
             .rposition(|r| matches!(r, WalRecord::Commit { .. }))
             .map_or(0, |i| ends[i] as u64);
 
-        // (a) crash recovery.
+        // (a) crash recovery, over the header, the log up to the cut, and
+        // what lies behind it.
+        let header = &std::fs::read(&*scratch).unwrap()[..LOG_HEADER_LEN as usize];
+        let rest = LOG_HEADER_LEN as usize + log.len();
+        let behind: &[u8] = match behind {
+            Behind::Nothing => &[],
+            Behind::Zeros => &[0; 4096],
+            Behind::Older => &older[rest..],
+        };
         let a = TempPath::new();
         std::fs::write(&a, file).unwrap();
-        std::fs::write(a.wal(), &log).unwrap();
+        std::fs::write(a.wal(), [header, &log, behind].concat()).unwrap();
         let store = Store::open(&a, StoreOptions::default()).unwrap();
         prop_assert_eq!(store.wal_len(), 0);
         drop(store);
@@ -348,7 +387,7 @@ proptest! {
 
         // (b) replica ingest, then promotion.
         let mut b = TempStore::new();
-        b.replica_install_snapshot(file, 0, 1).unwrap();
+        b.replica_install_snapshot(file, 0, 1, seed).unwrap();
         let (mut fed, mut refused) = (0, None);
         for chunk in chunks.iter().cycle() {
             if fed == log.len() {

@@ -6,7 +6,7 @@
 //! odedump object  <db> <oid>    one object's metadata and history
 //! odedump chains  <db>          per-object delta-chain statistics
 //! odedump dot     <db> <oid>    Graphviz export of a version graph
-//! odedump wal     <db>          decode WAL records (offsets, epochs)
+//! odedump wal     <db>          decode WAL records (offsets, links, epochs)
 //! odedump fsck    <db>          consistency check
 //! ```
 
@@ -25,7 +25,7 @@ fn usage() -> ExitCode {
          \x20 object  <db> <oid>    one object's metadata and history\n\
          \x20 chains  <db>          per-object delta-chain statistics\n\
          \x20 dot     <db> <oid>    Graphviz export of a version graph\n\
-         \x20 wal     <db>          decode WAL records (offsets, epochs) + summary\n\
+         \x20 wal     <db>          decode WAL records (offsets, links, epochs) + summary\n\
          \x20 fsck    <db>          consistency check"
     );
     ExitCode::from(2)
@@ -212,8 +212,8 @@ fn run(command: &str, rest: &[String], out: &mut impl Write) -> Result<(), Stop>
             if !records.is_empty() {
                 writeln!(
                     out,
-                    "{:>10} {:>9} {:>7}  record",
-                    "offset", "bytes", "epoch"
+                    "{:>10} {:>9} {:>10} {:>7}  record",
+                    "offset", "bytes", "link", "epoch"
                 )?;
                 for r in &records {
                     let epoch = match r.epoch {
@@ -222,8 +222,8 @@ fn run(command: &str, rest: &[String], out: &mut impl Write) -> Result<(), Stop>
                     };
                     writeln!(
                         out,
-                        "{:>10} {:>9} {:>7}  {}",
-                        r.offset, r.payload_bytes, epoch, r.desc
+                        "{:>10} {:>9} {:#010x} {:>7}  {}",
+                        r.offset, r.payload_bytes, r.link, epoch, r.desc
                     )?;
                 }
             }
@@ -231,6 +231,7 @@ fn run(command: &str, rest: &[String], out: &mut impl Write) -> Result<(), Stop>
                 writeln!(out, "torn tail at offset {offset} (expected after a crash)")?;
             }
             let s = ode_tools::wal_summary(&db)?;
+            writeln!(out, "seed       : {:#010x}", s.seed)?;
             writeln!(out, "bytes      : {}", s.bytes)?;
             writeln!(out, "begins     : {}", s.begins)?;
             writeln!(out, "commits    : {}", s.commits)?;

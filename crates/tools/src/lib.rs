@@ -272,10 +272,12 @@ pub fn export_object_dot(path: &Path, oid: u64) -> Result<String> {
     version_graph_dot(&vs, &mut tx, Oid(oid))
 }
 
-/// Summary of the write-ahead log's contents.
+/// Summary of the write-ahead log's live generation.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WalSummary {
-    /// Log size in bytes.
+    /// Seed of the live generation (from the log header).
+    pub seed: u32,
+    /// Bytes of the live generation's frames.
     pub bytes: u64,
     /// Begin records (transactions started).
     pub begins: usize,
@@ -302,6 +304,7 @@ pub fn wal_summary(db_path: &Path) -> Result<WalSummary> {
     let mut wal = Wal::open(&wal_path).map_err(ode_version::VersionError::Storage)?;
     let (records, tear) = wal.records().map_err(ode_version::VersionError::Storage)?;
     let mut summary = WalSummary {
+        seed: wal.seed(),
         bytes: wal.len(),
         torn_tail: tear.is_some(),
         ..WalSummary::default()
@@ -317,45 +320,51 @@ pub fn wal_summary(db_path: &Path) -> Result<WalSummary> {
     Ok(summary)
 }
 
-/// One decoded WAL record with its physical position in the log file.
+/// One decoded WAL record with its position in the log's live
+/// generation.
 ///
-/// Offsets are file offsets within the current log generation (the
-/// logical shipping coordinate adds the store's in-memory base, which
-/// an offline dump cannot know); `epoch` counts commits within this
-/// file, so the record that produced "the k-th epoch since the last
-/// checkpoint" reads `Some(k)`.
+/// Offsets count from the end of the log header, within the live
+/// generation (the logical shipping coordinate adds the store's
+/// in-memory base, which an offline dump cannot know); `epoch` counts
+/// commits within the generation, so the record that produced "the
+/// k-th epoch since the last checkpoint" reads `Some(k)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WalRecordInfo {
-    /// Byte offset of the record's frame (`[len][crc][payload]`).
+    /// Byte offset of the record's frame (`[len][crc][link][payload]`).
     pub offset: u64,
-    /// Payload length in bytes (the frame adds an 8-byte header).
+    /// Payload length in bytes (the frame adds a
+    /// [`FRAME_HEADER_LEN`](ode_storage::wal::FRAME_HEADER_LEN)-byte
+    /// header).
     pub payload_bytes: u32,
+    /// The frame's chain link.
+    pub link: u32,
     /// For `Commit` records: 1-based commit index within this file.
     pub epoch: Option<u64>,
     /// Human-readable description of the record.
     pub desc: String,
 }
 
-/// Decode every intact WAL record with its offset, sizing, and (for
-/// commits) epoch index. Returns the records plus the offset of the
-/// torn tail, if any — reading the file directly so the log is left
-/// exactly as found (no recovery runs).
+/// Decode every intact WAL record of the live generation — the frames
+/// that chain from the log header's seed — with its offset, sizing,
+/// link and (for commits) epoch index. Returns the records plus the
+/// offset of a torn frame, if any — reading the file without recovery,
+/// so the log is left exactly as found. Older generations' bytes past
+/// the live end are not listed.
 pub fn wal_records(db_path: &Path) -> Result<(Vec<WalRecordInfo>, Option<u64>)> {
-    use ode_storage::wal::WalRecord;
+    use ode_storage::wal::{Wal, WalRecord};
     let mut wal_path = db_path.to_path_buf().into_os_string();
     wal_path.push(".wal");
     let wal_path = std::path::PathBuf::from(wal_path);
     if !wal_path.exists() {
         return Ok((Vec::new(), None));
     }
-    let data =
-        std::fs::read(&wal_path).map_err(|e| ode_version::VersionError::Storage(e.into()))?;
-
-    let (frames, torn) = ode_storage::wal::frames(&data);
+    let (frames, torn) = Wal::open(&wal_path)
+        .and_then(|mut wal| wal.frames())
+        .map_err(ode_version::VersionError::Storage)?;
     let mut records = Vec::new();
     let mut epoch = 0u64;
-    for (offset, payload_bytes, record) in frames {
-        let desc = match record {
+    for frame in frames {
+        let desc = match frame.record {
             Some(WalRecord::Begin { tx }) => format!("begin       tx={tx}"),
             Some(WalRecord::Page { tx, page, image }) => {
                 format!("page-image  tx={tx} page={page} bytes={}", image.len())
@@ -375,8 +384,9 @@ pub fn wal_records(db_path: &Path) -> Result<(Vec<WalRecordInfo>, Option<u64>)> 
         };
         let is_commit = desc.starts_with("commit");
         records.push(WalRecordInfo {
-            offset,
-            payload_bytes,
+            offset: frame.offset,
+            payload_bytes: frame.payload_len,
+            link: frame.link,
             epoch: is_commit.then_some(epoch),
             desc,
         });
@@ -513,7 +523,7 @@ mod tests {
     #[test]
     fn wal_summary_counts_records() {
         let path = build_db("walsum");
-        // build_db's Database was dropped cleanly → checkpoint reset the
+        // build_db's Database was dropped cleanly → checkpoint trimmed the
         // WAL; write one more transaction without clean shutdown.
         {
             let db = Database::open(&path, DatabaseOptions::default()).unwrap();

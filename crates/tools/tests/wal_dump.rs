@@ -1,6 +1,7 @@
 //! `wal_records` decodes the log of a crashed database: every frame
-//! gets an offset, commit records get epoch indices, and a torn tail
-//! is reported by offset instead of hiding the intact prefix.
+//! gets an offset and its link, commit records get epoch indices, and
+//! a torn tail is reported by offset instead of hiding the intact
+//! prefix.
 
 use ode::{Database, DatabaseOptions};
 use ode_codec::{impl_persist_struct, impl_type_name};
@@ -45,7 +46,7 @@ fn records_carry_offsets_and_commit_epochs() {
         .unwrap();
         txn.commit().unwrap();
     }
-    // Crash: leak the database so no shutdown checkpoint resets the log.
+    // Crash: leak the database so no shutdown checkpoint trims the log.
     std::mem::forget(db);
 
     let (records, torn) = wal_records(&path).unwrap();
@@ -53,12 +54,17 @@ fn records_carry_offsets_and_commit_epochs() {
     assert!(!records.is_empty());
 
     // Offsets are ascending and frame-consistent: each record starts
-    // where the previous frame (8-byte header + payload) ended.
+    // where the previous frame (12-byte header + payload) ended, and
+    // no two frames share a link.
     let mut expected = 0u64;
     for r in &records {
         assert_eq!(r.offset, expected, "frame accounting drifted: {r:?}");
-        expected += 8 + u64::from(r.payload_bytes);
+        expected += 12 + u64::from(r.payload_bytes);
     }
+    let mut links: Vec<u32> = records.iter().map(|r| r.link).collect();
+    links.sort_unstable();
+    links.dedup();
+    assert_eq!(links.len(), records.len());
 
     // Exactly the commits carry epochs, numbered 1..=k in order.
     let epochs: Vec<u64> = records.iter().filter_map(|r| r.epoch).collect();
@@ -67,16 +73,22 @@ fn records_carry_offsets_and_commit_epochs() {
         assert_eq!(r.epoch.is_some(), r.desc.starts_with("commit"), "{r:?}");
     }
 
-    // A torn tail (half-written frame after a crash) is reported at
-    // the right offset; the intact prefix still decodes.
+    // Garbage shorter than a frame header cannot chain: it reads as
+    // the end of the log, as a zero fill or an older generation does.
     let wal_path = wal_of(&path);
-    let intact = std::fs::metadata(&wal_path).unwrap().len();
     let mut bytes = std::fs::read(&wal_path).unwrap();
-    bytes.extend_from_slice(&[0x55; 5]); // garbage shorter than a header
+    let intact = bytes.len();
+    bytes.extend_from_slice(&[0x55; 5]);
     std::fs::write(&wal_path, &bytes).unwrap();
+    assert_eq!(wal_records(&path).unwrap(), (records.clone(), None));
+
+    // A torn tail (a frame whose header landed and whose payload did
+    // not, after a crash) is reported at the right offset; the intact
+    // prefix still decodes.
+    std::fs::write(&wal_path, &bytes[..intact - 1]).unwrap();
     let (again, torn) = wal_records(&path).unwrap();
-    assert_eq!(again.len(), records.len());
-    assert_eq!(torn, Some(intact));
+    assert_eq!(again, records[..records.len() - 1]);
+    assert_eq!(torn, Some(records[records.len() - 1].offset));
 
     cleanup(&path);
 }
@@ -100,7 +112,7 @@ fn an_uncommitted_tail_is_listed_then_fenced_by_the_next_open() {
         txn.commit().unwrap();
     }
     // A session killed between its page records and its Commit record:
-    // crash after a commit, then chop the Commit frame (8 + 2 bytes).
+    // crash after a commit, then chop the Commit frame (12 + 2 bytes).
     {
         let db = Database::open(&path, DatabaseOptions::default()).unwrap();
         let mut txn = db.begin();
@@ -110,7 +122,7 @@ fn an_uncommitted_tail_is_listed_then_fenced_by_the_next_open() {
         let wal = wal_of(&path);
         let len = std::fs::metadata(&wal).unwrap().len();
         let f = std::fs::OpenOptions::new().write(true).open(&wal).unwrap();
-        f.set_len(len - 10).unwrap();
+        f.set_len(len - 14).unwrap();
     }
     // The dump shows the intact frames as they are: a begin, page
     // records, no commit, no tear.
