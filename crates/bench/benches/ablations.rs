@@ -1,12 +1,14 @@
 //! Ablations over the implementation's own design choices (DESIGN.md §8
 //! tail): B+-tree fanout, buffer-pool size and delta block size, plus a
 //! probe of each CPU loop a commit runs beside its fsync and of the
-//! fsync itself on a growing and on a recycled log.
+//! fsync itself on a growing and on a recycled log, and a three-way
+//! merge on `route_collab`'s document shape.
 
 use bench::{Blob, TempDir};
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use ode::{Database, DatabaseOptions};
 use ode_delta::{apply, diff_with_block, DEFAULT_BLOCK};
+use ode_merge::{merge, MergePolicy};
 use ode_storage::btree::BTree;
 use ode_storage::wal::{page_diff_ops, push_frame, Wal, WalRecord};
 use ode_storage::{crc32, Store, StoreOptions, PAGE_SIZE};
@@ -228,12 +230,52 @@ fn bench_wal_fsync(c: &mut Criterion) {
     group.finish();
 }
 
+/// One slice of `route_collab`'s 4 KB document (three 1 360-byte slices,
+/// 8-byte separators) as `writer` (0 the base, 1 ours, 2 theirs) writes
+/// it: one 32-symbol alphabet per writer, as `route_collab` writes.
+fn merge_slice(writer: u8, seed: u64) -> Vec<u8> {
+    noise(1360, seed)
+        .iter()
+        .map(|b| b' ' + 32 * writer + b % 32)
+        .collect()
+}
+
+/// A merge where each side rewrites its own slice: the diff, the block-4
+/// split and the bounded exact refinement behind every `Txn::merge`.
+fn bench_merge_refine(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ablation_merge_refine");
+    group.sample_size(15);
+    group.warm_up_time(Duration::from_millis(300));
+    group.measurement_time(Duration::from_millis(1200));
+    let doc = |slices: [Vec<u8>; 3]| slices.join(&[b'\n'; 8][..]);
+    let [b0, b1, b2] = [0, 1, 2].map(|s| merge_slice(0, 10 + s));
+    let base = doc([b0.clone(), b1.clone(), b2.clone()]);
+    assert_eq!(base.len(), 4096);
+    let ours = doc([merge_slice(1, 20), b1, b2.clone()]);
+    let theirs = doc([b0, merge_slice(2, 30), b2]);
+    assert!(merge(&base, &ours, &theirs, MergePolicy::Theirs)
+        .conflicts
+        .is_empty());
+    group.bench_function("4KB-one-slice-a-side", |b| {
+        b.iter(|| {
+            merge(
+                black_box(&base),
+                black_box(&ours),
+                black_box(&theirs),
+                MergePolicy::Theirs,
+            )
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_btree_fanout,
     bench_buffer_pool,
     bench_delta_block,
     bench_commit_cpu,
-    bench_wal_fsync
+    bench_wal_fsync,
+    bench_merge_refine
 );
 criterion_main!(benches);

@@ -19,6 +19,9 @@
 //! rewrite's conflict, so a resolved merge never keeps bytes from both
 //! sides there.
 //!
+//! Refinement runs its exact Myers search only where an O(n) lower
+//! bound on the edit distance leaves it a chance to finish (DESIGN §13).
+//!
 //! ```
 //! use ode_merge::{merge, MergePolicy};
 //!
@@ -258,7 +261,10 @@ fn refine(base: &[u8], h: Hunk, out: &mut Vec<Hunk>) {
     let pieces = hunks_of_delta(span, &ode_delta::diff_with_block(span, &h.replacement, 4));
     for mut p in pieces {
         let pspan = &span[p.base_start as usize..p.base_end as usize];
-        let exact = if pspan.is_empty() || p.replacement.is_empty() {
+        let exact = if pspan.is_empty()
+            || p.replacement.is_empty()
+            || distance_exceeds(pspan, &p.replacement, REFINE_MAX_D)
+        {
             None
         } else {
             myers_hunks(pspan, &p.replacement, REFINE_MAX_D)
@@ -278,6 +284,18 @@ fn refine(base: &[u8], h: Hunk, out: &mut Vec<Hunk>) {
             }
         }
     }
+}
+
+/// Whether the insert/delete distance `D = n + m - 2·LCS` between `a`
+/// and `b` provably exceeds `max_d`: the LCS keeps at most
+/// `min(cnt_a[c], cnt_b[c])` copies of each byte value `c`, so
+/// `D ≥ n + m - 2·Σ_c min(cnt_a[c], cnt_b[c])`. O(n + m).
+fn distance_exceeds(a: &[u8], b: &[u8], max_d: usize) -> bool {
+    let (mut ca, mut cb) = ([0usize; 256], [0usize; 256]);
+    a.iter().for_each(|&x| ca[x as usize] += 1);
+    b.iter().for_each(|&x| cb[x as usize] += 1);
+    let common: usize = ca.iter().zip(&cb).map(|(x, y)| x.min(y)).sum();
+    a.len() + b.len() - 2 * common > max_d
 }
 
 /// Myers O(ND) minimal edit script between `a` and `b`, grouped into
@@ -640,6 +658,8 @@ pub fn merge(base: &[u8], ours: &[u8], theirs: &[u8], policy: MergePolicy) -> Me
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn hunks_round_trip_the_diff() {
@@ -836,5 +856,163 @@ mod tests {
         };
         let bytes = ode_codec::to_bytes(&c);
         assert_eq!(ode_codec::from_bytes::<MergeConflict>(&bytes).unwrap(), c);
+    }
+
+    /// Insert/delete distance by a Myers search with no step bound.
+    fn edit_distance(a: &[u8], b: &[u8]) -> usize {
+        let (n, m) = (a.len() as isize, b.len() as isize);
+        let offset = n + m;
+        let mut v = vec![0isize; (2 * offset + 2) as usize];
+        for d in 0..=offset {
+            for k in (-d..=d).step_by(2) {
+                let idx = (k + offset) as usize;
+                let mut x = if k == -d || (k != d && v[idx - 1] < v[idx + 1]) {
+                    v[idx + 1]
+                } else {
+                    v[idx - 1] + 1
+                };
+                let mut y = x - k;
+                while x < n && y < m && a[x as usize] == b[y as usize] {
+                    x += 1;
+                    y += 1;
+                }
+                v[idx] = x;
+                if x >= n && y >= m {
+                    return d as usize;
+                }
+            }
+        }
+        unreachable!("the distance is at most n + m")
+    }
+
+    /// Seeded random texts for the refinement tests.
+    struct Stream(StdRng);
+
+    impl Stream {
+        fn new(seed: u64) -> Stream {
+            Stream(StdRng::seed_from_u64(seed))
+        }
+
+        fn next(&mut self, below: usize) -> usize {
+            self.0.random_range(0..below)
+        }
+
+        /// `len` symbols `first..first + alphabet`.
+        fn text(&mut self, len: usize, first: u8, alphabet: usize) -> Vec<u8> {
+            (0..len)
+                .map(|_| first + self.next(alphabet) as u8)
+                .collect()
+        }
+
+        /// Space-separated words from a 55-word vocabulary, `len` bytes.
+        fn words(&mut self, len: usize) -> Vec<u8> {
+            const VOCABULARY: &str = "the of and to in is that it for as was with be by on \
+                not he this are or his from at which but have an they you were her she there \
+                been one all we their has would when if so no what can more out other \
+                about up said them some time";
+            let vocabulary: Vec<&str> = VOCABULARY.split_whitespace().collect();
+            assert_eq!(vocabulary.len(), 55);
+            let mut out = Vec::with_capacity(len + 8);
+            while out.len() < len {
+                out.extend_from_slice(vocabulary[self.next(vocabulary.len())].as_bytes());
+                out.push(b' ');
+            }
+            out.truncate(len);
+            out
+        }
+
+        /// `a` after `edits` random one-byte deletions and insertions
+        /// drawn from `first..first + alphabet`.
+        fn mutate(&mut self, a: &[u8], edits: usize, first: u8, alphabet: usize) -> Vec<u8> {
+            let mut b = a.to_vec();
+            for _ in 0..edits {
+                if !b.is_empty() && self.next(2) == 0 {
+                    b.remove(self.next(b.len()));
+                } else {
+                    let at = self.next(b.len() + 1);
+                    b.insert(at, first + self.next(alphabet) as u8);
+                }
+            }
+            b
+        }
+    }
+
+    #[test]
+    fn a_refused_search_could_not_have_finished() {
+        let mut s = Stream::new(0x5EED_0001);
+        let mut refused = [0usize; 5];
+        let mut check = |family: usize, a: &[u8], b: &[u8]| {
+            if distance_exceeds(a, b, REFINE_MAX_D) {
+                refused[family] += 1;
+                let d = edit_distance(a, b);
+                assert!(
+                    d > REFINE_MAX_D,
+                    "the bound refused a pair {} / {} bytes apart by {d} edits",
+                    a.len(),
+                    b.len()
+                );
+            }
+        };
+        for alphabet in [2, 4, 32, 60] {
+            for _ in 0..6 {
+                let (n, m) = (1 + s.next(1500), 1 + s.next(1500));
+                let (a, b) = (s.text(n, b'!', alphabet), s.text(m, b'!', alphabet));
+                check(0, &a, &b);
+                // Related pairs, 150 to 450 edits apart, inserting bytes
+                // from outside the alphabet: the bound reads about the
+                // edit count, on either side of the limit.
+                let (n, edits) = (1000 + s.next(500), 150 + s.next(300));
+                let a = s.text(n, b'!', alphabet);
+                let b = s.mutate(&a, edits, b'!' + alphabet as u8, 32);
+                check(1, &a, &b);
+            }
+        }
+        for _ in 0..4 {
+            let (n, m) = (1 + s.next(1500), 1 + s.next(1500));
+            check(2, &s.text(n, b'A', 32), &s.text(m, b'a', 32));
+            let (n, m, edits) = (1 + s.next(1500), 1 + s.next(1500), 150 + s.next(250));
+            let (a, b) = (s.words(n), s.words(m));
+            check(3, &a, &b);
+            let b = s.mutate(&a, edits, b'a', 26);
+            check(3, &a, &b);
+        }
+        // Pairs where the bound reads D exactly, near the limit.
+        let a = s.text(1500, 0, 256);
+        for k in [200, 250, 256, 257, 300] {
+            check(4, &a, &spaced_deletions(&a, k));
+        }
+        assert!(
+            refused.iter().all(|&r| r > 0),
+            "some family never refused: {refused:?}"
+        );
+    }
+
+    /// `a` less `k` bytes `a.len() / k` apart: `b` is a subsequence of
+    /// `a`, so D is exactly `k`, and so is the byte bound.
+    fn spaced_deletions(a: &[u8], k: usize) -> Vec<u8> {
+        let stride = a.len() / k;
+        a.iter()
+            .enumerate()
+            .filter(|&(i, _)| i % stride != 0 || i / stride >= k)
+            .map(|(_, &x)| x)
+            .collect()
+    }
+
+    #[test]
+    fn the_byte_bound_is_exact_on_deletions_and_spares_close_pairs() {
+        let mut s = Stream::new(0x5EED_0002);
+        let a = s.text(1500, 0, 256);
+        for k in [REFINE_MAX_D, REFINE_MAX_D + 1] {
+            let b = spaced_deletions(&a, k);
+            assert_eq!(edit_distance(&a, &b), k);
+            assert_eq!(distance_exceeds(&a, &b, REFINE_MAX_D), k > REFINE_MAX_D);
+        }
+        // Disjoint alphabets: no byte in common.
+        let (a, b) = (s.text(300, b'A', 16), s.text(300, b'a', 16));
+        assert!(distance_exceeds(&a, &b, REFINE_MAX_D));
+        // A close pair is never refused.
+        let a = s.text(1360, b'!', 32);
+        let b = s.mutate(&a, 100, b'!', 32);
+        assert!(!distance_exceeds(&a, &b, REFINE_MAX_D));
     }
 }

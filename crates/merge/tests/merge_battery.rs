@@ -4,7 +4,7 @@
 //! overlapping scripts must always surface a `MergeConflict` naming
 //! the hunk ranges — never silent corruption.
 
-use ode_merge::{merge, MergePolicy};
+use ode_merge::{merge, MergeConflict, MergePolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -220,4 +220,141 @@ fn mixed_histories_either_merge_exactly_or_conflict() {
     // Both outcomes must actually occur over 200 random histories.
     assert!(clean > 0, "no clean merges in the mixed battery");
     assert!(conflicted > 0, "no conflicts in the mixed battery");
+}
+
+/// `route_collab`'s document: three 1 360-byte slices (one per client,
+/// then the one both share) with 8-byte separators, 4 096 bytes.
+const SLICE: usize = 1360;
+const SEPARATOR: &[u8; 8] = b"\n\n\n\n\n\n\n\n";
+const SHARED: usize = 2;
+
+fn slice_range(slice: usize) -> std::ops::Range<usize> {
+    let start = slice * (SLICE + SEPARATOR.len());
+    start..start + SLICE
+}
+
+#[derive(Clone, Copy, Debug)]
+enum Content {
+    DisjointAlphabets,
+    SharedAlphabet,
+    WordText,
+}
+
+/// A slice's text as `writer` (0 the base, 1 ours, 2 theirs) writes it.
+/// Texts of two writers share no 3-byte substring and differ in their
+/// first and last bytes. A rewrite then diffs as one hunk over the whole
+/// slice: the block diffs need a 4-byte match, and refinement coalesces
+/// edits that fewer than 3 kept bytes separate.
+fn slice_text(content: Content, writer: u8, rng: &mut StdRng) -> Vec<u8> {
+    match content {
+        // One 32-symbol alphabet per writer, as in `route_collab`.
+        Content::DisjointAlphabets => (0..SLICE)
+            .map(|_| b' ' + 32 * writer + rng.random_range(0..32u8))
+            .collect(),
+        // A walk over one 32-symbol alphabet whose steps come from ten
+        // owned by the writer, so each byte pair names its writer; only
+        // the last pair, which ends on the writer's own symbol, may not.
+        Content::SharedAlphabet => {
+            let mut at = writer;
+            let mut out = Vec::with_capacity(SLICE);
+            for _ in 1..SLICE {
+                out.push(b'@' + at);
+                at = (at + 1 + 10 * writer + rng.random_range(0..10u8)) % 32;
+            }
+            out.push(b'@' + 31 - writer);
+            out
+        }
+        // Words of consonant-vowel syllables, one space apart: vowels
+        // and spaces are shared, consonants belong to one writer, and
+        // every 3 bytes hold a consonant. The slice ends on one.
+        Content::WordText => {
+            let consonants = [b"bcdfghj", b"klmnpqr", b"stvwxyz"][writer as usize];
+            let mut out = Vec::with_capacity(SLICE + 8);
+            while out.len() < SLICE {
+                for _ in 0..rng.random_range(1..4) {
+                    out.push(consonants[rng.random_range(0..consonants.len())]);
+                    out.push(b"aeiou"[rng.random_range(0..5)]);
+                }
+                out.push(b' ');
+            }
+            out.truncate(SLICE);
+            out[SLICE - 1] = consonants[0];
+            out
+        }
+    }
+}
+
+/// The document with `slices` laid out in order.
+fn document(slices: &[Vec<u8>]) -> Vec<u8> {
+    slices.join(&SEPARATOR[..])
+}
+
+#[test]
+fn slice_rewrites_merge_to_known_bytes_and_conflict_ranges() {
+    let mut rng = StdRng::seed_from_u64(0x51_1CE5);
+    for content in [
+        Content::DisjointAlphabets,
+        Content::SharedAlphabet,
+        Content::WordText,
+    ] {
+        let base_slices: Vec<Vec<u8>> = (0..3).map(|_| slice_text(content, 0, &mut rng)).collect();
+        let base = document(&base_slices);
+        assert_eq!(base.len(), 4096);
+        let (ours_text, theirs_text) = (
+            slice_text(content, 1, &mut rng),
+            slice_text(content, 2, &mut rng),
+        );
+
+        // Each side rewrites its own slice: both rewrites merge.
+        let mut ours = base_slices.clone();
+        ours[0] = ours_text.clone();
+        let mut theirs = base_slices.clone();
+        theirs[1] = theirs_text.clone();
+        let mut both = base_slices.clone();
+        both[0] = ours_text.clone();
+        both[1] = theirs_text.clone();
+        for policy in [MergePolicy::Fail, MergePolicy::Ours, MergePolicy::Theirs] {
+            let out = merge(&base, &document(&ours), &document(&theirs), policy);
+            assert!(
+                out.conflicts.is_empty(),
+                "{content:?} own slices under {policy:?}"
+            );
+            assert_eq!(
+                out.merged,
+                Some(document(&both)),
+                "{content:?} own slices under {policy:?}"
+            );
+        }
+
+        // Both rewrite the shared slice: one conflict, exactly the slice.
+        let mut ours = base_slices.clone();
+        ours[SHARED] = ours_text.clone();
+        let mut theirs = base_slices.clone();
+        theirs[SHARED] = theirs_text.clone();
+        let (ours, theirs) = (document(&ours), document(&theirs));
+        let range = slice_range(SHARED);
+        let conflict = MergeConflict {
+            base_start: range.start as u64,
+            base_end: range.end as u64,
+            ours: ours_text,
+            theirs: theirs_text,
+        };
+        for (policy, merged) in [
+            (MergePolicy::Fail, None),
+            (MergePolicy::Ours, Some(&ours)),
+            (MergePolicy::Theirs, Some(&theirs)),
+        ] {
+            let out = merge(&base, &ours, &theirs, policy);
+            assert_eq!(
+                out.conflicts,
+                std::slice::from_ref(&conflict),
+                "{content:?} shared slice under {policy:?}"
+            );
+            assert_eq!(
+                out.merged.as_ref(),
+                merged,
+                "{content:?} shared slice under {policy:?}"
+            );
+        }
+    }
 }
