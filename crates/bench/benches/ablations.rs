@@ -160,7 +160,7 @@ fn bench_commit_cpu(c: &mut Criterion) {
     // The diff behind each WAL delta record, at the store's run gap.
     let edited = two_rewrites(&page);
     group.bench_function("page_diff_ops/two-51B-edits", |b| {
-        b.iter(|| page_diff_ops(black_box(&page), black_box(&edited), 24))
+        b.iter(|| page_diff_ops(black_box(&page), black_box(&edited), 24, usize::MAX))
     });
     // The diff behind each chain delta.
     let body = noise(2048, 2);
@@ -257,6 +257,34 @@ fn bench_merge_refine(c: &mut Criterion) {
         .conflicts
         .is_empty());
     group.bench_function("4KB-one-slice-a-side", |b| {
+        b.iter(|| {
+            merge(
+                black_box(&base),
+                black_box(&ours),
+                black_box(&theirs),
+                MergePolicy::Theirs,
+            )
+        })
+    });
+    // The same, each side rewriting its slice in the base's own
+    // alphabet (a slice that cycled back to it): the byte counts match,
+    // so only the 4-gram bound refuses the search. The rewrites are the
+    // first seeds the block-4 split leaves whole (one hunk), as
+    // `route_collab`'s refused pieces are; a split rewrite's pieces are
+    // too short for the bound and still run the search.
+    let [b0, b1, b2] = [0, 1, 2].map(|s| merge_slice(0, 10 + s));
+    let whole = |old: &[u8], from: u64| {
+        (from..)
+            .map(|seed| merge_slice(0, seed))
+            .find(|new| ode_merge::hunks(old, new).len() == 1)
+            .expect("a rewrite the split leaves whole")
+    };
+    let ours = doc([whole(&b0, 40), b1.clone(), b2.clone()]);
+    let theirs = doc([b0, whole(&b1, 50), b2]);
+    assert!(merge(&base, &ours, &theirs, MergePolicy::Theirs)
+        .conflicts
+        .is_empty());
+    group.bench_function("4KB-one-slice-a-side-shared-alphabet", |b| {
         b.iter(|| {
             merge(
                 black_box(&base),

@@ -125,11 +125,34 @@ impl std::error::Error for ApplyError {}
 const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Polynomial hash of one block: `Σ block[i] · HASH_MUL^(len−1−i)`,
-/// wrapping. Sliding the window one byte is [`roll`], O(1).
-fn block_hash(block: &[u8]) -> u64 {
-    block.iter().fold(0u64, |h, &b| {
-        h.wrapping_mul(HASH_MUL).wrapping_add(u64::from(b))
+/// wrapping, with `powers[i] = HASH_MUL^(len−1−i)` — independent
+/// multiplies, not a chain of them. Sliding the window one byte is
+/// [`roll`], O(1).
+fn block_hash(powers: &[u64], block: &[u8]) -> u64 {
+    block.iter().zip(powers).fold(0u64, |h, (&b, &p)| {
+        h.wrapping_add(u64::from(b).wrapping_mul(p))
     })
+}
+
+/// Length of the longest common prefix of `a` and `b`, a word at a
+/// time.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
+    let word = |s: &[u8]| u64::from_le_bytes(s.try_into().expect("8-byte chunk"));
+    let mut len = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let differ = word(x) ^ word(y);
+        if differ != 0 {
+            return len + differ.trailing_zeros() as usize / 8;
+        }
+        len += 8;
+    }
+    len + a[len..]
+        .iter()
+        .zip(&b[len..])
+        .take_while(|(x, y)| x == y)
+        .count()
 }
 
 /// The hash of the window one byte on: `out` leaves it, `new` enters,
@@ -185,15 +208,38 @@ pub fn diff_with_block(base: &[u8], target: &[u8], block: usize) -> Delta {
     let mut pending: Vec<u8> = Vec::new();
 
     // Index base blocks by hash (last occurrence wins; collisions are
-    // verified byte-wise below).
+    // verified byte-wise below). Most windows of an edited target match
+    // no block, so a bit per indexed hash — in a filter of about 32
+    // bits per block, at seeded multiply-shift positions — turns them
+    // away before the map is probed.
     let seed = RandomState::new().hash_one(0u64);
-    let mut index = HashMap::with_capacity_and_hasher(base.len() / block, MixState(seed));
+    let blocks = base.len() / block;
+    let mut index = HashMap::with_capacity_and_hasher(blocks, MixState(seed));
+    let mut powers = vec![1u64; block];
+    for i in (0..block - 1).rev() {
+        powers[i] = powers[i + 1].wrapping_mul(HASH_MUL);
+    }
+    let filter_bits = (blocks * 32).next_power_of_two().max(64);
+    let mut filter = vec![0u64; filter_bits / 64];
+    let shift = 64 - filter_bits.trailing_zeros();
+    let bit = |h: u64| (h.wrapping_mul(seed | 1) >> shift) as usize;
     if base.len() >= block {
         for start in (0..=base.len() - block).step_by(block) {
-            index.insert(block_hash(&base[start..start + block]), start);
+            let h = block_hash(&powers, &base[start..start + block]);
+            let b = bit(h);
+            filter[b / 64] |= 1 << (b % 64);
+            index.insert(h, start);
         }
     }
-    let top = (1..block).fold(1u64, |p, _| p.wrapping_mul(HASH_MUL));
+    let lookup = |h: u64| {
+        let b = bit(h);
+        if filter[b / 64] & (1 << (b % 64)) == 0 {
+            None
+        } else {
+            index.get(&h).copied()
+        }
+    };
+    let top = powers[0];
 
     let flush = |pending: &mut Vec<u8>, ops: &mut Vec<DeltaOp>| {
         if !pending.is_empty() {
@@ -210,21 +256,15 @@ pub fn diff_with_block(base: &[u8], target: &[u8], block: usize) -> Delta {
         if pos + block <= target.len() {
             let h = match window {
                 Some((at, h)) if at == pos => h,
-                _ => block_hash(&target[pos..pos + block]),
+                _ => block_hash(&powers, &target[pos..pos + block]),
             };
             if let Some(&new) = target.get(pos + block) {
                 window = Some((pos + 1, roll(h, target[pos], new, top)));
             }
-            if let Some(&base_start) = index.get(&h) {
+            if let Some(base_start) = lookup(h) {
                 if base[base_start..base_start + block] == target[pos..pos + block] {
-                    // Extend the match forward.
-                    let mut len = block;
-                    while base_start + len < base.len()
-                        && pos + len < target.len()
-                        && base[base_start + len] == target[pos + len]
-                    {
-                        len += 1;
-                    }
+                    let len =
+                        block + common_prefix(&base[base_start + block..], &target[pos + block..]);
                     // Extend backward into pending literals.
                     let mut back = 0usize;
                     while back < pending.len()
@@ -707,6 +747,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// FNV-1a over `bytes`, continuing from `h`.
+    fn fnv(h: u64, bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
+    /// Every delta of a seeded corpus, encoded, hashes to the digest
+    /// the kernel gave before its fast paths: shared-alphabet and
+    /// disjoint-alphabet slice rewrites of a 4 KB text, unrelated
+    /// random pairs, and empty and short inputs, at the merge's, the
+    /// chain's and an in-between block size.
+    #[test]
+    fn encoded_deltas_are_pinned_over_a_seeded_corpus() {
+        let mut rng = Rng(0x0DE1_7A00_5EED_0036);
+        let mut pairs: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        for case in 0..24 {
+            let base: Vec<u8> = rng.text(4096, 32).iter().map(|b| b'a' + b).collect();
+            let mut target = base.clone();
+            for _ in 0..1 + rng.below(3) {
+                let at = rng.below(3500);
+                let len = 32 + rng.below(500);
+                // Even cases rewrite in the base's alphabet, odd ones
+                // in a disjoint one.
+                let first = if case % 2 == 0 { b'a' } else { b'A' };
+                let fresh: Vec<u8> = rng.text(len, 26).iter().map(|b| first + b).collect();
+                target.splice(at..(at + len).min(target.len()), fresh);
+            }
+            pairs.push((base, target));
+        }
+        for _ in 0..8 {
+            let (n, m) = (rng.below(3000), rng.below(3000));
+            pairs.push((rng.text(n, 256), rng.text(m, 256)));
+        }
+        for n in 0..6 {
+            for m in 0..6 {
+                pairs.push((rng.text(n, 3), rng.text(m, 3)));
+            }
+        }
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for (base, target) in &pairs {
+            for block in [4, 8, DEFAULT_BLOCK] {
+                let delta = diff_with_block(base, target, block);
+                assert_eq!(&apply(base, &delta).unwrap(), target);
+                digest = fnv(digest, &ode_codec::to_bytes(&delta));
+            }
+        }
+        assert_eq!(
+            digest, 0xde1b_bae5_c2f0_6829,
+            "encoded deltas changed: {digest:#018x}"
+        );
     }
 
     #[test]

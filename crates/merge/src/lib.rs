@@ -264,6 +264,7 @@ fn refine(base: &[u8], h: Hunk, out: &mut Vec<Hunk>) {
         let exact = if pspan.is_empty()
             || p.replacement.is_empty()
             || distance_exceeds(pspan, &p.replacement, REFINE_MAX_D)
+            || grams_exceed(pspan, &p.replacement, REFINE_MAX_D)
         {
             None
         } else {
@@ -296,6 +297,44 @@ fn distance_exceeds(a: &[u8], b: &[u8], max_d: usize) -> bool {
     b.iter().for_each(|&x| cb[x as usize] += 1);
     let common: usize = ca.iter().zip(&cb).map(|(x, y)| x.min(y)).sum();
     a.len() + b.len() - 2 * common > max_d
+}
+
+/// Whether `D` provably exceeds `max_d` by the 4-byte windows `a` and
+/// `b` share, for pairs whose byte counts match (a slice rewritten in
+/// the alphabet it had before). Every window of `a` that avoids the
+/// deleted bytes and the gaps where bytes were inserted is a window of
+/// `b` too, and one insert or delete spoils at most four windows; so
+/// with `common` the size of the two window multisets' intersection,
+/// `common ≥ n − 3 − 4·D`, and the same for `m`. The windows are
+/// sorted and walked, not hashed, so no input can make this worse than
+/// O((n + m) log(n + m)).
+fn grams_exceed(a: &[u8], b: &[u8], max_d: usize) -> bool {
+    let longest = a.len().max(b.len());
+    if longest <= 3 + 4 * max_d {
+        return false;
+    }
+    let windows = |s: &[u8]| {
+        let mut w: Vec<u32> = s
+            .windows(4)
+            .map(|w| u32::from_le_bytes([w[0], w[1], w[2], w[3]]))
+            .collect();
+        w.sort_unstable();
+        w
+    };
+    let (wa, wb) = (windows(a), windows(b));
+    let (mut i, mut j, mut common) = (0, 0, 0);
+    while i < wa.len() && j < wb.len() {
+        match wa[i].cmp(&wb[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                common += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    longest - 3 - common > 4 * max_d
 }
 
 /// Myers O(ND) minimal edit script between `a` and `b`, grouped into
@@ -940,14 +979,20 @@ mod tests {
     #[test]
     fn a_refused_search_could_not_have_finished() {
         let mut s = Stream::new(0x5EED_0001);
-        let mut refused = [0usize; 5];
+        let mut refused = [0usize; 8];
+        // Refusals the byte bound let through and the gram bound made.
+        let mut by_grams_alone = [0usize; 8];
         let mut check = |family: usize, a: &[u8], b: &[u8]| {
-            if distance_exceeds(a, b, REFINE_MAX_D) {
+            let by_bytes = distance_exceeds(a, b, REFINE_MAX_D);
+            let by_grams = grams_exceed(a, b, REFINE_MAX_D);
+            if by_bytes || by_grams {
                 refused[family] += 1;
+                by_grams_alone[family] += usize::from(!by_bytes);
                 let d = edit_distance(a, b);
                 assert!(
                     d > REFINE_MAX_D,
-                    "the bound refused a pair {} / {} bytes apart by {d} edits",
+                    "a bound (bytes {by_bytes}, grams {by_grams}) refused a pair {} / {} \
+                     bytes apart by {d} edits",
                     a.len(),
                     b.len()
                 );
@@ -981,9 +1026,31 @@ mod tests {
         for k in [200, 250, 256, 257, 300] {
             check(4, &a, &spaced_deletions(&a, k));
         }
+        // Same-alphabet rewrites, the slices that cycle back to an
+        // alphabet: unrelated texts whose byte counts nearly match, over
+        // 32-symbol alphabets and 55-word text (whose shared words keep
+        // many windows common, so neither bound refuses it often).
+        for _ in 0..6 {
+            let (n, m) = (1100 + s.next(400), 1100 + s.next(400));
+            check(5, &s.text(n, b'!', 32), &s.text(m, b'!', 32));
+            check(6, &s.words(n), &s.words(m));
+        }
+        // Related same-alphabet pairs, 300 to 1 300 one-byte edits
+        // apart. Scattered edits share windows, so the gram bound reads
+        // well under D here and refuses only the heavily edited pairs.
+        for _ in 0..8 {
+            let (n, edits) = (1100 + s.next(400), 300 + s.next(1000));
+            let a = s.text(n, b'!', 32);
+            let b = s.mutate(&a, edits, b'!', 32);
+            check(7, &a, &b);
+        }
         assert!(
             refused.iter().all(|&r| r > 0),
             "some family never refused: {refused:?}"
+        );
+        assert!(
+            by_grams_alone[5] > 0 && by_grams_alone[7] > 0,
+            "the gram bound refused no same-alphabet pair on its own: {by_grams_alone:?}"
         );
     }
 

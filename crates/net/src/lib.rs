@@ -11,30 +11,32 @@
 //! preserve the generic-vs-specific reference distinction across the
 //! network.
 //!
-//! No async runtime: the server is one epoll **readiness loop** (the
-//! vendored [`polling`] crate) over nonblocking sockets, driving a
-//! per-connection state machine — partial-read frame reassembly, a
-//! bounded decode-ahead inbox, a partial-write output buffer — with a
-//! fixed worker pool executing the operations, so thread count is
-//! constant no matter how many thousands of connections are open. A
-//! client that stops reading is evicted once its buffered responses
-//! hit [`ServerConfig::write_buffer_cap`]
+//! No async runtime: the server is a fixed set of threads sharing one
+//! epoll poller (the vendored [`polling`] crate) over nonblocking
+//! sockets, registered oneshot so each readiness event goes to one
+//! thread. That thread reads the connection's frames, executes up to
+//! 64 of its requests in stream order in place, flushes the responses
+//! and re-arms the socket, so thread count is constant no matter how
+//! many thousands of connections are open. A client that stops reading
+//! is evicted once its buffered responses hit
+//! [`ServerConfig::write_buffer_cap`]
 //! ([`StatsReport::slow_client_evictions`] counts these). Serving must
-//! not change a program's result: the event loop is property-tested
+//! not change a program's result: the server is property-tested
 //! against the same requests applied in stream order to an in-process
-//! [`ode::Database`], byte for byte.
+//! [`ode::Database`], byte for byte, one connection and several at
+//! once.
 //! One request maps to one server-side snapshot (reads) or one
 //! committed transaction (writes), so a successful write response
 //! implies WAL durability, and a client reconnecting after a server
 //! restart sees every version it was ever acknowledged.
 //!
 //! Protocol v2 makes every connection a **pipeline**: requests carry
-//! client-assigned sequence ids and responses may arrive out of order,
-//! so [`OdeClient::send`]/[`OdeClient::recv`] (and the
+//! client-assigned sequence ids and responses may arrive out of order
+//! (a server answers one connection in order; the router interleaves
+//! shards), so [`OdeClient::send`]/[`OdeClient::recv`] (and the
 //! [`Pipeline`] batch API) keep many requests in flight per
-//! connection. The server decodes ahead into a bounded per-connection
-//! queue and serves repeated reads from a commit-invalidated snapshot
-//! cache ([`StatsReport::snapshot_hits`] /
+//! connection. The server serves repeated reads from a
+//! commit-invalidated snapshot cache ([`StatsReport::snapshot_hits`] /
 //! [`StatsReport::snapshot_misses`] show its effectiveness).
 //!
 //! For scale-out, [`OdeRouter`] is a shard-routing front tier speaking

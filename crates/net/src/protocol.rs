@@ -11,10 +11,10 @@
 //! Protocol version 2 (the `\x02` in [`MAGIC`]) made the connection a
 //! *pipeline*: every request payload starts with a client-assigned
 //! varint sequence id, echoed back as the first field of its response
-//! payload. A client may keep any number of requests in flight, and the
-//! server may answer them out of order (it answers `Ping`, `Stats`, and
-//! snapshot-cache hits ahead of queued work); the sequence id is the
-//! only correlation between the two streams.
+//! payload. A client may keep any number of requests in flight, and a
+//! server may answer them out of order; the sequence id is the only
+//! correlation between the two streams. ([`crate::OdeServer`] answers
+//! each connection in stream order, but clients must not rely on it.)
 //!
 //! After the sequence id, a request payload is an opcode byte followed
 //! by the operation's fields; a response payload is a response-kind
@@ -743,8 +743,7 @@ wire_table! {
         /// Version to probe.
         vid: vid,
     } read keyed;
-    /// The node's applied commit epoch (answered inline, like `Ping`;
-    /// the router's health probe).
+    /// The node's applied commit epoch (the router's health probe).
     23 "epoch" Epoch read local;
     /// Read-your-writes gate for replica reads: pin this connection's
     /// reads at `epoch` — they wait until the node has applied it.
@@ -1252,6 +1251,8 @@ pub struct FrameBuffer {
     buf: Vec<u8>,
     /// Bytes before `start` belong to already-yielded frames.
     start: usize,
+    /// Where the last frame yielded began (see [`FrameBuffer::unread`]).
+    yielded: usize,
     poisoned: bool,
 }
 
@@ -1268,6 +1269,7 @@ impl FrameBuffer {
         if self.start > 4096 && self.start * 2 > self.buf.len() {
             self.buf.drain(..self.start);
             self.start = 0;
+            self.yielded = 0;
         }
         self.buf.extend_from_slice(bytes);
     }
@@ -1275,6 +1277,25 @@ impl FrameBuffer {
     /// Bytes buffered but not yet yielded as frames.
     pub fn pending(&self) -> usize {
         self.buf.len() - self.start
+    }
+
+    /// Whether [`FrameBuffer::next_frame`] would yield something other
+    /// than `Ok(None)` — a complete frame, or the framing error — without
+    /// consuming it.
+    pub(crate) fn has_frame(&self) -> bool {
+        self.poisoned
+            || match frame_len(&self.buf[self.start..]) {
+                Ok(Some((prefix, len))) => self.pending() >= prefix + len,
+                Ok(None) => false,
+                Err(_) => true,
+            }
+    }
+
+    /// Puts back the frame the last [`FrameBuffer::next_frame`] yielded,
+    /// so that the next call yields it again. Only valid with no
+    /// [`FrameBuffer::extend`] in between.
+    pub(crate) fn unread(&mut self) {
+        self.start = self.yielded;
     }
 
     /// The next complete frame payload, or `Ok(None)` if more bytes
@@ -1297,6 +1318,7 @@ impl FrameBuffer {
             return Ok(None);
         }
         let payload_start = self.start + prefix;
+        self.yielded = self.start;
         self.start += total;
         Ok(Some(&self.buf[payload_start..payload_start + len]))
     }

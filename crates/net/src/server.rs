@@ -1,77 +1,87 @@
 //! The Ode TCP server.
 //!
 //! [`OdeServer`] wraps an [`Arc<Database>`] and serves the wire
-//! protocol over a **readiness event loop**: one thread runs an epoll
-//! poller (the vendored [`polling`] crate) over a nonblocking listener
-//! and every connection's nonblocking socket, so connection count is
-//! decoupled from thread count — 10k idle sessions cost 10k fds and
-//! some buffers, not 10k stacks. Request *execution* stays on a small
-//! worker pool ([`ServerConfig::workers`]), preserving the storage
-//! engine's multi-core parallelism: only connection I/O moved off
-//! dedicated threads.
+//! protocol from [`ServerConfig::workers`] **symmetric threads that
+//! share one poller** (the vendored [`polling`] crate's epoll) over a
+//! nonblocking listener and every connection's nonblocking socket.
+//! Connection count is decoupled from thread count — 10k idle sessions
+//! cost 10k fds and some buffers, not 10k stacks — and the thread that
+//! reads a request is the thread that executes it.
 //!
-//! Each connection is a small state machine driven by readiness:
+//! Every socket is registered **oneshot**: a readiness event is
+//! delivered to exactly one waiting thread, and the socket stays
+//! disarmed until that thread re-arms it. Each thread waits for one
+//! event at a time, so the claimant owns the connection for one
+//! **turn**:
 //!
-//! - **reading-frame** — readable bytes are pulled into an incremental
-//!   [`FrameBuffer`] (partial reads leave a partial frame buffered);
-//!   each complete frame is decoded on the loop. `Ping`, `Stats`,
-//!   `Epoch`, `ReadFloor`, and snapshot-cache hits are answered right
-//!   there, ahead of queued work; everything else becomes a job in the
-//!   connection's bounded inbox (the decode-ahead queue, 64 requests
-//!   deep). A full inbox drops the connection's read interest —
-//!   backpressure is "stop reading", and the kernel's receive window
-//!   does the rest.
-//! - **executing** — at most one job batch per connection is in flight
-//!   on the worker pool at a time, so one connection's requests
-//!   execute in decode order (pipelining stays per-connection FIFO at
-//!   the store) while different connections execute in parallel.
-//!   Completed responses come back to the loop over a queue + poller
-//!   wake and may interleave arbitrarily across connections — the v2
-//!   sequence ids make out-of-order completion safe.
-//! - **writing-response** — response frames append to a per-connection
+//! - **read** — unless a complete frame is still buffered from the
+//!   last turn, readable bytes are pulled into an incremental
+//!   [`FrameBuffer`] (partial reads leave a partial frame buffered)
+//!   until it holds a complete frame or the socket runs dry;
+//! - **execute** — up to [`PIPELINE_DEPTH`] frames are decoded and
+//!   executed in stream order, in place. Reads are answered from the
+//!   snapshot cache or a [`Database::snapshot`]; writes each run in
+//!   their own [`Database::begin`] transaction, committed before the
+//!   response frame is queued (a successful reply means the change is
+//!   durable to the WAL). The group-commit fsync and the
+//!   semi-synchronous replication barrier block only this thread; a
+//!   read floor's wait blocks it at most [`FLOOR_SLICE`] per turn;
+//! - **flush and re-arm** — response frames go to a per-connection
 //!   write buffer flushed as far as the socket allows (partial writes
-//!   keep a cursor). A non-empty buffer arms write interest; a reader
-//!   slower than its responses accumulates backlog until
-//!   [`ServerConfig::write_buffer_cap`], at which point the connection
-//!   is evicted (counted in `Stats` as `slow_client_evictions`) rather
-//!   than allowed to pin server memory.
+//!   keep a cursor), then the socket is re-armed: for reading while no
+//!   complete frame is left over, and for writing while responses are
+//!   backlogged or frames are left over (a writable socket reports at
+//!   once, so leftover frames get the next turn without a read).
 //!
-//! Read requests run on [`Database::snapshot`]s; write requests each
-//! run in their own [`Database::begin`] transaction committed before
-//! the response frame is sent (a successful reply means the change is
-//! durable to the WAL).
+//! One turn per connection at a time is what keeps a connection's
+//! requests in stream order at the store (pipelining is FIFO per
+//! connection and read-your-writes holds by construction), while
+//! different connections execute in parallel on different threads.
+//! Backpressure is the turn's frame budget: a connection with frames
+//! left over is not read, so the kernel's receive window fills and the
+//! client blocks. A reader slower than its responses accumulates
+//! backlog until [`ServerConfig::write_buffer_cap`], at which point the
+//! connection is evicted (counted in `Stats` as
+//! `slow_client_evictions`) rather than allowed to pin server memory.
+//! A request that blocked on replication — a write at the
+//! semi-synchronous barrier, or a read waiting for a floor epoch the
+//! node has not applied — ends its turn, so a thread freed from such a
+//! wait serves whoever has waited longest, the router's health probe
+//! included, before the connection's next request. A read still below
+//! its floor after a slice goes back into the read buffer, first in
+//! line for the connection's next turn.
 //!
 //! Successful read responses are cached in an [`EpochCache`] keyed by
 //! the request's *operation bytes* (the payload after the sequence id
 //! varint, so every connection shares one map) and holding the encoded
 //! response the same way: a hit prefixes the caller's sequence id onto
 //! wire-ready bytes — no snapshot, no store lock, no re-encode, no body
-//! copy. The cache fast path is gated on the connection having no write
-//! in flight, which preserves read-your-writes per connection;
-//! cross-connection consistency is commit-granular via the database's
-//! [snapshot epoch](Database::snapshot_epoch), which [`ode::Txn`]'s
-//! commit bumps before it returns.
+//! copy. Cross-connection consistency is commit-granular via the
+//! database's [snapshot epoch](Database::snapshot_epoch), which
+//! [`ode::Txn`]'s commit bumps before it returns.
 //!
 //! None of this may change what a connection is answered: the tests
 //! below play pipelined request streams, split at arbitrary byte
-//! boundaries, and compare every response frame with the one
-//! [`apply`] gives for the same request run in stream order on an
-//! identically seeded in-process [`Database`].
+//! boundaries, on several connections at once, and compare every
+//! response frame with the one [`apply`] gives for the same request run
+//! in stream order on an identically seeded in-process [`Database`].
 //!
-//! Shutdown is graceful and prompt: the loop is woken, every live
-//! socket is shut down, queued jobs finish on the workers (writes
-//! commit), and all threads are joined.
+//! Shutdown is graceful and prompt: the threads are woken one after
+//! another, each finishes the turn it is in (its decoded requests
+//! execute; writes commit), and once all are joined every live socket
+//! is shut down.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
 use ode::{Database, EpochCache};
-use polling::{Event, Poller};
+use parking_lot::Mutex;
+use polling::{Event, PollMode, Poller};
 
 use crate::error::RemoteError;
 use crate::protocol::{
@@ -79,10 +89,14 @@ use crate::protocol::{
     StorageCounters, MAGIC, OPCODE_COUNT,
 };
 
-/// Per-connection decode-ahead depth: how many decoded requests may
-/// wait in a connection's inbox before the loop stops reading its
-/// socket (backpressure).
+/// Frames one turn executes before the connection is re-armed (the
+/// per-connection backpressure unit).
 const PIPELINE_DEPTH: usize = 64;
+
+/// Longest a read waits for its connection's read floor in one turn
+/// (the whole wait is [`ServerConfig::read_floor_timeout`]); well under
+/// the router's one-second health probe, which needs a free thread.
+const FLOOR_SLICE: std::time::Duration = std::time::Duration::from_millis(100);
 
 /// Snapshot-cache capacity in responses per epoch.
 const SNAPSHOT_CACHE_ENTRIES: usize = 4096;
@@ -94,7 +108,8 @@ type SnapshotCache = EpochCache<Vec<u8>, Arc<[u8]>>;
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads executing requests — the storage-layer
+    /// Threads that wait on the server's poller and execute the
+    /// requests of the connections they claim — the storage-layer
     /// parallelism cap. Connection count is independent of this.
     pub workers: usize,
     /// Start in replica mode: writes are refused with `Unavailable`
@@ -206,31 +221,28 @@ impl ServerStats {
     }
 }
 
-/// Everything a connection needs about the node it runs on, shared by
-/// the loop and all workers: the database, counters, cache, and the
-/// node's replication role.
-struct NodeCtx {
+/// Everything the server's threads share: the database, counters,
+/// cache and replication role, the poller with the listener, and the
+/// connections waiting for their next turn.
+struct Node {
     db: Arc<Database>,
-    stats: Arc<ServerStats>,
-    cache: Arc<SnapshotCache>,
+    stats: ServerStats,
+    cache: SnapshotCache,
     /// `true` while this node is a replica (writes refused). Flipped to
     /// `false` by a successful `Promote`.
     replica: AtomicBool,
     hooks: ServerHooks,
     floor_timeout: std::time::Duration,
-}
-
-impl NodeCtx {
-    fn new(db: Arc<Database>, config: &ServerConfig, hooks: ServerHooks) -> NodeCtx {
-        NodeCtx {
-            db,
-            stats: Arc::new(ServerStats::default()),
-            cache: Arc::new(SnapshotCache::new(SNAPSHOT_CACHE_ENTRIES)),
-            replica: AtomicBool::new(config.replica),
-            hooks,
-            floor_timeout: config.read_floor_timeout,
-        }
-    }
+    write_cap: usize,
+    poller: Poller,
+    listener: TcpListener,
+    /// Every open connection that is not in a turn, by poller key. The
+    /// thread that claims a connection's event takes it out for the
+    /// turn and puts it back before re-arming it, so a connection is
+    /// never in two turns at once.
+    idle: Mutex<HashMap<usize, Conn>>,
+    next_token: AtomicUsize,
+    shutdown: AtomicBool,
 }
 
 /// Length in bytes of the sequence-id varint a frame payload starts
@@ -246,96 +258,69 @@ fn frame_prefix_len(payload_len: usize) -> u64 {
     buf.len() as u64
 }
 
-/// One decoded request waiting for (or in flight on) the worker pool.
-struct Job {
-    seq: u64,
-    request: Request,
-    /// Cache key (the request's operation bytes, i.e. the payload
-    /// after its sequence varint) — `Some` for reads.
-    key: Option<Vec<u8>>,
-    /// Whether the decode path already consulted the cache and missed;
-    /// execution then skips its own lookup so each request counts one
-    /// hit or one miss, never both.
-    looked_up: bool,
-    /// The connection's read floor when this request was decoded —
-    /// stream-order semantics for the `ReadFloor` opcode.
-    floor: u64,
-}
-
-/// Execute one job to a wire-ready encoded response. The second return
-/// is whether the job was a write (the caller clears its
-/// read-your-writes gate only after the commit happened here).
-fn execute_job(ctx: &NodeCtx, job: Job) -> (Vec<u8>, bool) {
-    let (db, stats, cache) = (&*ctx.db, &*ctx.stats, &*ctx.cache);
-    let is_write = job.key.is_none();
-    let out: Vec<u8> = match job.key {
-        Some(key) => {
-            // Replica read gate: a pinned connection's reads wait until
-            // this node has applied the floor epoch, and fail
-            // `Unavailable` (never answer from older state) when it
-            // stays behind past the timeout.
-            let floor = job.floor;
-            if floor > 0 && db.wait_for_epoch(floor, ctx.floor_timeout) < floor {
-                stats.op_errors.fetch_add(1, Ordering::Relaxed);
-                Response::Err(RemoteError::Unavailable(format!(
-                    "node at epoch {} has not applied read floor {floor}",
-                    db.snapshot_epoch()
-                )))
-                .encode(job.seq)
-            } else {
-                // Sampled before the snapshot opens: a commit landing
-                // in between tags the fill with an already-stale epoch
-                // (a wasted entry, never a stale hit).
-                let epoch = db.snapshot_epoch();
-                let cached = if job.looked_up {
-                    None
-                } else {
-                    cache.get(epoch, &key)
-                };
-                match cached {
-                    Some(cached) => {
-                        let mut out = Vec::with_capacity(10 + cached.len());
-                        ode_codec::varint::write_u64(&mut out, job.seq);
-                        out.extend_from_slice(&cached);
+/// Execute one decoded request to its wire-ready response payload.
+/// `op_bytes` is the request's payload after its sequence varint (the
+/// snapshot-cache key of a read). The second return is whether a write
+/// waited at the replication barrier.
+fn execute(node: &Node, seq: u64, request: Request, op_bytes: &[u8]) -> (Vec<u8>, bool) {
+    let (db, stats, cache) = (&*node.db, &node.stats, &node.cache);
+    let mut waited = false;
+    let out = match request {
+        Request::Ping => Response::Pong.encode(seq),
+        Request::Stats => Response::Stats(stats.report(cache, db)).encode(seq),
+        // The router's health probe.
+        Request::Epoch => Response::Count(db.snapshot_epoch()).encode(seq),
+        request if request.is_read() => {
+            // Sampled before the snapshot opens: a commit landing in
+            // between tags the fill with an already-stale epoch (a
+            // wasted entry, never a stale hit).
+            let epoch = db.snapshot_epoch();
+            match cache.get(epoch, op_bytes) {
+                Some(cached) => {
+                    // Wire-ready bytes: this caller's sequence id
+                    // prefixed onto the stored encoded response.
+                    let mut out = Vec::with_capacity(10 + cached.len());
+                    ode_codec::varint::write_u64(&mut out, seq);
+                    out.extend_from_slice(&cached);
+                    out
+                }
+                None => match apply(db, request) {
+                    Ok(response) => {
+                        let out = response.encode(seq);
+                        let key = op_bytes.to_vec();
+                        cache.insert(epoch, key, Arc::from(&out[seq_prefix_len(&out)..]));
                         out
                     }
-                    None => match apply(db, job.request) {
-                        Ok(response) => {
-                            let out = response.encode(job.seq);
-                            cache.insert(epoch, key, Arc::from(&out[seq_prefix_len(&out)..]));
-                            out
-                        }
-                        Err(e) => {
-                            stats.op_errors.fetch_add(1, Ordering::Relaxed);
-                            Response::Err(RemoteError::from(&e)).encode(job.seq)
-                        }
-                    },
-                }
+                    Err(e) => {
+                        stats.op_errors.fetch_add(1, Ordering::Relaxed);
+                        Response::Err(RemoteError::from(&e)).encode(seq)
+                    }
+                },
             }
         }
-        None if matches!(job.request, Request::Promote) => {
+        Request::Promote => {
             // Driven failover. Idempotent: promoting a primary is a
             // no-op success.
-            let result = if !ctx.replica.load(Ordering::Acquire) {
+            let result = if !node.replica.load(Ordering::Acquire) {
                 Ok(())
             } else {
-                match &ctx.hooks.promote {
+                match &node.hooks.promote {
                     Some(hook) => hook(),
-                    None => ctx.db.promote_to_primary().map_err(|e| e.to_string()),
+                    None => db.promote_to_primary().map_err(|e| e.to_string()),
                 }
             };
             match result {
                 Ok(()) => {
-                    ctx.replica.store(false, Ordering::Release);
-                    Response::Unit.encode(job.seq)
+                    node.replica.store(false, Ordering::Release);
+                    Response::Unit.encode(seq)
                 }
                 Err(msg) => {
                     stats.op_errors.fetch_add(1, Ordering::Relaxed);
-                    Response::Err(RemoteError::Storage(msg)).encode(job.seq)
+                    Response::Err(RemoteError::Storage(msg)).encode(seq)
                 }
             }
         }
-        None if ctx.replica.load(Ordering::Acquire) => {
+        _ if node.replica.load(Ordering::Acquire) => {
             // Replicas are read-only; the router never routes writes
             // here, so this is a client targeting the wrong node (or a
             // promotion race) — strictly not retryable on this
@@ -344,23 +329,24 @@ fn execute_job(ctx: &NodeCtx, job: Job) -> (Vec<u8>, bool) {
             Response::Err(RemoteError::Unavailable(
                 "replica is read-only (writes go to the primary)".into(),
             ))
-            .encode(job.seq)
+            .encode(seq)
         }
-        None => apply(db, job.request)
+        request => apply(db, request)
             .inspect(|_| {
-                // Semi-synchronous barrier: hold the response until a
-                // replica acked this commit's epoch.
-                if let Some(wait) = &ctx.hooks.commit_wait {
+                // Semi-synchronous barrier: hold the response until
+                // a replica acked this commit's epoch.
+                if let Some(wait) = &node.hooks.commit_wait {
                     wait(db.snapshot_epoch());
+                    waited = true;
                 }
             })
             .unwrap_or_else(|e| {
                 stats.op_errors.fetch_add(1, Ordering::Relaxed);
                 Response::Err(RemoteError::from(&e))
             })
-            .encode(job.seq),
+            .encode(seq),
     };
-    (out, is_write)
+    (out, waited)
 }
 
 /// Execute one operation. Reads run on a snapshot; writes run in a
@@ -447,49 +433,13 @@ fn apply(db: &Database, request: Request) -> ode::Result<Response> {
 }
 
 // ---------------------------------------------------------------------------
-// Event loop
+// Turns
 // ---------------------------------------------------------------------------
 
 /// The listener's poller key; connection tokens start above it.
 const LISTENER_KEY: usize = 0;
 
-/// One connection's batch of decoded jobs headed for the worker pool.
-struct Batch {
-    token: usize,
-    jobs: Vec<Job>,
-}
-
-/// What a worker sends back to the loop.
-enum Completion {
-    /// One job's encoded response frame payload.
-    Response {
-        token: usize,
-        out: Vec<u8>,
-        is_write: bool,
-    },
-    /// The batch finished; the connection may dispatch its next one.
-    BatchDone { token: usize },
-}
-
-/// Worker→loop completion queue. Workers push and wake the poller; the
-/// loop drains on every wakeup.
-struct Completions {
-    queue: Mutex<VecDeque<Completion>>,
-    poller: Arc<Poller>,
-}
-
-impl Completions {
-    fn push(&self, c: Completion) {
-        self.queue.lock().unwrap().push_back(c);
-        let _ = self.poller.notify();
-    }
-}
-
-/// Per-connection state machine. The `state` a connection is in is
-/// encoded by its buffers and flags: bytes pending in `rbuf` =
-/// reading-frame, `dispatched` = executing, bytes pending in `wbuf` =
-/// writing-response; all three can hold at once (that is what
-/// pipelining means).
+/// Per-connection state, owned by whichever thread holds its turn.
 struct Conn {
     stream: TcpStream,
     token: usize,
@@ -498,49 +448,46 @@ struct Conn {
     magic_got: usize,
     /// Partial-read buffer: accumulates socket bytes, yields frames.
     rbuf: FrameBuffer,
-    /// Decoded jobs not yet dispatched to the workers.
-    inbox: VecDeque<Job>,
-    /// A batch is executing on the worker pool (at most one at a time
-    /// per connection — this is what keeps execution in decode order).
-    dispatched: bool,
-    /// Writes decoded but not yet committed: non-zero closes the
-    /// snapshot-cache fast path (read-your-writes).
-    pending_writes: u64,
     /// The connection's read floor (the `ReadFloor` opcode), applied
-    /// to reads decoded after it.
+    /// to the reads after it.
     read_floor: u64,
+    /// When the read at the head of the stream began waiting for the
+    /// read floor, while it waits.
+    floor_since: Option<std::time::Instant>,
     /// Partial-write buffer (`wpos` = bytes already on the wire).
     wbuf: Vec<u8>,
     wpos: usize,
-    /// Peer sent EOF: finish decoded work, then close.
+    /// Peer sent EOF: finish the buffered frames, then close.
     peer_closed: bool,
     /// The socket's write side failed; responses are discarded but
-    /// decoded writes still execute (they were accepted off the wire).
+    /// buffered writes still execute (they were accepted off the wire).
     write_dead: bool,
-    /// Interest currently armed with the poller, to skip no-op
-    /// `modify` syscalls.
-    armed: (bool, bool),
 }
 
 impl Conn {
+    fn new(stream: TcpStream, token: usize) -> Conn {
+        Conn {
+            stream,
+            token,
+            magic_got: 0,
+            rbuf: FrameBuffer::new(),
+            read_floor: 0,
+            floor_since: None,
+            wbuf: Vec::new(),
+            wpos: 0,
+            peer_closed: false,
+            write_dead: false,
+        }
+    }
+
     fn backlog(&self) -> usize {
         self.wbuf.len() - self.wpos
     }
-
-    /// Appends one response frame to the write buffer.
-    fn queue_frame(&mut self, stats: &ServerStats, payload: &[u8]) {
-        queue_frame(
-            &mut self.wbuf,
-            &mut self.wpos,
-            self.write_dead,
-            stats,
-            payload,
-        );
-    }
 }
 
-/// [`Conn::queue_frame`] over split borrows, for call sites holding a
-/// frame payload borrowed out of the same connection's read buffer.
+/// Appends one response frame to a connection's write buffer (split
+/// borrows, for a caller holding a frame payload borrowed out of the
+/// same connection's read buffer).
 fn queue_frame(
     wbuf: &mut Vec<u8>,
     wpos: &mut usize,
@@ -569,14 +516,11 @@ enum Close {
     Evicted,
 }
 
-/// A running Ode network server (readiness event loop).
+/// A running Ode network server (threads sharing one poller).
 pub struct OdeServer {
     addr: SocketAddr,
-    ctx: Arc<NodeCtx>,
-    shutdown: Arc<AtomicBool>,
-    poller: Arc<Poller>,
-    loop_handle: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    node: Arc<Node>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl OdeServer {
@@ -600,60 +544,35 @@ impl OdeServer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let ctx = Arc::new(NodeCtx::new(db, &config, hooks));
-        let poller = Arc::new(Poller::new()?);
-        poller.add(&listener, Event::readable(LISTENER_KEY))?;
-
-        let (job_tx, job_rx) = mpsc::channel::<Batch>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let completions = Arc::new(Completions {
-            queue: Mutex::new(VecDeque::new()),
-            poller: Arc::clone(&poller),
+        let poller = Poller::new()?;
+        poller.add_with_mode(&listener, Event::readable(LISTENER_KEY), PollMode::Oneshot)?;
+        let node = Arc::new(Node {
+            db,
+            stats: ServerStats::default(),
+            cache: SnapshotCache::new(SNAPSHOT_CACHE_ENTRIES),
+            replica: AtomicBool::new(config.replica),
+            hooks,
+            floor_timeout: config.read_floor_timeout,
+            write_cap: config.write_buffer_cap.max(1),
+            poller,
+            listener,
+            idle: Mutex::new(HashMap::new()),
+            next_token: AtomicUsize::new(LISTENER_KEY + 1),
+            shutdown: AtomicBool::new(false),
         });
-
-        let workers = (0..config.workers.max(1))
+        let threads = (0..config.workers.max(1))
             .map(|i| {
-                let ctx = Arc::clone(&ctx);
-                let rx = Arc::clone(&job_rx);
-                let completions = Arc::clone(&completions);
+                let node = Arc::clone(&node);
                 thread::Builder::new()
-                    .name(format!("ode-net-worker-{i}"))
-                    .spawn(move || worker_loop(&ctx, &rx, &completions))
-                    .expect("spawn server worker thread")
+                    .name(format!("ode-net-{i}"))
+                    .spawn(move || serve(&node))
+                    .expect("spawn server thread")
             })
             .collect();
-
-        let loop_handle = {
-            let ctx = Arc::clone(&ctx);
-            let poller = Arc::clone(&poller);
-            let shutdown = Arc::clone(&shutdown);
-            let write_cap = config.write_buffer_cap.max(1);
-            thread::Builder::new()
-                .name("ode-net-loop".into())
-                .spawn(move || {
-                    // job_tx moves in here; dropping it on exit stops
-                    // the workers once the queue drains.
-                    event_loop(
-                        &ctx,
-                        listener,
-                        &poller,
-                        job_tx,
-                        &completions,
-                        &shutdown,
-                        write_cap,
-                    )
-                })
-                .expect("spawn server event-loop thread")
-        };
-
         Ok(OdeServer {
             addr,
-            ctx,
-            shutdown,
-            poller,
-            loop_handle: Some(loop_handle),
-            workers,
+            node,
+            threads,
         })
     }
 
@@ -664,34 +583,39 @@ impl OdeServer {
 
     /// Whether this node currently refuses writes (replica role).
     pub fn is_replica(&self) -> bool {
-        self.ctx.replica.load(Ordering::Acquire)
+        self.node.replica.load(Ordering::Acquire)
     }
 
     /// A snapshot of the server's counters (the same data the `Stats`
     /// opcode serves remotely).
     pub fn stats(&self) -> StatsReport {
-        self.ctx.stats.report(&self.ctx.cache, &self.ctx.db)
+        self.node.stats.report(&self.node.cache, &self.node.db)
     }
 
     /// Stop accepting, close every live connection, and join all
-    /// server threads. Requests already decoded complete first (their
-    /// writes commit; undeliverable responses are discarded).
+    /// server threads. Requests in a turn complete first (their writes
+    /// commit; undeliverable responses are discarded).
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
+        let node = &*self.node;
+        if node.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
-        let _ = self.poller.notify();
-        if let Some(handle) = self.loop_handle.take() {
+        // One wake; each thread passes it on as it leaves.
+        let _ = node.poller.notify();
+        for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
-        // The loop dropped job_tx on exit; workers drain what was
-        // dispatched, then see the hangup and exit.
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+        // No thread is in a turn any more: every open connection is idle.
+        for (_, conn) in node.idle.lock().drain() {
+            let _ = node.poller.delete(&conn.stream);
+            let _ = conn.stream.shutdown(Shutdown::Both);
+            node.stats
+                .active_connections
+                .fetch_sub(1, Ordering::Relaxed);
         }
     }
 }
@@ -710,164 +634,62 @@ impl std::fmt::Debug for OdeServer {
     }
 }
 
-fn worker_loop(ctx: &NodeCtx, rx: &Mutex<mpsc::Receiver<Batch>>, completions: &Completions) {
-    loop {
-        // Hold the lock only for the dequeue, not the execution.
-        let next = rx.lock().unwrap().recv();
-        let Ok(batch) = next else {
-            return; // sender gone: server is shutting down
-        };
-        for job in batch.jobs {
-            let (out, is_write) = execute_job(ctx, job);
-            // Streamed back one by one: earlier responses in a batch
-            // reach the wire while later jobs still execute.
-            completions.push(Completion::Response {
-                token: batch.token,
-                out,
-                is_write,
-            });
-        }
-        completions.push(Completion::BatchDone { token: batch.token });
-    }
-}
-
-fn event_loop(
-    ctx: &NodeCtx,
-    listener: TcpListener,
-    poller: &Arc<Poller>,
-    job_tx: mpsc::Sender<Batch>,
-    completions: &Completions,
-    shutdown: &AtomicBool,
-    write_cap: usize,
-) {
-    let stats = &*ctx.stats;
-    let mut conns: HashMap<usize, Conn> = HashMap::new();
-    let mut next_token = LISTENER_KEY + 1;
+/// One server thread: claim one event at a time and give its source a
+/// turn.
+fn serve(node: &Node) {
     let mut events: Vec<Event> = Vec::new();
     let mut scratch = vec![0u8; 64 << 10];
-    // Connections touched this wakeup, pumped once at the end so a
-    // burst of completions costs one flush, not one syscall each.
-    let mut touched: Vec<usize> = Vec::new();
-
-    'run: loop {
-        if poller.wait(&mut events, None).is_err() {
+    loop {
+        if node.poller.wait_max(&mut events, 1, None).is_err() {
             break;
         }
-        if shutdown.load(Ordering::SeqCst) {
+        if node.shutdown.load(Ordering::SeqCst) {
+            // Pass the wake on to the next thread still waiting.
+            let _ = node.poller.notify();
             break;
         }
-        touched.clear();
-
-        for &ev in &events {
-            if ev.key == LISTENER_KEY {
-                accept_ready(&listener, poller, &mut conns, &mut next_token, stats);
-                continue;
-            }
-            let Some(conn) = conns.get_mut(&ev.key) else {
-                continue;
-            };
-            if ev.readable {
-                read_ready(conn, ctx, &mut scratch);
-            }
-            if !touched.contains(&ev.key) {
-                touched.push(ev.key);
-            }
+        let Some(ev) = events.first() else {
+            continue;
+        };
+        if ev.key == LISTENER_KEY {
+            accept_ready(node);
+            continue;
         }
-
-        // Drain completions delivered by the workers.
-        loop {
-            let Some(c) = completions.queue.lock().unwrap().pop_front() else {
-                break;
-            };
-            match c {
-                Completion::Response {
-                    token,
-                    out,
-                    is_write,
-                } => {
-                    // The connection may have been evicted while the
-                    // job executed; its work stands, the frame drops.
-                    let Some(conn) = conns.get_mut(&token) else {
-                        continue;
-                    };
-                    if is_write {
-                        conn.pending_writes -= 1;
-                    }
-                    conn.queue_frame(stats, &out);
-                    if !touched.contains(&token) {
-                        touched.push(token);
-                    }
-                }
-                Completion::BatchDone { token } => {
-                    let Some(conn) = conns.get_mut(&token) else {
-                        continue;
-                    };
-                    conn.dispatched = false;
-                    if !touched.contains(&token) {
-                        touched.push(token);
+        let claimed = node.idle.lock().remove(&ev.key);
+        let Some(mut conn) = claimed else {
+            // Unreachable while registrations are oneshot: an event is
+            // delivered once per arming, and a connection is armed only
+            // while it is idle.
+            #[cfg(test)]
+            tests::BUSY_CLAIMS.fetch_add(1, Ordering::Relaxed);
+            continue;
+        };
+        match turn(node, &mut conn, &mut scratch) {
+            Ok(interest) => {
+                let fd = conn.stream.as_raw_fd();
+                // Back among the idle before it is armed: whoever
+                // claims the next event must find it there.
+                node.idle.lock().insert(conn.token, conn);
+                if node
+                    .poller
+                    .modify_with_mode(&fd, interest, PollMode::Oneshot)
+                    .is_err()
+                {
+                    let conn = node.idle.lock().remove(&interest.key);
+                    if let Some(conn) = conn {
+                        close(node, conn, Close::Done);
                     }
                 }
             }
-        }
-
-        // One pump — parse, dispatch, flush, re-arm — per touched
-        // connection.
-        for &token in &touched {
-            let Some(conn) = conns.get_mut(&token) else {
-                continue;
-            };
-            match pump(conn, ctx, poller, &job_tx, write_cap) {
-                Ok(()) => {}
-                Err(close) => {
-                    if let Close::Evicted = close {
-                        stats.slow_client_evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let mut conn = conns.remove(&token).expect("conn present");
-                    // Best-effort final flush (one nonblocking pass):
-                    // answers queued before a fatal frame should still
-                    // try to reach the client.
-                    if !conn.write_dead && conn.backlog() > 0 {
-                        let wpos = conn.wpos;
-                        let _ = conn.stream.write_all(&conn.wbuf[wpos..]);
-                    }
-                    let _ = poller.delete(&conn.stream);
-                    let _ = conn.stream.shutdown(Shutdown::Both);
-                    stats.active_connections.fetch_sub(1, Ordering::Relaxed);
-                }
-            }
-            if shutdown.load(Ordering::SeqCst) {
-                break 'run;
-            }
+            Err(why) => close(node, conn, why),
         }
     }
-
-    // Teardown: close every socket; decoded-but-undispatched jobs are
-    // flushed to the workers first so "accepted off the wire" implies
-    // "executed" even across shutdown.
-    for (_, mut conn) in conns.drain() {
-        if !conn.inbox.is_empty() {
-            let _ = job_tx.send(Batch {
-                token: conn.token,
-                jobs: conn.inbox.drain(..).collect(),
-            });
-        }
-        let _ = poller.delete(&conn.stream);
-        let _ = conn.stream.shutdown(Shutdown::Both);
-        stats.active_connections.fetch_sub(1, Ordering::Relaxed);
-    }
-    drop(listener);
-    // job_tx drops here: workers finish the backlog and exit.
 }
 
-fn accept_ready(
-    listener: &TcpListener,
-    poller: &Poller,
-    conns: &mut HashMap<usize, Conn>,
-    next_token: &mut usize,
-    stats: &ServerStats,
-) {
+fn accept_ready(node: &Node) {
+    let stats = &node.stats;
     loop {
-        let stream = match listener.accept() {
+        let stream = match node.listener.accept() {
             Ok((stream, _)) => stream,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             // Transient accept failures (ECONNABORTED, EMFILE): leave
@@ -879,39 +701,95 @@ fn accept_ready(
             continue;
         }
         stream.set_nodelay(true).ok();
-        let token = *next_token;
-        *next_token += 1;
-        if poller.add(&stream, Event::readable(token)).is_err() {
-            continue;
-        }
+        let token = node.next_token.fetch_add(1, Ordering::Relaxed);
+        let fd = stream.as_raw_fd();
         stats.active_connections.fetch_add(1, Ordering::Relaxed);
-        conns.insert(
-            token,
-            Conn {
-                stream,
-                token,
-                magic_got: 0,
-                rbuf: FrameBuffer::new(),
-                inbox: VecDeque::new(),
-                dispatched: false,
-                pending_writes: 0,
-                read_floor: 0,
-                wbuf: Vec::new(),
-                wpos: 0,
-                peer_closed: false,
-                write_dead: false,
-                armed: (true, false),
-            },
-        );
+        node.idle.lock().insert(token, Conn::new(stream, token));
+        let interest = Event::readable(token);
+        if node
+            .poller
+            .add_with_mode(&fd, interest, PollMode::Oneshot)
+            .is_err()
+        {
+            node.idle.lock().remove(&token);
+            stats.active_connections.fetch_sub(1, Ordering::Relaxed);
+        }
     }
+    let interest = Event::readable(LISTENER_KEY);
+    let _ = node
+        .poller
+        .modify_with_mode(&node.listener, interest, PollMode::Oneshot);
 }
 
-/// Pull whatever the kernel has into the connection's read state.
-/// Stops early once the inbox is full (backpressure): unread bytes
-/// stay in the kernel buffer and the read interest is dropped by the
-/// subsequent pump.
-fn read_ready(conn: &mut Conn, ctx: &NodeCtx, scratch: &mut [u8]) {
-    while !conn.peer_closed && conn.inbox.len() < PIPELINE_DEPTH {
+/// Tear down a connection that is out of the idle map.
+fn close(node: &Node, mut conn: Conn, why: Close) {
+    if let Close::Evicted = why {
+        node.stats
+            .slow_client_evictions
+            .fetch_add(1, Ordering::Relaxed);
+    }
+    // Best-effort final flush (one nonblocking pass): answers queued
+    // before a fatal frame should still try to reach the client.
+    if !conn.write_dead && conn.backlog() > 0 {
+        let wpos = conn.wpos;
+        let _ = conn.stream.write_all(&conn.wbuf[wpos..]);
+    }
+    let _ = node.poller.delete(&conn.stream);
+    let _ = conn.stream.shutdown(Shutdown::Both);
+    node.stats
+        .active_connections
+        .fetch_sub(1, Ordering::Relaxed);
+}
+
+/// One turn of a claimed connection: read unless a frame is left over,
+/// execute up to [`PIPELINE_DEPTH`] frames, flush. Returns the interest
+/// to re-arm with, or why the connection is done.
+fn turn(node: &Node, conn: &mut Conn, scratch: &mut [u8]) -> Result<Event, Close> {
+    if !conn.rbuf.has_frame() {
+        read_ready(conn, &node.stats, scratch);
+    }
+    execute_frames(node, conn)?;
+
+    // Flush as far as the socket allows.
+    while conn.wpos < conn.wbuf.len() && !conn.write_dead {
+        match conn.stream.write(&conn.wbuf[conn.wpos..]) {
+            Ok(0) => conn.write_dead = true,
+            Ok(n) => conn.wpos += n,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => conn.write_dead = true,
+        }
+    }
+    if conn.write_dead {
+        // Undeliverable: drop the backlog, keep executing what was
+        // read.
+        conn.wbuf.clear();
+        conn.wpos = 0;
+    }
+
+    // Slow-client guard: a reader this far behind its responses is
+    // evicted rather than allowed to pin server memory.
+    if conn.backlog() > node.write_cap {
+        return Err(Close::Evicted);
+    }
+    let left_over = conn.rbuf.has_frame();
+    let backlogged = conn.backlog() > 0 && !conn.write_dead;
+    // Nothing left to read, execute or write: the session is over. (A
+    // partial frame cut off by the EOF can never be answered.)
+    if conn.peer_closed && !left_over && !backlogged {
+        return Err(Close::Done);
+    }
+    Ok(Event {
+        key: conn.token,
+        readable: !conn.peer_closed && !left_over,
+        writable: backlogged || left_over,
+    })
+}
+
+/// Pull what the kernel has into the connection's read buffer, until
+/// it holds a complete frame or the socket runs dry.
+fn read_ready(conn: &mut Conn, stats: &ServerStats, scratch: &mut [u8]) {
+    while !conn.peer_closed && !conn.rbuf.has_frame() {
         let n = match conn.stream.read(scratch) {
             Ok(0) => {
                 conn.peer_closed = true;
@@ -921,7 +799,7 @@ fn read_ready(conn: &mut Conn, ctx: &NodeCtx, scratch: &mut [u8]) {
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => {
-                // Reset mid-stream: what was decoded still executes,
+                // Reset mid-stream: what was read still executes,
                 // nothing more arrives and nothing can be delivered.
                 conn.peer_closed = true;
                 conn.write_dead = true;
@@ -935,7 +813,7 @@ fn read_ready(conn: &mut Conn, ctx: &NodeCtx, scratch: &mut [u8]) {
             let take = bytes.len().min(4 - conn.magic_got);
             let (magic, rest) = bytes.split_at(take);
             if magic != &MAGIC[conn.magic_got..conn.magic_got + take] {
-                ctx.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 conn.peer_closed = true;
                 conn.write_dead = true;
                 return;
@@ -943,38 +821,67 @@ fn read_ready(conn: &mut Conn, ctx: &NodeCtx, scratch: &mut [u8]) {
             conn.magic_got += take;
             bytes = rest;
             if conn.magic_got == 4 && !conn.write_dead {
-                // The echo is raw bytes, not a frame: splice it in
-                // front of the write buffer path directly.
+                // The echo is raw bytes, not a frame.
                 conn.wbuf.extend_from_slice(&MAGIC);
-            }
-            if bytes.is_empty() {
-                continue;
             }
         }
         conn.rbuf.extend(bytes);
     }
 }
 
-/// Decode complete frames out of the connection's read buffer: answer
-/// the fast-path opcodes inline, queue the rest as jobs. A frame-level
-/// protocol error (hostile length prefix) poisons the stream and ends
-/// the session.
-fn parse_frames(conn: &mut Conn, ctx: &NodeCtx) -> Result<(), Close> {
-    let (db, stats, cache) = (&*ctx.db, &*ctx.stats, &*ctx.cache);
+/// Where a read stands against its connection's read floor.
+enum Floor {
+    /// Applied, or the request is not gated.
+    Open,
+    /// Applied after this thread waited for it.
+    Waited,
+    /// Not applied yet, and the read may wait longer.
+    Pending,
+    /// Not applied within the floor timeout.
+    Missed,
+}
+
+/// The replica read gate: a pinned connection's reads wait until this
+/// node has applied the floor epoch, and fail `Unavailable` (never
+/// answer from older state) when it stays behind past the floor
+/// timeout. The wait is taken [`FLOOR_SLICE`] at a time, one slice per
+/// turn, so threads held by a lagging replica's readers still serve
+/// other connections, the router's health probe included, in between.
+fn wait_for_floor(node: &Node, floor: u64, since: &mut Option<std::time::Instant>) -> Floor {
+    if floor == 0 || node.db.wait_for_epoch(floor, std::time::Duration::ZERO) >= floor {
+        *since = None;
+        return Floor::Open;
+    }
+    let now = std::time::Instant::now();
+    let left = (*since.get_or_insert(now) + node.floor_timeout).saturating_duration_since(now);
+    if node.db.wait_for_epoch(floor, left.min(FLOOR_SLICE)) >= floor {
+        *since = None;
+        Floor::Waited
+    } else if left > FLOOR_SLICE {
+        Floor::Pending
+    } else {
+        *since = None;
+        Floor::Missed
+    }
+}
+
+/// Decode and execute up to [`PIPELINE_DEPTH`] buffered frames in
+/// stream order, queueing each response. A frame-level protocol error
+/// (hostile length prefix) poisons the stream and ends the session.
+fn execute_frames(node: &Node, conn: &mut Conn) -> Result<(), Close> {
+    let stats = &node.stats;
     // Split borrows: frame payloads stay borrowed out of `rbuf` while
     // the other connection fields are written.
     let Conn {
         rbuf,
-        inbox,
-        pending_writes,
         read_floor,
+        floor_since,
         wbuf,
         wpos,
         write_dead,
         ..
     } = conn;
-    let mut out = Vec::new();
-    while inbox.len() < PIPELINE_DEPTH {
+    for _ in 0..PIPELINE_DEPTH {
         let payload: &[u8] = match rbuf.next_frame() {
             Ok(Some(payload)) => payload,
             Ok(None) => break,
@@ -983,13 +890,25 @@ fn parse_frames(conn: &mut Conn, ctx: &NodeCtx) -> Result<(), Close> {
                 return Err(Close::Done);
             }
         };
+        let decoded = Request::decode(payload);
+        let floor = match &decoded {
+            Ok((
+                _,
+                Request::Ping | Request::Stats | Request::Epoch | Request::ReadFloor { .. },
+            )) => Floor::Open,
+            Ok((_, request)) if request.is_read() => wait_for_floor(node, *read_floor, floor_since),
+            _ => Floor::Open,
+        };
+        if let Floor::Pending = floor {
+            // The read stays buffered, first in line for a later turn.
+            rbuf.unread();
+            return Ok(());
+        }
         stats.bytes_in.fetch_add(
             payload.len() as u64 + frame_prefix_len(payload.len()),
             Ordering::Relaxed,
         );
-
-        let (seq, request) = match Request::decode(payload) {
-            Ok(decoded) => decoded,
+        let (out, waited) = match decoded {
             Err(e) => {
                 // The frame was well delimited, so the stream is still
                 // in sync: report under the request's sequence id (or 0
@@ -998,175 +917,58 @@ fn parse_frames(conn: &mut Conn, ctx: &NodeCtx) -> Result<(), Close> {
                 stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 let seq = Request::decode_seq(payload).unwrap_or(0);
                 let frame = Response::Err(RemoteError::BadRequest(e.to_string())).encode(seq);
-                queue_frame(wbuf, wpos, *write_dead, stats, &frame);
-                continue;
+                (frame, false)
             }
-        };
-        stats.requests[request.opcode() as usize].fetch_add(1, Ordering::Relaxed);
-
-        match request {
-            // Answered in place, possibly ahead of queued work.
-            Request::Ping => {
-                let frame = Response::Pong.encode(seq);
-                queue_frame(wbuf, wpos, *write_dead, stats, &frame);
-            }
-            Request::Stats => {
-                let frame = Response::Stats(stats.report(cache, db)).encode(seq);
-                queue_frame(wbuf, wpos, *write_dead, stats, &frame);
-            }
-            // The router's health probe: answered inline so a node busy
-            // with queued work still reports its epoch promptly.
-            Request::Epoch => {
-                let frame = Response::Count(db.snapshot_epoch()).encode(seq);
-                queue_frame(wbuf, wpos, *write_dead, stats, &frame);
-            }
-            // Set here, in stream order: every read decoded after this
-            // frame sees the new floor, exactly the read-your-writes
-            // contract the router relies on.
-            Request::ReadFloor { epoch } => {
-                *read_floor = epoch;
-                let frame = Response::Unit.encode(seq);
-                queue_frame(wbuf, wpos, *write_dead, stats, &frame);
-            }
-            request if request.is_read() => {
-                // The cache key is the request's operation bytes — the
-                // payload minus its sequence varint, borrowed straight
-                // off the frame (no re-encode).
-                let op_bytes = &payload[seq_prefix_len(payload)..];
-                // Cache fast path, only when no write is in flight on
-                // this connection (read-your-writes). The epoch is
-                // sampled here, after the gate: any commit acknowledged
-                // before this request was sent has already bumped it.
-                let mut looked_up = false;
-                let floor = *read_floor;
-                if *pending_writes == 0 && db.snapshot_epoch() >= floor {
-                    if let Some(cached) = cache.get(db.snapshot_epoch(), op_bytes) {
-                        // Wire-ready bytes: this caller's sequence id
-                        // prefixed onto the stored encoded response.
-                        out.clear();
-                        ode_codec::varint::write_u64(&mut out, seq);
-                        out.extend_from_slice(&cached);
-                        queue_frame(wbuf, wpos, *write_dead, stats, &out);
-                        continue;
+            Ok((seq, request)) => {
+                stats.requests[request.opcode() as usize].fetch_add(1, Ordering::Relaxed);
+                match (request, floor) {
+                    // Set here, in stream order: every read after this
+                    // frame sees the new floor, exactly the
+                    // read-your-writes contract the router relies on.
+                    (Request::ReadFloor { epoch }, _) => {
+                        *read_floor = epoch;
+                        (Response::Unit.encode(seq), false)
                     }
-                    looked_up = true;
+                    (_, Floor::Missed) => {
+                        stats.op_errors.fetch_add(1, Ordering::Relaxed);
+                        let refusal = RemoteError::Unavailable(format!(
+                            "node at epoch {} has not applied read floor {}",
+                            node.db.snapshot_epoch(),
+                            *read_floor
+                        ));
+                        (Response::Err(refusal).encode(seq), true)
+                    }
+                    (request, floor) => {
+                        let op_bytes = &payload[seq_prefix_len(payload)..];
+                        let (out, barrier) = execute(node, seq, request, op_bytes);
+                        (out, barrier || matches!(floor, Floor::Waited))
+                    }
                 }
-                let key = Some(op_bytes.to_vec());
-                inbox.push_back(Job {
-                    seq,
-                    request,
-                    key,
-                    looked_up,
-                    floor,
-                });
             }
-            request => {
-                *pending_writes += 1;
-                inbox.push_back(Job {
-                    seq,
-                    request,
-                    key: None,
-                    looked_up: false,
-                    floor: *read_floor,
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Advance a connection's state machine: decode, dispatch, flush, and
-/// re-arm interest. `Err` means the connection is done (or evicted)
-/// and must be torn down by the caller.
-fn pump(
-    conn: &mut Conn,
-    ctx: &NodeCtx,
-    poller: &Poller,
-    job_tx: &mpsc::Sender<Batch>,
-    write_cap: usize,
-) -> Result<(), Close> {
-    parse_frames(conn, ctx)?;
-
-    // Dispatch the next batch, if none is executing.
-    if !conn.dispatched && !conn.inbox.is_empty() {
-        let batch = Batch {
-            token: conn.token,
-            jobs: conn.inbox.drain(..).collect(),
         };
-        conn.dispatched = true;
-        let _ = job_tx.send(batch);
-    }
-
-    // Flush as far as the socket allows.
-    while conn.wpos < conn.wbuf.len() && !conn.write_dead {
-        match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-            Ok(0) => {
-                conn.write_dead = true;
-            }
-            Ok(n) => conn.wpos += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                conn.write_dead = true;
-            }
+        queue_frame(wbuf, wpos, *write_dead, stats, &out);
+        // A thread just back from a replication wait serves the
+        // longest-waiting connection before this one's next request.
+        if waited {
+            break;
         }
-    }
-    if conn.write_dead {
-        // Undeliverable: drop the backlog, keep executing what was
-        // decoded.
-        conn.wbuf.clear();
-        conn.wpos = 0;
-    }
-
-    // Slow-client guard: a reader this far behind its responses is
-    // evicted rather than allowed to pin server memory.
-    if conn.backlog() > write_cap {
-        return Err(Close::Evicted);
-    }
-
-    // Nothing left to read, execute, or write: the session is over.
-    // (`parse_frames` just ran and the dispatch above drained the
-    // inbox, so any bytes still in `rbuf` are a partial frame cut off
-    // by the EOF, which can never be answered.)
-    if conn.peer_closed
-        && !conn.dispatched
-        && conn.inbox.is_empty()
-        && (conn.backlog() == 0 || conn.write_dead)
-    {
-        return Err(Close::Done);
-    }
-
-    // Re-arm interest to match the state machine: read while the inbox
-    // has room, write while there is backlog.
-    let want = (
-        !conn.peer_closed && conn.inbox.len() < PIPELINE_DEPTH,
-        conn.backlog() > 0 && !conn.write_dead,
-    );
-    if want != conn.armed {
-        let ev = Event {
-            key: conn.token,
-            readable: want.0,
-            writable: want.1,
-        };
-        if poller.modify(&conn.stream, ev).is_err() {
-            return Err(Close::Done);
-        }
-        conn.armed = want;
     }
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
-    //! The event loop against its model. One connection's requests,
+    //! The server against its model. A connection's requests,
     //! pipelined in one burst through a [`FaultRelay`] that re-chunks
     //! the byte stream, must be answered exactly as the same requests
     //! applied one by one, in stream order, to an identically seeded
-    //! in-process [`Database`]: byte-identical frames, matched by
-    //! sequence id. Both databases assign oids and vids from the same
+    //! in-process [`Database`]: byte-identical frames, arriving in
+    //! stream order. Both databases assign oids and vids from the same
     //! deterministic counters. The model shares no code with the server
     //! but [`apply`] and never consults the snapshot cache, so a stale
-    //! cache hit is a divergence.
+    //! cache hit is a divergence. Several connections played at once,
+    //! each on ids seeded for it alone, must each match their own
+    //! in-order model, at one server thread and at four.
 
     use std::collections::BTreeSet;
     use std::io::{BufReader, Read, Write};
@@ -1271,8 +1073,8 @@ mod tests {
     }
 
     /// Handshake, fire every request frame in one pipelined burst, then
-    /// collect exactly one response frame per request, sorted by
-    /// sequence id (responses may arrive in any order).
+    /// collect exactly one response frame per request, which must
+    /// arrive in stream order.
     fn play(addr: SocketAddr, ops: &[Request]) -> Vec<(u64, Vec<u8>)> {
         let stream = TcpStream::connect(addr).expect("connect");
         stream
@@ -1300,14 +1102,14 @@ mod tests {
                 "server closed before answering every request"
             );
             let seq = Response::decode_seq(&payload).expect("response seq");
+            assert_eq!(seq, got.len() as u64 + 1, "responses out of stream order");
             got.push((seq, payload.clone()));
         }
-        got.sort_by_key(|(seq, _)| *seq);
         got
     }
 
     /// The model: each request applied to `db` in stream order, an
-    /// error mapped to its frame the way [`execute_job`] maps it.
+    /// error mapped to its frame the way [`execute`] maps it.
     fn in_order(db: &Database, ops: &[Request]) -> Vec<(u64, Vec<u8>)> {
         ops.iter()
             .zip(1u64..)
@@ -1347,6 +1149,11 @@ mod tests {
         server.shutdown();
         let want = in_order(&model_db, ops);
 
+        assert_matches_model(ops, &got, &want);
+        want
+    }
+
+    fn assert_matches_model(ops: &[Request], got: &[(u64, Vec<u8>)], want: &[(u64, Vec<u8>)]) {
         assert_eq!(got.len(), want.len());
         for ((gseq, gbytes), (wseq, wbytes)) in got.iter().zip(want.iter()) {
             assert_eq!(gseq, wseq);
@@ -1357,7 +1164,145 @@ mod tests {
                 ops[*gseq as usize - 1]
             );
         }
-        want
+    }
+
+    /// Events claimed for a connection another thread held in a turn,
+    /// across every server in this test binary.
+    pub(super) static BUSY_CLAIMS: AtomicU64 = AtomicU64::new(0);
+
+    /// Connections the concurrent differential plays at once.
+    const CONNS: usize = 3;
+
+    /// The ids seeded for one connection of the concurrent differential
+    /// (plus one of each kind that never exists), so its answers depend
+    /// on its own requests alone.
+    struct Pool {
+        oids: Vec<Oid>,
+        vids: Vec<Vid>,
+    }
+
+    /// Seed [`CONNS`] disjoint pools into `db` — the same ids on every
+    /// database seeded this way: per pool, an object with a derived
+    /// chain and a branch, and a second object.
+    fn seed_pools(db: &Database) -> Vec<Pool> {
+        let run = |request| apply(db, request).expect("seed request");
+        (0..CONNS)
+            .map(|i| {
+                let body = |text: &str| format!("pool {i} {text}").into_bytes();
+                let Response::Created { oid: a, vid: a1 } = run(Request::Pnew {
+                    tag: TAG,
+                    body: body("first"),
+                }) else {
+                    unreachable!("pnew answers Created")
+                };
+                let Response::Version(a2) = run(Request::NewVersion { oid: a }) else {
+                    unreachable!("newversion answers Version")
+                };
+                run(Request::Update {
+                    oid: a,
+                    tag: TAG,
+                    body: body("second"),
+                });
+                let Response::Version(a3) = run(Request::NewVersionFrom { vid: a1 }) else {
+                    unreachable!("newversion_from answers Version")
+                };
+                let Response::Created { oid: b, vid: b1 } = run(Request::Pnew {
+                    tag: TAG,
+                    body: body("other"),
+                }) else {
+                    unreachable!("pnew answers Created")
+                };
+                let never = 1000 + i as u64;
+                Pool {
+                    oids: vec![a, b, Oid(never)],
+                    vids: vec![a1, a2, a3, b1, Vid(never)],
+                }
+            })
+            .collect()
+    }
+
+    /// [`arb_op`] less the requests whose answers depend on more than
+    /// one connection's objects: any that allocates an id, and extent
+    /// scans. Ids are taken as indexes into a [`Pool`].
+    fn arb_pool_op() -> impl Strategy<Value = Request> {
+        arb_op().prop_filter("allocates an id or scans an extent", |op| {
+            !matches!(
+                op,
+                Request::Pnew { .. }
+                    | Request::NewVersion { .. }
+                    | Request::NewVersionFrom { .. }
+                    | Request::Merge { .. }
+                    | Request::Objects { .. }
+                    | Request::ObjectsPage { .. }
+            )
+        })
+    }
+
+    /// `op` with every id taken as an index into the pool's ids (stamps
+    /// are version ids).
+    fn in_pool(op: &Request, pool: &Pool) -> Request {
+        let payload = op.encode(0);
+        let (_, body) = crate::protocol::split_seq(&payload).expect("seq");
+        let mut w = ode_codec::Writer::new();
+        w.put_varint(0);
+        crate::protocol::walk_request(body, &mut w, |field, index| match field {
+            crate::protocol::IdField::Oid => pool.oids[index as usize % pool.oids.len()].0,
+            _ => pool.vids[index as usize % pool.vids.len()].0,
+        })
+        .expect("walk");
+        Request::decode(w.as_bytes()).expect("walked request").1
+    }
+
+    /// Play one pipelined stream per pool on [`CONNS`] connections at
+    /// once against a `workers`-thread server, through relays that
+    /// re-chunk each connection differently, and hold each connection's
+    /// answers to its own in-order model.
+    fn run_concurrent_differential(streams: &[Vec<Request>], workers: usize) {
+        let server_path = TempPath::new();
+        let server_db = Arc::new(
+            Database::create(&server_path, DatabaseOptions::no_sync()).expect("server db"),
+        );
+        let pools = seed_pools(&server_db);
+        let streams: Vec<Vec<Request>> = streams
+            .iter()
+            .zip(&pools)
+            .map(|(ops, pool)| ops.iter().map(|op| in_pool(op, pool)).collect())
+            .collect();
+        let config = ServerConfig {
+            workers,
+            ..ServerConfig::default()
+        };
+        let server = OdeServer::bind(server_db, "127.0.0.1:0", config).expect("server");
+        let plans = [1, 5, usize::MAX].map(|chunk| RelayPlan {
+            chunk,
+            ..RelayPlan::clean()
+        });
+        let relay = FaultRelay::start(server.local_addr(), plans.to_vec()).expect("relay");
+        let got: Vec<Vec<(u64, Vec<u8>)>> = thread::scope(|scope| {
+            let players: Vec<_> = streams
+                .iter()
+                .map(|ops| scope.spawn(|| play(relay.local_addr(), ops)))
+                .collect();
+            players
+                .into_iter()
+                .map(|p| p.join().expect("player"))
+                .collect()
+        });
+        relay.shutdown();
+        server.shutdown();
+
+        for (ops, got) in streams.iter().zip(&got) {
+            let model_path = TempPath::new();
+            let model_db =
+                Database::create(&model_path, DatabaseOptions::no_sync()).expect("model db");
+            seed_pools(&model_db);
+            assert_matches_model(ops, got, &in_order(&model_db, ops));
+        }
+        assert_eq!(
+            BUSY_CLAIMS.load(Ordering::Relaxed),
+            0,
+            "a connection was claimed while in another thread's turn"
+        );
     }
 
     proptest! {
@@ -1374,6 +1319,21 @@ mod tests {
             chunk in prop_oneof![Just(1usize), 2usize..64, Just(usize::MAX)],
         ) {
             run_differential(&ops, chunk);
+        }
+
+        /// Several connections at once, each on its own ids: every one
+        /// is answered like its own stream run in order, whether one
+        /// thread serves them all or four share the poller.
+        #[test]
+        fn concurrent_connections_each_match_their_in_order_model(
+            streams in proptest::collection::vec(
+                proptest::collection::vec(arb_pool_op(), 1..40),
+                CONNS,
+            ),
+        ) {
+            for workers in [1, 4] {
+                run_concurrent_differential(&streams, workers);
+            }
         }
     }
 
@@ -1392,6 +1352,122 @@ mod tests {
             .filter(|op| !NOT_MODELLED.contains(op))
             .collect();
         assert_eq!(seen, want);
+    }
+
+    /// How long a health probe on a fresh connection takes to be
+    /// answered (accept, handshake, `Epoch`) while two connections each
+    /// pipeline `ops` behind `prefix` to `server` and every one of its
+    /// threads blocks on them; and those two connections.
+    fn probe_behind_pipelines(
+        server: &OdeServer,
+        prefix: &[Request],
+        ops: &[Request],
+    ) -> (Duration, Vec<TcpStream>) {
+        let connections: Vec<TcpStream> = (0..2)
+            .map(|_| {
+                let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+                let mut burst = MAGIC.to_vec();
+                for (seq, request) in (1..).zip(prefix.iter().chain(ops)) {
+                    write_frame(&mut burst, &request.encode(seq)).expect("frame");
+                }
+                stream.write_all(&burst).expect("send burst");
+                stream
+            })
+            .collect();
+        thread::sleep(Duration::from_millis(150));
+
+        let started = std::time::Instant::now();
+        let config = crate::ClientConfig {
+            read_timeout: Some(Duration::from_secs(10)),
+            ..crate::ClientConfig::default()
+        };
+        let mut probe = crate::OdeClient::connect(server.local_addr(), config).expect("probe");
+        probe.epoch().expect("epoch");
+        (started.elapsed(), connections)
+    }
+
+    /// A write that waited at the replication barrier ends its turn, so
+    /// a health probe is answered within about one barrier wait per
+    /// step while every thread sits in the barrier on a long pipeline
+    /// of writes — not after those pipelines drain (16 waits each).
+    #[test]
+    fn a_probe_is_answered_while_every_thread_sits_in_the_barrier() {
+        const BARRIER: Duration = Duration::from_millis(300);
+        let path = TempPath::new();
+        let db = Arc::new(Database::create(&path, DatabaseOptions::no_sync()).expect("db"));
+        let hooks = ServerHooks {
+            commit_wait: Some(Arc::new(|_| thread::sleep(BARRIER))),
+            promote: None,
+        };
+        let config = ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        };
+        let server = OdeServer::bind_with(db, "127.0.0.1:0", config, hooks).expect("server");
+        let pnew = Request::Pnew {
+            tag: TAG,
+            body: vec![7; 16],
+        };
+        let (waited, _writers) = probe_behind_pipelines(&server, &[], &vec![pnew; 16]);
+        assert!(
+            waited < 5 * BARRIER,
+            "the probe waited {waited:?} behind the writers' pipelines"
+        );
+        server.shutdown();
+    }
+
+    /// A read waits for its connection's read floor one short slice
+    /// per turn: on a replica that never reaches the floor, with every
+    /// thread holding pinned readers, the probe is still answered
+    /// within the router's one-second probe timeout, and each read is
+    /// refused only once the whole floor timeout has passed.
+    #[test]
+    fn a_probe_is_answered_while_every_thread_waits_for_a_read_floor() {
+        const FLOOR_WAIT: Duration = Duration::from_secs(2);
+        let path = TempPath::new();
+        let db = Arc::new(Database::create(&path, DatabaseOptions::no_sync()).expect("db"));
+        let config = ServerConfig {
+            workers: 2,
+            replica: true,
+            read_floor_timeout: FLOOR_WAIT,
+            ..ServerConfig::default()
+        };
+        let server = OdeServer::bind_with(db, "127.0.0.1:0", config, ServerHooks::default())
+            .expect("server");
+        let started = std::time::Instant::now();
+        let floor = Request::ReadFloor { epoch: 1 << 20 };
+        let deref = Request::Deref {
+            oid: Oid(1),
+            tag: TAG,
+        };
+        let (waited, pinned) = probe_behind_pipelines(&server, &[floor], &vec![deref; 16]);
+        assert!(
+            waited < Duration::from_secs(1),
+            "the probe waited {waited:?} behind the pinned readers' pipelines"
+        );
+
+        let mut reader = BufReader::new(pinned.into_iter().next().expect("pinned"));
+        let mut magic = [0; 4];
+        reader.read_exact(&mut magic).expect("handshake");
+        let mut payload = Vec::new();
+        let mut next = |payload: &mut Vec<u8>| {
+            read_frame_into(&mut reader, payload).expect("response frame");
+            Response::decode(payload).expect("response").1
+        };
+        assert_eq!(next(&mut payload), Response::Unit);
+        assert!(
+            matches!(
+                next(&mut payload),
+                Response::Err(RemoteError::Unavailable(_))
+            ),
+            "a read below its floor was answered"
+        );
+        assert!(
+            started.elapsed() >= FLOOR_WAIT,
+            "the read was refused after {:?}, inside its floor timeout",
+            started.elapsed()
+        );
+        server.shutdown();
     }
 
     /// Reads of one object around each kind of write, pipelined behind

@@ -483,8 +483,11 @@ fn extent_scans_and_pagination_over_the_wire() {
     server.shutdown();
 }
 
+/// A connection's requests execute in stream order on the thread that
+/// reads them: a write stuck behind an embedded snapshot holds back the
+/// ping sent after it on the same connection, and nobody else's.
 #[test]
-fn pipelined_responses_can_arrive_out_of_order() {
+fn a_stuck_write_holds_back_only_its_own_connection() {
     let path = TempPath::new();
     let (db, server) = start_server(&path, 4);
     let mut c = client(server.local_addr());
@@ -496,24 +499,27 @@ fn pipelined_responses_can_arrive_out_of_order() {
         })
         .expect("pnew");
 
-    // An embedded snapshot pins the store lock, so the executor cannot
-    // start the write's transaction — but the reader fast path answers
-    // pings without touching the store.
+    // An embedded snapshot blocks the write's publish step.
     let snap = db.snapshot();
     let w_seq = c
         .send(&Request::NewVersion { oid: p.oid() })
         .expect("send write");
     let p_seq = c.send(&Request::Ping).expect("send ping");
-    let (first_seq, first) = c.recv().expect("recv while write is stuck");
-    assert_eq!(first_seq, p_seq, "ping overtakes the blocked write");
-    assert_eq!(first, Response::Pong);
+    // Another connection is claimed by another thread meanwhile.
+    let mut other = client(server.local_addr());
+    other.ping().expect("a second connection is served");
 
-    // Release the store; the write completes and its response arrives.
+    // Release the store: the write's response, then the ping's.
     drop(snap);
-    match c.recv_for(w_seq).expect("recv write response") {
-        Response::Version(_) => {}
-        other => panic!("expected a version response, got {other:?}"),
-    }
+    let (first_seq, first) = c.recv().expect("recv write response");
+    assert_eq!(first_seq, w_seq, "the write answers first");
+    assert!(
+        matches!(first, Response::Version(_)),
+        "expected a version response, got {first:?}"
+    );
+    let (second_seq, second) = c.recv().expect("recv ping response");
+    assert_eq!(second_seq, p_seq);
+    assert_eq!(second, Response::Pong);
     assert_eq!(c.version_count(&p).expect("count"), 2);
     server.shutdown();
 }

@@ -81,13 +81,35 @@ impl Pager {
                 page_count: file_pages,
             });
         }
-        let mut buf = vec![0u8; PAGE_SIZE];
-        self.read_exact_at(&mut buf, id.file_offset())?;
-        let page = PageBuf::from_vec(buf).expect("page-sized buffer");
+        let page = self.read_unverified(id)?;
         if !page.verify() {
             return Err(StorageError::ChecksumMismatch { page: id });
         }
         Ok(page)
+    }
+
+    /// The image recovery lays a page's logged changes on: the page as
+    /// stored, or zeroes for a page past the end of the file or one
+    /// never written (all zero bytes: a gap `set_len` left). Any other
+    /// page that fails its checksum — a torn checkpoint write, bit rot —
+    /// is refused, because the logged runs over zeroes would be sealed
+    /// as a valid page.
+    pub(crate) fn recovery_base(&self, id: PageId) -> Result<PageBuf> {
+        if id.0 >= self.file_pages() {
+            return Ok(PageBuf::zeroed());
+        }
+        let page = self.read_unverified(id)?;
+        if page.verify() || page.as_bytes().iter().all(|&b| b == 0) {
+            Ok(page)
+        } else {
+            Err(StorageError::ChecksumMismatch { page: id })
+        }
+    }
+
+    fn read_unverified(&self, id: PageId) -> Result<PageBuf> {
+        let mut buf = vec![0u8; PAGE_SIZE];
+        self.read_exact_at(&mut buf, id.file_offset())?;
+        Ok(PageBuf::from_vec(buf).expect("page-sized buffer"))
     }
 
     /// Write a page image, sealing its checksum. Writing beyond EOF grows

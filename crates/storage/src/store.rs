@@ -67,9 +67,7 @@ use crate::buffer::{BufferPool, BufferStats};
 use crate::gate::SnapshotGate;
 use crate::page::{PageBuf, PageId, PageKind, PAGE_SIZE};
 use crate::pager::Pager;
-use crate::wal::{
-    delta_payload_len, page_diff_ops, push_frame, Replay, Scan, Wal, WalRecord, WalSyncHandle,
-};
+use crate::wal::{page_diff_ops, push_frame, Replay, Scan, Wal, WalRecord, WalSyncHandle};
 use crate::{Result, StorageError};
 
 /// Magic number identifying an Ode store header page.
@@ -634,10 +632,9 @@ impl Store {
         let mut recovered = BTreeMap::new();
         while let Scan::Found(tx) = replay.next_commit()? {
             // Base = the file state (last checkpoint); a page past EOF
-            // or never written starts zeroed.
-            tx.apply(&mut recovered, |id| {
-                pager.read_page(id).unwrap_or_else(|_| PageBuf::zeroed())
-            })?;
+            // or never written starts zeroed, a damaged one fails the
+            // open.
+            tx.apply(&mut recovered, |id| pager.recovery_base(id))?;
         }
         for (id, mut page) in recovered {
             pager.write_page(id, &mut page)?;
@@ -998,8 +995,9 @@ impl Store {
             // does not exist yet.
             let mut images = BTreeMap::new();
             tx.apply(&mut images, |id| {
-                self.fetch(id)
-                    .map_or_else(|_| PageBuf::zeroed(), |arc| (*arc).clone())
+                Ok(self
+                    .fetch(id)
+                    .map_or_else(|_| PageBuf::zeroed(), |arc| (*arc).clone()))
             })?;
             self.publish(images.into_iter().collect());
             commits_applied += 1;
@@ -1270,19 +1268,18 @@ impl Tx<'_> {
                 // usually sparse).
                 _ => zero.as_bytes(),
             };
-            let ops = page_diff_ops(before, after.as_bytes(), DELTA_RUN_GAP);
-            let record = if delta_payload_len(&ops) <= DELTA_MAX_PAYLOAD {
-                WalRecord::PageDelta {
+            let ops = page_diff_ops(before, after.as_bytes(), DELTA_RUN_GAP, DELTA_MAX_PAYLOAD);
+            let record = match ops {
+                Some(ops) => WalRecord::PageDelta {
                     tx,
                     page: id.0,
                     ops,
-                }
-            } else {
-                WalRecord::Page {
+                },
+                None => WalRecord::Page {
                     tx,
                     page: id.0,
                     image: after.as_bytes().to_vec(),
-                }
+                },
             };
             push_frame(&mut frames, &record);
         }
@@ -1494,6 +1491,7 @@ impl PageRead for ReadTx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::PAGE_HEADER_LEN;
     use crate::testutil::{stamp_format_version, TempStore};
     use crate::wal::LOG_HEADER_LEN;
 
@@ -1511,6 +1509,65 @@ mod tests {
         let mut tx = store.begin();
         tx.page_mut(id).unwrap().write_u64(40, value);
         tx.commit().unwrap();
+    }
+
+    /// The frames of a fixed transaction script hash to the digest the
+    /// commit path gave before `page_diff_ops` learned to stop early:
+    /// fresh pages diffed against zeroes, light rewrites, and rewrites
+    /// of one contiguous range on either side of `DELTA_MAX_PAYLOAD`
+    /// (a range of `len` bytes costs `len + 8` payload bytes) and far
+    /// past it.
+    #[test]
+    fn wal_frames_are_pinned_for_a_fixed_script() {
+        let store = TempStore::new();
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut frames_of = |tx: Tx<'_>| {
+            digest = tx.wal_frames().iter().fold(digest, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+            });
+            tx.commit().unwrap();
+        };
+        let lens = [
+            40,
+            3000,
+            3063,
+            3064,
+            3065,
+            3200,
+            PAGE_SIZE - PAGE_HEADER_LEN,
+        ];
+        let mut tx = store.begin();
+        let ids: Vec<PageId> = lens
+            .iter()
+            .map(|_| tx.allocate(PageKind::Heap).unwrap())
+            .collect();
+        for (i, &id) in ids.iter().enumerate() {
+            tx.page_mut(id)
+                .unwrap()
+                .write_u64(8 * i, 0x0DE0_0000 + i as u64);
+        }
+        frames_of(tx);
+        let mut tx = store.begin();
+        for &id in &ids {
+            let page = tx.page_mut(id).unwrap();
+            page.write_u64(100, 7);
+            page.write_u64(1000, 8);
+        }
+        frames_of(tx);
+        for round in 0..2u8 {
+            let mut tx = store.begin();
+            for (&id, &len) in ids.iter().zip(&lens) {
+                let bytes = &mut tx.page_mut(id).unwrap().payload_mut()[..len];
+                for (j, b) in bytes.iter_mut().enumerate() {
+                    *b = (j as u8).wrapping_mul(31).wrapping_add(2 * round) | 1;
+                }
+            }
+            frames_of(tx);
+        }
+        assert_eq!(
+            digest, 0xa717_ae29_67c7_b997,
+            "WAL frames changed: {digest:#018x}"
+        );
     }
 
     /// A store holding one allocated page, and that page.
@@ -1635,6 +1692,66 @@ mod tests {
         // An empty commit publishes nothing and does not bump the epoch.
         store.begin().commit().unwrap();
         assert_eq!(store.epoch(), e0 + 2);
+    }
+
+    /// Recovery lays a logged delta on the page the file holds. When
+    /// that page fails its checksum, the open fails: the logged run laid
+    /// over zeroes would be sealed as a valid page that lost "world".
+    #[test]
+    fn recovery_refuses_a_damaged_page_under_a_logged_delta() {
+        let mut store = TempStore::new();
+        let id = {
+            let mut tx = store.begin();
+            let id = tx.allocate(PageKind::Heap).unwrap();
+            let page = tx.page_mut(id).unwrap().as_bytes_mut();
+            page[..5].copy_from_slice(b"hello");
+            page[100..105].copy_from_slice(b"world");
+            tx.commit().unwrap();
+            id
+        };
+        store.checkpoint().unwrap();
+        {
+            let mut tx = store.begin();
+            tx.page_mut(id).unwrap().as_bytes_mut()[0] = b'J';
+            tx.commit().unwrap();
+        }
+        store.crash();
+        let mut file = std::fs::read(store.path()).unwrap();
+        file[id.file_offset() as usize + 3000] ^= 0x40;
+        std::fs::write(store.path(), &file).unwrap();
+        let refused = Store::open(store.path(), StoreOptions::default()).err();
+        assert!(
+            matches!(refused, Some(StorageError::ChecksumMismatch { page }) if page == id),
+            "expected {id:?} refused, got {refused:?}"
+        );
+    }
+
+    /// A page the file never held starts from zeroes in recovery, also
+    /// when a higher-numbered page reached the file first and growing
+    /// the file left this one as zero bytes.
+    #[test]
+    fn a_fresh_page_below_a_checkpointed_one_recovers() {
+        let mut store = TempStore::new();
+        let (low, high) = {
+            let mut tx = store.begin();
+            let low = tx.allocate(PageKind::Heap).unwrap();
+            let high = tx.allocate(PageKind::Heap).unwrap();
+            tx.page_mut(low).unwrap().payload_mut()[..3].copy_from_slice(b"low");
+            tx.page_mut(high).unwrap().payload_mut()[..4].copy_from_slice(b"high");
+            tx.commit().unwrap();
+            (low, high)
+        };
+        assert!(low.0 < high.0);
+        let mut image = {
+            let mut r = store.read();
+            PageBuf::from_vec(r.page(high).unwrap().as_bytes().to_vec()).unwrap()
+        };
+        store.pager.write_page(high, &mut image).unwrap();
+        store.crash();
+        store.reopen();
+        let mut r = store.read();
+        assert_eq!(&r.page(low).unwrap().payload()[..3], b"low");
+        assert_eq!(&r.page(high).unwrap().payload()[..4], b"high");
     }
 
     #[test]

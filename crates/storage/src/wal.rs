@@ -66,6 +66,7 @@
 //! transport corruption. Transactions without a `Commit` are simply
 //! never yielded.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -542,12 +543,13 @@ impl CommittedTx {
     /// built so far. A delta to a page not yet among them starts from
     /// `base(page)` — the caller's current image of it, or zeroes for a
     /// page that does not exist yet (fresh allocations diff against
-    /// zero when logged). A change that does not fit a page is reported
-    /// at its frame's offset.
+    /// zero when logged); a base the caller cannot give fails the
+    /// apply. A full image needs no base. A change that does not fit a
+    /// page is reported at its frame's offset.
     pub fn apply(
         self,
         pages: &mut BTreeMap<PageId, PageBuf>,
-        base: impl Fn(PageId) -> PageBuf,
+        base: impl Fn(PageId) -> Result<PageBuf>,
     ) -> Result<()> {
         for (offset, record) in self.0 {
             let corrupt = StorageError::WalCorrupt { offset };
@@ -556,9 +558,10 @@ impl CommittedTx {
                     pages.insert(PageId(page), PageBuf::from_vec(image).ok_or(corrupt)?);
                 }
                 WalRecord::PageDelta { page, ops, .. } => {
-                    let page = pages
-                        .entry(PageId(page))
-                        .or_insert_with(|| base(PageId(page)));
+                    let page = match pages.entry(PageId(page)) {
+                        Entry::Occupied(image) => image.into_mut(),
+                        Entry::Vacant(slot) => slot.insert(base(PageId(page))?),
+                    };
                     for (at, bytes) in ops {
                         let start = at as usize;
                         let end = start + bytes.len();
@@ -681,11 +684,20 @@ impl Replay {
 
 /// Compute the changed byte runs between two page images, merging runs
 /// separated by fewer than `gap` identical bytes (run-header amortization).
-pub fn page_diff_ops(before: &[u8], after: &[u8], gap: usize) -> Vec<(u32, Vec<u8>)> {
+/// `None` as soon as the runs' payload — each run's bytes plus an 8-byte
+/// header — passes `max_payload`: the caller logs the full image then,
+/// so the rest of the diff would be wasted.
+pub fn page_diff_ops(
+    before: &[u8],
+    after: &[u8],
+    gap: usize,
+    max_payload: usize,
+) -> Option<Vec<(u32, Vec<u8>)>> {
     debug_assert_eq!(before.len(), after.len());
     let word =
         |page: &[u8], at: usize| u64::from_ne_bytes(page[at..at + 8].try_into().expect("8 bytes"));
     let mut ops: Vec<(u32, Vec<u8>)> = Vec::new();
+    let mut payload = 0usize;
     let mut i = 0usize;
     let n = after.len();
     while i < n {
@@ -712,15 +724,14 @@ pub fn page_diff_ops(before: &[u8], after: &[u8], gap: usize) -> Vec<(u32, Vec<u
             }
             j += 1;
         }
+        payload += end - start + 8;
+        if payload > max_payload {
+            return None;
+        }
         ops.push((start as u32, after[start..end].to_vec()));
         i = end;
     }
-    ops
-}
-
-/// Total payload bytes of a delta op list.
-pub fn delta_payload_len(ops: &[(u32, Vec<u8>)]) -> usize {
-    ops.iter().map(|(_, b)| b.len() + 8).sum()
+    Some(ops)
 }
 
 #[cfg(test)]
@@ -895,18 +906,20 @@ mod tests {
         after[4] = 2;
         after[30] = 3;
         // Small gap: two separate runs.
-        let ops = page_diff_ops(&before, &after, 4);
+        let ops = page_diff_ops(&before, &after, 4, usize::MAX).unwrap();
         assert_eq!(ops, vec![(3, vec![1, 2]), (30, vec![3])]);
         // Huge gap: merged into one run spanning the unchanged middle.
-        let ops = page_diff_ops(&before, &after, 64);
+        let ops = page_diff_ops(&before, &after, 64, usize::MAX).unwrap();
         assert_eq!(ops.len(), 1);
         assert_eq!(ops[0].0, 3);
         assert_eq!(ops[0].1.len(), 28);
         // Identical images: no ops.
-        assert!(page_diff_ops(&before, &before, 4).is_empty());
+        assert!(page_diff_ops(&before, &before, 4, usize::MAX)
+            .unwrap()
+            .is_empty());
         // Reconstruction: applying ops to `before` yields `after`.
         let mut rebuilt = before.clone();
-        for (off, bytes) in page_diff_ops(&before, &after, 4) {
+        for (off, bytes) in page_diff_ops(&before, &after, 4, usize::MAX).unwrap() {
             rebuilt[off as usize..off as usize + bytes.len()].copy_from_slice(&bytes);
         }
         assert_eq!(rebuilt, after);
@@ -970,7 +983,7 @@ mod tests {
         for at in cases {
             let after = edited(&at);
             assert_eq!(
-                page_diff_ops(&before, &after, gap),
+                page_diff_ops(&before, &after, gap, usize::MAX).unwrap(),
                 page_diff_ops_bytewise(&before, &after, gap),
                 "edits at {at:?}"
             );
@@ -978,7 +991,7 @@ mod tests {
         for at in PAGE_SIZE - 7..PAGE_SIZE {
             let after = edited(&[at]);
             assert_eq!(
-                page_diff_ops(&before, &after, gap),
+                page_diff_ops(&before, &after, gap, usize::MAX).unwrap(),
                 [(at as u32, vec![after[at]])]
             );
         }
@@ -1005,9 +1018,27 @@ mod tests {
                 after[at..(at + len).min(PAGE_SIZE)].fill(byte);
             }
             proptest::prop_assert_eq!(
-                page_diff_ops(&before, &after, gap),
+                page_diff_ops(&before, &after, gap, usize::MAX).unwrap(),
                 page_diff_ops_bytewise(&before, &after, gap)
             );
+        }
+
+        /// The budget only ever cuts a diff whose whole payload passes
+        /// it; under it, the runs are the unbudgeted ones.
+        #[test]
+        fn page_diff_ops_gives_up_exactly_past_its_budget(
+            edits in proptest::collection::vec((0..PAGE_SIZE, 1usize..600), 0..12),
+            budget in 0usize..PAGE_SIZE,
+        ) {
+            let before = vec![0u8; PAGE_SIZE];
+            let mut after = before.clone();
+            for (at, len) in edits {
+                after[at..(at + len).min(PAGE_SIZE)].fill(0xA5);
+            }
+            let full = page_diff_ops_bytewise(&before, &after, 24);
+            let payload: usize = full.iter().map(|(_, run)| run.len() + 8).sum();
+            let want = (payload <= budget).then_some(full);
+            proptest::prop_assert_eq!(page_diff_ops(&before, &after, 24, budget), want);
         }
     }
 
@@ -1321,7 +1352,7 @@ mod tests {
         };
         let offset = log_of(&records[..1]).2.len() as u64;
         assert!(matches!(
-            tx.apply(&mut BTreeMap::new(), |_| PageBuf::zeroed()),
+            tx.apply(&mut BTreeMap::new(), |_| Ok(PageBuf::zeroed())),
             Err(StorageError::WalCorrupt { offset: at }) if at == offset
         ));
     }
