@@ -53,6 +53,9 @@ impl From<ode_version::VersionError> for ModelError {
             ode_version::VersionError::MergeMismatch { .. } => {
                 ModelError::Unsupported("merging unrelated versions")
             }
+            ode_version::VersionError::ClaimRefused { .. } => {
+                ModelError::Unsupported("refused id claim")
+            }
         }
     }
 }

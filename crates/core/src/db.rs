@@ -3,7 +3,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use ode_object::Vid;
+use ode_object::{IdClaim, Vid};
 use ode_storage::{Store, StoreOptions, StoreStats};
 use ode_version::{ChainConfig, EpochCache, Result, VersionStore, VersionStoreLayout};
 
@@ -196,6 +196,33 @@ impl Database {
             }
         }
         Err(last.expect("retry loop runs at least once"))
+    }
+
+    /// Whether this store may issue its ids from `claim` (see
+    /// [`Database::claim_ids`]): `Ok(false)` when it holds the claim
+    /// already, `Ok(true)` when it would take it,
+    /// [`crate::Error::ClaimRefused`] otherwise. Writes nothing — how a
+    /// replica, which inherits its primary's claim through the shipped
+    /// log, answers a claim.
+    pub fn admits_claim(&self, claim: IdClaim) -> Result<bool> {
+        self.versions.admits_claim(&mut self.store.read(), claim)
+    }
+
+    /// Issue every object and version id from `claim` from now on — how
+    /// each shard of a routed tier takes its residue, so that its ids
+    /// need no renaming on the way to a client. Holding `claim` already
+    /// is a no-op; an unclaimed store takes it in one commit when the
+    /// stride is 1 or no id has been issued yet; anything else is
+    /// [`crate::Error::ClaimRefused`].
+    pub fn claim_ids(&self, claim: IdClaim) -> Result<()> {
+        if !self.admits_claim(claim)? {
+            return Ok(());
+        }
+        // Checked again under the write lock: an id issued in between
+        // refuses the claim.
+        let mut tx = self.store.begin();
+        self.versions.claim_ids(&mut tx, claim)?;
+        Ok(tx.commit()?)
     }
 
     /// Begin a read-only snapshot. Snapshots take no exclusive lock:

@@ -69,7 +69,7 @@ pub use txn::{MergeReport, Snapshot, Txn};
 pub use ode_codec::type_tag::TypeName;
 pub use ode_codec::{Persist, TypeTag};
 pub use ode_merge::{MergeConflict, MergePolicy};
-pub use ode_object::{Oid, Vid};
+pub use ode_object::{IdClaim, Oid, Vid};
 pub use ode_version::{
     ChainConfig, ChainStats, EpochCache, Result, VersionDiff, VersionError as Error,
 };

@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use ode::{Database, Error, Event, ObjPtr, VersionPtr};
+use ode::{Database, Error, Event, IdClaim, ObjPtr, VersionPtr};
 use ode_codec::{impl_persist_struct, impl_type_name};
 
 #[derive(Debug, Clone, PartialEq)]
@@ -415,4 +415,64 @@ fn pending_events_accumulate_in_order() {
         .collect();
     assert_eq!(kinds, vec!["created", "newversion", "updated"]);
     txn.commit().unwrap();
+}
+
+/// A store takes one id claim and keeps it: it then issues every object
+/// and version id from that residue, and refuses any other claim.
+#[test]
+fn a_store_issues_its_ids_from_the_one_claim_it_takes() {
+    let db = ode::testutil::tempdb();
+    let claim = IdClaim::new(3, 2).unwrap();
+    // Checked only (a replica's way): nothing is recorded.
+    assert!(
+        db.admits_claim(claim).unwrap(),
+        "an unclaimed store admits it"
+    );
+    assert!(db.admits_claim(claim).unwrap());
+    db.claim_ids(claim).unwrap();
+    assert!(!db.admits_claim(claim).unwrap(), "held already");
+    db.claim_ids(claim).unwrap();
+
+    let mut txn = db.begin();
+    let p = txn
+        .pnew(&Part {
+            name: "gear".into(),
+            weight: 1,
+        })
+        .unwrap();
+    let v0 = txn.current_version(&p).unwrap();
+    let v1 = txn.newversion(&p).unwrap();
+    txn.commit().unwrap();
+    assert_eq!((p.oid().0, v0.vid().0, v1.vid().0), (2, 2, 5));
+
+    let other = IdClaim::new(3, 1).unwrap();
+    match db.admits_claim(other) {
+        Err(Error::ClaimRefused { held, asked }) => {
+            assert_eq!((held, asked), (Some(claim), other))
+        }
+        other => panic!("expected a refusal, got {other:?}"),
+    }
+
+    // An unclaimed store that issued ids takes a dense claim only.
+    let dense = ode::testutil::tempdb();
+    let mut txn = dense.begin();
+    txn.pnew(&Part {
+        name: "bolt".into(),
+        weight: 2,
+    })
+    .unwrap();
+    txn.commit().unwrap();
+    let wider = IdClaim::new(2, 0).unwrap();
+    assert!(matches!(
+        dense.claim_ids(wider),
+        Err(Error::ClaimRefused { held: None, .. })
+    ));
+    dense.claim_ids(IdClaim::DENSE).unwrap();
+    assert!(matches!(
+        dense.admits_claim(wider),
+        Err(Error::ClaimRefused {
+            held: Some(IdClaim::DENSE),
+            ..
+        })
+    ));
 }

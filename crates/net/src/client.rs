@@ -457,6 +457,18 @@ impl OdeClient {
         }
     }
 
+    /// Have the node issue every object and version id as `k·stride +
+    /// residue` from now on ([`ode::Database::claim_ids`]; a router
+    /// sends this to each of its shards). A node holding another claim,
+    /// or one that already issued ids outside it, refuses with
+    /// `BadRequest`.
+    pub fn claim_ids(&mut self, stride: u64, residue: u64) -> Result<()> {
+        match self.call(&Request::ClaimIds { stride, residue })? {
+            Response::Unit => Ok(()),
+            other => Err(unexpected("unit", &other)),
+        }
+    }
+
     // -- typed operations (mirror ode::Txn) ---------------------------------
 
     /// `pnew`: create a persistent object on the server.

@@ -85,9 +85,11 @@ impl From<&ode::Error> for RemoteError {
                 found: *found,
             },
             ode::Error::LastVersion(vid) => RemoteError::LastVersion(*vid),
-            // The vids in a merge mismatch are shard-local; ship the
-            // rendered message rather than ids the client can't map.
-            ode::Error::MergeMismatch { .. } => RemoteError::BadRequest(e.to_string()),
+            // Refusals of a request's shape: the rendered message says
+            // which ids or claims did not fit.
+            ode::Error::MergeMismatch { .. } | ode::Error::ClaimRefused { .. } => {
+                RemoteError::BadRequest(e.to_string())
+            }
             ode::Error::Storage(e) => RemoteError::Storage(e.to_string()),
             // A corrupt delta chain is a storage-integrity failure as
             // far as a remote caller is concerned.

@@ -32,9 +32,9 @@
 //! row: the request table (one row per opcode: number, stats label,
 //! variant, fields tagged by kind, `read | write`, and how a router
 //! treats it) generates [`Opcode`], [`Request`], their encoder and
-//! decoder and [`walk_request`]; the response table generates
-//! [`Response`], its encoder and decoder and [`walk_response`]; the
-//! counter tables generate [`StatsReport`] / [`StorageCounters`], their
+//! decoder and [`Request::ids`]; the response table generates
+//! [`Response`] with its encoder and decoder; the counter tables
+//! generate [`StatsReport`] / [`StorageCounters`], their
 //! encoding and the rule that merges the reports of several shards. The
 //! generated code is straight-line `match`es — nothing is interpreted
 //! per request. DESIGN.md ("The wire table") has the row grammar and
@@ -65,7 +65,7 @@ pub fn split_seq(payload: &[u8]) -> Result<(u64, &[u8])> {
     Ok((seq, &payload[len..]))
 }
 
-/// Strictness shared by every decoder and walker: bytes left over after
+/// Strictness shared by every decoder: bytes left over after
 /// the last field are a protocol error.
 fn finish(r: &Reader<'_>, name: &str, what: &str) -> Result<()> {
     match r.remaining() {
@@ -80,53 +80,15 @@ fn finish(r: &Reader<'_>, name: &str, what: &str) -> Result<()> {
 // Field types
 // ---------------------------------------------------------------------------
 
-/// The role of an id-bearing field — what [`walk_request`] and
-/// [`walk_response`] tell their `map` about each value they hand it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IdField {
-    /// An object id.
-    Oid,
-    /// A version id.
-    Vid,
-    /// An extent-page cursor: the smallest object id to return.
-    Cursor,
-    /// Smallest global stamp of a range (stamps are version ids).
-    StampFrom,
-    /// Largest global stamp of a range.
-    StampTo,
-}
-
-/// One walk over an encoded frame: values are copied from `r` to `w` in
-/// canonical form, ids passing through `map` on the way.
-struct IdWalk<'a, 'b, F> {
-    r: Reader<'a>,
-    w: &'b mut Writer,
-    map: F,
-}
-
-impl<F: FnMut(IdField, u64) -> u64> IdWalk<'_, '_, F> {
-    fn id(&mut self, field: IdField) -> Result<()> {
-        let id = self.r.get_varint()?;
-        self.w.put_varint((self.map)(field, id));
-        Ok(())
-    }
-}
-
-/// One field type of the wire format: its encoding, its decoding and
-/// its id walk, stated here once. The tables below only compose them.
+/// One field type of the wire format: its encoding and its decoding,
+/// stated here once. The tables below only compose them.
 trait Wire: Sized {
     fn put(&self, w: &mut Writer);
     fn get(r: &mut Reader<'_>) -> Result<Self>;
-    /// Copy one encoded value, renaming the ids inside it. The default
-    /// suits every type that holds none.
-    fn walk<F: FnMut(IdField, u64) -> u64>(c: &mut IdWalk<'_, '_, F>) -> Result<()> {
-        Self::get(&mut c.r)?.put(c.w);
-        Ok(())
-    }
 }
 
 macro_rules! wire_varint_newtype {
-    ($($ty:ident $(as $role:ident)?),*) => {$(
+    ($($ty:ident),*) => {$(
         impl Wire for $ty {
             fn put(&self, w: &mut Writer) {
                 w.put_varint(self.0);
@@ -134,14 +96,11 @@ macro_rules! wire_varint_newtype {
             fn get(r: &mut Reader<'_>) -> Result<Self> {
                 Ok($ty(r.get_varint()?))
             }
-            $(fn walk<F: FnMut(IdField, u64) -> u64>(c: &mut IdWalk<'_, '_, F>) -> Result<()> {
-                c.id(IdField::$role)
-            })?
         }
     )*};
 }
 
-wire_varint_newtype!(Oid as Oid, Vid as Vid, TypeTag);
+wire_varint_newtype!(Oid, Vid, TypeTag);
 
 impl Wire for u64 {
     fn put(&self, w: &mut Writer) {
@@ -168,10 +127,6 @@ impl Wire for Vec<u8> {
     }
     fn get(r: &mut Reader<'_>) -> Result<Self> {
         Ok(r.get_bytes()?.to_vec())
-    }
-    fn walk<F: FnMut(IdField, u64) -> u64>(c: &mut IdWalk<'_, '_, F>) -> Result<()> {
-        c.w.put_bytes(c.r.get_bytes()?);
-        Ok(())
     }
 }
 
@@ -219,14 +174,6 @@ impl<T: Wire> Wire for Option<T> {
             None
         })
     }
-    fn walk<F: FnMut(IdField, u64) -> u64>(c: &mut IdWalk<'_, '_, F>) -> Result<()> {
-        let present = get_present(&mut c.r)?;
-        c.w.put_u8(present as u8);
-        if present {
-            T::walk(c)?;
-        }
-        Ok(())
-    }
 }
 
 /// A list: a count, then each element. The count is checked against
@@ -246,14 +193,6 @@ impl<T: Wire> Wire for Vec<T> {
         }
         Ok(items)
     }
-    fn walk<F: FnMut(IdField, u64) -> u64>(c: &mut IdWalk<'_, '_, F>) -> Result<()> {
-        let n = c.r.get_count()?;
-        c.w.put_varint(n as u64);
-        for _ in 0..n {
-            T::walk(c)?;
-        }
-        Ok(())
-    }
 }
 
 /// One entry of a stats report's per-opcode request counts.
@@ -267,8 +206,8 @@ impl Wire for (Opcode, u64) {
     }
 }
 
-/// Conflict offsets are positions in the merge base's body —
-/// shard-agnostic, so a walk renames nothing in them.
+/// A conflict: its byte range in the merge base's body, then both
+/// sides' replacement bytes.
 impl Wire for MergeConflict {
     fn put(&self, w: &mut Writer) {
         w.put_varint(self.base_start);
@@ -287,7 +226,7 @@ impl Wire for MergeConflict {
 }
 
 /// An error frame is `code a b message` for every kind, unused slots
-/// zero or empty; which slot holds an id depends on the code.
+/// zero or empty.
 impl Wire for RemoteError {
     fn put(&self, w: &mut Writer) {
         w.put_u8(self.code());
@@ -322,22 +261,6 @@ impl Wire for RemoteError {
             c => return Err(NetError::Protocol(format!("unknown remote error code {c}"))),
         })
     }
-    fn walk<F: FnMut(IdField, u64) -> u64>(c: &mut IdWalk<'_, '_, F>) -> Result<()> {
-        match Self::get(&mut c.r)? {
-            RemoteError::UnknownObject(oid) => {
-                RemoteError::UnknownObject(Oid((c.map)(IdField::Oid, oid.0)))
-            }
-            RemoteError::UnknownVersion(vid) => {
-                RemoteError::UnknownVersion(Vid((c.map)(IdField::Vid, vid.0)))
-            }
-            RemoteError::LastVersion(vid) => {
-                RemoteError::LastVersion(Vid((c.map)(IdField::Vid, vid.0)))
-            }
-            other => other,
-        }
-        .put(c.w);
-        Ok(())
-    }
 }
 
 /// A struct that travels as its fields in declaration order.
@@ -360,10 +283,6 @@ macro_rules! wire_struct {
             fn get(r: &mut Reader<'_>) -> Result<Self> {
                 Ok($ty { $( $field: Wire::get(r)?, )* })
             }
-            fn walk<F: FnMut(IdField, u64) -> u64>(c: &mut IdWalk<'_, '_, F>) -> Result<()> {
-                $( <$fty as Wire>::walk(c)?; )*
-                Ok(())
-            }
         }
     };
 }
@@ -376,11 +295,12 @@ macro_rules! wire_struct {
 /// request table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Routing {
-    /// Goes to the shard its first id names; every id in it is renamed
-    /// into that shard's id space and must live there.
+    /// Goes, byte for byte, to the shard its ids name; every id in it
+    /// must live on that one shard.
     Keyed,
     /// Names no id yet: the router places it (round-robin) and the id
-    /// minted in the answer carries the placement from then on.
+    /// the shard issues from its residue carries the placement from
+    /// then on.
     Placed,
     /// Fans out to every shard; the answers are merged.
     Scatter,
@@ -388,10 +308,7 @@ pub enum Routing {
     Local,
 }
 
-/// The Rust type of a field kind. A kind is a type plus the role its
-/// value plays for a router: `cursor` is an `Oid` and the `stamp_*`
-/// kinds are `u64`s that [`walk_request`] reports under their own
-/// [`IdField`].
+/// The Rust type of a field kind.
 macro_rules! wire_type {
     (oid) => { Oid };
     (vid) => { Vid };
@@ -399,53 +316,40 @@ macro_rules! wire_type {
     (u64) => { u64 };
     (bytes) => { Vec<u8> };
     (policy) => { MergePolicy };
-    (cursor) => { Oid };
-    (stamp_from) => { u64 };
-    (stamp_to) => { u64 };
 }
 
-macro_rules! wire_walk {
-    (cursor, $c:ident) => {
-        $c.id(IdField::Cursor)?
+/// A field's value if its kind is an id, for [`Request::ids`].
+macro_rules! wire_id {
+    (oid, $field:ident) => {
+        Some($field.0)
     };
-    (stamp_from, $c:ident) => {
-        $c.id(IdField::StampFrom)?
+    (vid, $field:ident) => {
+        Some($field.0)
     };
-    (stamp_to, $c:ident) => {
-        $c.id(IdField::StampTo)?
-    };
-    ($kind:ident, $c:ident) => {
-        <wire_type!($kind) as Wire>::walk(&mut $c)?
-    };
+    ($kind:ident, $field:ident) => {{
+        let _ = $field;
+        None
+    }};
 }
 
 macro_rules! wire_sample {
     (oid, $word:ident, $body:ident) => {
-        Oid($word())
+        Oid($word("oid"))
     };
     (vid, $word:ident, $body:ident) => {
-        Vid($word())
+        Vid($word("vid"))
     };
     (tag, $word:ident, $body:ident) => {
-        TypeTag($word())
+        TypeTag($word("tag"))
     };
     (u64, $word:ident, $body:ident) => {
-        $word()
+        $word("u64")
     };
     (bytes, $word:ident, $body:ident) => {
         $body.to_vec()
     };
     (policy, $word:ident, $body:ident) => {
-        MergePolicy::from_u8(($word() % 3) as u8).expect("policy bytes are 0, 1 and 2")
-    };
-    (cursor, $word:ident, $body:ident) => {
-        Oid($word())
-    };
-    (stamp_from, $word:ident, $body:ident) => {
-        $word()
-    };
-    (stamp_to, $word:ident, $body:ident) => {
-        $word()
+        MergePolicy::from_u8(($word("policy") % 3) as u8).expect("policy bytes are 0, 1 and 2")
     };
 }
 
@@ -475,7 +379,7 @@ macro_rules! wire_routing {
 
 /// One row per opcode: `number "stats label" Variant { field: kind, … }
 /// read|write keyed|placed|scatter|local;`. Generates [`Opcode`],
-/// [`Request`], their codec, and [`walk_request`].
+/// [`Request`], their codec, and [`Request::ids`].
 macro_rules! wire_table {
     ($(
         $(#[$doc:meta])*
@@ -579,35 +483,34 @@ macro_rules! wire_table {
 
             /// The request of `op` built field by field as its row
             /// declares them: each numeric field takes the next
-            /// `word()`, each byte field a copy of `body`. Lets tests
-            /// and tools cover every row without naming one.
-            pub fn sample(op: Opcode, mut word: impl FnMut() -> u64, body: &[u8]) -> Request {
+            /// `word(kind)`, told its kind as the row names it (`"oid"`,
+            /// `"vid"`, `"tag"`, `"u64"`, `"policy"`), each byte field a
+            /// copy of `body`. Lets tests and tools cover every row
+            /// without naming one.
+            pub fn sample(
+                op: Opcode,
+                mut word: impl FnMut(&'static str) -> u64,
+                body: &[u8],
+            ) -> Request {
                 match op {
                     $( Opcode::$variant => Request::$variant $({
                         $( $field: wire_sample!($kind, word, body), )+
                     })?, )*
                 }
             }
-        }
 
-        /// Copy a request's operation bytes (`body`: its payload after
-        /// the sequence id) onto `w` in canonical form, passing every
-        /// id through `map` — renaming ids is all a router may do to a
-        /// frame, and where they sit is this module's knowledge. Fails
-        /// exactly where [`Request::decode`] would.
-        pub fn walk_request(
-            body: &[u8],
-            w: &mut Writer,
-            map: impl FnMut(IdField, u64) -> u64,
-        ) -> Result<Opcode> {
-            let mut c = IdWalk { r: Reader::new(body), w, map };
-            let op = Opcode::get(&mut c.r)?;
-            op.put(c.w);
-            match op {
-                $( Opcode::$variant => { $($( wire_walk!($kind, c); )+)? } )*
+            /// The object and version ids this request names, in field
+            /// order — what a router places a keyed request by. Every
+            /// shard issues ids from its own residue, so an id means
+            /// the same thing on every side of the router.
+            pub fn ids(&self) -> Vec<u64> {
+                match self {
+                    $( Request::$variant $({ $($field),+ })? => {
+                        let ids: &[Option<u64>] = &[$($( wire_id!($kind, $field) ),+)?];
+                        ids.iter().flatten().copied().collect()
+                    } )*
+                }
             }
-            finish(&c.r, op.name(), "request")?;
-            Ok(op)
         }
     };
 }
@@ -719,7 +622,7 @@ wire_table! {
         /// Type tag of the extent.
         tag: tag,
         /// Cursor: smallest id to return.
-        after: cursor,
+        after: oid,
         /// Maximum number of objects.
         limit: u64,
     } read scatter;
@@ -761,9 +664,9 @@ wire_table! {
         /// Object whose history to slice.
         oid: oid,
         /// Smallest global stamp to include.
-        from: stamp_from,
+        from: u64,
         /// Largest global stamp to include.
-        to: stamp_to,
+        to: u64,
     } read keyed;
     /// Summary of the byte difference between two versions' states.
     27 "diff_versions" DiffVersions {
@@ -783,6 +686,16 @@ wire_table! {
         /// Conflict policy.
         policy: policy,
     } write keyed;
+    /// Issue this node's object and version ids as `k·stride +
+    /// residue` from now on — how a router gives each shard its own
+    /// residue. Refused (`BadRequest`) when the node holds another
+    /// claim, or has already issued ids the claim would not have.
+    29 "claim_ids" ClaimIds {
+        /// Number of shards in the tier.
+        stride: u64,
+        /// This node's shard index.
+        residue: u64,
+    } write local;
 }
 
 // `from_u8` indexes `ALL` by the wire byte, so the numbers in the table
@@ -998,8 +911,7 @@ wire_struct! {
 
 /// One row per response shape: `kind-byte "name" Variant`, then its one
 /// unnamed field as `(binder: Type)` or its named fields as `{ field:
-/// Type, … }`. Generates [`Response`], its codec, and
-/// [`walk_response`].
+/// Type, … }`. Generates [`Response`] and its codec.
 macro_rules! response_table {
     ($(
         $(#[$doc:meta])*
@@ -1055,30 +967,6 @@ macro_rules! response_table {
                 finish(&r, response.kind_name(), "response")?;
                 Ok((seq, response))
             }
-        }
-
-        /// Copy a response's result bytes (`body`: its payload after
-        /// the sequence id) onto `w` in canonical form, passing every
-        /// id — fields, list elements, options, the ids inside an error
-        /// — through `map`. Fails exactly where [`Response::decode`]
-        /// would.
-        pub fn walk_response(
-            body: &[u8],
-            w: &mut Writer,
-            map: impl FnMut(IdField, u64) -> u64,
-        ) -> Result<()> {
-            let mut c = IdWalk { r: Reader::new(body), w, map };
-            let kind = c.r.get_u8()?;
-            c.w.put_u8(kind);
-            let name = match kind {
-                $( $num => {
-                    $( <$tty as Wire>::walk(&mut c)?; )?
-                    $($( <$fty as Wire>::walk(&mut c)?; )+)?
-                    $name
-                } )*
-                k => return Err(unknown_kind(k)),
-            };
-            finish(&c.r, name, "response")
         }
     };
 }
@@ -1359,7 +1247,7 @@ mod tests {
                 let mut next = word;
                 let req = Request::sample(
                     op,
-                    || {
+                    |_| {
                         next = next.wrapping_add(1);
                         next
                     },
@@ -1367,71 +1255,53 @@ mod tests {
                 );
                 assert_eq!(req.opcode(), op);
                 assert_eq!(req.is_read(), op.is_read());
-                round_trip_request(req.clone());
-                // Walking with the identity map is decode + encode.
-                let payload = req.encode(7);
-                let (_, operation) = split_seq(&payload).unwrap();
-                let mut w = Writer::new();
-                assert_eq!(walk_request(operation, &mut w, |_, id| id).unwrap(), op);
-                assert_eq!(w.as_bytes(), operation);
+                round_trip_request(req);
             }
         }
         assert_eq!(Opcode::from_u8(OPCODE_COUNT as u8), None);
     }
 
     #[test]
-    fn the_walk_reports_each_id_under_its_role() {
-        let seen = |req: Request| {
-            let payload = req.encode(0);
-            let mut seen = Vec::new();
-            walk_request(&payload[1..], &mut Writer::new(), |field, id| {
-                seen.push((field, id));
-                id
-            })
-            .unwrap();
-            seen
-        };
+    fn ids_names_each_id_in_field_order() {
         assert_eq!(
-            seen(Request::Update {
+            Request::Update {
                 oid: Oid(5),
                 tag: TypeTag(6),
                 body: vec![7],
-            }),
-            [(IdField::Oid, 5)]
+            }
+            .ids(),
+            [5],
+            "a tag is not an id"
         );
+        let merge = Request::Merge {
+            a: Vid(1),
+            b: Vid(2),
+            policy: MergePolicy::Theirs,
+        };
+        assert_eq!(merge.ids(), [1, 2]);
+        let history = Request::HistoryBetween {
+            oid: Oid(1),
+            from: 2,
+            to: 3,
+        };
+        assert_eq!(history.ids(), [1], "stamps are not ids");
         assert_eq!(
-            seen(Request::Merge {
-                a: Vid(1),
-                b: Vid(2),
-                policy: MergePolicy::Theirs,
-            }),
-            [(IdField::Vid, 1), (IdField::Vid, 2)]
-        );
-        assert_eq!(
-            seen(Request::ObjectsPage {
-                tag: TypeTag(9),
-                after: Oid(4),
-                limit: 3,
-            }),
-            [(IdField::Cursor, 4)]
-        );
-        assert_eq!(
-            seen(Request::HistoryBetween {
-                oid: Oid(1),
-                from: 2,
-                to: 3,
-            }),
-            [
-                (IdField::Oid, 1),
-                (IdField::StampFrom, 2),
-                (IdField::StampTo, 3)
-            ]
-        );
-        assert_eq!(
-            seen(Request::ReadFloor { epoch: 8 }),
+            Request::ReadFloor { epoch: 8 }.ids(),
             [],
             "an epoch is not an id"
         );
+        let claim = Request::ClaimIds {
+            stride: 4,
+            residue: 1,
+        };
+        assert_eq!(claim.ids(), []);
+        // Every keyed row names an id to be routed by.
+        for op in Opcode::ALL
+            .into_iter()
+            .filter(|op| op.routing() == Routing::Keyed)
+        {
+            assert!(!Request::sample(op, |_| 7, &[]).ids().is_empty(), "{op:?}");
+        }
     }
 
     /// The README's opcode table is documentation of the request table

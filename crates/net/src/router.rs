@@ -12,20 +12,23 @@
 //!
 //! ## One path
 //!
-//! Distribution must be invisible to a program's result, so all the
-//! router may do to a frame is rename the ids in it — and where ids sit
-//! in a frame is the [`crate::protocol`] module's knowledge, not this
-//! one's. Every request takes one walk ([`walk_request`]) that renames
-//! its ids into the owning shard's id space and, by the first id, names
-//! that shard; every response takes the inverse walk
-//! ([`walk_response`]). There is no per-opcode routing code and no
-//! second, slower path: what a request needs beyond that walk is read
-//! off its row of the wire table ([`Opcode::routing`],
-//! [`Opcode::is_read`]). An id on a second shard is a `BadRequest`
-//! (`DiffVersions` and `Merge` across objects fall out of that rule);
-//! a frame the walk cannot follow is the `BadRequest` a server would
-//! have answered, because walk and decoder are generated from the same
-//! rows.
+//! Distribution must be invisible to a program's result, so the router
+//! changes nothing in a frame but its sequence id. Each shard issues
+//! its ids from its own residue — shard `s` of `N` claims the ids `≡ s
+//! (mod N)` with a `ClaimIds` request on every connection the router
+//! dials — so an id means the same thing to a client, to the router and
+//! to the shard that owns it. A request is decoded once, by the
+//! server's own decoder (a frame it refuses is the `BadRequest` a
+//! server would have answered); its ids ([`Request::ids`]) name the
+//! shard, and the client's operation bytes go there as they came. A
+//! shard's result bytes go back to the client as they came. There is
+//! no per-opcode routing code: what a request needs is read off its row
+//! of the wire table ([`Opcode::routing`], [`Opcode::is_read`]). An id
+//! on a second shard is a `BadRequest` (`DiffVersions` and `Merge`
+//! across objects fall out of that rule). A node that holds another
+//! claim — a reordered backend list, a store with dense ids behind a
+//! wider tier — refuses the dial, and its shard answers `Unavailable`
+//! while the others serve.
 //!
 //! ## Ordering guarantees
 //!
@@ -52,10 +55,10 @@
 //! `Ping` is answered by the router itself. `Stats`, `Objects`, and
 //! `ObjectsPage` fan out to every shard and merge: stats counters fold
 //! under the rule each declares (`sum`, or `max` for gauges and
-//! high-water marks — see [`StatsReport::merge`]),
-//! extent scans merge-sort by client-visible id (`ObjectsPage`
-//! re-truncates to the requested limit). A scatter fails as a whole if
-//! any shard is down — partial extents would be silent lies.
+//! high-water marks — see [`StatsReport::merge`]), extent scans
+//! merge-sort by id (`ObjectsPage` sends every shard the client's
+//! cursor and re-truncates to the requested limit). A scatter fails as
+//! a whole if any shard is down — partial extents would be silent lies.
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Read, Write};
@@ -65,16 +68,15 @@ use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle, Scope};
 use std::time::{Duration, Instant};
 
-use ode::{Oid, Vid};
-use ode_codec::Writer;
+use ode::Oid;
 use parking_lot::Mutex;
 use polling::{Event, Poller};
 
 use crate::client::{ClientConfig, OdeClient};
 use crate::error::RemoteError;
 use crate::protocol::{
-    read_frame_into, split_seq, walk_request, walk_response, write_frame, write_frame_seq,
-    FrameBuffer, IdField, Opcode, Request, Response, Routing, StatsReport, MAGIC,
+    read_frame, read_frame_into, split_seq, write_frame, write_frame_seq, FrameBuffer, Request,
+    Response, Routing, StatsReport, MAGIC,
 };
 use crate::shard::ShardMap;
 use crate::NetError;
@@ -280,8 +282,8 @@ struct RouterShared {
     config: RouterConfig,
     stats: RouterStats,
     /// Round-robin cursor for `Pnew` placement: new objects have no id
-    /// yet, so the router picks their shard and the minted id then
-    /// carries the placement forever.
+    /// yet, so the router picks their shard and the id the shard issues
+    /// from its residue then carries the placement forever.
     next_pnew_shard: AtomicU64,
     shutdown: AtomicBool,
 }
@@ -301,8 +303,9 @@ pub struct OdeRouter {
 impl OdeRouter {
     /// Bind `addr` (port 0 picks a free port) and start routing to
     /// `backends`, each a single-node shard with no replicas. The order
-    /// of `backends` **is** the shard map — it must be identical on
-    /// every router over the same tier.
+    /// of `backends` **is** the shard map: the `i`-th backend claims
+    /// the ids `≡ i (mod len)` on first contact and refuses any other
+    /// order afterwards.
     pub fn bind(
         addr: impl ToSocketAddrs,
         backends: Vec<SocketAddr>,
@@ -613,7 +616,7 @@ fn attempt_failover(shared: &RouterShared, shard: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Routing: one walk over the frame
+// Routing
 // ---------------------------------------------------------------------------
 
 /// What kind of scatter a fan-out request is, and how to merge it.
@@ -621,8 +624,8 @@ fn attempt_failover(shared: &RouterShared, shard: usize) {
 enum GatherKind {
     /// Counters fold under each one's declared rule.
     Stats,
-    /// Extents merge ascending by client id; a page re-truncates to
-    /// the limit the client asked for.
+    /// Extents merge ascending by id; a page re-truncates to the limit
+    /// the client asked for.
     Objects { limit: Option<u64> },
 }
 
@@ -630,146 +633,63 @@ enum GatherKind {
 enum Route {
     /// Answered by the router itself.
     Local(Box<Response>),
-    /// Forwarded to one shard: the scratch writer holds its operation
-    /// bytes, ids already in that shard's space.
+    /// Forwarded to one shard.
     Single { shard: usize, is_read: bool },
-    /// Fanned out to every shard; each part is walked again with its
-    /// shard pinned.
+    /// Fanned out to every shard.
     Gather(GatherKind),
 }
 
-/// A request's operation bytes renamed into one shard's id space.
-struct Renamed {
-    op: Opcode,
-    /// The shard the ids live on; `None` when the request names none.
-    shard: Option<usize>,
-    /// Some id lives on another shard than the first one.
-    stray: bool,
-    /// A stamp range that no stamp minted on the shard can fall in.
-    empty_range: bool,
-}
-
-/// Walk a request's operation bytes onto `out`, every id renamed into
-/// the id space of the shard that owns it. `pinned` fixes that shard
-/// (one part of a scatter); otherwise the first id names it. Stamps
-/// are version ids, so a client-space range maps to the backend stamps
-/// whose minted client stamp falls inside it — by the same residue
-/// decomposition as ids and page cursors.
-fn to_backend(
-    body: &[u8],
-    map: ShardMap,
-    pinned: Option<usize>,
-    out: &mut Writer,
-) -> Result<Renamed, NetError> {
-    // The wire table puts an id before any cursor or stamp of a keyed
-    // row, and a scatter part arrives pinned.
-    let home = |shard: Option<usize>| shard.expect("a cursor or stamp follows the shard's id");
-    let (mut shard, mut stray, mut empty_range, mut from) = (pinned, false, false, 0);
-    let op = walk_request(body, out, |field, id| match field {
-        IdField::Oid | IdField::Vid => {
-            let (owner, backend) = match field {
-                IdField::Oid => (map.shard_of(Oid(id)), map.backend_oid(Oid(id)).0),
-                _ => (map.shard_of_vid(Vid(id)), map.backend_vid(Vid(id)).0),
-            };
-            stray |= *shard.get_or_insert(owner) != owner;
-            backend
-        }
-        IdField::Cursor => map.backend_cursor(Oid(id), home(shard)).0,
-        IdField::StampFrom => {
-            from = id;
-            map.backend_cursor(Oid(id), home(shard)).0
-        }
-        IdField::StampTo => match map.backend_floor(Vid(id), home(shard)) {
-            Some(upto) if from <= id => upto.0,
-            _ => {
-                empty_range = true;
-                0
-            }
-        },
-    })?;
-    Ok(Renamed {
-        op,
-        shard,
-        stray,
-        empty_range,
-    })
-}
-
-/// Decide a request's route; for a single-shard route `out` then holds
-/// the bytes to forward. Every keyed opcode takes the same path — the
-/// only per-opcode knowledge here is how scatters merge and what the
-/// router answers itself.
+/// Decide a request's route; returns its sequence id and the operation
+/// bytes to forward (the client's own). Every keyed opcode takes the
+/// same path — the only per-opcode knowledge here is how scatters merge
+/// and what the router answers itself.
 fn route<'a>(
     payload: &'a [u8],
     map: ShardMap,
     next_pnew: &AtomicU64,
-    out: &mut Writer,
 ) -> Result<(u64, &'a [u8], Route), NetError> {
     let (seq, body) = split_seq(payload)?;
-    let refuse = |op: Opcode, why: &str| {
+    let request = Request::decode(payload)?.1;
+    let op = request.opcode();
+    let refuse = |why: &str| {
         let msg = format!("{}: {why}", op.name());
         Route::Local(Box::new(Response::Err(RemoteError::BadRequest(msg))))
     };
-    let peeked = body.first().copied().and_then(Opcode::from_u8);
-    if peeked.map(Opcode::routing) == Some(Routing::Scatter) {
-        let route = match Request::decode(payload)?.1 {
-            Request::Stats => Route::Gather(GatherKind::Stats),
-            Request::Objects { .. } => Route::Gather(GatherKind::Objects { limit: None }),
-            Request::ObjectsPage { limit, .. } => {
-                Route::Gather(GatherKind::Objects { limit: Some(limit) })
-            }
-            other => refuse(
-                other.opcode(),
-                "the router has no merge rule for this scatter",
-            ),
-        };
-        return Ok((seq, body, route));
-    }
-    out.clear();
-    let renamed = to_backend(body, map, None, out)?;
-    let op = renamed.op;
     let single = |shard| Route::Single {
         shard,
         is_read: op.is_read(),
     };
-    let route = match op.routing() {
-        Routing::Local if op == Opcode::Ping => Route::Local(Box::new(Response::Pong)),
+    let route = match (op.routing(), request) {
+        (Routing::Scatter, Request::Stats) => Route::Gather(GatherKind::Stats),
+        (Routing::Scatter, Request::Objects { .. }) => {
+            Route::Gather(GatherKind::Objects { limit: None })
+        }
+        (Routing::Scatter, Request::ObjectsPage { limit, .. }) => {
+            Route::Gather(GatherKind::Objects { limit: Some(limit) })
+        }
+        (Routing::Scatter, _) => refuse("the router has no merge rule for this scatter"),
+        (Routing::Local, Request::Ping) => Route::Local(Box::new(Response::Pong)),
         // Epochs are per shard (not comparable across the tier), read
-        // floors are pinned by the router itself, and promotion is the
-        // router's failover to drive.
-        Routing::Local => refuse(op, "node-local request; connect to a node directly"),
+        // floors and id claims are the router's own to send, and
+        // promotion is the router's failover to drive.
+        (Routing::Local, _) => refuse("node-local request; connect to a node directly"),
         // A new object has no id yet: the router picks its shard and
-        // the minted id then carries the placement forever.
-        Routing::Placed => {
+        // the id the shard issues then carries the placement forever.
+        (Routing::Placed, _) => {
             let n = map.shard_count() as u64;
             single((next_pnew.fetch_add(1, Ordering::Relaxed) % n) as usize)
         }
-        _ if renamed.stray => refuse(op, "ids live on different shards (different objects)"),
-        // `HistoryBetween` over a range no stamp on the shard falls in.
-        _ if renamed.empty_range => Route::Local(Box::new(Response::Versions(Vec::new()))),
-        _ => match renamed.shard {
-            Some(shard) => single(shard),
-            None => refuse(op, "no id to route by"),
-        },
+        (Routing::Keyed, request) => {
+            // Object and version ids share one residue rule.
+            let mut shards = request.ids().into_iter().map(|id| map.shard_of(Oid(id)));
+            match shards.next() {
+                None => refuse("no id to route by"),
+                Some(shard) if shards.all(|other| other == shard) => single(shard),
+                Some(_) => refuse("ids live on different shards (different objects)"),
+            }
+        }
     };
     Ok((seq, body, route))
-}
-
-/// Re-stamp a shard's response for the client: `seq`, then its result
-/// bytes with every embedded id renamed into client space.
-fn to_client(
-    body: &[u8],
-    map: ShardMap,
-    shard: usize,
-    seq: u64,
-    out: &mut Writer,
-) -> Result<(), NetError> {
-    out.clear();
-    out.put_varint(seq);
-    walk_response(body, out, |field, id| match field {
-        IdField::Vid => map.client_vid(Vid(id), shard).0,
-        _ => map.client_oid(Oid(id), shard).0,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -782,7 +702,7 @@ fn to_client(
 struct Gather {
     client_seq: u64,
     kind: GatherKind,
-    /// Parts answered so far, already in client id space.
+    /// Parts answered so far.
     parts: Vec<Response>,
     remaining: usize,
     error: Option<RemoteError>,
@@ -906,7 +826,7 @@ struct ShardSlot {
 }
 
 impl ShardSlot {
-    fn new(_shard: usize) -> ShardSlot {
+    fn new() -> ShardSlot {
         ShardSlot {
             ctl: Mutex::new(SlotCtl {
                 alive: false,
@@ -956,7 +876,21 @@ struct Session<'a> {
     pump_started: AtomicBool,
 }
 
-impl Session<'_> {
+impl<'a> Session<'a> {
+    fn new(shared: &'a RouterShared, client: TcpStream) -> io::Result<Session<'a>> {
+        let n = shared.map.shard_count();
+        Ok(Session {
+            shared,
+            slots: (0..n * 2).map(|_| ShardSlot::new()).collect(),
+            wrote: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            client_writer: Mutex::new(BufWriter::new(client)),
+            poller: Poller::new()?,
+            handoff: Mutex::new(Vec::new()),
+            hangup: AtomicBool::new(false),
+            pump_started: AtomicBool::new(false),
+        })
+    }
+
     /// Which slot a request for `shard` should ride. Reads from a
     /// session that has not written to the shard go to its replicas
     /// (pinned by `ReadFloor` at the primary's last probed epoch).
@@ -977,28 +911,16 @@ impl Session<'_> {
         }
     }
 
-    /// Ship one response frame to the client. `flush` is the
-    /// coalescing decision — callers pass `true` when they are about
-    /// to block with nothing else to write.
-    fn send_client(&self, seq: u64, resp: &Response, flush: bool) -> io::Result<()> {
+    /// Queue one response frame of the router's own for the client;
+    /// whoever wrote last flushes.
+    fn send_client(&self, seq: u64, resp: &Response) -> io::Result<()> {
         if matches!(resp, Response::Err(RemoteError::Unavailable(_))) {
             self.shared
                 .stats
                 .unavailable_errors
                 .fetch_add(1, Ordering::Relaxed);
         }
-        let buf = resp.encode(seq);
-        self.send_client_bytes(&buf, flush)
-    }
-
-    /// Ship an already-encoded response payload to the client.
-    fn send_client_bytes(&self, buf: &[u8], flush: bool) -> io::Result<()> {
-        let mut w = self.client_writer.lock();
-        write_frame(&mut *w, buf)?;
-        if flush {
-            w.flush()?;
-        }
-        Ok(())
+        write_frame(&mut *self.client_writer.lock(), &resp.encode(seq)).map(drop)
     }
 
     /// Give one pending entry its outcome: answer the client, or
@@ -1008,12 +930,12 @@ impl Session<'_> {
         match pending {
             Pending::Single { client_seq } => {
                 let resp = outcome.unwrap_or_else(Response::Err);
-                self.send_client(client_seq, &resp, false)
+                self.send_client(client_seq, &resp)
             }
             Pending::Part(gather) => {
                 let mut gather = gather.lock();
                 match gather.complete_part(outcome) {
-                    Some(merged) => self.send_client(gather.client_seq, &merged, false),
+                    Some(merged) => self.send_client(gather.client_seq, &merged),
                     None => Ok(()),
                 }
             }
@@ -1052,17 +974,7 @@ fn serve_session(shared: &RouterShared, stream: TcpStream) -> io::Result<()> {
         shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
         return Ok(());
     }
-    let n = shared.map.shard_count();
-    let session = Session {
-        shared,
-        slots: (0..n * 2).map(ShardSlot::new).collect(),
-        wrote: (0..n).map(|_| AtomicBool::new(false)).collect(),
-        client_writer: Mutex::new(BufWriter::new(stream)),
-        poller: Poller::new()?,
-        handoff: Mutex::new(Vec::new()),
-        hangup: AtomicBool::new(false),
-        pump_started: AtomicBool::new(false),
-    };
+    let session = Session::new(shared, stream)?;
     {
         let mut w = session.client_writer.lock();
         w.write_all(&MAGIC)?;
@@ -1088,10 +1000,8 @@ fn client_loop<'scope, 'env>(
     let shared = session.shared;
     let mut dirty_slots = vec![false; session.slots.len()];
     let mut client_dirty = false;
-    // Reused across frames: the inbound payload and the operation
-    // bytes renamed for a backend.
+    // Reused across frames.
     let mut payload = Vec::new();
-    let mut scratch = Writer::new();
     loop {
         // Before blocking on the socket, flush everything owed: the
         // batch the client pipelined is fully forwarded, and our own
@@ -1119,10 +1029,7 @@ fn client_loop<'scope, 'env>(
                 return Ok(());
             }
         };
-        // One walk over the frame renames its ids and names its shard;
-        // the renamed bytes are canonical, so a shard sees exactly what
-        // a full decode and re-encode would have sent it.
-        let routed = route(&payload, shared.map, &shared.next_pnew_shard, &mut scratch);
+        let routed = route(&payload, shared.map, &shared.next_pnew_shard);
         let (seq, body, route) = match routed {
             Ok(routed) => routed,
             Err(e) => {
@@ -1131,7 +1038,7 @@ fn client_loop<'scope, 'env>(
                 shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 let seq = Request::decode_seq(&payload).unwrap_or(0);
                 let response = Response::Err(RemoteError::BadRequest(e.to_string()));
-                session.send_client(seq, &response, false)?;
+                session.send_client(seq, &response)?;
                 client_dirty = true;
                 continue;
             }
@@ -1142,13 +1049,13 @@ fn client_loop<'scope, 'env>(
                     .stats
                     .answered_locally
                     .fetch_add(1, Ordering::Relaxed);
-                session.send_client(seq, &resp, false)?;
+                session.send_client(seq, &resp)?;
                 client_dirty = true;
             }
             Route::Single { shard, is_read } => {
                 let slot = session.pick_slot(shard, is_read);
                 let pending = Pending::Single { client_seq: seq };
-                match forward(scope, session, slot, scratch.as_bytes(), pending) {
+                match forward(scope, session, slot, body, pending) {
                     Sent::Forwarded => dirty_slots[slot] = true,
                     Sent::Answered => client_dirty = true,
                 }
@@ -1161,16 +1068,7 @@ fn client_loop<'scope, 'env>(
                 // or stats report must not mix replica lag in.
                 for (shard, dirty) in dirty_slots.iter_mut().enumerate().take(shards) {
                     let pending = Pending::Part(Arc::clone(&gather));
-                    scratch.clear();
-                    let sent = match to_backend(body, shared.map, Some(shard), &mut scratch) {
-                        Ok(_) => forward(scope, session, shard, scratch.as_bytes(), pending),
-                        Err(e) => {
-                            let refused = RemoteError::BadRequest(e.to_string());
-                            let _ = session.settle(pending, Err(refused));
-                            Sent::Answered
-                        }
-                    };
-                    match sent {
+                    match forward(scope, session, shard, body, pending) {
                         Sent::Forwarded => *dirty = true,
                         Sent::Answered => client_dirty = true,
                     }
@@ -1189,8 +1087,8 @@ enum Sent {
 }
 
 /// The one forwarding path: ensure a live connection, register the
-/// pending entry, write `body` (operation bytes in the shard's id
-/// space) under the assigned backend sequence id. When the request
+/// pending entry, write `body` (the client's operation bytes) under the
+/// assigned backend sequence id. When the request
 /// never makes it onto a backend wire the entry is settled here with
 /// `Unavailable`; once registered, the failure path drains it — exactly
 /// one of the two answers the client.
@@ -1244,10 +1142,11 @@ fn forward<'scope, 'env>(
     Sent::Forwarded
 }
 
-/// Dial a dead slot's backend, handshake, and hand the connection to
-/// the session's backend pump (spawning the pump on the session's
-/// first dial). Called with the slot's ctl lock held; on success the
-/// slot is alive.
+/// Dial a dead slot's backend, handshake, claim the shard's id residue,
+/// and hand the connection to the session's backend pump (spawning the
+/// pump on the session's first dial). Called with the slot's ctl lock
+/// held; on success the slot is alive. A node that refuses the claim
+/// fails the dial like an unreachable one.
 ///
 /// The address comes from the shard's *current* membership: primary
 /// bank slots dial the primary, read bank slots a live replica (or the
@@ -1280,7 +1179,7 @@ fn ensure_conn<'scope, 'env>(
         shared.membership.primary_addr(shard)
     };
     let config = &shared.config;
-    let dial = || -> io::Result<TcpStream> {
+    let handshake = || -> io::Result<TcpStream> {
         let stream = TcpStream::connect_timeout(&addr, config.connect_timeout)?;
         stream.set_nodelay(true).ok();
         // Handshake under a deadline so a wedged backend can't hang
@@ -1297,10 +1196,18 @@ fn ensure_conn<'scope, 'env>(
                 "backend handshake mismatch",
             ));
         }
-        stream.set_read_timeout(None)?;
         Ok(stream)
     };
-    match dial() {
+    let dialed = handshake()
+        .map_err(|e| format!("shard {shard} is unreachable: {e}"))
+        .and_then(|stream| {
+            claim_residue(&stream, shared.map, shard)?;
+            stream
+                .set_read_timeout(None)
+                .map_err(|e| format!("shard {shard}: {e}"))?;
+            Ok(stream)
+        });
+    match dialed {
         Ok(stream) => {
             let pump_half = match stream.try_clone() {
                 Ok(s) => s,
@@ -1344,11 +1251,37 @@ fn ensure_conn<'scope, 'env>(
             let _ = session.poller.notify();
             Ok(())
         }
-        Err(e) => {
+        Err(msg) => {
             ctl.back_off(config);
             shared.stats.shard_failures.fetch_add(1, Ordering::Relaxed);
-            Err(format!("shard {shard} is unreachable: {e}"))
+            Err(msg)
         }
+    }
+}
+
+/// Claim shard `shard`'s id residue on a freshly dialed node, before
+/// anything else rides the connection: from then on every id the node
+/// issues is `≡ shard (mod shard_count)`, the id clients see. A node
+/// already holding the claim answers at once; one holding another (the
+/// backend list was reordered, or a store with dense ids joined a wider
+/// tier) refuses, and so does this dial.
+fn claim_residue(stream: &TcpStream, map: ShardMap, shard: usize) -> Result<(), String> {
+    let (stride, residue) = (map.shard_count() as u64, shard as u64);
+    let claim = Request::ClaimIds { stride, residue }.encode(0);
+    let answer = write_frame(&mut &*stream, &claim)
+        .map_err(NetError::Io)
+        .and_then(|_| read_frame(&mut &*stream))
+        .and_then(|frame| Response::decode(&frame.unwrap_or_default()));
+    match answer {
+        Ok((_, Response::Unit)) => Ok(()),
+        Ok((_, Response::Err(e))) => Err(format!(
+            "shard {shard} refused id residue {residue} of {stride}: {e}"
+        )),
+        Ok((_, other)) => Err(format!(
+            "shard {shard} answered its id claim with a {} response",
+            other.kind_name()
+        )),
+        Err(e) => Err(format!("shard {shard} is unreachable: {e}")),
     }
 }
 
@@ -1428,8 +1361,6 @@ fn backend_pump(session: &Session<'_>) {
     let mut next_key = 0usize;
     let mut events = Vec::new();
     let mut scratch = vec![0u8; 64 * 1024];
-    // Reused across frames: the response renamed for the client.
-    let mut renamed = Writer::new();
     loop {
         if session.poller.wait(&mut events, None).is_err() {
             return;
@@ -1463,7 +1394,7 @@ fn backend_pump(session: &Session<'_>) {
             let Some(conn) = conns.get_mut(&ev.key) else {
                 continue; // stale event for a dropped registration
             };
-            match pump_step(session, conn, &mut scratch, &mut renamed, &mut wrote) {
+            match pump_step(session, conn, &mut scratch, &mut wrote) {
                 PumpStatus::Keep => {}
                 PumpStatus::Drop(why) => {
                     let conn = conns.remove(&ev.key).expect("checked above");
@@ -1489,7 +1420,6 @@ fn pump_step(
     session: &Session<'_>,
     conn: &mut PumpConn,
     scratch: &mut [u8],
-    renamed: &mut Writer,
     wrote: &mut bool,
 ) -> PumpStatus {
     let n = match (&conn.stream).read(scratch) {
@@ -1503,13 +1433,11 @@ fn pump_step(
     loop {
         match conn.fbuf.next_frame() {
             Ok(None) => return PumpStatus::Keep,
-            Ok(Some(payload)) => {
-                match on_backend_frame(session, slot_idx, payload, renamed, wrote) {
-                    FrameVerdict::Answered => {}
-                    FrameVerdict::Fault(why) => return PumpStatus::Drop(why),
-                    FrameVerdict::ClientGone => return PumpStatus::ClientGone,
-                }
-            }
+            Ok(Some(payload)) => match on_backend_frame(session, slot_idx, payload, wrote) {
+                FrameVerdict::Answered => {}
+                FrameVerdict::Fault(why) => return PumpStatus::Drop(why),
+                FrameVerdict::ClientGone => return PumpStatus::ClientGone,
+            },
             Err(_) => {
                 // A backend framing its stream wrong can't be trusted
                 // for anything in flight: kill the connection, which
@@ -1532,19 +1460,19 @@ enum FrameVerdict {
     ClientGone,
 }
 
-/// Correlate one backend frame with its pending entry, rename its ids
-/// into client space, and answer the client. `*wrote` records that the
-/// client writer now holds unflushed bytes — the pump flushes once per
-/// readiness round.
+/// Correlate one backend frame with its pending entry and answer the
+/// client: a single request's result bytes go back as they came, behind
+/// the client's sequence id (the client's strict decoder checks them);
+/// a scatter part is decoded, because parts are merged. `*wrote`
+/// records that the client writer now holds unflushed bytes — the pump
+/// flushes once per readiness round.
 fn on_backend_frame(
     session: &Session<'_>,
     slot_idx: usize,
     payload: &[u8],
-    renamed: &mut Writer,
     wrote: &mut bool,
 ) -> FrameVerdict {
-    let map = session.shared.map;
-    let shard = slot_idx % map.shard_count();
+    let shard = slot_idx % session.shared.map.shard_count();
     let protocol_error = || {
         session
             .shared
@@ -1557,16 +1485,6 @@ fn on_backend_frame(
         return FrameVerdict::Fault("undecodable response from shard");
     };
     let pending = session.slots[slot_idx].ctl.lock().pending.remove(&bseq);
-    // The pending entry is already removed, so this frame owns the
-    // answer for `bseq` — on an undecodable payload it answers with
-    // the exact `Unavailable` the failure path gives everything else
-    // in flight, then has the connection torn down.
-    let undecodable = || {
-        protocol_error();
-        RemoteError::Unavailable(format!(
-            "shard {shard}: undecodable response from shard; request not retried"
-        ))
-    };
     match pending {
         None => {
             // A response nothing asked for; ignoring it would leave
@@ -1577,24 +1495,24 @@ fn on_backend_frame(
         Some(Pending::Internal) => FrameVerdict::Answered, // the `ReadFloor` pin's ack
         Some(Pending::Single { client_seq }) => {
             *wrote = true;
-            match to_client(body, map, shard, client_seq, renamed) {
-                Ok(()) => match session.send_client_bytes(renamed.as_bytes(), false) {
-                    Ok(()) => FrameVerdict::Answered,
-                    Err(_) => FrameVerdict::ClientGone,
-                },
-                Err(_) => {
-                    let _ = session.settle(Pending::Single { client_seq }, Err(undecodable()));
-                    FrameVerdict::Fault("undecodable response from shard")
-                }
+            match write_frame_seq(&mut *session.client_writer.lock(), client_seq, body) {
+                Ok(()) => FrameVerdict::Answered,
+                Err(_) => FrameVerdict::ClientGone,
             }
         }
         Some(part @ Pending::Part(_)) => {
-            // A part is merged, so after the same walk it is decoded.
-            let outcome = to_client(body, map, shard, 0, renamed)
-                .and_then(|()| Response::decode(renamed.as_bytes()))
-                .map(|(_, response)| response)
-                .map_err(|_| undecodable());
+            // The pending entry is already removed, so this frame owns
+            // the part's answer — on an undecodable payload it is the
+            // exact `Unavailable` the failure path gives everything
+            // else in flight, then the connection is torn down.
+            let outcome = Response::decode(payload).map(|(_, response)| response);
             let failed = outcome.is_err();
+            let outcome = outcome.map_err(|_| {
+                protocol_error();
+                RemoteError::Unavailable(format!(
+                    "shard {shard}: undecodable response from shard; request not retried"
+                ))
+            });
             *wrote = true;
             if session.settle(part, outcome).is_err() {
                 FrameVerdict::ClientGone
@@ -1610,8 +1528,8 @@ fn on_backend_frame(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{DiffSummary, StorageCounters, OPCODE_COUNT};
-    use ode::{MergeConflict, MergePolicy, TypeTag};
+    use crate::protocol::{DiffSummary, Opcode, StorageCounters, OPCODE_COUNT};
+    use ode::{MergeConflict, MergePolicy, TypeTag, Vid};
     use proptest::prelude::*;
 
     /// What `route` decided, with a single-shard route's forwarded
@@ -1624,32 +1542,20 @@ mod tests {
     }
 
     fn routed(req: &Request, map: ShardMap, rr: &AtomicU64) -> Routed {
-        let mut out = Writer::new();
         let payload = req.encode(77);
-        let (seq, _, route) = route(&payload, map, rr, &mut out).expect("well-formed frame");
+        let (seq, forwarded, route) = route(&payload, map, rr).expect("well-formed frame");
         assert_eq!(seq, 77);
+        // What goes to a shard is the client's own operation bytes.
+        assert!(std::ptr::eq(forwarded, split_seq(&payload).unwrap().1));
         match route {
             Route::Local(resp) => Routed::Local(*resp),
             Route::Gather(_) => Routed::Gather,
             Route::Single { shard, is_read } => {
                 assert_eq!(is_read, req.is_read());
-                let mut payload = vec![0];
-                payload.extend_from_slice(out.as_bytes());
-                let (_, backend) = Request::decode(&payload).expect("forwarded bytes decode");
+                let backend = req.clone();
                 Routed::Single { shard, backend }
             }
         }
-    }
-
-    /// A shard's response as the client sees it.
-    fn client_view(resp: &Response, map: ShardMap, shard: usize) -> Response {
-        let payload = resp.encode(5);
-        let (_, body) = split_seq(&payload).unwrap();
-        let mut out = Writer::new();
-        to_client(body, map, shard, 9, &mut out).expect("well-formed response");
-        let (seq, seen) = Response::decode(out.as_bytes()).expect("renamed bytes decode");
-        assert_eq!(seq, 9);
-        seen
     }
 
     fn is_bad_request(routed: &Routed) -> bool {
@@ -1766,123 +1672,31 @@ mod tests {
     }
 
     #[test]
-    fn responses_translate_every_embedded_id() {
-        let map = ShardMap::new(4);
-        let s = 2;
-        let view = |resp| client_view(&resp, map, s);
-        assert_eq!(
-            view(Response::Created {
-                oid: Oid(3),
-                vid: Vid(5)
-            }),
-            Response::Created {
-                oid: Oid(14),
-                vid: Vid(22)
-            }
-        );
-        assert_eq!(view(Response::Version(Vid(1))), Response::Version(Vid(6)));
-        assert_eq!(
-            view(Response::Body {
-                vid: Vid(2),
-                bytes: vec![9, 200]
-            }),
-            Response::Body {
-                vid: Vid(10),
-                bytes: vec![9, 200]
-            }
-        );
-        assert_eq!(
-            view(Response::MaybeVersion(Some(Vid(1)))),
-            Response::MaybeVersion(Some(Vid(6)))
-        );
-        assert_eq!(
-            view(Response::Versions(vec![Vid(1), Vid(2)])),
-            Response::Versions(vec![Vid(6), Vid(10)])
-        );
-        assert_eq!(
-            view(Response::Objects(vec![Oid(0), Oid(3)])),
-            Response::Objects(vec![Oid(2), Oid(14)])
-        );
-        assert_eq!(view(Response::Object(Oid(3))), Response::Object(Oid(14)));
-        assert_eq!(
-            view(Response::Err(RemoteError::UnknownObject(Oid(3)))),
-            Response::Err(RemoteError::UnknownObject(Oid(14)))
-        );
-        assert_eq!(
-            view(Response::Err(RemoteError::LastVersion(Vid(1)))),
-            Response::Err(RemoteError::LastVersion(Vid(6)))
-        );
-        // Shapes without ids pass through untouched — a type tag is
-        // not an id.
-        for plain in [
-            Response::Unit,
-            Response::Count(7),
-            Response::Flag(true),
-            Response::MaybeVersion(None),
-            Response::Err(RemoteError::TypeMismatch {
-                expected: TypeTag(3),
-                found: TypeTag(5),
-            }),
-        ] {
-            assert_eq!(view(plain.clone()), plain);
-        }
-        // A diff's endpoint vids are remapped; the delta metrics are
-        // shard-agnostic and pass through.
-        let d = DiffSummary {
-            from: Vid(1),
-            to: Vid(2),
-            to_len: 600,
-            ops: 3,
-            literal_bytes: 12,
-            encoded_bytes: 30,
-            stored: true,
-        };
-        assert_eq!(
-            view(Response::Diff(d)),
-            Response::Diff(DiffSummary {
-                from: Vid(6),
-                to: Vid(10),
-                ..d
-            })
-        );
-    }
-
-    #[test]
     fn history_and_diff_route_to_the_owning_shard() {
         let map = ShardMap::new(3);
         let rr = AtomicU64::new(0);
         let history = |oid, from, to| {
-            routed(
-                &Request::HistoryBetween {
-                    oid: Oid(oid),
-                    from,
-                    to,
-                },
-                map,
-                &rr,
-            )
-        };
-        // Oid 7 lives on shard 1; client stamps [4, 22] on shard 1 are
-        // {4, 7, 10, 13, 16, 19, 22} = backend stamps 1..=7.
-        let shard_1 = |from, to| Routed::Single {
-            shard: 1,
-            backend: Request::HistoryBetween {
-                oid: Oid(2),
+            let req = Request::HistoryBetween {
+                oid: Oid(oid),
                 from,
                 to,
-            },
+            };
+            (routed(&req, map, &rr), req)
         };
-        assert_eq!(history(7, 4, 22), shard_1(1, 7));
-        // Bounds between two of the shard's stamps round inwards: 5
-        // and 6 are not shard 1's, nor are 23 and 24.
-        assert_eq!(history(7, 5, 24), shard_1(2, 7));
-        assert_eq!(history(7, 6, 23), shard_1(2, 7));
-        // A range no stamp of shard 2 can fall in answers locally, and
-        // so does one that runs backwards.
-        let empty = Routed::Local(Response::Versions(Vec::new()));
-        assert_eq!(history(2, 0, 1), empty);
-        assert_eq!(history(7, 9, 8), empty);
-        // Same shard: forwarded with both vids translated.
+        // Oid 7 lives on shard 1, and its stamps are the shard's own
+        // version ids: every range goes there as it came, an empty or
+        // backwards one included — the shard answers it.
+        for (from, to) in [(4, 22), (5, 24), (9, 8), (0, 1)] {
+            let (got, req) = history(7, from, to);
+            assert_eq!(
+                got,
+                Routed::Single {
+                    shard: 1,
+                    backend: req
+                }
+            );
+        }
+        // Same shard: forwarded as it came.
         let diff = |from, to| {
             routed(
                 &Request::DiffVersions {
@@ -1893,72 +1707,35 @@ mod tests {
                 &rr,
             )
         };
-        assert_eq!(
-            diff(4, 7),
-            Routed::Single {
-                shard: 1,
-                backend: Request::DiffVersions {
-                    from: Vid(1),
-                    to: Vid(2),
-                },
-            }
-        );
+        assert!(matches!(diff(4, 7), Routed::Single { shard: 1, .. }));
         // Cross-shard endpoints are refused by the router itself.
         assert!(is_bad_request(&diff(4, 8)));
     }
 
     #[test]
-    fn merge_routes_like_diff_and_remaps_only_the_version() {
+    fn merge_routes_like_diff_and_forwards_its_bytes() {
         let map = ShardMap::new(3);
         let rr = AtomicU64::new(0);
         let merge = |a, b, policy| {
-            routed(
-                &Request::Merge {
-                    a: Vid(a),
-                    b: Vid(b),
-                    policy,
-                },
-                map,
-                &rr,
-            )
+            let req = Request::Merge {
+                a: Vid(a),
+                b: Vid(b),
+                policy,
+            };
+            (routed(&req, map, &rr), req)
         };
-        // Same shard: forwarded with both parent vids translated and
-        // the policy untouched.
+        // Same shard: forwarded with both parents and the policy as
+        // they came.
+        let (got, req) = merge(4, 7, MergePolicy::Ours);
         assert_eq!(
-            merge(4, 7, MergePolicy::Ours),
+            got,
             Routed::Single {
                 shard: 1,
-                backend: Request::Merge {
-                    a: Vid(1),
-                    b: Vid(2),
-                    policy: MergePolicy::Ours,
-                },
+                backend: req
             }
         );
         // Cross-shard parents are refused by the router itself.
-        assert!(is_bad_request(&merge(4, 8, MergePolicy::Fail)));
-        // Translation maps the minted vid back to client space and
-        // leaves the conflict byte ranges alone.
-        let conflicts = vec![MergeConflict {
-            base_start: 3,
-            base_end: 9,
-            ours: vec![1],
-            theirs: vec![2],
-        }];
-        assert_eq!(
-            client_view(
-                &Response::Merged {
-                    vid: Some(Vid(2)),
-                    conflicts: conflicts.clone(),
-                },
-                map,
-                1,
-            ),
-            Response::Merged {
-                vid: Some(Vid(7)),
-                conflicts,
-            }
-        );
+        assert!(is_bad_request(&merge(4, 8, MergePolicy::Fail).0));
     }
 
     #[test]
@@ -1970,7 +1747,6 @@ mod tests {
             body: vec![7, 200],
         };
         for expect in [0usize, 1, 2, 0, 1] {
-            // Placed, and forwarded as it came.
             assert_eq!(
                 routed(&pnew, map, &rr),
                 Routed::Single {
@@ -1979,22 +1755,16 @@ mod tests {
                 }
             );
         }
-        // Oid 7 on 3 shards: shard 1, backend id 2.
+        // Oid 7 on 3 shards: shard 1, which issued it as 7.
+        let deref = Request::Deref {
+            oid: Oid(7),
+            tag: TypeTag(1),
+        };
         assert_eq!(
-            routed(
-                &Request::Deref {
-                    oid: Oid(7),
-                    tag: TypeTag(1),
-                },
-                map,
-                &rr,
-            ),
+            routed(&deref, map, &rr),
             Routed::Single {
                 shard: 1,
-                backend: Request::Deref {
-                    oid: Oid(2),
-                    tag: TypeTag(1),
-                },
+                backend: deref,
             }
         );
     }
@@ -2004,15 +1774,16 @@ mod tests {
         let map = ShardMap::new(3);
         let rr = AtomicU64::new(0);
         for op in Opcode::ALL {
-            // Every id 22: one shard (1), and a non-empty stamp range.
-            let req = Request::sample(op, || 22, &[1, 2, 3]);
+            // Every id 22: one shard (1).
+            let req = Request::sample(op, |_| 22, &[1, 2, 3]);
             let got = routed(&req, map, &rr);
             match op.routing() {
                 Routing::Local if op == Opcode::Ping => {
                     assert_eq!(got, Routed::Local(Response::Pong))
                 }
-                // `Epoch`, `ReadFloor`, `Promote` concern one node: the
-                // tier refuses them rather than guess which.
+                // `Epoch`, `ReadFloor`, `Promote` and `ClaimIds` concern
+                // one node: the tier refuses them rather than guess
+                // which.
                 Routing::Local => assert!(is_bad_request(&got), "{op:?} must be refused"),
                 Routing::Scatter => assert_eq!(got, Routed::Gather, "{op:?}"),
                 Routing::Placed => {
@@ -2033,7 +1804,8 @@ mod tests {
                 Opcode::Ping,
                 Opcode::Epoch,
                 Opcode::ReadFloor,
-                Opcode::Promote
+                Opcode::Promote,
+                Opcode::ClaimIds
             ]
         );
     }
@@ -2056,271 +1828,208 @@ mod tests {
         assert!(g.complete_part(Ok(Response::Objects(vec![]))).is_none());
     }
 
-    // -- the walker against decode -> rename -> encode ---------------------
-
-    /// The reference the one path is checked against: decode the
-    /// request, rename its ids one variant at a time, say where it
-    /// goes. `Err(())` is a refusal, `Ok(None)` a locally answered
-    /// empty stamp range.
-    fn reference_to_backend(
-        mut req: Request,
-        map: ShardMap,
-    ) -> Result<Option<(usize, Request)>, ()> {
-        use Request as R;
-        let shard = match &mut req {
-            R::Deref { oid, .. }
-            | R::Update { oid, .. }
-            | R::NewVersion { oid }
-            | R::Pdelete { oid }
-            | R::VersionHistory { oid }
-            | R::CurrentVersion { oid }
-            | R::VersionCount { oid }
-            | R::Exists { oid } => {
-                let shard = map.shard_of(*oid);
-                *oid = map.backend_oid(*oid);
-                shard
-            }
-            R::DerefVersion { vid, .. }
-            | R::UpdateVersion { vid, .. }
-            | R::NewVersionFrom { vid }
-            | R::PdeleteVersion { vid }
-            | R::Dprevious { vid }
-            | R::Dnext { vid }
-            | R::Tprevious { vid }
-            | R::Tnext { vid }
-            | R::ObjectOf { vid }
-            | R::VersionExists { vid } => {
-                let shard = map.shard_of_vid(*vid);
-                *vid = map.backend_vid(*vid);
-                shard
-            }
-            R::DiffVersions { from: a, to: b } | R::Merge { a, b, .. } => {
-                let shard = map.shard_of_vid(*a);
-                if map.shard_of_vid(*b) != shard {
-                    return Err(());
-                }
-                *a = map.backend_vid(*a);
-                *b = map.backend_vid(*b);
-                shard
-            }
-            R::HistoryBetween { oid, from, to } => {
-                let shard = map.shard_of(*oid);
-                let (n, s) = (map.shard_count() as u64, shard as u64);
-                // Backend stamp b is client stamp b * n + s.
-                if *from > *to || *to < s {
-                    return Ok(None);
-                }
-                *oid = map.backend_oid(*oid);
-                *from = from.saturating_sub(s).div_ceil(n);
-                *to = (*to - s) / n;
-                shard
-            }
-            other => panic!("{:?} is not keyed", other.opcode()),
-        };
-        Ok(Some((shard, req)))
-    }
-
-    /// The reference for the way back: every id a response embeds,
-    /// one variant at a time.
-    fn reference_to_client(resp: Response, map: ShardMap, shard: usize) -> Response {
-        let oid = |o| map.client_oid(o, shard);
-        let vid = |v| map.client_vid(v, shard);
-        match resp {
-            Response::Created { oid: o, vid: v } => Response::Created {
-                oid: oid(o),
-                vid: vid(v),
-            },
-            Response::Version(v) => Response::Version(vid(v)),
-            Response::Body { vid: v, bytes } => Response::Body { vid: vid(v), bytes },
-            Response::MaybeVersion(v) => Response::MaybeVersion(v.map(vid)),
-            Response::Versions(vs) => Response::Versions(vs.into_iter().map(vid).collect()),
-            Response::Objects(os) => Response::Objects(os.into_iter().map(oid).collect()),
-            Response::Object(o) => Response::Object(oid(o)),
-            Response::Diff(d) => Response::Diff(DiffSummary {
-                from: vid(d.from),
-                to: vid(d.to),
-                ..d
-            }),
-            Response::Merged { vid: v, conflicts } => Response::Merged {
-                vid: v.map(vid),
-                conflicts,
-            },
-            Response::Err(e) => Response::Err(match e {
-                RemoteError::UnknownObject(o) => RemoteError::UnknownObject(oid(o)),
-                RemoteError::UnknownVersion(v) => RemoteError::UnknownVersion(vid(v)),
-                RemoteError::LastVersion(v) => RemoteError::LastVersion(vid(v)),
-                other => other,
-            }),
-            other => other, // Pong, Stats, Unit, Count, Flag: no ids
+    /// A router over `shards` backends that nothing listens behind.
+    fn shared_over(shards: usize) -> RouterShared {
+        let nowhere = SocketAddr::from(([127, 0, 0, 1], 9));
+        RouterShared {
+            membership: Membership::new(vec![ShardMembership::solo(nowhere); shards]),
+            map: ShardMap::new(shards),
+            config: RouterConfig::default(),
+            stats: RouterStats::default(),
+            next_pnew_shard: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
         }
     }
 
-    /// Ids small enough that minting a client id cannot overflow.
-    fn arb_id() -> impl Strategy<Value = u64> {
-        prop_oneof![0u64..64, 0u64..(1 << 56)]
+    /// A client socket pair: the router's end and a reader on the
+    /// client's.
+    fn client_pair() -> (TcpStream, BufReader<TcpStream>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let far_end = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (router_end, _) = listener.accept().expect("accept");
+        (router_end, BufReader::new(far_end))
     }
 
-    fn arb_body() -> impl Strategy<Value = Vec<u8>> {
-        proptest::collection::vec(any::<u8>(), 0..300)
+    /// Answer the client's `client_seq` with `result` from `shard`,
+    /// which replies under a backend sequence id of its own, and return
+    /// the frame the client reads.
+    fn cross(
+        session: &Session,
+        client: &mut BufReader<TcpStream>,
+        shard: usize,
+        client_seq: u64,
+        result: &Response,
+    ) -> Vec<u8> {
+        let backend_seq = client_seq ^ 0x5a5a;
+        let pending = Pending::Single { client_seq };
+        session.slots[shard]
+            .ctl
+            .lock()
+            .pending
+            .insert(backend_seq, pending);
+        let mut wrote = false;
+        let verdict = on_backend_frame(session, shard, &result.encode(backend_seq), &mut wrote);
+        assert!(matches!(verdict, FrameVerdict::Answered), "{result:?}");
+        session.client_writer.lock().flush().expect("flush");
+        read_frame(client).expect("frame").expect("open")
     }
 
-    fn arb_response() -> BoxedStrategy<Response> {
-        let vid = || arb_id().prop_map(Vid);
-        let oid = || arb_id().prop_map(Oid);
-        let conflict = (any::<u64>(), any::<u64>(), arb_body(), arb_body()).prop_map(
-            |(base_start, base_end, ours, theirs)| MergeConflict {
-                base_start,
-                base_end,
-                ours,
-                theirs,
+    /// The operation bytes the router forwards for a keyed request are
+    /// the client's own (not a copy), sent to the shard its id names —
+    /// for every keyed row, over 1–8 shards.
+    #[test]
+    fn keyed_requests_are_forwarded_as_the_clients_own_bytes() {
+        let mut forwarded_rows = 0;
+        for shards in 1..=8 {
+            let map = ShardMap::new(shards);
+            let keyed = Opcode::ALL
+                .into_iter()
+                .filter(|op| op.routing() == Routing::Keyed);
+            for (op, home) in keyed.zip((0..shards).cycle()) {
+                // Ids of one shard's residue, of every width.
+                let mut k = 0u64;
+                let mut word = |_| {
+                    k = k * 1000 + 7;
+                    k * shards as u64 + home as u64
+                };
+                let request = Request::sample(op, &mut word, b"\x00body\xff");
+                let payload = request.encode(300 + forwarded_rows);
+                let (seq, forwarded, route) =
+                    route(&payload, map, &AtomicU64::new(0)).expect("well-formed frame");
+                assert_eq!(seq, 300 + forwarded_rows);
+                assert!(std::ptr::eq(forwarded, split_seq(&payload).unwrap().1));
+                assert_eq!(Request::decode(&payload).unwrap().1, request, "{op:?}");
+                let Route::Single { shard, .. } = route else {
+                    panic!("{op:?} on {shards} shards was not forwarded");
+                };
+                assert_eq!(shard, home, "{op:?} on {shards} shards");
+                forwarded_rows += 1;
+            }
+        }
+        assert_eq!(forwarded_rows, 8 * 21, "every keyed row on every tier size");
+    }
+
+    /// A shard's result bytes reach the client unchanged, behind the
+    /// client's sequence id rather than the backend's — on every shard
+    /// of 1–8, for sequence ids of every varint width.
+    #[test]
+    fn responses_reach_the_client_unchanged_behind_its_seq() {
+        let (router_end, mut client) = client_pair();
+        let results = [
+            Response::Created {
+                oid: Oid(13),
+                vid: Vid(21),
             },
-        );
-        let error = prop_oneof![
-            oid().prop_map(RemoteError::UnknownObject),
-            vid().prop_map(RemoteError::UnknownVersion),
-            vid().prop_map(RemoteError::LastVersion),
-            (any::<u64>(), any::<u64>()).prop_map(|(a, b)| RemoteError::TypeMismatch {
-                expected: TypeTag(a),
-                found: TypeTag(b),
-            }),
-            ".*".prop_map(RemoteError::Storage),
-            ".*".prop_map(RemoteError::BadRequest),
-            ".*".prop_map(RemoteError::Unavailable),
+            Response::Body {
+                vid: Vid(300),
+                bytes: vec![0, 255, 7],
+            },
+            Response::Versions(vec![Vid(5), Vid(9)]),
+            Response::Err(RemoteError::UnknownVersion(Vid(1 << 40))),
+            Response::Merged {
+                vid: None,
+                conflicts: vec![MergeConflict {
+                    base_start: 3,
+                    base_end: 9,
+                    ours: vec![1],
+                    theirs: vec![2],
+                }],
+            },
         ];
-        let words = || any::<(u64, u64, u64, u64)>();
-        let maybe_vid = || (any::<bool>(), vid()).prop_map(|(some, vid)| some.then_some(vid));
-        let diff = (vid(), vid(), words(), any::<bool>()).prop_map(
-            |(from, to, (to_len, ops, literal_bytes, encoded_bytes), stored)| DiffSummary {
-                from,
-                to,
-                to_len,
-                ops,
-                literal_bytes,
-                encoded_bytes,
-                stored,
-            },
-        );
-        let stats = (words(), 0usize..OPCODE_COUNT).prop_map(|(n, op)| StatsReport {
-            bytes_in: n.0,
-            op_errors: n.1,
-            requests: vec![(Opcode::ALL[op], n.2)],
-            storage: StorageCounters {
-                replica_lag_epochs: n.3,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
-        prop_oneof![
-            Just(Response::Pong),
-            stats.prop_map(Response::Stats),
-            (oid(), vid()).prop_map(|(oid, vid)| Response::Created { oid, vid }),
-            vid().prop_map(Response::Version),
-            (vid(), arb_body()).prop_map(|(vid, bytes)| Response::Body { vid, bytes }),
-            Just(Response::Unit),
-            maybe_vid().prop_map(Response::MaybeVersion),
-            proptest::collection::vec(vid(), 0..40).prop_map(Response::Versions),
-            proptest::collection::vec(oid(), 0..40).prop_map(Response::Objects),
-            oid().prop_map(Response::Object),
-            any::<u64>().prop_map(Response::Count),
-            any::<bool>().prop_map(Response::Flag),
-            diff.prop_map(Response::Diff),
-            (maybe_vid(), proptest::collection::vec(conflict, 0..4))
-                .prop_map(|(vid, conflicts)| Response::Merged { vid, conflicts }),
-            error.prop_map(Response::Err),
-        ]
-        .boxed()
+        let seqs = [0u64, 127, 128, 1 << 20, u64::MAX];
+        for shards in 1..=8 {
+            let shared = shared_over(shards);
+            let session =
+                Session::new(&shared, router_end.try_clone().expect("clone")).expect("session");
+            for shard in 0..shards {
+                for (i, result) in results.iter().enumerate() {
+                    let seq = seqs[(shard + i) % seqs.len()];
+                    let got = cross(&session, &mut client, shard, seq, result);
+                    assert_eq!(got, result.encode(seq), "shard {shard} of {shards}");
+                }
+            }
+        }
+    }
+
+    /// Every id a shard's response carries — object ids, version ids,
+    /// the ids inside errors, lists and diff summaries — reaches the
+    /// client as the shard wrote it: shard-issued ids are already the
+    /// tier's ids, so nothing is translated on the way back.
+    #[test]
+    fn responses_keep_every_embedded_id() {
+        let (router_end, mut client) = client_pair();
+        for shards in [1, 3, 4, 8] {
+            let shared = shared_over(shards);
+            let session =
+                Session::new(&shared, router_end.try_clone().expect("clone")).expect("session");
+            for shard in 0..shards {
+                // Ids of this shard's residue, narrow and wide.
+                let id = |k: u64| k * shards as u64 + shard as u64;
+                let with_ids = [
+                    Response::Created {
+                        oid: Oid(id(3)),
+                        vid: Vid(id(1 << 40)),
+                    },
+                    Response::Version(Vid(id(1))),
+                    Response::Body {
+                        vid: Vid(id(2)),
+                        bytes: vec![9, 200],
+                    },
+                    Response::MaybeVersion(Some(Vid(id(1)))),
+                    Response::Versions(vec![Vid(id(1)), Vid(id(1 << 33))]),
+                    Response::Objects(vec![Oid(id(0)), Oid(id(3))]),
+                    Response::Object(Oid(id(3))),
+                    Response::Err(RemoteError::UnknownObject(Oid(id(3)))),
+                    Response::Err(RemoteError::LastVersion(Vid(id(1)))),
+                    Response::Diff(DiffSummary {
+                        from: Vid(id(4)),
+                        to: Vid(id(5)),
+                        to_len: 10,
+                        ops: 2,
+                        literal_bytes: 3,
+                        encoded_bytes: 6,
+                        stored: true,
+                    }),
+                    Response::Merged {
+                        vid: Some(Vid(id(9))),
+                        conflicts: vec![],
+                    },
+                ];
+                for (seq, result) in (40..).zip(&with_ids) {
+                    let got = cross(&session, &mut client, shard, seq, result);
+                    assert_eq!(
+                        Response::decode(&got).expect("decodes"),
+                        (seq, result.clone()),
+                        "shard {shard} of {shards}"
+                    );
+                }
+            }
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
 
         #[test]
-        fn keyed_requests_are_renamed_exactly_as_decode_rename_encode_would(
-            op in 0usize..OPCODE_COUNT,
-            shards in 1usize..=8,
-            words in proptest::collection::vec(prop_oneof![0u64..32, any::<u64>()], 3),
-            body in arb_body(),
-        ) {
-            let keyed: Vec<Opcode> = Opcode::ALL
-                .into_iter()
-                .filter(|op| op.routing() == Routing::Keyed)
-                .collect();
-            let op = keyed[op % keyed.len()];
-            let map = ShardMap::new(shards);
-            let mut words = words.into_iter().cycle();
-            let req = Request::sample(op, || words.next().unwrap(), &body);
-            let mut out = Writer::new();
-            let payload = req.encode(3);
-            let (_, _, got) = route(&payload, map, &AtomicU64::new(0), &mut out).unwrap();
-            match (reference_to_backend(req, map), got) {
-                (Ok(Some((shard, backend))), Route::Single { shard: got, is_read }) => {
-                    prop_assert_eq!(got, shard);
-                    prop_assert_eq!(is_read, op.is_read());
-                    // Seq 0 is the one leading zero byte.
-                    prop_assert_eq!(out.as_bytes(), &backend.encode(0)[1..]);
-                }
-                (Ok(None), Route::Local(resp)) => {
-                    prop_assert_eq!(*resp, Response::Versions(Vec::new()));
-                }
-                (Err(()), Route::Local(resp)) => {
-                    prop_assert!(matches!(*resp, Response::Err(RemoteError::BadRequest(_))));
-                }
-                (expected, _) => prop_assert!(false, "{:?}: reference says {:?}", op, expected),
-            }
-        }
-
-        #[test]
-        fn responses_are_renamed_exactly_as_decode_rename_encode_would(
-            resp in arb_response(),
-            shards in 1usize..=8,
-            shard in 0usize..8,
-            seq: u64,
-        ) {
-            let map = ShardMap::new(shards);
-            let shard = shard % shards;
-            let payload = resp.encode(1);
-            let (_, body) = split_seq(&payload).unwrap();
-            let mut out = Writer::new();
-            to_client(body, map, shard, seq, &mut out).unwrap();
-            prop_assert_eq!(out.as_bytes(), reference_to_client(resp, map, shard).encode(seq));
-        }
-
-        #[test]
         fn damaged_frames_are_errors_never_panics(
-            resp in arb_response(),
             op in 0usize..OPCODE_COUNT,
             words in proptest::collection::vec(any::<u64>(), 3),
-            body in arb_body(),
+            body in proptest::collection::vec(any::<u8>(), 0..300),
             cut: usize,
             garbage in proptest::collection::vec(any::<u8>(), 0..64),
         ) {
             let map = ShardMap::new(3);
             let rr = AtomicU64::new(0);
-            let mut out = Writer::new();
             let mut words = words.into_iter().cycle();
-            let request = Request::sample(Opcode::ALL[op], || words.next().unwrap(), &body);
+            let request = Request::sample(Opcode::ALL[op], |_| words.next().unwrap(), &body);
             let request = request.encode(300);
-            let response = resp.encode(300);
-            // Cut anywhere before the end, a field is missing: the walk
-            // must say so where a decode would.
+            // Cut anywhere before the end, a field is missing: the
+            // router must say so where a decode would.
             let cut_req = &request[..cut % request.len()];
-            prop_assert_eq!(
-                route(cut_req, map, &rr, &mut out).is_ok(),
-                Request::decode(cut_req).is_ok()
-            );
-            let cut_resp = &response[..cut % response.len()];
-            let walked = split_seq(cut_resp).and_then(|(_, b)| to_client(b, map, 1, 0, &mut out));
-            prop_assert_eq!(walked.is_ok(), Response::decode(cut_resp).is_ok());
+            prop_assert_eq!(route(cut_req, map, &rr).is_ok(), Request::decode(cut_req).is_ok());
             // Garbage, and well-formed frames with garbage appended.
             for tail in [&garbage[..], &[request.clone(), garbage.clone()].concat()[..]] {
-                prop_assert_eq!(
-                    route(tail, map, &rr, &mut out).is_ok(),
-                    Request::decode(tail).is_ok()
-                );
-            }
-            for tail in [&garbage[..], &[response.clone(), garbage.clone()].concat()[..]] {
-                let walked = split_seq(tail).and_then(|(_, b)| to_client(b, map, 1, 0, &mut out));
-                prop_assert_eq!(walked.is_ok(), Response::decode(tail).is_ok());
+                prop_assert_eq!(route(tail, map, &rr).is_ok(), Request::decode(tail).is_ok());
             }
         }
     }

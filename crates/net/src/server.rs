@@ -79,7 +79,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
-use ode::{Database, EpochCache};
+use ode::{Database, EpochCache, IdClaim};
 use parking_lot::Mutex;
 use polling::{Event, PollMode, Poller};
 
@@ -320,6 +320,13 @@ fn execute(node: &Node, seq: u64, request: Request, op_bytes: &[u8]) -> (Vec<u8>
                 }
             }
         }
+        Request::ClaimIds { stride, residue } => match claim_ids(node, stride, residue) {
+            Ok(()) => Response::Unit.encode(seq),
+            Err(e) => {
+                stats.op_errors.fetch_add(1, Ordering::Relaxed);
+                Response::Err(e).encode(seq)
+            }
+        },
         _ if node.replica.load(Ordering::Acquire) => {
             // Replicas are read-only; the router never routes writes
             // here, so this is a client targeting the wrong node (or a
@@ -347,6 +354,23 @@ fn execute(node: &Node, seq: u64, request: Request, op_bytes: &[u8]) -> (Vec<u8>
             .encode(seq),
     };
     (out, waited)
+}
+
+/// Answer a `ClaimIds` request (sent once per router connection, so
+/// kept out of line). A replica checks the claim but records nothing:
+/// it inherits its primary's through the shipped log.
+#[cold]
+fn claim_ids(node: &Node, stride: u64, residue: u64) -> Result<(), RemoteError> {
+    let refused = |e: ode::Error| RemoteError::from(&e);
+    match IdClaim::new(stride, residue) {
+        Some(claim) if node.replica.load(Ordering::Acquire) => {
+            node.db.admits_claim(claim).map(drop).map_err(refused)
+        }
+        Some(claim) => node.db.claim_ids(claim).map_err(refused),
+        None => Err(RemoteError::BadRequest(format!(
+            "no id claim has stride {stride} residue {residue}"
+        ))),
+    }
 }
 
 /// Execute one operation. Reads run on a snapshot; writes run in a
@@ -991,12 +1015,14 @@ mod tests {
 
     /// Opcodes the differential leaves out: `Stats` (counters are the
     /// server's own), `Epoch`/`ReadFloor` (commit batching may group
-    /// epochs differently) and `Promote` (replica role only).
-    const NOT_MODELLED: [Opcode; 4] = [
+    /// epochs differently), `Promote` (replica role only) and
+    /// `ClaimIds` (a router's, covered by the router battery).
+    const NOT_MODELLED: [Opcode; 5] = [
         Opcode::Stats,
         Opcode::Epoch,
         Opcode::ReadFloor,
         Opcode::Promote,
+        Opcode::ClaimIds,
     ];
 
     // Ids are drawn from a tiny space so later ops hit objects earlier
@@ -1221,43 +1247,46 @@ mod tests {
             .collect()
     }
 
-    /// [`arb_op`] less the requests whose answers depend on more than
-    /// one connection's objects: any that allocates an id, and extent
-    /// scans. Ids are taken as indexes into a [`Pool`].
-    fn arb_pool_op() -> impl Strategy<Value = Request> {
-        arb_op().prop_filter("allocates an id or scans an extent", |op| {
-            !matches!(
-                op,
-                Request::Pnew { .. }
-                    | Request::NewVersion { .. }
-                    | Request::NewVersionFrom { .. }
-                    | Request::Merge { .. }
-                    | Request::Objects { .. }
-                    | Request::ObjectsPage { .. }
-            )
-        })
+    /// One op of the concurrent differential: a row, numbers for its
+    /// fields, and a body.
+    type PoolOp = (Opcode, Vec<u64>, Vec<u8>);
+
+    /// The rows whose answers depend on one connection's objects alone:
+    /// `Ping` and every keyed row that allocates no id.
+    fn arb_pool_op() -> impl Strategy<Value = PoolOp> {
+        let rows: Vec<Opcode> = Opcode::ALL
+            .into_iter()
+            .filter(|op| op.routing() == crate::protocol::Routing::Keyed)
+            .filter(|op| ![Opcode::NewVersion, Opcode::NewVersionFrom, Opcode::Merge].contains(op))
+            .chain([Opcode::Ping])
+            .collect();
+        let words = proptest::collection::vec(0u64..12, 3);
+        (0..rows.len(), words, arb_body())
+            .prop_map(move |(row, words, body)| (rows[row], words, body))
     }
 
-    /// `op` with every id taken as an index into the pool's ids (stamps
-    /// are version ids).
-    fn in_pool(op: &Request, pool: &Pool) -> Request {
-        let payload = op.encode(0);
-        let (_, body) = crate::protocol::split_seq(&payload).expect("seq");
-        let mut w = ode_codec::Writer::new();
-        w.put_varint(0);
-        crate::protocol::walk_request(body, &mut w, |field, index| match field {
-            crate::protocol::IdField::Oid => pool.oids[index as usize % pool.oids.len()].0,
-            _ => pool.vids[index as usize % pool.vids.len()].0,
-        })
-        .expect("walk");
-        Request::decode(w.as_bytes()).expect("walked request").1
+    /// The request of `op`'s row with every id an index into the pool's
+    /// ids of its kind, every tag [`TAG`], and stamps as drawn (they
+    /// are creation order, the same small space as vids).
+    fn in_pool((op, words, body): &PoolOp, pool: &Pool) -> Request {
+        let mut words = words.iter().cycle().map(|&w| w as usize);
+        let mut word = |kind| {
+            let w = words.next().expect("cycled");
+            match kind {
+                "oid" => pool.oids[w % pool.oids.len()].0,
+                "vid" => pool.vids[w % pool.vids.len()].0,
+                "tag" => TAG.0,
+                _ => w as u64,
+            }
+        };
+        Request::sample(*op, &mut word, body)
     }
 
     /// Play one pipelined stream per pool on [`CONNS`] connections at
     /// once against a `workers`-thread server, through relays that
     /// re-chunk each connection differently, and hold each connection's
     /// answers to its own in-order model.
-    fn run_concurrent_differential(streams: &[Vec<Request>], workers: usize) {
+    fn run_concurrent_differential(streams: &[Vec<PoolOp>], workers: usize) {
         let server_path = TempPath::new();
         let server_db = Arc::new(
             Database::create(&server_path, DatabaseOptions::no_sync()).expect("server db"),

@@ -23,6 +23,7 @@ use std::time::{Duration, Instant};
 
 use ode::{Database, DatabaseOptions};
 use ode_codec::{impl_persist_struct, impl_type_name};
+use ode_net::protocol::write_frame;
 use ode_net::{
     ClientConfig, ClientObjPtr, Cluster, ClusterConfig, FaultRelay, NetError, OdeClient, OdeServer,
     Opcode, RelayPlan, RemoteError, Request, Response, ServerConfig,
@@ -294,12 +295,15 @@ fn a_write_whose_response_dies_in_the_cut_executes_exactly_once() {
     let victim = map.shard_of(target.oid());
 
     // The victim relay's next connection forwards the router→shard
-    // handshake echo (4 bytes) plus ONE byte of the first response,
-    // then dies mid-frame: the shard *has executed* the request, the
-    // router can never read the outcome. Budgets make this exact — no
-    // timing involved.
+    // handshake echo (4 bytes) and the answer to the router's id claim
+    // (one frame), plus ONE byte of the first response, then dies
+    // mid-frame: the shard *has executed* the request, the router can
+    // never read the outcome. Budgets make this exact — no timing
+    // involved.
+    let mut claim_answer = Vec::new();
+    write_frame(&mut claim_answer, &Response::Unit.encode(0)).expect("frame");
     cluster.relay(victim).set_plans(vec![RelayPlan {
-        s2c_budget: 4 + 1,
+        s2c_budget: 4 + claim_answer.len() + 1,
         ..RelayPlan::clean()
     }]);
 

@@ -152,6 +152,12 @@ fn every_request_frame_is_the_parent_commits_bytes() {
             Request::Merge { a: Vid(23), b: Vid(24), policy: MergePolicy::Theirs },
             "ac021c171802",
         ),
+        // Row 29 is newer than the table; its literal was written from
+        // the row (opcode byte, then each field as a varint).
+        (
+            Request::ClaimIds { stride: 4, residue: 300 },
+            "ac021d04ac02",
+        ),
     ];
     for (request, golden) in &frames {
         assert_eq!(hex(&request.encode(SEQ)), *golden, "{request:?}");

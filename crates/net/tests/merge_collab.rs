@@ -42,8 +42,8 @@ fn four_clients_converge_byte_identically_through_the_router() {
         })
         .collect();
 
-    // Client 0 creates the shared object; the id translation is a pure
-    // function of the shard map, so every client sees the same ids.
+    // Client 0 creates the shared object; its shard issued the id from
+    // its own residue, so every client sees the same ids.
     let ptr: ClientObjPtr<Doc> = clients[0].pnew(&doc(BASE)).expect("pnew");
     let base = clients[0].current_version(&ptr).expect("current_version");
 

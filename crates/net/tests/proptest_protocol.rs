@@ -7,10 +7,8 @@
 use std::io::Cursor;
 
 use ode::{MergeConflict, Oid, TypeTag, Vid};
-use ode_codec::Writer;
 use ode_net::protocol::{
-    read_frame, split_seq, walk_request, walk_response, write_frame, Opcode, StatsReport,
-    StorageCounters, MAX_FRAME_LEN, OPCODE_COUNT,
+    read_frame, write_frame, Opcode, StatsReport, StorageCounters, MAX_FRAME_LEN, OPCODE_COUNT,
 };
 use ode_net::{RemoteError, Request, Response};
 use proptest::prelude::*;
@@ -56,7 +54,7 @@ fn arb_request() -> BoxedStrategy<Request> {
     )
         .prop_map(|(op, words, body)| {
             let mut words = words.into_iter().cycle();
-            Request::sample(Opcode::ALL[op], || words.next().expect("cycled"), &body)
+            Request::sample(Opcode::ALL[op], |_| words.next().expect("cycled"), &body)
         })
         .boxed()
 }
@@ -242,55 +240,6 @@ proptest! {
         let payload = read_frame(&mut cursor).unwrap().unwrap();
         prop_assert_eq!(Request::decode(&payload).unwrap(), (seq, req));
         prop_assert_eq!(read_frame(&mut cursor).unwrap(), None);
-    }
-
-    // -- the id walkers: same acceptance, same bytes as decode + encode ----
-
-    #[test]
-    fn walking_with_the_identity_map_is_decode_then_encode(
-        req in arb_request(),
-        resp in arb_response(),
-        seq: u64,
-    ) {
-        let (payload, mut w) = (req.encode(seq), Writer::new());
-        let (_, operation) = split_seq(&payload).unwrap();
-        prop_assert_eq!(walk_request(operation, &mut w, |_, id| id).unwrap(), req.opcode());
-        prop_assert_eq!(w.as_bytes(), operation);
-        let (payload, mut w) = (resp.encode(seq), Writer::new());
-        let (_, result) = split_seq(&payload).unwrap();
-        walk_response(result, &mut w, |_, id| id).unwrap();
-        prop_assert_eq!(w.as_bytes(), result);
-    }
-
-    #[test]
-    fn the_walkers_accept_exactly_what_the_decoders_accept(
-        req in arb_request(),
-        resp in arb_response(),
-        flips in proptest::collection::vec((any::<u64>(), 0u8..8), 0..4),
-        cut: u64,
-        garbage in proptest::collection::vec(any::<u8>(), 0..64),
-    ) {
-        // Seq 0 is one byte, so `payload[1..]` is what a walker sees.
-        let mut damaged = vec![garbage];
-        for mut bytes in [req.encode(0), resp.encode(0)] {
-            for &(pos, bit) in &flips {
-                let pos = 1 + (pos as usize) % (bytes.len() - 1);
-                bytes[pos] ^= 1 << bit;
-            }
-            damaged.push(bytes[..1 + (cut as usize) % bytes.len()].to_vec());
-            damaged.push(bytes);
-        }
-        for payload in damaged.iter().filter(|p| p.first() == Some(&0)) {
-            let mut w = Writer::new();
-            prop_assert_eq!(
-                walk_request(&payload[1..], &mut w, |_, id| id).is_ok(),
-                Request::decode(payload).is_ok()
-            );
-            prop_assert_eq!(
-                walk_response(&payload[1..], &mut w, |_, id| id).is_ok(),
-                Response::decode(payload).is_ok()
-            );
-        }
     }
 
     // -- corruption: decode must error, never panic ------------------------

@@ -3,13 +3,13 @@
 //! The router's placement function must be a *function*: every oid
 //! maps to exactly one shard, the same shard every time, on every
 //! router instance over the same backend list — a router restart (or a
-//! second router beside the first) may not move any object. The
-//! shard-qualified id scheme must additionally be bijective per shard,
-//! or ids would collide across shards and responses would lie.
+//! second router beside the first) may not move any object. The ids
+//! each shard mints from its residue must additionally route home and
+//! never collide across shards, or responses would lie.
 
 use std::collections::HashSet;
 
-use ode::{Oid, Vid};
+use ode::{IdClaim, Oid, Vid};
 use ode_net::ShardMap;
 use proptest::prelude::*;
 
@@ -53,23 +53,23 @@ proptest! {
     #[test]
     fn minted_ids_are_bijective_and_route_home(
         shards in arb_shards(),
-        backend_ids in proptest::collection::vec(0u64..(1 << 56), 1..64),
+        lasts in proptest::collection::vec(0u64..(1 << 56), 1..64),
     ) {
         let map = ShardMap::new(shards);
-        let mut seen = HashSet::new();
-        for b in backend_ids {
+        for last in lasts {
+            let mut seen = HashSet::new();
             for s in 0..shards {
-                let client = map.client_oid(Oid(b), s);
+                // What shard `s` mints after any id it issued before.
+                let minted = IdClaim::new(shards as u64, s as u64).unwrap().next_after(last);
+                prop_assert!(minted > last && minted - last <= shards as u64);
                 // A minted id routes back to the shard that minted it,
-                // and decomposes to the backend id it wrapped.
-                prop_assert_eq!(map.shard_of(client), s);
-                prop_assert_eq!(map.backend_oid(client), Oid(b));
-                // No two (backend id, shard) pairs share a client id.
-                prop_assert!(seen.insert(client.0));
-                // Versions are qualified identically.
-                let vclient = map.client_vid(Vid(b), s);
-                prop_assert_eq!(map.shard_of_vid(vclient), s);
-                prop_assert_eq!(map.backend_vid(vclient), Vid(b));
+                // which knows it by the same number.
+                prop_assert_eq!(map.shard_of(Oid(minted)), s);
+                prop_assert_eq!(map.backend_oid(Oid(minted)), Oid(minted));
+                // No two shards mint the same id after the same point.
+                prop_assert!(seen.insert(minted));
+                // Versions are minted from the same residue.
+                prop_assert_eq!(map.shard_of_vid(Vid(minted)), s);
             }
         }
     }
@@ -77,38 +77,34 @@ proptest! {
     #[test]
     fn any_client_id_decomposes_and_remints_to_itself(
         shards in arb_shards(),
-        raw: u64,
+        raw in 1u64..u64::MAX,
     ) {
-        // Totality: even ids no router ever minted (a client probing
-        // random ids) route deterministically and round-trip.
+        // Totality: even ids no shard ever minted (a client probing
+        // random ids) route deterministically, to the one shard whose
+        // residue would mint exactly that id.
         let map = ShardMap::new(shards);
-        let oid = Oid(raw);
-        let (s, b) = (map.shard_of(oid), map.backend_oid(oid));
-        prop_assert_eq!(map.client_oid(b, s), oid);
+        let (s, b) = (map.shard_of(Oid(raw)), map.backend_oid(Oid(raw)));
+        prop_assert_eq!(b, Oid(raw));
+        let claim = IdClaim::new(shards as u64, s as u64).unwrap();
+        prop_assert_eq!(claim.next_after(raw - 1), raw);
     }
 
     #[test]
     fn page_cursors_partition_the_client_id_space(
         shards in arb_shards(),
         after in 0u64..10_000,
-        backend_ids in proptest::collection::vec(0u64..4_000, 0..32),
+        ids in proptest::collection::vec(0u64..40_000, 0..32),
     ) {
-        // Scattering an ObjectsPage { after } sends each shard its own
-        // cursor. Together the per-shard cursors must select exactly
-        // the minted ids >= after — no misses, no strays.
+        // Scattering an ObjectsPage { after } sends every shard the
+        // client's cursor unchanged. Each shard holds only its residue,
+        // so together the shards select exactly the ids >= after — no
+        // misses, no strays, no id selected twice.
         let map = ShardMap::new(shards);
-        for s in 0..shards {
-            let cursor = map.backend_cursor(Oid(after), s);
-            for &b in &backend_ids {
-                let client = map.client_oid(Oid(b), s);
-                let selected = b >= cursor.0;
-                prop_assert_eq!(
-                    selected,
-                    client.0 >= after,
-                    "shard {} cursor {} picked wrong ids for after={}",
-                    s, cursor.0, after
-                );
-            }
+        for id in ids {
+            let selecting: Vec<usize> = (0..shards)
+                .filter(|&s| map.shard_of(Oid(id)) == s && id >= after)
+                .collect();
+            prop_assert_eq!(selecting.len(), usize::from(id >= after));
         }
     }
 }

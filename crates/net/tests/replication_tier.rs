@@ -217,6 +217,12 @@ fn the_router_promotes_a_replica_when_the_primary_dies() {
     config.router.reconnect_backoff = Duration::ZERO;
     let failover_after = config.router.failover_after;
     let mut cluster = Cluster::start(config);
+    // The start-up round must have published before the test steps
+    // rounds itself: one still in flight when the primary dies would
+    // count a failed probe of its own.
+    wait_until("the start-up probe round", || {
+        cluster.shard_members(0).2[0].1.is_some()
+    });
     let mut c = connect(&cluster);
 
     let ptrs: Vec<ClientObjPtr<Doc>> = (0..10)
@@ -273,6 +279,51 @@ fn the_router_promotes_a_replica_when_the_primary_dies() {
         merged.storage.failovers, 1,
         "the promoted node reports its promotion: {merged:?}"
     );
+}
+
+#[test]
+fn a_promoted_replica_issues_ids_from_its_shards_residue() {
+    // Stepped like the failover test above: nothing waits on a clock.
+    let mut config = repl_config(2, 1);
+    config.router.probe_interval = Duration::from_secs(3600);
+    config.router.reconnect_backoff = Duration::ZERO;
+    let failover_after = config.router.failover_after;
+    let mut cluster = Cluster::start(config);
+    let mut c = connect(&cluster);
+
+    // Shard 1 claims residue 1 of 2 on first contact; the claim ships
+    // to its replica with the objects after it.
+    let before: Vec<ClientObjPtr<Doc>> = (0..4)
+        .map(|i| c.pnew(&doc("before", i)).expect("pnew"))
+        .collect();
+    let target = cluster.primary_epoch(1);
+    wait_until("shard 1's replica applies every acked write", || {
+        cluster.replica_status(1, 0).epoch >= target
+    });
+    cluster.probe(1);
+    cluster.kill_primary(1);
+    for _ in 0..failover_after {
+        cluster.probe(1);
+    }
+    assert_eq!(cluster.router_stats().failovers, 1);
+
+    // Round-robin placement puts one of the next two objects on the
+    // promoted node, which issues its id from shard 1's residue.
+    let after: Vec<ClientObjPtr<Doc>> = (0..2)
+        .map(|i| c.pnew(&doc("after", i)).expect("pnew after failover"))
+        .collect();
+    let promoted = cluster.shard_members(1).0;
+    let mut direct = OdeClient::connect(promoted, ClientConfig::default()).expect("promoted");
+    let on_promoted: Vec<&ClientObjPtr<Doc>> = after
+        .iter()
+        .filter(|p| direct.exists(p).expect("direct exists"))
+        .collect();
+    assert_eq!(on_promoted.len(), 1, "{after:?}");
+    let p = on_promoted[0];
+    assert_eq!(p.oid().0 % 2, 1, "{p:?}");
+    assert!(before.iter().all(|b| b.oid() != p.oid()), "a fresh id");
+    let v = c.newversion(p).expect("newversion on the promoted node");
+    assert_eq!(v.vid().0 % 2, 1, "{v:?}");
 }
 
 #[test]

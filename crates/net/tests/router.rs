@@ -1,10 +1,10 @@
 //! Integration tests for the `ode-router` shard tier.
 //!
-//! Three angles: cross-topology conformance (a 1-shard router must be
+//! Four angles: cross-topology conformance (a 1-shard router must be
 //! byte-indistinguishable from a direct server), full typed flows
-//! through a 4-shard tier (placement, translation, scatter merges,
-//! read-your-writes per oid), and reconnect-with-backoff after a shard
-//! restart.
+//! through a 4-shard tier (placement, residue ids, scatter merges,
+//! read-your-writes per oid), reconnect-with-backoff after a shard
+//! restart, and the id claims a router makes of its shards.
 
 use std::sync::Arc;
 use std::thread;
@@ -13,8 +13,8 @@ use std::time::{Duration, Instant};
 use ode::{Database, DatabaseOptions, Oid};
 use ode_codec::{impl_persist_struct, impl_type_name, to_bytes};
 use ode_net::{
-    ClientConfig, ClientObjPtr, Cluster, ClusterConfig, NetError, OdeClient, OdeRouter, OdeServer,
-    RemoteError, Request, Response, RouterConfig, ServerConfig,
+    ClientConfig, ClientObjPtr, ClientVersionPtr, Cluster, ClusterConfig, NetError, OdeClient,
+    OdeRouter, OdeServer, RemoteError, Request, Response, RouterConfig, ServerConfig,
 };
 use ode_storage::testutil::TempPath;
 
@@ -43,9 +43,9 @@ fn tag() -> ode::TypeTag {
 
 /// Run the same request sequence against a direct server and a 1-shard
 /// router in lockstep, asserting every response frame is byte-identical
-/// (sequence ids included — both clients count from zero). With one
-/// shard the id translation is the identity, so the tier must be
-/// invisible: same ids, same bodies, same errors, same extent order.
+/// (sequence ids included — both clients count from zero). Shards
+/// issue the ids clients see, so the tier must be invisible: same ids,
+/// same bodies, same errors, same extent order.
 #[test]
 fn one_shard_router_is_byte_identical_to_a_direct_server() {
     let direct_path = TempPath::new();
@@ -165,6 +165,12 @@ fn one_shard_router_is_byte_identical_to_a_direct_server() {
     step(Request::PdeleteVersion { vid: v2 }); // now the last one: refused
     step(Request::Pdelete { oid });
     step(Request::Exists { oid });
+    // An empty stamp range on an unknown object: the shard's answer.
+    step(Request::HistoryBetween {
+        oid: Oid(9999),
+        from: 2,
+        to: 1,
+    });
 
     drop(routed);
     drop(direct);
@@ -177,13 +183,20 @@ fn one_shard_router_is_byte_identical_to_a_direct_server() {
 // Four-shard typed flows
 // ---------------------------------------------------------------------------
 
+/// A client connected straight to one shard, bypassing the router.
+fn connect_to_shard(cluster: &Cluster, shard: usize) -> OdeClient {
+    OdeClient::connect(cluster.shard_members(shard).0, ClientConfig::default()).expect("shard")
+}
+
 #[test]
 fn full_versioning_flow_through_a_four_shard_tier() {
-    let config = ClusterConfig {
+    let mut config = ClusterConfig {
         shards: 4,
         ..ClusterConfig::default()
     };
-    let cluster = Cluster::start(config);
+    config.router.reconnect_backoff = Duration::from_millis(10);
+    let server_config = config.server.clone();
+    let mut cluster = Cluster::start(config);
     let map = cluster.shard_map();
     let mut c =
         OdeClient::connect(cluster.router_addr(), ClientConfig::default()).expect("connect");
@@ -212,7 +225,7 @@ fn full_versioning_flow_through_a_four_shard_tier() {
     assert_eq!(
         c.version_history(&p).expect("history"),
         vec![v1, v2],
-        "history is the object's, translated back to client ids"
+        "history is the object's, in the ids its shard issued"
     );
     assert_eq!(c.dprevious(&v2).expect("dprevious"), Some(v1));
     assert_eq!(c.dnext(&v1).expect("dnext"), vec![v2]);
@@ -226,6 +239,20 @@ fn full_versioning_flow_through_a_four_shard_tier() {
     // Every version id of an object lives on the object's shard.
     assert_eq!(map.shard_of_vid(v1.vid()), shards[0]);
     assert_eq!(map.shard_of_vid(v2.vid()), shards[0]);
+
+    // Each shard issued its ids from its own residue: the id the tier
+    // returned is the id the owning shard answers to, directly.
+    for (ptr, &shard) in ptrs.iter().zip(&shards) {
+        assert_eq!(ptr.oid().0 % 4, shard as u64, "{ptr:?}");
+        let mut direct = connect_to_shard(&cluster, shard);
+        assert_eq!(
+            direct.deref(ptr).expect("direct deref"),
+            c.deref(ptr).expect("deref")
+        );
+    }
+    for v in [v1, v2] {
+        assert_eq!(v.vid().0 % 4, shards[0] as u64, "{v:?}");
+    }
 
     // Scatter: the extent merges all four shards in ascending id order.
     let all = c.objects::<Doc>().expect("objects");
@@ -259,8 +286,8 @@ fn full_versioning_flow_through_a_four_shard_tier() {
     let stats = c.stats().expect("stats");
     assert_eq!(stats.requests_for(ode_net::Opcode::Pnew), 4);
 
-    // Errors translate their ids back: the client sees the id it asked
-    // about, not the backend-local one.
+    // Errors name the id the client asked about: the shard knows it by
+    // the same number.
     let ghost: ClientObjPtr<Doc> = ClientObjPtr::from_oid(Oid(4242));
     match c.deref(&ghost) {
         Err(NetError::Remote(RemoteError::UnknownObject(oid))) => assert_eq!(oid, Oid(4242)),
@@ -277,6 +304,37 @@ fn full_versioning_flow_through_a_four_shard_tier() {
     c.pdelete(p).expect("pdelete");
     assert!(!c.exists(&p).expect("exists after pdelete"));
     assert_eq!(c.objects::<Doc>().expect("objects after delete").len(), 3);
+
+    // The claim is the shard's, on disk: restarted, it still issues
+    // ids from its residue.
+    let restarted = shards[1];
+    cluster.kill_shard(restarted);
+    cluster.restart_shard(restarted, server_config);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while let Err(NetError::Remote(RemoteError::Unavailable(_))) = c.exists(&ptrs[1]) {
+        assert!(
+            Instant::now() < deadline,
+            "shard {restarted} never came back"
+        );
+        thread::sleep(Duration::from_millis(20));
+    }
+    let fresh: Vec<ClientObjPtr<Doc>> = (0..4)
+        .map(|i| {
+            c.pnew(&doc(&format!("fresh-{i}"), 1))
+                .expect("pnew after restart")
+        })
+        .collect();
+    let mut direct = connect_to_shard(&cluster, restarted);
+    let placed: Vec<&ClientObjPtr<Doc>> = fresh
+        .iter()
+        .filter(|p| direct.exists(p).expect("direct exists"))
+        .collect();
+    assert_eq!(
+        placed.len(),
+        1,
+        "round-robin placed one of four on each shard"
+    );
+    assert_eq!(placed[0].oid().0 % 4, restarted as u64, "{placed:?}");
 }
 
 #[test]
@@ -424,4 +482,134 @@ fn a_restarted_shard_comes_back_with_its_data() {
         stats.unavailable_errors >= 4,
         "each refusal counted: {stats:?}"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Id claims
+// ---------------------------------------------------------------------------
+
+/// A served store on a fresh temp file.
+fn shard_server(path: &TempPath) -> (Arc<Database>, OdeServer) {
+    let db = Arc::new(Database::create(path, DatabaseOptions::no_sync()).expect("create shard"));
+    let server = OdeServer::bind(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default())
+        .expect("bind shard");
+    (db, server)
+}
+
+/// What a refused shard answers through the router.
+fn unavailable(result: Result<(Doc, ClientVersionPtr<Doc>), NetError>) -> String {
+    match result {
+        Err(NetError::Remote(RemoteError::Unavailable(msg))) => msg,
+        other => panic!("expected unavailable, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_reordered_backend_list_is_refused_and_the_router_stays_up() {
+    let (path_a, path_b) = (TempPath::new(), TempPath::new());
+    let (_db_a, a) = shard_server(&path_a);
+    let (_db_b, b) = shard_server(&path_b);
+    let config = RouterConfig {
+        reconnect_backoff: Duration::from_millis(10),
+        ..RouterConfig::default()
+    };
+    let first = OdeRouter::bind(
+        "127.0.0.1:0",
+        vec![a.local_addr(), b.local_addr()],
+        config.clone(),
+    )
+    .expect("router over a, b");
+    let mut c = OdeClient::connect(first.local_addr(), ClientConfig::default()).expect("connect");
+    let on_a = c.pnew(&doc("on a", 1)).expect("pnew on a");
+    let on_b = c.pnew(&doc("on b", 1)).expect("pnew on b");
+    assert_eq!((on_a.oid().0 % 2, on_b.oid().0 % 2), (0, 1));
+    drop(c);
+    first.shutdown();
+
+    // The same stores, swapped: each now holds the other's residue.
+    let swapped = OdeRouter::bind("127.0.0.1:0", vec![b.local_addr(), a.local_addr()], config)
+        .expect("router over b, a");
+    let mut c = OdeClient::connect(swapped.local_addr(), ClientConfig::default()).expect("connect");
+    let msg = unavailable(c.deref(&on_a));
+    assert!(msg.contains("residue 0 of 2"), "{msg}");
+    assert!(
+        msg.contains("stride 2 residue 1"),
+        "names the claim it holds: {msg}"
+    );
+    let msg = unavailable(c.deref(&on_b));
+    assert!(msg.contains("residue 1 of 2"), "{msg}");
+    // Nothing was written, and the router stays up.
+    c.ping().expect("the router answers for itself");
+    assert!(swapped.stats().shard_failures >= 2);
+    let mut direct = OdeClient::connect(a.local_addr(), ClientConfig::default()).expect("a");
+    assert_eq!(direct.deref(&on_a).expect("still on a").0, doc("on a", 1));
+    drop(c);
+    swapped.shutdown();
+}
+
+#[test]
+fn a_store_with_dense_ids_is_refused_behind_a_wider_tier() {
+    let (dense_path, fresh_path) = (TempPath::new(), TempPath::new());
+    let (_dense_db, dense) = shard_server(&dense_path);
+    let (_fresh_db, fresh) = shard_server(&fresh_path);
+    let mut direct =
+        OdeClient::connect(dense.local_addr(), ClientConfig::default()).expect("dense");
+    let old = direct
+        .pnew(&doc("dense", 1))
+        .expect("pnew without a router");
+    assert_eq!(old.oid(), Oid(1), "an unclaimed store issues dense ids");
+    match direct.claim_ids(2, 0) {
+        Err(NetError::Remote(RemoteError::BadRequest(msg))) => {
+            assert!(msg.contains("refused claim stride 2 residue 0"), "{msg}")
+        }
+        other => panic!("expected a refused claim, got {other:?}"),
+    }
+
+    let config = RouterConfig {
+        reconnect_backoff: Duration::from_millis(10),
+        ..RouterConfig::default()
+    };
+    let router = OdeRouter::bind(
+        "127.0.0.1:0",
+        vec![dense.local_addr(), fresh.local_addr()],
+        config,
+    )
+    .expect("router");
+    let mut c = OdeClient::connect(router.local_addr(), ClientConfig::default()).expect("connect");
+    // Oid 1 is the dense store's, but routes to shard 1, the fresh
+    // store, which never issued it.
+    match c.deref(&old) {
+        Err(NetError::Remote(RemoteError::UnknownObject(oid))) => assert_eq!(oid, Oid(1)),
+        other => panic!("expected unknown object, got {other:?}"),
+    }
+    let msg = unavailable(c.deref(&ClientObjPtr::from_oid(Oid(2))));
+    assert!(msg.contains("residue 0 of 2"), "{msg}");
+    assert!(msg.contains("unclaimed ids already issued"), "{msg}");
+    // The fresh store took its residue and serves.
+    let placed: Vec<Result<ClientObjPtr<Doc>, NetError>> =
+        (0..2).map(|i| c.pnew(&doc("placed", i))).collect();
+    assert!(
+        placed
+            .iter()
+            .any(|p| matches!(p, Ok(p) if p.oid().0 % 2 == 1)),
+        "{placed:?}"
+    );
+    assert!(placed
+        .iter()
+        .any(|p| matches!(p, Err(NetError::Remote(RemoteError::Unavailable(_))))));
+    drop(c);
+    router.shutdown();
+
+    // Alone behind a one-shard router, the dense store is welcome.
+    let router = OdeRouter::bind(
+        "127.0.0.1:0",
+        vec![dense.local_addr()],
+        RouterConfig::default(),
+    )
+    .expect("one-shard router");
+    let mut c = OdeClient::connect(router.local_addr(), ClientConfig::default()).expect("connect");
+    assert_eq!(c.deref(&old).expect("dense ids serve").0, doc("dense", 1));
+    assert_eq!(c.pnew(&doc("next", 2)).expect("pnew").oid(), Oid(2));
+    drop(c);
+    router.shutdown();
 }

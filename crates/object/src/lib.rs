@@ -5,8 +5,8 @@
 //! Copeland).  This crate provides that identity layer over
 //! [`ode_storage`]:
 //!
-//! * [`id`] — persistent id allocation ([`Oid`], [`Vid`], and the generic
-//!   [`id::IdAllocator`]);
+//! * [`id`] — persistent id allocation ([`Oid`], [`Vid`], the generic
+//!   [`id::IdAllocator`], and the [`id::IdClaim`] a shard's ids come from);
 //! * [`table`] — [`table::KvTable`], a `u64 → u64` table whose B+-tree
 //!   root self-persists in a store root slot;
 //! * [`objheap`] — [`objheap::ObjectHeap`], typed `Persist` record
@@ -26,6 +26,6 @@ pub mod objheap;
 pub mod table;
 
 pub use extent::Extents;
-pub use id::{IdAllocator, Oid, Vid};
+pub use id::{IdAllocator, IdClaim, Oid, Vid};
 pub use objheap::ObjectHeap;
 pub use table::KvTable;

@@ -101,6 +101,10 @@ fn run(command: &str, rest: &[String], out: &mut impl Write) -> Result<(), Stop>
             writeln!(out, "objects    : {}", info.object_count)?;
             writeln!(out, "versions   : {}", info.version_count)?;
             writeln!(out, "types      : {}", info.type_count)?;
+            match info.id_claim {
+                Some(claim) => writeln!(out, "ids        : {claim}")?,
+                None => writeln!(out, "ids        : unclaimed")?,
+            }
             writeln!(out, "buffer pool (during this scan):")?;
             writeln!(out, "  hits      : {}", info.buffer.hits)?;
             writeln!(out, "  misses    : {}", info.buffer.misses)?;

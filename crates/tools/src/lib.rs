@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
-use ode_object::Oid;
+use ode_object::{IdClaim, Oid};
 use ode_storage::{PageId, PageRead, Store, StoreOptions, StoreStats};
 use ode_version::{version_graph_dot, VersionStore, VersionStoreLayout};
 
@@ -42,6 +42,9 @@ pub struct StoreInfo {
     pub version_count: u64,
     /// Distinct type tags with extents.
     pub type_count: usize,
+    /// The residue class the store issues ids from (`None`: unclaimed,
+    /// dense ids).
+    pub id_claim: Option<IdClaim>,
     /// Storage-engine transaction and contention counters accumulated
     /// while gathering this summary (one long read transaction, so
     /// `read_txs` ≥ 1 and the wait counters show any gate contention —
@@ -180,6 +183,7 @@ pub fn store_info(path: &Path) -> Result<StoreInfo> {
             version_count += vs.version_count(&mut tx, oid)?;
         }
     }
+    let id_claim = vs.id_claim(&mut tx)?;
     drop(tx);
     Ok(StoreInfo {
         page_count,
@@ -189,6 +193,7 @@ pub fn store_info(path: &Path) -> Result<StoreInfo> {
         object_count,
         version_count,
         type_count: tags.len(),
+        id_claim,
         storage: store.stats(),
     })
 }

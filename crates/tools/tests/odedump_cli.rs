@@ -4,7 +4,7 @@
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Output, Stdio};
 
-use ode::{Database, DatabaseOptions};
+use ode::{Database, DatabaseOptions, IdClaim};
 use ode_codec::{impl_persist_struct, impl_type_name};
 use ode_storage::testutil::{stamp_format_version, TempPath, TempStore};
 
@@ -77,4 +77,32 @@ fn a_format_1_file_is_named_as_such() {
         );
         assert_eq!(std::fs::read(store.path()).unwrap(), file, "format {old}");
     }
+}
+
+#[test]
+fn info_prints_the_id_claim() {
+    let ids_line = |path: &TempPath| {
+        let output = odedump(&["info", path.to_str().unwrap()]).output().unwrap();
+        assert!(output.status.success(), "{}", stderr_of(&output));
+        let stdout = String::from_utf8(output.stdout).unwrap();
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("ids "))
+            .map(str::to_owned);
+        line.unwrap_or_else(|| panic!("no ids line in {stdout}"))
+    };
+    let dense = TempPath::new();
+    drop(Database::create(&dense, DatabaseOptions::no_sync()).unwrap());
+    assert_eq!(ids_line(&dense), "ids        : unclaimed");
+
+    let claimed = TempPath::new();
+    {
+        let db = Database::create(&claimed, DatabaseOptions::no_sync()).unwrap();
+        db.claim_ids(IdClaim::new(4, 3).unwrap()).unwrap();
+        let mut txn = db.begin();
+        let note = txn.pnew(&Note { text: "x".into() }).unwrap();
+        assert_eq!(note.oid().0, 3, "the first id of residue 3");
+        txn.commit().unwrap();
+    }
+    assert_eq!(ids_line(&claimed), "ids        : stride 4 residue 3");
 }

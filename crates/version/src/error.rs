@@ -3,7 +3,7 @@
 use std::fmt;
 
 use ode_codec::TypeTag;
-use ode_object::{Oid, Vid};
+use ode_object::{IdClaim, Oid, Vid};
 
 /// Result alias for version-layer operations.
 pub type Result<T> = std::result::Result<T, VersionError>;
@@ -45,6 +45,15 @@ pub enum VersionError {
         /// Second merge input.
         b: Vid,
     },
+    /// A store was asked to issue ids from a residue class it cannot
+    /// take: it holds another claim, or it is unclaimed and has already
+    /// issued ids the new stride would not have.
+    ClaimRefused {
+        /// The store's claim; `None` while unclaimed.
+        held: Option<IdClaim>,
+        /// The claim asked for.
+        asked: IdClaim,
+    },
 }
 
 impl VersionError {
@@ -82,6 +91,10 @@ impl fmt::Display for VersionError {
                     "cannot merge {a} with {b}: not two distinct versions of one object"
                 )
             }
+            VersionError::ClaimRefused { held, asked } => match held {
+                Some(held) => write!(f, "ids claimed as {held}; refused claim {asked}"),
+                None => write!(f, "unclaimed ids already issued; refused claim {asked}"),
+            },
         }
     }
 }

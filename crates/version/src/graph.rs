@@ -1,7 +1,7 @@
 //! The version graph engine: create, derive, update, delete, traverse.
 
 use ode_codec::TypeTag;
-use ode_object::{Extents, IdAllocator, KvTable, ObjectHeap, Oid, Vid};
+use ode_object::{Extents, IdAllocator, IdClaim, KvTable, ObjectHeap, Oid, Vid};
 use ode_storage::heap::RecordId;
 use ode_storage::{PageRead, PageWrite};
 
@@ -13,8 +13,8 @@ use crate::records::{upsert, ObjectMeta, VersionMeta};
 use crate::segments::{ChainStore, CheckIn};
 use crate::{Result, VersionError};
 
-/// Root-slot assignment for a [`VersionStore`]'s seven persistent
-/// components. The default occupies slots 0–6, leaving 7–15 free for the
+/// Root-slot assignment for a [`VersionStore`]'s eight persistent
+/// components. The default occupies slots 0–7, leaving 8–15 free for the
 /// embedding application.
 #[derive(Debug, Clone, Copy)]
 pub struct VersionStoreLayout {
@@ -33,6 +33,9 @@ pub struct VersionStoreLayout {
     /// Slot of the oid → chain-directory-record table (one entry per
     /// object with two or more versions).
     pub chain_table_slot: usize,
+    /// Slot of the [`IdClaim`] both id counters issue from (zero while
+    /// unclaimed: dense ids).
+    pub claim_slot: usize,
 }
 
 impl Default for VersionStoreLayout {
@@ -45,6 +48,7 @@ impl Default for VersionStoreLayout {
             vid_slot: 4,
             extent_slot: 5,
             chain_table_slot: 6,
+            claim_slot: 7,
         }
     }
 }
@@ -92,6 +96,7 @@ pub struct VersionStore {
     vids: IdAllocator,
     extents: Extents,
     chains: ChainStore,
+    claim_slot: usize,
     /// The shape of chains this store starts.
     chain: ChainConfig,
 }
@@ -111,10 +116,11 @@ impl VersionStore {
             obj_table: KvTable::new(layout.obj_table_slot),
             ver_table: KvTable::new(layout.ver_table_slot),
             heap,
-            oids: IdAllocator::new(layout.oid_slot),
-            vids: IdAllocator::new(layout.vid_slot),
+            oids: IdAllocator::claimed(layout.oid_slot, layout.claim_slot),
+            vids: IdAllocator::claimed(layout.vid_slot, layout.claim_slot),
             extents: Extents::new(layout.extent_slot),
             chains: ChainStore::new(KvTable::new(layout.chain_table_slot), heap),
+            claim_slot: layout.claim_slot,
             chain: config,
         }
     }
@@ -198,6 +204,39 @@ impl VersionStore {
         }
         self.chains
             .state_of(tx, dir.ok_or_else(not_in_chain)?, meta.vid)
+    }
+
+    // ------------------------------------------------------------------
+    // Id claims
+    // ------------------------------------------------------------------
+
+    /// The residue class this store's ids come from; `None` while
+    /// unclaimed (dense ids).
+    pub fn id_claim(&self, tx: &mut impl PageRead) -> Result<Option<IdClaim>> {
+        Ok(IdClaim::from_slot(tx.root(self.claim_slot)?))
+    }
+
+    /// Whether the store may issue its ids from `claim`: `Ok(false)`
+    /// when it holds that claim already, `Ok(true)` when it is
+    /// unclaimed and the claim is dense or no id has been issued yet,
+    /// [`VersionError::ClaimRefused`] otherwise.
+    pub fn admits_claim(&self, tx: &mut impl PageRead, claim: IdClaim) -> Result<bool> {
+        let held = self.id_claim(tx)?;
+        let fresh = self.oids.last(tx)? == 0 && self.vids.last(tx)? == 0;
+        match held {
+            Some(held) if held == claim => Ok(false),
+            None if claim == IdClaim::DENSE || fresh => Ok(true),
+            _ => Err(VersionError::ClaimRefused { held, asked: claim }),
+        }
+    }
+
+    /// Record `claim` when [`VersionStore::admits_claim`] says the
+    /// store may take it; every id issued afterwards comes from it.
+    pub fn claim_ids(&self, tx: &mut impl PageWrite, claim: IdClaim) -> Result<()> {
+        if self.admits_claim(tx, claim)? {
+            tx.set_root(self.claim_slot, claim.to_slot())?;
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------

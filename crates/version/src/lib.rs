@@ -49,4 +49,4 @@ pub use export::version_graph_dot;
 pub use graph::{VersionStore, VersionStoreLayout};
 pub use records::{ObjectMeta, VersionMeta};
 
-pub use ode_object::{Oid, Vid};
+pub use ode_object::{IdClaim, Oid, Vid};
