@@ -337,9 +337,10 @@ fn main() {
     let _ = std::fs::remove_file(&path);
     let scratch = Scratch(path);
     let db = Arc::new(Database::create(&scratch.0, DatabaseOptions::no_sync()).expect("create db"));
-    // Workers bound the number of concurrently served connections; the
-    // benchmark needs every client live at once (plus the seeder and
-    // the per-phase stats connection), whatever the host's CPU count.
+    // Server threads execute requests in place: one per client (plus
+    // the seeder and the per-phase stats connection) lets every
+    // client's reads run at once, whatever the host's CPU count.
+    // Connections themselves never wait for a thread.
     let config = ServerConfig {
         workers: clients + 2,
         ..ServerConfig::default()

@@ -155,7 +155,6 @@ fn run_topology(
     objects: usize,
     repeats: usize,
 ) -> PhaseResult {
-    let workers = clients + 2;
     let pscratch = Scratch::new(&format!("{label}-p"));
     let pdb = Arc::new(
         Database::create(&pscratch.0, DatabaseOptions::no_sync()).expect("create primary"),
@@ -163,7 +162,7 @@ fn run_topology(
     let hub = (replicas > 0)
         .then(|| ReplicationHub::start(Arc::clone(&pdb), "127.0.0.1:0").expect("start hub"));
     let server_config = ServerConfig {
-        workers,
+        workers: clients + 2,
         ..ServerConfig::default()
     };
     let pserver =
@@ -195,7 +194,6 @@ fn run_topology(
         replicas: rservers.iter().map(|s| s.local_addr()).collect(),
     }];
     let router_config = RouterConfig {
-        workers,
         probe_interval: Duration::from_millis(50),
         ..RouterConfig::default()
     };

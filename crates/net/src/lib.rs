@@ -43,7 +43,8 @@
 //! the same protocol on both sides: clients connect to it exactly as
 //! to a single server while it routes each request to one of N backend
 //! shards by object id ([`ShardMap`]) — see the [`router`](OdeRouter)
-//! docs for the ordering and fault semantics. [`Cluster`] and
+//! docs for the ordering and fault semantics. It runs on the server's
+//! event loop, so a client session costs it no thread. [`Cluster`] and
 //! [`relay::FaultRelay`] make the whole tier spawnable in-process for
 //! deterministic fault-injection tests.
 //!
@@ -65,6 +66,7 @@
 mod client;
 pub mod cluster;
 mod error;
+mod event_loop;
 pub mod protocol;
 pub mod relay;
 mod router;

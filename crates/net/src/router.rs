@@ -30,6 +30,24 @@
 //! wider tier — refuses the dial, and its shard answers `Unavailable`
 //! while the others serve.
 //!
+//! ## Threads
+//!
+//! The router runs on the server's event loop: a few threads (one per
+//! core, 4 to 16) wait on one poller holding the listener, every client
+//! socket and every backend socket, all oneshot and nonblocking, and one
+//! more thread probes shard health. A session — a client and the
+//! backend connections it dials — costs sockets and buffers, never a
+//! thread. Whichever of its sockets an event names, the claiming thread
+//! runs a turn of the whole session; a thread that finds the session in
+//! another's turn leaves a note the holder drains, and never waits.
+//!
+//! A shard is dialed inside the turn that first needs it (connect,
+//! handshake and id claim, bounded by [`RouterConfig::connect_timeout`]),
+//! blocking only that thread. Backpressure: a client is not read while
+//! a backend it feeds is backlogged, and a session's backends are not
+//! read while its client is backlogged, so the kernel's windows make the
+//! far ends wait instead of the router's buffers growing.
+//!
 //! ## Ordering guarantees
 //!
 //! Requests naming the *same object* always route to the same shard
@@ -61,22 +79,24 @@
 //! a whole if any shard is down — partial extents would be silent lies.
 
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::{self, JoinHandle, Scope};
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use ode::Oid;
 use parking_lot::Mutex;
-use polling::{Event, Poller};
+use polling::Event;
 
 use crate::client::{ClientConfig, OdeClient};
 use crate::error::RemoteError;
+use crate::event_loop::{default_threads, Pool, Service, Wire, PIPELINE_DEPTH};
 use crate::protocol::{
-    read_frame, read_frame_into, split_seq, write_frame, write_frame_seq, FrameBuffer, Request,
-    Response, Routing, StatsReport, MAGIC,
+    read_frame, split_seq, write_frame, write_frame_seq, Request, Response, Routing, StatsReport,
+    MAGIC,
 };
 use crate::shard::ShardMap;
 use crate::NetError;
@@ -87,9 +107,6 @@ const RECONNECT_BACKOFF_MAX: Duration = Duration::from_secs(2);
 /// Router tuning knobs.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Worker threads — the maximum number of concurrently served
-    /// client connections (further accepted connections wait in line).
-    pub workers: usize,
     /// Dial + handshake timeout for backend connections.
     pub connect_timeout: Duration,
     /// First reconnect-backoff window after a shard connection fails;
@@ -105,7 +122,6 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> RouterConfig {
         RouterConfig {
-            workers: 16,
             connect_timeout: Duration::from_secs(5),
             reconnect_backoff: Duration::from_millis(50),
             probe_interval: Duration::from_millis(150),
@@ -285,19 +301,81 @@ struct RouterShared {
     /// yet, so the router picks their shard and the id the shard issues
     /// from its residue then carries the placement forever.
     next_pnew_shard: AtomicU64,
-    shutdown: AtomicBool,
+    pool: Pool,
+    /// The session behind every registered socket, by poller key. A
+    /// socket gets a fresh key each time it is registered and loses it
+    /// when it closes, so a stale event finds no entry.
+    sessions: Mutex<HashMap<usize, Arc<Session>>>,
 }
 
-type ConnRegistry = Arc<Mutex<HashMap<u64, TcpStream>>>;
+impl RouterShared {
+    fn new(
+        addr: impl ToSocketAddrs,
+        members: Vec<ShardMembership>,
+        config: RouterConfig,
+    ) -> io::Result<RouterShared> {
+        Ok(RouterShared {
+            map: ShardMap::new(members.len()),
+            membership: Membership::new(members),
+            config,
+            stats: RouterStats::default(),
+            next_pnew_shard: AtomicU64::new(0),
+            pool: Pool::bind(addr)?,
+            sessions: Mutex::new(HashMap::new()),
+        })
+    }
+
+    /// Make `source` findable under `key` as a socket of `session`,
+    /// then arm it for reading — in that order, so whoever claims its
+    /// first event finds it.
+    fn register(
+        &self,
+        key: usize,
+        session: &Arc<Session>,
+        source: &impl AsRawFd,
+    ) -> io::Result<()> {
+        self.sessions.lock().insert(key, Arc::clone(session));
+        let added = self.pool.add(source, Event::readable(key));
+        if added.is_err() {
+            self.sessions.lock().remove(&key);
+        }
+        added
+    }
+
+    /// Close one of a session's sockets and drop its key.
+    fn close(&self, key: usize, wire: &mut Wire) {
+        self.sessions.lock().remove(&key);
+        wire.close(&self.pool);
+    }
+}
+
+impl Service for RouterShared {
+    fn pool(&self) -> &Pool {
+        &self.pool
+    }
+
+    fn accept(&self, stream: TcpStream) {
+        if Session::new(self, stream).is_ok() {
+            self.stats
+                .client_connections
+                .fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn claim(&self, key: usize, scratch: &mut [u8]) {
+        let session = self.sessions.lock().get(&key).cloned();
+        if let Some(session) = session {
+            session.visit(self, key, scratch);
+        }
+    }
+}
 
 /// A running shard router. See the module docs.
 pub struct OdeRouter {
     addr: SocketAddr,
     shared: Arc<RouterShared>,
-    conns: ConnRegistry,
-    accept_handle: Option<JoinHandle<()>>,
     prober_handle: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl OdeRouter {
@@ -333,61 +411,9 @@ impl OdeRouter {
                 "a router needs at least one backend shard",
             ));
         }
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let map = ShardMap::new(members.len());
-        let shared = Arc::new(RouterShared {
-            membership: Membership::new(members),
-            map,
-            config: config.clone(),
-            stats: RouterStats::default(),
-            next_pnew_shard: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-        });
-        let conns: ConnRegistry = Arc::new(Mutex::new(HashMap::new()));
-
-        let (conn_tx, conn_rx) = mpsc::channel::<(u64, TcpStream)>();
-        let conn_rx = Arc::new(Mutex::new(conn_rx));
-
-        let workers = (0..config.workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let rx = Arc::clone(&conn_rx);
-                let conns = Arc::clone(&conns);
-                thread::Builder::new()
-                    .name(format!("ode-router-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &rx, &conns))
-                    .expect("spawn router worker thread")
-            })
-            .collect();
-
-        let accept_handle = {
-            let shared = Arc::clone(&shared);
-            thread::Builder::new()
-                .name("ode-router-accept".into())
-                .spawn(move || {
-                    let mut next_id = 0u64;
-                    for stream in listener.incoming() {
-                        if shared.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let stream = match stream {
-                            Ok(s) => s,
-                            Err(_) => continue,
-                        };
-                        shared
-                            .stats
-                            .client_connections
-                            .fetch_add(1, Ordering::Relaxed);
-                        next_id += 1;
-                        if conn_tx.send((next_id, stream)).is_err() {
-                            break;
-                        }
-                    }
-                })
-                .expect("spawn router accept thread")
-        };
-
+        let shared = Arc::new(RouterShared::new(addr, members, config)?);
+        let addr = shared.pool.local_addr()?;
+        let threads = Pool::spawn(&shared, default_threads(), "ode-router");
         let prober_handle = {
             let shared = Arc::clone(&shared);
             thread::Builder::new()
@@ -395,14 +421,11 @@ impl OdeRouter {
                 .spawn(move || prober_loop(&shared))
                 .expect("spawn router prober thread")
         };
-
         Ok(OdeRouter {
             addr,
             shared,
-            conns,
-            accept_handle: Some(accept_handle),
             prober_handle: Some(prober_handle),
-            workers,
+            threads,
         })
     }
 
@@ -452,21 +475,17 @@ impl OdeRouter {
     }
 
     fn stop(&mut self) {
-        if self.shared.shutdown.swap(true, Ordering::SeqCst) {
+        let shared = &*self.shared;
+        if !shared.pool.stop(&mut self.threads) {
             return;
-        }
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.accept_handle.take() {
-            let _ = handle.join();
         }
         if let Some(handle) = self.prober_handle.take() {
             let _ = handle.join();
         }
-        for (_, stream) in self.conns.lock().drain() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+        // No thread is in a turn any more: close every session.
+        let sessions: Vec<Arc<Session>> = shared.sessions.lock().drain().map(|(_, s)| s).collect();
+        for session in sessions {
+            session.state.lock().close(shared);
         }
     }
 }
@@ -474,25 +493,6 @@ impl OdeRouter {
 impl Drop for OdeRouter {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-fn worker_loop(
-    shared: &RouterShared,
-    rx: &Mutex<mpsc::Receiver<(u64, TcpStream)>>,
-    conns: &ConnRegistry,
-) {
-    loop {
-        let next = rx.lock().recv();
-        let (id, stream) = match next {
-            Ok(pair) => pair,
-            Err(_) => return,
-        };
-        if let Ok(handle) = stream.try_clone() {
-            conns.lock().insert(id, handle);
-        }
-        let _ = serve_session(shared, stream);
-        conns.lock().remove(&id);
     }
 }
 
@@ -505,7 +505,7 @@ fn worker_loop(
 fn prober_loop(shared: &RouterShared) {
     loop {
         for shard in 0..shared.map.shard_count() {
-            if shared.shutdown.load(Ordering::SeqCst) {
+            if shared.pool.stopping() {
                 return;
             }
             probe_shard(shared, shard);
@@ -513,7 +513,7 @@ fn prober_loop(shared: &RouterShared) {
         // Chunked sleep so shutdown is prompt.
         let deadline = Instant::now() + shared.config.probe_interval;
         while Instant::now() < deadline {
-            if shared.shutdown.load(Ordering::SeqCst) {
+            if shared.pool.stopping() {
                 return;
             }
             thread::sleep(Duration::from_millis(5));
@@ -771,28 +771,29 @@ impl Gather {
 enum Pending {
     /// A single-shard request: answer the client under this seq.
     Single { client_seq: u64 },
-    /// One part of a scatter.
-    Part(Arc<Mutex<Gather>>),
+    /// One part of the session's scatter with this id.
+    Part(u64),
     /// Router-internal bookkeeping (the `ReadFloor` pin sent when a
     /// replica-read connection opens): the response is swallowed.
     Internal,
 }
 
-/// The correlation half of one session's connection to one shard.
-struct SlotCtl {
-    alive: bool,
-    /// Raw handle for tearing the connection down: shutting it makes
-    /// the pump's registered dup readable (HUP), so the pump notices
-    /// without being told.
-    raw: Option<TcpStream>,
-    /// Bumped on every successful dial. A failure report carries the
-    /// generation it observed, so a stale error from a connection that
-    /// has already been replaced can't tear down its successor.
-    generation: u64,
+/// One session's live connection to one shard, and how its socket is
+/// armed (`None`: its last event was claimed and it is not yet re-armed).
+struct Backend {
+    wire: Wire,
+    key: usize,
+    armed: Option<Event>,
+}
+
+/// One session's lazily-dialed connection to one shard.
+#[derive(Default)]
+struct Slot {
+    conn: Option<Backend>,
     /// Next backend sequence id. Never reset across reconnects, so a
     /// bseq is unique for the session's lifetime.
     next_bseq: u64,
-    /// Requests written to this backend and not yet answered.
+    /// Requests queued for this backend and not yet answered.
     pending: HashMap<u64, Pending>,
     /// Consecutive connection failures (doubles the backoff).
     failures: u32,
@@ -800,7 +801,7 @@ struct SlotCtl {
     down_until: Option<Instant>,
 }
 
-impl SlotCtl {
+impl Slot {
     /// Count one more consecutive failure and start its backoff
     /// window: the configured base, doubled per failure, capped.
     fn back_off(&mut self, config: &RouterConfig) {
@@ -812,83 +813,235 @@ impl SlotCtl {
             .min(RECONNECT_BACKOFF_MAX);
         self.down_until = Some(Instant::now() + backoff);
     }
-}
 
-/// One session's lazily-dialed connection to one shard.
-///
-/// Lock order, everywhere: `ctl` → `writer` → (gather) →
-/// `client_writer`. The ctl lock is never held across a backend socket
-/// write, and whichever path removes a [`Pending`] entry answers the
-/// client — each client seq is answered exactly once.
-struct ShardSlot {
-    ctl: Mutex<SlotCtl>,
-    writer: Mutex<Option<BufWriter<TcpStream>>>,
-}
-
-impl ShardSlot {
-    fn new() -> ShardSlot {
-        ShardSlot {
-            ctl: Mutex::new(SlotCtl {
-                alive: false,
-                raw: None,
-                generation: 0,
-                next_bseq: 0,
-                pending: HashMap::new(),
-                failures: 0,
-                down_until: None,
-            }),
-            writer: Mutex::new(None),
-        }
+    fn backlogged(&self) -> bool {
+        self.conn
+            .as_ref()
+            .is_some_and(|conn| conn.wire.out.backlog() > 0)
     }
 }
 
-/// Per-client-connection state, shared between the client-reader
-/// thread and the session's single backend-pump thread.
+/// One client connection and the backend connections it dials. Only
+/// the thread holding `state` runs a turn of it; an event claimed
+/// while another thread holds it goes into `notes` instead.
+struct Session {
+    state: Mutex<SessionState>,
+    /// Keys whose events were claimed and not yet handled.
+    notes: Mutex<Vec<usize>>,
+}
+
+/// Everything a turn of one session touches.
 ///
 /// Slots come in two banks of `shard_count` each: slot `s` is the
 /// session's *write* connection to shard `s`'s primary, slot
 /// `shard_count + s` its *read* connection (a replica when one is
 /// live, pinned by `ReadFloor`; otherwise the primary again).
-///
-/// Backend responses are multiplexed: instead of one reader thread per
-/// live shard connection, the session runs at most one [`backend_pump`]
-/// thread that `epoll`-waits on every backend socket at once, so a
-/// session costs two threads no matter how many shards it talks to.
-struct Session<'a> {
-    shared: &'a RouterShared,
-    slots: Vec<ShardSlot>,
+struct SessionState {
+    client: Wire,
+    key: usize,
+    armed: Option<Event>,
+    slots: Vec<Slot>,
     /// Set once the session has written to a shard: its reads flip to
     /// the primary bank forever (read-your-writes without cross-node
     /// epoch bookkeeping).
-    wrote: Vec<AtomicBool>,
-    client_writer: Mutex<BufWriter<TcpStream>>,
-    /// Readiness multiplexer for the backend pump.
-    poller: Poller,
-    /// Freshly dialed connections awaiting pump registration:
-    /// `(slot, generation, pump's read half)`. Pushed *before*
-    /// [`Poller::notify`], drained by the pump.
-    handoff: Mutex<Vec<(usize, u64, TcpStream)>>,
-    /// Tells the pump to exit (session teardown).
-    hangup: AtomicBool,
-    /// Whether the pump thread has been spawned yet — it starts
-    /// lazily with the session's first backend dial, so sessions that
-    /// never reach a shard never pay for it.
-    pump_started: AtomicBool,
+    wrote: Vec<bool>,
+    /// Scatters in flight, by the id their parts carry.
+    gathers: HashMap<u64, Gather>,
+    next_gather: u64,
+    closed: bool,
 }
 
-impl<'a> Session<'a> {
-    fn new(shared: &'a RouterShared, client: TcpStream) -> io::Result<Session<'a>> {
+impl Session {
+    /// Open a session for an accepted client and register its socket.
+    fn new(shared: &RouterShared, client: TcpStream) -> io::Result<Arc<Session>> {
         let n = shared.map.shard_count();
-        Ok(Session {
-            shared,
-            slots: (0..n * 2).map(|_| ShardSlot::new()).collect(),
-            wrote: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            client_writer: Mutex::new(BufWriter::new(client)),
-            poller: Poller::new()?,
-            handoff: Mutex::new(Vec::new()),
-            hangup: AtomicBool::new(false),
-            pump_started: AtomicBool::new(false),
-        })
+        let key = shared.pool.next_key();
+        let fd = client.as_raw_fd();
+        let session = Arc::new(Session {
+            state: Mutex::new(SessionState {
+                client: Wire::new(client, false),
+                key,
+                armed: Some(Event::readable(key)),
+                slots: (0..n * 2).map(|_| Slot::default()).collect(),
+                wrote: vec![false; n],
+                gathers: HashMap::new(),
+                next_gather: 0,
+                closed: false,
+            }),
+            notes: Mutex::new(Vec::new()),
+        });
+        shared.register(key, &session, &fd)?;
+        Ok(session)
+    }
+
+    /// Handle an event claimed for `key`: note it, then run turns until
+    /// no note is left — unless another thread is in a turn, which then
+    /// drains the note before it lets go. The holder checks again after
+    /// unlocking, so a note left in between is never stranded.
+    fn visit(self: &Arc<Session>, shared: &RouterShared, key: usize, scratch: &mut [u8]) {
+        self.notes.lock().push(key);
+        while let Some(mut state) = self.state.try_lock() {
+            loop {
+                let fired = std::mem::take(&mut *self.notes.lock());
+                if fired.is_empty() {
+                    break;
+                }
+                state.turn(shared, self, &fired, scratch);
+            }
+            drop(state);
+            if self.notes.lock().is_empty() {
+                return;
+            }
+        }
+    }
+}
+
+impl SessionState {
+    /// One turn: read the backends that fired and answer the client
+    /// from them, route up to [`PIPELINE_DEPTH`] client frames unless a
+    /// backend is backlogged, flush everything, then close or re-arm.
+    fn turn(
+        &mut self,
+        shared: &RouterShared,
+        session: &Arc<Session>,
+        fired: &[usize],
+        scratch: &mut [u8],
+    ) {
+        if self.closed {
+            return;
+        }
+        // Each fired socket is disarmed until this turn re-arms it.
+        // Keys of closed connections match nothing.
+        let client_fired = fired.contains(&self.key);
+        if client_fired {
+            self.armed = None;
+        }
+        for i in 0..self.slots.len() {
+            match self.slots[i].conn.as_mut() {
+                Some(conn) if fired.contains(&conn.key) => conn.armed = None,
+                _ => continue,
+            }
+            self.backend_turn(shared, i, scratch);
+        }
+        if !self.slots.iter().any(Slot::backlogged) {
+            if client_fired && !self.client.rbuf.has_frame() {
+                self.client
+                    .read_ready(scratch, &shared.stats.protocol_errors);
+            }
+            if !self.route_frames(shared, session) {
+                return self.close(shared);
+            }
+            for i in 0..self.slots.len() {
+                if let Some(conn) = self.slots[i].conn.as_mut() {
+                    conn.wire.flush();
+                    if conn.wire.out.dead {
+                        self.fail_slot(shared, i, "write to shard failed");
+                    }
+                }
+            }
+        }
+        self.client.flush();
+        let drained = self.client.peer_closed
+            && !self.client.rbuf.has_frame()
+            && self.client.out.backlog() == 0
+            && self.slots.iter().all(|slot| slot.pending.is_empty());
+        if self.client.out.dead || drained {
+            return self.close(shared);
+        }
+        self.rearm(shared);
+    }
+
+    /// Service a backend that fired: flush what it would not take
+    /// before, read what it sent, and answer every complete frame. A
+    /// lost or misframing connection fails its slot after the frames
+    /// that arrived before the fault.
+    fn backend_turn(&mut self, shared: &RouterShared, slot_idx: usize, scratch: &mut [u8]) {
+        let stats = &shared.stats;
+        let Some(conn) = self.slots[slot_idx].conn.as_mut() else {
+            return;
+        };
+        conn.wire.flush();
+        conn.wire.read_ready(scratch, &stats.protocol_errors);
+        let lost = conn.wire.peer_closed || conn.wire.out.dead;
+        // Taken out so frames borrowed from it can be answered.
+        let mut rbuf = std::mem::take(&mut conn.wire.rbuf);
+        let fault = loop {
+            match rbuf.next_frame() {
+                Ok(Some(payload)) => {
+                    if let Err(why) = on_backend_frame(stats, self, slot_idx, payload) {
+                        break Some(why);
+                    }
+                }
+                Ok(None) => break lost.then_some("connection lost"),
+                Err(_) => {
+                    // A backend framing its stream wrong can't be
+                    // trusted for anything in flight: kill the
+                    // connection, which answers every pending request.
+                    stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                    break Some("undecodable response from shard");
+                }
+            }
+        };
+        match (fault, self.slots[slot_idx].conn.as_mut()) {
+            (Some(why), _) => self.fail_slot(shared, slot_idx, why),
+            (None, Some(conn)) => conn.wire.rbuf = rbuf,
+            (None, None) => {}
+        }
+    }
+
+    /// Route up to [`PIPELINE_DEPTH`] of the client's buffered frames in
+    /// stream order. `false` when the client's framing is corrupt and
+    /// the session must end.
+    fn route_frames(&mut self, shared: &RouterShared, session: &Arc<Session>) -> bool {
+        let stats = &shared.stats;
+        // Taken out so frames borrowed from it can be forwarded.
+        let mut rbuf = std::mem::take(&mut self.client.rbuf);
+        let mut in_sync = true;
+        for _ in 0..PIPELINE_DEPTH {
+            let payload = match rbuf.next_frame() {
+                Ok(Some(payload)) => payload,
+                Ok(None) => break,
+                Err(_) => {
+                    stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                    in_sync = false;
+                    break;
+                }
+            };
+            match route(payload, shared.map, &shared.next_pnew_shard) {
+                Err(e) => {
+                    // Well-delimited frame, bad payload: the stream is
+                    // still in sync, report and continue (server
+                    // behavior).
+                    stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                    let seq = Request::decode_seq(payload).unwrap_or(0);
+                    let response = Response::Err(RemoteError::BadRequest(e.to_string()));
+                    self.answer(stats, seq, &response);
+                }
+                Ok((seq, _, Route::Local(resp))) => {
+                    stats.answered_locally.fetch_add(1, Ordering::Relaxed);
+                    self.answer(stats, seq, &resp);
+                }
+                Ok((seq, body, Route::Single { shard, is_read })) => {
+                    let slot = self.pick_slot(shared, shard, is_read);
+                    let pending = Pending::Single { client_seq: seq };
+                    self.forward(shared, session, slot, body, pending);
+                }
+                Ok((seq, body, Route::Gather(kind))) => {
+                    stats.gathers.fetch_add(1, Ordering::Relaxed);
+                    let shards = shared.map.shard_count();
+                    let id = self.next_gather;
+                    self.next_gather += 1;
+                    self.gathers.insert(id, Gather::new(seq, kind, shards));
+                    // Scatters always hit the primary bank: a merged
+                    // extent or stats report must not mix replica lag in.
+                    for shard in 0..shards {
+                        self.forward(shared, session, shard, body, Pending::Part(id));
+                    }
+                }
+            }
+        }
+        self.client.rbuf = rbuf;
+        in_sync
     }
 
     /// Which slot a request for `shard` should ride. Reads from a
@@ -896,367 +1049,254 @@ impl<'a> Session<'a> {
     /// (pinned by `ReadFloor` at the primary's last probed epoch).
     /// Writes always go to the primary, and a session's first write to
     /// a shard flips its reads there too.
-    fn pick_slot(&self, shard: usize, is_read: bool) -> usize {
-        let n = self.shared.map.shard_count();
-        if is_read
-            && !self.wrote[shard].load(Ordering::Relaxed)
-            && self.shared.membership.has_live_replica(shard)
-        {
-            n + shard
+    fn pick_slot(&mut self, shared: &RouterShared, shard: usize, is_read: bool) -> usize {
+        if is_read && !self.wrote[shard] && shared.membership.has_live_replica(shard) {
+            shared.map.shard_count() + shard
         } else {
             if !is_read {
-                self.wrote[shard].store(true, Ordering::Relaxed);
+                self.wrote[shard] = true;
             }
             shard
         }
     }
 
-    /// Queue one response frame of the router's own for the client;
-    /// whoever wrote last flushes.
-    fn send_client(&self, seq: u64, resp: &Response) -> io::Result<()> {
+    /// Queue one response frame of the router's own for the client.
+    fn answer(&mut self, stats: &RouterStats, seq: u64, resp: &Response) {
         if matches!(resp, Response::Err(RemoteError::Unavailable(_))) {
-            self.shared
-                .stats
-                .unavailable_errors
-                .fetch_add(1, Ordering::Relaxed);
+            stats.unavailable_errors.fetch_add(1, Ordering::Relaxed);
         }
-        write_frame(&mut *self.client_writer.lock(), &resp.encode(seq)).map(drop)
+        self.client.out.queue(&resp.encode(seq));
     }
 
     /// Give one pending entry its outcome: answer the client, or
     /// complete the scatter part (answering when it was the last).
     /// Whichever path removed the entry calls this, exactly once.
-    fn settle(&self, pending: Pending, outcome: Result<Response, RemoteError>) -> io::Result<()> {
+    fn settle(
+        &mut self,
+        stats: &RouterStats,
+        pending: Pending,
+        outcome: Result<Response, RemoteError>,
+    ) {
         match pending {
             Pending::Single { client_seq } => {
                 let resp = outcome.unwrap_or_else(Response::Err);
-                self.send_client(client_seq, &resp)
+                self.answer(stats, client_seq, &resp);
             }
-            Pending::Part(gather) => {
-                let mut gather = gather.lock();
-                match gather.complete_part(outcome) {
-                    Some(merged) => self.send_client(gather.client_seq, &merged),
-                    None => Ok(()),
+            Pending::Part(id) => {
+                let Some(gather) = self.gathers.get_mut(&id) else {
+                    return;
+                };
+                if let Some(merged) = gather.complete_part(outcome) {
+                    let seq = gather.client_seq;
+                    self.gathers.remove(&id);
+                    self.answer(stats, seq, &merged);
                 }
             }
-            Pending::Internal => Ok(()), // nothing owed to the client
+            Pending::Internal => {} // nothing owed to the client
         }
     }
 
-    /// Kill every backend connection and stop the pump (session
-    /// teardown): the pump wakes from its wait and exits.
-    fn shutdown_backends(&self) {
-        for slot in &self.slots {
-            let mut ctl = slot.ctl.lock();
-            ctl.alive = false;
-            if let Some(raw) = ctl.raw.take() {
-                let _ = raw.shutdown(Shutdown::Both);
+    /// The one forwarding path: ensure a live connection, register the
+    /// pending entry, queue `body` (the client's operation bytes) under
+    /// the assigned backend sequence id. A request that cannot reach
+    /// its shard is answered `Unavailable` here; once registered, a
+    /// failure of the connection answers it.
+    fn forward(
+        &mut self,
+        shared: &RouterShared,
+        session: &Arc<Session>,
+        slot_idx: usize,
+        body: &[u8],
+        pending: Pending,
+    ) {
+        if self.slots[slot_idx].conn.is_none() {
+            if let Err(msg) = self.dial(shared, session, slot_idx) {
+                self.settle(&shared.stats, pending, Err(RemoteError::Unavailable(msg)));
+                return;
             }
         }
-        self.hangup.store(true, Ordering::Release);
-        let _ = self.poller.notify();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Session threads
-// ---------------------------------------------------------------------------
-
-fn serve_session(shared: &RouterShared, stream: TcpStream) -> io::Result<()> {
-    stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
-
-    // Handshake: expect the client's magic, echo it back — the router
-    // is indistinguishable from a single server here.
-    let mut magic = [0u8; 4];
-    reader.read_exact(&mut magic)?;
-    if magic != MAGIC {
-        shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-        return Ok(());
-    }
-    let session = Session::new(shared, stream)?;
-    {
-        let mut w = session.client_writer.lock();
-        w.write_all(&MAGIC)?;
-        w.flush()?;
+        let stats = &shared.stats;
+        stats.forwarded.fetch_add(1, Ordering::Relaxed);
+        if slot_idx >= shared.map.shard_count() {
+            stats.replica_reads.fetch_add(1, Ordering::Relaxed);
+        }
+        let slot = &mut self.slots[slot_idx];
+        let bseq = slot.next_bseq;
+        slot.next_bseq += 1;
+        slot.pending.insert(bseq, pending);
+        let conn = slot.conn.as_mut().expect("dialed above");
+        if let Some(buf) = conn.wire.out.buf() {
+            write_frame_seq(buf, bseq, body).expect("Vec write is infallible");
+        }
     }
 
-    thread::scope(|scope| {
-        let result = client_loop(scope, &session, &mut reader);
-        // Kill the backends and wake the pump; the scope joins it.
-        session.shutdown_backends();
-        result
-    })
-}
-
-/// The session's client-facing half: decode frames, route each one,
-/// and coalesce flushes — backend writers and the client writer are
-/// only flushed when the client has nothing more buffered.
-fn client_loop<'scope, 'env>(
-    scope: &'scope Scope<'scope, 'env>,
-    session: &'env Session<'env>,
-    reader: &mut BufReader<TcpStream>,
-) -> io::Result<()> {
-    let shared = session.shared;
-    let mut dirty_slots = vec![false; session.slots.len()];
-    let mut client_dirty = false;
-    // Reused across frames.
-    let mut payload = Vec::new();
-    loop {
-        // Before blocking on the socket, flush everything owed: the
-        // batch the client pipelined is fully forwarded, and our own
-        // locally-answered frames are on their way.
-        if reader.buffer().is_empty() {
-            if client_dirty {
-                session.client_writer.lock().flush()?;
-                client_dirty = false;
-            }
-            for (i, dirty) in dirty_slots.iter_mut().enumerate() {
-                if *dirty {
-                    *dirty = false;
-                    if let Some(w) = session.slots[i].writer.lock().as_mut() {
-                        let _ = w.flush();
-                    }
-                }
+    /// Dial a dead slot's backend, handshake, claim the shard's id
+    /// residue, and register the connection with the poller under the
+    /// session. The dial blocks this thread, bounded by
+    /// [`RouterConfig::connect_timeout`]. A node that refuses the claim
+    /// fails the dial like an unreachable one.
+    ///
+    /// The address comes from the shard's *current* membership: primary
+    /// bank slots dial the primary, read bank slots a live replica (or the
+    /// primary when none is up). A read-bank connection is pinned with a
+    /// `ReadFloor` at the primary's last probed epoch before anything else
+    /// rides it, so the replica can never answer from state older than the
+    /// primary state the router has already observed.
+    fn dial(
+        &mut self,
+        shared: &RouterShared,
+        session: &Arc<Session>,
+        slot_idx: usize,
+    ) -> Result<(), String> {
+        let shard = slot_idx % shared.map.shard_count();
+        let slot = &mut self.slots[slot_idx];
+        if let Some(until) = slot.down_until {
+            if Instant::now() < until {
+                return Err(format!("shard {shard} is in its reconnect-backoff window"));
             }
         }
-        match read_frame_into(reader, &mut payload) {
-            Ok(true) => {}
-            Ok(false) => return Ok(()), // client hung up cleanly
-            Err(NetError::Io(e)) => return Err(e),
-            Err(_) => {
-                shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                return Ok(());
-            }
+        if shared.membership.promoting(shard) {
+            // The promotion window: strictly no retry, the request's
+            // outcome on the dying primary is unknown.
+            return Err(format!("shard {shard} is failing over"));
+        }
+        let read_bank = slot_idx >= shared.map.shard_count();
+        let addr = if read_bank {
+            shared.membership.pick_read_addr(shard)
+        } else {
+            shared.membership.primary_addr(shard)
         };
-        let routed = route(&payload, shared.map, &shared.next_pnew_shard);
-        let (seq, body, route) = match routed {
-            Ok(routed) => routed,
-            Err(e) => {
-                // Well-delimited frame, bad payload: the stream is
-                // still in sync, report and continue (server behavior).
-                shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let seq = Request::decode_seq(&payload).unwrap_or(0);
-                let response = Response::Err(RemoteError::BadRequest(e.to_string()));
-                session.send_client(seq, &response)?;
-                client_dirty = true;
-                continue;
+        let config = &shared.config;
+        let handshake = || -> io::Result<TcpStream> {
+            let stream = TcpStream::connect_timeout(&addr, config.connect_timeout)?;
+            stream.set_nodelay(true).ok();
+            // Handshake under a deadline so a wedged backend can't hold
+            // this thread for long.
+            stream.set_read_timeout(Some(config.connect_timeout))?;
+            (&stream).write_all(&MAGIC)?;
+            let mut echo = [0u8; 4];
+            (&stream).read_exact(&mut echo)?;
+            if echo != MAGIC {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "backend handshake mismatch",
+                ));
             }
-        };
-        match route {
-            Route::Local(resp) => {
-                shared
-                    .stats
-                    .answered_locally
-                    .fetch_add(1, Ordering::Relaxed);
-                session.send_client(seq, &resp)?;
-                client_dirty = true;
-            }
-            Route::Single { shard, is_read } => {
-                let slot = session.pick_slot(shard, is_read);
-                let pending = Pending::Single { client_seq: seq };
-                match forward(scope, session, slot, body, pending) {
-                    Sent::Forwarded => dirty_slots[slot] = true,
-                    Sent::Answered => client_dirty = true,
-                }
-            }
-            Route::Gather(kind) => {
-                shared.stats.gathers.fetch_add(1, Ordering::Relaxed);
-                let shards = shared.map.shard_count();
-                let gather = Arc::new(Mutex::new(Gather::new(seq, kind, shards)));
-                // Scatters always hit the primary bank: a merged extent
-                // or stats report must not mix replica lag in.
-                for (shard, dirty) in dirty_slots.iter_mut().enumerate().take(shards) {
-                    let pending = Pending::Part(Arc::clone(&gather));
-                    match forward(scope, session, shard, body, pending) {
-                        Sent::Forwarded => *dirty = true,
-                        Sent::Answered => client_dirty = true,
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Outcome of trying to hand a request to a shard: either it is on the
-/// backend's wire (an answer will come through the slot's pending
-/// table), or the client was already answered (unavailable shard).
-enum Sent {
-    Forwarded,
-    Answered,
-}
-
-/// The one forwarding path: ensure a live connection, register the
-/// pending entry, write `body` (the client's operation bytes) under the
-/// assigned backend sequence id. When the request
-/// never makes it onto a backend wire the entry is settled here with
-/// `Unavailable`; once registered, the failure path drains it — exactly
-/// one of the two answers the client.
-fn forward<'scope, 'env>(
-    scope: &'scope Scope<'scope, 'env>,
-    session: &'env Session<'env>,
-    slot_idx: usize,
-    body: &[u8],
-    pending: Pending,
-) -> Sent {
-    let slot = &session.slots[slot_idx];
-    let (bseq, generation) = {
-        let mut ctl = slot.ctl.lock();
-        if !ctl.alive {
-            if let Err(msg) = ensure_conn(scope, session, slot_idx, &mut ctl) {
-                drop(ctl);
-                let _ = session.settle(pending, Err(RemoteError::Unavailable(msg)));
-                return Sent::Answered;
-            }
-        }
-        let bseq = ctl.next_bseq;
-        ctl.next_bseq += 1;
-        ctl.pending.insert(bseq, pending);
-        (bseq, ctl.generation)
-    };
-    session
-        .shared
-        .stats
-        .forwarded
-        .fetch_add(1, Ordering::Relaxed);
-    if slot_idx >= session.shared.map.shard_count() {
-        session
-            .shared
-            .stats
-            .replica_reads
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    // The ctl lock is released: if the connection dies right here, the
-    // failure path drains our pending entry and answers the client;
-    // the writer below is then gone and we silently stand down.
-    let write_result = {
-        let mut w = slot.writer.lock();
-        match w.as_mut() {
-            None => return Sent::Forwarded, // failure path owns the answer
-            Some(w) => write_frame_seq(w, bseq, body),
-        }
-    };
-    if write_result.is_err() {
-        fail_slot(session, slot_idx, generation, "write to shard failed");
-    }
-    Sent::Forwarded
-}
-
-/// Dial a dead slot's backend, handshake, claim the shard's id residue,
-/// and hand the connection to the session's backend pump (spawning the
-/// pump on the session's first dial). Called with the slot's ctl lock
-/// held; on success the slot is alive. A node that refuses the claim
-/// fails the dial like an unreachable one.
-///
-/// The address comes from the shard's *current* membership: primary
-/// bank slots dial the primary, read bank slots a live replica (or the
-/// primary when none is up). A read-bank connection is pinned with a
-/// `ReadFloor` at the primary's last probed epoch before anything else
-/// rides it, so the replica can never answer from state older than the
-/// primary state the router has already observed.
-fn ensure_conn<'scope, 'env>(
-    scope: &'scope Scope<'scope, 'env>,
-    session: &'env Session<'env>,
-    slot_idx: usize,
-    ctl: &mut SlotCtl,
-) -> Result<(), String> {
-    let shared = session.shared;
-    let shard = slot_idx % shared.map.shard_count();
-    if let Some(until) = ctl.down_until {
-        if Instant::now() < until {
-            return Err(format!("shard {shard} is in its reconnect-backoff window"));
-        }
-    }
-    if shared.membership.promoting(shard) {
-        // The promotion window: strictly no retry, the request's
-        // outcome on the dying primary is unknown.
-        return Err(format!("shard {shard} is failing over"));
-    }
-    let read_bank = slot_idx >= shared.map.shard_count();
-    let addr = if read_bank {
-        shared.membership.pick_read_addr(shard)
-    } else {
-        shared.membership.primary_addr(shard)
-    };
-    let config = &shared.config;
-    let handshake = || -> io::Result<TcpStream> {
-        let stream = TcpStream::connect_timeout(&addr, config.connect_timeout)?;
-        stream.set_nodelay(true).ok();
-        // Handshake under a deadline so a wedged backend can't hang
-        // the whole session; cleared once the echo arrives.
-        stream.set_read_timeout(Some(config.connect_timeout))?;
-        let mut stream_w = stream.try_clone()?;
-        stream_w.write_all(&MAGIC)?;
-        stream_w.flush()?;
-        let mut echo = [0u8; 4];
-        (&stream).read_exact(&mut echo)?;
-        if echo != MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "backend handshake mismatch",
-            ));
-        }
-        Ok(stream)
-    };
-    let dialed = handshake()
-        .map_err(|e| format!("shard {shard} is unreachable: {e}"))
-        .and_then(|stream| {
-            claim_residue(&stream, shared.map, shard)?;
-            stream
-                .set_read_timeout(None)
-                .map_err(|e| format!("shard {shard}: {e}"))?;
             Ok(stream)
-        });
-    match dialed {
-        Ok(stream) => {
-            let pump_half = match stream.try_clone() {
-                Ok(s) => s,
-                Err(e) => return Err(format!("shard {shard}: {e}")),
-            };
-            let writer_half = match stream.try_clone().map(BufWriter::new) {
-                Ok(w) => w,
-                Err(e) => return Err(format!("shard {shard}: {e}")),
-            };
-            *session.slots[slot_idx].writer.lock() = Some(writer_half);
-            ctl.alive = true;
-            ctl.raw = Some(stream);
-            ctl.generation += 1;
-            ctl.failures = 0;
-            ctl.down_until = None;
-            if read_bank {
-                let floor = shared.membership.primary_epoch(shard);
-                if floor > 0 {
-                    let bseq = ctl.next_bseq;
-                    ctl.next_bseq += 1;
-                    ctl.pending.insert(bseq, Pending::Internal);
-                    let frame = Request::ReadFloor { epoch: floor }.encode(bseq);
-                    if let Some(w) = session.slots[slot_idx].writer.lock().as_mut() {
-                        let _ = write_frame(w, &frame);
-                    }
-                }
+        };
+        let dialed = handshake()
+            .map_err(|e| format!("shard {shard} is unreachable: {e}"))
+            .and_then(|stream| {
+                claim_residue(&stream, shared.map, shard)?;
+                let key = shared.pool.next_key();
+                stream
+                    .set_nonblocking(true)
+                    .and_then(|()| shared.register(key, session, &stream))
+                    .map(|()| (stream, key))
+                    .map_err(|e| format!("shard {shard}: {e}"))
+            });
+        let (stream, key) = match dialed {
+            Ok(dialed) => dialed,
+            Err(msg) => {
+                slot.back_off(config);
+                shared.stats.shard_failures.fetch_add(1, Ordering::Relaxed);
+                return Err(msg);
             }
-            shared
-                .stats
-                .backend_connects
-                .fetch_add(1, Ordering::Relaxed);
-            // Hand the read half to the pump: push *then* notify, so
-            // the pump can't wake without seeing the registration.
-            session
-                .handoff
-                .lock()
-                .push((slot_idx, ctl.generation, pump_half));
-            if !session.pump_started.swap(true, Ordering::SeqCst) {
-                scope.spawn(move || backend_pump(session));
+        };
+        let mut conn = Backend {
+            wire: Wire::new(stream, true),
+            key,
+            armed: Some(Event::readable(key)),
+        };
+        slot.failures = 0;
+        slot.down_until = None;
+        if read_bank {
+            let floor = shared.membership.primary_epoch(shard);
+            if floor > 0 {
+                let bseq = slot.next_bseq;
+                slot.next_bseq += 1;
+                slot.pending.insert(bseq, Pending::Internal);
+                conn.wire
+                    .out
+                    .queue(&Request::ReadFloor { epoch: floor }.encode(bseq));
             }
-            let _ = session.poller.notify();
-            Ok(())
         }
-        Err(msg) => {
-            ctl.back_off(config);
-            shared.stats.shard_failures.fetch_add(1, Ordering::Relaxed);
-            Err(msg)
+        slot.conn = Some(conn);
+        shared
+            .stats
+            .backend_connects
+            .fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Tear down one slot's connection: close it, start the backoff
+    /// clock, and answer every pending request with `Unavailable`.
+    fn fail_slot(&mut self, shared: &RouterShared, slot_idx: usize, why: &str) {
+        let shard = slot_idx % shared.map.shard_count();
+        let slot = &mut self.slots[slot_idx];
+        let Some(mut conn) = slot.conn.take() else {
+            return;
+        };
+        shared.close(conn.key, &mut conn.wire);
+        slot.back_off(&shared.config);
+        shared.stats.shard_failures.fetch_add(1, Ordering::Relaxed);
+        let drained: Vec<Pending> = slot.pending.drain().map(|(_, pending)| pending).collect();
+        for pending in drained {
+            let err =
+                RemoteError::Unavailable(format!("shard {shard}: {why}; request not retried"));
+            self.settle(&shared.stats, pending, Err(err));
         }
     }
+
+    /// Arm every socket for what the session can take next: backends
+    /// for reading unless the client is backlogged and for writing while
+    /// they are; the client per [`Wire::interest`], blocked while a
+    /// backend is backlogged.
+    fn rearm(&mut self, shared: &RouterShared) {
+        let client_backlogged = self.client.out.backlog() > 0;
+        for i in 0..self.slots.len() {
+            let Some(conn) = self.slots[i].conn.as_mut() else {
+                continue;
+            };
+            let want = Event {
+                key: conn.key,
+                readable: !client_backlogged,
+                writable: conn.wire.out.backlog() > 0,
+            };
+            if !arm(&shared.pool, &conn.wire.stream, &mut conn.armed, want) {
+                self.fail_slot(shared, i, "re-arm failed");
+            }
+        }
+        let blocked = self.slots.iter().any(Slot::backlogged);
+        let want = self.client.interest(self.key, blocked);
+        if !arm(&shared.pool, &self.client.stream, &mut self.armed, want) {
+            self.close(shared);
+        }
+    }
+
+    /// End the session: close the client and every backend connection.
+    fn close(&mut self, shared: &RouterShared) {
+        if std::mem::replace(&mut self.closed, true) {
+            return;
+        }
+        for slot in &mut self.slots {
+            if let Some(mut conn) = slot.conn.take() {
+                shared.close(conn.key, &mut conn.wire);
+            }
+        }
+        shared.close(self.key, &mut self.client);
+    }
+}
+
+/// Arm `stream` with `want` unless it already is; a disarmed socket that
+/// wants nothing stays disarmed. `false` when the poller refused.
+fn arm(pool: &Pool, stream: &TcpStream, armed: &mut Option<Event>, want: Event) -> bool {
+    let idle = !want.readable && !want.writable;
+    if *armed == Some(want) || (armed.is_none() && idle) {
+        return true;
+    }
+    *armed = Some(want);
+    pool.arm(stream, want).is_ok()
 }
 
 /// Claim shard `shard`'s id residue on a freshly dialed node, before
@@ -1285,220 +1325,39 @@ fn claim_residue(stream: &TcpStream, map: ShardMap, shard: usize) -> Result<(), 
     }
 }
 
-/// Tear down one slot's connection: mark it dead, start the backoff
-/// clock, and answer every pending request with `Unavailable`. Safe to
-/// call from any thread; only the first caller acts. `generation` is
-/// the connection the caller saw fail — if the slot has already been
-/// torn down *and redialed* since, the report is stale and ignored.
-fn fail_slot(session: &Session<'_>, slot_idx: usize, generation: u64, why: &str) {
-    let shard = slot_idx % session.shared.map.shard_count();
-    let slot = &session.slots[slot_idx];
-    let drained: Vec<(u64, Pending)> = {
-        let mut ctl = slot.ctl.lock();
-        if !ctl.alive || ctl.generation != generation {
-            return; // already torn down (or a successor is up)
-        }
-        ctl.alive = false;
-        if let Some(raw) = ctl.raw.take() {
-            let _ = raw.shutdown(Shutdown::Both);
-        }
-        ctl.back_off(&session.shared.config);
-        ctl.pending.drain().collect()
-    };
-    *slot.writer.lock() = None;
-    session
-        .shared
-        .stats
-        .shard_failures
-        .fetch_add(1, Ordering::Relaxed);
-    for (_, pending) in drained {
-        let err = RemoteError::Unavailable(format!("shard {shard}: {why}; request not retried"));
-        let _ = session.settle(pending, Err(err));
-    }
-    // The drained answers must not sit in the buffer: the client loop
-    // doesn't know we wrote them.
-    let _ = session.client_writer.lock().flush();
-}
-
-/// One live backend connection as the pump sees it: the read half
-/// (registered with the poller under a session-unique key) and its
-/// frame-reassembly buffer.
-struct PumpConn {
-    slot_idx: usize,
-    /// The slot generation this connection was dialed under; failure
-    /// reports carry it so they can't hit a successor connection.
-    generation: u64,
-    stream: TcpStream,
-    fbuf: FrameBuffer,
-}
-
-/// What one pump step decided about a connection.
-enum PumpStatus {
-    /// Connection healthy, keep it registered.
-    Keep,
-    /// Connection faulted: fail the slot and drop the registration.
-    Drop(&'static str),
-    /// The *client* writer is dead — the session is tearing down, so
-    /// the pump exits wholesale.
-    ClientGone,
-}
-
-/// The session's backend-response pump: one thread multiplexing every
-/// live shard connection through an epoll [`Poller`], replacing the
-/// old reader-thread-per-backend design.
-///
-/// Backend sockets stay **blocking** — under level-triggered readiness
-/// a single `read` per readable event cannot block (readable means at
-/// least one byte, or EOF/error, is waiting), and the blocking writer
-/// halves used by [`forward`] keep their simple `BufWriter` semantics.
-/// New connections arrive through `Session::handoff` (pushed before a
-/// [`Poller::notify`]); dead ones are noticed by the HUP their
-/// shutdown causes. Each registration gets a fresh key, so a stale
-/// event for a replaced connection can never be misread as its
-/// successor's.
-fn backend_pump(session: &Session<'_>) {
-    let mut conns: HashMap<usize, PumpConn> = HashMap::new();
-    let mut next_key = 0usize;
-    let mut events = Vec::new();
-    let mut scratch = vec![0u8; 64 * 1024];
-    loop {
-        if session.poller.wait(&mut events, None).is_err() {
-            return;
-        }
-        if session.hangup.load(Ordering::Acquire) {
-            return; // teardown: shutdown_backends owns the sockets
-        }
-        // Register connections dialed since the last round. Drained to
-        // a local vec first: fail_slot takes ctl locks, and ensure_conn
-        // pushes here *while holding* a ctl lock.
-        let fresh: Vec<_> = session.handoff.lock().drain(..).collect();
-        for (slot_idx, generation, stream) in fresh {
-            let key = next_key;
-            next_key += 1;
-            if session.poller.add(&stream, Event::readable(key)).is_err() {
-                fail_slot(session, slot_idx, generation, "pump registration failed");
-                continue;
-            }
-            conns.insert(
-                key,
-                PumpConn {
-                    slot_idx,
-                    generation,
-                    stream,
-                    fbuf: FrameBuffer::new(),
-                },
-            );
-        }
-        let mut wrote = false;
-        for ev in &events {
-            let Some(conn) = conns.get_mut(&ev.key) else {
-                continue; // stale event for a dropped registration
-            };
-            match pump_step(session, conn, &mut scratch, &mut wrote) {
-                PumpStatus::Keep => {}
-                PumpStatus::Drop(why) => {
-                    let conn = conns.remove(&ev.key).expect("checked above");
-                    fail_slot(session, conn.slot_idx, conn.generation, why);
-                    // Deregister before the dup closes on drop.
-                    let _ = session.poller.delete(&conn.stream);
-                }
-                PumpStatus::ClientGone => return,
-            }
-        }
-        // One flush per readiness round: responses from every backend
-        // that spoke this round share it.
-        if wrote && session.client_writer.lock().flush().is_err() {
-            return;
-        }
-    }
-}
-
-/// Service one readable event: a single `read` (safe on the blocking
-/// socket — the event guarantees it won't park), then every complete
-/// frame it yields.
-fn pump_step(
-    session: &Session<'_>,
-    conn: &mut PumpConn,
-    scratch: &mut [u8],
-    wrote: &mut bool,
-) -> PumpStatus {
-    let n = match (&conn.stream).read(scratch) {
-        Ok(0) => return PumpStatus::Drop("connection lost"),
-        Ok(n) => n,
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => return PumpStatus::Keep,
-        Err(_) => return PumpStatus::Drop("connection lost"),
-    };
-    conn.fbuf.extend(&scratch[..n]);
-    let slot_idx = conn.slot_idx;
-    loop {
-        match conn.fbuf.next_frame() {
-            Ok(None) => return PumpStatus::Keep,
-            Ok(Some(payload)) => match on_backend_frame(session, slot_idx, payload, wrote) {
-                FrameVerdict::Answered => {}
-                FrameVerdict::Fault(why) => return PumpStatus::Drop(why),
-                FrameVerdict::ClientGone => return PumpStatus::ClientGone,
-            },
-            Err(_) => {
-                // A backend framing its stream wrong can't be trusted
-                // for anything in flight: kill the connection, which
-                // answers every pending request cleanly.
-                session
-                    .shared
-                    .stats
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                return PumpStatus::Drop("undecodable response from shard");
-            }
-        }
-    }
-}
-
-/// What correlating one backend frame concluded.
-enum FrameVerdict {
-    Answered,
-    Fault(&'static str),
-    ClientGone,
-}
-
 /// Correlate one backend frame with its pending entry and answer the
 /// client: a single request's result bytes go back as they came, behind
 /// the client's sequence id (the client's strict decoder checks them);
-/// a scatter part is decoded, because parts are merged. `*wrote`
-/// records that the client writer now holds unflushed bytes — the pump
-/// flushes once per readiness round.
+/// a scatter part is decoded, because parts are merged. `Err` names a
+/// fault that must tear the connection down.
 fn on_backend_frame(
-    session: &Session<'_>,
+    stats: &RouterStats,
+    session: &mut SessionState,
     slot_idx: usize,
     payload: &[u8],
-    wrote: &mut bool,
-) -> FrameVerdict {
-    let shard = slot_idx % session.shared.map.shard_count();
+) -> Result<(), &'static str> {
+    let shard = slot_idx % session.wrote.len();
     let protocol_error = || {
-        session
-            .shared
-            .stats
-            .protocol_errors
-            .fetch_add(1, Ordering::Relaxed);
+        stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
     };
     let Ok((bseq, body)) = split_seq(payload) else {
         protocol_error();
-        return FrameVerdict::Fault("undecodable response from shard");
+        return Err("undecodable response from shard");
     };
-    let pending = session.slots[slot_idx].ctl.lock().pending.remove(&bseq);
+    let pending = session.slots[slot_idx].pending.remove(&bseq);
     match pending {
         None => {
             // A response nothing asked for; ignoring it would leave
             // the correlation state suspect, so treat as a fault.
             protocol_error();
-            FrameVerdict::Fault("response with unknown sequence id")
+            Err("response with unknown sequence id")
         }
-        Some(Pending::Internal) => FrameVerdict::Answered, // the `ReadFloor` pin's ack
+        Some(Pending::Internal) => Ok(()), // the `ReadFloor` pin's ack
         Some(Pending::Single { client_seq }) => {
-            *wrote = true;
-            match write_frame_seq(&mut *session.client_writer.lock(), client_seq, body) {
-                Ok(()) => FrameVerdict::Answered,
-                Err(_) => FrameVerdict::ClientGone,
+            if let Some(buf) = session.client.out.buf() {
+                write_frame_seq(buf, client_seq, body).expect("Vec write is infallible");
             }
+            Ok(())
         }
         Some(part @ Pending::Part(_)) => {
             // The pending entry is already removed, so this frame owns
@@ -1513,13 +1372,10 @@ fn on_backend_frame(
                     "shard {shard}: undecodable response from shard; request not retried"
                 ))
             });
-            *wrote = true;
-            if session.settle(part, outcome).is_err() {
-                FrameVerdict::ClientGone
-            } else if failed {
-                FrameVerdict::Fault("undecodable response from shard")
-            } else {
-                FrameVerdict::Answered
+            session.settle(stats, part, outcome);
+            match failed {
+                true => Err("undecodable response from shard"),
+                false => Ok(()),
             }
         }
     }
@@ -1527,6 +1383,8 @@ fn on_backend_frame(
 
 #[cfg(test)]
 mod tests {
+    use std::io::BufReader;
+
     use super::*;
     use crate::protocol::{DiffSummary, Opcode, StorageCounters, OPCODE_COUNT};
     use ode::{MergeConflict, MergePolicy, TypeTag, Vid};
@@ -1831,20 +1689,14 @@ mod tests {
     /// A router over `shards` backends that nothing listens behind.
     fn shared_over(shards: usize) -> RouterShared {
         let nowhere = SocketAddr::from(([127, 0, 0, 1], 9));
-        RouterShared {
-            membership: Membership::new(vec![ShardMembership::solo(nowhere); shards]),
-            map: ShardMap::new(shards),
-            config: RouterConfig::default(),
-            stats: RouterStats::default(),
-            next_pnew_shard: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-        }
+        let members = vec![ShardMembership::solo(nowhere); shards];
+        RouterShared::new("127.0.0.1:0", members, RouterConfig::default()).expect("router")
     }
 
     /// A client socket pair: the router's end and a reader on the
     /// client's.
     fn client_pair() -> (TcpStream, BufReader<TcpStream>) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let far_end = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
         let (router_end, _) = listener.accept().expect("accept");
         (router_end, BufReader::new(far_end))
@@ -1862,15 +1714,12 @@ mod tests {
     ) -> Vec<u8> {
         let backend_seq = client_seq ^ 0x5a5a;
         let pending = Pending::Single { client_seq };
-        session.slots[shard]
-            .ctl
-            .lock()
-            .pending
-            .insert(backend_seq, pending);
-        let mut wrote = false;
-        let verdict = on_backend_frame(session, shard, &result.encode(backend_seq), &mut wrote);
-        assert!(matches!(verdict, FrameVerdict::Answered), "{result:?}");
-        session.client_writer.lock().flush().expect("flush");
+        let mut state = session.state.lock();
+        state.slots[shard].pending.insert(backend_seq, pending);
+        let stats = RouterStats::default();
+        let verdict = on_backend_frame(&stats, &mut state, shard, &result.encode(backend_seq));
+        assert_eq!(verdict, Ok(()), "{result:?}");
+        state.client.flush();
         read_frame(client).expect("frame").expect("open")
     }
 

@@ -72,26 +72,22 @@
 //! is shut down.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::{self, JoinHandle};
+use std::thread::JoinHandle;
 
 use ode::{Database, EpochCache, IdClaim};
 use parking_lot::Mutex;
-use polling::{Event, PollMode, Poller};
+use polling::Event;
 
 use crate::error::RemoteError;
+use crate::event_loop::{default_threads, Pool, Service, Wire, PIPELINE_DEPTH};
 use crate::protocol::{
-    request_counts, write_frame, DiffSummary, FrameBuffer, Request, Response, StatsReport,
-    StorageCounters, MAGIC, OPCODE_COUNT,
+    request_counts, DiffSummary, Request, Response, StatsReport, StorageCounters, OPCODE_COUNT,
 };
-
-/// Frames one turn executes before the connection is re-armed (the
-/// per-connection backpressure unit).
-const PIPELINE_DEPTH: usize = 64;
 
 /// Longest a read waits for its connection's read floor in one turn
 /// (the whole wait is [`ServerConfig::read_floor_timeout`]); well under
@@ -129,12 +125,8 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
-        let workers = thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .clamp(4, 16);
         ServerConfig {
-            workers,
+            workers: default_threads(),
             replica: false,
             read_floor_timeout: std::time::Duration::from_secs(5),
             write_buffer_cap: 64 << 20,
@@ -222,7 +214,7 @@ impl ServerStats {
 }
 
 /// Everything the server's threads share: the database, counters,
-/// cache and replication role, the poller with the listener, and the
+/// cache and replication role, the pool they wait on, and the
 /// connections waiting for their next turn.
 struct Node {
     db: Arc<Database>,
@@ -234,15 +226,12 @@ struct Node {
     hooks: ServerHooks,
     floor_timeout: std::time::Duration,
     write_cap: usize,
-    poller: Poller,
-    listener: TcpListener,
+    pool: Pool,
     /// Every open connection that is not in a turn, by poller key. The
     /// thread that claims a connection's event takes it out for the
     /// turn and puts it back before re-arming it, so a connection is
     /// never in two turns at once.
     idle: Mutex<HashMap<usize, Conn>>,
-    next_token: AtomicUsize,
-    shutdown: AtomicBool,
 }
 
 /// Length in bytes of the sequence-id varint a frame payload starts
@@ -460,75 +449,16 @@ fn apply(db: &Database, request: Request) -> ode::Result<Response> {
 // Turns
 // ---------------------------------------------------------------------------
 
-/// The listener's poller key; connection tokens start above it.
-const LISTENER_KEY: usize = 0;
-
 /// Per-connection state, owned by whichever thread holds its turn.
 struct Conn {
-    stream: TcpStream,
+    wire: Wire,
     token: usize,
-    /// Handshake progress: how many magic bytes have been read
-    /// (sessions start in the handshake state, `got < 4`).
-    magic_got: usize,
-    /// Partial-read buffer: accumulates socket bytes, yields frames.
-    rbuf: FrameBuffer,
     /// The connection's read floor (the `ReadFloor` opcode), applied
     /// to the reads after it.
     read_floor: u64,
     /// When the read at the head of the stream began waiting for the
     /// read floor, while it waits.
     floor_since: Option<std::time::Instant>,
-    /// Partial-write buffer (`wpos` = bytes already on the wire).
-    wbuf: Vec<u8>,
-    wpos: usize,
-    /// Peer sent EOF: finish the buffered frames, then close.
-    peer_closed: bool,
-    /// The socket's write side failed; responses are discarded but
-    /// buffered writes still execute (they were accepted off the wire).
-    write_dead: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, token: usize) -> Conn {
-        Conn {
-            stream,
-            token,
-            magic_got: 0,
-            rbuf: FrameBuffer::new(),
-            read_floor: 0,
-            floor_since: None,
-            wbuf: Vec::new(),
-            wpos: 0,
-            peer_closed: false,
-            write_dead: false,
-        }
-    }
-
-    fn backlog(&self) -> usize {
-        self.wbuf.len() - self.wpos
-    }
-}
-
-/// Appends one response frame to a connection's write buffer (split
-/// borrows, for a caller holding a frame payload borrowed out of the
-/// same connection's read buffer).
-fn queue_frame(
-    wbuf: &mut Vec<u8>,
-    wpos: &mut usize,
-    write_dead: bool,
-    stats: &ServerStats,
-    payload: &[u8],
-) {
-    if write_dead {
-        return;
-    }
-    // Compact lazily once the sent prefix dominates.
-    if *wpos > 4096 && *wpos * 2 > wbuf.len() {
-        wbuf.drain(..*wpos);
-        *wpos = 0;
-    }
-    let written = write_frame(wbuf, payload).expect("Vec write is infallible");
-    stats.bytes_out.fetch_add(written, Ordering::Relaxed);
 }
 
 /// Why a connection is being torn down.
@@ -565,11 +495,8 @@ impl OdeServer {
         config: ServerConfig,
         hooks: ServerHooks,
     ) -> io::Result<OdeServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let poller = Poller::new()?;
-        poller.add_with_mode(&listener, Event::readable(LISTENER_KEY), PollMode::Oneshot)?;
+        let pool = Pool::bind(addr)?;
+        let addr = pool.local_addr()?;
         let node = Arc::new(Node {
             db,
             stats: ServerStats::default(),
@@ -578,21 +505,10 @@ impl OdeServer {
             hooks,
             floor_timeout: config.read_floor_timeout,
             write_cap: config.write_buffer_cap.max(1),
-            poller,
-            listener,
+            pool,
             idle: Mutex::new(HashMap::new()),
-            next_token: AtomicUsize::new(LISTENER_KEY + 1),
-            shutdown: AtomicBool::new(false),
         });
-        let threads = (0..config.workers.max(1))
-            .map(|i| {
-                let node = Arc::clone(&node);
-                thread::Builder::new()
-                    .name(format!("ode-net-{i}"))
-                    .spawn(move || serve(&node))
-                    .expect("spawn server thread")
-            })
-            .collect();
+        let threads = Pool::spawn(&node, config.workers, "ode-net");
         Ok(OdeServer {
             addr,
             node,
@@ -625,18 +541,12 @@ impl OdeServer {
 
     fn stop(&mut self) {
         let node = &*self.node;
-        if node.shutdown.swap(true, Ordering::SeqCst) {
+        if !node.pool.stop(&mut self.threads) {
             return;
         }
-        // One wake; each thread passes it on as it leaves.
-        let _ = node.poller.notify();
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
-        }
         // No thread is in a turn any more: every open connection is idle.
-        for (_, conn) in node.idle.lock().drain() {
-            let _ = node.poller.delete(&conn.stream);
-            let _ = conn.stream.shutdown(Shutdown::Both);
+        for (_, mut conn) in node.idle.lock().drain() {
+            conn.wire.close(&node.pool);
             node.stats
                 .active_connections
                 .fetch_sub(1, Ordering::Relaxed);
@@ -658,91 +568,58 @@ impl std::fmt::Debug for OdeServer {
     }
 }
 
-/// One server thread: claim one event at a time and give its source a
-/// turn.
-fn serve(node: &Node) {
-    let mut events: Vec<Event> = Vec::new();
-    let mut scratch = vec![0u8; 64 << 10];
-    loop {
-        if node.poller.wait_max(&mut events, 1, None).is_err() {
-            break;
-        }
-        if node.shutdown.load(Ordering::SeqCst) {
-            // Pass the wake on to the next thread still waiting.
-            let _ = node.poller.notify();
-            break;
-        }
-        let Some(ev) = events.first() else {
-            continue;
+impl Service for Node {
+    fn pool(&self) -> &Pool {
+        &self.pool
+    }
+
+    fn accept(&self, stream: TcpStream) {
+        let stats = &self.stats;
+        stats.total_connections.fetch_add(1, Ordering::Relaxed);
+        let token = self.pool.next_key();
+        let fd = stream.as_raw_fd();
+        stats.active_connections.fetch_add(1, Ordering::Relaxed);
+        let conn = Conn {
+            wire: Wire::new(stream, false),
+            token,
+            read_floor: 0,
+            floor_since: None,
         };
-        if ev.key == LISTENER_KEY {
-            accept_ready(node);
-            continue;
+        // Among the idle before it is armed: whoever claims its first
+        // event must find it there.
+        self.idle.lock().insert(token, conn);
+        if self.pool.add(&fd, Event::readable(token)).is_err() {
+            self.idle.lock().remove(&token);
+            stats.active_connections.fetch_sub(1, Ordering::Relaxed);
         }
-        let claimed = node.idle.lock().remove(&ev.key);
+    }
+
+    fn claim(&self, key: usize, scratch: &mut [u8]) {
+        let claimed = self.idle.lock().remove(&key);
         let Some(mut conn) = claimed else {
             // Unreachable while registrations are oneshot: an event is
             // delivered once per arming, and a connection is armed only
             // while it is idle.
             #[cfg(test)]
             tests::BUSY_CLAIMS.fetch_add(1, Ordering::Relaxed);
-            continue;
+            return;
         };
-        match turn(node, &mut conn, &mut scratch) {
+        match turn(self, &mut conn, scratch) {
             Ok(interest) => {
-                let fd = conn.stream.as_raw_fd();
+                let fd = conn.wire.stream.as_raw_fd();
                 // Back among the idle before it is armed: whoever
                 // claims the next event must find it there.
-                node.idle.lock().insert(conn.token, conn);
-                if node
-                    .poller
-                    .modify_with_mode(&fd, interest, PollMode::Oneshot)
-                    .is_err()
-                {
-                    let conn = node.idle.lock().remove(&interest.key);
+                self.idle.lock().insert(conn.token, conn);
+                if self.pool.arm(&fd, interest).is_err() {
+                    let conn = self.idle.lock().remove(&interest.key);
                     if let Some(conn) = conn {
-                        close(node, conn, Close::Done);
+                        close(self, conn, Close::Done);
                     }
                 }
             }
-            Err(why) => close(node, conn, why),
+            Err(why) => close(self, conn, why),
         }
     }
-}
-
-fn accept_ready(node: &Node) {
-    let stats = &node.stats;
-    loop {
-        let stream = match node.listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            // Transient accept failures (ECONNABORTED, EMFILE): leave
-            // the rest for the next readiness report.
-            Err(_) => break,
-        };
-        stats.total_connections.fetch_add(1, Ordering::Relaxed);
-        if stream.set_nonblocking(true).is_err() {
-            continue;
-        }
-        stream.set_nodelay(true).ok();
-        let token = node.next_token.fetch_add(1, Ordering::Relaxed);
-        let fd = stream.as_raw_fd();
-        stats.active_connections.fetch_add(1, Ordering::Relaxed);
-        node.idle.lock().insert(token, Conn::new(stream, token));
-        let interest = Event::readable(token);
-        if node
-            .poller
-            .add_with_mode(&fd, interest, PollMode::Oneshot)
-            .is_err()
-        {
-            node.idle.lock().remove(&token);
-            stats.active_connections.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-    let interest = Event::readable(LISTENER_KEY);
-    let _ = node
-        .poller
-        .modify_with_mode(&node.listener, interest, PollMode::Oneshot);
 }
 
 /// Tear down a connection that is out of the idle map.
@@ -752,14 +629,9 @@ fn close(node: &Node, mut conn: Conn, why: Close) {
             .slow_client_evictions
             .fetch_add(1, Ordering::Relaxed);
     }
-    // Best-effort final flush (one nonblocking pass): answers queued
-    // before a fatal frame should still try to reach the client.
-    if !conn.write_dead && conn.backlog() > 0 {
-        let wpos = conn.wpos;
-        let _ = conn.stream.write_all(&conn.wbuf[wpos..]);
-    }
-    let _ = node.poller.delete(&conn.stream);
-    let _ = conn.stream.shutdown(Shutdown::Both);
+    // Best-effort final flush: answers queued before a fatal frame
+    // should still try to reach the client.
+    conn.wire.close(&node.pool);
     node.stats
         .active_connections
         .fetch_sub(1, Ordering::Relaxed);
@@ -769,88 +641,24 @@ fn close(node: &Node, mut conn: Conn, why: Close) {
 /// execute up to [`PIPELINE_DEPTH`] frames, flush. Returns the interest
 /// to re-arm with, or why the connection is done.
 fn turn(node: &Node, conn: &mut Conn, scratch: &mut [u8]) -> Result<Event, Close> {
-    if !conn.rbuf.has_frame() {
-        read_ready(conn, &node.stats, scratch);
+    if !conn.wire.rbuf.has_frame() {
+        conn.wire.read_ready(scratch, &node.stats.protocol_errors);
     }
     execute_frames(node, conn)?;
-
-    // Flush as far as the socket allows.
-    while conn.wpos < conn.wbuf.len() && !conn.write_dead {
-        match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-            Ok(0) => conn.write_dead = true,
-            Ok(n) => conn.wpos += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => conn.write_dead = true,
-        }
-    }
-    if conn.write_dead {
-        // Undeliverable: drop the backlog, keep executing what was
-        // read.
-        conn.wbuf.clear();
-        conn.wpos = 0;
-    }
+    conn.wire.flush();
 
     // Slow-client guard: a reader this far behind its responses is
     // evicted rather than allowed to pin server memory.
-    if conn.backlog() > node.write_cap {
+    let backlog = conn.wire.out.backlog();
+    if backlog > node.write_cap {
         return Err(Close::Evicted);
     }
-    let left_over = conn.rbuf.has_frame();
-    let backlogged = conn.backlog() > 0 && !conn.write_dead;
     // Nothing left to read, execute or write: the session is over. (A
     // partial frame cut off by the EOF can never be answered.)
-    if conn.peer_closed && !left_over && !backlogged {
+    if conn.wire.peer_closed && !conn.wire.rbuf.has_frame() && backlog == 0 {
         return Err(Close::Done);
     }
-    Ok(Event {
-        key: conn.token,
-        readable: !conn.peer_closed && !left_over,
-        writable: backlogged || left_over,
-    })
-}
-
-/// Pull what the kernel has into the connection's read buffer, until
-/// it holds a complete frame or the socket runs dry.
-fn read_ready(conn: &mut Conn, stats: &ServerStats, scratch: &mut [u8]) {
-    while !conn.peer_closed && !conn.rbuf.has_frame() {
-        let n = match conn.stream.read(scratch) {
-            Ok(0) => {
-                conn.peer_closed = true;
-                break;
-            }
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => {
-                // Reset mid-stream: what was read still executes,
-                // nothing more arrives and nothing can be delivered.
-                conn.peer_closed = true;
-                conn.write_dead = true;
-                break;
-            }
-        };
-        let mut bytes = &scratch[..n];
-        // Handshake state: expect the client's 4 magic bytes, echo
-        // them back.
-        if conn.magic_got < 4 {
-            let take = bytes.len().min(4 - conn.magic_got);
-            let (magic, rest) = bytes.split_at(take);
-            if magic != &MAGIC[conn.magic_got..conn.magic_got + take] {
-                stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                conn.peer_closed = true;
-                conn.write_dead = true;
-                return;
-            }
-            conn.magic_got += take;
-            bytes = rest;
-            if conn.magic_got == 4 && !conn.write_dead {
-                // The echo is raw bytes, not a frame.
-                conn.wbuf.extend_from_slice(&MAGIC);
-            }
-        }
-        conn.rbuf.extend(bytes);
-    }
+    Ok(conn.wire.interest(conn.token, false))
 }
 
 /// Where a read stands against its connection's read floor.
@@ -897,12 +705,9 @@ fn execute_frames(node: &Node, conn: &mut Conn) -> Result<(), Close> {
     // Split borrows: frame payloads stay borrowed out of `rbuf` while
     // the other connection fields are written.
     let Conn {
-        rbuf,
+        wire: Wire { rbuf, out, .. },
         read_floor,
         floor_since,
-        wbuf,
-        wpos,
-        write_dead,
         ..
     } = conn;
     for _ in 0..PIPELINE_DEPTH {
@@ -932,7 +737,7 @@ fn execute_frames(node: &Node, conn: &mut Conn) -> Result<(), Close> {
             payload.len() as u64 + frame_prefix_len(payload.len()),
             Ordering::Relaxed,
         );
-        let (out, waited) = match decoded {
+        let (frame, waited) = match decoded {
             Err(e) => {
                 // The frame was well delimited, so the stream is still
                 // in sync: report under the request's sequence id (or 0
@@ -964,13 +769,14 @@ fn execute_frames(node: &Node, conn: &mut Conn) -> Result<(), Close> {
                     }
                     (request, floor) => {
                         let op_bytes = &payload[seq_prefix_len(payload)..];
-                        let (out, barrier) = execute(node, seq, request, op_bytes);
-                        (out, barrier || matches!(floor, Floor::Waited))
+                        let (frame, barrier) = execute(node, seq, request, op_bytes);
+                        (frame, barrier || matches!(floor, Floor::Waited))
                     }
                 }
             }
         };
-        queue_frame(wbuf, wpos, *write_dead, stats, &out);
+        let written = out.queue(&frame);
+        stats.bytes_out.fetch_add(written, Ordering::Relaxed);
         // A thread just back from a replication wait serves the
         // longest-waiting connection before this one's next request.
         if waited {
@@ -1004,8 +810,10 @@ mod tests {
     use proptest::prelude::*;
     use rand::SeedableRng;
 
+    use std::thread;
+
     use super::*;
-    use crate::protocol::{read_frame_into, Opcode};
+    use crate::protocol::{read_frame_into, write_frame, Opcode, MAGIC};
     use crate::relay::{FaultRelay, RelayPlan};
 
     /// The tag every test object carries; nothing in the differential
@@ -1307,16 +1115,16 @@ mod tests {
             ..RelayPlan::clean()
         });
         let relay = FaultRelay::start(server.local_addr(), plans.to_vec()).expect("relay");
-        let got: Vec<Vec<(u64, Vec<u8>)>> = thread::scope(|scope| {
-            let players: Vec<_> = streams
-                .iter()
-                .map(|ops| scope.spawn(|| play(relay.local_addr(), ops)))
-                .collect();
-            players
-                .into_iter()
-                .map(|p| p.join().expect("player"))
-                .collect()
-        });
+        let addr = relay.local_addr();
+        let players: Vec<_> = streams
+            .iter()
+            .cloned()
+            .map(|ops| thread::spawn(move || play(addr, &ops)))
+            .collect();
+        let got: Vec<Vec<(u64, Vec<u8>)>> = players
+            .into_iter()
+            .map(|p| p.join().expect("player"))
+            .collect();
         relay.shutdown();
         server.shutdown();
 

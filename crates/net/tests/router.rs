@@ -1,10 +1,11 @@
 //! Integration tests for the `ode-router` shard tier.
 //!
-//! Four angles: cross-topology conformance (a 1-shard router must be
+//! Five angles: cross-topology conformance (a 1-shard router must be
 //! byte-indistinguishable from a direct server), full typed flows
 //! through a 4-shard tier (placement, residue ids, scatter merges,
 //! read-your-writes per oid), reconnect-with-backoff after a shard
-//! restart, and the id claims a router makes of its shards.
+//! restart, the id claims a router makes of its shards, and sessions
+//! sharing the router's threads (a wedged dial, a pipelined burst).
 
 use std::sync::Arc;
 use std::thread;
@@ -12,6 +13,7 @@ use std::time::{Duration, Instant};
 
 use ode::{Database, DatabaseOptions, Oid};
 use ode_codec::{impl_persist_struct, impl_type_name, to_bytes};
+use ode_net::protocol::{read_frame_into, write_frame, MAGIC};
 use ode_net::{
     ClientConfig, ClientObjPtr, ClientVersionPtr, Cluster, ClusterConfig, NetError, OdeClient,
     OdeRouter, OdeServer, RemoteError, Request, Response, RouterConfig, ServerConfig,
@@ -612,4 +614,187 @@ fn a_store_with_dense_ids_is_refused_behind_a_wider_tier() {
     assert_eq!(c.pnew(&doc("next", 2)).expect("pnew").oid(), Oid(2));
     drop(c);
     router.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Sessions on shared threads
+// ---------------------------------------------------------------------------
+
+/// A raw handshaken connection to `addr` that reads with `timeout`.
+fn raw_session(addr: std::net::SocketAddr, timeout: Duration) -> std::net::TcpStream {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(timeout)).expect("timeout");
+    stream.write_all(&MAGIC).expect("magic");
+    let mut echo = [0u8; 4];
+    stream.read_exact(&mut echo).expect("handshake echo");
+    assert_eq!(echo, MAGIC);
+    stream
+}
+
+/// Send one request frame in one write and read its answer.
+fn call(stream: &mut std::net::TcpStream, seq: u64, request: &Request) -> Response {
+    use std::io::Write;
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &request.encode(seq)).expect("frame");
+    stream.write_all(&frame).expect("send");
+    let mut payload = Vec::new();
+    assert!(read_frame_into(stream, &mut payload).expect("answer"));
+    let (got, response) = Response::decode(&payload).expect("response");
+    assert_eq!(got, seq);
+    response
+}
+
+/// A shard that accepts connections and never echoes the handshake
+/// holds only the thread dialing it: while one session waits out its
+/// dial, another session's requests to the healthy shard are answered
+/// promptly.
+#[test]
+fn a_wedged_shard_stalls_only_its_own_dial() {
+    let path = TempPath::new();
+    let (_db, healthy) = shard_server(&path);
+    // Connections queue in its backlog; nothing ever answers them.
+    let wedged = std::net::TcpListener::bind("127.0.0.1:0").expect("wedged shard");
+    let config = RouterConfig {
+        connect_timeout: Duration::from_secs(2),
+        ..RouterConfig::default()
+    };
+    let router = OdeRouter::bind(
+        "127.0.0.1:0",
+        vec![healthy.local_addr(), wedged.local_addr().expect("addr")],
+        config,
+    )
+    .expect("router");
+    let tag = tag();
+
+    let mut a = raw_session(router.local_addr(), Duration::from_secs(10));
+    let mut b = raw_session(router.local_addr(), Duration::from_secs(10));
+    let stalled = thread::spawn(move || {
+        let started = Instant::now();
+        let answer = call(&mut a, 1, &Request::Deref { oid: Oid(1), tag });
+        (answer, started.elapsed())
+    });
+    // B runs for longer than A's dial, alternating a ping and a deref
+    // of an even oid (the healthy shard's, never issued).
+    let started = Instant::now();
+    let mut worst = Duration::ZERO;
+    let mut seq = 0;
+    while started.elapsed() < Duration::from_millis(2500) {
+        seq += 1;
+        let (request, oid) = if seq % 2 == 1 {
+            (Request::Ping, None)
+        } else {
+            let oid = Oid(2 * seq);
+            (Request::Deref { oid, tag }, Some(oid))
+        };
+        let sent = Instant::now();
+        let answer = call(&mut b, seq, &request);
+        worst = worst.max(sent.elapsed());
+        match (answer, oid) {
+            (Response::Pong, None) => {}
+            (Response::Err(RemoteError::UnknownObject(got)), Some(oid)) => assert_eq!(got, oid),
+            (other, _) => panic!("request {seq} answered {other:?}"),
+        }
+        thread::sleep(Duration::from_millis(20));
+    }
+    assert!(
+        worst < Duration::from_millis(500),
+        "the healthy shard's session waited {worst:?} behind the wedged dial"
+    );
+    let (answer, waited) = stalled.join().expect("session A");
+    assert!(
+        matches!(answer, Response::Err(RemoteError::Unavailable(_))),
+        "{answer:?}"
+    );
+    assert!(
+        waited >= Duration::from_millis(1500) && waited < Duration::from_secs(5),
+        "the wedged dial was answered after {waited:?}"
+    );
+    router.shutdown();
+}
+
+/// One client writes thousands of pipelined requests — far more bytes
+/// of answers than the sockets between it and the shards buffer —
+/// before it reads a single answer. Every answer arrives under its own
+/// seq with the body it should carry, and a read after a write to the
+/// same oid sees that write.
+#[test]
+fn a_pipelined_burst_larger_than_the_socket_buffers_is_answered_in_full() {
+    use std::io::{BufReader, Write};
+
+    let cluster = Cluster::start(ClusterConfig {
+        shards: 4,
+        ..ClusterConfig::default()
+    });
+    let body = |oid: usize, revision: usize| {
+        let mut bytes = format!("oid {oid} revision {revision} ").into_bytes();
+        bytes.resize(2048, b'a' + (revision % 26) as u8);
+        bytes
+    };
+    const OBJECTS: usize = 16;
+    let mut c =
+        OdeClient::connect(cluster.router_addr(), ClientConfig::default()).expect("connect");
+    let oids: Vec<Oid> = (0..OBJECTS)
+        .map(|i| c.pnew_raw(tag(), body(i, 0)).expect("pnew").0)
+        .collect();
+    let shards: std::collections::HashSet<usize> = oids
+        .iter()
+        .map(|&oid| cluster.shard_map().shard_of(oid))
+        .collect();
+    assert_eq!(shards.len(), 4, "the objects span every shard");
+
+    // Every 50th request rewrites one of the first four objects; the
+    // rest read objects round-robin. `want` is each seq's answer.
+    const REQUESTS: usize = 8000;
+    let mut current: Vec<usize> = vec![0; OBJECTS];
+    let mut burst = Vec::new();
+    let mut want: Vec<Option<Vec<u8>>> = Vec::with_capacity(REQUESTS);
+    for seq in 0..REQUESTS {
+        let request = if seq % 50 == 49 {
+            let i = (seq / 50) % 4;
+            current[i] = seq;
+            want.push(None);
+            Request::Update {
+                oid: oids[i],
+                tag: tag(),
+                body: body(i, seq),
+            }
+        } else {
+            let i = seq % OBJECTS;
+            want.push(Some(body(i, current[i])));
+            Request::Deref {
+                oid: oids[i],
+                tag: tag(),
+            }
+        };
+        write_frame(&mut burst, &request.encode(seq as u64)).expect("frame");
+    }
+
+    let mut stream = raw_session(cluster.router_addr(), Duration::from_secs(60));
+    stream
+        .set_write_timeout(Some(Duration::from_secs(60)))
+        .expect("write timeout");
+    stream
+        .write_all(&burst)
+        .expect("the router took the whole burst");
+    let mut reader = BufReader::new(stream);
+    let mut answered = vec![false; REQUESTS];
+    let mut payload = Vec::new();
+    for _ in 0..REQUESTS {
+        assert!(read_frame_into(&mut reader, &mut payload).expect("answer"));
+        let (seq, response) = Response::decode(&payload).expect("response");
+        let seq = seq as usize;
+        assert!(
+            !std::mem::replace(&mut answered[seq], true),
+            "seq {seq} twice"
+        );
+        match (&want[seq], response) {
+            (Some(expected), Response::Body { bytes, .. }) => {
+                assert!(&bytes == expected, "seq {seq} read a stale or foreign body")
+            }
+            (None, Response::Version(_)) => {}
+            (_, other) => panic!("seq {seq} answered {other:?}"),
+        }
+    }
+    drop(reader);
 }

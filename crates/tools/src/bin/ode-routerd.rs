@@ -2,17 +2,20 @@
 //! address.
 //!
 //! ```text
-//! ode-routerd <addr> <backend>... [--workers N] [--stats-every SECS]
+//! ode-routerd <addr> <backend>... [--stats-every SECS]
 //! ```
 //!
 //! Binds `<addr>` (e.g. `127.0.0.1:4806`; port 0 picks a free port and
 //! prints it) and speaks the `ode-net` wire protocol to clients exactly
 //! as a single `ode-served` would, while routing every request to one
 //! of the listed backends by object id. Backend order **is** the shard
-//! map: list the same backends in the same order on every router and
-//! every restart, or objects will appear to vanish. Runs until killed;
-//! the router holds no state worth saving — all durability lives in the
-//! shards.
+//! map: the `i`-th backend claims the ids `≡ i (mod count)` on first
+//! contact and keeps that claim on disk, so list the same backends in
+//! the same order on every router and every restart — a shard listed in
+//! another place refuses the router's dial and answers `Unavailable`.
+//! The router serves any number of clients from a few threads (one per
+//! core, 4 to 16). Runs until killed; the router holds no state worth
+//! saving — all durability lives in the shards.
 
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::process::ExitCode;
@@ -35,7 +38,6 @@ fn usage() -> ExitCode {
          \x20 <addr>             address to serve clients on\n\
          \x20 <backend>...       shard addresses, in shard-map order\n\
          options:\n\
-         \x20 --workers N        client worker threads (default: CPU count, 4..=16)\n\
          \x20 --stats-every SECS print router stats periodically"
     );
     ExitCode::from(2)
@@ -47,16 +49,11 @@ fn main() -> ExitCode {
         return usage();
     };
 
-    let mut config = RouterConfig::default();
     let mut stats_every: Option<Duration> = None;
     let mut backends: Vec<SocketAddr> = Vec::new();
     let mut rest = args[1..].iter();
     while let Some(arg) = rest.next() {
         match arg.as_str() {
-            "--workers" => match rest.next().and_then(|s| s.parse().ok()) {
-                Some(n) => config.workers = n,
-                None => return usage(),
-            },
             "--stats-every" => match rest.next().and_then(|s| s.parse().ok()) {
                 Some(secs) => stats_every = Some(Duration::from_secs(secs)),
                 None => return usage(),
@@ -78,7 +75,7 @@ fn main() -> ExitCode {
     }
 
     let shards = backends.len();
-    let router = match OdeRouter::bind(addr.as_str(), backends, config) {
+    let router = match OdeRouter::bind(addr.as_str(), backends, RouterConfig::default()) {
         Ok(router) => router,
         Err(e) => {
             eprintln!("ode-routerd: cannot bind {addr}: {e}");
