@@ -40,7 +40,6 @@ use ode_net::{
     ClientConfig, OdeClient, OdeRouter, OdeServer, Request, Response, RouterConfig, ServerConfig,
     ShardMembership,
 };
-use ode_repl::{ReplicaNode, ReplicationHub};
 
 const TAG: TypeTag = TypeTag(0x7265706c625f5f5f); // "replb___"
 
@@ -159,8 +158,6 @@ fn run_topology(
     let pdb = Arc::new(
         Database::create(&pscratch.0, DatabaseOptions::no_sync()).expect("create primary"),
     );
-    let hub = (replicas > 0)
-        .then(|| ReplicationHub::start(Arc::clone(&pdb), "127.0.0.1:0").expect("start hub"));
     let server_config = ServerConfig {
         workers: clients + 2,
         ..ServerConfig::default()
@@ -171,21 +168,18 @@ fn run_topology(
     let rscratches: Vec<Scratch> = (0..replicas)
         .map(|i| Scratch::new(&format!("{label}-r{i}")))
         .collect();
-    let mut rnodes = Vec::new();
     let mut rservers = Vec::new();
     for scratch in &rscratches {
         let db =
             Arc::new(Database::create(&scratch.0, DatabaseOptions::no_sync()).expect("replica db"));
-        let node = ReplicaNode::start(
-            Arc::clone(&db),
-            hub.as_ref().expect("hub").local_addr().to_string(),
-        );
         let config = ServerConfig {
             replica: true,
             ..server_config.clone()
         };
-        let server = OdeServer::bind(Arc::clone(&db), "127.0.0.1:0", config).expect("bind replica");
-        rnodes.push((db, node));
+        let server = OdeServer::bind(db, "127.0.0.1:0", config).expect("bind replica");
+        server
+            .follow(pserver.local_addr().to_string())
+            .expect("follow the primary");
         rservers.push(server);
     }
 
@@ -222,14 +216,8 @@ fn run_topology(
     let result = best_phase(&router, clients, reads, batch, &oids, repeats);
 
     router.shutdown();
-    for (_, node) in &rnodes {
-        node.stop();
-    }
     for server in rservers {
         server.shutdown();
-    }
-    if let Some(hub) = hub {
-        hub.shutdown();
     }
     pserver.shutdown();
     result

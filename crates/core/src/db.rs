@@ -324,7 +324,7 @@ impl Database {
     }
 
     // -- replication tap (forwarded to the storage engine; used by the
-    // -- `ode-repl` shipping hub and replica apply loop) ---------------------
+    // -- `ode-net` server's shipping turns and replica tail) ----------------
 
     /// Checkpoint and copy the page file for bootstrapping a replica.
     pub fn repl_snapshot(&self) -> Result<ode_storage::ReplSnapshot> {
@@ -336,9 +336,17 @@ impl Database {
         Ok(self.store.read_wal_span(from, max)?)
     }
 
-    /// Block until WAL bytes past `from` are shippable (or `timeout`).
-    pub fn wait_shippable(&self, from: u64, timeout: std::time::Duration) -> u64 {
-        self.store.wait_shippable(from, timeout)
+    /// The logical WAL position up to which bytes are shippable.
+    pub fn shippable(&self) -> u64 {
+        self.store.shippable()
+    }
+
+    /// Have `waker` called each time more of the log becomes shippable,
+    /// whichever path committed (a server write or an embedded
+    /// [`crate::Txn`]); `None` clears it. See
+    /// [`ode_storage::Store::set_ship_waker`].
+    pub fn set_ship_waker(&self, waker: Option<ode_storage::Waker>) {
+        self.store.set_ship_waker(waker)
     }
 
     /// Block until the applied epoch reaches `floor` (or `timeout`);
@@ -374,12 +382,12 @@ impl Database {
         Ok(self.store.promote_to_primary()?)
     }
 
-    /// Count WAL bytes shipped to replicas (hub instrumentation).
+    /// Count WAL bytes shipped to replicas (shipping instrumentation).
     pub fn note_bytes_shipped(&self, n: u64) {
         self.store.note_bytes_shipped(n)
     }
 
-    /// Record the current worst replica lag in epochs (hub gauge).
+    /// Record the current worst replica lag in epochs (shipping gauge).
     pub fn set_replica_lag_epochs(&self, lag: u64) {
         self.store.set_replica_lag_epochs(lag)
     }

@@ -10,15 +10,14 @@
 //! exactly why the router dials relays rather than shards.
 //!
 //! With [`ClusterConfig::replicas`] > 0 each shard becomes a
-//! replication group: the primary runs an `ode-repl`
-//! [`ReplicationHub`] shipping its WAL, and every replica is a
-//! [`ReplicaNode`] applying that stream plus a replica-mode
-//! [`OdeServer`] serving epoch-gated reads. Both the client channel
-//! and the *shipping* channel of every replica pass through their own
-//! relays, so tests can [`Cluster::partition_replica`] the WAL stream
-//! (lag, kill-mid-ship) independently of client traffic, and
-//! [`Cluster::kill_primary`] crash-kills a primary (no shutdown
-//! checkpoint) to exercise the router's driven failover.
+//! replication group: every replica is a replica-mode [`OdeServer`]
+//! that [follows](OdeServer::follow) the primary's data port and serves
+//! epoch-gated reads. A replica's client traffic and its subscription
+//! to the primary pass through relays of their own, so tests can
+//! [`Cluster::partition_replica`] the log stream (lag, kill-mid-ship)
+//! independently of client traffic, and [`Cluster::kill_primary`]
+//! crash-kills a primary (no shutdown checkpoint) to exercise the
+//! router's driven failover.
 //!
 //! Everything is in-process and panics on setup failure: this is a
 //! test harness, not a deployment tool (that is `ode-routerd`).
@@ -26,22 +25,16 @@
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 use ode::{Database, DatabaseOptions};
-use ode_repl::{NodeStatus, ReplicaNode, ReplicationHub};
 
 use crate::client::{ClientConfig, OdeClient};
 use crate::protocol::StatsReport;
 use crate::relay::FaultRelay;
+use crate::replication::NodeStatus;
 use crate::router::{OdeRouter, RouterConfig, RouterStatsReport, ShardMembership};
-use crate::server::{OdeServer, ServerConfig, ServerHooks};
+use crate::server::{OdeServer, ServerConfig};
 use crate::shard::ShardMap;
-
-/// How long a semi-sync primary waits for a replica ack before
-/// acknowledging the client anyway (replication is best-effort when
-/// the channel is down — availability over strict durability).
-const SEMI_SYNC_WAIT: Duration = Duration::from_millis(500);
 
 /// Cluster tuning: how many shards, and the config handed to each
 /// backend server and to the router.
@@ -50,8 +43,8 @@ pub struct ClusterConfig {
     /// Number of backend shards.
     pub shards: usize,
     /// Replicas per shard. `0` reproduces the unreplicated tier. With
-    /// replicas, each write acknowledgement waits until a replica acked
-    /// its epoch (semi-sync, bounded by a 500 ms wait).
+    /// replicas subscribed, each write acknowledgement waits until a
+    /// replica acked its epoch (semi-sync, bounded by a 500 ms wait).
     pub replicas: usize,
     /// Config for every backend `OdeServer`.
     pub server: ServerConfig,
@@ -70,17 +63,15 @@ impl Default for ClusterConfig {
     }
 }
 
-/// One replica of a shard: its own database, the `ode-repl` apply
-/// node, a read-only server, and two relays — client-facing and
-/// shipping-channel.
+/// One replica of a shard: its own database behind a replica-mode
+/// server, and two relays — client-facing and subscription.
 struct ReplicaUnit {
     path: PathBuf,
     db: Arc<Database>,
-    node: Arc<ReplicaNode>,
     server: Option<OdeServer>,
     /// Router-facing relay (reads, and writes after promotion).
     relay: FaultRelay,
-    /// Relay on the replica → hub WAL-shipping channel.
+    /// Relay on the replica's subscription to the primary's data port.
     repl_relay: FaultRelay,
 }
 
@@ -90,8 +81,6 @@ struct ShardNode {
     db: Option<Arc<Database>>,
     server: Option<OdeServer>,
     relay: FaultRelay,
-    /// WAL-shipping hub, present when the shard has replicas.
-    hub: Option<Arc<ReplicationHub>>,
     replicas: Vec<ReplicaUnit>,
 }
 
@@ -131,40 +120,18 @@ impl Cluster {
             Database::create(&path, DatabaseOptions::no_sync())
                 .unwrap_or_else(|e| panic!("create shard {i} db: {e}")),
         );
-        let hub = if config.replicas > 0 {
-            Some(Arc::new(
-                ReplicationHub::start(Arc::clone(&db), "127.0.0.1:0")
-                    .unwrap_or_else(|e| panic!("start shard {i} hub: {e}")),
-            ))
-        } else {
-            None
-        };
-        let mut hooks = ServerHooks::default();
-        if let Some(hub) = &hub {
-            let hub = Arc::clone(hub);
-            hooks.commit_wait = Some(Arc::new(move |epoch| {
-                // Best-effort: a downed channel must not wedge the
-                // tier, so the ack proceeds after the bounded wait.
-                let _ = hub.wait_replicated(epoch, SEMI_SYNC_WAIT);
-            }));
-        }
-        let server =
-            OdeServer::bind_with(Arc::clone(&db), "127.0.0.1:0", config.server.clone(), hooks)
-                .unwrap_or_else(|e| panic!("bind shard {i}: {e}"));
+        let server = OdeServer::bind(Arc::clone(&db), "127.0.0.1:0", config.server.clone())
+            .unwrap_or_else(|e| panic!("bind shard {i}: {e}"));
         let relay = FaultRelay::start(server.local_addr(), vec![])
             .unwrap_or_else(|e| panic!("start relay {i}: {e}"));
-        let hub_addr = hub.as_ref().map(|h| h.local_addr());
         let replicas = (0..config.replicas)
-            .map(|r| {
-                Cluster::start_replica(i, r, hub_addr.expect("hub exists with replicas"), config)
-            })
+            .map(|r| Cluster::start_replica(i, r, server.local_addr(), config))
             .collect();
         ShardNode {
             path,
             db: Some(db),
             server: Some(server),
             relay,
-            hub,
             replicas,
         }
     }
@@ -172,7 +139,7 @@ impl Cluster {
     fn start_replica(
         shard: usize,
         idx: usize,
-        hub_addr: SocketAddr,
+        primary: SocketAddr,
         config: &ClusterConfig,
     ) -> ReplicaUnit {
         let path = ode::testutil::fresh_path();
@@ -180,36 +147,24 @@ impl Cluster {
             Database::create(&path, DatabaseOptions::no_sync())
                 .unwrap_or_else(|e| panic!("create shard {shard} replica {idx} db: {e}")),
         );
-        // The shipping channel gets its own relay so a test can cut the
-        // WAL stream without touching client traffic.
-        let repl_relay = FaultRelay::start(hub_addr, vec![])
+        // The subscription gets its own relay so a test can cut the log
+        // stream without touching client traffic.
+        let repl_relay = FaultRelay::start(primary, vec![])
             .unwrap_or_else(|e| panic!("start shard {shard} replica {idx} repl relay: {e}"));
-        let node = Arc::new(ReplicaNode::start(
-            Arc::clone(&db),
-            repl_relay.local_addr().to_string(),
-        ));
-        let hook_node = Arc::clone(&node);
-        let hooks = ServerHooks {
-            commit_wait: None,
-            // Driven failover lands here: the router's `Promote` stops
-            // the apply loop and fences the unapplied WAL tail before
-            // the server flips to accepting writes.
-            promote: Some(Arc::new(move || {
-                hook_node.promote().map_err(|e| e.to_string())
-            })),
-        };
         let server_config = ServerConfig {
             replica: true,
             ..config.server.clone()
         };
-        let server = OdeServer::bind_with(Arc::clone(&db), "127.0.0.1:0", server_config, hooks)
+        let server = OdeServer::bind(Arc::clone(&db), "127.0.0.1:0", server_config)
             .unwrap_or_else(|e| panic!("bind shard {shard} replica {idx}: {e}"));
+        server
+            .follow(repl_relay.local_addr().to_string())
+            .unwrap_or_else(|e| panic!("shard {shard} replica {idx} follows: {e}"));
         let relay = FaultRelay::start(server.local_addr(), vec![])
             .unwrap_or_else(|e| panic!("start shard {shard} replica {idx} relay: {e}"));
         ReplicaUnit {
             path,
             db,
-            node,
             server: Some(server),
             relay,
             repl_relay,
@@ -275,8 +230,8 @@ impl Cluster {
         &self.nodes[shard].relay
     }
 
-    /// The relay on one replica's WAL-shipping channel (replica →
-    /// primary hub), for lag and kill-mid-ship faults.
+    /// The relay on one replica's subscription to its primary, for lag
+    /// and kill-mid-ship faults.
     pub fn repl_relay(&self, shard: usize, idx: usize) -> &FaultRelay {
         &self.nodes[shard].replicas[idx].repl_relay
     }
@@ -290,10 +245,14 @@ impl Cluster {
             .snapshot_epoch()
     }
 
-    /// One replica's apply progress (WAL position, epoch, liveness of
-    /// its shipping connection).
+    /// One replica's apply progress (WAL position and epoch). Panics
+    /// once it is promoted.
     pub fn replica_status(&self, shard: usize, idx: usize) -> NodeStatus {
-        self.nodes[shard].replicas[idx].node.status()
+        self.nodes[shard].replicas[idx]
+            .server
+            .as_ref()
+            .and_then(OdeServer::tail_status)
+            .expect("replica follows its primary")
     }
 
     /// One replica's database (read-only until promoted).
@@ -301,13 +260,13 @@ impl Cluster {
         &self.nodes[shard].replicas[idx].db
     }
 
-    /// The primary's WAL-shipping hub. Panics without replicas.
-    pub fn hub(&self, shard: usize) -> &ReplicationHub {
-        self.nodes[shard].hub.as_ref().expect("shard has no hub")
+    /// One shard's primary server. Panics if the shard is killed.
+    pub fn primary(&self, shard: usize) -> &OdeServer {
+        self.nodes[shard].server.as_ref().expect("shard is down")
     }
 
-    /// Cut (`true`) or heal (`false`) the WAL-shipping channel between
-    /// one replica and its primary. Client traffic is untouched: a cut
+    /// Cut (`true`) or heal (`false`) the subscription between one
+    /// replica and its primary. Client traffic is untouched: a cut
     /// replica keeps serving reads, just increasingly stale ones —
     /// which the router's epoch gate must absorb.
     pub fn partition_replica(&self, shard: usize, idx: usize, cut: bool) {
@@ -325,9 +284,6 @@ impl Cluster {
         let node = &mut self.nodes[shard];
         node.relay.set_down(true);
         node.relay.cut_all();
-        if let Some(hub) = node.hub.take() {
-            hub.shutdown();
-        }
         if let Some(server) = node.server.take() {
             server.shutdown();
         }
@@ -337,15 +293,12 @@ impl Cluster {
     /// Crash-kill one shard's primary: like [`Cluster::kill_shard`]
     /// but the database is *leaked*, not dropped, so no shutdown
     /// checkpoint runs — on-disk state is exactly what the WAL fsynced,
-    /// as after SIGKILL. The shipping hub dies with it, so replicas
+    /// as after SIGKILL. Its subscriptions die with it, so replicas
     /// keep only what was shipped: the setup for driven failover.
     pub fn kill_primary(&mut self, shard: usize) {
         let node = &mut self.nodes[shard];
         node.relay.set_down(true);
         node.relay.cut_all();
-        if let Some(hub) = node.hub.take() {
-            hub.shutdown();
-        }
         if let Some(server) = node.server.take() {
             server.shutdown();
         }
@@ -369,8 +322,8 @@ impl Cluster {
     /// Restart a killed shard from its on-disk state (WAL recovery
     /// included) on a fresh port, re-pointing the relay at it. Only
     /// meaningful for unreplicated shards: a replicated ex-primary
-    /// rejoins as a replica instead (fenced by the generation check in
-    /// `ode-repl`).
+    /// rejoins as a replica instead (fenced by the generation check of
+    /// its subscription).
     pub fn restart_shard(&mut self, shard: usize, server_config: ServerConfig) {
         let node = &mut self.nodes[shard];
         assert!(node.server.is_none(), "shard {shard} is already running");
@@ -400,11 +353,7 @@ impl Drop for Cluster {
             router.shutdown();
         }
         for node in &mut self.nodes {
-            if let Some(hub) = node.hub.take() {
-                hub.shutdown();
-            }
             for replica in &mut node.replicas {
-                replica.node.stop();
                 replica.repl_relay.shutdown();
                 replica.relay.shutdown();
                 if let Some(server) = replica.server.take() {

@@ -3,8 +3,9 @@
 //! own, each registered **oneshot**, so an event goes to exactly one
 //! thread and its socket stays disarmed until that thread re-arms it.
 //! A thread claims one event at a time: the listener's is an accept
-//! ([`Service::accept`]), any other a turn of whatever its key names
-//! ([`Service::claim`]). A connection's byte streams are a [`Wire`].
+//! ([`Service::accept`]), a [`Pool::notify`] a [`Service::wake`], any
+//! other a turn of whatever its key names ([`Service::claim`]). A
+//! connection's byte streams are a [`Wire`].
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -43,6 +44,9 @@ pub(crate) trait Service: Send + Sync + 'static {
     /// Give the source behind `key` its turn: an event for it was
     /// claimed, and the source stays disarmed until re-armed.
     fn claim(&self, key: usize, scratch: &mut [u8]);
+    /// Run what a [`Pool::notify`] asked for. A wake may reach more
+    /// than one thread, so this must tolerate running concurrently.
+    fn wake(&self, _scratch: &mut [u8]) {}
 }
 
 /// A poller with a listener registered on it, the keys handed out for
@@ -88,6 +92,11 @@ impl Pool {
     pub(crate) fn arm(&self, source: &impl AsRawFd, interest: Event) -> io::Result<()> {
         self.poller
             .modify_with_mode(source, interest, PollMode::Oneshot)
+    }
+
+    /// Wake a waiting thread for a [`Service::wake`].
+    pub(crate) fn notify(&self) {
+        let _ = self.poller.notify();
     }
 
     /// Whether [`Pool::stop`] has been called.
@@ -144,7 +153,7 @@ fn serve<S: Service>(service: &S) {
         match events.first() {
             Some(ev) if ev.key == LISTENER_KEY => accept_ready(service),
             Some(ev) => service.claim(ev.key, &mut scratch),
-            None => {}
+            None => service.wake(&mut scratch),
         }
     }
 }

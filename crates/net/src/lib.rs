@@ -39,6 +39,16 @@
 //! commit-invalidated snapshot cache ([`StatsReport::snapshot_hits`] /
 //! [`StatsReport::snapshot_misses`] show its effectiveness).
 //!
+//! A server is also a replication primary on the same port: a replica
+//! sends `Subscribe` and is answered by a stream — a snapshot in parts
+//! or a resume, then a chunk of log after every commit — which it
+//! applies and acks ([`ReplicaNode`], run by a replica-mode server that
+//! [follows](OdeServer::follow) its primary). Shipping runs in that
+//! connection's turns on the server's threads, woken through the poller
+//! by a commit on any path, and while a replica is subscribed each
+//! write is answered only once a replica acked it (semi-synchronous,
+//! bounded by 500 ms).
+//!
 //! For scale-out, [`OdeRouter`] is a shard-routing front tier speaking
 //! the same protocol on both sides: clients connect to it exactly as
 //! to a single server while it routes each request to one of N backend
@@ -69,6 +79,7 @@ mod error;
 mod event_loop;
 pub mod protocol;
 pub mod relay;
+mod replication;
 mod router;
 mod server;
 mod shard;
@@ -78,6 +89,7 @@ pub use cluster::{Cluster, ClusterConfig};
 pub use error::{NetError, RemoteError, Result};
 pub use protocol::{DiffSummary, Opcode, Request, Response, StatsReport, StorageCounters};
 pub use relay::{FaultRelay, RelayPlan};
+pub use replication::{NodeStatus, ReplicaNode};
 pub use router::{OdeRouter, RouterConfig, RouterStatsReport, ShardMembership};
-pub use server::{OdeServer, ServerConfig, ServerHooks};
+pub use server::{OdeServer, ServerConfig};
 pub use shard::ShardMap;

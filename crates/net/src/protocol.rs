@@ -6,7 +6,9 @@
 //! **length-prefixed frames** in each direction: a LEB128 varint byte
 //! count followed by that many payload bytes. Requests and responses
 //! use the same framing; every request frame is answered by exactly one
-//! response frame, **matched by sequence id, not by order**.
+//! response frame, **matched by sequence id, not by order** — but for
+//! a replica's `Subscribe`, answered by a stream of frames under its
+//! sequence id, and its `Ack`, answered by none.
 //!
 //! Protocol version 2 (the `\x02` in [`MAGIC`]) made the connection a
 //! *pipeline*: every request payload starts with a client-assigned
@@ -108,6 +110,16 @@ impl Wire for u64 {
     }
     fn get(r: &mut Reader<'_>) -> Result<Self> {
         Ok(r.get_varint()?)
+    }
+}
+
+impl Wire for u32 {
+    fn put(&self, w: &mut Writer) {
+        w.put_varint(u64::from(*self));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self> {
+        let v = r.get_varint()?;
+        u32::try_from(v).map_err(|_| NetError::Protocol(format!("{v} overflows a u32")))
     }
 }
 
@@ -696,6 +708,27 @@ wire_table! {
         /// This node's shard index.
         residue: u64,
     } write local;
+    /// Subscribe this connection to the node's log (replication). The
+    /// answer is a stream of frames under this request's sequence id:
+    /// `SnapshotPart`s or one `Resume`, then a `Chunk` of shipped log
+    /// after every commit, for as long as the connection lasts. Only a
+    /// position of the node's own generation is resumed.
+    30 "subscribe" Subscribe {
+        /// Generation the positions below belong to (0: none).
+        gen: u64,
+        /// Logical log position applied through (`u64::MAX`: no state).
+        have_pos: u64,
+        /// Commit epoch applied through.
+        have_epoch: u64,
+    } write local;
+    /// A subscriber has applied the stream through `pos`, reaching
+    /// `epoch`. Answered by nothing.
+    31 "ack" Ack {
+        /// Logical log position received and applied through.
+        pos: u64,
+        /// The subscriber's commit epoch after applying.
+        epoch: u64,
+    } write local;
 }
 
 // `from_u8` indexes `ALL` by the wire byte, so the numbers in the table
@@ -1025,6 +1058,39 @@ response_table! {
         /// Overlapping edits between the two sides.
         conflicts: Vec<MergeConflict>,
     };
+    /// One part of a snapshot in a `Subscribe` stream: the page file's
+    /// bytes from where the last part ended. Once it holds `total`
+    /// bytes the subscriber installs the copy and applies the log from
+    /// `base_pos`.
+    14 "snapshot_part" SnapshotPart {
+        /// The shipping node's generation.
+        gen: u64,
+        /// Logical log position the snapshot is consistent at.
+        base_pos: u64,
+        /// Commit epoch the snapshot is consistent at.
+        epoch: u64,
+        /// Seed of the log generation the chunks continue.
+        seed: u32,
+        /// Length of the whole page file.
+        total: u64,
+        /// This part's bytes.
+        bytes: Vec<u8>,
+    };
+    /// The start of a `Subscribe` stream whose position is live: chunks
+    /// follow from `from`.
+    15 "resume" Resume {
+        /// The shipping node's generation.
+        gen: u64,
+        /// Logical log position the chunks start at.
+        from: u64,
+    };
+    /// Shipped log bytes in a `Subscribe` stream.
+    16 "chunk" Chunk {
+        /// Logical log position of the first byte.
+        start_pos: u64,
+        /// Log frames, byte for byte as the node wrote them.
+        bytes: Vec<u8>,
+    };
     /// The operation failed on the server.
     255 "err" Err(error: RemoteError);
 }
@@ -1045,17 +1111,23 @@ impl Response {
 
 /// Write one length-prefixed frame. Returns the total bytes written
 /// (prefix + payload). The caller flushes.
+///
+/// The prefix and the payload go to `w` as one vectored write, so a
+/// sink that gathers (a socket, a `BufWriter`, a `Vec`) takes each
+/// frame in one call — on an unbuffered socket without `TCP_NODELAY`
+/// a frame sent in two writes waits out the peer's delayed ACK — and a
+/// `Vec` copies the payload once, straight into place.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<u64> {
     let mut prefix = Vec::with_capacity(varint::MAX_VARINT_LEN);
     varint::write_u64(&mut prefix, payload.len() as u64);
-    w.write_all(&prefix)?;
-    w.write_all(payload)?;
+    write_parts(w, &prefix, payload)?;
     Ok((prefix.len() + payload.len()) as u64)
 }
 
 /// Write one frame whose payload is `seq` followed by `body` — how a
 /// router re-stamps the operation bytes it forwards without copying
-/// them into a payload first. The caller flushes.
+/// them into a payload first. One vectored write, like
+/// [`write_frame`]. The caller flushes.
 pub fn write_frame_seq(w: &mut impl Write, seq: u64, body: &[u8]) -> io::Result<()> {
     // Built as `seq len`, then rotated to `len seq`: the length prefix
     // counts the sequence id's own bytes.
@@ -1064,7 +1136,24 @@ pub fn write_frame_seq(w: &mut impl Write, seq: u64, body: &[u8]) -> io::Result<
     let seq_len = head.len();
     varint::write_u64(&mut head, (seq_len + body.len()) as u64);
     head.rotate_left(seq_len);
-    w.write_all(&head)?;
+    write_parts(w, &head, body)
+}
+
+/// `head` then `body`, each written whole, with as few calls as `w`
+/// allows: one, when it takes both slices in one vectored write.
+fn write_parts(w: &mut impl Write, mut head: &[u8], mut body: &[u8]) -> io::Result<()> {
+    while !head.is_empty() {
+        match w.write_vectored(&[io::IoSlice::new(head), io::IoSlice::new(body)]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) if n < head.len() => head = &head[n..],
+            Ok(n) => {
+                body = &body[n - head.len()..];
+                head = &[];
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.write_all(body)
 }
 
@@ -1525,6 +1614,60 @@ mod tests {
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), b"hello");
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), Vec::<u8>::new());
         assert_eq!(read_frame(&mut cursor).unwrap(), None);
+    }
+
+    /// A socket-like sink: each `write` or `write_vectored` call is one
+    /// system call, taking at most `cap` bytes across its slices.
+    struct CountingSink {
+        bytes: Vec<u8>,
+        calls: usize,
+        cap: usize,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[io::IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut took = 0;
+            for buf in bufs {
+                let n = buf.len().min(self.cap - took);
+                self.bytes.extend_from_slice(&buf[..n]);
+                took += n;
+            }
+            Ok(took)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_to_a_gathering_sink() {
+        let body = vec![9u8; 300];
+        let sink = |cap| CountingSink {
+            bytes: Vec::new(),
+            calls: 0,
+            cap,
+        };
+        let mut whole = sink(usize::MAX);
+        write_frame(&mut whole, &body).unwrap();
+        write_frame_seq(&mut whole, 300, &body).unwrap();
+        assert_eq!(whole.calls, 2, "one write per frame");
+
+        let mut cursor = io::Cursor::new(whole.bytes.clone());
+        assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), body);
+        let restamped = read_frame(&mut cursor).unwrap().unwrap();
+        assert_eq!(split_seq(&restamped).unwrap(), (300, &body[..]));
+        assert_eq!(read_frame(&mut cursor).unwrap(), None);
+
+        // A sink that takes a few bytes per call still gets every byte,
+        // in order.
+        let mut trickle = sink(7);
+        write_frame(&mut trickle, &body).unwrap();
+        write_frame_seq(&mut trickle, 300, &body).unwrap();
+        assert_eq!(trickle.bytes, whole.bytes);
     }
 
     #[test]

@@ -670,8 +670,9 @@ fn route<'a>(
         (Routing::Scatter, _) => refuse("the router has no merge rule for this scatter"),
         (Routing::Local, Request::Ping) => Route::Local(Box::new(Response::Pong)),
         // Epochs are per shard (not comparable across the tier), read
-        // floors and id claims are the router's own to send, and
-        // promotion is the router's failover to drive.
+        // floors and id claims are the router's own to send, promotion
+        // is the router's failover to drive, and a log stream is one
+        // node's.
         (Routing::Local, _) => refuse("node-local request; connect to a node directly"),
         // A new object has no id yet: the router picks its shard and
         // the id the shard issues then carries the placement forever.
@@ -1639,9 +1640,9 @@ mod tests {
                 Routing::Local if op == Opcode::Ping => {
                     assert_eq!(got, Routed::Local(Response::Pong))
                 }
-                // `Epoch`, `ReadFloor`, `Promote` and `ClaimIds` concern
-                // one node: the tier refuses them rather than guess
-                // which.
+                // `Epoch`, `ReadFloor`, `Promote`, `ClaimIds`,
+                // `Subscribe` and `Ack` concern one node: the tier
+                // refuses them rather than guess which.
                 Routing::Local => assert!(is_bad_request(&got), "{op:?} must be refused"),
                 Routing::Scatter => assert_eq!(got, Routed::Gather, "{op:?}"),
                 Routing::Placed => {
@@ -1663,7 +1664,9 @@ mod tests {
                 Opcode::Epoch,
                 Opcode::ReadFloor,
                 Opcode::Promote,
-                Opcode::ClaimIds
+                Opcode::ClaimIds,
+                Opcode::Subscribe,
+                Opcode::Ack
             ]
         );
     }

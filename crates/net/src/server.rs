@@ -33,6 +33,14 @@
 //!   backlogged or frames are left over (a writable socket reports at
 //!   once, so leftover frames get the next turn without a read).
 //!
+//! A connection that sent `Subscribe` is a replica's subscription
+//! (see [`crate::replication`]): its turns read acks and ship the log it
+//! is owed. A commit wakes a thread through the poller to give each
+//! idle subscriber a turn ([`Service::wake`]), and a write waiting at
+//! the barrier does the same between looks at the acks; a subscriber is
+//! re-armed under the idle lock, for writing too while log is owed, so
+//! no wake is lost to a turn in progress.
+//!
 //! One turn per connection at a time is what keeps a connection's
 //! requests in stream order at the store (pipelining is FIFO per
 //! connection and read-your-writes holds by construction), while
@@ -84,10 +92,11 @@ use parking_lot::Mutex;
 use polling::Event;
 
 use crate::error::RemoteError;
-use crate::event_loop::{default_threads, Pool, Service, Wire, PIPELINE_DEPTH};
+use crate::event_loop::{default_threads, Outbox, Pool, Service, Wire, PIPELINE_DEPTH};
 use crate::protocol::{
     request_counts, DiffSummary, Request, Response, StatsReport, StorageCounters, OPCODE_COUNT,
 };
+use crate::replication::{fresh_gen, NodeStatus, Peers, ReplicaNode, Subscription, SEMI_SYNC_WAIT};
 
 /// Longest a read waits for its connection's read floor in one turn
 /// (the whole wait is [`ServerConfig::read_floor_timeout`]); well under
@@ -109,7 +118,9 @@ pub struct ServerConfig {
     /// parallelism cap. Connection count is independent of this.
     pub workers: usize,
     /// Start in replica mode: writes are refused with `Unavailable`
-    /// until a `Promote` request flips the node to primary.
+    /// until a `Promote` request flips the node to primary. What the
+    /// replica applies comes from the primary it
+    /// [follows](OdeServer::follow).
     pub replica: bool,
     /// How long a read pinned by `ReadFloor` may wait for the node to
     /// apply the floor epoch before failing with `Unavailable`.
@@ -131,32 +142,6 @@ impl Default for ServerConfig {
             read_floor_timeout: std::time::Duration::from_secs(5),
             write_buffer_cap: 64 << 20,
         }
-    }
-}
-
-/// Replication wiring, injected by whatever owns the node's shipping
-/// role (the cluster harness, or a standalone deployment script). The
-/// server itself stays ignorant of the replication transport.
-#[derive(Clone, Default)]
-pub struct ServerHooks {
-    /// Called after every committed write with the database's commit
-    /// epoch: a primary's semi-synchronous barrier (block until a
-    /// replica acked the epoch). The response frame is not sent until
-    /// this returns.
-    pub commit_wait: Option<Arc<dyn Fn(u64) + Send + Sync>>,
-    /// Called when a `Promote` request arrives on a replica, *instead
-    /// of* the default `Database::promote_to_primary` — so the owner
-    /// can also stop its tailing `ReplicaNode`, start a hub, etc.
-    /// Returning `Err` keeps the node a replica.
-    pub promote: Option<Arc<dyn Fn() -> std::result::Result<(), String> + Send + Sync>>,
-}
-
-impl std::fmt::Debug for ServerHooks {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServerHooks")
-            .field("commit_wait", &self.commit_wait.is_some())
-            .field("promote", &self.promote.is_some())
-            .finish()
     }
 }
 
@@ -214,7 +199,7 @@ impl ServerStats {
 }
 
 /// Everything the server's threads share: the database, counters,
-/// cache and replication role, the pool they wait on, and the
+/// cache and replication state, the pool they wait on, and the
 /// connections waiting for their next turn.
 struct Node {
     db: Arc<Database>,
@@ -223,7 +208,13 @@ struct Node {
     /// `true` while this node is a replica (writes refused). Flipped to
     /// `false` by a successful `Promote`.
     replica: AtomicBool,
-    hooks: ServerHooks,
+    /// The generation this server ships under.
+    gen: u64,
+    /// The subscribed connections and their acks, which the
+    /// semi-synchronous barrier waits on.
+    peers: Peers,
+    /// A replica's subscription to its primary, once it follows one.
+    tail: Mutex<Option<ReplicaNode>>,
     floor_timeout: std::time::Duration,
     write_cap: usize,
     pool: Pool,
@@ -289,23 +280,22 @@ fn execute(node: &Node, seq: u64, request: Request, op_bytes: &[u8]) -> (Vec<u8>
         }
         Request::Promote => {
             // Driven failover. Idempotent: promoting a primary is a
-            // no-op success.
+            // no-op success. The tail stops first, so nothing shipped
+            // lands after the fence.
             let result = if !node.replica.load(Ordering::Acquire) {
                 Ok(())
             } else {
-                match &node.hooks.promote {
-                    Some(hook) => hook(),
-                    None => db.promote_to_primary().map_err(|e| e.to_string()),
-                }
+                let tail = node.tail.lock().take();
+                tail.map_or_else(|| db.promote_to_primary(), |tail| tail.promote())
             };
             match result {
                 Ok(()) => {
                     node.replica.store(false, Ordering::Release);
                     Response::Unit.encode(seq)
                 }
-                Err(msg) => {
+                Err(e) => {
                     stats.op_errors.fetch_add(1, Ordering::Relaxed);
-                    Response::Err(RemoteError::Storage(msg)).encode(seq)
+                    Response::Err(RemoteError::Storage(e.to_string())).encode(seq)
                 }
             }
         }
@@ -329,10 +319,10 @@ fn execute(node: &Node, seq: u64, request: Request, op_bytes: &[u8]) -> (Vec<u8>
         }
         request => apply(db, request)
             .inspect(|_| {
-                // Semi-synchronous barrier: hold the response until
-                // a replica acked this commit's epoch.
-                if let Some(wait) = &node.hooks.commit_wait {
-                    wait(db.snapshot_epoch());
+                // Semi-synchronous barrier: with a replica subscribed,
+                // hold the response until one acked this commit's epoch.
+                if node.peers.count() > 0 {
+                    wait_replicated(node, db.snapshot_epoch(), SEMI_SYNC_WAIT);
                     waited = true;
                 }
             })
@@ -459,6 +449,9 @@ struct Conn {
     /// When the read at the head of the stream began waiting for the
     /// read floor, while it waits.
     floor_since: Option<std::time::Instant>,
+    /// The log stream, once the connection sent `Subscribe` (boxed: few
+    /// connections subscribe, and every connection carries the field).
+    sub: Option<Box<Subscription>>,
 }
 
 /// Why a connection is being torn down.
@@ -479,21 +472,12 @@ pub struct OdeServer {
 
 impl OdeServer {
     /// Bind `addr` (port 0 picks a free port) and start serving `db`.
+    /// A database ships its log to the subscribers of the server bound
+    /// to it last.
     pub fn bind(
         db: Arc<Database>,
         addr: impl ToSocketAddrs,
         config: ServerConfig,
-    ) -> io::Result<OdeServer> {
-        OdeServer::bind_with(db, addr, config, ServerHooks::default())
-    }
-
-    /// [`OdeServer::bind`] with replication hooks (commit barrier,
-    /// promote handler).
-    pub fn bind_with(
-        db: Arc<Database>,
-        addr: impl ToSocketAddrs,
-        config: ServerConfig,
-        hooks: ServerHooks,
     ) -> io::Result<OdeServer> {
         let pool = Pool::bind(addr)?;
         let addr = pool.local_addr()?;
@@ -502,12 +486,24 @@ impl OdeServer {
             stats: ServerStats::default(),
             cache: SnapshotCache::new(SNAPSHOT_CACHE_ENTRIES),
             replica: AtomicBool::new(config.replica),
-            hooks,
+            gen: fresh_gen(),
+            peers: Peers::default(),
+            tail: Mutex::new(None),
             floor_timeout: config.read_floor_timeout,
             write_cap: config.write_buffer_cap.max(1),
             pool,
             idle: Mutex::new(HashMap::new()),
         });
+        // A commit on any path wakes a thread to ship it, while a
+        // replica is subscribed.
+        let weak = Arc::downgrade(&node);
+        node.db.set_ship_waker(Some(Arc::new(move || {
+            if let Some(node) = weak.upgrade() {
+                if node.peers.count() > 0 {
+                    node.pool.notify();
+                }
+            }
+        })));
         let threads = Pool::spawn(&node, config.workers, "ode-net");
         Ok(OdeServer {
             addr,
@@ -526,15 +522,52 @@ impl OdeServer {
         self.node.replica.load(Ordering::Acquire)
     }
 
+    /// Subscribe this replica to the primary at `primary` over its
+    /// data port, replacing any earlier subscription; the server owns
+    /// the tail from then on, and `Promote` stops it. Refused on a
+    /// primary.
+    pub fn follow(&self, primary: impl Into<String>) -> io::Result<()> {
+        if !self.is_replica() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "a primary follows no one",
+            ));
+        }
+        let tail = ReplicaNode::start(Arc::clone(&self.node.db), primary.into());
+        if let Some(old) = self.node.tail.lock().replace(tail) {
+            old.stop();
+        }
+        Ok(())
+    }
+
+    /// The progress of this replica's tail, while it follows a primary.
+    pub fn tail_status(&self) -> Option<NodeStatus> {
+        self.node.tail.lock().as_ref().map(ReplicaNode::status)
+    }
+
+    /// Replicas currently subscribed to this server.
+    pub fn replica_count(&self) -> usize {
+        self.node.peers.count()
+    }
+
+    /// The semi-synchronous barrier every write passes while a replica
+    /// is subscribed: whether one acked applying `epoch` within
+    /// `timeout` (`false` at once with none subscribed). For a commit
+    /// made on the database directly.
+    pub fn wait_replicated(&self, epoch: u64, timeout: std::time::Duration) -> bool {
+        wait_replicated(&self.node, epoch, timeout)
+    }
+
     /// A snapshot of the server's counters (the same data the `Stats`
     /// opcode serves remotely).
     pub fn stats(&self) -> StatsReport {
         self.node.stats.report(&self.node.cache, &self.node.db)
     }
 
-    /// Stop accepting, close every live connection, and join all
-    /// server threads. Requests in a turn complete first (their writes
-    /// commit; undeliverable responses are discarded).
+    /// Stop accepting, close every live connection, stop a replica's
+    /// tail, and join all server threads. Requests in a turn complete
+    /// first (their writes commit; undeliverable responses are
+    /// discarded).
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -544,12 +577,14 @@ impl OdeServer {
         if !node.pool.stop(&mut self.threads) {
             return;
         }
+        node.db.set_ship_waker(None);
+        if let Some(tail) = node.tail.lock().take() {
+            tail.stop();
+        }
         // No thread is in a turn any more: every open connection is idle.
-        for (_, mut conn) in node.idle.lock().drain() {
-            conn.wire.close(&node.pool);
-            node.stats
-                .active_connections
-                .fetch_sub(1, Ordering::Relaxed);
+        let open: Vec<Conn> = node.idle.lock().drain().map(|(_, conn)| conn).collect();
+        for conn in open {
+            close(node, conn, Close::Done);
         }
     }
 }
@@ -584,6 +619,7 @@ impl Service for Node {
             token,
             read_floor: 0,
             floor_since: None,
+            sub: None,
         };
         // Among the idle before it is armed: whoever claims its first
         // event must find it there.
@@ -596,30 +632,78 @@ impl Service for Node {
 
     fn claim(&self, key: usize, scratch: &mut [u8]) {
         let claimed = self.idle.lock().remove(&key);
-        let Some(mut conn) = claimed else {
-            // Unreachable while registrations are oneshot: an event is
-            // delivered once per arming, and a connection is armed only
-            // while it is idle.
+        let Some(conn) = claimed else {
+            // A subscriber's turn may be taken out of band, by a wake or
+            // a barrier waiter, whose re-arm raises this event again.
+            // Any other connection is armed only while it is idle, and
+            // an event is delivered once per arming.
             #[cfg(test)]
-            tests::BUSY_CLAIMS.fetch_add(1, Ordering::Relaxed);
+            if !self.peers.keys().contains(&key) {
+                tests::BUSY_CLAIMS.fetch_add(1, Ordering::Relaxed);
+            }
             return;
         };
-        match turn(self, &mut conn, scratch) {
-            Ok(interest) => {
-                let fd = conn.wire.stream.as_raw_fd();
-                // Back among the idle before it is armed: whoever
-                // claims the next event must find it there.
-                self.idle.lock().insert(conn.token, conn);
-                if self.pool.arm(&fd, interest).is_err() {
-                    let conn = self.idle.lock().remove(&interest.key);
-                    if let Some(conn) = conn {
-                        close(self, conn, Close::Done);
-                    }
-                }
+        self.take_turn(conn, scratch);
+    }
+
+    /// A commit made log shippable: give each idle subscriber a turn.
+    fn wake(&self, scratch: &mut [u8]) {
+        for key in self.peers.keys() {
+            let claimed = self.idle.lock().remove(&key);
+            if let Some(conn) = claimed {
+                self.take_turn(conn, scratch);
             }
-            Err(why) => close(self, conn, why),
         }
     }
+}
+
+impl Node {
+    /// Run a turn of a connection taken out of the idle map, then put
+    /// it back and re-arm it, or close it.
+    fn take_turn(&self, mut conn: Conn, scratch: &mut [u8]) {
+        let interest = match turn(self, &mut conn, scratch) {
+            Ok(interest) => interest,
+            Err(why) => return close(self, conn, why),
+        };
+        let fd = conn.wire.stream.as_raw_fd();
+        let key = conn.token;
+        // Back among the idle before it is armed: whoever claims the
+        // next event must find it there. A subscriber is armed under
+        // the idle lock, for writing too while log is owed: a commit's
+        // wake either finds it idle and gives it a turn, or took the
+        // lock before this, and then `owed` sees that commit's log.
+        let mut idle = self.idle.lock();
+        let owed = conn.sub.as_ref().map(|sub| sub.owed(&self.db));
+        idle.insert(key, conn);
+        let armed = match owed {
+            Some(owed) => {
+                let interest = Event {
+                    writable: interest.writable || owed,
+                    ..interest
+                };
+                let armed = self.pool.arm(&fd, interest);
+                drop(idle);
+                armed
+            }
+            None => {
+                drop(idle);
+                self.pool.arm(&fd, interest)
+            }
+        };
+        if armed.is_err() {
+            if let Some(conn) = self.idle.lock().remove(&key) {
+                close(self, conn, Close::Done);
+            }
+        }
+    }
+}
+
+/// The barrier: waiters read the subscribers' acks themselves between
+/// looks, so every thread may wait at once.
+fn wait_replicated(node: &Node, epoch: u64, timeout: std::time::Duration) -> bool {
+    node.peers.wait_replicated(epoch, timeout, || {
+        node.wake(&mut [0u8; 1024]);
+    })
 }
 
 /// Tear down a connection that is out of the idle map.
@@ -628,6 +712,9 @@ fn close(node: &Node, mut conn: Conn, why: Close) {
         node.stats
             .slow_client_evictions
             .fetch_add(1, Ordering::Relaxed);
+    }
+    if conn.sub.take().is_some() {
+        node.peers.ack(conn.token, None, &node.db);
     }
     // Best-effort final flush: answers queued before a fatal frame
     // should still try to reach the client.
@@ -645,6 +732,12 @@ fn turn(node: &Node, conn: &mut Conn, scratch: &mut [u8]) -> Result<Event, Close
         conn.wire.read_ready(scratch, &node.stats.protocol_errors);
     }
     execute_frames(node, conn)?;
+    if let Some(sub) = &mut conn.sub {
+        let shipped = sub
+            .ship(node.gen, &node.db, &mut conn.wire.out)
+            .map_err(|_| Close::Done)?;
+        node.stats.bytes_out.fetch_add(shipped, Ordering::Relaxed);
+    }
     conn.wire.flush();
 
     // Slow-client guard: a reader this far behind its responses is
@@ -708,7 +801,8 @@ fn execute_frames(node: &Node, conn: &mut Conn) -> Result<(), Close> {
         wire: Wire { rbuf, out, .. },
         read_floor,
         floor_since,
-        ..
+        sub,
+        token,
     } = conn;
     for _ in 0..PIPELINE_DEPTH {
         let payload: &[u8] = match rbuf.next_frame() {
@@ -746,17 +840,23 @@ fn execute_frames(node: &Node, conn: &mut Conn) -> Result<(), Close> {
                 stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
                 let seq = Request::decode_seq(payload).unwrap_or(0);
                 let frame = Response::Err(RemoteError::BadRequest(e.to_string())).encode(seq);
-                (frame, false)
+                (Some(frame), false)
             }
             Ok((seq, request)) => {
                 stats.requests[request.opcode() as usize].fetch_add(1, Ordering::Relaxed);
                 match (request, floor) {
+                    (request @ (Request::Subscribe { .. } | Request::Ack { .. }), _) => {
+                        (replicate(node, sub, *token, seq, request, out), false)
+                    }
+                    (request, _) if sub.is_some() => {
+                        (replicate(node, sub, *token, seq, request, out), false)
+                    }
                     // Set here, in stream order: every read after this
                     // frame sees the new floor, exactly the
                     // read-your-writes contract the router relies on.
                     (Request::ReadFloor { epoch }, _) => {
                         *read_floor = epoch;
-                        (Response::Unit.encode(seq), false)
+                        (Some(Response::Unit.encode(seq)), false)
                     }
                     (_, Floor::Missed) => {
                         stats.op_errors.fetch_add(1, Ordering::Relaxed);
@@ -765,18 +865,20 @@ fn execute_frames(node: &Node, conn: &mut Conn) -> Result<(), Close> {
                             node.db.snapshot_epoch(),
                             *read_floor
                         ));
-                        (Response::Err(refusal).encode(seq), true)
+                        (Some(Response::Err(refusal).encode(seq)), true)
                     }
                     (request, floor) => {
                         let op_bytes = &payload[seq_prefix_len(payload)..];
                         let (frame, barrier) = execute(node, seq, request, op_bytes);
-                        (frame, barrier || matches!(floor, Floor::Waited))
+                        (Some(frame), barrier || matches!(floor, Floor::Waited))
                     }
                 }
             }
         };
-        let written = out.queue(&frame);
-        stats.bytes_out.fetch_add(written, Ordering::Relaxed);
+        if let Some(frame) = frame {
+            let written = out.queue(&frame);
+            stats.bytes_out.fetch_add(written, Ordering::Relaxed);
+        }
         // A thread just back from a replication wait serves the
         // longest-waiting connection before this one's next request.
         if waited {
@@ -784,6 +886,52 @@ fn execute_frames(node: &Node, conn: &mut Conn) -> Result<(), Close> {
         }
     }
     Ok(())
+}
+
+/// Answer a frame of a replica's subscription: `Subscribe` attaches
+/// the connection (its stream follows from its turns), `Ack` records
+/// the subscriber's progress; neither gets a response. A subscribed
+/// connection sends nothing else.
+fn replicate(
+    node: &Node,
+    sub: &mut Option<Box<Subscription>>,
+    key: usize,
+    seq: u64,
+    request: Request,
+    out: &mut Outbox,
+) -> Option<Vec<u8>> {
+    let refusal = match (request, sub.is_some()) {
+        (Request::Ack { epoch, .. }, true) => {
+            node.peers.ack(key, Some(epoch), &node.db);
+            return None;
+        }
+        (_, true) => RemoteError::BadRequest("a subscribed connection sends only acks".into()),
+        (Request::Subscribe { .. }, _) if node.replica.load(Ordering::Acquire) => {
+            RemoteError::Unavailable("a replica ships no log".into())
+        }
+        (
+            Request::Subscribe {
+                gen,
+                have_pos,
+                have_epoch,
+            },
+            _,
+        ) => {
+            let (started, written) = Subscription::start(
+                &node.peers,
+                &node.db,
+                (key, node.gen, seq),
+                (gen, have_pos, have_epoch),
+                out,
+            );
+            *sub = Some(Box::new(started));
+            node.stats.bytes_out.fetch_add(written, Ordering::Relaxed);
+            return None;
+        }
+        _ => RemoteError::BadRequest("an ack without a subscription".into()),
+    };
+    node.stats.op_errors.fetch_add(1, Ordering::Relaxed);
+    Some(Response::Err(refusal).encode(seq))
 }
 
 #[cfg(test)]
@@ -823,14 +971,17 @@ mod tests {
 
     /// Opcodes the differential leaves out: `Stats` (counters are the
     /// server's own), `Epoch`/`ReadFloor` (commit batching may group
-    /// epochs differently), `Promote` (replica role only) and
-    /// `ClaimIds` (a router's, covered by the router battery).
-    const NOT_MODELLED: [Opcode; 5] = [
+    /// epochs differently), `Promote` (replica role only), `ClaimIds`
+    /// (a router's, covered by the router battery) and `Subscribe`/`Ack`
+    /// (a replica's stream, covered by the replication battery).
+    const NOT_MODELLED: [Opcode; 7] = [
         Opcode::Stats,
         Opcode::Epoch,
         Opcode::ReadFloor,
         Opcode::Promote,
         Opcode::ClaimIds,
+        Opcode::Subscribe,
+        Opcode::Ack,
     ];
 
     // Ids are drawn from a tiny space so later ops hit objects earlier
@@ -1229,18 +1380,28 @@ mod tests {
     /// of writes — not after those pipelines drain (16 waits each).
     #[test]
     fn a_probe_is_answered_while_every_thread_sits_in_the_barrier() {
-        const BARRIER: Duration = Duration::from_millis(300);
+        const BARRIER: Duration = SEMI_SYNC_WAIT;
         let path = TempPath::new();
         let db = Arc::new(Database::create(&path, DatabaseOptions::no_sync()).expect("db"));
-        let hooks = ServerHooks {
-            commit_wait: Some(Arc::new(|_| thread::sleep(BARRIER))),
-            promote: None,
-        };
         let config = ServerConfig {
             workers: 2,
             ..ServerConfig::default()
         };
-        let server = OdeServer::bind_with(db, "127.0.0.1:0", config, hooks).expect("server");
+        let server = OdeServer::bind(db, "127.0.0.1:0", config).expect("server");
+        // A subscriber that never acks: every write waits out the
+        // barrier.
+        let mut silent = TcpStream::connect(server.local_addr()).expect("subscriber");
+        let mut burst = MAGIC.to_vec();
+        let subscribe = Request::Subscribe {
+            gen: 0,
+            have_pos: u64::MAX,
+            have_epoch: 0,
+        };
+        write_frame(&mut burst, &subscribe.encode(1)).expect("frame");
+        silent.write_all(&burst).expect("subscribe");
+        while server.replica_count() == 0 {
+            thread::sleep(Duration::from_millis(5));
+        }
         let pnew = Request::Pnew {
             tag: TAG,
             body: vec![7; 16],
@@ -1269,8 +1430,7 @@ mod tests {
             read_floor_timeout: FLOOR_WAIT,
             ..ServerConfig::default()
         };
-        let server = OdeServer::bind_with(db, "127.0.0.1:0", config, ServerHooks::default())
-            .expect("server");
+        let server = OdeServer::bind(db, "127.0.0.1:0", config).expect("server");
         let started = std::time::Instant::now();
         let floor = Request::ReadFloor { epoch: 1 << 20 };
         let deref = Request::Deref {

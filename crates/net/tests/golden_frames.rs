@@ -158,6 +158,15 @@ fn every_request_frame_is_the_parent_commits_bytes() {
             Request::ClaimIds { stride: 4, residue: 300 },
             "ac021d04ac02",
         ),
+        // Rows 30 and 31 likewise.
+        (
+            Request::Subscribe { gen: 5, have_pos: u64::MAX, have_epoch: 300 },
+            "ac021e05ffffffffffffffffff01ac02",
+        ),
+        (
+            Request::Ack { pos: 4096, epoch: 9 },
+            "ac021f802009",
+        ),
     ];
     for (request, golden) in &frames {
         assert_eq!(hex(&request.encode(SEQ)), *golden, "{request:?}");
@@ -279,6 +288,28 @@ fn every_response_frame_is_the_parent_commits_bytes() {
             },
             "ac020d0002050903010203002828010703c8c8c8",
         ),
+        // Kinds 14 to 16 are newer than the table; their literals were
+        // written from the rows (kind byte, then each field as a varint,
+        // bytes length-prefixed).
+        (
+            Response::SnapshotPart {
+                gen: 5,
+                base_pos: 4096,
+                epoch: 9,
+                seed: 0xC0FF_EE01,
+                total: 3,
+                bytes: vec![1, 2, 3],
+            },
+            "ac020e0580200981dcff870c0303010203",
+        ),
+        (Response::Resume { gen: 5, from: 4096 }, "ac020f058020"),
+        (
+            Response::Chunk {
+                start_pos: 4096,
+                bytes: vec![7, 8],
+            },
+            "ac02108020020708",
+        ),
         (
             Response::Err(RemoteError::UnknownObject(Oid(1))),
             "ac02ff01010000",
@@ -322,7 +353,7 @@ fn every_response_frame_is_the_parent_commits_bytes() {
     // sequence-id bytes.
     let mut kinds: Vec<u8> = frames.iter().map(|(_, g)| unhex(g)[2]).collect();
     kinds.dedup();
-    assert_eq!(kinds, (0..=13).chain([255]).collect::<Vec<u8>>());
+    assert_eq!(kinds, (0..=16).chain([255]).collect::<Vec<u8>>());
 }
 
 #[test]

@@ -1,13 +1,14 @@
-//! End-to-end shipping over real sockets: snapshot bootstrap, WAL
-//! tail, semi-sync acks, promotion fencing, and fenced-ex-primary
-//! rejoin — all against loopback TCP with real databases.
+//! End-to-end shipping over real sockets: a replica subscribes on the
+//! primary server's data port — snapshot bootstrap, WAL tail, semi-sync
+//! acks, promotion fencing, and fenced-ex-primary rejoin — all against
+//! loopback TCP with real databases.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ode::{Database, DatabaseOptions, ObjPtr};
 use ode_codec::{impl_persist_struct, impl_type_name};
-use ode_repl::{ReplicaNode, ReplicationHub};
+use ode_net::{ClientConfig, OdeClient, OdeServer, ReplicaNode, ServerConfig};
 
 #[derive(Debug, Clone, PartialEq)]
 struct Account {
@@ -19,7 +20,7 @@ impl_type_name!(Account = "repl/Account");
 
 fn temp_path(name: &str) -> std::path::PathBuf {
     let mut path = std::env::temp_dir();
-    path.push(format!("ode-repl-{name}-{}", std::process::id()));
+    path.push(format!("ode-replication-{name}-{}", std::process::id()));
     cleanup(&path);
     path
 }
@@ -69,9 +70,10 @@ fn snapshot_bootstrap_then_continuous_tail() {
     let primary = Arc::new(Database::create(&ppath, options()).unwrap());
     let mut ptrs: Vec<ObjPtr<Account>> = (0..10).map(|i| write_account(&primary, i)).collect();
 
-    let hub = ReplicationHub::start(Arc::clone(&primary), "127.0.0.1:0").unwrap();
+    let server =
+        OdeServer::bind(Arc::clone(&primary), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let replica = Arc::new(Database::create(&rpath, options()).unwrap());
-    let node = ReplicaNode::start(Arc::clone(&replica), hub.local_addr().to_string());
+    let node = ReplicaNode::start(Arc::clone(&replica), server.local_addr().to_string());
 
     // Bootstrap: the replica converges on the pre-existing state.
     let target = primary.snapshot_epoch();
@@ -91,13 +93,13 @@ fn snapshot_bootstrap_then_continuous_tail() {
         assert_eq!(read_balance(&replica, p), i as u64);
     }
     assert!(primary.storage_stats().bytes_shipped > 0);
-    assert_eq!(hub.replica_count(), 1);
+    assert_eq!(server.replica_count(), 1);
 
     // The semi-sync barrier observes the already-acked epoch.
-    assert!(hub.wait_replicated(target, Duration::from_secs(5)));
+    assert!(server.wait_replicated(target, Duration::from_secs(5)));
 
     node.stop();
-    hub.shutdown();
+    server.shutdown();
     cleanup(&ppath);
     cleanup(&rpath);
 }
@@ -107,12 +109,13 @@ fn wait_replicated_without_replicas_fails_fast() {
     let ppath = temp_path("nowait-p");
     let primary = Arc::new(Database::create(&ppath, options()).unwrap());
     write_account(&primary, 1);
-    let hub = ReplicationHub::start(Arc::clone(&primary), "127.0.0.1:0").unwrap();
+    let server =
+        OdeServer::bind(Arc::clone(&primary), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let start = Instant::now();
-    assert!(!hub.wait_replicated(primary.snapshot_epoch(), Duration::from_secs(5)));
+    assert!(!server.wait_replicated(primary.snapshot_epoch(), Duration::from_secs(5)));
     // No replica connected: returns immediately, not at the timeout.
     assert!(start.elapsed() < Duration::from_secs(2));
-    hub.shutdown();
+    server.shutdown();
     cleanup(&ppath);
 }
 
@@ -122,18 +125,19 @@ fn promotion_after_primary_death_keeps_acked_commits() {
     let rpath = temp_path("promo-r");
 
     let primary = Arc::new(Database::create(&ppath, options()).unwrap());
-    let hub = ReplicationHub::start(Arc::clone(&primary), "127.0.0.1:0").unwrap();
+    let server =
+        OdeServer::bind(Arc::clone(&primary), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let replica = Arc::new(Database::create(&rpath, options()).unwrap());
-    let node = ReplicaNode::start(Arc::clone(&replica), hub.local_addr().to_string());
+    let node = ReplicaNode::start(Arc::clone(&replica), server.local_addr().to_string());
 
-    wait_until("replica channel up", || hub.replica_count() == 1);
+    wait_until("replica channel up", || server.replica_count() == 1);
     let ptrs: Vec<ObjPtr<Account>> = (0..20).map(|i| write_account(&primary, i * 100)).collect();
     let acked_epoch = primary.snapshot_epoch();
-    assert!(hub.wait_replicated(acked_epoch, Duration::from_secs(10)));
+    assert!(server.wait_replicated(acked_epoch, Duration::from_secs(10)));
 
     // Primary dies: channel down, process state gone (leak = no
     // shutdown checkpoint, like a crash).
-    hub.shutdown();
+    server.shutdown();
     std::mem::forget(primary);
 
     // Driven failover: promote the replica and keep serving.
@@ -162,25 +166,31 @@ fn fenced_ex_primary_rejoins_as_replica_without_divergence() {
     let rpath = temp_path("rejoin-r");
 
     let primary = Arc::new(Database::create(&ppath, options()).unwrap());
-    let hub = ReplicationHub::start(Arc::clone(&primary), "127.0.0.1:0").unwrap();
+    let server =
+        OdeServer::bind(Arc::clone(&primary), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let replica = Arc::new(Database::create(&rpath, options()).unwrap());
-    let node = ReplicaNode::start(Arc::clone(&replica), hub.local_addr().to_string());
+    let node = ReplicaNode::start(Arc::clone(&replica), server.local_addr().to_string());
 
-    wait_until("replica channel up", || hub.replica_count() == 1);
+    wait_until("replica channel up", || server.replica_count() == 1);
     let shared: Vec<ObjPtr<Account>> = (0..8).map(|i| write_account(&primary, i)).collect();
-    assert!(hub.wait_replicated(primary.snapshot_epoch(), Duration::from_secs(10)));
+    assert!(server.wait_replicated(primary.snapshot_epoch(), Duration::from_secs(10)));
 
     // Partition the replica away, then commit more on the (doomed)
     // primary: these commits are never shipped — the lost tail.
     node.stop();
     let lost = write_account(&primary, 999);
-    hub.shutdown();
+    server.shutdown();
     std::mem::forget(primary);
 
     // Promote the replica; it becomes the new lineage.
     node.promote().unwrap();
     let new_primary = Arc::clone(node.database());
-    let new_hub = ReplicationHub::start(Arc::clone(&new_primary), "127.0.0.1:0").unwrap();
+    let new_server = OdeServer::bind(
+        Arc::clone(&new_primary),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .unwrap();
     let diverged = write_account(&new_primary, 4242);
 
     // The ex-primary restarts (recovering its lost tail locally) and
@@ -192,7 +202,7 @@ fn fenced_ex_primary_rejoins_as_replica_without_divergence() {
         let mut snap = ex_primary.snapshot();
         assert_eq!(snap.deref(&lost).unwrap().balance, 999);
     }
-    let rejoined = ReplicaNode::start(Arc::clone(&ex_primary), new_hub.local_addr().to_string());
+    let rejoined = ReplicaNode::start(Arc::clone(&ex_primary), new_server.local_addr().to_string());
     let target = new_primary.snapshot_epoch();
     wait_until("rejoin catch-up", || rejoined.status().epoch >= target);
 
@@ -211,7 +221,116 @@ fn fenced_ex_primary_rejoins_as_replica_without_divergence() {
     drop(snap);
 
     rejoined.stop();
-    new_hub.shutdown();
+    new_server.shutdown();
+    cleanup(&ppath);
+    cleanup(&rpath);
+}
+
+#[test]
+fn a_page_file_larger_than_one_snapshot_part_bootstraps_then_tails() {
+    let ppath = temp_path("parts-p");
+    let rpath = temp_path("parts-r");
+
+    // 2 KiB notes: 200 of them take the page file past the 256 KiB a
+    // snapshot part carries.
+    let primary = Arc::new(Database::create(&ppath, options()).unwrap());
+    let write = |balance: u64| {
+        let mut txn = primary.begin();
+        let note = format!("{balance:08}").repeat(256);
+        let p = txn.pnew(&Account { balance, note }).unwrap();
+        txn.commit().unwrap();
+        p
+    };
+    let mut ptrs: Vec<ObjPtr<Account>> = (0..200).map(write).collect();
+
+    let server =
+        OdeServer::bind(Arc::clone(&primary), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let replica = Arc::new(Database::create(&rpath, options()).unwrap());
+    let node = ReplicaNode::start(Arc::clone(&replica), server.local_addr().to_string());
+    let target = primary.snapshot_epoch();
+    wait_until("bootstrap catch-up", || node.status().epoch >= target);
+    assert!(primary.storage_stats().bytes_shipped > 256 * 1024);
+
+    ptrs.extend((200..220).map(write));
+    let target = primary.snapshot_epoch();
+    wait_until("tail catch-up", || node.status().epoch >= target);
+    for (i, p) in ptrs.iter().enumerate() {
+        assert_eq!(read_balance(&replica, p), i as u64);
+    }
+    assert_eq!(replica.snapshot_epoch(), primary.snapshot_epoch());
+
+    node.stop();
+    server.shutdown();
+    cleanup(&ppath);
+    cleanup(&rpath);
+}
+
+/// Every server write waits at the semi-synchronous barrier while a
+/// replica is subscribed. With more writers than server threads every
+/// thread sits there at once, and still each write is acknowledged
+/// only once the replica holds it, well inside the barrier's 500 ms
+/// bound: the waiters read the replica's acks themselves.
+#[test]
+fn more_semi_sync_writers_than_threads_are_each_acked_by_the_replica() {
+    const WORKERS: usize = 2;
+    const WRITERS: usize = 6;
+    const WRITES: usize = 20;
+    let ppath = temp_path("semisync-p");
+    let rpath = temp_path("semisync-r");
+
+    let primary = Arc::new(Database::create(&ppath, options()).unwrap());
+    let config = ServerConfig {
+        workers: WORKERS,
+        ..ServerConfig::default()
+    };
+    let server = OdeServer::bind(Arc::clone(&primary), "127.0.0.1:0", config).unwrap();
+    let replica = Arc::new(Database::create(&rpath, options()).unwrap());
+    let node = ReplicaNode::start(Arc::clone(&replica), server.local_addr().to_string());
+    wait_until("replica subscribed", || server.replica_count() == 1);
+
+    let addr = server.local_addr();
+    let slowest = std::thread::scope(|scope| {
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                let replica = &replica;
+                scope.spawn(move || {
+                    let mut client = OdeClient::connect(addr, ClientConfig::default()).unwrap();
+                    let mut slowest = Duration::ZERO;
+                    for i in 0..WRITES {
+                        let started = Instant::now();
+                        let balance = (w * WRITES + i) as u64;
+                        let p = client
+                            .pnew(&Account {
+                                balance,
+                                note: format!("writer {w}"),
+                            })
+                            .expect("write acknowledged");
+                        slowest = slowest.max(started.elapsed());
+                        // Acknowledged means replicated.
+                        let mut snap = replica.snapshot();
+                        assert!(
+                            snap.exists_raw(p.oid()).unwrap(),
+                            "write {balance} not on the replica"
+                        );
+                    }
+                    slowest
+                })
+            })
+            .collect();
+        writers
+            .into_iter()
+            .map(|w| w.join().unwrap())
+            .max()
+            .unwrap()
+    });
+    assert!(
+        slowest < Duration::from_millis(500),
+        "a write waited {slowest:?}, out to the barrier's bound"
+    );
+    assert_eq!(replica.snapshot_epoch(), primary.snapshot_epoch());
+
+    node.stop();
+    server.shutdown();
     cleanup(&ppath);
     cleanup(&rpath);
 }

@@ -4,8 +4,8 @@
 //! through a real router over real sockets, with faults injected by
 //! the cluster harness relays.
 //!
-//! (Fenced ex-primary *rejoin* is covered at the `ode-repl` layer —
-//! `crates/repl/tests/replication.rs` — where both lineages' disks are
+//! (Fenced ex-primary *rejoin* is covered one layer down —
+//! `tests/replication.rs` — where both lineages' disks are
 //! directly observable.)
 
 use std::thread;
@@ -174,8 +174,8 @@ fn a_lagging_replica_never_serves_state_older_than_the_pinned_epoch() {
     // is now stale at revision 1 while the primary (and soon the
     // router's probed epoch) is at revision 2.
     cluster.partition_replica(0, 0, true);
-    wait_until("hub notices the dead channel", || {
-        cluster.hub(0).replica_count() == 0
+    wait_until("the primary notices the dead subscription", || {
+        cluster.primary(0).replica_count() == 0
     });
     writer.put(&p, &doc("gated", 2)).expect("put");
     let advanced = cluster.primary_epoch(0);
@@ -340,8 +340,8 @@ fn a_lost_tail_is_fenced_never_resurrected() {
     // are acknowledged (semi-sync degrades after its bounded wait) but
     // never shipped — the lost tail.
     cluster.partition_replica(0, 0, true);
-    wait_until("hub notices the dead channel", || {
-        cluster.hub(0).replica_count() == 0
+    wait_until("the primary notices the dead subscription", || {
+        cluster.primary(0).replica_count() == 0
     });
     let lost: Vec<ClientObjPtr<Doc>> = (0..2)
         .map(|i| c.pnew(&doc("lost", 900 + i)).expect("pnew lost"))
@@ -388,7 +388,7 @@ fn shipping_survives_repeated_mid_chunk_cuts() {
     let cluster = Cluster::start(repl_config(1, 1));
     let mut writer = connect(&cluster);
 
-    // The first few shipping connections die mid-chunk (hub→replica is
+    // The first few subscriptions die mid-chunk (primary→replica is
     // the relay's server→client direction); later ones are clean. The
     // replica must re-bootstrap or resume each time without applying a
     // torn commit.

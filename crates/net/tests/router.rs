@@ -798,3 +798,43 @@ fn a_pipelined_burst_larger_than_the_socket_buffers_is_answered_in_full() {
     }
     drop(reader);
 }
+
+/// A log subscription concerns one node: through the router `Subscribe`
+/// and `Ack` are refused with `BadRequest`, never forwarded to a shard
+/// and never answered with a stream.
+#[test]
+fn the_router_refuses_subscriptions_and_acks() {
+    let paths = [TempPath::new(), TempPath::new()];
+    let shards: Vec<(Arc<Database>, OdeServer)> = paths.iter().map(shard_server).collect();
+    let backends = shards.iter().map(|(_, s)| s.local_addr()).collect();
+    let router = OdeRouter::bind("127.0.0.1:0", backends, RouterConfig::default()).expect("router");
+    let mut stream = raw_session(router.local_addr(), Duration::from_millis(300));
+
+    let subscribe = Request::Subscribe {
+        gen: 0,
+        have_pos: u64::MAX,
+        have_epoch: 0,
+    };
+    let ack = Request::Ack { pos: 0, epoch: 0 };
+    for (seq, request) in [(5, subscribe), (6, ack)] {
+        match call(&mut stream, seq, &request) {
+            Response::Err(RemoteError::BadRequest(_)) => {}
+            other => panic!("{request:?} answered {other:?}"),
+        }
+    }
+    assert_eq!(call(&mut stream, 7, &Request::Ping), Response::Pong);
+    // Nothing more arrives: no stream follows the refusal.
+    let mut payload = Vec::new();
+    match read_frame_into(&mut stream, &mut payload) {
+        Err(NetError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+        Err(NetError::Io(e)) if e.kind() == std::io::ErrorKind::TimedOut => {}
+        other => panic!("a frame followed the refusals: {other:?} {payload:?}"),
+    }
+    for (_, shard) in &shards {
+        let stats = shard.stats();
+        assert_eq!(stats.requests_for(ode_net::Opcode::Subscribe), 0);
+        assert_eq!(stats.requests_for(ode_net::Opcode::Ack), 0);
+        assert_eq!(shard.replica_count(), 0);
+    }
+    router.shutdown();
+}

@@ -48,5 +48,5 @@ pub use gate::GateStats;
 pub use page::{PageBuf, PageId, PAGE_SIZE};
 pub use store::{
     IngestOutcome, PageRead, PageWrite, ReadTx, ReplSnapshot, Store, StoreOptions, StoreStats, Tx,
-    WalSpan,
+    Waker, WalSpan,
 };

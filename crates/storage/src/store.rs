@@ -161,11 +161,11 @@ pub struct StoreStats {
     /// Largest commit cohort one group fsync covered.
     pub group_batch_max: u64,
     /// WAL bytes shipped to replicas (primary side; counted by the
-    /// replication hub via [`Store::note_bytes_shipped`]).
+    /// shipping server via [`Store::note_bytes_shipped`]).
     pub bytes_shipped: u64,
     /// Current replica lag in epochs: the primary's epoch minus the
     /// slowest connected replica's acked epoch (a gauge, set by the
-    /// replication hub; 0 with no replicas or when caught up).
+    /// shipping server; 0 with no replicas or when caught up).
     pub replica_lag_epochs: u64,
     /// Times this store was promoted from replica to primary.
     pub failovers: u64,
@@ -347,13 +347,19 @@ pub enum WalSpan {
     SnapshotNeeded,
 }
 
+/// A callback run each time the shippable log grows (see
+/// [`Store::set_ship_waker`]).
+pub type Waker = Arc<dyn Fn() + Send + Sync>;
+
 /// A monotone watermark with waiters (shipped-position and applied-epoch
-/// signals). `Mutex<u64>` + std `Condvar` compose because the vendored
-/// parking_lot guard *is* the std guard type (see the note on
+/// signals): threads blocked in [`Watermark::wait_past`], and at most
+/// one [`Waker`]. `Mutex<u64>` + std `Condvar` compose because the
+/// vendored parking_lot guard *is* the std guard type (see the note on
 /// [`GroupCommit`]).
 struct Watermark {
     value: Mutex<u64>,
     cv: std::sync::Condvar,
+    waker: Mutex<Option<Waker>>,
 }
 
 impl Watermark {
@@ -361,6 +367,7 @@ impl Watermark {
         Watermark {
             value: Mutex::new(value),
             cv: std::sync::Condvar::new(),
+            waker: Mutex::new(None),
         }
     }
 
@@ -368,12 +375,19 @@ impl Watermark {
         *self.value.lock()
     }
 
-    /// Raise the watermark (monotone; lower values are ignored).
+    /// Raise the watermark (monotone; lower values are ignored), then
+    /// call the waker, outside every lock of this watermark.
     fn advance(&self, to: u64) {
         let mut v = self.value.lock();
-        if to > *v {
-            *v = to;
-            self.cv.notify_all();
+        if to <= *v {
+            return;
+        }
+        *v = to;
+        self.cv.notify_all();
+        drop(v);
+        let waker = self.waker.lock().clone();
+        if let Some(wake) = waker {
+            wake();
         }
     }
 
@@ -858,9 +872,9 @@ impl Store {
     // -- replication tap -----------------------------------------------------
     //
     // The primary side ships the WAL as an opaque byte stream
-    // ([`Store::repl_snapshot`] + [`Store::read_wal_span`], paced by
-    // [`Store::wait_shippable`]); the replica side lands those bytes
-    // verbatim and applies complete commits under the snapshot gate
+    // ([`Store::repl_snapshot`] + [`Store::read_wal_span`], woken
+    // through [`Store::set_ship_waker`]); the replica side lands those
+    // bytes verbatim and applies complete commits under the snapshot gate
     // ([`Store::replica_install_snapshot`] + [`Store::replica_ingest`]).
     // Promotion ([`Store::promote_to_primary`]) fences the log at the
     // last applied commit and reopens the store for writes.
@@ -906,11 +920,17 @@ impl Store {
         Ok(WalSpan::Data(bytes))
     }
 
-    /// Block until some WAL byte past logical position `from` is
-    /// shippable, or `timeout` elapses. Returns the current shippable
-    /// watermark either way.
-    pub fn wait_shippable(&self, from: u64, timeout: Duration) -> u64 {
-        self.ship.wait_past(from, timeout)
+    /// The logical WAL position up to which bytes are shippable.
+    pub fn shippable(&self) -> u64 {
+        self.ship.get()
+    }
+
+    /// Have `waker` called each time more of the WAL becomes shippable,
+    /// on whichever thread made it so: a committer after its fsync, a
+    /// checkpoint, a promotion. It replaces any waker set before; `None`
+    /// clears it. A waker must be brief and must not commit.
+    pub fn set_ship_waker(&self, waker: Option<Waker>) {
+        *self.ship.waker.lock() = waker;
     }
 
     /// Block until the applied epoch reaches at least `floor`, or
@@ -1067,7 +1087,7 @@ impl Store {
         self.lock_write().apply.is_some()
     }
 
-    /// Count WAL bytes shipped to replicas (called by the hub).
+    /// Count WAL bytes shipped to replicas (called by the shipper).
     pub fn note_bytes_shipped(&self, n: u64) {
         self.counters.bytes_shipped.fetch_add(n, Ordering::Relaxed);
     }

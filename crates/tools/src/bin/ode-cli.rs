@@ -22,6 +22,7 @@
 //! ode-cli <addr> objects                    every Note on the server
 //! ode-cli <addr> delete <oid>               pdelete the object
 //! ode-cli <addr> delete-version <vid>       pdelete one version
+//! ode-cli <addr> promote                    turn a replica into a primary
 //! ```
 //!
 //! The CLI works with one concrete type, `Note { text }` — enough to
@@ -98,7 +99,8 @@ fn usage() -> ExitCode {
          \x20                          ranges instead of failing\n\
          \x20 objects                  list every Note\n\
          \x20 delete <oid>             delete object + versions\n\
-         \x20 delete-version <vid>     delete one version"
+         \x20 delete-version <vid>     delete one version\n\
+         \x20 promote                  turn a replica into a primary"
     );
     ExitCode::from(2)
 }
@@ -154,6 +156,7 @@ fn main() -> ExitCode {
 
     let outcome = match command.as_str() {
         "ping" => client.ping().map(|()| out!("pong")),
+        "promote" => client.promote().map(|()| out!("promoted")),
         "stats" => client.stats().map(|stats| {
             out!(
                 "connections: {} total, {} active",

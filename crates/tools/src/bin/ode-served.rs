@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ode-served <db-path> <addr> [--workers N] [--no-sync] [--chain N]
-//!            [--stats-every SECS]
+//!            [--stats-every SECS] [--replica-of ADDR]
 //! ```
 //!
 //! Opens (or creates) the database at `<db-path>` and serves the
@@ -10,6 +10,13 @@
 //! picks a free port and prints it). Runs until killed; every
 //! committed write is WAL-durable before its response is sent, so a
 //! `SIGKILL` loses nothing that was acknowledged.
+//!
+//! With `--replica-of ADDR` the server is a replica of the primary
+//! serving on `ADDR`: it subscribes on that port, applies the primary's
+//! log into `<db-path>` (replacing what the file held), serves reads
+//! and refuses writes until promoted (`ode-cli <addr> promote`). A
+//! primary holds each write's answer until a subscribed replica has
+//! applied it, for at most half a second.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -36,7 +43,8 @@ fn usage() -> ExitCode {
          \x20 --chain N          anchor interval of new delta chains (default 8;\n\
          \x20                    historical reads cost at most N-1 delta\n\
          \x20                    applications, 1 stores whole copies)\n\
-         \x20 --stats-every SECS print server stats periodically"
+         \x20 --stats-every SECS print server stats periodically\n\
+         \x20 --replica-of ADDR  replicate the primary serving on ADDR"
     );
     ExitCode::from(2)
 }
@@ -54,6 +62,7 @@ fn main() -> ExitCode {
     let mut no_sync = false;
     let mut chain = ChainConfig::default();
     let mut stats_every: Option<Duration> = None;
+    let mut primary: Option<String> = None;
     let mut rest = args[2..].iter();
     while let Some(flag) = rest.next() {
         match flag.as_str() {
@@ -68,6 +77,10 @@ fn main() -> ExitCode {
             },
             "--stats-every" => match rest.next().and_then(|s| s.parse().ok()) {
                 Some(secs) => stats_every = Some(Duration::from_secs(secs)),
+                None => return usage(),
+            },
+            "--replica-of" => match rest.next() {
+                Some(addr) => primary = Some(addr.clone()),
                 None => return usage(),
             },
             _ => return usage(),
@@ -88,6 +101,7 @@ fn main() -> ExitCode {
         }
     };
 
+    config.replica = primary.is_some();
     let server = match OdeServer::bind(db, addr.as_str(), config) {
         Ok(server) => server,
         Err(e) => {
@@ -95,6 +109,13 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if let Some(primary) = primary {
+        if let Err(e) = server.follow(primary.as_str()) {
+            eprintln!("ode-served: cannot follow {primary}: {e}");
+            return ExitCode::FAILURE;
+        }
+        out!("ode-served: replica of {primary}");
+    }
     out!("ode-served: serving {path} on {}", server.local_addr());
 
     // Serve until the process is killed. With --stats-every, wake up

@@ -1,5 +1,6 @@
 //! Failover regression at the process level: a primary in a *separate
-//! OS process* ships its WAL to a replica in this process and only
+//! OS process* ships its WAL to a replica in this process, which
+//! subscribes on the primary server's data port, and only
 //! acknowledges a commit once the replica acked it (semi-sync). The
 //! primary is then SIGKILLed mid-stream — no shutdown checkpoint, no
 //! warning, exactly like a machine loss — and the replica is promoted.
@@ -12,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use ode::{Database, DatabaseOptions, ObjPtr, Oid};
 use ode_codec::{impl_persist_struct, impl_type_name};
-use ode_repl::{ReplicaNode, ReplicationHub};
+use ode_net::{OdeServer, ReplicaNode, ServerConfig};
 
 #[derive(Debug, Clone, PartialEq)]
 struct Entry {
@@ -49,11 +50,12 @@ fn child_replicated_writer() {
         Database::create(std::path::Path::new(&db_path), DatabaseOptions::no_sync())
             .expect("child create db"),
     );
-    let hub = ReplicationHub::start(Arc::clone(&db), "127.0.0.1:0").expect("child start hub");
-    println!("ADDR {}", hub.local_addr());
+    let server = OdeServer::bind(Arc::clone(&db), "127.0.0.1:0", ServerConfig::default())
+        .expect("child bind server");
+    println!("ADDR {}", server.local_addr());
 
     let deadline = Instant::now() + Duration::from_secs(30);
-    while hub.replica_count() == 0 {
+    while server.replica_count() == 0 {
         assert!(Instant::now() < deadline, "no replica connected");
         std::thread::sleep(Duration::from_millis(5));
     }
@@ -63,7 +65,7 @@ fn child_replicated_writer() {
         let mut txn = db.begin();
         let ptr = txn.pnew(&Entry { seq }).expect("child pnew");
         txn.commit().expect("child commit");
-        if hub.wait_replicated(db.snapshot_epoch(), Duration::from_secs(5)) {
+        if server.wait_replicated(db.snapshot_epoch(), Duration::from_secs(5)) {
             let mut out = stdout.lock();
             writeln!(out, "ACK {seq} {}", ptr.oid().0).expect("child write ack");
             out.flush().expect("child flush ack");
