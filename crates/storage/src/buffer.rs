@@ -29,19 +29,41 @@
 //! is always resident, so no reader can miss to the file and observe a
 //! half-written page while a checkpoint is streaming it out.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use crate::page::{PageBuf, PageId};
+use crate::page::{seal_image, PageBuf, PageId, PageMap, PAGE_SIZE};
 use crate::pager::Pager;
 use crate::Result;
 
 /// Number of independent shard locks. Power of two so the shard pick is
 /// a mask; 16 is plenty for the thread counts a single store sees.
 const SHARDS: usize = 16;
+
+/// Most pages one checkpoint write carries: runs of adjacent dirty
+/// pages longer than this are written in pieces, so the buffer they are
+/// sealed in stays at 64 KiB however large the checkpoint.
+pub const WRITE_BACK_PAGES: usize = 16;
+
+/// Split `pages`, ascending by id, into the runs [`BufferPool::flush_all`]
+/// writes: adjacent ids, at most [`WRITE_BACK_PAGES`] to a run.
+fn write_runs<T>(pages: &[(PageId, T)]) -> impl Iterator<Item = &[(PageId, T)]> {
+    let mut rest = pages;
+    std::iter::from_fn(move || {
+        let first = rest.first()?.0;
+        let len = rest
+            .iter()
+            .take(WRITE_BACK_PAGES)
+            .enumerate()
+            .take_while(|(k, (id, _))| id.0 == first.0 + *k as u64)
+            .count();
+        let (run, tail) = rest.split_at(len);
+        rest = tail;
+        Some(run)
+    })
+}
 
 /// Statistics maintained by the pool (exposed for benches and tests).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +93,7 @@ struct Frame {
 
 #[derive(Default)]
 struct Shard {
-    frames: HashMap<u64, Frame>,
+    frames: PageMap<Frame>,
 }
 
 /// A sharded LRU page cache over a [`Pager`].
@@ -234,7 +256,12 @@ impl BufferPool {
 
     /// Ids of all dirty resident pages, ascending.
     pub fn dirty_pages(&self) -> Vec<PageId> {
-        let mut v: Vec<PageId> = Vec::new();
+        self.dirty_images().into_iter().map(|(id, _)| id).collect()
+    }
+
+    /// Every dirty resident page and its image, ascending by id.
+    fn dirty_images(&self) -> Vec<(PageId, Arc<PageBuf>)> {
+        let mut v = Vec::new();
         for shard in &self.shards {
             let shard = shard.read();
             v.extend(
@@ -242,36 +269,40 @@ impl BufferPool {
                     .frames
                     .iter()
                     .filter(|(_, f)| f.dirty)
-                    .map(|(&id, _)| PageId(id)),
+                    .map(|(&id, f)| (PageId(id), Arc::clone(&f.page))),
             );
         }
-        v.sort();
+        v.sort_unstable_by_key(|&(id, _)| id);
         v
     }
 
     /// Write all dirty pages back to the file and mark them clean
     /// (checkpoint). The caller (the store) serializes checkpoints under
-    /// its write lock; concurrent *readers* are unaffected because each
-    /// frame's image is only sealed on a clone. Afterwards every frame
-    /// is clean, so shards that grew past their share are trimmed back.
+    /// its write lock, so no frame changes while this runs; concurrent
+    /// *readers* are unaffected because images are only sealed in a
+    /// copy. Each run of adjacent ids goes out as one write of at most
+    /// [`WRITE_BACK_PAGES`] pages, sealed in one buffer that every run
+    /// reuses. Afterwards every frame is clean, so shards that grew past
+    /// their share are trimmed back. On error the pages already written
+    /// are clean and the rest stay dirty.
     pub fn flush_all(&self, pager: &Pager) -> Result<()> {
-        for id in self.dirty_pages() {
-            // Snapshot the image with a read lock only: the single
-            // writer is parked in this very call, so the frame cannot
-            // change between the clone and the write-back.
-            let image = {
-                let shard = self.shard(id).read();
-                match shard.frames.get(&id.0) {
-                    Some(f) if f.dirty => Arc::clone(&f.page),
-                    _ => continue,
+        let dirty = self.dirty_images();
+        let mut buf = Vec::with_capacity(WRITE_BACK_PAGES.min(dirty.len()) * PAGE_SIZE);
+        for run in write_runs(&dirty) {
+            buf.clear();
+            for (_, image) in run {
+                buf.extend_from_slice(image.as_bytes());
+            }
+            for image in buf.chunks_exact_mut(PAGE_SIZE) {
+                seal_image(image);
+            }
+            pager.write_sealed_run(run[0].0, &buf)?;
+            self.writebacks
+                .fetch_add(run.len() as u64, Ordering::Relaxed);
+            for (id, _) in run {
+                if let Some(f) = self.shard(*id).write().frames.get_mut(&id.0) {
+                    f.dirty = false;
                 }
-            };
-            let mut sealed = (*image).clone();
-            pager.write_page(id, &mut sealed)?;
-            self.writebacks.fetch_add(1, Ordering::Relaxed);
-            let mut shard = self.shard(id).write();
-            if let Some(f) = shard.frames.get_mut(&id.0) {
-                f.dirty = false;
             }
         }
         self.dirty_pressure.store(false, Ordering::Relaxed);
@@ -482,6 +513,66 @@ mod tests {
         // Verify via a fresh read from the file.
         let back = pager.read_page(id).unwrap();
         assert_eq!(back.read_u64(16), 0xAB);
+    }
+
+    #[test]
+    fn write_runs_are_adjacent_and_at_most_sixteen_pages() {
+        let ids: Vec<(PageId, ())> = (0..40)
+            .chain([42])
+            .chain(44..61)
+            .chain([100])
+            .map(|k| (PageId(k), ()))
+            .collect();
+        let runs: Vec<Vec<u64>> = write_runs(&ids)
+            .map(|run| run.iter().map(|(id, _)| id.0).collect())
+            .collect();
+        let from = |r: std::ops::Range<u64>| r.collect::<Vec<u64>>();
+        assert_eq!(
+            runs,
+            [
+                from(0..16),
+                from(16..32),
+                from(32..40),
+                vec![42],
+                from(44..60),
+                vec![60],
+                vec![100],
+            ]
+        );
+        assert!(write_runs::<()>(&[]).next().is_none());
+    }
+
+    #[test]
+    fn flush_all_writes_runs_across_and_past_eof() {
+        let (path, pager) = temp_pager();
+        seed_pages(&pager, 3);
+        let pool = BufferPool::new(256);
+        let dirty: Vec<u64> = (1..20).chain(30..33).collect();
+        for &k in &dirty {
+            let mut page = PageBuf::new(PageKind::Heap);
+            page.write_u64(16, k + 1000);
+            pool.publish(PageId(k), Arc::new(page), true, 1);
+        }
+        pool.flush_all(&pager).unwrap();
+        assert_eq!(pool.stats().writebacks, dirty.len() as u64);
+        assert!(pool.dirty_pages().is_empty());
+        assert_eq!(pager.file_pages(), 33);
+        assert_eq!(
+            std::fs::metadata(&*path).unwrap().len(),
+            33 * PAGE_SIZE as u64
+        );
+        assert_eq!(pager.read_page(PageId(0)).unwrap().read_u64(16), 0);
+        for &k in &dirty {
+            assert_eq!(pager.read_page(PageId(k)).unwrap().read_u64(16), k + 1000);
+        }
+        // The pages no run wrote, between the old end and page 30, are
+        // zeroes that fail their checksum.
+        for k in 20..30 {
+            assert!(matches!(
+                pager.read_page(PageId(k)),
+                Err(crate::StorageError::ChecksumMismatch { .. })
+            ));
+        }
     }
 
     #[test]

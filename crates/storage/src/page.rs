@@ -13,7 +13,9 @@
 //! The checksum is only valid for pages at rest in the database file; the
 //! in-memory image may have a stale CRC until flushed.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Size of every page, in bytes.
 pub const PAGE_SIZE: usize = 4096;
@@ -48,6 +50,39 @@ impl PageId {
 impl fmt::Display for PageId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "p{}", self.0)
+    }
+}
+
+/// A map keyed by page number: a transaction's write set, base images
+/// and pins, and the buffer pool's frames. Hashed by [`PageIdHasher`]
+/// rather than SipHash, which is built to resist keys an attacker
+/// picks; page numbers are the store's own.
+pub(crate) type PageMap<V> = HashMap<u64, V, BuildHasherDefault<PageIdHasher>>;
+
+/// Hashes a page number with the splitmix64 finalizer. A mixing hash,
+/// not a bare multiply: the pool shards pages by their low four bits,
+/// so every key in one shard's map shares them, and every input bit has
+/// to reach the bits the table picks its bucket and tag from.
+#[derive(Default)]
+pub(crate) struct PageIdHasher(u64);
+
+impl Hasher for PageIdHasher {
+    fn finish(&self) -> u64 {
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u64` keys reach this hasher; fold anything else in.
+        self.0 = bytes
+            .iter()
+            .fold(self.0, |h, &b| h.rotate_left(8) ^ u64::from(b));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
     }
 }
 
@@ -86,6 +121,15 @@ impl PageKind {
             _ => return None,
         })
     }
+}
+
+/// Store the checksum of the page image `bytes` (`PAGE_SIZE` long) in
+/// its first four bytes: what [`PageBuf::seal`] does, for an image that
+/// sits in a larger buffer.
+pub(crate) fn seal_image(bytes: &mut [u8]) {
+    debug_assert_eq!(bytes.len(), PAGE_SIZE);
+    let crc = crate::crc32(&bytes[4..]);
+    bytes[0..4].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// An owned, heap-allocated page image.
@@ -178,8 +222,7 @@ impl PageBuf {
 
     /// Recompute and store the page checksum (done at flush time).
     pub fn seal(&mut self) {
-        let crc = crate::crc32(&self.bytes[4..]);
-        self.bytes[0..4].copy_from_slice(&crc.to_le_bytes());
+        seal_image(&mut self.bytes[..]);
     }
 
     /// Verify the stored checksum against the contents.
