@@ -3,10 +3,10 @@
 //! [`OdeClient`] speaks the wire protocol over one reused TCP
 //! connection and exposes typed methods mirroring the embedded
 //! [`ode::Txn`] API: values are encoded/decoded locally with
-//! [`ode_codec`], and references come back as [`ClientObjPtr`] /
-//! [`ClientVersionPtr`] — the same generic-vs-specific distinction as
-//! [`ode::ObjPtr`] / [`ode::VersionPtr`], carrying the raw [`Oid`] /
-//! [`Vid`].
+//! [`ode_codec`], and references are the embedded API's own
+//! [`ObjPtr`] (generic, late-bound) and [`VersionPtr`] (specific,
+//! early-bound), so a pointer moves between a [`ode::Txn`] and an
+//! `OdeClient` with no conversion.
 //!
 //! The connection is a **pipeline**: every request carries a
 //! client-assigned sequence id and the server may answer out of order,
@@ -23,19 +23,17 @@
 //! leaves its outcome unknown and is surfaced to the caller.
 
 use std::collections::{HashMap, HashSet};
-use std::fmt;
 use std::io::{self, BufReader, BufWriter, Write};
-use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use ode::{MergeConflict, MergePolicy, ObjPtr, OdeType, Oid, TypeTag, VersionPtr, Vid};
+use ode::{
+    MergeConflict, MergePolicy, ObjPtr, OdeType, Oid, TypeTag, VersionDiff, VersionPtr, Vid,
+};
 use ode_codec::{from_bytes, to_bytes};
 
 use crate::error::{NetError, Result};
-use crate::protocol::{
-    read_frame, write_frame, DiffSummary, Request, Response, StatsReport, MAGIC,
-};
+use crate::protocol::{read_frame, write_frame, Request, Response, StatsReport, MAGIC};
 
 /// Client tuning knobs.
 #[derive(Debug, Clone)]
@@ -59,134 +57,38 @@ impl Default for ClientConfig {
     }
 }
 
-/// A generic (latest-version) reference held by a remote client.
-///
-/// The client-side analogue of [`ObjPtr`]: same identity, no borrow of
-/// a local database.
-pub struct ClientObjPtr<T> {
-    oid: Oid,
-    _marker: PhantomData<fn() -> T>,
-}
-
-/// A specific (pinned-version) reference held by a remote client; the
-/// analogue of [`VersionPtr`].
-pub struct ClientVersionPtr<T> {
-    vid: Vid,
-    _marker: PhantomData<fn() -> T>,
-}
-
-impl<T> ClientObjPtr<T> {
-    /// Wrap a raw object id.
-    pub fn from_oid(oid: Oid) -> ClientObjPtr<T> {
-        ClientObjPtr {
-            oid,
-            _marker: PhantomData,
-        }
-    }
-
-    /// The raw object id.
-    pub fn oid(self) -> Oid {
-        self.oid
-    }
-
-    /// The embedded-API pointer with the same identity (for code that
-    /// also opens the database file directly).
-    pub fn as_obj_ptr(self) -> ObjPtr<T> {
-        ObjPtr::from_oid(self.oid)
-    }
-}
-
-impl<T> ClientVersionPtr<T> {
-    /// Wrap a raw version id.
-    pub fn from_vid(vid: Vid) -> ClientVersionPtr<T> {
-        ClientVersionPtr {
-            vid,
-            _marker: PhantomData,
-        }
-    }
-
-    /// The raw version id.
-    pub fn vid(self) -> Vid {
-        self.vid
-    }
-
-    /// The embedded-API pointer with the same identity.
-    pub fn as_version_ptr(self) -> VersionPtr<T> {
-        VersionPtr::from_vid(self.vid)
-    }
-}
-
-impl<T: OdeType> ClientObjPtr<T> {
-    /// The stable type tag of `T`.
-    pub fn tag() -> TypeTag {
-        ObjPtr::<T>::tag()
-    }
-}
-
-impl<T> From<ObjPtr<T>> for ClientObjPtr<T> {
-    fn from(p: ObjPtr<T>) -> ClientObjPtr<T> {
-        ClientObjPtr::from_oid(p.oid())
-    }
-}
-
-impl<T> From<VersionPtr<T>> for ClientVersionPtr<T> {
-    fn from(v: VersionPtr<T>) -> ClientVersionPtr<T> {
-        ClientVersionPtr::from_vid(v.vid())
-    }
-}
-
-// Manual impls: derive would wrongly require `T: Clone` etc.
-impl<T> Clone for ClientObjPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for ClientObjPtr<T> {}
-impl<T> PartialEq for ClientObjPtr<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.oid == other.oid
-    }
-}
-impl<T> Eq for ClientObjPtr<T> {}
-impl<T> fmt::Debug for ClientObjPtr<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ClientObjPtr({})", self.oid)
-    }
-}
-impl<T> fmt::Display for ClientObjPtr<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.oid)
-    }
-}
-impl<T> Clone for ClientVersionPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for ClientVersionPtr<T> {}
-impl<T> PartialEq for ClientVersionPtr<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.vid == other.vid
-    }
-}
-impl<T> Eq for ClientVersionPtr<T> {}
-impl<T> fmt::Debug for ClientVersionPtr<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ClientVersionPtr({})", self.vid)
-    }
-}
-impl<T> fmt::Display for ClientVersionPtr<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.vid)
-    }
-}
-
 struct Conn {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
 }
 
 /// A blocking client for one Ode server.
+///
+/// Its typed methods mirror [`ode::Txn`]'s and use the same pointer
+/// types, so an [`ObjPtr`] or [`VersionPtr`] obtained here also
+/// dereferences in a local transaction on the same database, and the
+/// other way round.
+///
+/// ```no_run
+/// use ode::{ObjPtr, VersionPtr};
+/// use ode_codec::{impl_persist_struct, impl_type_name};
+/// use ode_net::{ClientConfig, OdeClient};
+///
+/// struct Part { name: String, weight: u32 }
+/// impl_persist_struct!(Part { name, weight });
+/// impl_type_name!(Part = "demo/Part");
+///
+/// # fn main() -> ode_net::Result<()> {
+/// let mut client = OdeClient::connect("127.0.0.1:4807", ClientConfig::default())?;
+/// let p: ObjPtr<Part> = client.pnew(&Part { name: "alu".into(), weight: 7 })?;
+/// let v0: VersionPtr<Part> = client.current_version(&p)?;
+/// client.newversion(&p)?;
+/// client.put(&p, &Part { name: "alu".into(), weight: 9 })?;
+/// assert_eq!(client.deref(&p)?.0.weight, 9); // generic ref: latest
+/// assert_eq!(client.deref_v(&v0)?.weight, 7); // specific ref: pinned
+/// # Ok(())
+/// # }
+/// ```
 pub struct OdeClient {
     addrs: Vec<SocketAddr>,
     config: ClientConfig,
@@ -472,36 +374,34 @@ impl OdeClient {
     // -- typed operations (mirror ode::Txn) ---------------------------------
 
     /// `pnew`: create a persistent object on the server.
-    pub fn pnew<T: OdeType>(&mut self, value: &T) -> Result<ClientObjPtr<T>> {
+    pub fn pnew<T: OdeType>(&mut self, value: &T) -> Result<ObjPtr<T>> {
         let response = self.call(&Request::Pnew {
             tag: ObjPtr::<T>::tag(),
             body: to_bytes(value),
         })?;
         match response {
-            Response::Created { oid, .. } => Ok(ClientObjPtr::from_oid(oid)),
+            Response::Created { oid, .. } => Ok(ObjPtr::from_oid(oid)),
             other => Err(unexpected("created", &other)),
         }
     }
 
     /// Dereference a generic reference: the latest version's value plus
     /// a pinned pointer to the version it came from.
-    pub fn deref<T: OdeType>(&mut self, ptr: &ClientObjPtr<T>) -> Result<(T, ClientVersionPtr<T>)> {
+    pub fn deref<T: OdeType>(&mut self, ptr: &ObjPtr<T>) -> Result<(T, VersionPtr<T>)> {
         let response = self.call(&Request::Deref {
-            oid: ptr.oid,
+            oid: ptr.oid(),
             tag: ObjPtr::<T>::tag(),
         })?;
         match response {
-            Response::Body { vid, bytes } => {
-                Ok((from_bytes(&bytes)?, ClientVersionPtr::from_vid(vid)))
-            }
+            Response::Body { vid, bytes } => Ok((from_bytes(&bytes)?, VersionPtr::from_vid(vid))),
             other => Err(unexpected("body", &other)),
         }
     }
 
     /// Dereference a specific reference.
-    pub fn deref_v<T: OdeType>(&mut self, vp: &ClientVersionPtr<T>) -> Result<T> {
+    pub fn deref_v<T: OdeType>(&mut self, vp: &VersionPtr<T>) -> Result<T> {
         let response = self.call(&Request::DerefVersion {
-            vid: vp.vid,
+            vid: vp.vid(),
             tag: VersionPtr::<T>::tag(),
         })?;
         match response {
@@ -511,26 +411,22 @@ impl OdeClient {
     }
 
     /// Replace the latest version's state; returns the version written.
-    pub fn put<T: OdeType>(
-        &mut self,
-        ptr: &ClientObjPtr<T>,
-        value: &T,
-    ) -> Result<ClientVersionPtr<T>> {
+    pub fn put<T: OdeType>(&mut self, ptr: &ObjPtr<T>, value: &T) -> Result<VersionPtr<T>> {
         let response = self.call(&Request::Update {
-            oid: ptr.oid,
+            oid: ptr.oid(),
             tag: ObjPtr::<T>::tag(),
             body: to_bytes(value),
         })?;
         match response {
-            Response::Version(vid) => Ok(ClientVersionPtr::from_vid(vid)),
+            Response::Version(vid) => Ok(VersionPtr::from_vid(vid)),
             other => Err(unexpected("version", &other)),
         }
     }
 
     /// Replace a specific version's state.
-    pub fn put_version<T: OdeType>(&mut self, vp: &ClientVersionPtr<T>, value: &T) -> Result<()> {
+    pub fn put_version<T: OdeType>(&mut self, vp: &VersionPtr<T>, value: &T) -> Result<()> {
         let response = self.call(&Request::UpdateVersion {
-            vid: vp.vid,
+            vid: vp.vid(),
             tag: VersionPtr::<T>::tag(),
             body: to_bytes(value),
         })?;
@@ -541,145 +437,120 @@ impl OdeClient {
     }
 
     /// `newversion(p)`: derive a new version from the object's latest.
-    pub fn newversion<T: OdeType>(&mut self, ptr: &ClientObjPtr<T>) -> Result<ClientVersionPtr<T>> {
-        match self.call(&Request::NewVersion { oid: ptr.oid })? {
-            Response::Version(vid) => Ok(ClientVersionPtr::from_vid(vid)),
+    pub fn newversion<T: OdeType>(&mut self, ptr: &ObjPtr<T>) -> Result<VersionPtr<T>> {
+        match self.call(&Request::NewVersion { oid: ptr.oid() })? {
+            Response::Version(vid) => Ok(VersionPtr::from_vid(vid)),
             other => Err(unexpected("version", &other)),
         }
     }
 
     /// `newversion(vp)`: derive from a specific base version.
-    pub fn newversion_from<T: OdeType>(
-        &mut self,
-        vp: &ClientVersionPtr<T>,
-    ) -> Result<ClientVersionPtr<T>> {
-        match self.call(&Request::NewVersionFrom { vid: vp.vid })? {
-            Response::Version(vid) => Ok(ClientVersionPtr::from_vid(vid)),
+    pub fn newversion_from<T: OdeType>(&mut self, vp: &VersionPtr<T>) -> Result<VersionPtr<T>> {
+        match self.call(&Request::NewVersionFrom { vid: vp.vid() })? {
+            Response::Version(vid) => Ok(VersionPtr::from_vid(vid)),
             other => Err(unexpected("version", &other)),
         }
     }
 
     /// `pdelete p`: delete the object and all its versions.
-    pub fn pdelete<T: OdeType>(&mut self, ptr: ClientObjPtr<T>) -> Result<()> {
-        match self.call(&Request::Pdelete { oid: ptr.oid })? {
+    pub fn pdelete<T: OdeType>(&mut self, ptr: ObjPtr<T>) -> Result<()> {
+        match self.call(&Request::Pdelete { oid: ptr.oid() })? {
             Response::Unit => Ok(()),
             other => Err(unexpected("unit", &other)),
         }
     }
 
     /// `pdelete vp`: delete one specific version.
-    pub fn pdelete_version<T: OdeType>(&mut self, vp: ClientVersionPtr<T>) -> Result<()> {
-        match self.call(&Request::PdeleteVersion { vid: vp.vid })? {
+    pub fn pdelete_version<T: OdeType>(&mut self, vp: VersionPtr<T>) -> Result<()> {
+        match self.call(&Request::PdeleteVersion { vid: vp.vid() })? {
             Response::Unit => Ok(()),
             other => Err(unexpected("unit", &other)),
         }
     }
 
     /// `Dprevious`: the version `vp` was derived from.
-    pub fn dprevious<T: OdeType>(
-        &mut self,
-        vp: &ClientVersionPtr<T>,
-    ) -> Result<Option<ClientVersionPtr<T>>> {
-        self.maybe_version(&Request::Dprevious { vid: vp.vid })
+    pub fn dprevious<T: OdeType>(&mut self, vp: &VersionPtr<T>) -> Result<Option<VersionPtr<T>>> {
+        self.maybe_version(&Request::Dprevious { vid: vp.vid() })
     }
 
     /// `Dnext`: versions derived from `vp`, in creation order.
-    pub fn dnext<T: OdeType>(
-        &mut self,
-        vp: &ClientVersionPtr<T>,
-    ) -> Result<Vec<ClientVersionPtr<T>>> {
-        self.versions(&Request::Dnext { vid: vp.vid })
+    pub fn dnext<T: OdeType>(&mut self, vp: &VersionPtr<T>) -> Result<Vec<VersionPtr<T>>> {
+        self.versions(&Request::Dnext { vid: vp.vid() })
     }
 
     /// `Tprevious`: the version created immediately before `vp`.
-    pub fn tprevious<T: OdeType>(
-        &mut self,
-        vp: &ClientVersionPtr<T>,
-    ) -> Result<Option<ClientVersionPtr<T>>> {
-        self.maybe_version(&Request::Tprevious { vid: vp.vid })
+    pub fn tprevious<T: OdeType>(&mut self, vp: &VersionPtr<T>) -> Result<Option<VersionPtr<T>>> {
+        self.maybe_version(&Request::Tprevious { vid: vp.vid() })
     }
 
     /// `Tnext`: the version created immediately after `vp`.
-    pub fn tnext<T: OdeType>(
-        &mut self,
-        vp: &ClientVersionPtr<T>,
-    ) -> Result<Option<ClientVersionPtr<T>>> {
-        self.maybe_version(&Request::Tnext { vid: vp.vid })
+    pub fn tnext<T: OdeType>(&mut self, vp: &VersionPtr<T>) -> Result<Option<VersionPtr<T>>> {
+        self.maybe_version(&Request::Tnext { vid: vp.vid() })
     }
 
     /// All versions of an object in temporal (creation) order.
-    pub fn version_history<T: OdeType>(
-        &mut self,
-        ptr: &ClientObjPtr<T>,
-    ) -> Result<Vec<ClientVersionPtr<T>>> {
-        self.versions(&Request::VersionHistory { oid: ptr.oid })
+    pub fn version_history<T: OdeType>(&mut self, ptr: &ObjPtr<T>) -> Result<Vec<VersionPtr<T>>> {
+        self.versions(&Request::VersionHistory { oid: ptr.oid() })
     }
 
     /// Pin the object's current latest version.
-    pub fn current_version<T: OdeType>(
-        &mut self,
-        ptr: &ClientObjPtr<T>,
-    ) -> Result<ClientVersionPtr<T>> {
-        match self.call(&Request::CurrentVersion { oid: ptr.oid })? {
-            Response::Version(vid) => Ok(ClientVersionPtr::from_vid(vid)),
+    pub fn current_version<T: OdeType>(&mut self, ptr: &ObjPtr<T>) -> Result<VersionPtr<T>> {
+        match self.call(&Request::CurrentVersion { oid: ptr.oid() })? {
+            Response::Version(vid) => Ok(VersionPtr::from_vid(vid)),
             other => Err(unexpected("version", &other)),
         }
     }
 
     /// The object a version belongs to.
-    pub fn object_of<T: OdeType>(&mut self, vp: &ClientVersionPtr<T>) -> Result<ClientObjPtr<T>> {
-        match self.call(&Request::ObjectOf { vid: vp.vid })? {
-            Response::Object(oid) => Ok(ClientObjPtr::from_oid(oid)),
+    pub fn object_of<T: OdeType>(&mut self, vp: &VersionPtr<T>) -> Result<ObjPtr<T>> {
+        match self.call(&Request::ObjectOf { vid: vp.vid() })? {
+            Response::Object(oid) => Ok(ObjPtr::from_oid(oid)),
             other => Err(unexpected("object", &other)),
         }
     }
 
     /// Extent query: every live object of type `T` on the server.
-    pub fn objects<T: OdeType>(&mut self) -> Result<Vec<ClientObjPtr<T>>> {
+    pub fn objects<T: OdeType>(&mut self) -> Result<Vec<ObjPtr<T>>> {
         match self.call(&Request::Objects {
             tag: ObjPtr::<T>::tag(),
         })? {
-            Response::Objects(oids) => Ok(oids.into_iter().map(ClientObjPtr::from_oid).collect()),
+            Response::Objects(oids) => Ok(oids.into_iter().map(ObjPtr::from_oid).collect()),
             other => Err(unexpected("objects", &other)),
         }
     }
 
     /// A page of the type's extent: up to `limit` objects with ids
     /// `>= after` (pass [`Oid::NULL`] to start).
-    pub fn objects_page<T: OdeType>(
-        &mut self,
-        after: Oid,
-        limit: u64,
-    ) -> Result<Vec<ClientObjPtr<T>>> {
+    pub fn objects_page<T: OdeType>(&mut self, after: Oid, limit: u64) -> Result<Vec<ObjPtr<T>>> {
         match self.call(&Request::ObjectsPage {
             tag: ObjPtr::<T>::tag(),
             after,
             limit,
         })? {
-            Response::Objects(oids) => Ok(oids.into_iter().map(ClientObjPtr::from_oid).collect()),
+            Response::Objects(oids) => Ok(oids.into_iter().map(ObjPtr::from_oid).collect()),
             other => Err(unexpected("objects", &other)),
         }
     }
 
     /// Number of live versions of an object.
-    pub fn version_count<T: OdeType>(&mut self, ptr: &ClientObjPtr<T>) -> Result<u64> {
-        match self.call(&Request::VersionCount { oid: ptr.oid })? {
+    pub fn version_count<T: OdeType>(&mut self, ptr: &ObjPtr<T>) -> Result<u64> {
+        match self.call(&Request::VersionCount { oid: ptr.oid() })? {
             Response::Count(n) => Ok(n),
             other => Err(unexpected("count", &other)),
         }
     }
 
     /// Whether the object still exists.
-    pub fn exists<T: OdeType>(&mut self, ptr: &ClientObjPtr<T>) -> Result<bool> {
-        match self.call(&Request::Exists { oid: ptr.oid })? {
+    pub fn exists<T: OdeType>(&mut self, ptr: &ObjPtr<T>) -> Result<bool> {
+        match self.call(&Request::Exists { oid: ptr.oid() })? {
             Response::Flag(b) => Ok(b),
             other => Err(unexpected("flag", &other)),
         }
     }
 
     /// Whether the version still exists.
-    pub fn version_exists<T: OdeType>(&mut self, vp: &ClientVersionPtr<T>) -> Result<bool> {
-        match self.call(&Request::VersionExists { vid: vp.vid })? {
+    pub fn version_exists<T: OdeType>(&mut self, vp: &VersionPtr<T>) -> Result<bool> {
+        match self.call(&Request::VersionExists { vid: vp.vid() })? {
             Response::Flag(b) => Ok(b),
             other => Err(unexpected("flag", &other)),
         }
@@ -690,27 +561,28 @@ impl OdeClient {
     /// when it has one, without materializing any bodies.
     pub fn history_between<T: OdeType>(
         &mut self,
-        ptr: &ClientObjPtr<T>,
+        ptr: &ObjPtr<T>,
         from: u64,
         to: u64,
-    ) -> Result<Vec<ClientVersionPtr<T>>> {
+    ) -> Result<Vec<VersionPtr<T>>> {
         self.versions(&Request::HistoryBetween {
-            oid: ptr.oid,
+            oid: ptr.oid(),
             from,
             to,
         })
     }
 
     /// Summary of the byte difference between two versions of the same
-    /// object (how much changed, and how compactly it deltas).
+    /// object (how much changed, and how compactly it deltas) — the
+    /// [`VersionDiff`] a local snapshot's `diff_versions` returns.
     pub fn diff_versions<T: OdeType>(
         &mut self,
-        from: &ClientVersionPtr<T>,
-        to: &ClientVersionPtr<T>,
-    ) -> Result<DiffSummary> {
+        from: &VersionPtr<T>,
+        to: &VersionPtr<T>,
+    ) -> Result<VersionDiff> {
         match self.call(&Request::DiffVersions {
-            from: from.vid,
-            to: to.vid,
+            from: from.vid(),
+            to: to.vid(),
         })? {
             Response::Diff(d) => Ok(d),
             other => Err(unexpected("diff", &other)),
@@ -723,12 +595,12 @@ impl OdeClient {
     /// plus every conflicting byte range.
     pub fn merge<T: OdeType>(
         &mut self,
-        a: &ClientVersionPtr<T>,
-        b: &ClientVersionPtr<T>,
+        a: &VersionPtr<T>,
+        b: &VersionPtr<T>,
         policy: MergePolicy,
-    ) -> Result<(Option<ClientVersionPtr<T>>, Vec<MergeConflict>)> {
-        let (vid, conflicts) = self.merge_raw(a.vid, b.vid, policy)?;
-        Ok((vid.map(ClientVersionPtr::from_vid), conflicts))
+    ) -> Result<(Option<VersionPtr<T>>, Vec<MergeConflict>)> {
+        let (vid, conflicts) = self.merge_raw(a.vid(), b.vid(), policy)?;
+        Ok((vid.map(VersionPtr::from_vid), conflicts))
     }
 
     // -- raw (type-erased) operations ---------------------------------------
@@ -762,18 +634,16 @@ impl OdeClient {
         }
     }
 
-    fn maybe_version<T>(&mut self, request: &Request) -> Result<Option<ClientVersionPtr<T>>> {
+    fn maybe_version<T>(&mut self, request: &Request) -> Result<Option<VersionPtr<T>>> {
         match self.call(request)? {
-            Response::MaybeVersion(vid) => Ok(vid.map(ClientVersionPtr::from_vid)),
+            Response::MaybeVersion(vid) => Ok(vid.map(VersionPtr::from_vid)),
             other => Err(unexpected("maybe_version", &other)),
         }
     }
 
-    fn versions<T>(&mut self, request: &Request) -> Result<Vec<ClientVersionPtr<T>>> {
+    fn versions<T>(&mut self, request: &Request) -> Result<Vec<VersionPtr<T>>> {
         match self.call(request)? {
-            Response::Versions(vids) => {
-                Ok(vids.into_iter().map(ClientVersionPtr::from_vid).collect())
-            }
+            Response::Versions(vids) => Ok(vids.into_iter().map(VersionPtr::from_vid).collect()),
             other => Err(unexpected("versions", &other)),
         }
     }
@@ -849,30 +719,5 @@ fn unexpected(wanted: &str, got: &Response) -> NetError {
             "expected a {wanted} response, got {}",
             other.kind_name()
         )),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    struct Dummy;
-
-    #[test]
-    fn client_pointers_are_copy_eq() {
-        let p: ClientObjPtr<Dummy> = ClientObjPtr::from_oid(Oid(3));
-        let q = p;
-        assert_eq!(p, q);
-        assert_eq!(p.oid(), Oid(3));
-        let v: ClientVersionPtr<Dummy> = ClientVersionPtr::from_vid(Vid(4));
-        assert_eq!(v, v);
-        assert_eq!(v.as_version_ptr().vid(), Vid(4));
-    }
-
-    #[test]
-    fn pointers_convert_to_and_from_embedded_api() {
-        let p: ObjPtr<Dummy> = ObjPtr::from_oid(Oid(7));
-        let c: ClientObjPtr<Dummy> = p.into();
-        assert_eq!(c.as_obj_ptr(), p);
     }
 }

@@ -7,9 +7,12 @@
 //! set (`pnew`, generic/specific dereference, `newversion` in both
 //! forms, `pdelete` of objects and versions, the four derived-from /
 //! temporal traversals, extent scans), and a blocking typed client
-//! ([`OdeClient`]) whose [`ClientObjPtr`] / [`ClientVersionPtr`]
-//! preserve the generic-vs-specific reference distinction across the
-//! network.
+//! ([`OdeClient`]) that takes and returns the embedded API's own
+//! [`ode::ObjPtr`] / [`ode::VersionPtr`], so the generic-vs-specific
+//! reference distinction crosses the network unchanged. The wire
+//! carries the core's other result types as they are, too:
+//! `DiffVersions` answers an [`ode::VersionDiff`], and
+//! [`StatsReport::storage`] is the server's `ode_storage::StoreStats`.
 //!
 //! No async runtime: the server is a fixed set of threads sharing one
 //! epoll poller (the vendored [`polling`] crate) over nonblocking
@@ -84,10 +87,10 @@ mod router;
 mod server;
 mod shard;
 
-pub use client::{ClientConfig, ClientObjPtr, ClientVersionPtr, OdeClient, Pipeline};
+pub use client::{ClientConfig, OdeClient, Pipeline};
 pub use cluster::{Cluster, ClusterConfig};
 pub use error::{NetError, RemoteError, Result};
-pub use protocol::{DiffSummary, Opcode, Request, Response, StatsReport, StorageCounters};
+pub use protocol::{Opcode, Request, Response, StatsReport};
 pub use relay::{FaultRelay, RelayPlan};
 pub use replication::{NodeStatus, ReplicaNode};
 pub use router::{OdeRouter, RouterConfig, RouterStatsReport, ShardMembership};

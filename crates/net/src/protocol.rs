@@ -36,8 +36,11 @@
 //! treats it) generates [`Opcode`], [`Request`], their encoder and
 //! decoder and [`Request::ids`]; the response table generates
 //! [`Response`] with its encoder and decoder; the counter tables
-//! generate [`StatsReport`] / [`StorageCounters`], their
-//! encoding and the rule that merges the reports of several shards. The
+//! generate [`StatsReport`], the encoding of its nested
+//! `ode_storage::StoreStats`, and the rule that merges the reports of
+//! several shards. The embedded API's own types travel as they are:
+//! the ids, `VersionDiff`, `StoreStats` and `MergeConflict` each get a
+//! field encoding here, and no wire copy of them exists. The
 //! generated code is straight-line `match`es — nothing is interpreted
 //! per request. DESIGN.md ("The wire table") has the row grammar and
 //! the three places a new opcode touches; the README's opcode table
@@ -45,8 +48,9 @@
 
 use std::io::{self, Read, Write};
 
-use ode::{MergeConflict, MergePolicy, Oid, TypeTag, Vid};
+use ode::{MergeConflict, MergePolicy, Oid, TypeTag, VersionDiff, Vid};
 use ode_codec::{varint, Reader, Writer};
+use ode_storage::StoreStats;
 
 use crate::error::{NetError, RemoteError, Result};
 
@@ -218,25 +222,6 @@ impl Wire for (Opcode, u64) {
     }
 }
 
-/// A conflict: its byte range in the merge base's body, then both
-/// sides' replacement bytes.
-impl Wire for MergeConflict {
-    fn put(&self, w: &mut Writer) {
-        w.put_varint(self.base_start);
-        w.put_varint(self.base_end);
-        w.put_bytes(&self.ours);
-        w.put_bytes(&self.theirs);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(MergeConflict {
-            base_start: r.get_varint()?,
-            base_end: r.get_varint()?,
-            ours: r.get_bytes()?.to_vec(),
-            theirs: r.get_bytes()?.to_vec(),
-        })
-    }
-}
-
 /// An error frame is `code a b message` for every kind, unused slots
 /// zero or empty.
 impl Wire for RemoteError {
@@ -275,22 +260,16 @@ impl Wire for RemoteError {
     }
 }
 
-/// A struct that travels as its fields in declaration order.
-macro_rules! wire_struct {
-    (
-        $(#[$meta:meta])*
-        pub struct $ty:ident {
-            $( $(#[$fmeta:meta])* pub $field:ident : $fty:ty ),* $(,)?
-        }
-    ) => {
-        $(#[$meta])*
-        pub struct $ty {
-            $( $(#[$fmeta])* pub $field: $fty, )*
-        }
-
+/// A struct that travels as its fields in the order listed. The list
+/// destructures the struct and builds it, both without `..`, so a field
+/// added to the type fails to compile here until it has a wire
+/// position.
+macro_rules! wire_fields {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
         impl Wire for $ty {
             fn put(&self, w: &mut Writer) {
-                $( self.$field.put(w); )*
+                let $ty { $($field),* } = self;
+                $( $field.put(w); )*
             }
             fn get(r: &mut Reader<'_>) -> Result<Self> {
                 Ok($ty { $( $field: Wire::get(r)?, )* })
@@ -298,6 +277,26 @@ macro_rules! wire_struct {
         }
     };
 }
+
+// A conflict: its byte range in the merge base's body, then both
+// sides' replacement bytes.
+wire_fields!(MergeConflict {
+    base_start,
+    base_end,
+    ours,
+    theirs,
+});
+
+// The reply to `DiffVersions`: the core's summary, field by field.
+wire_fields!(VersionDiff {
+    from,
+    to,
+    to_len,
+    ops,
+    literal_bytes,
+    encoded_bytes,
+    stored,
+});
 
 // ---------------------------------------------------------------------------
 // The request table
@@ -770,17 +769,18 @@ macro_rules! stats_merge {
     (max, $into:expr, $from:expr) => {
         $into = $into.max($from)
     };
-    (each, $into:expr, $from:expr) => {
-        $into.merge(&$from)
+    (store, $into:expr, $from:expr) => {
+        merge_store_stats(&mut $into, &$from)
     };
     (per_opcode, $into:expr, $from:expr) => {
         merge_requests(&mut $into, &$from)
     };
 }
 
-/// A [`wire_struct!`] of counters, each declaring after `=>` the rule
-/// that folds it across shards: `sum` for counts, `max` for gauges and
-/// high-water marks, `each` for a nested table, `per_opcode` for the
+/// A struct of counters that travels as its fields in declaration
+/// order, each declaring after `=>` the rule that folds it across
+/// shards: `sum` for counts, `max` for gauges and high-water marks,
+/// `store` for the nested storage counters, `per_opcode` for the
 /// request counts.
 macro_rules! stats_table {
     (
@@ -789,12 +789,12 @@ macro_rules! stats_table {
             $( $(#[$fmeta:meta])* pub $field:ident : $fty:ty => $rule:ident ),* $(,)?
         }
     ) => {
-        wire_struct! {
-            $(#[$meta])*
-            pub struct $ty {
-                $( $(#[$fmeta])* pub $field: $fty, )*
-            }
+        $(#[$meta])*
+        pub struct $ty {
+            $( $(#[$fmeta])* pub $field: $fty, )*
         }
+
+        wire_fields!($ty { $($field),* });
 
         impl $ty {
             /// Fold another node's report into this one, each field
@@ -822,46 +822,42 @@ fn merge_requests(into: &mut Vec<(Opcode, u64)>, from: &[(Opcode, u64)]) {
     *into = request_counts(|op| per_op[op as usize]);
 }
 
-stats_table! {
-    /// Storage-engine contention and commit counters, nested inside
-    /// [`StatsReport`] — the server-side view of
-    /// `ode_storage::StoreStats`, so operators can watch reader/writer
-    /// lock waits and group-commit batching over the wire.
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-    pub struct StorageCounters {
-        /// Read transactions (snapshots) begun.
-        pub read_txs: u64 => sum,
-        /// Write transactions committed with a non-empty write set.
-        pub write_txs: u64 => sum,
-        /// Snapshot acquisitions that blocked at the snapshot gate.
-        pub reader_waits: u64 => sum,
-        /// Total nanoseconds readers spent blocked.
-        pub reader_wait_nanos: u64 => sum,
-        /// Writer acquisitions (write mutex or publish gate) that blocked.
-        pub writer_waits: u64 => sum,
-        /// Total nanoseconds writers spent blocked.
-        pub writer_wait_nanos: u64 => sum,
-        /// WAL fsyncs issued (inline and group-leader).
-        pub wal_syncs: u64 => sum,
-        /// fsyncs performed by a group-commit leader.
-        pub group_syncs: u64 => sum,
-        /// Commits made durable by a group-leader fsync.
-        pub group_commit_txns: u64 => sum,
-        /// Largest commit cohort one group fsync covered.
-        pub group_batch_max: u64 => max,
-        /// WAL + snapshot bytes shipped to replicas.
-        pub bytes_shipped: u64 => sum,
-        /// Worst replica lag behind the primary, in commit epochs (gauge).
-        pub replica_lag_epochs: u64 => max,
-        /// Replica-to-primary promotions this node has performed.
-        pub failovers: u64 => sum,
-        /// Optimistic transactions aborted by first-committer-wins
-        /// validation (each one re-executed by the retry loop or surfaced
-        /// to the client).
-        pub write_conflicts: u64 => sum,
-        /// Re-executions of conflicted transactions.
-        pub write_retries: u64 => sum,
-    }
+/// The storage engine's counters as [`StatsReport::storage`] carries
+/// them: every `ode_storage::StoreStats` field, in wire order, with the
+/// rule that folds it across shards. Like [`wire_fields!`], the merge
+/// destructures the struct with no `..`, so a field added to
+/// `StoreStats` fails to compile until it has a place on this list.
+macro_rules! store_stats_table {
+    ($($field:ident => $rule:ident),* $(,)?) => {
+        wire_fields!(StoreStats { $($field),* });
+
+        /// Fold another node's storage counters into `into`.
+        fn merge_store_stats(into: &mut StoreStats, from: &StoreStats) {
+            let StoreStats { $($field),* } = *from;
+            $( stats_merge!($rule, into.$field, $field); )*
+        }
+    };
+}
+
+store_stats_table! {
+    read_txs => sum,
+    write_txs => sum,
+    reader_waits => sum,
+    reader_wait_nanos => sum,
+    writer_waits => sum,
+    writer_wait_nanos => sum,
+    wal_syncs => sum,
+    group_syncs => sum,
+    group_commit_txns => sum,
+    // The largest cohort any one shard saw, not a sum.
+    group_batch_max => max,
+    bytes_shipped => sum,
+    // The worst lag in the tier (a gauge).
+    replica_lag_epochs => max,
+    failovers => sum,
+    write_conflicts => sum,
+    write_retries => sum,
+    checkpoint_failures => sum,
 }
 
 stats_table! {
@@ -895,8 +891,9 @@ stats_table! {
         pub materialize_misses: u64 => sum,
         /// Per-opcode request counts; only non-zero entries are listed.
         pub requests: Vec<(Opcode, u64)> => per_opcode,
-        /// Storage-engine contention and commit counters.
-        pub storage: StorageCounters => each,
+        /// The storage engine's contention and commit counters, as
+        /// `Database::storage_stats` reports them.
+        pub storage: StoreStats => store,
     }
 }
 
@@ -918,29 +915,6 @@ impl StatsReport {
 // ---------------------------------------------------------------------------
 // The response table
 // ---------------------------------------------------------------------------
-
-wire_struct! {
-    /// A version-to-version difference summary, the reply to
-    /// `DiffVersions` — the wire view of the core's `VersionDiff`.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct DiffSummary {
-        /// Base version.
-        pub from: Vid,
-        /// Target version.
-        pub to: Vid,
-        /// Length of the target state in bytes.
-        pub to_len: u64,
-        /// Number of copy/insert ops in the delta.
-        pub ops: u64,
-        /// Bytes the delta carries literally (not copied from the base).
-        pub literal_bytes: u64,
-        /// Encoded size of the delta in bytes.
-        pub encoded_bytes: u64,
-        /// Whether this delta was served straight from the object's stored
-        /// chain (adjacent versions) rather than computed on demand.
-        pub stored: bool,
-    }
-}
 
 /// One row per response shape: `kind-byte "name" Variant`, then its one
 /// unnamed field as `(binder: Type)` or its named fields as `{ field:
@@ -1048,7 +1022,7 @@ response_table! {
     /// A boolean (`Exists`, `VersionExists`).
     11 "flag" Flag(flag: bool);
     /// A version-difference summary (`DiffVersions`).
-    12 "diff" Diff(summary: DiffSummary);
+    12 "diff" Diff(summary: VersionDiff);
     /// The outcome of a `Merge`: the checked-in two-parent version
     /// (`None` when the `Fail` policy met conflicts) and every
     /// conflicting byte range.
@@ -1477,7 +1451,7 @@ mod tests {
             materialize_hits: 17,
             materialize_misses: 5,
             requests: vec![(Opcode::Ping, 3), (Opcode::Pnew, 4)],
-            storage: StorageCounters {
+            storage: StoreStats {
                 read_txs: 100,
                 write_txs: 20,
                 reader_waits: 3,
@@ -1493,6 +1467,7 @@ mod tests {
                 failovers: 1,
                 write_conflicts: 7,
                 write_retries: 6,
+                checkpoint_failures: 8,
             },
         }));
         round_trip_response(Response::Created {
@@ -1513,7 +1488,7 @@ mod tests {
         round_trip_response(Response::Count(7));
         round_trip_response(Response::Flag(true));
         round_trip_response(Response::Flag(false));
-        round_trip_response(Response::Diff(DiffSummary {
+        round_trip_response(Response::Diff(VersionDiff {
             from: Vid(8),
             to: Vid(9),
             to_len: 600,
@@ -1522,7 +1497,7 @@ mod tests {
             encoded_bytes: 70,
             stored: true,
         }));
-        round_trip_response(Response::Diff(DiffSummary {
+        round_trip_response(Response::Diff(VersionDiff {
             from: Vid(0),
             to: Vid(0),
             to_len: 0,

@@ -1387,8 +1387,9 @@ mod tests {
     use std::io::BufReader;
 
     use super::*;
-    use crate::protocol::{DiffSummary, Opcode, StorageCounters, OPCODE_COUNT};
-    use ode::{MergeConflict, MergePolicy, TypeTag, Vid};
+    use crate::protocol::{Opcode, OPCODE_COUNT};
+    use ode::{MergeConflict, MergePolicy, TypeTag, VersionDiff, Vid};
+    use ode_storage::StoreStats;
     use proptest::prelude::*;
 
     /// What `route` decided, with a single-shard route's forwarded
@@ -1439,13 +1440,14 @@ mod tests {
             materialize_hits: 4,
             materialize_misses: 2,
             requests: vec![(Opcode::Pnew, 3), (Opcode::Deref, 4)],
-            storage: StorageCounters {
+            storage: StoreStats {
                 read_txs: 10,
                 write_txs: 3,
                 group_batch_max: 4,
                 replica_lag_epochs: 2,
                 write_conflicts: 2,
                 write_retries: 1,
+                checkpoint_failures: 1,
                 ..Default::default()
             },
         };
@@ -1462,13 +1464,14 @@ mod tests {
             materialize_hits: 1,
             materialize_misses: 3,
             requests: vec![(Opcode::Deref, 6), (Opcode::Ping, 1)],
-            storage: StorageCounters {
+            storage: StoreStats {
                 read_txs: 20,
                 write_txs: 5,
                 group_batch_max: 2,
                 replica_lag_epochs: 7,
                 write_conflicts: 3,
                 write_retries: 2,
+                checkpoint_failures: 4,
                 ..Default::default()
             },
         };
@@ -1492,6 +1495,7 @@ mod tests {
         assert_eq!(merged.storage.write_txs, 8);
         assert_eq!(merged.storage.write_conflicts, 5);
         assert_eq!(merged.storage.write_retries, 3);
+        assert_eq!(merged.storage.checkpoint_failures, 5);
         // The two `max` rules: the largest cohort any one shard saw,
         // and the worst replica lag in the tier — neither is a sum.
         assert_eq!(merged.storage.group_batch_max, 4);
@@ -1833,7 +1837,7 @@ mod tests {
                     Response::Object(Oid(id(3))),
                     Response::Err(RemoteError::UnknownObject(Oid(id(3)))),
                     Response::Err(RemoteError::LastVersion(Vid(id(1)))),
-                    Response::Diff(DiffSummary {
+                    Response::Diff(VersionDiff {
                         from: Vid(id(4)),
                         to: Vid(id(5)),
                         to_len: 10,

@@ -93,9 +93,7 @@ use polling::Event;
 
 use crate::error::RemoteError;
 use crate::event_loop::{default_threads, Outbox, Pool, Service, Wire, PIPELINE_DEPTH};
-use crate::protocol::{
-    request_counts, DiffSummary, Request, Response, StatsReport, StorageCounters, OPCODE_COUNT,
-};
+use crate::protocol::{request_counts, Request, Response, StatsReport, OPCODE_COUNT};
 use crate::replication::{fresh_gen, NodeStatus, Peers, ReplicaNode, Subscription, SEMI_SYNC_WAIT};
 
 /// Longest a read waits for its connection's read floor in one turn
@@ -160,7 +158,6 @@ struct ServerStats {
 
 impl ServerStats {
     fn report(&self, cache: &SnapshotCache, db: &Database) -> StatsReport {
-        let storage = db.storage_stats();
         let (snapshot_hits, snapshot_misses) = cache.counters();
         let (materialize_hits, materialize_misses) = db.materialize_cache_counters();
         let requests = request_counts(|op| self.requests[op as usize].load(Ordering::Relaxed));
@@ -177,23 +174,7 @@ impl ServerStats {
             materialize_hits,
             materialize_misses,
             requests,
-            storage: StorageCounters {
-                read_txs: storage.read_txs,
-                write_txs: storage.write_txs,
-                reader_waits: storage.reader_waits,
-                reader_wait_nanos: storage.reader_wait_nanos,
-                writer_waits: storage.writer_waits,
-                writer_wait_nanos: storage.writer_wait_nanos,
-                wal_syncs: storage.wal_syncs,
-                group_syncs: storage.group_syncs,
-                group_commit_txns: storage.group_commit_txns,
-                group_batch_max: storage.group_batch_max,
-                bytes_shipped: storage.bytes_shipped,
-                replica_lag_epochs: storage.replica_lag_epochs,
-                failovers: storage.failovers,
-                write_conflicts: storage.write_conflicts,
-                write_retries: storage.write_retries,
-            },
+            storage: db.storage_stats(),
         }
     }
 }
@@ -387,16 +368,7 @@ fn apply(db: &Database, request: Request) -> ode::Result<Response> {
                 Ok(Response::Versions(snap.history_between_raw(oid, from, to)?))
             }
             Request::DiffVersions { from, to } => {
-                let d = snap.diff_versions_raw(from, to)?;
-                Ok(Response::Diff(DiffSummary {
-                    from: d.from,
-                    to: d.to,
-                    to_len: d.to_len,
-                    ops: d.ops,
-                    literal_bytes: d.literal_bytes,
-                    encoded_bytes: d.encoded_bytes,
-                    stored: d.stored,
-                }))
+                Ok(Response::Diff(snap.diff_versions_raw(from, to)?))
             }
             // Ping/Stats are answered at decode; writes are handled
             // below.

@@ -21,12 +21,12 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ode::{Database, DatabaseOptions};
+use ode::{Database, DatabaseOptions, ObjPtr};
 use ode_codec::{impl_persist_struct, impl_type_name};
 use ode_net::protocol::write_frame;
 use ode_net::{
-    ClientConfig, ClientObjPtr, Cluster, ClusterConfig, FaultRelay, NetError, OdeClient, OdeServer,
-    Opcode, RelayPlan, RemoteError, Request, Response, ServerConfig,
+    ClientConfig, Cluster, ClusterConfig, FaultRelay, NetError, OdeClient, OdeServer, Opcode,
+    RelayPlan, RemoteError, Request, Response, ServerConfig,
 };
 use ode_storage::testutil::TempPath;
 
@@ -82,7 +82,7 @@ fn frames_split_at_every_byte_boundary_still_work() {
     for _ in 0..5 {
         pipe.push(&Request::Deref {
             oid: p.oid(),
-            tag: ClientObjPtr::<Doc>::tag(),
+            tag: ObjPtr::<Doc>::tag(),
         })
         .expect("push");
     }
@@ -111,7 +111,7 @@ fn connection_cut_mid_pipeline_surfaces_a_clean_error() {
 
     let mut c =
         OdeClient::connect(relay.local_addr(), ClientConfig::default()).expect("connect via relay");
-    let tag = ClientObjPtr::<Doc>::tag();
+    let tag = ObjPtr::<Doc>::tag();
 
     // Pipeline enough reads that the response stream necessarily blows
     // past the budget.
@@ -193,7 +193,7 @@ fn a_killed_shard_fails_only_its_own_requests_and_never_replays_a_write() {
         OdeClient::connect(cluster.router_addr(), ClientConfig::default()).expect("connect");
 
     // Two objects per shard, placed by round-robin from a fresh router.
-    let ptrs: Vec<ClientObjPtr<Doc>> = (0..8)
+    let ptrs: Vec<ObjPtr<Doc>> = (0..8)
         .map(|i| c.pnew(&doc(&format!("m{i}"), i)).expect("pnew"))
         .collect();
 
@@ -202,7 +202,7 @@ fn a_killed_shard_fails_only_its_own_requests_and_never_replays_a_write() {
     for ptr in &ptrs {
         pipe.push(&Request::Deref {
             oid: ptr.oid(),
-            tag: ClientObjPtr::<Doc>::tag(),
+            tag: ObjPtr::<Doc>::tag(),
         })
         .expect("push");
     }
@@ -220,7 +220,7 @@ fn a_killed_shard_fails_only_its_own_requests_and_never_replays_a_write() {
     for ptr in &ptrs {
         pipe.push(&Request::Deref {
             oid: ptr.oid(),
-            tag: ClientObjPtr::<Doc>::tag(),
+            tag: ObjPtr::<Doc>::tag(),
         })
         .expect("push");
     }
@@ -287,7 +287,7 @@ fn a_write_whose_response_dies_in_the_cut_executes_exactly_once() {
     let target = {
         let mut seeder =
             OdeClient::connect(cluster.router_addr(), ClientConfig::default()).expect("seeder");
-        let ptrs: Vec<ClientObjPtr<Doc>> = (0..4)
+        let ptrs: Vec<ObjPtr<Doc>> = (0..4)
             .map(|i| seeder.pnew(&doc(&format!("s{i}"), 1)).expect("pnew"))
             .collect();
         ptrs[0]

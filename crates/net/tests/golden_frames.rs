@@ -6,11 +6,15 @@
 //!
 //! These literals are the format. A change that makes this test fail
 //! changes what is on the wire and needs a new protocol version, not a
-//! new literal.
+//! new literal. One literal has grown since it was captured: the
+//! `Stats` frame ends in `StoreStats::checkpoint_failures`, one varint
+//! after the parent commit's last byte; an operator's report, not an
+//! operation, so it was appended rather than versioned.
 
-use ode::{MergeConflict, MergePolicy, Oid, TypeTag, Vid};
-use ode_net::protocol::{Opcode, StatsReport, StorageCounters};
-use ode_net::{DiffSummary, RemoteError, Request, Response};
+use ode::{MergeConflict, MergePolicy, Oid, TypeTag, VersionDiff, Vid};
+use ode_net::protocol::{Opcode, StatsReport};
+use ode_net::{RemoteError, Request, Response};
+use ode_storage::StoreStats;
 
 const SEQ: u64 = 300;
 
@@ -202,7 +206,7 @@ fn every_response_frame_is_the_parent_commits_bytes() {
                 materialize_hits: 17,
                 materialize_misses: 5,
                 requests: vec![(Opcode::Ping, 3), (Opcode::Pnew, 400), (Opcode::Merge, 1)],
-                storage: StorageCounters {
+                storage: StoreStats {
                     read_txs: 100,
                     write_txs: 20,
                     reader_waits: 3,
@@ -218,9 +222,11 @@ fn every_response_frame_is_the_parent_commits_bytes() {
                     failovers: 1,
                     write_conflicts: 7,
                     write_retries: 6,
+                    checkpoint_failures: 9,
                 },
             }),
-            "ac02010109e807d00f0102290c0311050300030290031c01641403942302a0060c051206802002010706",
+            // The bytes as captured, then `09`: checkpoint_failures.
+            "ac02010109e807d00f0102290c0311050300030290031c01641403942302a0060c05120680200201070609",
         ),
         (
             Response::Created {
@@ -250,7 +256,7 @@ fn every_response_frame_is_the_parent_commits_bytes() {
         (Response::Flag(true), "ac020b01"),
         (Response::Flag(false), "ac020b00"),
         (
-            Response::Diff(DiffSummary {
+            Response::Diff(VersionDiff {
                 from: Vid(8),
                 to: Vid(9),
                 to_len: 600,

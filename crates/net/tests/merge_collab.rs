@@ -4,12 +4,9 @@
 //! byte-identically on every client; overlapping edits must surface
 //! `MergeConflict`s through the tier instead of corrupting anything.
 
-use ode::MergePolicy;
+use ode::{MergePolicy, ObjPtr, VersionPtr};
 use ode_codec::{impl_persist_struct, impl_type_name, to_bytes};
-use ode_net::{
-    ClientConfig, ClientObjPtr, ClientVersionPtr, Cluster, ClusterConfig, NetError, OdeClient,
-    RemoteError,
-};
+use ode_net::{ClientConfig, Cluster, ClusterConfig, NetError, OdeClient, RemoteError};
 
 #[derive(Debug, Clone, PartialEq)]
 struct Doc {
@@ -44,12 +41,12 @@ fn four_clients_converge_byte_identically_through_the_router() {
 
     // Client 0 creates the shared object; its shard issued the id from
     // its own residue, so every client sees the same ids.
-    let ptr: ClientObjPtr<Doc> = clients[0].pnew(&doc(BASE)).expect("pnew");
+    let ptr: ObjPtr<Doc> = clients[0].pnew(&doc(BASE)).expect("pnew");
     let base = clients[0].current_version(&ptr).expect("current_version");
 
     // Each client forks from the same base and uppercases its own
     // word — four disjoint edits against one common ancestor.
-    let mut forks: Vec<ClientVersionPtr<Doc>> = Vec::new();
+    let mut forks: Vec<VersionPtr<Doc>> = Vec::new();
     for (i, c) in clients.iter_mut().enumerate() {
         let fork = c.newversion_from(&base).expect("newversion_from");
         c.put_version(&fork, &doc(&BASE.replace(WORDS[i], EDITS[i])))
@@ -59,7 +56,7 @@ fn four_clients_converge_byte_identically_through_the_router() {
 
     // Merge tree: (0,1) and (2,3), then the two inner merges. All
     // edits are disjoint, so the strict policy must resolve cleanly.
-    let mut merge_clean = |c: usize, a: &ClientVersionPtr<Doc>, b: &ClientVersionPtr<Doc>| {
+    let mut merge_clean = |c: usize, a: &VersionPtr<Doc>, b: &VersionPtr<Doc>| {
         let (vid, conflicts) = clients[c].merge(a, b, MergePolicy::Fail).expect("merge");
         assert!(
             conflicts.is_empty(),
@@ -98,7 +95,7 @@ fn overlapping_edits_report_conflicts_through_the_wire() {
     let mut theirs =
         OdeClient::connect(cluster.router_addr(), ClientConfig::default()).expect("connect");
 
-    let ptr: ClientObjPtr<Doc> = ours.pnew(&doc(BASE)).expect("pnew");
+    let ptr: ObjPtr<Doc> = ours.pnew(&doc(BASE)).expect("pnew");
     let base = ours.current_version(&ptr).expect("current_version");
 
     // Both sides rewrite the same word to different same-length text.
@@ -143,7 +140,7 @@ fn overlapping_edits_report_conflicts_through_the_wire() {
     }
 
     // Cross-object merges are refused with the ids the client sent.
-    let other: ClientObjPtr<Doc> = ours.pnew(&doc("elsewhere")).expect("pnew other");
+    let other: ObjPtr<Doc> = ours.pnew(&doc("elsewhere")).expect("pnew other");
     let ov = ours.current_version(&other).expect("current other");
     match ours.merge(&a, &ov, MergePolicy::Fail) {
         Err(NetError::Remote(RemoteError::BadRequest(_))) => {}

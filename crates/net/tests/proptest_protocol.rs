@@ -6,11 +6,12 @@
 
 use std::io::Cursor;
 
-use ode::{MergeConflict, Oid, TypeTag, Vid};
+use ode::{MergeConflict, Oid, TypeTag, VersionDiff, Vid};
 use ode_net::protocol::{
-    read_frame, write_frame, Opcode, StatsReport, StorageCounters, MAX_FRAME_LEN, OPCODE_COUNT,
+    read_frame, write_frame, Opcode, StatsReport, MAX_FRAME_LEN, OPCODE_COUNT,
 };
 use ode_net::{RemoteError, Request, Response};
+use ode_storage::StoreStats;
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -59,7 +60,7 @@ fn arb_request() -> BoxedStrategy<Request> {
         .boxed()
 }
 
-fn arb_diff() -> impl Strategy<Value = ode_net::DiffSummary> {
+fn arb_diff() -> impl Strategy<Value = VersionDiff> {
     (
         (arb_vid(), arb_vid(), any::<u64>(), any::<u64>()),
         (any::<u64>(), any::<u64>(), any::<bool>()),
@@ -67,7 +68,7 @@ fn arb_diff() -> impl Strategy<Value = ode_net::DiffSummary> {
         .prop_map(|(a, b)| {
             let (from, to, to_len, ops) = a;
             let (literal_bytes, encoded_bytes, stored) = b;
-            ode_net::DiffSummary {
+            VersionDiff {
                 from,
                 to,
                 to_len,
@@ -79,52 +80,47 @@ fn arb_diff() -> impl Strategy<Value = ode_net::DiffSummary> {
         })
 }
 
-fn arb_storage_counters() -> impl Strategy<Value = StorageCounters> {
-    (
-        (
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-        ),
-        (
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-        ),
-        (
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-        ),
-    )
-        .prop_map(|(a, b, c)| {
-            let (read_txs, write_txs, reader_waits, reader_wait_nanos, writer_waits) = a;
-            let (writer_wait_nanos, wal_syncs, group_syncs, group_commit_txns, group_batch_max) = b;
-            let (bytes_shipped, replica_lag_epochs, failovers, write_conflicts, write_retries) = c;
-            StorageCounters {
-                read_txs,
-                write_txs,
-                reader_waits,
-                reader_wait_nanos,
-                writer_waits,
-                writer_wait_nanos,
-                wal_syncs,
-                group_syncs,
-                group_commit_txns,
-                group_batch_max,
-                bytes_shipped,
-                replica_lag_epochs,
-                failovers,
-                write_conflicts,
-                write_retries,
-            }
-        })
+/// Every `StoreStats` field drawn on its own; the struct literal has
+/// no `..`, so a field added to `StoreStats` is drawn here too.
+fn arb_store_stats() -> impl Strategy<Value = StoreStats> {
+    proptest::collection::vec(any::<u64>(), 16).prop_map(|words| {
+        let [
+            read_txs,
+            write_txs,
+            reader_waits,
+            reader_wait_nanos,
+            writer_waits,
+            writer_wait_nanos,
+            wal_syncs,
+            group_syncs,
+            group_commit_txns,
+            group_batch_max,
+            bytes_shipped,
+            replica_lag_epochs,
+            failovers,
+            write_conflicts,
+            write_retries,
+            checkpoint_failures,
+        ] = <[u64; 16]>::try_from(words).expect("sixteen words");
+        StoreStats {
+            read_txs,
+            write_txs,
+            reader_waits,
+            reader_wait_nanos,
+            writer_waits,
+            writer_wait_nanos,
+            wal_syncs,
+            group_syncs,
+            group_commit_txns,
+            group_batch_max,
+            bytes_shipped,
+            replica_lag_epochs,
+            failovers,
+            write_conflicts,
+            write_retries,
+            checkpoint_failures,
+        }
+    })
 }
 
 fn arb_stats() -> impl Strategy<Value = StatsReport> {
@@ -132,7 +128,7 @@ fn arb_stats() -> impl Strategy<Value = StatsReport> {
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         proptest::collection::vec((0u8..Opcode::ALL.len() as u8, any::<u64>()), 0..8),
-        arb_storage_counters(),
+        arb_store_stats(),
     )
         .prop_map(|(connections, errors, raw_requests, storage)| {
             let (active_connections, total_connections, bytes_in, bytes_out) = connections;

@@ -15,9 +15,7 @@ use std::time::Duration;
 
 use ode::{Database, DatabaseOptions};
 use ode_codec::{impl_persist_struct, impl_type_name};
-use ode_net::{
-    ClientConfig, ClientObjPtr, NetError, OdeClient, OdeServer, RemoteError, ServerConfig,
-};
+use ode_net::{ClientConfig, NetError, OdeClient, OdeServer, RemoteError, ServerConfig};
 use ode_storage::testutil::TempPath;
 use proptest::prelude::*;
 
@@ -84,7 +82,6 @@ proptest! {
         };
         let server = OdeServer::bind(Arc::clone(&replica), "127.0.0.1:0", config).unwrap();
         let mut client = OdeClient::connect(server.local_addr(), ClientConfig::default()).unwrap();
-        let client_ptr: ClientObjPtr<Counter> = ClientObjPtr::from_oid(ptr.oid());
 
         for step in steps {
             match step {
@@ -112,7 +109,7 @@ proptest! {
                     let floor = primary.snapshot_epoch();
                     let floor_value = value;
                     client.read_floor(floor).unwrap();
-                    match client.deref(&client_ptr) {
+                    match client.deref(&ptr) {
                         Ok((body, _)) => prop_assert!(
                             body.value >= floor_value,
                             "gate leaked pre-floor state: read {} pinned at {}",

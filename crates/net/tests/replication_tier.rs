@@ -11,10 +11,9 @@
 use std::thread;
 use std::time::{Duration, Instant};
 
+use ode::ObjPtr;
 use ode_codec::{impl_persist_struct, impl_type_name};
-use ode_net::{
-    ClientConfig, ClientObjPtr, Cluster, ClusterConfig, NetError, OdeClient, RelayPlan, RemoteError,
-};
+use ode_net::{ClientConfig, Cluster, ClusterConfig, NetError, OdeClient, RelayPlan, RemoteError};
 
 #[derive(Debug, Clone, PartialEq)]
 struct Doc {
@@ -79,7 +78,7 @@ fn reads_are_served_from_replicas_and_writes_flip_a_session_to_the_primary() {
     let cluster = Cluster::start(repl_config(2, 1));
     let mut writer = connect(&cluster);
 
-    let ptrs: Vec<ClientObjPtr<Doc>> = (0..6)
+    let ptrs: Vec<ObjPtr<Doc>> = (0..6)
         .map(|i| writer.pnew(&doc(&format!("doc-{i}"), i)).expect("pnew"))
         .collect();
     for shard in 0..2 {
@@ -225,7 +224,7 @@ fn the_router_promotes_a_replica_when_the_primary_dies() {
     });
     let mut c = connect(&cluster);
 
-    let ptrs: Vec<ClientObjPtr<Doc>> = (0..10)
+    let ptrs: Vec<ObjPtr<Doc>> = (0..10)
         .map(|i| c.pnew(&doc(&format!("acked-{i}"), i)).expect("pnew"))
         .collect();
     // Semi-sync is best-effort under load, so wait for the apply stream
@@ -293,7 +292,7 @@ fn a_promoted_replica_issues_ids_from_its_shards_residue() {
 
     // Shard 1 claims residue 1 of 2 on first contact; the claim ships
     // to its replica with the objects after it.
-    let before: Vec<ClientObjPtr<Doc>> = (0..4)
+    let before: Vec<ObjPtr<Doc>> = (0..4)
         .map(|i| c.pnew(&doc("before", i)).expect("pnew"))
         .collect();
     let target = cluster.primary_epoch(1);
@@ -309,12 +308,12 @@ fn a_promoted_replica_issues_ids_from_its_shards_residue() {
 
     // Round-robin placement puts one of the next two objects on the
     // promoted node, which issues its id from shard 1's residue.
-    let after: Vec<ClientObjPtr<Doc>> = (0..2)
+    let after: Vec<ObjPtr<Doc>> = (0..2)
         .map(|i| c.pnew(&doc("after", i)).expect("pnew after failover"))
         .collect();
     let promoted = cluster.shard_members(1).0;
     let mut direct = OdeClient::connect(promoted, ClientConfig::default()).expect("promoted");
-    let on_promoted: Vec<&ClientObjPtr<Doc>> = after
+    let on_promoted: Vec<&ObjPtr<Doc>> = after
         .iter()
         .filter(|p| direct.exists(p).expect("direct exists"))
         .collect();
@@ -331,7 +330,7 @@ fn a_lost_tail_is_fenced_never_resurrected() {
     let mut cluster = Cluster::start(repl_config(1, 1));
     let mut c = connect(&cluster);
 
-    let shared: Vec<ClientObjPtr<Doc>> = (0..4)
+    let shared: Vec<ObjPtr<Doc>> = (0..4)
         .map(|i| c.pnew(&doc(&format!("shared-{i}"), i)).expect("pnew"))
         .collect();
     wait_router_sees_caught_up(&cluster, 0);
@@ -343,7 +342,7 @@ fn a_lost_tail_is_fenced_never_resurrected() {
     wait_until("the primary notices the dead subscription", || {
         cluster.primary(0).replica_count() == 0
     });
-    let lost: Vec<ClientObjPtr<Doc>> = (0..2)
+    let lost: Vec<ObjPtr<Doc>> = (0..2)
         .map(|i| c.pnew(&doc("lost", 900 + i)).expect("pnew lost"))
         .collect();
 
@@ -406,7 +405,7 @@ fn shipping_survives_repeated_mid_chunk_cuts() {
     ]);
     cluster.repl_relay(0, 0).cut_all();
 
-    let ptrs: Vec<ClientObjPtr<Doc>> = (0..30)
+    let ptrs: Vec<ObjPtr<Doc>> = (0..30)
         .map(|i| {
             writer
                 .pnew(&doc(&format!("churn-{i}"), i))

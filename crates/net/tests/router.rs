@@ -11,12 +11,12 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ode::{Database, DatabaseOptions, Oid};
+use ode::{Database, DatabaseOptions, ObjPtr, Oid, VersionPtr};
 use ode_codec::{impl_persist_struct, impl_type_name, to_bytes};
 use ode_net::protocol::{read_frame_into, write_frame, MAGIC};
 use ode_net::{
-    ClientConfig, ClientObjPtr, ClientVersionPtr, Cluster, ClusterConfig, NetError, OdeClient,
-    OdeRouter, OdeServer, RemoteError, Request, Response, RouterConfig, ServerConfig,
+    ClientConfig, Cluster, ClusterConfig, NetError, OdeClient, OdeRouter, OdeServer, RemoteError,
+    Request, Response, RouterConfig, ServerConfig,
 };
 use ode_storage::testutil::TempPath;
 
@@ -36,7 +36,7 @@ fn doc(title: &str, revision: u64) -> Doc {
 }
 
 fn tag() -> ode::TypeTag {
-    ClientObjPtr::<Doc>::tag()
+    ObjPtr::<Doc>::tag()
 }
 
 // ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ fn full_versioning_flow_through_a_four_shard_tier() {
         OdeClient::connect(cluster.router_addr(), ClientConfig::default()).expect("connect");
 
     // Round-robin placement: four creations land on four shards.
-    let ptrs: Vec<ClientObjPtr<Doc>> = (0..4)
+    let ptrs: Vec<ObjPtr<Doc>> = (0..4)
         .map(|i| c.pnew(&doc(&format!("doc-{i}"), 1)).expect("pnew"))
         .collect();
     let shards: Vec<usize> = ptrs.iter().map(|p| map.shard_of(p.oid())).collect();
@@ -290,7 +290,7 @@ fn full_versioning_flow_through_a_four_shard_tier() {
 
     // Errors name the id the client asked about: the shard knows it by
     // the same number.
-    let ghost: ClientObjPtr<Doc> = ClientObjPtr::from_oid(Oid(4242));
+    let ghost: ObjPtr<Doc> = ObjPtr::from_oid(Oid(4242));
     match c.deref(&ghost) {
         Err(NetError::Remote(RemoteError::UnknownObject(oid))) => assert_eq!(oid, Oid(4242)),
         other => panic!("expected unknown-object, got {other:?}"),
@@ -320,14 +320,14 @@ fn full_versioning_flow_through_a_four_shard_tier() {
         );
         thread::sleep(Duration::from_millis(20));
     }
-    let fresh: Vec<ClientObjPtr<Doc>> = (0..4)
+    let fresh: Vec<ObjPtr<Doc>> = (0..4)
         .map(|i| {
             c.pnew(&doc(&format!("fresh-{i}"), 1))
                 .expect("pnew after restart")
         })
         .collect();
     let mut direct = connect_to_shard(&cluster, restarted);
-    let placed: Vec<&ClientObjPtr<Doc>> = fresh
+    let placed: Vec<&ObjPtr<Doc>> = fresh
         .iter()
         .filter(|p| direct.exists(p).expect("direct exists"))
         .collect();
@@ -349,7 +349,7 @@ fn pipelined_requests_fan_out_and_read_your_writes_holds_per_oid() {
     let mut c =
         OdeClient::connect(cluster.router_addr(), ClientConfig::default()).expect("connect");
 
-    let ptrs: Vec<ClientObjPtr<Doc>> = (0..8)
+    let ptrs: Vec<ObjPtr<Doc>> = (0..8)
         .map(|i| c.pnew(&doc(&format!("p{i}"), 0)).expect("pnew"))
         .collect();
 
@@ -499,7 +499,7 @@ fn shard_server(path: &TempPath) -> (Arc<Database>, OdeServer) {
 }
 
 /// What a refused shard answers through the router.
-fn unavailable(result: Result<(Doc, ClientVersionPtr<Doc>), NetError>) -> String {
+fn unavailable(result: Result<(Doc, VersionPtr<Doc>), NetError>) -> String {
     match result {
         Err(NetError::Remote(RemoteError::Unavailable(msg))) => msg,
         other => panic!("expected unavailable, got {other:?}"),
@@ -584,11 +584,11 @@ fn a_store_with_dense_ids_is_refused_behind_a_wider_tier() {
         Err(NetError::Remote(RemoteError::UnknownObject(oid))) => assert_eq!(oid, Oid(1)),
         other => panic!("expected unknown object, got {other:?}"),
     }
-    let msg = unavailable(c.deref(&ClientObjPtr::from_oid(Oid(2))));
+    let msg = unavailable(c.deref(&ObjPtr::from_oid(Oid(2))));
     assert!(msg.contains("residue 0 of 2"), "{msg}");
     assert!(msg.contains("unclaimed ids already issued"), "{msg}");
     // The fresh store took its residue and serves.
-    let placed: Vec<Result<ClientObjPtr<Doc>, NetError>> =
+    let placed: Vec<Result<ObjPtr<Doc>, NetError>> =
         (0..2).map(|i| c.pnew(&doc("placed", i))).collect();
     assert!(
         placed

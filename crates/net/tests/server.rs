@@ -7,11 +7,11 @@ use std::path::Path;
 use std::sync::Arc;
 use std::thread;
 
-use ode::{Database, DatabaseOptions, ObjPtr, Oid};
+use ode::{Database, DatabaseOptions, ObjPtr, Oid, VersionPtr};
 use ode_codec::{impl_persist_struct, impl_type_name};
 use ode_net::{
-    ClientConfig, ClientObjPtr, ClientVersionPtr, NetError, OdeClient, OdeServer, Opcode,
-    RemoteError, Request, Response, ServerConfig,
+    ClientConfig, NetError, OdeClient, OdeServer, Opcode, RemoteError, Request, Response,
+    ServerConfig,
 };
 use ode_storage::testutil::TempPath;
 
@@ -209,7 +209,7 @@ fn concurrent_mixed_workload_preserves_version_graph_invariants() {
 
     // Four shared objects all threads gang up on.
     let mut setup = client(addr);
-    let shared: Vec<ClientObjPtr<Doc>> = (0..4)
+    let shared: Vec<ObjPtr<Doc>> = (0..4)
         .map(|i| {
             setup
                 .pnew(&Doc {
@@ -296,7 +296,7 @@ fn concurrent_mixed_workload_preserves_version_graph_invariants() {
     // And once more against the embedded API.
     let mut snap = db.snapshot();
     for p in &shared {
-        snap.check_object(&p.as_obj_ptr()).expect("check_object");
+        snap.check_object(p).expect("check_object");
     }
     drop(snap);
 
@@ -365,7 +365,7 @@ fn operation_failures_come_back_as_error_frames_and_sessions_survive() {
     let mut c = client(server.local_addr());
 
     // Unknown object.
-    let ghost: ClientObjPtr<Doc> = ClientObjPtr::from_oid(Oid(0xDEAD));
+    let ghost: ObjPtr<Doc> = ObjPtr::from_oid(Oid(0xDEAD));
     match c.deref(&ghost) {
         Err(NetError::Remote(RemoteError::UnknownObject(oid))) => assert_eq!(oid, Oid(0xDEAD)),
         other => panic!("expected UnknownObject, got {other:?}"),
@@ -378,7 +378,7 @@ fn operation_failures_come_back_as_error_frames_and_sessions_survive() {
             revision: 0,
         })
         .expect("pnew");
-    let wrong: ClientObjPtr<Imposter> = ClientObjPtr::from_oid(p.oid());
+    let wrong: ObjPtr<Imposter> = ObjPtr::from_oid(p.oid());
     match c.deref(&wrong) {
         Err(NetError::Remote(RemoteError::TypeMismatch { expected, found })) => {
             assert_eq!(expected, ObjPtr::<Imposter>::tag());
@@ -446,7 +446,7 @@ fn extent_scans_and_pagination_over_the_wire() {
     let (_db, server) = start_server(&path, 4);
     let mut c = client(server.local_addr());
 
-    let created: Vec<ClientObjPtr<Doc>> = (0..10)
+    let created: Vec<ObjPtr<Doc>> = (0..10)
         .map(|i| {
             c.pnew(&Doc {
                 title: format!("doc-{i}"),
@@ -461,7 +461,7 @@ fn extent_scans_and_pagination_over_the_wire() {
 
     // Cursor pagination: three pages of 4/4/2.
     let mut after = Oid::NULL;
-    let mut paged: Vec<ClientObjPtr<Doc>> = Vec::new();
+    let mut paged: Vec<ObjPtr<Doc>> = Vec::new();
     loop {
         let page = c.objects_page::<Doc>(after, 4).expect("objects_page");
         if page.is_empty() {
@@ -530,7 +530,7 @@ fn pipeline_batch_returns_responses_in_request_order() {
     let (_db, server) = start_server(&path, 4);
     let mut c = client(server.local_addr());
 
-    let docs: Vec<ClientObjPtr<Doc>> = (0..20)
+    let docs: Vec<ObjPtr<Doc>> = (0..20)
         .map(|i| {
             c.pnew(&Doc {
                 title: format!("batch-{i}"),
@@ -543,10 +543,7 @@ fn pipeline_batch_returns_responses_in_request_order() {
     // Sequential ground truth.
     let expected: Vec<(ode::Vid, Vec<u8>)> = docs
         .iter()
-        .map(|p| {
-            c.deref_raw(p.oid(), ClientObjPtr::<Doc>::tag())
-                .expect("deref")
-        })
+        .map(|p| c.deref_raw(p.oid(), ObjPtr::<Doc>::tag()).expect("deref"))
         .collect();
 
     // The same reads as one pipelined batch.
@@ -554,7 +551,7 @@ fn pipeline_batch_returns_responses_in_request_order() {
     for p in &docs {
         pipe.push(&Request::Deref {
             oid: p.oid(),
-            tag: ClientObjPtr::<Doc>::tag(),
+            tag: ObjPtr::<Doc>::tag(),
         })
         .expect("push");
     }
@@ -638,7 +635,7 @@ fn read_pipelined_behind_a_write_observes_that_write() {
             revision: 1,
         })
         .expect("pnew");
-    let tag = ClientObjPtr::<Doc>::tag();
+    let tag = ObjPtr::<Doc>::tag();
 
     // Seed the cache with the pre-write answer, so a stale entry exists
     // for the gate to protect against.
@@ -752,7 +749,7 @@ fn sigkill_mid_pipeline_recovers_exactly_the_acknowledged_writes() {
         });
         let seq = c
             .send(&Request::Pnew {
-                tag: ClientObjPtr::<Doc>::tag(),
+                tag: ObjPtr::<Doc>::tag(),
                 body,
             })
             .expect("send pnew");
@@ -844,8 +841,7 @@ fn versions_travel_between_embedded_and_network_apis() {
     };
 
     let mut c = client(server.local_addr());
-    let p_remote: ClientObjPtr<Doc> = p_embedded.into();
-    let (doc, _) = c.deref(&p_remote).expect("deref embedded object");
+    let (doc, _) = c.deref(&p_embedded).expect("deref embedded object");
     assert_eq!(doc.title, "embedded");
 
     let p_net = c
@@ -855,19 +851,14 @@ fn versions_travel_between_embedded_and_network_apis() {
         })
         .expect("pnew over wire");
     let mut snap = db.snapshot();
-    let doc = snap
-        .deref(&p_net.as_obj_ptr())
-        .expect("deref network object locally");
+    let doc = snap.deref(&p_net).expect("deref network object locally");
     assert_eq!(doc.title, "networked");
     drop(snap);
 
-    // A ClientVersionPtr obtained remotely dereferences locally too.
-    let v: ClientVersionPtr<Doc> = c.current_version(&p_net).expect("current_version");
+    // A VersionPtr obtained remotely dereferences locally too.
+    let v: VersionPtr<Doc> = c.current_version(&p_net).expect("current_version");
     let mut snap = db.snapshot();
-    assert_eq!(
-        snap.deref_v(&v.as_version_ptr()).expect("deref_v").revision,
-        8
-    );
+    assert_eq!(snap.deref_v(&v).expect("deref_v").revision, 8);
 
     server.shutdown();
 }
@@ -942,6 +933,10 @@ fn history_and_diff_are_served_over_the_wire_from_the_chain() {
         })
         .len() as u64
     );
+    // The wire answers with the embedded API's own `VersionDiff`, equal
+    // to what a local snapshot computes.
+    let local = db.snapshot().diff_versions(&vids[1], &vids[7]);
+    assert_eq!(d, local.expect("local diff_versions"));
 
     // A historical read over the wire replays the chain and fills the
     // materialization cache; the counters travel in Stats. Repeating
@@ -959,7 +954,7 @@ fn history_and_diff_are_served_over_the_wire_from_the_chain() {
     // Embedded snapshots read through the materialization cache
     // directly: a repeat at the same epoch is a hit, and a read after
     // a commit is a miss.
-    let historical = vids[2].as_version_ptr();
+    let historical = vids[2];
     let read = || {
         let before = db.materialize_cache_counters();
         let doc = db.snapshot().deref_v(&historical).expect("deref_v");

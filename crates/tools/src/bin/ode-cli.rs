@@ -30,11 +30,9 @@
 
 use std::process::ExitCode;
 
-use ode::{MergePolicy, Oid, Vid};
+use ode::{MergePolicy, ObjPtr, Oid, VersionPtr, Vid};
 use ode_codec::{from_bytes, impl_persist_struct, impl_type_name};
-use ode_net::{
-    ClientConfig, ClientObjPtr, ClientVersionPtr, NetError, OdeClient, Request, Response,
-};
+use ode_net::{ClientConfig, NetError, OdeClient, Request, Response};
 
 /// `println!` that exits quietly when stdout is gone (output piped
 /// into `head`, say) instead of panicking on the broken pipe.
@@ -109,7 +107,7 @@ fn usage() -> ExitCode {
 /// requests go out before the first response is awaited, so the whole
 /// list costs roughly one round trip instead of one per object.
 fn get_pipelined(client: &mut OdeClient, oids: &[u64]) -> ode_net::Result<()> {
-    let tag = ClientObjPtr::<Note>::tag();
+    let tag = ObjPtr::<Note>::tag();
     let mut pipe = client.pipeline();
     for &oid in oids {
         pipe.push(&Request::Deref { oid: Oid(oid), tag })?;
@@ -143,8 +141,8 @@ fn main() -> ExitCode {
         None => return usage(),
     };
     let id_arg = || -> Option<u64> { rest.first().and_then(|s| s.parse().ok()) };
-    let obj = |oid: u64| -> ClientObjPtr<Note> { ClientObjPtr::from_oid(Oid(oid)) };
-    let ver = |vid: u64| -> ClientVersionPtr<Note> { ClientVersionPtr::from_vid(Vid(vid)) };
+    let obj = |oid: u64| -> ObjPtr<Note> { ObjPtr::from_oid(Oid(oid)) };
+    let ver = |vid: u64| -> VersionPtr<Note> { VersionPtr::from_vid(Vid(vid)) };
 
     let mut client = match OdeClient::connect(addr.as_str(), ClientConfig::default()) {
         Ok(client) => client,
@@ -187,36 +185,9 @@ fn main() -> ExitCode {
                 stats.materialize_hits,
                 stats.materialize_misses
             );
-            out!(
-                "storage    : {} read txs, {} write txs",
-                stats.storage.read_txs,
-                stats.storage.write_txs
-            );
-            out!(
-                "lock waits : readers {} ({} ns), writers {} ({} ns)",
-                stats.storage.reader_waits,
-                stats.storage.reader_wait_nanos,
-                stats.storage.writer_waits,
-                stats.storage.writer_wait_nanos
-            );
-            out!(
-                "wal syncs  : {} total, {} by group leaders ({} txns, max batch {})",
-                stats.storage.wal_syncs,
-                stats.storage.group_syncs,
-                stats.storage.group_commit_txns,
-                stats.storage.group_batch_max
-            );
-            out!(
-                "conflicts  : {} write conflicts, {} retries",
-                stats.storage.write_conflicts,
-                stats.storage.write_retries
-            );
-            out!(
-                "replication: {} bytes shipped, {} epochs of replica lag, {} failovers",
-                stats.storage.bytes_shipped,
-                stats.storage.replica_lag_epochs,
-                stats.storage.failovers
-            );
+            for line in ode_tools::store_stats_lines(&stats.storage) {
+                out!("{line}");
+            }
             out!("requests   : {}", stats.total_requests());
             for (op, n) in &stats.requests {
                 out!("  {:<16} {n}", op.name());

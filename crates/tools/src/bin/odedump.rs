@@ -111,23 +111,9 @@ fn run(command: &str, rest: &[String], out: &mut impl Write) -> Result<(), Stop>
             writeln!(out, "  evictions : {}", info.buffer.evictions)?;
             writeln!(out, "  writebacks: {}", info.buffer.writebacks)?;
             writeln!(out, "storage engine (during this scan):")?;
-            writeln!(out, "  read txs  : {}", info.storage.read_txs)?;
-            writeln!(out, "  write txs : {}", info.storage.write_txs)?;
-            writeln!(
-                out,
-                "  reader waits: {} ({} ns)",
-                info.storage.reader_waits, info.storage.reader_wait_nanos
-            )?;
-            writeln!(
-                out,
-                "  writer waits: {} ({} ns)",
-                info.storage.writer_waits, info.storage.writer_wait_nanos
-            )?;
-            writeln!(
-                out,
-                "  write conflicts: {} ({} retries)",
-                info.storage.write_conflicts, info.storage.write_retries
-            )?;
+            for line in ode_tools::store_stats_lines(&info.storage) {
+                writeln!(out, "  {line}")?;
+            }
         }
         "objects" => {
             let objects = ode_tools::list_objects(&db)?;

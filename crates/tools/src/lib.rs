@@ -211,6 +211,49 @@ fn all_tags(_vs: &VersionStore, tx: &mut impl PageRead) -> Result<Vec<ode_codec:
     Ok(out)
 }
 
+/// The storage engine's counters as text, one line per group — what
+/// `ode-cli stats` prints for a server (a routed tier's are summed,
+/// batch and lag maxima kept) and `odedump info` prints for its own
+/// scan. Every field is named in the destructuring, so a counter added
+/// to [`StoreStats`] does not compile here until it is printed.
+pub fn store_stats_lines(stats: &StoreStats) -> Vec<String> {
+    let StoreStats {
+        read_txs,
+        write_txs,
+        reader_waits,
+        reader_wait_nanos,
+        writer_waits,
+        writer_wait_nanos,
+        wal_syncs,
+        group_syncs,
+        group_commit_txns,
+        group_batch_max,
+        bytes_shipped,
+        replica_lag_epochs,
+        failovers,
+        write_conflicts,
+        write_retries,
+        checkpoint_failures,
+    } = *stats;
+    vec![
+        format!("storage    : {read_txs} read txs, {write_txs} write txs"),
+        format!(
+            "lock waits : readers {reader_waits} ({reader_wait_nanos} ns), \
+             writers {writer_waits} ({writer_wait_nanos} ns)"
+        ),
+        format!(
+            "wal syncs  : {wal_syncs} total, {group_syncs} by group leaders \
+             ({group_commit_txns} txns, max batch {group_batch_max})"
+        ),
+        format!("conflicts  : {write_conflicts} write conflicts, {write_retries} retries"),
+        format!(
+            "replication: {bytes_shipped} bytes shipped, {replica_lag_epochs} epochs of \
+             replica lag, {failovers} failovers"
+        ),
+        format!("checkpoints: {checkpoint_failures} failed after their commit published"),
+    ]
+}
+
 /// List every live object.
 pub fn list_objects(path: &Path) -> Result<Vec<ObjectSummary>> {
     let (store, vs) = open(path)?;
@@ -448,6 +491,41 @@ mod tests {
     }
     impl_persist_struct!(Gadget { serial });
     impl_type_name!(Gadget = "tools-test/Gadget");
+
+    #[test]
+    fn store_stats_lines_print_every_counter() {
+        // Sixteen distinct values; each must be printed exactly once.
+        let stats = StoreStats {
+            read_txs: 1001,
+            write_txs: 1002,
+            reader_waits: 1003,
+            reader_wait_nanos: 1004,
+            writer_waits: 1005,
+            writer_wait_nanos: 1006,
+            wal_syncs: 1007,
+            group_syncs: 1008,
+            group_commit_txns: 1009,
+            group_batch_max: 1010,
+            bytes_shipped: 1011,
+            replica_lag_epochs: 1012,
+            failovers: 1013,
+            write_conflicts: 1014,
+            write_retries: 1015,
+            checkpoint_failures: 1016,
+        };
+        let text = store_stats_lines(&stats).join("\n");
+        let printed: Vec<u64> = text
+            .split(|c: char| !c.is_ascii_digit())
+            .filter_map(|word| word.parse().ok())
+            .collect();
+        for value in 1001..=1016 {
+            assert_eq!(
+                printed.iter().filter(|&&n| n == value).count(),
+                1,
+                "{value} once in:\n{text}"
+            );
+        }
+    }
 
     fn build_db(name: &str) -> std::path::PathBuf {
         let mut path = std::env::temp_dir();
