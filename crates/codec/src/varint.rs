@@ -6,16 +6,31 @@ use crate::DecodeError;
 pub const MAX_VARINT_LEN: usize = 10;
 
 /// Append a LEB128-encoded u64 to `out`.
-pub fn write_u64(out: &mut Vec<u8>, mut value: u64) {
+pub fn write_u64(out: &mut Vec<u8>, value: u64) {
+    let (bytes, len) = encode_u64(value);
+    out.extend_from_slice(&bytes[..len]);
+}
+
+/// `value` LEB128-encoded on the stack: the bytes, of which the first
+/// `len` are the encoding.
+pub fn encode_u64(mut value: u64) -> ([u8; MAX_VARINT_LEN], usize) {
+    let mut bytes = [0u8; MAX_VARINT_LEN];
+    let mut len = 0;
     loop {
         let byte = (value & 0x7F) as u8;
         value >>= 7;
         if value == 0 {
-            out.push(byte);
-            return;
+            bytes[len] = byte;
+            return (bytes, len + 1);
         }
-        out.push(byte | 0x80);
+        bytes[len] = byte | 0x80;
+        len += 1;
     }
+}
+
+/// Width in bytes of `value`'s LEB128 encoding.
+pub fn len_u64(value: u64) -> usize {
+    (64 - (value | 1).leading_zeros() as usize).div_ceil(7)
 }
 
 /// Decode a LEB128 u64 from the front of `input`, returning the value and
@@ -76,6 +91,7 @@ mod tests {
             let (back, used) = read_u64(&buf).unwrap();
             assert_eq!(back, v);
             assert_eq!(used, buf.len());
+            assert_eq!(len_u64(v), buf.len());
         }
     }
 

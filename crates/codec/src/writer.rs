@@ -21,6 +21,13 @@ impl Writer {
         }
     }
 
+    /// A writer appending to `buf` after clearing it, so an encoder that
+    /// runs once per message can reuse one allocation.
+    pub fn reusing(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        Writer { buf }
+    }
+
     /// Number of bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()

@@ -23,6 +23,7 @@
 //! leaves its outcome unknown and is surfaced to the caller.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasherDefault;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -31,9 +32,10 @@ use ode::{
     MergeConflict, MergePolicy, ObjPtr, OdeType, Oid, TypeTag, VersionDiff, VersionPtr, Vid,
 };
 use ode_codec::{from_bytes, to_bytes};
+use ode_storage::page::IdHasher;
 
 use crate::error::{NetError, Result};
-use crate::protocol::{read_frame, write_frame, Request, Response, StatsReport, MAGIC};
+use crate::protocol::{read_frame_into, write_frame, Request, Response, StatsReport, MAGIC};
 
 /// Client tuning knobs.
 #[derive(Debug, Clone)]
@@ -61,6 +63,12 @@ struct Conn {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
 }
+
+/// Largest frame buffer a client keeps between frames.
+const KEPT_FRAME_CAPACITY: usize = 1 << 20;
+
+/// Sequence ids are the client's own, so they skip SipHash.
+type SeqHash = BuildHasherDefault<IdHasher>;
 
 /// A blocking client for one Ode server.
 ///
@@ -98,13 +106,16 @@ pub struct OdeClient {
     /// dead connection can never be confused with a live request's.
     next_seq: u64,
     /// Sequence ids sent but not yet answered.
-    inflight: HashSet<u64>,
+    inflight: HashSet<u64, SeqHash>,
     /// Results that arrived while waiting for a different sequence id.
     /// An `Err` entry is a frame that arrived for this sequence id but
     /// would not decode — the error is surfaced to whoever collects
     /// that id, without poisoning the rest of the pipeline (frames are
     /// length-delimited, so one bad payload leaves the stream in sync).
-    backlog: HashMap<u64, Result<Response>>,
+    backlog: HashMap<u64, Result<Response>, SeqHash>,
+    /// The payload of the frame being sent or received: one buffer
+    /// reused for every frame.
+    frame: Vec<u8>,
 }
 
 impl OdeClient {
@@ -123,8 +134,9 @@ impl OdeClient {
             config,
             conn: None,
             next_seq: 0,
-            inflight: HashSet::new(),
-            backlog: HashMap::new(),
+            inflight: HashSet::default(),
+            backlog: HashMap::default(),
+            frame: Vec::new(),
         };
         client.reconnect()?;
         Ok(client)
@@ -177,9 +189,10 @@ impl OdeClient {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        let payload = request.encode(seq);
+        self.release_huge_frame();
+        request.encode_into(seq, &mut self.frame);
         let conn = self.conn.as_mut().expect("connection just established");
-        match write_frame(&mut conn.writer, &payload) {
+        match write_frame(&mut conn.writer, &self.frame) {
             Ok(_) => {
                 self.inflight.insert(seq);
                 Ok(seq)
@@ -248,28 +261,28 @@ impl OdeClient {
         if self.inflight.is_empty() {
             return Err(NetError::Protocol("no requests in flight".into()));
         }
+        self.release_huge_frame();
         let conn = self
             .conn
             .as_mut()
             .expect("in-flight requests imply a connection");
-        let frame = (|| {
+        let frame = &mut self.frame;
+        let received = (|| {
             conn.writer.flush()?;
-            match read_frame(&mut conn.reader)? {
-                Some(frame) => Ok(frame),
-                None => Err(NetError::Io(io::Error::new(
+            match read_frame_into(&mut conn.reader, frame)? {
+                true => Ok(()),
+                false => Err(NetError::Io(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "server closed the connection",
                 ))),
             }
         })();
-        let frame = match frame {
-            Ok(frame) => frame,
-            Err(e) => {
-                self.poison();
-                return Err(e);
-            }
-        };
-        match Response::decode(&frame) {
+        if let Err(e) = received {
+            self.poison();
+            return Err(e);
+        }
+        let frame = &self.frame;
+        match Response::decode(frame) {
             Ok((seq, response)) => {
                 if !self.inflight.remove(&seq) {
                     self.poison();
@@ -279,13 +292,21 @@ impl OdeClient {
                 }
                 Ok((seq, Ok(response)))
             }
-            Err(e) => match Response::decode_seq(&frame) {
+            Err(e) => match Response::decode_seq(frame) {
                 Ok(seq) if self.inflight.remove(&seq) => Ok((seq, Err(e))),
                 _ => {
                     self.poison();
                     Err(e)
                 }
             },
+        }
+    }
+
+    /// Let go of a frame buffer that one huge frame grew, so that it
+    /// does not stay allocated for the rest of the session.
+    fn release_huge_frame(&mut self) {
+        if self.frame.capacity() > KEPT_FRAME_CAPACITY {
+            self.frame = Vec::new();
         }
     }
 

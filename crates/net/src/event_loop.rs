@@ -16,7 +16,7 @@ use std::thread::{self, JoinHandle};
 
 use polling::{Event, PollMode, Poller};
 
-use crate::protocol::{write_frame, FrameBuffer, MAGIC};
+use crate::protocol::{write_frame, write_frame_seq, FrameBuffer, MAGIC};
 
 /// Frames one turn takes from a connection before it is re-armed (the
 /// per-connection backpressure unit).
@@ -211,6 +211,15 @@ impl Outbox {
     pub(crate) fn queue(&mut self, payload: &[u8]) -> u64 {
         self.buf().map_or(0, |buf| {
             write_frame(buf, payload).expect("Vec write is infallible")
+        })
+    }
+
+    /// Queue one frame whose payload is `seq` followed by `body`, built
+    /// in place; returns the bytes it takes on the wire (0 when the
+    /// write side is dead).
+    pub(crate) fn queue_seq(&mut self, seq: u64, body: &[u8]) -> u64 {
+        self.buf().map_or(0, |buf| {
+            write_frame_seq(buf, seq, body).expect("Vec write is infallible")
         })
     }
 }

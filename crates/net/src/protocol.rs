@@ -465,7 +465,15 @@ macro_rules! wire_table {
             /// with the client-assigned sequence id the response will
             /// echo.
             pub fn encode(&self, seq: u64) -> Vec<u8> {
-                let mut w = Writer::new();
+                let mut payload = Vec::new();
+                self.encode_into(seq, &mut payload);
+                payload
+            }
+
+            /// [`Request::encode`] into `payload`, replacing what it held
+            /// and keeping its allocation.
+            pub fn encode_into(&self, seq: u64, payload: &mut Vec<u8>) {
+                let mut w = Writer::reusing(std::mem::take(payload));
                 w.put_varint(seq);
                 self.opcode().put(&mut w);
                 match self {
@@ -473,7 +481,7 @@ macro_rules! wire_table {
                         $($( $field.put(&mut w); )+)?
                     } )*
                 }
-                w.into_bytes()
+                *payload = w.into_bytes();
             }
 
             /// Decode a frame payload into its sequence id and request.
@@ -1092,25 +1100,25 @@ impl Response {
 /// a frame sent in two writes waits out the peer's delayed ACK — and a
 /// `Vec` copies the payload once, straight into place.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<u64> {
-    let mut prefix = Vec::with_capacity(varint::MAX_VARINT_LEN);
-    varint::write_u64(&mut prefix, payload.len() as u64);
-    write_parts(w, &prefix, payload)?;
-    Ok((prefix.len() + payload.len()) as u64)
+    let (prefix, len) = varint::encode_u64(payload.len() as u64);
+    write_parts(w, &prefix[..len], payload)?;
+    Ok((len + payload.len()) as u64)
 }
 
 /// Write one frame whose payload is `seq` followed by `body` — how a
-/// router re-stamps the operation bytes it forwards without copying
-/// them into a payload first. One vectored write, like
-/// [`write_frame`]. The caller flushes.
-pub fn write_frame_seq(w: &mut impl Write, seq: u64, body: &[u8]) -> io::Result<()> {
-    // Built as `seq len`, then rotated to `len seq`: the length prefix
-    // counts the sequence id's own bytes.
-    let mut head = Vec::with_capacity(2 * varint::MAX_VARINT_LEN);
-    varint::write_u64(&mut head, seq);
-    let seq_len = head.len();
-    varint::write_u64(&mut head, (seq_len + body.len()) as u64);
-    head.rotate_left(seq_len);
-    write_parts(w, &head, body)
+/// router re-stamps the operation bytes it forwards, and how a server
+/// answers from its snapshot cache, without copying them into a
+/// payload first. One vectored write, like [`write_frame`]. Returns the
+/// total bytes written. The caller flushes.
+pub fn write_frame_seq(w: &mut impl Write, seq: u64, body: &[u8]) -> io::Result<u64> {
+    // The length prefix counts the sequence id's own bytes.
+    let (seq_bytes, seq_len) = varint::encode_u64(seq);
+    let (len_bytes, len_len) = varint::encode_u64((seq_len + body.len()) as u64);
+    let mut head = [0u8; 2 * varint::MAX_VARINT_LEN];
+    head[..len_len].copy_from_slice(&len_bytes[..len_len]);
+    head[len_len..len_len + seq_len].copy_from_slice(&seq_bytes[..seq_len]);
+    write_parts(w, &head[..len_len + seq_len], body)?;
+    Ok((len_len + seq_len + body.len()) as u64)
 }
 
 /// `head` then `body`, each written whole, with as few calls as `w`
@@ -1627,9 +1635,10 @@ mod tests {
             cap,
         };
         let mut whole = sink(usize::MAX);
-        write_frame(&mut whole, &body).unwrap();
-        write_frame_seq(&mut whole, 300, &body).unwrap();
+        let plain = write_frame(&mut whole, &body).unwrap();
+        let stamped = write_frame_seq(&mut whole, 300, &body).unwrap();
         assert_eq!(whole.calls, 2, "one write per frame");
+        assert_eq!(plain + stamped, whole.bytes.len() as u64, "bytes reported");
 
         let mut cursor = io::Cursor::new(whole.bytes.clone());
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap(), body);

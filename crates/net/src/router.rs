@@ -95,8 +95,7 @@ use crate::client::{ClientConfig, OdeClient};
 use crate::error::RemoteError;
 use crate::event_loop::{default_threads, Pool, Service, Wire, PIPELINE_DEPTH};
 use crate::protocol::{
-    read_frame, split_seq, write_frame, write_frame_seq, Request, Response, Routing, StatsReport,
-    MAGIC,
+    read_frame, split_seq, write_frame, Request, Response, Routing, StatsReport, MAGIC,
 };
 use crate::shard::ShardMap;
 use crate::NetError;
@@ -289,6 +288,32 @@ router_counters! {
     /// Failovers this router drove to completion (a replica promoted
     /// and installed as the shard's primary).
     failovers,
+}
+
+/// One turn's routing counts, added to the shared [`RouterStats`] once,
+/// when the turn has routed its frames.
+#[derive(Default)]
+struct RouteTally {
+    forwarded: u64,
+    answered_locally: u64,
+    gathers: u64,
+    replica_reads: u64,
+}
+
+impl RouteTally {
+    fn publish(self, stats: &RouterStats) {
+        let counts = [
+            (&stats.forwarded, self.forwarded),
+            (&stats.answered_locally, self.answered_locally),
+            (&stats.gathers, self.gathers),
+            (&stats.replica_reads, self.replica_reads),
+        ];
+        for (counter, n) in counts {
+            if n != 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
 }
 
 /// State shared by every session of one router.
@@ -998,6 +1023,7 @@ impl SessionState {
         // Taken out so frames borrowed from it can be forwarded.
         let mut rbuf = std::mem::take(&mut self.client.rbuf);
         let mut in_sync = true;
+        let mut tally = RouteTally::default();
         for _ in 0..PIPELINE_DEPTH {
             let payload = match rbuf.next_frame() {
                 Ok(Some(payload)) => payload,
@@ -1019,16 +1045,16 @@ impl SessionState {
                     self.answer(stats, seq, &response);
                 }
                 Ok((seq, _, Route::Local(resp))) => {
-                    stats.answered_locally.fetch_add(1, Ordering::Relaxed);
+                    tally.answered_locally += 1;
                     self.answer(stats, seq, &resp);
                 }
                 Ok((seq, body, Route::Single { shard, is_read })) => {
                     let slot = self.pick_slot(shared, shard, is_read);
                     let pending = Pending::Single { client_seq: seq };
-                    self.forward(shared, session, slot, body, pending);
+                    self.forward(shared, session, slot, body, pending, &mut tally);
                 }
                 Ok((seq, body, Route::Gather(kind))) => {
-                    stats.gathers.fetch_add(1, Ordering::Relaxed);
+                    tally.gathers += 1;
                     let shards = shared.map.shard_count();
                     let id = self.next_gather;
                     self.next_gather += 1;
@@ -1036,11 +1062,13 @@ impl SessionState {
                     // Scatters always hit the primary bank: a merged
                     // extent or stats report must not mix replica lag in.
                     for shard in 0..shards {
-                        self.forward(shared, session, shard, body, Pending::Part(id));
+                        let part = Pending::Part(id);
+                        self.forward(shared, session, shard, body, part, &mut tally);
                     }
                 }
             }
         }
+        tally.publish(stats);
         self.client.rbuf = rbuf;
         in_sync
     }
@@ -1099,9 +1127,9 @@ impl SessionState {
 
     /// The one forwarding path: ensure a live connection, register the
     /// pending entry, queue `body` (the client's operation bytes) under
-    /// the assigned backend sequence id. A request that cannot reach
-    /// its shard is answered `Unavailable` here; once registered, a
-    /// failure of the connection answers it.
+    /// the assigned backend sequence id, and count it in `tally`. A
+    /// request that cannot reach its shard is answered `Unavailable`
+    /// here; once registered, a failure of the connection answers it.
     fn forward(
         &mut self,
         shared: &RouterShared,
@@ -1109,6 +1137,7 @@ impl SessionState {
         slot_idx: usize,
         body: &[u8],
         pending: Pending,
+        tally: &mut RouteTally,
     ) {
         if self.slots[slot_idx].conn.is_none() {
             if let Err(msg) = self.dial(shared, session, slot_idx) {
@@ -1116,19 +1145,16 @@ impl SessionState {
                 return;
             }
         }
-        let stats = &shared.stats;
-        stats.forwarded.fetch_add(1, Ordering::Relaxed);
+        tally.forwarded += 1;
         if slot_idx >= shared.map.shard_count() {
-            stats.replica_reads.fetch_add(1, Ordering::Relaxed);
+            tally.replica_reads += 1;
         }
         let slot = &mut self.slots[slot_idx];
         let bseq = slot.next_bseq;
         slot.next_bseq += 1;
         slot.pending.insert(bseq, pending);
         let conn = slot.conn.as_mut().expect("dialed above");
-        if let Some(buf) = conn.wire.out.buf() {
-            write_frame_seq(buf, bseq, body).expect("Vec write is infallible");
-        }
+        conn.wire.out.queue_seq(bseq, body);
     }
 
     /// Dial a dead slot's backend, handshake, claim the shard's id
@@ -1355,9 +1381,7 @@ fn on_backend_frame(
         }
         Some(Pending::Internal) => Ok(()), // the `ReadFloor` pin's ack
         Some(Pending::Single { client_seq }) => {
-            if let Some(buf) = session.client.out.buf() {
-                write_frame_seq(buf, client_seq, body).expect("Vec write is infallible");
-            }
+            session.client.out.queue_seq(client_seq, body);
             Ok(())
         }
         Some(part @ Pending::Part(_)) => {

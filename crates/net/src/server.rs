@@ -62,11 +62,17 @@
 //! Successful read responses are cached in an [`EpochCache`] keyed by
 //! the request's *operation bytes* (the payload after the sequence id
 //! varint, so every connection shares one map) and holding the encoded
-//! response the same way: a hit prefixes the caller's sequence id onto
-//! wire-ready bytes — no snapshot, no store lock, no re-encode, no body
-//! copy. Cross-connection consistency is commit-granular via the
+//! response the same way: a hit frames the caller's sequence id and the
+//! wire-ready bytes straight into the connection's outbox, under the
+//! cache's lock — no snapshot, no store lock, no re-encode, no
+//! allocation. Cross-connection consistency is commit-granular via the
 //! database's [snapshot epoch](Database::snapshot_epoch), which
 //! [`ode::Txn`]'s commit bumps before it returns.
+//!
+//! The per-request counters (requests per opcode, bytes in and out,
+//! errors) are tallied on the turn's stack and added to the shared
+//! ones once per turn ([`Tally`]): a cached read writes no cache line
+//! that another thread also writes but the snapshot cache's lock.
 //!
 //! None of this may change what a connection is answered: the tests
 //! below play pipelined request streams, split at arbitrary byte
@@ -88,6 +94,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use ode::{Database, EpochCache, IdClaim};
+use ode_codec::varint;
 use parking_lot::Mutex;
 use polling::Event;
 
@@ -105,8 +112,9 @@ const FLOOR_SLICE: std::time::Duration = std::time::Duration::from_millis(100);
 const SNAPSHOT_CACHE_ENTRIES: usize = 4096;
 
 /// Request operation bytes → encoded response, both without their
-/// sequence id varint.
-type SnapshotCache = EpochCache<Vec<u8>, Arc<[u8]>>;
+/// sequence id varint. Values are only ever borrowed, under the cache's
+/// lock, to be framed into a connection's outbox.
+type SnapshotCache = EpochCache<Vec<u8>, Box<[u8]>>;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -143,7 +151,8 @@ impl Default for ServerConfig {
     }
 }
 
-/// Lifetime counters, all monotone except `active_connections`.
+/// Lifetime counters, all monotone except `active_connections`. The
+/// per-request ones are written once per turn, by [`Tally::publish`].
 #[derive(Default)]
 struct ServerStats {
     active_connections: AtomicU64,
@@ -176,6 +185,56 @@ impl ServerStats {
             requests,
             storage: db.storage_stats(),
         }
+    }
+}
+
+/// One turn's per-request counts, kept by the thread in the turn and
+/// added to the shared [`ServerStats`] in one go: before the turn
+/// answers a `Stats` (which so counts itself and everything before it
+/// on its connection) and before it flushes (so a client never holds
+/// an answer that the counters do not show yet).
+struct Tally {
+    requests: [u64; OPCODE_COUNT],
+    bytes_in: u64,
+    bytes_out: u64,
+    protocol_errors: u64,
+    op_errors: u64,
+}
+
+impl Tally {
+    fn new() -> Tally {
+        Tally {
+            requests: [0; OPCODE_COUNT],
+            bytes_in: 0,
+            bytes_out: 0,
+            protocol_errors: 0,
+            op_errors: 0,
+        }
+    }
+
+    /// Queue `response` as the answer to `seq`, counting its bytes, and
+    /// an op error when it is an error frame.
+    fn answer(&mut self, out: &mut Outbox, seq: u64, response: &Response) {
+        if let Response::Err(_) = response {
+            self.op_errors += 1;
+        }
+        self.bytes_out += out.queue(&response.encode(seq));
+    }
+
+    /// Add the counts to `stats` and start again from zero.
+    fn publish(&mut self, stats: &ServerStats) {
+        let add = |counter: &AtomicU64, n: &mut u64| {
+            if *n != 0 {
+                counter.fetch_add(std::mem::take(n), Ordering::Relaxed);
+            }
+        };
+        for (counter, n) in stats.requests.iter().zip(&mut self.requests) {
+            add(counter, n);
+        }
+        add(&stats.bytes_in, &mut self.bytes_in);
+        add(&stats.bytes_out, &mut self.bytes_out);
+        add(&stats.protocol_errors, &mut self.protocol_errors);
+        add(&stats.op_errors, &mut self.op_errors);
     }
 }
 
@@ -213,50 +272,49 @@ fn seq_prefix_len(payload: &[u8]) -> usize {
     payload.iter().take_while(|b| **b & 0x80 != 0).count() + 1
 }
 
-fn frame_prefix_len(payload_len: usize) -> u64 {
-    let mut buf = Vec::with_capacity(10);
-    ode_codec::varint::write_u64(&mut buf, payload_len as u64);
-    buf.len() as u64
-}
-
-/// Execute one decoded request to its wire-ready response payload.
+/// Execute one decoded request and queue its response frame on `out`.
 /// `op_bytes` is the request's payload after its sequence varint (the
-/// snapshot-cache key of a read). The second return is whether a write
-/// waited at the replication barrier.
-fn execute(node: &Node, seq: u64, request: Request, op_bytes: &[u8]) -> (Vec<u8>, bool) {
-    let (db, stats, cache) = (&*node.db, &node.stats, &node.cache);
+/// snapshot-cache key of a read). Returns whether a write waited at
+/// the replication barrier.
+fn execute(
+    node: &Node,
+    seq: u64,
+    request: Request,
+    op_bytes: &[u8],
+    out: &mut Outbox,
+    tally: &mut Tally,
+) -> bool {
+    let (db, cache) = (&*node.db, &node.cache);
     let mut waited = false;
-    let out = match request {
-        Request::Ping => Response::Pong.encode(seq),
-        Request::Stats => Response::Stats(stats.report(cache, db)).encode(seq),
+    let response = match request {
+        Request::Ping => Response::Pong,
+        Request::Stats => {
+            tally.publish(&node.stats);
+            Response::Stats(node.stats.report(cache, db))
+        }
         // The router's health probe.
-        Request::Epoch => Response::Count(db.snapshot_epoch()).encode(seq),
+        Request::Epoch => Response::Count(db.snapshot_epoch()),
         request if request.is_read() => {
             // Sampled before the snapshot opens: a commit landing in
             // between tags the fill with an already-stale epoch (a
             // wasted entry, never a stale hit).
             let epoch = db.snapshot_epoch();
-            match cache.get(epoch, op_bytes) {
-                Some(cached) => {
-                    // Wire-ready bytes: this caller's sequence id
-                    // prefixed onto the stored encoded response.
-                    let mut out = Vec::with_capacity(10 + cached.len());
-                    ode_codec::varint::write_u64(&mut out, seq);
-                    out.extend_from_slice(&cached);
-                    out
+            // A hit is framed under the cache's lock: this caller's
+            // sequence id, then the stored wire-ready bytes.
+            let hit = cache.with(epoch, op_bytes, |cached| out.queue_seq(seq, cached));
+            if let Some(written) = hit {
+                tally.bytes_out += written;
+                return false;
+            }
+            match apply(db, request) {
+                Ok(response) => {
+                    let frame = response.encode(seq);
+                    let cached = Box::from(&frame[seq_prefix_len(&frame)..]);
+                    cache.insert(epoch, op_bytes.to_vec(), cached);
+                    tally.bytes_out += out.queue(&frame);
+                    return false;
                 }
-                None => match apply(db, request) {
-                    Ok(response) => {
-                        let out = response.encode(seq);
-                        let key = op_bytes.to_vec();
-                        cache.insert(epoch, key, Arc::from(&out[seq_prefix_len(&out)..]));
-                        out
-                    }
-                    Err(e) => {
-                        stats.op_errors.fetch_add(1, Ordering::Relaxed);
-                        Response::Err(RemoteError::from(&e)).encode(seq)
-                    }
-                },
+                Err(e) => Response::Err(RemoteError::from(&e)),
             }
         }
         Request::Promote => {
@@ -272,32 +330,21 @@ fn execute(node: &Node, seq: u64, request: Request, op_bytes: &[u8]) -> (Vec<u8>
             match result {
                 Ok(()) => {
                     node.replica.store(false, Ordering::Release);
-                    Response::Unit.encode(seq)
+                    Response::Unit
                 }
-                Err(e) => {
-                    stats.op_errors.fetch_add(1, Ordering::Relaxed);
-                    Response::Err(RemoteError::Storage(e.to_string())).encode(seq)
-                }
+                Err(e) => Response::Err(RemoteError::Storage(e.to_string())),
             }
         }
         Request::ClaimIds { stride, residue } => match claim_ids(node, stride, residue) {
-            Ok(()) => Response::Unit.encode(seq),
-            Err(e) => {
-                stats.op_errors.fetch_add(1, Ordering::Relaxed);
-                Response::Err(e).encode(seq)
-            }
+            Ok(()) => Response::Unit,
+            Err(e) => Response::Err(e),
         },
-        _ if node.replica.load(Ordering::Acquire) => {
-            // Replicas are read-only; the router never routes writes
-            // here, so this is a client targeting the wrong node (or a
-            // promotion race) — strictly not retryable on this
-            // connection.
-            stats.op_errors.fetch_add(1, Ordering::Relaxed);
-            Response::Err(RemoteError::Unavailable(
-                "replica is read-only (writes go to the primary)".into(),
-            ))
-            .encode(seq)
-        }
+        // Replicas are read-only; the router never routes writes here,
+        // so this is a client targeting the wrong node (or a promotion
+        // race) — strictly not retryable on this connection.
+        _ if node.replica.load(Ordering::Acquire) => Response::Err(RemoteError::Unavailable(
+            "replica is read-only (writes go to the primary)".into(),
+        )),
         request => apply(db, request)
             .inspect(|_| {
                 // Semi-synchronous barrier: with a replica subscribed,
@@ -307,13 +354,10 @@ fn execute(node: &Node, seq: u64, request: Request, op_bytes: &[u8]) -> (Vec<u8>
                     waited = true;
                 }
             })
-            .unwrap_or_else(|e| {
-                stats.op_errors.fetch_add(1, Ordering::Relaxed);
-                Response::Err(RemoteError::from(&e))
-            })
-            .encode(seq),
+            .unwrap_or_else(|e| Response::Err(RemoteError::from(&e))),
     };
-    (out, waited)
+    tally.answer(out, seq, &response);
+    waited
 }
 
 /// Answer a `ClaimIds` request (sent once per router connection, so
@@ -703,13 +747,16 @@ fn turn(node: &Node, conn: &mut Conn, scratch: &mut [u8]) -> Result<Event, Close
     if !conn.wire.rbuf.has_frame() {
         conn.wire.read_ready(scratch, &node.stats.protocol_errors);
     }
-    execute_frames(node, conn)?;
-    if let Some(sub) = &mut conn.sub {
-        let shipped = sub
+    let mut tally = Tally::new();
+    let executed = execute_frames(node, conn, &mut tally).and_then(|()| match &mut conn.sub {
+        Some(sub) => sub
             .ship(node.gen, &node.db, &mut conn.wire.out)
-            .map_err(|_| Close::Done)?;
-        node.stats.bytes_out.fetch_add(shipped, Ordering::Relaxed);
-    }
+            .map(|shipped| tally.bytes_out += shipped)
+            .map_err(|_| Close::Done),
+        None => Ok(()),
+    });
+    tally.publish(&node.stats);
+    executed?;
     conn.wire.flush();
 
     // Slow-client guard: a reader this far behind its responses is
@@ -765,8 +812,7 @@ fn wait_for_floor(node: &Node, floor: u64, since: &mut Option<std::time::Instant
 /// Decode and execute up to [`PIPELINE_DEPTH`] buffered frames in
 /// stream order, queueing each response. A frame-level protocol error
 /// (hostile length prefix) poisons the stream and ends the session.
-fn execute_frames(node: &Node, conn: &mut Conn) -> Result<(), Close> {
-    let stats = &node.stats;
+fn execute_frames(node: &Node, conn: &mut Conn, tally: &mut Tally) -> Result<(), Close> {
     // Split borrows: frame payloads stay borrowed out of `rbuf` while
     // the other connection fields are written.
     let Conn {
@@ -781,7 +827,7 @@ fn execute_frames(node: &Node, conn: &mut Conn) -> Result<(), Close> {
             Ok(Some(payload)) => payload,
             Ok(None) => break,
             Err(_) => {
-                stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                tally.protocol_errors += 1;
                 return Err(Close::Done);
             }
         };
@@ -799,58 +845,54 @@ fn execute_frames(node: &Node, conn: &mut Conn) -> Result<(), Close> {
             rbuf.unread();
             return Ok(());
         }
-        stats.bytes_in.fetch_add(
-            payload.len() as u64 + frame_prefix_len(payload.len()),
-            Ordering::Relaxed,
-        );
-        let (frame, waited) = match decoded {
+        tally.bytes_in += (varint::len_u64(payload.len() as u64) + payload.len()) as u64;
+        let (seq, request) = match decoded {
+            Ok(decoded) => decoded,
             Err(e) => {
                 // The frame was well delimited, so the stream is still
                 // in sync: report under the request's sequence id (or 0
                 // when even that is unreadable) and keep the session
                 // alive.
-                stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                tally.protocol_errors += 1;
                 let seq = Request::decode_seq(payload).unwrap_or(0);
-                let frame = Response::Err(RemoteError::BadRequest(e.to_string())).encode(seq);
-                (Some(frame), false)
-            }
-            Ok((seq, request)) => {
-                stats.requests[request.opcode() as usize].fetch_add(1, Ordering::Relaxed);
-                match (request, floor) {
-                    (request @ (Request::Subscribe { .. } | Request::Ack { .. }), _) => {
-                        (replicate(node, sub, *token, seq, request, out), false)
-                    }
-                    (request, _) if sub.is_some() => {
-                        (replicate(node, sub, *token, seq, request, out), false)
-                    }
-                    // Set here, in stream order: every read after this
-                    // frame sees the new floor, exactly the
-                    // read-your-writes contract the router relies on.
-                    (Request::ReadFloor { epoch }, _) => {
-                        *read_floor = epoch;
-                        (Some(Response::Unit.encode(seq)), false)
-                    }
-                    (_, Floor::Missed) => {
-                        stats.op_errors.fetch_add(1, Ordering::Relaxed);
-                        let refusal = RemoteError::Unavailable(format!(
-                            "node at epoch {} has not applied read floor {}",
-                            node.db.snapshot_epoch(),
-                            *read_floor
-                        ));
-                        (Some(Response::Err(refusal).encode(seq)), true)
-                    }
-                    (request, floor) => {
-                        let op_bytes = &payload[seq_prefix_len(payload)..];
-                        let (frame, barrier) = execute(node, seq, request, op_bytes);
-                        (Some(frame), barrier || matches!(floor, Floor::Waited))
-                    }
-                }
+                let refusal = Response::Err(RemoteError::BadRequest(e.to_string()));
+                tally.bytes_out += out.queue(&refusal.encode(seq));
+                continue;
             }
         };
-        if let Some(frame) = frame {
-            let written = out.queue(&frame);
-            stats.bytes_out.fetch_add(written, Ordering::Relaxed);
-        }
+        tally.requests[request.opcode() as usize] += 1;
+        let waited = match (request, floor) {
+            (request @ (Request::Subscribe { .. } | Request::Ack { .. }), _) => {
+                replicate(node, sub, *token, seq, request, out, tally);
+                false
+            }
+            (request, _) if sub.is_some() => {
+                replicate(node, sub, *token, seq, request, out, tally);
+                false
+            }
+            // Set here, in stream order: every read after this frame
+            // sees the new floor, exactly the read-your-writes contract
+            // the router relies on.
+            (Request::ReadFloor { epoch }, _) => {
+                *read_floor = epoch;
+                tally.answer(out, seq, &Response::Unit);
+                false
+            }
+            (_, Floor::Missed) => {
+                let refusal = RemoteError::Unavailable(format!(
+                    "node at epoch {} has not applied read floor {}",
+                    node.db.snapshot_epoch(),
+                    *read_floor
+                ));
+                tally.answer(out, seq, &Response::Err(refusal));
+                true
+            }
+            (request, floor) => {
+                let op_bytes = &payload[seq_prefix_len(payload)..];
+                let barrier = execute(node, seq, request, op_bytes, out, tally);
+                barrier || matches!(floor, Floor::Waited)
+            }
+        };
         // A thread just back from a replication wait serves the
         // longest-waiting connection before this one's next request.
         if waited {
@@ -871,11 +913,12 @@ fn replicate(
     seq: u64,
     request: Request,
     out: &mut Outbox,
-) -> Option<Vec<u8>> {
+    tally: &mut Tally,
+) {
     let refusal = match (request, sub.is_some()) {
         (Request::Ack { epoch, .. }, true) => {
             node.peers.ack(key, Some(epoch), &node.db);
-            return None;
+            return;
         }
         (_, true) => RemoteError::BadRequest("a subscribed connection sends only acks".into()),
         (Request::Subscribe { .. }, _) if node.replica.load(Ordering::Acquire) => {
@@ -897,13 +940,12 @@ fn replicate(
                 out,
             );
             *sub = Some(Box::new(started));
-            node.stats.bytes_out.fetch_add(written, Ordering::Relaxed);
-            return None;
+            tally.bytes_out += written;
+            return;
         }
         _ => RemoteError::BadRequest("an ack without a subscription".into()),
     };
-    node.stats.op_errors.fetch_add(1, Ordering::Relaxed);
-    Some(Response::Err(refusal).encode(seq))
+    tally.answer(out, seq, &Response::Err(refusal));
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::thread;
 
 use ode::{Database, DatabaseOptions, ObjPtr, Oid, VersionPtr};
-use ode_codec::{impl_persist_struct, impl_type_name};
+use ode_codec::{impl_persist_struct, impl_type_name, varint};
 use ode_net::{
     ClientConfig, NetError, OdeClient, OdeServer, Opcode, RemoteError, Request, Response,
     ServerConfig,
@@ -621,6 +621,99 @@ fn snapshot_cache_serves_repeats_and_invalidates_on_commit() {
     assert!(remote.snapshot_hits >= 5);
     assert!(remote.snapshot_misses >= 1);
     server.shutdown();
+}
+
+/// A server's counters are exact whatever turn its requests land in: on
+/// one connection, a warm-up `Deref`, then `cached` more of it (snapshot
+/// hits), one read that misses, one write and a `Stats`, pipelined in
+/// one burst. The `Stats` counts every request before it and itself, and
+/// its byte counts are the frames the client wrote (its own included,
+/// like its request count) and the answers it read before it. With 100
+/// cached reads the burst spans two turns of at most 64 frames.
+#[test]
+fn stats_count_a_pipelined_batch_exactly() {
+    use std::io::{BufReader, Read, Write};
+    use std::net::TcpStream;
+
+    use ode_net::protocol::{read_frame_into, write_frame, MAGIC};
+
+    for cached in [8u64, 100] {
+        let path = TempPath::new();
+        let (db, server) = start_server(&path, 2);
+        let (oid, vid) = {
+            let mut txn = db.begin();
+            let p = txn
+                .pnew(&Doc {
+                    title: "counted".into(),
+                    revision: 0,
+                })
+                .expect("pnew");
+            let vid = txn.current_version(&p).expect("current version").vid();
+            txn.commit().expect("commit");
+            (p.oid(), vid)
+        };
+        let tag = ObjPtr::<Doc>::tag();
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        stream.write_all(&MAGIC).expect("magic");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut echo = [0u8; 4];
+        reader.read_exact(&mut echo).expect("handshake");
+
+        let mut wrote = 0u64;
+        let mut read = 0u64;
+        let mut payload = Vec::new();
+        let mut round_trip = |requests: &[Request], seq: &mut u64| {
+            let mut burst = Vec::new();
+            for request in requests {
+                wrote += write_frame(&mut burst, &request.encode(*seq)).expect("frame");
+                *seq += 1;
+            }
+            stream.write_all(&burst).expect("send");
+            let mut answers = Vec::new();
+            for _ in requests {
+                assert!(read_frame_into(&mut reader, &mut payload).expect("answer"));
+                let (_, response) = Response::decode(&payload).expect("decode");
+                if !matches!(response, Response::Stats(_)) {
+                    read += (payload.len() + varint::len_u64(payload.len() as u64)) as u64;
+                }
+                answers.push(response);
+            }
+            answers
+        };
+        let deref = Request::Deref { oid, tag };
+        let mut seq = 1;
+        round_trip(std::slice::from_ref(&deref), &mut seq);
+        let mut burst = vec![deref; cached as usize];
+        burst.push(Request::DerefVersion { vid, tag });
+        burst.push(Request::Update {
+            oid,
+            tag,
+            body: ode_codec::to_bytes(&Doc {
+                title: "counted".into(),
+                revision: 1,
+            }),
+        });
+        burst.push(Request::Stats);
+        let answers = round_trip(&burst, &mut seq);
+        let Some(Response::Stats(stats)) = answers.last() else {
+            panic!("no stats answer: {:?}", answers.last());
+        };
+        assert_eq!(stats.requests_for(Opcode::Deref), cached + 1);
+        assert_eq!(stats.requests_for(Opcode::DerefVersion), 1);
+        assert_eq!(stats.requests_for(Opcode::Update), 1);
+        assert_eq!(stats.requests_for(Opcode::Stats), 1, "Stats counts itself");
+        assert_eq!(stats.total_requests(), cached + 4);
+        assert_eq!((stats.snapshot_hits, stats.snapshot_misses), (cached, 2));
+        assert_eq!(stats.bytes_in, wrote, "every frame written, Stats included");
+        assert_eq!(stats.bytes_out, read, "every answer read before Stats");
+        assert_eq!((stats.op_errors, stats.protocol_errors), (0, 0));
+        // Published by the turn before it flushed: the in-process view
+        // agrees once the answers are in.
+        let local = server.stats();
+        assert_eq!(local.total_requests(), cached + 4);
+        assert_eq!(local.bytes_in, wrote);
+        server.shutdown();
+    }
 }
 
 #[test]

@@ -54,19 +54,21 @@ impl fmt::Display for PageId {
 }
 
 /// A map keyed by page number: a transaction's write set, base images
-/// and pins, and the buffer pool's frames. Hashed by [`PageIdHasher`]
+/// and pins, and the buffer pool's frames. Hashed by [`IdHasher`]
 /// rather than SipHash, which is built to resist keys an attacker
 /// picks; page numbers are the store's own.
-pub(crate) type PageMap<V> = HashMap<u64, V, BuildHasherDefault<PageIdHasher>>;
+pub(crate) type PageMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
 
-/// Hashes a page number with the splitmix64 finalizer. A mixing hash,
-/// not a bare multiply: the pool shards pages by their low four bits,
-/// so every key in one shard's map shares them, and every input bit has
-/// to reach the bits the table picks its bucket and tag from.
+/// Hashes a `u64` id the program hands out itself (a page number, a
+/// client's request sequence id) with the splitmix64 finalizer. A
+/// mixing hash, not a bare multiply: the pool shards pages by their low
+/// four bits, so every key in one shard's map shares them, and every
+/// input bit has to reach the bits the table picks its bucket and tag
+/// from.
 #[derive(Default)]
-pub(crate) struct PageIdHasher(u64);
+pub struct IdHasher(u64);
 
-impl Hasher for PageIdHasher {
+impl Hasher for IdHasher {
     fn finish(&self) -> u64 {
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -12,8 +12,20 @@
 //! - a lookup at an **older** epoch misses and a fill at one is dropped,
 //!   so a reader still holding an older sample never rolls the
 //!   generation back and never evicts entries newer readers filled;
-//! - at the cap, new fills are dropped (the map never outlives one
-//!   epoch, so pressure resolves itself at the next commit).
+//! - at the cap of entries per epoch, a fill of a new key is dropped
+//!   and a fill of a key already held replaces its value; the cap
+//!   bounds the map, not the bytes of its values (the map never
+//!   outlives one epoch, so pressure resolves itself at the next
+//!   commit).
+//!
+//! Hits and misses are counted in the generation, under the lock each
+//! lookup takes anyway, not in atomics of their own that every lookup
+//! on every thread would also write.
+//!
+//! [`EpochCache::with`] runs a closure on the cached value under that
+//! lock, so a caller that only copies the value out (the server frames
+//! a cached response straight into a connection's outbox) needs no
+//! shared ownership of it; [`EpochCache::get`] is `with` that clones.
 //!
 //! Callers sample the epoch *before* resolving the answer they fill: a
 //! commit racing the fill then tags the entry with an already-stale
@@ -24,14 +36,15 @@
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
-/// Entries resolved at one epoch.
+/// Entries resolved at one epoch, and the lookups counted so far.
 struct Generation<K, V> {
     epoch: u64,
     map: HashMap<K, V>,
+    hits: u64,
+    misses: u64,
 }
 
 /// A bounded map invalidated wholesale by the commit epoch, with hit
@@ -39,21 +52,48 @@ struct Generation<K, V> {
 pub struct EpochCache<K, V> {
     inner: Mutex<Generation<K, V>>,
     cap: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
-impl<K: Hash + Eq, V: Clone> EpochCache<K, V> {
+impl<K: Hash + Eq, V> EpochCache<K, V> {
     /// A cache holding at most `cap` entries per epoch.
     pub fn new(cap: usize) -> EpochCache<K, V> {
         EpochCache {
             inner: Mutex::new(Generation {
                 epoch: 0,
                 map: HashMap::new(),
+                hits: 0,
+                misses: 0,
             }),
             cap,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+        }
+    }
+
+    /// `f` of the value cached for `key` as of `epoch`, run under the
+    /// cache's lock, counting a hit or a miss: a caller that only copies
+    /// the value somewhere borrows it instead of cloning it.
+    pub fn with<Q, R>(&self, epoch: u64, key: &Q, f: impl FnOnce(&V) -> R) -> Option<R>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let mut inner = self.inner.lock();
+        advance(&mut inner, epoch);
+        let Generation {
+            epoch: at,
+            map,
+            hits,
+            misses,
+        } = &mut *inner;
+        let found = if *at == epoch { map.get(key) } else { None };
+        match found {
+            Some(value) => {
+                *hits += 1;
+                Some(f(value))
+            }
+            None => {
+                *misses += 1;
+                None
+            }
         }
     }
 
@@ -63,22 +103,9 @@ impl<K: Hash + Eq, V: Clone> EpochCache<K, V> {
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
+        V: Clone,
     {
-        let mut inner = self.inner.lock();
-        advance(&mut inner, epoch);
-        let value = if inner.epoch == epoch {
-            inner.map.get(key).cloned()
-        } else {
-            None
-        };
-        drop(inner);
-        let counter = if value.is_some() {
-            &self.hits
-        } else {
-            &self.misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        value
+        self.with(epoch, key, V::clone)
     }
 
     /// Record the value `key` resolved to at `epoch`. Dropped when the
@@ -99,10 +126,8 @@ impl<K: Hash + Eq, V: Clone> EpochCache<K, V> {
 
     /// `(hits, misses)` since construction.
     pub fn counters(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
+        let inner = self.inner.lock();
+        (inner.hits, inner.misses)
     }
 }
 
@@ -116,8 +141,6 @@ fn advance<K, V>(inner: &mut Generation<K, V>, epoch: u64) {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use super::*;
 
     fn cache(cap: usize) -> EpochCache<u64, Vec<u8>> {
@@ -135,12 +158,44 @@ mod tests {
 
     #[test]
     fn hit_after_fill_within_one_epoch() {
-        // The server's shape: owned byte keys, looked up by slice.
-        let c: EpochCache<Vec<u8>, Arc<[u8]>> = EpochCache::new(16);
-        assert_eq!(c.get(1, &b"k"[..]), None);
-        c.insert(1, b"k".to_vec(), Arc::from(&b"seven"[..]));
-        assert_eq!(c.get(1, &b"k"[..]).as_deref(), Some(&b"seven"[..]));
+        // The server's shape: owned byte keys, looked up by slice, and
+        // values only ever borrowed.
+        let c: EpochCache<Vec<u8>, Box<[u8]>> = EpochCache::new(16);
+        assert_eq!(c.with(1, &b"k"[..], |v| v.to_vec()), None);
+        c.insert(1, b"k".to_vec(), Box::from(&b"seven"[..]));
+        assert_eq!(
+            c.with(1, &b"k"[..], |v| v.to_vec()),
+            Some(b"seven".to_vec())
+        );
         assert_eq!(c.counters(), (1, 1));
+    }
+
+    #[test]
+    fn with_counts_hits_and_misses_exactly_as_get_does() {
+        let by_get = cache(8);
+        let by_with = cache(8);
+        // Miss, hit, miss at an older epoch, miss at a newer one, hit.
+        let script = |c: &EpochCache<u64, Vec<u8>>, look: &dyn Fn(u64, u64) -> bool| {
+            let mut seen = Vec::new();
+            seen.push(look(2, 7));
+            c.insert(2, 7, b"body".to_vec());
+            seen.push(look(2, 7));
+            seen.push(look(1, 7));
+            seen.push(look(3, 7));
+            c.insert(3, 7, b"body".to_vec());
+            seen.push(look(3, 7));
+            seen
+        };
+        let got = script(&by_get, &|epoch, key| by_get.get(epoch, &key).is_some());
+        let withs = script(&by_with, &|epoch, key| {
+            by_with
+                .with(epoch, &key, |v| assert_eq!(v, b"body"))
+                .is_some()
+        });
+        assert_eq!(got, [false, true, false, false, true]);
+        assert_eq!(withs, got);
+        assert_eq!(by_with.counters(), (2, 3));
+        assert_eq!(by_with.counters(), by_get.counters());
     }
 
     #[test]
@@ -183,6 +238,11 @@ mod tests {
         assert_eq!(c.get(2, &7), None); // cache now at epoch 2
         c.insert(1, 7, b"old".to_vec()); // resolved pre-commit
         assert_eq!(c.get(2, &7), None);
+        // The same after a borrowing lookup at the newer epoch.
+        assert_eq!(c.with(3, &7, |_| ()), None);
+        c.insert(2, 7, b"old".to_vec());
+        assert_eq!(c.len(), 0);
+        assert_eq!(c.with(3, &7, |_| ()), None);
     }
 
     #[test]
