@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasher, Hash};
 use std::time::Duration;
 
-use crate::{DecodeError, Persist, Reader, Writer};
+use crate::{DecodeError, Persist, Reader, Writer, PREALLOC_MAX};
 
 // ---------------------------------------------------------------------------
 // Integers
@@ -306,7 +306,7 @@ where
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let count = r.get_count()?;
-        let mut out = HashMap::with_capacity_and_hasher(count, S::default());
+        let mut out = HashMap::with_capacity_and_hasher(count.min(PREALLOC_MAX), S::default());
         for _ in 0..count {
             let k = K::decode(r)?;
             let v = V::decode(r)?;
@@ -331,7 +331,7 @@ where
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let count = r.get_count()?;
-        let mut out = HashSet::with_capacity_and_hasher(count, S::default());
+        let mut out = HashSet::with_capacity_and_hasher(count.min(PREALLOC_MAX), S::default());
         for _ in 0..count {
             out.insert(T::decode(r)?);
         }

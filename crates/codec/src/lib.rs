@@ -68,15 +68,23 @@ pub trait Persist: Sized {
 
     /// Deserialize the `count` values [`Persist::encode_slice`] wrote.
     /// Callers bound `count` by the remaining input first (see
-    /// [`Reader::get_count`]), so the allocation is bounded too.
+    /// [`Reader::get_count`]), but one input byte can claim an element
+    /// many bytes wide, so at most 4 096 are reserved up front and the
+    /// rest as they decode.
     fn decode_vec(r: &mut Reader<'_>, count: usize) -> Result<Vec<Self>, DecodeError> {
-        let mut out = Vec::with_capacity(count);
+        let mut out = Vec::with_capacity(count.min(PREALLOC_MAX));
         for _ in 0..count {
             out.push(Self::decode(r)?);
         }
         Ok(out)
     }
 }
+
+/// The most elements a decoder reserves room for before it has decoded
+/// them. A count is only checked against the bytes left, and hostile
+/// input can claim one wide element per byte it holds; past this many,
+/// a container grows as its elements actually arrive.
+pub(crate) const PREALLOC_MAX: usize = 4096;
 
 /// Encode a value to a fresh byte vector.
 pub fn to_bytes<T: Persist>(value: &T) -> Vec<u8> {

@@ -63,6 +63,51 @@ fn truncations_fail<T: Persist>(value: &T, slot: usize) {
     }
 }
 
+/// An element as wide as `ode_merge::MergeConflict`: 64 bytes in
+/// memory, from as little as one byte of input.
+#[derive(Debug, PartialEq)]
+struct Wide {
+    base_start: u64,
+    base_end: u64,
+    ours: Vec<u8>,
+    theirs: Vec<u8>,
+}
+impl_persist_struct!(Wide {
+    base_start,
+    base_end,
+    ours,
+    theirs
+});
+
+/// A count equal to the bytes left passes the count check, and a first
+/// element whose varint overflows fails at once, so all a decoder
+/// allocates is the room it reserves up front. Sized like an 8 MiB
+/// `Merged` frame claiming 8 Mi conflicts: 512 MiB if the count sized
+/// the reservation, 256 KiB at 4 096 elements.
+#[test]
+fn a_claimed_count_reserves_at_most_4096_elements() {
+    const CLAIMED: usize = 8 << 20;
+    assert_eq!(std::mem::size_of::<Wide>(), 64);
+    let mut w = Writer::new();
+    w.put_varint(CLAIMED as u64);
+    let mut bytes = w.into_bytes();
+    bytes.resize(bytes.len() + CLAIMED, 0xFF);
+
+    let mut list = None;
+    let largest = largest_allocation_during(|| list = Some(from_bytes::<Vec<Wide>>(&bytes)));
+    assert!(list.unwrap().is_err());
+    assert!(largest < 1 << 20, "a Vec decode reserved {largest} bytes");
+
+    let mut map = None;
+    let largest =
+        largest_allocation_during(|| map = Some(from_bytes::<HashMap<u64, Wide>>(&bytes)));
+    assert!(map.unwrap().is_err());
+    assert!(
+        largest < 1 << 20,
+        "a HashMap decode reserved {largest} bytes"
+    );
+}
+
 proptest! {
     #[test]
     fn rt_u64(v: u64) { check_rt(&v); }

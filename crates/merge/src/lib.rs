@@ -39,7 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use ode_codec::impl_persist_struct;
+use ode_codec::{impl_persist_struct, DecodeError, Persist, Reader, Writer};
 use ode_delta::{Delta, DeltaOp};
 
 /// One edit against the base: replace `base[base_start..base_end]`
@@ -65,35 +65,34 @@ impl Hunk {
 pub enum MergePolicy {
     /// Report the conflicts and produce no merged state.
     #[default]
-    Fail,
+    Fail = 0,
     /// Take the first side's bytes for every conflicted range (the
     /// conflicts are still reported).
-    Ours,
+    Ours = 1,
     /// Take the second side's bytes for every conflicted range (the
     /// conflicts are still reported).
-    Theirs,
+    Theirs = 2,
+}
+
+/// One raw byte, the variant's number; any other byte is refused.
+impl Persist for MergePolicy {
+    fn encode(&self, w: &mut Writer) {
+        w.put_u8(*self as u8);
+    }
+    fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        match r.get_u8()? {
+            0 => Ok(MergePolicy::Fail),
+            1 => Ok(MergePolicy::Ours),
+            2 => Ok(MergePolicy::Theirs),
+            b => Err(DecodeError::InvalidDiscriminant {
+                type_name: "MergePolicy",
+                discriminant: b.into(),
+            }),
+        }
+    }
 }
 
 impl MergePolicy {
-    /// Stable single-byte encoding (wire and CLI use).
-    pub fn as_u8(self) -> u8 {
-        match self {
-            MergePolicy::Fail => 0,
-            MergePolicy::Ours => 1,
-            MergePolicy::Theirs => 2,
-        }
-    }
-
-    /// Decode [`MergePolicy::as_u8`].
-    pub fn from_u8(b: u8) -> Option<MergePolicy> {
-        match b {
-            0 => Some(MergePolicy::Fail),
-            1 => Some(MergePolicy::Ours),
-            2 => Some(MergePolicy::Theirs),
-            _ => None,
-        }
-    }
-
     /// Lower-case policy name (`fail` / `ours` / `theirs`).
     pub fn name(self) -> &'static str {
         match self {
@@ -877,11 +876,17 @@ mod tests {
 
     #[test]
     fn policy_codec_round_trips() {
-        for p in [MergePolicy::Fail, MergePolicy::Ours, MergePolicy::Theirs] {
-            assert_eq!(MergePolicy::from_u8(p.as_u8()), Some(p));
+        for (byte, p) in [MergePolicy::Fail, MergePolicy::Ours, MergePolicy::Theirs]
+            .into_iter()
+            .enumerate()
+        {
+            assert_eq!(ode_codec::to_bytes(&p), [byte as u8]);
+            assert_eq!(ode_codec::from_bytes::<MergePolicy>(&[byte as u8]), Ok(p));
             assert_eq!(MergePolicy::from_name(p.name()), Some(p));
         }
-        assert_eq!(MergePolicy::from_u8(3), None);
+        // Unknown bytes, and a varint-shaped `80 00`, are refused.
+        assert!(ode_codec::from_bytes::<MergePolicy>(&[3]).is_err());
+        assert!(ode_codec::from_bytes::<MergePolicy>(&[0x80, 0]).is_err());
         assert_eq!(MergePolicy::from_name("merge"), None);
     }
 

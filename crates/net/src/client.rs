@@ -35,7 +35,7 @@ use ode_codec::{from_bytes, to_bytes};
 use ode_storage::page::IdHasher;
 
 use crate::error::{NetError, Result};
-use crate::protocol::{read_frame_into, write_frame, Request, Response, StatsReport, MAGIC};
+use crate::protocol::{handshake, read_frame_into, write_frame, Request, Response, StatsReport};
 
 /// Client tuning knobs.
 #[derive(Debug, Clone)]
@@ -161,17 +161,9 @@ impl OdeClient {
         stream.set_read_timeout(self.config.read_timeout)?;
         stream.set_write_timeout(self.config.write_timeout)?;
         stream.set_nodelay(true).ok();
-        let mut writer = BufWriter::new(stream.try_clone()?);
-        let mut reader = BufReader::new(stream);
-        writer.write_all(&MAGIC)?;
-        writer.flush()?;
-        let mut echo = [0u8; 4];
-        io::Read::read_exact(&mut reader, &mut echo)?;
-        if echo != MAGIC {
-            return Err(NetError::Protocol(
-                "server did not echo the handshake magic".into(),
-            ));
-        }
+        handshake(&stream)?;
+        let writer = BufWriter::new(stream.try_clone()?);
+        let reader = BufReader::new(stream);
         self.conn = Some(Conn { reader, writer });
         Ok(())
     }

@@ -10,6 +10,7 @@ use std::fmt;
 use std::io;
 
 use ode::{Oid, TypeTag, Vid};
+use ode_codec::{DecodeError, Persist, Reader, Writer};
 
 /// Result alias for network operations.
 pub type Result<T> = std::result::Result<T, NetError>;
@@ -17,12 +18,13 @@ pub type Result<T> = std::result::Result<T, NetError>;
 /// An error from a client or server network operation.
 #[derive(Debug)]
 pub enum NetError {
-    /// A socket read/write failed (includes timeouts and the peer
-    /// closing the connection mid-exchange).
+    /// A socket read/write failed (includes timeouts, the peer
+    /// closing the connection mid-exchange, and a peer that does not
+    /// echo the handshake: `InvalidData`).
     Io(io::Error),
-    /// The byte stream violated the wire protocol: bad handshake,
-    /// oversized or truncated frame, unknown opcode, undecodable
-    /// payload, or a response of the wrong shape for the request.
+    /// The byte stream violated the wire protocol: oversized or
+    /// truncated frame, unknown opcode, undecodable payload, or a
+    /// response of the wrong shape for the request.
     Protocol(String),
     /// The server executed the operation and it failed; the remote
     /// error, reconstructed from the error frame.
@@ -72,6 +74,49 @@ impl RemoteError {
             RemoteError::BadRequest(_) => 6,
             RemoteError::Unavailable(_) => 7,
         }
+    }
+}
+
+/// An error frame is `code a b message` for every kind: the code byte,
+/// two varints and a byte string, unused slots zero or empty.
+impl Persist for RemoteError {
+    fn encode(&self, w: &mut Writer) {
+        let (a, b, msg) = match self {
+            RemoteError::UnknownObject(oid) => (oid.0, 0, ""),
+            RemoteError::UnknownVersion(vid) | RemoteError::LastVersion(vid) => (vid.0, 0, ""),
+            RemoteError::TypeMismatch { expected, found } => (expected.0, found.0, ""),
+            RemoteError::Storage(msg)
+            | RemoteError::BadRequest(msg)
+            | RemoteError::Unavailable(msg) => (0, 0, msg.as_str()),
+        };
+        w.put_u8(self.code());
+        w.put_varint(a);
+        w.put_varint(b);
+        w.put_bytes(msg.as_bytes());
+    }
+    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, DecodeError> {
+        let code = r.get_u8()?;
+        let a = r.get_varint()?;
+        let b = r.get_varint()?;
+        let msg = String::from_utf8_lossy(r.get_bytes()?).into_owned();
+        Ok(match code {
+            1 => RemoteError::UnknownObject(Oid(a)),
+            2 => RemoteError::UnknownVersion(Vid(a)),
+            3 => RemoteError::TypeMismatch {
+                expected: TypeTag(a),
+                found: TypeTag(b),
+            },
+            4 => RemoteError::LastVersion(Vid(a)),
+            5 => RemoteError::Storage(msg),
+            6 => RemoteError::BadRequest(msg),
+            7 => RemoteError::Unavailable(msg),
+            c => {
+                return Err(DecodeError::InvalidDiscriminant {
+                    type_name: "RemoteError",
+                    discriminant: c.into(),
+                })
+            }
+        })
     }
 }
 

@@ -20,12 +20,10 @@
 //!
 //! After the sequence id, a request payload is an opcode byte followed
 //! by the operation's fields; a response payload is a response-kind
-//! byte followed by the result fields. All integers (ids, tags, counts,
-//! lengths) are LEB128 varints via [`ode_codec`]'s writer/reader;
-//! object bodies travel as length-prefixed byte strings holding their
-//! normal [`ode_codec`] `Persist` encoding — the server never decodes
-//! bodies, it stores and serves the client's bytes and only checks the
-//! type tag.
+//! byte followed by the result fields. Object bodies travel as byte
+//! strings holding their normal `Persist` encoding — the server never
+//! decodes bodies, it stores and serves the client's bytes and only
+//! checks the type tag.
 //!
 //! ## The wire table
 //!
@@ -35,21 +33,29 @@
 //! variant, fields tagged by kind, `read | write`, and how a router
 //! treats it) generates [`Opcode`], [`Request`], their encoder and
 //! decoder and [`Request::ids`]; the response table generates
-//! [`Response`] with its encoder and decoder; the counter tables
-//! generate [`StatsReport`], the encoding of its nested
-//! `ode_storage::StoreStats`, and the rule that merges the reports of
-//! several shards. The embedded API's own types travel as they are:
-//! the ids, `VersionDiff`, `StoreStats` and `MergeConflict` each get a
-//! field encoding here, and no wire copy of them exists. The
-//! generated code is straight-line `match`es — nothing is interpreted
-//! per request. DESIGN.md ("The wire table") has the row grammar and
-//! the three places a new opcode touches; the README's opcode table
-//! mirrors the request table and a test holds it to that.
+//! [`Response`] with its encoder and decoder; the counter table
+//! generates [`StatsReport`], its encoding and the rule that merges the
+//! reports of several shards. The generated code is straight-line
+//! `match`es — nothing is interpreted per request.
+//!
+//! The tables place fields; they do not say how a field is encoded.
+//! Every field travels by its type's [`ode_codec::Persist`] codec, the
+//! one the store uses, and each impl lives with its type: the ids in
+//! `ode-object`, `VersionDiff` in `ode-version`, `MergeConflict` and
+//! `MergePolicy` in `ode-merge`, `StoreStats` in `ode-storage`. Three
+//! layouts are the wire's own: the opcode and response-kind bytes;
+//! [`RemoteError`]'s `code a b message` (its impl is in `error.rs`);
+//! and a field of kind `tag`, which is a varint here where the store
+//! writes a `TypeTag` as 8 fixed bytes — changing the tag bytes would
+//! need a new protocol version. DESIGN.md ("The wire table") has the
+//! row grammar and the three places a new opcode touches; the README's
+//! opcode table mirrors the request table and a test holds it to that.
 
 use std::io::{self, Read, Write};
+use std::net::TcpStream;
 
 use ode::{MergeConflict, MergePolicy, Oid, TypeTag, VersionDiff, Vid};
-use ode_codec::{varint, Reader, Writer};
+use ode_codec::{varint, DecodeError, Persist, Reader, Writer};
 use ode_storage::StoreStats;
 
 use crate::error::{NetError, RemoteError, Result};
@@ -58,6 +64,23 @@ use crate::error::{NetError, RemoteError, Result};
 /// added pipelining (sequence-id-prefixed payloads); a v1 peer fails
 /// the handshake rather than misparsing frames.
 pub const MAGIC: [u8; 4] = *b"ODE\x02";
+
+/// Open a connection as its client: send [`MAGIC`] and read the echo.
+/// A peer that echoes anything else speaks another protocol or another
+/// version of this one, refused as `InvalidData`.
+pub fn handshake(stream: &TcpStream) -> io::Result<()> {
+    let mut stream = stream;
+    stream.write_all(&MAGIC)?;
+    let mut echo = [0u8; 4];
+    stream.read_exact(&mut echo)?;
+    if echo != MAGIC {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "the peer did not echo the handshake magic",
+        ));
+    }
+    Ok(())
+}
 
 /// Upper bound on a single frame's payload, guarding both sides
 /// against allocating unbounded memory on a corrupt length prefix.
@@ -83,220 +106,26 @@ fn finish(r: &Reader<'_>, name: &str, what: &str) -> Result<()> {
 }
 
 // ---------------------------------------------------------------------------
-// Field types
+// Field encodings
 // ---------------------------------------------------------------------------
 
-/// One field type of the wire format: its encoding and its decoding,
-/// stated here once. The tables below only compose them.
-trait Wire: Sized {
-    fn put(&self, w: &mut Writer);
-    fn get(r: &mut Reader<'_>) -> Result<Self>;
-}
-
-macro_rules! wire_varint_newtype {
-    ($($ty:ident),*) => {$(
-        impl Wire for $ty {
-            fn put(&self, w: &mut Writer) {
-                w.put_varint(self.0);
-            }
-            fn get(r: &mut Reader<'_>) -> Result<Self> {
-                Ok($ty(r.get_varint()?))
-            }
-        }
-    )*};
-}
-
-wire_varint_newtype!(Oid, Vid, TypeTag);
-
-impl Wire for u64 {
-    fn put(&self, w: &mut Writer) {
-        w.put_varint(*self);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(r.get_varint()?)
-    }
-}
-
-impl Wire for u32 {
-    fn put(&self, w: &mut Writer) {
-        w.put_varint(u64::from(*self));
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self> {
-        let v = r.get_varint()?;
-        u32::try_from(v).map_err(|_| NetError::Protocol(format!("{v} overflows a u32")))
-    }
-}
-
-impl Wire for bool {
-    fn put(&self, w: &mut Writer) {
-        w.put_u8(*self as u8);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(r.get_u8()? != 0)
-    }
-}
-
-/// A byte string: a length, then the bytes verbatim.
-impl Wire for Vec<u8> {
-    fn put(&self, w: &mut Writer) {
-        w.put_bytes(self);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(r.get_bytes()?.to_vec())
-    }
-}
-
-impl Wire for MergePolicy {
-    fn put(&self, w: &mut Writer) {
-        w.put_u8(self.as_u8());
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self> {
-        let p = r.get_u8()?;
-        MergePolicy::from_u8(p)
-            .ok_or_else(|| NetError::Protocol(format!("unknown merge policy byte {p}")))
-    }
-}
-
-impl Wire for Opcode {
-    fn put(&self, w: &mut Writer) {
-        w.put_u8(*self as u8);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self> {
-        let op = r.get_u8()?;
-        Opcode::from_u8(op).ok_or_else(|| NetError::Protocol(format!("unknown opcode {op}")))
-    }
-}
-
-/// An option's leading byte: 0 for none, 1 for a value that follows.
-fn get_present(r: &mut Reader<'_>) -> Result<bool> {
-    match r.get_u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        b => Err(NetError::Protocol(format!("bad option discriminant {b}"))),
-    }
-}
-
-impl<T: Wire> Wire for Option<T> {
-    fn put(&self, w: &mut Writer) {
-        w.put_u8(self.is_some() as u8);
-        if let Some(v) = self {
-            v.put(w);
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self> {
-        Ok(if get_present(r)? {
-            Some(T::get(r)?)
-        } else {
-            None
-        })
-    }
-}
-
-/// A list: a count, then each element. The count is checked against
-/// the bytes that remain, so a corrupt one cannot size an allocation.
-impl<T: Wire> Wire for Vec<T> {
-    fn put(&self, w: &mut Writer) {
-        w.put_varint(self.len() as u64);
-        for item in self {
-            item.put(w);
-        }
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self> {
-        let n = r.get_count()?;
-        let mut items = Vec::with_capacity(n.min(1 << 12));
-        for _ in 0..n {
-            items.push(T::get(r)?);
-        }
-        Ok(items)
-    }
-}
-
-/// One entry of a stats report's per-opcode request counts.
-impl Wire for (Opcode, u64) {
-    fn put(&self, w: &mut Writer) {
-        self.0.put(w);
-        self.1.put(w);
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self> {
-        Ok((Opcode::get(r)?, u64::get(r)?))
-    }
-}
-
-/// An error frame is `code a b message` for every kind, unused slots
-/// zero or empty.
-impl Wire for RemoteError {
-    fn put(&self, w: &mut Writer) {
-        w.put_u8(self.code());
-        let (a, b, msg) = match self {
-            RemoteError::UnknownObject(oid) => (oid.0, 0, ""),
-            RemoteError::UnknownVersion(vid) | RemoteError::LastVersion(vid) => (vid.0, 0, ""),
-            RemoteError::TypeMismatch { expected, found } => (expected.0, found.0, ""),
-            RemoteError::Storage(msg)
-            | RemoteError::BadRequest(msg)
-            | RemoteError::Unavailable(msg) => (0, 0, msg.as_str()),
-        };
-        w.put_varint(a);
-        w.put_varint(b);
-        w.put_bytes(msg.as_bytes());
-    }
-    fn get(r: &mut Reader<'_>) -> Result<Self> {
-        let code = r.get_u8()?;
-        let a = r.get_varint()?;
-        let b = r.get_varint()?;
-        let msg = String::from_utf8_lossy(r.get_bytes()?).into_owned();
-        Ok(match code {
-            1 => RemoteError::UnknownObject(Oid(a)),
-            2 => RemoteError::UnknownVersion(Vid(a)),
-            3 => RemoteError::TypeMismatch {
-                expected: TypeTag(a),
-                found: TypeTag(b),
-            },
-            4 => RemoteError::LastVersion(Vid(a)),
-            5 => RemoteError::Storage(msg),
-            6 => RemoteError::BadRequest(msg),
-            7 => RemoteError::Unavailable(msg),
-            c => return Err(NetError::Protocol(format!("unknown remote error code {c}"))),
-        })
-    }
-}
-
-/// A struct that travels as its fields in the order listed. The list
-/// destructures the struct and builds it, both without `..`, so a field
-/// added to the type fails to compile here until it has a wire
-/// position.
-macro_rules! wire_fields {
-    ($ty:ident { $($field:ident),* $(,)? }) => {
-        impl Wire for $ty {
-            fn put(&self, w: &mut Writer) {
-                let $ty { $($field),* } = self;
-                $( $field.put(w); )*
-            }
-            fn get(r: &mut Reader<'_>) -> Result<Self> {
-                Ok($ty { $( $field: Wire::get(r)?, )* })
-            }
-        }
+/// A field of kind `tag` travels as a varint; every other field by its
+/// type's `Persist` codec. (The store writes a `TypeTag` as 8 fixed
+/// bytes; moving the wire to that would be a new protocol version.)
+macro_rules! wire_field {
+    (put tag, $value:expr, $w:expr) => {
+        $w.put_varint($value.0)
+    };
+    (put $kind:ident, $value:expr, $w:expr) => {
+        Persist::encode($value, $w)
+    };
+    (get tag, $r:expr) => {
+        TypeTag($r.get_varint()?)
+    };
+    (get $kind:ident, $r:expr) => {
+        Persist::decode($r)?
     };
 }
-
-// A conflict: its byte range in the merge base's body, then both
-// sides' replacement bytes.
-wire_fields!(MergeConflict {
-    base_start,
-    base_end,
-    ours,
-    theirs,
-});
-
-// The reply to `DiffVersions`: the core's summary, field by field.
-wire_fields!(VersionDiff {
-    from,
-    to,
-    to_len,
-    ops,
-    literal_bytes,
-    encoded_bytes,
-    stored,
-});
 
 // ---------------------------------------------------------------------------
 // The request table
@@ -360,7 +189,7 @@ macro_rules! wire_sample {
         $body.to_vec()
     };
     (policy, $word:ident, $body:ident) => {
-        MergePolicy::from_u8(($word("policy") % 3) as u8).expect("policy bytes are 0, 1 and 2")
+        [MergePolicy::Fail, MergePolicy::Ours, MergePolicy::Theirs][($word("policy") % 3) as usize]
     };
 }
 
@@ -475,10 +304,10 @@ macro_rules! wire_table {
             pub fn encode_into(&self, seq: u64, payload: &mut Vec<u8>) {
                 let mut w = Writer::reusing(std::mem::take(payload));
                 w.put_varint(seq);
-                self.opcode().put(&mut w);
+                self.opcode().encode(&mut w);
                 match self {
                     $( Request::$variant $({ $($field),+ })? => {
-                        $($( $field.put(&mut w); )+)?
+                        $($( wire_field!(put $kind, $field, &mut w); )+)?
                     } )*
                 }
                 *payload = w.into_bytes();
@@ -490,10 +319,10 @@ macro_rules! wire_table {
             pub fn decode(payload: &[u8]) -> Result<(u64, Request)> {
                 let mut r = Reader::new(payload);
                 let seq = r.get_varint()?;
-                let op = Opcode::get(&mut r)?;
+                let op = Opcode::decode(&mut r)?;
                 let request = match op {
                     $( Opcode::$variant => Request::$variant $({
-                        $( $field: Wire::get(&mut r)?, )+
+                        $( $field: wire_field!(get $kind, &mut r), )+
                     })?, )*
                 };
                 finish(&r, op.name(), "request")?;
@@ -751,6 +580,20 @@ const _: () = {
     }
 };
 
+/// The opcode byte: the row's number, one raw byte.
+impl Persist for Opcode {
+    fn encode(&self, w: &mut Writer) {
+        w.put_u8(*self as u8);
+    }
+    fn decode(r: &mut Reader<'_>) -> std::result::Result<Self, DecodeError> {
+        let op = r.get_u8()?;
+        Opcode::from_u8(op).ok_or(DecodeError::InvalidDiscriminant {
+            type_name: "Opcode",
+            discriminant: op.into(),
+        })
+    }
+}
+
 impl Request {
     /// Whether this request only reads (see [`Opcode::is_read`]).
     pub fn is_read(&self) -> bool {
@@ -774,11 +617,8 @@ macro_rules! stats_merge {
     (sum, $into:expr, $from:expr) => {
         $into += $from
     };
-    (max, $into:expr, $from:expr) => {
-        $into = $into.max($from)
-    };
     (store, $into:expr, $from:expr) => {
-        merge_store_stats(&mut $into, &$from)
+        $into.merge(&$from)
     };
     (per_opcode, $into:expr, $from:expr) => {
         merge_requests(&mut $into, &$from)
@@ -787,9 +627,9 @@ macro_rules! stats_merge {
 
 /// A struct of counters that travels as its fields in declaration
 /// order, each declaring after `=>` the rule that folds it across
-/// shards: `sum` for counts, `max` for gauges and high-water marks,
-/// `store` for the nested storage counters, `per_opcode` for the
-/// request counts.
+/// shards: `sum` for counts, `store` for the nested storage counters
+/// (which fold by `StoreStats::merge`), `per_opcode` for the request
+/// counts.
 macro_rules! stats_table {
     (
         $(#[$meta:meta])*
@@ -802,7 +642,7 @@ macro_rules! stats_table {
             $( $(#[$fmeta])* pub $field: $fty, )*
         }
 
-        wire_fields!($ty { $($field),* });
+        ode_codec::impl_persist_struct!($ty { $($field),* });
 
         impl $ty {
             /// Fold another node's report into this one, each field
@@ -828,44 +668,6 @@ fn merge_requests(into: &mut Vec<(Opcode, u64)>, from: &[(Opcode, u64)]) {
         per_op[*op as usize] += n;
     }
     *into = request_counts(|op| per_op[op as usize]);
-}
-
-/// The storage engine's counters as [`StatsReport::storage`] carries
-/// them: every `ode_storage::StoreStats` field, in wire order, with the
-/// rule that folds it across shards. Like [`wire_fields!`], the merge
-/// destructures the struct with no `..`, so a field added to
-/// `StoreStats` fails to compile until it has a place on this list.
-macro_rules! store_stats_table {
-    ($($field:ident => $rule:ident),* $(,)?) => {
-        wire_fields!(StoreStats { $($field),* });
-
-        /// Fold another node's storage counters into `into`.
-        fn merge_store_stats(into: &mut StoreStats, from: &StoreStats) {
-            let StoreStats { $($field),* } = *from;
-            $( stats_merge!($rule, into.$field, $field); )*
-        }
-    };
-}
-
-store_stats_table! {
-    read_txs => sum,
-    write_txs => sum,
-    reader_waits => sum,
-    reader_wait_nanos => sum,
-    writer_waits => sum,
-    writer_wait_nanos => sum,
-    wal_syncs => sum,
-    group_syncs => sum,
-    group_commit_txns => sum,
-    // The largest cohort any one shard saw, not a sum.
-    group_batch_max => max,
-    bytes_shipped => sum,
-    // The worst lag in the tier (a gauge).
-    replica_lag_epochs => max,
-    failovers => sum,
-    write_conflicts => sum,
-    write_retries => sum,
-    checkpoint_failures => sum,
 }
 
 stats_table! {
@@ -960,8 +762,8 @@ macro_rules! response_table {
                 match self {
                     $( Response::$variant $(($tbind))? $({ $($field),+ })? => {
                         w.put_u8($num);
-                        $( $tbind.put(&mut w); )?
-                        $($( $field.put(&mut w); )+)?
+                        $( $tbind.encode(&mut w); )?
+                        $($( $field.encode(&mut w); )+)?
                     } )*
                 }
                 w.into_bytes()
@@ -975,8 +777,8 @@ macro_rules! response_table {
                 let seq = r.get_varint()?;
                 let response = match r.get_u8()? {
                     $( $num => Response::$variant
-                        $(( <$tty as Wire>::get(&mut r)? ))?
-                        $({ $( $field: Wire::get(&mut r)?, )+ })?, )*
+                        $(( <$tty as Persist>::decode(&mut r)? ))?
+                        $({ $( $field: Persist::decode(&mut r)?, )+ })?, )*
                     k => return Err(unknown_kind(k)),
                 };
                 finish(&r, response.kind_name(), "response")?;
@@ -1415,17 +1217,34 @@ mod tests {
 
     #[test]
     fn unknown_merge_policy_is_a_protocol_error() {
-        let mut bytes = Request::Merge {
-            a: Vid(1),
-            b: Vid(2),
-            policy: MergePolicy::Fail,
+        // An unknown byte, and `80 00`: 0 as an overlong varint, but the
+        // policy is one raw byte.
+        for policy in [&[9][..], &[0x80, 0x00]] {
+            let mut bytes = Request::Merge {
+                a: Vid(1),
+                b: Vid(2),
+                policy: MergePolicy::Fail,
+            }
+            .encode(0);
+            bytes.pop();
+            bytes.extend_from_slice(policy);
+            assert!(
+                matches!(Request::decode(&bytes), Err(NetError::Protocol(_))),
+                "policy bytes {policy:02x?}"
+            );
         }
-        .encode(0);
-        *bytes.last_mut().unwrap() = 9;
-        assert!(matches!(
-            Request::decode(&bytes),
-            Err(NetError::Protocol(_))
-        ));
+    }
+
+    #[test]
+    fn a_flag_byte_other_than_0_or_1_is_a_protocol_error() {
+        let mut bytes = Response::Flag(true).encode(0);
+        for b in [2, 0x80, 0xFF] {
+            *bytes.last_mut().unwrap() = b;
+            assert!(
+                matches!(Response::decode(&bytes), Err(NetError::Protocol(_))),
+                "flag byte {b}"
+            );
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! one, or a fenced ex-primary rejoining — is re-bootstrapped from a
 //! snapshot instead of resumed.
 
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufReader};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
@@ -39,7 +39,7 @@ use parking_lot::Mutex;
 
 use crate::error::{NetError, RemoteError};
 use crate::event_loop::Outbox;
-use crate::protocol::{read_frame_into, write_frame, Request, Response, MAGIC};
+use crate::protocol::{handshake, read_frame_into, write_frame, Request, Response};
 
 /// Largest snapshot part or log chunk one frame carries.
 pub(crate) const CHUNK_LEN: usize = 256 * 1024;
@@ -468,14 +468,9 @@ fn subscribe(tail: &Tail) -> crate::Result<()> {
     if tail.stop.load(Ordering::Acquire) {
         return Ok(());
     }
+    handshake(&stream)?;
     let mut writer = &stream;
-    writer.write_all(&MAGIC)?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut echo = [0u8; 4];
-    reader.read_exact(&mut echo)?;
-    if echo != MAGIC {
-        return Err(NetError::Protocol("bad handshake echo".into()));
-    }
     write_frame(&mut writer, &tail.progress.subscribe().encode(1))?;
 
     let mut payload = Vec::new();

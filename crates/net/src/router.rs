@@ -79,7 +79,7 @@
 //! a whole if any shard is down — partial extents would be silent lies.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -95,7 +95,7 @@ use crate::client::{ClientConfig, OdeClient};
 use crate::error::RemoteError;
 use crate::event_loop::{default_threads, Pool, Service, Wire, PIPELINE_DEPTH};
 use crate::protocol::{
-    read_frame, split_seq, write_frame, Request, Response, Routing, StatsReport, MAGIC,
+    handshake, read_frame, split_seq, write_frame, Request, Response, Routing, StatsReport,
 };
 use crate::shard::ShardMap;
 use crate::NetError;
@@ -1194,24 +1194,16 @@ impl SessionState {
             shared.membership.primary_addr(shard)
         };
         let config = &shared.config;
-        let handshake = || -> io::Result<TcpStream> {
+        let connect = || -> io::Result<TcpStream> {
             let stream = TcpStream::connect_timeout(&addr, config.connect_timeout)?;
             stream.set_nodelay(true).ok();
             // Handshake under a deadline so a wedged backend can't hold
             // this thread for long.
             stream.set_read_timeout(Some(config.connect_timeout))?;
-            (&stream).write_all(&MAGIC)?;
-            let mut echo = [0u8; 4];
-            (&stream).read_exact(&mut echo)?;
-            if echo != MAGIC {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "backend handshake mismatch",
-                ));
-            }
+            handshake(&stream)?;
             Ok(stream)
         };
-        let dialed = handshake()
+        let dialed = connect()
             .map_err(|e| format!("shard {shard} is unreachable: {e}"))
             .and_then(|stream| {
                 claim_residue(&stream, shared.map, shard)?;

@@ -100,7 +100,7 @@ use polling::Event;
 
 use crate::error::RemoteError;
 use crate::event_loop::{default_threads, Outbox, Pool, Service, Wire, PIPELINE_DEPTH};
-use crate::protocol::{request_counts, Request, Response, StatsReport, OPCODE_COUNT};
+use crate::protocol::{request_counts, split_seq, Request, Response, StatsReport, OPCODE_COUNT};
 use crate::replication::{fresh_gen, NodeStatus, Peers, ReplicaNode, Subscription, SEMI_SYNC_WAIT};
 
 /// Longest a read waits for its connection's read floor in one turn
@@ -265,13 +265,6 @@ struct Node {
     idle: Mutex<HashMap<usize, Conn>>,
 }
 
-/// Length in bytes of the sequence-id varint a frame payload starts
-/// with — the *actual* length off the wire, so the operation bytes
-/// after it are exact even for non-canonical encodings.
-fn seq_prefix_len(payload: &[u8]) -> usize {
-    payload.iter().take_while(|b| **b & 0x80 != 0).count() + 1
-}
-
 /// Execute one decoded request and queue its response frame on `out`.
 /// `op_bytes` is the request's payload after its sequence varint (the
 /// snapshot-cache key of a read). Returns whether a write waited at
@@ -309,7 +302,9 @@ fn execute(
             match apply(db, request) {
                 Ok(response) => {
                     let frame = response.encode(seq);
-                    let cached = Box::from(&frame[seq_prefix_len(&frame)..]);
+                    let (_, body) =
+                        split_seq(&frame).expect("an encoded frame starts with its seq");
+                    let cached = Box::from(body);
                     cache.insert(epoch, op_bytes.to_vec(), cached);
                     tally.bytes_out += out.queue(&frame);
                     return false;
@@ -888,7 +883,9 @@ fn execute_frames(node: &Node, conn: &mut Conn, tally: &mut Tally) -> Result<(),
                 true
             }
             (request, floor) => {
-                let op_bytes = &payload[seq_prefix_len(payload)..];
+                // The sequence id as sent, so the operation bytes are
+                // exact even for a non-canonical varint.
+                let (_, op_bytes) = split_seq(payload).expect("a decoded payload has a seq");
                 let barrier = execute(node, seq, request, op_bytes, out, tally);
                 barrier || matches!(floor, Floor::Waited)
             }

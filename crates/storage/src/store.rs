@@ -137,70 +137,99 @@ const DELTA_RUN_GAP: usize = 24;
 /// this; then it holds the full page image.
 const DELTA_MAX_PAYLOAD: usize = (PAGE_SIZE * 3) / 4;
 
-/// Contention and commit statistics (monotone totals; see
-/// [`Store::stats`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct StoreStats {
+/// How a [`StoreStats`] field folds across the stores of a tier.
+macro_rules! stats_fold {
+    (sum, $into:expr, $from:expr) => {
+        $into += $from
+    };
+    (max, $into:expr, $from:expr) => {
+        $into = $into.max($from)
+    };
+}
+
+/// One row per counter, `pub field: u64 => sum|max`, stated once:
+/// generates [`StoreStats`] with its `Persist` encoding (the fields as
+/// varints, in row order) and [`StoreStats::merge`], and the live
+/// atomics behind it with the snapshot that reads them.
+macro_rules! store_stats {
+    ($( $(#[$doc:meta])* pub $field:ident : u64 => $rule:ident, )*) => {
+        /// Contention and commit statistics (monotone totals, but for
+        /// the `replica_lag_epochs` gauge; see [`Store::stats`]).
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        pub struct StoreStats {
+            $( $(#[$doc])* pub $field: u64, )*
+        }
+
+        ode_codec::impl_persist_struct!(StoreStats { $($field),* });
+
+        impl StoreStats {
+            /// Fold another store's counters into these: counts add,
+            /// gauges and high-water marks take the larger value.
+            pub fn merge(&mut self, other: &StoreStats) {
+                $( stats_fold!($rule, self.$field, other.$field); )*
+            }
+        }
+
+        /// The atomics the store counts into, one per [`StoreStats`]
+        /// field.
+        #[derive(Default)]
+        struct Counters {
+            $( $field: AtomicU64, )*
+        }
+
+        impl Counters {
+            fn snapshot(&self) -> StoreStats {
+                StoreStats {
+                    $( $field: self.$field.load(Ordering::Relaxed), )*
+                }
+            }
+        }
+    };
+}
+
+store_stats! {
     /// Read transactions begun.
-    pub read_txs: u64,
+    pub read_txs: u64 => sum,
     /// Write transactions committed with a non-empty write set.
-    pub write_txs: u64,
+    pub write_txs: u64 => sum,
     /// Read transactions that blocked at the snapshot gate (behind a
     /// publishing or waiting writer).
-    pub reader_waits: u64,
+    pub reader_waits: u64 => sum,
     /// Total nanoseconds readers spent blocked at the gate.
-    pub reader_wait_nanos: u64,
+    pub reader_wait_nanos: u64 => sum,
     /// Writer acquisitions (write mutex or publish gate) that blocked.
-    pub writer_waits: u64,
+    pub writer_waits: u64 => sum,
     /// Total nanoseconds writers spent blocked.
-    pub writer_wait_nanos: u64,
+    pub writer_wait_nanos: u64 => sum,
     /// WAL fsyncs issued (inline and group-leader).
-    pub wal_syncs: u64,
+    pub wal_syncs: u64 => sum,
     /// fsyncs performed by a group-commit leader.
-    pub group_syncs: u64,
+    pub group_syncs: u64 => sum,
     /// Commits made durable by a group-leader fsync.
-    pub group_commit_txns: u64,
+    pub group_commit_txns: u64 => sum,
     /// Largest commit cohort one group fsync covered.
-    pub group_batch_max: u64,
+    pub group_batch_max: u64 => max,
     /// WAL bytes shipped to replicas (primary side; counted by the
     /// shipping server via [`Store::note_bytes_shipped`]).
-    pub bytes_shipped: u64,
+    pub bytes_shipped: u64 => sum,
     /// Current replica lag in epochs: the primary's epoch minus the
     /// slowest connected replica's acked epoch (a gauge, set by the
     /// shipping server; 0 with no replicas or when caught up).
-    pub replica_lag_epochs: u64,
+    pub replica_lag_epochs: u64 => max,
     /// Times this store was promoted from replica to primary.
-    pub failovers: u64,
+    pub failovers: u64 => sum,
     /// Optimistic transactions aborted with
     /// [`StorageError::WriteConflict`] because a page they touched was
     /// committed by another writer after they began.
-    pub write_conflicts: u64,
+    pub write_conflicts: u64 => sum,
     /// Times a caller re-executed a conflicted transaction (counted by
     /// the retry loop above the engine via [`Store::note_write_retry`]).
-    pub write_retries: u64,
+    pub write_retries: u64 => sum,
     /// Automatic checkpoints that failed after their commit had
     /// published. The commit still answered for its own log bytes; the
     /// log and the unwritten dirty pages stayed, and the next commit
     /// tried again.
-    pub checkpoint_failures: u64,
-}
-
-#[derive(Default)]
-struct Counters {
-    read_txs: AtomicU64,
-    write_txs: AtomicU64,
-    writer_lock_waits: AtomicU64,
-    writer_lock_wait_nanos: AtomicU64,
-    wal_syncs: AtomicU64,
-    group_syncs: AtomicU64,
-    group_commit_txns: AtomicU64,
-    group_batch_max: AtomicU64,
-    bytes_shipped: AtomicU64,
-    replica_lag_epochs: AtomicU64,
-    failovers: AtomicU64,
-    write_conflicts: AtomicU64,
-    write_retries: AtomicU64,
-    checkpoint_failures: AtomicU64,
+    pub checkpoint_failures: u64 => sum,
 }
 
 /// How many recent commits the [`CommitLog`] retains for optimistic
@@ -726,11 +755,9 @@ impl Store {
         }
         let start = Instant::now();
         let guard = self.write.lock();
+        self.counters.writer_waits.fetch_add(1, Ordering::Relaxed);
         self.counters
-            .writer_lock_waits
-            .fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .writer_lock_wait_nanos
+            .writer_wait_nanos
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         guard
     }
@@ -872,29 +899,17 @@ impl Store {
         self.lock_write().wal.len()
     }
 
-    /// Contention and commit statistics snapshot.
+    /// Contention and commit statistics snapshot: the store's own
+    /// counters, plus the snapshot gate's waits (the gate counts
+    /// those itself).
     pub fn stats(&self) -> StoreStats {
         let gate = self.gate.stats();
-        StoreStats {
-            read_txs: self.counters.read_txs.load(Ordering::Relaxed),
-            write_txs: self.counters.write_txs.load(Ordering::Relaxed),
-            reader_waits: gate.reader_waits,
-            reader_wait_nanos: gate.reader_wait_nanos,
-            writer_waits: gate.writer_waits
-                + self.counters.writer_lock_waits.load(Ordering::Relaxed),
-            writer_wait_nanos: gate.writer_wait_nanos
-                + self.counters.writer_lock_wait_nanos.load(Ordering::Relaxed),
-            wal_syncs: self.counters.wal_syncs.load(Ordering::Relaxed),
-            group_syncs: self.counters.group_syncs.load(Ordering::Relaxed),
-            group_commit_txns: self.counters.group_commit_txns.load(Ordering::Relaxed),
-            group_batch_max: self.counters.group_batch_max.load(Ordering::Relaxed),
-            bytes_shipped: self.counters.bytes_shipped.load(Ordering::Relaxed),
-            replica_lag_epochs: self.counters.replica_lag_epochs.load(Ordering::Relaxed),
-            failovers: self.counters.failovers.load(Ordering::Relaxed),
-            write_conflicts: self.counters.write_conflicts.load(Ordering::Relaxed),
-            write_retries: self.counters.write_retries.load(Ordering::Relaxed),
-            checkpoint_failures: self.counters.checkpoint_failures.load(Ordering::Relaxed),
-        }
+        let mut stats = self.counters.snapshot();
+        stats.reader_waits += gate.reader_waits;
+        stats.reader_wait_nanos += gate.reader_wait_nanos;
+        stats.writer_waits += gate.writer_waits;
+        stats.writer_wait_nanos += gate.writer_wait_nanos;
+        stats
     }
 
     // -- replication tap -----------------------------------------------------
