@@ -282,8 +282,8 @@ fn merge_slice(writer: u8, seed: u64) -> Vec<u8> {
         .collect()
 }
 
-/// A merge where each side rewrites its own slice: the diff, the block-4
-/// split and the bounded exact refinement behind every `Txn::merge`.
+/// A merge where each side rewrites its own slice: the alignment and
+/// the bounded exact search behind every `Txn::merge`.
 fn bench_merge_refine(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_merge_refine");
     group.sample_size(15);
@@ -311,15 +311,15 @@ fn bench_merge_refine(c: &mut Criterion) {
     // The same, each side rewriting its slice in the base's own
     // alphabet (a slice that cycled back to it): the byte counts match,
     // so only the 4-gram bound refuses the search. The rewrites are the
-    // first seeds the block-4 split leaves whole (one hunk), as
-    // `route_collab`'s refused pieces are; a split rewrite's pieces are
-    // too short for the bound and still run the search.
+    // first seeds whose diff is one hunk over the slice, as
+    // `route_collab`'s refused gaps are: no 8-gram anchors the rewrite,
+    // so the whole slice is one gap.
     let [b0, b1, b2] = [0, 1, 2].map(|s| merge_slice(0, 10 + s));
     let whole = |old: &[u8], from: u64| {
         (from..)
             .map(|seed| merge_slice(0, seed))
             .find(|new| ode_merge::hunks(old, new).len() == 1)
-            .expect("a rewrite the split leaves whole")
+            .expect("a rewrite that diffs as one hunk")
     };
     let ours = doc([whole(&b0, 40), b1.clone(), b2.clone()]);
     let theirs = doc([b0, whole(&b1, 50), b2]);

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ode::{Error, Event, MergePolicy, VersionPtr, Vid};
-use ode_codec::{impl_persist_struct, impl_type_name};
+use ode_codec::{impl_persist_struct, impl_type_name, to_bytes};
 
 #[derive(Debug, Clone, PartialEq)]
 struct Doc {
@@ -34,6 +34,31 @@ fn fork_disjoint(txn: &mut ode::Txn<'_>) -> (VersionPtr<Doc>, VersionPtr<Doc>, V
         .derive_from_with(&base, |d| d.text = d.text.replace("lazy", "LAZY"))
         .unwrap();
     (base, a, b)
+}
+
+/// The moved-block merge: three 1 360-letter slices, 8 newlines apart.
+/// Theirs moves slice 2's text to slice 0 and rewrites slice 2; ours
+/// rewrites slice 1. Returns the base, ours, theirs and merged texts.
+fn moved_block_script() -> [String; 4] {
+    let slice = |mut x: u64, first: u8| -> String {
+        (0..1360)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                char::from(first + (x % 26) as u8)
+            })
+            .collect()
+    };
+    let doc = |slices: [&String; 3]| slices.map(String::as_str).join("\n\n\n\n\n\n\n\n");
+    let [s0, s1, s2] = [1, 2, 3].map(|seed| slice(seed, b'a'));
+    let (ours, theirs) = (slice(4, b'A'), slice(5, b'A'));
+    [
+        doc([&s0, &s1, &s2]),
+        doc([&s0, &ours, &s2]),
+        doc([&s2, &s1, &theirs]),
+        doc([&s2, &ours, &theirs]),
+    ]
 }
 
 #[test]
@@ -78,6 +103,28 @@ fn merge_conflicts_respect_the_policy() {
     let m = report.version.expect("ours resolves");
     assert!(!report.conflicts.is_empty());
     assert_eq!(txn.deref_v(&m).unwrap().text, "alpha BETA gamma");
+    txn.commit().unwrap();
+}
+
+#[test]
+fn a_moved_block_keeps_the_other_sides_edit() {
+    let [base, ours, theirs, merged] = moved_block_script();
+    let db = ode::testutil::tempdb();
+    let mut txn = db.begin();
+    let p = txn.pnew(&doc(&base)).unwrap();
+    let base = txn.current_version(&p).unwrap();
+    let a = txn.derive_from_with(&base, |d| d.text = ours).unwrap();
+    let b = txn.derive_from_with(&base, |d| d.text = theirs).unwrap();
+    for policy in [MergePolicy::Fail, MergePolicy::Ours, MergePolicy::Theirs] {
+        let report = txn.merge(&a, &b, policy).unwrap();
+        assert!(report.conflicts.is_empty(), "under {policy:?}");
+        let m = report.version.expect("a clean merge checks in");
+        assert_eq!(
+            to_bytes(&*txn.deref_v(&m).unwrap()),
+            to_bytes(&doc(&merged)),
+            "under {policy:?}"
+        );
+    }
     txn.commit().unwrap();
 }
 

@@ -1,26 +1,25 @@
-//! # ode-merge — byte-range three-way merge over `ode-delta` diffs
+//! # ode-merge — byte-range three-way merge
 //!
 //! Reconciles two divergent states of one object against their common
-//! base (the version-graph LCA, computed by `ode-version`): the
-//! base→ours and base→theirs deltas are lowered to monotonic **edit
-//! hunks** over the base, non-overlapping hunks from the two sides are
-//! interleaved, and overlapping ones become structured
-//! [`MergeConflict`]s resolved by a pluggable [`MergePolicy`].
+//! base (the version-graph LCA, computed by `ode-version`): each side
+//! is aligned with the base as one chain of common runs, so a moved
+//! block is a deletion plus an insertion, and the gaps are its **edit
+//! hunks**; non-overlapping hunks from the two sides are interleaved,
+//! and overlapping ones become structured [`MergeConflict`]s resolved
+//! by a pluggable [`MergePolicy`].
 //!
 //! The overlap rule (documented in DESIGN.md §13): two non-empty base
 //! spans conflict iff they strictly overlap (`s1 < e2 && s2 < e1`); a
 //! pure insertion at `p` conflicts with the other side's span `[s, e)`
 //! when it lands inside it *or touches it* (`s ≤ p ≤ e`), and with the
 //! other side's insertion when both insert different bytes at the same
-//! point. Identical hunks from both sides apply once. Everything is
-//! byte-precise: hunks are trimmed to the minimal differing range, so
-//! edits that touch disjoint bytes always merge cleanly — but an
-//! insertion next to a span the other side rewrote is part of that
-//! rewrite's conflict, so a resolved merge never keeps bytes from both
-//! sides there.
+//! point. Identical hunks from both sides apply once. Hunks start and
+//! end on bytes that differ — but an insertion next to a span the other
+//! side rewrote is part of that rewrite's conflict, so a resolved merge
+//! never keeps bytes from both sides there.
 //!
-//! Refinement runs its exact Myers search only where an O(n) lower
-//! bound on the edit distance leaves it a chance to finish (DESIGN §13).
+//! A gap no anchor splits gets an exact Myers search only where an O(n)
+//! lower bound on the edit distance leaves it a chance to finish.
 //!
 //! ```
 //! use ode_merge::{merge, MergePolicy};
@@ -40,7 +39,6 @@
 #![warn(missing_docs)]
 
 use ode_codec::{impl_persist_struct, DecodeError, Persist, Reader, Writer};
-use ode_delta::{Delta, DeltaOp};
 
 /// One edit against the base: replace `base[base_start..base_end]`
 /// with `replacement`. `base_start == base_end` is a pure insertion.
@@ -146,97 +144,32 @@ pub struct MergeOutcome {
 }
 
 // ----------------------------------------------------------------------
-// Delta → hunks
+// Alignment → hunks
 // ----------------------------------------------------------------------
 
-/// Lower a base→target delta to monotonic edit hunks over the base.
+/// The edit hunks turning `base` into `target`, in base order.
 ///
-/// Copies at or past the cursor are alignments (the skipped base bytes
-/// were replaced by whatever literals accumulated); backward copies
-/// and inserts contribute replacement bytes. Each hunk is then trimmed
-/// to the minimal differing byte range, so the spans are exact however
-/// coarse the diff's block granularity was. Applying the hunks in
-/// order reconstructs the target byte-for-byte.
-pub fn hunks_of_delta(base: &[u8], delta: &Delta) -> Vec<Hunk> {
-    let mut out: Vec<Hunk> = Vec::new();
-    let mut cur: usize = 0; // base cursor
-    let mut pending: Vec<u8> = Vec::new();
-    for op in &delta.ops {
-        match op {
-            DeltaOp::Copy { offset, len } => {
-                let (offset, len) = (*offset as usize, *len as usize);
-                // On repetitive content the block matcher may align a
-                // copy at a *later* equivalent occurrence, which would
-                // read as a spurious wide deletion; re-point it to the
-                // earliest equivalent occurrence at or after the
-                // cursor so spans stay minimal.
-                let offset = if offset > cur {
-                    earliest_equivalent(base, cur, offset, len)
-                } else {
-                    offset
-                };
-                if offset >= cur {
-                    // Alignment: base[cur..offset] was replaced by the
-                    // pending literals.
-                    if offset > cur || !pending.is_empty() {
-                        push_trimmed(&mut out, base, cur, offset, std::mem::take(&mut pending));
-                    }
-                    cur = offset + len;
-                } else {
-                    // Backward copy: out-of-order reuse of base bytes
-                    // is replacement content, not an alignment.
-                    pending.extend_from_slice(&base[offset..offset + len]);
-                }
-            }
-            DeltaOp::Insert(bytes) => pending.extend_from_slice(bytes),
-        }
-    }
-    if cur < base.len() || !pending.is_empty() {
-        push_trimmed(&mut out, base, cur, base.len(), pending);
-    }
-    out
-}
-
-/// The edit hunks turning `base` into `target` (diff + lowering).
-///
-/// The whole-buffer common prefix and suffix are stripped before
-/// diffing, so on repetitive content the edits stay pinned to where
-/// they actually happened instead of drifting to an equivalent repeat
-/// — essential for merging, where hunk *positions* carry meaning.
+/// Hunks are the gaps of one monotone alignment: a chain of maximal
+/// common runs that cross in neither input, chosen to match the most
+/// bytes (DESIGN.md §13). A block that moved is a deletion plus an
+/// insertion, so every hunk sits where its edit happened — in a merge,
+/// a hunk's position is what it means. Applying the hunks in order
+/// reconstructs the target byte for byte.
 pub fn hunks(base: &[u8], target: &[u8]) -> Vec<Hunk> {
-    let prefix = base
-        .iter()
-        .zip(target.iter())
-        .take_while(|(a, b)| a == b)
-        .count();
-    let max_suffix = base.len().min(target.len()) - prefix;
-    let suffix = base[prefix..]
-        .iter()
-        .rev()
-        .zip(target[prefix..].iter().rev())
-        .take_while(|(a, b)| a == b)
-        .count()
-        .min(max_suffix);
-    let base_mid = &base[prefix..base.len() - suffix];
-    let target_mid = &target[prefix..target.len() - suffix];
-    let coarse = hunks_of_delta(base_mid, &ode_delta::diff(base_mid, target_mid));
-    // The block matcher can fuse nearby edits into one hunk that
-    // swallows the clean bytes between them (anything closer than a
-    // block); split such hunks at their exact byte positions with a
-    // bounded minimal-edit-script pass.
-    let mut out = Vec::with_capacity(coarse.len());
-    for h in coarse {
-        refine(base_mid, h, &mut out);
-    }
-    for h in &mut out {
-        h.base_start += prefix as u64;
-        h.base_end += prefix as u64;
-    }
+    let mut out = Vec::new();
+    align(base, target, 0, 0, &mut out);
     out
 }
 
-/// Effort bound for exact refinement: hunks needing more edit steps
-/// than this stay as-is (they are one dense edit anyway).
+/// Anchor length: one `u64`.
+const GRAM: usize = 8;
+
+/// Nesting past which a gap is not searched for anchors again.
+const MAX_DEPTH: u32 = 8;
+
+/// Effort bound for the exact search in a gap no anchor splits: gaps
+/// needing more edit steps than this stay one hunk (they are one dense
+/// edit anyway).
 const REFINE_MAX_D: usize = 256;
 
 /// Shortest surviving-byte run that counts as a split point between
@@ -245,45 +178,161 @@ const REFINE_MAX_D: usize = 256;
 /// coincidences and shred a rewrite into nonsense fragments.
 const REFINE_MIN_SPLIT: u64 = 3;
 
-/// Re-derive a coarse hunk as its exact minimal edit script, splitting
-/// it wherever a run of base bytes actually survived. Falls back to
-/// the coarse hunk when it is already minimal or too dense to bound.
-fn refine(base: &[u8], h: Hunk, out: &mut Vec<Hunk>) {
-    let span = &base[h.base_start as usize..h.base_end as usize];
-    if span.is_empty() || h.replacement.is_empty() {
-        out.push(h);
+/// Push the hunks turning `a`, which starts at base offset `at`, into
+/// `b`: strip the common ends, chain the runs through the anchors of
+/// what is left and align each gap between them again. A region with
+/// no anchor is one gap for the bounded exact search.
+fn align(a: &[u8], b: &[u8], at: usize, depth: u32, out: &mut Vec<Hunk>) {
+    let prefix = common_prefix(a, b);
+    let (a, b, at) = (&a[prefix..], &b[prefix..], at + prefix);
+    let suffix = common_suffix(a, b);
+    let (a, b) = (&a[..a.len() - suffix], &b[..b.len() - suffix]);
+    let chain = heaviest_chain(runs(a, b, depth));
+    if chain.is_empty() {
+        // No anchor: the exact minimal edit script where the bounded
+        // search can finish, else one hunk.
+        let exact = !a.is_empty()
+            && !b.is_empty()
+            && !distance_exceeds(a, b, REFINE_MAX_D)
+            && !grams_exceed(a, b, REFINE_MAX_D)
+            && myers_hunks(a, b, REFINE_MAX_D, at, out);
+        if !exact && a.len() + b.len() > 0 {
+            out.push(Hunk {
+                base_start: at as u64,
+                base_end: (at + a.len()) as u64,
+                replacement: b.to_vec(),
+            });
+        }
         return;
     }
-    // Break large fused hunks with the block matcher at its finest
-    // granularity first, so the exact pass below only ever sees pieces
-    // small enough for its effort bound.
-    let pieces = hunks_of_delta(span, &ode_delta::diff_with_block(span, &h.replacement, 4));
-    for mut p in pieces {
-        let pspan = &span[p.base_start as usize..p.base_end as usize];
-        let exact = if pspan.is_empty()
-            || p.replacement.is_empty()
-            || distance_exceeds(pspan, &p.replacement, REFINE_MAX_D)
-            || grams_exceed(pspan, &p.replacement, REFINE_MAX_D)
-        {
-            None
-        } else {
-            myers_hunks(pspan, &p.replacement, REFINE_MAX_D)
-        };
-        match exact {
-            Some(subs) => {
-                for mut s in subs {
-                    s.base_start += h.base_start + p.base_start;
-                    s.base_end += h.base_start + p.base_start;
-                    out.push(s);
+    let (mut x, mut y) = (0, 0);
+    for r in chain {
+        align(&a[x..r.a], &b[y..r.b], at + x, depth + 1, out);
+        (x, y) = (r.a + r.len, r.b + r.len);
+    }
+    align(&a[x..], &b[y..], at + x, depth + 1, out);
+}
+
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
+
+fn common_suffix(a: &[u8], b: &[u8]) -> usize {
+    a.iter()
+        .rev()
+        .zip(b.iter().rev())
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
+/// A common run: `a[a..a + len] == b[b..b + len]`.
+#[derive(Clone, Copy)]
+struct Run {
+    a: usize,
+    b: usize,
+    len: usize,
+}
+
+/// Whether the sampler keeps an 8-gram: the top three bits of its
+/// Fibonacci hash are zero, one gram in eight on unstructured bytes.
+/// The choice depends on the gram alone, so every occurrence of a kept
+/// gram is kept, and uniqueness among kept grams is exact.
+fn kept(gram: u64) -> bool {
+    gram.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61 == 0
+}
+
+/// The maximal common runs through the anchors: kept grams that occur
+/// once in `a` and once in `b`. Each run is extended once; an anchor
+/// inside a run on its own diagonal adds nothing. None at `MAX_DEPTH`.
+fn runs(a: &[u8], b: &[u8], depth: u32) -> Vec<Run> {
+    if depth == MAX_DEPTH {
+        return Vec::new();
+    }
+    // Kept grams of both sides, sorted (never hashed, so no body makes
+    // this worse than O(n log n)): an anchor is a group of two, one
+    // from each side.
+    let grams = |s: &[u8], side| {
+        let gram = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("a window is one gram"));
+        let kept_at = |(i, g)| kept(g).then_some((g, side, i));
+        s.windows(GRAM)
+            .map(gram)
+            .enumerate()
+            .filter_map(kept_at)
+            .collect::<Vec<_>>()
+    };
+    let mut all = [grams(a, 0), grams(b, 1)].concat();
+    all.sort_unstable();
+    let mut anchors: Vec<(usize, usize)> = all
+        .chunk_by(|p, q| p.0 == q.0)
+        .filter_map(|g| match g {
+            [(_, 0, i), (_, 1, j)] => Some((*i, *j)),
+            _ => None,
+        })
+        .collect();
+    // By diagonal, then along it: the last run pushed is the one an
+    // anchor may already lie in.
+    anchors.sort_unstable_by_key(|&(i, j)| (i + b.len() - j, i));
+    let mut runs: Vec<Run> = Vec::new();
+    for (i, j) in anchors {
+        if matches!(runs.last(), Some(r) if r.a + j == i + r.b && i < r.a + r.len) {
+            continue;
+        }
+        let back = common_suffix(&a[..i], &b[..j]);
+        let len = back + common_prefix(&a[i..], &b[j..]);
+        runs.push(Run {
+            a: i - back,
+            b: j - back,
+            len,
+        });
+    }
+    runs
+}
+
+/// The chain of runs with the most matched bytes, in order: each run
+/// starts at or after the previous one's end in both inputs.
+///
+/// Runs are visited by their start in `a`. Once the sweep passes a
+/// run's end in `a`, the run is offered to later ones through a
+/// Fenwick tree over ends in `b` that keeps the heaviest chain ending
+/// at or before each; a run extends the heaviest chain ending at or
+/// before its start in `b`. O(r log r) for r runs.
+fn heaviest_chain(mut runs: Vec<Run>) -> Vec<Run> {
+    runs.sort_unstable_by_key(|r| (r.a, r.b));
+    let mut ends: Vec<usize> = runs.iter().map(|r| r.b + r.len).collect();
+    ends.sort_unstable();
+    ends.dedup();
+    let mut by_end: Vec<usize> = (0..runs.len()).collect();
+    by_end.sort_unstable_by_key(|&k| runs[k].a + runs[k].len);
+    let mut offers = by_end.into_iter().peekable();
+    // (matched bytes, last run) of the heaviest chain: per run, the one
+    // it ends; per tree node, the best over the ends the node covers.
+    let mut best: Vec<(usize, Option<usize>)> = Vec::with_capacity(runs.len());
+    let mut tree = vec![(0, None); ends.len() + 1];
+    for r in &runs {
+        while let Some(p) = offers.next_if(|&p| runs[p].a + runs[p].len <= r.a) {
+            let mut i = ends.partition_point(|&e| e < runs[p].b + runs[p].len) + 1;
+            while i < tree.len() {
+                if best[p].0 > tree[i].0 {
+                    tree[i] = (best[p].0, Some(p));
                 }
-            }
-            None => {
-                p.base_start += h.base_start;
-                p.base_end += h.base_start;
-                out.push(p);
+                i += i & i.wrapping_neg();
             }
         }
+        let (mut i, mut prev) = (ends.partition_point(|&e| e <= r.b), (0, None));
+        while i > 0 {
+            if tree[i].0 > prev.0 {
+                prev = tree[i];
+            }
+            i &= i - 1;
+        }
+        best.push((prev.0 + r.len, prev.1));
     }
+    let last = (0..runs.len()).max_by_key(|&k| best[k].0);
+    let mut chain: Vec<Run> = std::iter::successors(last, |&k| best[k].1)
+        .map(|k| runs[k])
+        .collect();
+    chain.reverse();
+    chain
 }
 
 /// Whether the insert/delete distance `D = n + m - 2·LCS` between `a`
@@ -337,19 +386,22 @@ fn grams_exceed(a: &[u8], b: &[u8], max_d: usize) -> bool {
 }
 
 /// Myers O(ND) minimal edit script between `a` and `b`, grouped into
-/// hunks over `a`. `None` when more than `max_d` edit steps would be
-/// needed.
-fn myers_hunks(a: &[u8], b: &[u8], max_d: usize) -> Option<Vec<Hunk>> {
+/// hunks over `a`, which starts at base offset `at`, and pushed onto
+/// `out`. False, with nothing pushed, when more than `max_d` edit steps
+/// would be needed.
+fn myers_hunks(a: &[u8], b: &[u8], max_d: usize, at: usize, out: &mut Vec<Hunk>) -> bool {
     let n = a.len() as isize;
     let m = b.len() as isize;
     let max_d = max_d.min((n + m) as usize) as isize;
     let offset = max_d;
     let width = (2 * max_d + 1) as usize;
     let mut v = vec![0isize; width];
-    let mut trace: Vec<Vec<isize>> = Vec::new();
+    // `v` over diagonals -d..=d before each step d, one step after the
+    // other: the backtrack reads no other entries.
+    let mut trace: Vec<isize> = Vec::new();
     let mut found_d = None;
     'search: for d in 0..=max_d {
-        trace.push(v.clone());
+        trace.extend_from_slice(&v[(offset - d) as usize..=(offset + d) as usize]);
         let mut k = -d;
         while k <= d {
             let idx = (k + offset) as usize;
@@ -371,18 +423,19 @@ fn myers_hunks(a: &[u8], b: &[u8], max_d: usize) -> Option<Vec<Hunk>> {
             k += 2;
         }
     }
-    let mut d = found_d?;
+    let Some(mut d) = found_d else { return false };
     // Backtrack, collecting single-byte edits (descending positions).
     let (mut x, mut y) = (n, m);
     let mut dels: Vec<(isize, isize)> = Vec::new(); // (a_pos, b_pos)
     let mut inss: Vec<(isize, isize)> = Vec::new();
     while d > 0 {
-        let vd = &trace[d as usize];
+        // Step d's slice starts after steps 0..d, d² entries.
+        let vd = &trace[(d * d) as usize..];
         let k = x - y;
-        let idx = (k + offset) as usize;
+        let idx = (k + d) as usize;
         let go_down = k == -d || (k != d && vd[idx - 1] < vd[idx + 1]);
         let prev_k = if go_down { k + 1 } else { k - 1 };
-        let prev_x = vd[(prev_k + offset) as usize];
+        let prev_x = vd[(prev_k + d) as usize];
         let prev_y = prev_x - prev_k;
         if go_down {
             inss.push((prev_x, prev_y)); // b[prev_y] inserted at a-pos prev_x
@@ -433,79 +486,12 @@ fn myers_hunks(a: &[u8], b: &[u8], max_d: usize) -> Option<Vec<Hunk>> {
             _ => coalesced.push(g),
         }
     }
-    Some(
-        coalesced
-            .into_iter()
-            .map(|(a_s, a_e, b_s, b_e)| Hunk {
-                base_start: a_s as u64,
-                base_end: a_e as u64,
-                replacement: b[b_s as usize..b_e as usize].to_vec(),
-            })
-            .collect(),
-    )
-}
-
-/// Smallest `o` in `[from, offset]` with `base[o..o + len] ==
-/// base[offset..offset + len]` — the earliest occurrence of a copied
-/// slice. Rabin–Karp over a bounded pattern prefix, with full
-/// verification on hash hits.
-fn earliest_equivalent(base: &[u8], from: usize, offset: usize, len: usize) -> usize {
-    if len == 0 || from >= offset {
-        return offset;
-    }
-    let pat = &base[offset..offset + len];
-    let k = len.min(48);
-    const B: u64 = 257;
-    let mut pow: u64 = 1;
-    for _ in 1..k {
-        pow = pow.wrapping_mul(B);
-    }
-    let hash = |s: &[u8]| {
-        s.iter()
-            .fold(0u64, |h, &b| h.wrapping_mul(B).wrapping_add(b as u64))
-    };
-    let want = hash(&pat[..k]);
-    let mut h = hash(&base[from..from + k]);
-    for o in from..=offset {
-        if h == want && base[o..o + len] == *pat {
-            return o;
-        }
-        if o + k < base.len() {
-            h = h
-                .wrapping_sub((base[o] as u64).wrapping_mul(pow))
-                .wrapping_mul(B)
-                .wrapping_add(base[o + k] as u64);
-        }
-    }
-    offset
-}
-
-/// Trim the common prefix and suffix of `base[start..end]` vs
-/// `replacement`, then push the hunk unless it trimmed to nothing.
-fn push_trimmed(out: &mut Vec<Hunk>, base: &[u8], start: usize, end: usize, repl: Vec<u8>) {
-    let span = &base[start..end];
-    let prefix = span
-        .iter()
-        .zip(repl.iter())
-        .take_while(|(a, b)| a == b)
-        .count();
-    let suffix = span[prefix..]
-        .iter()
-        .rev()
-        .zip(repl[prefix..].iter().rev())
-        .take_while(|(a, b)| a == b)
-        .count();
-    let start = start + prefix;
-    let end = end - suffix;
-    let repl = repl[prefix..repl.len() - suffix].to_vec();
-    if start == end && repl.is_empty() {
-        return;
-    }
-    out.push(Hunk {
-        base_start: start as u64,
-        base_end: end as u64,
-        replacement: repl,
-    });
+    out.extend(coalesced.into_iter().map(|(a_s, a_e, b_s, b_e)| Hunk {
+        base_start: (at + a_s as usize) as u64,
+        base_end: (at + a_e as usize) as u64,
+        replacement: b[b_s as usize..b_e as usize].to_vec(),
+    }));
+    true
 }
 
 /// Apply base-ordered, non-overlapping hunks to the base.
@@ -1057,6 +1043,44 @@ mod tests {
             by_grams_alone[5] > 0 && by_grams_alone[7] > 0,
             "the gram bound refused no same-alphabet pair on its own: {by_grams_alone:?}"
         );
+    }
+
+    /// A 256 KiB pair built against the sampler: every 8-gram of the
+    /// base is kept, and the target differs in one byte in twelve, so
+    /// the common runs are 11 bytes and every one of them anchors.
+    #[test]
+    fn a_pair_built_against_the_sampler_aligns_every_run() {
+        const LEN: usize = 256 << 10;
+        const PERIOD: usize = 12;
+        let mut s = Stream::new(0x5EED_0003);
+        let kept_end = |t: &[u8]| {
+            t.len() < GRAM || kept(u64::from_le_bytes(t[t.len() - GRAM..].try_into().unwrap()))
+        };
+        // Each byte is the first from a random start that keeps the gram
+        // it ends: the new byte is the gram's top byte, so 32 of the 256
+        // do.
+        let mut base = Vec::with_capacity(LEN);
+        while base.len() < LEN {
+            let from = s.next(256);
+            base.push(from as u8);
+            while !kept_end(&base) {
+                *base.last_mut().unwrap() = base.last().unwrap().wrapping_add(1);
+            }
+        }
+        assert!(base.windows(GRAM).all(kept_end));
+        let mut target = base.clone();
+        for x in target.iter_mut().step_by(PERIOD) {
+            *x ^= 1 + s.next(255) as u8;
+        }
+        let hs = hunks(&base, &target);
+        assert_eq!(apply_hunks(&base, &hs), target);
+        assert_eq!(hs.len(), LEN.div_ceil(PERIOD));
+        for (n, h) in hs.iter().enumerate() {
+            assert_eq!(
+                (h.base_start, h.base_end),
+                ((n * PERIOD) as u64, (n * PERIOD + 1) as u64)
+            );
+        }
     }
 
     /// `a` less `k` bytes `a.len() / k` apart: `b` is a subsequence of

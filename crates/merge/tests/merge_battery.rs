@@ -326,6 +326,37 @@ fn slice_rewrites_merge_to_known_bytes_and_conflict_ranges() {
             );
         }
 
+        // Theirs moves slice 2's text to slice 0 and rewrites slice 2,
+        // ours rewrites slice 1: the moved block is a deletion plus an
+        // insertion, and ours' rewrite between them survives.
+        let ours = document(&[
+            base_slices[0].clone(),
+            ours_text.clone(),
+            base_slices[2].clone(),
+        ]);
+        let theirs = document(&[
+            base_slices[2].clone(),
+            base_slices[1].clone(),
+            theirs_text.clone(),
+        ]);
+        let merged = document(&[
+            base_slices[2].clone(),
+            ours_text.clone(),
+            theirs_text.clone(),
+        ]);
+        for policy in [MergePolicy::Fail, MergePolicy::Ours, MergePolicy::Theirs] {
+            let out = merge(&base, &ours, &theirs, policy);
+            assert!(
+                out.conflicts.is_empty(),
+                "{content:?} moved block under {policy:?}"
+            );
+            assert_eq!(
+                out.merged.as_ref(),
+                Some(&merged),
+                "{content:?} moved block under {policy:?}"
+            );
+        }
+
         // Both rewrite the shared slice: one conflict, exactly the slice.
         let mut ours = base_slices.clone();
         ours[SHARED] = ours_text.clone();
@@ -356,5 +387,36 @@ fn slice_rewrites_merge_to_known_bytes_and_conflict_ranges() {
                 "{content:?} shared slice under {policy:?}"
             );
         }
+    }
+}
+
+/// The first merge `route_collab --seed 4904` got wrong, as the shard
+/// handed it to `merge` (policy theirs): three encoded documents, each a
+/// 3-byte header and then the text. Theirs rewrote slice 0 to the
+/// base's slice 2 and rewrote slice 2; ours rewrote slice 1. Aligning
+/// the moved block deleted slices 0 and 1 in one hunk, and ours'
+/// rewrite fell inside that conflict and was lost.
+#[test]
+fn a_recorded_merge_with_a_moved_block_keeps_both_sides_edits() {
+    let base = include_bytes!("fixtures/route_collab_4904_base.bin");
+    let ours = include_bytes!("fixtures/route_collab_4904_ours.bin");
+    let theirs = include_bytes!("fixtures/route_collab_4904_theirs.bin");
+    let slice =
+        |doc: &[u8], s: usize| doc[3 + slice_range(s).start..3 + slice_range(s).end].to_vec();
+    assert_eq!(slice(theirs, 0), slice(base, 2), "theirs moved slice 2");
+    let changed = |doc: &[u8]| {
+        (0..3)
+            .filter(|&s| slice(doc, s) != slice(base, s))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!((changed(ours), changed(theirs)), (vec![1], vec![0, 2]));
+    // Each slice from the side that changed it.
+    let mut expected = theirs.to_vec();
+    let r = slice_range(1);
+    expected[3 + r.start..3 + r.end].copy_from_slice(&slice(ours, 1));
+    for policy in [MergePolicy::Fail, MergePolicy::Ours, MergePolicy::Theirs] {
+        let out = merge(base, ours, theirs, policy);
+        assert!(out.conflicts.is_empty(), "under {policy:?}");
+        assert_eq!(out.merged.as_ref(), Some(&expected), "under {policy:?}");
     }
 }

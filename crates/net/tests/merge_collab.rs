@@ -27,6 +27,31 @@ const BASE: &str = "quick brown sober happy merge demo";
 const WORDS: [&str; 4] = ["quick", "brown", "sober", "happy"];
 const EDITS: [&str; 4] = ["QUICK", "BROWN", "SOBER", "HAPPY"];
 
+/// The moved-block merge: three 1 360-letter slices, 8 newlines apart.
+/// Theirs moves slice 2's text to slice 0 and rewrites slice 2; ours
+/// rewrites slice 1. Returns the base, ours, theirs and merged texts.
+fn moved_block_script() -> [String; 4] {
+    let slice = |mut x: u64, first: u8| -> String {
+        (0..1360)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                char::from(first + (x % 26) as u8)
+            })
+            .collect()
+    };
+    let doc = |slices: [&String; 3]| slices.map(String::as_str).join("\n\n\n\n\n\n\n\n");
+    let [s0, s1, s2] = [1, 2, 3].map(|seed| slice(seed, b'a'));
+    let (ours, theirs) = (slice(4, b'A'), slice(5, b'A'));
+    [
+        doc([&s0, &s1, &s2]),
+        doc([&s0, &ours, &s2]),
+        doc([&s2, &s1, &theirs]),
+        doc([&s2, &ours, &theirs]),
+    ]
+}
+
 #[test]
 fn four_clients_converge_byte_identically_through_the_router() {
     let cluster = Cluster::start(ClusterConfig {
@@ -82,6 +107,35 @@ fn four_clients_converge_byte_identically_through_the_router() {
     // derives from `left`, and walking dprev reaches the base.
     let c0 = &mut clients[0];
     assert_eq!(c0.dprevious(&root).expect("dprevious"), Some(left));
+}
+
+#[test]
+fn a_moved_block_keeps_the_other_sides_edit_through_the_router() {
+    let [base, ours, theirs, merged] = moved_block_script();
+    let cluster = Cluster::start(ClusterConfig {
+        shards: 2,
+        ..ClusterConfig::default()
+    });
+    let mut client =
+        OdeClient::connect(cluster.router_addr(), ClientConfig::default()).expect("connect");
+    let ptr: ObjPtr<Doc> = client.pnew(&doc(&base)).expect("pnew");
+    let base = client.current_version(&ptr).expect("current_version");
+    let a = client.newversion_from(&base).expect("fork a");
+    client.put_version(&a, &doc(&ours)).expect("edit a");
+    let b = client.newversion_from(&base).expect("fork b");
+    client.put_version(&b, &doc(&theirs)).expect("edit b");
+    for policy in [MergePolicy::Fail, MergePolicy::Ours, MergePolicy::Theirs] {
+        let (vid, conflicts) = client.merge(&a, &b, policy).expect("merge");
+        assert!(
+            conflicts.is_empty(),
+            "under {policy:?}: {} conflicts",
+            conflicts.len()
+        );
+        let vid = vid.expect("a clean merge checks in");
+        let (body, at) = client.deref(&ptr).expect("deref");
+        assert_eq!(at, vid);
+        assert_eq!(to_bytes(&body), to_bytes(&doc(&merged)), "under {policy:?}");
+    }
 }
 
 #[test]
