@@ -226,12 +226,12 @@ fn bench_wal_fsync(c: &mut Criterion) {
     let mut frame = Vec::new();
     push_frame(
         &mut frame,
-        &WalRecord::PageDelta {
-            tx: 1,
+        &[WalRecord::PageDelta {
             page: 1,
             ops: vec![(0, noise(4500, 3))],
-        },
-    );
+        }],
+    )
+    .unwrap();
     for recycled in [false, true] {
         let dir = TempDir::new("ab-wal");
         let wal = RefCell::new(Wal::open(&dir.file("wal")).unwrap());

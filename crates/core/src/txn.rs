@@ -433,11 +433,6 @@ macro_rules! read_api {
             self.db.versions().latest(&mut self.tx, oid)
         }
 
-        /// The stored type tag of an object.
-        pub fn object_tag_raw(&mut self, oid: ode_object::Oid) -> Result<ode_codec::TypeTag> {
-            Ok(self.db.versions().object_meta(&mut self.tx, oid)?.tag)
-        }
-
         /// Type-erased `deref`: resolve the latest version and return
         /// its id and encoded body, checking `tag` against the stored
         /// type.

@@ -49,6 +49,13 @@ pub enum StorageError {
         /// Byte offset of the bad record.
         offset: u64,
     },
+    /// A commit's page records outgrow one log frame, whose length
+    /// field is 32 bits. The commit is refused before any of it is
+    /// appended.
+    CommitTooLarge {
+        /// Bytes of the records.
+        bytes: u64,
+    },
     /// A record id referred to a missing or deleted slot.
     RecordNotFound {
         /// Page part of the record id.
@@ -96,6 +103,10 @@ impl fmt::Display for StorageError {
             StorageError::WalCorrupt { offset } => {
                 write!(f, "WAL corrupt at offset {offset}")
             }
+            StorageError::CommitTooLarge { bytes } => write!(
+                f,
+                "commit too large: {bytes} bytes of page records do not fit one log frame"
+            ),
             StorageError::RecordNotFound { page, slot } => {
                 write!(f, "record not found: page {page} slot {slot}")
             }

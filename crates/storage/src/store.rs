@@ -24,8 +24,8 @@
 //!   epoch has advanced, so every read view is consistent and doomed
 //!   transactions fail at the first stale fetch instead of at commit.
 //! * Commit appends byte-range deltas (full after-images for heavily
-//!   rewritten pages) plus a commit record to the WAL in one write,
-//!   then takes the snapshot gate's exclusive side
+//!   rewritten pages) to the WAL as one frame in one write, then takes
+//!   the snapshot gate's exclusive side
 //!   for the brief *publish* step: bump the store epoch and install the
 //!   after-images into the buffer pool.  Readers therefore always see a
 //!   whole committed prefix — never a torn commit.
@@ -43,7 +43,7 @@
 //! * page 0 is the store header (magic, page count, free-list head, and
 //!   sixteen named *root slots* used by higher layers);
 //! * during a transaction all page mutations stay in the write set;
-//! * commit appends its page changes + a commit record to the WAL (fsync
+//! * commit appends its page changes to the WAL as one frame (fsync
 //!   governed by [`StoreOptions::sync_on_commit`]);
 //! * abort (dropping a [`Tx`] uncommitted) discards the write set;
 //! * checkpoint writes dirty pool pages to the database file, fsyncs,
@@ -68,7 +68,7 @@ use crate::gate::SnapshotGate;
 use crate::page::{PageBuf, PageId, PageKind, PageMap, PAGE_SIZE};
 use crate::pager::Pager;
 use crate::wal::{
-    page_diff_runs, push_frame, push_page_frame, Replay, Scan, Wal, WalRecord, WalSyncHandle,
+    close_frame, open_frame, page_diff_runs, push_page_frame, Replay, Scan, Wal, WalSyncHandle,
 };
 use crate::{Result, StorageError};
 
@@ -80,9 +80,13 @@ pub const MAGIC: u32 = 0x4F44_4531; // "ODE1"
 /// record: version bodies, anchors, delta inserts) as a length plus raw
 /// bytes. Version 4 keeps that page file and gives the log a seeded
 /// header and chained frames, so a checkpoint can recycle the log file
-/// instead of truncating it (see [`crate::wal`]). Files of any other
-/// version are refused with [`StorageError::UnsupportedFormat`].
-pub const FORMAT_VERSION: u32 = 4;
+/// instead of truncating it (see [`crate::wal`]). Version 5 keeps that
+/// page file and logs each commit as one frame of page records, with no
+/// transaction records or ids; it is bumped with the log so that a
+/// replica refuses an older primary's snapshot instead of misparsing
+/// the log shipped after it. Files of any other version are refused
+/// with [`StorageError::UnsupportedFormat`].
+pub const FORMAT_VERSION: u32 = 5;
 /// Number of named root slots in the header.
 pub const ROOT_SLOTS: usize = 16;
 
@@ -331,9 +335,7 @@ impl WriteState {
     /// the next generation's seed, chains from. A replica tracks the
     /// chain of the bytes it lands with its [`Replay`].
     fn chain_end(&self) -> u32 {
-        self.apply
-            .as_ref()
-            .map_or(self.wal.tail(), Replay::committed_link)
+        self.apply.as_ref().map_or(self.wal.tail(), Replay::link)
     }
 }
 
@@ -589,12 +591,6 @@ pub struct Store {
     /// commit. Readers stamp their snapshot with the value sampled
     /// after entering the gate.
     epoch: AtomicU64,
-    /// Next transaction id. Atomic (not part of [`WriteState`]) so
-    /// optimistic transactions can begin without touching the write
-    /// mutex; ids are unique but may appear out of order in the WAL,
-    /// which recovery and replica apply tolerate (both key on the id,
-    /// not its ordering).
-    next_tx: AtomicU64,
     /// Recently committed write sets, for optimistic validation.
     commit_log: CommitLog,
     /// Highest logical WAL position safe to ship to replicas: bytes at
@@ -669,15 +665,13 @@ impl Store {
         let mut wal = Wal::open(&wal_path)?;
 
         // Recovery is the replica path over the local log: replay its
-        // bytes, fold each committed transaction into an in-memory page
-        // map (so a page touched by many transactions is read and
-        // written once), write, sync, and trim the log. A short or bad
-        // frame ends the generation and the replay; so does an intact
-        // tail with no `Commit`, which must not outlive this open — tx
-        // ids restart at 1, and a later transaction reusing the id
-        // would adopt those pages. Idempotent, so a crash during
-        // recovery just reruns it. No other thread can hold the store
-        // yet, so plain pager writes are safe.
+        // bytes, fold each committed transaction — each intact frame —
+        // into an in-memory page map (so a page touched by many
+        // transactions is read and written once), write, sync, and trim
+        // the log. The generation ends at its first frame that is not
+        // intact, where `Wal::open` found its end. Idempotent, so a
+        // crash during recovery just reruns it. No other thread can hold
+        // the store yet, so plain pager writes are safe.
         let mut replay = Replay::new(0, wal.seed());
         replay.push(&wal.read_span(0, wal.len() as usize)?);
         let mut recovered = BTreeMap::new();
@@ -718,7 +712,6 @@ impl Store {
             gate: SnapshotGate::new(),
             group: GroupCommit::new(handle, window),
             epoch: AtomicU64::new(1),
-            next_tx: AtomicU64::new(1),
             commit_log: CommitLog::new(1),
             ship: Watermark::new(logical_pos),
             applied: Watermark::new(1),
@@ -769,12 +762,10 @@ impl Store {
     /// serialized writers with no retry loop.
     pub fn begin(&self) -> Tx<'_> {
         let guard = self.lock_write();
-        let tx_id = self.next_tx.fetch_add(1, Ordering::Relaxed);
         let epoch = self.epoch.load(Ordering::Acquire);
         Tx {
             store: self,
             write: Some(guard),
-            tx_id,
             validated_epoch: epoch,
             pages: PageMap::default(),
             base: PageMap::default(),
@@ -799,12 +790,10 @@ impl Store {
     /// so a conflicted transaction fails fast (at the fetch) rather than
     /// traversing structures torn across epochs.
     pub fn begin_optimistic(&self) -> Tx<'_> {
-        let tx_id = self.next_tx.fetch_add(1, Ordering::Relaxed);
         let epoch = self.epoch.load(Ordering::Acquire);
         Tx {
             store: self,
             write: None,
-            tx_id,
             validated_epoch: epoch,
             pages: PageMap::default(),
             base: PageMap::default(),
@@ -993,7 +982,13 @@ impl Store {
     /// keep their pinned pages; new snapshots see the installed state.
     /// A page file this build cannot read is refused — its header is
     /// checked as [`Store::open`] checks one — before anything changes.
-    /// The local log restarts empty, chained from the primary's `seed`.
+    ///
+    /// The local log restarts empty, chained from the primary's `seed`,
+    /// and durably so *before* the page file is touched: a crash
+    /// between the two leaves the old page file alone, a consistent
+    /// older checkpoint, never the old log replayed over the new file.
+    /// (A crash inside the page file's rewrite can still leave old and
+    /// new pages mixed.)
     pub fn replica_install_snapshot(
         &self,
         db_bytes: &[u8],
@@ -1003,6 +998,10 @@ impl Store {
     ) -> Result<()> {
         check_header(db_bytes)?;
         let mut ws = self.lock_write();
+        ws.wal.trim(seed)?;
+        ws.logical_pos = base_pos;
+        ws.base_pos = base_pos;
+        ws.apply = None;
         {
             // Exclusive gate for the whole swap: a concurrent reader
             // missing to the file mid-replace would otherwise read a
@@ -1012,11 +1011,6 @@ impl Store {
             self.pool.purge();
             self.epoch.store(epoch, Ordering::Release);
         }
-        ws.wal.trim(seed)?;
-        ws.logical_pos = base_pos;
-        ws.base_pos = base_pos;
-        ws.apply = None;
-        self.next_tx.store(1, Ordering::Relaxed);
         self.commit_log.reset(epoch);
         self.group.mark_all_synced();
         self.applied.advance(epoch);
@@ -1025,10 +1019,10 @@ impl Store {
     }
 
     /// Ingest raw shipped WAL bytes: land them in the local log
-    /// verbatim, then apply every complete *commit* they finish, one
-    /// epoch bump per commit, under the snapshot gate. Bytes ending
-    /// mid-frame (or mid-transaction) stay buffered until the next
-    /// call.
+    /// verbatim, then apply every complete *commit* — every whole
+    /// frame — they finish, one epoch bump per commit, under the
+    /// snapshot gate. Bytes ending mid-frame stay buffered until the
+    /// next call.
     pub fn replica_ingest(&self, bytes: &[u8]) -> Result<IngestOutcome> {
         let mut ws = self.lock_write();
         let start = ws.logical_pos;
@@ -1067,9 +1061,9 @@ impl Store {
         }
         // Checkpoint only at a clean point (everything ingested is
         // applied): a new generation mid-frame would desync the on-disk
-        // log from the replay. There the replay's committed link is the
-        // link at the log's end, and seeds the recycled log.
-        if replay.committed_end() == ws.logical_pos {
+        // log from the replay. There the replay's link is the link at
+        // the log's end, and seeds the recycled log.
+        if replay.offset() == ws.logical_pos {
             self.checkpoint_if_due(&mut ws);
         }
         Ok(IngestOutcome {
@@ -1101,32 +1095,24 @@ impl Store {
         self.counters.write_txs.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Promote a replica to primary: truncate the local log at the last
-    /// *applied* commit (the fencing rule — shipped-but-uncommitted
-    /// bytes must not survive, or a recycled tx id could resurrect
-    /// them), resume tx ids past everything seen in the stream, and
-    /// count the failover. Idempotent; a store that never ingested is
-    /// left unchanged.
+    /// Promote a replica to primary: truncate the local log at the end
+    /// of the last *applied* commit (the fencing rule — the first local
+    /// commit is appended there, so a partly shipped frame after it
+    /// never sits in the log), and count the failover. Idempotent; a
+    /// store that never ingested is left unchanged.
     pub fn promote_to_primary(&self) -> Result<()> {
         let mut ws = self.lock_write();
         let Some(replay) = ws.apply.take() else {
             return Ok(());
         };
         // Saturating: a checkpoint since the last applied commit already
-        // emptied the log, and whatever followed it is uncommitted.
-        let fence = replay.committed_end().saturating_sub(ws.base_pos);
-        ws.wal.truncate_tail(fence, replay.committed_link())?;
+        // emptied the log, and whatever followed it is not a commit.
+        let fence = replay.offset().saturating_sub(ws.base_pos);
+        ws.wal.truncate_tail(fence, replay.link())?;
         ws.logical_pos = ws.base_pos + ws.wal.len();
-        self.next_tx
-            .fetch_max(replay.max_tx() + 1, Ordering::Relaxed);
         self.ship.advance(ws.logical_pos);
         self.counters.failovers.fetch_add(1, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// Whether this store currently holds replica apply state.
-    pub fn is_replica_target(&self) -> bool {
-        self.lock_write().apply.is_some()
     }
 
     /// Count WAL bytes shipped to replicas (called by the shipper).
@@ -1204,7 +1190,6 @@ pub struct Tx<'a> {
     /// whole build phase of an optimistic transaction, which acquires
     /// the mutex only inside commit.
     write: Option<MutexGuard<'a, WriteState>>,
-    tx_id: u64,
     /// Epoch through which this transaction's page set is known
     /// conflict-free. Optimistic fetches and the final commit move it
     /// forward by checking the span it skips against the commit log;
@@ -1226,11 +1211,6 @@ pub struct Tx<'a> {
 }
 
 impl Tx<'_> {
-    /// The transaction id (for diagnostics).
-    pub fn id(&self) -> u64 {
-        self.tx_id
-    }
-
     /// Whether this transaction validates at commit instead of holding
     /// the write mutex.
     pub fn is_optimistic(&self) -> bool {
@@ -1311,17 +1291,18 @@ impl Tx<'_> {
         self.order.push(id);
     }
 
-    /// Frame this transaction's WAL records (begin, one per written
-    /// page, commit) into the bytes of one log write. Pure function of
-    /// the private write set, so an optimistic commit runs it *before*
+    /// Frame this transaction's WAL records, one per written page, into
+    /// one frame: the bytes of one log write. Pure function of the
+    /// private write set, so an optimistic commit runs it *before*
     /// taking the write mutex — page diffing and checksumming are the
     /// expensive part of a commit and must not lengthen the critical
-    /// section, where [`Wal::append`] fills in only the frames' links.
-    fn wal_frames(&self) -> Vec<u8> {
+    /// section, where [`Wal::append`] fills in only the frame's link.
+    /// A write set too large for one frame is refused here, before
+    /// anything is appended.
+    fn wal_frames(&self) -> Result<Vec<u8>> {
         static ZERO: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
-        let tx = self.tx_id;
-        let mut frames = Vec::new();
-        push_frame(&mut frames, &WalRecord::Begin { tx });
+        let mut frame = Vec::new();
+        let at = open_frame(&mut frame);
         for &id in &self.order {
             let after = self
                 .pages
@@ -1335,15 +1316,15 @@ impl Tx<'_> {
                 _ => &ZERO,
             };
             let runs = page_diff_runs(before, after, DELTA_RUN_GAP, DELTA_MAX_PAYLOAD);
-            push_page_frame(&mut frames, tx, id.0, after, runs.as_deref());
+            push_page_frame(&mut frame, id.0, after, runs.as_deref());
         }
-        push_frame(&mut frames, &WalRecord::Commit { tx });
-        frames
+        close_frame(&mut frame, at)?;
+        Ok(frame)
     }
 
     /// Commit: log byte-range deltas (full images for heavily rewritten
-    /// pages) plus a commit record in one write, publish the write set as the new committed
-    /// state, and make it durable (inline fsync, or via the group-commit
+    /// pages) as one frame in one write, publish the write set as the
+    /// new committed state, and make it durable (inline fsync, or via the group-commit
     /// leader). Auto-checkpoints when the WAL or pool has grown large.
     /// Once the write set has published, the result says only whether
     /// this commit's log bytes are durable: a checkpoint that fails
@@ -1369,10 +1350,10 @@ impl Tx<'_> {
         }
         // Build the log bytes outside the critical section (no-op cost
         // for exclusive mode, which holds the mutex anyway).
-        let mut frames = if self.order.is_empty() {
+        let mut frame = if self.order.is_empty() {
             Vec::new()
         } else {
-            self.wal_frames()
+            self.wal_frames()?
         };
         let mut ws = match self.write.take() {
             Some(guard) => guard,
@@ -1389,8 +1370,8 @@ impl Tx<'_> {
         let mut group_target = None;
         if !self.order.is_empty() {
             // One write: if it fails, neither position moves.
-            ws.wal.append(&mut frames)?;
-            ws.logical_pos += frames.len() as u64;
+            ws.wal.append(&mut frame)?;
+            ws.logical_pos += frame.len() as u64;
             ws.commit_seq += 1;
 
             let grouped = store.options.sync_on_commit && store.options.group_commit;
@@ -1551,7 +1532,7 @@ mod tests {
     use super::*;
     use crate::page::PAGE_HEADER_LEN;
     use crate::testutil::{stamp_format_version, TempStore};
-    use crate::wal::LOG_HEADER_LEN;
+    use crate::wal::{push_frame, WalRecord, LOG_HEADER_LEN};
 
     /// Take the checkpoint a commit or an ingest takes by itself when
     /// the log or the pool has grown: the one that recycles the log.
@@ -1562,6 +1543,15 @@ mod tests {
             .unwrap();
     }
 
+    /// What a replay of the log file at `path` finds first, past its
+    /// header.
+    fn first_frame(path: &Path) -> Scan<crate::wal::CommittedTx> {
+        let wal = Wal::open(path).unwrap();
+        let mut replay = Replay::new(0, wal.seed());
+        replay.push(&wal.read_file().unwrap());
+        replay.next_commit().unwrap()
+    }
+
     /// Commit `value` into page `id`'s payload.
     fn put(store: &Store, id: PageId, value: u64) {
         let mut tx = store.begin();
@@ -1569,18 +1559,21 @@ mod tests {
         tx.commit().unwrap();
     }
 
-    /// The frames of a fixed transaction script hash to the digest the
-    /// commit path gave before `page_diff_ops` learned to stop early:
+    /// The frames of a fixed transaction script hash to a pinned digest:
     /// fresh pages diffed against zeroes, light rewrites, and rewrites
     /// of one contiguous range on either side of `DELTA_MAX_PAYLOAD`
     /// (a range of `len` bytes costs `len + 8` payload bytes) and far
-    /// past it.
+    /// past it. Each commit's frame holds the page records the log
+    /// framed one by one before a commit became one frame, less their
+    /// transaction ids; the four frames are 43 210 bytes.
     #[test]
     fn wal_frames_are_pinned_for_a_fixed_script() {
         let store = TempStore::new();
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let (mut digest, mut bytes) = (0xcbf2_9ce4_8422_2325u64, 0);
         let mut frames_of = |tx: Tx<'_>| {
-            digest = tx.wal_frames().iter().fold(digest, |h, &b| {
+            let frame = tx.wal_frames().unwrap();
+            bytes += frame.len();
+            digest = frame.iter().fold(digest, |h, &b| {
                 (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
             });
             tx.commit().unwrap();
@@ -1623,13 +1616,15 @@ mod tests {
             frames_of(tx);
         }
         assert_eq!(
-            digest, 0xa717_ae29_67c7_b997,
+            (digest, bytes),
+            (0x9ee5_fe99_c296_9f71, 43_210),
             "WAL frames changed: {digest:#018x}"
         );
     }
 
     /// The page file a fixed transaction script leaves after each of its
-    /// checkpoints hashes to the digest the per-page writer gave: long
+    /// checkpoints hashes to the digest the per-page writer gave (with
+    /// the header at format 5): long
     /// runs of adjacent dirty pages (past 16, so they are written in
     /// pieces), lone pages, pages freed and reused, and a file that
     /// grows at every checkpoint.
@@ -1678,7 +1673,7 @@ mod tests {
         tx.commit().unwrap();
         checkpoint(&store);
         assert_eq!(
-            digest, 0xdbf9_4115_d5d1_aa68,
+            digest, 0xeddb_72cb_b28a_4b2d,
             "checkpointed page file changed: {digest:#018x}"
         );
     }
@@ -1954,8 +1949,7 @@ mod tests {
     }
 
     #[test]
-    fn aborted_write_is_not_resurrected_by_a_recycled_tx_id() {
-        use crate::page::PAGE_HEADER_LEN;
+    fn a_torn_commit_is_not_resurrected_by_a_later_commit() {
         // Session 0: two pages reading 1, closed cleanly (log empty).
         let mut store = TempStore::new();
         let (a, b) = {
@@ -1968,31 +1962,32 @@ mod tests {
             (a, b)
         };
         store.close();
-        // Session 1 was killed between its page records and its Commit:
-        // intact frames of transaction 1, never committed.
+        // Session 1 was killed while its commit's frame was landing: the
+        // frame's header chains, its last byte never reached the disk.
         {
-            let mut frames = Vec::new();
-            push_frame(&mut frames, &WalRecord::Begin { tx: 1 });
+            let mut frame = Vec::new();
             push_frame(
-                &mut frames,
-                &WalRecord::PageDelta {
-                    tx: 1,
+                &mut frame,
+                &[WalRecord::PageDelta {
                     page: a.0,
-                    ops: vec![(PAGE_HEADER_LEN as u32, vec![0xEE])],
-                },
-            );
-            Wal::open(&store.path().wal())
-                .unwrap()
-                .append(&mut frames)
+                    ops: vec![(PAGE_HEADER_LEN as u32, vec![0xEE; 64])],
+                }],
+            )
+            .unwrap();
+            let mut wal = Wal::open(&store.path().wal()).unwrap();
+            wal.append(&mut frame).unwrap();
+            let file = std::fs::OpenOptions::new()
+                .write(true)
+                .open(store.path().wal())
                 .unwrap();
+            file.set_len(LOG_HEADER_LEN + wal.len() - 1).unwrap();
         }
-        // Session 2 recovers, recycles id 1 for a write to `b` only, and
-        // crashes after committing it.
+        // Session 2 recovers, commits a write to `b` only, and crashes
+        // after committing it.
         store.reopen();
         assert_eq!(store.read().page(a).unwrap().payload()[0], 1);
         {
             let mut tx = store.begin();
-            assert_eq!(tx.id(), 1);
             tx.page_mut(b).unwrap().payload_mut()[0] = 2;
             tx.commit().unwrap();
         }
@@ -2091,9 +2086,7 @@ mod tests {
             .unwrap();
         f.set_len(LOG_HEADER_LEN + first_end).unwrap();
         drop(f);
-        let (records, tear) = Wal::open(&store.path().wal()).unwrap().records().unwrap();
-        assert!(records.is_empty());
-        assert_eq!(tear, None);
+        assert_eq!(first_frame(&store.path().wal()), Scan::Unchained);
         store.reopen();
         assert_eq!(store.read().page(id).unwrap().read_u64(40), 2);
     }
@@ -2113,9 +2106,7 @@ mod tests {
         let mut log = std::fs::read(store.path().wal()).unwrap();
         log[..LOG_HEADER_LEN as usize].copy_from_slice(&old_header);
         std::fs::write(store.path().wal(), &log).unwrap();
-        let (records, tear) = Wal::open(&store.path().wal()).unwrap().records().unwrap();
-        assert!(records.is_empty());
-        assert_eq!(tear, None);
+        assert_eq!(first_frame(&store.path().wal()), Scan::Unchained);
         // That commit's fsync never returned, so it was never
         // acknowledged; the page file holds everything before it.
         store.reopen();
@@ -2275,51 +2266,65 @@ mod tests {
         (first, [a, fresh, big])
     }
 
+    /// The log's budget per commit: one frame — a 12-byte header, then
+    /// the page records end to end — in one write, and one fsync.
     #[test]
     fn a_commit_is_one_write_of_its_records_frames() {
         let mut store = TempStore::new();
         let (first, [a, fresh, big]) = two_commits_in_the_log(&mut store, true);
-        let (found, tear) = Wal::open(&store.path().wal()).unwrap().frames().unwrap();
-        assert_eq!(tear, None);
-        let (before, found): (Vec<_>, Vec<_>) = found.into_iter().partition(|f| f.offset < first);
-        let mut prev = before.last().expect("the first commit's frames").link;
-        let records: Vec<WalRecord> = found.into_iter().map(|f| f.record.unwrap()).collect();
-        // Begin, a delta per edited page, the rewritten page whole, Commit.
-        let kinds: Vec<_> = records
+        let wal = Wal::open(&store.path().wal()).unwrap();
+        let log = wal.read_file().unwrap();
+        // One frame a commit: the replay yields the second commit whole
+        // at the end of the first, and nothing after it.
+        let mut replay = Replay::new(0, wal.seed());
+        replay.push(&log);
+        let Scan::Found(_) = replay.next_commit().unwrap() else {
+            panic!("the first commit");
+        };
+        assert_eq!(replay.offset(), first);
+        let prev = replay.link();
+        let Scan::Found(second) = replay.next_commit().unwrap() else {
+            panic!("the second commit");
+        };
+        assert_eq!(replay.offset(), log.len() as u64);
+        assert_eq!(second.offset, first);
+        // A delta per edited page and the rewritten page whole, in the
+        // order the transaction first touched them.
+        let kinds: Vec<_> = second
+            .records
             .iter()
             .map(|r| match r {
-                WalRecord::Begin { .. } => ("begin", 0),
                 WalRecord::PageDelta { page, .. } => ("delta", *page),
                 WalRecord::Page { page, .. } => ("image", *page),
-                WalRecord::Commit { .. } => ("commit", 0),
             })
             .collect();
         assert_eq!(
             kinds,
             [
-                ("begin", 0),
                 ("delta", a.0),
                 ("delta", PageId::HEADER.0),
                 ("delta", fresh.0),
                 ("image", big.0),
-                ("commit", 0)
             ]
         );
-        // The commit's bytes are exactly its records framed one by one,
-        // each linked to the one before, as the log wrote them when each
-        // record was its own write.
-        let mut per_record = Vec::new();
-        for record in &records {
-            let payload = ode_codec::to_bytes(record);
-            let crc = crate::crc32(&payload);
-            prev = crate::wal::link(prev, crc);
-            per_record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            per_record.extend_from_slice(&crc.to_le_bytes());
-            per_record.extend_from_slice(&prev.to_le_bytes());
-            per_record.extend_from_slice(&payload);
-        }
-        let log = std::fs::read(store.path().wal()).unwrap();
-        assert_eq!(per_record, log[(LOG_HEADER_LEN + first) as usize..]);
+        // The commit's bytes are exactly one frame of its records' codec
+        // bytes, linked to the commit before.
+        let payload: Vec<u8> = second
+            .records
+            .iter()
+            .flat_map(ode_codec::to_bytes)
+            .collect();
+        let crc = crate::crc32(&payload);
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&crc.to_le_bytes());
+        frame.extend_from_slice(&crate::wal::link(prev, crc).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        assert_eq!(frame, log[first as usize..]);
+        // And one fsync.
+        store.reopen();
+        put(&store, a, 3);
+        assert_eq!(store.stats().wal_syncs, 1);
     }
 
     #[test]
@@ -2518,6 +2523,82 @@ mod tests {
         drop(r);
     }
 
+    /// A replica that crashes while it installs a snapshot reopens on
+    /// one whole state — its own, the older checkpoint under its log,
+    /// or the snapshot's — and never on its old log replayed over the
+    /// snapshot's page file, which would read (9, 1) below.
+    #[test]
+    fn a_replica_crashing_in_snapshot_install_reopens_on_one_whole_state() {
+        let primary = TempStore::new();
+        let replica = TempStore::new();
+        let snap = primary.repl_snapshot().unwrap();
+        replica
+            .replica_install_snapshot(&snap.db_bytes, snap.base_pos, snap.epoch, snap.seed)
+            .unwrap();
+        let mut pos = snap.base_pos;
+        let set = |id: PageId, bytes: [u8; 2]| {
+            let mut tx = primary.begin();
+            tx.page_mut(id).unwrap().payload_mut()[..2].copy_from_slice(&bytes);
+            tx.commit().unwrap();
+        };
+        let id = {
+            let mut tx = primary.begin();
+            let id = tx.allocate(PageKind::Heap).unwrap();
+            tx.commit().unwrap();
+            id
+        };
+        // (5, 0) reaches the replica's page file at a checkpoint; the
+        // commit to (5, 1) stays in its log.
+        set(id, [5, 0]);
+        ship_all(&primary, &replica, &mut pos, 4096);
+        replica.checkpoint().unwrap();
+        set(id, [5, 1]);
+        ship_all(&primary, &replica, &mut pos, 4096);
+        // The primary moves on to (9, 9) and checkpoints: the replica
+        // needs a snapshot.
+        set(id, [9, 9]);
+        let snap = primary.repl_snapshot().unwrap();
+        let old_file = std::fs::read(replica.path()).unwrap();
+        let old_log = std::fs::read(replica.path().wal()).unwrap();
+        assert!(old_log.len() as u64 > LOG_HEADER_LEN);
+        // An install whose page write fails stops where a crash after
+        // the trim would: the log is already trimmed, the page file not
+        // yet touched.
+        let mut unwritable = snap.db_bytes.clone();
+        unwritable.push(0);
+        assert!(replica
+            .replica_install_snapshot(&unwritable, snap.base_pos, snap.epoch, snap.seed)
+            .is_err());
+        let trimmed = std::fs::read(replica.path().wal()).unwrap();
+        assert_eq!(trimmed.len() as u64, LOG_HEADER_LEN);
+        assert_eq!(std::fs::read(replica.path()).unwrap(), old_file);
+        replica
+            .replica_install_snapshot(&snap.db_bytes, snap.base_pos, snap.epoch, snap.seed)
+            .unwrap();
+        let new_file = std::fs::read(replica.path()).unwrap();
+        assert_eq!(std::fs::read(replica.path().wal()).unwrap(), trimmed);
+        // Each state a crash can leave: before the trim, between the
+        // trim and the page write, and after.
+        let states = [
+            ("before the trim", &old_file, &old_log, [5, 1]),
+            (
+                "between the trim and the page write",
+                &old_file,
+                &trimmed,
+                [5, 0],
+            ),
+            ("after the page write", &new_file, &trimmed, [9, 9]),
+        ];
+        for (state, file, log, want) in states {
+            let path = crate::testutil::TempPath::new();
+            std::fs::write(&path, file).unwrap();
+            std::fs::write(path.wal(), log).unwrap();
+            let store = Store::open(&path, StoreOptions::default()).unwrap();
+            let mut r = store.read();
+            assert_eq!(r.page(id).unwrap().payload()[..2], want, "{state}");
+        }
+    }
+
     #[test]
     fn promotion_fences_unapplied_tail_and_resumes_writes() {
         let primary = TempStore::new();
@@ -2535,8 +2616,8 @@ mod tests {
             id
         };
         ship_all(&primary, &replica, &mut pos, 4096);
-        // Second commit ships only partially: the replica holds its
-        // Begin+Page bytes but never the Commit.
+        // Second commit ships only partially: the replica holds the
+        // first half of its frame.
         {
             let mut tx = primary.begin();
             tx.page_mut(id).unwrap().payload_mut()[0] = 2;
@@ -2551,7 +2632,7 @@ mod tests {
         let pre_promote_epoch = replica.epoch();
         replica.promote_to_primary().unwrap();
         assert_eq!(replica.stats().failovers, 1);
-        // The half-shipped transaction is fenced out: state and epoch
+        // The half-shipped commit is fenced out: state and epoch
         // unchanged, and the log replays cleanly after a crash.
         assert_eq!(replica.epoch(), pre_promote_epoch);
         {
@@ -2568,8 +2649,9 @@ mod tests {
     #[test]
     fn a_format_1_file_is_refused_by_name() {
         // Format 2 too: its chains hold the latest version as well. And
-        // format 3, whose log has no header.
-        for old in [1, 2, 3] {
+        // format 3, whose log has no header, and format 4, whose log
+        // frames each record apart.
+        for old in [1, 2, 3, 4] {
             let mut store = TempStore::new();
             store.close();
             let mut file = std::fs::read(store.path()).unwrap();
@@ -2595,9 +2677,11 @@ mod tests {
         let (mut store, id) = one_page();
         put(&store, id, 5);
         store.crash();
-        let (records, _) = Wal::open(&store.path().wal()).unwrap().records().unwrap();
+        let Scan::Found(tx) = first_frame(&store.path().wal()) else {
+            panic!("a commit in the log");
+        };
         let mut old_log = Vec::new();
-        for record in &records {
+        for record in &tx.records {
             let payload = ode_codec::to_bytes(record);
             old_log.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             old_log.extend_from_slice(&crate::crc32(&payload).to_le_bytes());
@@ -2620,10 +2704,59 @@ mod tests {
             open_beside_old_log(&old_file),
             Some(StorageError::UnsupportedFormat {
                 found: 3,
-                expected: 4
+                expected: FORMAT_VERSION
             })
         ));
-        // A format-3 log beside a format-4 page file.
+        // A format-3 log beside this build's page file.
+        assert!(matches!(
+            open_beside_old_log(&file),
+            Some(StorageError::UnsupportedLog)
+        ));
+    }
+
+    #[test]
+    fn a_format_4_store_is_refused_by_name() {
+        // A format-4 store that crashed: its page file says 4, and its
+        // log is version 1 — a seeded header, then one chained frame per
+        // record, between `Begin` and `Commit` records naming the
+        // transaction (kinds 0 and 2; a page delta was kind 3).
+        let (mut store, id) = one_page();
+        store.crash();
+        let seed = 0x0BAD_5EED_u32;
+        let mut old_log = b"ODEW".to_vec();
+        old_log.extend_from_slice(&1u32.to_le_bytes());
+        old_log.extend_from_slice(&seed.to_le_bytes());
+        old_log.extend_from_slice(&crate::crc32(&old_log).to_le_bytes());
+        let at = PAGE_HEADER_LEN as u8;
+        let mut prev = seed;
+        for payload in [&[0, 1][..], &[3, 1, id.0 as u8, 1, at, 1, 7], &[2, 1]] {
+            let crc = crate::crc32(payload);
+            prev = crate::wal::link(prev, crc);
+            for word in [payload.len() as u32, crc, prev] {
+                old_log.extend_from_slice(&word.to_le_bytes());
+            }
+            old_log.extend_from_slice(payload);
+        }
+        let file = std::fs::read(store.path()).unwrap();
+        let mut old_file = file.clone();
+        stamp_format_version(&mut old_file, 4);
+        // Whatever is refused, both files are left as they were.
+        let open_beside_old_log = |page_file: &[u8]| {
+            std::fs::write(store.path(), page_file).unwrap();
+            std::fs::write(store.path().wal(), &old_log).unwrap();
+            let refused = Store::open(store.path(), StoreOptions::default()).err();
+            assert_eq!(std::fs::read(store.path()).unwrap(), page_file);
+            assert_eq!(std::fs::read(store.path().wal()).unwrap(), old_log);
+            refused
+        };
+        assert!(matches!(
+            open_beside_old_log(&old_file),
+            Some(StorageError::UnsupportedFormat {
+                found: 4,
+                expected: FORMAT_VERSION
+            })
+        ));
+        // A version-1 log beside this build's page file.
         assert!(matches!(
             open_beside_old_log(&file),
             Some(StorageError::UnsupportedLog)
@@ -2656,7 +2789,7 @@ mod tests {
         let epoch = replica.epoch();
         let wal_pos = replica.write.lock().logical_pos;
 
-        for old in [1, 2, 3] {
+        for old in [1, 2, 3, 4] {
             let mut foreign = primary.repl_snapshot().unwrap();
             stamp_format_version(&mut foreign.db_bytes, old);
             assert!(

@@ -1,11 +1,15 @@
 //! Redo-only write-ahead log.
 //!
-//! Commit protocol: at transaction commit the store frames a `Begin`,
-//! the changed byte ranges (or, for a heavily rewritten page, the full
-//! after-image) of every page the transaction dirtied and a `Commit`
-//! into one buffer, appends that buffer with one write, then
-//! (optionally) fsyncs. The database file itself is only updated at
-//! checkpoints, each of which starts a new *generation* of the log.
+//! **Commits.** One commit is one frame. At transaction commit the
+//! store lays a record of every page the transaction dirtied — its
+//! changed byte ranges or, for a heavily rewritten page, its full
+//! after-image — end to end into one frame, appends that frame with one
+//! write, then (optionally) fsyncs. An intact frame is a committed
+//! transaction; a frame that did not land whole ends the log, so a
+//! commit is in the log entirely or not at all, and no record names
+//! the transaction it belongs to. The database file itself is only
+//! updated at checkpoints, each of which starts a new *generation* of
+//! the log.
 //!
 //! **File.** A 16-byte header — magic, version, seed, and a CRC of the
 //! three ([`LOG_HEADER_LEN`]) — then the generation's frames. An empty
@@ -15,18 +19,20 @@
 //! anything else but the header is another build's log, and
 //! [`Wal::open`] refuses it with [`StorageError::UnsupportedLog`].
 //!
-//! **Frames.** Every record is `[u32 len][u32 crc32(payload)][u32 link]
-//! [payload]` ([`push_frame`]). The links chain: `link =
-//! crc32(previous link ‖ this frame's payload crc)`, and the
-//! generation's first frame chains from the header's seed. A frame is
-//! intact only if its length is not zero, its payload matches its CRC
-//! and its link matches, and parsing stops at the first frame that is
-//! not. Because a link depends on every frame since the seed, that one
-//! rule ends the log at a torn tail, at a zero fill, and at any older
-//! generation's bytes alike — even an older frame this generation
-//! rewrote byte for byte in its payload cannot lend its successors a
-//! matching link. Payload CRCs are computed by [`push_frame`], outside
-//! the store's write mutex; [`Wal::append`] fills in only the links.
+//! **Frames.** Every frame is `[u32 len][u32 crc32(payload)][u32 link]
+//! [payload]`, the payload being the commit's [`WalRecord`]s back to
+//! back ([`open_frame`], [`push_page_frame`], [`close_frame`]). The
+//! links chain: `link = crc32(previous link ‖ this frame's payload
+//! crc)`, and the generation's first frame chains from the header's
+//! seed. A frame is intact only if its length is not zero, its payload
+//! matches its CRC and its link matches, and parsing stops at the first
+//! frame that is not. Because a link depends on every frame since the
+//! seed, that one rule ends the log at a torn tail, at a zero fill, and
+//! at any older generation's bytes alike — even an older frame this
+//! generation rewrote byte for byte in its payload cannot lend its
+//! successors a matching link. Payload CRCs are computed by
+//! [`close_frame`], outside the store's write mutex; [`Wal::append`]
+//! fills in only the link.
 //!
 //! **Generations.** A checkpoint makes the log's contents redundant and
 //! starts a generation whose seed is the link at the old one's end. It
@@ -56,24 +62,24 @@
 //! verbatim, so a replica's log agrees with its primary's on every
 //! frame boundary and link.
 //!
-//! The read side is one path in three steps, shared by crash recovery,
-//! replica apply and `odedump wal`: [`parse_frame`] checks one frame,
-//! [`Replay`] assembles frames into committed transactions, and
-//! [`CommittedTx::apply`] lays logged changes onto base images. A
-//! frame that is short or not intact is reported, never judged, here:
-//! over a local log it is the end of the generation (everything before
-//! it is intact by construction), over a shipped stream it is
-//! transport corruption. Transactions without a `Commit` are simply
-//! never yielded.
+//! The read side is one path in three steps: [`parse_frame`] checks one
+//! frame, [`Replay`] decodes each intact frame into a committed
+//! transaction, and [`CommittedTx::apply`] lays logged changes onto
+//! base images. [`Wal::open`] takes the first step only, to find where
+//! the generation ends; crash recovery, replica apply and `odedump wal`
+//! take the first two through a [`Replay`]. A frame that is short or
+//! not intact is reported, never judged, here: over a local log it is
+//! the end of the generation (everything before it is intact by
+//! construction), over a shipped stream it is transport corruption.
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom};
+use std::io::Read;
 use std::ops::Range;
 use std::path::Path;
 
-use ode_codec::{from_bytes, impl_persist_enum, to_bytes, varint};
+use ode_codec::{impl_persist_enum, to_bytes, varint, Persist, Reader};
 
 use crate::page::{PageBuf, PageId, PAGE_SIZE};
 use crate::pager::{read_exact_at, write_all_at};
@@ -86,8 +92,10 @@ pub const LOG_HEADER_LEN: u64 = 16;
 pub const FRAME_HEADER_LEN: usize = 12;
 /// "ODEW", little-endian.
 const LOG_MAGIC: u32 = u32::from_le_bytes(*b"ODEW");
-/// Version of the log format (chained frames after a seeded header).
-const LOG_VERSION: u32 = 1;
+/// Version of the log format: one chained frame per commit after a
+/// seeded header. Version 1 framed each record apart, between `Begin`
+/// and `Commit` records naming a transaction id.
+const LOG_VERSION: u32 = 2;
 
 /// The log file's header for a generation chained from `seed`.
 fn log_header(seed: u32) -> [u8; LOG_HEADER_LEN as usize] {
@@ -122,51 +130,21 @@ pub fn link(prev: u32, payload_crc: u32) -> u32 {
     crc32(&chained)
 }
 
-/// Fill in the links of whole frames built by [`push_frame`], chaining
-/// from `prev`; returns the last frame's link (`prev` for no frames).
-fn link_frames(frames: &mut [u8], mut prev: u32) -> u32 {
-    let mut pos = 0;
-    while pos < frames.len() {
-        let (payload_len, crc) = (le_u32(frames, pos) as usize, le_u32(frames, pos + 4));
-        prev = link(prev, crc);
-        frames[pos + 8..pos + 12].copy_from_slice(&prev.to_le_bytes());
-        pos += FRAME_HEADER_LEN + payload_len;
-    }
-    prev
-}
-
-/// One logical record in the log.
+/// One page's change in a commit's frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
-    /// A transaction began. Replay forgets anything logged under the
-    /// same id before it: ids restart with every open, so an earlier
-    /// holder of the id that never committed must not lend its pages
-    /// to this one.
-    Begin {
-        /// Transaction id (unique within one session).
-        tx: u64,
-    },
-    /// Full after-image of one page written by transaction `tx`.
+    /// Full after-image of one page.
     Page {
-        /// Owning transaction.
-        tx: u64,
         /// Page the image belongs to.
         page: u64,
         /// The complete `PAGE_SIZE` image.
         image: Vec<u8>,
-    },
-    /// Transaction `tx` committed; its page images are now durable.
-    Commit {
-        /// Committing transaction.
-        tx: u64,
     },
     /// Changed byte ranges of one page (delta logging: the storage-level
     /// "small changes have small impact"). The base is the page's state
     /// as of the previous record for it in this log generation, or the
     /// database file (= last checkpoint) if none.
     PageDelta {
-        /// Owning transaction.
-        tx: u64,
         /// Page the delta applies to.
         page: u64,
         /// `(offset, bytes)` write runs, ascending and non-overlapping.
@@ -174,25 +152,11 @@ pub enum WalRecord {
     },
 }
 
-impl WalRecord {
-    /// The transaction the record belongs to.
-    pub fn tx(&self) -> u64 {
-        match self {
-            WalRecord::Begin { tx }
-            | WalRecord::Page { tx, .. }
-            | WalRecord::Commit { tx }
-            | WalRecord::PageDelta { tx, .. } => *tx,
-        }
-    }
-}
-
-// Varint kind and ids; page bytes are byte strings (length-prefixed
+// Varint kind and page id; page bytes are byte strings (length-prefixed
 // raw runs), so this is the log format byte for byte.
 impl_persist_enum!(WalRecord {
-    Begin { tx },
-    Page { tx, page, image },
-    Commit { tx },
-    PageDelta { tx, page, ops },
+    Page { page, image },
+    PageDelta { page, ops },
 });
 
 /// The log file: a header and the current generation's frames.
@@ -213,10 +177,11 @@ pub struct Wal {
 
 impl Wal {
     /// Open (or create) the log at `path` and find the end of its
-    /// current generation. Writes nothing and does not replay — see
-    /// [`Wal::records`]. A file that starts with anything but this
-    /// format's header (or a header of zeroes that never landed) is
-    /// refused with [`StorageError::UnsupportedLog`].
+    /// current generation: the first frame that is not intact. Writes
+    /// nothing, and decodes and replays nothing — see [`Replay`]. A
+    /// file that starts with anything but this format's header (or a
+    /// header of zeroes that never landed) is refused with
+    /// [`StorageError::UnsupportedLog`].
     pub fn open(path: &Path) -> Result<Wal> {
         let file = OpenOptions::new()
             .read(true)
@@ -240,11 +205,14 @@ impl Wal {
         wal.headed = header.iter().any(|&b| b != 0);
         if wal.headed {
             wal.seed = parse_log_header(&header).ok_or(StorageError::UnsupportedLog)?;
-            wal.tail = wal.seed;
-            if let Some(last) = wal.frames()?.0.last() {
-                wal.len = last.offset + (FRAME_HEADER_LEN as u64) + u64::from(last.payload_len);
-                wal.tail = last.link;
+            let data = wal.read_file()?;
+            let (mut end, mut tail) = (0, wal.seed);
+            while let Scan::Found((payload, link)) = parse_frame(&data[end..], tail) {
+                end += FRAME_HEADER_LEN + payload.len();
+                tail = link;
             }
+            wal.len = end as u64;
+            wal.tail = tail;
         }
         Ok(wal)
     }
@@ -279,14 +247,16 @@ impl Wal {
         Ok(self.len == 0 && self.file.metadata()?.len() == rest)
     }
 
-    /// Link `frames` — whole frames built by [`push_frame`] — onto the
-    /// end of the log and append them with one write (not yet durable;
-    /// call [`Wal::sync`]). On error neither the append position nor
-    /// the tail link moves; any bytes the failed write left do not
-    /// chain past the next append's frames.
-    pub fn append(&mut self, frames: &mut [u8]) -> Result<()> {
-        let tail = link_frames(frames, self.tail);
-        self.write(frames)?;
+    /// Link `frame` — one commit's frame, closed by [`close_frame`] —
+    /// onto the end of the log and append it with one write (not yet
+    /// durable; call [`Wal::sync`]). On error neither the append
+    /// position nor the tail link moves; any bytes the failed write
+    /// left do not chain past the next append's frame.
+    pub fn append(&mut self, frame: &mut [u8]) -> Result<()> {
+        debug_assert_eq!(frame.len(), FRAME_HEADER_LEN + le_u32(frame, 0) as usize);
+        let tail = link(self.tail, le_u32(frame, 4));
+        frame[8..FRAME_HEADER_LEN].copy_from_slice(&tail.to_le_bytes());
+        self.write(frame)?;
         self.tail = tail;
         Ok(())
     }
@@ -329,6 +299,22 @@ impl Wal {
         Ok(buf)
     }
 
+    /// Everything the file holds past its header, as it lies: the
+    /// current generation's frames, then whatever follows them — a torn
+    /// frame, a zero fill, an older generation, or nothing. Empty for a
+    /// file without a header. A [`Replay`] from [`Wal::seed`] reads the
+    /// generation out of it; `odedump wal` lists a log that way without
+    /// recovering it.
+    pub fn read_file(&self) -> Result<Vec<u8>> {
+        let mut data = Vec::new();
+        if self.headed {
+            let len = self.file.metadata()?.len().saturating_sub(LOG_HEADER_LEN);
+            data.resize(len as usize, 0);
+            read_exact_at(&self.file, &mut data, LOG_HEADER_LEN)?;
+        }
+        Ok(data)
+    }
+
     /// fsync the log.
     pub fn sync(&mut self) -> Result<()> {
         self.file.sync_data()?;
@@ -346,37 +332,6 @@ impl Wal {
         Ok(WalSyncHandle {
             file: self.file.try_clone()?,
         })
-    }
-
-    /// Every intact frame of the current generation, read from the file
-    /// itself, then the offset of a torn frame, if any (see [`frames`]).
-    pub fn frames(&mut self) -> Result<(Vec<FrameAt>, Option<u64>)> {
-        let mut data = Vec::new();
-        if self.headed {
-            self.file.seek(SeekFrom::Start(LOG_HEADER_LEN))?;
-            self.file.read_to_end(&mut data)?;
-        }
-        Ok(frames(&data, self.seed))
-    }
-
-    /// Read every intact record of the current generation.
-    ///
-    /// Returns the records and the frame offset of a torn frame, if any
-    /// (see [`frames`]). A torn tail is *expected* after a crash and is
-    /// not an error.
-    pub fn records(&mut self) -> Result<(Vec<WalRecord>, Option<u64>)> {
-        let (found, tear) = self.frames()?;
-        // Framing intact but the payload does not parse: that is real
-        // corruption, not a torn tail.
-        let records = found
-            .into_iter()
-            .map(|frame| {
-                frame.record.ok_or(StorageError::WalCorrupt {
-                    offset: frame.offset,
-                })
-            })
-            .collect::<Result<_>>()?;
-        Ok((records, tear))
     }
 
     /// Start a generation chained from `seed` in the file as it is: the
@@ -409,8 +364,8 @@ impl Wal {
     }
 
     /// Cut the log at frame offset `offset`, where the chain's link is
-    /// `link`: a torn tail found by [`Wal::records`], or a fence, so
-    /// later appends start from a clean frame boundary.
+    /// `link`: a fence at the end of the last applied commit, so later
+    /// appends start from a clean frame boundary.
     pub fn truncate_tail(&mut self, offset: u64, link: u32) -> Result<()> {
         let header = if self.headed { LOG_HEADER_LEN } else { 0 };
         self.file.set_len(header + offset)?;
@@ -450,36 +405,55 @@ pub enum Scan<T> {
     BadCrc,
 }
 
-/// Frame `record` onto the end of `out`: `[u32 len][u32 crc32(payload)]
-/// [u32 link][payload]`, the payload being the record's codec bytes.
-/// The link is left zero for [`Wal::append`] to fill in. With
-/// [`push_page_frame`], the log's only frame encoder, the inverse of
-/// [`parse_frame`].
-pub fn push_frame(out: &mut Vec<u8>, record: &WalRecord) {
-    let at = open_frame(out);
-    out.extend_from_slice(&to_bytes(record));
-    close_frame(out, at);
+/// Start a commit's frame at the end of `out`: a header that
+/// [`close_frame`] fills in once the commit's records follow it.
+/// Returns where the frame starts.
+pub fn open_frame(out: &mut Vec<u8>) -> usize {
+    let at = out.len();
+    out.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
+    at
 }
 
-/// Frame the record of page `page` in transaction `tx` onto the end of
-/// `out`, encoding it straight from `after`: a [`WalRecord::PageDelta`]
-/// of `after`'s bytes in `runs`, or with no runs a [`WalRecord::Page`]
-/// of all of it. The bytes are [`push_frame`]'s for the owned record;
-/// only the copies into that record are skipped.
-pub fn push_page_frame(
-    out: &mut Vec<u8>,
-    tx: u64,
-    page: u64,
-    after: &[u8],
-    runs: Option<&[Range<usize>]>,
-) {
-    // The codec's enum tags: variants count from 0 in declaration order.
-    const PAGE: u64 = 1;
-    const PAGE_DELTA: u64 = 3;
+/// Fill in the length and CRC of the frame at `at`, whose payload runs
+/// to the end of `out`; the link stays zero for [`Wal::append`]. A
+/// payload too long for the length field is refused with
+/// [`StorageError::CommitTooLarge`], so nothing of it is appended.
+pub fn close_frame(out: &mut [u8], at: usize) -> Result<()> {
+    let payload = &out[at + FRAME_HEADER_LEN..];
+    let (len, crc) = (frame_payload_len(payload.len())?, crc32(payload));
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    out[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
+}
+
+/// The length field of a frame whose payload is `len` bytes.
+fn frame_payload_len(len: usize) -> Result<u32> {
+    u32::try_from(len).map_err(|_| StorageError::CommitTooLarge { bytes: len as u64 })
+}
+
+/// Frame `records` — one commit — onto the end of `out`, each record
+/// in its codec bytes: with [`parse_frame`] and [`Replay`], the round
+/// trip of the log format for records already built.
+pub fn push_frame(out: &mut Vec<u8>, records: &[WalRecord]) -> Result<()> {
     let at = open_frame(out);
+    for record in records {
+        out.extend_from_slice(&to_bytes(record));
+    }
+    close_frame(out, at)
+}
+
+/// Encode the record of page `page` onto the frame open at the end of
+/// `out`, straight from `after`: a [`WalRecord::PageDelta`] of
+/// `after`'s bytes in `runs`, or with no runs a [`WalRecord::Page`] of
+/// all of it. The bytes are the owned record's codec bytes; only the
+/// copies into that record are skipped.
+pub fn push_page_frame(out: &mut Vec<u8>, page: u64, after: &[u8], runs: Option<&[Range<usize>]>) {
+    // The codec's enum tags: variants count from 0 in declaration order.
+    const PAGE: u64 = 0;
+    const PAGE_DELTA: u64 = 1;
     match runs {
         Some(runs) => {
-            for word in [PAGE_DELTA, tx, page, runs.len() as u64] {
+            for word in [PAGE_DELTA, page, runs.len() as u64] {
                 varint::write_u64(out, word);
             }
             for run in runs {
@@ -489,41 +463,22 @@ pub fn push_page_frame(
             }
         }
         None => {
-            for word in [PAGE, tx, page, after.len() as u64] {
+            for word in [PAGE, page, after.len() as u64] {
                 varint::write_u64(out, word);
             }
             out.extend_from_slice(after);
         }
     }
-    close_frame(out, at);
-}
-
-/// Start a frame at the end of `out`: a header to be filled in by
-/// [`close_frame`] once the payload follows it. Returns where it starts.
-fn open_frame(out: &mut Vec<u8>) -> usize {
-    let at = out.len();
-    out.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
-    at
-}
-
-/// Fill in the length and CRC of the frame at `at`, whose payload runs
-/// to the end of `out`; the link stays zero.
-fn close_frame(out: &mut [u8], at: usize) {
-    let payload = &out[at + FRAME_HEADER_LEN..];
-    let (len, crc) = (payload.len() as u32, crc32(payload));
-    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
-    out[at + 4..at + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Check the frame at the start of `buf` against the link `prev` of
-/// the frame before it (or the seed): its payload length (the frame is
-/// [`FRAME_HEADER_LEN`] bytes longer), its link and its decoded
-/// payload, `None` when that is not a [`WalRecord`]. The header is
+/// the frame before it (or the seed): its payload (the frame is
+/// [`FRAME_HEADER_LEN`] bytes longer) and its link. The header is
 /// judged before the payload is waited for, so bytes that are not this
 /// generation's are rejected whatever length they claim. This is the
 /// log's only frame parser; what a short or bad frame *means* is the
 /// caller's call (see the module docs).
-pub fn parse_frame(buf: &[u8], prev: u32) -> Scan<(u32, u32, Option<WalRecord>)> {
+pub fn parse_frame(buf: &[u8], prev: u32) -> Scan<(&[u8], u32)> {
     let Some((header, rest)) = buf.split_first_chunk::<FRAME_HEADER_LEN>() else {
         return Scan::Incomplete;
     };
@@ -537,57 +492,17 @@ pub fn parse_frame(buf: &[u8], prev: u32) -> Scan<(u32, u32, Option<WalRecord>)>
     if crc32(payload) != crc {
         return Scan::BadCrc;
     }
-    Scan::Found((payload_len, chained, from_bytes(payload).ok()))
+    Scan::Found((payload, chained))
 }
 
-/// One intact frame of a log image.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrameAt {
-    /// Offset of the frame from the end of the log header.
-    pub offset: u64,
-    /// Payload bytes (the frame adds [`FRAME_HEADER_LEN`]).
-    pub payload_len: u32,
-    /// The frame's link.
-    pub link: u32,
-    /// The decoded payload, `None` when it is not a [`WalRecord`].
-    pub record: Option<WalRecord>,
-}
-
-/// Walk the frames of a generation chained from `seed` (the bytes after
-/// the log header): every intact frame, then the offset of a *torn*
-/// frame — one whose header chains but whose payload is cut short or
-/// fails its CRC — if the walk ended at one. Anything else that ends
-/// the walk (no bytes, too few for a header, a header that does not
-/// chain) is the end of the generation and reads `None`: a zero fill
-/// or an older generation's bytes are not damage.
-pub fn frames(data: &[u8], seed: u32) -> (Vec<FrameAt>, Option<u64>) {
-    let mut found = Vec::new();
-    let (mut pos, mut prev) = (0usize, seed);
-    loop {
-        match parse_frame(&data[pos..], prev) {
-            Scan::Found((payload_len, link, record)) => {
-                found.push(FrameAt {
-                    offset: pos as u64,
-                    payload_len,
-                    link,
-                    record,
-                });
-                pos += FRAME_HEADER_LEN + payload_len as usize;
-                prev = link;
-            }
-            Scan::Incomplete if data.len() - pos >= FRAME_HEADER_LEN => {
-                return (found, Some(pos as u64))
-            }
-            Scan::BadCrc => return (found, Some(pos as u64)),
-            Scan::Incomplete | Scan::Unchained => return (found, None),
-        }
-    }
-}
-
-/// One committed transaction: its `Page`/`PageDelta` records in log
-/// order, each with the stream offset of its frame.
+/// One committed transaction: the page records of one intact frame.
 #[derive(Debug, PartialEq, Eq)]
-pub struct CommittedTx(Vec<(u64, WalRecord)>);
+pub struct CommittedTx {
+    /// Stream offset of the frame.
+    pub offset: u64,
+    /// Its `Page`/`PageDelta` records, in log order.
+    pub records: Vec<WalRecord>,
+}
 
 impl CommittedTx {
     /// Lay the transaction's changes onto `pages`, the after-images
@@ -602,13 +517,15 @@ impl CommittedTx {
         pages: &mut BTreeMap<PageId, PageBuf>,
         base: impl Fn(PageId) -> Result<PageBuf>,
     ) -> Result<()> {
-        for (offset, record) in self.0 {
-            let corrupt = StorageError::WalCorrupt { offset };
+        let corrupt = || StorageError::WalCorrupt {
+            offset: self.offset,
+        };
+        for record in self.records {
             match record {
-                WalRecord::Page { page, image, .. } => {
-                    pages.insert(PageId(page), PageBuf::from_vec(image).ok_or(corrupt)?);
+                WalRecord::Page { page, image } => {
+                    pages.insert(PageId(page), PageBuf::from_vec(image).ok_or_else(corrupt)?);
                 }
-                WalRecord::PageDelta { page, ops, .. } => {
+                WalRecord::PageDelta { page, ops } => {
                     let page = match pages.entry(PageId(page)) {
                         Entry::Occupied(image) => image.into_mut(),
                         Entry::Vacant(slot) => slot.insert(base(PageId(page))?),
@@ -617,13 +534,10 @@ impl CommittedTx {
                         let start = at as usize;
                         let end = start + bytes.len();
                         if end > PAGE_SIZE {
-                            return Err(corrupt);
+                            return Err(corrupt());
                         }
                         page.as_bytes_mut()[start..end].copy_from_slice(&bytes);
                     }
-                }
-                WalRecord::Begin { .. } | WalRecord::Commit { .. } => {
-                    unreachable!("replay keeps page records only")
                 }
             }
         }
@@ -631,12 +545,8 @@ impl CommittedTx {
     }
 }
 
-/// The log's transaction assembler: push log bytes in pieces of any
-/// size, pull out committed transactions.
-///
-/// `Begin` opens *and resets* a transaction's record list, `Page` and
-/// `PageDelta` append to it, `Commit` yields it. Frames of transactions
-/// that never commit are parsed and dropped.
+/// The log's reader: push log bytes in pieces of any size, pull out
+/// committed transactions, one per intact frame.
 #[derive(Debug, Default)]
 pub struct Replay {
     buf: Vec<u8>,
@@ -646,10 +556,6 @@ pub struct Replay {
     offset: u64,
     /// Link of the last parsed frame (the seed before the first).
     link: u32,
-    open: HashMap<u64, Vec<(u64, WalRecord)>>,
-    committed_end: u64,
-    committed_link: u32,
-    max_tx: u64,
 }
 
 impl Replay {
@@ -659,8 +565,6 @@ impl Replay {
         Replay {
             offset: start,
             link: seed,
-            committed_end: start,
-            committed_link: seed,
             ..Replay::default()
         }
     }
@@ -672,65 +576,53 @@ impl Replay {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Stream offset of the first frame not yet parsed — after
-    /// [`Scan::Unchained`] or [`Scan::BadCrc`], of the bad frame.
+    /// Stream offset of the first frame not yet parsed: the end of the
+    /// last yielded commit, the point a log is fenced at before it takes
+    /// new appends. After [`Scan::Unchained`] or [`Scan::BadCrc`], the
+    /// bad frame's offset.
     pub fn offset(&self) -> u64 {
         self.offset
     }
 
-    /// Stream offset just past the last yielded commit. Everything from
-    /// here on belongs to no committed transaction — the point a log is
-    /// fenced at before it takes new appends.
-    pub fn committed_end(&self) -> u64 {
-        self.committed_end
+    /// The chain's link at [`Replay::offset`] (the seed before the
+    /// first commit): what the next frame chains from, and the seed of
+    /// a generation started there.
+    pub fn link(&self) -> u32 {
+        self.link
     }
 
-    /// The chain's link at [`Replay::committed_end`]: what the next
-    /// frame after the fence chains from, and the seed of a generation
-    /// started there.
-    pub fn committed_link(&self) -> u32 {
-        self.committed_link
-    }
-
-    /// Highest transaction id seen in any parsed record.
-    pub fn max_tx(&self) -> u64 {
-        self.max_tx
-    }
-
-    /// Parse on to the next `Commit` and yield that transaction. A bad
-    /// frame stays at the front, so asking again answers the same; an
-    /// intact frame whose payload is not a record is an error wherever
+    /// Parse the next frame and yield its transaction. A bad frame
+    /// stays at the front, so asking again answers the same; an intact
+    /// frame whose payload is not a run of records is an error wherever
     /// the bytes came from.
     pub fn next_commit(&mut self) -> Result<Scan<CommittedTx>> {
-        loop {
-            let offset = self.offset;
-            let (payload_len, link, record) = match parse_frame(&self.buf[self.head..], self.link) {
-                Scan::Found(frame) => frame,
-                Scan::Incomplete => return Ok(Scan::Incomplete),
-                Scan::Unchained => return Ok(Scan::Unchained),
-                Scan::BadCrc => return Ok(Scan::BadCrc),
-            };
-            let record = record.ok_or(StorageError::WalCorrupt { offset })?;
-            let frame_len = FRAME_HEADER_LEN + payload_len as usize;
-            self.head += frame_len;
-            self.offset += frame_len as u64;
-            self.link = link;
-            let tx = record.tx();
-            self.max_tx = self.max_tx.max(tx);
-            match record {
-                WalRecord::Begin { .. } => {
-                    self.open.insert(tx, Vec::new());
-                }
-                WalRecord::Commit { .. } => {
-                    self.committed_end = self.offset;
-                    self.committed_link = link;
-                    let records = self.open.remove(&tx).unwrap_or_default();
-                    return Ok(Scan::Found(CommittedTx(records)));
-                }
-                page_record => self.open.entry(tx).or_default().push((offset, page_record)),
-            }
-        }
+        let offset = self.offset;
+        let (records, frame_len, link) = match parse_frame(&self.buf[self.head..], self.link) {
+            Scan::Found((payload, link)) => (
+                decode_records(payload).ok_or(StorageError::WalCorrupt { offset })?,
+                FRAME_HEADER_LEN + payload.len(),
+                link,
+            ),
+            Scan::Incomplete => return Ok(Scan::Incomplete),
+            Scan::Unchained => return Ok(Scan::Unchained),
+            Scan::BadCrc => return Ok(Scan::BadCrc),
+        };
+        self.head += frame_len;
+        self.offset += frame_len as u64;
+        self.link = link;
+        Ok(Scan::Found(CommittedTx { offset, records }))
     }
+}
+
+/// The records laid end to end in a frame's payload, `None` unless it
+/// is exactly a run of them.
+fn decode_records(payload: &[u8]) -> Option<Vec<WalRecord>> {
+    let mut reader = Reader::new(payload);
+    let mut records = Vec::new();
+    while !reader.is_empty() {
+        records.push(WalRecord::decode(&mut reader).ok()?);
+    }
+    Some(records)
 }
 
 /// The little-endian `u64` at byte `at` of `bytes`: in a XOR of two
@@ -857,7 +749,8 @@ pub fn page_diff_runs(
 mod tests {
     use super::*;
     use crate::testutil::TempPath;
-    use std::io::Write;
+    use ode_codec::from_bytes;
+    use std::io::{Seek, SeekFrom, Write};
 
     /// The seed of a log file that has never had a checkpoint.
     const FRESH: u32 = 0;
@@ -877,81 +770,96 @@ mod tests {
         )
     }
 
-    /// Frame `record` and append it alone: the per-record append the
-    /// log made before a commit became one write.
-    fn append(wal: &mut Wal, record: &WalRecord) {
+    /// Frame `records` as one commit and append it.
+    fn append(wal: &mut Wal, records: &[WalRecord]) {
         let mut frame = Vec::new();
-        push_frame(&mut frame, record);
+        push_frame(&mut frame, records).unwrap();
         wal.append(&mut frame).unwrap();
     }
 
-    /// A log holding `records`, and its bytes.
-    fn log_of(records: &[WalRecord]) -> (TempPath, Wal, Vec<u8>) {
+    /// A log holding `commits`, and its bytes.
+    fn log_of(commits: &[Vec<WalRecord>]) -> (TempPath, Wal, Vec<u8>) {
         let path = TempPath::new();
         let mut wal = Wal::open(&path).unwrap();
-        for r in records {
-            append(&mut wal, r);
+        for commit in commits {
+            append(&mut wal, commit);
         }
         let bytes = wal.read_span(0, wal.len() as usize).unwrap();
         (path, wal, bytes)
     }
 
-    /// The page records of every commit `replay` can yield now, in order.
-    fn drain(replay: &mut Replay) -> Vec<WalRecord> {
-        let mut changes = Vec::new();
+    /// The records of every commit `replay` can yield now, in order.
+    fn drain(replay: &mut Replay) -> Vec<Vec<WalRecord>> {
+        let mut commits = Vec::new();
         while let Scan::Found(tx) = replay.next_commit().unwrap() {
-            changes.extend(tx.0.into_iter().map(|(_, record)| record));
+            commits.push(tx.records);
         }
-        changes
+        commits
     }
 
-    fn replayed_changes(records: &[WalRecord]) -> Vec<WalRecord> {
-        let mut replay = Replay::new(0, FRESH);
-        replay.push(&log_of(records).2);
-        drain(&mut replay)
+    /// The commits of `wal`'s generation as its file holds them, and
+    /// the offset of a torn frame — one whose header chains but whose
+    /// payload is cut short or fails its CRC — if the generation ends
+    /// at one: the file read as `odedump wal` reads it.
+    fn commits_in(wal: &Wal) -> (Vec<Vec<WalRecord>>, Option<u64>) {
+        let data = wal.read_file().unwrap();
+        let mut replay = Replay::new(0, wal.seed());
+        replay.push(&data);
+        let commits = drain(&mut replay);
+        let at = replay.offset();
+        let torn = match replay.next_commit().unwrap() {
+            Scan::BadCrc => Some(at),
+            Scan::Incomplete => (data.len() as u64 - at >= FRAME_HEADER_LEN as u64).then_some(at),
+            Scan::Unchained | Scan::Found(_) => None,
+        };
+        (commits, torn)
     }
 
-    fn sample_records() -> Vec<WalRecord> {
+    /// Two commits: one page image, then an image and a delta.
+    fn sample_commits() -> Vec<Vec<WalRecord>> {
         vec![
-            WalRecord::Begin { tx: 1 },
-            WalRecord::Page {
-                tx: 1,
+            vec![WalRecord::Page {
                 page: 3,
                 image: vec![1, 2, 3],
-            },
-            WalRecord::Commit { tx: 1 },
-            WalRecord::Begin { tx: 2 },
-            WalRecord::Page {
-                tx: 2,
-                page: 4,
-                image: vec![9, 9],
-            },
+            }],
+            vec![
+                WalRecord::Page {
+                    page: 4,
+                    image: vec![9, 9],
+                },
+                WalRecord::PageDelta {
+                    page: 3,
+                    ops: vec![(1, vec![7])],
+                },
+            ],
         ]
+    }
+
+    /// Cut `n` bytes off the end of the file at `path`.
+    fn chop(path: &Path, n: u64) {
+        let f = OpenOptions::new().write(true).open(path).unwrap();
+        f.set_len(f.metadata().unwrap().len() - n).unwrap();
     }
 
     #[test]
     fn record_bytes_are_the_log_format() {
         // Literal bytes of one record of each kind: varint kind, varint
-        // ids, page bytes as length-prefixed raw runs. The log format
-        // must not move when the codec behind it does.
-        let cases: [(WalRecord, &[u8]); 4] = [
-            (WalRecord::Begin { tx: 7 }, &[0, 7]),
+        // page id, page bytes as length-prefixed raw runs. The log
+        // format must not move when the codec behind it does.
+        let cases: [(WalRecord, &[u8]); 2] = [
             (
                 WalRecord::Page {
-                    tx: 300,
-                    page: 5,
+                    page: 300,
                     image: vec![0xAA, 0xFF, 0x00],
                 },
-                &[1, 0xAC, 0x02, 5, 3, 0xAA, 0xFF, 0x00],
+                &[0, 0xAC, 0x02, 3, 0xAA, 0xFF, 0x00],
             ),
-            (WalRecord::Commit { tx: 1 }, &[2, 1]),
             (
                 WalRecord::PageDelta {
-                    tx: 9,
                     page: 2,
                     ops: vec![(513, vec![0x80, 0xFF]), (0, vec![])],
                 },
-                &[3, 9, 2, 2, 0x81, 0x04, 2, 0x80, 0xFF, 0, 0],
+                &[1, 2, 2, 0x81, 0x04, 2, 0x80, 0xFF, 0, 0],
             ),
         ];
         for (record, bytes) in cases {
@@ -963,74 +871,116 @@ mod tests {
     #[test]
     fn frame_bytes_are_the_log_format() {
         // Literal bytes of a log file: the header (magic "ODEW", version
-        // 1, seed, CRC of the three), then two frames `[len][crc][link]
-        // [payload]`, the first chained from the seed and the second
-        // from the first. The frame format must not move when the code
+        // 2, seed, CRC of the three), then two commits, each one frame
+        // `[len][crc][link][payload]` whose payload is its records back
+        // to back, the first chained from the seed and the second from
+        // the first. The frame format must not move when the code
         // behind it does.
         let path = TempPath::new();
         let mut wal = Wal::open(&path).unwrap();
         wal.trim(0x0BAD_5EED).unwrap();
-        append(&mut wal, &WalRecord::Begin { tx: 7 });
-        append(&mut wal, &WalRecord::Commit { tx: 7 });
+        let commits = [
+            vec![WalRecord::PageDelta {
+                page: 2,
+                ops: vec![(1, vec![7])],
+            }],
+            vec![
+                WalRecord::Page {
+                    page: 3,
+                    image: vec![9],
+                },
+                WalRecord::PageDelta {
+                    page: 4,
+                    ops: vec![(0, vec![1, 2])],
+                },
+            ],
+        ];
+        for commit in &commits {
+            append(&mut wal, commit);
+        }
         let header: &[u8] = &[
-            b'O', b'D', b'E', b'W', 1, 0, 0, 0, 0xED, 0x5E, 0xAD, 0x0B, 0x35, 0xE5, 0xF5, 0x33,
+            b'O', b'D', b'E', b'W', 2, 0, 0, 0, 0xED, 0x5E, 0xAD, 0x0B, 0xD6, 0xE2, 0x7A, 0xBD,
         ];
-        let begin: &[u8] = &[
-            2, 0, 0, 0, 0x5C, 0x87, 0xBD, 0xDF, 0xBD, 0xEC, 0xE9, 0xFE, 0, 7,
+        let first: &[u8] = &[
+            6, 0, 0, 0, 0xD6, 0x88, 0x5F, 0x3E, 0x5F, 0xBE, 0x14, 0xCC, 1, 2, 1, 1, 1, 7,
         ];
-        let commit: &[u8] = &[
-            2, 0, 0, 0, 0xDE, 0xE5, 0x8B, 0xED, 0xAE, 0x77, 0xF0, 0x45, 2, 7,
+        let second: &[u8] = &[
+            11, 0, 0, 0, 0x96, 0xE1, 0x93, 0x7C, 0x88, 0xAF, 0x18, 0x1E, 0, 3, 1, 9, 1, 4, 1, 0, 2,
+            1, 2,
         ];
         assert_eq!(
             std::fs::read(&path).unwrap(),
-            [header, begin, commit].concat()
+            [header, first, second].concat()
         );
-        let (frames, tear) = wal.frames().unwrap();
-        assert_eq!(tear, None);
-        let links: Vec<u32> = frames.iter().map(|f| f.link).collect();
+        let mut replay = Replay::new(0, wal.seed());
+        replay.push(&[first, second].concat());
+        let mut links = Vec::new();
+        while let Scan::Found(tx) = replay.next_commit().unwrap() {
+            assert_eq!(tx.records, commits[links.len()]);
+            links.push(replay.link());
+        }
         assert_eq!(
             links,
             [
-                link(0x0BAD_5EED, crc32(&[0, 7])),
-                link(links[0], crc32(&[2, 7]))
+                link(0x0BAD_5EED, crc32(&first[12..])),
+                link(links[0], crc32(&second[12..]))
             ]
         );
+        assert_eq!(replay.offset(), (first.len() + second.len()) as u64);
+        assert_eq!(wal.tail(), links[1]);
     }
 
     #[test]
     fn append_and_replay() {
-        let path = TempPath::new();
-        let mut wal = Wal::open(&path).unwrap();
-        for r in sample_records() {
-            append(&mut wal, &r);
-        }
-        let (records, tear) = wal.records().unwrap();
-        assert_eq!(records, sample_records());
-        assert_eq!(tear, None);
+        let (_path, wal, _) = log_of(&sample_commits());
+        assert_eq!(commits_in(&wal), (sample_commits(), None));
+        assert_eq!(replayed(&sample_commits()), sample_commits());
+    }
+
+    /// The commits a replay reads back from a log holding `commits`.
+    fn replayed(commits: &[Vec<WalRecord>]) -> Vec<Vec<WalRecord>> {
+        let mut replay = Replay::new(0, FRESH);
+        replay.push(&log_of(commits).2);
+        drain(&mut replay)
     }
 
     #[test]
     fn committed_filter_drops_uncommitted() {
-        let changes = replayed_changes(&sample_records());
-        // tx 2 never committed: only tx 1's page survives.
-        assert_eq!(changes, sample_records()[1..2]);
+        // A commit whose frame lost its last byte never committed: only
+        // the first commit survives, and the tear is reported.
+        let (path, wal, bytes) = log_of(&sample_commits());
+        let first_end = log_of(&sample_commits()[..1]).2.len() as u64;
+        drop(wal);
+        chop(&path, 1);
+        let wal = Wal::open(&path).unwrap();
+        assert_eq!(wal.len(), first_end);
+        assert_eq!(
+            commits_in(&wal),
+            (sample_commits()[..1].to_vec(), Some(first_end))
+        );
+        let mut replay = Replay::new(0, FRESH);
+        replay.push(&bytes[..bytes.len() - 1]);
+        assert_eq!(drain(&mut replay), sample_commits()[..1]);
+        assert_eq!(replay.offset(), first_end);
     }
 
     #[test]
     fn delta_records_round_trip_and_filter() {
-        let path = TempPath::new();
-        let mut wal = Wal::open(&path).unwrap();
-        let rec = WalRecord::PageDelta {
-            tx: 1,
+        let delta = vec![WalRecord::PageDelta {
             page: 7,
             ops: vec![(4, vec![1, 2]), (100, vec![9])],
-        };
-        append(&mut wal, &rec);
-        append(&mut wal, &WalRecord::Commit { tx: 1 });
-        let (records, tear) = wal.records().unwrap();
-        assert_eq!(tear, None);
-        assert_eq!(records[0], rec);
-        assert_eq!(replayed_changes(&records), [rec]);
+        }];
+        let torn = vec![WalRecord::PageDelta {
+            page: 8,
+            ops: vec![(0, vec![3; 40])],
+        }];
+        let (path, wal, _) = log_of(&[delta.clone(), torn]);
+        drop(wal);
+        chop(&path, 20);
+        let wal = Wal::open(&path).unwrap();
+        let (commits, tear) = commits_in(&wal);
+        assert_eq!(commits, [delta]);
+        assert_eq!(tear, Some(wal.len()));
     }
 
     #[test]
@@ -1045,28 +995,51 @@ mod tests {
             Some(many),
             None,
         ];
-        for (tx, runs) in shapes.iter().enumerate() {
-            let (tx, page) = (tx as u64 * 1000, 1 << (10 * tx));
-            let record = match runs {
-                Some(runs) => WalRecord::PageDelta {
-                    tx,
-                    page,
-                    ops: runs
-                        .iter()
-                        .map(|run| (run.start as u32, after[run.clone()].to_vec()))
-                        .collect(),
-                },
-                None => WalRecord::Page {
-                    tx,
-                    page,
-                    image: after.clone(),
-                },
-            };
+        let records: Vec<WalRecord> = shapes
+            .iter()
+            .enumerate()
+            .map(|(k, runs)| {
+                let page = 1 << (10 * k);
+                match runs {
+                    Some(runs) => WalRecord::PageDelta {
+                        page,
+                        ops: runs
+                            .iter()
+                            .map(|run| (run.start as u32, after[run.clone()].to_vec()))
+                            .collect(),
+                    },
+                    None => WalRecord::Page {
+                        page,
+                        image: after.clone(),
+                    },
+                }
+            })
+            .collect();
+        // Each shape alone, then all of them in one commit's frame.
+        let n = shapes.len();
+        for commit in (0..n).map(|k| k..k + 1).chain(std::iter::once(0..n)) {
+            let (runs, records) = (&shapes[commit.clone()], &records[commit]);
             let (mut want, mut got) = (b"prefix".to_vec(), b"prefix".to_vec());
-            push_frame(&mut want, &record);
-            push_page_frame(&mut got, tx, page, &after, runs.as_deref());
+            push_frame(&mut want, records).unwrap();
+            let at = open_frame(&mut got);
+            for (runs, record) in runs.iter().zip(records) {
+                let (WalRecord::Page { page, .. } | WalRecord::PageDelta { page, .. }) = record;
+                push_page_frame(&mut got, *page, &after, runs.as_deref());
+            }
+            close_frame(&mut got, at).unwrap();
             assert_eq!(got, want, "{runs:?}");
         }
+    }
+
+    #[test]
+    fn a_commit_too_large_for_one_frame_is_refused() {
+        // The length field is 32 bits: a payload one byte past it would
+        // be truncated, and the log would end at that commit.
+        assert_eq!(frame_payload_len(u32::MAX as usize).unwrap(), u32::MAX);
+        assert!(matches!(
+            frame_payload_len(u32::MAX as usize + 1),
+            Err(StorageError::CommitTooLarge { bytes }) if bytes == 1 << 32
+        ));
     }
 
     #[test]
@@ -1380,53 +1353,36 @@ mod tests {
     fn a_failed_append_leaves_the_log_where_it_was() {
         // Every write to /dev/full fails with ENOSPC.
         let mut wal = Wal::open(Path::new("/dev/full")).unwrap();
-        let before = wal.len();
-        let mut frames = Vec::new();
-        push_frame(&mut frames, &WalRecord::Begin { tx: 1 });
-        push_frame(&mut frames, &WalRecord::Commit { tx: 1 });
-        assert!(wal.append(&mut frames).is_err());
-        assert_eq!(wal.len(), before);
+        let (len, tail) = (wal.len(), wal.tail());
+        let mut frame = Vec::new();
+        push_frame(&mut frame, &sample_commits()[1]).unwrap();
+        assert!(wal.append(&mut frame).is_err());
+        assert_eq!((wal.len(), wal.tail()), (len, tail));
     }
 
     #[test]
     fn torn_tail_detected_and_truncatable() {
-        let path = TempPath::new();
-        {
-            let mut wal = Wal::open(&path).unwrap();
-            for r in sample_records() {
-                append(&mut wal, &r);
-            }
-        }
+        let (path, wal, _) = log_of(&sample_commits());
+        drop(wal);
         // Chop off the last 3 bytes, simulating a crash mid-append.
-        let full_len = std::fs::metadata(&path).unwrap().len();
-        let f = OpenOptions::new().write(true).open(&path).unwrap();
-        f.set_len(full_len - 3).unwrap();
-        drop(f);
-
+        chop(&path, 3);
         let mut wal = Wal::open(&path).unwrap();
-        let (records, tear) = wal.records().unwrap();
-        assert_eq!(records.len(), sample_records().len() - 1);
+        let (commits, tear) = commits_in(&wal);
+        assert_eq!(commits, sample_commits()[..1]);
         let tear = tear.expect("torn tail reported");
+        assert_eq!(tear, wal.len());
         wal.truncate_tail(tear, wal.tail()).unwrap();
         // After truncation the log replays cleanly and appends work.
-        let (records2, tear2) = wal.records().unwrap();
-        assert_eq!(records2, records);
-        assert_eq!(tear2, None);
-        append(&mut wal, &WalRecord::Commit { tx: 2 });
-        let (records3, _) = wal.records().unwrap();
-        assert_eq!(records3.len(), records.len() + 1);
+        assert_eq!(commits_in(&wal), (commits.clone(), None));
+        append(&mut wal, &sample_commits()[1]);
+        assert_eq!(commits_in(&wal), (sample_commits(), None));
     }
 
     #[test]
     fn bitflip_in_payload_is_torn_tail() {
-        let path = TempPath::new();
-        {
-            let mut wal = Wal::open(&path).unwrap();
-            for r in sample_records() {
-                append(&mut wal, &r);
-            }
-        }
-        // Flip a byte in the last record's payload.
+        let (path, wal, _) = log_of(&sample_commits());
+        drop(wal);
+        // Flip a byte in the last commit's payload.
         let len = std::fs::metadata(&path).unwrap().len();
         let mut f = OpenOptions::new()
             .write(true)
@@ -1440,24 +1396,22 @@ mod tests {
         f.write_all(&[b[0] ^ 0xFF]).unwrap();
         drop(f);
 
-        let mut wal = Wal::open(&path).unwrap();
-        let (records, tear) = wal.records().unwrap();
-        assert_eq!(records.len(), sample_records().len() - 1);
-        assert!(tear.is_some());
+        let wal = Wal::open(&path).unwrap();
+        let (commits, tear) = commits_in(&wal);
+        assert_eq!(commits, sample_commits()[..1]);
+        assert_eq!(tear, Some(wal.len()));
     }
 
     #[test]
     fn reset_empties_log() {
         let path = TempPath::new();
         let mut wal = Wal::open(&path).unwrap();
-        append(&mut wal, &WalRecord::Begin { tx: 1 });
+        append(&mut wal, &sample_commits()[0]);
         assert!(!wal.is_empty());
         wal.trim(wal.tail()).unwrap();
         assert!(wal.is_empty());
         assert!(wal.is_at_rest().unwrap());
-        let (records, tear) = wal.records().unwrap();
-        assert!(records.is_empty());
-        assert_eq!(tear, None);
+        assert_eq!(commits_in(&wal), (Vec::new(), None));
     }
 
     #[test]
@@ -1465,47 +1419,28 @@ mod tests {
         // A crash can land anywhere inside the final frame: inside the
         // 12-byte header, inside the payload, or right at the frame
         // boundary. Every cut short of a full frame must replay the
-        // prefix. A cut inside the payload leaves a header that chains,
-        // so the tear is reported at the final frame's start; a cut
-        // inside the header leaves too little to tell from a zero fill
-        // or an older generation, and the log simply ends there.
-        let intact = TempPath::new();
-        let intact_len = {
-            let mut wal = Wal::open(&intact).unwrap();
-            for r in sample_records() {
-                append(&mut wal, &r);
-            }
-            wal.len()
-        };
-        let probe_path = TempPath::new();
-        let before_last = {
-            let mut wal = Wal::open(&intact).unwrap();
-            let mut probe = Wal::open(&probe_path).unwrap();
-            let all = sample_records();
-            for r in &all[..all.len() - 1] {
-                append(&mut probe, r);
-            }
-            let len = probe.len();
-            let (records, tear) = wal.records().unwrap();
-            assert_eq!(records, all);
-            assert_eq!(tear, None);
-            len
-        };
+        // commits before it. A cut inside the payload leaves a header
+        // that chains, so the tear is reported at the final frame's
+        // start; a cut inside the header leaves too little to tell from
+        // a zero fill or an older generation, and the log simply ends
+        // there.
+        let all = sample_commits();
+        let (intact, wal, bytes) = log_of(&all);
+        let before_last = log_of(&all[..1]).2.len() as u64;
+        assert_eq!(commits_in(&wal), (all.clone(), None));
         // Cutting exactly at the boundary is a clean (shorter) log, not
         // a tear — start one byte past it.
-        for cut in before_last + 1..intact_len {
+        for cut in before_last + 1..bytes.len() as u64 {
             let path = TempPath::new();
             std::fs::copy(&intact, &path).unwrap();
             let f = OpenOptions::new().write(true).open(&path).unwrap();
             f.set_len(LOG_HEADER_LEN + cut).unwrap();
             drop(f);
-            let mut wal = Wal::open(&path).unwrap();
-            let (records, tear) = wal.records().unwrap();
-            assert_eq!(records, sample_records()[..sample_records().len() - 1]);
+            let wal = Wal::open(&path).unwrap();
             let header_whole = cut - before_last >= FRAME_HEADER_LEN as u64;
             assert_eq!(
-                tear,
-                header_whole.then_some(before_last),
+                commits_in(&wal),
+                (all[..1].to_vec(), header_whole.then_some(before_last)),
                 "cut at byte {cut}"
             );
             assert_eq!(wal.len(), before_last, "cut at byte {cut}");
@@ -1515,39 +1450,36 @@ mod tests {
     #[test]
     fn truncate_then_append_round_trips() {
         // Repeatedly tear the tail, truncate at the reported offset,
-        // and append fresh records: every cycle must leave a log that
-        // replays cleanly with the pre-tear prefix + the new records.
+        // and append fresh commits: every cycle must leave a log that
+        // replays cleanly with the pre-tear prefix + the new commits.
         let path = TempPath::new();
-        let mut expected: Vec<WalRecord> = Vec::new();
+        let mut expected: Vec<Vec<WalRecord>> = Vec::new();
         for cycle in 0..4u64 {
             {
                 let mut wal = Wal::open(&path).unwrap();
-                let keep = WalRecord::Commit { tx: cycle };
+                let keep = vec![WalRecord::PageDelta {
+                    page: cycle,
+                    ops: vec![(0, vec![cycle as u8])],
+                }];
                 append(&mut wal, &keep);
                 expected.push(keep);
                 append(
                     &mut wal,
-                    &WalRecord::Page {
-                        tx: cycle,
+                    &[WalRecord::Page {
                         page: cycle,
                         image: vec![cycle as u8; 32],
-                    },
+                    }],
                 );
             }
-            // Tear 5 bytes off the record we do not intend to keep.
-            let len = std::fs::metadata(&path).unwrap().len();
-            let f = OpenOptions::new().write(true).open(&path).unwrap();
-            f.set_len(len - 5).unwrap();
-            drop(f);
+            // Tear 5 bytes off the commit we do not intend to keep.
+            chop(&path, 5);
             let mut wal = Wal::open(&path).unwrap();
-            let (records, tear) = wal.records().unwrap();
-            assert_eq!(records, expected, "cycle {cycle}");
+            let (commits, tear) = commits_in(&wal);
+            assert_eq!(commits, expected, "cycle {cycle}");
             let tear = tear.expect("torn tail reported");
             wal.truncate_tail(tear, wal.tail()).unwrap();
             assert_eq!(wal.len(), tear);
-            let (records2, tear2) = wal.records().unwrap();
-            assert_eq!(records2, expected);
-            assert_eq!(tear2, None);
+            assert_eq!(commits_in(&wal), (expected.clone(), None));
         }
     }
 
@@ -1555,35 +1487,24 @@ mod tests {
     fn truncate_tail_at_intact_boundary_drops_suffix() {
         // Fencing uses truncate_tail at an *intact* frame boundary to
         // drop a fully written but unwanted suffix (an ex-primary's
-        // unshipped records), not just crash debris.
+        // unshipped commits), not just crash debris.
+        let [first, second] = <[_; 2]>::try_from(sample_commits()).unwrap();
         let path = TempPath::new();
         let mut wal = Wal::open(&path).unwrap();
-        append(&mut wal, &WalRecord::Begin { tx: 1 });
-        append(&mut wal, &WalRecord::Commit { tx: 1 });
+        append(&mut wal, &first);
         let (keep, keep_link) = (wal.len(), wal.tail());
-        append(&mut wal, &WalRecord::Begin { tx: 2 });
-        append(&mut wal, &WalRecord::Commit { tx: 2 });
+        append(&mut wal, &second);
         wal.truncate_tail(keep, keep_link).unwrap();
-        let (records, tear) = wal.records().unwrap();
-        assert_eq!(
-            records,
-            vec![WalRecord::Begin { tx: 1 }, WalRecord::Commit { tx: 1 }]
-        );
-        assert_eq!(tear, None);
+        assert_eq!(commits_in(&wal), (vec![first.clone()], None));
         // Appends continue from the fenced position.
-        append(&mut wal, &WalRecord::Begin { tx: 3 });
-        let (records, _) = wal.records().unwrap();
-        assert_eq!(records.len(), 3);
+        append(&mut wal, &second);
+        assert_eq!(commits_in(&wal), (vec![first, second], None));
     }
 
     #[test]
     fn read_span_and_append_raw_round_trip() {
-        let src = TempPath::new();
+        let (_src, wal, _) = log_of(&sample_commits());
         let dst = TempPath::new();
-        let mut wal = Wal::open(&src).unwrap();
-        for r in sample_records() {
-            append(&mut wal, &r);
-        }
         // Ship the whole log in small spans into a second log.
         let mut replica = Wal::open(&dst).unwrap();
         let mut pos = 0u64;
@@ -1596,9 +1517,7 @@ mod tests {
             replica.append_shipped(&span).unwrap();
         }
         assert_eq!(replica.len(), wal.len());
-        let (records, tear) = replica.records().unwrap();
-        assert_eq!(records, sample_records());
-        assert_eq!(tear, None);
+        assert_eq!(commits_in(&replica), (sample_commits(), None));
         // Past-the-end reads are empty, not errors.
         assert!(wal.read_span(wal.len(), 64).unwrap().is_empty());
         assert!(wal.read_span(wal.len() + 100, 64).unwrap().is_empty());
@@ -1606,33 +1525,28 @@ mod tests {
 
     #[test]
     fn replay_reassembles_across_pushes() {
-        let (_path, _wal, bytes) = log_of(&sample_records());
-        let (_p, _w, committed_prefix) = log_of(&sample_records()[..3]);
-        // Feed one byte at a time: the commit must pop out exactly when
-        // its last byte arrives, whatever the frame boundaries.
+        let all = sample_commits();
+        let (_path, _wal, bytes) = log_of(&all);
+        let ends = [log_of(&all[..1]).2.len(), bytes.len()];
+        // Feed one byte at a time: each commit must pop out exactly when
+        // its frame's last byte arrives, and the offset then moves to
+        // that frame's end.
         let mut replay = Replay::new(0, FRESH);
         let mut got = Vec::new();
         for (fed, b) in bytes.iter().enumerate() {
             replay.push(std::slice::from_ref(b));
             got.extend(drain(&mut replay));
-            assert_eq!(got.is_empty(), fed + 1 < committed_prefix.len());
+            let reached: Vec<usize> = ends.into_iter().filter(|&end| end <= fed + 1).collect();
+            assert_eq!(got.len(), reached.len(), "byte {fed}");
+            assert_eq!(replay.offset(), reached.last().map_or(0, |&end| end as u64));
         }
-        assert_eq!(got, replayed_changes(&sample_records()));
-        assert_eq!(replay.committed_end(), committed_prefix.len() as u64);
-        assert_eq!(replay.max_tx(), 2);
-        // tx 2's frames were consumed and held: its commit completes it.
-        let mut records = sample_records();
-        records.push(WalRecord::Commit { tx: 2 });
-        let (_p, _w, with_commit) = log_of(&records);
-        replay.push(&with_commit[bytes.len()..]);
-        assert_eq!(drain(&mut replay), sample_records()[4..]);
-        assert_eq!(replay.committed_end(), bytes.len() as u64 + 14);
-        assert_eq!(replay.committed_end(), with_commit.len() as u64);
+        assert_eq!(got, all);
+        assert_eq!(replay.link(), log_of(&all).1.tail());
     }
 
     #[test]
     fn replay_reports_corrupt_complete_frame() {
-        let (_path, _wal, mut bytes) = log_of(&[WalRecord::Begin { tx: 1 }]);
+        let (_path, _wal, mut bytes) = log_of(&sample_commits()[..1]);
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
         let mut replay = Replay::new(0, FRESH);
@@ -1643,47 +1557,78 @@ mod tests {
             assert_eq!(replay.next_commit().unwrap(), Scan::BadCrc);
             assert_eq!(replay.offset(), 0);
         }
+        // An intact frame whose payload is not a run of records (here a
+        // record kind that does not exist) is an error, at its offset,
+        // wherever the bytes came from.
+        let mut frame = Vec::new();
+        let at = open_frame(&mut frame);
+        frame.push(7);
+        close_frame(&mut frame, at).unwrap();
+        let path = TempPath::new();
+        let mut wal = Wal::open(&path).unwrap();
+        wal.append(&mut frame).unwrap();
+        let mut replay = Replay::new(0, FRESH);
+        replay.push(&frame);
+        for _ in 0..2 {
+            assert!(matches!(
+                replay.next_commit(),
+                Err(StorageError::WalCorrupt { offset: 0 })
+            ));
+        }
     }
 
     #[test]
-    fn begin_resets_a_recycled_transaction_id() {
-        // An earlier holder of id 1 logged a page and never committed; a
-        // later transaction reusing the id must not inherit it.
-        let records = [
-            WalRecord::Begin { tx: 1 },
-            WalRecord::Page {
-                tx: 1,
-                page: 3,
-                image: vec![0xEE],
-            },
-            WalRecord::Begin { tx: 1 },
-            WalRecord::Page {
-                tx: 1,
-                page: 4,
-                image: vec![2],
-            },
-            WalRecord::Commit { tx: 1 },
-        ];
-        assert_eq!(replayed_changes(&records), records[3..4]);
+    fn a_torn_commit_lends_no_pages_to_the_next_one() {
+        // A commit of page 3 was torn by a crash; the next session's
+        // commit of page 4 overwrites the torn frame's start, and the
+        // rest of the torn frame still lies behind it. Replay yields
+        // page 4 alone: the torn bytes no longer chain.
+        let torn = vec![WalRecord::Page {
+            page: 3,
+            image: vec![0xEE; 200],
+        }];
+        let next = vec![WalRecord::Page {
+            page: 4,
+            image: vec![2],
+        }];
+        let (path, wal, _) = log_of(&[torn]);
+        drop(wal);
+        chop(&path, 1);
+        let mut wal = Wal::open(&path).unwrap();
+        assert!(wal.is_empty());
+        append(&mut wal, &next);
+        let file_len = std::fs::metadata(&path).unwrap().len();
+        assert!(file_len > LOG_HEADER_LEN + wal.len(), "torn bytes remain");
+        assert_eq!(commits_in(&wal), (vec![next.clone()], None));
+        let reopened = Wal::open(&path).unwrap();
+        assert_eq!((reopened.len(), reopened.tail()), (wal.len(), wal.tail()));
     }
 
     #[test]
     fn apply_rejects_out_of_page_changes_at_their_frame() {
-        let records = [
-            WalRecord::Begin { tx: 1 },
-            WalRecord::PageDelta {
-                tx: 1,
-                page: 2,
-                ops: vec![(PAGE_SIZE as u32 - 1, vec![7, 7])],
-            },
-            WalRecord::Commit { tx: 1 },
+        let commits = [
+            sample_commits()[0].clone(),
+            vec![
+                WalRecord::PageDelta {
+                    page: 1,
+                    ops: vec![(0, vec![1])],
+                },
+                WalRecord::PageDelta {
+                    page: 2,
+                    ops: vec![(PAGE_SIZE as u32 - 1, vec![7, 7])],
+                },
+            ],
         ];
         let mut replay = Replay::new(0, FRESH);
-        replay.push(&log_of(&records).2);
-        let Scan::Found(tx) = replay.next_commit().unwrap() else {
-            panic!("one committed transaction");
+        replay.push(&log_of(&commits).2);
+        let Scan::Found(_) = replay.next_commit().unwrap() else {
+            panic!("the first commit");
         };
-        let offset = log_of(&records[..1]).2.len() as u64;
+        let offset = replay.offset();
+        let Scan::Found(tx) = replay.next_commit().unwrap() else {
+            panic!("the second commit");
+        };
+        assert_eq!(tx.offset, offset);
         assert!(matches!(
             tx.apply(&mut BTreeMap::new(), |_| Ok(PageBuf::zeroed())),
             Err(StorageError::WalCorrupt { offset: at }) if at == offset
@@ -1692,83 +1637,51 @@ mod tests {
 
     #[test]
     fn reopen_appends_after_existing_records() {
+        let [first, second] = <[_; 2]>::try_from(sample_commits()).unwrap();
         let path = TempPath::new();
-        {
-            let mut wal = Wal::open(&path).unwrap();
-            append(&mut wal, &WalRecord::Begin { tx: 1 });
-        }
-        {
-            let mut wal = Wal::open(&path).unwrap();
-            append(&mut wal, &WalRecord::Commit { tx: 1 });
-            let (records, _) = wal.records().unwrap();
-            assert_eq!(records.len(), 2);
-        }
-    }
-
-    /// Two committed transactions, each `Begin`, one page, `Commit`.
-    fn two_commits() -> Vec<WalRecord> {
-        (1..=2u64)
-            .flat_map(|tx| {
-                [
-                    WalRecord::Begin { tx },
-                    WalRecord::Page {
-                        tx,
-                        page: tx,
-                        image: vec![tx as u8; 5],
-                    },
-                    WalRecord::Commit { tx },
-                ]
-            })
-            .collect()
+        append(&mut Wal::open(&path).unwrap(), &first);
+        let mut wal = Wal::open(&path).unwrap();
+        append(&mut wal, &second);
+        assert_eq!(commits_in(&wal), (sample_commits(), None));
     }
 
     #[test]
     fn a_generation_that_rewrites_an_older_first_commit_does_not_revive_its_later_frames() {
         // Generation A logs two commits. Generation B, recycled from A's
         // end, logs A's first commit again — the same records, so the
-        // same payloads and CRCs byte for byte — and the log ends there:
+        // same payload and CRC byte for byte — and the log ends there:
         // A's second commit still sits intact right behind it.
-        let records = two_commits();
-        let path = TempPath::new();
-        let mut wal = Wal::open(&path).unwrap();
-        for r in &records {
-            append(&mut wal, r);
-        }
+        let commits = sample_commits();
+        let (path, mut wal, _) = log_of(&commits);
         let a_len = wal.len();
         let a_seed = wal.seed();
         wal.recycle(wal.tail()).unwrap();
         assert_ne!(wal.seed(), a_seed);
-        for r in &records[..3] {
-            append(&mut wal, r);
-        }
+        append(&mut wal, &commits[0]);
         assert_eq!(
             std::fs::metadata(&path).unwrap().len(),
             LOG_HEADER_LEN + a_len
         );
-        // Only B's frames chain; A's second commit is not this log's.
-        let mut wal = Wal::open(&path).unwrap();
-        assert_eq!(wal.records().unwrap(), (records[..3].to_vec(), None));
+        // Only B's frame chains; A's second commit is not this log's.
+        let wal = Wal::open(&path).unwrap();
+        assert_eq!(commits_in(&wal), (commits[..1].to_vec(), None));
         let mut replay = Replay::new(0, wal.seed());
         replay.push(&std::fs::read(&path).unwrap()[LOG_HEADER_LEN as usize..]);
-        assert_eq!(drain(&mut replay), records[1..2]);
+        assert_eq!(drain(&mut replay), commits[..1]);
         assert_eq!(replay.next_commit().unwrap(), Scan::Unchained);
     }
 
     #[test]
     fn recycle_keeps_the_file_and_trim_cuts_it_to_the_header() {
-        let path = TempPath::new();
-        let mut wal = Wal::open(&path).unwrap();
-        for r in &two_commits() {
-            append(&mut wal, r);
-        }
+        let (path, mut wal, _) = log_of(&sample_commits());
         let file_len = std::fs::metadata(&path).unwrap().len();
         wal.recycle(wal.tail()).unwrap();
         assert!(wal.is_empty());
         assert!(!wal.is_at_rest().unwrap());
         assert_eq!(std::fs::metadata(&path).unwrap().len(), file_len);
         // The old generation's bytes read as the end of the new one.
-        assert_eq!(wal.records().unwrap(), (Vec::new(), None));
-        append(&mut wal, &WalRecord::Begin { tx: 9 });
+        assert_eq!(commits_in(&wal), (Vec::new(), None));
+        append(&mut wal, &sample_commits()[0]);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), file_len);
         let reopened = Wal::open(&path).unwrap();
         assert_eq!((reopened.len(), reopened.tail()), (wal.len(), wal.tail()));
@@ -1794,39 +1707,57 @@ mod tests {
             [&log_header(CHAINS_TO_ZERO)[..], &[0; 4096]].concat(),
         )
         .unwrap();
-        let mut wal = Wal::open(&path).unwrap();
-        assert_eq!(wal.records().unwrap(), (Vec::new(), None));
+        let wal = Wal::open(&path).unwrap();
+        assert!(wal.is_empty());
+        assert_eq!(commits_in(&wal), (Vec::new(), None));
     }
 
     #[test]
     fn a_log_without_the_header_is_refused_and_left_as_it_is() {
-        // A format-3 log: the same records framed `[len][crc][payload]`,
-        // with no header.
+        // A format-3 log: records framed `[len][crc][payload]`, with no
+        // header.
         let path = TempPath::new();
         let mut old = Vec::new();
-        for r in &two_commits() {
-            let payload = to_bytes(r);
+        for record in sample_commits().concat() {
+            let payload = to_bytes(&record);
             old.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             old.extend_from_slice(&crc32(&payload).to_le_bytes());
             old.extend_from_slice(&payload);
         }
-        std::fs::write(&path, &old).unwrap();
-        assert!(matches!(
-            Wal::open(&path),
-            Err(StorageError::UnsupportedLog)
-        ));
-        assert_eq!(std::fs::read(&path).unwrap(), old);
+        // The previous build's log: the header at version 1, then one
+        // chained frame per record — `Begin { tx: 1 }` (kind 0), a page
+        // image (kind 1) and `Commit { tx: 1 }` (kind 2).
+        let mut version_1 = vec![
+            b'O', b'D', b'E', b'W', 1, 0, 0, 0, 0xED, 0x5E, 0xAD, 0x0B, 0x35, 0xE5, 0xF5, 0x33,
+        ];
+        let mut prev = 0x0BAD_5EED;
+        for payload in [&[0, 1][..], &[1, 1, 3, 2, 9, 9], &[2, 1]] {
+            let crc = crc32(payload);
+            prev = link(prev, crc);
+            for word in [payload.len() as u32, crc, prev] {
+                version_1.extend_from_slice(&word.to_le_bytes());
+            }
+            version_1.extend_from_slice(payload);
+        }
+        for refused in [&old, &version_1] {
+            std::fs::write(&path, refused).unwrap();
+            assert!(matches!(
+                Wal::open(&path),
+                Err(StorageError::UnsupportedLog)
+            ));
+            assert_eq!(&std::fs::read(&path).unwrap(), refused);
+        }
         // A header of zeroes never landed: whatever follows it, the log
         // is empty, and not at rest until something trims it.
         std::fs::write(&path, [&[0; LOG_HEADER_LEN as usize][..], &old].concat()).unwrap();
-        let mut wal = Wal::open(&path).unwrap();
-        assert_eq!(wal.records().unwrap(), (Vec::new(), None));
+        let wal = Wal::open(&path).unwrap();
+        assert_eq!(commits_in(&wal), (Vec::new(), None));
         assert!(!wal.is_at_rest().unwrap());
         // An empty file is an empty log; its first append writes the header.
         std::fs::write(&path, []).unwrap();
         let mut wal = Wal::open(&path).unwrap();
         assert!(wal.is_at_rest().unwrap());
-        append(&mut wal, &WalRecord::Begin { tx: 1 });
+        append(&mut wal, &sample_commits()[0]);
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(parse_log_header(&bytes), Some(FRESH));
     }

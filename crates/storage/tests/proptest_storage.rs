@@ -7,7 +7,7 @@
 //! * crash recovery, replica apply and a ten-line model must agree on
 //!   every page byte over any log.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use ode_storage::btree::BTree;
@@ -170,15 +170,10 @@ enum Body {
     Delta(Vec<(u16, Vec<u8>)>),
 }
 
-/// One generated transaction: the pages it logs, whether its `Commit`
-/// is written, and — when it is not — whether the next transaction
-/// recycles its id (what a restart does) or takes a fresh one.
-#[derive(Debug, Clone)]
-struct TxPlan {
-    pages: BTreeMap<u64, Body>,
-    commits: bool,
-    recycle: bool,
-}
+/// One generated transaction: the pages it logs, in one frame. One
+/// that did not commit is a frame the cut or the flipped bit below
+/// leaves torn: the last one the log holds.
+type TxPlan = BTreeMap<u64, Body>;
 
 fn arb_tx() -> impl Strategy<Value = TxPlan> {
     let body = prop_oneof![
@@ -192,44 +187,31 @@ fn arb_tx() -> impl Strategy<Value = TxPlan> {
     // Pages 1..=8 of a file that holds 0..=4: deltas land on stored
     // pages and on ones that do not exist yet. Page 0 (the header)
     // stays out so the store still opens.
-    let pages = proptest::collection::btree_map(1u64..9, body, 1..7);
-    (pages, 0u8..4, any::<bool>()).prop_map(|(pages, commits, recycle)| TxPlan {
-        pages,
-        commits: commits > 0,
-        recycle,
-    })
+    proptest::collection::btree_map(1u64..9, body, 1..7)
 }
 
-fn records_of(plan: &[TxPlan]) -> Vec<WalRecord> {
-    let mut records = Vec::new();
-    let mut tx = 1u64;
-    for t in plan {
-        records.push(WalRecord::Begin { tx });
-        for (&page, body) in &t.pages {
-            records.push(match body {
-                Body::Image(fill) => WalRecord::Page {
-                    tx,
-                    page,
-                    image: vec![*fill; PAGE_SIZE],
-                },
-                Body::Delta(ops) => WalRecord::PageDelta {
-                    tx,
-                    page,
-                    ops: ops
-                        .iter()
-                        .map(|(at, b)| (u32::from(*at), b.clone()))
-                        .collect(),
-                },
-            });
-        }
-        if t.commits {
-            records.push(WalRecord::Commit { tx });
-        }
-        if t.commits || !t.recycle {
-            tx += 1;
-        }
-    }
-    records
+/// Each planned transaction's page records.
+fn commits_of(plan: &[TxPlan]) -> Vec<Vec<WalRecord>> {
+    plan.iter()
+        .map(|pages| {
+            pages
+                .iter()
+                .map(|(&page, body)| match body {
+                    Body::Image(fill) => WalRecord::Page {
+                        page,
+                        image: vec![*fill; PAGE_SIZE],
+                    },
+                    Body::Delta(ops) => WalRecord::PageDelta {
+                        page,
+                        ops: ops
+                            .iter()
+                            .map(|(at, b)| (u32::from(*at), b.clone()))
+                            .collect(),
+                    },
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// The page file every case starts from: header plus four data pages,
@@ -249,42 +231,31 @@ fn base_file() -> &'static [u8] {
     })
 }
 
-/// The reference: apply only committed transactions, in commit order,
-/// each page starting from the file's image or zeroes. Returns the
-/// expected page file and the number of commits.
-fn model(file: &[u8], records: &[WalRecord]) -> (Vec<u8>, u64) {
-    let (mut file, mut commits) = (file.to_vec(), 0);
-    let mut open: HashMap<u64, Vec<&WalRecord>> = HashMap::new();
-    for record in records {
-        match record {
-            WalRecord::Begin { tx } => drop(open.insert(*tx, Vec::new())),
-            WalRecord::Commit { tx } => {
-                commits += 1;
-                for change in open.remove(tx).unwrap_or_default() {
-                    let (page, image) = match change {
-                        WalRecord::Page { page, image, .. } => (*page as usize, image.clone()),
-                        WalRecord::PageDelta { page, ops, .. } => {
-                            let page = *page as usize;
-                            file.resize(file.len().max((page + 1) * PAGE_SIZE), 0);
-                            let mut image = file[page * PAGE_SIZE..][..PAGE_SIZE].to_vec();
-                            for (at, bytes) in ops {
-                                image[*at as usize..][..bytes.len()].copy_from_slice(bytes);
-                            }
-                            (page, image)
-                        }
-                        _ => unreachable!(),
-                    };
-                    // The file holds sealed pages: every write reseals.
-                    let mut sealed = PageBuf::from_vec(image).unwrap();
-                    sealed.seal();
-                    file.resize(file.len().max((page + 1) * PAGE_SIZE), 0);
-                    file[page * PAGE_SIZE..][..PAGE_SIZE].copy_from_slice(sealed.as_bytes());
+/// The reference: apply the committed transactions in order, each page
+/// starting from the file's image or zeroes. Returns the expected page
+/// file.
+fn model(file: &[u8], commits: &[Vec<WalRecord>]) -> Vec<u8> {
+    let mut file = file.to_vec();
+    for change in commits.iter().flatten() {
+        let (page, image) = match change {
+            WalRecord::Page { page, image } => (*page as usize, image.clone()),
+            WalRecord::PageDelta { page, ops } => {
+                let page = *page as usize;
+                file.resize(file.len().max((page + 1) * PAGE_SIZE), 0);
+                let mut image = file[page * PAGE_SIZE..][..PAGE_SIZE].to_vec();
+                for (at, bytes) in ops {
+                    image[*at as usize..][..bytes.len()].copy_from_slice(bytes);
                 }
+                (page, image)
             }
-            page_record => open.entry(page_record.tx()).or_default().push(page_record),
-        }
+        };
+        // The file holds sealed pages: every write reseals.
+        let mut sealed = PageBuf::from_vec(image).unwrap();
+        sealed.seal();
+        file.resize(file.len().max((page + 1) * PAGE_SIZE), 0);
+        file[page * PAGE_SIZE..][..PAGE_SIZE].copy_from_slice(sealed.as_bytes());
     }
-    (file, commits)
+    file
 }
 
 /// What a log file holds past the point a crash cut its live
@@ -304,9 +275,9 @@ enum Behind {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
-    /// Over any log — uncommitted transactions, recycled ids, a cut at
-    /// any byte, a flipped bit in the last whole frame, and behind the
-    /// cut nothing, zero fill or an older generation — (a) `Store::open`
+    /// Over any log — a cut at any byte, so a torn last commit, a
+    /// flipped bit in the last whole frame, and behind the cut nothing,
+    /// zero fill or an older generation — (a) `Store::open`
     /// on file + log, (b) a replica installed from the file, fed the
     /// live bytes in arbitrary pieces and promoted, and (c) the model
     /// above reach the same page file, and (a) and (b) keep no log past
@@ -324,33 +295,33 @@ proptest! {
         behind in prop_oneof![Just(Behind::Nothing), Just(Behind::Zeros), Just(Behind::Older)],
     ) {
         let file = base_file();
-        let records = records_of(&plan);
-        // Frame the records with the real writer, noting where each ends
-        // — after an older generation of the same records twice over,
+        let commits = commits_of(&plan);
+        // Frame each commit with the real writer, noting where each ends
+        // — after an older generation of the same commits twice over,
         // when one is to lie behind the cut.
         let scratch = TempPath::new();
         let mut wal = Wal::open(&scratch).unwrap();
-        let append = |wal: &mut Wal, record: &WalRecord| {
+        let append = |wal: &mut Wal, records: &[WalRecord]| {
             let mut frame = Vec::new();
-            push_frame(&mut frame, record);
+            push_frame(&mut frame, records).unwrap();
             wal.append(&mut frame).unwrap();
         };
         let mut older = Vec::new();
         if let Behind::Older = behind {
-            for record in records.iter().chain(&records) {
-                append(&mut wal, record);
+            for records in commits.iter().chain(&commits) {
+                append(&mut wal, records);
             }
             older = std::fs::read(&*scratch).unwrap();
             wal.recycle(wal.tail()).unwrap();
         }
         let seed = wal.seed();
         let mut ends = Vec::new();
-        for record in &records {
-            append(&mut wal, record);
+        for records in &commits {
+            append(&mut wal, records);
             ends.push(wal.len() as usize);
         }
-        let mut log = wal.read_span(0, wal.len() as usize).unwrap();
-        log.truncate((cut % (log.len() as u64 + 1)) as usize);
+        let written = wal.read_span(0, wal.len() as usize).unwrap();
+        let mut log = written[..(cut % (written.len() as u64 + 1)) as usize].to_vec();
         // Frames wholly inside the cut, then minus the flipped one.
         let mut whole = ends.iter().take_while(|&&end| end <= log.len()).count();
         let mut bad_frame = None;
@@ -362,21 +333,30 @@ proptest! {
             log[start + 4 + (at % span as u64) as usize] ^= 1 << bit;
             bad_frame = Some(start as u64);
         }
-        let (expected, commits) = model(file, &records[..whole]);
-        let committed_end = records[..whole]
-            .iter()
-            .rposition(|r| matches!(r, WalRecord::Commit { .. }))
-            .map_or(0, |i| ends[i] as u64);
+        // What the file holds past the cut.
+        let mut behind: &[u8] = match behind {
+            Behind::Nothing => &[],
+            Behind::Zeros => &[0; 4096],
+            Behind::Older => &older[LOG_HEADER_LEN as usize + log.len()..],
+        };
+        // Where those bytes are the very bytes the cut took — an older
+        // generation of the same commits under a torn payload, or zeroes
+        // under a torn page of zeroes — the file holds the frame whole,
+        // and it is a commit. It was written, if never acknowledged.
+        if bad_frame.is_none() && whole < ends.len() {
+            let missing = &written[log.len()..ends[whole]];
+            if behind.starts_with(missing) {
+                log.extend_from_slice(missing);
+                behind = &behind[missing.len()..];
+                whole += 1;
+            }
+        }
+        let expected = model(file, &commits[..whole]);
+        let fence = if whole == 0 { 0 } else { ends[whole - 1] as u64 };
 
         // (a) crash recovery, over the header, the log up to the cut, and
         // what lies behind it.
         let header = &std::fs::read(&*scratch).unwrap()[..LOG_HEADER_LEN as usize];
-        let rest = LOG_HEADER_LEN as usize + log.len();
-        let behind: &[u8] = match behind {
-            Behind::Nothing => &[],
-            Behind::Zeros => &[0; 4096],
-            Behind::Older => &older[rest..],
-        };
         let a = TempPath::new();
         std::fs::write(&a, file).unwrap();
         std::fs::write(a.wal(), [header, &log, behind].concat()).unwrap();
@@ -405,9 +385,9 @@ proptest! {
         }
         prop_assert_eq!(refused, bad_frame);
         // The snapshot installed epoch 1; every applied commit bumps it.
-        prop_assert_eq!(b.epoch() - 1, commits);
+        prop_assert_eq!(b.epoch() - 1, whole as u64);
         b.promote_to_primary().unwrap();
-        prop_assert_eq!(b.wal_len(), committed_end);
+        prop_assert_eq!(b.wal_len(), fence);
         b.close();
         prop_assert!(std::fs::read(b.path()).unwrap() == expected, "replica differs from the model");
     }

@@ -6,7 +6,7 @@
 //! odedump object  <db> <oid>    one object's metadata and history
 //! odedump chains  <db>          per-object delta-chain statistics
 //! odedump dot     <db> <oid>    Graphviz export of a version graph
-//! odedump wal     <db>          decode WAL records (offsets, links, epochs)
+//! odedump wal     <db>          list WAL commits (offsets, links, epochs, page records)
 //! odedump fsck    <db>          consistency check
 //! ```
 
@@ -14,6 +14,7 @@ use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use ode_storage::wal::WalRecord;
 use ode_version::VersionError;
 
 fn usage() -> ExitCode {
@@ -25,7 +26,7 @@ fn usage() -> ExitCode {
          \x20 object  <db> <oid>    one object's metadata and history\n\
          \x20 chains  <db>          per-object delta-chain statistics\n\
          \x20 dot     <db> <oid>    Graphviz export of a version graph\n\
-         \x20 wal     <db>          decode WAL records (offsets, links, epochs) + summary\n\
+         \x20 wal     <db>          list WAL commits (offsets, links, epochs, page records) + summary\n\
          \x20 fsck    <db>          consistency check"
     );
     ExitCode::from(2)
@@ -198,23 +199,38 @@ fn run(command: &str, rest: &[String], out: &mut impl Write) -> Result<(), Stop>
             write!(out, "{dot}")?;
         }
         "wal" => {
-            let (records, torn) = ode_tools::wal_records(&db)?;
-            if !records.is_empty() {
+            let (commits, torn) = ode_tools::wal_records(&db)?;
+            if !commits.is_empty() {
                 writeln!(
                     out,
-                    "{:>10} {:>9} {:>10} {:>7}  record",
+                    "{:>10} {:>9} {:>10} {:>7}  page records",
                     "offset", "bytes", "link", "epoch"
                 )?;
-                for r in &records {
-                    let epoch = match r.epoch {
-                        Some(e) => format!("+{e}"),
-                        None => "-".into(),
+            }
+            // One line a page record; a commit's frame heads its first.
+            for c in &commits {
+                for (k, record) in c.records.iter().enumerate() {
+                    let frame = if k == 0 {
+                        format!(
+                            "{:>10} {:>9} {:#010x} {:>7}",
+                            c.offset,
+                            c.payload_bytes,
+                            c.link,
+                            format!("+{}", c.epoch)
+                        )
+                    } else {
+                        String::new()
                     };
-                    writeln!(
-                        out,
-                        "{:>10} {:>9} {:#010x} {:>7}  {}",
-                        r.offset, r.payload_bytes, r.link, epoch, r.desc
-                    )?;
+                    let desc = match record {
+                        WalRecord::Page { page, image } => {
+                            format!("page-image  page={page} bytes={}", image.len())
+                        }
+                        WalRecord::PageDelta { page, ops } => {
+                            let bytes: usize = ops.iter().map(|(_, b)| b.len()).sum();
+                            format!("page-delta  page={page} runs={} bytes={bytes}", ops.len())
+                        }
+                    };
+                    writeln!(out, "{frame:<39}  {desc}")?;
                 }
             }
             if let Some(offset) = torn {
@@ -223,7 +239,6 @@ fn run(command: &str, rest: &[String], out: &mut impl Write) -> Result<(), Stop>
             let s = ode_tools::wal_summary(&db)?;
             writeln!(out, "seed       : {:#010x}", s.seed)?;
             writeln!(out, "bytes      : {}", s.bytes)?;
-            writeln!(out, "begins     : {}", s.begins)?;
             writeln!(out, "commits    : {}", s.commits)?;
             writeln!(out, "page images: {}", s.page_images)?;
             writeln!(out, "page deltas: {}", s.page_deltas)?;

@@ -17,6 +17,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 use ode_object::{IdClaim, Oid};
+use ode_storage::wal::{Replay, Scan, Wal, WalRecord, FRAME_HEADER_LEN};
 use ode_storage::{PageId, PageRead, Store, StoreOptions, StoreStats};
 use ode_version::{version_graph_dot, VersionStore, VersionStoreLayout};
 
@@ -327,9 +328,7 @@ pub struct WalSummary {
     pub seed: u32,
     /// Bytes of the live generation's frames.
     pub bytes: u64,
-    /// Begin records (transactions started).
-    pub begins: usize,
-    /// Commit records.
+    /// Committed transactions: one frame each.
     pub commits: usize,
     /// Full page-image records.
     pub page_images: usize,
@@ -342,104 +341,95 @@ pub struct WalSummary {
 /// Summarize the WAL that accompanies a database file (without opening
 /// the store, so the log is left exactly as found — no recovery runs).
 pub fn wal_summary(db_path: &Path) -> Result<WalSummary> {
-    use ode_storage::wal::{Wal, WalRecord};
-    let mut wal_path = db_path.to_path_buf().into_os_string();
-    wal_path.push(".wal");
-    let wal_path = std::path::PathBuf::from(wal_path);
-    if !wal_path.exists() {
+    let Some(wal) = open_wal(db_path)? else {
         return Ok(WalSummary::default());
-    }
-    let mut wal = Wal::open(&wal_path).map_err(ode_version::VersionError::Storage)?;
-    let (records, tear) = wal.records().map_err(ode_version::VersionError::Storage)?;
-    let mut summary = WalSummary {
+    };
+    let (commits, torn) = wal_records(db_path)?;
+    let records = || commits.iter().flat_map(|commit| &commit.records);
+    Ok(WalSummary {
         seed: wal.seed(),
         bytes: wal.len(),
-        torn_tail: tear.is_some(),
-        ..WalSummary::default()
-    };
-    for record in &records {
-        match record {
-            WalRecord::Begin { .. } => summary.begins += 1,
-            WalRecord::Commit { .. } => summary.commits += 1,
-            WalRecord::Page { .. } => summary.page_images += 1,
-            WalRecord::PageDelta { .. } => summary.page_deltas += 1,
-        }
-    }
-    Ok(summary)
+        commits: commits.len(),
+        page_images: records()
+            .filter(|r| matches!(r, WalRecord::Page { .. }))
+            .count(),
+        page_deltas: records()
+            .filter(|r| matches!(r, WalRecord::PageDelta { .. }))
+            .count(),
+        torn_tail: torn.is_some(),
+    })
 }
 
-/// One decoded WAL record with its position in the log's live
-/// generation.
+/// One commit of the log's live generation: its frame's place in the
+/// log and its page records.
 ///
 /// Offsets count from the end of the log header, within the live
 /// generation (the logical shipping coordinate adds the store's
 /// in-memory base, which an offline dump cannot know); `epoch` counts
-/// commits within the generation, so the record that produced "the
-/// k-th epoch since the last checkpoint" reads `Some(k)`.
+/// commits within the generation, so the commit that produced "the
+/// k-th epoch since the last checkpoint" reads `k`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalRecordInfo {
-    /// Byte offset of the record's frame (`[len][crc][link][payload]`).
+pub struct WalCommitInfo {
+    /// Byte offset of the commit's frame (`[len][crc][link][payload]`).
     pub offset: u64,
     /// Payload length in bytes (the frame adds a
-    /// [`FRAME_HEADER_LEN`](ode_storage::wal::FRAME_HEADER_LEN)-byte
-    /// header).
+    /// [`FRAME_HEADER_LEN`]-byte header).
     pub payload_bytes: u32,
     /// The frame's chain link.
     pub link: u32,
-    /// For `Commit` records: 1-based commit index within this file.
-    pub epoch: Option<u64>,
-    /// Human-readable description of the record.
-    pub desc: String,
+    /// 1-based commit index within the generation.
+    pub epoch: u64,
+    /// The commit's page records, in log order.
+    pub records: Vec<WalRecord>,
 }
 
-/// Decode every intact WAL record of the live generation — the frames
-/// that chain from the log header's seed — with its offset, sizing,
-/// link and (for commits) epoch index. Returns the records plus the
-/// offset of a torn frame, if any — reading the file without recovery,
-/// so the log is left exactly as found. Older generations' bytes past
-/// the live end are not listed.
-pub fn wal_records(db_path: &Path) -> Result<(Vec<WalRecordInfo>, Option<u64>)> {
-    use ode_storage::wal::{Wal, WalRecord};
+/// The log beside a database file, `None` when there is none.
+fn open_wal(db_path: &Path) -> Result<Option<Wal>> {
     let mut wal_path = db_path.to_path_buf().into_os_string();
     wal_path.push(".wal");
     let wal_path = std::path::PathBuf::from(wal_path);
     if !wal_path.exists() {
+        return Ok(None);
+    }
+    Ok(Some(
+        Wal::open(&wal_path).map_err(ode_version::VersionError::Storage)?,
+    ))
+}
+
+/// Decode every commit of the live generation — the frames that chain
+/// from the log header's seed — with its offset, sizing, link and
+/// epoch index. Returns the commits plus the offset of a torn frame
+/// (one whose header chains but whose payload is cut short or fails
+/// its CRC), if the generation ends at one — reading the file without
+/// recovery, so the log is left exactly as found. Older generations'
+/// bytes past the live end are not listed.
+pub fn wal_records(db_path: &Path) -> Result<(Vec<WalCommitInfo>, Option<u64>)> {
+    let storage = ode_version::VersionError::Storage;
+    let Some(wal) = open_wal(db_path)? else {
         return Ok((Vec::new(), None));
-    }
-    let (frames, torn) = Wal::open(&wal_path)
-        .and_then(|mut wal| wal.frames())
-        .map_err(ode_version::VersionError::Storage)?;
-    let mut records = Vec::new();
-    let mut epoch = 0u64;
-    for frame in frames {
-        let desc = match frame.record {
-            Some(WalRecord::Begin { tx }) => format!("begin       tx={tx}"),
-            Some(WalRecord::Page { tx, page, image }) => {
-                format!("page-image  tx={tx} page={page} bytes={}", image.len())
+    };
+    let data = wal.read_file().map_err(storage)?;
+    let mut replay = Replay::new(0, wal.seed());
+    replay.push(&data);
+    let mut commits = Vec::new();
+    let torn = loop {
+        let offset = replay.offset();
+        match replay.next_commit().map_err(storage)? {
+            Scan::Found(commit) => commits.push(WalCommitInfo {
+                offset,
+                payload_bytes: (replay.offset() - offset) as u32 - FRAME_HEADER_LEN as u32,
+                link: replay.link(),
+                epoch: commits.len() as u64 + 1,
+                records: commit.records,
+            }),
+            Scan::BadCrc => break Some(offset),
+            Scan::Incomplete if data.len() as u64 - offset >= FRAME_HEADER_LEN as u64 => {
+                break Some(offset)
             }
-            Some(WalRecord::PageDelta { tx, page, ops }) => {
-                let bytes: usize = ops.iter().map(|(_, b)| b.len()).sum();
-                format!(
-                    "page-delta  tx={tx} page={page} runs={} bytes={bytes}",
-                    ops.len()
-                )
-            }
-            Some(WalRecord::Commit { tx }) => {
-                epoch += 1;
-                format!("commit      tx={tx}")
-            }
-            None => "UNDECODABLE (intact frame, unknown payload)".into(),
-        };
-        let is_commit = desc.starts_with("commit");
-        records.push(WalRecordInfo {
-            offset: frame.offset,
-            payload_bytes: frame.payload_len,
-            link: frame.link,
-            epoch: is_commit.then_some(epoch),
-            desc,
-        });
-    }
-    Ok((records, torn))
+            Scan::Incomplete | Scan::Unchained => break None,
+        }
+    };
+    Ok((commits, torn))
 }
 
 /// Check every object's version-graph invariants and that every version
@@ -616,7 +606,6 @@ mod tests {
             std::mem::forget(db);
         }
         let s = wal_summary(&path).unwrap();
-        assert_eq!(s.begins, 1);
         assert_eq!(s.commits, 1);
         assert!(s.page_images + s.page_deltas > 0);
         assert!(!s.torn_tail);

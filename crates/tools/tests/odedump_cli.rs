@@ -59,7 +59,7 @@ fn a_closed_pipe_ends_the_dump_quietly() {
 
 #[test]
 fn a_format_1_file_is_named_as_such() {
-    for old in [1, 2, 3] {
+    for old in [1, 2, 3, 4] {
         let mut store = TempStore::new();
         store.close();
         let mut file = std::fs::read(store.path()).unwrap();

@@ -1,7 +1,7 @@
-//! `wal_records` decodes the log of a crashed database: every frame
-//! gets an offset and its link, commit records get epoch indices, and
-//! a torn tail is reported by offset instead of hiding the intact
-//! prefix.
+//! `wal_records` decodes the log of a crashed database: one entry per
+//! commit — one frame — with its offset, link, epoch index and page
+//! records, and a torn tail is reported by offset instead of hiding
+//! the intact prefix.
 
 use ode::{Database, DatabaseOptions};
 use ode_codec::{impl_persist_struct, impl_type_name};
@@ -49,29 +49,25 @@ fn records_carry_offsets_and_commit_epochs() {
     // Crash: leak the database so no shutdown checkpoint trims the log.
     std::mem::forget(db);
 
-    let (records, torn) = wal_records(&path).unwrap();
+    let (commits, torn) = wal_records(&path).unwrap();
     assert_eq!(torn, None, "clean log has no torn tail");
-    assert!(!records.is_empty());
 
-    // Offsets are ascending and frame-consistent: each record starts
-    // where the previous frame (12-byte header + payload) ended, and
-    // no two frames share a link.
+    // One entry a commit, numbered 1..=k in order, each with its page
+    // records. Offsets are ascending and frame-consistent: each commit
+    // starts where the previous frame (12-byte header + payload) ended,
+    // and no two frames share a link.
+    let epochs: Vec<u64> = commits.iter().map(|c| c.epoch).collect();
+    assert_eq!(epochs, vec![1, 2, 3]);
     let mut expected = 0u64;
-    for r in &records {
-        assert_eq!(r.offset, expected, "frame accounting drifted: {r:?}");
-        expected += 12 + u64::from(r.payload_bytes);
+    for c in &commits {
+        assert_eq!(c.offset, expected, "frame accounting drifted: {c:?}");
+        assert!(!c.records.is_empty(), "{c:?}");
+        expected += 12 + u64::from(c.payload_bytes);
     }
-    let mut links: Vec<u32> = records.iter().map(|r| r.link).collect();
+    let mut links: Vec<u32> = commits.iter().map(|c| c.link).collect();
     links.sort_unstable();
     links.dedup();
-    assert_eq!(links.len(), records.len());
-
-    // Exactly the commits carry epochs, numbered 1..=k in order.
-    let epochs: Vec<u64> = records.iter().filter_map(|r| r.epoch).collect();
-    assert_eq!(epochs, vec![1, 2, 3]);
-    for r in &records {
-        assert_eq!(r.epoch.is_some(), r.desc.starts_with("commit"), "{r:?}");
-    }
+    assert_eq!(links.len(), commits.len());
 
     // Garbage shorter than a frame header cannot chain: it reads as
     // the end of the log, as a zero fill or an older generation does.
@@ -80,15 +76,15 @@ fn records_carry_offsets_and_commit_epochs() {
     let intact = bytes.len();
     bytes.extend_from_slice(&[0x55; 5]);
     std::fs::write(&wal_path, &bytes).unwrap();
-    assert_eq!(wal_records(&path).unwrap(), (records.clone(), None));
+    assert_eq!(wal_records(&path).unwrap(), (commits.clone(), None));
 
     // A torn tail (a frame whose header landed and whose payload did
     // not, after a crash) is reported at the right offset; the intact
     // prefix still decodes.
     std::fs::write(&wal_path, &bytes[..intact - 1]).unwrap();
     let (again, torn) = wal_records(&path).unwrap();
-    assert_eq!(again, records[..records.len() - 1]);
-    assert_eq!(torn, Some(records[records.len() - 1].offset));
+    assert_eq!(again, commits[..commits.len() - 1]);
+    assert_eq!(torn, Some(commits[commits.len() - 1].offset));
 
     cleanup(&path);
 }
@@ -111,8 +107,8 @@ fn an_uncommitted_tail_is_listed_then_fenced_by_the_next_open() {
         txn.pnew(&note("kept")).unwrap();
         txn.commit().unwrap();
     }
-    // A session killed between its page records and its Commit record:
-    // crash after a commit, then chop the Commit frame (12 + 2 bytes).
+    // A session killed while its commit's frame landed: crash after a
+    // commit, then chop the frame's last byte.
     {
         let db = Database::open(&path, DatabaseOptions::default()).unwrap();
         let mut txn = db.begin();
@@ -122,24 +118,20 @@ fn an_uncommitted_tail_is_listed_then_fenced_by_the_next_open() {
         let wal = wal_of(&path);
         let len = std::fs::metadata(&wal).unwrap().len();
         let f = std::fs::OpenOptions::new().write(true).open(&wal).unwrap();
-        f.set_len(len - 14).unwrap();
+        f.set_len(len - 1).unwrap();
     }
-    // The dump shows the intact frames as they are: a begin, page
-    // records, no commit, no tear.
-    let (records, torn) = wal_records(&path).unwrap();
-    assert_eq!(torn, None);
-    assert!(records[0].desc.starts_with("begin"));
-    assert!(records.len() > 1);
-    assert!(records.iter().all(|r| r.epoch.is_none()));
+    // The dump lists no commit and reports the torn frame at offset 0.
+    let (commits, torn) = wal_records(&path).unwrap();
+    assert!(commits.is_empty());
+    assert_eq!(torn, Some(0));
     // fsck opens the store, so recovery runs: the ghost is gone and the
     // store is healthy ...
     let report = ode_tools::fsck(&path).unwrap();
     assert!(report.is_healthy(), "{:?}", report.problems);
     assert_eq!(report.objects_checked, 1);
-    // ... and nothing of the tail is left for a later transaction to
-    // adopt by recycling its id.
-    let (records, torn) = wal_records(&path).unwrap();
-    assert!(records.is_empty());
+    // ... and nothing of the torn frame is left in the log.
+    let (commits, torn) = wal_records(&path).unwrap();
+    assert!(commits.is_empty());
     assert_eq!(torn, None);
     cleanup(&path);
 }

@@ -640,7 +640,7 @@ fn editing_the_latest_touches_no_chain_record() {
 /// still: the whole store fits four pages.)
 #[test]
 fn check_ins_cost_the_same_in_the_8th_segment_and_in_the_16th() {
-    use ode_storage::wal::{Wal, WalRecord};
+    use ode_storage::wal::{Replay, Scan, Wal};
     let path = temp_path("o1");
     let store = Store::create(&path, StoreOptions::default()).unwrap();
     let vs = chained(16);
@@ -663,19 +663,19 @@ fn check_ins_cost_the_same_in_the_8th_segment_and_in_the_16th() {
     // No checkpoint emptied the log, so it still holds every check-in.
     let mut wal_path = path.clone().into_os_string();
     wal_path.push(".wal");
-    let (records, torn) = Wal::open(std::path::Path::new(&wal_path))
-        .unwrap()
-        .records()
-        .unwrap();
-    assert!(torn.is_none());
+    let wal = Wal::open(std::path::Path::new(&wal_path)).unwrap();
+    let mut replay = Replay::new(0, wal.seed());
+    replay.push(&wal.read_file().unwrap());
     let mut check_in = 0;
-    for record in &records {
-        match record {
-            WalRecord::Begin { .. } => {}
-            WalRecord::Page { .. } | WalRecord::PageDelta { .. } => costs[check_in].0 += 1,
-            WalRecord::Commit { .. } => check_in += 1,
-        }
+    while let Scan::Found(commit) = replay.next_commit().unwrap() {
+        costs[check_in].0 = commit.records.len();
+        check_in += 1;
     }
+    assert_eq!(
+        replay.next_commit().unwrap(),
+        Scan::Incomplete,
+        "no torn tail"
+    );
     assert_eq!(check_in, 257, "the create and 256 check-ins");
 
     // Check-in k makes version k + 1, so check-ins 112..=127 fill the

@@ -117,8 +117,8 @@ fn uncommitted_transaction_vanishes_on_crash() {
 }
 
 #[test]
-fn aborted_pnew_is_not_resurrected_by_a_recycled_tx_id() {
-    use ode_storage::wal::{Wal, WalRecord};
+fn a_torn_pnew_is_not_resurrected_by_a_later_commit() {
+    use ode_storage::wal::{Replay, Scan, Wal};
     let path = temp_path("resurrect");
     let doc = |text: &str| Doc {
         rev: 0,
@@ -132,9 +132,8 @@ fn aborted_pnew_is_not_resurrected_by_a_recycled_tx_id() {
         txn.commit().unwrap();
         kept
     };
-    // Session 1 is killed between the page records of its first
-    // transaction and that transaction's Commit record: chop the Commit
-    // frame (8-byte header + 2-byte payload) off an otherwise whole log.
+    // Session 1 is killed while the frame of its first commit lands:
+    // chop the frame's last 10 bytes off an otherwise whole log.
     {
         let db = Database::open(&path, DatabaseOptions::default()).unwrap();
         let mut txn = db.begin();
@@ -149,15 +148,16 @@ fn aborted_pnew_is_not_resurrected_by_a_recycled_tx_id() {
         let f = std::fs::OpenOptions::new().write(true).open(&wal).unwrap();
         f.set_len(len - 10).unwrap();
         drop(f);
-        let (records, tear) = Wal::open(&wal).unwrap().records().unwrap();
-        assert_eq!(tear, None, "the tail is intact frames, not a tear");
-        assert!(records.len() > 1);
-        assert!(!records
-            .iter()
-            .any(|r| matches!(r, WalRecord::Commit { .. })));
+        // The log holds one frame, torn: its header chains, its payload
+        // is cut short, and no commit is left.
+        let wal = Wal::open(&wal).unwrap();
+        assert!(wal.is_empty());
+        let mut replay = Replay::new(0, wal.seed());
+        replay.push(&wal.read_file().unwrap());
+        assert_eq!(replay.next_commit().unwrap(), Scan::Incomplete);
     }
-    // Session 2 recovers, commits a smaller change under the recycled
-    // transaction id, and crashes.
+    // Session 2 recovers, commits a smaller change where the torn frame
+    // began, and crashes.
     {
         let db = Database::open(&path, DatabaseOptions::default()).unwrap();
         assert_eq!(db.snapshot().objects::<Doc>().unwrap(), vec![kept]);
