@@ -35,7 +35,7 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Instant;
 
-use ode::{Database, DatabaseOptions, Oid, TypeTag};
+use ode::{Database, DatabaseOptions, Oid, RawRead, TypeTag};
 use ode_net::protocol::{write_frame, FrameBuffer, MAGIC};
 use ode_net::{ClientConfig, OdeClient, OdeServer, Request, Response, ServerConfig};
 use polling::{Event, Poller};

@@ -35,7 +35,7 @@ use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ode::{Database, DatabaseOptions, Oid, TypeTag};
+use ode::{Database, DatabaseOptions, Oid, RawRead, TypeTag};
 use ode_net::{
     ClientConfig, OdeClient, OdeRouter, OdeServer, Request, Response, RouterConfig, ServerConfig,
     ShardMembership,

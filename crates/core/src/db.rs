@@ -9,7 +9,7 @@ use ode_version::{ChainConfig, EpochCache, Result, VersionStore, VersionStoreLay
 
 use crate::event::{Event, TriggerId, TriggerRegistry};
 use crate::ptr::ObjPtr;
-use crate::txn::{Snapshot, Txn};
+use crate::txn::{self, Snapshot, Txn};
 use crate::OdeType;
 
 /// Bodies the materialization cache holds — enough for a hot working
@@ -139,7 +139,7 @@ impl Database {
     /// the storage engine's write mutex; concurrent snapshots are
     /// unaffected, and the transaction can never hit a write conflict.
     pub fn begin(&self) -> Txn<'_> {
-        Txn::new(self, self.store.begin())
+        txn::begin(self, self.store.begin())
     }
 
     /// Begin an *optimistic* read-write transaction: no lock is taken,
@@ -150,7 +150,7 @@ impl Database {
     /// and must be **re-executed from the start** — use
     /// [`Database::transact`] for the standard retry loop.
     pub fn begin_optimistic(&self) -> Txn<'_> {
-        Txn::new(self, self.store.begin_optimistic())
+        txn::begin(self, self.store.begin_optimistic())
     }
 
     /// Run `body` in an optimistic transaction, retrying with
@@ -229,7 +229,7 @@ impl Database {
     /// any number run in parallel, with each other and with a writer's
     /// build phase.
     pub fn snapshot(&self) -> Snapshot<'_> {
-        Snapshot::new(self, self.store.read())
+        txn::snapshot(self, self.store.read())
     }
 
     /// Force a checkpoint (dirty pages to the database file, WAL trimmed

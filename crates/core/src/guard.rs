@@ -28,14 +28,14 @@ use crate::ptr::VersionPtr;
 /// object state as of its latest version at dereference time.
 ///
 /// [`ObjPtr`]: crate::ObjPtr
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ORef<T> {
     pub(crate) value: T,
     pub(crate) version: VersionPtr<T>,
 }
 
 /// Guard from dereferencing a specific reference ([`VersionPtr`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VRef<T> {
     pub(crate) value: T,
     pub(crate) version: VersionPtr<T>,

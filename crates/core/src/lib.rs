@@ -8,16 +8,23 @@
 //!
 //! | O++ | here |
 //! |-----|------|
-//! | `pnew T(...)` | [`Txn::pnew`] → [`ObjPtr<T>`] |
+//! | `pnew T(...)` | [`Session::pnew`] → [`ObjPtr<T>`] |
 //! | object id (`T*`) | [`ObjPtr<T>`] — resolves to the **latest** version at each use |
 //! | version id | [`VersionPtr<T>`] — pinned to one version |
-//! | `*p` / `p->f` (overloaded) | [`Txn::deref`] / [`Txn::deref_v`] returning guards that `Deref<Target = T>` |
-//! | mutation through a pointer | [`Txn::update`] / [`Txn::update_version`] |
-//! | `newversion(p)` | [`Txn::newversion`] / [`Txn::newversion_from`] |
-//! | `pdelete` | [`Txn::pdelete`] / [`Txn::pdelete_version`] |
-//! | `Dprevious` / `Tprevious` … | [`Txn::dprevious`], [`Txn::tprevious`], [`Txn::tnext`], [`Txn::dnext`] |
-//! | `for x in Type` (extent query) | [`Txn::objects`] |
+//! | `*p` / `p->f` (overloaded) | [`Session::deref`] / [`Session::deref_v`] returning guards that `Deref<Target = T>` |
+//! | mutation through a pointer | [`Session::put`] / [`Session::put_version`]; in place, embedded: `Txn::update` / `Txn::update_version` |
+//! | `newversion(p)` | [`Session::newversion`] / [`Session::newversion_from`] |
+//! | `pdelete` | [`Session::pdelete`] / [`Session::pdelete_version`] |
+//! | `Dprevious` / `Tprevious` … | [`Session::dprevious`], [`Session::tprevious`], [`Session::tnext`], [`Session::dnext`] |
+//! | `for x in Type` (extent query) | [`Session::objects`] |
 //! | triggers | [`Database::on_object`] / [`Database::on_type`] |
+//!
+//! The O++ surface is written once, in two layers ([`RawRead`] and
+//! [`RawWrite`]: the wire protocol's operations on ids and encoded
+//! bodies; [`Session`]: the typed methods above, over any raw backend).
+//! A [`Txn`] or [`Snapshot`] is a `Session` over the embedded backend
+//! ([`Embedded`]), which adds the operations that need the version
+//! store directly; `ode-net` makes a `Session` over its network client.
 //!
 //! ## Quick start
 //!
@@ -56,6 +63,7 @@ mod db;
 mod event;
 mod guard;
 mod ptr;
+mod session;
 #[doc(hidden)]
 pub mod testutil;
 mod txn;
@@ -64,7 +72,8 @@ pub use db::{Database, DatabaseOptions, RetryPolicy};
 pub use event::{Event, TriggerId};
 pub use guard::{ORef, VRef};
 pub use ptr::{ObjPtr, VersionPtr};
-pub use txn::{MergeReport, Snapshot, Txn};
+pub use session::{MergeReport, RawRead, RawWrite, Session};
+pub use txn::{Embedded, Snapshot, Txn};
 
 pub use ode_codec::type_tag::TypeName;
 pub use ode_codec::{Persist, TypeTag};

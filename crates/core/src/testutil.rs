@@ -4,12 +4,19 @@
 //! temp path plus manual cleanup of both the database file and its
 //! `.wal` sidecar; [`tempdb`] packages that dance. The returned
 //! [`TempDb`] derefs to [`Database`] and removes both files on drop.
+//!
+//! Scripts that every deployment shape must pass alike — embedded, on
+//! a server, through a router — live here too, written once over
+//! [`Session`], so each surface's tests run the same script.
 
+use std::fmt::Debug;
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::{Database, DatabaseOptions};
+use ode_codec::{impl_persist_struct, impl_type_name, to_bytes};
+
+use crate::{Database, DatabaseOptions, MergePolicy, ObjPtr, RawWrite, Session};
 
 static NEXT_DB: AtomicU64 = AtomicU64::new(0);
 
@@ -89,10 +96,78 @@ impl Drop for TempDb {
     }
 }
 
+/// Flat text, for byte-wise merge scripts.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Text {
+    pub text: String,
+}
+impl_persist_struct!(Text { text });
+impl_type_name!(Text = "testutil/Text");
+
+/// The moved-block merge's base, ours, theirs and merged texts: three
+/// 1 360-letter slices, 8 newlines apart. Theirs moves slice 2's text
+/// to slice 0 and rewrites slice 2; ours rewrites slice 1.
+fn moved_block_texts() -> [String; 4] {
+    let slice = |mut x: u64, first: u8| -> String {
+        (0..1360)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                char::from(first + (x % 26) as u8)
+            })
+            .collect()
+    };
+    let doc = |slices: [&String; 3]| slices.map(String::as_str).join("\n\n\n\n\n\n\n\n");
+    let [s0, s1, s2] = [1, 2, 3].map(|seed| slice(seed, b'a'));
+    let (ours, theirs) = (slice(4, b'A'), slice(5, b'A'));
+    [
+        doc([&s0, &s1, &s2]),
+        doc([&s0, &ours, &s2]),
+        doc([&s2, &s1, &theirs]),
+        doc([&s2, &ours, &theirs]),
+    ]
+}
+
+/// The moved-block merge script, on any backend: fork the base twice,
+/// write ours and theirs, and merge under every policy. Each must merge
+/// cleanly to slice 2's text, our slice 1 and their slice 2 — no side's
+/// edit lost to the move — and check the result in as the latest.
+/// Panics on a failed check; returns the object for further reads.
+pub fn moved_block<B: RawWrite>(s: &mut Session<B>) -> ObjPtr<Text>
+where
+    B::Error: Debug,
+{
+    let text = |text: &String| Text { text: text.clone() };
+    let [base, ours, theirs, merged] = moved_block_texts();
+    let p = s.pnew(&text(&base)).expect("pnew");
+    let base = s.current_version(&p).expect("current_version");
+    let a = s.newversion_from(&base).expect("fork a");
+    s.put_version(&a, &text(&ours)).expect("edit a");
+    let b = s.newversion_from(&base).expect("fork b");
+    s.put_version(&b, &text(&theirs)).expect("edit b");
+    for policy in [MergePolicy::Fail, MergePolicy::Ours, MergePolicy::Theirs] {
+        let report = s.merge(&a, &b, policy).expect("merge");
+        assert!(
+            report.conflicts.is_empty(),
+            "under {policy:?}: {} conflicts",
+            report.conflicts.len()
+        );
+        let m = report.version.expect("a clean merge checks in");
+        let latest = s.deref(&p).expect("deref");
+        assert_eq!(latest.version(), m);
+        assert_eq!(
+            to_bytes(&*latest),
+            to_bytes(&text(&merged)),
+            "under {policy:?}"
+        );
+    }
+    p
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ode_codec::{impl_persist_struct, impl_type_name};
 
     #[derive(Debug, Clone, PartialEq)]
     struct Probe {

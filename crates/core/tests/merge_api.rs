@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use ode::{Error, Event, MergePolicy, VersionPtr, Vid};
-use ode_codec::{impl_persist_struct, impl_type_name, to_bytes};
+use ode_codec::{impl_persist_struct, impl_type_name};
 
 #[derive(Debug, Clone, PartialEq)]
 struct Doc {
@@ -34,31 +34,6 @@ fn fork_disjoint(txn: &mut ode::Txn<'_>) -> (VersionPtr<Doc>, VersionPtr<Doc>, V
         .derive_from_with(&base, |d| d.text = d.text.replace("lazy", "LAZY"))
         .unwrap();
     (base, a, b)
-}
-
-/// The moved-block merge: three 1 360-letter slices, 8 newlines apart.
-/// Theirs moves slice 2's text to slice 0 and rewrites slice 2; ours
-/// rewrites slice 1. Returns the base, ours, theirs and merged texts.
-fn moved_block_script() -> [String; 4] {
-    let slice = |mut x: u64, first: u8| -> String {
-        (0..1360)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                char::from(first + (x % 26) as u8)
-            })
-            .collect()
-    };
-    let doc = |slices: [&String; 3]| slices.map(String::as_str).join("\n\n\n\n\n\n\n\n");
-    let [s0, s1, s2] = [1, 2, 3].map(|seed| slice(seed, b'a'));
-    let (ours, theirs) = (slice(4, b'A'), slice(5, b'A'));
-    [
-        doc([&s0, &s1, &s2]),
-        doc([&s0, &ours, &s2]),
-        doc([&s2, &s1, &theirs]),
-        doc([&s2, &ours, &theirs]),
-    ]
 }
 
 #[test]
@@ -108,23 +83,9 @@ fn merge_conflicts_respect_the_policy() {
 
 #[test]
 fn a_moved_block_keeps_the_other_sides_edit() {
-    let [base, ours, theirs, merged] = moved_block_script();
     let db = ode::testutil::tempdb();
     let mut txn = db.begin();
-    let p = txn.pnew(&doc(&base)).unwrap();
-    let base = txn.current_version(&p).unwrap();
-    let a = txn.derive_from_with(&base, |d| d.text = ours).unwrap();
-    let b = txn.derive_from_with(&base, |d| d.text = theirs).unwrap();
-    for policy in [MergePolicy::Fail, MergePolicy::Ours, MergePolicy::Theirs] {
-        let report = txn.merge(&a, &b, policy).unwrap();
-        assert!(report.conflicts.is_empty(), "under {policy:?}");
-        let m = report.version.expect("a clean merge checks in");
-        assert_eq!(
-            to_bytes(&*txn.deref_v(&m).unwrap()),
-            to_bytes(&doc(&merged)),
-            "under {policy:?}"
-        );
-    }
+    ode::testutil::moved_block(&mut txn);
     txn.commit().unwrap();
 }
 
@@ -177,7 +138,9 @@ fn snapshot_ancestors_walk_both_parents_and_survive_splices() {
     assert_eq!(anc, vec![m, b, base]);
     assert_eq!(snap.common_ancestor(&m, &b).unwrap(), Some(b));
     // Unknown versions error rather than walking nothing.
-    assert!(snap.ancestors_raw(Vid(99_999)).is_err());
+    assert!(snap
+        .ancestors(&VersionPtr::<Doc>::from_vid(Vid(99_999)))
+        .is_err());
 }
 
 #[test]

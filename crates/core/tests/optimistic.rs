@@ -6,9 +6,9 @@
 //! closure against fresh reads. These tests force conflicts
 //! deterministically (an exclusive transaction commits an overlapping
 //! update between the optimistic transaction's reads and its commit)
-//! and check the retry loop's convergence, its attempt bound, the
-//! `commit_once` escape hatch, and a genuinely contended multi-threaded
-//! counter.
+//! and check the retry loop's convergence, its attempt bound, `commit`
+//! outside `transact` as the no-retry path, and a genuinely contended
+//! multi-threaded counter.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
@@ -125,8 +125,8 @@ fn transact_stops_at_the_attempt_bound() {
     assert_eq!(txn.deref(&ptr).unwrap().value, 300);
 }
 
-/// `commit_once` is the no-retry escape hatch: the conflict comes back
-/// to the caller instead of re-running anything.
+/// `commit` outside `transact` is the no-retry path: the conflict comes
+/// back to the caller instead of re-running anything.
 #[test]
 fn commit_once_surfaces_the_conflict() {
     let (db, ptr) = counter_db();
@@ -137,7 +137,7 @@ fn commit_once_surfaces_the_conflict() {
     interfere(&db, &ptr);
     let err = (move || -> ode::Result<()> {
         txn.update(&ptr, |c| c.value = v + 1)?;
-        txn.commit_once()
+        txn.commit()
     })()
     .unwrap_err();
     assert!(

@@ -1,18 +1,19 @@
 //! The blocking Ode client.
 //!
 //! [`OdeClient`] speaks the wire protocol over one reused TCP
-//! connection and exposes typed methods mirroring the embedded
-//! [`ode::Txn`] API: values are encoded/decoded locally with
-//! [`ode_codec`], and references are the embedded API's own
-//! [`ObjPtr`] (generic, late-bound) and [`VersionPtr`] (specific,
-//! early-bound), so a pointer moves between a [`ode::Txn`] and an
-//! `OdeClient` with no conversion.
+//! connection. It is a raw backend of the O++ surface: it implements
+//! [`RawRead`] and [`RawWrite`], each method one request and one
+//! response match. The typed API is [`ode::Session`] over a client,
+//! the same code an embedded [`ode::Txn`] runs: values are encoded and
+//! decoded locally with [`ode_codec`], references are the embedded
+//! API's own [`ode::ObjPtr`] and [`ode::VersionPtr`], and results come
+//! back in the embedded shapes.
 //!
 //! The connection is a **pipeline**: every request carries a
 //! client-assigned sequence id and the server may answer out of order,
 //! so [`OdeClient::send`] / [`OdeClient::recv`] keep any number of
 //! requests in flight, with [`OdeClient::pipeline`] batching a whole
-//! group in one flush. The typed methods are all one-request
+//! group in one flush. The raw methods are all one-request
 //! conveniences over the same machinery.
 //!
 //! The connection is lazily (re)established. Idempotent reads are
@@ -28,10 +29,7 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use ode::{
-    MergeConflict, MergePolicy, ObjPtr, OdeType, Oid, TypeTag, VersionDiff, VersionPtr, Vid,
-};
-use ode_codec::{from_bytes, to_bytes};
+use ode::{MergeConflict, MergePolicy, Oid, RawRead, RawWrite, TypeTag, VersionDiff, Vid};
 use ode_storage::page::IdHasher;
 
 use crate::error::{NetError, Result};
@@ -72,13 +70,14 @@ type SeqHash = BuildHasherDefault<IdHasher>;
 
 /// A blocking client for one Ode server.
 ///
-/// Its typed methods mirror [`ode::Txn`]'s and use the same pointer
-/// types, so an [`ObjPtr`] or [`VersionPtr`] obtained here also
+/// Wrapped in an [`ode::Session`], it offers the typed O++ surface of
+/// an embedded [`ode::Txn`], with the same pointer types, so an
+/// [`ode::ObjPtr`] or [`ode::VersionPtr`] obtained here also
 /// dereferences in a local transaction on the same database, and the
-/// other way round.
+/// other way round. Each write commits on its own.
 ///
 /// ```no_run
-/// use ode::{ObjPtr, VersionPtr};
+/// use ode::{ObjPtr, Session, VersionPtr};
 /// use ode_codec::{impl_persist_struct, impl_type_name};
 /// use ode_net::{ClientConfig, OdeClient};
 ///
@@ -87,13 +86,15 @@ type SeqHash = BuildHasherDefault<IdHasher>;
 /// impl_type_name!(Part = "demo/Part");
 ///
 /// # fn main() -> ode_net::Result<()> {
-/// let mut client = OdeClient::connect("127.0.0.1:4807", ClientConfig::default())?;
-/// let p: ObjPtr<Part> = client.pnew(&Part { name: "alu".into(), weight: 7 })?;
-/// let v0: VersionPtr<Part> = client.current_version(&p)?;
-/// client.newversion(&p)?;
-/// client.put(&p, &Part { name: "alu".into(), weight: 9 })?;
-/// assert_eq!(client.deref(&p)?.0.weight, 9); // generic ref: latest
-/// assert_eq!(client.deref_v(&v0)?.weight, 7); // specific ref: pinned
+/// let client = OdeClient::connect("127.0.0.1:4807", ClientConfig::default())?;
+/// let mut s = Session::new(client);
+/// let p: ObjPtr<Part> = s.pnew(&Part { name: "alu".into(), weight: 7 })?;
+/// let v0: VersionPtr<Part> = s.current_version(&p)?;
+/// s.newversion(&p)?;
+/// s.put(&p, &Part { name: "alu".into(), weight: 9 })?;
+/// assert_eq!(s.deref(&p)?.weight, 9); // generic ref: latest
+/// assert_eq!(s.deref_v(&v0)?.weight, 7); // specific ref: pinned
+/// s.raw().ping()?; // the client's own methods
 /// # Ok(())
 /// # }
 /// ```
@@ -384,242 +385,186 @@ impl OdeClient {
         }
     }
 
-    // -- typed operations (mirror ode::Txn) ---------------------------------
-
-    /// `pnew`: create a persistent object on the server.
-    pub fn pnew<T: OdeType>(&mut self, value: &T) -> Result<ObjPtr<T>> {
-        let response = self.call(&Request::Pnew {
-            tag: ObjPtr::<T>::tag(),
-            body: to_bytes(value),
-        })?;
-        match response {
-            Response::Created { oid, .. } => Ok(ObjPtr::from_oid(oid)),
-            other => Err(unexpected("created", &other)),
-        }
+    /// Type-erased `pnew` from an already-encoded body:
+    /// [`RawWrite::pnew_raw`], kept callable without importing the
+    /// trait because the `odebench` benchmark calls it by name. It stays
+    /// until the benchmark imports the trait.
+    pub fn pnew_raw(&mut self, tag: TypeTag, body: Vec<u8>) -> Result<(Oid, Vid)> {
+        <OdeClient as RawWrite>::pnew_raw(self, tag, body)
     }
+}
 
-    /// Dereference a generic reference: the latest version's value plus
-    /// a pinned pointer to the version it came from.
-    pub fn deref<T: OdeType>(&mut self, ptr: &ObjPtr<T>) -> Result<(T, VersionPtr<T>)> {
-        let response = self.call(&Request::Deref {
-            oid: ptr.oid(),
-            tag: ObjPtr::<T>::tag(),
-        })?;
-        match response {
-            Response::Body { vid, bytes } => Ok((from_bytes(&bytes)?, VersionPtr::from_vid(vid))),
+/// Each wire read row is one request and one response match.
+impl RawRead for OdeClient {
+    type Error = NetError;
+
+    fn deref_raw(&mut self, oid: Oid, tag: TypeTag) -> Result<(Vid, Vec<u8>)> {
+        match self.call(&Request::Deref { oid, tag })? {
+            Response::Body { vid, bytes } => Ok((vid, bytes)),
             other => Err(unexpected("body", &other)),
         }
     }
 
-    /// Dereference a specific reference.
-    pub fn deref_v<T: OdeType>(&mut self, vp: &VersionPtr<T>) -> Result<T> {
-        let response = self.call(&Request::DerefVersion {
-            vid: vp.vid(),
-            tag: VersionPtr::<T>::tag(),
-        })?;
-        match response {
-            Response::Body { bytes, .. } => Ok(from_bytes(&bytes)?),
+    fn deref_version_raw(&mut self, vid: Vid, tag: TypeTag) -> Result<Vec<u8>> {
+        match self.call(&Request::DerefVersion { vid, tag })? {
+            Response::Body { bytes, .. } => Ok(bytes),
             other => Err(unexpected("body", &other)),
         }
     }
 
-    /// Replace the latest version's state; returns the version written.
-    pub fn put<T: OdeType>(&mut self, ptr: &ObjPtr<T>, value: &T) -> Result<VersionPtr<T>> {
-        let response = self.call(&Request::Update {
-            oid: ptr.oid(),
-            tag: ObjPtr::<T>::tag(),
-            body: to_bytes(value),
-        })?;
-        match response {
-            Response::Version(vid) => Ok(VersionPtr::from_vid(vid)),
+    fn dprevious_raw(&mut self, vid: Vid) -> Result<Option<Vid>> {
+        match self.call(&Request::Dprevious { vid })? {
+            Response::MaybeVersion(vid) => Ok(vid),
+            other => Err(unexpected("maybe_version", &other)),
+        }
+    }
+
+    fn dnext_raw(&mut self, vid: Vid) -> Result<Vec<Vid>> {
+        match self.call(&Request::Dnext { vid })? {
+            Response::Versions(vids) => Ok(vids),
+            other => Err(unexpected("versions", &other)),
+        }
+    }
+
+    fn tprevious_raw(&mut self, vid: Vid) -> Result<Option<Vid>> {
+        match self.call(&Request::Tprevious { vid })? {
+            Response::MaybeVersion(vid) => Ok(vid),
+            other => Err(unexpected("maybe_version", &other)),
+        }
+    }
+
+    fn tnext_raw(&mut self, vid: Vid) -> Result<Option<Vid>> {
+        match self.call(&Request::Tnext { vid })? {
+            Response::MaybeVersion(vid) => Ok(vid),
+            other => Err(unexpected("maybe_version", &other)),
+        }
+    }
+
+    fn version_history_raw(&mut self, oid: Oid) -> Result<Vec<Vid>> {
+        match self.call(&Request::VersionHistory { oid })? {
+            Response::Versions(vids) => Ok(vids),
+            other => Err(unexpected("versions", &other)),
+        }
+    }
+
+    fn latest_raw(&mut self, oid: Oid) -> Result<Vid> {
+        match self.call(&Request::CurrentVersion { oid })? {
+            Response::Version(vid) => Ok(vid),
             other => Err(unexpected("version", &other)),
         }
     }
 
-    /// Replace a specific version's state.
-    pub fn put_version<T: OdeType>(&mut self, vp: &VersionPtr<T>, value: &T) -> Result<()> {
-        let response = self.call(&Request::UpdateVersion {
-            vid: vp.vid(),
-            tag: VersionPtr::<T>::tag(),
-            body: to_bytes(value),
-        })?;
-        match response {
-            Response::Unit => Ok(()),
-            other => Err(unexpected("unit", &other)),
+    fn objects_raw(&mut self, tag: TypeTag) -> Result<Vec<Oid>> {
+        match self.call(&Request::Objects { tag })? {
+            Response::Objects(oids) => Ok(oids),
+            other => Err(unexpected("objects", &other)),
         }
     }
 
-    /// `newversion(p)`: derive a new version from the object's latest.
-    pub fn newversion<T: OdeType>(&mut self, ptr: &ObjPtr<T>) -> Result<VersionPtr<T>> {
-        match self.call(&Request::NewVersion { oid: ptr.oid() })? {
-            Response::Version(vid) => Ok(VersionPtr::from_vid(vid)),
-            other => Err(unexpected("version", &other)),
+    fn objects_page_raw(&mut self, tag: TypeTag, after: Oid, limit: usize) -> Result<Vec<Oid>> {
+        let limit = limit as u64;
+        match self.call(&Request::ObjectsPage { tag, after, limit })? {
+            Response::Objects(oids) => Ok(oids),
+            other => Err(unexpected("objects", &other)),
         }
     }
 
-    /// `newversion(vp)`: derive from a specific base version.
-    pub fn newversion_from<T: OdeType>(&mut self, vp: &VersionPtr<T>) -> Result<VersionPtr<T>> {
-        match self.call(&Request::NewVersionFrom { vid: vp.vid() })? {
-            Response::Version(vid) => Ok(VersionPtr::from_vid(vid)),
-            other => Err(unexpected("version", &other)),
-        }
-    }
-
-    /// `pdelete p`: delete the object and all its versions.
-    pub fn pdelete<T: OdeType>(&mut self, ptr: ObjPtr<T>) -> Result<()> {
-        match self.call(&Request::Pdelete { oid: ptr.oid() })? {
-            Response::Unit => Ok(()),
-            other => Err(unexpected("unit", &other)),
-        }
-    }
-
-    /// `pdelete vp`: delete one specific version.
-    pub fn pdelete_version<T: OdeType>(&mut self, vp: VersionPtr<T>) -> Result<()> {
-        match self.call(&Request::PdeleteVersion { vid: vp.vid() })? {
-            Response::Unit => Ok(()),
-            other => Err(unexpected("unit", &other)),
-        }
-    }
-
-    /// `Dprevious`: the version `vp` was derived from.
-    pub fn dprevious<T: OdeType>(&mut self, vp: &VersionPtr<T>) -> Result<Option<VersionPtr<T>>> {
-        self.maybe_version(&Request::Dprevious { vid: vp.vid() })
-    }
-
-    /// `Dnext`: versions derived from `vp`, in creation order.
-    pub fn dnext<T: OdeType>(&mut self, vp: &VersionPtr<T>) -> Result<Vec<VersionPtr<T>>> {
-        self.versions(&Request::Dnext { vid: vp.vid() })
-    }
-
-    /// `Tprevious`: the version created immediately before `vp`.
-    pub fn tprevious<T: OdeType>(&mut self, vp: &VersionPtr<T>) -> Result<Option<VersionPtr<T>>> {
-        self.maybe_version(&Request::Tprevious { vid: vp.vid() })
-    }
-
-    /// `Tnext`: the version created immediately after `vp`.
-    pub fn tnext<T: OdeType>(&mut self, vp: &VersionPtr<T>) -> Result<Option<VersionPtr<T>>> {
-        self.maybe_version(&Request::Tnext { vid: vp.vid() })
-    }
-
-    /// All versions of an object in temporal (creation) order.
-    pub fn version_history<T: OdeType>(&mut self, ptr: &ObjPtr<T>) -> Result<Vec<VersionPtr<T>>> {
-        self.versions(&Request::VersionHistory { oid: ptr.oid() })
-    }
-
-    /// Pin the object's current latest version.
-    pub fn current_version<T: OdeType>(&mut self, ptr: &ObjPtr<T>) -> Result<VersionPtr<T>> {
-        match self.call(&Request::CurrentVersion { oid: ptr.oid() })? {
-            Response::Version(vid) => Ok(VersionPtr::from_vid(vid)),
-            other => Err(unexpected("version", &other)),
-        }
-    }
-
-    /// The object a version belongs to.
-    pub fn object_of<T: OdeType>(&mut self, vp: &VersionPtr<T>) -> Result<ObjPtr<T>> {
-        match self.call(&Request::ObjectOf { vid: vp.vid() })? {
-            Response::Object(oid) => Ok(ObjPtr::from_oid(oid)),
+    fn object_of_raw(&mut self, vid: Vid) -> Result<Oid> {
+        match self.call(&Request::ObjectOf { vid })? {
+            Response::Object(oid) => Ok(oid),
             other => Err(unexpected("object", &other)),
         }
     }
 
-    /// Extent query: every live object of type `T` on the server.
-    pub fn objects<T: OdeType>(&mut self) -> Result<Vec<ObjPtr<T>>> {
-        match self.call(&Request::Objects {
-            tag: ObjPtr::<T>::tag(),
-        })? {
-            Response::Objects(oids) => Ok(oids.into_iter().map(ObjPtr::from_oid).collect()),
-            other => Err(unexpected("objects", &other)),
-        }
-    }
-
-    /// A page of the type's extent: up to `limit` objects with ids
-    /// `>= after` (pass [`Oid::NULL`] to start).
-    pub fn objects_page<T: OdeType>(&mut self, after: Oid, limit: u64) -> Result<Vec<ObjPtr<T>>> {
-        match self.call(&Request::ObjectsPage {
-            tag: ObjPtr::<T>::tag(),
-            after,
-            limit,
-        })? {
-            Response::Objects(oids) => Ok(oids.into_iter().map(ObjPtr::from_oid).collect()),
-            other => Err(unexpected("objects", &other)),
-        }
-    }
-
-    /// Number of live versions of an object.
-    pub fn version_count<T: OdeType>(&mut self, ptr: &ObjPtr<T>) -> Result<u64> {
-        match self.call(&Request::VersionCount { oid: ptr.oid() })? {
+    fn version_count_raw(&mut self, oid: Oid) -> Result<u64> {
+        match self.call(&Request::VersionCount { oid })? {
             Response::Count(n) => Ok(n),
             other => Err(unexpected("count", &other)),
         }
     }
 
-    /// Whether the object still exists.
-    pub fn exists<T: OdeType>(&mut self, ptr: &ObjPtr<T>) -> Result<bool> {
-        match self.call(&Request::Exists { oid: ptr.oid() })? {
+    fn exists_raw(&mut self, oid: Oid) -> Result<bool> {
+        match self.call(&Request::Exists { oid })? {
             Response::Flag(b) => Ok(b),
             other => Err(unexpected("flag", &other)),
         }
     }
 
-    /// Whether the version still exists.
-    pub fn version_exists<T: OdeType>(&mut self, vp: &VersionPtr<T>) -> Result<bool> {
-        match self.call(&Request::VersionExists { vid: vp.vid() })? {
+    fn version_exists_raw(&mut self, vid: Vid) -> Result<bool> {
+        match self.call(&Request::VersionExists { vid })? {
             Response::Flag(b) => Ok(b),
             other => Err(unexpected("flag", &other)),
         }
     }
 
-    /// All versions of an object whose global stamp lies in
-    /// `from..=to`, oldest first — served from the object's delta chain
-    /// when it has one, without materializing any bodies.
-    pub fn history_between<T: OdeType>(
-        &mut self,
-        ptr: &ObjPtr<T>,
-        from: u64,
-        to: u64,
-    ) -> Result<Vec<VersionPtr<T>>> {
-        self.versions(&Request::HistoryBetween {
-            oid: ptr.oid(),
-            from,
-            to,
-        })
+    fn history_between_raw(&mut self, oid: Oid, from: u64, to: u64) -> Result<Vec<Vid>> {
+        match self.call(&Request::HistoryBetween { oid, from, to })? {
+            Response::Versions(vids) => Ok(vids),
+            other => Err(unexpected("versions", &other)),
+        }
     }
 
-    /// Summary of the byte difference between two versions of the same
-    /// object (how much changed, and how compactly it deltas) — the
-    /// [`VersionDiff`] a local snapshot's `diff_versions` returns.
-    pub fn diff_versions<T: OdeType>(
-        &mut self,
-        from: &VersionPtr<T>,
-        to: &VersionPtr<T>,
-    ) -> Result<VersionDiff> {
-        match self.call(&Request::DiffVersions {
-            from: from.vid(),
-            to: to.vid(),
-        })? {
+    fn diff_versions_raw(&mut self, from: Vid, to: Vid) -> Result<VersionDiff> {
+        match self.call(&Request::DiffVersions { from, to })? {
             Response::Diff(d) => Ok(d),
             other => Err(unexpected("diff", &other)),
         }
     }
+}
 
-    /// Three-way merge two versions of one object on the server; the
-    /// result (when the policy resolves) is checked in as a new version
-    /// with both parents recorded. Returns the new version, if any,
-    /// plus every conflicting byte range.
-    pub fn merge<T: OdeType>(
-        &mut self,
-        a: &VersionPtr<T>,
-        b: &VersionPtr<T>,
-        policy: MergePolicy,
-    ) -> Result<(Option<VersionPtr<T>>, Vec<MergeConflict>)> {
-        let (vid, conflicts) = self.merge_raw(a.vid(), b.vid(), policy)?;
-        Ok((vid.map(VersionPtr::from_vid), conflicts))
+/// Each wire write row is one request, committed on its own by the
+/// server, and one response match.
+impl RawWrite for OdeClient {
+    fn pnew_raw(&mut self, tag: TypeTag, body: Vec<u8>) -> Result<(Oid, Vid)> {
+        match self.call(&Request::Pnew { tag, body })? {
+            Response::Created { oid, vid } => Ok((oid, vid)),
+            other => Err(unexpected("created", &other)),
+        }
     }
 
-    // -- raw (type-erased) operations ---------------------------------------
+    fn put_raw(&mut self, oid: Oid, tag: TypeTag, body: Vec<u8>) -> Result<Vid> {
+        match self.call(&Request::Update { oid, tag, body })? {
+            Response::Version(vid) => Ok(vid),
+            other => Err(unexpected("version", &other)),
+        }
+    }
 
-    /// Type-erased [`merge`](Self::merge).
-    pub fn merge_raw(
+    fn put_version_raw(&mut self, vid: Vid, tag: TypeTag, body: Vec<u8>) -> Result<()> {
+        match self.call(&Request::UpdateVersion { vid, tag, body })? {
+            Response::Unit => Ok(()),
+            other => Err(unexpected("unit", &other)),
+        }
+    }
+
+    fn newversion_raw(&mut self, oid: Oid) -> Result<Vid> {
+        match self.call(&Request::NewVersion { oid })? {
+            Response::Version(vid) => Ok(vid),
+            other => Err(unexpected("version", &other)),
+        }
+    }
+
+    fn newversion_from_raw(&mut self, vid: Vid) -> Result<Vid> {
+        match self.call(&Request::NewVersionFrom { vid })? {
+            Response::Version(vid) => Ok(vid),
+            other => Err(unexpected("version", &other)),
+        }
+    }
+
+    fn pdelete_raw(&mut self, oid: Oid) -> Result<()> {
+        match self.call(&Request::Pdelete { oid })? {
+            Response::Unit => Ok(()),
+            other => Err(unexpected("unit", &other)),
+        }
+    }
+
+    fn pdelete_version_raw(&mut self, vid: Vid) -> Result<()> {
+        match self.call(&Request::PdeleteVersion { vid })? {
+            Response::Unit => Ok(()),
+            other => Err(unexpected("unit", &other)),
+        }
+    }
+
+    fn merge_raw(
         &mut self,
         a: Vid,
         b: Vid,
@@ -628,36 +573,6 @@ impl OdeClient {
         match self.call(&Request::Merge { a, b, policy })? {
             Response::Merged { vid, conflicts } => Ok((vid, conflicts)),
             other => Err(unexpected("merged", &other)),
-        }
-    }
-
-    /// Type-erased `pnew` from an already-encoded body.
-    pub fn pnew_raw(&mut self, tag: TypeTag, body: Vec<u8>) -> Result<(Oid, Vid)> {
-        match self.call(&Request::Pnew { tag, body })? {
-            Response::Created { oid, vid } => Ok((oid, vid)),
-            other => Err(unexpected("created", &other)),
-        }
-    }
-
-    /// Type-erased `deref`: the latest version id and encoded body.
-    pub fn deref_raw(&mut self, oid: Oid, tag: TypeTag) -> Result<(Vid, Vec<u8>)> {
-        match self.call(&Request::Deref { oid, tag })? {
-            Response::Body { vid, bytes } => Ok((vid, bytes)),
-            other => Err(unexpected("body", &other)),
-        }
-    }
-
-    fn maybe_version<T>(&mut self, request: &Request) -> Result<Option<VersionPtr<T>>> {
-        match self.call(request)? {
-            Response::MaybeVersion(vid) => Ok(vid.map(VersionPtr::from_vid)),
-            other => Err(unexpected("maybe_version", &other)),
-        }
-    }
-
-    fn versions<T>(&mut self, request: &Request) -> Result<Vec<VersionPtr<T>>> {
-        match self.call(request)? {
-            Response::Versions(vids) => Ok(vids.into_iter().map(VersionPtr::from_vid).collect()),
-            other => Err(unexpected("versions", &other)),
         }
     }
 }

@@ -6,10 +6,13 @@
 //! binary wire protocol ([`protocol`]) carrying the full O++ operation
 //! set (`pnew`, generic/specific dereference, `newversion` in both
 //! forms, `pdelete` of objects and versions, the four derived-from /
-//! temporal traversals, extent scans), and a blocking typed client
-//! ([`OdeClient`]) that takes and returns the embedded API's own
-//! [`ode::ObjPtr`] / [`ode::VersionPtr`], so the generic-vs-specific
-//! reference distinction crosses the network unchanged. The wire
+//! temporal traversals, extent scans), and a blocking client
+//! ([`OdeClient`]). The client is a raw backend of the O++ surface
+//! ([`ode::RawRead`]/[`ode::RawWrite`], one method per wire row), so
+//! [`ode::Session`] over a client is the embedded typed API itself:
+//! the same [`ode::ObjPtr`] / [`ode::VersionPtr`], the same results,
+//! and the generic-vs-specific reference distinction crosses the
+//! network unchanged. The wire
 //! carries the core's other result types as they are, too:
 //! `DiffVersions` answers an [`ode::VersionDiff`], and
 //! [`StatsReport::storage`] is the server's `ode_storage::StoreStats`.

@@ -93,7 +93,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use ode::{Database, EpochCache, IdClaim};
+use ode::{Database, EpochCache, IdClaim, RawRead, RawWrite};
 use ode_codec::varint;
 use parking_lot::Mutex;
 use polling::Event;
@@ -377,7 +377,8 @@ fn claim_ids(node: &Node, stride: u64, residue: u64) -> Result<(), RemoteError> 
 /// durability.
 fn apply(db: &Database, request: Request) -> ode::Result<Response> {
     if request.is_read() {
-        let mut snap = db.snapshot();
+        let mut snapshot = db.snapshot();
+        let snap = snapshot.raw();
         return match request {
             Request::Deref { oid, tag } => {
                 let (vid, bytes) = snap.deref_raw(oid, tag)?;
@@ -415,7 +416,8 @@ fn apply(db: &Database, request: Request) -> ode::Result<Response> {
         };
     }
 
-    let mut txn = db.begin();
+    let mut session = db.begin();
+    let txn = session.raw();
     let response = match request {
         Request::Pnew { tag, body } => {
             let (oid, vid) = txn.pnew_raw(tag, body)?;
@@ -442,7 +444,7 @@ fn apply(db: &Database, request: Request) -> ode::Result<Response> {
         }
         _ => unreachable!("read request routed to transaction"),
     };
-    txn.commit()?;
+    session.commit()?;
     Ok(response)
 }
 

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ode::{Database, DatabaseOptions, ObjPtr};
+use ode::{Database, DatabaseOptions, ObjPtr, RawRead, Session};
 use ode_codec::{impl_persist_struct, impl_type_name};
 use ode_net::protocol::write_frame;
 use ode_net::{
@@ -62,8 +62,9 @@ fn frames_split_at_every_byte_boundary_still_work() {
     };
     let relay = FaultRelay::start(server.local_addr(), vec![plan]).expect("start relay");
 
-    let mut c =
-        OdeClient::connect(relay.local_addr(), ClientConfig::default()).expect("connect via relay");
+    let mut c = Session::new(
+        OdeClient::connect(relay.local_addr(), ClientConfig::default()).expect("connect via relay"),
+    );
     let p = c
         .pnew(&Doc {
             title: "fragmented".into(),
@@ -72,13 +73,14 @@ fn frames_split_at_every_byte_boundary_still_work() {
         .expect("pnew through 1-byte chunks");
     let v1 = c.current_version(&p).expect("current_version");
     let v2 = c.newversion(&p).expect("newversion");
-    let (doc, vid) = c.deref(&p).expect("deref");
+    let doc = c.deref(&p).expect("deref");
+    let vid = doc.version();
     assert_eq!(vid, v2);
     assert_eq!(doc.revision, 1);
     assert_eq!(c.version_history(&p).expect("history"), vec![v1, v2]);
 
     // A pipelined batch through the same shredded connection.
-    let mut pipe = c.pipeline();
+    let mut pipe = c.raw().pipeline();
     for _ in 0..5 {
         pipe.push(&Request::Deref {
             oid: p.oid(),
@@ -109,13 +111,14 @@ fn connection_cut_mid_pipeline_surfaces_a_clean_error() {
     };
     let relay = FaultRelay::start(server.local_addr(), vec![plan]).expect("start relay");
 
-    let mut c =
-        OdeClient::connect(relay.local_addr(), ClientConfig::default()).expect("connect via relay");
+    let mut c = Session::new(
+        OdeClient::connect(relay.local_addr(), ClientConfig::default()).expect("connect via relay"),
+    );
     let tag = ObjPtr::<Doc>::tag();
 
     // Pipeline enough reads that the response stream necessarily blows
     // past the budget.
-    let mut pipe = c.pipeline();
+    let mut pipe = c.raw().pipeline();
     for _ in 0..10 {
         pipe.push(&Request::Exists { oid: ode::Oid(1) })
             .expect("push");
@@ -133,7 +136,10 @@ fn connection_cut_mid_pipeline_surfaces_a_clean_error() {
             revision: 0,
         })
         .expect("pnew after reconnect");
-    let (_, bytes) = c.deref_raw(p.oid(), tag).expect("deref after reconnect");
+    let (_, bytes) = c
+        .raw()
+        .deref_raw(p.oid(), tag)
+        .expect("deref after reconnect");
     assert!(!bytes.is_empty());
     server.shutdown();
 }
@@ -153,8 +159,9 @@ fn writes_are_never_silently_retried() {
     };
     let relay = FaultRelay::start(server.local_addr(), vec![plan]).expect("start relay");
 
-    let mut c =
-        OdeClient::connect(relay.local_addr(), ClientConfig::default()).expect("connect via relay");
+    let mut c = Session::new(
+        OdeClient::connect(relay.local_addr(), ClientConfig::default()).expect("connect via relay"),
+    );
     match c.pnew(&Doc {
         title: "ambiguous".into(),
         revision: 0,
@@ -189,8 +196,9 @@ fn doc(title: &str, revision: u64) -> Doc {
 fn a_killed_shard_fails_only_its_own_requests_and_never_replays_a_write() {
     let mut cluster = Cluster::start(ClusterConfig::default());
     let map = cluster.shard_map();
-    let mut c =
-        OdeClient::connect(cluster.router_addr(), ClientConfig::default()).expect("connect");
+    let mut c = Session::new(
+        OdeClient::connect(cluster.router_addr(), ClientConfig::default()).expect("connect"),
+    );
 
     // Two objects per shard, placed by round-robin from a fresh router.
     let ptrs: Vec<ObjPtr<Doc>> = (0..8)
@@ -198,7 +206,7 @@ fn a_killed_shard_fails_only_its_own_requests_and_never_replays_a_write() {
         .collect();
 
     // Baseline: the full batch succeeds.
-    let mut pipe = c.pipeline();
+    let mut pipe = c.raw().pipeline();
     for ptr in &ptrs {
         pipe.push(&Request::Deref {
             oid: ptr.oid(),
@@ -216,7 +224,7 @@ fn a_killed_shard_fails_only_its_own_requests_and_never_replays_a_write() {
     // The same batch again: the dead shard's slots fail with a clean
     // per-request Unavailable error frame; every other slot still gets
     // its body, on the same client connection, in request order.
-    let mut pipe = c.pipeline();
+    let mut pipe = c.raw().pipeline();
     for ptr in &ptrs {
         pipe.push(&Request::Deref {
             oid: ptr.oid(),
@@ -256,7 +264,7 @@ fn a_killed_shard_fails_only_its_own_requests_and_never_replays_a_write() {
     let deadline = Instant::now() + Duration::from_secs(10);
     let recovered = loop {
         match c.deref(&ptrs[1]) {
-            Ok((body, _)) => break body,
+            Ok(body) => break body.into_inner(),
             Err(NetError::Remote(RemoteError::Unavailable(_))) if Instant::now() < deadline => {
                 thread::sleep(Duration::from_millis(20));
             }
@@ -285,8 +293,9 @@ fn a_write_whose_response_dies_in_the_cut_executes_exactly_once() {
     // Seed through one client, then drop it: the next backend
     // connection each shard's relay accepts belongs to the next client.
     let target = {
-        let mut seeder =
-            OdeClient::connect(cluster.router_addr(), ClientConfig::default()).expect("seeder");
+        let mut seeder = Session::new(
+            OdeClient::connect(cluster.router_addr(), ClientConfig::default()).expect("seeder"),
+        );
         let ptrs: Vec<ObjPtr<Doc>> = (0..4)
             .map(|i| seeder.pnew(&doc(&format!("s{i}"), 1)).expect("pnew"))
             .collect();
@@ -307,8 +316,9 @@ fn a_write_whose_response_dies_in_the_cut_executes_exactly_once() {
         ..RelayPlan::clean()
     }]);
 
-    let mut c =
-        OdeClient::connect(cluster.router_addr(), ClientConfig::default()).expect("connect");
+    let mut c = Session::new(
+        OdeClient::connect(cluster.router_addr(), ClientConfig::default()).expect("connect"),
+    );
     match c.put(&target, &doc("s0", 99)) {
         Err(NetError::Remote(RemoteError::Unavailable(_))) => {}
         other => panic!("expected unavailable (outcome unknown), got {other:?}"),
@@ -322,7 +332,7 @@ fn a_write_whose_response_dies_in_the_cut_executes_exactly_once() {
     let deadline = Instant::now() + Duration::from_secs(10);
     let body = loop {
         match c.deref(&target) {
-            Ok((body, _)) => break body,
+            Ok(body) => break body.into_inner(),
             Err(NetError::Remote(RemoteError::Unavailable(_))) if Instant::now() < deadline => {
                 thread::sleep(Duration::from_millis(20));
             }
@@ -344,13 +354,14 @@ fn a_write_whose_response_dies_in_the_cut_executes_exactly_once() {
 #[test]
 fn a_clean_relay_adds_no_delayed_ack_stall_to_a_multi_segment_frame() {
     let cluster = Cluster::start(ClusterConfig::default());
-    let mut c =
-        OdeClient::connect(cluster.router_addr(), ClientConfig::default()).expect("connect");
+    let mut c = Session::new(
+        OdeClient::connect(cluster.router_addr(), ClientConfig::default()).expect("connect"),
+    );
     let ptr = c.pnew(&doc(&"x".repeat(4096), 1)).expect("pnew");
     let mut round_trips: Vec<Duration> = (0..9)
         .map(|_| {
             let start = std::time::Instant::now();
-            let (got, _) = c.deref(&ptr).expect("deref through the relay");
+            let got = c.deref(&ptr).expect("deref through the relay");
             assert_eq!(got.title.len(), 4096);
             start.elapsed()
         })

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ode::{Database, DatabaseOptions};
+use ode::{Database, DatabaseOptions, Session};
 use ode_codec::{impl_persist_struct, impl_type_name};
 use ode_net::{ClientConfig, NetError, OdeClient, OdeServer, RemoteError, ServerConfig};
 use ode_storage::testutil::TempPath;
@@ -81,7 +81,8 @@ proptest! {
             ..ServerConfig::default()
         };
         let server = OdeServer::bind(Arc::clone(&replica), "127.0.0.1:0", config).unwrap();
-        let mut client = OdeClient::connect(server.local_addr(), ClientConfig::default()).unwrap();
+        let mut client =
+            Session::new(OdeClient::connect(server.local_addr(), ClientConfig::default()).unwrap());
 
         for step in steps {
             match step {
@@ -108,9 +109,9 @@ proptest! {
                 Step::Read => {
                     let floor = primary.snapshot_epoch();
                     let floor_value = value;
-                    client.read_floor(floor).unwrap();
+                    client.raw().read_floor(floor).unwrap();
                     match client.deref(&ptr) {
-                        Ok((body, _)) => prop_assert!(
+                        Ok(body) => prop_assert!(
                             body.value >= floor_value,
                             "gate leaked pre-floor state: read {} pinned at {}",
                             body.value,

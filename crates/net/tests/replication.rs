@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ode::{Database, DatabaseOptions, ObjPtr};
+use ode::{Database, DatabaseOptions, ObjPtr, Session};
 use ode_codec::{impl_persist_struct, impl_type_name};
 use ode_net::{ClientConfig, OdeClient, OdeServer, ReplicaNode, ServerConfig};
 
@@ -294,7 +294,8 @@ fn more_semi_sync_writers_than_threads_are_each_acked_by_the_replica() {
             .map(|w| {
                 let replica = &replica;
                 scope.spawn(move || {
-                    let mut client = OdeClient::connect(addr, ClientConfig::default()).unwrap();
+                    let mut client =
+                        Session::new(OdeClient::connect(addr, ClientConfig::default()).unwrap());
                     let mut slowest = Duration::ZERO;
                     for i in 0..WRITES {
                         let started = Instant::now();
@@ -309,7 +310,7 @@ fn more_semi_sync_writers_than_threads_are_each_acked_by_the_replica() {
                         // Acknowledged means replicated.
                         let mut snap = replica.snapshot();
                         assert!(
-                            snap.exists_raw(p.oid()).unwrap(),
+                            snap.exists(&p).unwrap(),
                             "write {balance} not on the replica"
                         );
                     }

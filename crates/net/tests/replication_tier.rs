@@ -11,7 +11,7 @@
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ode::ObjPtr;
+use ode::{ObjPtr, Session};
 use ode_codec::{impl_persist_struct, impl_type_name};
 use ode_net::{ClientConfig, Cluster, ClusterConfig, NetError, OdeClient, RelayPlan, RemoteError};
 
@@ -65,8 +65,10 @@ fn wait_router_sees_caught_up(cluster: &Cluster, shard: usize) {
     });
 }
 
-fn connect(cluster: &Cluster) -> OdeClient {
-    OdeClient::connect(cluster.router_addr(), ClientConfig::default()).expect("connect")
+fn connect(cluster: &Cluster) -> Session<OdeClient> {
+    Session::new(
+        OdeClient::connect(cluster.router_addr(), ClientConfig::default()).expect("connect"),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -96,7 +98,7 @@ fn reads_are_served_from_replicas_and_writes_flip_a_session_to_the_primary() {
         })
         .sum();
     for (i, p) in ptrs.iter().enumerate() {
-        let (body, _) = writer.deref(p).expect("writer deref");
+        let body = writer.deref(p).expect("writer deref");
         assert_eq!(body.revision, i as u64);
     }
     let replica_derefs_after: u64 = (0..2)
@@ -115,7 +117,7 @@ fn reads_are_served_from_replicas_and_writes_flip_a_session_to_the_primary() {
     // at the primary epoch the router last probed — same values.
     let mut reader = connect(&cluster);
     for (i, p) in ptrs.iter().enumerate() {
-        let (body, _) = reader.deref(p).expect("replica deref");
+        let body = reader.deref(p).expect("replica deref");
         assert_eq!(body.revision, i as u64);
         assert_eq!(body.title, format!("doc-{i}"));
     }
@@ -138,7 +140,7 @@ fn reads_are_served_from_replicas_and_writes_flip_a_session_to_the_primary() {
 
     // Merged tier stats surface the shipping counters from every
     // primary; nothing failed over.
-    let merged = reader.stats().expect("stats");
+    let merged = reader.raw().stats().expect("stats");
     assert!(merged.storage.bytes_shipped > 0, "{merged:?}");
     assert_eq!(merged.storage.failovers, 0);
 }
@@ -147,8 +149,9 @@ fn reads_are_served_from_replicas_and_writes_flip_a_session_to_the_primary() {
 fn a_replica_refuses_writes() {
     let cluster = Cluster::start(repl_config(1, 1));
     let (_, _, replicas) = cluster.shard_members(0);
-    let mut direct =
-        OdeClient::connect(replicas[0].0, ClientConfig::default()).expect("connect replica");
+    let mut direct = Session::new(
+        OdeClient::connect(replicas[0].0, ClientConfig::default()).expect("connect replica"),
+    );
     match direct.pnew(&doc("nope", 1)) {
         Err(NetError::Remote(RemoteError::Unavailable(msg))) => {
             assert!(msg.contains("read-only"), "unexpected message: {msg}")
@@ -189,8 +192,9 @@ fn a_lagging_replica_never_serves_state_older_than_the_pinned_epoch() {
     let handle = thread::spawn({
         let addr = cluster.router_addr();
         move || {
-            let mut reader = OdeClient::connect(addr, ClientConfig::default()).expect("reader");
-            reader.deref(&p).expect("gated deref").0
+            let mut reader =
+                Session::new(OdeClient::connect(addr, ClientConfig::default()).expect("reader"));
+            reader.deref(&p).expect("gated deref")
         }
     });
     thread::sleep(Duration::from_millis(300));
@@ -267,13 +271,13 @@ fn the_router_promotes_a_replica_when_the_primary_dies() {
     // Every acknowledged write survived onto the promoted node, and
     // the tier keeps serving both old and new data.
     for (i, p) in ptrs.iter().enumerate() {
-        let (body, _) = c.deref(p).expect("acked read after failover");
+        let body = c.deref(p).expect("acked read after failover");
         assert_eq!(body.revision, i as u64, "acked write lost in failover");
     }
-    assert_eq!(c.deref(&after).expect("new write").0.revision, 777);
+    assert_eq!(c.deref(&after).expect("new write").revision, 777);
 
     assert_eq!(cluster.router_stats().failovers, 1);
-    let merged = c.stats().expect("stats");
+    let merged = c.raw().stats().expect("stats");
     assert_eq!(
         merged.storage.failovers, 1,
         "the promoted node reports its promotion: {merged:?}"
@@ -312,7 +316,8 @@ fn a_promoted_replica_issues_ids_from_its_shards_residue() {
         .map(|i| c.pnew(&doc("after", i)).expect("pnew after failover"))
         .collect();
     let promoted = cluster.shard_members(1).0;
-    let mut direct = OdeClient::connect(promoted, ClientConfig::default()).expect("promoted");
+    let mut direct =
+        Session::new(OdeClient::connect(promoted, ClientConfig::default()).expect("promoted"));
     let on_promoted: Vec<&ObjPtr<Doc>> = after
         .iter()
         .filter(|p| direct.exists(p).expect("direct exists"))
@@ -365,11 +370,11 @@ fn a_lost_tail_is_fenced_never_resurrected() {
     // oids may be re-allocated by the new lineage, so the assertion is
     // "never the lost value", not "necessarily unknown".)
     for (i, p) in shared.iter().enumerate() {
-        assert_eq!(c.deref(p).expect("shared read").0.revision, i as u64);
+        assert_eq!(c.deref(p).expect("shared read").revision, i as u64);
     }
     for p in &lost {
         match c.deref(p) {
-            Ok((body, _)) => {
+            Ok(body) => {
                 assert_ne!(body.title, "lost", "lost-tail write resurrected: {body:?}")
             }
             Err(NetError::Remote(RemoteError::UnknownObject(_))) => {}
@@ -421,7 +426,7 @@ fn shipping_survives_repeated_mid_chunk_cuts() {
     // A fresh reader (replica bank) sees every committed value.
     let mut reader = connect(&cluster);
     for (i, p) in ptrs.iter().enumerate() {
-        let (body, _) = reader.deref(p).expect("read after convergence");
+        let body = reader.deref(p).expect("read after convergence");
         assert_eq!(body.revision, i as u64);
     }
     assert!(cluster.router_stats().replica_reads > 0);

@@ -2,16 +2,21 @@
 //! WAL recovery — the network path exercised exactly as a deployment
 //! would.
 
+use std::collections::HashMap;
+use std::fmt::Debug;
 use std::net::SocketAddr;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-use ode::{Database, DatabaseOptions, ObjPtr, Oid, VersionPtr};
-use ode_codec::{impl_persist_struct, impl_type_name, varint};
+use ode::{
+    Database, DatabaseOptions, ObjPtr, OdeType, Oid, RawRead, RawWrite, Session, VersionPtr,
+};
+use ode_codec::{impl_persist_struct, impl_type_name, to_bytes, varint};
 use ode_net::{
-    ClientConfig, NetError, OdeClient, OdeServer, Opcode, RemoteError, Request, Response,
-    ServerConfig,
+    ClientConfig, Cluster, ClusterConfig, NetError, OdeClient, OdeServer, Opcode, RemoteError,
+    Request, Response, ServerConfig,
 };
 use ode_storage::testutil::TempPath;
 
@@ -22,6 +27,13 @@ struct Doc {
 }
 impl_persist_struct!(Doc { title, revision });
 impl_type_name!(Doc = "net-test/Doc");
+
+fn doc(title: &str, revision: u64) -> Doc {
+    Doc {
+        title: title.into(),
+        revision,
+    }
+}
 
 /// A type the server has never stored — for type-mismatch tests.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,76 +53,253 @@ fn start_server(path: &Path, workers: usize) -> (Arc<Database>, OdeServer) {
     (db, server)
 }
 
-fn client(addr: SocketAddr) -> OdeClient {
-    OdeClient::connect(addr, ClientConfig::default()).expect("connect client")
+fn client(addr: SocketAddr) -> Session<OdeClient> {
+    Session::new(OdeClient::connect(addr, ClientConfig::default()).expect("connect client"))
 }
 
-/// The acceptance flow, runnable concurrently from many threads: create
-/// an object, derive from latest and from a pinned version, read
+// ---------------------------------------------------------------------------
+// One script per behaviour, run in every deployment shape
+// ---------------------------------------------------------------------------
+
+/// What a script saw: each object's version graph and every version's
+/// encoded body. Ids are named by first appearance (`o0`, `v1`, …), so
+/// runs on stores that number them differently (a shard issues ids
+/// from its own residue) compare equal.
+#[derive(Debug, Default)]
+struct Transcript {
+    shape: Vec<String>,
+    bodies: Vec<Vec<u8>>,
+    names: HashMap<(char, u64), usize>,
+}
+
+impl PartialEq for Transcript {
+    fn eq(&self, other: &Transcript) -> bool {
+        self.shape == other.shape && self.bodies == other.bodies
+    }
+}
+
+impl Transcript {
+    fn name(&mut self, kind: char, id: u64) -> String {
+        let next = self.names.len();
+        format!("{kind}{}", self.names.entry((kind, id)).or_insert(next))
+    }
+
+    /// Record the object's graph as it stands: its latest version, and
+    /// per version in creation order its body and its derived-from and
+    /// temporal neighbours.
+    fn record<B: RawRead, T: OdeType>(&mut self, s: &mut Session<B>, p: &ObjPtr<T>)
+    where
+        B::Error: Debug,
+    {
+        let latest = s.current_version(p).expect("current_version");
+        let line = format!(
+            "{} latest {}",
+            self.name('o', p.oid().0),
+            self.name('v', latest.vid().0)
+        );
+        self.shape.push(line);
+        for v in s.version_history(p).expect("version_history") {
+            self.bodies
+                .push(to_bytes(&*s.deref_v(&v).expect("deref_v")));
+            let dprevious = s.dprevious(&v).expect("dprevious");
+            let dnext = s.dnext(&v).expect("dnext");
+            let tnext = s.tnext(&v).expect("tnext");
+            let line = format!(
+                "{}: dprevious {:?} dnext {:?} tnext {:?}",
+                self.name('v', v.vid().0),
+                dprevious.map(|d| self.name('v', d.vid().0)),
+                dnext
+                    .iter()
+                    .map(|d| self.name('v', d.vid().0))
+                    .collect::<Vec<_>>(),
+                tnext.map(|d| self.name('v', d.vid().0)),
+            );
+            self.shape.push(line);
+        }
+    }
+}
+
+/// A script over the typed surface, whatever the backend.
+trait Script {
+    fn run<B: RawWrite>(&self, s: &mut Session<B>) -> Transcript
+    where
+        B::Error: Debug;
+}
+
+/// Run `script` in every deployment shape — embedded in one `Txn`, on
+/// a direct `OdeServer`, and through a 2-shard `Cluster` — and check
+/// that all three saw the same thing.
+fn in_every_shape(script: &impl Script) {
+    let db = ode::testutil::tempdb_with(DatabaseOptions::no_sync());
+    let mut txn = db.begin();
+    let embedded = script.run(&mut txn);
+    txn.commit().expect("commit");
+
+    let path = TempPath::new();
+    let (_db, server) = start_server(&path, 2);
+    let direct = script.run(&mut client(server.local_addr()));
+    server.shutdown();
+
+    let cluster = Cluster::start(ClusterConfig {
+        shards: 2,
+        ..ClusterConfig::default()
+    });
+    let routed = script.run(&mut client(cluster.router_addr()));
+
+    assert_eq!(direct, embedded, "a direct server changed the outcome");
+    assert_eq!(routed, embedded, "a 2-shard cluster changed the outcome");
+}
+
+/// The acceptance flow, runnable concurrently from many connections:
+/// create an object, derive from latest and from a pinned version, read
 /// through both reference kinds, traverse, delete a version, and check
 /// latest-version resolution throughout.
-fn full_versioning_flow(client: &mut OdeClient, who: &str) {
-    let doc = Doc {
-        title: who.to_string(),
-        revision: 0,
-    };
-    let p = client.pnew(&doc).expect("pnew");
-    let v0 = client.current_version(&p).expect("current_version");
+struct FullVersioningFlow<'a>(&'a str);
 
-    // Derivation 1: from the latest (v0); becomes latest, then edit it.
-    let v1 = client.newversion(&p).expect("newversion");
-    let rev1 = Doc {
-        title: who.to_string(),
-        revision: 1,
-    };
-    let wrote = client.put(&p, &rev1).expect("put");
-    assert_eq!(wrote, v1, "put through a generic ref writes the latest");
+impl Script for FullVersioningFlow<'_> {
+    fn run<B: RawWrite>(&self, s: &mut Session<B>) -> Transcript
+    where
+        B::Error: Debug,
+    {
+        let mut t = Transcript::default();
+        let doc0 = doc(self.0, 0);
+        let p = s.pnew(&doc0).expect("pnew");
+        let v0 = s.current_version(&p).expect("current_version");
 
-    // Derivation 2: from the *pinned* v0 — branches the derived-from
-    // tree and becomes the new latest.
-    let v2 = client.newversion_from(&v0).expect("newversion_from");
+        // Derivation 1: from the latest (v0); becomes latest, then edit it.
+        let v1 = s.newversion(&p).expect("newversion");
+        let rev1 = doc(self.0, 1);
+        let wrote = s.put(&p, &rev1).expect("put");
+        assert_eq!(wrote, v1, "put through a generic ref writes the latest");
 
-    // Generic reference: late binding resolves to v2 (whose state was
-    // copied from v0, untouched by the v1 edit).
-    let (latest_doc, latest_vid) = client.deref(&p).expect("deref");
-    assert_eq!(latest_vid, v2);
-    assert_eq!(latest_doc, doc);
+        // Derivation 2: from the *pinned* v0 — branches the derived-from
+        // tree and becomes the new latest.
+        let v2 = s.newversion_from(&v0).expect("newversion_from");
 
-    // Specific references: pinned, regardless of later versions.
-    assert_eq!(client.deref_v(&v0).expect("deref_v v0"), doc);
-    assert_eq!(client.deref_v(&v1).expect("deref_v v1"), rev1);
+        // Generic reference: late binding resolves to v2 (whose state
+        // was copied from v0, untouched by the v1 edit).
+        let latest = s.deref(&p).expect("deref");
+        assert_eq!(latest.version(), v2);
+        assert_eq!(*latest, doc0);
 
-    // Derived-from traversals: both children hang off v0.
-    assert_eq!(client.dprevious(&v1).expect("dprevious v1"), Some(v0));
-    assert_eq!(client.dprevious(&v2).expect("dprevious v2"), Some(v0));
-    assert_eq!(client.dprevious(&v0).expect("dprevious v0"), None);
-    assert_eq!(client.dnext(&v0).expect("dnext v0"), vec![v1, v2]);
+        // Specific references: pinned, regardless of later versions.
+        assert_eq!(*s.deref_v(&v0).expect("deref_v v0"), doc0);
+        assert_eq!(*s.deref_v(&v1).expect("deref_v v1"), rev1);
 
-    // Temporal traversals.
-    assert_eq!(client.tprevious(&v2).expect("tprevious v2"), Some(v1));
-    assert_eq!(client.tnext(&v1).expect("tnext v1"), Some(v2));
+        // Derived-from traversals: both children hang off v0.
+        assert_eq!(s.dprevious(&v1).expect("dprevious v1"), Some(v0));
+        assert_eq!(s.dprevious(&v2).expect("dprevious v2"), Some(v0));
+        assert_eq!(s.dprevious(&v0).expect("dprevious v0"), None);
+        assert_eq!(s.dnext(&v0).expect("dnext v0"), vec![v1, v2]);
+
+        // Temporal traversals.
+        assert_eq!(s.tprevious(&v2).expect("tprevious v2"), Some(v1));
+        assert_eq!(s.tnext(&v1).expect("tnext v1"), Some(v2));
+        assert_eq!(s.version_history(&p).expect("history"), vec![v0, v1, v2]);
+        t.record(s, &p);
+
+        // Delete the middle version; temporal chain splices around it
+        // and the object id still resolves to v2.
+        s.pdelete_version(v1).expect("pdelete_version");
+        assert!(!s.version_exists(&v1).expect("version_exists"));
+        assert_eq!(s.tprevious(&v2).expect("tprevious after del"), Some(v0));
+        assert_eq!(s.version_history(&p).expect("history"), vec![v0, v2]);
+        assert_eq!(s.version_count(&p).expect("version_count"), 2);
+        let after = s.deref(&p).expect("deref after delete");
+        assert_eq!(after.version(), v2);
+        assert_eq!(*after, doc0);
+
+        // Round trips that tie both pointer kinds together.
+        assert_eq!(s.object_of(&v2).expect("object_of"), p);
+        assert!(s.exists(&p).expect("exists"));
+        t.record(s, &p);
+        t
+    }
+}
+
+#[test]
+fn full_versioning_flow_is_the_same_in_every_shape() {
+    in_every_shape(&FullVersioningFlow("every shape"));
+}
+
+/// The moved-block merge (`ode::testutil::moved_block`), whose
+/// outcome must not depend on the shape it runs in.
+struct MovedBlock;
+
+impl Script for MovedBlock {
+    fn run<B: RawWrite>(&self, s: &mut Session<B>) -> Transcript
+    where
+        B::Error: Debug,
+    {
+        let mut t = Transcript::default();
+        let p = ode::testutil::moved_block(s);
+        t.record(s, &p);
+        t
+    }
+}
+
+#[test]
+fn a_moved_block_keeps_the_other_sides_edit_in_every_shape() {
+    in_every_shape(&MovedBlock);
+}
+
+/// Writes through a pointer of the wrong type. The typed layer passes
+/// only ids to these rows, so each event is recorded under the type the
+/// object is stored as.
+fn mistyped_writes<B: RawWrite>(s: &mut Session<B>)
+where
+    B::Error: Debug,
+{
+    let p = s.pnew(&doc("stored as a Doc", 0)).expect("pnew");
+    let v0 = s.current_version(&p).expect("current_version");
+    let wrong = ObjPtr::<Imposter>::from_oid(p.oid());
+    let v1 = s.newversion(&wrong).expect("newversion");
+    s.newversion_from(&VersionPtr::<Imposter>::from_vid(v0.vid()))
+        .expect("newversion_from");
+    s.pdelete_version(v1).expect("pdelete_version");
+    s.pdelete(wrong).expect("pdelete");
+}
+
+/// Count the events that `Doc` triggers and `Imposter` triggers see.
+fn count_events(db: &Database) -> [Arc<AtomicUsize>; 2] {
+    let counts = [(); 2].map(|()| Arc::new(AtomicUsize::new(0)));
+    let seen = Arc::clone(&counts[0]);
+    db.on_type::<Doc>(move |_| {
+        seen.fetch_add(1, Ordering::SeqCst);
+    });
+    let seen = Arc::clone(&counts[1]);
+    db.on_type::<Imposter>(move |_| {
+        seen.fetch_add(1, Ordering::SeqCst);
+    });
+    counts
+}
+
+#[test]
+fn typed_writes_fire_triggers_under_the_stored_type() {
+    let fired =
+        |counts: &[Arc<AtomicUsize>; 2]| counts.each_ref().map(|c| c.load(Ordering::SeqCst));
+
+    let db = ode::testutil::tempdb_with(DatabaseOptions::no_sync());
+    let counts = count_events(&db);
+    let mut txn = db.begin();
+    mistyped_writes(&mut txn);
+    txn.commit().expect("commit");
     assert_eq!(
-        client.version_history(&p).expect("history"),
-        vec![v0, v1, v2]
+        fired(&counts),
+        [5, 0],
+        "embedded: Doc events, Imposter events"
     );
 
-    // Delete the middle version; temporal chain splices around it and
-    // the object id still resolves to v2.
-    client.pdelete_version(v1).expect("pdelete_version");
-    assert!(!client.version_exists(&v1).expect("version_exists"));
+    let path = TempPath::new();
+    let (db, server) = start_server(&path, 2);
+    let counts = count_events(&db);
+    mistyped_writes(&mut client(server.local_addr()));
     assert_eq!(
-        client.tprevious(&v2).expect("tprevious after del"),
-        Some(v0)
+        fired(&counts),
+        [5, 0],
+        "through a server: Doc events, Imposter events"
     );
-    assert_eq!(client.version_history(&p).expect("history"), vec![v0, v2]);
-    assert_eq!(client.version_count(&p).expect("version_count"), 2);
-    let (after_del, after_vid) = client.deref(&p).expect("deref after delete");
-    assert_eq!(after_vid, v2);
-    assert_eq!(after_del, doc);
-
-    // Round trips that tie both pointer kinds together.
-    assert_eq!(client.object_of(&v2).expect("object_of"), p);
-    assert!(client.exists(&p).expect("exists"));
+    server.shutdown();
 }
 
 #[test]
@@ -120,15 +309,14 @@ fn end_to_end_acceptance_flow_with_concurrent_clients() {
     let addr = server.local_addr();
 
     // Once single-threaded (easier failure diagnosis) ...
-    full_versioning_flow(&mut client(addr), "solo");
+    FullVersioningFlow("solo").run(&mut client(addr));
 
     // ... then the same full flow from 6 concurrent client threads,
     // each over its own TCP connection.
     let handles: Vec<_> = (0..6)
         .map(|i| {
             thread::spawn(move || {
-                let mut c = client(addr);
-                full_versioning_flow(&mut c, &format!("thread-{i}"));
+                FullVersioningFlow(&format!("thread-{i}")).run(&mut client(addr));
             })
         })
         .collect();
@@ -148,7 +336,7 @@ fn end_to_end_acceptance_flow_with_concurrent_clients() {
     // Stats: per-opcode counters are non-zero for everything the flow
     // used, and nothing went wrong at the protocol level.
     let mut c = client(addr);
-    let stats = c.stats().expect("stats");
+    let stats = c.raw().stats().expect("stats");
     for op in [
         Opcode::Pnew,
         Opcode::Deref,
@@ -249,7 +437,7 @@ fn concurrent_mixed_workload_preserves_version_graph_invariants() {
                             .expect("put");
                         }
                         3 => {
-                            let (_, vid) = c.deref(&p).expect("deref");
+                            let vid = c.deref(&p).expect("deref").version();
                             assert!(c.version_exists(&vid).expect("version_exists"));
                         }
                         4 => {
@@ -289,7 +477,7 @@ fn concurrent_mixed_workload_preserves_version_graph_invariants() {
             assert_eq!(c.tprevious(&pair[1]).expect("tprevious"), Some(pair[0]));
         }
         // The generic reference resolves to the temporal tail.
-        let (_, latest) = c.deref(p).expect("deref");
+        let latest = c.deref(p).expect("deref").version();
         assert_eq!(Some(&latest), history.last());
     }
 
@@ -351,8 +539,8 @@ fn server_restart_recovers_all_committed_versions_over_the_network() {
     let history = c.version_history(&p).expect("history after restart");
     assert_eq!(history, vec![v0, v1, v2]);
 
-    let (latest, vid) = c.deref(&p).expect("deref after restart");
-    assert_eq!(vid, v2);
+    let latest = c.deref(&p).expect("deref after restart");
+    assert_eq!(latest.version(), v2);
     assert_eq!(latest.revision, 0, "v2 branched from v0's state");
     assert_eq!(c.deref_v(&v1).expect("deref_v v1").revision, 1);
     assert_eq!(c.dprevious(&v2).expect("dprevious"), Some(v0));
@@ -395,8 +583,8 @@ fn operation_failures_come_back_as_error_frames_and_sessions_survive() {
     }
 
     // After three error frames the same connection still works.
-    c.ping().expect("session survives error frames");
-    assert_eq!(c.deref(&p).expect("deref").0.title, "real");
+    c.raw().ping().expect("session survives error frames");
+    assert_eq!(c.deref(&p).expect("deref").title, "real");
 
     let stats = server.stats();
     assert_eq!(stats.op_errors, 3);
@@ -502,22 +690,23 @@ fn a_stuck_write_holds_back_only_its_own_connection() {
     // An embedded snapshot blocks the write's publish step.
     let snap = db.snapshot();
     let w_seq = c
+        .raw()
         .send(&Request::NewVersion { oid: p.oid() })
         .expect("send write");
-    let p_seq = c.send(&Request::Ping).expect("send ping");
+    let p_seq = c.raw().send(&Request::Ping).expect("send ping");
     // Another connection is claimed by another thread meanwhile.
     let mut other = client(server.local_addr());
-    other.ping().expect("a second connection is served");
+    other.raw().ping().expect("a second connection is served");
 
     // Release the store: the write's response, then the ping's.
     drop(snap);
-    let (first_seq, first) = c.recv().expect("recv write response");
+    let (first_seq, first) = c.raw().recv().expect("recv write response");
     assert_eq!(first_seq, w_seq, "the write answers first");
     assert!(
         matches!(first, Response::Version(_)),
         "expected a version response, got {first:?}"
     );
-    let (second_seq, second) = c.recv().expect("recv ping response");
+    let (second_seq, second) = c.raw().recv().expect("recv ping response");
     assert_eq!(second_seq, p_seq);
     assert_eq!(second, Response::Pong);
     assert_eq!(c.version_count(&p).expect("count"), 2);
@@ -543,11 +732,15 @@ fn pipeline_batch_returns_responses_in_request_order() {
     // Sequential ground truth.
     let expected: Vec<(ode::Vid, Vec<u8>)> = docs
         .iter()
-        .map(|p| c.deref_raw(p.oid(), ObjPtr::<Doc>::tag()).expect("deref"))
+        .map(|p| {
+            c.raw()
+                .deref_raw(p.oid(), ObjPtr::<Doc>::tag())
+                .expect("deref")
+        })
         .collect();
 
     // The same reads as one pipelined batch.
-    let mut pipe = c.pipeline();
+    let mut pipe = c.raw().pipeline();
     for p in &docs {
         pipe.push(&Request::Deref {
             oid: p.oid(),
@@ -612,12 +805,12 @@ fn snapshot_cache_serves_repeats_and_invalidates_on_commit() {
             },
         )
         .expect("put from other connection");
-    let (doc, vid) = a.deref(&p).expect("deref after foreign commit");
-    assert_eq!(vid, v2);
+    let doc = a.deref(&p).expect("deref after foreign commit");
+    assert_eq!(doc.version(), v2);
     assert_eq!(doc.revision, 2, "no stale generic-reference reads");
 
     // Remote stats carry the cache counters too.
-    let remote = a.stats().expect("stats over the wire");
+    let remote = a.raw().stats().expect("stats over the wire");
     assert!(remote.snapshot_hits >= 5);
     assert!(remote.snapshot_misses >= 1);
     server.shutdown();
@@ -732,14 +925,17 @@ fn read_pipelined_behind_a_write_observes_that_write() {
 
     // Seed the cache with the pre-write answer, so a stale entry exists
     // for the gate to protect against.
-    let (_, stale_bytes) = c.deref_raw(p.oid(), tag).expect("prefill");
-    let _ = c.deref_raw(p.oid(), tag).expect("cache hit on old value");
+    let (_, stale_bytes) = c.raw().deref_raw(p.oid(), tag).expect("prefill");
+    let _ = c
+        .raw()
+        .deref_raw(p.oid(), tag)
+        .expect("cache hit on old value");
 
     // One batch: [update, deref]. The deref is pipelined behind the
     // write on the same connection, so it must see revision 2 even
     // though the cache still holds revision 1 when it is decoded.
     for round in 2..10u64 {
-        let mut pipe = c.pipeline();
+        let mut pipe = c.raw().pipeline();
         let body = ode_codec::to_bytes(&Doc {
             title: "ryw".into(),
             revision: round,
@@ -841,6 +1037,7 @@ fn sigkill_mid_pipeline_recovers_exactly_the_acknowledged_writes() {
             revision: i,
         });
         let seq = c
+            .raw()
             .send(&Request::Pnew {
                 tag: ObjPtr::<Doc>::tag(),
                 body,
@@ -853,7 +1050,7 @@ fn sigkill_mid_pipeline_recovers_exactly_the_acknowledged_writes() {
     // with the rest of the pipeline still in flight.
     let mut acked: Vec<u64> = Vec::new();
     for &(marker, seq) in seqs.iter().take(ACKED_BEFORE_KILL as usize) {
-        match c.recv_for(seq).expect("ack before kill") {
+        match c.raw().recv_for(seq).expect("ack before kill") {
             Response::Created { .. } => acked.push(marker),
             other => panic!("expected created, got {other:?}"),
         }
@@ -867,7 +1064,7 @@ fn sigkill_mid_pipeline_recovers_exactly_the_acknowledged_writes() {
     // stream shows up on the next request instead.
     let mut saw_error = false;
     for &(marker, seq) in seqs.iter().skip(ACKED_BEFORE_KILL as usize) {
-        match c.recv_for(seq) {
+        match c.raw().recv_for(seq) {
             Ok(Response::Created { .. }) => acked.push(marker),
             Ok(other) => panic!("expected created, got {other:?}"),
             Err(NetError::Io(_)) => {
@@ -878,7 +1075,10 @@ fn sigkill_mid_pipeline_recovers_exactly_the_acknowledged_writes() {
         }
     }
     if !saw_error {
-        let outcome = c.send(&Request::Ping).and_then(|seq| c.recv_for(seq));
+        let outcome = c
+            .raw()
+            .send(&Request::Ping)
+            .and_then(|seq| c.raw().recv_for(seq));
         match outcome {
             Err(NetError::Io(_)) => saw_error = true,
             other => panic!("expected an I/O error after the kill, got {other:?}"),
@@ -934,7 +1134,7 @@ fn versions_travel_between_embedded_and_network_apis() {
     };
 
     let mut c = client(server.local_addr());
-    let (doc, _) = c.deref(&p_embedded).expect("deref embedded object");
+    let doc = c.deref(&p_embedded).expect("deref embedded object");
     assert_eq!(doc.title, "embedded");
 
     let p_net = c
@@ -1038,7 +1238,7 @@ fn history_and_diff_are_served_over_the_wire_from_the_chain() {
     // connection, so it answers repeats first.
     let doc = c.deref_v(&vids[2]).expect("deref_v historical");
     assert_eq!(doc.revision, 2);
-    let stats = c.stats().expect("stats");
+    let stats = c.raw().stats().expect("stats");
     assert!(
         stats.materialize_misses >= 1,
         "the first historical read must replay the chain"

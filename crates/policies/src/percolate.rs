@@ -14,7 +14,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use ode::{ObjPtr, OdeType, Result, Txn};
+use ode::{ObjPtr, OdeType, RawWrite, Result, Txn};
 use ode::{Oid, Vid};
 use ode_codec::{impl_persist_struct, impl_type_name};
 
@@ -99,7 +99,7 @@ impl RegistryHandle {
         let ancestors = self.ancestors(txn, child)?;
         let mut created = Vec::with_capacity(ancestors.len());
         for oid in ancestors {
-            let vid = txn.newversion_raw(oid)?;
+            let vid = txn.raw().newversion_raw(oid)?;
             created.push((oid, vid));
         }
         Ok(created)

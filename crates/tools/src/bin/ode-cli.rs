@@ -30,7 +30,7 @@
 
 use std::process::ExitCode;
 
-use ode::{MergePolicy, ObjPtr, Oid, VersionPtr, Vid};
+use ode::{MergePolicy, ObjPtr, Oid, Session, VersionPtr, Vid};
 use ode_codec::{from_bytes, impl_persist_struct, impl_type_name};
 use ode_net::{ClientConfig, NetError, OdeClient, Request, Response};
 
@@ -145,7 +145,7 @@ fn main() -> ExitCode {
     let ver = |vid: u64| -> VersionPtr<Note> { VersionPtr::from_vid(Vid(vid)) };
 
     let mut client = match OdeClient::connect(addr.as_str(), ClientConfig::default()) {
-        Ok(client) => client,
+        Ok(client) => Session::new(client),
         Err(e) => {
             eprintln!("ode-cli: cannot connect to {addr}: {e}");
             return ExitCode::FAILURE;
@@ -153,9 +153,9 @@ fn main() -> ExitCode {
     };
 
     let outcome = match command.as_str() {
-        "ping" => client.ping().map(|()| out!("pong")),
-        "promote" => client.promote().map(|()| out!("promoted")),
-        "stats" => client.stats().map(|stats| {
+        "ping" => client.raw().ping().map(|()| out!("pong")),
+        "promote" => client.raw().promote().map(|()| out!("promoted")),
+        "stats" => client.raw().stats().map(|stats| {
             out!(
                 "connections: {} total, {} active",
                 stats.total_connections,
@@ -210,12 +210,12 @@ fn main() -> ExitCode {
             match oids {
                 Some(oids) if !oids.is_empty() => {
                     if pipelined {
-                        get_pipelined(&mut client, &oids)
+                        get_pipelined(client.raw(), &oids)
                     } else {
                         oids.iter().try_for_each(|&oid| {
-                            client
-                                .deref(&obj(oid))
-                                .map(|(note, v)| out!("{} @ {}: {}", Oid(oid), v.vid(), note.text))
+                            client.deref(&obj(oid)).map(|note| {
+                                out!("{} @ {}: {}", Oid(oid), note.version().vid(), note.text)
+                            })
                         })
                     }
                 }
@@ -340,8 +340,8 @@ fn main() -> ExitCode {
                 .filter_map(|s| s.parse().ok())
                 .collect();
             match ids.as_slice() {
-                [a, b] => client.merge(&ver(*a), &ver(*b), policy).map(|(vid, conflicts)| {
-                    for c in &conflicts {
+                [a, b] => client.merge(&ver(*a), &ver(*b), policy).map(|report| {
+                    for c in &report.conflicts {
                         out!(
                             "conflict [{}, {}): ours {:?}, theirs {:?}",
                             c.base_start,
@@ -350,11 +350,11 @@ fn main() -> ExitCode {
                             String::from_utf8_lossy(&c.theirs)
                         );
                     }
-                    match vid {
+                    match report.version {
                         Some(v) => out!("merged as {} (policy: {})", v.vid(), policy.name()),
                         None => out!(
                             "not merged: {} conflicting range(s); re-run with --ours or --theirs to resolve",
-                            conflicts.len()
+                            report.conflicts.len()
                         ),
                     }
                 }),
@@ -363,12 +363,12 @@ fn main() -> ExitCode {
         }
         "objects" => client.objects::<Note>().and_then(|objects| {
             for p in objects {
-                let (note, v) = client.deref(&p)?;
+                let note = client.deref(&p)?;
                 let n = client.version_count(&p)?;
                 out!(
                     "{} ({n} versions, latest {}): {}",
                     p.oid(),
-                    v.vid(),
+                    note.version().vid(),
                     note.text
                 );
             }
