@@ -192,7 +192,7 @@ fn bench_commit_cpu(c: &mut Criterion) {
         .collect();
     let dirty_all = || {
         for (k, image) in images.iter().enumerate() {
-            pool.publish(PageId(k as u64), Arc::clone(image), true, 1);
+            pool.publish(PageId(k as u64), Arc::clone(image), true);
         }
     };
     dirty_all();

@@ -1,12 +1,24 @@
 //! The event loop the server and the router share: threads that wait
 //! on one [`Poller`] over a nonblocking listener and every socket they
 //! own, each registered **oneshot**, so an event goes to exactly one
-//! thread and its socket stays disarmed until that thread re-arms it.
-//! A thread claims one event at a time: the listener's is an accept
+//! thread and its socket stays disarmed until a turn re-arms it. A
+//! thread claims one event at a time: the listener's is an accept
 //! ([`Service::accept`]), a [`Pool::notify`] a [`Service::wake`], any
-//! other a turn of whatever its key names ([`Service::claim`]). A
-//! connection's byte streams are a [`Wire`].
+//! other a turn of the [`Session`] its key names ([`Service::claim`]).
+//!
+//! A session is one or more sockets whose events all run turns of one
+//! state: a server connection is a one-socket session, a router session
+//! a client and the backend connections it dials. The pool keeps a
+//! registry from each socket's key to its session. A thread that claims
+//! an event of a session another thread holds in a turn does not wait:
+//! it leaves a note, which the holder drains before it unlocks and looks
+//! for again after, so one turn at a time per session is the whole
+//! concurrency story and no event is lost to a turn in progress. Every
+//! socket is re-armed by one rule ([`Wire::arm`]): when its event was
+//! claimed or its interest changed. A connection's byte streams are a
+//! [`Wire`].
 
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -14,6 +26,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
+use parking_lot::Mutex;
 use polling::{Event, PollMode, Poller};
 
 use crate::protocol::{write_frame, write_frame_seq, FrameBuffer, MAGIC};
@@ -34,33 +47,152 @@ pub(crate) fn default_threads() -> usize {
         .clamp(4, 16)
 }
 
-/// What a pool's threads serve.
-pub(crate) trait Service: Send + Sync + 'static {
-    /// The poller and listener this service's threads wait on.
-    fn pool(&self) -> &Pool;
+/// What a pool's threads serve: sessions whose state is `State`.
+pub(crate) trait Service: Send + Sync + Sized + 'static {
+    /// Everything a turn of one session touches: its sockets and what
+    /// they carry.
+    type State: Send + 'static;
+    /// The poller, listener and session registry this service's
+    /// threads wait on.
+    fn pool(&self) -> &Pool<Self::State>;
     /// Take a connection just accepted off the listener (already
     /// nonblocking, `TCP_NODELAY` set).
     fn accept(&self, stream: TcpStream);
-    /// Give the source behind `key` its turn: an event for it was
-    /// claimed, and the source stays disarmed until re-armed.
-    fn claim(&self, key: usize, scratch: &mut [u8]);
+    /// Run one turn of `session` (under which a turn registers the
+    /// sockets it opens), whose state is `state`. Each key in `fired`
+    /// names one of its sockets whose event was claimed (or a wake that
+    /// visited it as one), which stays disarmed until this turn re-arms
+    /// it. `false` ends the session.
+    fn turn(
+        &self,
+        state: &mut Self::State,
+        session: &Arc<Session<Self::State>>,
+        fired: &[usize],
+        scratch: &mut [u8],
+    ) -> bool;
+    /// Close every socket of a session that is over: its turn said so,
+    /// or the pool stopped while it was open.
+    fn end(&self, state: &mut Self::State);
     /// Run what a [`Pool::notify`] asked for. A wake may reach more
     /// than one thread, so this must tolerate running concurrently.
     fn wake(&self, _scratch: &mut [u8]) {}
+
+    /// Give the session behind `key` a turn, or leave it a note when
+    /// another thread holds it in one. A key no open socket has is
+    /// dropped.
+    fn claim(&self, key: usize, scratch: &mut [u8]) {
+        let session = self.pool().sessions.lock().get(&key).cloned();
+        if let Some(session) = session {
+            session.visit(key, |state, fired| {
+                let open = self.turn(state, &session, fired, scratch);
+                if !open {
+                    self.end(state);
+                }
+                open
+            });
+        }
+    }
+
+    /// Tell the threads to stop and join them, each finishing the turn
+    /// it is in, then end every session still open. `false` when the
+    /// pool was already stopped.
+    fn stop(&self, threads: &mut Vec<JoinHandle<()>>) -> bool {
+        let pool = self.pool();
+        if pool.shutdown.swap(true, Ordering::SeqCst) {
+            return false;
+        }
+        // One wake; each thread passes it on as it leaves.
+        let _ = pool.poller.notify();
+        for handle in threads.drain(..) {
+            let _ = handle.join();
+        }
+        let open: Vec<_> = pool.sessions.lock().drain().map(|(_, s)| s).collect();
+        for session in open {
+            let mut held = session.held.lock();
+            if std::mem::replace(&mut held.open, false) {
+                self.end(&mut held.state);
+            }
+        }
+        true
+    }
 }
 
-/// A poller with a listener registered on it, the keys handed out for
-/// other sources, and the shutdown flag its threads watch.
-pub(crate) struct Pool {
+/// One session: its state behind one mutex, and the keys whose events
+/// were claimed while another thread held it.
+pub(crate) struct Session<T> {
+    held: Mutex<Held<T>>,
+    /// Keys claimed and not yet handled by a turn.
+    notes: Mutex<Vec<usize>>,
+}
+
+/// What the thread in a session's turn holds.
+struct Held<T> {
+    state: T,
+    /// The notes a turn handles, swapped with [`Session::notes`] so
+    /// that neither buffer is allocated again.
+    fired: Vec<usize>,
+    /// Cleared when the session ends: later notes are dropped.
+    open: bool,
+}
+
+impl<T> Session<T> {
+    pub(crate) fn new(state: T) -> Arc<Session<T>> {
+        Arc::new(Session {
+            held: Mutex::new(Held {
+                state,
+                fired: Vec::new(),
+                open: true,
+            }),
+            notes: Mutex::new(Vec::new()),
+        })
+    }
+
+    /// Handle an event claimed for `key`: note it, then run `turn`s
+    /// until no note is left, while the session stays open — unless
+    /// another thread is in a turn, which then drains the note before it
+    /// lets go. The holder looks again after unlocking, so a note left
+    /// in between is never stranded.
+    fn visit(&self, key: usize, mut turn: impl FnMut(&mut T, &[usize]) -> bool) {
+        self.notes.lock().push(key);
+        while let Some(mut guard) = self.held.try_lock() {
+            let held = &mut *guard;
+            loop {
+                std::mem::swap(&mut *self.notes.lock(), &mut held.fired);
+                if held.fired.is_empty() {
+                    break;
+                }
+                if held.open {
+                    held.open = turn(&mut held.state, &held.fired);
+                }
+                held.fired.clear();
+            }
+            // Unlock, then look: a note left before the unlock is seen
+            // here, and one left after it finds the lock free.
+            drop(guard);
+            if self.notes.lock().is_empty() {
+                return;
+            }
+        }
+    }
+}
+
+/// A poller with a listener registered on it, the session behind every
+/// other socket registered on it, and the shutdown flag its threads
+/// watch.
+pub(crate) struct Pool<T> {
     poller: Poller,
     listener: TcpListener,
     next_key: AtomicUsize,
     shutdown: AtomicBool,
+    /// The session behind every open socket, by poller key. A socket
+    /// gets a fresh key each time it is registered and loses it when it
+    /// closes, so a stale event finds no entry.
+    sessions: Mutex<HashMap<usize, Arc<Session<T>>>>,
 }
 
-impl Pool {
+impl<T> Pool<T> {
     /// Bind a nonblocking listener on `addr` and register it.
-    pub(crate) fn bind(addr: impl ToSocketAddrs) -> io::Result<Pool> {
+    pub(crate) fn bind(addr: impl ToSocketAddrs) -> io::Result<Pool<T>> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let poller = Poller::new()?;
@@ -70,6 +202,7 @@ impl Pool {
             listener,
             next_key: AtomicUsize::new(LISTENER_KEY + 1),
             shutdown: AtomicBool::new(false),
+            sessions: Mutex::new(HashMap::new()),
         })
     }
 
@@ -82,16 +215,23 @@ impl Pool {
         self.next_key.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Register `source` oneshot with `interest`.
-    pub(crate) fn add(&self, source: &impl AsRawFd, interest: Event) -> io::Result<()> {
-        self.poller
-            .add_with_mode(source, interest, PollMode::Oneshot)
-    }
-
-    /// Re-arm (or re-aim) a registered source, oneshot.
-    pub(crate) fn arm(&self, source: &impl AsRawFd, interest: Event) -> io::Result<()> {
-        self.poller
-            .modify_with_mode(source, interest, PollMode::Oneshot)
+    /// Make `source` findable under `key` as a socket of `session`,
+    /// then register it oneshot for reading — in that order, so whoever
+    /// claims its first event finds it.
+    pub(crate) fn register(
+        &self,
+        key: usize,
+        session: &Arc<Session<T>>,
+        source: &impl AsRawFd,
+    ) -> io::Result<()> {
+        self.sessions.lock().insert(key, Arc::clone(session));
+        let added = self
+            .poller
+            .add_with_mode(source, Event::readable(key), PollMode::Oneshot);
+        if added.is_err() {
+            self.sessions.lock().remove(&key);
+        }
+        added
     }
 
     /// Wake a waiting thread for a [`Service::wake`].
@@ -99,13 +239,13 @@ impl Pool {
         let _ = self.poller.notify();
     }
 
-    /// Whether [`Pool::stop`] has been called.
+    /// Whether [`Service::stop`] has been called.
     pub(crate) fn stopping(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
 
     /// Start `threads` threads named `{name}-{i}` serving `service`.
-    pub(crate) fn spawn<S: Service>(
+    pub(crate) fn spawn<S: Service<State = T>>(
         service: &Arc<S>,
         threads: usize,
         name: &str,
@@ -119,20 +259,6 @@ impl Pool {
                     .expect("spawn event-loop thread")
             })
             .collect()
-    }
-
-    /// Tell the threads to stop and join them; each finishes the turn
-    /// it is in. `false` when the pool was already stopped.
-    pub(crate) fn stop(&self, threads: &mut Vec<JoinHandle<()>>) -> bool {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return false;
-        }
-        // One wake; each thread passes it on as it leaves.
-        let _ = self.poller.notify();
-        for handle in threads.drain(..) {
-            let _ = handle.join();
-        }
-        true
     }
 }
 
@@ -174,7 +300,10 @@ fn accept_ready<S: Service>(service: &S) {
         stream.set_nodelay(true).ok();
         service.accept(stream);
     }
-    let _ = pool.arm(&pool.listener, Event::readable(LISTENER_KEY));
+    let listening = Event::readable(LISTENER_KEY);
+    let _ = pool
+        .poller
+        .modify_with_mode(&pool.listener, listening, PollMode::Oneshot);
 }
 
 /// A connection's partial-write buffer: frames queued for the socket,
@@ -224,9 +353,15 @@ impl Outbox {
     }
 }
 
-/// One connection's byte streams over a nonblocking socket.
+/// One connection's byte streams over a nonblocking socket, and how
+/// the socket is armed.
 pub(crate) struct Wire {
     pub(crate) stream: TcpStream,
+    /// The socket's poller key.
+    pub(crate) key: usize,
+    /// The interest the socket is armed with; `None` from a claim of its
+    /// event until it is re-armed.
+    armed: Option<Event>,
     /// Handshake progress: how many magic bytes have been read (an
     /// accepted connection starts at 0 and echoes them at 4).
     magic_got: usize,
@@ -238,11 +373,14 @@ pub(crate) struct Wire {
 }
 
 impl Wire {
-    /// A connection over `stream`: one this side accepted expects the
-    /// client's magic first; one it dialed has `handshaken` already.
-    pub(crate) fn new(stream: TcpStream, handshaken: bool) -> Wire {
+    /// A connection over `stream`, registered under `key` for reading:
+    /// one this side accepted expects the client's magic first; one it
+    /// dialed has `handshaken` already.
+    pub(crate) fn new(stream: TcpStream, key: usize, handshaken: bool) -> Wire {
         Wire {
             stream,
+            key,
+            armed: Some(Event::readable(key)),
             magic_got: if handshaken { MAGIC.len() } else { 0 },
             rbuf: FrameBuffer::new(),
             out: Outbox::default(),
@@ -319,22 +457,135 @@ impl Wire {
     /// over, write while responses are backlogged or frames are left
     /// over (a writable socket reports at once, so they get the next
     /// turn). While `blocked`, left-over frames wait and nothing is read.
-    pub(crate) fn interest(&self, key: usize, blocked: bool) -> Event {
+    pub(crate) fn interest(&self, blocked: bool) -> Event {
         let left_over = self.rbuf.has_frame();
         Event {
-            key,
+            key: self.key,
             readable: !self.peer_closed && !left_over && !blocked,
             writable: self.out.backlog() > 0 || (left_over && !blocked),
         }
     }
 
-    /// Deregister and shut the socket, after one last nonblocking try
-    /// at what is queued.
-    pub(crate) fn close(&mut self, pool: &Pool) {
+    /// Whether `fired` names this socket; if so, its event was claimed
+    /// and it is disarmed until re-armed.
+    pub(crate) fn claimed(&mut self, fired: &[usize]) -> bool {
+        let claimed = fired.contains(&self.key);
+        if claimed {
+            self.armed = None;
+        }
+        claimed
+    }
+
+    /// Arm the socket oneshot with `want` (under its own key) when its
+    /// event was claimed or its interest changed; a disarmed socket that
+    /// wants nothing stays disarmed.
+    pub(crate) fn arm<T>(&mut self, pool: &Pool<T>, want: Event) -> io::Result<()> {
+        let idle = !want.readable && !want.writable;
+        if self.armed == Some(want) || (self.armed.is_none() && idle) {
+            return Ok(());
+        }
+        self.armed = Some(want);
+        pool.poller
+            .modify_with_mode(&self.stream, want, PollMode::Oneshot)
+    }
+
+    /// Drop the socket's key, deregister it and shut it, after one last
+    /// nonblocking try at what is queued.
+    pub(crate) fn close<T>(&mut self, pool: &Pool<T>) {
+        pool.sessions.lock().remove(&self.key);
         if !self.out.dead && self.out.backlog() > 0 {
             let _ = self.stream.write_all(&self.out.buf[self.out.pos..]);
         }
         let _ = pool.poller.delete(&self.stream);
         let _ = self.stream.shutdown(Shutdown::Both);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::{mpsc, Barrier};
+
+    use super::*;
+
+    /// A visit to a session another thread holds in a turn returns at
+    /// once, and its key reaches the holder's next turn.
+    #[test]
+    fn a_visit_to_a_busy_session_leaves_a_note_for_the_holder() {
+        let session = Session::new(Vec::new());
+        let (entered, in_turn) = mpsc::channel();
+        let (noted, note_left) = mpsc::channel::<()>();
+        thread::scope(|s| {
+            let holder = &session;
+            s.spawn(move || {
+                holder.visit(1, |handled: &mut Vec<usize>, fired| {
+                    if handled.is_empty() {
+                        entered.send(()).expect("send");
+                        note_left.recv().expect("recv");
+                    }
+                    handled.extend_from_slice(fired);
+                    true
+                });
+            });
+            in_turn.recv().expect("recv");
+            session.visit(2, |_, _| panic!("the holder runs the turn"));
+            noted.send(()).expect("send");
+        });
+        assert_eq!(session.held.lock().state, [1, 2]);
+    }
+
+    /// Threads released together visit one session with interleaved
+    /// keys, round after round: never two turns at once, and once every
+    /// visit of a round has returned, every key of the round has reached
+    /// a turn — a visit that found the session busy left a note, and the
+    /// holder did not unlock past it.
+    #[test]
+    fn concurrent_visits_take_one_turn_at_a_time_and_strand_no_note() {
+        const THREADS: usize = 4;
+        const ROUNDS: usize = 40_000;
+        let session = Session::new(Vec::new());
+        let (in_turn, most, short_rounds) = (
+            AtomicUsize::new(0),
+            AtomicUsize::new(0),
+            AtomicUsize::new(0),
+        );
+        let (start, done) = (Barrier::new(THREADS), Barrier::new(THREADS));
+        thread::scope(|s| {
+            for t in 0..THREADS {
+                let (session, in_turn, most, short_rounds) =
+                    (&session, &in_turn, &most, &short_rounds);
+                let (start, done) = (&start, &done);
+                s.spawn(move || {
+                    for round in 0..ROUNDS {
+                        start.wait();
+                        session.visit(round * THREADS + t, |handled: &mut Vec<usize>, fired| {
+                            let now = in_turn.fetch_add(1, Ordering::SeqCst) + 1;
+                            most.fetch_max(now, Ordering::SeqCst);
+                            handled.extend_from_slice(fired);
+                            in_turn.fetch_sub(1, Ordering::SeqCst);
+                            true
+                        });
+                        // No thread is in a turn once every visit returned.
+                        if done.wait().is_leader() {
+                            let mut held = session.held.lock();
+                            held.state.sort_unstable();
+                            let want: Vec<usize> =
+                                (round * THREADS..(round + 1) * THREADS).collect();
+                            if held.state != want {
+                                short_rounds.fetch_add(1, Ordering::SeqCst);
+                            }
+                            held.state.clear();
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(most.load(Ordering::SeqCst), 1, "two turns at once");
+        assert_eq!(
+            short_rounds.load(Ordering::SeqCst),
+            0,
+            "rounds with a note left unhandled"
+        );
+        assert!(session.notes.lock().is_empty());
     }
 }

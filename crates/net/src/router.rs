@@ -38,8 +38,11 @@
 //! more thread probes shard health. A session — a client and the
 //! backend connections it dials — costs sockets and buffers, never a
 //! thread. Whichever of its sockets an event names, the claiming thread
-//! runs a turn of the whole session; a thread that finds the session in
-//! another's turn leaves a note the holder drains, and never waits.
+//! runs a turn of the whole session, under the event loop's one session
+//! discipline ([`crate::event_loop`]) that runs a server connection too:
+//! a thread that finds the session in another's turn leaves a note the
+//! holder drains, and never waits, and a socket is re-armed when its
+//! event was claimed or its interest changed.
 //!
 //! A shard is dialed inside the turn that first needs it (connect,
 //! handshake and id claim, bounded by [`RouterConfig::connect_timeout`]),
@@ -93,7 +96,7 @@ use polling::Event;
 
 use crate::client::{ClientConfig, OdeClient};
 use crate::error::RemoteError;
-use crate::event_loop::{default_threads, Pool, Service, Wire, PIPELINE_DEPTH};
+use crate::event_loop::{default_threads, Pool, Service, Session, Wire, PIPELINE_DEPTH};
 use crate::protocol::{
     handshake, read_frame, split_seq, write_frame, Request, Response, Routing, StatsReport,
 };
@@ -326,11 +329,7 @@ struct RouterShared {
     /// yet, so the router picks their shard and the id the shard issues
     /// from its residue then carries the placement forever.
     next_pnew_shard: AtomicU64,
-    pool: Pool,
-    /// The session behind every registered socket, by poller key. A
-    /// socket gets a fresh key each time it is registered and loses it
-    /// when it closes, so a stale event finds no entry.
-    sessions: Mutex<HashMap<usize, Arc<Session>>>,
+    pool: Pool<SessionState>,
 }
 
 impl RouterShared {
@@ -346,52 +345,48 @@ impl RouterShared {
             stats: RouterStats::default(),
             next_pnew_shard: AtomicU64::new(0),
             pool: Pool::bind(addr)?,
-            sessions: Mutex::new(HashMap::new()),
         })
-    }
-
-    /// Make `source` findable under `key` as a socket of `session`,
-    /// then arm it for reading — in that order, so whoever claims its
-    /// first event finds it.
-    fn register(
-        &self,
-        key: usize,
-        session: &Arc<Session>,
-        source: &impl AsRawFd,
-    ) -> io::Result<()> {
-        self.sessions.lock().insert(key, Arc::clone(session));
-        let added = self.pool.add(source, Event::readable(key));
-        if added.is_err() {
-            self.sessions.lock().remove(&key);
-        }
-        added
-    }
-
-    /// Close one of a session's sockets and drop its key.
-    fn close(&self, key: usize, wire: &mut Wire) {
-        self.sessions.lock().remove(&key);
-        wire.close(&self.pool);
     }
 }
 
 impl Service for RouterShared {
-    fn pool(&self) -> &Pool {
+    type State = SessionState;
+
+    fn pool(&self) -> &Pool<SessionState> {
         &self.pool
     }
 
-    fn accept(&self, stream: TcpStream) {
-        if Session::new(self, stream).is_ok() {
+    /// Open a session for an accepted client and register its socket.
+    fn accept(&self, client: TcpStream) {
+        let key = self.pool.next_key();
+        let fd = client.as_raw_fd();
+        let client = Wire::new(client, key, false);
+        let session = Session::new(SessionState::new(client, self.map.shard_count()));
+        if self.pool.register(key, &session, &fd).is_ok() {
             self.stats
                 .client_connections
                 .fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    fn claim(&self, key: usize, scratch: &mut [u8]) {
-        let session = self.sessions.lock().get(&key).cloned();
-        if let Some(session) = session {
-            session.visit(self, key, scratch);
+    fn turn(
+        &self,
+        state: &mut SessionState,
+        session: &Arc<Session<SessionState>>,
+        fired: &[usize],
+        scratch: &mut [u8],
+    ) -> bool {
+        state.turn(self, session, fired, scratch)
+    }
+
+    /// Close the client and every backend connection.
+    fn end(&self, state: &mut SessionState) {
+        for slot in &mut state.slots {
+            if let Some(mut conn) = slot.conn.take() {
+                conn.close(&self.pool);
+            }
         }
+        state.client.close(&self.pool);
     }
 }
 
@@ -500,17 +495,11 @@ impl OdeRouter {
     }
 
     fn stop(&mut self) {
-        let shared = &*self.shared;
-        if !shared.pool.stop(&mut self.threads) {
+        if !self.shared.stop(&mut self.threads) {
             return;
         }
         if let Some(handle) = self.prober_handle.take() {
             let _ = handle.join();
-        }
-        // No thread is in a turn any more: close every session.
-        let sessions: Vec<Arc<Session>> = shared.sessions.lock().drain().map(|(_, s)| s).collect();
-        for session in sessions {
-            session.state.lock().close(shared);
         }
     }
 }
@@ -804,18 +793,10 @@ enum Pending {
     Internal,
 }
 
-/// One session's live connection to one shard, and how its socket is
-/// armed (`None`: its last event was claimed and it is not yet re-armed).
-struct Backend {
-    wire: Wire,
-    key: usize,
-    armed: Option<Event>,
-}
-
 /// One session's lazily-dialed connection to one shard.
 #[derive(Default)]
 struct Slot {
-    conn: Option<Backend>,
+    conn: Option<Wire>,
     /// Next backend sequence id. Never reset across reconnects, so a
     /// bseq is unique for the session's lifetime.
     next_bseq: u64,
@@ -843,20 +824,12 @@ impl Slot {
     fn backlogged(&self) -> bool {
         self.conn
             .as_ref()
-            .is_some_and(|conn| conn.wire.out.backlog() > 0)
+            .is_some_and(|conn| conn.out.backlog() > 0)
     }
 }
 
-/// One client connection and the backend connections it dials. Only
-/// the thread holding `state` runs a turn of it; an event claimed
-/// while another thread holds it goes into `notes` instead.
-struct Session {
-    state: Mutex<SessionState>,
-    /// Keys whose events were claimed and not yet handled.
-    notes: Mutex<Vec<usize>>,
-}
-
-/// Everything a turn of one session touches.
+/// Everything a turn of one session touches: one client connection
+/// and the backend connections it dials.
 ///
 /// Slots come in two banks of `shard_count` each: slot `s` is the
 /// session's *write* connection to shard `s`'s primary, slot
@@ -864,8 +837,6 @@ struct Session {
 /// live, pinned by `ReadFloor`; otherwise the primary again).
 struct SessionState {
     client: Wire,
-    key: usize,
-    armed: Option<Event>,
     slots: Vec<Slot>,
     /// Set once the session has written to a shard: its reads flip to
     /// the primary bank forever (read-your-writes without cross-node
@@ -874,80 +845,41 @@ struct SessionState {
     /// Scatters in flight, by the id their parts carry.
     gathers: HashMap<u64, Gather>,
     next_gather: u64,
-    closed: bool,
-}
-
-impl Session {
-    /// Open a session for an accepted client and register its socket.
-    fn new(shared: &RouterShared, client: TcpStream) -> io::Result<Arc<Session>> {
-        let n = shared.map.shard_count();
-        let key = shared.pool.next_key();
-        let fd = client.as_raw_fd();
-        let session = Arc::new(Session {
-            state: Mutex::new(SessionState {
-                client: Wire::new(client, false),
-                key,
-                armed: Some(Event::readable(key)),
-                slots: (0..n * 2).map(|_| Slot::default()).collect(),
-                wrote: vec![false; n],
-                gathers: HashMap::new(),
-                next_gather: 0,
-                closed: false,
-            }),
-            notes: Mutex::new(Vec::new()),
-        });
-        shared.register(key, &session, &fd)?;
-        Ok(session)
-    }
-
-    /// Handle an event claimed for `key`: note it, then run turns until
-    /// no note is left — unless another thread is in a turn, which then
-    /// drains the note before it lets go. The holder checks again after
-    /// unlocking, so a note left in between is never stranded.
-    fn visit(self: &Arc<Session>, shared: &RouterShared, key: usize, scratch: &mut [u8]) {
-        self.notes.lock().push(key);
-        while let Some(mut state) = self.state.try_lock() {
-            loop {
-                let fired = std::mem::take(&mut *self.notes.lock());
-                if fired.is_empty() {
-                    break;
-                }
-                state.turn(shared, self, &fired, scratch);
-            }
-            drop(state);
-            if self.notes.lock().is_empty() {
-                return;
-            }
-        }
-    }
 }
 
 impl SessionState {
+    /// A session of `client` on a tier of `shards`, no backend dialed.
+    fn new(client: Wire, shards: usize) -> SessionState {
+        SessionState {
+            client,
+            slots: (0..shards * 2).map(|_| Slot::default()).collect(),
+            wrote: vec![false; shards],
+            gathers: HashMap::new(),
+            next_gather: 0,
+        }
+    }
+
     /// One turn: read the backends that fired and answer the client
     /// from them, route up to [`PIPELINE_DEPTH`] client frames unless a
-    /// backend is backlogged, flush everything, then close or re-arm.
+    /// backend is backlogged, flush everything, then re-arm; `false`
+    /// when the session is over.
     fn turn(
         &mut self,
         shared: &RouterShared,
-        session: &Arc<Session>,
+        session: &Arc<Session<SessionState>>,
         fired: &[usize],
         scratch: &mut [u8],
-    ) {
-        if self.closed {
-            return;
-        }
-        // Each fired socket is disarmed until this turn re-arms it.
+    ) -> bool {
         // Keys of closed connections match nothing.
-        let client_fired = fired.contains(&self.key);
-        if client_fired {
-            self.armed = None;
-        }
+        let client_fired = self.client.claimed(fired);
         for i in 0..self.slots.len() {
-            match self.slots[i].conn.as_mut() {
-                Some(conn) if fired.contains(&conn.key) => conn.armed = None,
-                _ => continue,
+            if self.slots[i]
+                .conn
+                .as_mut()
+                .is_some_and(|conn| conn.claimed(fired))
+            {
+                self.backend_turn(shared, i, scratch);
             }
-            self.backend_turn(shared, i, scratch);
         }
         if !self.slots.iter().any(Slot::backlogged) {
             if client_fired && !self.client.rbuf.has_frame() {
@@ -955,12 +887,12 @@ impl SessionState {
                     .read_ready(scratch, &shared.stats.protocol_errors);
             }
             if !self.route_frames(shared, session) {
-                return self.close(shared);
+                return false;
             }
             for i in 0..self.slots.len() {
                 if let Some(conn) = self.slots[i].conn.as_mut() {
-                    conn.wire.flush();
-                    if conn.wire.out.dead {
+                    conn.flush();
+                    if conn.out.dead {
                         self.fail_slot(shared, i, "write to shard failed");
                     }
                 }
@@ -971,10 +903,7 @@ impl SessionState {
             && !self.client.rbuf.has_frame()
             && self.client.out.backlog() == 0
             && self.slots.iter().all(|slot| slot.pending.is_empty());
-        if self.client.out.dead || drained {
-            return self.close(shared);
-        }
-        self.rearm(shared);
+        !self.client.out.dead && !drained && self.rearm(shared)
     }
 
     /// Service a backend that fired: flush what it would not take
@@ -986,11 +915,11 @@ impl SessionState {
         let Some(conn) = self.slots[slot_idx].conn.as_mut() else {
             return;
         };
-        conn.wire.flush();
-        conn.wire.read_ready(scratch, &stats.protocol_errors);
-        let lost = conn.wire.peer_closed || conn.wire.out.dead;
+        conn.flush();
+        conn.read_ready(scratch, &stats.protocol_errors);
+        let lost = conn.peer_closed || conn.out.dead;
         // Taken out so frames borrowed from it can be answered.
-        let mut rbuf = std::mem::take(&mut conn.wire.rbuf);
+        let mut rbuf = std::mem::take(&mut conn.rbuf);
         let fault = loop {
             match rbuf.next_frame() {
                 Ok(Some(payload)) => {
@@ -1010,7 +939,7 @@ impl SessionState {
         };
         match (fault, self.slots[slot_idx].conn.as_mut()) {
             (Some(why), _) => self.fail_slot(shared, slot_idx, why),
-            (None, Some(conn)) => conn.wire.rbuf = rbuf,
+            (None, Some(conn)) => conn.rbuf = rbuf,
             (None, None) => {}
         }
     }
@@ -1018,7 +947,11 @@ impl SessionState {
     /// Route up to [`PIPELINE_DEPTH`] of the client's buffered frames in
     /// stream order. `false` when the client's framing is corrupt and
     /// the session must end.
-    fn route_frames(&mut self, shared: &RouterShared, session: &Arc<Session>) -> bool {
+    fn route_frames(
+        &mut self,
+        shared: &RouterShared,
+        session: &Arc<Session<SessionState>>,
+    ) -> bool {
         let stats = &shared.stats;
         // Taken out so frames borrowed from it can be forwarded.
         let mut rbuf = std::mem::take(&mut self.client.rbuf);
@@ -1133,7 +1066,7 @@ impl SessionState {
     fn forward(
         &mut self,
         shared: &RouterShared,
-        session: &Arc<Session>,
+        session: &Arc<Session<SessionState>>,
         slot_idx: usize,
         body: &[u8],
         pending: Pending,
@@ -1154,7 +1087,7 @@ impl SessionState {
         slot.next_bseq += 1;
         slot.pending.insert(bseq, pending);
         let conn = slot.conn.as_mut().expect("dialed above");
-        conn.wire.out.queue_seq(bseq, body);
+        conn.out.queue_seq(bseq, body);
     }
 
     /// Dial a dead slot's backend, handshake, claim the shard's id
@@ -1172,7 +1105,7 @@ impl SessionState {
     fn dial(
         &mut self,
         shared: &RouterShared,
-        session: &Arc<Session>,
+        session: &Arc<Session<SessionState>>,
         slot_idx: usize,
     ) -> Result<(), String> {
         let shard = slot_idx % shared.map.shard_count();
@@ -1210,7 +1143,7 @@ impl SessionState {
                 let key = shared.pool.next_key();
                 stream
                     .set_nonblocking(true)
-                    .and_then(|()| shared.register(key, session, &stream))
+                    .and_then(|()| shared.pool.register(key, session, &stream))
                     .map(|()| (stream, key))
                     .map_err(|e| format!("shard {shard}: {e}"))
             });
@@ -1222,11 +1155,7 @@ impl SessionState {
                 return Err(msg);
             }
         };
-        let mut conn = Backend {
-            wire: Wire::new(stream, true),
-            key,
-            armed: Some(Event::readable(key)),
-        };
+        let mut conn = Wire::new(stream, key, true);
         slot.failures = 0;
         slot.down_until = None;
         if read_bank {
@@ -1235,8 +1164,7 @@ impl SessionState {
                 let bseq = slot.next_bseq;
                 slot.next_bseq += 1;
                 slot.pending.insert(bseq, Pending::Internal);
-                conn.wire
-                    .out
+                conn.out
                     .queue(&Request::ReadFloor { epoch: floor }.encode(bseq));
             }
         }
@@ -1256,7 +1184,7 @@ impl SessionState {
         let Some(mut conn) = slot.conn.take() else {
             return;
         };
-        shared.close(conn.key, &mut conn.wire);
+        conn.close(&shared.pool);
         slot.back_off(&shared.config);
         shared.stats.shard_failures.fetch_add(1, Ordering::Relaxed);
         let drained: Vec<Pending> = slot.pending.drain().map(|(_, pending)| pending).collect();
@@ -1270,8 +1198,8 @@ impl SessionState {
     /// Arm every socket for what the session can take next: backends
     /// for reading unless the client is backlogged and for writing while
     /// they are; the client per [`Wire::interest`], blocked while a
-    /// backend is backlogged.
-    fn rearm(&mut self, shared: &RouterShared) {
+    /// backend is backlogged. `false` when the client cannot be armed.
+    fn rearm(&mut self, shared: &RouterShared) -> bool {
         let client_backlogged = self.client.out.backlog() > 0;
         for i in 0..self.slots.len() {
             let Some(conn) = self.slots[i].conn.as_mut() else {
@@ -1280,42 +1208,16 @@ impl SessionState {
             let want = Event {
                 key: conn.key,
                 readable: !client_backlogged,
-                writable: conn.wire.out.backlog() > 0,
+                writable: conn.out.backlog() > 0,
             };
-            if !arm(&shared.pool, &conn.wire.stream, &mut conn.armed, want) {
+            if conn.arm(&shared.pool, want).is_err() {
                 self.fail_slot(shared, i, "re-arm failed");
             }
         }
         let blocked = self.slots.iter().any(Slot::backlogged);
-        let want = self.client.interest(self.key, blocked);
-        if !arm(&shared.pool, &self.client.stream, &mut self.armed, want) {
-            self.close(shared);
-        }
+        let want = self.client.interest(blocked);
+        self.client.arm(&shared.pool, want).is_ok()
     }
-
-    /// End the session: close the client and every backend connection.
-    fn close(&mut self, shared: &RouterShared) {
-        if std::mem::replace(&mut self.closed, true) {
-            return;
-        }
-        for slot in &mut self.slots {
-            if let Some(mut conn) = slot.conn.take() {
-                shared.close(conn.key, &mut conn.wire);
-            }
-        }
-        shared.close(self.key, &mut self.client);
-    }
-}
-
-/// Arm `stream` with `want` unless it already is; a disarmed socket that
-/// wants nothing stays disarmed. `false` when the poller refused.
-fn arm(pool: &Pool, stream: &TcpStream, armed: &mut Option<Event>, want: Event) -> bool {
-    let idle = !want.readable && !want.writable;
-    if *armed == Some(want) || (armed.is_none() && idle) {
-        return true;
-    }
-    *armed = Some(want);
-    pool.arm(stream, want).is_ok()
 }
 
 /// Claim shard `shard`'s id residue on a freshly dialed node, before
@@ -1709,13 +1611,6 @@ mod tests {
         assert!(g.complete_part(Ok(Response::Objects(vec![]))).is_none());
     }
 
-    /// A router over `shards` backends that nothing listens behind.
-    fn shared_over(shards: usize) -> RouterShared {
-        let nowhere = SocketAddr::from(([127, 0, 0, 1], 9));
-        let members = vec![ShardMembership::solo(nowhere); shards];
-        RouterShared::new("127.0.0.1:0", members, RouterConfig::default()).expect("router")
-    }
-
     /// A client socket pair: the router's end and a reader on the
     /// client's.
     fn client_pair() -> (TcpStream, BufReader<TcpStream>) {
@@ -1729,7 +1624,7 @@ mod tests {
     /// which replies under a backend sequence id of its own, and return
     /// the frame the client reads.
     fn cross(
-        session: &Session,
+        state: &mut SessionState,
         client: &mut BufReader<TcpStream>,
         shard: usize,
         client_seq: u64,
@@ -1737,10 +1632,9 @@ mod tests {
     ) -> Vec<u8> {
         let backend_seq = client_seq ^ 0x5a5a;
         let pending = Pending::Single { client_seq };
-        let mut state = session.state.lock();
         state.slots[shard].pending.insert(backend_seq, pending);
         let stats = RouterStats::default();
-        let verdict = on_backend_frame(&stats, &mut state, shard, &result.encode(backend_seq));
+        let verdict = on_backend_frame(&stats, state, shard, &result.encode(backend_seq));
         assert_eq!(verdict, Ok(()), "{result:?}");
         state.client.flush();
         read_frame(client).expect("frame").expect("open")
@@ -1810,13 +1704,12 @@ mod tests {
         ];
         let seqs = [0u64, 127, 128, 1 << 20, u64::MAX];
         for shards in 1..=8 {
-            let shared = shared_over(shards);
-            let session =
-                Session::new(&shared, router_end.try_clone().expect("clone")).expect("session");
+            let client_end = Wire::new(router_end.try_clone().expect("clone"), 1, false);
+            let mut session = SessionState::new(client_end, shards);
             for shard in 0..shards {
                 for (i, result) in results.iter().enumerate() {
                     let seq = seqs[(shard + i) % seqs.len()];
-                    let got = cross(&session, &mut client, shard, seq, result);
+                    let got = cross(&mut session, &mut client, shard, seq, result);
                     assert_eq!(got, result.encode(seq), "shard {shard} of {shards}");
                 }
             }
@@ -1831,9 +1724,8 @@ mod tests {
     fn responses_keep_every_embedded_id() {
         let (router_end, mut client) = client_pair();
         for shards in [1, 3, 4, 8] {
-            let shared = shared_over(shards);
-            let session =
-                Session::new(&shared, router_end.try_clone().expect("clone")).expect("session");
+            let client_end = Wire::new(router_end.try_clone().expect("clone"), 1, false);
+            let mut session = SessionState::new(client_end, shards);
             for shard in 0..shards {
                 // Ids of this shard's residue, narrow and wide.
                 let id = |k: u64| k * shards as u64 + shard as u64;
@@ -1868,7 +1760,7 @@ mod tests {
                     },
                 ];
                 for (seq, result) in (40..).zip(&with_ids) {
-                    let got = cross(&session, &mut client, shard, seq, result);
+                    let got = cross(&mut session, &mut client, shard, seq, result);
                     assert_eq!(
                         Response::decode(&got).expect("decodes"),
                         (seq, result.clone()),

@@ -8,11 +8,11 @@
 //! cost 10k fds and some buffers, not 10k stacks — and the thread that
 //! reads a request is the thread that executes it.
 //!
-//! Every socket is registered **oneshot**: a readiness event is
-//! delivered to exactly one waiting thread, and the socket stays
-//! disarmed until that thread re-arms it. Each thread waits for one
-//! event at a time, so the claimant owns the connection for one
-//! **turn**:
+//! Each connection is a one-socket session of the shared event loop
+//! ([`crate::event_loop`]): its socket is registered **oneshot**, a
+//! readiness event is delivered to exactly one waiting thread, and the
+//! claimant holds the connection for one **turn** (an event claimed
+//! meanwhile leaves a note that the holder's next turn takes):
 //!
 //! - **read** — unless a complete frame is still buffered from the
 //!   last turn, readable bytes are pulled into an incremental
@@ -35,11 +35,11 @@
 //!
 //! A connection that sent `Subscribe` is a replica's subscription
 //! (see [`crate::replication`]): its turns read acks and ship the log it
-//! is owed. A commit wakes a thread through the poller to give each
-//! idle subscriber a turn ([`Service::wake`]), and a write waiting at
-//! the barrier does the same between looks at the acks; a subscriber is
-//! re-armed under the idle lock, for writing too while log is owed, so
-//! no wake is lost to a turn in progress.
+//! is owed, and it is armed for writing too while log is owed. A commit
+//! wakes a thread through the poller, which visits each subscriber as a
+//! claimed event would ([`Service::wake`]), and a write waiting at the
+//! barrier does the same between looks at the acks; a visit that finds
+//! the subscriber in a turn leaves a note, so no wake is lost.
 //!
 //! One turn per connection at a time is what keeps a connection's
 //! requests in stream order at the store (pipelining is FIFO per
@@ -85,7 +85,6 @@
 //! execute; writes commit), and once all are joined every live socket
 //! is shut down.
 
-use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
@@ -96,10 +95,9 @@ use std::thread::JoinHandle;
 use ode::{Database, EpochCache, IdClaim, RawRead, RawWrite};
 use ode_codec::varint;
 use parking_lot::Mutex;
-use polling::Event;
 
 use crate::error::RemoteError;
-use crate::event_loop::{default_threads, Outbox, Pool, Service, Wire, PIPELINE_DEPTH};
+use crate::event_loop::{default_threads, Outbox, Pool, Service, Session, Wire, PIPELINE_DEPTH};
 use crate::protocol::{request_counts, split_seq, Request, Response, StatsReport, OPCODE_COUNT};
 use crate::replication::{fresh_gen, NodeStatus, Peers, ReplicaNode, Subscription, SEMI_SYNC_WAIT};
 
@@ -239,8 +237,8 @@ impl Tally {
 }
 
 /// Everything the server's threads share: the database, counters,
-/// cache and replication state, the pool they wait on, and the
-/// connections waiting for their next turn.
+/// cache and replication state, and the pool they wait on, which holds
+/// every open connection.
 struct Node {
     db: Arc<Database>,
     stats: ServerStats,
@@ -257,12 +255,7 @@ struct Node {
     tail: Mutex<Option<ReplicaNode>>,
     floor_timeout: std::time::Duration,
     write_cap: usize,
-    pool: Pool,
-    /// Every open connection that is not in a turn, by poller key. The
-    /// thread that claims a connection's event takes it out for the
-    /// turn and puts it back before re-arming it, so a connection is
-    /// never in two turns at once.
-    idle: Mutex<HashMap<usize, Conn>>,
+    pool: Pool<Conn>,
 }
 
 /// Execute one decoded request and queue its response frame on `out`.
@@ -455,7 +448,6 @@ fn apply(db: &Database, request: Request) -> ode::Result<Response> {
 /// Per-connection state, owned by whichever thread holds its turn.
 struct Conn {
     wire: Wire,
-    token: usize,
     /// The connection's read floor (the `ReadFloor` opcode), applied
     /// to the reads after it.
     read_floor: u64,
@@ -465,15 +457,6 @@ struct Conn {
     /// The log stream, once the connection sent `Subscribe` (boxed: few
     /// connections subscribe, and every connection carries the field).
     sub: Option<Box<Subscription>>,
-}
-
-/// Why a connection is being torn down.
-enum Close {
-    /// Clean end of session (EOF with nothing left to do, handshake
-    /// refusal, frame-level protocol error).
-    Done,
-    /// Response backlog exceeded the write-buffer cap.
-    Evicted,
 }
 
 /// A running Ode network server (threads sharing one poller).
@@ -505,7 +488,6 @@ impl OdeServer {
             floor_timeout: config.read_floor_timeout,
             write_cap: config.write_buffer_cap.max(1),
             pool,
-            idle: Mutex::new(HashMap::new()),
         });
         // A commit on any path wakes a thread to ship it, while a
         // replica is subscribed.
@@ -587,17 +569,12 @@ impl OdeServer {
 
     fn stop(&mut self) {
         let node = &*self.node;
-        if !node.pool.stop(&mut self.threads) {
+        if !node.stop(&mut self.threads) {
             return;
         }
         node.db.set_ship_waker(None);
         if let Some(tail) = node.tail.lock().take() {
             tail.stop();
-        }
-        // No thread is in a turn any more: every open connection is idle.
-        let open: Vec<Conn> = node.idle.lock().drain().map(|(_, conn)| conn).collect();
-        for conn in open {
-            close(node, conn, Close::Done);
         }
     }
 }
@@ -617,96 +594,96 @@ impl std::fmt::Debug for OdeServer {
 }
 
 impl Service for Node {
-    fn pool(&self) -> &Pool {
+    type State = Conn;
+
+    fn pool(&self) -> &Pool<Conn> {
         &self.pool
     }
 
     fn accept(&self, stream: TcpStream) {
         let stats = &self.stats;
         stats.total_connections.fetch_add(1, Ordering::Relaxed);
-        let token = self.pool.next_key();
+        let key = self.pool.next_key();
         let fd = stream.as_raw_fd();
         stats.active_connections.fetch_add(1, Ordering::Relaxed);
-        let conn = Conn {
-            wire: Wire::new(stream, false),
-            token,
+        let session = Session::new(Conn {
+            wire: Wire::new(stream, key, false),
             read_floor: 0,
             floor_since: None,
             sub: None,
-        };
-        // Among the idle before it is armed: whoever claims its first
-        // event must find it there.
-        self.idle.lock().insert(token, conn);
-        if self.pool.add(&fd, Event::readable(token)).is_err() {
-            self.idle.lock().remove(&token);
+        });
+        if self.pool.register(key, &session, &fd).is_err() {
             stats.active_connections.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
-    fn claim(&self, key: usize, scratch: &mut [u8]) {
-        let claimed = self.idle.lock().remove(&key);
-        let Some(conn) = claimed else {
-            // A subscriber's turn may be taken out of band, by a wake or
-            // a barrier waiter, whose re-arm raises this event again.
-            // Any other connection is armed only while it is idle, and
-            // an event is delivered once per arming.
-            #[cfg(test)]
-            if !self.peers.keys().contains(&key) {
-                tests::BUSY_CLAIMS.fetch_add(1, Ordering::Relaxed);
-            }
-            return;
-        };
-        self.take_turn(conn, scratch);
+    /// One turn of a claimed connection: read unless a frame is left
+    /// over, execute up to [`PIPELINE_DEPTH`] frames, ship what a
+    /// subscriber is owed, flush, re-arm.
+    fn turn(
+        &self,
+        conn: &mut Conn,
+        _: &Arc<Session<Conn>>,
+        fired: &[usize],
+        scratch: &mut [u8],
+    ) -> bool {
+        conn.wire.claimed(fired);
+        if !conn.wire.rbuf.has_frame() {
+            conn.wire.read_ready(scratch, &self.stats.protocol_errors);
+        }
+        let mut tally = Tally::new();
+        let executed = execute_frames(self, conn, &mut tally)
+            && conn.sub.as_mut().is_none_or(|sub| {
+                sub.ship(self.gen, &self.db, &mut conn.wire.out)
+                    .map(|shipped| tally.bytes_out += shipped)
+                    .is_ok()
+            });
+        tally.publish(&self.stats);
+        if !executed {
+            return false;
+        }
+        conn.wire.flush();
+
+        // Slow-client guard: a reader this far behind its responses is
+        // evicted rather than allowed to pin server memory.
+        let backlog = conn.wire.out.backlog();
+        if backlog > self.write_cap {
+            self.stats
+                .slow_client_evictions
+                .fetch_add(1, Ordering::Relaxed);
+            return false;
+        }
+        // Nothing left to read, execute or write: the session is over.
+        // (A partial frame cut off by the EOF can never be answered.)
+        if conn.wire.peer_closed && !conn.wire.rbuf.has_frame() && backlog == 0 {
+            return false;
+        }
+        let mut want = conn.wire.interest(false);
+        // A subscriber writes while log is owed: a turn that shipped up
+        // to its backlog bound and then flushed all of it owes the rest.
+        if let Some(sub) = &conn.sub {
+            want.writable |= sub.owed(&self.db);
+        }
+        conn.wire.arm(&self.pool, want).is_ok()
     }
 
-    /// A commit made log shippable: give each idle subscriber a turn.
+    /// Detach a subscriber, flush what is queued as far as the socket
+    /// takes it (answers queued before a fatal frame should still try
+    /// to reach the client), and close.
+    fn end(&self, conn: &mut Conn) {
+        if conn.sub.take().is_some() {
+            self.peers.ack(conn.wire.key, None, &self.db);
+        }
+        conn.wire.close(&self.pool);
+        self.stats
+            .active_connections
+            .fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// A commit made log shippable: give each subscriber a turn.
     fn wake(&self, scratch: &mut [u8]) {
         for key in self.peers.keys() {
-            let claimed = self.idle.lock().remove(&key);
-            if let Some(conn) = claimed {
-                self.take_turn(conn, scratch);
-            }
-        }
-    }
-}
-
-impl Node {
-    /// Run a turn of a connection taken out of the idle map, then put
-    /// it back and re-arm it, or close it.
-    fn take_turn(&self, mut conn: Conn, scratch: &mut [u8]) {
-        let interest = match turn(self, &mut conn, scratch) {
-            Ok(interest) => interest,
-            Err(why) => return close(self, conn, why),
-        };
-        let fd = conn.wire.stream.as_raw_fd();
-        let key = conn.token;
-        // Back among the idle before it is armed: whoever claims the
-        // next event must find it there. A subscriber is armed under
-        // the idle lock, for writing too while log is owed: a commit's
-        // wake either finds it idle and gives it a turn, or took the
-        // lock before this, and then `owed` sees that commit's log.
-        let mut idle = self.idle.lock();
-        let owed = conn.sub.as_ref().map(|sub| sub.owed(&self.db));
-        idle.insert(key, conn);
-        let armed = match owed {
-            Some(owed) => {
-                let interest = Event {
-                    writable: interest.writable || owed,
-                    ..interest
-                };
-                let armed = self.pool.arm(&fd, interest);
-                drop(idle);
-                armed
-            }
-            None => {
-                drop(idle);
-                self.pool.arm(&fd, interest)
-            }
-        };
-        if armed.is_err() {
-            if let Some(conn) = self.idle.lock().remove(&key) {
-                close(self, conn, Close::Done);
-            }
+            self.claim(key, scratch);
         }
     }
 }
@@ -717,57 +694,6 @@ fn wait_replicated(node: &Node, epoch: u64, timeout: std::time::Duration) -> boo
     node.peers.wait_replicated(epoch, timeout, || {
         node.wake(&mut [0u8; 1024]);
     })
-}
-
-/// Tear down a connection that is out of the idle map.
-fn close(node: &Node, mut conn: Conn, why: Close) {
-    if let Close::Evicted = why {
-        node.stats
-            .slow_client_evictions
-            .fetch_add(1, Ordering::Relaxed);
-    }
-    if conn.sub.take().is_some() {
-        node.peers.ack(conn.token, None, &node.db);
-    }
-    // Best-effort final flush: answers queued before a fatal frame
-    // should still try to reach the client.
-    conn.wire.close(&node.pool);
-    node.stats
-        .active_connections
-        .fetch_sub(1, Ordering::Relaxed);
-}
-
-/// One turn of a claimed connection: read unless a frame is left over,
-/// execute up to [`PIPELINE_DEPTH`] frames, flush. Returns the interest
-/// to re-arm with, or why the connection is done.
-fn turn(node: &Node, conn: &mut Conn, scratch: &mut [u8]) -> Result<Event, Close> {
-    if !conn.wire.rbuf.has_frame() {
-        conn.wire.read_ready(scratch, &node.stats.protocol_errors);
-    }
-    let mut tally = Tally::new();
-    let executed = execute_frames(node, conn, &mut tally).and_then(|()| match &mut conn.sub {
-        Some(sub) => sub
-            .ship(node.gen, &node.db, &mut conn.wire.out)
-            .map(|shipped| tally.bytes_out += shipped)
-            .map_err(|_| Close::Done),
-        None => Ok(()),
-    });
-    tally.publish(&node.stats);
-    executed?;
-    conn.wire.flush();
-
-    // Slow-client guard: a reader this far behind its responses is
-    // evicted rather than allowed to pin server memory.
-    let backlog = conn.wire.out.backlog();
-    if backlog > node.write_cap {
-        return Err(Close::Evicted);
-    }
-    // Nothing left to read, execute or write: the session is over. (A
-    // partial frame cut off by the EOF can never be answered.)
-    if conn.wire.peer_closed && !conn.wire.rbuf.has_frame() && backlog == 0 {
-        return Err(Close::Done);
-    }
-    Ok(conn.wire.interest(conn.token, false))
 }
 
 /// Where a read stands against its connection's read floor.
@@ -808,16 +734,16 @@ fn wait_for_floor(node: &Node, floor: u64, since: &mut Option<std::time::Instant
 
 /// Decode and execute up to [`PIPELINE_DEPTH`] buffered frames in
 /// stream order, queueing each response. A frame-level protocol error
-/// (hostile length prefix) poisons the stream and ends the session.
-fn execute_frames(node: &Node, conn: &mut Conn, tally: &mut Tally) -> Result<(), Close> {
+/// (hostile length prefix) poisons the stream: `false` ends the
+/// session.
+fn execute_frames(node: &Node, conn: &mut Conn, tally: &mut Tally) -> bool {
     // Split borrows: frame payloads stay borrowed out of `rbuf` while
     // the other connection fields are written.
     let Conn {
-        wire: Wire { rbuf, out, .. },
+        wire: Wire { rbuf, out, key, .. },
         read_floor,
         floor_since,
         sub,
-        token,
     } = conn;
     for _ in 0..PIPELINE_DEPTH {
         let payload: &[u8] = match rbuf.next_frame() {
@@ -825,7 +751,7 @@ fn execute_frames(node: &Node, conn: &mut Conn, tally: &mut Tally) -> Result<(),
             Ok(None) => break,
             Err(_) => {
                 tally.protocol_errors += 1;
-                return Err(Close::Done);
+                return false;
             }
         };
         let decoded = Request::decode(payload);
@@ -840,7 +766,7 @@ fn execute_frames(node: &Node, conn: &mut Conn, tally: &mut Tally) -> Result<(),
         if let Floor::Pending = floor {
             // The read stays buffered, first in line for a later turn.
             rbuf.unread();
-            return Ok(());
+            return true;
         }
         tally.bytes_in += (varint::len_u64(payload.len() as u64) + payload.len()) as u64;
         let (seq, request) = match decoded {
@@ -860,11 +786,11 @@ fn execute_frames(node: &Node, conn: &mut Conn, tally: &mut Tally) -> Result<(),
         tally.requests[request.opcode() as usize] += 1;
         let waited = match (request, floor) {
             (request @ (Request::Subscribe { .. } | Request::Ack { .. }), _) => {
-                replicate(node, sub, *token, seq, request, out, tally);
+                replicate(node, sub, *key, seq, request, out, tally);
                 false
             }
             (request, _) if sub.is_some() => {
-                replicate(node, sub, *token, seq, request, out, tally);
+                replicate(node, sub, *key, seq, request, out, tally);
                 false
             }
             // Set here, in stream order: every read after this frame
@@ -898,7 +824,7 @@ fn execute_frames(node: &Node, conn: &mut Conn, tally: &mut Tally) -> Result<(),
             break;
         }
     }
-    Ok(())
+    true
 }
 
 /// Answer a frame of a replica's subscription: `Subscribe` attaches
@@ -1164,10 +1090,6 @@ mod tests {
         }
     }
 
-    /// Events claimed for a connection another thread held in a turn,
-    /// across every server in this test binary.
-    pub(super) static BUSY_CLAIMS: AtomicU64 = AtomicU64::new(0);
-
     /// Connections the concurrent differential plays at once.
     const CONNS: usize = 3;
 
@@ -1299,11 +1221,6 @@ mod tests {
             seed_pools(&model_db);
             assert_matches_model(ops, got, &in_order(&model_db, ops));
         }
-        assert_eq!(
-            BUSY_CLAIMS.load(Ordering::Relaxed),
-            0,
-            "a connection was claimed while in another thread's turn"
-        );
     }
 
     proptest! {

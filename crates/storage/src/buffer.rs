@@ -83,9 +83,6 @@ pub struct BufferStats {
 struct Frame {
     page: Arc<PageBuf>,
     dirty: bool,
-    /// Store epoch at which this image was published (0 for images
-    /// loaded from the file, which are older than any live commit).
-    epoch: u64,
     /// LRU clock: larger is more recent. Atomic so hits can touch it
     /// under the shard *read* lock.
     last_used: AtomicU64,
@@ -195,7 +192,6 @@ impl BufferPool {
             Frame {
                 page: Arc::clone(&loaded),
                 dirty: false,
-                epoch: 0,
                 last_used: AtomicU64::new(self.next_tick()),
             },
         );
@@ -206,13 +202,12 @@ impl BufferPool {
     /// Publish a committed page image, replacing any resident frame.
     /// Readers holding the old `Arc` keep their old image. Called by the
     /// store's commit path (under its snapshot gate) and by recovery.
-    pub fn publish(&self, id: PageId, page: Arc<PageBuf>, dirty: bool, epoch: u64) {
+    pub fn publish(&self, id: PageId, page: Arc<PageBuf>, dirty: bool) {
         let mut shard = self.shard(id).write();
         let tick = self.next_tick();
         if let Some(frame) = shard.frames.get_mut(&id.0) {
             frame.page = page;
             frame.dirty = dirty;
-            frame.epoch = epoch;
             frame.last_used.store(tick, Ordering::Relaxed);
             return;
         }
@@ -224,7 +219,6 @@ impl BufferPool {
             Frame {
                 page,
                 dirty,
-                epoch,
                 last_used: AtomicU64::new(tick),
             },
         );
@@ -247,11 +241,6 @@ impl BufferPool {
             .frames
             .get(&id.0)
             .is_some_and(|f| f.dirty)
-    }
-
-    /// Epoch stamped on the page's resident frame, if any.
-    pub fn frame_epoch(&self, id: PageId) -> Option<u64> {
-        self.shard(id).read().frames.get(&id.0).map(|f| f.epoch)
     }
 
     /// Ids of all dirty resident pages, ascending.
@@ -325,18 +314,6 @@ impl BufferPool {
             self.resident.fetch_sub(n, Ordering::Relaxed);
         }
         self.dirty_pressure.store(false, Ordering::Relaxed);
-    }
-
-    /// Remove everything from the pool (test aid; dirty pages must have
-    /// been flushed first).
-    pub fn clear(&self) {
-        debug_assert!(self.dirty_pages().is_empty(), "clearing dirty pool");
-        for shard in &self.shards {
-            let mut shard = shard.write();
-            let n = shard.frames.len();
-            shard.frames.clear();
-            self.resident.fetch_sub(n, Ordering::Relaxed);
-        }
     }
 
     /// Evict clean LRU frames until this shard plus `incoming` new
@@ -416,12 +393,11 @@ mod tests {
         assert_eq!(old.read_u64(16), 0);
         let mut new_img = PageBuf::new(PageKind::Heap);
         new_img.write_u64(16, 99);
-        pool.publish(id, Arc::new(new_img), true, 7);
+        pool.publish(id, Arc::new(new_img), true);
         // The pin still sees the old image; a fresh lookup sees the new.
         assert_eq!(old.read_u64(16), 0);
         assert_eq!(pool.get(&pager, id).unwrap().read_u64(16), 99);
         assert!(pool.is_dirty(id));
-        assert_eq!(pool.frame_epoch(id), Some(7));
     }
 
     #[test]
@@ -439,7 +415,7 @@ mod tests {
         for &id in &ids[..4] {
             let mut dirty_img = PageBuf::new(PageKind::Heap);
             dirty_img.write_u64(16, id.0 + 1000);
-            pool.publish(id, Arc::new(dirty_img), true, 1);
+            pool.publish(id, Arc::new(dirty_img), true);
         }
         // Four dirty frames fill the shard's share; loading more clean
         // pages must not evict them.
@@ -468,7 +444,7 @@ mod tests {
             pool.get(&pager, id).unwrap();
         }
         for &id in &ids[4..] {
-            pool.publish(id, Arc::new(PageBuf::new(PageKind::Heap)), true, 1);
+            pool.publish(id, Arc::new(PageBuf::new(PageKind::Heap)), true);
         }
         assert_eq!(pool.len(), 4);
         assert_eq!(pool.stats().evictions, 2);
@@ -482,13 +458,13 @@ mod tests {
         let pool = BufferPool::new(0); // floor: 4 per shard
         let ids: Vec<PageId> = (0..6).map(|i| PageId(i * SHARDS as u64)).collect();
         for &id in &ids[..4] {
-            pool.publish(id, Arc::new(PageBuf::new(PageKind::Heap)), true, 1);
+            pool.publish(id, Arc::new(PageBuf::new(PageKind::Heap)), true);
         }
         // A full share of dirty frames is not yet pressure ...
         assert!(!pool.over_target());
         // ... the next frame finding only dirty ones to evict is.
-        pool.publish(ids[4], Arc::new(PageBuf::new(PageKind::Heap)), true, 2);
-        pool.publish(ids[5], Arc::new(PageBuf::new(PageKind::Heap)), true, 2);
+        pool.publish(ids[4], Arc::new(PageBuf::new(PageKind::Heap)), true);
+        pool.publish(ids[5], Arc::new(PageBuf::new(PageKind::Heap)), true);
         assert!(pool.over_target());
         assert_eq!(pool.len(), 6);
         // A checkpoint writes them back, trims the shard to its share
@@ -506,7 +482,7 @@ mod tests {
         let pool = BufferPool::new(64);
         let mut img = PageBuf::new(PageKind::Heap);
         img.write_u64(16, 0xAB);
-        pool.publish(id, Arc::new(img), true, 1);
+        pool.publish(id, Arc::new(img), true);
         pool.flush_all(&pager).unwrap();
         assert!(!pool.is_dirty(id));
         assert_eq!(pool.stats().writebacks, 1);
@@ -551,7 +527,7 @@ mod tests {
         for &k in &dirty {
             let mut page = PageBuf::new(PageKind::Heap);
             page.write_u64(16, k + 1000);
-            pool.publish(PageId(k), Arc::new(page), true, 1);
+            pool.publish(PageId(k), Arc::new(page), true);
         }
         pool.flush_all(&pager).unwrap();
         assert_eq!(pool.stats().writebacks, dirty.len() as u64);

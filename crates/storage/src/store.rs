@@ -1087,7 +1087,7 @@ impl Store {
             self.commit_log
                 .record(epoch, pages.iter().map(|(id, _)| id.0).collect());
             for (id, image) in pages {
-                self.pool.publish(id, Arc::new(image), true, epoch);
+                self.pool.publish(id, Arc::new(image), true);
             }
             epoch
         };
@@ -1095,22 +1095,24 @@ impl Store {
         self.counters.write_txs.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Promote a replica to primary: truncate the local log at the end
-    /// of the last *applied* commit (the fencing rule — the first local
-    /// commit is appended there, so a partly shipped frame after it
-    /// never sits in the log), and count the failover. Idempotent; a
-    /// store that never ingested is left unchanged.
+    /// Promote a replica to primary: fence the local log at the end of
+    /// the last *applied* commit with a trimmed checkpoint (the fencing
+    /// rule — the first local commit starts a generation chained from
+    /// that commit, so a partly shipped frame after it never sits in the
+    /// log), and count the failover. Idempotent; a store that never
+    /// ingested is left unchanged.
     pub fn promote_to_primary(&self) -> Result<()> {
         let mut ws = self.lock_write();
-        let Some(replay) = ws.apply.take() else {
+        let Some(fence) = ws.apply.as_ref().map(Replay::offset) else {
             return Ok(());
         };
-        // Saturating: a checkpoint since the last applied commit already
-        // emptied the log, and whatever followed it is not a commit.
-        let fence = replay.offset().saturating_sub(ws.base_pos);
-        ws.wal.truncate_tail(fence, replay.link())?;
-        ws.logical_pos = ws.base_pos + ws.wal.len();
-        self.ship.advance(ws.logical_pos);
+        // The log ends at the last applied commit (or where a checkpoint
+        // since it left the log empty: what followed is not a commit).
+        // The trimmed checkpoint cuts the rest, and while `apply` still
+        // names that commit, the next generation chains from its link.
+        ws.logical_pos = fence.max(ws.base_pos);
+        self.checkpoint_locked(&mut ws, LogAfter::Trimmed)?;
+        ws.apply = None;
         self.counters.failovers.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }

@@ -362,18 +362,6 @@ impl Wal {
         self.len = 0;
         Ok(())
     }
-
-    /// Cut the log at frame offset `offset`, where the chain's link is
-    /// `link`: a fence at the end of the last applied commit, so later
-    /// appends start from a clean frame boundary.
-    pub fn truncate_tail(&mut self, offset: u64, link: u32) -> Result<()> {
-        let header = if self.headed { LOG_HEADER_LEN } else { 0 };
-        self.file.set_len(header + offset)?;
-        self.file.sync_data()?;
-        self.len = offset;
-        self.tail = link;
-        Ok(())
-    }
 }
 
 /// A standalone fsync handle for the log (see [`Wal::sync_handle`]).
@@ -1371,9 +1359,8 @@ mod tests {
         assert_eq!(commits, sample_commits()[..1]);
         let tear = tear.expect("torn tail reported");
         assert_eq!(tear, wal.len());
-        wal.truncate_tail(tear, wal.tail()).unwrap();
-        // After truncation the log replays cleanly and appends work.
-        assert_eq!(commits_in(&wal), (commits.clone(), None));
+        // The log ends at the tear, so the next append overwrites the
+        // torn bytes and the log replays cleanly.
         append(&mut wal, &sample_commits()[1]);
         assert_eq!(commits_in(&wal), (sample_commits(), None));
     }
@@ -1449,9 +1436,10 @@ mod tests {
 
     #[test]
     fn truncate_then_append_round_trips() {
-        // Repeatedly tear the tail, truncate at the reported offset,
-        // and append fresh commits: every cycle must leave a log that
-        // replays cleanly with the pre-tear prefix + the new commits.
+        // Repeatedly tear the tail and append fresh commits: the log
+        // opens at the tear, so each cycle's first append overwrites the
+        // torn bytes, and every cycle must leave a log that replays the
+        // pre-tear prefix + the new commits.
         let path = TempPath::new();
         let mut expected: Vec<Vec<WalRecord>> = Vec::new();
         for cycle in 0..4u64 {
@@ -1463,6 +1451,7 @@ mod tests {
                 }];
                 append(&mut wal, &keep);
                 expected.push(keep);
+                assert_eq!(commits_in(&wal), (expected.clone(), None), "cycle {cycle}");
                 append(
                     &mut wal,
                     &[WalRecord::Page {
@@ -1473,32 +1462,11 @@ mod tests {
             }
             // Tear 5 bytes off the commit we do not intend to keep.
             chop(&path, 5);
-            let mut wal = Wal::open(&path).unwrap();
+            let wal = Wal::open(&path).unwrap();
             let (commits, tear) = commits_in(&wal);
             assert_eq!(commits, expected, "cycle {cycle}");
-            let tear = tear.expect("torn tail reported");
-            wal.truncate_tail(tear, wal.tail()).unwrap();
-            assert_eq!(wal.len(), tear);
-            assert_eq!(commits_in(&wal), (expected.clone(), None));
+            assert_eq!(tear, Some(wal.len()), "cycle {cycle}");
         }
-    }
-
-    #[test]
-    fn truncate_tail_at_intact_boundary_drops_suffix() {
-        // Fencing uses truncate_tail at an *intact* frame boundary to
-        // drop a fully written but unwanted suffix (an ex-primary's
-        // unshipped commits), not just crash debris.
-        let [first, second] = <[_; 2]>::try_from(sample_commits()).unwrap();
-        let path = TempPath::new();
-        let mut wal = Wal::open(&path).unwrap();
-        append(&mut wal, &first);
-        let (keep, keep_link) = (wal.len(), wal.tail());
-        append(&mut wal, &second);
-        wal.truncate_tail(keep, keep_link).unwrap();
-        assert_eq!(commits_in(&wal), (vec![first.clone()], None));
-        // Appends continue from the fenced position.
-        append(&mut wal, &second);
-        assert_eq!(commits_in(&wal), (vec![first, second], None));
     }
 
     #[test]

@@ -95,18 +95,7 @@ fn main() -> ExitCode {
         match stats_every {
             Some(interval) => {
                 std::thread::sleep(interval);
-                let stats = router.stats();
-                out!(
-                    "stats: {} conns, {} forwarded, {} local, {} gathers, {} backend dials, {} shard failures, {} unavailable, {} protocol errors",
-                    stats.client_connections,
-                    stats.forwarded,
-                    stats.answered_locally,
-                    stats.gathers,
-                    stats.backend_connects,
-                    stats.shard_failures,
-                    stats.unavailable_errors,
-                    stats.protocol_errors,
-                );
+                out!("{}", ode_tools::router_stats_line(&router.stats()));
             }
             None => std::thread::park(),
         }

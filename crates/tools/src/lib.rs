@@ -16,6 +16,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
+use ode_net::RouterStatsReport;
 use ode_object::{IdClaim, Oid};
 use ode_storage::wal::{Replay, Scan, Wal, WalRecord, FRAME_HEADER_LEN};
 use ode_storage::{PageId, PageRead, Store, StoreOptions, StoreStats};
@@ -253,6 +254,32 @@ pub fn store_stats_lines(stats: &StoreStats) -> Vec<String> {
         ),
         format!("checkpoints: {checkpoint_failures} failed after their commit published"),
     ]
+}
+
+/// The router's counters as one line — what `ode-routerd --stats-every`
+/// prints. Every field is named in the destructuring, so a counter
+/// added to [`RouterStatsReport`] does not compile here until it is
+/// printed.
+pub fn router_stats_line(stats: &RouterStatsReport) -> String {
+    let RouterStatsReport {
+        client_connections,
+        forwarded,
+        answered_locally,
+        gathers,
+        backend_connects,
+        shard_failures,
+        unavailable_errors,
+        protocol_errors,
+        replica_reads,
+        failovers,
+    } = *stats;
+    format!(
+        "stats: {client_connections} conns, {forwarded} forwarded \
+         ({replica_reads} to replicas), {answered_locally} local, {gathers} gathers, \
+         {backend_connects} backend dials, {shard_failures} shard failures, \
+         {failovers} failovers, {unavailable_errors} unavailable, \
+         {protocol_errors} protocol errors"
+    )
 }
 
 /// List every live object.
@@ -509,6 +536,35 @@ mod tests {
             .filter_map(|word| word.parse().ok())
             .collect();
         for value in 1001..=1016 {
+            assert_eq!(
+                printed.iter().filter(|&&n| n == value).count(),
+                1,
+                "{value} once in:\n{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn router_stats_line_prints_every_counter() {
+        // Ten distinct values; each must be printed exactly once.
+        let stats = RouterStatsReport {
+            client_connections: 1001,
+            forwarded: 1002,
+            answered_locally: 1003,
+            gathers: 1004,
+            backend_connects: 1005,
+            shard_failures: 1006,
+            unavailable_errors: 1007,
+            protocol_errors: 1008,
+            replica_reads: 1009,
+            failovers: 1010,
+        };
+        let text = router_stats_line(&stats);
+        let printed: Vec<u64> = text
+            .split(|c: char| !c.is_ascii_digit())
+            .filter_map(|word| word.parse().ok())
+            .collect();
+        for value in 1001..=1010 {
             assert_eq!(
                 printed.iter().filter(|&&n| n == value).count(),
                 1,
